@@ -9,14 +9,33 @@
 //!   content checksum in its authoritative per-key metadata.
 //! * **GET** consults the metadata first — an absent or tombstoned key
 //!   answers `no such object` without touching any node, which is what
-//!   makes phantom reads from stale replicas impossible — then returns
-//!   the first replica whose checksum matches, read-repairing any
-//!   divergent or missing replica it passed over.
+//!   makes phantom reads from stale replicas impossible — then follows
+//!   the key's **read plan**: its owners in ring order from a preferred
+//!   starting replica, then the old-ring fallbacks of a rebalance in
+//!   flight. Replicas are probed in that order and the read stops at the
+//!   first copy whose checksum matches the metadata, so a healthy read
+//!   costs one replica read. Owners probed and found stale or missing
+//!   are repaired from the served copy; `NoFreshReplica` is returned only
+//!   after every owner and fallback has been tried. A single `get`
+//!   starts at a rotating owner, so reads of a hot key spread over its
+//!   replicas and R consecutive reads of a key probe every owner;
+//!   `multi_get` plans the whole batch under one ring lock, starts each
+//!   key at the owner holding the fewest keys of the batch so far (ties
+//!   in ring order) and hands each owner its keys as one group.
 //! * **DELETE** carries an idempotency token (see [`ClusterNode`]) and
 //!   tombstones the metadata after W owners acknowledge. The
 //!   coordinator replays the recorded outcome when the same token is
 //!   delivered again (a client redial racing a failover), so the
 //!   non-idempotent storage op applies exactly once.
+//!
+//! **What heals divergence.** A replica that went stale behind the
+//! coordinator's back is never served — every served byte is verified
+//! against the metadata checksum — and is rewritten by the first read
+//! that *probes* it, which rotation makes at most R reads of that key
+//! away; it is not necessarily the next read. Beyond that, the `rejoin`
+//! sweep checks every key a returning node owns, and a rebalance copies
+//! to every owner that gained a key. [`Coordinator::read_stats`] counts
+//! probes, failovers and repair outcomes.
 //!
 //! **Rebalance.** A join or leave diffs the old ring against the new one
 //! ([`Ring::plan_rebalance`]) into the minimal key-move plan, then
@@ -31,7 +50,7 @@
 //! `cluster.meta` (per-key metadata + applied-delete cache) are ranked
 //! ring → meta → node and never held across node IO: owner sets are
 //! snapshotted out of the ring lock, and metadata is read before / written
-//! after the replica round trips.
+//! after the replica round trips. A batch read takes each of the two once.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -43,7 +62,7 @@ use tiera_support::collections::FxHashMap;
 use tiera_support::sync::{rank, Mutex, RwLock};
 use tiera_support::Bytes;
 
-use crate::node::{ClusterNode, NodeError};
+use crate::node::{ClusterNode, NodeError, ReplicaRead};
 use crate::ring::{KeyMove, Ring, DEFAULT_VNODES};
 use crate::wire::MembershipMsg;
 
@@ -136,6 +155,72 @@ struct MetaState {
     applied_deletes: FxHashMap<u64, CachedDelete>,
 }
 
+impl MetaState {
+    /// The authoritative checksum of `key`, if it is live.
+    fn live_checksum(&self, key: &str) -> Option<u64> {
+        self.keys
+            .get(key)
+            .filter(|m| !m.deleted)
+            .map(|m| m.checksum)
+    }
+}
+
+/// Every node handle the coordinator knows, sorted by name. Shared so a
+/// snapshot out of the ring lock is one reference-count bump.
+type Handles = Arc<[Arc<ClusterNode>]>;
+
+/// Where one key's bytes may be, as positions into a [`Handles`]
+/// snapshot: its current owners first, then the old-ring owners that a
+/// rebalance in flight has not drained yet.
+struct Route {
+    order: Vec<usize>,
+    owners: usize,
+}
+
+impl Route {
+    /// Rotates the owners so the one at `start` is probed first; ring
+    /// order is kept from there on.
+    fn start_at(&mut self, start: usize) {
+        self.order[..self.owners].rotate_left(start);
+    }
+}
+
+/// One live key of a batch read.
+struct ReadPlan {
+    /// Index of the key in the batch.
+    slot: usize,
+    /// The authoritative checksum a served copy must match.
+    expected: u64,
+    route: Route,
+}
+
+/// Read-path counters, a snapshot of [`Coordinator::read_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadStats {
+    /// Reads of live keys: the ones the metadata could not answer alone.
+    pub reads: u64,
+    /// Replica reads issued, to owners and old-ring fallbacks alike.
+    /// Equals `reads` while every preferred owner is fresh.
+    pub replica_probes: u64,
+    /// Replicas passed over as stale, missing or unreachable.
+    pub failovers: u64,
+    /// Passed-over owners rewritten with the authoritative bytes.
+    pub repairs: u64,
+    /// Repair writes that failed; the owner stays divergent until it is
+    /// probed again, rejoins, or a rebalance copies to it.
+    pub repair_failures: u64,
+}
+
+#[derive(Default)]
+struct ReadCounters {
+    /// Also the rotation sequence: a `get` starts at owner `reads % R`.
+    reads: AtomicU64,
+    replica_probes: AtomicU64,
+    failovers: AtomicU64,
+    repairs: AtomicU64,
+    repair_failures: AtomicU64,
+}
+
 /// An in-flight migration run.
 struct RebalanceRun {
     old_ring: Ring,
@@ -149,7 +234,7 @@ struct RebalanceRun {
 
 struct Membership {
     ring: Ring,
-    nodes: Vec<Arc<ClusterNode>>,
+    nodes: Handles,
     epoch: u64,
     log: Vec<MembershipMsg>,
     rebalance: Option<RebalanceRun>,
@@ -204,6 +289,7 @@ pub struct Coordinator {
     meta: Mutex<MetaState>,
     versions: AtomicU64,
     tokens: AtomicU64,
+    read_counters: ReadCounters,
 }
 
 impl fmt::Debug for Coordinator {
@@ -232,7 +318,7 @@ impl Coordinator {
                 rank::CLUSTER_RING,
                 Membership {
                     ring: Ring::new(DEFAULT_VNODES),
-                    nodes: Vec::new(),
+                    nodes: Vec::new().into(),
                     epoch: 0,
                     log: Vec::new(),
                     rebalance: None,
@@ -249,6 +335,7 @@ impl Coordinator {
             ),
             versions: AtomicU64::new(0),
             tokens: AtomicU64::new(0),
+            read_counters: ReadCounters::default(),
         }
     }
 
@@ -283,6 +370,18 @@ impl Coordinator {
         self.membership.read().log.clone()
     }
 
+    /// Read-path counters since construction.
+    pub fn read_stats(&self) -> ReadStats {
+        let c = &self.read_counters;
+        ReadStats {
+            reads: c.reads.load(Ordering::Relaxed),
+            replica_probes: c.replica_probes.load(Ordering::Relaxed),
+            failovers: c.failovers.load(Ordering::Relaxed),
+            repairs: c.repairs.load(Ordering::Relaxed),
+            repair_failures: c.repair_failures.load(Ordering::Relaxed),
+        }
+    }
+
     /// The ring owners of `key`, primary first.
     pub fn owner_names(&self, key: &str) -> Vec<String> {
         self.membership.read().ring.owners(key, self.replicas)
@@ -290,11 +389,11 @@ impl Coordinator {
 
     /// Whether `key` currently exists (written, not tombstoned).
     pub fn contains(&self, key: &str) -> bool {
-        self.meta
-            .lock()
-            .keys
-            .get(key)
-            .is_some_and(|m| !m.deleted)
+        self.live_checksum(key).is_some()
+    }
+
+    fn live_checksum(&self, key: &str) -> Option<u64> {
+        self.meta.lock().live_checksum(key)
     }
 
     /// Number of live keys.
@@ -333,9 +432,11 @@ impl Coordinator {
         }
         let old_ring = mem.ring.clone();
         mem.ring.join(&name);
-        if !mem.nodes.iter().any(|n| n.name() == name) {
-            mem.nodes.push(node);
-            mem.nodes.sort_by(|a, b| a.name().cmp(b.name()));
+        if position(&mem.nodes, &name).is_none() {
+            let mut nodes = mem.nodes.to_vec();
+            nodes.push(node);
+            nodes.sort_by(|a, b| a.name().cmp(b.name()));
+            mem.nodes = nodes.into();
         }
         mem.epoch += 1;
         let epoch = mem.epoch;
@@ -436,7 +537,7 @@ impl Coordinator {
         }
     }
 
-    fn claim_move(&self, step: &mut RebalanceStep) -> Option<(KeyMove, Vec<Arc<ClusterNode>>)> {
+    fn claim_move(&self, step: &mut RebalanceStep) -> Option<(KeyMove, Handles)> {
         let mut mem = self.membership.write();
         let Some(run) = mem.rebalance.as_mut() else {
             step.done = true;
@@ -451,8 +552,7 @@ impl Coordinator {
         let mv = run.moves[run.cursor].clone();
         run.cursor += 1;
         step.remaining = run.moves.len() - run.cursor;
-        let handles = mem.nodes.clone();
-        Some((mv, handles))
+        Some((mv, Arc::clone(&mem.nodes)))
     }
 
     fn retire_move(&self, step: &mut RebalanceStep, bytes: u64, deferred: bool) {
@@ -493,14 +593,9 @@ impl Coordinator {
         if mv.targets.is_empty() {
             return (0, false);
         }
-        let expected = {
-            let meta = self.meta.lock();
-            match meta.keys.get(&mv.key) {
-                // Deleted or vanished since planning: nothing to copy.
-                None => return (0, false),
-                Some(m) if m.deleted => return (0, false),
-                Some(m) => m.checksum,
-            }
+        // Deleted or vanished since planning: nothing to copy.
+        let Some(expected) = self.live_checksum(&mv.key) else {
+            return (0, false);
         };
         // Freshest source: an old owner, or a target that a concurrent
         // write already reached.
@@ -545,13 +640,13 @@ impl Coordinator {
 
     /// Replicated store: writes to all R owners, acks after W confirm.
     pub fn put(&self, key: &str, value: Bytes, now: SimTime) -> Result<SimDuration, ClusterError> {
-        let (owners, _) = self.route(key)?;
+        let (nodes, route) = self.route(key)?;
         let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
         let sum = content_checksum(&value);
         let mut acked = 0usize;
         let mut latency = SimDuration::ZERO;
-        for node in &owners {
-            if let Ok(l) = node.apply_put(key, value.clone(), now) {
+        for &pos in &route.order[..route.owners] {
+            if let Ok(l) = nodes[pos].apply_put(key, value.clone(), now) {
                 acked += 1;
                 if l > latency {
                     latency = l;
@@ -581,63 +676,76 @@ impl Coordinator {
         Ok(latency)
     }
 
-    /// Read: scans the replica set, serves the first copy matching the
-    /// authoritative checksum, and repairs every divergent or missing
-    /// owner from it.
+    /// Read: probes the key's owners from a rotating start and serves
+    /// the first copy matching the authoritative checksum, repairing the
+    /// owners it passed over as stale or missing.
     pub fn get(&self, key: &str, now: SimTime) -> Result<(Bytes, SimDuration), ClusterError> {
-        let expected = {
-            let meta = self.meta.lock();
-            match meta.keys.get(key) {
-                None => return Err(ClusterError::NoSuchObject(key.to_string())),
-                Some(m) if m.deleted => {
-                    return Err(ClusterError::NoSuchObject(key.to_string()))
-                }
-                Some(m) => m.checksum,
-            }
+        let Some(expected) = self.live_checksum(key) else {
+            return Err(ClusterError::NoSuchObject(key.to_string()));
         };
-        let (owners, fallbacks) = self.route(key)?;
-        let mut fresh: Option<(Bytes, SimDuration)> = None;
-        let mut repair: Vec<Arc<ClusterNode>> = Vec::new();
+        let seq = self.read_counters.reads.fetch_add(1, Ordering::Relaxed);
+        let (nodes, mut route) = self.route(key)?;
+        route.start_at((seq % route.owners as u64) as usize);
+        self.probe(key, expected, &route, &nodes, None, now)
+    }
+
+    /// Probes `route.order` front to back and serves the first copy whose
+    /// checksum is `expected`. `first`, when given, is the answer the
+    /// front replica already gave as part of a batched read.
+    fn probe(
+        &self,
+        key: &str,
+        expected: u64,
+        route: &Route,
+        nodes: &[Arc<ClusterNode>],
+        mut first: Option<ReplicaRead>,
+        now: SimTime,
+    ) -> Result<(Bytes, SimDuration), ClusterError> {
+        let counters = &self.read_counters;
+        let mut divergent: Vec<usize> = Vec::new();
         let mut stale = 0usize;
         let mut unreachable = 0usize;
-        for (i, node) in owners.iter().chain(fallbacks.iter()).enumerate() {
-            let is_owner = i < owners.len();
-            match node.apply_get(key, now) {
-                Ok((data, l)) => {
-                    if content_checksum(&data) == expected {
-                        if fresh.is_none() {
-                            fresh = Some((data, l));
-                        }
-                    } else {
-                        stale += 1;
-                        if is_owner {
-                            repair.push(Arc::clone(node));
-                        }
+        for (i, &pos) in route.order.iter().enumerate() {
+            let answer = match first.take() {
+                Some(answer) => answer,
+                None => nodes[pos].apply_get(key, now),
+            };
+            match answer {
+                Ok((data, latency)) if content_checksum(&data) == expected => {
+                    counters
+                        .replica_probes
+                        .fetch_add(i as u64 + 1, Ordering::Relaxed);
+                    if i > 0 {
+                        counters.failovers.fetch_add(i as u64, Ordering::Relaxed);
                     }
+                    for &pos in &divergent {
+                        let outcome = match nodes[pos].apply_put(key, data.clone(), now) {
+                            Ok(_) => &counters.repairs,
+                            Err(_) => &counters.repair_failures,
+                        };
+                        outcome.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Ok((data, latency));
                 }
                 Err(NodeError::Unavailable { .. }) => unreachable += 1,
-                Err(NodeError::Storage { .. }) => {
-                    // Missing copy (e.g. not yet migrated / stale rejoin).
+                // Divergent bytes, or no copy at all (not yet migrated,
+                // stale rejoin): an owner in this state is repaired.
+                Ok(_) | Err(NodeError::Storage { .. }) => {
                     stale += 1;
-                    if is_owner {
-                        repair.push(Arc::clone(node));
+                    if i < route.owners {
+                        divergent.push(pos);
                     }
                 }
             }
         }
-        let Some((data, latency)) = fresh else {
-            return Err(ClusterError::NoFreshReplica {
-                key: key.to_string(),
-                stale,
-                unreachable,
-            });
-        };
-        // Read repair: restore the authoritative bytes on divergent
-        // owners (best effort; anti-entropy covers what this misses).
-        for node in repair {
-            let _ = node.apply_put(key, data.clone(), now);
-        }
-        Ok((data, latency))
+        let tried = route.order.len() as u64;
+        counters.replica_probes.fetch_add(tried, Ordering::Relaxed);
+        counters.failovers.fetch_add(tried, Ordering::Relaxed);
+        Err(ClusterError::NoFreshReplica {
+            key: key.to_string(),
+            stale,
+            unreachable,
+        })
     }
 
     /// Replicated delete, exactly once per `token`: redelivery (client
@@ -664,12 +772,12 @@ impl Coordinator {
                 return Err(ClusterError::NoSuchObject(key.to_string()));
             }
         }
-        let (owners, fallbacks) = self.route(key)?;
+        let (nodes, route) = self.route(key)?;
         let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
         let mut acked = 0usize;
         let mut latency = SimDuration::ZERO;
-        for node in owners.iter().chain(fallbacks.iter()) {
-            if let Ok(ack) = node.apply_delete(token, key, now) {
+        for &pos in &route.order {
+            if let Ok(ack) = nodes[pos].apply_delete(token, key, now) {
                 acked += 1;
                 if ack.latency > latency {
                     latency = ack.latency;
@@ -712,13 +820,72 @@ impl Coordinator {
             .collect()
     }
 
-    /// Routed `MultiGet`: per-item outcomes in key order.
+    /// Routed `MultiGet`: per-item outcomes in key order. The batch is
+    /// planned as a whole — one metadata lock, one ring lock — and spread
+    /// over the owners: each key starts at the owner holding the fewest
+    /// keys of this batch so far (ties in ring order), each owner serves
+    /// its keys as one group, and a key whose preferred owner is not
+    /// fresh falls over to its other replicas on its own.
     pub fn multi_get(
         &self,
         keys: &[&str],
         now: SimTime,
     ) -> Vec<Result<(Bytes, SimDuration), ClusterError>> {
-        keys.iter().map(|k| self.get(k, now)).collect()
+        // Every slot starts as the answer an empty ring gives; the
+        // metadata pass overwrites the absent keys, the probes the rest.
+        let mut out: Vec<_> = keys.iter().map(|_| Err(ClusterError::NoMembers)).collect();
+        let mut live: Vec<(usize, u64)> = Vec::with_capacity(keys.len());
+        {
+            let meta = self.meta.lock();
+            for (slot, key) in keys.iter().enumerate() {
+                match meta.live_checksum(key) {
+                    Some(expected) => live.push((slot, expected)),
+                    None => out[slot] = Err(ClusterError::NoSuchObject(key.to_string())),
+                }
+            }
+        }
+        self.read_counters
+            .reads
+            .fetch_add(live.len() as u64, Ordering::Relaxed);
+        let (nodes, mut plans) = {
+            let mem = self.membership.read();
+            if mem.ring.is_empty() {
+                return out;
+            }
+            let mut load = vec![0usize; mem.nodes.len()];
+            let plans: Vec<ReadPlan> = live
+                .into_iter()
+                .map(|(slot, expected)| {
+                    let mut route = mem.route(keys[slot], self.replicas);
+                    let start = (0..route.owners)
+                        .min_by_key(|&i| load[route.order[i]])
+                        .expect("a non-empty ring gives every key an owner");
+                    load[route.order[start]] += 1;
+                    route.start_at(start);
+                    ReadPlan {
+                        slot,
+                        expected,
+                        route,
+                    }
+                })
+                .collect();
+            (Arc::clone(&mem.nodes), plans)
+        };
+        // One batched read per preferred owner; the sort is stable, so a
+        // group keeps its keys in input order.
+        plans.sort_by_key(|plan| plan.route.order[0]);
+        for group in plans.chunk_by(|a, b| a.route.order[0] == b.route.order[0]) {
+            let group_keys = group.iter().map(|plan| keys[plan.slot]);
+            let answers = nodes[group[0].route.order[0]]
+                .apply_multi_get(group_keys, now)
+                .unwrap_or_else(|down| vec![Err(down); group.len()]);
+            for (plan, answer) in group.iter().zip(answers) {
+                let key = keys[plan.slot];
+                out[plan.slot] =
+                    self.probe(key, plan.expected, &plan.route, &nodes, Some(answer), now);
+            }
+        }
+        out
     }
 
     /// Routed `MultiDelete`: one fresh token per key, outcomes in order.
@@ -741,7 +908,7 @@ impl Coordinator {
     pub fn rejoin(&self, name: &str, now: SimTime) -> Result<RejoinReport, ClusterError> {
         let (node, ring, handles) = {
             let mut mem = self.membership.write();
-            let Some(node) = mem.nodes.iter().find(|n| n.name() == name).cloned() else {
+            let Some(node) = find(&mem.nodes, name).cloned() else {
                 return Err(ClusterError::UnknownNode(name.to_string()));
             };
             let epoch = mem.epoch;
@@ -749,7 +916,7 @@ impl Coordinator {
                 node: name.to_string(),
                 epoch,
             });
-            (node, mem.ring.clone(), mem.nodes.clone())
+            (node, mem.ring.clone(), Arc::clone(&mem.nodes))
         };
         node.revive();
         let entries: Vec<(String, KeyMeta)> = {
@@ -799,41 +966,43 @@ impl Coordinator {
         Ok(report)
     }
 
-    /// Owner handles for `key`: `(current owners, old-ring fallbacks
-    /// during a rebalance)`. Snapshotted out of the ring lock — node IO
-    /// never happens under it.
-    fn route(
-        &self,
-        key: &str,
-    ) -> Result<(Vec<Arc<ClusterNode>>, Vec<Arc<ClusterNode>>), ClusterError> {
+    /// The handle snapshot and [`Route`] for `key`, taken out of the ring
+    /// lock — node IO never happens under it.
+    fn route(&self, key: &str) -> Result<(Handles, Route), ClusterError> {
         let mem = self.membership.read();
         if mem.ring.is_empty() {
             return Err(ClusterError::NoMembers);
         }
-        let owner_names = mem.ring.owners(key, self.replicas);
-        let fallback_names: Vec<String> = match &mem.rebalance {
-            Some(run) => run
-                .old_ring
-                .owners(key, self.replicas)
-                .into_iter()
-                .filter(|n| !owner_names.contains(n))
-                .collect(),
-            None => Vec::new(),
-        };
-        let owners = owner_names
-            .iter()
-            .filter_map(|n| find(&mem.nodes, n))
-            .collect();
-        let fallbacks = fallback_names
-            .iter()
-            .filter_map(|n| find(&mem.nodes, n))
-            .collect();
-        Ok((owners, fallbacks))
+        Ok((Arc::clone(&mem.nodes), mem.route(key, self.replicas)))
     }
 }
 
-fn find(handles: &[Arc<ClusterNode>], name: &str) -> Option<Arc<ClusterNode>> {
-    handles.iter().find(|h| h.name() == name).cloned()
+impl Membership {
+    /// Resolves `key`'s owners, and during a rebalance its old-ring
+    /// owners, to handle positions. Names are borrowed from the rings and
+    /// looked up in the sorted handle list; nothing is cloned.
+    fn route(&self, key: &str, replicas: usize) -> Route {
+        let resolve = |name| position(&self.nodes, name).expect("every ring member has a handle");
+        let mut order: Vec<usize> = self.ring.owners_iter(key, replicas).map(resolve).collect();
+        let owners = order.len();
+        if let Some(run) = &self.rebalance {
+            for pos in run.old_ring.owners_iter(key, replicas).map(resolve) {
+                if !order[..owners].contains(&pos) {
+                    order.push(pos);
+                }
+            }
+        }
+        Route { order, owners }
+    }
+}
+
+/// Position of `name` in `handles`, which are sorted by name.
+fn position(handles: &[Arc<ClusterNode>], name: &str) -> Option<usize> {
+    handles.binary_search_by(|h| h.name().cmp(name)).ok()
+}
+
+fn find<'a>(handles: &'a [Arc<ClusterNode>], name: &str) -> Option<&'a Arc<ClusterNode>> {
+    position(handles, name).map(|i| &handles[i])
 }
 
 #[cfg(test)]
@@ -870,6 +1039,27 @@ mod tests {
         Bytes::from(s.as_bytes().to_vec())
     }
 
+    /// The handle of each owner of `key`, in ring order.
+    fn owners_of(
+        coord: &Coordinator,
+        nodes: &[Arc<ClusterNode>],
+        key: &str,
+    ) -> Vec<Arc<ClusterNode>> {
+        coord
+            .owner_names(key)
+            .iter()
+            .map(|name| Arc::clone(nodes.iter().find(|n| n.name() == name).unwrap()))
+            .collect()
+    }
+
+    /// Reads each node's instance has served so far.
+    fn node_reads(nodes: &[Arc<ClusterNode>]) -> Vec<u64> {
+        nodes
+            .iter()
+            .map(|n| n.instance().stats().reads().count)
+            .collect()
+    }
+
     #[test]
     fn put_replicates_to_r_owners_and_get_routes() {
         let (coord, nodes) = cluster(5, 3, 2);
@@ -896,6 +1086,15 @@ mod tests {
             }
         }
         assert_eq!(coord.len(), 64);
+        // Healthy cluster: one replica read per routed read, no more.
+        let stats = coord.read_stats();
+        assert_eq!(stats.reads, 64);
+        assert_eq!(stats.replica_probes, stats.reads);
+        assert_eq!(
+            (stats.failovers, stats.repairs, stats.repair_failures),
+            (0, 0, 0)
+        );
+        assert_eq!(node_reads(&nodes).iter().sum::<u64>(), 64);
     }
 
     #[test]
@@ -925,20 +1124,300 @@ mod tests {
         }
     }
 
+    /// The repair contract: a divergent owner is never served, is
+    /// repaired by the first read that probes it (which need not be the
+    /// next read), and R consecutive reads of a key probe every owner.
     #[test]
-    fn get_read_repairs_divergent_replicas() {
+    fn divergent_owner_is_never_served_and_heals_when_probed() {
+        let t = SimTime::ZERO;
+        for corrupted in 0..3 {
+            let (coord, nodes) = cluster(3, 3, 2);
+            coord.put("k", b("fresh"), t).unwrap();
+            let owners = owners_of(&coord, &nodes, "k");
+            // Corrupt one replica behind the coordinator's back.
+            let victim = &owners[corrupted];
+            victim.instance().put("k", &b"stale"[..], t).unwrap();
+            let before = node_reads(&owners);
+            for read in 0..3 {
+                let (data, _) = coord.get("k", t).unwrap();
+                assert_eq!(&data[..], b"fresh", "read {read}, owner {corrupted} stale");
+                // Read `read` starts at owner `read`: the victim stays
+                // stale until the read that starts on it.
+                let healed = coord.read_stats().repairs == 1;
+                assert_eq!(
+                    healed,
+                    read >= corrupted,
+                    "read {read}, owner {corrupted} stale"
+                );
+            }
+            let stats = coord.read_stats();
+            assert_eq!((stats.reads, stats.replica_probes), (3, 4));
+            assert_eq!((stats.failovers, stats.repair_failures), (1, 0));
+            for (owner, before) in owners.iter().zip(before) {
+                let served = owner.instance().stats().reads().count - before;
+                assert!(
+                    served >= 1,
+                    "three reads probe every owner ({})",
+                    owner.name()
+                );
+            }
+            let (repaired, _) = victim.instance().get("k", t).unwrap();
+            assert_eq!(&repaired[..], b"fresh");
+        }
+    }
+
+    /// What a test does to one owner's copy before reading.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Damage {
+        Intact,
+        Corrupted,
+        Missing,
+        Killed,
+    }
+
+    /// For every start offset and every combination of damaged owners,
+    /// through `get` and through `multi_get`: the answer is the
+    /// authoritative bytes or `NoFreshReplica`, never anything else.
+    #[test]
+    fn reads_serve_authoritative_bytes_or_refuse_under_every_damage_pattern() {
+        use Damage::*;
+        let t = SimTime::ZERO;
+        let kinds = [Intact, Corrupted, Missing, Killed];
+        for pattern in 0..kinds.len().pow(3) {
+            let damage = [pattern % 4, pattern / 4 % 4, pattern / 16].map(|d| kinds[d]);
+            for (start, batched) in [(0, false), (1, false), (2, false), (0, true)] {
+                let (coord, nodes) = cluster(3, 3, 2);
+                coord.put("k", b("fresh"), t).unwrap();
+                // Healthy reads advance the rotation to `start`.
+                for _ in 0..start {
+                    coord.get("k", t).unwrap();
+                }
+                for (owner, damage) in owners_of(&coord, &nodes, "k").iter().zip(damage) {
+                    match damage {
+                        Intact => {}
+                        Corrupted => {
+                            owner.instance().put("k", &b"stale"[..], t).unwrap();
+                        }
+                        Missing => {
+                            owner.instance().delete("k", t).unwrap();
+                        }
+                        Killed => owner.kill(),
+                    }
+                }
+                let result = if batched {
+                    coord.multi_get(&["k"], t).pop().unwrap()
+                } else {
+                    coord.get("k", t)
+                };
+                let case = format!("damage {damage:?}, start {start}, batched {batched}");
+                if damage.contains(&Intact) {
+                    let (data, _) = result.unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert_eq!(&data[..], b"fresh", "{case}");
+                } else {
+                    let killed = damage.iter().filter(|d| **d == Killed).count();
+                    assert_eq!(
+                        result.unwrap_err(),
+                        ClusterError::NoFreshReplica {
+                            key: "k".to_string(),
+                            stale: 3 - killed,
+                            unreachable: killed,
+                        },
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unreachable_preferred_owner_fails_over_to_the_next_and_charges_its_latency() {
+        let (coord, nodes) = cluster(3, 3, 2);
+        let t = SimTime::ZERO;
+        coord.put("k", b("v"), t).unwrap();
+        let owners = owners_of(&coord, &nodes, "k");
+        // Owner i answers 10·(i+1) s late, so a latency names its server.
+        let penalty = |i: usize| SimDuration::from_secs(10 * (i as u64 + 1));
+        for (i, owner) in owners.iter().enumerate() {
+            owner.set_slow_penalty(penalty(i));
+        }
+        let served_by = |latency: SimDuration| {
+            (0..3)
+                .find(|&i| latency >= penalty(i) && latency < penalty(i + 1))
+                .expect("latency carries one owner's penalty")
+        };
+        // Read 0 prefers owner 0: killed, so owner 1 serves.
+        owners[0].kill();
+        let (data, latency) = coord.get("k", t).unwrap();
+        assert_eq!(&data[..], b"v");
+        assert_eq!(served_by(latency), 1);
+        let stats = coord.read_stats();
+        assert_eq!(
+            (stats.reads, stats.replica_probes, stats.failovers),
+            (1, 2, 1)
+        );
+        // Read 1 prefers owner 1: partitioned, so owner 2 serves.
+        owners[0].revive();
+        owners[1].set_partitioned(true);
+        let (_, latency) = coord.get("k", t).unwrap();
+        assert_eq!(served_by(latency), 2);
+        // A batch prefers owner 0 for its first key; killed again, the key
+        // falls over on its own.
+        owners[0].kill();
+        let (_, latency) = coord.multi_get(&["k"], t).pop().unwrap().unwrap();
+        assert_eq!(served_by(latency), 2);
+        let stats = coord.read_stats();
+        assert_eq!(
+            (stats.reads, stats.replica_probes, stats.failovers),
+            (3, 7, 4)
+        );
+        // An unreachable owner holds the right bytes: nothing to repair.
+        assert_eq!((stats.repairs, stats.repair_failures), (0, 0));
+    }
+
+    #[test]
+    fn repair_failures_are_counted_not_dropped() {
         let (coord, nodes) = cluster(3, 3, 2);
         let t = SimTime::ZERO;
         coord.put("k", b("fresh"), t).unwrap();
-        // Corrupt one replica behind the coordinator's back.
-        let owners = coord.owner_names("k");
-        let victim = nodes.iter().find(|n| n.name() == owners[1]).unwrap();
-        victim.instance().put("k", &b"stale"[..], t).unwrap();
+        let owners = owners_of(&coord, &nodes, "k");
+        owners[0].instance().put("k", &b"stale"[..], t).unwrap();
+        // The stale owner answers the probe, then refuses the repair write.
+        owners[0].instance().tier("t1").unwrap().shrink(100.0, t);
         let (data, _) = coord.get("k", t).unwrap();
         assert_eq!(&data[..], b"fresh");
-        // The divergent replica was repaired in passing.
-        let (repaired, _) = victim.instance().get("k", t).unwrap();
-        assert_eq!(&repaired[..], b"fresh");
+        let stats = coord.read_stats();
+        assert_eq!(
+            (stats.failovers, stats.repairs, stats.repair_failures),
+            (1, 0, 1)
+        );
+    }
+
+    #[test]
+    fn multi_get_spreads_a_batch_over_the_owners_one_read_per_key() {
+        let (coord, nodes) = cluster(3, 3, 2);
+        let t = SimTime::ZERO;
+        let mut keys: Vec<String> = (0..16).map(|i| format!("k{i}")).collect();
+        for key in &keys {
+            coord.put(key, b(&format!("v-{key}")), t).unwrap();
+        }
+        keys.insert(7, "missing".to_string());
+        let batch: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let before = node_reads(&nodes);
+        let results = coord.multi_get(&batch, t);
+        // Outcomes in input order, the missing key reported in place.
+        assert_eq!(results.len(), 17);
+        for (key, result) in keys.iter().zip(&results) {
+            match result {
+                Ok((data, _)) => assert_eq!(&data[..], format!("v-{key}").as_bytes()),
+                Err(e) => {
+                    assert_eq!(key, "missing");
+                    assert_eq!(*e, ClusterError::NoSuchObject("missing".to_string()));
+                }
+            }
+        }
+        assert!(results[7].is_err());
+        // Sixteen replica reads in all, spread 6/5/5 over the three nodes.
+        let mut served: Vec<u64> = node_reads(&nodes)
+            .iter()
+            .zip(before)
+            .map(|(after, before)| after - before)
+            .collect();
+        served.sort_unstable();
+        assert_eq!(served, [5, 5, 6]);
+        let stats = coord.read_stats();
+        assert_eq!(
+            (stats.reads, stats.replica_probes, stats.failovers),
+            (16, 16, 0)
+        );
+    }
+
+    #[test]
+    fn mid_rebalance_batch_reads_reach_old_ring_fallbacks() {
+        // R = 1: a moved key's only current owner is the newcomer, which
+        // holds nothing yet, so every such read has to reach the old ring.
+        let (coord, _nodes) = cluster(3, 1, 1);
+        let t = SimTime::ZERO;
+        let keys: Vec<String> = (0..96).map(|i| format!("k{i}")).collect();
+        for key in &keys {
+            coord.put(key, b(&format!("v-{key}")), t).unwrap();
+        }
+        let planned = coord.add_node(mem_node("node-9", 999)).unwrap() as u64;
+        assert!(planned > 0 && !coord.rebalance_done());
+        for chunk in keys.chunks(16) {
+            let batch: Vec<&str> = chunk.iter().map(String::as_str).collect();
+            for (key, result) in chunk.iter().zip(coord.multi_get(&batch, t)) {
+                let (data, _) = result.unwrap();
+                assert_eq!(&data[..], format!("v-{key}").as_bytes());
+            }
+        }
+        // Each moved key passed over the newcomer, was served by its old
+        // owner, and was written to the newcomer in passing.
+        let stats = coord.read_stats();
+        assert_eq!(stats.reads, 96);
+        assert_eq!((stats.failovers, stats.repairs), (planned, planned));
+        assert_eq!(stats.replica_probes, 96 + planned);
+        let report = coord.rebalance_all(t, 64 * 1024);
+        assert_eq!((report.moved_keys, report.deferred), (0, 0));
+    }
+
+    /// The op sequence of `same_ops_on_two_fresh_clusters_charge_identical_latencies`.
+    /// Over simulated EBS volumes, whose latency depends on the volume's
+    /// seed and on what is queued on it — on which owner served what.
+    fn latency_trace() -> Vec<Option<SimDuration>> {
+        let coord = Coordinator::new(3, 2);
+        let nodes: Vec<_> = (0..3)
+            .map(|i| {
+                let name = format!("node-{i}");
+                let env = SimEnv::new(100 + i);
+                let inst = InstanceBuilder::new(name.as_str(), env.clone())
+                    .tier(Arc::new(tiera_tiers::BlockTier::ebs(
+                        "store",
+                        1 << 30,
+                        &env,
+                    )))
+                    .build()
+                    .unwrap();
+                let node = ClusterNode::new(name, inst);
+                coord.add_node(Arc::clone(&node)).unwrap();
+                node
+            })
+            .collect();
+        let t = SimTime::ZERO;
+        let keys: Vec<String> = (0..24).map(|i| format!("k{i}")).collect();
+        let batch: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let mut trace = Vec::new();
+        for key in &keys {
+            trace.push(coord.put(key, b(key), t).ok());
+        }
+        for round in 0..3 {
+            for key in &keys {
+                trace.push(coord.get(key, t).ok().map(|(_, l)| l));
+            }
+            for result in coord.multi_get(&batch[round..round + 16], t) {
+                trace.push(result.ok().map(|(_, l)| l));
+            }
+            // A fault, a divergence and a delete between rounds.
+            nodes[round].kill();
+            nodes[(round + 1) % 3]
+                .instance()
+                .put("k3", &b"stale"[..], t)
+                .unwrap();
+            trace.push(coord.get("k3", t).ok().map(|(_, l)| l));
+            trace.push(coord.delete(coord.next_token(), batch[20 + round], t).ok());
+            nodes[round].revive();
+        }
+        trace
+    }
+
+    #[test]
+    fn same_ops_on_two_fresh_clusters_charge_identical_latencies() {
+        let trace = latency_trace();
+        let distinct: std::collections::BTreeSet<_> = trace.iter().flatten().collect();
+        assert!(
+            distinct.len() > trace.len() / 2,
+            "latencies vary with the serving owner"
+        );
+        assert_eq!(trace, latency_trace());
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //!   DELETEs idempotent.
 //! * [`Coordinator`] — routes PUT/GET/DELETE (and the Multi* batch
 //!   shapes) to the owners of each key, replicates writes to R
-//!   successors and acks after W confirmations, read-repairs divergent
-//!   replicas on GET, and runs the bandwidth-capped, resumable rebalance
-//!   engine when membership changes.
+//!   successors and acks after W confirmations, serves a GET from the
+//!   first owner it probes whose checksum matches its metadata (one
+//!   replica read on a healthy cluster; a `MultiGet` spreads its keys
+//!   over the owners, one group per owner), repairs the owners a read
+//!   probed and passed over, and runs the bandwidth-capped, resumable
+//!   rebalance engine when membership changes.
 //! * [`wire`] — length-prefixed membership and routed-op messages in the
 //!   `tiera-rpc` framing style; every decode path is statically
 //!   panic-free (the A004 analyzer list includes this file).
@@ -40,7 +43,7 @@ pub mod node;
 pub mod ring;
 pub mod wire;
 
-pub use coordinator::{ClusterError, Coordinator, RebalanceReport};
+pub use coordinator::{ClusterError, Coordinator, ReadStats, RebalanceReport};
 pub use node::{ClusterNode, NodeError};
 pub use ring::{KeyMove, RebalancePlan, Ring};
 pub use wire::{MembershipMsg, RoutedOp};

@@ -53,6 +53,9 @@ impl fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
+/// One replica's answer to a read: the bytes and the charged latency.
+pub type ReplicaRead = Result<(Bytes, SimDuration), NodeError>;
+
 /// Acknowledgement of a routed delete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeleteAck {
@@ -172,8 +175,27 @@ impl ClusterNode {
     }
 
     /// Serves a read.
-    pub fn apply_get(&self, key: &str, now: SimTime) -> Result<(Bytes, SimDuration), NodeError> {
+    pub fn apply_get(&self, key: &str, now: SimTime) -> ReplicaRead {
         let penalty = self.admit()?;
+        self.read(key, penalty, now)
+    }
+
+    /// Serves a group of reads under one admission check: the whole group
+    /// is refused if the node is unreachable, otherwise each key gets its
+    /// own outcome, in input order.
+    pub fn apply_multi_get<'a>(
+        &self,
+        keys: impl IntoIterator<Item = &'a str>,
+        now: SimTime,
+    ) -> Result<Vec<ReplicaRead>, NodeError> {
+        let penalty = self.admit()?;
+        Ok(keys
+            .into_iter()
+            .map(|key| self.read(key, penalty, now))
+            .collect())
+    }
+
+    fn read(&self, key: &str, penalty: SimDuration, now: SimTime) -> ReplicaRead {
         match self.instance.get(key, now) {
             Ok((data, r)) => Ok((data, r.latency + penalty)),
             Err(e) => Err(self.storage_err(e)),
@@ -305,6 +327,24 @@ mod tests {
         assert!(n.apply_get("k", t).is_err());
         n.set_partitioned(false);
         assert!(n.apply_get("k", t).is_ok());
+    }
+
+    #[test]
+    fn grouped_reads_answer_per_key_and_are_refused_as_a_group() {
+        let n = node("n1");
+        let t = SimTime::ZERO;
+        n.apply_put("a", Bytes::from(&b"1"[..]), t).unwrap();
+        n.apply_put("b", Bytes::from(&b"2"[..]), t).unwrap();
+        let answers = n.apply_multi_get(["b", "absent", "a"], t).unwrap();
+        assert_eq!(answers.len(), 3);
+        assert_eq!(&answers[0].as_ref().unwrap().0[..], b"2");
+        assert!(matches!(answers[1], Err(NodeError::Storage { .. })));
+        assert_eq!(&answers[2].as_ref().unwrap().0[..], b"1");
+        n.set_partitioned(true);
+        assert!(matches!(
+            n.apply_multi_get(["a", "b"], t),
+            Err(NodeError::Unavailable { .. })
+        ));
     }
 
     #[test]

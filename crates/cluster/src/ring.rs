@@ -141,35 +141,34 @@ impl Ring {
     /// the key's replica set, primary first. Returns fewer than `r`
     /// names when the ring has fewer members.
     pub fn owners(&self, key: &str, r: usize) -> Vec<String> {
-        self.owners_by_hash(Self::key_hash(key), r)
+        self.owners_iter(key, r).map(str::to_string).collect()
     }
 
-    fn owners_by_hash(&self, hash: u64, r: usize) -> Vec<String> {
+    /// [`Ring::owners`] as borrowed names: what a caller that resolves
+    /// each owner under the lock guarding this ring wants, since nothing
+    /// is cloned.
+    pub fn owners_iter<'a>(&'a self, key: &str, r: usize) -> impl Iterator<Item = &'a str> {
         let want = r.min(self.names.len());
-        let mut out: Vec<String> = Vec::with_capacity(want);
-        if want == 0 {
-            return out;
-        }
+        let hash = Self::key_hash(key);
         let start = self.points.partition_point(|&(pos, _)| pos < hash);
-        for i in 0..self.points.len() {
-            let idx = (start + i) % self.points.len();
-            let name = match self.points.get(idx) {
-                Some((_, n)) => n,
-                None => break,
-            };
-            if !out.iter().any(|o| o == name) {
-                out.push(name.clone());
-                if out.len() == want {
-                    break;
+        let (before, from) = self.points.split_at(start);
+        let mut seen: Vec<&str> = Vec::with_capacity(want);
+        from.iter()
+            .chain(before)
+            .map(|(_, name)| name.as_str())
+            .filter(move |name| {
+                let fresh = !seen.contains(name);
+                if fresh {
+                    seen.push(*name);
                 }
-            }
-        }
-        out
+                fresh
+            })
+            .take(want)
     }
 
     /// The primary owner of `key`, if the ring is non-empty.
     pub fn primary(&self, key: &str) -> Option<String> {
-        self.owners(key, 1).into_iter().next()
+        self.owners_iter(key, 1).next().map(str::to_string)
     }
 
     /// Diffs this ring against `target` over `keys` with replica count

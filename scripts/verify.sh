@@ -30,6 +30,9 @@ echo "==> lockcheck tests (runtime lock-order sanitizer enabled)"
 cargo test --offline -q -p tiera-support -p tiera-core -p tiera-rpc -p tiera-chaos \
     -p tiera-metastore -p tiera-cluster -p tiera-tierx --features tiera-support/lockcheck
 
+echo "==> benchmark/ tests (outside the root workspace; catches API drift under the referee)"
+(cd benchmark && cargo test --offline -q)
+
 echo "==> bench smoke (quick mode; schema only, no timing assertions)"
 ./scripts/bench.sh
 
