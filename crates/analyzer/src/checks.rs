@@ -13,9 +13,9 @@
 //! * **A004** applies to the configured panic-free modules' shipping
 //!   region (historically `crates/rpc/src/proto.rs`).
 //! * **A005** applies to every line of the configured hot-path modules
-//!   (historically `crates/core/src/registry.rs`), tests included — a
-//!   default-hashed map in a registry test still hides iteration-order
-//!   nondeterminism.
+//!   (`crates/core/src/{registry,tier}.rs`, `crates/tiers/src`), tests
+//!   included — a default-hashed map in a registry test still hides
+//!   iteration-order nondeterminism.
 //! * **A006** applies to every line of every non-support file, matching
 //!   the original hermetic.rs lint.
 
@@ -38,7 +38,9 @@ pub struct Config {
 
 impl Config {
     /// The workspace policy: proto.rs and the cluster wire module decode
-    /// hostile bytes, registry.rs is the per-key hot path.
+    /// hostile bytes; the registry and the tiers' object maps are per-key
+    /// hot paths, and the simulated tiers' reshard walks its map while
+    /// drawing from a seeded rng.
     pub fn workspace() -> Self {
         Self {
             panic_free: vec![
@@ -46,7 +48,12 @@ impl Config {
                 "crates/cluster/src/wire.rs".into(),
                 "crates/tierx/src/header.rs".into(),
             ],
-            hot_path: vec!["crates/core/src/registry.rs".into()],
+            hot_path: vec![
+                "crates/core/src/registry.rs".into(),
+                "crates/core/src/tier.rs".into(),
+                "crates/tiers/src/lib.rs".into(),
+                "crates/tiers/src/simulated.rs".into(),
+            ],
         }
     }
 }

@@ -25,8 +25,9 @@
 //! afterwards (this is how Fig 4's `PersistentInstance` works: the PUT
 //! lands in `tier1`, then the write-through rule copies it to `tier2`).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use tiera_support::sync::{rank, Mutex, RwLock};
 use tiera_support::{Bytes, SimRng};
@@ -37,7 +38,7 @@ use tiera_sim::{SimDuration, SimEnv, SimTime};
 
 use crate::error::{Result, TieraError};
 use crate::event::{ActionOp, EventKind, Metric};
-use crate::meta::ObjectMeta;
+use crate::meta::{ObjectMeta, TierSet};
 use crate::object::{ObjectKey, Tag};
 use crate::policy::{Policy, Rule, RuleId};
 use crate::registry::Registry;
@@ -45,7 +46,7 @@ use crate::response::{EvictOrder, Guard, ResponseSpec};
 use crate::retry::{FailureAlert, RetryPolicy};
 use crate::selector::Selector;
 use crate::stats::InstanceStats;
-use crate::tier::TierHandle;
+use crate::tier::{TierHandle, TierId};
 
 /// Options for a PUT request.
 #[derive(Debug, Clone, Default)]
@@ -62,12 +63,12 @@ pub struct PutReceipt {
 }
 
 /// Receipt for a GET.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GetReceipt {
     /// Latency charged to the client.
     pub latency: SimDuration,
-    /// Tier that served the read.
-    pub served_by: String,
+    /// Tier that served the read (prints and compares as its name).
+    pub served_by: TierId,
 }
 
 /// Report from one [`Instance::pump`] call.
@@ -153,8 +154,8 @@ impl BackgroundQueue {
 
 /// The two shapes of background work.
 enum WorkItem {
-    /// Ordinary deferred responses.
-    Responses(Vec<ResponseSpec>),
+    /// A rule's responses, deferred; the rule is shared with the policy.
+    Responses(Arc<Rule>),
     /// A bandwidth-capped copy in progress: one object is transferred per
     /// step, and the continuation re-enqueues itself `pace(len)` later.
     /// This is what keeps a `bandwidth: 40KB/s` copy from monopolizing the
@@ -167,11 +168,32 @@ enum WorkItem {
     },
 }
 
+/// An attached tier and its interned name, resolved once at attach time.
+#[derive(Clone)]
+struct Attached {
+    id: TierId,
+    /// `tier.tier_traits().durable` (traits are static properties).
+    durable: bool,
+    tier: TierHandle,
+}
+
+impl Attached {
+    fn new(tier: TierHandle) -> Self {
+        Self {
+            id: TierId::from(tier.name()),
+            durable: tier.tier_traits().durable,
+            tier,
+        }
+    }
+}
+
 /// A multi-tiered cloud storage instance.
 pub struct Instance {
     name: String,
     env: SimEnv,
-    tiers: RwLock<Vec<TierHandle>>,
+    /// Attached tiers in preference order. Replaced wholesale on
+    /// attach/detach, so an operation snapshots it with one refcount bump.
+    tiers: RwLock<Arc<[Attached]>>,
     policy: Policy,
     registry: Registry,
     stats: InstanceStats,
@@ -209,7 +231,7 @@ struct Ctx {
     depth: u8,
     /// Tiers the *inserted* object was freshly written to during this
     /// execution (drives overwrite cleanup of stale copies).
-    placed_inserted: BTreeSet<String>,
+    placed_inserted: TierSet,
 }
 
 impl Ctx {
@@ -221,7 +243,7 @@ impl Ctx {
             inserted_data: None,
             background: false,
             depth: 0,
-            placed_inserted: BTreeSet::new(),
+            placed_inserted: TierSet::new(),
         }
     }
 
@@ -266,7 +288,11 @@ impl Instance {
         Self {
             name,
             env,
-            tiers: RwLock::named("instance.tiers", rank::INSTANCE_TIERS, tiers),
+            tiers: RwLock::named(
+                "instance.tiers",
+                rank::INSTANCE_TIERS,
+                tiers.into_iter().map(Attached::new).collect(),
+            ),
             policy,
             registry,
             stats: InstanceStats::new(),
@@ -404,7 +430,7 @@ impl Instance {
 
     /// Attached tier names, in preference order.
     pub fn tier_names(&self) -> Vec<String> {
-        self.tiers.read().iter().map(|t| t.name().to_string()).collect()
+        self.tiers.read().iter().map(|t| t.id.to_string()).collect()
     }
 
     /// Per-tier logical-vs-physical capacity accounting, for tiers that
@@ -414,7 +440,7 @@ impl Instance {
         self.tiers
             .read()
             .iter()
-            .filter_map(|t| t.capacity_profile().map(|p| (t.name().to_string(), p)))
+            .filter_map(|t| t.tier.capacity_profile().map(|p| (t.id.to_string(), p)))
             .collect()
     }
 
@@ -436,24 +462,37 @@ impl Instance {
 
     /// Handle to a tier by name.
     pub fn tier(&self, name: &str) -> Result<TierHandle> {
+        self.attached(name).map(|t| t.tier)
+    }
+
+    /// The attached tier called `name`, compared by name: rules carry
+    /// names, and an instance has a handful of tiers.
+    fn attached(&self, name: &str) -> Result<Attached> {
         self.tiers
             .read()
             .iter()
-            .find(|t| t.name() == name)
+            .find(|t| t.id == name)
             .cloned()
             .ok_or_else(|| TieraError::NoSuchTier(name.to_string()))
+    }
+
+    /// Handle to the attached tier with this id (object locations carry
+    /// ids); `None` once it is detached.
+    fn tier_by_id(&self, id: TierId) -> Option<TierHandle> {
+        let tiers = self.tiers.read();
+        tiers.iter().find(|t| t.id == id).map(|t| Arc::clone(&t.tier))
     }
 
     /// Attaches a tier at the end of the preference order.
     pub fn attach_tier(&self, tier: TierHandle) -> Result<()> {
         let mut tiers = self.tiers.write();
-        if tiers.iter().any(|t| t.name() == tier.name()) {
+        if tiers.iter().any(|t| t.id == tier.name()) {
             return Err(TieraError::InvalidConfig(format!(
                 "tier {} already attached",
                 tier.name()
             )));
         }
-        tiers.push(tier);
+        *tiers = tiers.iter().cloned().chain([Attached::new(tier)]).collect();
         Ok(())
     }
 
@@ -462,11 +501,10 @@ impl Instance {
     /// re-stored; their metadata is retained.
     pub fn detach_tier(&self, name: &str) -> Result<()> {
         let mut tiers = self.tiers.write();
-        let before = tiers.len();
-        tiers.retain(|t| t.name() != name);
-        if tiers.len() == before {
+        if !tiers.iter().any(|t| t.id == name) {
             return Err(TieraError::NoSuchTier(name.to_string()));
         }
+        *tiers = tiers.iter().filter(|t| t.id != name).cloned().collect();
         Ok(())
     }
 
@@ -474,16 +512,16 @@ impl Instance {
     pub fn monthly_cost(&self, now: SimTime) -> tiera_sim::CostReport {
         let mut report = tiera_sim::CostReport::default();
         for t in self.tiers.read().iter() {
-            let gb = t.capacity(now) as f64 / (1024.0 * 1024.0 * 1024.0);
+            let gb = t.tier.capacity(now) as f64 / (1024.0 * 1024.0 * 1024.0);
             report.add(
-                format!("{} ({:.2} GB)", t.name(), gb),
-                t.monthly_cost(now),
+                format!("{} ({:.2} GB)", t.id, gb),
+                t.tier.monthly_cost(now),
             );
         }
         report
     }
 
-    fn default_tier(&self) -> Result<TierHandle> {
+    fn default_tier(&self) -> Result<Attached> {
         self.tiers
             .read()
             .first()
@@ -512,8 +550,7 @@ impl Instance {
 
         if !self.control_layer.load(Ordering::Acquire) {
             // Figure 18 baseline: bypass the control layer entirely.
-            let tier = self.default_tier()?;
-            let receipt = tier.put(&key, data, now)?;
+            let receipt = self.default_tier()?.tier.put(&key, data, now)?;
             self.stats.record_write(receipt.latency);
             self.env.clock().advance_to(now + receipt.latency);
             return Ok(PutReceipt {
@@ -527,7 +564,9 @@ impl Instance {
         // Register metadata (dirty until persisted, per Fig 3).
         let mut meta = ObjectMeta::new(size, now);
         meta.dirty = true;
-        meta.tags = opts.tags.iter().cloned().collect();
+        if !opts.tags.is_empty() {
+            meta.set_tags(opts.tags.iter().cloned());
+        }
         if let Some(prev) = &prior {
             meta.created = prev.created;
             meta.access_count = prev.access_count;
@@ -544,8 +583,8 @@ impl Instance {
         ctx.inserted = Some(key.clone());
         ctx.inserted_data = Some(data);
 
-        let into_tier = self.default_tier()?.name().to_string();
-        let matching = self.matching_action_rules(ActionOp::Put, &into_tier);
+        let into_tier = self.default_tier()?.id.name();
+        let matching = self.matching_action_rules(ActionOp::Put, into_tier);
 
         // Does any matching foreground rule place the inserted object?
         let rules_place = matching.iter().any(|(_, rule, background)| {
@@ -554,19 +593,13 @@ impl Instance {
 
         let result: Result<()> = (|| {
             if !rules_place {
-                // Implicit default placement.
-                let spec = ResponseSpec::store(Selector::Inserted, [into_tier.clone()]);
-                self.execute_response(&spec, &mut ctx)?;
+                // Implicit default placement: `store(insert.object, to:
+                // <default tier>)`, counted as the response it stands for.
+                self.stats.record_response();
+                let data = self.fetch_stored(&key, &mut ctx)?;
+                self.store_one(&key, data, &[into_tier], &mut ctx)?;
             }
-            for (_, rule, background) in &matching {
-                self.stats.record_event();
-                if *background {
-                    self.enqueue_background(rule.responses.clone(), &ctx);
-                } else {
-                    self.execute_responses(&rule.responses, &mut ctx)?;
-                }
-            }
-            Ok(())
+            self.fire_action_rules(&matching, &mut ctx)
         })();
 
         if let Err(e) = result {
@@ -576,7 +609,7 @@ impl Instance {
             // unreachable data and leak capacity).
             if prior.is_none() {
                 for placed in &ctx.placed_inserted {
-                    if let Ok(tier) = self.tier(placed) {
+                    if let Some(tier) = self.tier_by_id(*placed) {
                         let _ = tier.delete(&key, ctx.now);
                     }
                 }
@@ -590,16 +623,16 @@ impl Instance {
         // replaces it everywhere). The placement set comes from the
         // execution context, not the carried-over metadata.
         if let Some(prev) = prior {
-            let placed = ctx.placed_inserted.clone();
-            for stale in prev.locations.iter().filter(|l| !placed.contains(*l)) {
-                if let Ok(tier) = self.tier(stale) {
+            let placed = &ctx.placed_inserted;
+            for stale in prev.locations.iter().filter(|l| !placed.contains_id(**l)) {
+                if let Some(tier) = self.tier_by_id(*stale) {
                     let _ = tier.delete(&key, ctx.now);
                 }
             }
             self.registry.update(&key, |m| {
-                m.locations.retain(|l| placed.contains(l));
+                m.locations.retain(|l| placed.contains_id(l));
             });
-            if let Some(d) = prev.digest {
+            if let Some(d) = prev.digest() {
                 if let Some(physical) = self.registry.dedup_release(&d) {
                     self.delete_physical(&physical, ctx.now);
                 }
@@ -625,15 +658,15 @@ impl Instance {
         let key: ObjectKey = key.into();
 
         if !self.control_layer.load(Ordering::Acquire) {
-            let tier = self.default_tier()?;
+            let Attached { id, tier, .. } = self.default_tier()?;
             let (data, receipt) = tier.get(&key, now)?;
-            self.stats.record_read(receipt.latency, tier.name());
+            self.stats.record_read(receipt.latency, id);
             self.env.clock().advance_to(now + receipt.latency);
             return Ok((
                 data,
                 GetReceipt {
                     latency: receipt.latency,
-                    served_by: tier.name().to_string(),
+                    served_by: id,
                 },
             ));
         }
@@ -648,7 +681,7 @@ impl Instance {
         let data = self.decode_payload(&key, &meta, raw.clone())?;
 
         self.registry.touch(&key, ctx.now);
-        if meta.digest.is_some() {
+        if meta.digest().is_some() {
             // Keep the physical object's LRU position in sync with logical
             // accesses so cache eviction sees real usage.
             let phys = self.resolve_physical(&key);
@@ -660,25 +693,18 @@ impl Instance {
         // Fire GET action rules (e.g. read-promotion in LRU cache
         // policies). The just-read stored bytes ride along in the context
         // so a promote does not re-read the slow tier.
-        let matching = self.matching_action_rules(ActionOp::Get, &served_by);
+        let matching = self.matching_action_rules(ActionOp::Get, served_by.name());
         if !matching.is_empty() {
             ctx.inserted = Some(key.clone());
             ctx.inserted_data = Some(raw.clone());
-            for (_, rule, background) in &matching {
-                self.stats.record_event();
-                if *background {
-                    self.enqueue_background(rule.responses.clone(), &ctx);
-                } else {
-                    self.execute_responses(&rule.responses, &mut ctx)?;
-                }
-            }
+            self.fire_action_rules(&matching, &mut ctx)?;
         }
 
         // Reads change object-attribute metrics (access counts), so
         // threshold rules are evaluated here too.
         self.eval_thresholds(&mut ctx)?;
 
-        self.stats.record_read(ctx.charged, &served_by);
+        self.stats.record_read(ctx.charged, served_by);
         self.env.clock().advance_to(ctx.now);
         Ok((
             data,
@@ -699,7 +725,7 @@ impl Instance {
 
         let mut ctx = Ctx::foreground(now);
 
-        if let Some(d) = meta.digest {
+        if let Some(d) = meta.digest() {
             // Dedup object: drop the reference; delete bytes on last ref.
             if let Some(physical) = self.registry.dedup_release(&d) {
                 self.delete_physical(&physical, ctx.now);
@@ -707,7 +733,7 @@ impl Instance {
         } else {
             let mut slowest = SimDuration::ZERO;
             for loc in &meta.locations {
-                if let Ok(tier) = self.tier(loc) {
+                if let Some(tier) = self.tier_by_id(*loc) {
                     let receipt = tier.delete(&key, ctx.now)?;
                     slowest = slowest.max(receipt.latency);
                 }
@@ -716,16 +742,9 @@ impl Instance {
         }
         self.registry.remove(&key);
 
-        let into_tier = self.default_tier()?.name().to_string();
-        let matching = self.matching_action_rules(ActionOp::Delete, &into_tier);
-        for (_, rule, background) in &matching {
-            self.stats.record_event();
-            if *background {
-                self.enqueue_background(rule.responses.clone(), &ctx);
-            } else {
-                self.execute_responses(&rule.responses, &mut ctx)?;
-            }
-        }
+        let into_tier = self.default_tier()?.id.name();
+        let matching = self.matching_action_rules(ActionOp::Delete, into_tier);
+        self.fire_action_rules(&matching, &mut ctx)?;
 
         self.eval_thresholds(&mut ctx)?;
         self.env.clock().advance_to(ctx.now);
@@ -746,7 +765,7 @@ impl Instance {
         let mut report = PumpReport::default();
 
         // Timer rules: fire once per elapsed period, at the period boundary.
-        let due: Vec<(SimTime, Vec<ResponseSpec>)> = self.policy.with_rules(|rules| {
+        let due: Vec<(SimTime, Arc<Rule>)> = self.policy.with_rules(|rules| {
             let mut due = Vec::new();
             for installed in rules.iter_mut() {
                 if let EventKind::Timer { period } = &installed.rule.event {
@@ -755,7 +774,7 @@ impl Instance {
                     }
                     let mut next = installed.state.last_fired + *period;
                     while next <= now {
-                        due.push((next, installed.rule.responses.clone()));
+                        due.push((next, Arc::clone(&installed.rule)));
                         installed.state.last_fired = next;
                         next += *period;
                     }
@@ -763,11 +782,11 @@ impl Instance {
             }
             due
         });
-        for (fire_at, responses) in due {
+        for (fire_at, rule) in due {
             self.stats.record_event();
             report.timers_fired += 1;
             let mut ctx = Ctx::background(fire_at);
-            if let Err(e) = self.execute_responses(&responses, &mut ctx) {
+            if let Err(e) = self.execute_responses(&rule.responses, &mut ctx) {
                 // A failing timer body must not wedge the pump (it used to
                 // abort the drain, stranding every queued item behind it).
                 // The timer refires next period, which is the natural
@@ -790,11 +809,11 @@ impl Instance {
             let mut ctx = Ctx::background(work.due);
             ctx.inserted = work.inserted.clone();
             match work.work {
-                WorkItem::Responses(responses) => {
-                    if let Err(e) = self.execute_responses(&responses, &mut ctx) {
+                WorkItem::Responses(rule) => {
+                    if let Err(e) = self.execute_responses(&rule.responses, &mut ctx) {
                         self.requeue_or_drop(
                             work.due,
-                            WorkItem::Responses(responses),
+                            WorkItem::Responses(rule),
                             work.inserted,
                             work.attempts,
                             &e,
@@ -900,7 +919,11 @@ impl Instance {
 
     // ---- internals ----
 
-    fn matching_action_rules(&self, op: ActionOp, into_tier: &str) -> Vec<(RuleId, Rule, bool)> {
+    fn matching_action_rules(
+        &self,
+        op: ActionOp,
+        into_tier: &str,
+    ) -> Vec<(RuleId, Arc<Rule>, bool)> {
         // Action matching never mutates trigger state: shared lock only,
         // so concurrent PUT/GET threads don't serialize on the policy.
         self.policy.with_rules_read(|rules| {
@@ -914,7 +937,7 @@ impl Instance {
                     } if *rule_op == op
                         && tier.as_deref().map(|t| t == into_tier).unwrap_or(true) =>
                     {
-                        Some((installed.id, installed.rule.clone(), *background))
+                        Some((installed.id, Arc::clone(&installed.rule), *background))
                     }
                     _ => None,
                 })
@@ -922,11 +945,29 @@ impl Instance {
         })
     }
 
-    fn enqueue_background(&self, responses: Vec<ResponseSpec>, ctx: &Ctx) {
+    /// Fires matched action rules in installation order: foreground rules
+    /// run inline, background rules are queued for `pump`.
+    fn fire_action_rules(
+        &self,
+        matching: &[(RuleId, Arc<Rule>, bool)],
+        ctx: &mut Ctx,
+    ) -> Result<()> {
+        for (_, rule, background) in matching {
+            self.stats.record_event();
+            if *background {
+                self.enqueue_background(Arc::clone(rule), ctx);
+            } else {
+                self.execute_responses(&rule.responses, ctx)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn enqueue_background(&self, rule: Arc<Rule>, ctx: &Ctx) {
         self.stats.record_background();
         self.background.lock().push(PendingWork {
             due: ctx.now,
-            work: WorkItem::Responses(responses),
+            work: WorkItem::Responses(rule),
             inserted: ctx.inserted.clone(),
             attempts: 0,
         });
@@ -943,7 +984,7 @@ impl Instance {
         if !self.policy.has_threshold_rules() {
             return Ok(());
         }
-        let fired: Vec<(Vec<ResponseSpec>, bool)> = self.policy.with_rules(|rules| {
+        let fired: Vec<(Arc<Rule>, bool)> = self.policy.with_rules(|rules| {
             let mut fired = Vec::new();
             for installed in rules.iter_mut() {
                 if let EventKind::Threshold {
@@ -957,7 +998,7 @@ impl Instance {
                     let holds = relation.holds(current, *value);
                     if holds && installed.state.armed {
                         installed.state.armed = false;
-                        fired.push((installed.rule.responses.clone(), *background));
+                        fired.push((Arc::clone(&installed.rule), *background));
                     } else if !holds {
                         installed.state.armed = true;
                     }
@@ -965,13 +1006,13 @@ impl Instance {
             }
             fired
         });
-        for (responses, background) in fired {
+        for (rule, background) in fired {
             self.stats.record_event();
             if background {
-                self.enqueue_background(responses, ctx);
+                self.enqueue_background(rule, ctx);
             } else {
                 ctx.depth += 1;
-                let r = self.execute_responses(&responses, ctx);
+                let r = self.execute_responses(&rule.responses, ctx);
                 ctx.depth -= 1;
                 r?;
             }
@@ -1078,7 +1119,7 @@ impl Instance {
     /// was stored via `storeOnce` (dedup indirection). Physical objects own
     /// the real locations; logical dedup entries only carry the digest.
     fn resolve_physical(&self, key: &ObjectKey) -> ObjectKey {
-        match self.registry.get(key).and_then(|m| m.digest) {
+        match self.registry.get(key).and_then(|m| m.digest()) {
             Some(d) => self.registry.dedup_lookup(&d).unwrap_or_else(|| key.clone()),
             None => key.clone(),
         }
@@ -1086,24 +1127,23 @@ impl Instance {
 
     /// Reads an object's raw stored bytes from its most preferred reachable
     /// location, resolving dedup indirection.
-    fn read_raw(&self, key: &ObjectKey, meta: &ObjectMeta, ctx: &mut Ctx) -> Result<(Bytes, String)> {
+    fn read_raw(&self, key: &ObjectKey, meta: &ObjectMeta, ctx: &mut Ctx) -> Result<(Bytes, TierId)> {
         // Dedup objects live under their physical content key, whose
         // metadata holds the true locations.
-        let (read_key, loc_meta): (ObjectKey, ObjectMeta) = match &meta.digest {
-            Some(d) => {
-                let phys = self
-                    .registry
-                    .dedup_lookup(d)
-                    .ok_or_else(|| TieraError::LocationsUnavailable(key.to_string()))?;
-                let pm = self
-                    .registry
-                    .get(&phys)
-                    .ok_or_else(|| TieraError::LocationsUnavailable(key.to_string()))?;
-                (phys, pm)
-            }
-            None => (key.clone(), meta.clone()),
+        let physical = match meta.digest() {
+            Some(d) => Some(
+                self.registry
+                    .dedup_lookup(&d)
+                    .and_then(|phys| Some((self.registry.get(&phys)?, phys)))
+                    .ok_or_else(|| TieraError::LocationsUnavailable(key.to_string()))?,
+            ),
+            None => None,
         };
-        let tiers = self.tiers.read().clone();
+        let (read_key, locations) = match &physical {
+            Some((phys_meta, phys)) => (phys, &phys_meta.locations),
+            None => (key, &meta.locations),
+        };
+        let tiers = Arc::clone(&self.tiers.read());
         let mut last_err = None;
         // Per-location retry budget (trivial policy: one attempt, exactly
         // the old behavior); once a location exhausts it, the read falls
@@ -1114,13 +1154,13 @@ impl Instance {
             None
         };
         let attempts = policy.as_ref().map(|p| p.max_attempts.max(1)).unwrap_or(1);
-        for tier in tiers.iter().filter(|t| loc_meta.locations.contains(t.name())) {
+        for Attached { id, tier, .. } in tiers.iter().filter(|t| locations.contains_id(t.id)) {
             let mut retry = 0u32;
             loop {
-                match tier.get(&read_key, ctx.now) {
+                match tier.get(read_key, ctx.now) {
                     Ok((bytes, receipt)) => {
                         ctx.charge(receipt.latency);
-                        return Ok((bytes, tier.name().to_string()));
+                        return Ok((bytes, *id));
                     }
                     Err(TieraError::Timeout { waited, tier: t }) => {
                         // Charge the timeout, retry in place while budget
@@ -1151,8 +1191,7 @@ impl Instance {
         let mut data = raw;
         if meta.encrypted {
             let key_id = meta
-                .encryption_key_id
-                .as_deref()
+                .encryption_key_id()
                 .ok_or_else(|| TieraError::Codec("encrypted object without key id".into()))?;
             let k = self
                 .keyring
@@ -1259,33 +1298,30 @@ impl Instance {
         &self,
         key: &ObjectKey,
         data: &Bytes,
-        failed: &str,
-        exclude: &[String],
+        failed: TierId,
+        exclude: &TierSet,
         ctx: &mut Ctx,
-    ) -> Option<(String, SimDuration)> {
-        let mut candidates: Vec<TierHandle> = self
+    ) -> Option<(Attached, SimDuration)> {
+        let mut candidates: Vec<Attached> = self
             .tiers
             .read()
             .iter()
-            .filter(|t| t.name() != failed && !exclude.iter().any(|x| x == t.name()))
+            .filter(|t| t.id != failed && !exclude.contains_id(t.id))
             .cloned()
             .collect();
         // Durable tiers first (stable sort keeps attachment order within
         // each group): degraded writes should stay crash-safe if possible.
-        candidates.sort_by_key(|t| !t.tier_traits().durable);
-        for tier in candidates {
-            if let Ok(latency) = self.tier_put_retrying(&tier, key, data, ctx) {
+        candidates.sort_by_key(|t| !t.durable);
+        for alt in candidates {
+            if let Ok(latency) = self.tier_put_retrying(&alt.tier, key, data, ctx) {
                 self.emit_alert(FailureAlert {
                     at: ctx.now,
                     tier: failed.to_string(),
                     op: "put",
-                    failover_to: Some(tier.name().to_string()),
-                    detail: format!(
-                        "put {key}: {failed} unavailable, redirected to {}",
-                        tier.name()
-                    ),
+                    failover_to: Some(alt.id.to_string()),
+                    detail: format!("put {key}: {failed} unavailable, redirected to {}", alt.id),
                 });
-                return Some((tier.name().to_string(), latency));
+                return Some((alt, latency));
             }
         }
         self.emit_alert(FailureAlert {
@@ -1301,57 +1337,63 @@ impl Instance {
     /// Writes `data` under `key` to each target tier in parallel; charges
     /// the slowest write. Under a failover-enabled retry policy a target
     /// that exhausts its retries is replaced by the next writable tier.
-    fn store_one(&self, key: &ObjectKey, data: Bytes, to: &[String], ctx: &mut Ctx) -> Result<()> {
+    fn store_one<S: AsRef<str>>(
+        &self,
+        key: &ObjectKey,
+        data: Bytes,
+        to: &[S],
+        ctx: &mut Ctx,
+    ) -> Result<()> {
         let mut slowest = SimDuration::ZERO;
-        let mut placed: Vec<String> = Vec::with_capacity(to.len());
+        let mut placed = TierSet::new();
+        let mut durable = false;
         for tier_name in to {
-            let tier = self.tier(tier_name)?;
-            match self.tier_put_retrying(&tier, key, &data, ctx) {
-                Ok(latency) => {
-                    slowest = slowest.max(latency);
-                    placed.push(tier_name.clone());
-                    if ctx.inserted.as_ref() == Some(key) {
-                        ctx.placed_inserted.insert(tier_name.clone());
-                    }
-                }
+            let mut target = self.attached(tier_name.as_ref())?;
+            let latency = match self.tier_put_retrying(&target.tier, key, &data, ctx) {
+                Ok(latency) => latency,
                 Err(e) => {
                     let failover =
                         self.retry_active.load(Ordering::Acquire) && self.retry.read().failover;
                     if !failover {
                         return Err(e);
                     }
-                    let exclude: Vec<String> =
-                        to.iter().chain(placed.iter()).cloned().collect();
-                    match self.failover_put(key, &data, tier_name, &exclude, ctx) {
+                    // Neither the other requested targets nor the tiers
+                    // already written may stand in for the failed one.
+                    let exclude: TierSet = to
+                        .iter()
+                        .filter_map(|t| TierId::lookup(t.as_ref()))
+                        .chain(placed.iter().copied())
+                        .collect();
+                    match self.failover_put(key, &data, target.id, &exclude, ctx) {
                         Some((alt, latency)) => {
-                            slowest = slowest.max(latency);
-                            if ctx.inserted.as_ref() == Some(key) {
-                                ctx.placed_inserted.insert(alt.clone());
-                            }
-                            placed.push(alt);
+                            target = alt;
+                            latency
                         }
                         None => return Err(e),
                     }
                 }
+            };
+            slowest = slowest.max(latency);
+            placed.insert_id(target.id);
+            durable |= target.durable;
+            if ctx.inserted.as_ref() == Some(key) {
+                ctx.placed_inserted.insert_id(target.id);
             }
         }
         ctx.charge(slowest);
-        self.registry.update(key, |m| {
-            for t in &placed {
-                m.locations.insert(t.clone());
-            }
-            m.stored_size = data.len() as u64;
-        });
         // Landing on a durable tier does not clear dirty — only an explicit
         // copy/move does (the dirty bit means "not yet persisted by
         // policy"); but a store that *itself* targets a durable tier is a
         // synchronous persist.
-        if placed
-            .iter()
-            .any(|t| self.tier(t).map(|t| t.tier_traits().durable).unwrap_or(false))
-        {
-            self.registry.update(key, |m| m.dirty = false);
-        }
+        self.registry.update(key, |m| {
+            for t in &placed {
+                m.locations.insert_id(*t);
+            }
+            m.stored_size = data.len() as u64;
+            if durable {
+                m.dirty = false;
+            }
+        });
         Ok(())
     }
 
@@ -1365,40 +1407,37 @@ impl Instance {
         let digest = Digest::of(&data);
         let physical = ObjectKey::new(format!("sha256:{}", digest.to_hex()));
         if ctx.inserted.as_ref() == Some(key) {
-            ctx.placed_inserted.extend(to.iter().cloned());
+            for target in to.iter().filter_map(|t| self.attached(t).ok()) {
+                ctx.placed_inserted.insert_id(target.id);
+            }
         }
         match self.registry.dedup_acquire(digest, physical.clone()) {
             Some(_existing) => {
                 // Content already stored: no tier writes at all (this is
                 // what cuts the S3 PUT count in Fig 12b). The logical entry
                 // just records the digest pointer.
-                self.registry.update(key, |m| {
-                    m.digest = Some(digest);
-                });
+                self.registry.update(key, |m| m.set_digest(Some(digest)));
             }
             None => {
-                let mut slowest = SimDuration::ZERO;
-                for tier_name in to {
-                    let tier = self.tier(tier_name)?;
-                    let receipt = tier.put(&physical, data.clone(), ctx.now)?;
-                    slowest = slowest.max(receipt.latency);
-                }
-                ctx.charge(slowest);
                 // The physical object owns locations and participates in
                 // LRU ordering; logical entries point at it via the digest.
                 let mut pm = ObjectMeta::new(data.len() as u64, ctx.now);
                 pm.dirty = true;
-                pm.locations = to.iter().cloned().collect();
-                pm.touch(ctx.now);
-                let durable = to.iter().any(|t| {
-                    self.tier(t).map(|t| t.tier_traits().durable).unwrap_or(false)
-                });
-                if durable {
-                    pm.dirty = false;
+                let mut slowest = SimDuration::ZERO;
+                for tier_name in to {
+                    let target = self.attached(tier_name)?;
+                    let receipt = target.tier.put(&physical, data.clone(), ctx.now)?;
+                    slowest = slowest.max(receipt.latency);
+                    pm.locations.insert_id(target.id);
+                    if target.durable {
+                        pm.dirty = false;
+                    }
                 }
+                ctx.charge(slowest);
+                pm.touch(ctx.now);
                 self.registry.upsert(physical, pm);
                 self.registry.update(key, |m| {
-                    m.digest = Some(digest);
+                    m.set_digest(Some(digest));
                     m.stored_size = data.len() as u64;
                 });
             }
@@ -1421,10 +1460,10 @@ impl Instance {
         Ok(())
     }
 
-    fn exec_copy(
+    fn exec_copy<S: AsRef<str>>(
         &self,
         what: &Selector,
-        to: &[String],
+        to: &[S],
         bandwidth: Option<BandwidthCap>,
         delete_source: bool,
         ctx: &mut Ctx,
@@ -1450,7 +1489,7 @@ impl Instance {
                     due: ctx.now,
                     work: WorkItem::PacedCopy {
                         keys,
-                        to: to.to_vec(),
+                        to: to.iter().map(|t| t.as_ref().to_string()).collect(),
                         cap,
                         delete_source,
                     },
@@ -1474,10 +1513,10 @@ impl Instance {
 
     /// Copies one object to `to`, optionally vacating its other locations.
     /// Returns the number of bytes moved.
-    fn copy_single(
+    fn copy_single<S: AsRef<str>>(
         &self,
         key: &ObjectKey,
-        to: &[String],
+        to: &[S],
         delete_source: bool,
         ctx: &mut Ctx,
     ) -> Result<usize> {
@@ -1487,7 +1526,7 @@ impl Instance {
         // No-op short-circuit: the object already lives exactly where the
         // copy/move would put it.
         if let Some(meta) = self.registry.get(&key) {
-            let covered = to.iter().all(|t| meta.locations.contains(t));
+            let covered = to.iter().all(|t| meta.locations.contains(t.as_ref()));
             let exact = meta.locations.len() == to.len();
             if covered && (!delete_source || exact) && ctx.inserted.as_ref() != Some(&key) {
                 return Ok(meta.stored_size as usize);
@@ -1496,43 +1535,40 @@ impl Instance {
         let data = self.fetch_stored(&key, ctx)?;
         let moved = data.len();
         let mut slowest = SimDuration::ZERO;
+        let mut dest = TierSet::new();
+        let mut dest_durable = false;
         for tier_name in to {
-            let tier = self.tier(tier_name)?;
-            let latency = self.tier_put_retrying(&tier, &key, &data, ctx)?;
+            let target = self.attached(tier_name.as_ref())?;
+            let latency = self.tier_put_retrying(&target.tier, &key, &data, ctx)?;
             slowest = slowest.max(latency);
+            dest.insert_id(target.id);
+            dest_durable |= target.durable;
             if ctx.inserted.as_ref() == Some(&key) {
-                ctx.placed_inserted.insert(tier_name.clone());
+                ctx.placed_inserted.insert_id(target.id);
             }
         }
         ctx.charge(slowest);
 
-        let dest_durable = to
-            .iter()
-            .any(|t| self.tier(t).map(|t| t.tier_traits().durable).unwrap_or(false));
-
         if delete_source {
-            let old = self.registry.get(&key).map(|m| m.locations.clone()).unwrap_or_default();
-            for loc in old.iter().filter(|l| !to.contains(l)) {
-                if let Ok(tier) = self.tier(loc) {
+            let old = self.registry.get(&key).map(|m| m.locations).unwrap_or_default();
+            for loc in old.iter().filter(|l| !dest.contains_id(**l)) {
+                if let Some(tier) = self.tier_by_id(*loc) {
                     let _ = tier.delete(&key, ctx.now)?;
                 }
             }
-            self.registry.update(&key, |m| {
-                m.locations = to.iter().cloned().collect::<BTreeSet<_>>();
-                if dest_durable {
-                    m.dirty = false;
-                }
-            });
-        } else {
-            self.registry.update(&key, |m| {
-                for t in to {
-                    m.locations.insert(t.clone());
-                }
-                if dest_durable {
-                    m.dirty = false;
-                }
-            });
         }
+        self.registry.update(&key, |m| {
+            if delete_source {
+                m.locations = dest.clone();
+            } else {
+                for t in &dest {
+                    m.locations.insert_id(*t);
+                }
+            }
+            if dest_durable {
+                m.dirty = false;
+            }
+        });
         Ok(moved)
     }
 
@@ -1547,7 +1583,7 @@ impl Instance {
             match from {
                 Some(tier_name) => {
                     if meta.locations.contains(tier_name) {
-                        if meta.digest.is_none() {
+                        if meta.digest().is_none() {
                             let tier = self.tier(tier_name)?;
                             let receipt = tier.delete(&key, ctx.now)?;
                             ctx.charge(receipt.latency);
@@ -1561,13 +1597,13 @@ impl Instance {
                     }
                 }
                 None => {
-                    if let Some(d) = meta.digest {
+                    if let Some(d) = meta.digest() {
                         if let Some(physical) = self.registry.dedup_release(&d) {
                             self.delete_physical(&physical, ctx.now);
                         }
                     } else {
                         for loc in &meta.locations {
-                            if let Ok(tier) = self.tier(loc) {
+                            if let Some(tier) = self.tier_by_id(*loc) {
                                 let receipt = tier.delete(&key, ctx.now)?;
                                 ctx.charge(receipt.latency);
                             }
@@ -1584,7 +1620,7 @@ impl Instance {
     /// drops its registry entry (called when the last logical reference is
     /// released).
     fn delete_physical(&self, physical: &ObjectKey, now: SimTime) {
-        for tier in self.tiers.read().iter() {
+        for Attached { tier, .. } in self.tiers.read().iter() {
             if tier.contains(physical) {
                 let _ = tier.delete(physical, now);
             }
@@ -1617,14 +1653,16 @@ impl Instance {
             // Rewrite in place at every location.
             let mut slowest = SimDuration::ZERO;
             for loc in &meta.locations {
-                let tier = self.tier(loc)?;
+                let tier = self
+                    .tier_by_id(*loc)
+                    .ok_or_else(|| TieraError::NoSuchTier(loc.to_string()))?;
                 let receipt = tier.put(&key, data.clone(), ctx.now)?;
                 slowest = slowest.max(receipt.latency);
             }
             ctx.charge(slowest);
             self.registry.update(&key, |m| {
                 m.encrypted = encrypt;
-                m.encryption_key_id = if encrypt { Some(key_id.to_string()) } else { None };
+                m.set_encryption_key_id(encrypt.then(|| key_id.to_string()));
             });
         }
         Ok(())
@@ -1658,7 +1696,9 @@ impl Instance {
             };
             let mut slowest = SimDuration::ZERO;
             for loc in &meta.locations {
-                let tier = self.tier(loc)?;
+                let tier = self
+                    .tier_by_id(*loc)
+                    .ok_or_else(|| TieraError::NoSuchTier(loc.to_string()))?;
                 let receipt = tier.put(&key, data.clone(), ctx.now)?;
                 slowest = slowest.max(receipt.latency);
             }
@@ -1706,13 +1746,7 @@ impl Instance {
                 break;
             }
             // Move the victim down a tier.
-            self.exec_copy(
-                &Selector::Key(victim.clone()),
-                std::slice::from_ref(&to.to_string()),
-                None,
-                false,
-                ctx,
-            )?;
+            self.exec_copy(&Selector::Key(victim.clone()), &[to], None, false, ctx)?;
             // Drop it from the fast tier.
             self.exec_delete(&Selector::Key(victim), Some(from), ctx)?;
             evicted += 1;
@@ -1748,7 +1782,6 @@ mod tests {
     use super::*;
     use crate::builder::InstanceBuilder;
     use crate::tier::{MemTier, TierTraits};
-    use std::sync::Arc;
     use tiera_sim::StorageClass;
 
     const T0: SimTime = SimTime::ZERO;
@@ -2283,7 +2316,7 @@ mod tests {
         for (name, due_s) in [("late", 30u64), ("early", 10), ("mid", 20)] {
             q.push(PendingWork {
                 due: SimTime::from_secs(due_s),
-                work: WorkItem::Responses(Vec::new()),
+                work: WorkItem::Responses(Arc::new(Rule::on(EventKind::action(ActionOp::Put)))),
                 inserted: Some(ObjectKey::new(name)),
                 attempts: 0,
             });
@@ -2304,7 +2337,7 @@ mod tests {
         for name in ["first", "second", "third"] {
             q.push(PendingWork {
                 due: T0,
-                work: WorkItem::Responses(Vec::new()),
+                work: WorkItem::Responses(Arc::new(Rule::on(EventKind::action(ActionOp::Put)))),
                 inserted: Some(ObjectKey::new(name)),
                 attempts: 0,
             });

@@ -8,16 +8,189 @@
 //! Metadata is encoded with a small hand-rolled binary codec so it can be
 //! persisted in the embedded metadata store (`tiera-metastore`), mirroring
 //! the paper's use of BerkeleyDB.
+//!
+//! The in-memory record is kept small because there is one per object and
+//! it lives beside the most expensive tier: locations are an inline
+//! [`TierSet`] of interned ids, and the rarely-set attributes (tags,
+//! content digest, encryption key id) sit behind one optional box, so the
+//! common record is [`ObjectMeta`]'s 72 bytes with no heap behind it and
+//! cloning it is a copy. The encoded form carries names, not ids.
 
 use std::collections::BTreeSet;
+use std::fmt;
 
 use tiera_codec::Digest;
 use tiera_sim::SimTime;
 
 use crate::object::Tag;
+use crate::tier::{TierId, MAX_TIER_NAMES};
+
+/// How many tiers a [`TierSet`] holds without a heap allocation.
+const INLINE_TIERS: usize = 4;
+
+/// The set of tiers holding an object.
+///
+/// A set of interned [`TierId`]s kept sorted by tier *name* — not by id,
+/// which depends on intern order — so iteration, `Debug` output and the
+/// encoded form are ordered as a sorted set of the names would be. Up to
+/// four members live inline; larger sets spill to the heap.
+#[derive(Clone)]
+pub struct TierSet(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, ids: [TierId; INLINE_TIERS] },
+    // A thin pointer keeps `TierSet` at 16 bytes; the double hop is paid
+    // only by objects in more than four tiers.
+    #[allow(clippy::box_collection)]
+    Spilled(Box<Vec<TierId>>),
+}
+
+impl TierSet {
+    /// The empty set.
+    pub fn new() -> Self {
+        TierSet(Repr::Inline { len: 0, ids: [TierId::UNSET; INLINE_TIERS] })
+    }
+
+    /// The members, in name order.
+    pub fn as_slice(&self) -> &[TierId] {
+        match &self.0 {
+            Repr::Inline { len, ids } => &ids[..*len as usize],
+            Repr::Spilled(ids) => ids,
+        }
+    }
+
+    /// Iterates the members in name order.
+    pub fn iter(&self) -> std::slice::Iter<'_, TierId> {
+        self.as_slice().iter()
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether the tier called `name` is a member. Compares names, so it
+    /// never consults the intern table.
+    pub fn contains(&self, name: &str) -> bool {
+        self.iter().any(|id| id.name() == name)
+    }
+
+    /// Whether `id` is a member.
+    pub fn contains_id(&self, id: TierId) -> bool {
+        self.as_slice().contains(&id)
+    }
+
+    /// Adds the tier called `name`, interning it; returns whether it was
+    /// absent. Panics if the process-wide name table is full (see
+    /// [`TierId::from`]).
+    pub fn insert(&mut self, name: String) -> bool {
+        self.insert_id(TierId::from(name.as_str()))
+    }
+
+    /// Adds `id`; returns whether it was absent.
+    pub fn insert_id(&mut self, id: TierId) -> bool {
+        let at = match self.as_slice().binary_search_by(|m| m.name().cmp(id.name())) {
+            Ok(_) => return false,
+            Err(at) => at,
+        };
+        match &mut self.0 {
+            Repr::Inline { len, ids } if (*len as usize) < INLINE_TIERS => {
+                ids.copy_within(at..*len as usize, at + 1);
+                ids[at] = id;
+                *len += 1;
+            }
+            Repr::Inline { ids, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_TIERS);
+                spilled.extend_from_slice(ids);
+                spilled.insert(at, id);
+                self.0 = Repr::Spilled(Box::new(spilled));
+            }
+            Repr::Spilled(ids) => ids.insert(at, id),
+        }
+        true
+    }
+
+    /// Removes the tier called `name`; returns whether it was a member.
+    pub fn remove(&mut self, name: &str) -> bool {
+        let before = self.len();
+        self.retain(|id| id.name() != name);
+        self.len() != before
+    }
+
+    /// Keeps only the members `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(TierId) -> bool) {
+        match &mut self.0 {
+            Repr::Inline { len, ids } => {
+                let mut kept = 0;
+                for i in 0..*len as usize {
+                    if keep(ids[i]) {
+                        ids[kept] = ids[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+            }
+            Repr::Spilled(ids) => ids.retain(|id| keep(*id)),
+        }
+    }
+}
+
+impl PartialEq for TierSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for TierSet {}
+
+impl Default for TierSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Debug for TierSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a TierSet {
+    type Item = &'a TierId;
+    type IntoIter = std::slice::Iter<'a, TierId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl FromIterator<TierId> for TierSet {
+    fn from_iter<I: IntoIterator<Item = TierId>>(iter: I) -> Self {
+        let mut set = TierSet::new();
+        for id in iter {
+            set.insert_id(id);
+        }
+        set
+    }
+}
+
+/// The attributes few objects carry, boxed so the rest pay eight bytes for
+/// them. Invariant: `ObjectMeta::rare` is `None` when all three are empty,
+/// which keeps derived equality meaningful.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Rare {
+    tags: BTreeSet<Tag>,
+    digest: Option<Digest>,
+    encryption_key_id: Option<String>,
+}
 
 /// Metadata tracked for every object in a Tiera instance.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ObjectMeta {
     /// Logical (uncompressed, unencrypted) size in bytes.
     pub size: u64,
@@ -25,26 +198,47 @@ pub struct ObjectMeta {
     pub stored_size: u64,
     /// Number of accesses (PUT + GET) since creation.
     pub access_count: u64,
-    /// Whether the object has been modified since it was last copied to a
-    /// persistent tier (drives write-back policies, paper Fig 3).
-    pub dirty: bool,
-    /// Names of the tiers currently holding the object.
-    pub locations: BTreeSet<String>,
     /// Virtual time of the last access.
     pub last_access: SimTime,
     /// Virtual time of creation.
     pub created: SimTime,
-    /// Tags (object classes) assigned at PUT time.
-    pub tags: BTreeSet<Tag>,
-    /// Content digest, present when the object was stored via `storeOnce`.
-    pub digest: Option<Digest>,
+    /// The tiers currently holding the object.
+    pub locations: TierSet,
+    /// Tags, content digest and encryption key id, when any is set.
+    rare: Option<Box<Rare>>,
+    /// Whether the object has been modified since it was last copied to a
+    /// persistent tier (drives write-back policies, paper Fig 3).
+    pub dirty: bool,
     /// Whether the stored payload is compressed.
     pub compressed: bool,
     /// Whether the stored payload is encrypted.
     pub encrypted: bool,
-    /// Key-ring identifier of the key the payload is encrypted with.
-    pub encryption_key_id: Option<String>,
 }
+
+impl fmt::Debug for ObjectMeta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ObjectMeta")
+            .field("size", &self.size)
+            .field("stored_size", &self.stored_size)
+            .field("access_count", &self.access_count)
+            .field("dirty", &self.dirty)
+            .field("locations", &self.locations)
+            .field("last_access", &self.last_access)
+            .field("created", &self.created)
+            .field("tags", self.tags())
+            .field("digest", &self.digest())
+            .field("compressed", &self.compressed)
+            .field("encrypted", &self.encrypted)
+            .field("encryption_key_id", &self.encryption_key_id())
+            .finish()
+    }
+}
+
+// One of these exists per stored object, beside the fast tier's bytes.
+const _: () = assert!(std::mem::size_of::<ObjectMeta>() <= 80);
+
+/// No tags: what [`ObjectMeta::tags`] lends when nothing rare is set.
+static NO_TAGS: BTreeSet<Tag> = BTreeSet::new();
 
 impl ObjectMeta {
     /// Fresh metadata for an object of `size` bytes created at `now`.
@@ -53,15 +247,13 @@ impl ObjectMeta {
             size,
             stored_size: size,
             access_count: 0,
-            dirty: false,
-            locations: BTreeSet::new(),
             last_access: now,
             created: now,
-            tags: BTreeSet::new(),
-            digest: None,
+            locations: TierSet::new(),
+            rare: None,
+            dirty: false,
             compressed: false,
             encrypted: false,
-            encryption_key_id: None,
         }
     }
 
@@ -80,9 +272,50 @@ impl ObjectMeta {
         self.access_count as f64 / age
     }
 
+    /// Tags (object classes) assigned at PUT time.
+    pub fn tags(&self) -> &BTreeSet<Tag> {
+        self.rare.as_ref().map_or(&NO_TAGS, |r| &r.tags)
+    }
+
+    /// Replaces the tag set.
+    pub fn set_tags(&mut self, tags: impl IntoIterator<Item = Tag>) {
+        let tags: BTreeSet<Tag> = tags.into_iter().collect();
+        self.edit_rare(|r| r.tags = tags);
+    }
+
+    /// Content digest, present when the object was stored via `storeOnce`.
+    pub fn digest(&self) -> Option<Digest> {
+        self.rare.as_ref().and_then(|r| r.digest)
+    }
+
+    /// Sets or clears the content digest.
+    pub fn set_digest(&mut self, digest: Option<Digest>) {
+        self.edit_rare(|r| r.digest = digest);
+    }
+
+    /// Key-ring identifier of the key the payload is encrypted with.
+    pub fn encryption_key_id(&self) -> Option<&str> {
+        self.rare.as_ref().and_then(|r| r.encryption_key_id.as_deref())
+    }
+
+    /// Sets or clears the encryption key id.
+    pub fn set_encryption_key_id(&mut self, key_id: Option<String>) {
+        self.edit_rare(|r| r.encryption_key_id = key_id);
+    }
+
+    /// Applies `edit` to the rare attributes, allocating the box only when
+    /// something is set and freeing it when nothing is left.
+    fn edit_rare(&mut self, edit: impl FnOnce(&mut Rare)) {
+        let mut rare = self.rare.take().map_or_else(Rare::default, |boxed| *boxed);
+        edit(&mut rare);
+        if rare != Rare::default() {
+            self.rare = Some(Box::new(rare));
+        }
+    }
+
     /// Whether the object carries `tag`.
     pub fn has_tag(&self, tag: &Tag) -> bool {
-        self.tags.contains(tag)
+        self.tags().contains(tag)
     }
 
     /// Whether the object is stored in `tier`.
@@ -100,17 +333,18 @@ impl ObjectMeta {
         out.extend_from_slice(&self.access_count.to_le_bytes());
         out.extend_from_slice(&self.last_access.as_nanos().to_le_bytes());
         out.extend_from_slice(&self.created.as_nanos().to_le_bytes());
+        let digest = self.digest();
         let flags = (self.dirty as u8)
             | (self.compressed as u8) << 1
             | (self.encrypted as u8) << 2
-            | ((self.digest.is_some() as u8) << 3);
+            | ((digest.is_some() as u8) << 3);
         out.push(flags);
-        if let Some(d) = &self.digest {
+        if let Some(d) = &digest {
             out.extend_from_slice(&d.0);
         }
-        write_str_set(&mut out, self.locations.iter().map(|s| s.as_str()));
-        write_str_set(&mut out, self.tags.iter().map(|t| t.as_str()));
-        match &self.encryption_key_id {
+        write_str_set(&mut out, self.locations.iter().map(|id| id.name()));
+        write_str_set(&mut out, self.tags().iter().map(|t| t.as_str()));
+        match self.encryption_key_id() {
             Some(id) => {
                 out.push(1);
                 out.extend_from_slice(&(id.len() as u32).to_le_bytes());
@@ -122,6 +356,10 @@ impl ObjectMeta {
     }
 
     /// Decodes metadata produced by [`encode`](Self::encode).
+    ///
+    /// Location names are interned here. A record naming more new tiers
+    /// than the process-wide table has room for is malformed (`None`) and
+    /// interns none of them.
     pub fn decode(buf: &[u8]) -> Option<Self> {
         let mut r = Reader { buf, pos: 0 };
         let size = r.u64()?;
@@ -137,28 +375,42 @@ impl ObjectMeta {
         } else {
             None
         };
-        let locations = r.str_set()?.into_iter().collect();
-        let tags = r.str_set()?.into_iter().map(Tag::new).collect();
+        let names = r.str_set()?;
+        let unknown = names.iter().filter(|n| TierId::lookup(n).is_none()).count();
+        if TierId::interned() + unknown > MAX_TIER_NAMES {
+            return None;
+        }
+        let locations = names
+            .iter()
+            .map(|n| TierId::intern(n))
+            .collect::<Option<TierSet>>()?;
+        let tags = r.str_set()?;
         let encryption_key_id = if r.u8()? == 1 {
             let len = r.u32()? as usize;
             Some(String::from_utf8(r.bytes(len)?.to_vec()).ok()?)
         } else {
             None
         };
-        Some(Self {
+        let mut meta = Self {
             size,
             stored_size,
             access_count,
-            dirty: flags & 1 != 0,
-            locations,
             last_access,
             created,
-            tags,
-            digest,
+            locations,
+            rare: None,
+            dirty: flags & 1 != 0,
             compressed: flags & 0b10 != 0,
             encrypted: flags & 0b100 != 0,
-            encryption_key_id,
-        })
+        };
+        if !tags.is_empty() || digest.is_some() || encryption_key_id.is_some() {
+            meta.edit_rare(|r| {
+                r.tags = tags.into_iter().map(Tag::new).collect();
+                r.digest = digest;
+                r.encryption_key_id = encryption_key_id;
+            });
+        }
+        Some(meta)
     }
 }
 
@@ -201,13 +453,12 @@ impl<'a> Reader<'a> {
         ]))
     }
 
-    fn str_set(&mut self) -> Option<Vec<String>> {
+    fn str_set(&mut self) -> Option<Vec<&'a str>> {
         let n = self.u32()? as usize;
         let mut out = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
             let len = self.u32()? as usize;
-            let s = self.bytes(len)?;
-            out.push(String::from_utf8(s.to_vec()).ok()?);
+            out.push(std::str::from_utf8(self.bytes(len)?).ok()?);
         }
         Some(out)
     }
@@ -223,10 +474,10 @@ mod tests {
         m.dirty = true;
         m.locations.insert("memcached".into());
         m.locations.insert("ebs".into());
-        m.tags.insert(Tag::new("tmp"));
-        m.digest = Some(Digest::of(b"payload"));
+        m.set_tags([Tag::new("tmp")]);
+        m.set_digest(Some(Digest::of(b"payload")));
         m.compressed = true;
-        m.encryption_key_id = Some("default".into());
+        m.set_encryption_key_id(Some("default".into()));
         m
     }
 
@@ -253,6 +504,79 @@ mod tests {
                 assert_ne!(m, sample());
             }
         }
+    }
+
+    #[test]
+    fn common_record_is_small_and_heap_free() {
+        assert!(std::mem::size_of::<TierSet>() <= 16);
+        assert!(std::mem::size_of::<ObjectMeta>() <= 72);
+        let mut m = ObjectMeta::new(1, SimTime::ZERO);
+        m.locations.insert("mem".into());
+        assert!(m.rare.is_none(), "nothing rare is set");
+        // Setting and clearing a rare attribute leaves no box behind, so
+        // equality with a never-touched record still holds.
+        m.set_digest(Some(Digest::of(b"x")));
+        assert!(m.rare.is_some());
+        m.set_digest(None);
+        assert!(m.rare.is_none());
+        m.set_tags([]);
+        m.set_encryption_key_id(None);
+        assert!(m.rare.is_none());
+    }
+
+    #[test]
+    fn tier_set_is_inline_through_four_and_spills_at_five() {
+        let mut set = TierSet::new();
+        assert!(set.is_empty());
+        // Interned (and inserted) in an order unlike their name order.
+        for name in ["s-delta", "s-alpha", "s-echo", "s-bravo"] {
+            assert!(set.insert(name.to_string()));
+            assert!(matches!(set.0, Repr::Inline { .. }), "{name} fits inline");
+        }
+        assert!(!set.insert("s-echo".to_string()), "already a member");
+        assert_eq!(set.len(), 4);
+        assert!(set.insert("s-charlie".to_string()));
+        assert!(matches!(set.0, Repr::Spilled(_)), "a fifth member spills");
+        // Name order regardless of intern or insert order, inline or not.
+        let names = |s: &TierSet| s.iter().map(|id| id.name()).collect::<Vec<_>>();
+        assert_eq!(names(&set), ["s-alpha", "s-bravo", "s-charlie", "s-delta", "s-echo"]);
+        assert_eq!(
+            format!("{set:?}"),
+            r#"{"s-alpha", "s-bravo", "s-charlie", "s-delta", "s-echo"}"#
+        );
+        assert!(set.contains("s-charlie") && !set.contains("s-foxtrot"));
+        assert!(set.contains_id(TierId::from("s-delta")));
+        // Shrinking a spilled set keeps it equal to an inline one.
+        assert!(set.remove("s-charlie") && !set.remove("s-charlie"));
+        set.retain(|id| id != "s-echo");
+        let inline: TierSet = ["s-bravo", "s-delta", "s-alpha"].into_iter().map(TierId::from).collect();
+        assert!(matches!(inline.0, Repr::Inline { .. }));
+        assert_eq!(set, inline);
+        assert_eq!(names(&inline), ["s-alpha", "s-bravo", "s-delta"]);
+    }
+
+    /// A record whose location set is `names`.
+    fn record_located_in(names: &[String]) -> Vec<u8> {
+        let mut rec = ObjectMeta::new(1, SimTime::ZERO).encode();
+        rec.truncate(41); // five u64s and the flags byte
+        write_str_set(&mut rec, names.iter().map(String::as_str));
+        write_str_set(&mut rec, std::iter::empty());
+        rec.push(0);
+        rec
+    }
+
+    #[test]
+    fn decode_refuses_more_tier_names_than_the_table_admits() {
+        let hostile: Vec<String> = (0..=MAX_TIER_NAMES).map(|i| format!("hostile-{i}")).collect();
+        assert!(ObjectMeta::decode(&record_located_in(&hostile)).is_none());
+        // All or nothing: not one of the names was interned (which, the
+        // table being append-only, is "its size did not change").
+        assert!(hostile.iter().all(|n| TierId::lookup(n).is_none()));
+        // The same shape within the bound decodes.
+        let fine: Vec<String> = (0..6).map(|i| format!("bounded-{i}")).collect();
+        let meta = ObjectMeta::decode(&record_located_in(&fine)).expect("six tiers decode");
+        assert_eq!(meta.locations.len(), 6);
+        assert!(fine.iter().all(|n| meta.in_tier(n)));
     }
 
     #[test]

@@ -79,12 +79,24 @@ impl Default for RuleState {
     }
 }
 
-/// An installed rule, with its id and trigger state.
+/// An installed rule, with its id and trigger state. The rule itself is
+/// shared: a firing hands the dispatcher (and any background work item it
+/// queues) the `Arc`, never a copy of the response tree.
 #[derive(Debug, Clone)]
 pub(crate) struct InstalledRule {
     pub id: RuleId,
-    pub rule: Rule,
+    pub rule: Arc<Rule>,
     pub state: RuleState,
+}
+
+impl InstalledRule {
+    fn new(id: RuleId, rule: Rule) -> Self {
+        Self {
+            id,
+            rule: Arc::new(rule),
+            state: RuleState::default(),
+        }
+    }
 }
 
 /// A runtime-mutable set of rules.
@@ -116,11 +128,7 @@ impl Policy {
     /// Installs a rule, returning its id.
     pub fn add(&self, rule: Rule) -> RuleId {
         let id = RuleId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.inner.write().push(InstalledRule {
-            id,
-            rule,
-            state: RuleState::default(),
-        });
+        self.inner.write().push(InstalledRule::new(id, rule));
         id
     }
 
@@ -138,8 +146,7 @@ impl Policy {
         let mut rules = self.inner.write();
         for installed in rules.iter_mut() {
             if installed.id == id {
-                installed.rule = rule;
-                installed.state = RuleState::default();
+                *installed = InstalledRule::new(id, rule);
                 return true;
             }
         }
@@ -153,11 +160,7 @@ impl Policy {
         for rule in rules {
             let id = RuleId(self.next_id.fetch_add(1, Ordering::Relaxed));
             out.push(id);
-            new_rules.push(InstalledRule {
-                id,
-                rule,
-                state: RuleState::default(),
-            });
+            new_rules.push(InstalledRule::new(id, rule));
         }
         *self.inner.write() = new_rules;
         out
@@ -178,7 +181,7 @@ impl Policy {
         self.inner
             .read()
             .iter()
-            .map(|r| (r.id, r.rule.clone()))
+            .map(|r| (r.id, Rule::clone(&r.rule)))
             .collect()
     }
 

@@ -1,7 +1,7 @@
 //! The metadata registry.
 //!
 //! Owns every object's [`ObjectMeta`], maintains the access-ordered per-tier
-//! indexes that make `tierN.oldest` / `tierN.newest` selections O(log n)
+//! lists that make `tierN.oldest` / `tierN.newest` selections O(1)
 //! (the Figure 5 LRU/MRU idiom), keeps the content-digest index behind
 //! `storeOnce` deduplication, and — mirroring the paper's BerkeleyDB usage —
 //! optionally persists all metadata through `tiera-metastore`.
@@ -17,12 +17,17 @@
 //!   operation (`get`/`contains`/`upsert`/`update`/`touch`/`remove`) locks
 //!   exactly one shard — two requests for different keys usually touch
 //!   different shards and proceed in parallel.
-//! * **Order indexes** (`order`): the per-tier access-ordered maps behind
-//!   `tierN.oldest`/`newest`, the global access order, the dirty set, and
-//!   the access-count index driving hot/cold selectors. One `RwLock`,
-//!   write-held only for the few `BTreeMap` edits per mutation.
+//! * **Order indexes** (`order`): the recency lists — global access order,
+//!   dirty objects, one list per tier behind `tierN.oldest`/`newest` — and
+//!   the access-count index driving hot/cold selectors. The lists are
+//!   doubly linked through one slab of nodes (an object has one node, and
+//!   one `(prev, next)` pair in each list it is on); a mutation moves its
+//!   object to the back of every list it belongs to, so each list is the
+//!   global access order restricted to its members. One `RwLock`,
+//!   write-held for a few link edits per mutation.
 //! * **Aggregates** (`aggregates`): per-tier object/dirty-byte counters for
-//!   threshold metrics. One `RwLock`.
+//!   threshold metrics. One `RwLock`, taken only by mutations that change
+//!   an object's locations, dirty flag or dirty size (a touch does not).
 //! * **Dedup** (`dedup`): the `storeOnce` digest table behind its own
 //!   `Mutex`; never held together with any other registry lock.
 //!
@@ -35,8 +40,10 @@
 //! the order indexes see each mutation atomically because the index edits
 //! for one mutation happen under one `order` write guard.
 
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use tiera_support::collections::{fx_hash_one, FxHashMap};
 use tiera_support::sync::{rank, Mutex, RwLock};
@@ -45,9 +52,10 @@ use tiera_metastore::MetaStore;
 use tiera_sim::SimTime;
 
 use crate::error::{Result, TieraError};
-use crate::meta::ObjectMeta;
+use crate::meta::{ObjectMeta, TierSet};
 use crate::object::ObjectKey;
 use crate::selector::Selector;
+use crate::tier::TierId;
 
 /// Number of key-addressed shards (power of two; picked from the top hash
 /// bits). 16 keeps per-shard contention negligible for the request-pool
@@ -63,11 +71,11 @@ pub struct TierAggregates {
     pub dirty_bytes: u64,
 }
 
-/// One object's registry record: its metadata plus the access-sequence
-/// number linking it into the order indexes.
+/// One object's registry record: its metadata plus its node in the order
+/// indexes' slab.
 struct Entry {
     meta: ObjectMeta,
-    seq: u64,
+    node: u32,
 }
 
 /// One hash shard of the key→meta map.
@@ -76,14 +84,115 @@ struct Shard {
     map: FxHashMap<ObjectKey, Entry>,
 }
 
+/// "No node": the end of a list, or an unlinked node's neighbours.
+const NIL: u32 = u32::MAX;
+
+/// A node's neighbours in one recency list.
+#[derive(Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+/// One recency list over the slab's nodes, oldest at the head. `links` is
+/// indexed by node and grows to the highest node ever linked; which nodes
+/// are members is the caller's knowledge (it follows from the object's
+/// metadata), not the list's.
+struct RecencyList {
+    links: Vec<Link>,
+    head: u32,
+    tail: u32,
+}
+
+impl Default for RecencyList {
+    fn default() -> Self {
+        Self {
+            links: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl RecencyList {
+    /// Appends `node` (not currently a member) as the newest.
+    fn push_back(&mut self, node: u32) {
+        let at = node as usize;
+        if at >= self.links.len() {
+            self.links.resize(at + 1, Link { prev: NIL, next: NIL });
+        }
+        self.links[at] = Link {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = node,
+            tail => self.links[tail as usize].next = node,
+        }
+        self.tail = node;
+    }
+
+    /// Removes `node` (currently a member).
+    fn unlink(&mut self, node: u32) {
+        let Link { prev, next } = self.links[node as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => self.links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.links[next as usize].prev = prev,
+        }
+    }
+
+    /// The members, oldest first.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let from = |node: u32| (node != NIL).then_some(node);
+        std::iter::successors(from(self.head), move |&n| from(self.links[n as usize].next))
+    }
+}
+
+/// What the indexes and aggregates record about one object: the part of
+/// its metadata a mutation must compare before and after.
+struct Indexed {
+    locations: TierSet,
+    dirty: bool,
+    stored_size: u64,
+    access_count: u64,
+    created: SimTime,
+}
+
+impl Indexed {
+    fn of(meta: &ObjectMeta) -> Self {
+        Self {
+            locations: meta.locations.clone(),
+            dirty: meta.dirty,
+            stored_size: meta.stored_size,
+            access_count: meta.access_count,
+            created: meta.created,
+        }
+    }
+
+    /// Whether the per-tier aggregates count `self` and `other` alike.
+    fn same_aggregates(&self, other: &Indexed) -> bool {
+        self.locations == other.locations
+            && self.dirty == other.dirty
+            && (!self.dirty || self.stored_size == other.stored_size)
+    }
+}
+
 /// The cross-shard order indexes (see module docs for the lock order).
 struct OrderIndexes {
-    /// Per-tier access-ordered index: seq → key. First = oldest.
-    tier_order: FxHashMap<String, BTreeMap<u64, ObjectKey>>,
-    /// Global access-ordered index over every object (drives `All`/`Not`).
-    access_order: BTreeMap<u64, ObjectKey>,
-    /// Access-ordered index over dirty objects (drives `Dirty`).
-    dirty_order: BTreeMap<u64, ObjectKey>,
+    /// The node slab: node → its object's key (`None` while on `free`).
+    keys: Vec<Option<ObjectKey>>,
+    /// Released nodes, reused before the slab grows.
+    free: Vec<u32>,
+    /// Every object, in access order (drives `All`/`Not`).
+    access: RecencyList,
+    /// Dirty objects, in access order (drives `Dirty`).
+    dirty: RecencyList,
+    /// Per tier, the objects located there, in access order.
+    tiers: FxHashMap<TierId, RecencyList>,
     /// `(access_count, key) → created`: the frequency index. Hot/cold
     /// selectors walk it from the hot (high-count) or cold (low-count) end
     /// and prune with the `created` bounds below.
@@ -101,9 +210,11 @@ struct OrderIndexes {
 impl Default for OrderIndexes {
     fn default() -> Self {
         Self {
-            tier_order: FxHashMap::default(),
-            access_order: BTreeMap::new(),
-            dirty_order: BTreeMap::new(),
+            keys: Vec::new(),
+            free: Vec::new(),
+            access: RecencyList::default(),
+            dirty: RecencyList::default(),
+            tiers: FxHashMap::default(),
             freq_index: BTreeMap::new(),
             max_created: SimTime::ZERO,
             min_created: SimTime::from_nanos(u64::MAX),
@@ -111,18 +222,143 @@ impl Default for OrderIndexes {
     }
 }
 
+impl OrderIndexes {
+    /// Takes a node for `key`; the caller links it.
+    fn alloc(&mut self, key: ObjectKey) -> u32 {
+        match self.free.pop() {
+            Some(node) => {
+                self.keys[node as usize] = Some(key);
+                node
+            }
+            None => {
+                let node = u32::try_from(self.keys.len())
+                    .ok()
+                    .filter(|node| *node != NIL)
+                    .expect("a registry holds fewer than 2^32 - 1 objects");
+                self.keys.push(Some(key));
+                node
+            }
+        }
+    }
+
+    /// Returns an unlinked node to the slab.
+    fn release(&mut self, node: u32) {
+        self.keys[node as usize] = None;
+        self.free.push(node);
+    }
+
+    /// Links `node` as the newest of every list `now` puts it on and
+    /// enters it in the frequency index.
+    fn link(&mut self, node: u32, key: &ObjectKey, now: &Indexed) {
+        self.access.push_back(node);
+        self.link_lists(node, now);
+        self.freq_index.insert((now.access_count, key.clone()), now.created);
+        self.max_created = self.max_created.max(now.created);
+        self.min_created = self.min_created.min(now.created);
+    }
+
+    /// Undoes [`link`](Self::link) for the state it was linked with. The
+    /// `created` bounds stay put — they are monotone and only need to
+    /// bound the *live* set conservatively.
+    fn unlink(&mut self, node: u32, key: &ObjectKey, was: &Indexed) {
+        self.access.unlink(node);
+        self.unlink_lists(node, was);
+        self.freq_index.remove(&(was.access_count, key.clone()));
+    }
+
+    /// A mutation of a linked object: it becomes the newest of every list
+    /// `now` puts it on and leaves the lists only `was` had it on.
+    fn relink(&mut self, node: u32, key: &ObjectKey, was: &Indexed, now: &Indexed) {
+        self.access.unlink(node);
+        self.access.push_back(node);
+        self.unlink_lists(node, was);
+        self.link_lists(node, now);
+        if (was.access_count, was.created) != (now.access_count, now.created) {
+            self.freq_index.remove(&(was.access_count, key.clone()));
+            self.freq_index.insert((now.access_count, key.clone()), now.created);
+            self.max_created = self.max_created.max(now.created);
+            self.min_created = self.min_created.min(now.created);
+        }
+    }
+
+    fn link_lists(&mut self, node: u32, now: &Indexed) {
+        if now.dirty {
+            self.dirty.push_back(node);
+        }
+        for tier in &now.locations {
+            self.tiers.entry(*tier).or_default().push_back(node);
+        }
+    }
+
+    fn unlink_lists(&mut self, node: u32, was: &Indexed) {
+        if was.dirty {
+            self.dirty.unlink(node);
+        }
+        for tier in &was.locations {
+            if let Some(list) = self.tiers.get_mut(tier) {
+                list.unlink(node);
+            }
+        }
+    }
+
+    /// The key of `node`; `None` for [`NIL`] (an empty list's ends).
+    fn key_of(&self, node: u32) -> Option<&ObjectKey> {
+        self.keys.get(node as usize)?.as_ref()
+    }
+
+    /// The keys on `list`, oldest first.
+    fn keys_on<'a>(&'a self, list: &'a RecencyList) -> impl Iterator<Item = &'a ObjectKey> + 'a {
+        list.iter().filter_map(|node| self.key_of(node))
+    }
+
+    /// The recency list of the tier called `tier`, if any object was ever
+    /// located there.
+    fn tier_list(&self, tier: &str) -> Option<&RecencyList> {
+        self.tiers.get(&TierId::lookup(tier)?)
+    }
+}
+
+type Aggregates = FxHashMap<TierId, TierAggregates>;
+
+/// Counts an object in the aggregates of every tier holding it.
+fn aggregates_add(aggregates: &mut Aggregates, now: &Indexed) {
+    for tier in &now.locations {
+        let agg = aggregates.entry(*tier).or_default();
+        agg.objects += 1;
+        if now.dirty {
+            agg.dirty_bytes += now.stored_size;
+        }
+    }
+}
+
+/// Undoes [`aggregates_add`] for the state it was counted with.
+fn aggregates_sub(aggregates: &mut Aggregates, was: &Indexed) {
+    for tier in &was.locations {
+        if let Some(agg) = aggregates.get_mut(tier) {
+            agg.objects = agg.objects.saturating_sub(1);
+            if was.dirty {
+                agg.dirty_bytes = agg.dirty_bytes.saturating_sub(was.stored_size);
+            }
+        }
+    }
+}
+
 /// Thread-safe object-metadata registry with optional persistence.
 pub struct Registry {
     shards: Vec<RwLock<Shard>>,
-    /// Monotone access sequence; drives LRU/MRU ordering.
-    seq: AtomicU64,
     /// Live object count (kept here so `len()` does not sweep the shards).
     count: AtomicU64,
     order: RwLock<OrderIndexes>,
-    aggregates: RwLock<FxHashMap<String, TierAggregates>>,
+    aggregates: RwLock<Aggregates>,
     /// Content digest → (physical object key, reference count).
     dedup: Mutex<FxHashMap<Digest, (ObjectKey, u64)>>,
     store: Option<MetaStore>,
+    /// Metadata writes the store refused since construction.
+    persist_failures: AtomicU64,
+    /// `persist_failures` as of the last `sync()` that reported them.
+    persist_failures_reported: AtomicU64,
+    /// The first refusal's error text, quoted by that report.
+    first_persist_error: OnceLock<String>,
 }
 
 impl Registry {
@@ -132,7 +368,6 @@ impl Registry {
             shards: (0..SHARD_COUNT)
                 .map(|_| RwLock::named("registry.shard", rank::REGISTRY_SHARD, Shard::default()))
                 .collect(),
-            seq: AtomicU64::new(0),
             count: AtomicU64::new(0),
             order: RwLock::named("registry.order", rank::REGISTRY_ORDER, OrderIndexes::default()),
             aggregates: RwLock::named(
@@ -142,25 +377,33 @@ impl Registry {
             ),
             dedup: Mutex::named("registry.dedup", rank::REGISTRY_DEDUP, FxHashMap::default()),
             store: None,
+            persist_failures: AtomicU64::new(0),
+            persist_failures_reported: AtomicU64::new(0),
+            first_persist_error: OnceLock::new(),
         }
     }
 
     /// A registry persisted in `dir`; existing metadata is recovered.
     pub fn persistent(dir: impl AsRef<std::path::Path>) -> Result<Self> {
         let store = MetaStore::open(dir).map_err(|e| TieraError::Metadata(e.to_string()))?;
+        Ok(Self::over(store))
+    }
+
+    /// A registry persisted in `store`; existing metadata is recovered.
+    pub fn over(store: MetaStore) -> Self {
         let reg = Self::in_memory();
         for (k, v) in store.scan_prefix(b"") {
             let Ok(key_str) = String::from_utf8(k) else {
                 continue;
             };
             if let Some(meta) = ObjectMeta::decode(&v) {
-                reg.insert_locked(ObjectKey::new(key_str), meta);
+                reg.insert_locked(&ObjectKey::new(key_str), meta);
             }
         }
-        Ok(Self {
+        Self {
             store: Some(store),
             ..reg
-        })
+        }
     }
 
     #[inline]
@@ -170,29 +413,45 @@ impl Registry {
         &self.shards[(h >> (64 - SHARD_COUNT.trailing_zeros())) as usize]
     }
 
-    #[inline]
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     fn persist(&self, key: &ObjectKey, meta: Option<&ObjectMeta>) {
         if let Some(store) = &self.store {
             let r = match meta {
                 Some(m) => store.put(key.as_str().as_bytes(), &m.encode()),
                 None => store.delete(key.as_str().as_bytes()).map(|_| ()),
             };
-            // Metadata persistence failures must not fail client IO; they
-            // surface through sync() at the durability boundary.
-            let _ = r;
+            // Metadata persistence failures must not fail client IO: they
+            // are counted here and surface through the next sync(), the
+            // durability boundary.
+            if let Err(e) = r {
+                self.first_persist_error.get_or_init(|| e.to_string());
+                self.persist_failures.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
-    /// Flushes persisted metadata to disk.
+    /// Metadata writes the backing store has refused since construction.
+    /// The object map keeps such a write; only its persisted copy is stale.
+    pub fn persist_failures(&self) -> u64 {
+        self.persist_failures.load(Ordering::Relaxed)
+    }
+
+    /// Flushes persisted metadata to disk. Fails — once — if any metadata
+    /// write was refused since the last call: what reached the store is
+    /// flushed, but it is not everything the registry holds.
     pub fn sync(&self) -> Result<()> {
-        if let Some(store) = &self.store {
-            store
-                .sync()
-                .map_err(|e| TieraError::Metadata(e.to_string()))?;
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
+        store
+            .sync()
+            .map_err(|e| TieraError::Metadata(e.to_string()))?;
+        let failed = self.persist_failures.load(Ordering::Relaxed);
+        let unreported = failed - self.persist_failures_reported.swap(failed, Ordering::Relaxed);
+        if unreported > 0 {
+            return Err(TieraError::Metadata(format!(
+                "{unreported} metadata write(s) were not persisted (first failure: {})",
+                self.first_persist_error.get().map_or("unknown", String::as_str)
+            )));
         }
         Ok(())
     }
@@ -207,9 +466,15 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Clone of an object's metadata.
+    /// Applies `f` to an object's metadata under its shard's read lock.
+    fn peek<R>(&self, key: &ObjectKey, f: impl FnOnce(&ObjectMeta) -> R) -> Option<R> {
+        self.shard_of(key).read().map.get(key).map(|e| f(&e.meta))
+    }
+
+    /// Copy of an object's metadata (a plain copy unless the object
+    /// carries tags, a digest or a key id).
     pub fn get(&self, key: &ObjectKey) -> Option<ObjectMeta> {
-        self.shard_of(key).read().map.get(key).map(|e| e.meta.clone())
+        self.peek(key, ObjectMeta::clone)
     }
 
     /// Whether the object exists.
@@ -219,32 +484,37 @@ impl Registry {
 
     /// Inserts or replaces an object's metadata wholesale.
     pub fn upsert(&self, key: ObjectKey, meta: ObjectMeta) {
-        self.insert_locked(key.clone(), meta.clone());
+        self.insert_locked(&key, meta.clone());
         self.persist(&key, Some(&meta));
     }
 
     /// The locked body of [`upsert`](Self::upsert), shared with recovery.
-    fn insert_locked(&self, key: ObjectKey, meta: ObjectMeta) {
-        let mut shard = self.shard_of(&key).write();
-        let seq = self.next_seq();
-        let prior = shard.map.insert(key.clone(), Entry { meta, seq });
-        let entry = shard.map.get(&key).expect("just inserted");
-        {
-            let mut order = self.order.write();
-            let mut aggregates = self.aggregates.write();
-            if let Some(old) = &prior {
-                index_remove(&mut order, &mut aggregates, &key, &old.meta, old.seq);
+    fn insert_locked(&self, key: &ObjectKey, meta: ObjectMeta) {
+        let mut shard = self.shard_of(key).write();
+        let mut order = self.order.write();
+        let mut aggregates = self.aggregates.write();
+        let now = Indexed::of(&meta);
+        match shard.map.entry(key.clone()) {
+            MapEntry::Occupied(mut slot) => {
+                let entry = slot.get_mut();
+                let was = Indexed::of(&entry.meta);
+                order.relink(entry.node, key, &was, &now);
+                aggregates_sub(&mut aggregates, &was);
+                entry.meta = meta;
             }
-            index_insert(&mut order, &mut aggregates, &key, &entry.meta, seq);
+            MapEntry::Vacant(slot) => {
+                let node = order.alloc(key.clone());
+                order.link(node, key, &now);
+                slot.insert(Entry { meta, node });
+                self.count.fetch_add(1, Ordering::AcqRel);
+            }
         }
-        if prior.is_none() {
-            self.count.fetch_add(1, Ordering::AcqRel);
-        }
+        aggregates_add(&mut aggregates, &now);
     }
 
-    /// Applies `f` to an object's metadata (if present), refreshing all
-    /// indexes in place. Returns a clone of the updated metadata (the only
-    /// clone the operation makes).
+    /// Applies `f` to an object's metadata (if present), making the object
+    /// the most recently accessed and refreshing the indexes in place.
+    /// Returns a copy of the updated metadata.
     pub fn update<F>(&self, key: &ObjectKey, f: F) -> Option<ObjectMeta>
     where
         F: FnOnce(&mut ObjectMeta),
@@ -252,13 +522,16 @@ impl Registry {
         let updated = {
             let mut shard = self.shard_of(key).write();
             let entry = shard.map.get_mut(key)?;
-            let seq = self.next_seq();
             let mut order = self.order.write();
-            let mut aggregates = self.aggregates.write();
-            index_remove(&mut order, &mut aggregates, key, &entry.meta, entry.seq);
+            let was = Indexed::of(&entry.meta);
             f(&mut entry.meta);
-            entry.seq = seq;
-            index_insert(&mut order, &mut aggregates, key, &entry.meta, seq);
+            let now = Indexed::of(&entry.meta);
+            order.relink(entry.node, key, &was, &now);
+            if !was.same_aggregates(&now) {
+                let mut aggregates = self.aggregates.write();
+                aggregates_sub(&mut aggregates, &was);
+                aggregates_add(&mut aggregates, &now);
+            }
             entry.meta.clone()
         };
         self.persist(key, Some(&updated));
@@ -277,7 +550,10 @@ impl Registry {
             let entry = shard.map.remove(key)?;
             let mut order = self.order.write();
             let mut aggregates = self.aggregates.write();
-            index_remove(&mut order, &mut aggregates, key, &entry.meta, entry.seq);
+            let was = Indexed::of(&entry.meta);
+            order.unlink(entry.node, key, &was);
+            order.release(entry.node);
+            aggregates_sub(&mut aggregates, &was);
             entry.meta
         };
         self.count.fetch_sub(1, Ordering::AcqRel);
@@ -287,10 +563,8 @@ impl Registry {
 
     /// Aggregates for a tier (zeros if the tier holds nothing).
     pub fn aggregates(&self, tier: &str) -> TierAggregates {
-        self.aggregates
-            .read()
-            .get(tier)
-            .copied()
+        TierId::lookup(tier)
+            .and_then(|id| self.aggregates.read().get(&id).copied())
             .unwrap_or_default()
     }
 
@@ -299,9 +573,12 @@ impl Registry {
     /// against in tests; production code reads [`aggregates`](Self::aggregates).
     pub fn recount_aggregates(&self, tier: &str) -> TierAggregates {
         let mut agg = TierAggregates::default();
+        let Some(tier) = TierId::lookup(tier) else {
+            return agg;
+        };
         for shard in &self.shards {
             for entry in shard.read().map.values() {
-                if entry.meta.locations.contains(tier) {
+                if entry.meta.locations.contains_id(tier) {
                     agg.objects += 1;
                     if entry.meta.dirty {
                         agg.dirty_bytes += entry.meta.stored_size;
@@ -315,31 +592,23 @@ impl Registry {
     /// The least recently accessed object in `tier`.
     pub fn oldest_in(&self, tier: &str) -> Option<ObjectKey> {
         let order = self.order.read();
-        order
-            .tier_order
-            .get(tier)
-            .and_then(|m| m.values().next().cloned())
+        order.key_of(order.tier_list(tier)?.head).cloned()
     }
 
     /// The most recently accessed object in `tier`.
     pub fn newest_in(&self, tier: &str) -> Option<ObjectKey> {
         let order = self.order.read();
-        order
-            .tier_order
-            .get(tier)
-            .and_then(|m| m.values().next_back().cloned())
+        order.key_of(order.tier_list(tier)?.tail).cloned()
     }
 
     /// Visits every key currently located in `tier`, oldest first, without
     /// materializing a key vector. The visitor runs under the order-index
     /// read lock: it must not call back into registry mutators (lock
     /// order would invert) — collect first if mutation is needed.
-    pub fn for_each_in(&self, tier: &str, mut f: impl FnMut(&ObjectKey)) {
+    pub fn for_each_in(&self, tier: &str, f: impl FnMut(&ObjectKey)) {
         let order = self.order.read();
-        if let Some(m) = order.tier_order.get(tier) {
-            for key in m.values() {
-                f(key);
-            }
+        if let Some(list) = order.tier_list(tier) {
+            order.keys_on(list).for_each(f);
         }
     }
 
@@ -375,27 +644,38 @@ impl Registry {
             }
             Selector::All => {
                 let order = self.order.read();
-                order.access_order.values().cloned().collect()
+                order.keys_on(&order.access).cloned().collect()
             }
             Selector::InTier(t) => self.keys_in(t),
             Selector::Dirty => {
                 let order = self.order.read();
-                order.dirty_order.values().cloned().collect()
+                order.keys_on(&order.dirty).cloned().collect()
             }
             Selector::Tagged(tag) => {
-                // Tags carry no index (they are rare, write-once classes);
-                // scan shard by shard and return in access order so the
-                // result is deterministic.
-                let mut hits: Vec<(u64, ObjectKey)> = Vec::new();
+                // Tags carry no index (they are rare, write-once classes):
+                // scan shard by shard, then return the hits in access order
+                // so the result is deterministic. A hit whose node changed
+                // hands between the two steps is dropped.
+                let mut hits: FxHashMap<u32, ObjectKey> = FxHashMap::default();
                 for shard in &self.shards {
                     for (key, entry) in shard.read().map.iter() {
                         if entry.meta.has_tag(tag) {
-                            hits.push((entry.seq, key.clone()));
+                            hits.insert(entry.node, key.clone());
                         }
                     }
                 }
-                hits.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                hits.into_iter().map(|(_, k)| k).collect()
+                if hits.is_empty() {
+                    return Vec::new();
+                }
+                let order = self.order.read();
+                order
+                    .access
+                    .iter()
+                    .filter_map(|node| {
+                        let key = hits.get(&node)?;
+                        (order.key_of(node) == Some(key)).then(|| key.clone())
+                    })
+                    .collect()
             }
             Selector::OldestIn(t) => self.oldest_in(t).into_iter().collect(),
             Selector::NewestIn(t) => self.newest_in(t).into_iter().collect(),
@@ -434,7 +714,7 @@ impl Registry {
     fn select_hot(&self, bound: f64, now: SimTime) -> Vec<ObjectKey> {
         let order = self.order.read();
         if bound <= 0.0 {
-            return order.access_order.values().cloned().collect();
+            return order.keys_on(&order.access).cloned().collect();
         }
         let min_age = now.since(order.max_created.min(now)).as_secs_f64().max(1e-9);
         let floor = bound * min_age;
@@ -502,18 +782,16 @@ impl Registry {
             Selector::Inserted => inserted == Some(key),
             Selector::Key(k) => k == key,
             Selector::All => self.contains(key),
-            Selector::InTier(t) => self.get(key).map(|m| m.in_tier(t)).unwrap_or(false),
-            Selector::Dirty => self.get(key).map(|m| m.dirty).unwrap_or(false),
-            Selector::Tagged(tag) => self.get(key).map(|m| m.has_tag(tag)).unwrap_or(false),
+            Selector::InTier(t) => self.peek(key, |m| m.in_tier(t)).unwrap_or(false),
+            Selector::Dirty => self.peek(key, |m| m.dirty).unwrap_or(false),
+            Selector::Tagged(tag) => self.peek(key, |m| m.has_tag(tag)).unwrap_or(false),
             Selector::OldestIn(t) => self.oldest_in(t).as_ref() == Some(key),
             Selector::NewestIn(t) => self.newest_in(t).as_ref() == Some(key),
             Selector::HotterThan(b) => self
-                .get(key)
-                .map(|m| m.access_frequency(now) >= *b)
+                .peek(key, |m| m.access_frequency(now) >= *b)
                 .unwrap_or(false),
             Selector::ColderThan(b) => self
-                .get(key)
-                .map(|m| m.access_frequency(now) < *b)
+                .peek(key, |m| m.access_frequency(now) < *b)
                 .unwrap_or(false),
             Selector::And(a, b) => {
                 self.matches(a, key, inserted, now) && self.matches(b, key, inserted, now)
@@ -559,63 +837,6 @@ impl Registry {
     /// Physical key behind `digest`, if registered.
     pub fn dedup_lookup(&self, digest: &Digest) -> Option<ObjectKey> {
         self.dedup.lock().get(digest).map(|(k, _)| k.clone())
-    }
-}
-
-/// Links `key` into every order index and bumps the aggregates. Caller
-/// holds the key's shard lock plus both index write guards (lock order:
-/// shard → order → aggregates).
-fn index_insert(
-    order: &mut OrderIndexes,
-    aggregates: &mut FxHashMap<String, TierAggregates>,
-    key: &ObjectKey,
-    meta: &ObjectMeta,
-    seq: u64,
-) {
-    order.access_order.insert(seq, key.clone());
-    if meta.dirty {
-        order.dirty_order.insert(seq, key.clone());
-    }
-    order.freq_index.insert((meta.access_count, key.clone()), meta.created);
-    order.max_created = order.max_created.max(meta.created);
-    order.min_created = order.min_created.min(meta.created);
-    for tier in &meta.locations {
-        order
-            .tier_order
-            .entry(tier.clone())
-            .or_default()
-            .insert(seq, key.clone());
-        let agg = aggregates.entry(tier.clone()).or_default();
-        agg.objects += 1;
-        if meta.dirty {
-            agg.dirty_bytes += meta.stored_size;
-        }
-    }
-}
-
-/// Unlinks `key` from every order index and drops its aggregates. Same
-/// locking contract as [`index_insert`]. The `created` bounds stay put —
-/// they are monotone and only need to bound the *live* set conservatively.
-fn index_remove(
-    order: &mut OrderIndexes,
-    aggregates: &mut FxHashMap<String, TierAggregates>,
-    key: &ObjectKey,
-    meta: &ObjectMeta,
-    seq: u64,
-) {
-    order.access_order.remove(&seq);
-    order.dirty_order.remove(&seq);
-    order.freq_index.remove(&(meta.access_count, key.clone()));
-    for tier in &meta.locations {
-        if let Some(tier_map) = order.tier_order.get_mut(tier) {
-            tier_map.remove(&seq);
-        }
-        if let Some(agg) = aggregates.get_mut(tier) {
-            agg.objects = agg.objects.saturating_sub(1);
-            if meta.dirty {
-                agg.dirty_bytes = agg.dirty_bytes.saturating_sub(meta.stored_size);
-            }
-        }
     }
 }
 
@@ -685,7 +906,7 @@ mod tests {
         let now = SimTime::ZERO;
         let mut m1 = meta_in("t1", 10, now);
         m1.dirty = true;
-        m1.tags.insert(Tag::new("tmp"));
+        m1.set_tags([Tag::new("tmp")]);
         r.upsert(ObjectKey::new("a"), m1);
         r.upsert(ObjectKey::new("b"), meta_in("t2", 10, now));
 
@@ -711,7 +932,7 @@ mod tests {
         let r = Registry::in_memory();
         let now = SimTime::ZERO;
         let mut tagged = meta_in("t1", 1, now);
-        tagged.tags.insert(Tag::new("tmp"));
+        tagged.set_tags([Tag::new("tmp")]);
         r.upsert(ObjectKey::new("tmp-obj"), tagged);
         r.upsert(ObjectKey::new("plain"), meta_in("t1", 1, now));
         let not_tmp = Selector::Tagged(Tag::new("tmp")).negate();
@@ -897,6 +1118,49 @@ mod tests {
         assert_eq!(m.size, 42);
         assert!(m.dirty);
         assert_eq!(r.aggregates("t1").objects, 1, "indexes rebuilt");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn refused_metadata_writes_are_counted_and_fail_the_next_sync_once() {
+        use tiera_metastore::{KillSite, MetaStoreOptions};
+        let dir = std::env::temp_dir().join(format!("tiera-reg-refused-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = MetaStoreOptions {
+            sync_every_append: true,
+            group_commit: false,
+            ..MetaStoreOptions::default()
+        };
+        let store = MetaStore::open_with(&dir, opts).unwrap();
+        let kill = store.kill_points();
+        let r = Registry::over(store);
+        let (a, b) = (ObjectKey::new("a"), ObjectKey::new("b"));
+        r.upsert(a.clone(), meta_in("t1", 1, SimTime::ZERO));
+        assert_eq!(r.persist_failures(), 0);
+        r.sync().unwrap();
+
+        // The store refuses the next write; the client operation still
+        // succeeds and the in-memory record is intact.
+        kill.arm(KillSite::BatchBeforeSync, 0);
+        r.upsert(b.clone(), meta_in("t1", 2, SimTime::ZERO));
+        assert_eq!(r.get(&b).unwrap().size, 2);
+        assert_eq!(r.persist_failures(), 1);
+        let err = r.sync().unwrap_err();
+        assert!(
+            matches!(&err, TieraError::Metadata(m) if m.contains("1 metadata write") && m.contains("batch.before_sync")),
+            "{err}"
+        );
+        r.sync().expect("reported once");
+
+        // Later refusals latch again; the count is cumulative.
+        for _ in 0..2 {
+            kill.arm(KillSite::BatchBeforeSync, 0);
+            r.touch(&a, SimTime::from_secs(1)).unwrap();
+        }
+        assert_eq!(r.persist_failures(), 3);
+        let err = r.sync().unwrap_err();
+        assert!(matches!(&err, TieraError::Metadata(m) if m.contains("2 metadata write")), "{err}");
+        r.sync().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,6 +19,8 @@ use tiera_support::collections::{fx_hash_one, FxHashMap};
 use tiera_support::sync::{rank, Mutex};
 use tiera_sim::{Histogram, SimDuration};
 
+use crate::tier::TierId;
+
 /// Number of latency-recording stripes. Matches the largest request pool
 /// the RPC server runs by default; more threads than stripes just share.
 const STRIPES: usize = 8;
@@ -41,7 +43,7 @@ pub struct LatencySummary {
 struct Stripe {
     reads: Histogram,
     writes: Histogram,
-    tier_read_hits: FxHashMap<String, u64>,
+    tier_read_hits: FxHashMap<TierId, u64>,
 }
 
 /// Thread-safe statistics collected by an instance.
@@ -79,15 +81,10 @@ impl InstanceStats {
     }
 
     /// Records a client read and the tier that served it.
-    pub fn record_read(&self, latency: SimDuration, tier: &str) {
+    pub fn record_read(&self, latency: SimDuration, tier: TierId) {
         let mut g = self.stripe().lock();
         g.reads.record(latency);
-        match g.tier_read_hits.get_mut(tier) {
-            Some(n) => *n += 1,
-            None => {
-                g.tier_read_hits.insert(tier.to_string(), 1);
-            }
-        }
+        *g.tier_read_hits.entry(tier).or_default() += 1;
     }
 
     /// Records a client write.
@@ -120,13 +117,13 @@ impl InstanceStats {
         summarize(&self.merged(|s| &s.writes))
     }
 
-    /// Reads served per tier (stripes merged).
+    /// Reads served per tier name (stripes merged).
     pub fn tier_read_hits(&self) -> HashMap<String, u64> {
         let mut merged: HashMap<String, u64> = HashMap::new();
         for stripe in &self.stripes {
             let g = stripe.lock();
             for (tier, n) in &g.tier_read_hits {
-                *merged.entry(tier.clone()).or_default() += n;
+                *merged.entry(tier.to_string()).or_default() += n;
             }
         }
         merged
@@ -186,7 +183,7 @@ mod tests {
     fn read_write_summaries() {
         let s = InstanceStats::new();
         for ms in [1u64, 2, 3] {
-            s.record_read(SimDuration::from_millis(ms), "cache");
+            s.record_read(SimDuration::from_millis(ms), "cache".into());
         }
         s.record_write(SimDuration::from_millis(10));
         let r = s.reads();
@@ -218,7 +215,7 @@ mod tests {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
                     for i in 0..100u64 {
-                        s.record_read(SimDuration::from_micros(i + 1), "cache");
+                        s.record_read(SimDuration::from_micros(i + 1), "cache".into());
                         s.record_write(SimDuration::from_micros(t * 10 + 1));
                         s.record_event();
                     }

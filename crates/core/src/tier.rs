@@ -9,10 +9,18 @@
 //! Tiers never sleep: each operation returns an [`OpReceipt`] carrying the
 //! virtual latency the operation would have taken, and callers account for
 //! it (see `DESIGN.md` §3, "Virtual time under concurrency").
+//!
+//! Tier *names* are interned: everywhere a name travels with an object or
+//! an operation — `ObjectMeta::locations`, the registry's per-tier indexes,
+//! read receipts, hit counters — it travels as a [`TierId`], a `Copy`
+//! two-byte handle resolved once at the edge (tier attach, metadata decode,
+//! `locations.insert(String)`). Ids exist only in memory: persisted
+//! metadata and the RPC wire format carry names.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
+use tiera_support::collections::FxHashMap;
 use tiera_support::Bytes;
 use tiera_support::sync::{rank, Mutex};
 
@@ -23,6 +31,93 @@ use crate::object::ObjectKey;
 
 /// Shared handle to a tier.
 pub type TierHandle = Arc<dyn Tier>;
+
+/// How many distinct tier names one process may intern. Tier names are a
+/// tiny closed vocabulary (a handful per instance); the bound exists so
+/// that hostile persisted metadata cannot grow the table without limit.
+pub const MAX_TIER_NAMES: usize = 4096;
+
+/// The process-wide, append-only name table: slot `i` holds the name of
+/// `TierId(i)`. Slots fill in order and are never cleared, so the table is
+/// dense, a reader needs no lock, and an id stays valid for the life of the
+/// process. Lookups scan — the vocabulary is a few names long.
+static NAMES: [OnceLock<Box<str>>; MAX_TIER_NAMES] = [const { OnceLock::new() }; MAX_TIER_NAMES];
+
+/// An interned tier name: two bytes, `Copy`, compared as an integer.
+///
+/// Prints (`Display`, `Debug`) and compares (`== "tier1"`) as its name.
+/// Ids are assigned in first-intern order and mean nothing outside this
+/// process; never persist or send one.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TierId(u16);
+
+impl TierId {
+    /// Filler for the unused slots of an inline [`TierSet`]; never a valid
+    /// id, never read.
+    ///
+    /// [`TierSet`]: crate::meta::TierSet
+    pub(crate) const UNSET: TierId = TierId(u16::MAX);
+
+    /// Interns `name`, returning its id; `None` once [`MAX_TIER_NAMES`]
+    /// distinct names exist and `name` is not among them.
+    pub fn intern(name: &str) -> Option<TierId> {
+        NAMES
+            .iter()
+            // Claims the first empty slot for `name` unless an earlier slot
+            // already holds it; racing claimants of one slot agree on a
+            // winner and the loser moves on.
+            .position(|slot| **slot.get_or_init(|| name.into()) == *name)
+            .map(|i| TierId(i as u16))
+    }
+
+    /// The id of an already interned name, without interning it.
+    pub fn lookup(name: &str) -> Option<TierId> {
+        NAMES
+            .iter()
+            .map_while(|slot| slot.get())
+            .position(|known| **known == *name)
+            .map(|i| TierId(i as u16))
+    }
+
+    /// The tier name this id stands for.
+    pub fn name(self) -> &'static str {
+        NAMES[self.0 as usize]
+            .get()
+            .expect("a TierId is only ever minted by `intern`, which fills its slot")
+    }
+
+    /// How many names the table holds.
+    pub fn interned() -> usize {
+        NAMES.partition_point(|slot| slot.get().is_some())
+    }
+}
+
+impl From<&str> for TierId {
+    /// Interns `name`. Panics if the process has already interned
+    /// [`MAX_TIER_NAMES`] other names — use [`TierId::intern`] for names
+    /// that arrive from outside the program.
+    fn from(name: &str) -> Self {
+        TierId::intern(name).expect("more than MAX_TIER_NAMES distinct tier names in one process")
+    }
+}
+
+impl fmt::Display for TierId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl fmt::Debug for TierId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.name(), f)
+    }
+}
+
+impl PartialEq<&str> for TierId {
+    fn eq(&self, other: &&str) -> bool {
+        self.name() == *other
+    }
+}
 
 /// What a storage operation cost in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -204,7 +299,7 @@ pub struct MemTier {
 
 #[derive(Debug, Default)]
 struct MemState {
-    map: HashMap<ObjectKey, Bytes>,
+    map: FxHashMap<ObjectKey, Bytes>,
     used: u64,
     puts: u64,
     gets: u64,
@@ -318,6 +413,39 @@ mod tests {
 
     fn key(s: &str) -> ObjectKey {
         ObjectKey::new(s)
+    }
+
+    #[test]
+    fn tier_ids_intern_once_and_read_back_as_names() {
+        let before = TierId::interned();
+        assert_eq!(TierId::lookup("tier-id-test-a"), None);
+        let a = TierId::from("tier-id-test-a");
+        let b = TierId::from("tier-id-test-b");
+        assert_ne!(a, b);
+        assert_eq!(TierId::intern("tier-id-test-a"), Some(a), "second intern is a lookup");
+        assert_eq!(TierId::lookup("tier-id-test-b"), Some(b));
+        assert!(TierId::interned() >= before + 2);
+        assert_eq!(a.name(), "tier-id-test-a");
+        assert_eq!(a, "tier-id-test-a");
+        assert_eq!(format!("{a} {a:?}"), r#"tier-id-test-a "tier-id-test-a""#);
+    }
+
+    #[test]
+    fn racing_interns_of_one_name_agree() {
+        let barrier = Arc::new(std::sync::Barrier::new(4));
+        let ids: Vec<TierId> = (0..4)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    TierId::from("tier-id-test-raced")
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .collect();
+        assert!(ids.iter().all(|id| *id == ids[0] && id.name() == "tier-id-test-raced"));
     }
 
     #[test]

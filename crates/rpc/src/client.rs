@@ -640,7 +640,7 @@ impl LocalClient {
                     v.to_vec(),
                     ClientReceipt {
                         latency: r.latency,
-                        served_by: Some(r.served_by),
+                        served_by: Some(r.served_by.to_string()),
                     },
                 )
             })

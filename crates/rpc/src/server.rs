@@ -509,7 +509,7 @@ fn do_get(instance: &Arc<Instance>, key: &str, now: SimTime) -> Response {
         Ok((value, r)) => Response::GetOk {
             value: value.to_vec(),
             latency_ns: r.latency.as_nanos(),
-            served_by: r.served_by,
+            served_by: r.served_by.to_string(),
         },
         Err(e) => Response::Error {
             message: e.to_string(),

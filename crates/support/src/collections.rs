@@ -63,9 +63,16 @@ impl Hasher for FxHasher {
         self.add_to_hash(n as u64);
     }
 
+    /// The running multiply carries a word's entropy upward only, and the
+    /// standard map takes its bucket index from the *low* bits: keys that
+    /// differ in the last bytes of a word (`user000000012345`) would pile
+    /// into a few dozen buckets. One more fold-and-multiply, with the
+    /// well-mixed high half swapped down, spreads them like a random hash.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        (self.hash ^ (self.hash >> 32))
+            .wrapping_mul(SEED)
+            .rotate_left(32)
     }
 }
 
@@ -81,10 +88,15 @@ pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// Hashes a single value with FxHash (used for shard selection so the
 /// shard pick and the in-shard probe share one hash function family).
+///
+/// This is the hasher's state as it stands, best mixed in its *top* bits,
+/// which is where callers take their shard or ring position from. The
+/// metastore's on-disk shard layout and the cluster ring are functions of
+/// this value, so it must never change.
 pub fn fx_hash_one(value: &(impl std::hash::Hash + ?Sized)) -> u64 {
     let mut h = FxHasher::default();
     value.hash(&mut h);
-    h.finish()
+    h.hash
 }
 
 #[cfg(test)]
@@ -116,6 +128,21 @@ mod tests {
         let mut s: FxHashSet<u32> = FxHashSet::default();
         s.extend(m.values().copied());
         assert_eq!(s.len(), 1000);
+    }
+
+    #[test]
+    fn map_buckets_spread_keys_that_differ_in_the_last_bytes_of_a_word() {
+        // The standard map indexes buckets with the low bits of `finish()`.
+        // Zero-padded counters put their varying digits in the high bytes
+        // of the last word; the low 12 bits must still tell them apart.
+        let mut low_bits = FxHashSet::default();
+        for i in 0..4096 {
+            let mut h = FxHasher::default();
+            std::hash::Hash::hash(format!("user{i:012}").as_str(), &mut h);
+            low_bits.insert(h.finish() & 0xfff);
+        }
+        // A random function would use about 4096 · (1 − 1/e) ≈ 2590.
+        assert!(low_bits.len() > 2300, "{} of 4096 bucket indexes used", low_bits.len());
     }
 
     #[test]

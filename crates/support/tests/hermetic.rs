@@ -251,13 +251,29 @@ fn registry_hot_path_uses_fx_hash_maps() {
     // the sanctioned map type there — a default-hashed
     // `std::collections::HashMap` would silently reintroduce SipHash *and*
     // per-process-random iteration order, which previously made experiment
-    // output drift run to run. Analyzer lint A005 enforces this; every
-    // crate other than the registry keeps default hashing for DoS
+    // output drift run to run. The same holds for the tiers' object maps
+    // (`crates/core/src/tier.rs`, `crates/tiers/src`): the simulated
+    // memory tier's reshard walks its map while drawing from a seeded rng,
+    // which made Figure 16 differ between runs. Analyzer lint A005
+    // enforces this; every other crate keeps default hashing for DoS
     // resistance.
-    let violations = findings_with_code(&analyzer_reports(), "A005");
+    let reports = analyzer_reports();
+    for covered in [
+        "crates/core/src/registry.rs",
+        "crates/core/src/tier.rs",
+        "crates/tiers/src/lib.rs",
+        "crates/tiers/src/simulated.rs",
+    ] {
+        assert!(
+            Config::workspace().hot_path.iter().any(|p| p == covered)
+                && reports.iter().any(|r| r.path.ends_with(covered)),
+            "{covered} must be linted as a hot-path module"
+        );
+    }
+    let violations = findings_with_code(&reports, "A005");
     assert!(
         violations.is_empty(),
-        "default-hashed HashMap in the registry hot path \
+        "default-hashed HashMap in a hot-path module \
          (use `tiera_support::collections::FxHashMap`):\n  {}",
         violations.join("\n  ")
     );

@@ -1,8 +1,8 @@
 //! The generic simulated tier and its four service profiles.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use tiera_support::collections::FxHashMap;
 use tiera_support::Bytes;
 use tiera_support::sync::{rank, Mutex};
 
@@ -54,7 +54,10 @@ pub struct SimulatedTier {
 
 #[derive(Default)]
 struct TierState {
-    map: HashMap<ObjectKey, Bytes>,
+    /// Fx-hashed: a matured grow picks the entries it drops by walking
+    /// this map while drawing from the seeded rng, so the walk order must
+    /// be the same in every run (Figure 16's timeline depends on it).
+    map: FxHashMap<ObjectKey, Bytes>,
     used: u64,
     puts: u64,
     gets: u64,
@@ -659,6 +662,32 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run(), "same seed → same latencies");
+    }
+
+    #[test]
+    fn matured_grow_drops_the_same_keys_for_the_same_seed() {
+        // Two same-seed tiers fed the same puts and one grow must keep the
+        // identical key set: the reshard draws `rng.chance` per entry in
+        // map order, so a per-process-random order picks different victims.
+        let survivors = || {
+            let e = SimEnv::new(16);
+            let t = MemoryTier::same_az("m", MB, &e);
+            for i in 0..200 {
+                t.put(&key(&format!("k{i}")), Bytes::from(vec![0u8; 512]), SimTime::ZERO)
+                    .unwrap();
+            }
+            t.grow(100.0, SimTime::ZERO);
+            // The first op after the grow matures applies the reshard.
+            let later = SimTime::from_secs(3600);
+            assert!(t.capacity(later) > MB, "grow matured");
+            t.put(&key("after"), Bytes::from_static(b"x"), later).unwrap();
+            (0..200)
+                .filter(|i| t.contains(&key(&format!("k{i}"))))
+                .collect::<Vec<_>>()
+        };
+        let kept = survivors();
+        assert!(kept.len() > 50 && kept.len() < 150, "about half remap: {}", kept.len());
+        assert_eq!(kept, survivors(), "same seed → same surviving keys");
     }
 
     #[test]

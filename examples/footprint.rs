@@ -1,0 +1,117 @@
+//! Bytes of resident memory per stored object, layer by layer.
+//!
+//! Builds the registry alone, a memory tier alone, a bare instance and an
+//! instance with a metadata directory over the same keys and prints how
+//! much `VmRSS` each added per object — the numbers behind DESIGN.md's
+//! per-object memory budget.
+//!
+//! ```bash
+//! cargo run --release --example footprint            # 100 000 keys
+//! cargo run --release --example footprint -- --quick # 2 000 keys: only checks it runs
+//! ```
+
+use std::sync::Arc;
+
+use tiera::core::meta::ObjectMeta;
+use tiera::core::registry::Registry;
+use tiera::core::tier::Tier;
+use tiera::prelude::*;
+use tiera::tiers::MemoryTier;
+
+const PAYLOAD: usize = 128;
+
+/// Resident set size in bytes, from `/proc/self/status`.
+fn rss() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .expect("VmRSS line");
+    kb * 1024
+}
+
+/// Runs `build`, prints what it added to the resident set per key (less
+/// `payload` bytes of user data), and returns what it built so that it
+/// stays resident while the later layers are measured.
+fn measure<T>(label: &str, keys: usize, payload: usize, build: impl FnOnce() -> T) -> T {
+    let before = rss();
+    let built = build();
+    let per_key = rss().saturating_sub(before) as f64 / keys as f64;
+    println!("{label:<46} {:>7.0} B/object", per_key - payload as f64);
+    built
+}
+
+fn memory_tier(env: &SimEnv) -> Arc<MemoryTier> {
+    Arc::new(MemoryTier::same_az("mem", 1 << 30, env))
+}
+
+fn load(inst: &Instance, names: &[String]) {
+    for name in names {
+        inst.put(name, vec![7u8; PAYLOAD], SimTime::ZERO)
+            .expect("put");
+    }
+}
+
+fn main() {
+    let keys = if std::env::args().any(|a| a == "--quick") {
+        2_000
+    } else {
+        100_000
+    };
+    let names: Vec<String> = (0..keys).map(|k| format!("user{k:012}")).collect();
+    let env = SimEnv::new(7);
+    println!("{keys} keys, {PAYLOAD}-byte payloads; payload bytes excluded\n");
+
+    let _registry = measure("Registry (one location, clean)", keys, 0, || {
+        let registry = Registry::in_memory();
+        for name in &names {
+            let mut meta = ObjectMeta::new(PAYLOAD as u64, SimTime::ZERO);
+            meta.locations.insert("mem".to_string());
+            registry.upsert(ObjectKey::new(name), meta);
+        }
+        registry
+    });
+    let _tier = measure("MemoryTier", keys, PAYLOAD, || {
+        let tier = memory_tier(&env);
+        for name in &names {
+            tier.put(
+                &ObjectKey::new(name),
+                vec![7u8; PAYLOAD].into(),
+                SimTime::ZERO,
+            )
+            .expect("tier put");
+        }
+        tier
+    });
+    let _bare = measure(
+        "Instance, no rules (registry + tier)",
+        keys,
+        PAYLOAD,
+        || {
+            let inst = InstanceBuilder::new("bare", env.clone())
+                .tier(memory_tier(&env))
+                .build()
+                .expect("bare instance");
+            load(&inst, &names);
+            inst
+        },
+    );
+    let dir = std::env::temp_dir().join(format!("tiera-footprint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _meta = measure(
+        "Instance with metadata_dir (+ metastore index)",
+        keys,
+        PAYLOAD,
+        || {
+            let inst = InstanceBuilder::new("meta", env.clone())
+                .tier(memory_tier(&env))
+                .metadata_dir(&dir)
+                .build()
+                .expect("instance with metadata_dir");
+            load(&inst, &names);
+            inst
+        },
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
