@@ -38,9 +38,10 @@ pub struct Config {
 
 impl Config {
     /// The workspace policy: proto.rs and the cluster wire module decode
-    /// hostile bytes; the registry and the tiers' object maps are per-key
-    /// hot paths, and the simulated tiers' reshard walks its map while
-    /// drawing from a seeded rng.
+    /// hostile bytes; the registry, the tiers' object maps and the tier
+    /// wrappers' ledgers are per-key hot paths, the simulated tiers'
+    /// reshard walks its map while drawing from a seeded rng, and the
+    /// dedup wrapper's integrity check reports in map order.
     pub fn workspace() -> Self {
         Self {
             panic_free: vec![
@@ -53,6 +54,8 @@ impl Config {
                 "crates/core/src/tier.rs".into(),
                 "crates/tiers/src/lib.rs".into(),
                 "crates/tiers/src/simulated.rs".into(),
+                "crates/tierx/src/compressed.rs".into(),
+                "crates/tierx/src/dedup.rs".into(),
             ],
         }
     }

@@ -19,7 +19,11 @@ const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
 const LEN_CODE_MAX: usize = 15;
 const MAX_MATCH: usize = MIN_MATCH + LEN_CODE_MAX + 255; // 3..=273
-const HASH_SIZE: usize = 1 << 13;
+const HASH_BITS: u32 = 13;
+const HASH_SIZE: usize = 1 << HASH_BITS;
+/// Chain positions are `u32` (the stream's length header is 32-bit, so
+/// every position fits); this marks an empty slot.
+const NIL: u32 = u32::MAX;
 
 /// Errors returned by [`decompress`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,63 +49,91 @@ impl std::fmt::Display for LzssError {
 impl std::error::Error for LzssError {}
 
 fn hash3(data: &[u8], i: usize) -> usize {
-    let h = ((data[i] as usize) << 16) ^ ((data[i + 1] as usize) << 8) ^ (data[i + 2] as usize);
-    (h.wrapping_mul(2654435761)) >> (32 - 13) & (HASH_SIZE - 1)
+    let h = (u32::from(data[i]) << 16) ^ (u32::from(data[i + 1]) << 8) ^ u32::from(data[i + 2]);
+    (h.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
 }
 
-/// Compresses `data`. Always succeeds; worst-case expansion is
-/// `4 + ceil(len/8) + len` bytes total.
+/// Length of the common prefix of two equally long slices, compared eight
+/// bytes at a time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let (a_words, a_tail) = a.as_chunks::<8>();
+    let (b_words, b_tail) = b.as_chunks::<8>();
+    for (k, (x, y)) in a_words.iter().zip(b_words).enumerate() {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        if diff != 0 {
+            return k * 8 + (diff.trailing_zeros() / 8) as usize;
+        }
+    }
+    a_words.len() * 8 + a_tail.iter().zip(b_tail).take_while(|(x, y)| x == y).count()
+}
+
+/// Compresses `data`. Worst-case expansion is `4 + ceil(len/8) + len`
+/// bytes total.
+///
+/// # Panics
+///
+/// If `data` is longer than `u32::MAX` bytes, which the stream's length
+/// header cannot record.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+    compress_into(&mut out, data);
+    out
+}
+
+/// Appends the stream [`compress`] returns for `data` to `out`, so a
+/// caller that frames the stream writes frame and stream into one buffer.
+pub fn compress_into(out: &mut Vec<u8>, data: &[u8]) {
+    let declared = u32::try_from(data.len()).expect("lzss input longer than u32::MAX bytes");
+    out.extend_from_slice(&declared.to_le_bytes());
     if data.is_empty() {
-        return out;
+        return;
     }
 
     // head[h] = most recent position with hash h; prev[i % WINDOW] = chain.
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; WINDOW];
+    let mut head = vec![NIL; HASH_SIZE];
+    let mut prev = vec![NIL; WINDOW];
+    macro_rules! insert {
+        ($i:expr) => {
+            prev[$i % WINDOW] = std::mem::replace(&mut head[hash3(data, $i)], $i as u32)
+        };
+    }
 
     let mut i = 0usize;
     let mut flags_pos = out.len();
     out.push(0);
     let mut flag_bit = 0u8;
 
-    macro_rules! bump_group {
-        () => {
-            if flag_bit == 8 {
-                flags_pos = out.len();
-                out.push(0);
-                flag_bit = 0;
-            }
-        };
-    }
-
     while i < data.len() {
-        bump_group!();
+        if flag_bit == 8 {
+            flags_pos = out.len();
+            out.push(0);
+            flag_bit = 0;
+        }
+        let hashable = i + MIN_MATCH <= data.len();
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let h = hash3(data, i);
-            let mut cand = head[h];
+        if hashable {
+            let max_len = MAX_MATCH.min(data.len() - i);
+            let here = &data[i..i + max_len];
+            let mut cand = head[hash3(data, i)];
             let mut tries = 16;
-            while cand != usize::MAX && i - cand <= WINDOW && tries > 0 {
-                if cand < i {
-                    let max_len = MAX_MATCH.min(data.len() - i);
-                    let mut l = 0usize;
-                    while l < max_len && data[cand + l] == data[i + l] {
-                        l += 1;
-                    }
+            while cand != NIL && i - cand as usize <= WINDOW && tries > 0 {
+                let c = cand as usize;
+                // Only a strictly longer match replaces the best one, so a
+                // candidate that differs on the byte just past it is out
+                // before any of it is compared.
+                if data[c + best_len] == here[best_len] {
+                    let l = common_prefix(&data[c..c + max_len], here);
                     if l > best_len {
                         best_len = l;
-                        best_dist = i - cand;
-                        if l == MAX_MATCH {
+                        best_dist = i - c;
+                        if l == max_len {
                             break;
                         }
                     }
                 }
-                let next = prev[cand % WINDOW];
-                if next == usize::MAX || next >= cand {
+                let next = prev[c % WINDOW];
+                if next == NIL || next >= cand {
                     break;
                 }
                 cand = next;
@@ -110,7 +142,6 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         }
 
         if best_len >= MIN_MATCH {
-            // Match token.
             out[flags_pos] |= 1 << flag_bit;
             let len_code = (best_len - MIN_MATCH).min(LEN_CODE_MAX);
             let token = ((len_code as u16) << 12) | ((best_dist - 1) as u16);
@@ -118,28 +149,22 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
             if len_code == LEN_CODE_MAX {
                 out.push((best_len - MIN_MATCH - LEN_CODE_MAX) as u8);
             }
-            // Insert hash entries for every covered position.
+            // Every covered position that still has three bytes ahead of
+            // it joins its chain.
             let end = i + best_len;
-            while i < end && i + MIN_MATCH <= data.len() {
-                let h = hash3(data, i);
-                prev[i % WINDOW] = head[h];
-                head[h] = i;
-                i += 1;
+            for covered in i..end.min(data.len() + 1 - MIN_MATCH) {
+                insert!(covered);
             }
             i = end;
         } else {
-            // Literal.
             out.push(data[i]);
-            if i + MIN_MATCH <= data.len() {
-                let h = hash3(data, i);
-                prev[i % WINDOW] = head[h];
-                head[h] = i;
+            if hashable {
+                insert!(i);
             }
             i += 1;
         }
         flag_bit += 1;
     }
-    out
 }
 
 /// Decompresses a stream produced by [`compress`].
@@ -178,10 +203,15 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, LzssError> {
                 if dist > out.len() {
                     return Err(LzssError::BadDistance);
                 }
+                // One block copy when the source lies wholly behind the
+                // output (`dist >= len`). Otherwise the match repeats the
+                // last `dist` bytes, and each pass doubles how many of
+                // them there are to copy.
                 let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                while len > 0 {
+                    let n = len.min(out.len() - start);
+                    out.extend_from_within(start..start + n);
+                    len -= n;
                 }
             } else {
                 if pos >= stream.len() {
@@ -296,6 +326,200 @@ mod tests {
             }
             let c = compress(&data);
             assert_eq!(decompress(&c).unwrap(), data);
+        });
+    }
+
+    /// The compressor as first written — `usize` tables, byte-at-a-time
+    /// match extension, every candidate compared in full — kept as the
+    /// definition of the stream the kernel must emit byte for byte.
+    fn reference_compress(data: &[u8]) -> Vec<u8> {
+        let hash3 = |i: usize| {
+            let (a, b, c) = (data[i] as usize, data[i + 1] as usize, data[i + 2] as usize);
+            ((a << 16) ^ (b << 8) ^ c).wrapping_mul(2654435761) >> (32 - 13) & (HASH_SIZE - 1)
+        };
+        let mut out = Vec::new();
+        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+        if data.is_empty() {
+            return out;
+        }
+        let mut head = vec![usize::MAX; HASH_SIZE];
+        let mut prev = vec![usize::MAX; WINDOW];
+        let mut i = 0usize;
+        let mut flags_pos = out.len();
+        out.push(0);
+        let mut flag_bit = 0u8;
+        while i < data.len() {
+            if flag_bit == 8 {
+                flags_pos = out.len();
+                out.push(0);
+                flag_bit = 0;
+            }
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if i + MIN_MATCH <= data.len() {
+                let mut cand = head[hash3(i)];
+                let mut tries = 16;
+                while cand != usize::MAX && i - cand <= WINDOW && tries > 0 {
+                    if cand < i {
+                        let max_len = MAX_MATCH.min(data.len() - i);
+                        let mut l = 0usize;
+                        while l < max_len && data[cand + l] == data[i + l] {
+                            l += 1;
+                        }
+                        if l > best_len {
+                            best_len = l;
+                            best_dist = i - cand;
+                            if l == MAX_MATCH {
+                                break;
+                            }
+                        }
+                    }
+                    let next = prev[cand % WINDOW];
+                    if next == usize::MAX || next >= cand {
+                        break;
+                    }
+                    cand = next;
+                    tries -= 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                out[flags_pos] |= 1 << flag_bit;
+                let len_code = (best_len - MIN_MATCH).min(LEN_CODE_MAX);
+                let token = ((len_code as u16) << 12) | ((best_dist - 1) as u16);
+                out.extend_from_slice(&token.to_le_bytes());
+                if len_code == LEN_CODE_MAX {
+                    out.push((best_len - MIN_MATCH - LEN_CODE_MAX) as u8);
+                }
+                let end = i + best_len;
+                while i < end && i + MIN_MATCH <= data.len() {
+                    let h = hash3(i);
+                    prev[i % WINDOW] = head[h];
+                    head[h] = i;
+                    i += 1;
+                }
+                i = end;
+            } else {
+                out.push(data[i]);
+                if i + MIN_MATCH <= data.len() {
+                    let h = hash3(i);
+                    prev[i % WINDOW] = head[h];
+                    head[h] = i;
+                }
+                i += 1;
+            }
+            flag_bit += 1;
+        }
+        out
+    }
+
+    /// The decompressor as first written: a match is copied a byte at a
+    /// time. Defines both the output and which error fires where.
+    fn reference_decompress(stream: &[u8]) -> Result<Vec<u8>, LzssError> {
+        if stream.len() < 4 {
+            return Err(LzssError::Truncated);
+        }
+        let declared = u32::from_le_bytes([stream[0], stream[1], stream[2], stream[3]]) as usize;
+        let mut out = Vec::new();
+        let mut pos = 4usize;
+        'outer: while out.len() < declared {
+            let flags = *stream.get(pos).ok_or(LzssError::Truncated)?;
+            pos += 1;
+            for bit in 0..8 {
+                if out.len() == declared {
+                    break 'outer;
+                }
+                if flags & (1 << bit) != 0 {
+                    let token = stream.get(pos..pos + 2).ok_or(LzssError::Truncated)?;
+                    let token = u16::from_le_bytes([token[0], token[1]]);
+                    pos += 2;
+                    let mut len = ((token >> 12) as usize) + MIN_MATCH;
+                    if (token >> 12) as usize == LEN_CODE_MAX {
+                        len += *stream.get(pos).ok_or(LzssError::Truncated)? as usize;
+                        pos += 1;
+                    }
+                    let dist = ((token & 0x0FFF) as usize) + 1;
+                    if dist > out.len() {
+                        return Err(LzssError::BadDistance);
+                    }
+                    let start = out.len() - dist;
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
+                } else {
+                    out.push(*stream.get(pos).ok_or(LzssError::Truncated)?);
+                    pos += 1;
+                }
+            }
+        }
+        if out.len() != declared {
+            return Err(LzssError::LengthMismatch);
+        }
+        Ok(out)
+    }
+
+    /// Up to 20 000 bytes in one of three shapes: random (literals only),
+    /// runs over a small alphabet (long, overlapping matches), text-like
+    /// (words from a small dictionary: short matches at every distance).
+    fn shaped_input(rng: &mut tiera_support::rng::SimRng) -> Vec<u8> {
+        use tiera_support::prop::gen;
+        const WORDS: [&[u8]; 8] =
+            [b"tier", b"object ", b"the ", b"policy", b" ", b"copy(", b"storage", b"\n"];
+        let n = gen::usize_in(rng, 0..20_000);
+        let mut data = Vec::with_capacity(n + 8);
+        match rng.next_below(3) {
+            0 => data = gen::bytes(rng, n),
+            1 => {
+                while data.len() < n {
+                    let run = gen::usize_in(rng, 1..400);
+                    let b = rng.next_u64() as u8 & 0x0F;
+                    data.resize(data.len() + run, b);
+                }
+            }
+            _ => {
+                while data.len() < n {
+                    data.extend_from_slice(gen::pick::<&[u8]>(rng, &WORDS));
+                }
+            }
+        }
+        data.truncate(n);
+        data
+    }
+
+    #[test]
+    fn prop_kernels_match_the_byte_at_a_time_references() {
+        tiera_support::prop_check!(cases = 96, |rng| {
+            let data = shaped_input(rng);
+            let stream = compress(&data);
+            assert_eq!(stream, reference_compress(&data), "compress, {} bytes in", data.len());
+            assert_eq!(decompress(&stream).as_deref(), Ok(&data[..]));
+            assert_eq!(reference_decompress(&stream).as_deref(), Ok(&data[..]));
+
+            // `compress_into` appends exactly that stream behind whatever
+            // the caller already wrote.
+            let mut framed = b"frame:".to_vec();
+            compress_into(&mut framed, &data);
+            assert_eq!(framed[..6], *b"frame:");
+            assert_eq!(framed[6..], stream[..]);
+        });
+    }
+
+    #[test]
+    fn prop_decompress_errors_fire_where_the_reference_fires_them() {
+        tiera_support::prop_check!(cases = 192, |rng| {
+            use tiera_support::prop::gen;
+            let mut stream = compress(&shaped_input(rng));
+            // Cut it, or flip bytes past the length header (a flipped
+            // header mostly asks for gigabytes, which is not the point).
+            if gen::boolean(rng) {
+                stream.truncate(gen::usize_in(rng, 0..stream.len()));
+            } else if stream.len() > 4 {
+                for _ in 0..gen::usize_in(rng, 1..6) {
+                    let at = gen::usize_in(rng, 4..stream.len());
+                    stream[at] ^= gen::usize_in(rng, 1..256) as u8;
+                }
+            }
+            assert_eq!(decompress(&stream), reference_decompress(&stream));
         });
     }
 }

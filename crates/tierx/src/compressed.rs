@@ -1,6 +1,5 @@
 //! Transparent lzss compression over any tier.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tiera_codec::{crc32, lzss};
@@ -8,6 +7,7 @@ use tiera_core::error::{Result, TieraError};
 use tiera_core::object::ObjectKey;
 use tiera_core::tier::{CapacityProfile, OpReceipt, RequestCounts, Tier, TierHandle, TierTraits};
 use tiera_sim::SimTime;
+use tiera_support::collections::FxHashMap;
 use tiera_support::sync::{rank, Mutex};
 use tiera_support::Bytes;
 
@@ -33,7 +33,7 @@ pub struct CompressedTier {
 #[derive(Default)]
 struct CompressState {
     /// Per-key `(logical, physical, stored_raw)`.
-    ledger: HashMap<ObjectKey, Entry>,
+    ledger: FxHashMap<ObjectKey, Entry>,
     logical_bytes: u64,
     physical_bytes: u64,
     raw_fallback: u64,
@@ -92,15 +92,19 @@ impl Tier for CompressedTier {
     fn put(&self, key: &ObjectKey, data: Bytes, now: SimTime) -> Result<OpReceipt> {
         let raw = data.as_slice();
         let crc = crc32::checksum(raw);
-        let compressed = lzss::compress(raw);
+        // Header and body go into one buffer, sized for the raw form.
+        let mut stored = Vec::with_capacity(header::HEADER_LEN + raw.len());
+        header::encode(&mut stored, true, crc);
+        lzss::compress_into(&mut stored, raw);
         // Escape hatch: store raw when compression does not shrink the
         // payload (the header is paid either way).
-        let use_compressed = compressed.len() < raw.len();
-        let stored = if use_compressed {
-            Bytes::from(header::encode(true, crc, &compressed))
-        } else {
-            Bytes::from(header::encode(false, crc, raw))
-        };
+        let use_compressed = stored.len() - header::HEADER_LEN < raw.len();
+        if !use_compressed {
+            stored.clear();
+            header::encode(&mut stored, false, crc);
+            stored.extend_from_slice(raw);
+        }
+        let stored = Bytes::from(stored);
         let physical = stored.len() as u64;
 
         // Hold the ledger lock across the inner put so the ledger can
@@ -246,6 +250,30 @@ mod tests {
 
         let (read, _) = t.get(&key("a"), SimTime::ZERO).unwrap();
         assert_eq!(read.as_slice(), data.as_slice());
+    }
+
+    #[test]
+    fn stored_object_is_the_header_then_the_stream_or_the_payload() {
+        let mem = MemTier::with_capacity("t", 1 << 20);
+        let t = CompressedTier::new(mem.clone());
+        // Shrinks / does not shrink / too short to shrink / empty.
+        for (name, data) in [
+            ("text", compressible(5000)),
+            ("noise", incompressible(5000, 9)),
+            ("short", compressible(3)),
+            ("empty", Bytes::new()),
+        ] {
+            t.put(&key(name), data.clone(), SimTime::ZERO).unwrap();
+            let (stored, _) = mem.get(&key(name), SimTime::ZERO).unwrap();
+
+            let stream = lzss::compress(&data);
+            let shrinks = stream.len() < data.len();
+            let mut expected = vec![header::MAGIC, u8::from(shrinks)];
+            expected.extend_from_slice(&crc32::checksum(&data).to_le_bytes());
+            expected.extend_from_slice(if shrinks { &stream } else { &data });
+            assert_eq!(stored.as_slice(), expected.as_slice(), "{name}");
+            assert_eq!(shrinks, name == "text", "{name}");
+        }
     }
 
     #[test]

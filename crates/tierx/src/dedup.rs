@@ -1,6 +1,6 @@
 //! Content-addressed deduplication over any tier.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use tiera_codec::Digest;
@@ -8,6 +8,7 @@ use tiera_core::error::{Result, TieraError};
 use tiera_core::object::ObjectKey;
 use tiera_core::tier::{CapacityProfile, OpReceipt, RequestCounts, Tier, TierHandle, TierTraits};
 use tiera_sim::SimTime;
+use tiera_support::collections::FxHashMap;
 use tiera_support::sync::{rank, Mutex};
 use tiera_support::Bytes;
 
@@ -40,9 +41,9 @@ pub struct DedupTier {
 #[derive(Default)]
 struct DedupState {
     /// Live client keys and the content they point at.
-    keys: HashMap<ObjectKey, Digest>,
+    keys: FxHashMap<ObjectKey, Digest>,
     /// Refcounted physical blobs, by content digest.
-    blobs: HashMap<Digest, BlobEntry>,
+    blobs: FxHashMap<Digest, BlobEntry>,
     /// Sum of live keys' logical payload sizes.
     logical_bytes: u64,
     /// Puts answered by an existing blob.
@@ -84,7 +85,7 @@ impl DedupTier {
     pub fn check_integrity(&self) -> Vec<String> {
         let st = self.state.lock();
         let mut violations = Vec::new();
-        let mut counted: HashMap<Digest, u64> = HashMap::new();
+        let mut counted: FxHashMap<Digest, u64> = FxHashMap::default();
         for (key, digest) in &st.keys {
             *counted.entry(*digest).or_insert(0) += 1;
             match st.blobs.get(digest) {

@@ -62,14 +62,12 @@ impl std::fmt::Display for HeaderError {
 
 impl std::error::Error for HeaderError {}
 
-/// Serializes a header followed by `body`.
-pub fn encode(compressed: bool, crc32: u32, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
+/// Appends a header to `out`; the caller writes the body behind it, so a
+/// stored object is built in one buffer.
+pub fn encode(out: &mut Vec<u8>, compressed: bool, crc32: u32) {
     out.push(MAGIC);
     out.push(if compressed { FLAG_COMPRESSED } else { 0 });
     out.extend_from_slice(&crc32.to_le_bytes());
-    out.extend_from_slice(body);
-    out
 }
 
 /// Splits stored bytes into the decoded [`Header`] and the body.
@@ -98,6 +96,14 @@ pub fn decode(stored: &[u8]) -> Result<(Header, &[u8]), HeaderError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A stored object: header, then `body`.
+    fn encode(compressed: bool, crc32: u32, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        super::encode(&mut out, compressed, crc32);
+        out.extend_from_slice(body);
+        out
+    }
 
     #[test]
     fn roundtrip_both_forms() {

@@ -3,7 +3,9 @@
 //! Builds the registry alone, a memory tier alone, a bare instance and an
 //! instance with a metadata directory over the same keys and prints how
 //! much `VmRSS` each added per object — the numbers behind DESIGN.md's
-//! per-object memory budget.
+//! per-object memory budget. Then the served-overwrite probe behind
+//! DESIGN.md's payload byte budget: one thread loads 4 KiB values, another
+//! overwrites them, and the peak resident set should not grow.
 //!
 //! ```bash
 //! cargo run --release --example footprint            # 100 000 keys
@@ -20,15 +22,20 @@ use tiera::tiers::MemoryTier;
 
 const PAYLOAD: usize = 128;
 
-/// Resident set size in bytes, from `/proc/self/status`.
-fn rss() -> u64 {
+/// A `kB` field of `/proc/self/status`, in bytes.
+fn status_bytes(field: &str) -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
     let kb = status
         .lines()
-        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .find_map(|l| l.strip_prefix(field))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
-        .expect("VmRSS line");
+        .unwrap_or_else(|| panic!("{field} line"));
     kb * 1024
+}
+
+/// Resident set size in bytes.
+fn rss() -> u64 {
+    status_bytes("VmRSS:")
 }
 
 /// Runs `build`, prints what it added to the resident set per key (less
@@ -53,12 +60,47 @@ fn load(inst: &Instance, names: &[String]) {
     }
 }
 
+/// Loads `keys` 4 KiB values on this thread, overwrites each of them
+/// eight times from a second one — a connection worker's side of a served
+/// instance — and prints how far the peak resident set (`VmHWM`) rose
+/// during the overwrites, per byte stored. An overwrite that allocates its
+/// value afresh fills the second thread's malloc arena with a second copy
+/// of the store while the first thread's, emptied, stays resident (≈ 1.0);
+/// one that recycles the buffer it replaced adds nothing (≈ 0).
+fn served_overwrite(env: &SimEnv, keys: usize) {
+    const VALUE: usize = 4096;
+    const ROUNDS: u8 = 8;
+    let names: Vec<String> = (0..keys).map(|k| format!("block{k:08}")).collect();
+    let inst = InstanceBuilder::new("served", env.clone())
+        .tier(memory_tier(env))
+        .build()
+        .expect("served instance");
+    for name in &names {
+        inst.put(name, vec![0u8; VALUE], SimTime::ZERO).expect("load");
+    }
+    let loaded = status_bytes("VmHWM:");
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for round in 1..=ROUNDS {
+                for name in &names {
+                    inst.put(name, vec![round; VALUE], SimTime::ZERO)
+                        .expect("overwrite");
+                }
+            }
+        });
+    });
+    let growth = status_bytes("VmHWM:").saturating_sub(loaded);
+    println!("\nserved overwrite: {keys} x {VALUE} B, overwritten {ROUNDS}x from a second thread");
+    println!(
+        "{:<46} {:>7.2} x bytes stored",
+        "peak resident set growth",
+        growth as f64 / (keys * VALUE) as f64
+    );
+}
+
 fn main() {
-    let keys = if std::env::args().any(|a| a == "--quick") {
-        2_000
-    } else {
-        100_000
-    };
+    let quick = std::env::args().any(|a| a == "--quick");
+    let keys = if quick { 2_000 } else { 100_000 };
     let names: Vec<String> = (0..keys).map(|k| format!("user{k:012}")).collect();
     let env = SimEnv::new(7);
     println!("{keys} keys, {PAYLOAD}-byte payloads; payload bytes excluded\n");
@@ -114,4 +156,6 @@ fn main() {
         },
     );
     std::fs::remove_dir_all(&dir).ok();
+
+    served_overwrite(&env, if quick { 500 } else { 10_000 });
 }
