@@ -38,10 +38,11 @@ pub struct Config {
 
 impl Config {
     /// The workspace policy: proto.rs and the cluster wire module decode
-    /// hostile bytes; the registry, the tiers' object maps and the tier
-    /// wrappers' ledgers are per-key hot paths, the simulated tiers'
-    /// reshard walks its map while drawing from a seeded rng, and the
-    /// dedup wrapper's integrity check reports in map order.
+    /// hostile bytes; the registry, the metastore's locator table, the
+    /// tiers' object maps and the tier wrappers' ledgers are per-key hot
+    /// paths, the simulated tiers' reshard walks its map while drawing
+    /// from a seeded rng, and the dedup wrapper's integrity check reports
+    /// in map order.
     pub fn workspace() -> Self {
         Self {
             panic_free: vec![
@@ -52,6 +53,7 @@ impl Config {
             hot_path: vec![
                 "crates/core/src/registry.rs".into(),
                 "crates/core/src/tier.rs".into(),
+                "crates/metastore/src/store.rs".into(),
                 "crates/tiers/src/lib.rs".into(),
                 "crates/tiers/src/simulated.rs".into(),
                 "crates/tierx/src/compressed.rs".into(),

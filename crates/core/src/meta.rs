@@ -328,6 +328,13 @@ impl ObjectMeta {
     /// Encodes the metadata to bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoding to `out` — the form for a caller that keeps
+    /// one buffer and encodes record after record into it.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.size.to_le_bytes());
         out.extend_from_slice(&self.stored_size.to_le_bytes());
         out.extend_from_slice(&self.access_count.to_le_bytes());
@@ -342,8 +349,8 @@ impl ObjectMeta {
         if let Some(d) = &digest {
             out.extend_from_slice(&d.0);
         }
-        write_str_set(&mut out, self.locations.iter().map(|id| id.name()));
-        write_str_set(&mut out, self.tags().iter().map(|t| t.as_str()));
+        write_str_set(out, self.locations.iter().map(|id| id.name()));
+        write_str_set(out, self.tags().iter().map(|t| t.as_str()));
         match self.encryption_key_id() {
             Some(id) => {
                 out.push(1);
@@ -352,7 +359,6 @@ impl ObjectMeta {
             }
             None => out.push(0),
         }
-        out
     }
 
     /// Decodes metadata produced by [`encode`](Self::encode).

@@ -40,9 +40,10 @@
 //! the order indexes see each mutation atomically because the index edits
 //! for one mutation happen under one `order` write guard.
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use tiera_support::collections::{fx_hash_one, FxHashMap};
@@ -343,6 +344,36 @@ fn aggregates_sub(aggregates: &mut Aggregates, was: &Indexed) {
     }
 }
 
+/// Inserts or replaces `key`'s metadata in its shard and every index;
+/// returns whether the key is new.
+fn insert_into(
+    shard: &mut Shard,
+    order: &mut OrderIndexes,
+    aggregates: &mut Aggregates,
+    key: &ObjectKey,
+    meta: ObjectMeta,
+) -> bool {
+    let now = Indexed::of(&meta);
+    let new = match shard.map.entry(key.clone()) {
+        MapEntry::Occupied(mut slot) => {
+            let entry = slot.get_mut();
+            let was = Indexed::of(&entry.meta);
+            order.relink(entry.node, key, &was, &now);
+            aggregates_sub(aggregates, &was);
+            entry.meta = meta;
+            false
+        }
+        MapEntry::Vacant(slot) => {
+            let node = order.alloc(key.clone());
+            order.link(node, key, &now);
+            slot.insert(Entry { meta, node });
+            true
+        }
+    };
+    aggregates_add(aggregates, &now);
+    new
+}
+
 /// Thread-safe object-metadata registry with optional persistence.
 pub struct Registry {
     shards: Vec<RwLock<Shard>>,
@@ -359,6 +390,17 @@ pub struct Registry {
     persist_failures_reported: AtomicU64,
     /// The first refusal's error text, quoted by that report.
     first_persist_error: OnceLock<String>,
+    /// Records recovery found in the store and could not decode, and the
+    /// key of the first; `reported` once a `sync()` has said so.
+    recovery_skipped: u64,
+    first_skipped_key: Option<String>,
+    recovery_skipped_reported: AtomicBool,
+}
+
+thread_local! {
+    /// The encoding of the record being persisted: one buffer a thread,
+    /// reused from write to write.
+    static ENCODED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Registry {
@@ -380,43 +422,71 @@ impl Registry {
             persist_failures: AtomicU64::new(0),
             persist_failures_reported: AtomicU64::new(0),
             first_persist_error: OnceLock::new(),
+            recovery_skipped: 0,
+            first_skipped_key: None,
+            recovery_skipped_reported: AtomicBool::new(false),
         }
     }
 
     /// A registry persisted in `dir`; existing metadata is recovered.
     pub fn persistent(dir: impl AsRef<std::path::Path>) -> Result<Self> {
         let store = MetaStore::open(dir).map_err(|e| TieraError::Metadata(e.to_string()))?;
-        Ok(Self::over(store))
+        Self::over(store)
     }
 
-    /// A registry persisted in `store`; existing metadata is recovered.
-    pub fn over(store: MetaStore) -> Self {
-        let reg = Self::in_memory();
-        for (k, v) in store.scan_prefix(b"") {
-            let Ok(key_str) = String::from_utf8(k) else {
-                continue;
-            };
-            if let Some(meta) = ObjectMeta::decode(&v) {
-                reg.insert_locked(&ObjectKey::new(key_str), meta);
-            }
-        }
-        Self {
+    /// A registry persisted in `store`; existing metadata is recovered,
+    /// streamed record by record from the store's log. Objects come back
+    /// in the store's log order — shard by shard, each shard's by last
+    /// write — which is the access order the recency lists start from.
+    ///
+    /// A record whose key is not UTF-8 or whose value does not decode is
+    /// left out, counted ([`recovery_skipped`](Self::recovery_skipped)) and
+    /// reported by the next [`sync`](Self::sync).
+    pub fn over(store: MetaStore) -> Result<Self> {
+        let mut reg = Self::in_memory();
+        let mut skipped = 0;
+        let mut first_skipped = None;
+        store
+            .for_each(|k, v| {
+                let record = std::str::from_utf8(k)
+                    .ok()
+                    .and_then(|key| Some((ObjectKey::new(key), ObjectMeta::decode(v)?)));
+                match record {
+                    Some((key, meta)) => reg.insert_unshared(&key, meta),
+                    None => {
+                        skipped += 1;
+                        first_skipped.get_or_insert_with(|| String::from_utf8_lossy(k).into_owned());
+                    }
+                }
+            })
+            .map_err(|e| TieraError::Metadata(e.to_string()))?;
+        Ok(Self {
             store: Some(store),
+            recovery_skipped: skipped,
+            first_skipped_key: first_skipped,
             ..reg
-        }
+        })
+    }
+
+    #[inline]
+    fn shard_at(key: &ObjectKey) -> usize {
+        // Top bits: FxHash mixes best into the high half of the word.
+        (fx_hash_one(key) >> (64 - SHARD_COUNT.trailing_zeros())) as usize
     }
 
     #[inline]
     fn shard_of(&self, key: &ObjectKey) -> &RwLock<Shard> {
-        // Top bits: FxHash mixes best into the high half of the word.
-        let h = fx_hash_one(key);
-        &self.shards[(h >> (64 - SHARD_COUNT.trailing_zeros())) as usize]
+        &self.shards[Self::shard_at(key)]
     }
 
     fn persist(&self, key: &ObjectKey, meta: Option<&ObjectMeta>) {
         if let Some(store) = &self.store {
             let r = match meta {
-                Some(m) => store.put(key.as_str().as_bytes(), &m.encode()),
+                Some(m) => ENCODED.with_borrow_mut(|encoded| {
+                    encoded.clear();
+                    m.encode_into(encoded);
+                    store.put(key.as_str().as_bytes(), encoded)
+                }),
                 None => store.delete(key.as_str().as_bytes()).map(|_| ()),
             };
             // Metadata persistence failures must not fail client IO: they
@@ -435,9 +505,19 @@ impl Registry {
         self.persist_failures.load(Ordering::Relaxed)
     }
 
+    /// Records the backing store held at recovery that could not be
+    /// decoded — a key that is not UTF-8, a value `ObjectMeta::decode`
+    /// rejects. Their objects are not in the registry; the records stay in
+    /// the store.
+    pub fn recovery_skipped(&self) -> u64 {
+        self.recovery_skipped
+    }
+
     /// Flushes persisted metadata to disk. Fails — once — if any metadata
-    /// write was refused since the last call: what reached the store is
-    /// flushed, but it is not everything the registry holds.
+    /// write was refused since the last call (what reached the store is
+    /// flushed, but it is not everything the registry holds) or if
+    /// recovery left records out (the registry is not everything the store
+    /// holds).
     pub fn sync(&self) -> Result<()> {
         let Some(store) = &self.store else {
             return Ok(());
@@ -447,13 +527,25 @@ impl Registry {
             .map_err(|e| TieraError::Metadata(e.to_string()))?;
         let failed = self.persist_failures.load(Ordering::Relaxed);
         let unreported = failed - self.persist_failures_reported.swap(failed, Ordering::Relaxed);
+        let mut problems = Vec::new();
         if unreported > 0 {
-            return Err(TieraError::Metadata(format!(
+            problems.push(format!(
                 "{unreported} metadata write(s) were not persisted (first failure: {})",
                 self.first_persist_error.get().map_or("unknown", String::as_str)
-            )));
+            ));
         }
-        Ok(())
+        if self.recovery_skipped > 0 && !self.recovery_skipped_reported.swap(true, Ordering::Relaxed) {
+            problems.push(format!(
+                "{} metadata record(s) could not be decoded at recovery and were left out (first key: {:?})",
+                self.recovery_skipped,
+                self.first_skipped_key.as_deref().unwrap_or_default()
+            ));
+        }
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(TieraError::Metadata(problems.join("; ")))
+        }
     }
 
     /// Number of registered objects.
@@ -488,28 +580,24 @@ impl Registry {
         self.persist(&key, Some(&meta));
     }
 
-    /// The locked body of [`upsert`](Self::upsert), shared with recovery.
+    /// The locked body of [`upsert`](Self::upsert).
     fn insert_locked(&self, key: &ObjectKey, meta: ObjectMeta) {
         let mut shard = self.shard_of(key).write();
         let mut order = self.order.write();
         let mut aggregates = self.aggregates.write();
-        let now = Indexed::of(&meta);
-        match shard.map.entry(key.clone()) {
-            MapEntry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
-                let was = Indexed::of(&entry.meta);
-                order.relink(entry.node, key, &was, &now);
-                aggregates_sub(&mut aggregates, &was);
-                entry.meta = meta;
-            }
-            MapEntry::Vacant(slot) => {
-                let node = order.alloc(key.clone());
-                order.link(node, key, &now);
-                slot.insert(Entry { meta, node });
-                self.count.fetch_add(1, Ordering::AcqRel);
-            }
+        if insert_into(&mut shard, &mut order, &mut aggregates, key, meta) {
+            self.count.fetch_add(1, Ordering::AcqRel);
         }
-        aggregates_add(&mut aggregates, &now);
+    }
+
+    /// [`insert_locked`](Self::insert_locked) for a registry nothing else
+    /// can reach yet: no lock is taken, so recovery may run inside the
+    /// metastore's visitor, under the store's own (later-ranked) lock.
+    fn insert_unshared(&mut self, key: &ObjectKey, meta: ObjectMeta) {
+        let shard = self.shards[Self::shard_at(key)].get_mut();
+        if insert_into(shard, self.order.get_mut(), self.aggregates.get_mut(), key, meta) {
+            *self.count.get_mut() += 1;
+        }
     }
 
     /// Applies `f` to an object's metadata (if present), making the object
@@ -1133,7 +1221,7 @@ mod tests {
         };
         let store = MetaStore::open_with(&dir, opts).unwrap();
         let kill = store.kill_points();
-        let r = Registry::over(store);
+        let r = Registry::over(store).unwrap();
         let (a, b) = (ObjectKey::new("a"), ObjectKey::new("b"));
         r.upsert(a.clone(), meta_in("t1", 1, SimTime::ZERO));
         assert_eq!(r.persist_failures(), 0);

@@ -284,3 +284,75 @@ fn metadata_directory_written_by_the_parent_reopens_with_every_key() {
     drop(inst);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_record_recovery_cannot_decode_is_counted_and_reported_by_the_next_sync() {
+    use std::os::unix::fs::FileExt;
+    use tiera_metastore::{LogReader, RecordKind};
+
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/parent_metadata");
+    let dir = std::env::temp_dir().join(format!("tiera-parent-meta-skip-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+
+    // One live record of shard 0 — the last put in its log — rewritten in
+    // place: a location count no value is long enough for, under a crc
+    // that holds, so that the store replays it and `decode` refuses it.
+    let segment = dir.join("s00-seg-0000000000.log");
+    let mut reader = LogReader::new(std::fs::File::open(&segment).unwrap());
+    let mut victim = None;
+    loop {
+        let at = reader.valid_len;
+        let Some(rec) = reader.next_record().unwrap() else {
+            break;
+        };
+        match rec.kind {
+            RecordKind::Put => victim = Some((at, rec)),
+            RecordKind::Delete if victim.as_ref().is_some_and(|(_, v)| v.key == rec.key) => {
+                victim = None
+            }
+            _ => {}
+        }
+    }
+    let (at, rec) = victim.expect("shard 0 holds a live record");
+    let file = std::fs::OpenOptions::new().read(true).write(true).open(&segment).unwrap();
+    let mut frame = vec![0u8; 13 + rec.key.len() + rec.value.len()];
+    file.read_exact_at(&mut frame, at).unwrap();
+    // Five u64 fields and the flags byte come before the location count.
+    let count_at = 13 + rec.key.len() + 41;
+    frame[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let crc = tiera_codec::crc32::checksum(&frame[4..]);
+    frame[..4].copy_from_slice(&crc.to_le_bytes());
+    file.write_all_at(&frame, at).unwrap();
+    drop(file);
+
+    let inst = InstanceBuilder::new("sut", SimEnv::new(7))
+        .tier(MemTier::with_capacity("mem", 1 << 20))
+        .metadata_dir(&dir)
+        .build()
+        .unwrap();
+    let reg = inst.registry();
+    assert_eq!(reg.len(), 59);
+    assert_eq!(reg.recovery_skipped(), 1);
+    let lost = ObjectKey::new(String::from_utf8(rec.key).unwrap());
+    assert!(reg.get(&lost).is_none());
+    let err = reg.sync().unwrap_err();
+    assert!(
+        matches!(&err, TieraError::Metadata(m) if m.contains("1 metadata record(s)") && m.contains(lost.as_str())),
+        "{err}"
+    );
+    reg.sync().expect("reported once");
+    assert_eq!(reg.recovery_skipped(), 1);
+    // The object can be stored again over the record that did not decode.
+    inst.put(lost.as_str(), vec![1u8; 8], SimTime::ZERO).unwrap();
+    reg.sync().unwrap();
+    drop(inst);
+    let reopened = Registry::persistent(&dir).unwrap();
+    assert_eq!((reopened.len(), reopened.recovery_skipped()), (60, 0));
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -3,7 +3,7 @@
 //! The Tiera prototype "stored and persisted all object metadata using
 //! BerkeleyDB" (paper §3). This crate is that substrate, built from
 //! scratch: a crash-safe, sharded, log-structured store with in-memory
-//! indexes, CRC-framed records, tombstone deletes, group commit,
+//! locator indexes, CRC-framed records, tombstone deletes, group commit,
 //! snapshotting compaction, and O(delta) recovery.
 //!
 //! ## Design
@@ -12,6 +12,15 @@
 //!   each shard owns its own segment chain, group-commit queue, and
 //!   in-memory index behind per-shard named locks, so unrelated puts
 //!   never contend and `open` recovers shards in parallel.
+//! * The index holds no keys and no values — they live in the log. Per
+//!   live key it keeps the key's 64-bit hash and where the record is
+//!   (file, offset, length): ≈ 33 bytes, whatever the record's size. A
+//!   hash hit is confirmed by reading the record's key, and keys whose
+//!   hashes truly collide are told apart by an exact-key overflow map, so
+//!   the store answers every input as a map of keys would. A `get` is one
+//!   read of the log (or of the write buffer, for a record that has not
+//!   left it); [`MetaStore::for_each`] streams everything live, in log
+//!   order.
 //! * Every mutation appends a CRC-framed record to its shard's active
 //!   segment. Durability is either delegated to [`MetaStore::sync`]
 //!   (the Tiera server calls it on its persistence schedule) or — with
@@ -22,8 +31,8 @@
 //!   write from a crash) is detected by CRC/length and truncated away,
 //!   and a torn/corrupt snapshot falls back to full replay.
 //! * When a shard's garbage ratio passes a threshold (or on
-//!   [`MetaStore::compact`]), the shard writes its sorted index image as
-//!   a sealed snapshot and removes the superseded segments.
+//!   [`MetaStore::compact`]), the shard copies its live records out of
+//!   the files it retires into a sealed snapshot and removes them.
 //! * Crash safety is deterministically testable: [`kill`] plants kill
 //!   points at every durability transition, and
 //!   [`MetaStore::crash_image`] exposes the fsynced frontier so a

@@ -96,14 +96,18 @@ impl Record {
         if self.kind != RecordKind::Seal {
             return None;
         }
-        let bytes: [u8; 8] = self.value.as_slice().try_into().ok()?;
-        Some(u64::from_le_bytes(bytes))
+        seal_count(&self.value)
     }
 
     /// Encoded size on disk.
     pub fn encoded_len(&self) -> u64 {
         encoded_record_len(self.key.len(), self.value.len())
     }
+}
+
+/// The entry count in a seal record's value, if it is well formed.
+pub(crate) fn seal_count(value: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(value.try_into().ok()?))
 }
 
 /// Exact on-disk size of a record with the given key and value lengths —
@@ -114,12 +118,78 @@ pub fn encoded_record_len(key_len: usize, value_len: usize) -> u64 {
     HEADER as u64 + key_len as u64 + value_len as u64
 }
 
-const HEADER: usize = 13; // crc(4) + klen(4) + vlen(4) + kind(1)
+/// crc(4) + klen(4) + vlen(4) + kind(1).
+pub(crate) const HEADER: usize = 13;
 
-/// Appends framed records to a log file.
+/// The crc comes first in a frame and covers everything after it.
+pub(crate) const CRC_LEN: usize = 4;
+
+/// Largest `klen + vlen` a reader accepts (a longer claim is a torn or
+/// garbage header, not something to allocate for) and so the largest a
+/// writer may frame.
+pub(crate) const MAX_RECORD: usize = 256 * 1024 * 1024;
+
+/// Appends one framed record to `out` — no allocation once `out` has
+/// grown to the largest frame it has held.
+pub(crate) fn encode_frame(out: &mut Vec<u8>, kind: RecordKind, key: &[u8], value: &[u8]) {
+    let start = out.len();
+    out.extend_from_slice(&[0; CRC_LEN]);
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    out.push(kind.to_byte());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
+    let crc = crc32::checksum(&out[start + CRC_LEN..]);
+    out[start..start + CRC_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// The key and value lengths a frame's header claims.
+pub(crate) fn header_lens(header: &[u8; HEADER]) -> (usize, usize) {
+    let word = |at: usize| u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]]);
+    (word(4) as usize, word(8) as usize)
+}
+
+/// One framed record borrowed from a [`LogReader`]'s buffer.
+pub(crate) struct Frame<'a> {
+    pub kind: RecordKind,
+    pub key: &'a [u8],
+    pub value: &'a [u8],
+    /// The whole frame as it sits in the log, crc first.
+    pub raw: &'a [u8],
+    /// Where the frame starts in what the reader has read.
+    pub offset: u64,
+}
+
+/// Checks and splits a whole frame (`raw` is exactly one record's bytes);
+/// `None` when the lengths, the crc or the kind do not hold.
+pub(crate) fn parse_frame(raw: &[u8], offset: u64) -> Option<Frame<'_>> {
+    let header: &[u8; HEADER] = raw.get(..HEADER)?.try_into().ok()?;
+    let (klen, vlen) = header_lens(header);
+    if raw.len() != HEADER + klen.checked_add(vlen)? {
+        return None;
+    }
+    let crc = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    if crc32::checksum(&raw[CRC_LEN..]) != crc {
+        return None;
+    }
+    let (key, value) = raw[HEADER..].split_at(klen);
+    Some(Frame {
+        kind: RecordKind::from_byte(header[12])?,
+        key,
+        value,
+        raw,
+        offset,
+    })
+}
+
+/// Appends framed records to a log file of its own (a snapshot being
+/// written; a shard's active segment is appended to by the store, whose
+/// buffer readers can see).
 #[derive(Debug)]
 pub struct LogWriter {
     out: BufWriter<File>,
+    /// The frame being encoded; reused from record to record.
+    frame: Vec<u8>,
     len: u64,
     synced_len: u64,
 }
@@ -133,6 +203,7 @@ impl LogWriter {
         file.seek(SeekFrom::Start(existing_len))?;
         Ok(Self {
             out: BufWriter::new(file),
+            frame: Vec::new(),
             len: existing_len,
             // Pre-existing bytes came from a previous process life, so as
             // far as *this* writer's crash image is concerned they are
@@ -143,17 +214,20 @@ impl LogWriter {
 
     /// Appends one record; returns its starting offset.
     pub fn append(&mut self, rec: &Record) -> io::Result<u64> {
+        self.frame.clear();
+        encode_frame(&mut self.frame, rec.kind, &rec.key, &rec.value);
         let offset = self.len;
-        let mut body = Vec::with_capacity(HEADER - 4 + rec.key.len() + rec.value.len());
-        body.extend_from_slice(&(rec.key.len() as u32).to_le_bytes());
-        body.extend_from_slice(&(rec.value.len() as u32).to_le_bytes());
-        body.push(rec.kind.to_byte());
-        body.extend_from_slice(&rec.key);
-        body.extend_from_slice(&rec.value);
-        let crc = crc32::checksum(&body);
-        self.out.write_all(&crc.to_le_bytes())?;
-        self.out.write_all(&body)?;
-        self.len += 4 + body.len() as u64;
+        self.out.write_all(&self.frame)?;
+        self.len += self.frame.len() as u64;
+        Ok(offset)
+    }
+
+    /// Appends a record already framed (copied from another log); returns
+    /// its starting offset.
+    pub(crate) fn append_frame(&mut self, raw: &[u8]) -> io::Result<u64> {
+        let offset = self.len;
+        self.out.write_all(raw)?;
+        self.len += raw.len() as u64;
         Ok(offset)
     }
 
@@ -176,8 +250,7 @@ impl LogWriter {
     }
 
     /// Bytes known to have reached stable storage (length as of the last
-    /// [`sync`](Self::sync)). The crash harness truncates files to this
-    /// length to simulate losing everything the OS had not persisted.
+    /// [`sync`](Self::sync)).
     pub fn synced_len(&self) -> u64 {
         self.synced_len
     }
@@ -188,20 +261,31 @@ impl LogWriter {
     }
 }
 
-/// Replays framed records from a log file, stopping at the first torn or
+/// Replays framed records from a log, stopping at the first torn or
 /// corrupt record.
 #[derive(Debug)]
-pub struct LogReader {
-    input: BufReader<File>,
+pub struct LogReader<R = File> {
+    input: BufReader<R>,
+    /// The frame last read; reused from record to record.
+    frame: Vec<u8>,
     /// Offset of the byte after the last successfully decoded record.
     pub valid_len: u64,
 }
 
-impl LogReader {
+impl LogReader<File> {
     /// Wraps a file opened for reading (positioned at the start).
     pub fn new(file: File) -> Self {
+        Self::over(file)
+    }
+}
+
+impl<R: Read> LogReader<R> {
+    /// Reads frames from any byte source, from its current position.
+    pub(crate) fn over(input: R) -> Self {
         Self {
-            input: BufReader::new(file),
+            // A log is read front to back; fewer, larger reads.
+            input: BufReader::with_capacity(64 * 1024, input),
+            frame: Vec::new(),
             valid_len: 0,
         }
     }
@@ -209,65 +293,47 @@ impl LogReader {
     /// Reads the next record; `Ok(None)` at clean EOF *or* on a torn/corrupt
     /// tail (recovery treats both as end-of-log).
     pub fn next_record(&mut self) -> io::Result<Option<Record>> {
+        Ok(self.next_frame()?.map(|f| Record {
+            kind: f.kind,
+            key: f.key.to_vec(),
+            value: f.value.to_vec(),
+        }))
+    }
+
+    /// [`next_record`](Self::next_record) without the copies: the record
+    /// borrowed from the reader's buffer, valid until the next call.
+    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Frame<'_>>> {
         let mut header = [0u8; HEADER];
-        match read_exact_or_eof(&mut self.input, &mut header)? {
-            ReadOutcome::Eof => return Ok(None),
-            ReadOutcome::Partial => return Ok(None), // torn header
-            ReadOutcome::Full => {}
+        if !read_whole(&mut self.input, &mut header)? {
+            return Ok(None); // end of log, or a torn header
         }
-        let crc = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-        let klen = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
-        let vlen = u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
-        let kind_byte = header[12];
+        let (klen, vlen) = header_lens(&header);
         // Guard against garbage lengths before allocating.
-        const MAX_RECORD: usize = 256 * 1024 * 1024;
         if klen.saturating_add(vlen) > MAX_RECORD {
             return Ok(None);
         }
-        let mut payload = vec![0u8; klen + vlen];
-        match read_exact_or_eof(&mut self.input, &mut payload)? {
-            ReadOutcome::Eof | ReadOutcome::Partial => return Ok(None), // torn body
-            ReadOutcome::Full => {}
+        self.frame.clear();
+        self.frame.extend_from_slice(&header);
+        self.frame.resize(HEADER + klen + vlen, 0);
+        if !read_whole(&mut self.input, &mut self.frame[HEADER..])? {
+            return Ok(None); // torn body
         }
-        let mut body = Vec::with_capacity(HEADER - 4 + payload.len());
-        body.extend_from_slice(&header[4..]);
-        body.extend_from_slice(&payload);
-        if crc32::checksum(&body) != crc {
-            return Ok(None); // corrupt record — stop replay here
+        // A crc or kind that does not hold is a corrupt record: replay stops here.
+        let frame = parse_frame(&self.frame, self.valid_len);
+        if frame.is_some() {
+            self.valid_len += self.frame.len() as u64;
         }
-        let Some(kind) = RecordKind::from_byte(kind_byte) else {
-            return Ok(None);
-        };
-        let value = payload.split_off(klen);
-        let key = payload;
-        self.valid_len += (HEADER + klen + vlen) as u64;
-        Ok(Some(Record { kind, key, value }))
+        Ok(frame)
     }
 }
 
-enum ReadOutcome {
-    Full,
-    Partial,
-    Eof,
-}
-
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    ReadOutcome::Eof
-                } else {
-                    ReadOutcome::Partial
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+/// Fills `buf`; `false` if the input ends first.
+fn read_whole<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<bool> {
+    match r.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
     }
-    Ok(ReadOutcome::Full)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! owns three named locks, acquired in rank order **commit → queue →
 //! index** (see `tiera_support::sync::rank`):
 //!
-//! * `metastore.commit` — the shard's log writer and durability state;
+//! * `metastore.commit` — the shard's active segment and durability state;
 //!   held across file IO by design (the log write *is* the critical
 //!   section). All shards share the name, so holding two shards' commit
 //!   locks at once is a lockcheck self-cycle.
@@ -18,6 +18,42 @@
 //!   `scan_prefix` take only this lock, so reads never wait on an
 //!   in-flight append; writers update it briefly after their records are
 //!   durable.
+//!
+//! ## The index is a locator table
+//!
+//! Keys and values live only in the log. What a shard keeps in memory per
+//! live key is one slot of a hash table: the 64-bit key hash (the one the
+//! shard pick already computed) and a [`Locator`] — which file, at what
+//! offset, how many bytes. Bitcask's keydir, minus the keys: ≈ 33 bytes a
+//! key, whatever the key and value sizes.
+//!
+//! * **A hash hit is confirmed against the log.** A slot names a record;
+//!   whether that record is *this* key's is settled by reading its key.
+//!   Two live keys with one hash cannot share a slot, so the later comer's
+//!   locator goes to a small exact-key overflow map: the store behaves the
+//!   same for every input, colliding or not.
+//! * **What an operation reads.** A `put` or `delete` of a key whose hash
+//!   is in the table reads that record's header and key (one positional
+//!   read of a few dozen bytes, from the page cache unless the record is
+//!   still in the write buffer); a `put` of a key whose hash is new reads
+//!   nothing. `get` reads the whole record and checks its crc. Nothing in
+//!   an `Instance` calls `get`: the registry holds every record decoded
+//!   and is the read cache; the store's values are read back only at
+//!   reopen and compaction.
+//! * **Acknowledged means visible.** Appends are buffered as before (8
+//!   KiB, the discipline of the `BufWriter` this replaces, so files grow on
+//!   disk exactly as they did); the buffer sits under the index lock, and
+//!   a read of a record that has not reached its file yet is served from
+//!   it.
+//! * **Dead bytes** are counted from the locator's length, which is
+//!   [`encoded_record_len`] of the record it names — the same number on
+//!   the live path and on replay, so compaction triggers where it always
+//!   did.
+//! * **Order.** [`MetaStore::for_each`] and the snapshots compaction
+//!   writes are in *log order*: shard by shard, each shard's live records
+//!   by their last write, oldest first. [`MetaStore::scan_prefix`] sorts
+//!   what it collects by key. Nothing is ever produced in table order.
+//! * One open file handle per live segment and snapshot serves the reads.
 //!
 //! ## Group commit
 //!
@@ -39,31 +75,39 @@
 //!
 //! ## Snapshots and recovery
 //!
-//! Compaction writes the shard's sorted index image to `sNN-snap.tmp`
-//! (entries, then a [`RecordKind::Seal`] footer carrying the entry count),
-//! fsyncs it, renames it to `sNN-snap-<seq>.log`, and only then removes
-//! the superseded segments. On open, each shard loads its newest *valid*
-//! snapshot (seal present, count matching) and replays only the segments
-//! numbered after it, making restart O(delta since last compaction)
-//! instead of O(full history); torn or corrupt snapshots fall back to the
-//! next older one and ultimately to full replay. Shards recover in
-//! parallel across threads.
+//! Compaction reads the files it is about to retire — the previous
+//! snapshot, then the segments — and copies every record a locator still
+//! points at, byte for byte, into `sNN-snap.tmp`, then a
+//! [`RecordKind::Seal`] footer carrying the entry count; it fsyncs the
+//! file, renames it to `sNN-snap-<seq>.log`, and only then removes the
+//! superseded files and repoints the locators. On open, each shard loads
+//! its newest *valid* snapshot (seal present, count matching) and replays
+//! only the segments numbered after it, making restart O(delta since last
+//! compaction) instead of O(full history); torn or corrupt snapshots fall
+//! back to the next older one and ultimately to full replay. Shards
+//! recover in parallel across threads. Record framing, file names and the
+//! seal/rename protocol are those of the store that kept its values in
+//! memory: either reads the other's directories.
 //!
 //! Crash safety is testable deterministically: see [`crate::kill`] and
 //! [`MetaStore::crash_image`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tiera_support::channel::{self, Sender};
-use tiera_support::collections::fx_hash_one;
+use tiera_support::collections::{fx_hash_one, FxHashMap};
 use tiera_support::sync::{rank, Mutex, RwLock};
 
 use crate::kill::{KillPoints, KillSite};
-use crate::log::{encoded_record_len, LogReader, LogWriter, Record, RecordKind};
+use crate::log::{
+    encode_frame, encoded_record_len, header_lens, parse_frame, seal_count, Frame, LogReader,
+    LogWriter, Record, RecordKind, CRC_LEN, HEADER, MAX_RECORD,
+};
 
 /// Errors surfaced by the store.
 #[derive(Debug)]
@@ -175,32 +219,465 @@ pub struct Stats {
     pub group_commit_records: u64,
     /// Shard count.
     pub shards: u64,
+    /// Bytes of memory the index holds: each shard's locator table at its
+    /// current capacity, plus the overflow entries with their keys.
+    pub index_bytes: u64,
+    /// Superseded files (stale snapshots, covered segments, snapshot temp
+    /// files, migrated legacy segments) whose removal failed for a reason
+    /// other than their being gone already, since open. The operation that
+    /// met one still succeeded; the debris is retried at the next open.
+    pub cleanup_failures: u64,
 }
 
-/// One record awaiting commit, with its writer's ack slot.
+/// How a key becomes a table slot and a shard. One function in shipped
+/// stores; a parameter so that tests can make every key collide.
+type KeyHash = fn(&[u8]) -> u64;
+
+fn fx_key_hash(key: &[u8]) -> u64 {
+    fx_hash_one(key)
+}
+
+/// The shard a hash selects among `shard_count` (a power of two).
+fn shard_index(hash: u64, shard_count: usize) -> usize {
+    if shard_count <= 1 {
+        return 0;
+    }
+    // Top bits: FxHash mixes best into the high half of the word.
+    (hash >> (64 - shard_count.trailing_zeros())) as usize
+}
+
+/// One mutation on its way into the log: borrowed parts, and the key hash
+/// the shard pick computed.
+#[derive(Clone, Copy)]
+struct Op<'a> {
+    kind: RecordKind,
+    hash: u64,
+    key: &'a [u8],
+    value: &'a [u8],
+}
+
+impl Op<'_> {
+    fn encoded_len(&self) -> u64 {
+        encoded_record_len(self.key.len(), self.value.len())
+    }
+}
+
+/// One record queued for a group-commit leader, with its writer's ack
+/// slot: `Ok(existed)` after the batch fsync, `Err(text)` if it failed.
 struct Pending {
     rec: Record,
-    /// `Some` for group-commit followers; the leader acks `Ok(existed)`
-    /// after the batch fsync, or `Err(text)` if the batch failed.
-    ack: Option<Sender<Result<bool, String>>>,
-    /// For deletes: whether the key existed at apply time.
-    existed: bool,
+    hash: u64,
+    ack: Sender<Result<bool, String>>,
 }
 
-impl Pending {
-    fn new(rec: Record) -> Self {
+/// Where a live record sits in its shard's log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Locator {
+    /// Where the frame starts in its file.
+    offset: u64,
+    /// The segment or snapshot number (a shard numbers both in one series).
+    file: u32,
+    /// The frame's length: [`encoded_record_len`] of the record, which is
+    /// what turns into dead bytes when the record is superseded.
+    len: u32,
+}
+
+// A frame is a header and at most `MAX_RECORD` bytes, so its length fits.
+const _: () = assert!(MAX_RECORD + HEADER <= u32::MAX as usize);
+
+/// A file's number as locators carry it.
+fn file_no(n: u64) -> Result<u32, MetaStoreError> {
+    u32::try_from(n).map_err(|_| {
+        MetaStoreError::Config(format!("segment number {n} is beyond what a locator addresses"))
+    })
+}
+
+/// An open log file that locators may point into.
+struct LogFile {
+    no: u32,
+    file: Arc<File>,
+}
+
+/// Which of the index's two maps holds (or would hold) a key's locator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Home {
+    /// The hash table: the slot for the key's hash is this key's, or free.
+    Table,
+    /// The exact-key map: another live key owns the slot for this hash.
+    Overflow,
+}
+
+/// Where a key's locator lives, and the locator if the key is present.
+#[derive(Clone, Copy)]
+struct Slot {
+    home: Home,
+    current: Option<Locator>,
+}
+
+/// The active segment's write buffer holds this much, as the `BufWriter`
+/// it replaces did.
+const TAIL_CAP: usize = 8 * 1024;
+
+/// One shard's read index (see the module docs): the locator table, the
+/// files its locators point into, and the bytes of the active segment that
+/// have not been written to its file yet.
+struct Index {
+    table: FxHashMap<u64, Locator>,
+    overflow: BTreeMap<Vec<u8>, Locator>,
+    /// Ascending by number: the newest snapshot if any, the sealed
+    /// segments, and last the active segment.
+    files: Vec<LogFile>,
+    /// Accepted into the active segment, not yet written to its file.
+    tail: Vec<u8>,
+    /// Where `tail[0]` belongs in the active segment: the length of what
+    /// the file holds.
+    tail_start: u64,
+}
+
+fn corrupt(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+impl Index {
+    /// An index to replay a shard's files into: no tail, so every byte is
+    /// looked for in the files.
+    fn recovering() -> Self {
         Self {
-            rec,
-            ack: None,
-            existed: false,
+            table: FxHashMap::default(),
+            overflow: BTreeMap::new(),
+            files: Vec::new(),
+            tail: Vec::with_capacity(TAIL_CAP),
+            tail_start: u64::MAX,
         }
+    }
+
+    fn live(&self) -> usize {
+        self.table.len() + self.overflow.len()
+    }
+
+    fn file(&self, no: u32) -> io::Result<&Arc<File>> {
+        self.files
+            .binary_search_by_key(&no, |f| f.no)
+            .map(|at| &self.files[at].file)
+            .map_err(|_| corrupt(format!("a locator names file {no}, which the shard does not hold")))
+    }
+
+    /// Fills `buf` with the first bytes of the record at `loc`: from its
+    /// file, from the tail, or — a frame whose crc was flushed ahead of
+    /// its body — from both.
+    fn read_exact(&self, loc: Locator, buf: &mut [u8]) -> io::Result<()> {
+        let active = self.files.last().map(|f| f.no);
+        let in_file = if Some(loc.file) == active {
+            self.tail_start.saturating_sub(loc.offset).min(buf.len() as u64) as usize
+        } else {
+            buf.len()
+        };
+        let (head, rest) = buf.split_at_mut(in_file);
+        if !head.is_empty() {
+            read_exact_at(self.file(loc.file)?, head, loc.offset)?;
+        }
+        if !rest.is_empty() {
+            let from = (loc.offset + in_file as u64 - self.tail_start) as usize;
+            let held = self.tail.get(from..from + rest.len()).ok_or_else(|| {
+                corrupt(format!("a locator reaches past the end of segment {}", loc.file))
+            })?;
+            rest.copy_from_slice(held);
+        }
+        Ok(())
+    }
+
+    /// Whether the record at `loc` is `key`'s: the read that confirms a
+    /// hash hit.
+    fn key_at(&self, loc: Locator, key: &[u8]) -> io::Result<bool> {
+        let want = HEADER + key.len();
+        if (loc.len as usize) < want {
+            return Ok(false);
+        }
+        let mut inline = [0u8; 256];
+        let mut spilled = Vec::new();
+        let buf = match inline.get_mut(..want) {
+            Some(buf) => buf,
+            None => {
+                spilled.resize(want, 0);
+                &mut spilled[..]
+            }
+        };
+        self.read_exact(loc, buf)?;
+        Ok(buf
+            .split_first_chunk::<HEADER>()
+            .is_some_and(|(header, held)| header_lens(header).0 == key.len() && held == key))
+    }
+
+    /// Where `key`'s locator lives and what it is now.
+    fn slot(&self, hash: u64, key: &[u8]) -> io::Result<Slot> {
+        if let Some(loc) = self.overflow.get(key) {
+            return Ok(Slot { home: Home::Overflow, current: Some(*loc) });
+        }
+        Ok(match self.table.get(&hash) {
+            None => Slot { home: Home::Table, current: None },
+            Some(loc) if self.key_at(*loc, key)? => Slot { home: Home::Table, current: Some(*loc) },
+            Some(_) => Slot { home: Home::Overflow, current: None },
+        })
+    }
+
+    /// Applies one log record, now at `loc`, with exact dead-byte
+    /// accounting — the single routine shared by segment replay and the
+    /// live write path, so compaction-trigger math is identical whether
+    /// the store was just opened or long-running. `slot` is what
+    /// [`slot`](Self::slot) returned for the key with the index as it is.
+    /// Returns whether the key was present (a put makes it so).
+    fn apply(
+        &mut self,
+        slot: Slot,
+        kind: RecordKind,
+        hash: u64,
+        key: &[u8],
+        loc: Locator,
+        dead_bytes: &mut u64,
+    ) -> bool {
+        match kind {
+            RecordKind::Put => {
+                match slot.home {
+                    Home::Table => {
+                        self.table.insert(hash, loc);
+                    }
+                    Home::Overflow => match self.overflow.get_mut(key) {
+                        Some(held) => *held = loc,
+                        None => {
+                            self.overflow.insert(key.to_vec(), loc);
+                        }
+                    },
+                }
+                *dead_bytes += slot.current.map_or(0, |old| u64::from(old.len));
+                true
+            }
+            RecordKind::Delete => {
+                if slot.current.is_some() {
+                    match slot.home {
+                        Home::Table => self.table.remove(&hash),
+                        Home::Overflow => self.overflow.remove(key),
+                    };
+                }
+                *dead_bytes += slot.current.map_or(0, |old| u64::from(old.len));
+                // The tombstone itself is dead weight the moment it lands.
+                *dead_bytes += encoded_record_len(key.len(), 0);
+                slot.current.is_some()
+            }
+            // Seal records only belong in snapshots; tolerate one in a
+            // segment rather than halting replay.
+            RecordKind::Seal => false,
+        }
+    }
+
+    /// Which map holds `loc` as `key`'s locator, if the record there is
+    /// live. Exact without reading the key: a locator is a position, and
+    /// no two records share one.
+    fn home_of(&self, hash: u64, key: &[u8], loc: Locator) -> Option<Home> {
+        if self.table.get(&hash) == Some(&loc) {
+            Some(Home::Table)
+        } else if self.overflow.get(key) == Some(&loc) {
+            Some(Home::Overflow)
+        } else {
+            None
+        }
+    }
+
+    /// `key`'s value, read from the log.
+    fn value_of(&self, hash: u64, key: &[u8]) -> io::Result<Option<Vec<u8>>> {
+        let Some(loc) = self.overflow.get(key).or_else(|| self.table.get(&hash)) else {
+            return Ok(None);
+        };
+        let mut raw = vec![0; loc.len as usize];
+        self.read_exact(*loc, &mut raw)?;
+        let held = parse_frame(&raw, loc.offset)
+            .ok_or_else(|| corrupt(format!("the record at {loc:?} does not verify")))?
+            .key;
+        if held != key {
+            return Ok(None);
+        }
+        raw.drain(..HEADER + key.len());
+        Ok(Some(raw))
+    }
+
+    /// Replays file `no` (already in `files`) into the index. A segment
+    /// yields its valid length. A snapshot yields its length only when it
+    /// is whole — puts, then a seal whose count is the entries loaded —
+    /// and `None` when it is torn or malformed and recovery should fall
+    /// back.
+    fn replay(
+        &mut self,
+        no: u32,
+        key_hash: KeyHash,
+        dead_bytes: &mut u64,
+        snapshot: bool,
+    ) -> io::Result<Option<u64>> {
+        let file = Arc::clone(self.file(no)?);
+        let mut log = LogReader::over(ReadAt::new(&file, u64::MAX));
+        while let Some(frame) = log.next_frame()? {
+            match frame.kind {
+                RecordKind::Seal if snapshot => {
+                    let whole = seal_count(frame.value) == Some(self.live() as u64);
+                    return Ok(whole.then_some(log.valid_len));
+                }
+                RecordKind::Delete if snapshot => return Ok(None),
+                kind => {
+                    let loc = Locator {
+                        offset: frame.offset,
+                        file: no,
+                        len: frame.raw.len() as u32,
+                    };
+                    let hash = key_hash(frame.key);
+                    let slot = self.slot(hash, frame.key)?;
+                    self.apply(slot, kind, hash, frame.key, loc, dead_bytes);
+                }
+            }
+        }
+        // A snapshot that ends before its seal is torn.
+        Ok((!snapshot).then_some(log.valid_len))
+    }
+
+    /// Visits every live record in log order (file by file, each front to
+    /// back, the tail last) with its key hash and the map its locator is
+    /// in.
+    fn walk(
+        &self,
+        key_hash: KeyHash,
+        mut visit: impl FnMut(&Frame<'_>, u64, Home) -> Result<(), MetaStoreError>,
+    ) -> Result<(), MetaStoreError> {
+        let active = self.files.last().map(|f| f.no);
+        for log_file in &self.files {
+            // What the active segment's file does not hold yet, the tail does.
+            let (end, tail) = if Some(log_file.no) == active {
+                (self.tail_start, &self.tail[..])
+            } else {
+                (u64::MAX, &[][..])
+            };
+            let mut log = LogReader::over(ReadAt::new(&log_file.file, end).chain(tail));
+            while let Some(frame) = log.next_frame()? {
+                if frame.kind != RecordKind::Put {
+                    continue;
+                }
+                let loc = Locator {
+                    offset: frame.offset,
+                    file: log_file.no,
+                    len: frame.raw.len() as u32,
+                };
+                let hash = key_hash(frame.key);
+                if let Some(home) = self.home_of(hash, frame.key, loc) {
+                    visit(&frame, hash, home)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Bytes of memory the table and the overflow map hold.
+    fn heap_bytes(&self) -> u64 {
+        // std's table: a power of two of buckets, filled to 7/8, one
+        // control byte beside each.
+        let buckets = match self.table.capacity() {
+            0 => 0,
+            cap => (cap * 8 / 7).next_power_of_two(),
+        };
+        let table = buckets * (std::mem::size_of::<(u64, Locator)>() + 1);
+        let overflow: usize = self
+            .overflow
+            .keys()
+            .map(|k| k.len() + std::mem::size_of::<(Vec<u8>, Locator)>())
+            .sum();
+        (table + overflow) as u64
+    }
+}
+
+#[cfg(unix)]
+use std::os::unix::fs::FileExt;
+#[cfg(windows)]
+use std::os::windows::fs::FileExt;
+
+/// One positional read: the handle's own cursor is neither used nor moved,
+/// so readers share a handle.
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+    #[cfg(unix)]
+    return file.read_at(buf, offset);
+    #[cfg(windows)]
+    return file.seek_read(buf, offset);
+}
+
+fn write_at(file: &File, buf: &[u8], offset: u64) -> io::Result<usize> {
+    #[cfg(unix)]
+    return file.write_at(buf, offset);
+    #[cfg(windows)]
+    return file.seek_write(buf, offset);
+}
+
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut offset: u64) -> io::Result<()> {
+    while !buf.is_empty() {
+        match read_at(file, buf, offset) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Writes all of `buf` at `offset`. Writing the same bytes to the same
+/// place again is harmless, so a failed flush can simply be retried.
+fn write_all_at(file: &File, mut buf: &[u8], mut offset: u64) -> io::Result<()> {
+    while !buf.is_empty() {
+        match write_at(file, buf, offset) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                buf = &buf[n..];
+                offset += n as u64;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Reads a shared file handle front to back, up to `end`.
+struct ReadAt<'a> {
+    file: &'a File,
+    pos: u64,
+    end: u64,
+}
+
+impl<'a> ReadAt<'a> {
+    fn new(file: &'a File, end: u64) -> Self {
+        Self { file, pos: 0, end }
+    }
+}
+
+impl Read for ReadAt<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let want = (self.end - self.pos).min(buf.len() as u64) as usize;
+        let n = read_at(self.file, &mut buf[..want], self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
     }
 }
 
 /// Per-shard durability state, guarded by the `metastore.commit` lock.
 struct CommitState {
-    writer: LogWriter,
+    /// The active segment; the index's last file is the same handle.
+    active: Arc<File>,
     active_seg: u64,
+    /// Bytes accepted into the active segment: what its file holds plus
+    /// the index's tail.
+    len: u64,
+    /// How much of `len` the file holds (the index's `tail_start`).
+    flushed_len: u64,
+    /// How much of `len` is known to have reached stable storage.
+    synced_len: u64,
+    /// The batch being committed, framed; reused from commit to commit.
+    staging: Vec<u8>,
     sealed_bytes: u64,
     dead_bytes: u64,
     /// Live segment numbers (ascending; the last is active).
@@ -213,18 +690,113 @@ struct CommitState {
     group_commit_records: u64,
 }
 
+impl CommitState {
+    /// Room left in the tail.
+    fn spare(&self) -> usize {
+        TAIL_CAP.saturating_sub((self.len - self.flushed_len) as usize)
+    }
+
+    /// Makes `file`, empty, the active segment.
+    fn activate(&mut self, seg: u64, file: &Arc<File>) {
+        self.active = Arc::clone(file);
+        self.active_seg = seg;
+        self.len = 0;
+        self.flushed_len = 0;
+        self.synced_len = 0;
+    }
+}
+
 /// One hash shard: its own log chain, group-commit queue, and read index.
 struct Shard {
     id: usize,
     commit: Mutex<CommitState>,
     queue: Mutex<VecDeque<Pending>>,
-    index: RwLock<BTreeMap<Vec<u8>, Vec<u8>>>,
+    index: RwLock<Index>,
     /// Group-commit leader election: `true` while one writer is draining
     /// the queue. Followers wait on their ack channels instead of
     /// contending for the commit lock, which is what lets convoys deepen
     /// to the full writer count (a freshly-acked writer re-entering the
     /// lock would otherwise lead a batch of one).
-    committing: std::sync::atomic::AtomicBool,
+    committing: AtomicBool,
+}
+
+impl Shard {
+    /// Writes the tail to the active segment's file. Readers are not held
+    /// up and never lose sight of the bytes: the write runs under the
+    /// index *read* lock, and the tail is emptied, under the write lock,
+    /// only once the file holds it.
+    fn flush_tail(&self, c: &mut CommitState) -> io::Result<()> {
+        if c.len == c.flushed_len {
+            return Ok(());
+        }
+        {
+            let idx = self.index.read();
+            write_all_at(&c.active, &idx.tail, c.flushed_len)?;
+        }
+        let mut idx = self.index.write();
+        idx.tail.clear();
+        idx.tail_start = c.len;
+        c.flushed_len = c.len;
+        Ok(())
+    }
+
+    /// Appends `bytes` to the active segment's file, behind everything
+    /// accepted before them.
+    fn write_through(&self, c: &mut CommitState, bytes: &[u8]) -> io::Result<()> {
+        self.flush_tail(c)?;
+        if let Err(e) = write_all_at(&c.active, bytes, c.len) {
+            // Whole frames of the refused batch may have landed. Cut them
+            // off, or a later batch that happens to end where one of them
+            // starts would be followed, at replay, by records older than it.
+            let _ = c.active.set_len(c.len);
+            return Err(e);
+        }
+        c.len += bytes.len() as u64;
+        c.flushed_len = c.len;
+        let mut idx = self.index.write();
+        idx.tail_start = c.len;
+        Ok(())
+    }
+
+    /// Accepts one piece of a frame into the active segment the way a
+    /// `BufWriter` of [`TAIL_CAP`] bytes accepts one `write_all`: flushing
+    /// first if the piece does not fit in what is left, passing a piece
+    /// that would fill the buffer straight through.
+    fn accept(&self, c: &mut CommitState, piece: &[u8]) -> io::Result<()> {
+        if piece.len() >= TAIL_CAP {
+            return self.write_through(c, piece);
+        }
+        if piece.len() > c.spare() {
+            self.flush_tail(c)?;
+        }
+        let mut idx = self.index.write();
+        idx.tail.extend_from_slice(piece);
+        c.len += piece.len() as u64;
+        Ok(())
+    }
+
+    /// Takes back the crc of a frame whose body was then refused, so that
+    /// the next frame does not follow half of one.
+    fn retract_crc(&self, c: &mut CommitState) {
+        let mut idx = self.index.write();
+        let keep = idx.tail.len().saturating_sub(CRC_LEN);
+        idx.tail.truncate(keep);
+        c.len -= CRC_LEN as u64;
+        if c.flushed_len > c.len {
+            // It had reached the file; the next write lands on top of it.
+            c.flushed_len = c.len;
+            idx.tail_start = c.len;
+        }
+    }
+
+    /// Flushes and fsyncs the active segment.
+    fn sync_active(&self, c: &mut CommitState) -> io::Result<()> {
+        self.flush_tail(c)?;
+        c.active.sync_data()?;
+        c.synced_len = c.len;
+        c.fsyncs += 1;
+        Ok(())
+    }
 }
 
 /// A crash-safe embedded key-value store for Tiera metadata (see the
@@ -234,6 +806,8 @@ pub struct MetaStore {
     shards: Vec<Shard>,
     opts: MetaStoreOptions,
     kill: Arc<KillPoints>,
+    hash: KeyHash,
+    cleanup_failures: AtomicU64,
 }
 
 const META_FILE: &str = "metastore.meta";
@@ -259,15 +833,34 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-fn create_segment(dir: &Path, shard: usize, n: u64) -> io::Result<File> {
-    let file = OpenOptions::new()
+/// Opens (creating it if need be) segment `n` for appending and reading.
+fn open_segment(dir: &Path, shard: usize, n: u64) -> io::Result<File> {
+    OpenOptions::new()
         .create(true)
         .read(true)
         .write(true)
         .truncate(false)
-        .open(seg_path(dir, shard, n))?;
+        .open(seg_path(dir, shard, n))
+}
+
+/// Creates segment `n`, empty, and makes its directory entry durable.
+fn create_segment(dir: &Path, shard: usize, n: u64) -> io::Result<Arc<File>> {
+    let file = open_segment(dir, shard, n)?;
+    file.set_len(0)?;
     sync_dir(dir)?;
-    Ok(file)
+    Ok(Arc::new(file))
+}
+
+/// Removes a file that is no longer part of the store; returns how many
+/// removals failed (0 or 1). A file already gone is the goal reached. Any
+/// other failure leaves debris that the next open finds and removes again,
+/// so it is counted ([`Stats::cleanup_failures`]), not returned.
+fn remove_debris(path: &Path) -> u64 {
+    match fs::remove_file(path) {
+        Ok(()) => 0,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+        Err(_) => 1,
+    }
 }
 
 /// A directory entry the scanner recognized.
@@ -362,62 +955,9 @@ fn valid_shard_count(n: usize) -> bool {
     n.is_power_of_two() && (1..=64).contains(&n)
 }
 
-/// Applies one log record to a map with exact dead-byte accounting — the
-/// single routine shared by segment replay and the live write path, so
-/// compaction-trigger math is identical whether the store was just opened
-/// or long-running.
-fn apply_record(map: &mut BTreeMap<Vec<u8>, Vec<u8>>, dead_bytes: &mut u64, rec: &Record) {
-    match rec.kind {
-        RecordKind::Put => {
-            if let Some(old) = map.insert(rec.key.clone(), rec.value.clone()) {
-                *dead_bytes += encoded_record_len(rec.key.len(), old.len());
-            }
-        }
-        RecordKind::Delete => {
-            if let Some(old) = map.remove(&rec.key) {
-                *dead_bytes += encoded_record_len(rec.key.len(), old.len());
-            }
-            // The tombstone itself is dead weight the moment it lands.
-            *dead_bytes += encoded_record_len(rec.key.len(), 0);
-        }
-        // Seal records only belong in snapshots; tolerate one in a
-        // segment rather than halting replay.
-        RecordKind::Seal => {}
-    }
-}
-
-/// Loads a snapshot file; `Ok(None)` when the snapshot is torn or corrupt
-/// (no seal, wrong count, or unexpected record kind) and recovery should
-/// fall back.
-fn load_snapshot(
-    path: &Path,
-) -> Result<Option<(BTreeMap<Vec<u8>, Vec<u8>>, u64)>, MetaStoreError> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let mut reader = LogReader::new(file);
-    let mut map = BTreeMap::new();
-    loop {
-        match reader.next_record()? {
-            None => return Ok(None), // torn: ended before the seal
-            Some(rec) => match rec.kind {
-                RecordKind::Put => {
-                    map.insert(rec.key, rec.value);
-                }
-                RecordKind::Delete => return Ok(None), // malformed
-                RecordKind::Seal => {
-                    return Ok(if rec.seal_count() == Some(map.len() as u64) {
-                        Some((map, reader.valid_len))
-                    } else {
-                        None
-                    });
-                }
-            },
-        }
-    }
-}
+/// What recovering one shard yields: its durability state, its index, and
+/// how many pieces of crash debris could not be removed.
+type Recovered = (CommitState, Index, u64);
 
 /// Recovers one shard: newest valid snapshot + suffix-segment replay,
 /// deleting crash debris (stale snapshots, covered segments) as it goes.
@@ -425,68 +965,78 @@ fn recover_shard(
     dir: &Path,
     id: usize,
     files: &ShardFiles,
-) -> Result<(CommitState, BTreeMap<Vec<u8>, Vec<u8>>), MetaStoreError> {
+    hash: KeyHash,
+) -> Result<Recovered, MetaStoreError> {
     let mut snaps = files.snaps.clone();
     snaps.sort_unstable();
-    let mut base = None;
+    let mut idx = Index::recovering();
+    let mut snapshot = None;
     for &n in snaps.iter().rev() {
-        if let Some((map, bytes)) = load_snapshot(&snap_path(dir, id, n))? {
-            base = Some((n, bytes, map));
+        let file = match File::open(snap_path(dir, id, n)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let no = file_no(n)?;
+        idx.files.push(LogFile { no, file: Arc::new(file) });
+        if let Some(bytes) = idx.replay(no, hash, &mut 0, true)? {
+            snapshot = Some((n, bytes));
             break;
         }
+        idx = Index::recovering();
     }
-    let (snapshot, mut map, floor) = match base {
-        Some((n, bytes, map)) => (Some((n, bytes)), map, Some(n)),
-        None => (None, BTreeMap::new(), None),
-    };
-    for &n in &snaps {
-        if snapshot.map(|(m, _)| m) != Some(n) {
-            fs::remove_file(snap_path(dir, id, n)).ok();
-        }
+    let floor = snapshot.map(|(n, _)| n);
+    let mut cleanup_failures = 0;
+    for &n in snaps.iter().filter(|&&n| Some(n) != floor) {
+        cleanup_failures += remove_debris(&snap_path(dir, id, n));
     }
     let mut segs: Vec<u64> = files.segs.clone();
     segs.sort_unstable();
     if let Some(f) = floor {
         for &n in segs.iter().filter(|&&n| n <= f) {
-            fs::remove_file(seg_path(dir, id, n)).ok();
+            cleanup_failures += remove_debris(&seg_path(dir, id, n));
         }
         segs.retain(|&n| n > f);
     }
+    if segs.is_empty() {
+        segs.push(floor.map_or(0, |f| f + 1));
+    }
+    let active_seg = *segs.last().expect("at least the active segment");
     let mut sealed_bytes = 0u64;
     let mut dead_bytes = 0u64;
     let mut last_valid = 0u64;
-    for (i, &n) in segs.iter().enumerate() {
-        let file = File::open(seg_path(dir, id, n))?;
-        let mut reader = LogReader::new(file);
-        while let Some(rec) = reader.next_record()? {
-            apply_record(&mut map, &mut dead_bytes, &rec);
-        }
-        if i + 1 < segs.len() {
-            sealed_bytes += reader.valid_len;
+    for &n in &segs {
+        let file = if n == active_seg {
+            open_segment(dir, id, n)?
         } else {
-            last_valid = reader.valid_len;
+            File::open(seg_path(dir, id, n))?
+        };
+        let no = file_no(n)?;
+        idx.files.push(LogFile { no, file: Arc::new(file) });
+        let valid = idx
+            .replay(no, hash, &mut dead_bytes, false)?
+            .expect("a segment always yields its valid length");
+        if n == active_seg {
+            last_valid = valid;
+        } else {
+            sealed_bytes += valid;
         }
     }
-    let active_seg = match segs.last() {
-        Some(&n) => n,
-        None => {
-            let n = snapshot.map_or(0, |(m, _)| m + 1);
-            segs.push(n);
-            last_valid = 0;
-            n
-        }
-    };
-    let file = OpenOptions::new()
-        .create(true)
-        .read(true)
-        .write(true)
-        .truncate(false)
-        .open(seg_path(dir, id, active_seg))?;
-    let writer = LogWriter::new(file, last_valid)?;
+    let active = Arc::clone(&idx.files.last().expect("the active segment").file);
+    // Anything beyond the last whole record is a torn tail.
+    active.set_len(last_valid)?;
+    idx.tail_start = last_valid;
     Ok((
         CommitState {
-            writer,
+            active,
             active_seg,
+            len: last_valid,
+            flushed_len: last_valid,
+            // Pre-existing bytes came from a previous process life, so as
+            // far as *this* process's crash image is concerned they are
+            // already on disk.
+            synced_len: last_valid,
+            staging: Vec::new(),
             sealed_bytes,
             dead_bytes,
             segments: segs,
@@ -496,7 +1046,8 @@ fn recover_shard(
             group_commits: 0,
             group_commit_records: 0,
         },
-        map,
+        idx,
+        cleanup_failures,
     ))
 }
 
@@ -528,7 +1079,17 @@ impl MetaStore {
         dir: impl AsRef<Path>,
         opts: MetaStoreOptions,
     ) -> Result<Self, MetaStoreError> {
-        let dir = dir.as_ref().to_path_buf();
+        Self::open_hashed(dir.as_ref(), opts, fx_key_hash)
+    }
+
+    /// [`open_with`](Self::open_with), with the key hash a parameter: the
+    /// seam through which tests make every key collide.
+    fn open_hashed(
+        dir: &Path,
+        opts: MetaStoreOptions,
+        hash: KeyHash,
+    ) -> Result<Self, MetaStoreError> {
+        let dir = dir.to_path_buf();
         fs::create_dir_all(&dir)?;
 
         let mut legacy: Vec<u64> = Vec::new();
@@ -566,9 +1127,7 @@ impl MetaStore {
 
         // A crash mid-snapshot leaves its temp file behind; it was never
         // renamed, so it is not part of the store.
-        for tmp in tmps {
-            fs::remove_file(tmp).ok();
-        }
+        let mut cleanup_failures: u64 = tmps.iter().map(|tmp| remove_debris(tmp)).sum();
 
         let mut per_shard = vec![ShardFiles::default(); shard_count];
         for f in seen {
@@ -596,7 +1155,7 @@ impl MetaStore {
             .min(shard_count)
             .max(1);
         let chunk = shard_count.div_ceil(workers);
-        let mut slots: Vec<Option<Result<(CommitState, BTreeMap<Vec<u8>, Vec<u8>>), MetaStoreError>>> =
+        let mut slots: Vec<Option<Result<Recovered, MetaStoreError>>> =
             (0..shard_count).map(|_| None).collect();
         {
             let dir = &dir;
@@ -606,7 +1165,7 @@ impl MetaStore {
                     scope.spawn(move || {
                         for (off, slot) in slot_chunk.iter_mut().enumerate() {
                             let id = c * chunk + off;
-                            *slot = Some(recover_shard(dir, id, &per_shard[id]));
+                            *slot = Some(recover_shard(dir, id, &per_shard[id], hash));
                         }
                     });
                 }
@@ -614,7 +1173,8 @@ impl MetaStore {
         }
         let mut shards = Vec::with_capacity(shard_count);
         for (id, slot) in slots.into_iter().enumerate() {
-            let (commit, map) = slot.expect("every shard recovered")?;
+            let (commit, index, unremoved) = slot.expect("every shard recovered")?;
+            cleanup_failures += unremoved;
             shards.push(Shard {
                 id,
                 commit: Mutex::named("metastore.commit", rank::METASTORE_COMMIT, commit),
@@ -623,8 +1183,8 @@ impl MetaStore {
                     rank::METASTORE_QUEUE,
                     VecDeque::new(),
                 ),
-                index: RwLock::named("metastore.index", rank::METASTORE_INDEX, map),
-                committing: std::sync::atomic::AtomicBool::new(false),
+                index: RwLock::named("metastore.index", rank::METASTORE_INDEX, index),
+                committing: AtomicBool::new(false),
             });
         }
         sync_dir(&dir)?;
@@ -634,6 +1194,8 @@ impl MetaStore {
             shards,
             opts,
             kill: Arc::new(KillPoints::new()),
+            hash,
+            cleanup_failures: AtomicU64::new(cleanup_failures),
         };
 
         if !legacy.is_empty() {
@@ -642,44 +1204,45 @@ impl MetaStore {
         Ok(store)
     }
 
-    /// Rewrites a pre-sharding (v1) flat segment chain through the sharded
+    /// Replays a pre-sharding (v1) flat segment chain through the sharded
     /// layout, then removes the old files. Idempotent under crashes: the
     /// legacy files are deleted last, so an interrupted migration simply
     /// replays and rewrites again on the next open.
     fn migrate_legacy(&self, legacy: &mut Vec<u64>) -> Result<(), MetaStoreError> {
         legacy.sort_unstable();
-        let mut map = BTreeMap::new();
-        let mut dead = 0u64;
         for &n in legacy.iter() {
-            let file = File::open(legacy_seg_path(&self.dir, n))?;
-            let mut reader = LogReader::new(file);
-            while let Some(rec) = reader.next_record()? {
-                apply_record(&mut map, &mut dead, &rec);
+            let mut log = LogReader::new(File::open(legacy_seg_path(&self.dir, n))?);
+            while let Some(frame) = log.next_frame()? {
+                let (shard, hash) = self.locate(frame.key);
+                let wanted = match frame.kind {
+                    RecordKind::Put => true,
+                    RecordKind::Delete => self.present(shard, hash, frame.key)?,
+                    RecordKind::Seal => false,
+                };
+                if wanted {
+                    // Not durable one by one: the sync below covers them all.
+                    let op = Op { kind: frame.kind, hash, key: frame.key, value: frame.value };
+                    self.mutate_direct(shard, op, false)?;
+                }
             }
         }
-        let items: Vec<(&[u8], &[u8])> = map
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
-            .collect();
-        self.put_many(&items)?;
         self.sync()?;
         for &n in legacy.iter() {
-            fs::remove_file(legacy_seg_path(&self.dir, n)).ok();
+            self.note_debris(remove_debris(&legacy_seg_path(&self.dir, n)));
         }
         sync_dir(&self.dir)?;
         Ok(())
+    }
+
+    fn note_debris(&self, failures: u64) {
+        self.cleanup_failures.fetch_add(failures, Ordering::Relaxed);
     }
 
     /// The shard index `key` maps to in a store with `shard_count` shards
     /// (public so tests and tools can partition keys exactly as the store
     /// does).
     pub fn shard_of(key: &[u8], shard_count: usize) -> usize {
-        if shard_count <= 1 {
-            return 0;
-        }
-        // Top bits: FxHash mixes best into the high half of the word.
-        let bits = shard_count.trailing_zeros();
-        (fx_hash_one(key) >> (64 - bits)) as usize
+        shard_index(fx_key_hash(key), shard_count)
     }
 
     /// This store's shard count.
@@ -687,35 +1250,50 @@ impl MetaStore {
         self.shards.len()
     }
 
-    fn shard(&self, key: &[u8]) -> &Shard {
-        &self.shards[Self::shard_of(key, self.shards.len())]
+    /// `key`'s shard and its hash — the shard pick and the table slot are
+    /// one computation.
+    fn locate(&self, key: &[u8]) -> (&Shard, u64) {
+        let hash = (self.hash)(key);
+        (&self.shards[shard_index(hash, self.shards.len())], hash)
+    }
+
+    /// A put of these parts as the commit path takes it, or why they
+    /// cannot be framed.
+    fn put_op<'a>(hash: u64, key: &'a [u8], value: &'a [u8]) -> Result<Op<'a>, MetaStoreError> {
+        if key.len().saturating_add(value.len()) > MAX_RECORD {
+            return Err(MetaStoreError::Config(format!(
+                "a record of {} + {} bytes is beyond the {MAX_RECORD} a frame holds",
+                key.len(),
+                value.len()
+            )));
+        }
+        Ok(Op { kind: RecordKind::Put, hash, key, value })
     }
 
     /// Inserts or overwrites a key. Under `sync` durability the call
     /// acknowledges only after the record is fsynced — even when the value
     /// is identical to the current one (the record is still appended).
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), MetaStoreError> {
-        let shard = self.shard(key);
-        self.mutate(shard, Record::put(key, value)).map(|_| ())
+        let (shard, hash) = self.locate(key);
+        self.mutate(shard, Self::put_op(hash, key, value)?).map(|_| ())
     }
 
     /// Inserts a batch of pairs, partitioned across shards; each shard's
     /// records commit as **one** batch (a single fsync under `sync`
     /// durability), in the given order.
     pub fn put_many(&self, items: &[(&[u8], &[u8])]) -> Result<(), MetaStoreError> {
-        let mut per_shard: Vec<Vec<Pending>> =
+        let mut per_shard: Vec<Vec<Op<'_>>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (k, v) in items {
-            per_shard[Self::shard_of(k, self.shards.len())]
-                .push(Pending::new(Record::put(*k, *v)));
+            let hash = (self.hash)(k);
+            per_shard[shard_index(hash, self.shards.len())].push(Self::put_op(hash, k, v)?);
         }
-        for (id, mut batch) in per_shard.into_iter().enumerate() {
-            if batch.is_empty() {
+        for (shard, ops) in self.shards.iter().zip(&per_shard) {
+            if ops.is_empty() {
                 continue;
             }
-            let shard = &self.shards[id];
             let mut c = shard.commit.lock();
-            self.append_batch(shard, &mut c, &mut batch, self.opts.sync_every_append)?;
+            self.commit(shard, &mut c, ops, self.opts.sync_every_append, |_, _| {})?;
             self.maybe_rotate(shard, &mut c)?;
         }
         Ok(())
@@ -729,26 +1307,37 @@ impl MetaStore {
     /// key a same-batch predecessor already removed; replay tolerates it
     /// and both paths count it identically.)
     pub fn delete(&self, key: &[u8]) -> Result<bool, MetaStoreError> {
-        let shard = self.shard(key);
-        let present = {
-            let idx = shard.index.read();
-            idx.contains_key(key)
-        };
-        if !present {
+        let (shard, hash) = self.locate(key);
+        if !self.present(shard, hash, key)? {
             return Ok(false);
         }
-        self.mutate(shard, Record::delete(key))
+        self.mutate(shard, Op { kind: RecordKind::Delete, hash, key, value: &[] })
     }
 
-    fn mutate(&self, shard: &Shard, rec: Record) -> Result<bool, MetaStoreError> {
+    fn present(&self, shard: &Shard, hash: u64, key: &[u8]) -> Result<bool, MetaStoreError> {
+        let idx = shard.index.read();
+        Ok(idx.slot(hash, key)?.current.is_some())
+    }
+
+    fn mutate(&self, shard: &Shard, op: Op<'_>) -> Result<bool, MetaStoreError> {
         if self.opts.sync_every_append && self.opts.group_commit {
-            return self.mutate_grouped(shard, rec);
+            return self.mutate_grouped(shard, op);
         }
+        self.mutate_direct(shard, op, self.opts.sync_every_append)
+    }
+
+    /// Commits one record on the calling thread.
+    fn mutate_direct(
+        &self,
+        shard: &Shard,
+        op: Op<'_>,
+        durable: bool,
+    ) -> Result<bool, MetaStoreError> {
         let mut c = shard.commit.lock();
-        let mut batch = vec![Pending::new(rec)];
-        self.append_batch(shard, &mut c, &mut batch, self.opts.sync_every_append)?;
+        let mut existed = false;
+        self.commit(shard, &mut c, &[op], durable, |_, was| existed = was)?;
         self.maybe_rotate(shard, &mut c)?;
-        Ok(batch[0].existed)
+        Ok(existed)
     }
 
     /// The group-commit write path (see the module docs): enqueue the
@@ -758,15 +1347,18 @@ impl MetaStore {
     /// the current leader commits us). The bounded follower wait plus a
     /// leadership re-check closes the straggler race where a record lands
     /// in the queue just as the leader decides it is done.
-    fn mutate_grouped(&self, shard: &Shard, rec: Record) -> Result<bool, MetaStoreError> {
-        use std::sync::atomic::Ordering;
+    fn mutate_grouped(&self, shard: &Shard, op: Op<'_>) -> Result<bool, MetaStoreError> {
         let (ack, rx) = channel::unbounded();
         {
             let mut queue = shard.queue.lock();
             queue.push_back(Pending {
-                rec,
-                ack: Some(ack),
-                existed: false,
+                rec: Record {
+                    kind: op.kind,
+                    key: op.key.to_vec(),
+                    value: op.value.to_vec(),
+                },
+                hash: op.hash,
+                ack,
             });
         }
         loop {
@@ -801,13 +1393,15 @@ impl MetaStore {
         }
     }
 
-    /// Drains and commits group-commit batches until the queue is empty.
-    /// Caller holds the `committing` leadership flag; the commit lock is
-    /// held across the whole convoy (one acquisition, N batches).
+    /// Drains and commits group-commit batches until the queue is empty,
+    /// acknowledging each record's writer once its batch is fsynced and
+    /// applied (or has failed). Caller holds the `committing` leadership
+    /// flag; the commit lock is held across the whole convoy (one
+    /// acquisition, N batches).
     fn lead_commits(&self, shard: &Shard) -> Result<(), MetaStoreError> {
         let mut c = shard.commit.lock();
         loop {
-            let mut batch = {
+            let batch = {
                 let mut queue = shard.queue.lock();
                 take_batch(&mut queue)
             };
@@ -816,7 +1410,19 @@ impl MetaStore {
             }
             c.group_commits += 1;
             c.group_commit_records += batch.len() as u64;
-            self.append_batch(shard, &mut c, &mut batch, true)?;
+            let ops: Vec<Op<'_>> = batch
+                .iter()
+                .map(|p| Op { kind: p.rec.kind, hash: p.hash, key: &p.rec.key, value: &p.rec.value })
+                .collect();
+            let mut existed = vec![false; batch.len()];
+            let result = self.commit(shard, &mut c, &ops, true, |i, was| existed[i] = was);
+            for (p, existed) in batch.iter().zip(existed) {
+                let _ = p.ack.send(match &result {
+                    Ok(()) => Ok(existed),
+                    Err(e) => Err(e.to_string()),
+                });
+            }
+            result?;
             self.maybe_rotate(shard, &mut c)?;
             // Batch formation: the writers just acked are runnable and
             // about to enqueue their next records. Give them the CPU for
@@ -826,86 +1432,165 @@ impl MetaStore {
         }
     }
 
-    /// Appends `batch` to the shard log (caller holds the commit lock),
-    /// optionally fsyncs, applies the index updates, and acks each record.
-    /// On failure every record is failure-acked and nothing is applied —
-    /// though already-appended bytes may still become durable later, the
-    /// usual "failed write may yet have happened" storage semantics.
-    fn append_batch(
+    /// Appends `ops` to the shard log (caller holds the commit lock),
+    /// optionally fsyncs, then applies the index updates, reporting to
+    /// `applied` for each whether its key was present. On failure nothing
+    /// further is applied — though bytes already accepted may still become
+    /// durable later, the usual "failed write may yet have happened"
+    /// storage semantics.
+    fn commit(
         &self,
         shard: &Shard,
         c: &mut CommitState,
-        batch: &mut [Pending],
+        ops: &[Op<'_>],
         durable: bool,
+        applied: impl FnMut(usize, bool),
     ) -> Result<(), MetaStoreError> {
-        let io = (|| -> Result<(), MetaStoreError> {
-            for (i, p) in batch.iter().enumerate() {
-                if i > 0 {
-                    self.kill.check(KillSite::BatchMidAppend)?;
-                }
-                c.writer.append(&p.rec)?;
+        let mut staging = std::mem::take(&mut c.staging);
+        let result = self.commit_framed(shard, c, ops, &mut staging, durable, applied);
+        c.staging = staging;
+        result
+    }
+
+    /// [`commit`](Self::commit), framing into `staging` (the commit
+    /// state's own buffer, lent out so that the state can be borrowed
+    /// beside it).
+    fn commit_framed(
+        &self,
+        shard: &Shard,
+        c: &mut CommitState,
+        ops: &[Op<'_>],
+        staging: &mut Vec<u8>,
+        durable: bool,
+        mut applied: impl FnMut(usize, bool),
+    ) -> Result<(), MetaStoreError> {
+        let Some(first) = ops.first() else {
+            return Ok(());
+        };
+        staging.clear();
+        for (i, op) in ops.iter().enumerate() {
+            if i > 0 {
+                self.kill.check(KillSite::BatchMidAppend)?;
             }
-            if durable {
-                self.kill.check(KillSite::BatchBeforeSync)?;
-                c.writer.sync()?;
-                c.fsyncs += 1;
-                self.kill.check(KillSite::BatchAfterSync)?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = io {
-            let msg = e.to_string();
-            for p in batch.iter() {
-                if let Some(ack) = &p.ack {
-                    let _ = ack.send(Err(msg.clone()));
-                }
-            }
-            return Err(e);
+            encode_frame(staging, op.kind, op.key, op.value);
         }
-        {
+        let file = file_no(c.active_seg)?;
+        // The first record's slot cannot depend on this batch: settle it
+        // (the read that confirms a hash hit) before anything is accepted.
+        let mut slot = {
+            let idx = shard.index.read();
+            idx.slot(first.hash, first.key)?
+        };
+
+        // The bytes. `held_back` is what the first index update below
+        // still has to put in the tail.
+        let mut at = c.len;
+        let mut held_back: &[u8] = &[];
+        if durable {
+            self.kill.check(KillSite::BatchBeforeSync)?;
+            shard.write_through(c, staging)?;
+            shard.sync_active(c)?;
+            self.kill.check(KillSite::BatchAfterSync)?;
+        } else if staging.len() < c.spare() {
+            // Every piece fits with room to spare: no flush falls inside
+            // this batch, and its bytes can appear with its first locator.
+            held_back = staging;
+        } else {
+            // Frame by frame, crc then body — the two writes per record
+            // whose flush points files on disk have always followed.
+            let mut rest = &staging[..];
+            for op in ops {
+                let (frame, after) = rest.split_at(op.encoded_len() as usize);
+                let (crc, body) = frame.split_at(CRC_LEN);
+                shard.accept(c, crc)?;
+                if let Err(e) = shard.accept(c, body) {
+                    shard.retract_crc(c);
+                    return Err(e.into());
+                }
+                rest = after;
+            }
+        }
+
+        // The index.
+        for (i, op) in ops.iter().enumerate() {
+            let len = op.encoded_len();
+            let loc = Locator { offset: at, file, len: len as u32 };
+            at += len;
+            if i > 0 {
+                let idx = shard.index.read();
+                slot = idx.slot(op.hash, op.key)?;
+            }
             let mut idx = shard.index.write();
-            for p in batch.iter_mut() {
-                p.existed = match p.rec.kind {
-                    RecordKind::Put => true,
-                    RecordKind::Delete => idx.contains_key(&p.rec.key),
-                    RecordKind::Seal => false,
-                };
-                apply_record(&mut idx, &mut c.dead_bytes, &p.rec);
+            if !held_back.is_empty() {
+                idx.tail.extend_from_slice(held_back);
+                c.len += held_back.len() as u64;
+                held_back = &[];
             }
-        }
-        for p in batch.iter() {
-            if let Some(ack) = &p.ack {
-                let _ = ack.send(Ok(p.existed));
-            }
+            applied(i, idx.apply(slot, op.kind, op.hash, op.key, loc, &mut c.dead_bytes));
         }
         Ok(())
     }
 
-    /// Fetches a key's value. Takes only the shard's index lock — never
-    /// waits on an in-flight append.
+    /// Fetches a key's value: one read of its record from the log (or from
+    /// the write buffer, if the record has not left it). Takes only the
+    /// shard's index lock — never waits on an in-flight append.
+    ///
+    /// # Panics
+    ///
+    /// If the log cannot be read, or the record no longer verifies.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let idx = self.shard(key).index.read();
-        idx.get(key).cloned()
+        let (shard, hash) = self.locate(key);
+        let idx = shard.index.read();
+        idx.value_of(hash, key)
+            .unwrap_or_else(|e| panic!("metastore: reading {:?}: {e}", self.dir))
     }
 
-    /// Whether the key exists (index lock only).
+    /// Whether the key exists (index lock only; a hash hit reads the
+    /// record's key).
+    ///
+    /// # Panics
+    ///
+    /// If the log cannot be read.
     pub fn contains(&self, key: &[u8]) -> bool {
-        let idx = self.shard(key).index.read();
-        idx.contains_key(key)
+        let (shard, hash) = self.locate(key);
+        self.present(shard, hash, key)
+            .unwrap_or_else(|e| panic!("metastore: reading {:?}: {e}", self.dir))
+    }
+
+    /// Visits every live key and value in **log order**: shard by shard,
+    /// and within a shard by each key's last write, oldest first — an
+    /// order that depends on the history of writes alone, not on when
+    /// compactions ran. Streams from the log; nothing is materialised.
+    ///
+    /// The visitor runs under one shard's index read lock at a time, which
+    /// holds that shard's writers up: it must not call back into the
+    /// store, nor take a lock ranked before `metastore.index`.
+    pub fn for_each(&self, mut visit: impl FnMut(&[u8], &[u8])) -> Result<(), MetaStoreError> {
+        for shard in &self.shards {
+            let idx = shard.index.read();
+            idx.walk(self.hash, |frame, _, _| {
+                visit(frame.key, frame.value);
+                Ok(())
+            })?;
+        }
+        Ok(())
     }
 
     /// Returns keys with the given prefix, merged across shards in sorted
-    /// order (deterministic: keys are unique across shards).
+    /// order (deterministic: keys are unique across shards). Reads every
+    /// shard's log through.
+    ///
+    /// # Panics
+    ///
+    /// If the log cannot be read.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut hits = Vec::new();
-        for shard in &self.shards {
-            let idx = shard.index.read();
-            hits.extend(
-                idx.range(prefix.to_vec()..)
-                    .take_while(|(k, _)| k.starts_with(prefix))
-                    .map(|(k, v)| (k.clone(), v.clone())),
-            );
-        }
+        self.for_each(|k, v| {
+            if k.starts_with(prefix) {
+                hits.push((k.to_vec(), v.to_vec()));
+            }
+        })
+        .unwrap_or_else(|e| panic!("metastore: reading {:?}: {e}", self.dir));
         hits.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         hits
     }
@@ -916,7 +1601,7 @@ impl MetaStore {
             .iter()
             .map(|s| {
                 let idx = s.index.read();
-                idx.len()
+                idx.live()
             })
             .sum()
     }
@@ -931,9 +1616,8 @@ impl MetaStore {
     pub fn sync(&self) -> Result<(), MetaStoreError> {
         for shard in &self.shards {
             let mut c = shard.commit.lock();
-            if c.writer.len() > c.writer.synced_len() {
-                c.writer.sync()?;
-                c.fsyncs += 1;
+            if c.len > c.synced_len {
+                shard.sync_active(&mut c)?;
             }
         }
         Ok(())
@@ -943,12 +1627,13 @@ impl MetaStore {
     pub fn stats(&self) -> Stats {
         let mut s = Stats {
             shards: self.shards.len() as u64,
+            cleanup_failures: self.cleanup_failures.load(Ordering::Relaxed),
             ..Stats::default()
         };
         for shard in &self.shards {
             {
                 let c = shard.commit.lock();
-                s.log_bytes += c.sealed_bytes + c.writer.len();
+                s.log_bytes += c.sealed_bytes + c.len;
                 s.dead_bytes += c.dead_bytes;
                 s.segments += c.segments.len() as u64;
                 if let Some((_, bytes)) = c.snapshot {
@@ -961,14 +1646,15 @@ impl MetaStore {
                 s.group_commit_records += c.group_commit_records;
             }
             let idx = shard.index.read();
-            s.live_keys += idx.len() as u64;
+            s.live_keys += idx.live() as u64;
+            s.index_bytes += idx.heap_bytes();
         }
         s
     }
 
-    /// Compacts every shard: writes each index image as a snapshot and
-    /// removes the superseded segments (see the module docs for the crash
-    /// protocol).
+    /// Compacts every shard: copies each shard's live records into a
+    /// snapshot and removes the superseded files (see the module docs for
+    /// the crash protocol).
     pub fn compact(&self) -> Result<(), MetaStoreError> {
         for shard in &self.shards {
             let mut c = shard.commit.lock();
@@ -979,13 +1665,18 @@ impl MetaStore {
 
     fn snapshot_shard(&self, shard: &Shard, c: &mut CommitState) -> Result<(), MetaStoreError> {
         // Everything applied to the index is in the log; make it durable
-        // so the snapshot is a subset of synced history.
-        if c.writer.len() > c.writer.synced_len() {
-            c.writer.sync()?;
-            c.fsyncs += 1;
+        // so the snapshot is a subset of synced history — and so that the
+        // files hold all of it to copy from.
+        if c.len > c.synced_len {
+            shard.sync_active(c)?;
         }
         let snap_num = c.active_seg + 1;
+        let active = snap_num + 1;
+        let (snap_no, active_no) = (file_no(snap_num)?, file_no(active)?);
         let tmp = snap_tmp_path(&self.dir, shard.id);
+        // Where each live record lands in the snapshot.
+        let mut moved: Vec<(u64, u64)> = Vec::new();
+        let mut moved_overflow: Vec<(Vec<u8>, u64)> = Vec::new();
         {
             let file = OpenOptions::new()
                 .create(true)
@@ -994,23 +1685,37 @@ impl MetaStore {
                 .truncate(true)
                 .open(&tmp)?;
             let mut w = LogWriter::new(file, 0)?;
-            let count = {
-                let idx = shard.index.read();
-                let mut count = 0u64;
-                for (k, v) in idx.iter() {
-                    if count > 0 {
-                        self.kill.check(KillSite::SnapMidWrite)?;
-                    }
-                    w.append(&Record::put(k.clone(), v.clone()))?;
-                    count += 1;
+            let idx = shard.index.read();
+            idx.walk(self.hash, |frame, hash, home| {
+                if !(moved.is_empty() && moved_overflow.is_empty()) {
+                    self.kill.check(KillSite::SnapMidWrite)?;
                 }
-                count
-            };
-            w.append(&Record::seal(count))?;
+                let at = w.append_frame(frame.raw)?;
+                match home {
+                    Home::Table => moved.push((hash, at)),
+                    Home::Overflow => moved_overflow.push((frame.key.to_vec(), at)),
+                }
+                Ok(())
+            })?;
+            let count = moved.len() + moved_overflow.len();
+            if count != idx.live() {
+                // A record the index points at no longer reads back whole.
+                // The temp file is debris; the store stands as it was.
+                return Err(corrupt(format!(
+                    "shard {}: the log yields {count} of {} live records",
+                    shard.id,
+                    idx.live()
+                ))
+                .into());
+            }
+            w.append(&Record::seal(count as u64))?;
             self.kill.check(KillSite::SnapBeforeSync)?;
             w.sync()?;
             c.fsyncs += 1;
         }
+        // The rename moves the name, not the file: this handle reads the
+        // snapshot from now on.
+        let snap_file = Arc::new(File::open(&tmp)?);
         self.kill.check(KillSite::SnapBeforeRename)?;
         let final_path = snap_path(&self.dir, shard.id, snap_num);
         fs::rename(&tmp, &final_path)?;
@@ -1020,46 +1725,62 @@ impl MetaStore {
         // garbage.
         let old_segs = std::mem::take(&mut c.segments);
         for n in old_segs {
-            fs::remove_file(seg_path(&self.dir, shard.id, n)).ok();
+            self.note_debris(remove_debris(&seg_path(&self.dir, shard.id, n)));
         }
         if let Some((old_snap, _)) = c.snapshot {
-            fs::remove_file(snap_path(&self.dir, shard.id, old_snap)).ok();
+            self.note_debris(remove_debris(&snap_path(&self.dir, shard.id, old_snap)));
         }
         self.kill.check(KillSite::SnapAfterCleanup)?;
         let snap_bytes = fs::metadata(&final_path)?.len();
-        let active = snap_num + 1;
         let file = create_segment(&self.dir, shard.id, active)?;
         c.snapshot = Some((snap_num, snap_bytes));
         c.segments = vec![active];
-        c.active_seg = active;
         c.sealed_bytes = 0;
         c.dead_bytes = 0;
         c.compactions += 1;
-        c.writer = LogWriter::new(file, 0)?;
+        c.activate(active, &file);
+        // Repoint the locators; readers have been served from the retired
+        // files, whose handles stay good until this drops them.
+        let mut idx = shard.index.write();
+        for (hash, at) in moved {
+            let loc = idx.table.get_mut(&hash).expect("live under the commit lock");
+            (loc.file, loc.offset) = (snap_no, at);
+        }
+        for (key, at) in moved_overflow {
+            let loc = idx.overflow.get_mut(&key).expect("live under the commit lock");
+            (loc.file, loc.offset) = (snap_no, at);
+        }
+        idx.files = vec![
+            LogFile { no: snap_no, file: snap_file },
+            LogFile { no: active_no, file },
+        ];
+        idx.tail_start = 0;
         Ok(())
     }
 
     fn maybe_rotate(&self, shard: &Shard, c: &mut CommitState) -> Result<(), MetaStoreError> {
-        if c.writer.len() < self.opts.segment_max_bytes {
+        if c.len < self.opts.segment_max_bytes {
             return Ok(());
         }
         let snap_bytes = c.snapshot.map_or(0, |(_, b)| b);
-        let total = snap_bytes + c.sealed_bytes + c.writer.len();
+        let total = snap_bytes + c.sealed_bytes + c.len;
         let garbage = c.dead_bytes as f64 / total.max(1) as f64;
         if garbage >= self.opts.compact_garbage_ratio {
             return self.snapshot_shard(shard, c);
         }
         // Seal the active segment and start a new one.
         self.kill.check(KillSite::RotateBeforeSealSync)?;
-        c.writer.sync()?;
-        c.fsyncs += 1;
+        shard.sync_active(c)?;
         self.kill.check(KillSite::RotateAfterSeal)?;
-        c.sealed_bytes += c.writer.len();
+        c.sealed_bytes += c.len;
         let next = c.active_seg + 1;
+        let no = file_no(next)?;
         let file = create_segment(&self.dir, shard.id, next)?;
         c.segments.push(next);
-        c.active_seg = next;
-        c.writer = LogWriter::new(file, 0)?;
+        c.activate(next, &file);
+        let mut idx = shard.index.write();
+        idx.files.push(LogFile { no, file });
+        idx.tail_start = 0;
         Ok(())
     }
 
@@ -1080,12 +1801,21 @@ impl MetaStore {
             .iter()
             .map(|shard| {
                 let c = shard.commit.lock();
-                (
-                    seg_path(&self.dir, shard.id, c.active_seg),
-                    c.writer.synced_len(),
-                )
+                (seg_path(&self.dir, shard.id, c.active_seg), c.synced_len)
             })
             .collect()
+    }
+}
+
+impl Drop for MetaStore {
+    /// Hands the OS what the write buffers hold, as dropping the
+    /// `BufWriter`s they replace did. An error has nowhere to go from
+    /// here; [`sync`](MetaStore::sync) is the call that reports one.
+    fn drop(&mut self) {
+        for shard in &self.shards {
+            let mut c = shard.commit.lock();
+            let _ = shard.flush_tail(&mut c);
+        }
     }
 }
 
@@ -1657,47 +2387,400 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every key in one slot: each key after the first lives in the
+    /// overflow map, and every lookup goes through the read that tells
+    /// colliding keys apart.
+    fn colliding(_: &[u8]) -> u64 {
+        0
+    }
+
+    /// The shipped hash, and the one under which every key collides.
+    const HASHES: [(&str, KeyHash); 2] = [("fx", fx_key_hash), ("colliding", colliding)];
+
     #[test]
     fn prop_reopen_matches_model() {
-        prop_check!(cases = 12, |rng| {
-            let dir = temp_dir("prop");
-            let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-            {
-                let s = MetaStore::open_with(
-                    &dir,
-                    MetaStoreOptions {
-                        segment_max_bytes: 1024,
-                        compact_garbage_ratio: 0.6,
-                        shards: 4,
-                        ..MetaStoreOptions::default()
-                    },
-                )
-                .unwrap();
-                let ops = gen::usize_in(rng, 20..200);
-                for _ in 0..ops {
-                    let key = format!("key-{}", gen::usize_in(rng, 0..30)).into_bytes();
-                    if rng.chance(0.25) {
-                        let existed = s.delete(&key).unwrap();
-                        assert_eq!(existed, model.remove(&key).is_some());
-                    } else {
-                        let value = gen::byte_vec(rng, 0..64);
-                        s.put(&key, &value).unwrap();
-                        model.insert(key, value);
+        for (name, hash) in HASHES {
+            prop_check!(cases = 12, |rng| {
+                let dir = temp_dir("prop");
+                let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+                {
+                    let s = MetaStore::open_hashed(
+                        &dir,
+                        MetaStoreOptions {
+                            segment_max_bytes: 1024,
+                            compact_garbage_ratio: 0.6,
+                            shards: 4,
+                            ..MetaStoreOptions::default()
+                        },
+                        hash,
+                    )
+                    .unwrap();
+                    let ops = gen::usize_in(rng, 20..200);
+                    for _ in 0..ops {
+                        let key = format!("key-{}", gen::usize_in(rng, 0..30)).into_bytes();
+                        if rng.chance(0.25) {
+                            let existed = s.delete(&key).unwrap();
+                            assert_eq!(existed, model.remove(&key).is_some(), "{name}");
+                        } else {
+                            let value = gen::byte_vec(rng, 0..64);
+                            s.put(&key, &value).unwrap();
+                            model.insert(key, value);
+                        }
                     }
+                    if rng.chance(0.3) {
+                        s.compact().unwrap();
+                    }
+                    s.sync().unwrap();
                 }
-                if rng.chance(0.3) {
+                let s = MetaStore::open_hashed(&dir, MetaStoreOptions::default(), hash).unwrap();
+                assert_eq!(s.len(), model.len(), "{name}");
+                for (k, v) in &model {
+                    assert_eq!(s.get(k).as_ref(), Some(v), "{name}");
+                }
+                fs::remove_dir_all(&dir).ok();
+            });
+        }
+    }
+
+    #[test]
+    fn prop_every_operation_matches_model() {
+        // The whole surface against a map, step by step: what an operation
+        // returns, what a read sees right after it, and — across compactions
+        // and reopens — what the store holds and counts.
+        for (name, hash) in HASHES {
+            prop_check!(cases = 10, |rng| {
+                let dir = temp_dir("model");
+                let opts = MetaStoreOptions {
+                    segment_max_bytes: 700,
+                    compact_garbage_ratio: 0.6,
+                    shards: 2,
+                    ..MetaStoreOptions::default()
+                };
+                let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+                let mut s = MetaStore::open_hashed(&dir, opts.clone(), hash).unwrap();
+                for _ in 0..gen::usize_in(rng, 30..160) {
+                    let key = format!("{}/{}", gen::pick(rng, &["a", "b"]), gen::usize_in(rng, 0..20))
+                        .into_bytes();
+                    match gen::usize_in(rng, 0..20) {
+                        0..=9 => {
+                            // Some values outgrow the write buffer.
+                            let len = if rng.chance(0.05) { 9_000 } else { gen::usize_in(rng, 0..48) };
+                            let value = gen::bytes(rng, len);
+                            s.put(&key, &value).unwrap();
+                            model.insert(key, value);
+                        }
+                        10..=13 => {
+                            assert_eq!(s.delete(&key).unwrap(), model.remove(&key).is_some(), "{name}");
+                        }
+                        14..=15 => {
+                            assert_eq!(s.get(&key).as_ref(), model.get(&key), "{name}");
+                            assert_eq!(s.contains(&key), model.contains_key(&key), "{name}");
+                        }
+                        16 => {
+                            const PREFIXES: [&[u8]; 4] = [b"a/", b"b/1", b"", b"c"];
+                            let prefix = *gen::pick(rng, &PREFIXES);
+                            let expect: Vec<_> = model
+                                .iter()
+                                .filter(|(k, _)| k.starts_with(prefix))
+                                .map(|(k, v)| (k.clone(), v.clone()))
+                                .collect();
+                            assert_eq!(s.scan_prefix(prefix), expect, "{name}");
+                        }
+                        17 => s.compact().unwrap(),
+                        _ => {
+                            s.sync().unwrap();
+                            let before = s.stats();
+                            drop(s);
+                            s = MetaStore::open_hashed(&dir, opts.clone(), hash).unwrap();
+                            let after = s.stats();
+                            assert_eq!(before.dead_bytes, after.dead_bytes, "{name}");
+                            assert_eq!(before.log_bytes, after.log_bytes, "{name}");
+                        }
+                    }
+                    assert_eq!(s.len(), model.len(), "{name}");
+                }
+                let held: Vec<_> = model.into_iter().collect();
+                assert_eq!(s.scan_prefix(b""), held, "{name}");
+                drop(s);
+                fs::remove_dir_all(&dir).ok();
+            });
+        }
+    }
+
+    #[test]
+    fn colliding_keys_keep_their_own_records() {
+        let dir = temp_dir("collide");
+        let s = MetaStore::open_hashed(&dir, MetaStoreOptions::default(), colliding).unwrap();
+        s.put(b"first", b"1").unwrap();
+        s.put(b"second", b"2").unwrap();
+        s.put(b"first", b"1b").unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.get(b"first"), Some(b"1b".to_vec()));
+        assert_eq!(s.get(b"second"), Some(b"2".to_vec()));
+        assert_eq!(s.get(b"third"), None, "a hash hit on another key's record is a miss");
+        assert!(!s.delete(b"third").unwrap());
+        // The slot's owner leaves; the overflow key stays findable, and a
+        // newcomer may take the slot.
+        assert!(s.delete(b"first").unwrap());
+        assert_eq!(s.get(b"second"), Some(b"2".to_vec()));
+        s.put(b"third", b"3").unwrap();
+        assert_eq!(s.len(), 2);
+        s.compact().unwrap();
+        assert_eq!(s.scan_prefix(b""), [(b"second".to_vec(), b"2".to_vec()), (b"third".to_vec(), b"3".to_vec())]);
+        drop(s);
+        let s = MetaStore::open_hashed(&dir, MetaStoreOptions::default(), colliding).unwrap();
+        assert_eq!(s.get(b"second"), Some(b"2".to_vec()));
+        assert_eq!(s.get(b"third"), Some(b"3".to_vec()));
+        assert_eq!(s.get(b"first"), None);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn get_sees_an_acknowledged_put_in_every_durability_mode() {
+        for (sync_every_append, group_commit) in [(false, true), (true, false), (true, true)] {
+            let dir = temp_dir("ackvisible");
+            let s = MetaStore::open_with(
+                &dir,
+                MetaStoreOptions {
+                    sync_every_append,
+                    group_commit,
+                    shards: 1,
+                    ..MetaStoreOptions::default()
+                },
+            )
+            .unwrap();
+            s.put(b"k", b"v1").unwrap();
+            assert_eq!(s.get(b"k"), Some(b"v1".to_vec()));
+            s.put(b"k", b"v2").unwrap();
+            assert_eq!(s.get(b"k"), Some(b"v2".to_vec()));
+            assert!(s.contains(b"k"));
+            assert_eq!(s.scan_prefix(b""), [(b"k".to_vec(), b"v2".to_vec())]);
+            let on_disk = fs::metadata(seg_path(&dir, 0, 0)).unwrap().len();
+            if sync_every_append {
+                assert_eq!(on_disk, s.stats().log_bytes);
+            } else {
+                assert_eq!(on_disk, 0, "nothing was flushed: the reads came from the buffer");
+            }
+            assert!(s.delete(b"k").unwrap());
+            assert_eq!(s.get(b"k"), None);
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_record_flushed_in_two_halves_reads_back_whole() {
+        // The write buffer keeps the `BufWriter` discipline: a flush falls
+        // wherever the next piece — crc, or the rest — does not fit, so a
+        // record's crc can reach the file while its body is still buffered.
+        let dir = temp_dir("straddle");
+        let s = one_shard(&dir);
+        let filler = vec![1u8; TAIL_CAP - 6 - HEADER - 1];
+        s.put(b"a", &filler).unwrap();
+        let seg = seg_path(&dir, 0, 0);
+        assert_eq!(fs::metadata(&seg).unwrap().len(), 0);
+        s.put(b"b", b"straddling").unwrap();
+        assert_eq!(
+            fs::metadata(&seg).unwrap().len(),
+            encoded_record_len(1, filler.len()) + CRC_LEN as u64,
+            "the flush carried b's crc and nothing else of it"
+        );
+        assert_eq!(s.get(b"b"), Some(b"straddling".to_vec()));
+        assert_eq!(s.get(b"a"), Some(filler.clone()));
+        assert_eq!(s.scan_prefix(b"b"), [(b"b".to_vec(), b"straddling".to_vec())]);
+        // An overwrite confirms its hash hit against that record.
+        s.put(b"b", b"again").unwrap();
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.stats().dead_bytes, encoded_record_len(1, 10));
+        drop(s);
+        let s = one_shard(&dir);
+        assert_eq!(s.get(b"b"), Some(b"again".to_vec()));
+        assert_eq!(s.get(b"a"), Some(filler));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn for_each_visits_in_log_order_whenever_compaction_ran() {
+        let visit = |compact_at: Option<usize>| {
+            let dir = temp_dir("logorder");
+            let s = one_shard(&dir);
+            let writes = ["c", "a", "d", "b", "a", "e", "c"];
+            for (i, key) in writes.iter().enumerate() {
+                s.put(key.as_bytes(), format!("{i}").as_bytes()).unwrap();
+                if compact_at == Some(i) {
                     s.compact().unwrap();
                 }
-                s.sync().unwrap();
             }
-            let s = MetaStore::open(&dir).unwrap();
-            assert_eq!(s.len(), model.len());
-            for (k, v) in &model {
-                assert_eq!(s.get(k).as_ref(), Some(v));
-            }
-            let _ = rng;
+            s.delete(b"d").unwrap();
+            let mut seen = Vec::new();
+            s.for_each(|k, v| seen.push(format!("{}={}", String::from_utf8_lossy(k), String::from_utf8_lossy(v))))
+                .unwrap();
             fs::remove_dir_all(&dir).ok();
-        });
+            seen
+        };
+        let by_last_write = ["b=3", "a=4", "e=5", "c=6"];
+        assert_eq!(visit(None), by_last_write);
+        assert_eq!(visit(Some(2)), by_last_write);
+        assert_eq!(visit(Some(6)), by_last_write);
+    }
+
+    #[test]
+    fn unremovable_debris_is_counted_and_does_not_fail_the_open() {
+        let dir = temp_dir("debris");
+        {
+            let s = one_shard(&dir);
+            s.put(b"k", b"v").unwrap();
+            s.compact().unwrap();
+            assert_eq!(s.stats().cleanup_failures, 0);
+        }
+        // A segment the snapshot covers, which `remove_file` cannot remove.
+        fs::create_dir(seg_path(&dir, 0, 0)).unwrap();
+        let s = one_shard(&dir);
+        assert_eq!(s.stats().cleanup_failures, 1);
+        assert_eq!(s.get(b"k"), Some(b"v".to_vec()));
+        s.put(b"k2", b"v2").unwrap();
+        drop(s);
+        assert_eq!(one_shard(&dir).stats().cleanup_failures, 1, "found, and tried, again");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn index_costs_a_slot_a_key_whatever_the_record_size() {
+        let dir = temp_dir("indexbytes");
+        let s = MetaStore::open(&dir).unwrap();
+        for i in 0..10_000 {
+            s.put(format!("a-rather-long-object-name/{i:08}").as_bytes(), &[7u8; 200])
+                .unwrap();
+        }
+        let per_key = s.stats().index_bytes as f64 / 10_000.0;
+        assert!((25.0..=60.0).contains(&per_key), "{per_key} B/key");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_record_too_large_to_frame_is_refused() {
+        let dir = temp_dir("toolarge");
+        let s = one_shard(&dir);
+        let err = s.put(b"k", &vec![0u8; MAX_RECORD]).unwrap_err();
+        assert!(matches!(err, MetaStoreError::Config(_)), "{err}");
+        assert!(s.is_empty());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The recovery of the store that kept its values in memory (the
+    /// parent of the locator table), as it stood: newest valid snapshot,
+    /// then the segments after it, through its `apply_record`. The
+    /// reference for "the format did not change": what this store writes,
+    /// that code reads.
+    mod parent {
+        use super::*;
+
+        fn apply_record(map: &mut BTreeMap<Vec<u8>, Vec<u8>>, dead_bytes: &mut u64, rec: &Record) {
+            match rec.kind {
+                RecordKind::Put => {
+                    if let Some(old) = map.insert(rec.key.clone(), rec.value.clone()) {
+                        *dead_bytes += encoded_record_len(rec.key.len(), old.len());
+                    }
+                }
+                RecordKind::Delete => {
+                    if let Some(old) = map.remove(&rec.key) {
+                        *dead_bytes += encoded_record_len(rec.key.len(), old.len());
+                    }
+                    *dead_bytes += encoded_record_len(rec.key.len(), 0);
+                }
+                RecordKind::Seal => {}
+            }
+        }
+
+        fn load_snapshot(path: &Path) -> Option<BTreeMap<Vec<u8>, Vec<u8>>> {
+            let mut reader = LogReader::new(File::open(path).ok()?);
+            let mut map = BTreeMap::new();
+            loop {
+                let rec = reader.next_record().unwrap()?;
+                match rec.kind {
+                    RecordKind::Put => {
+                        map.insert(rec.key, rec.value);
+                    }
+                    RecordKind::Delete => return None,
+                    RecordKind::Seal => {
+                        return (rec.seal_count() == Some(map.len() as u64)).then_some(map)
+                    }
+                }
+            }
+        }
+
+        /// Every shard's map merged, and the dead bytes replay counted.
+        pub fn replay(dir: &Path) -> (BTreeMap<Vec<u8>, Vec<u8>>, u64) {
+            let mut files: BTreeMap<usize, ShardFiles> = BTreeMap::new();
+            for entry in fs::read_dir(dir).unwrap() {
+                match parse_name(&entry.unwrap().path()).unwrap() {
+                    Some(ScanFile::Seg(shard, n)) => files.entry(shard).or_default().segs.push(n),
+                    Some(ScanFile::Snap(shard, n)) => files.entry(shard).or_default().snaps.push(n),
+                    _ => {}
+                }
+            }
+            let (mut all, mut dead_bytes) = (BTreeMap::new(), 0);
+            for (shard, mut files) in files {
+                files.snaps.sort_unstable();
+                files.segs.sort_unstable();
+                let base = files
+                    .snaps
+                    .iter()
+                    .rev()
+                    .find_map(|&n| Some((n, load_snapshot(&snap_path(dir, shard, n))?)));
+                let (floor, mut map) = match base {
+                    Some((n, map)) => (Some(n), map),
+                    None => (None, BTreeMap::new()),
+                };
+                for &n in files.segs.iter().filter(|&&n| Some(n) > floor) {
+                    let mut reader = LogReader::new(File::open(seg_path(dir, shard, n)).unwrap());
+                    while let Some(rec) = reader.next_record().unwrap() {
+                        apply_record(&mut map, &mut dead_bytes, &rec);
+                    }
+                }
+                all.extend(map);
+            }
+            (all, dead_bytes)
+        }
+    }
+
+    #[test]
+    fn the_parents_recovery_reads_what_this_store_writes() {
+        for (name, hash) in HASHES {
+            prop_check!(cases = 8, |rng| {
+                let dir = temp_dir("format");
+                let s = MetaStore::open_hashed(
+                    &dir,
+                    MetaStoreOptions {
+                        segment_max_bytes: 900,
+                        compact_garbage_ratio: 0.55,
+                        // The reference picks shards with the shipped hash;
+                        // one shard keeps every hash in agreement with it.
+                        shards: 1,
+                        ..MetaStoreOptions::default()
+                    },
+                    hash,
+                )
+                .unwrap();
+                for _ in 0..gen::usize_in(rng, 50..400) {
+                    let key = format!("key-{}", gen::usize_in(rng, 0..40)).into_bytes();
+                    if rng.chance(0.2) {
+                        s.delete(&key).unwrap();
+                    } else {
+                        s.put(&key, &gen::byte_vec(rng, 0..80)).unwrap();
+                    }
+                }
+                if rng.chance(0.5) {
+                    s.compact().unwrap();
+                    s.put(b"after", b"the snapshot").unwrap();
+                }
+                s.sync().unwrap();
+                let (held, dead_bytes) = parent::replay(&dir);
+                assert_eq!(s.scan_prefix(b""), held.into_iter().collect::<Vec<_>>(), "{name}");
+                assert_eq!(s.stats().dead_bytes, dead_bytes, "{name}");
+                drop(s);
+                fs::remove_dir_all(&dir).ok();
+            });
+        }
     }
 
     #[test]

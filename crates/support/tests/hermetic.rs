@@ -256,13 +256,17 @@ fn registry_hot_path_uses_fx_hash_maps() {
     // memory tier's reshard walks its map while drawing from a seeded rng,
     // which made Figure 16 differ between runs. The tier wrappers
     // (`crates/tierx/src`) probe a ledger on every wrapped op, and
-    // `DedupTier::check_integrity` lists violations in map order. Analyzer
-    // lint A005 enforces this; every other crate keeps default hashing for
-    // DoS resistance.
+    // `DedupTier::check_integrity` lists violations in map order. The
+    // metastore's index (`crates/metastore/src/store.rs`) is a hash table
+    // probed on every persisted write; what it hands out (`for_each`,
+    // snapshots, `scan_prefix`) comes in log or key order, never the
+    // table's. Analyzer lint A005 enforces this; every other crate keeps
+    // default hashing for DoS resistance.
     let reports = analyzer_reports();
     for covered in [
         "crates/core/src/registry.rs",
         "crates/core/src/tier.rs",
+        "crates/metastore/src/store.rs",
         "crates/tiers/src/lib.rs",
         "crates/tiers/src/simulated.rs",
         "crates/tierx/src/compressed.rs",

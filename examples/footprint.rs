@@ -9,8 +9,14 @@
 //!
 //! ```bash
 //! cargo run --release --example footprint            # 100 000 keys
+//! cargo run --release --example footprint -- --check # ... and fail if over the budget
 //! cargo run --release --example footprint -- --quick # 2 000 keys: only checks it runs
 //! ```
+//!
+//! The budget `--check` holds the metadata plane to, at 100 000 keys: an
+//! instance with a `metadata_dir` costs at most [`INSTANCE_META_BUDGET`]
+//! bytes an object, of which the metastore — that row less the bare
+//! instance's — at most [`METASTORE_BUDGET`].
 
 use std::sync::Arc;
 
@@ -21,6 +27,12 @@ use tiera::prelude::*;
 use tiera::tiers::MemoryTier;
 
 const PAYLOAD: usize = 128;
+
+/// Bytes an object may cost an instance with a `metadata_dir`.
+const INSTANCE_META_BUDGET: f64 = 430.0;
+/// Bytes of that which may be the metastore's: its locator table (≈ 33)
+/// and what growing the table left in the allocator.
+const METASTORE_BUDGET: f64 = 48.0;
 
 /// A `kB` field of `/proc/self/status`, in bytes.
 fn status_bytes(field: &str) -> u64 {
@@ -39,14 +51,14 @@ fn rss() -> u64 {
 }
 
 /// Runs `build`, prints what it added to the resident set per key (less
-/// `payload` bytes of user data), and returns what it built so that it
-/// stays resident while the later layers are measured.
-fn measure<T>(label: &str, keys: usize, payload: usize, build: impl FnOnce() -> T) -> T {
+/// `payload` bytes of user data), and returns that with what it built, so
+/// that it stays resident while the later layers are measured.
+fn measure<T>(label: &str, keys: usize, payload: usize, build: impl FnOnce() -> T) -> (T, f64) {
     let before = rss();
     let built = build();
-    let per_key = rss().saturating_sub(before) as f64 / keys as f64;
-    println!("{label:<46} {:>7.0} B/object", per_key - payload as f64);
-    built
+    let per_key = rss().saturating_sub(before) as f64 / keys as f64 - payload as f64;
+    println!("{label:<46} {per_key:>7.0} B/object");
+    (built, per_key)
 }
 
 fn memory_tier(env: &SimEnv) -> Arc<MemoryTier> {
@@ -100,6 +112,11 @@ fn served_overwrite(env: &SimEnv, keys: usize) {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let check = std::env::args().any(|a| a == "--check");
+    if quick && check {
+        eprintln!("footprint: the budget --check holds is stated at 100 000 keys; drop --quick");
+        std::process::exit(2);
+    }
     let keys = if quick { 2_000 } else { 100_000 };
     let names: Vec<String> = (0..keys).map(|k| format!("user{k:012}")).collect();
     let env = SimEnv::new(7);
@@ -126,7 +143,7 @@ fn main() {
         }
         tier
     });
-    let _bare = measure(
+    let (_bare, bare) = measure(
         "Instance, no rules (registry + tier)",
         keys,
         PAYLOAD,
@@ -141,7 +158,7 @@ fn main() {
     );
     let dir = std::env::temp_dir().join(format!("tiera-footprint-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let _meta = measure(
+    let (_meta, with_meta) = measure(
         "Instance with metadata_dir (+ metastore index)",
         keys,
         PAYLOAD,
@@ -158,4 +175,16 @@ fn main() {
     std::fs::remove_dir_all(&dir).ok();
 
     served_overwrite(&env, if quick { 500 } else { 10_000 });
+
+    if check {
+        let metastore = with_meta - bare;
+        println!(
+            "\nbudget: instance with metadata_dir {with_meta:.0} of {INSTANCE_META_BUDGET} B/object, \
+             metastore {metastore:.0} of {METASTORE_BUDGET}"
+        );
+        if with_meta > INSTANCE_META_BUDGET || metastore > METASTORE_BUDGET {
+            eprintln!("footprint: over the per-object memory budget");
+            std::process::exit(1);
+        }
+    }
 }

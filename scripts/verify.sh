@@ -33,8 +33,8 @@ cargo test --offline -q -p tiera-support -p tiera-core -p tiera-rpc -p tiera-cha
 echo "==> benchmark/ tests (outside the root workspace; catches API drift under the referee)"
 (cd benchmark && cargo test --offline -q)
 
-echo "==> footprint smoke (quick mode; only checks the per-object memory probe runs)"
-cargo run -q --release --offline -p tiera --example footprint -- --quick
+echo "==> footprint gate (100 000 keys; fails over the per-object memory budget)"
+cargo run -q --release --offline -p tiera --example footprint -- --check
 
 echo "==> bench smoke (quick mode; schema only, no timing assertions)"
 ./scripts/bench.sh
