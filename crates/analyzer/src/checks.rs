@@ -42,7 +42,8 @@ impl Config {
     /// tiers' object maps and the tier wrappers' ledgers are per-key hot
     /// paths, the simulated tiers' reshard walks its map while drawing
     /// from a seeded rng, and the dedup wrapper's integrity check reports
-    /// in map order.
+    /// in map order; the cluster coordinator and its nodes probe their
+    /// delete-replay tables on the routed path.
     pub fn workspace() -> Self {
         Self {
             panic_free: vec![
@@ -58,6 +59,8 @@ impl Config {
                 "crates/tiers/src/simulated.rs".into(),
                 "crates/tierx/src/compressed.rs".into(),
                 "crates/tierx/src/dedup.rs".into(),
+                "crates/cluster/src/coordinator.rs".into(),
+                "crates/cluster/src/node.rs".into(),
             ],
         }
     }
@@ -435,6 +438,17 @@ mod tests {
         let src = "use std::sync::Mutex;\n";
         assert_eq!(run("crates/core/src/x.rs", src).len(), 1);
         assert!(run("crates/support/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn cluster_routing_files_are_hot_path() {
+        let src = "use std::collections::HashMap;\n";
+        for path in ["crates/cluster/src/coordinator.rs", "crates/cluster/src/node.rs"] {
+            let diags = run(path, src);
+            let codes: Vec<&str> = diags.iter().map(|d| d.code.code()).collect();
+            assert_eq!(codes, ["A005"], "{path}: {diags:?}");
+        }
+        assert!(run("crates/cluster/src/ring.rs", src).is_empty());
     }
 
     #[test]

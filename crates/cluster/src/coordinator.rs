@@ -661,17 +661,19 @@ impl Coordinator {
             });
         }
         let mut meta = self.meta.lock();
-        let entry = meta.keys.entry(key.to_string()).or_insert(KeyMeta {
-            version: 0,
-            checksum: 0,
-            deleted: true,
-        });
-        if version > entry.version {
-            *entry = KeyMeta {
-                version,
-                checksum: sum,
-                deleted: false,
-            };
+        let written = KeyMeta {
+            version,
+            checksum: sum,
+            deleted: false,
+        };
+        // An overwrite finds its record by `&str`; only a new key pays for
+        // an owned one.
+        match meta.keys.get_mut(key) {
+            Some(entry) if version > entry.version => *entry = written,
+            Some(_) => {}
+            None => {
+                meta.keys.insert(key.to_string(), written);
+            }
         }
         Ok(latency)
     }

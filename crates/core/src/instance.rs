@@ -610,7 +610,7 @@ impl Instance {
             if prior.is_none() {
                 for placed in &ctx.placed_inserted {
                     if let Some(tier) = self.tier_by_id(*placed) {
-                        let _ = tier.delete(&key, ctx.now);
+                        self.cleanup_delete(&tier, &key, ctx.now);
                     }
                 }
                 self.registry.remove(&key);
@@ -626,7 +626,7 @@ impl Instance {
             let placed = &ctx.placed_inserted;
             for stale in prev.locations.iter().filter(|l| !placed.contains_id(**l)) {
                 if let Some(tier) = self.tier_by_id(*stale) {
-                    let _ = tier.delete(&key, ctx.now);
+                    self.cleanup_delete(&tier, &key, ctx.now);
                 }
             }
             self.registry.update(&key, |m| {
@@ -1622,10 +1622,19 @@ impl Instance {
     fn delete_physical(&self, physical: &ObjectKey, now: SimTime) {
         for Attached { tier, .. } in self.tiers.read().iter() {
             if tier.contains(physical) {
-                let _ = tier.delete(physical, now);
+                self.cleanup_delete(tier, physical, now);
             }
         }
         self.registry.remove(physical);
+    }
+
+    /// Deletes bytes the metadata no longer (or never did) point at. A
+    /// refusal does not change the outcome of the operation cleaning up —
+    /// it is counted, and the orphan stays in the tier.
+    fn cleanup_delete(&self, tier: &TierHandle, key: &ObjectKey, now: SimTime) {
+        if tier.delete(key, now).is_err() {
+            self.stats.record_cleanup_failure();
+        }
     }
 
     fn exec_crypt(&self, what: &Selector, key_id: &str, encrypt: bool, ctx: &mut Ctx) -> Result<()> {

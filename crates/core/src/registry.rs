@@ -19,12 +19,14 @@
 //!   different shards and proceed in parallel.
 //! * **Order indexes** (`order`): the recency lists — global access order,
 //!   dirty objects, one list per tier behind `tierN.oldest`/`newest` — and
-//!   the access-count index driving hot/cold selectors. The lists are
-//!   doubly linked through one slab of nodes (an object has one node, and
-//!   one `(prev, next)` pair in each list it is on); a mutation moves its
-//!   object to the back of every list it belongs to, so each list is the
-//!   global access order restricted to its members. One `RwLock`,
-//!   write-held for a few link edits per mutation.
+//!   the frequency lists driving hot/cold selectors. All are doubly linked
+//!   through one slab of nodes (an object has one node, and one
+//!   `(prev, next)` pair in each list it is on); a mutation moves its
+//!   object to the back of every recency list it belongs to, so each is
+//!   the global access order restricted to its members. The frequency
+//!   lists are one per power-of-two range of access counts, so an access
+//!   refiles its object only when the count crosses a power of two. One
+//!   `RwLock`, write-held for a few link edits per mutation.
 //! * **Aggregates** (`aggregates`): per-tier object/dirty-byte counters for
 //!   threshold metrics. One `RwLock`, taken only by mutations that change
 //!   an object's locations, dirty flag or dirty size (a touch does not).
@@ -42,7 +44,6 @@
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry as MapEntry;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -88,29 +89,74 @@ struct Shard {
 /// "No node": the end of a list, or an unlinked node's neighbours.
 const NIL: u32 = u32::MAX;
 
-/// A node's neighbours in one recency list.
+/// A node's neighbours in one list.
 #[derive(Clone, Copy)]
 struct Link {
     prev: u32,
     next: u32,
 }
 
-/// One recency list over the slab's nodes, oldest at the head. `links` is
-/// indexed by node and grows to the highest node ever linked; which nodes
-/// are members is the caller's knowledge (it follows from the object's
-/// metadata), not the list's.
-struct RecencyList {
-    links: Vec<Link>,
+/// The two ends of one list threaded through a `links` array (indexed by
+/// node), oldest at the head. Which nodes are members is the caller's
+/// knowledge (it follows from the object's metadata), not the list's.
+#[derive(Clone, Copy)]
+struct Ends {
     head: u32,
     tail: u32,
+}
+
+impl Ends {
+    const EMPTY: Ends = Ends { head: NIL, tail: NIL };
+
+    /// Appends `node` (not currently a member) as the newest; `links`
+    /// grows to the highest node ever linked.
+    fn push_back(&mut self, links: &mut Vec<Link>, node: u32) {
+        let at = node as usize;
+        if at >= links.len() {
+            links.resize(at + 1, Link { prev: NIL, next: NIL });
+        }
+        links[at] = Link {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = node,
+            tail => links[tail as usize].next = node,
+        }
+        self.tail = node;
+    }
+
+    /// Removes `node` (currently a member).
+    fn unlink(&mut self, links: &mut [Link], node: u32) {
+        let Link { prev, next } = links[node as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => links[next as usize].prev = prev,
+        }
+    }
+
+    /// The members, oldest first.
+    fn iter(self, links: &[Link]) -> impl Iterator<Item = u32> + '_ {
+        let from = |node: u32| (node != NIL).then_some(node);
+        std::iter::successors(from(self.head), move |&n| from(links[n as usize].next))
+    }
+}
+
+/// One recency list over the slab's nodes, oldest at the head.
+struct RecencyList {
+    links: Vec<Link>,
+    ends: Ends,
 }
 
 impl Default for RecencyList {
     fn default() -> Self {
         Self {
             links: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            ends: Ends::EMPTY,
         }
     }
 }
@@ -118,38 +164,103 @@ impl Default for RecencyList {
 impl RecencyList {
     /// Appends `node` (not currently a member) as the newest.
     fn push_back(&mut self, node: u32) {
-        let at = node as usize;
-        if at >= self.links.len() {
-            self.links.resize(at + 1, Link { prev: NIL, next: NIL });
-        }
-        self.links[at] = Link {
-            prev: self.tail,
-            next: NIL,
-        };
-        match self.tail {
-            NIL => self.head = node,
-            tail => self.links[tail as usize].next = node,
-        }
-        self.tail = node;
+        self.ends.push_back(&mut self.links, node);
     }
 
     /// Removes `node` (currently a member).
     fn unlink(&mut self, node: u32) {
-        let Link { prev, next } = self.links[node as usize];
-        match prev {
-            NIL => self.head = next,
-            prev => self.links[prev as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            next => self.links[next as usize].prev = prev,
+        self.ends.unlink(&mut self.links, node);
+    }
+
+    /// Makes `node` (currently a member) the newest.
+    fn move_to_back(&mut self, node: u32) {
+        if self.ends.tail != node {
+            self.unlink(node);
+            self.push_back(node);
         }
     }
 
     /// The members, oldest first.
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let from = |node: u32| (node != NIL).then_some(node);
-        std::iter::successors(from(self.head), move |&n| from(self.links[n as usize].next))
+        self.ends.iter(&self.links)
+    }
+}
+
+/// Frequency buckets: bucket 0 holds access count 0, bucket `b` counts in
+/// `[2^(b-1), 2^b)`, up to bucket 64 for counts with the top bit set.
+const BUCKETS: usize = u64::BITS as usize + 1;
+
+/// The bucket holding objects accessed `count` times.
+fn bucket_of(count: u64) -> usize {
+    (u64::BITS - count.leading_zeros()) as usize
+}
+
+/// The lowest access count filed in `bucket`.
+fn bucket_min(bucket: usize) -> u64 {
+    match bucket {
+        0 => 0,
+        b => 1 << (b - 1),
+    }
+}
+
+/// The highest access count filed in `bucket`.
+fn bucket_max(bucket: usize) -> u64 {
+    match bucket {
+        0 => 0,
+        b => u64::MAX >> (BUCKETS - 1 - b),
+    }
+}
+
+/// The frequency index: every object on the list of its access count's
+/// bucket. A node is on exactly one of the lists, so they share one
+/// `links` array; an access moves a node only when its count crosses a
+/// power of two, and position within a bucket carries no meaning.
+struct FrequencyLists {
+    links: Vec<Link>,
+    buckets: [Ends; BUCKETS],
+    /// Bucket-to-bucket moves made by [`recount`](Self::recount).
+    #[cfg(test)]
+    moves: u64,
+}
+
+impl Default for FrequencyLists {
+    fn default() -> Self {
+        Self {
+            links: Vec::new(),
+            buckets: [Ends::EMPTY; BUCKETS],
+            #[cfg(test)]
+            moves: 0,
+        }
+    }
+}
+
+impl FrequencyLists {
+    /// Files `node` (not currently filed) under `count`.
+    fn insert(&mut self, node: u32, count: u64) {
+        self.buckets[bucket_of(count)].push_back(&mut self.links, node);
+    }
+
+    /// Removes `node`, filed under `count`.
+    fn remove(&mut self, node: u32, count: u64) {
+        self.buckets[bucket_of(count)].unlink(&mut self.links, node);
+    }
+
+    /// `node`'s count went from `was` to `now`: refiles it if that is a
+    /// different bucket.
+    fn recount(&mut self, node: u32, was: u64, now: u64) {
+        if bucket_of(was) != bucket_of(now) {
+            self.remove(node, was);
+            self.insert(node, now);
+            #[cfg(test)]
+            {
+                self.moves += 1;
+            }
+        }
+    }
+
+    /// The nodes filed in `bucket`.
+    fn iter(&self, bucket: usize) -> impl Iterator<Item = u32> + '_ {
+        self.buckets[bucket].iter(&self.links)
     }
 }
 
@@ -194,10 +305,10 @@ struct OrderIndexes {
     dirty: RecencyList,
     /// Per tier, the objects located there, in access order.
     tiers: FxHashMap<TierId, RecencyList>,
-    /// `(access_count, key) → created`: the frequency index. Hot/cold
-    /// selectors walk it from the hot (high-count) or cold (low-count) end
+    /// Every object, by the bucket of its access count. Hot/cold selectors
+    /// walk the buckets from the hot (high-count) or cold (low-count) end
     /// and prune with the `created` bounds below.
-    freq_index: BTreeMap<(u64, ObjectKey), SimTime>,
+    frequency: FrequencyLists,
     /// Monotone upper bound on live objects' creation times: the youngest
     /// possible object. `now - max_created` lower-bounds every object's
     /// age, letting `HotterThan` stop early.
@@ -216,7 +327,7 @@ impl Default for OrderIndexes {
             access: RecencyList::default(),
             dirty: RecencyList::default(),
             tiers: FxHashMap::default(),
-            freq_index: BTreeMap::new(),
+            frequency: FrequencyLists::default(),
             max_created: SimTime::ZERO,
             min_created: SimTime::from_nanos(u64::MAX),
         }
@@ -249,37 +360,54 @@ impl OrderIndexes {
     }
 
     /// Links `node` as the newest of every list `now` puts it on and
-    /// enters it in the frequency index.
-    fn link(&mut self, node: u32, key: &ObjectKey, now: &Indexed) {
+    /// files it under its access count.
+    fn link(&mut self, node: u32, now: &Indexed) {
         self.access.push_back(node);
         self.link_lists(node, now);
-        self.freq_index.insert((now.access_count, key.clone()), now.created);
-        self.max_created = self.max_created.max(now.created);
-        self.min_created = self.min_created.min(now.created);
+        self.frequency.insert(node, now.access_count);
+        self.bound_created(now.created);
     }
 
     /// Undoes [`link`](Self::link) for the state it was linked with. The
     /// `created` bounds stay put — they are monotone and only need to
     /// bound the *live* set conservatively.
-    fn unlink(&mut self, node: u32, key: &ObjectKey, was: &Indexed) {
+    fn unlink(&mut self, node: u32, was: &Indexed) {
         self.access.unlink(node);
         self.unlink_lists(node, was);
-        self.freq_index.remove(&(was.access_count, key.clone()));
+        self.frequency.remove(node, was.access_count);
     }
 
     /// A mutation of a linked object: it becomes the newest of every list
     /// `now` puts it on and leaves the lists only `was` had it on.
-    fn relink(&mut self, node: u32, key: &ObjectKey, was: &Indexed, now: &Indexed) {
-        self.access.unlink(node);
-        self.access.push_back(node);
+    fn relink(&mut self, node: u32, was: &Indexed, now: &Indexed) {
+        self.access.move_to_back(node);
         self.unlink_lists(node, was);
         self.link_lists(node, now);
-        if (was.access_count, was.created) != (now.access_count, now.created) {
-            self.freq_index.remove(&(was.access_count, key.clone()));
-            self.freq_index.insert((now.access_count, key.clone()), now.created);
-            self.max_created = self.max_created.max(now.created);
-            self.min_created = self.min_created.min(now.created);
+        self.frequency.recount(node, was.access_count, now.access_count);
+        self.bound_created(now.created);
+    }
+
+    /// An access to a linked object, which `meta` describes as it is
+    /// after it: the access moved its count from `was_count` and changed
+    /// none of its locations, dirty flag or creation time, so it stays on
+    /// the lists it is on and becomes the newest of each.
+    fn touch(&mut self, node: u32, meta: &ObjectMeta, was_count: u64) {
+        self.access.move_to_back(node);
+        if meta.dirty {
+            self.dirty.move_to_back(node);
         }
+        for tier in &meta.locations {
+            if let Some(list) = self.tiers.get_mut(tier) {
+                list.move_to_back(node);
+            }
+        }
+        self.frequency.recount(node, was_count, meta.access_count);
+    }
+
+    /// Widens the `created` bounds to cover an object created at `created`.
+    fn bound_created(&mut self, created: SimTime) {
+        self.max_created = self.max_created.max(created);
+        self.min_created = self.min_created.min(created);
     }
 
     fn link_lists(&mut self, node: u32, now: &Indexed) {
@@ -310,6 +438,11 @@ impl OrderIndexes {
     /// The keys on `list`, oldest first.
     fn keys_on<'a>(&'a self, list: &'a RecencyList) -> impl Iterator<Item = &'a ObjectKey> + 'a {
         list.iter().filter_map(|node| self.key_of(node))
+    }
+
+    /// The keys filed in frequency bucket `bucket`, in no particular order.
+    fn keys_in_bucket(&self, bucket: usize) -> impl Iterator<Item = &ObjectKey> + '_ {
+        self.frequency.iter(bucket).filter_map(|node| self.key_of(node))
     }
 
     /// The recency list of the tier called `tier`, if any object was ever
@@ -358,14 +491,14 @@ fn insert_into(
         MapEntry::Occupied(mut slot) => {
             let entry = slot.get_mut();
             let was = Indexed::of(&entry.meta);
-            order.relink(entry.node, key, &was, &now);
+            order.relink(entry.node, &was, &now);
             aggregates_sub(aggregates, &was);
             entry.meta = meta;
             false
         }
         MapEntry::Vacant(slot) => {
             let node = order.alloc(key.clone());
-            order.link(node, key, &now);
+            order.link(node, &now);
             slot.insert(Entry { meta, node });
             true
         }
@@ -614,7 +747,7 @@ impl Registry {
             let was = Indexed::of(&entry.meta);
             f(&mut entry.meta);
             let now = Indexed::of(&entry.meta);
-            order.relink(entry.node, key, &was, &now);
+            order.relink(entry.node, &was, &now);
             if !was.same_aggregates(&now) {
                 let mut aggregates = self.aggregates.write();
                 aggregates_sub(&mut aggregates, &was);
@@ -627,8 +760,21 @@ impl Registry {
     }
 
     /// Records an access (touch) at `now`, refreshing LRU ordering.
+    /// [`update`](Self::update) with [`ObjectMeta::touch`], minus the work
+    /// an access cannot cause: the object's list memberships and its
+    /// tiers' aggregates are as they were.
     pub fn touch(&self, key: &ObjectKey, now: SimTime) -> Option<ObjectMeta> {
-        self.update(key, |m| m.touch(now))
+        let touched = {
+            let mut shard = self.shard_of(key).write();
+            let entry = shard.map.get_mut(key)?;
+            let mut order = self.order.write();
+            let was_count = entry.meta.access_count;
+            entry.meta.touch(now);
+            order.touch(entry.node, &entry.meta, was_count);
+            entry.meta.clone()
+        };
+        self.persist(key, Some(&touched));
+        Some(touched)
     }
 
     /// Removes an object entirely.
@@ -639,7 +785,7 @@ impl Registry {
             let mut order = self.order.write();
             let mut aggregates = self.aggregates.write();
             let was = Indexed::of(&entry.meta);
-            order.unlink(entry.node, key, &was);
+            order.unlink(entry.node, &was);
             order.release(entry.node);
             aggregates_sub(&mut aggregates, &was);
             entry.meta
@@ -680,13 +826,13 @@ impl Registry {
     /// The least recently accessed object in `tier`.
     pub fn oldest_in(&self, tier: &str) -> Option<ObjectKey> {
         let order = self.order.read();
-        order.key_of(order.tier_list(tier)?.head).cloned()
+        order.key_of(order.tier_list(tier)?.ends.head).cloned()
     }
 
     /// The most recently accessed object in `tier`.
     pub fn newest_in(&self, tier: &str) -> Option<ObjectKey> {
         let order = self.order.read();
-        order.key_of(order.tier_list(tier)?.tail).cloned()
+        order.key_of(order.tier_list(tier)?.ends.tail).cloned()
     }
 
     /// Visits every key currently located in `tier`, oldest first, without
@@ -793,57 +939,76 @@ impl Registry {
         }
     }
 
-    /// `HotterThan`: walk the frequency index from the high-count end.
+    /// `HotterThan`: walk the frequency buckets from the high-count end.
     ///
     /// `freq = count / age ≥ bound` requires `count ≥ bound · age`, and
     /// every object's age is at least `now - max_created`; once the walk
-    /// reaches counts below `bound · (now - max_created)` no colder entry
-    /// can qualify and it stops. Worst case (every object hot) is O(hits).
+    /// reaches a bucket whose highest count is below
+    /// `bound · (now - max_created)` no colder bucket can hold a hit and
+    /// it stops. Worst case (every object hot) is O(hits · log hits).
     fn select_hot(&self, bound: f64, now: SimTime) -> Vec<ObjectKey> {
-        let order = self.order.read();
-        if bound <= 0.0 {
-            return order.keys_on(&order.access).cloned().collect();
-        }
-        let min_age = now.since(order.max_created.min(now)).as_secs_f64().max(1e-9);
-        let floor = bound * min_age;
-        let mut hits = Vec::new();
-        for (&(count, ref key), &created) in order.freq_index.iter().rev() {
-            if (count as f64) < floor {
-                break;
+        let candidates: Vec<ObjectKey> = {
+            let order = self.order.read();
+            if bound <= 0.0 {
+                return order.keys_on(&order.access).cloned().collect();
             }
-            let age = now.since(created.min(now)).as_secs_f64().max(1e-9);
-            if count as f64 / age >= bound {
-                hits.push(key.clone());
-            }
-        }
+            let min_age = now.since(order.max_created.min(now)).as_secs_f64().max(1e-9);
+            let floor = bound * min_age;
+            (0..BUCKETS)
+                .rev()
+                .take_while(|&bucket| bucket_max(bucket) as f64 >= floor)
+                .flat_map(|bucket| order.keys_in_bucket(bucket))
+                .cloned()
+                .collect()
+        };
+        let mut hits = self.by_count(candidates, |m| m.access_frequency(now) >= bound);
+        hits.reverse();
         hits
     }
 
-    /// `ColderThan`: walk the frequency index from the low-count end; stop
-    /// once `count ≥ bound · (now - min_created)` (the maximum possible
-    /// age), past which no entry can still be cold.
+    /// `ColderThan`: walk the frequency buckets from the low-count end;
+    /// stop at the first whose lowest count is
+    /// `≥ bound · (now - min_created)` (the maximum possible age), past
+    /// which no object can still be cold.
     fn select_cold(&self, bound: f64, now: SimTime) -> Vec<ObjectKey> {
-        let order = self.order.read();
         if bound <= 0.0 {
             return Vec::new();
         }
-        let max_age = if order.min_created > now {
-            1e-9
-        } else {
-            now.since(order.min_created).as_secs_f64().max(1e-9)
+        let candidates: Vec<ObjectKey> = {
+            let order = self.order.read();
+            let max_age = if order.min_created > now {
+                1e-9
+            } else {
+                now.since(order.min_created).as_secs_f64().max(1e-9)
+            };
+            let ceiling = bound * max_age;
+            (0..BUCKETS)
+                .take_while(|&bucket| (bucket_min(bucket) as f64) < ceiling)
+                .flat_map(|bucket| order.keys_in_bucket(bucket))
+                .cloned()
+                .collect()
         };
-        let ceiling = bound * max_age;
-        let mut hits = Vec::new();
-        for (&(count, ref key), &created) in order.freq_index.iter() {
-            if count as f64 >= ceiling {
-                break;
-            }
-            let age = now.since(created.min(now)).as_secs_f64().max(1e-9);
-            if (count as f64 / age) < bound {
-                hits.push(key.clone());
-            }
-        }
-        hits
+        self.by_count(candidates, |m| m.access_frequency(now) < bound)
+    }
+
+    /// The `candidates` that exist and pass `keep`, by ascending
+    /// `(access_count, key)`. A bucket walk names its candidates under the
+    /// order lock and this reads each one's count under its shard lock,
+    /// which ranks before it — hence after the walk, not inside it.
+    fn by_count(
+        &self,
+        candidates: Vec<ObjectKey>,
+        keep: impl Fn(&ObjectMeta) -> bool,
+    ) -> Vec<ObjectKey> {
+        let mut hits: Vec<(u64, ObjectKey)> = candidates
+            .into_iter()
+            .filter_map(|key| {
+                let count = self.peek(&key, |m| keep(m).then_some(m.access_count))??;
+                Some((count, key))
+            })
+            .collect();
+        hits.sort_unstable();
+        hits.into_iter().map(|(_, key)| key).collect()
     }
 
     /// Whether a selector resolves to at most a handful of keys.
@@ -942,6 +1107,53 @@ impl std::fmt::Debug for Registry {
 mod tests {
     use super::*;
     use crate::object::Tag;
+    use tiera_support::prop::gen;
+    use tiera_support::prop_check;
+
+    impl Registry {
+        /// The keys filed in frequency bucket `bucket`, sorted.
+        fn bucket_keys(&self, bucket: usize) -> Vec<ObjectKey> {
+            let mut keys: Vec<ObjectKey> = self.order.read().keys_in_bucket(bucket).cloned().collect();
+            keys.sort();
+            keys
+        }
+
+        fn frequency_moves(&self) -> u64 {
+            self.order.read().frequency.moves
+        }
+
+        /// Every object is filed once, in the bucket of the count it has.
+        fn assert_buckets_hold_every_object_once(&self) {
+            let mut filed = 0;
+            for bucket in 0..BUCKETS {
+                for key in self.bucket_keys(bucket) {
+                    let count = self.get(&key).expect("a filed key is live").access_count;
+                    assert_eq!(bucket_of(count), bucket, "{key} with count {count}");
+                    filed += 1;
+                }
+            }
+            assert_eq!(filed, self.len());
+        }
+
+        /// `HotterThan(bound)` and `ColderThan(bound)` as a scan of every
+        /// object would answer them.
+        fn scan_hot_cold(&self, bound: f64, now: SimTime) -> (Vec<ObjectKey>, Vec<ObjectKey>) {
+            let mut all: Vec<(u64, ObjectKey, bool)> = Vec::new();
+            for key in self.select(&Selector::All, None, now) {
+                let meta = self.get(&key).unwrap();
+                all.push((meta.access_count, key, meta.access_frequency(now) >= bound));
+            }
+            all.sort();
+            let keys = |hot: bool| all.iter().filter(move |o| o.2 == hot).map(|o| o.1.clone());
+            (keys(true).rev().collect(), keys(false).collect())
+        }
+    }
+
+    fn counted(count: u64, created: SimTime) -> ObjectMeta {
+        let mut m = meta_in("t1", 1, created);
+        m.access_count = count;
+        m
+    }
 
     fn meta_in(tier: &str, size: u64, now: SimTime) -> ObjectMeta {
         let mut m = ObjectMeta::new(size, now);
@@ -1090,6 +1302,134 @@ mod tests {
     }
 
     #[test]
+    fn bucket_bounds_tile_the_counts() {
+        assert_eq!(BUCKETS, 65);
+        assert_eq!((bucket_min(0), bucket_max(0)), (0, 0));
+        assert_eq!(bucket_max(BUCKETS - 1), u64::MAX);
+        for bucket in 0..BUCKETS {
+            assert_eq!(bucket_of(bucket_min(bucket)), bucket);
+            assert_eq!(bucket_of(bucket_max(bucket)), bucket);
+            if bucket > 0 {
+                assert_eq!(bucket_min(bucket), bucket_max(bucket - 1) + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_counts_land_in_their_buckets() {
+        let r = Registry::in_memory();
+        let cases = [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4), (u64::MAX, 64)];
+        for (count, _) in cases {
+            r.upsert(ObjectKey::new(format!("c{count}")), counted(count, SimTime::ZERO));
+        }
+        for (count, bucket) in cases {
+            let key = ObjectKey::new(format!("c{count}"));
+            assert!(r.bucket_keys(bucket).contains(&key), "count {count} in bucket {bucket}");
+        }
+        r.assert_buckets_hold_every_object_once();
+        // A touch refiles exactly when the count crosses a power of two.
+        let touch = |count: u64| r.touch(&ObjectKey::new(format!("c{count}")), SimTime::from_secs(1));
+        touch(2);
+        assert_eq!(r.frequency_moves(), 0, "2 -> 3 stays in bucket 2");
+        touch(7);
+        assert_eq!(r.frequency_moves(), 1, "7 -> 8 moves to bucket 4");
+        touch(0);
+        assert_eq!(r.frequency_moves(), 2, "0 -> 1 moves to bucket 1");
+        assert_eq!(r.bucket_keys(0), Vec::new());
+        assert_eq!(r.bucket_keys(4), vec![ObjectKey::new("c7"), ObjectKey::new("c8")]);
+        r.assert_buckets_hold_every_object_once();
+    }
+
+    #[test]
+    fn a_reused_node_carries_no_stale_frequency_link() {
+        let r = Registry::in_memory();
+        let key = |name: &str| ObjectKey::new(name);
+        // Three in one bucket, so the middle one has both neighbours.
+        for name in ["a", "b", "c"] {
+            r.upsert(key(name), counted(5, SimTime::ZERO));
+        }
+        r.remove(&key("b"));
+        assert_eq!(r.bucket_keys(3), vec![key("a"), key("c")]);
+        // `d` takes b's node, in another bucket; then the old neighbours go.
+        r.upsert(key("d"), counted(100, SimTime::ZERO));
+        assert_eq!(r.bucket_keys(7), vec![key("d")]);
+        r.assert_buckets_hold_every_object_once();
+        r.remove(&key("a"));
+        r.remove(&key("c"));
+        assert_eq!(r.bucket_keys(3), Vec::new());
+        assert_eq!(r.bucket_keys(7), vec![key("d")]);
+        // And back into the bucket it left, beside a newcomer.
+        r.upsert(key("d"), counted(4, SimTime::ZERO));
+        r.upsert(key("e"), counted(6, SimTime::ZERO));
+        assert_eq!(r.bucket_keys(3), vec![key("d"), key("e")]);
+        assert_eq!(r.bucket_keys(7), Vec::new());
+        r.assert_buckets_hold_every_object_once();
+        let now = SimTime::from_secs(1);
+        assert_eq!(r.select(&Selector::HotterThan(5.0), None, now), vec![key("e")]);
+        assert_eq!(r.select(&Selector::ColderThan(5.0), None, now), vec![key("d")]);
+    }
+
+    #[test]
+    fn a_million_touches_of_one_key_refile_it_twenty_times() {
+        let r = Registry::in_memory();
+        let k = ObjectKey::new("hot");
+        r.upsert(k.clone(), meta_in("t1", 1, SimTime::ZERO));
+        r.upsert(ObjectKey::new("idle"), meta_in("t1", 1, SimTime::ZERO));
+        for _ in 0..1_000_000 {
+            r.touch(&k, SimTime::from_secs(1));
+        }
+        // One move per power of two crossed: 1, 2, 4, .. 2^19.
+        assert_eq!(r.frequency_moves(), 20);
+        assert_eq!(r.bucket_keys(bucket_of(1_000_000)), vec![k]);
+        r.assert_buckets_hold_every_object_once();
+    }
+
+    #[test]
+    fn prop_hot_cold_match_a_scan_at_ten_thousand_objects() {
+        const OBJECTS: u64 = 10_000;
+        prop_check!(cases = 4, |rng| {
+            let r = Registry::in_memory();
+            let lifetime = gen::u64_in(rng, 60..600);
+            let now = SimTime::from_secs(lifetime);
+            let mut ranks: Vec<u64> = (1..=OBJECTS).collect();
+            for i in (1..ranks.len()).rev() {
+                ranks.swap(i, gen::usize_in(rng, 0..i + 1));
+            }
+            // Zipf's law: the object of popularity rank `n` is read 1/n as
+            // often as the most popular one.
+            let top = gen::u64_in(rng, 1_000..1_000_000);
+            for (i, rank) in ranks.iter().enumerate() {
+                let created = SimTime::from_secs(gen::u64_in(rng, 0..lifetime));
+                r.upsert(ObjectKey::new(format!("o{i:05}")), counted(top / rank, created));
+            }
+            r.assert_buckets_hold_every_object_once();
+
+            let oldest = lifetime as f64;
+            let mut bounds = vec![0.0, f64::MIN_POSITIVE, 1e-3, top as f64, f64::INFINITY];
+            for _ in 0..6 {
+                // Some object's own frequency (an exact tie), a bound that
+                // cuts a bucket in two for the oldest possible object, and
+                // one that falls on a bucket's edge.
+                let sample = ObjectKey::new(format!("o{:05}", gen::u64_in(rng, 0..OBJECTS)));
+                bounds.push(r.get(&sample).unwrap().access_frequency(now));
+                let bucket = gen::usize_in(rng, 1..22);
+                let inside = gen::u64_in(rng, bucket_min(bucket)..bucket_max(bucket) + 1);
+                bounds.push(inside as f64 / oldest);
+                bounds.push(bucket_min(bucket) as f64 / oldest);
+            }
+            for bound in bounds {
+                let (hot, cold) = r.scan_hot_cold(bound, now);
+                if bound > 0.0 {
+                    assert_eq!(r.select(&Selector::HotterThan(bound), None, now), hot, "hot {bound}");
+                } else {
+                    assert_eq!(r.select(&Selector::HotterThan(bound), None, now).len(), hot.len());
+                }
+                assert_eq!(r.select(&Selector::ColderThan(bound), None, now), cold, "cold {bound}");
+            }
+        });
+    }
+
+    #[test]
     fn all_and_dirty_return_access_order() {
         let r = Registry::in_memory();
         for name in ["a", "b", "c"] {
@@ -1206,6 +1546,39 @@ mod tests {
         assert_eq!(m.size, 42);
         assert!(m.dirty);
         assert_eq!(r.aggregates("t1").objects, 1, "indexes rebuilt");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reopened_registry_files_restored_counts() {
+        let dir = std::env::temp_dir().join(format!("tiera-reg-buckets-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let now = SimTime::from_secs(10);
+        let (hot, cold) = {
+            let r = Registry::persistent(&dir).unwrap();
+            for count in [0u64, 1, 2, 3, 4, 7, 8, 1 << 40, u64::MAX] {
+                let key = ObjectKey::new(format!("c{count}"));
+                r.upsert(key.clone(), counted(count, SimTime::from_secs(count % 5)));
+                if count % 2 == 1 && count < 8 {
+                    r.touch(&key, now);
+                }
+            }
+            r.remove(&ObjectKey::new("c4"));
+            r.sync().unwrap();
+            r.scan_hot_cold(1.0, now)
+        };
+        let r = Registry::persistent(&dir).unwrap();
+        assert_eq!(r.len(), 8);
+        assert_eq!(r.frequency_moves(), 0, "recovery files each object where it belongs");
+        r.assert_buckets_hold_every_object_once();
+        assert_eq!(r.bucket_keys(0), vec![ObjectKey::new("c0")]);
+        assert_eq!(r.bucket_keys(2), vec![ObjectKey::new("c1"), ObjectKey::new("c2")]);
+        assert_eq!(r.bucket_keys(3), vec![ObjectKey::new("c3")]);
+        assert_eq!(r.bucket_keys(4), vec![ObjectKey::new("c7"), ObjectKey::new("c8")]);
+        assert_eq!(r.bucket_keys(41), vec![ObjectKey::new(format!("c{}", 1u64 << 40))]);
+        assert_eq!(r.bucket_keys(64), vec![ObjectKey::new(format!("c{}", u64::MAX))]);
+        assert_eq!(r.select(&Selector::HotterThan(1.0), None, now), hot);
+        assert_eq!(r.select(&Selector::ColderThan(1.0), None, now), cold);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -52,6 +52,7 @@ pub struct InstanceStats {
     events_fired: AtomicU64,
     responses_run: AtomicU64,
     background_queued: AtomicU64,
+    cleanup_failures: AtomicU64,
 }
 
 impl Default for InstanceStats {
@@ -70,6 +71,7 @@ impl InstanceStats {
             events_fired: AtomicU64::new(0),
             responses_run: AtomicU64::new(0),
             background_queued: AtomicU64::new(0),
+            cleanup_failures: AtomicU64::new(0),
         }
     }
 
@@ -107,6 +109,12 @@ impl InstanceStats {
         self.background_queued.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts a tier delete that failed while cleaning up after a PUT: a
+    /// rollback, a stale copy, a dedup blob nothing references any more.
+    pub fn record_cleanup_failure(&self) {
+        self.cleanup_failures.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Read-latency summary (stripes merged).
     pub fn reads(&self) -> LatencySummary {
         summarize(&self.merged(|s| &s.reads))
@@ -138,6 +146,13 @@ impl InstanceStats {
         )
     }
 
+    /// Tier deletes that failed while cleaning up after a PUT. Each left
+    /// bytes no metadata points at: the tier's `used()` counts them and
+    /// only the tier's own `contains` still finds them.
+    pub fn cleanup_failures(&self) -> u64 {
+        self.cleanup_failures.load(Ordering::Relaxed)
+    }
+
     /// Clears all statistics (between experiment phases).
     pub fn reset(&self) {
         for stripe in &self.stripes {
@@ -146,6 +161,7 @@ impl InstanceStats {
         self.events_fired.store(0, Ordering::Relaxed);
         self.responses_run.store(0, Ordering::Relaxed);
         self.background_queued.store(0, Ordering::Relaxed);
+        self.cleanup_failures.store(0, Ordering::Relaxed);
     }
 
     fn merged(&self, pick: impl Fn(&Stripe) -> &Histogram) -> Histogram {

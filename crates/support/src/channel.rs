@@ -117,7 +117,12 @@ impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
             // Last sender gone: wake all blocked receivers so they can
-            // observe the disconnect.
+            // observe the disconnect. A receiver reads the count under the
+            // queue lock and keeps the lock until it waits, so passing
+            // through the lock first leaves it either yet to read (it
+            // sees zero) or already waiting (it hears this) — never
+            // between the two, where the wake-up would be lost.
+            drop(self.shared.lock());
             self.shared.available.notify_all();
         }
     }
@@ -220,6 +225,31 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Err(RecvError));
+    }
+
+    #[test]
+    fn a_receiver_about_to_wait_hears_the_last_sender_drop() {
+        // The last sender drops while the receiver is between reading the
+        // sender count and waiting — or as near to it as two threads
+        // released together get, many times over. A lost wake-up shows as
+        // a receiver that never reports back.
+        for round in 0..5_000 {
+            let (tx, rx) = unbounded::<u8>();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let receiver = {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    done_tx.send(rx.recv()).unwrap();
+                })
+            };
+            start.wait();
+            drop(tx);
+            let heard = done_rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(heard, Ok(Err(RecvError)), "round {round}");
+            receiver.join().unwrap();
+        }
     }
 
     #[test]

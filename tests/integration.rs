@@ -11,6 +11,7 @@ use tiera::core::{InstanceBuilder, Rule};
 use tiera::db::{DbConfig, MiniDb};
 use tiera::fs::TieraFs;
 use tiera::prelude::*;
+use tiera::sim::FailureWindow;
 use tiera::spec::{parse, Compiler, ParamValue};
 use tiera::tiers::{default_catalog, BlockTier, MemoryTier, ObjectStoreTier};
 use tiera::workloads::oltp::{self, OltpConfig};
@@ -172,6 +173,43 @@ fn metadata_survives_instance_restart() {
     assert!(meta.has_tag(&Tag::new("keep")));
     assert_eq!(meta.size, 1);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// ROADMAP 8(d): the stale copy an overwrite leaves behind is deleted on
+/// a best-effort basis, but a refused delete is counted, not dropped.
+#[test]
+fn overwrite_whose_old_tier_refuses_the_delete_succeeds_and_counts_the_orphan() {
+    let env = SimEnv::new(104);
+    let store_into = |tier: &str| {
+        Rule::on(EventKind::action(ActionOp::Put))
+            .respond(ResponseSpec::store(Selector::Inserted, [tier]))
+    };
+    let ebs = Arc::new(BlockTier::ebs("ebs", 64 * MB, &env));
+    let instance = InstanceBuilder::new("orphan", env.clone())
+        .tier(Arc::new(MemoryTier::same_az("memcached", 64 * MB, &env)))
+        .tier(Arc::clone(&ebs))
+        .rule(store_into("ebs"))
+        .build()
+        .unwrap();
+    instance.put("k", vec![1u8; 4096], SimTime::ZERO).unwrap();
+    assert_eq!(instance.stats().cleanup_failures(), 0);
+
+    // The overwrite lands in memcached; ebs, holding the old copy, has
+    // stopped taking writes by then.
+    instance.policy().replace_all([store_into("memcached")]);
+    ebs.failures()
+        .schedule(FailureWindow::write_outage(SimTime::from_secs(5)));
+    let now = SimTime::from_secs(10);
+    instance.put("k", vec![2u8; 4096], now).unwrap();
+
+    assert_eq!(instance.stats().cleanup_failures(), 1);
+    let key = ObjectKey::new("k");
+    assert!(ebs.contains(&key), "the orphan is still in the tier");
+    assert_eq!(ebs.used(), 4096, "and the tier still counts it");
+    let meta = instance.registry().get(&key).unwrap();
+    assert!(meta.in_tier("memcached") && !meta.in_tier("ebs"), "{meta:?}");
+    let (data, _) = instance.get("k", now).unwrap();
+    assert_eq!(data.as_ref(), &[2u8; 4096][..]);
 }
 
 #[test]
