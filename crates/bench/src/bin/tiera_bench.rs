@@ -1,298 +1,180 @@
-//! `tiera-bench` — wall-clock benchmark CLI.
+//! `tiera-bench` — the deterministic smokes that have no successor in
+//! `benchmark/`.
 //!
 //! ```text
-//! tiera-bench hotpath [--quick] [--out BENCH_pr6.json]
-//! tiera-bench metastore [--quick] [--out BENCH_pr8.json]
+//! tiera-bench chaos [--quick] [--seed N] [--out PATH]
+//! tiera-bench cluster-chaos [--quick] [--seed N] [--out PATH]
 //! tiera-bench rpc-smoke [--quick]
-//! tiera-bench chaos [--quick] [--seed N] [--out BENCH_chaos.json]
-//! tiera-bench cluster [--quick] [--out BENCH_pr9.json]
-//! tiera-bench cluster-chaos [--quick] [--seed N] [--out BENCH_cluster_chaos.json]
-//! tiera-bench check <report.json>
 //! ```
 //!
-//! `hotpath` measures real-CPU throughput of the metadata hot path —
-//! including the single-shot and pipelined RPC scaling curves — and
-//! writes the `BENCH_pr6.json` report; `metastore` measures the sharded
-//! metastore's group-commit amortization and snapshot cold-start speedup
-//! on the real disk and writes `BENCH_pr8.json`; `rpc-smoke` runs a fast
-//! end-to-end round trip of the pipelined RPC plane (echo, a full
-//! pipeline window, batches, and the legacy v1 framing) against a live
-//! in-process server; `chaos` drives the deterministic chaos scenarios at
-//! one seed and writes a replayable JSON summary; `cluster` measures
-//! routed-operation throughput through a three-node replicated
-//! coordinator against a single-node baseline and writes
-//! `BENCH_pr9.json`; `cluster-chaos` runs the node-fault matrix (kill,
-//! partition, rejoin-stale, kill-during-rebalance × two seeds) and
-//! writes a replayable summary; `check` validates an
-//! existing report against its schema (dispatched on the report's
-//! `bench`/`pr` fields, used by `scripts/bench.sh` and the smoke steps so
-//! committed artifacts can't rot — the preserved `BENCH_pr3.json` and the
-//! current `BENCH_pr6.json`/`BENCH_pr8.json` all stay checkable). The
-//! figure experiments remain under the `experiments` binary — those are
-//! virtual-time and deterministic; `hotpath` and `metastore` are
-//! wall-clock by design.
+//! `chaos` drives the deterministic chaos scenarios at one seed;
+//! `cluster-chaos` runs the node-fault matrix (kill, partition,
+//! rejoin-stale, kill-during-rebalance × two seeds). Both build a
+//! replayable JSON summary — printed to stdout, or written to `--out
+//! PATH` — validate it, and exit non-zero on an invariant violation.
+//! `rpc-smoke` runs a fast end-to-end round trip of the RPC plane (echo, a
+//! full pipeline window, batches, and the legacy v1 framing) against a
+//! live in-process server.
+//!
+//! Nothing here measures wall-clock: that is `benchmark/` (the referee
+//! `BENCHMARK.json` names), and the paper's figures are the virtual-time
+//! `experiments` binary.
 
 use std::process::ExitCode;
 
-use tiera_bench::json::Value;
-use tiera_bench::{chaos_report, cluster_bench, hotpath, metastore_bench, tco_bench};
+use tiera_bench::{chaos_report, cluster_bench, rpc_smoke};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  tiera-bench hotpath [--quick] [--out PATH]\n  tiera-bench metastore [--quick] [--out PATH]\n  tiera-bench tco [--quick] [--out PATH]\n  tiera-bench rpc-smoke [--quick]\n  tiera-bench chaos [--quick] [--seed N] [--out PATH]\n  tiera-bench cluster [--quick] [--out PATH]\n  tiera-bench cluster-chaos [--quick] [--seed N] [--out PATH]\n  tiera-bench check <report.json>"
-    );
-    ExitCode::FAILURE
+const USAGE: &str = "usage:\n  tiera-bench chaos [--quick] [--seed N] [--out PATH]\n  tiera-bench cluster-chaos [--quick] [--seed N] [--out PATH]\n  tiera-bench rpc-smoke [--quick]";
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Chaos,
+    ClusterChaos,
+    RpcSmoke,
+}
+
+#[derive(Debug, PartialEq, Eq)]
+struct Flags {
+    quick: bool,
+    seed: u64,
+    out: Option<String>,
+}
+
+/// The one argument parser: a subcommand, then `--quick`, `--seed N` and
+/// `--out PATH` in any order (`rpc-smoke` reports nothing, so it takes
+/// only `--quick`). `None` means "print usage and fail".
+fn parse(args: &[String]) -> Option<(Command, Flags)> {
+    let (name, rest) = args.split_first()?;
+    let command = match name.as_str() {
+        "chaos" => Command::Chaos,
+        "cluster-chaos" => Command::ClusterChaos,
+        "rpc-smoke" => Command::RpcSmoke,
+        _ => return None,
+    };
+    let reports = command != Command::RpcSmoke;
+    let mut flags = Flags {
+        quick: false,
+        seed: 1,
+        out: None,
+    };
+    let mut rest = rest.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--quick" => flags.quick = true,
+            "--seed" if reports => flags.seed = rest.next()?.parse().ok()?,
+            "--out" if reports => flags.out = Some(rest.next()?.clone()),
+            _ => return None,
+        }
+    }
+    Some((command, flags))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The lockcheck sanitizer adds a per-acquisition graph walk — any
-    // timing measured with it enabled is meaningless. `check` only parses
-    // an existing report, so it stays usable from instrumented builds.
-    let measuring = matches!(
-        args.first().map(String::as_str),
-        Some("hotpath" | "metastore" | "tco" | "rpc-smoke" | "chaos" | "cluster" | "cluster-chaos")
-    );
-    if measuring && tiera_support::sync::LOCKCHECK {
+    let Some((command, flags)) = parse(&args) else {
+        eprintln!("{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    // The lockcheck sanitizer adds a per-acquisition graph walk; its own
+    // suite (`cargo test --features tiera-support/lockcheck`) is where it
+    // runs. A `tiera-bench` built with it is a mis-built binary.
+    if tiera_support::sync::LOCKCHECK {
         eprintln!(
             "tiera-bench: this binary was built with the `lockcheck` feature; \
-             refusing to measure (rebuild without --features lockcheck)"
+             refusing to run (rebuild without --features lockcheck)"
         );
         return ExitCode::FAILURE;
     }
-    match args.first().map(String::as_str) {
-        Some("hotpath") => {
-            let mut quick = false;
-            let mut out = String::from("BENCH_pr6.json");
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => match rest.next() {
-                        Some(path) => out = path.clone(),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
+    let name = &args[0]; // the subcommand `parse` accepted
+    let Flags { quick, seed, out } = flags;
+    if command == Command::RpcSmoke {
+        return match rpc_smoke::rpc_smoke() {
+            Ok(()) => {
+                eprintln!("rpc-smoke: ok (pipelined echo, pipeline window, batches, v1 framing)");
+                ExitCode::SUCCESS
             }
-            let report = hotpath::run(&hotpath::Options { quick });
-            if let Err(e) = hotpath::validate(&report) {
-                eprintln!("internal error: generated report fails validation: {e}");
+            Err(e) => {
+                eprintln!("rpc-smoke: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+    eprintln!(
+        "{name}: seed={seed}{} (replay with: tiera-bench {name} --seed {seed})",
+        if quick { " (quick mode)" } else { "" }
+    );
+    let (report, verdict) = if command == Command::Chaos {
+        let report = chaos_report::run(&chaos_report::Options { quick, seed });
+        let verdict = chaos_report::validate(&report);
+        (report, verdict)
+    } else {
+        let report = cluster_bench::run_matrix(&cluster_bench::MatrixOptions { quick, seed });
+        let verdict = cluster_bench::validate_matrix(&report);
+        (report, verdict)
+    };
+    match out {
+        Some(path) => {
+            if let Err(e) = std::fs::write(&path, report.to_pretty()) {
+                eprintln!("write {path}: {e}");
                 return ExitCode::FAILURE;
             }
-            if let Err(e) = std::fs::write(&out, report.to_pretty()) {
-                eprintln!("write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
+            eprintln!("wrote {path}");
         }
-        Some("metastore") => {
-            let mut quick = false;
-            let mut out = String::from("BENCH_pr8.json");
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => match rest.next() {
-                        Some(path) => out = path.clone(),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            let report = metastore_bench::run(&metastore_bench::Options { quick });
-            if let Err(e) = metastore_bench::validate(&report) {
-                eprintln!("internal error: generated report fails validation: {e}");
-                return ExitCode::FAILURE;
-            }
-            if let Err(e) = std::fs::write(&out, report.to_pretty()) {
-                eprintln!("write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
+        None => println!("{}", report.to_pretty()),
+    }
+    match verdict {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{name} run failed invariants: {e}");
+            ExitCode::FAILURE
         }
-        Some("tco") => {
-            let mut quick = false;
-            let mut out = String::from("BENCH_pr10.json");
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => match rest.next() {
-                        Some(path) => out = path.clone(),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            let report = tco_bench::run(&tco_bench::Options { quick });
-            if let Err(e) = tco_bench::validate(&report) {
-                eprintln!("internal error: generated report fails validation: {e}");
-                return ExitCode::FAILURE;
-            }
-            if let Err(e) = std::fs::write(&out, report.to_pretty()) {
-                eprintln!("write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_accepts_the_three_subcommands_and_nothing_else() {
+        let ok = |command, quick, seed, out: Option<&str>| {
+            Some((
+                command,
+                Flags {
+                    quick,
+                    seed,
+                    out: out.map(String::from),
+                },
+            ))
+        };
+        // `None`: the CLI prints usage and exits non-zero.
+        for (line, expected) in [
+            (
+                "chaos --quick --seed 7 --out p",
+                ok(Command::Chaos, true, 7, Some("p")),
+            ),
+            ("chaos", ok(Command::Chaos, false, 1, None)),
+            (
+                "cluster-chaos --out q --seed 9",
+                ok(Command::ClusterChaos, false, 9, Some("q")),
+            ),
+            ("rpc-smoke --quick", ok(Command::RpcSmoke, true, 1, None)),
+            ("", None),
+            ("chaos --seed", None),
+            ("chaos --seed seven", None),
+            ("chaos --bogus", None),
+            ("cluster-chaos --out", None),
+            ("rpc-smoke --seed 1", None),
+            ("rpc-smoke --out p", None),
+            // The retired first bench generation.
+            ("hotpath", None),
+            ("metastore --quick", None),
+            ("tco --quick", None),
+            ("cluster --quick", None),
+            ("check report.json", None),
+        ] {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            assert_eq!(parse(&args), expected, "`tiera-bench {line}`");
         }
-        Some("rpc-smoke") => {
-            // `--quick` is accepted for symmetry with the other
-            // subcommands; the smoke is already fast so it changes nothing.
-            if args[1..].iter().any(|a| a != "--quick") {
-                return usage();
-            }
-            match hotpath::rpc_smoke() {
-                Ok(()) => {
-                    eprintln!("rpc-smoke: ok (pipelined echo, pipeline window, batches, v1 framing)");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("rpc-smoke: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("chaos") => {
-            let mut quick = false;
-            let mut seed = 1u64;
-            let mut out = String::from("BENCH_chaos.json");
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--seed" => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) => seed = n,
-                        None => return usage(),
-                    },
-                    "--out" => match rest.next() {
-                        Some(path) => out = path.clone(),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            eprintln!(
-                "chaos: seed={seed}{} (replay with: tiera-bench chaos --seed {seed})",
-                if quick { " (quick mode)" } else { "" }
-            );
-            let report = chaos_report::run(&chaos_report::Options { quick, seed });
-            if let Err(e) = std::fs::write(&out, report.to_pretty()) {
-                eprintln!("write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {out}");
-            match chaos_report::validate(&report) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("chaos run failed invariants: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("cluster") => {
-            let mut quick = false;
-            let mut out = String::from("BENCH_pr9.json");
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => match rest.next() {
-                        Some(path) => out = path.clone(),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            let report = cluster_bench::run(&cluster_bench::Options { quick });
-            if let Err(e) = cluster_bench::validate(&report) {
-                eprintln!("internal error: generated report fails validation: {e}");
-                return ExitCode::FAILURE;
-            }
-            if let Err(e) = std::fs::write(&out, report.to_pretty()) {
-                eprintln!("write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Some("cluster-chaos") => {
-            let mut quick = false;
-            let mut seed = 1u64;
-            let mut out = String::from("BENCH_cluster_chaos.json");
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--seed" => match rest.next().and_then(|s| s.parse().ok()) {
-                        Some(n) => seed = n,
-                        None => return usage(),
-                    },
-                    "--out" => match rest.next() {
-                        Some(path) => out = path.clone(),
-                        None => return usage(),
-                    },
-                    _ => return usage(),
-                }
-            }
-            eprintln!(
-                "cluster-chaos: seed={seed}{} (replay with: tiera-bench cluster-chaos --seed {seed})",
-                if quick { " (quick mode)" } else { "" }
-            );
-            let report = cluster_bench::run_matrix(&cluster_bench::MatrixOptions { quick, seed });
-            if let Err(e) = std::fs::write(&out, report.to_pretty()) {
-                eprintln!("write {out}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("wrote {out}");
-            match cluster_bench::validate_matrix(&report) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("cluster-chaos run failed invariants: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("check") => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let report = match Value::parse(&text) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("{path}: invalid JSON: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let outcome = match report.get("bench").and_then(Value::as_str) {
-                Some("chaos") => chaos_report::validate(&report),
-                Some("cluster") => cluster_bench::validate(&report),
-                Some("cluster-chaos") => cluster_bench::validate_matrix(&report),
-                Some("metastore") => metastore_bench::validate(&report),
-                Some("tco") => tco_bench::validate(&report),
-                _ => hotpath::validate(&report),
-            };
-            match outcome {
-                Ok(()) => {
-                    println!("{path}: ok");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{path}: schema violation: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
     }
 }

@@ -1,10 +1,10 @@
 //! The `tiera-bench chaos` report: runs every chaos scenario kind at one
 //! seed and emits a schema-validated JSON summary.
 //!
-//! Unlike `hotpath`, this report is *virtual-time deterministic*: the same
-//! seed produces the same JSON byte for byte (no wall-clock fields), so CI
-//! can both smoke-run it and, when it fails, hand the seed straight back
-//! to `tiera-bench chaos --seed N` for a local replay.
+//! The report is *virtual-time deterministic*: the same seed produces the
+//! same JSON byte for byte (no wall-clock fields), so CI can both smoke-run
+//! it and, when it fails, hand the seed straight back to
+//! `tiera-bench chaos --seed N` for a local replay.
 
 use tiera_chaos::scenario::{self, ChaosConfig, ChaosOutcome, ScenarioKind};
 
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_wrong_bench_kind() {
-        let report = Value::obj([("bench", Value::Str("hotpath".into()))]);
+        let report = Value::obj([("bench", Value::Str("cluster-chaos".into()))]);
         assert!(validate(&report).is_err());
     }
 

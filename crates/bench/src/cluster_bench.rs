@@ -1,244 +1,13 @@
-//! Cluster-plane benchmarks: `tiera-bench cluster` (wall-clock,
-//! `BENCH_pr9.json`) and `tiera-bench cluster-chaos` (deterministic
-//! node-fault matrix report).
-//!
-//! `cluster` measures real-CPU throughput of routed operations through a
-//! [`Coordinator`] fronting three in-process nodes (R=3, W=2) against a
-//! single-node R=1/W=1 baseline over the same coordinator machinery —
-//! the ratio is the replication overhead: how much a write costs when it
-//! fans out to three owners and waits for a two-ack quorum instead of
-//! touching one instance. A mixed read/write section and a batch section
-//! round out the headline numbers.
-//!
-//! `cluster-chaos` runs the [`tiera_chaos::run_cluster_matrix`] node-
-//! fault matrix (kill, partition, rejoin-stale, kill-during-rebalance ×
-//! seeds) and emits a replayable, byte-deterministic JSON summary in the
-//! style of `chaos_report`.
-
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+//! The `tiera-bench cluster-chaos` report: runs the
+//! [`tiera_chaos::run_cluster_matrix`] node-fault matrix (kill, partition,
+//! rejoin-stale, kill-during-rebalance × seeds) and emits a replayable,
+//! byte-deterministic JSON summary in the style of `chaos_report`.
+//! (Routed-operation throughput — what replication costs — is the
+//! `cluster.single.*` / `cluster.r3w2.*` rungs of `benchmark/`.)
 
 use tiera_chaos::cluster_scenario::{run_cluster_matrix, ClusterChaosOutcome, ClusterScenarioKind};
-use tiera_cluster::{ClusterNode, Coordinator};
-use tiera_core::builder::InstanceBuilder;
-use tiera_core::tier::{MemTier, TierTraits};
-use tiera_sim::{SimEnv, SimTime};
-use tiera_support::Bytes;
 
 use crate::json::Value;
-
-/// Options for the wall-clock cluster bench.
-#[derive(Debug, Clone)]
-pub struct Options {
-    /// Smaller measurement window (CI smoke).
-    pub quick: bool,
-}
-
-impl Options {
-    fn window(&self) -> Duration {
-        if self.quick {
-            Duration::from_millis(250)
-        } else {
-            Duration::from_secs(2)
-        }
-    }
-}
-
-fn mem_node(name: &str, seed: u64) -> Arc<ClusterNode> {
-    let inst = InstanceBuilder::new(name, SimEnv::new(seed))
-        .tier(MemTier::with_traits(
-            "store",
-            512 << 20,
-            TierTraits {
-                durable: true,
-                ..TierTraits::default()
-            },
-        ))
-        .build()
-        .expect("bench node builds");
-    ClusterNode::new(name, inst)
-}
-
-fn cluster(n: usize, r: usize, w: usize) -> Coordinator {
-    let coord = Coordinator::new(r, w);
-    for i in 0..n {
-        coord
-            .add_node(mem_node(&format!("node-{i}"), 4000 + i as u64))
-            .expect("distinct bench node names");
-    }
-    coord
-}
-
-/// Closed-loop ops/sec of `op` over the measurement window.
-fn ops_per_sec(window: Duration, mut op: impl FnMut(u64)) -> f64 {
-    let mut done = 0u64;
-    let start = Instant::now();
-    loop {
-        op(done);
-        done += 1;
-        if done % 64 == 0 && start.elapsed() >= window {
-            break;
-        }
-    }
-    done as f64 / start.elapsed().as_secs_f64()
-}
-
-fn routed_section(coord: &Coordinator, window: Duration, value_size: usize) -> (f64, f64, f64) {
-    let t = SimTime::ZERO;
-    let payload = vec![0xabu8; value_size];
-    // Pre-populate the whole keyspace so the read sections never miss,
-    // regardless of how many puts the measurement window fits.
-    for i in 0..4096u64 {
-        coord
-            .put(&format!("bench-{i}"), Bytes::from(payload.clone()), t)
-            .expect("no faults in a bench run");
-    }
-    let put = ops_per_sec(window, |i| {
-        let key = format!("bench-{}", i % 4096);
-        coord
-            .put(&key, Bytes::from(payload.clone()), t)
-            .expect("no faults in a bench run");
-    });
-    let get = ops_per_sec(window, |i| {
-        let key = format!("bench-{}", i % 4096);
-        coord.get(&key, t).expect("benched keys were all written");
-    });
-    let mixed = ops_per_sec(window, |i| {
-        let key = format!("bench-{}", i % 4096);
-        if i % 4 == 0 {
-            coord
-                .put(&key, Bytes::from(payload.clone()), t)
-                .expect("no faults in a bench run");
-        } else {
-            coord.get(&key, t).expect("benched keys were all written");
-        }
-    });
-    (put, get, mixed)
-}
-
-/// Runs the wall-clock cluster bench and builds the `BENCH_pr9.json`
-/// report.
-pub fn run(opts: &Options) -> Value {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    eprintln!(
-        "cluster: wall-clock benchmark on {cores} core(s){}",
-        if opts.quick { " (quick mode)" } else { "" }
-    );
-    let window = opts.window();
-    let value_size = 1024usize;
-
-    // Baseline: the same coordinator machinery, one node, R=1/W=1 — so
-    // the ratio isolates replication fan-out, not coordinator overhead.
-    let baseline = cluster(1, 1, 1);
-    let (base_put, base_get, base_mixed) = routed_section(&baseline, window, value_size);
-    eprintln!("  1-node R=1/W=1: put={base_put:.0}/s get={base_get:.0}/s mixed={base_mixed:.0}/s");
-
-    let replicated = cluster(3, 3, 2);
-    let (rep_put, rep_get, rep_mixed) = routed_section(&replicated, window, value_size);
-    eprintln!("  3-node R=3/W=2: put={rep_put:.0}/s get={rep_get:.0}/s mixed={rep_mixed:.0}/s");
-
-    // Batch shape: Multi* fan-out through the same ring.
-    let t = SimTime::ZERO;
-    let payload = vec![0xcdu8; value_size];
-    let batch = ops_per_sec(window, |i| {
-        let keys: Vec<String> = (0..8).map(|j| format!("bench-{}", (i * 8 + j) % 4096)).collect();
-        let items: Vec<(&str, Bytes)> = keys
-            .iter()
-            .map(|k| (k.as_str(), Bytes::from(payload.clone())))
-            .collect();
-        for outcome in replicated.multi_put(&items, t) {
-            outcome.expect("no faults in a bench run");
-        }
-    }) * 8.0;
-    eprintln!("  3-node multi_put: {batch:.0} items/s");
-
-    let put_overhead = base_put / rep_put.max(1e-9);
-    eprintln!("  replication overhead: put {put_overhead:.2}x");
-
-    Value::obj([
-        ("bench", Value::Str("cluster".into())),
-        ("pr", Value::Num(9.0)),
-        ("quick", Value::Bool(opts.quick)),
-        ("value_size", Value::Num(value_size as f64)),
-        (
-            "single_node",
-            Value::obj([
-                ("nodes", Value::Num(1.0)),
-                ("replicas", Value::Num(1.0)),
-                ("write_quorum", Value::Num(1.0)),
-                ("put_ops_per_sec", Value::Num(base_put)),
-                ("get_ops_per_sec", Value::Num(base_get)),
-                ("mixed_ops_per_sec", Value::Num(base_mixed)),
-            ]),
-        ),
-        (
-            "three_node",
-            Value::obj([
-                ("nodes", Value::Num(3.0)),
-                ("replicas", Value::Num(3.0)),
-                ("write_quorum", Value::Num(2.0)),
-                ("put_ops_per_sec", Value::Num(rep_put)),
-                ("get_ops_per_sec", Value::Num(rep_get)),
-                ("mixed_ops_per_sec", Value::Num(rep_mixed)),
-                ("multi_put_items_per_sec", Value::Num(batch)),
-            ]),
-        ),
-        (
-            "replication_overhead",
-            Value::obj([
-                ("put_slowdown_vs_single", Value::Num(put_overhead)),
-                ("get_slowdown_vs_single", Value::Num(base_get / rep_get.max(1e-9))),
-            ]),
-        ),
-        (
-            "meta",
-            Value::obj([("cores", Value::Num(cores as f64))]),
-        ),
-    ])
-}
-
-fn positive(report: &Value, path: &[&str]) -> Result<f64, String> {
-    let mut v = report;
-    for key in path {
-        v = v
-            .get(key)
-            .ok_or_else(|| format!("missing `{}`", path.join(".")))?;
-    }
-    v.as_num()
-        .filter(|n| n.is_finite() && *n > 0.0)
-        .ok_or_else(|| format!("`{}` must be a positive number", path.join(".")))
-}
-
-/// Validates the `BENCH_pr9.json` schema.
-pub fn validate(report: &Value) -> Result<(), String> {
-    if report.get("bench").and_then(Value::as_str) != Some("cluster") {
-        return Err("`bench` must be \"cluster\"".into());
-    }
-    if report.get("pr").and_then(Value::as_num) != Some(9.0) {
-        return Err("`pr` must be 9".into());
-    }
-    if !matches!(report.get("quick"), Some(Value::Bool(_))) {
-        return Err("`quick` must be a boolean".into());
-    }
-    for section in ["single_node", "three_node"] {
-        for field in ["put_ops_per_sec", "get_ops_per_sec", "mixed_ops_per_sec"] {
-            positive(report, &[section, field])?;
-        }
-    }
-    positive(report, &["three_node", "multi_put_items_per_sec"])?;
-    positive(report, &["replication_overhead", "put_slowdown_vs_single"])?;
-    positive(report, &["meta", "cores"])?;
-    let r = positive(report, &["three_node", "replicas"])?;
-    let w = positive(report, &["three_node", "write_quorum"])?;
-    if !(w <= r) {
-        return Err("three_node write_quorum must not exceed replicas".into());
-    }
-    Ok(())
-}
-
-// ---- the deterministic node-fault matrix report ----
 
 /// Options for the cluster-chaos matrix report.
 #[derive(Debug, Clone)]
@@ -373,12 +142,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_cluster_report_validates() {
-        let report = run(&Options { quick: true });
-        validate(&report).expect("generated report validates");
-    }
-
-    #[test]
     fn quick_matrix_report_validates_and_replays_identically() {
         let opts = MatrixOptions {
             quick: true,
@@ -396,8 +159,7 @@ mod tests {
 
     #[test]
     fn validators_reject_wrong_bench_kind() {
-        let wrong = Value::obj([("bench", Value::Str("hotpath".into()))]);
-        assert!(validate(&wrong).is_err());
+        let wrong = Value::obj([("bench", Value::Str("chaos".into()))]);
         assert!(validate_matrix(&wrong).is_err());
     }
 

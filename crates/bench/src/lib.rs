@@ -14,10 +14,14 @@
 //! seed). `EXPERIMENTS.md` records the measured outputs next to the
 //! paper's numbers.
 //!
-//! The micro-benchmarks (`benches/`, tiera-support bench harness) cover the real-CPU costs:
-//! control-layer dispatch overhead (Figure 18's x-axis is event rate, and
-//! the overhead itself is compute), codec throughput, spec parsing,
-//! metastore appends, and histogram recording.
+//! The second binary, `tiera-bench`, carries the three deterministic
+//! smokes that have no other home: `chaos` ([`chaos_report`]),
+//! `cluster-chaos` ([`cluster_bench`]) and `rpc-smoke` ([`rpc_smoke`]).
+//! Nothing in this crate is the referee for wall-clock numbers — that is
+//! `benchmark/`, which borrows [`json`] from here. The micro-benchmarks
+//! (`benches/`, tiera-support bench harness) remain for looking at one
+//! kernel in isolation: control-layer dispatch, codec throughput, spec
+//! parsing, metastore appends, histogram recording.
 
 #![forbid(unsafe_code)]
 
@@ -25,10 +29,8 @@ pub mod chaos_report;
 pub mod cluster_bench;
 pub mod deployments;
 pub mod experiments;
-pub mod hotpath;
 pub mod json;
-pub mod metastore_bench;
+pub mod rpc_smoke;
 pub mod table;
-pub mod tco_bench;
 
 pub use table::Table;

@@ -23,9 +23,9 @@
 //!   over the owners, one group per owner), repairs the owners a read
 //!   probed and passed over, and runs the bandwidth-capped, resumable
 //!   rebalance engine when membership changes.
-//! * [`wire`] — length-prefixed membership and routed-op messages in the
-//!   `tiera-rpc` framing style; every decode path is statically
-//!   panic-free (the A004 analyzer list includes this file).
+//! * [`wire`] — length-prefixed membership messages (the coordinator's
+//!   membership log) in the `tiera-rpc` framing style; every decode path
+//!   is statically panic-free (the A004 analyzer list includes this file).
 //!
 //! Lock order (see `tiera_support::sync::rank`): `cluster.ring` →
 //! `cluster.meta` → `cluster.node`. Ring and meta guards are never held
@@ -46,4 +46,4 @@ pub mod wire;
 pub use coordinator::{ClusterError, Coordinator, ReadStats, RebalanceReport};
 pub use node::{ClusterNode, NodeError};
 pub use ring::{KeyMove, RebalancePlan, Ring};
-pub use wire::{MembershipMsg, RoutedOp};
+pub use wire::MembershipMsg;

@@ -1,4 +1,4 @@
-//! Cluster wire messages: membership changes and routed operations.
+//! Cluster wire messages: membership changes.
 //!
 //! Same framing discipline as `tiera_rpc::proto` — a one-byte opcode,
 //! length-prefixed fields, little-endian integers — so these payloads
@@ -7,20 +7,16 @@
 //! `try_into`/`get` rather than assumed by indexing, and hostile counts
 //! are rejected before any allocation scales with them. The analyzer's
 //! A004 panic-free module list includes this file, and the fuzz tests at
-//! the bottom feed truncated/corrupted/hostile-length input through both
-//! decoders.
-//!
-//! Routed mutations carry an **idempotency token**: a coordinator (or a
-//! client redialling after a torn connection) may deliver the same
-//! operation twice — once via the original route, once via a failover
-//! route — and the token lets the receiving node apply it exactly once.
+//! the bottom feed truncated/corrupted/hostile-length input through the
+//! decoder.
 
 use std::io;
 
-pub use tiera_rpc::proto::{MAX_BATCH, MAX_FRAME};
+pub use tiera_rpc::proto::MAX_FRAME;
 
 /// Maximum member names accepted in one [`MembershipMsg::Digest`] —
-/// guards hostile counts the way [`MAX_BATCH`] guards batch sizes.
+/// guards hostile counts the way [`tiera_rpc::proto::MAX_BATCH`] guards
+/// batch sizes.
 pub const MAX_NODES: usize = 1024;
 
 /// Membership-plane messages exchanged when nodes join, leave, or rejoin.
@@ -57,44 +53,11 @@ pub enum MembershipMsg {
     },
 }
 
-/// One operation routed from the coordinator to an owning node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RoutedOp {
-    /// Replicated store.
-    Put {
-        /// Idempotency token (one per logical client operation).
-        token: u64,
-        /// Replica version assigned by the coordinator.
-        version: u64,
-        /// Object key.
-        key: String,
-        /// Payload.
-        value: Vec<u8>,
-    },
-    /// Read.
-    Get {
-        /// Object key.
-        key: String,
-    },
-    /// Replicated delete — non-idempotent at the storage layer, made
-    /// exactly-once by the token.
-    Delete {
-        /// Idempotency token (one per logical client operation).
-        token: u64,
-        /// Object key.
-        key: String,
-    },
-}
-
 // ---- encoding helpers (mirrors tiera_rpc::proto) ----
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
 fn truncated() -> io::Error {
@@ -134,16 +97,12 @@ impl<'a> Cursor<'a> {
         le_u64(self.take(8)?)
     }
 
-    fn bytes(&mut self) -> io::Result<Vec<u8>> {
+    fn string(&mut self) -> io::Result<String> {
         let len = self.u32()? as usize;
         if len > MAX_FRAME {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "field too big"));
         }
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?)
+        String::from_utf8(self.take(len)?.to_vec())
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "invalid utf-8"))
     }
 
@@ -237,97 +196,6 @@ impl MembershipMsg {
     }
 }
 
-impl RoutedOp {
-    /// Encodes to a payload (no frame header).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            RoutedOp::Put {
-                token,
-                version,
-                key,
-                value,
-            } => {
-                out.push(1);
-                out.extend_from_slice(&token.to_le_bytes());
-                out.extend_from_slice(&version.to_le_bytes());
-                put_str(out, key);
-                put_bytes(out, value);
-            }
-            RoutedOp::Get { key } => {
-                out.push(2);
-                put_str(out, key);
-            }
-            RoutedOp::Delete { token, key } => {
-                out.push(3);
-                out.extend_from_slice(&token.to_le_bytes());
-                put_str(out, key);
-            }
-        }
-    }
-
-    /// Decodes from a payload; never panics, whatever the bytes.
-    pub fn decode(buf: &[u8]) -> io::Result<RoutedOp> {
-        let mut c = Cursor { buf, pos: 0 };
-        let op = Self::decode_one(&mut c)?;
-        reject_trailing(&c, "routed op")?;
-        Ok(op)
-    }
-
-    fn decode_one(c: &mut Cursor<'_>) -> io::Result<RoutedOp> {
-        Ok(match c.u8()? {
-            1 => RoutedOp::Put {
-                token: c.u64()?,
-                version: c.u64()?,
-                key: c.string()?,
-                value: c.bytes()?,
-            },
-            2 => RoutedOp::Get { key: c.string()? },
-            3 => RoutedOp::Delete {
-                token: c.u64()?,
-                key: c.string()?,
-            },
-            op => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown routed opcode {op}"),
-                ))
-            }
-        })
-    }
-
-    /// Encodes a batch of routed ops (count-prefixed, [`MAX_BATCH`]-capped
-    /// like the v2 Multi* frames).
-    pub fn encode_batch(ops: &[RoutedOp]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-        for op in ops {
-            op.encode_into(&mut out);
-        }
-        out
-    }
-
-    /// Decodes a batch, rejecting hostile counts before allocating.
-    pub fn decode_batch(buf: &[u8]) -> io::Result<Vec<RoutedOp>> {
-        let mut c = Cursor { buf, pos: 0 };
-        let n = c.u32()? as usize;
-        if n > MAX_BATCH {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "batch too big"));
-        }
-        let mut ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            ops.push(Self::decode_one(&mut c)?);
-        }
-        reject_trailing(&c, "routed batch")?;
-        Ok(ops)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,10 +203,6 @@ mod tests {
 
     fn roundtrip_membership(msg: MembershipMsg) {
         assert_eq!(MembershipMsg::decode(&msg.encode()).unwrap(), msg);
-    }
-
-    fn roundtrip_op(op: RoutedOp) {
-        assert_eq!(RoutedOp::decode(&op.encode()).unwrap(), op);
     }
 
     #[test]
@@ -366,43 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn routed_ops_roundtrip() {
-        roundtrip_op(RoutedOp::Put {
-            token: 7,
-            version: 41,
-            key: "k/1".into(),
-            value: (0..=255).collect(),
-        });
-        roundtrip_op(RoutedOp::Get { key: "".into() });
-        roundtrip_op(RoutedOp::Delete {
-            token: u64::MAX,
-            key: "victim".into(),
-        });
-        let batch = vec![
-            RoutedOp::Put {
-                token: 1,
-                version: 2,
-                key: "a".into(),
-                value: vec![1, 2, 3],
-            },
-            RoutedOp::Delete {
-                token: 2,
-                key: "b".into(),
-            },
-            RoutedOp::Get { key: "c".into() },
-        ];
-        assert_eq!(
-            RoutedOp::decode_batch(&RoutedOp::encode_batch(&batch)).unwrap(),
-            batch
-        );
-        assert_eq!(RoutedOp::decode_batch(&RoutedOp::encode_batch(&[])).unwrap(), vec![]);
-    }
-
-    #[test]
     fn garbage_is_rejected_not_panicked() {
         assert!(MembershipMsg::decode(&[]).is_err());
         assert!(MembershipMsg::decode(&[0]).is_err(), "opcode zero reserved");
-        assert!(RoutedOp::decode(&[99]).is_err());
+        assert!(MembershipMsg::decode(&[99]).is_err());
         // Trailing bytes.
         let mut enc = MembershipMsg::Join {
             node: "n".into(),
@@ -412,15 +243,13 @@ mod tests {
         enc.push(0);
         assert!(MembershipMsg::decode(&enc).is_err());
         // Truncation at every prefix must error, never panic.
-        let enc = RoutedOp::Put {
-            token: 1,
-            version: 2,
-            key: "key".into(),
-            value: vec![9; 32],
+        let enc = MembershipMsg::Digest {
+            epoch: 2,
+            nodes: vec!["node-a".into(), "node-b".into()],
         }
         .encode();
         for cut in 0..enc.len() {
-            assert!(RoutedOp::decode(&enc[..cut]).is_err(), "cut at {cut}");
+            assert!(MembershipMsg::decode(&enc[..cut]).is_err(), "cut at {cut}");
         }
     }
 
@@ -431,24 +260,18 @@ mod tests {
         enc.extend_from_slice(&7u64.to_le_bytes());
         enc.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(MembershipMsg::decode(&enc).is_err());
-        // Batch claiming MAX_BATCH+1 ops.
-        let mut enc = Vec::new();
-        enc.extend_from_slice(&((MAX_BATCH + 1) as u32).to_le_bytes());
-        assert!(RoutedOp::decode_batch(&enc).is_err());
         // A string field claiming more bytes than the frame limit.
-        let mut enc = vec![2u8];
+        let mut enc = vec![1u8];
         enc.extend_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(RoutedOp::decode(&enc).is_err());
+        assert!(MembershipMsg::decode(&enc).is_err());
     }
 
     #[test]
     fn prop_decode_never_panics() {
-        // Pure fuzz: random bytes through every decoder.
+        // Pure fuzz: random bytes through the decoder.
         tiera_support::prop_check!(cases = 192, |rng| {
             let bytes = gen::byte_vec(rng, 0..256);
             let _ = MembershipMsg::decode(&bytes);
-            let _ = RoutedOp::decode(&bytes);
-            let _ = RoutedOp::decode_batch(&bytes);
         });
     }
 
@@ -464,27 +287,14 @@ mod tests {
                 }),
             };
             let mut enc = msg.encode();
-            let op = RoutedOp::Put {
-                token: gen::u64_in(rng, 0..u64::MAX),
-                version: gen::u64_in(rng, 0..u64::MAX),
-                key: gen::string_of(rng, "abcdefgh/", 0..16),
-                value: gen::byte_vec(rng, 0..64),
-            };
-            let mut enc_op = op.encode();
-            for enc in [&mut enc, &mut enc_op] {
-                if !enc.is_empty() {
-                    // Corrupt one byte.
-                    let at = gen::usize_in(rng, 0..enc.len());
-                    if let Some(b) = enc.get_mut(at) {
-                        *b = b.wrapping_add(1 + gen::usize_in(rng, 0..255) as u8);
-                    }
-                    // And truncate to a random prefix.
-                    let cut = gen::usize_in(rng, 0..enc.len() + 1);
-                    let _ = MembershipMsg::decode(&enc[..cut]);
-                    let _ = RoutedOp::decode(&enc[..cut]);
-                    let _ = RoutedOp::decode_batch(&enc[..cut]);
-                }
+            // Corrupt one byte (a digest encodes to at least 13).
+            let at = gen::usize_in(rng, 0..enc.len());
+            if let Some(b) = enc.get_mut(at) {
+                *b = b.wrapping_add(1 + gen::usize_in(rng, 0..255) as u8);
             }
+            // And truncate to a random prefix.
+            let cut = gen::usize_in(rng, 0..enc.len() + 1);
+            let _ = MembershipMsg::decode(&enc[..cut]);
         });
     }
 }

@@ -2283,6 +2283,8 @@ mod tests {
         // Every record was committed through the group path, and each got
         // exactly one ack.
         assert_eq!(st.group_commit_records, 200, "{st:?}");
+        // And the fsync is per led batch, not per record.
+        assert_eq!(st.fsyncs, st.group_commits, "{st:?}");
         drop(s);
         let s = MetaStore::open(&dir).unwrap();
         assert_eq!(s.len(), 200);

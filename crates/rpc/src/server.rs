@@ -7,7 +7,9 @@
 //! as expected when the server runs live.
 //!
 //! Two scheduling decisions differ from the thread-per-request pool the
-//! paper describes, both driven by the BENCH_pr3 scaling regression:
+//! paper describes, both driven by a measured scaling regression (eight
+//! connections ran at 0.81× the throughput of one; EXPERIMENTS.md, "Bench
+//! history"):
 //!
 //! * **Sharded accept.** The acceptor round-robins incoming connections
 //!   across per-worker queues; a connection is pinned to one worker for

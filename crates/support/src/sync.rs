@@ -221,8 +221,8 @@ pub mod rank {
 }
 
 /// Whether this build of `tiera-support` carries the lockcheck sanitizer.
-/// Benchmarks refuse to run when this is `true` (`scripts/bench.sh`):
-/// sanitized numbers are not comparable to the committed baselines.
+/// `tiera-bench` and `tiera-benchmark` refuse to run when this is `true`:
+/// sanitized numbers are not comparable to unsanitized ones.
 pub const LOCKCHECK: bool = cfg!(feature = "lockcheck");
 
 #[cfg(feature = "lockcheck")]

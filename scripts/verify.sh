@@ -36,38 +36,22 @@ echo "==> benchmark/ tests (outside the root workspace; catches API drift under 
 echo "==> footprint gate (100 000 keys; fails over the per-object memory budget)"
 cargo run -q --release --offline -p tiera --example footprint -- --check
 
-echo "==> bench smoke (quick mode; schema only, no timing assertions)"
-./scripts/bench.sh
-
 echo "==> rpc smoke (pipelined echo + batch round trip against a live server)"
 ./target/release/tiera-bench rpc-smoke --quick
 
-echo "==> chaos smoke (deterministic; seed 1 replays byte-identically)"
-CHAOS_OUT="$(mktemp -t tiera-chaos-XXXXXX.json)"
-META_OUT="$(mktemp -t tiera-metastore-XXXXXX.json)"
-trap 'rm -f "$CHAOS_OUT" "$META_OUT"' EXIT
-./target/release/tiera-bench chaos --quick --seed 1 --out "$CHAOS_OUT"
-./target/release/tiera-bench check "$CHAOS_OUT"
+echo "==> chaos smoke (deterministic; exits non-zero on an invariant violation)"
+./target/release/tiera-bench chaos --quick --seed 1 > /dev/null
 
-echo "==> metastore smoke (quick mode; schema only, no timing assertions)"
-./target/release/tiera-bench metastore --quick --out "$META_OUT"
-./target/release/tiera-bench check "$META_OUT"
+echo "==> cluster-chaos smoke (node-fault matrix; same contract)"
+./target/release/tiera-bench cluster-chaos --quick --seed 1 > /dev/null
 
-echo "==> tco smoke (quick mode; wrapper capacity/latency harness, schema only)"
-TCO_OUT="$(mktemp -t tiera-tco-XXXXXX.json)"
-trap 'rm -f "$CHAOS_OUT" "$META_OUT" "$TCO_OUT"' EXIT
-./target/release/tiera-bench tco --quick --out "$TCO_OUT"
-./target/release/tiera-bench check "$TCO_OUT"
-
-echo "==> cluster smoke (quick mode; 3-node routed throughput, schema only)"
-CLUSTER_OUT="$(mktemp -t tiera-cluster-XXXXXX.json)"
-CLUSTER_CHAOS_OUT="$(mktemp -t tiera-cluster-chaos-XXXXXX.json)"
-trap 'rm -f "$CHAOS_OUT" "$META_OUT" "$TCO_OUT" "$CLUSTER_OUT" "$CLUSTER_CHAOS_OUT"' EXIT
-./target/release/tiera-bench cluster --quick --out "$CLUSTER_OUT"
-./target/release/tiera-bench check "$CLUSTER_OUT"
-
-echo "==> cluster-chaos smoke (node-fault matrix; seed 1 replays byte-identically)"
-./target/release/tiera-bench cluster-chaos --quick --seed 1 --out "$CLUSTER_CHAOS_OUT"
-./target/release/tiera-bench check "$CLUSTER_CHAOS_OUT"
+echo "==> experiments golden (the deterministic sections of experiments_output.txt, byte for byte)"
+GOLDEN="table1,figs3-6,fig12,fig16,fig17,ablations"
+sections() { # stdin: an experiments transcript; stdout: its $GOLDEN sections minus the wall-time lines
+    awk -v ids=",$GOLDEN," '/^\[.* completed in .*s wall time\]$/ { keep = 0; next }
+        /^[a-z0-9-]+ — / { keep = index(ids, "," $1 ",") > 0 }
+        keep'
+}
+diff <(sections < experiments_output.txt) <(./target/release/experiments --only "$GOLDEN" | sections)
 
 echo "verify: OK"
