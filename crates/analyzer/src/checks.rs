@@ -12,10 +12,11 @@
 //!   workspace must not touch).
 //! * **A004** applies to the configured panic-free modules' shipping
 //!   region (historically `crates/rpc/src/proto.rs`).
-//! * **A005** applies to every line of the configured hot-path modules
-//!   (`crates/core/src/{registry,tier}.rs`, `crates/tiers/src`), tests
-//!   included — a default-hashed map in a registry test still hides
-//!   iteration-order nondeterminism.
+//! * **A005** applies to every line of the configured hot-path and
+//!   determinism-critical modules (`crates/core/src/{registry,tier}.rs`,
+//!   `crates/tiers/src`, all of `crates/{sim,cluster,chaos,workloads}/src`,
+//!   …), tests included — a default-hashed map in a registry test still
+//!   hides iteration-order nondeterminism.
 //! * **A006** applies to every line of every non-support file, matching
 //!   the original hermetic.rs lint.
 
@@ -32,7 +33,8 @@ pub struct Config {
     /// Files in which no panicking construct may appear in shipping code
     /// (A004).
     pub panic_free: Vec<String>,
-    /// Files in which default-hashed maps are banned (A005).
+    /// Files in which default-hashed maps are banned (A005). An entry
+    /// ending in `/` covers every file under that directory.
     pub hot_path: Vec<String>,
 }
 
@@ -43,7 +45,10 @@ impl Config {
     /// paths, the simulated tiers' reshard walks its map while drawing
     /// from a seeded rng, and the dedup wrapper's integrity check reports
     /// in map order; the cluster coordinator and its nodes probe their
-    /// delete-replay tables on the routed path.
+    /// key and delete-replay tables on the routed path. The simulator,
+    /// the whole cluster crate, the chaos harness and the workload
+    /// drivers must replay bit for bit from a seed, which a randomly
+    /// seeded map's iteration order would break.
     pub fn workspace() -> Self {
         Self {
             panic_free: vec![
@@ -59,8 +64,10 @@ impl Config {
                 "crates/tiers/src/simulated.rs".into(),
                 "crates/tierx/src/compressed.rs".into(),
                 "crates/tierx/src/dedup.rs".into(),
-                "crates/cluster/src/coordinator.rs".into(),
-                "crates/cluster/src/node.rs".into(),
+                "crates/sim/src/".into(),
+                "crates/cluster/src/".into(),
+                "crates/chaos/src/".into(),
+                "crates/workloads/src/".into(),
             ],
         }
     }
@@ -103,8 +110,16 @@ fn is_shipping_file(path: &str) -> bool {
     !path.contains("/tests/") && !path.contains("/benches/") && !path.contains("/examples/")
 }
 
-fn suffix_match(path: &str, suffixes: &[String]) -> bool {
-    suffixes.iter().any(|s| path.ends_with(s.as_str()))
+/// Whether a [`Config`] list covers `path`: a file entry by suffix, a
+/// directory entry (ending in `/`) by containment.
+fn covered(path: &str, entries: &[String]) -> bool {
+    entries.iter().any(|e| {
+        if e.ends_with('/') {
+            path.contains(e.as_str())
+        } else {
+            path.ends_with(e.as_str())
+        }
+    })
 }
 
 /// Analyzes a set of files as one workspace: per-file lints plus the
@@ -310,7 +325,7 @@ fn file_diags(path: &str, facts: &FileFacts, config: &Config) -> Vec<Diagnostic>
     }
 
     // A004 — panicking constructs in panic-free modules (shipping region).
-    if suffix_match(path, &config.panic_free) {
+    if covered(path, &config.panic_free) {
         for (i, line) in facts.cleaned.iter().enumerate().take(facts.shipping_end) {
             for pat in PANICKING {
                 if line.contains(pat) {
@@ -328,7 +343,7 @@ fn file_diags(path: &str, facts: &FileFacts, config: &Config) -> Vec<Diagnostic>
     }
 
     // A005 — default-hashed maps in hot-path modules (all lines).
-    if suffix_match(path, &config.hot_path) {
+    if covered(path, &config.hot_path) {
         for (i, line) in facts.cleaned.iter().enumerate() {
             let default_hashed = (line.contains("HashMap<") && !line.contains("FxHashMap<"))
                 || line.contains("use std::collections::HashMap");
@@ -440,15 +455,27 @@ mod tests {
         assert!(run("crates/support/src/x.rs", src).is_empty());
     }
 
+    /// The cluster's routing files, and with them every file of the crates
+    /// that must replay from a seed.
     #[test]
     fn cluster_routing_files_are_hot_path() {
         let src = "use std::collections::HashMap;\n";
-        for path in ["crates/cluster/src/coordinator.rs", "crates/cluster/src/node.rs"] {
+        for path in [
+            "crates/cluster/src/coordinator.rs",
+            "crates/cluster/src/node.rs",
+            "crates/cluster/src/ring.rs",
+            "crates/sim/src/rng.rs",
+            "crates/chaos/src/schedule.rs",
+            "crates/workloads/src/ycsb.rs",
+            "/abs/checkout/crates/workloads/src/new_driver.rs",
+        ] {
             let diags = run(path, src);
             let codes: Vec<&str> = diags.iter().map(|d| d.code.code()).collect();
             assert_eq!(codes, ["A005"], "{path}: {diags:?}");
         }
-        assert!(run("crates/cluster/src/ring.rs", src).is_empty());
+        // A directory entry covers its own tree only.
+        assert!(run("crates/cluster/tests/hammer.rs", src).is_empty());
+        assert!(run("crates/rpc/src/server.rs", src).is_empty());
     }
 
     #[test]

@@ -14,16 +14,10 @@ use tiera_core::prelude::Selector;
 use tiera_core::{Instance, ObjectKey};
 use tiera_sim::SimTime;
 
-/// FNV-1a checksum of an acknowledged value (collision-resistant enough to
-/// catch torn/stale reads; not cryptographic).
-pub fn checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// Checksum of an acknowledged value: the cluster coordinator's content
+/// checksum, XXH64 (collision-resistant enough to catch torn/stale reads;
+/// not cryptographic).
+pub use tiera_codec::xxh64::checksum;
 
 /// What the client may legitimately observe for one key.
 #[derive(Debug, Clone, PartialEq, Eq)]

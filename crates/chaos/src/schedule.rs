@@ -89,6 +89,8 @@ fn kind_name(kind: FailureKind) -> &'static str {
 /// FNV-1a over the tier name: stable per-tier seed derivation, independent
 /// of `std` hasher randomization.
 fn tier_salt(name: &str) -> u64 {
+    // Stays FNV-1a, not the codec's content checksum: fault schedules (and
+    // fig 17's golden output) derive from this salt.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
         h ^= b as u64;

@@ -5,8 +5,9 @@
 //! the [`Ring`] (primary + R−1 successors):
 //!
 //! * **PUT** writes to all R owners and acknowledges once W confirm
-//!   (`W ≤ R`). The coordinator then records the write's version and
-//!   content checksum in its authoritative per-key metadata.
+//!   (`W ≤ R`): the client is charged the W-th fastest acknowledgement,
+//!   not the slowest of the R. The coordinator then records the write's
+//!   version and content checksum in its authoritative per-key metadata.
 //! * **GET** consults the metadata first — an absent or tombstoned key
 //!   answers `no such object` without touching any node, which is what
 //!   makes phantom reads from stale replicas impossible — then follows
@@ -19,14 +20,30 @@
 //!   after every owner and fallback has been tried. A single `get`
 //!   starts at a rotating owner, so reads of a hot key spread over its
 //!   replicas and R consecutive reads of a key probe every owner;
-//!   `multi_get` plans the whole batch under one ring lock, starts each
+//!   `multi_get` plans the whole batch under one ring lock, plans each
+//!   *distinct* key once — a key repeated in the batch is read once and
+//!   every slot it fills gets a clone of that one answer — starts each
 //!   key at the owner holding the fewest keys of the batch so far (ties
 //!   in ring order) and hands each owner its keys as one group.
 //! * **DELETE** carries an idempotency token (see [`ClusterNode`]) and
-//!   tombstones the metadata after W owners acknowledge. The
-//!   coordinator replays the recorded outcome when the same token is
-//!   delivered again (a client redial racing a failover), so the
-//!   non-idempotent storage op applies exactly once.
+//!   tombstones the metadata after W owners acknowledge, charging the
+//!   W-th fastest acknowledgement like a PUT. The coordinator replays
+//!   the recorded outcome when the same token is delivered again (a
+//!   client redial racing a failover), so the non-idempotent storage op
+//!   applies exactly once.
+//!
+//! **The checksum** is XXH64 ([`tiera_codec::xxh64`]) over the value's
+//! bytes: it tells a stale or damaged replica from a fresh one, which
+//! the system wrote itself, so it needs no resistance to forgery.
+//!
+//! **One key handle per key.** The metadata map is keyed by
+//! [`ObjectKey`], and that one handle is what every [`ClusterNode`] op
+//! names the key by — PUT, GET, batch reads, repair, rebalance and
+//! rejoin alike. Each replica's instance keeps a clone of it, so a key
+//! costs one allocation however many replicas hold it, and a replica
+//! read allocates no key. Routing allocates nothing either: every vnode
+//! point's owner is resolved to its node position once per membership
+//! change, so a route walks integers, and keeps them in place.
 //!
 //! **What heals divergence.** A replica that went stale behind the
 //! coordinator's back is never served — every served byte is verified
@@ -52,11 +69,14 @@
 //! snapshotted out of the ring lock, and metadata is read before / written
 //! after the replica round trips. A batch read takes each of the two once.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use tiera_codec::xxh64::checksum as content_checksum;
+use tiera_core::ObjectKey;
 use tiera_sim::{SimDuration, SimTime};
 use tiera_support::collections::FxHashMap;
 use tiera_support::sync::{rank, Mutex, RwLock};
@@ -65,18 +85,6 @@ use tiera_support::Bytes;
 use crate::node::{ClusterNode, NodeError, ReplicaRead};
 use crate::ring::{KeyMove, Ring, DEFAULT_VNODES};
 use crate::wire::MembershipMsg;
-
-/// FNV-1a checksum of replica content — the divergence detector used by
-/// read repair and anti-entropy (same construction as the chaos
-/// harness's ledger checksum).
-pub fn content_checksum(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why a cluster operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,17 +159,19 @@ struct CachedDelete {
 }
 
 struct MetaState {
-    keys: BTreeMap<String, KeyMeta>,
+    /// Keyed by each key's one handle, which the replicas hold clones of.
+    /// Iterated only through a sort, so the table's order never shows.
+    keys: FxHashMap<ObjectKey, KeyMeta>,
     applied_deletes: FxHashMap<u64, CachedDelete>,
 }
 
 impl MetaState {
-    /// The authoritative checksum of `key`, if it is live.
-    fn live_checksum(&self, key: &str) -> Option<u64> {
+    /// The handle and authoritative checksum of `key`, if it is live.
+    fn live(&self, key: &str) -> Option<(ObjectKey, u64)> {
         self.keys
-            .get(key)
-            .filter(|m| !m.deleted)
-            .map(|m| m.checksum)
+            .get_key_value(key)
+            .filter(|(_, m)| !m.deleted)
+            .map(|(handle, m)| (handle.clone(), m.checksum))
     }
 }
 
@@ -169,11 +179,63 @@ impl MetaState {
 /// snapshot out of the ring lock is one reference-count bump.
 type Handles = Arc<[Arc<ClusterNode>]>;
 
+/// How many values a [`Few`] holds in place.
+const FEW: usize = 8;
+
+/// Values held in place up to [`FEW`], on the heap beyond: a key's owners
+/// and old-ring fallbacks, or their acknowledgements, cost no allocation
+/// while R ≤ 4.
+enum Few<T> {
+    Inline(usize, [T; FEW]),
+    Heap(Vec<T>),
+}
+
+impl<T: Copy + Default> Few<T> {
+    fn new() -> Self {
+        Few::Inline(0, [T::default(); FEW])
+    }
+
+    fn push(&mut self, value: T) {
+        match self {
+            Few::Inline(len, buf) if *len < FEW => {
+                buf[*len] = value;
+                *len += 1;
+            }
+            Few::Inline(_, buf) => {
+                let mut heap = buf.to_vec();
+                heap.push(value);
+                *self = Few::Heap(heap);
+            }
+            Few::Heap(heap) => heap.push(value),
+        }
+    }
+}
+
+impl<T> Deref for Few<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            Few::Inline(len, buf) => &buf[..*len],
+            Few::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<T> DerefMut for Few<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Few::Inline(len, buf) => &mut buf[..*len],
+            Few::Heap(heap) => heap,
+        }
+    }
+}
+
 /// Where one key's bytes may be, as positions into a [`Handles`]
 /// snapshot: its current owners first, then the old-ring owners that a
 /// rebalance in flight has not drained yet.
 struct Route {
-    order: Vec<usize>,
+    order: Few<usize>,
     owners: usize,
 }
 
@@ -183,12 +245,18 @@ impl Route {
     fn start_at(&mut self, start: usize) {
         self.order[..self.owners].rotate_left(start);
     }
+
+    /// The current owners, in probe order.
+    fn owners(&self) -> &[usize] {
+        &self.order[..self.owners]
+    }
 }
 
-/// One live key of a batch read.
+/// One distinct live key of a batch read.
 struct ReadPlan {
-    /// Index of the key in the batch.
+    /// Index of the key's first slot in the batch.
     slot: usize,
+    key: ObjectKey,
     /// The authoritative checksum a served copy must match.
     expected: u64,
     route: Route,
@@ -224,6 +292,9 @@ struct ReadCounters {
 /// An in-flight migration run.
 struct RebalanceRun {
     old_ring: Ring,
+    /// `old_ring`'s point owners as handle positions (see
+    /// [`Membership::reindex`]).
+    old_points: Vec<usize>,
     moves: Vec<KeyMove>,
     cursor: usize,
     completed: usize,
@@ -234,6 +305,10 @@ struct RebalanceRun {
 
 struct Membership {
     ring: Ring,
+    /// The handle position of each `ring` vnode point's owner, so a route
+    /// walks integers instead of comparing names. Rebuilt by
+    /// [`Membership::reindex`] after every change to a ring or to `nodes`.
+    points: Vec<usize>,
     nodes: Handles,
     epoch: u64,
     log: Vec<MembershipMsg>,
@@ -318,6 +393,7 @@ impl Coordinator {
                 rank::CLUSTER_RING,
                 Membership {
                     ring: Ring::new(DEFAULT_VNODES),
+                    points: Vec::new(),
                     nodes: Vec::new().into(),
                     epoch: 0,
                     log: Vec::new(),
@@ -329,7 +405,7 @@ impl Coordinator {
                 "cluster.meta",
                 rank::CLUSTER_META,
                 MetaState {
-                    keys: BTreeMap::new(),
+                    keys: FxHashMap::default(),
                     applied_deletes: FxHashMap::default(),
                 },
             ),
@@ -389,11 +465,20 @@ impl Coordinator {
 
     /// Whether `key` currently exists (written, not tombstoned).
     pub fn contains(&self, key: &str) -> bool {
-        self.live_checksum(key).is_some()
+        self.meta.lock().keys.get(key).is_some_and(|m| !m.deleted)
     }
 
-    fn live_checksum(&self, key: &str) -> Option<u64> {
-        self.meta.lock().live_checksum(key)
+    /// The handle and authoritative checksum of `key`, if it is live.
+    fn live(&self, key: &str) -> Option<(ObjectKey, u64)> {
+        self.meta.lock().live(key)
+    }
+
+    /// The handle `key` was given when first written, or a new one.
+    fn handle(&self, key: &str) -> ObjectKey {
+        match self.meta.lock().keys.get_key_value(key) {
+            Some((handle, _)) => handle.clone(),
+            None => ObjectKey::new(key),
+        }
     }
 
     /// Number of live keys.
@@ -406,15 +491,19 @@ impl Coordinator {
         self.len() == 0
     }
 
-    /// Live keys, sorted (deterministic iteration for planning/audits).
-    pub fn live_keys(&self) -> Vec<String> {
-        self.meta
+    /// Live keys, sorted (deterministic iteration for planning/audits):
+    /// the handles the replicas hold clones of.
+    pub fn live_keys(&self) -> Vec<ObjectKey> {
+        let mut keys: Vec<ObjectKey> = self
+            .meta
             .lock()
             .keys
             .iter()
             .filter(|(_, m)| !m.deleted)
             .map(|(k, _)| k.clone())
-            .collect()
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     // ---- membership ----
@@ -441,7 +530,9 @@ impl Coordinator {
         mem.epoch += 1;
         let epoch = mem.epoch;
         mem.log.push(MembershipMsg::Join { node: name, epoch });
-        Ok(self.install_plan(&mut mem, &old_ring, &keys))
+        let planned = self.install_plan(&mut mem, &old_ring, &keys);
+        mem.reindex();
+        Ok(planned)
     }
 
     /// Removes a node from the ring (its handle stays known as a
@@ -460,19 +551,22 @@ impl Coordinator {
             node: name.to_string(),
             epoch,
         });
-        Ok(self.install_plan(&mut mem, &old_ring, &keys))
+        let planned = self.install_plan(&mut mem, &old_ring, &keys);
+        mem.reindex();
+        Ok(planned)
     }
 
     /// Diffs `old_ring` against the (already updated) membership and
     /// installs the resulting run. A run already in flight is extended
     /// by re-planning from the union ring — the old ring of record stays
     /// the *oldest* one, so reads keep falling back far enough.
-    fn install_plan(&self, mem: &mut Membership, old_ring: &Ring, keys: &[String]) -> usize {
+    fn install_plan(&self, mem: &mut Membership, old_ring: &Ring, keys: &[ObjectKey]) -> usize {
         let base = match &mem.rebalance {
             Some(run) => run.old_ring.clone(),
             None => old_ring.clone(),
         };
-        let plan = base.plan_rebalance(&mem.ring, keys.iter().map(String::as_str), self.replicas);
+        let plan =
+            base.plan_rebalance(&mem.ring, keys.iter().map(ObjectKey::as_str), self.replicas);
         let planned = plan.moves.len();
         if planned == 0 {
             // Nothing to move; finish any stale in-flight bookkeeping.
@@ -483,6 +577,7 @@ impl Coordinator {
         }
         mem.rebalance = Some(RebalanceRun {
             old_ring: base,
+            old_points: Vec::new(),
             moves: plan.moves,
             cursor: 0,
             completed: 0,
@@ -594,7 +689,7 @@ impl Coordinator {
             return (0, false);
         }
         // Deleted or vanished since planning: nothing to copy.
-        let Some(expected) = self.live_checksum(&mv.key) else {
+        let Some((key, expected)) = self.live(&mv.key) else {
             return (0, false);
         };
         // Freshest source: an old owner, or a target that a concurrent
@@ -602,7 +697,7 @@ impl Coordinator {
         let mut fresh: Option<Bytes> = None;
         for name in mv.sources.iter().chain(mv.targets.iter()) {
             if let Some(node) = find(handles, name) {
-                if let Ok((data, _)) = node.apply_get(&mv.key, now) {
+                if let Ok((data, _)) = node.apply_get(&key, now) {
                     if content_checksum(&data) == expected {
                         fresh = Some(data);
                         break;
@@ -623,12 +718,12 @@ impl Coordinator {
                 continue;
             };
             // Skip targets that already hold the fresh bytes.
-            if let Ok((have, _)) = node.apply_get(&mv.key, now) {
+            if let Ok((have, _)) = node.apply_get(&key, now) {
                 if content_checksum(&have) == expected {
                     continue;
                 }
             }
-            match node.apply_put(&mv.key, data.clone(), now) {
+            match node.apply_put(&key, data.clone(), now) {
                 Ok(_) => bytes += data.len() as u64,
                 Err(_) => deferred = true,
             }
@@ -638,57 +733,67 @@ impl Coordinator {
 
     // ---- routed operations ----
 
-    /// Replicated store: writes to all R owners, acks after W confirm.
+    /// Replicated store: writes to all R owners, acks after W confirm and
+    /// charges the W-th fastest acknowledgement.
     pub fn put(&self, key: &str, value: Bytes, now: SimTime) -> Result<SimDuration, ClusterError> {
         let (nodes, route) = self.route(key)?;
+        // An overwrite hands the replicas the handle they already hold;
+        // only a new key allocates one.
+        let handle = self.handle(key);
         let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
         let sum = content_checksum(&value);
-        let mut acked = 0usize;
-        let mut latency = SimDuration::ZERO;
-        for &pos in &route.order[..route.owners] {
-            if let Ok(l) = nodes[pos].apply_put(key, value.clone(), now) {
-                acked += 1;
-                if l > latency {
-                    latency = l;
-                }
+        let mut acks = Few::new();
+        for &pos in route.owners() {
+            if let Ok(l) = nodes[pos].apply_put(&handle, value.clone(), now) {
+                acks.push(l);
             }
         }
-        if acked < self.write_quorum {
-            return Err(ClusterError::NoQuorum {
-                key: key.to_string(),
-                acked,
-                needed: self.write_quorum,
-            });
-        }
+        let latency = self.quorum_latency(key, acks)?;
         let mut meta = self.meta.lock();
         let written = KeyMeta {
             version,
             checksum: sum,
             deleted: false,
         };
-        // An overwrite finds its record by `&str`; only a new key pays for
-        // an owned one.
-        match meta.keys.get_mut(key) {
-            Some(entry) if version > entry.version => *entry = written,
-            Some(_) => {}
-            None => {
-                meta.keys.insert(key.to_string(), written);
+        match meta.keys.entry(handle) {
+            Entry::Occupied(mut e) if version > e.get().version => *e.get_mut() = written,
+            Entry::Occupied(_) => {}
+            Entry::Vacant(e) => {
+                e.insert(written);
             }
         }
         Ok(latency)
+    }
+
+    /// What a write acknowledged with `acks` is charged: once W owners
+    /// have confirmed it is acknowledged, so the W-th fastest.
+    fn quorum_latency(
+        &self,
+        key: &str,
+        mut acks: Few<SimDuration>,
+    ) -> Result<SimDuration, ClusterError> {
+        if acks.len() < self.write_quorum {
+            return Err(ClusterError::NoQuorum {
+                key: key.to_string(),
+                acked: acks.len(),
+                needed: self.write_quorum,
+            });
+        }
+        acks.sort_unstable();
+        Ok(acks[self.write_quorum - 1])
     }
 
     /// Read: probes the key's owners from a rotating start and serves
     /// the first copy matching the authoritative checksum, repairing the
     /// owners it passed over as stale or missing.
     pub fn get(&self, key: &str, now: SimTime) -> Result<(Bytes, SimDuration), ClusterError> {
-        let Some(expected) = self.live_checksum(key) else {
+        let Some((handle, expected)) = self.live(key) else {
             return Err(ClusterError::NoSuchObject(key.to_string()));
         };
         let seq = self.read_counters.reads.fetch_add(1, Ordering::Relaxed);
         let (nodes, mut route) = self.route(key)?;
         route.start_at((seq % route.owners as u64) as usize);
-        self.probe(key, expected, &route, &nodes, None, now)
+        self.probe(&handle, expected, &route, &nodes, None, now)
     }
 
     /// Probes `route.order` front to back and serves the first copy whose
@@ -696,7 +801,7 @@ impl Coordinator {
     /// front replica already gave as part of a batched read.
     fn probe(
         &self,
-        key: &str,
+        key: &ObjectKey,
         expected: u64,
         route: &Route,
         nodes: &[Arc<ClusterNode>],
@@ -751,9 +856,10 @@ impl Coordinator {
     }
 
     /// Replicated delete, exactly once per `token`: redelivery (client
-    /// redial, coordinator failover) replays the recorded outcome.
+    /// redial, coordinator failover) replays the recorded outcome. Acks
+    /// after W owners confirm and charges the W-th fastest.
     pub fn delete(&self, token: u64, key: &str, now: SimTime) -> Result<SimDuration, ClusterError> {
-        {
+        let handle = {
             let mut meta = self.meta.lock();
             if let Some(cached) = meta.applied_deletes.get(&token) {
                 return if cached.found {
@@ -762,8 +868,7 @@ impl Coordinator {
                     Err(ClusterError::NoSuchObject(key.to_string()))
                 };
             }
-            let exists = meta.keys.get(key).is_some_and(|m| !m.deleted);
-            if !exists {
+            let Some((handle, _)) = meta.live(key) else {
                 meta.applied_deletes.insert(
                     token,
                     CachedDelete {
@@ -772,30 +877,21 @@ impl Coordinator {
                     },
                 );
                 return Err(ClusterError::NoSuchObject(key.to_string()));
-            }
-        }
+            };
+            handle
+        };
         let (nodes, route) = self.route(key)?;
         let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut acked = 0usize;
-        let mut latency = SimDuration::ZERO;
-        for &pos in &route.order {
-            if let Ok(ack) = nodes[pos].apply_delete(token, key, now) {
-                acked += 1;
-                if ack.latency > latency {
-                    latency = ack.latency;
-                }
+        let mut acks = Few::new();
+        for &pos in route.order.iter() {
+            if let Ok(ack) = nodes[pos].apply_delete(token, &handle, now) {
+                acks.push(ack.latency);
             }
         }
-        if acked < self.write_quorum {
-            // Possibly partially applied; NOT cached, so a retry with the
-            // same token can finish the job (node-level dedup makes the
-            // overlap harmless).
-            return Err(ClusterError::NoQuorum {
-                key: key.to_string(),
-                acked,
-                needed: self.write_quorum,
-            });
-        }
+        // Short of W acks the delete may be partially applied; it is NOT
+        // cached, so a retry with the same token can finish the job
+        // (node-level dedup makes the overlap harmless).
+        let latency = self.quorum_latency(key, acks)?;
         let mut meta = self.meta.lock();
         if let Some(entry) = meta.keys.get_mut(key) {
             if version > entry.version {
@@ -823,42 +919,69 @@ impl Coordinator {
     }
 
     /// Routed `MultiGet`: per-item outcomes in key order. The batch is
-    /// planned as a whole — one metadata lock, one ring lock — and spread
-    /// over the owners: each key starts at the owner holding the fewest
-    /// keys of this batch so far (ties in ring order), each owner serves
-    /// its keys as one group, and a key whose preferred owner is not
-    /// fresh falls over to its other replicas on its own.
+    /// planned as a whole — one metadata lock, one ring lock — each
+    /// distinct key once, and spread over the owners: each key starts at
+    /// the owner holding the fewest keys of this batch so far (ties in
+    /// ring order), each owner serves its keys as one group, and a key
+    /// whose preferred owner is not fresh falls over to its other
+    /// replicas on its own. A key repeated in the batch is read once;
+    /// every slot it fills gets a clone of that answer — the same bytes
+    /// and latency, or the same error.
     pub fn multi_get(
         &self,
         keys: &[&str],
         now: SimTime,
     ) -> Vec<Result<(Bytes, SimDuration), ClusterError>> {
         // Every slot starts as the answer an empty ring gives; the
-        // metadata pass overwrites the absent keys, the probes the rest.
+        // metadata pass overwrites the absent keys, the probes the rest,
+        // and a repeated key's slots copy its first slot last.
         let mut out: Vec<_> = keys.iter().map(|_| Err(ClusterError::NoMembers)).collect();
-        let mut live: Vec<(usize, u64)> = Vec::with_capacity(keys.len());
+        let mut first_slot: FxHashMap<&str, usize> = FxHashMap::default();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        let mut live: Vec<(usize, ObjectKey, u64)> = Vec::with_capacity(keys.len());
         {
             let meta = self.meta.lock();
-            for (slot, key) in keys.iter().enumerate() {
-                match meta.live_checksum(key) {
-                    Some(expected) => live.push((slot, expected)),
-                    None => out[slot] = Err(ClusterError::NoSuchObject(key.to_string())),
+            for (slot, &key) in keys.iter().enumerate() {
+                match first_slot.entry(key) {
+                    Entry::Occupied(first) => repeats.push((slot, *first.get())),
+                    Entry::Vacant(first) => {
+                        first.insert(slot);
+                        match meta.live(key) {
+                            Some((handle, expected)) => live.push((slot, handle, expected)),
+                            None => out[slot] = Err(ClusterError::NoSuchObject(key.to_string())),
+                        }
+                    }
                 }
             }
         }
+        self.read_distinct(live, &mut out, now);
+        for (slot, first) in repeats {
+            out[slot] = out[first].clone();
+        }
+        out
+    }
+
+    /// The probes of [`Coordinator::multi_get`]: one read plan per live
+    /// key, answers written to the key's slot of `out`.
+    fn read_distinct(
+        &self,
+        live: Vec<(usize, ObjectKey, u64)>,
+        out: &mut [Result<(Bytes, SimDuration), ClusterError>],
+        now: SimTime,
+    ) {
         self.read_counters
             .reads
             .fetch_add(live.len() as u64, Ordering::Relaxed);
         let (nodes, mut plans) = {
             let mem = self.membership.read();
             if mem.ring.is_empty() {
-                return out;
+                return;
             }
             let mut load = vec![0usize; mem.nodes.len()];
             let plans: Vec<ReadPlan> = live
                 .into_iter()
-                .map(|(slot, expected)| {
-                    let mut route = mem.route(keys[slot], self.replicas);
+                .map(|(slot, key, expected)| {
+                    let mut route = mem.route(key.as_str(), self.replicas);
                     let start = (0..route.owners)
                         .min_by_key(|&i| load[route.order[i]])
                         .expect("a non-empty ring gives every key an owner");
@@ -866,6 +989,7 @@ impl Coordinator {
                     route.start_at(start);
                     ReadPlan {
                         slot,
+                        key,
                         expected,
                         route,
                     }
@@ -877,17 +1001,20 @@ impl Coordinator {
         // group keeps its keys in input order.
         plans.sort_by_key(|plan| plan.route.order[0]);
         for group in plans.chunk_by(|a, b| a.route.order[0] == b.route.order[0]) {
-            let group_keys = group.iter().map(|plan| keys[plan.slot]);
             let answers = nodes[group[0].route.order[0]]
-                .apply_multi_get(group_keys, now)
+                .apply_multi_get(group.iter().map(|plan| &plan.key), now)
                 .unwrap_or_else(|down| vec![Err(down); group.len()]);
             for (plan, answer) in group.iter().zip(answers) {
-                let key = keys[plan.slot];
-                out[plan.slot] =
-                    self.probe(key, plan.expected, &plan.route, &nodes, Some(answer), now);
+                out[plan.slot] = self.probe(
+                    &plan.key,
+                    plan.expected,
+                    &plan.route,
+                    &nodes,
+                    Some(answer),
+                    now,
+                );
             }
         }
-        out
     }
 
     /// Routed `MultiDelete`: one fresh token per key, outcomes in order.
@@ -921,14 +1048,15 @@ impl Coordinator {
             (node, mem.ring.clone(), Arc::clone(&mem.nodes))
         };
         node.revive();
-        let entries: Vec<(String, KeyMeta)> = {
+        let mut entries: Vec<(ObjectKey, KeyMeta)> = {
             let meta = self.meta.lock();
             meta.keys.iter().map(|(k, m)| (k.clone(), *m)).collect()
         };
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut report = RejoinReport::default();
         for (key, km) in entries {
-            let owners = ring.owners(&key, self.replicas);
-            if !owners.iter().any(|o| o == name) {
+            let owners: Vec<&str> = ring.owners_iter(key.as_str(), self.replicas).collect();
+            if !owners.contains(&name) {
                 continue;
             }
             report.checked += 1;
@@ -948,7 +1076,7 @@ impl Coordinator {
                 continue;
             }
             // Repair from any fresh co-owner.
-            for peer_name in &owners {
+            for &peer_name in &owners {
                 if peer_name == name {
                     continue;
                 }
@@ -980,21 +1108,54 @@ impl Coordinator {
 }
 
 impl Membership {
-    /// Resolves `key`'s owners, and during a rebalance its old-ring
-    /// owners, to handle positions. Names are borrowed from the rings and
-    /// looked up in the sorted handle list; nothing is cloned.
+    /// Resolves the owner of every vnode point, of the ring and of a
+    /// rebalance's old ring, to its handle position.
+    fn reindex(&mut self) {
+        let nodes = &self.nodes;
+        let resolve = |ring: &Ring| -> Vec<usize> {
+            ring.point_owners()
+                .map(|name| position(nodes, name).expect("every ring member has a handle"))
+                .collect()
+        };
+        self.points = resolve(&self.ring);
+        if let Some(run) = &mut self.rebalance {
+            run.old_points = resolve(&run.old_ring);
+        }
+    }
+
+    /// `key`'s owners, and during a rebalance its old-ring owners, as
+    /// handle positions. Nothing is cloned, and under R ≤ 4 nothing is
+    /// allocated.
     fn route(&self, key: &str, replicas: usize) -> Route {
-        let resolve = |name| position(&self.nodes, name).expect("every ring member has a handle");
-        let mut order: Vec<usize> = self.ring.owners_iter(key, replicas).map(resolve).collect();
+        let mut order = Few::new();
+        owners_into(&self.ring, &self.points, key, replicas, &mut order);
         let owners = order.len();
         if let Some(run) = &self.rebalance {
-            for pos in run.old_ring.owners_iter(key, replicas).map(resolve) {
+            let mut old = Few::new();
+            owners_into(&run.old_ring, &run.old_points, key, replicas, &mut old);
+            for &pos in old.iter() {
                 if !order[..owners].contains(&pos) {
                     order.push(pos);
                 }
             }
         }
         Route { order, owners }
+    }
+}
+
+/// Pushes onto an empty `out` what [`Ring::owners_iter`] yields, as handle
+/// positions: `points` holds the position of each of `ring`'s point
+/// owners, so the walk compares integers.
+fn owners_into(ring: &Ring, points: &[usize], key: &str, replicas: usize, out: &mut Few<usize>) {
+    let want = replicas.min(ring.len());
+    let (before, from) = points.split_at(ring.first_point(key));
+    for &pos in from.iter().chain(before) {
+        if out.len() == want {
+            break;
+        }
+        if !out.contains(&pos) {
+            out.push(pos);
+        }
     }
 }
 
@@ -1331,6 +1492,181 @@ mod tests {
             (stats.reads, stats.replica_probes, stats.failovers),
             (16, 16, 0)
         );
+    }
+
+    /// Twelve live keys `k*`, three tombstoned `gone*`, and three names
+    /// never written, `absent*`.
+    fn batch_names() -> Vec<String> {
+        let names = |prefix: &'static str, n| (0..n).map(move |i| format!("{prefix}{i}"));
+        names("k", 12)
+            .chain(names("gone", 3))
+            .chain(names("absent", 3))
+            .collect()
+    }
+
+    /// A cluster holding [`batch_names`]'s live and tombstoned keys.
+    fn batch_cluster() -> (Coordinator, Vec<Arc<ClusterNode>>) {
+        let t = SimTime::ZERO;
+        let (coord, nodes) = cluster(3, 3, 2);
+        for name in batch_names() {
+            if !name.starts_with("absent") {
+                coord.put(&name, b(&format!("v-{name}")), t).unwrap();
+            }
+            if name.starts_with("gone") {
+                coord.delete(coord.next_token(), &name, t).unwrap();
+            }
+        }
+        (coord, nodes)
+    }
+
+    /// Up to 24 slots over at most six distinct names: repeats are the rule.
+    fn random_batch<'a>(rng: &mut tiera_support::rng::SimRng, names: &'a [String]) -> Vec<&'a str> {
+        use tiera_support::prop::gen;
+        let pool: Vec<&str> = (0..gen::usize_in(rng, 1..7))
+            .map(|_| gen::pick(rng, names).as_str())
+            .collect();
+        (0..gen::usize_in(rng, 1..25))
+            .map(|_| *gen::pick(rng, &pool))
+            .collect()
+    }
+
+    /// Slot for slot, a batch answers what reading its keys one by one
+    /// answers — bytes, serving latency, error — with repeated, absent and
+    /// tombstoned keys in the batch, one node killed and one replica
+    /// divergent.
+    #[test]
+    fn prop_multi_get_answers_what_sequential_gets_answer() {
+        use tiera_support::prop::gen;
+        let t = SimTime::ZERO;
+        let names = batch_names();
+        tiera_support::prop_check!(cases = 48, |rng| {
+            // Twins, damaged alike: one reads by batch, the other key by
+            // key. Every node charges the same penalty, so a latency does
+            // not depend on which owner served it, only on the serving.
+            let (batched, batched_nodes) = batch_cluster();
+            let (sequential, sequential_nodes) = batch_cluster();
+            let killed = gen::usize_in(rng, 0..3);
+            let holder = gen::usize_in(rng, 0..3);
+            let divergent = gen::pick(rng, &names[..12]).as_str();
+            for nodes in [&batched_nodes, &sequential_nodes] {
+                nodes[holder]
+                    .instance()
+                    .put(divergent, &b"stale"[..], t)
+                    .unwrap();
+                nodes[killed].kill();
+                for node in nodes {
+                    node.set_slow_penalty(SimDuration::from_millis(3));
+                }
+            }
+            for _ in 0..3 {
+                let batch = random_batch(rng, &names);
+                let answers = batched.multi_get(&batch, t);
+                assert_eq!(answers.len(), batch.len());
+                for (key, answer) in batch.iter().zip(answers) {
+                    let one = sequential.get(key, t);
+                    assert_eq!(
+                        answer, one,
+                        "{key} in {batch:?}, {divergent} stale on node-{holder}"
+                    );
+                }
+            }
+        });
+    }
+
+    /// The exact count: on a healthy cluster a batch costs one replica read
+    /// per distinct live key, however often each is repeated.
+    #[test]
+    fn prop_healthy_multi_get_reads_each_distinct_live_key_once() {
+        let t = SimTime::ZERO;
+        let names = batch_names();
+        let (coord, nodes) = batch_cluster();
+        tiera_support::prop_check!(cases = 64, |rng| {
+            let batch = random_batch(rng, &names);
+            let distinct_live = batch
+                .iter()
+                .filter(|key| key.starts_with('k'))
+                .collect::<std::collections::BTreeSet<_>>()
+                .len() as u64;
+            let before = coord.read_stats();
+            let served_before: u64 = node_reads(&nodes).iter().sum();
+            for (key, answer) in batch.iter().zip(coord.multi_get(&batch, t)) {
+                match answer {
+                    Ok((data, _)) => assert_eq!(&data[..], format!("v-{key}").as_bytes()),
+                    Err(e) => assert_eq!(e, ClusterError::NoSuchObject(key.to_string())),
+                }
+            }
+            let after = coord.read_stats();
+            let served: u64 = node_reads(&nodes).iter().sum::<u64>() - served_before;
+            assert_eq!(after.reads - before.reads, distinct_live, "{batch:?}");
+            assert_eq!(after.replica_probes - before.replica_probes, distinct_live);
+            assert_eq!(served, distinct_live);
+            assert_eq!((after.failovers, after.repairs), (0, 0));
+        });
+    }
+
+    /// A write is acknowledged once W owners confirm, so a slow third owner
+    /// is what W = 3 waits for and W = 2 does not.
+    #[test]
+    fn writes_charge_the_w_th_fastest_acknowledgement() {
+        let t = SimTime::ZERO;
+        let penalty = SimDuration::from_secs(2);
+        for (w, waits) in [(2, false), (3, true)] {
+            let (coord, nodes) = cluster(3, 3, w);
+            nodes[1].set_slow_penalty(penalty);
+            for i in 0..8 {
+                let key = format!("k{i}");
+                let put = coord.put(&key, b("v"), t).unwrap();
+                assert_eq!(put >= penalty, waits, "W={w}: put of {key} charged {put:?}");
+                let delete = coord.delete(coord.next_token(), &key, t).unwrap();
+                assert_eq!(
+                    delete >= penalty,
+                    waits,
+                    "W={w}: delete of {key} charged {delete:?}"
+                );
+            }
+        }
+    }
+
+    /// A route, walked over resolved point positions, names exactly the
+    /// ring's owners and then the old ring's others, through joins and
+    /// leaves with a rebalance in flight.
+    #[test]
+    fn prop_routes_follow_the_rings() {
+        use tiera_support::prop::gen;
+        tiera_support::prop_check!(cases = 32, |rng| {
+            let replicas = gen::usize_in(rng, 1..6);
+            let (coord, _nodes) = cluster(gen::usize_in(rng, 1..5), replicas, 1);
+            for i in 0..16 {
+                coord.put(&format!("k{i}"), b("v"), SimTime::ZERO).unwrap();
+            }
+            for step in 0..4 {
+                let members = coord.node_names();
+                if members.len() > 1 && gen::boolean(rng) {
+                    let leaving: &String = gen::pick(rng, &members);
+                    coord.remove_node(leaving).unwrap();
+                } else {
+                    coord.add_node(mem_node(&format!("new-{step}"), step)).unwrap();
+                }
+                let mem = coord.membership.read();
+                let name = |pos: usize| mem.nodes[pos].name().to_string();
+                for i in 0..32 {
+                    let key = format!("key-{i}");
+                    let owners = mem.ring.owners(&key, replicas);
+                    let mut want = owners.clone();
+                    if let Some(run) = &mem.rebalance {
+                        for old in run.old_ring.owners(&key, replicas) {
+                            if !owners.contains(&old) {
+                                want.push(old);
+                            }
+                        }
+                    }
+                    let route = mem.route(&key, replicas);
+                    let got: Vec<String> = route.order.iter().map(|&pos| name(pos)).collect();
+                    assert_eq!(got, want, "{key}, step {step}");
+                    assert_eq!(route.owners, owners.len());
+                }
+            }
+        });
     }
 
     #[test]

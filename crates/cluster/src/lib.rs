@@ -19,10 +19,12 @@
 //!   shapes) to the owners of each key, replicates writes to R
 //!   successors and acks after W confirmations, serves a GET from the
 //!   first owner it probes whose checksum matches its metadata (one
-//!   replica read on a healthy cluster; a `MultiGet` spreads its keys
-//!   over the owners, one group per owner), repairs the owners a read
-//!   probed and passed over, and runs the bandwidth-capped, resumable
-//!   rebalance engine when membership changes.
+//!   replica read on a healthy cluster; a `MultiGet` reads each distinct
+//!   key once and spreads them over the owners, one group per owner),
+//!   repairs the owners a read probed and passed over, and runs the
+//!   bandwidth-capped, resumable rebalance engine when membership
+//!   changes. Every node op names its key by the coordinator's one
+//!   [`ObjectKey`] handle, so replicas share the key's allocation.
 //! * [`wire`] — length-prefixed membership messages (the coordinator's
 //!   membership log) in the `tiera-rpc` framing style; every decode path
 //!   is statically panic-free (the A004 analyzer list includes this file).
@@ -34,6 +36,7 @@
 //! flight (there is a lockcheck-gated test doing exactly that).
 //!
 //! [`Instance`]: tiera_core::Instance
+//! [`ObjectKey`]: tiera_core::ObjectKey
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,7 +19,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use tiera_core::Instance;
+use tiera_core::{Instance, ObjectKey};
 use tiera_sim::{SimDuration, SimTime};
 use tiera_support::collections::FxHashMap;
 use tiera_support::sync::{rank, Mutex};
@@ -159,23 +159,27 @@ impl ClusterNode {
     }
 
     // ---- routed ops ----
+    //
+    // A routed op names its key by the coordinator's handle: the instance
+    // keeps a clone of it, so every replica of a key shares the one
+    // allocation the coordinator made, and a read allocates no key.
 
     /// Applies a replicated store.
     pub fn apply_put(
         &self,
-        key: &str,
+        key: &ObjectKey,
         value: Bytes,
         now: SimTime,
     ) -> Result<SimDuration, NodeError> {
         let penalty = self.admit()?;
-        match self.instance.put(key, value, now) {
+        match self.instance.put(key.clone(), value, now) {
             Ok(r) => Ok(r.latency + penalty),
             Err(e) => Err(self.storage_err(e)),
         }
     }
 
     /// Serves a read.
-    pub fn apply_get(&self, key: &str, now: SimTime) -> ReplicaRead {
+    pub fn apply_get(&self, key: &ObjectKey, now: SimTime) -> ReplicaRead {
         let penalty = self.admit()?;
         self.read(key, penalty, now)
     }
@@ -185,7 +189,7 @@ impl ClusterNode {
     /// own outcome, in input order.
     pub fn apply_multi_get<'a>(
         &self,
-        keys: impl IntoIterator<Item = &'a str>,
+        keys: impl IntoIterator<Item = &'a ObjectKey>,
         now: SimTime,
     ) -> Result<Vec<ReplicaRead>, NodeError> {
         let penalty = self.admit()?;
@@ -195,8 +199,8 @@ impl ClusterNode {
             .collect())
     }
 
-    fn read(&self, key: &str, penalty: SimDuration, now: SimTime) -> ReplicaRead {
-        match self.instance.get(key, now) {
+    fn read(&self, key: &ObjectKey, penalty: SimDuration, now: SimTime) -> ReplicaRead {
+        match self.instance.get(key.clone(), now) {
             Ok((data, r)) => Ok((data, r.latency + penalty)),
             Err(e) => Err(self.storage_err(e)),
         }
@@ -209,7 +213,7 @@ impl ClusterNode {
     pub fn apply_delete(
         &self,
         token: u64,
-        key: &str,
+        key: &ObjectKey,
         now: SimTime,
     ) -> Result<DeleteAck, NodeError> {
         let mut s = self.state.lock();
@@ -222,7 +226,7 @@ impl ClusterNode {
             return Ok(*ack);
         }
         let penalty = s.slow_penalty;
-        let ack = match self.instance.delete(key, now) {
+        let ack = match self.instance.delete(key.clone(), now) {
             Ok(latency) => {
                 s.deletes_applied += 1;
                 DeleteAck {
@@ -242,9 +246,9 @@ impl ClusterNode {
 
     /// Purges a key during anti-entropy without token bookkeeping (used
     /// when a rejoining node holds a copy of a tombstoned key).
-    pub fn purge(&self, key: &str, now: SimTime) -> Result<(), NodeError> {
+    pub fn purge(&self, key: &ObjectKey, now: SimTime) -> Result<(), NodeError> {
         self.admit()?;
-        match self.instance.delete(key, now) {
+        match self.instance.delete(key.clone(), now) {
             Ok(_) | Err(tiera_core::TieraError::NoSuchObject(_)) => Ok(()),
             Err(e) => Err(self.storage_err(e)),
         }
@@ -274,6 +278,10 @@ mod tests {
     use tiera_core::prelude::*;
     use tiera_sim::SimEnv;
 
+    fn key(name: &str) -> ObjectKey {
+        ObjectKey::new(name)
+    }
+
     fn node(name: &str) -> Arc<ClusterNode> {
         let inst = InstanceBuilder::new(name, SimEnv::new(7))
             .tier(MemTier::with_traits(
@@ -293,56 +301,58 @@ mod tests {
     fn ops_flow_through_to_the_instance() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put("k", Bytes::from(&b"v"[..]), t).unwrap();
-        let (data, _) = n.apply_get("k", t).unwrap();
+        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
+        let (data, _) = n.apply_get(&key("k"), t).unwrap();
         assert_eq!(&data[..], b"v");
-        let ack = n.apply_delete(1, "k", t).unwrap();
+        let ack = n.apply_delete(1, &key("k"), t).unwrap();
         assert!(ack.existed);
-        assert!(n.apply_get("k", t).is_err());
+        assert!(n.apply_get(&key("k"), t).is_err());
     }
 
     #[test]
     fn killed_and_partitioned_nodes_refuse_ops_but_keep_state() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put("k", Bytes::from(&b"v"[..]), t).unwrap();
+        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
         n.kill();
         assert!(!n.is_reachable());
         assert!(matches!(
-            n.apply_get("k", t),
+            n.apply_get(&key("k"), t),
             Err(NodeError::Unavailable { .. })
         ));
         assert!(matches!(
-            n.apply_put("k2", Bytes::from(&b"x"[..]), t),
+            n.apply_put(&key("k2"), Bytes::from(&b"x"[..]), t),
             Err(NodeError::Unavailable { .. })
         ));
         assert!(matches!(
-            n.apply_delete(9, "k", t),
+            n.apply_delete(9, &key("k"), t),
             Err(NodeError::Unavailable { .. })
         ));
         n.revive();
-        let (data, _) = n.apply_get("k", t).unwrap();
+        let (data, _) = n.apply_get(&key("k"), t).unwrap();
         assert_eq!(&data[..], b"v", "kill froze state, not lost it");
         n.set_partitioned(true);
-        assert!(n.apply_get("k", t).is_err());
+        assert!(n.apply_get(&key("k"), t).is_err());
         n.set_partitioned(false);
-        assert!(n.apply_get("k", t).is_ok());
+        assert!(n.apply_get(&key("k"), t).is_ok());
     }
 
     #[test]
     fn grouped_reads_answer_per_key_and_are_refused_as_a_group() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put("a", Bytes::from(&b"1"[..]), t).unwrap();
-        n.apply_put("b", Bytes::from(&b"2"[..]), t).unwrap();
-        let answers = n.apply_multi_get(["b", "absent", "a"], t).unwrap();
+        n.apply_put(&key("a"), Bytes::from(&b"1"[..]), t).unwrap();
+        n.apply_put(&key("b"), Bytes::from(&b"2"[..]), t).unwrap();
+        let answers = n
+            .apply_multi_get(&[key("b"), key("absent"), key("a")], t)
+            .unwrap();
         assert_eq!(answers.len(), 3);
         assert_eq!(&answers[0].as_ref().unwrap().0[..], b"2");
         assert!(matches!(answers[1], Err(NodeError::Storage { .. })));
         assert_eq!(&answers[2].as_ref().unwrap().0[..], b"1");
         n.set_partitioned(true);
         assert!(matches!(
-            n.apply_multi_get(["a", "b"], t),
+            n.apply_multi_get(&[key("a"), key("b")], t),
             Err(NodeError::Unavailable { .. })
         ));
     }
@@ -351,9 +361,9 @@ mod tests {
     fn slow_penalty_inflates_latency() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        let base = n.apply_put("k", Bytes::from(&b"v"[..]), t).unwrap();
+        let base = n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
         n.set_slow_penalty(SimDuration::from_secs(2));
-        let slow = n.apply_put("k", Bytes::from(&b"v"[..]), t).unwrap();
+        let slow = n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
         assert!(slow >= base + SimDuration::from_secs(2));
     }
 
@@ -361,17 +371,17 @@ mod tests {
     fn delete_tokens_are_idempotent() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put("k", Bytes::from(&b"v"[..]), t).unwrap();
-        let first = n.apply_delete(42, "k", t).unwrap();
+        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
+        let first = n.apply_delete(42, &key("k"), t).unwrap();
         assert!(first.existed);
         assert_eq!(n.deletes_applied(), 1);
         // Redelivery with the same token replays the outcome.
-        let replay = n.apply_delete(42, "k", t).unwrap();
+        let replay = n.apply_delete(42, &key("k"), t).unwrap();
         assert_eq!(replay, first);
         assert_eq!(n.deletes_applied(), 1, "storage touched exactly once");
         // A *different* token against the now-absent key acks without
         // claiming the key existed.
-        let other = n.apply_delete(43, "k", t).unwrap();
+        let other = n.apply_delete(43, &key("k"), t).unwrap();
         assert!(!other.existed);
         assert_eq!(n.deletes_applied(), 1);
     }
@@ -380,12 +390,12 @@ mod tests {
     fn unavailable_outcomes_are_not_cached() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put("k", Bytes::from(&b"v"[..]), t).unwrap();
+        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
         n.kill();
-        assert!(n.apply_delete(7, "k", t).is_err());
+        assert!(n.apply_delete(7, &key("k"), t).is_err());
         n.revive();
         // The failed attempt never applied, so the same token now does.
-        let ack = n.apply_delete(7, "k", t).unwrap();
+        let ack = n.apply_delete(7, &key("k"), t).unwrap();
         assert!(ack.existed);
         assert_eq!(n.deletes_applied(), 1);
     }

@@ -149,9 +149,7 @@ impl Ring {
     /// is cloned.
     pub fn owners_iter<'a>(&'a self, key: &str, r: usize) -> impl Iterator<Item = &'a str> {
         let want = r.min(self.names.len());
-        let hash = Self::key_hash(key);
-        let start = self.points.partition_point(|&(pos, _)| pos < hash);
-        let (before, from) = self.points.split_at(start);
+        let (before, from) = self.points.split_at(self.first_point(key));
         let mut seen: Vec<&str> = Vec::with_capacity(want);
         from.iter()
             .chain(before)
@@ -164,6 +162,21 @@ impl Ring {
                 fresh
             })
             .take(want)
+    }
+
+    /// Index of the first vnode point at or clockwise of the key's hash;
+    /// the point count when the hash lies past the last point, where the
+    /// walk wraps to the start.
+    pub(crate) fn first_point(&self, key: &str) -> usize {
+        let hash = Self::key_hash(key);
+        self.points.partition_point(|&(pos, _)| pos < hash)
+    }
+
+    /// The member owning each vnode point, in ring order: what the
+    /// coordinator resolves once per membership change so that routing
+    /// walks handle positions instead of comparing names.
+    pub(crate) fn point_owners(&self) -> impl Iterator<Item = &str> {
+        self.points.iter().map(|(_, name)| name.as_str())
     }
 
     /// The primary owner of `key`, if the ring is non-empty.

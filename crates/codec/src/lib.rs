@@ -16,6 +16,8 @@
 //!   lossless, bounded-expansion, and effective on the redundant payloads
 //!   the dedup/compression experiments generate.
 //! * [`hex`] — small hex encode/decode helpers for keys and digests.
+//! * [`xxh64`] — XXH64, the non-cryptographic 64-bit content checksum the
+//!   cluster coordinator verifies every replica read against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +27,7 @@ pub mod crc32;
 pub mod hex;
 pub mod lzss;
 pub mod sha256;
+pub mod xxh64;
 
 pub use chacha20::ChaCha20;
 pub use sha256::Sha256;

@@ -6,6 +6,7 @@
 //! method to add structure to the object name space" and let policies apply
 //! to object classes.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -60,6 +61,14 @@ impl From<&String> for ObjectKey {
 
 impl AsRef<str> for ObjectKey {
     fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+/// A map keyed by `ObjectKey` answers `&str` lookups: the derived `Eq`,
+/// `Ord` and `Hash` are those of the string.
+impl Borrow<str> for ObjectKey {
+    fn borrow(&self) -> &str {
         &self.0
     }
 }
@@ -126,6 +135,20 @@ mod tests {
         let a = ObjectKey::new("shared");
         let b = a.clone();
         assert_eq!(a, b);
+        assert_eq!(a.as_str().as_ptr(), b.as_str().as_ptr());
+    }
+
+    #[test]
+    fn maps_keyed_by_object_key_answer_str_lookups() {
+        let mut ordered = std::collections::BTreeMap::new();
+        let mut hashed = std::collections::HashMap::new();
+        for name in ["b", "a", "c"] {
+            ordered.insert(ObjectKey::new(name), name.len());
+            hashed.insert(ObjectKey::new(name), name.len());
+        }
+        assert_eq!(ordered.get("a"), Some(&1));
+        assert_eq!(hashed.get("c"), Some(&1));
+        assert!(!hashed.contains_key("d"));
     }
 
     #[test]

@@ -87,6 +87,8 @@ impl SimEnv {
     /// Different `label`s yield independent streams; the same label always
     /// yields the same stream for a given environment seed.
     pub fn rng_for(&self, label: &str) -> SimRng {
+        // FNV-1a, not the codec's content checksum: every seeded stream,
+        // hence every exact metric, derives from this value.
         let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
         for b in label.bytes() {
             h ^= u64::from(b);

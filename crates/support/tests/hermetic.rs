@@ -260,10 +260,12 @@ fn registry_hot_path_uses_fx_hash_maps() {
     // metastore's index (`crates/metastore/src/store.rs`) is a hash table
     // probed on every persisted write; what it hands out (`for_each`,
     // snapshots, `scan_prefix`) comes in log or key order, never the
-    // table's. The cluster coordinator and its nodes
-    // (`crates/cluster/src/{coordinator,node}.rs`) probe their
-    // delete-replay tables on the routed path. Analyzer lint A005 enforces
-    // this; every other crate keeps default hashing for DoS resistance.
+    // table's. The cluster coordinator and its nodes probe their key and
+    // delete-replay tables on the routed path, and the simulator, the whole
+    // cluster crate, the chaos harness and the workload drivers
+    // (`crates/{sim,cluster,chaos,workloads}/src/`, directory entries) must
+    // replay bit for bit from a seed. Analyzer lint A005 enforces this;
+    // every other crate keeps default hashing for DoS resistance.
     let reports = analyzer_reports();
     for covered in [
         "crates/core/src/registry.rs",
@@ -273,12 +275,14 @@ fn registry_hot_path_uses_fx_hash_maps() {
         "crates/tiers/src/simulated.rs",
         "crates/tierx/src/compressed.rs",
         "crates/tierx/src/dedup.rs",
-        "crates/cluster/src/coordinator.rs",
-        "crates/cluster/src/node.rs",
+        "crates/sim/src/",
+        "crates/cluster/src/",
+        "crates/chaos/src/",
+        "crates/workloads/src/",
     ] {
         assert!(
             Config::workspace().hot_path.iter().any(|p| p == covered)
-                && reports.iter().any(|r| r.path.ends_with(covered)),
+                && reports.iter().any(|r| r.path.contains(covered)),
             "{covered} must be linted as a hot-path module"
         );
     }

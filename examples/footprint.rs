@@ -1,9 +1,9 @@
 //! Bytes of resident memory per stored object, layer by layer.
 //!
-//! Builds the registry alone, a memory tier alone, a bare instance and an
-//! instance with a metadata directory over the same keys and prints how
-//! much `VmRSS` each added per object — the numbers behind DESIGN.md's
-//! per-object memory budget. Then the served-overwrite probe behind
+//! Builds the registry alone, a memory tier alone, a bare instance, an
+//! instance with a metadata directory and a three-node cluster over the
+//! same keys and prints how much `VmRSS` each added per object — the
+//! numbers behind DESIGN.md's per-object memory budget. Then the served-overwrite probe behind
 //! DESIGN.md's payload byte budget: one thread loads 4 KiB values, another
 //! overwrites them, and the peak resident set should not grow.
 //!
@@ -17,10 +17,12 @@
 //! registry alone costs at most [`REGISTRY_BUDGET`] bytes an object, an
 //! instance with a `metadata_dir` at most [`INSTANCE_META_BUDGET`], of
 //! which the metastore — that row less the bare instance's — at most
-//! [`METASTORE_BUDGET`].
+//! [`METASTORE_BUDGET`], and a key under a coordinator replicating it to
+//! three nodes at most [`COORDINATOR_BUDGET`].
 
 use std::sync::Arc;
 
+use tiera::cluster::{ClusterNode, Coordinator};
 use tiera::core::meta::ObjectMeta;
 use tiera::core::registry::Registry;
 use tiera::core::tier::Tier;
@@ -37,6 +39,11 @@ const INSTANCE_META_BUDGET: f64 = 374.0;
 /// Bytes of that which may be the metastore's: its locator table (≈ 33)
 /// and what growing the table left in the allocator.
 const METASTORE_BUDGET: f64 = 48.0;
+/// Bytes a key may cost a `Coordinator` replicating it to three bare
+/// instances: three registry and tier entries, the coordinator's record,
+/// and one key string the four share (873 measured, + 2 %). A key
+/// string per replica again would cost about 3 × 48 more.
+const COORDINATOR_BUDGET: f64 = 890.0;
 
 /// A `kB` field of `/proc/self/status`, in bytes.
 fn status_bytes(field: &str) -> u64 {
@@ -177,6 +184,31 @@ fn main() {
         },
     );
     std::fs::remove_dir_all(&dir).ok();
+    let (_cluster, coordinator) = measure(
+        "Coordinator R=3 over 3 nodes (per key)",
+        keys,
+        PAYLOAD,
+        || {
+            let coord = Coordinator::new(3, 2);
+            for i in 0..3 {
+                let name = format!("node-{i}");
+                let inst = InstanceBuilder::new(name.as_str(), env.clone())
+                    .tier(memory_tier(&env))
+                    .build()
+                    .expect("replica instance");
+                coord
+                    .add_node(ClusterNode::new(name, inst))
+                    .expect("distinct node names");
+            }
+            for name in &names {
+                // One payload, which the three replicas share.
+                coord
+                    .put(name, vec![7u8; PAYLOAD].into(), SimTime::ZERO)
+                    .expect("routed put");
+            }
+            coord
+        },
+    );
 
     served_overwrite(&env, if quick { 500 } else { 10_000 });
 
@@ -185,11 +217,13 @@ fn main() {
         println!(
             "\nbudget: registry {registry:.0} of {REGISTRY_BUDGET} B/object, \
              instance with metadata_dir {with_meta:.0} of {INSTANCE_META_BUDGET}, \
-             metastore {metastore:.0} of {METASTORE_BUDGET}"
+             metastore {metastore:.0} of {METASTORE_BUDGET}, \
+             coordinator R=3 {coordinator:.0} of {COORDINATOR_BUDGET}"
         );
         if registry > REGISTRY_BUDGET
             || with_meta > INSTANCE_META_BUDGET
             || metastore > METASTORE_BUDGET
+            || coordinator > COORDINATOR_BUDGET
         {
             eprintln!("footprint: over the per-object memory budget");
             std::process::exit(1);
