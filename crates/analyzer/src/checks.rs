@@ -39,7 +39,7 @@ pub struct Config {
 }
 
 impl Config {
-    /// The workspace policy: proto.rs and the cluster wire module decode
+    /// The workspace policy: proto.rs and the tierx header decode
     /// hostile bytes; the registry, the metastore's locator table, the
     /// tiers' object maps and the tier wrappers' ledgers are per-key hot
     /// paths, the simulated tiers' reshard walks its map while drawing
@@ -53,7 +53,6 @@ impl Config {
         Self {
             panic_free: vec![
                 "crates/rpc/src/proto.rs".into(),
-                "crates/cluster/src/wire.rs".into(),
                 "crates/tierx/src/header.rs".into(),
             ],
             hot_path: vec![

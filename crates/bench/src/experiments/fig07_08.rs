@@ -8,8 +8,6 @@
 //!
 //! Also includes the §4.1.1 MySQL-Memory-Engine aside (≈ 0.15 TPS).
 
-use std::sync::Arc;
-
 use tiera_db::MemoryEngine;
 use tiera_sim::{SimDuration, SimEnv};
 use tiera_workloads::oltp::{self, OltpConfig};
@@ -122,7 +120,6 @@ fn memory_engine_aside() {
     let mut engine = MemoryEngine::new(100_000, 200);
     // Table-level locking forces scan-scale statement costs on this table.
     engine.set_stmt_cost(SimDuration::from_millis(450));
-    let engine = Arc::new(engine);
     let mut cfg = OltpConfig::paper(100_000, 0.10, false);
     cfg.txns_per_thread = 4;
     let report = oltp::run_memory_engine(&engine, &cfg, 100_000, tiera_sim::SimTime::ZERO, 7);

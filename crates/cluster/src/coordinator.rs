@@ -84,7 +84,6 @@ use tiera_support::Bytes;
 
 use crate::node::{ClusterNode, NodeError, ReplicaRead};
 use crate::ring::{KeyMove, Ring, DEFAULT_VNODES};
-use crate::wire::MembershipMsg;
 
 /// Why a cluster operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -303,6 +302,33 @@ struct RebalanceRun {
     deferred: u64,
 }
 
+/// One entry of the membership log: a node joined, left, or rejoined.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MembershipMsg {
+    /// A node joined at `epoch`.
+    Join {
+        /// Joining node's name.
+        node: String,
+        /// Membership epoch after the join.
+        epoch: u64,
+    },
+    /// A node left at `epoch`.
+    Leave {
+        /// Leaving node's name.
+        node: String,
+        /// Membership epoch after the leave.
+        epoch: u64,
+    },
+    /// A previously-killed node came back, possibly with stale state; the
+    /// coordinator answers with anti-entropy.
+    Rejoin {
+        /// Rejoining node's name.
+        node: String,
+        /// Membership epoch after the rejoin.
+        epoch: u64,
+    },
+}
+
 struct Membership {
     ring: Ring,
     /// The handle position of each `ring` vnode point's owner, so a route
@@ -440,8 +466,8 @@ impl Coordinator {
         self.membership.read().ring.nodes().to_vec()
     }
 
-    /// The membership log: every join/leave/rejoin as a wire message, in
-    /// order (what a peer coordinator would replay to converge).
+    /// The membership log: every join/leave/rejoin, in order (what a peer
+    /// coordinator would replay to converge).
     pub fn membership_log(&self) -> Vec<MembershipMsg> {
         self.membership.read().log.clone()
     }
@@ -1871,12 +1897,13 @@ mod tests {
         coord.rejoin("node-0", t).unwrap();
         let log = coord.membership_log();
         assert_eq!(log.len(), 5, "3 joins, 1 leave, 1 rejoin");
-        // Every entry survives an encode/decode round trip — the log is
-        // literally what a peer would receive.
-        for msg in &log {
-            let bytes = msg.encode();
-            assert_eq!(&MembershipMsg::decode(&bytes).unwrap(), msg);
-        }
+        assert_eq!(
+            log[3..],
+            [
+                MembershipMsg::Leave { node: "node-1".into(), epoch: 4 },
+                MembershipMsg::Rejoin { node: "node-0".into(), epoch: 4 },
+            ]
+        );
         assert_eq!(coord.epoch(), 4);
     }
 

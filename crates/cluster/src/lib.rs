@@ -24,10 +24,9 @@
 //!   repairs the owners a read probed and passed over, and runs the
 //!   bandwidth-capped, resumable rebalance engine when membership
 //!   changes. Every node op names its key by the coordinator's one
-//!   [`ObjectKey`] handle, so replicas share the key's allocation.
-//! * [`wire`] — length-prefixed membership messages (the coordinator's
-//!   membership log) in the `tiera-rpc` framing style; every decode path
-//!   is statically panic-free (the A004 analyzer list includes this file).
+//!   [`ObjectKey`] handle, so replicas share the key's allocation. Its
+//!   membership log ([`MembershipMsg`]) records every join, leave and
+//!   rejoin.
 //!
 //! Lock order (see `tiera_support::sync::rank`): `cluster.ring` →
 //! `cluster.meta` → `cluster.node`. Ring and meta guards are never held
@@ -44,9 +43,7 @@
 pub mod coordinator;
 pub mod node;
 pub mod ring;
-pub mod wire;
 
-pub use coordinator::{ClusterError, Coordinator, ReadStats, RebalanceReport};
+pub use coordinator::{ClusterError, Coordinator, MembershipMsg, ReadStats, RebalanceReport};
 pub use node::{ClusterNode, NodeError};
 pub use ring::{KeyMove, RebalancePlan, Ring};
-pub use wire::MembershipMsg;

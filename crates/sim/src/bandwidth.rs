@@ -19,15 +19,15 @@ use tiera_support::sync::{rank, Mutex};
 
 /// How far behind the newest reservation a completed interval must be
 /// before it is pruned. Callers' virtual clocks are expected to stay within
-/// this horizon of each other (the workload drivers' pacer guarantees a far
-/// tighter bound).
+/// this horizon of each other (the workload drivers' executor keeps them
+/// within one step, a far tighter bound).
 const PRUNE_HORIZON: SimDuration = SimDuration::from_secs(30);
 
 /// A contended bandwidth resource (e.g. one EBS volume's disk path).
 ///
 /// Reservations are placed into the earliest idle *gap* at or after the
 /// requested time, so the outcome depends on virtual-time order rather than
-/// call order — concurrent client threads whose clocks are slightly skewed
+/// call order — concurrent clients whose clocks are slightly skewed
 /// do not convoy behind each other's future reservations.
 #[derive(Debug)]
 pub struct SharedBandwidth {

@@ -4,9 +4,9 @@
 //! timeline (paper Figure 16) executes in milliseconds of real time and is
 //! byte-for-byte reproducible. Time is a monotone `u64` nanosecond counter.
 //!
-//! Concurrency model: closed-loop client threads each keep a *thread-local*
-//! notion of time (the sum of latencies charged to them) and publish it into
-//! the shared [`VirtualClock`] with [`VirtualClock::advance_to`], which is a
+//! Concurrency model: closed-loop clients each keep a *local* notion of
+//! time (the sum of latencies charged to them) and publish it into the
+//! shared [`VirtualClock`] with [`VirtualClock::advance_to`], which is a
 //! `fetch_max`. Components that need globally-ordered time (timer events,
 //! provisioning deadlines, failure windows) read [`VirtualClock::now`].
 

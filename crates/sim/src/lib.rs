@@ -22,6 +22,8 @@
 //!   (the "approximately 1 minute" of Figure 16).
 //! * [`Histogram`] — log-bucketed latency histogram with percentile queries
 //!   (the paper reports averages and 95th percentiles).
+//! * [`exec::run_clients`] — the deterministic executor the workload
+//!   drivers step their closed-loop virtual clients through.
 //!
 //! Nothing in this crate sleeps or reads the wall clock: operations *return*
 //! the time they would have taken, and drivers account for it. See
@@ -33,6 +35,7 @@
 pub mod bandwidth;
 pub mod clock;
 pub mod cost;
+pub mod exec;
 pub mod failure;
 pub mod histogram;
 pub mod latency;

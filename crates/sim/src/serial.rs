@@ -3,7 +3,7 @@
 //! Models a resource held in *virtual* time: a database's CPU, a table
 //! lock. Grants are placed into the earliest idle gap at or after the
 //! requested time (like [`crate::SharedBandwidth`]), so slightly skewed
-//! client threads do not convoy behind each other's future reservations —
+//! clients do not convoy behind each other's future reservations —
 //! only genuine contention queues.
 
 use std::collections::BTreeMap;
@@ -12,7 +12,8 @@ use crate::clock::{SimDuration, SimTime};
 use tiera_support::sync::{rank, Mutex};
 
 /// Prune horizon for completed intervals (callers stay far closer together
-/// than this; the workload drivers' pacer guarantees it).
+/// than this: the workload drivers' executor steps clients in virtual-time
+/// order, so they are at most one step apart).
 const PRUNE_HORIZON: SimDuration = SimDuration::from_secs(30);
 
 /// A gap-filling virtual-time lock / serial executor.

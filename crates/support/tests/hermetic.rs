@@ -227,12 +227,12 @@ fn std_sync_locks_only_in_support() {
 
 #[test]
 fn wire_decoders_cannot_panic_on_hostile_input() {
-    // `crates/rpc/src/proto.rs` and `crates/cluster/src/wire.rs` are the
-    // only code that parses bytes an untrusted peer controls; every decode
-    // path there must return a `Result`, never panic. The fuzz suites
-    // exercise this dynamically; analyzer lint A004 pins it statically:
-    // outside the `#[cfg(test)]` module, no panicking construct may appear
-    // in those files at all. (Even `unwrap` on a value "known" to be fine
+    // `crates/rpc/src/proto.rs` is the only code that parses bytes an
+    // untrusted peer controls; every decode path there must return a
+    // `Result`, never panic. The fuzz suites exercise this dynamically;
+    // analyzer lint A004 pins it statically: outside the `#[cfg(test)]`
+    // module, no panicking construct may appear in its panic-free files
+    // at all. (Even `unwrap` on a value "known" to be fine
     // is banned — refactors have a way of breaking such knowledge
     // silently.)
     let violations = findings_with_code(&analyzer_reports(), "A004");

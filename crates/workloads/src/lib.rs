@@ -9,17 +9,18 @@
 //!   sysbench's *special* distribution (p % of rows receive 80 % of
 //!   accesses), and latest.
 //! * [`oltp`] — sysbench-style OLTP transactions over [`tiera_db::MiniDb`]
-//!   (point selects + updates, read-only and read-write mixes, N client
-//!   threads).
+//!   (point selects + updates, read-only and read-write mixes, N clients).
 //! * [`ycsb`] — YCSB-style PUT/GET load directly against a Tiera instance.
 //! * [`tpcw`] — TPC-W-style emulated browsers mixing static-content fetches
 //!   with database interactions, reporting WIPS.
 //! * [`fio`] — fio-style file readers over [`tiera_fs::TieraFs`].
 //!
-//! All drivers are closed-loop in *virtual time*: each client thread
+//! All drivers are closed-loop in *virtual time*: each virtual client
 //! accumulates the latencies its operations were charged, and throughput is
-//! `completed ops ÷ max(per-thread virtual time)`. Runs are deterministic
-//! for a given `SimEnv` seed.
+//! `completed ops ÷ max(per-client virtual time)`. One thread steps the
+//! clients in `(virtual time, client id)` order
+//! ([`tiera_sim::exec::run_clients`]), so runs are deterministic for a
+//! given `SimEnv` seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,11 +28,9 @@
 pub mod dist;
 pub mod fio;
 pub mod oltp;
-pub mod pacer;
 pub mod report;
 pub mod tpcw;
 pub mod ycsb;
 
 pub use dist::KeyChooser;
-pub use pacer::Pacer;
 pub use report::LoadReport;

@@ -10,14 +10,15 @@
 //! plus (read-write mode) `updates` row updates, committed with a journal
 //! append. Read-only transactions still journal (the MySQL behaviour the
 //! MemcachedEBS-vs-Replicated comparison hinges on).
-
-use std::sync::Arc;
+//!
+//! The concurrency the paper varies is N closed-loop virtual clients,
+//! stepped one transaction at a time by [`tiera_sim::exec::run_clients`].
 
 use tiera_db::{MiniDb, Op};
-use tiera_sim::{SimTime, VirtualClock};
+use tiera_sim::exec::run_clients;
+use tiera_sim::SimTime;
 
 use crate::dist::KeyChooser;
-use crate::pacer::Pacer;
 use crate::report::LoadReport;
 
 /// OLTP mix configuration.
@@ -31,11 +32,11 @@ pub struct OltpConfig {
     pub read_only: bool,
     /// Key distribution over the table's rows.
     pub dist: KeyChooser,
-    /// Client threads (the paper plots 8).
+    /// Virtual clients (the paper plots 8 threads).
     pub threads: usize,
-    /// Transactions per thread.
+    /// Transactions per client.
     pub txns_per_thread: u64,
-    /// Pump the instance every this many transactions (thread 0).
+    /// Pump the instance every this many transactions (client 0).
     pub pump_every: u64,
     /// Distinguishes RNG streams between runs over the same database
     /// (e.g. warm-up vs measurement) — otherwise a second run would replay
@@ -60,127 +61,107 @@ impl OltpConfig {
     }
 }
 
-/// Runs the OLTP load; `pump` lets the caller drive the Tiera instance's
+/// Runs the OLTP load from `cfg.threads` closed-loop virtual clients; a
+/// step is one transaction. Client 0 pumps the Tiera instance's
 /// timer/background machinery as virtual time advances.
-pub fn run(db: &Arc<MiniDb>, cfg: &OltpConfig, start: SimTime) -> LoadReport {
-    let clock: Arc<VirtualClock> = Arc::clone(db.fs().instance().env().clock());
-    let pacer = Arc::new(Pacer::with_default_window(cfg.threads));
-    let mut handles = Vec::new();
-    for thread_id in 0..cfg.threads {
-        let db = Arc::clone(db);
-        let clock = Arc::clone(&clock);
-        let pacer = Arc::clone(&pacer);
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = db
-                .fs()
-                .instance()
-                .env()
-                .rng_for(&format!("oltp-thread-{thread_id}-{}", cfg.seed_tag));
-            let mut report = LoadReport::new();
-            let mut t = start;
-            let mut ops: Vec<Op> = Vec::with_capacity((cfg.point_selects + cfg.updates) as usize);
-            for txn in 0..cfg.txns_per_thread {
-                ops.clear();
-                for _ in 0..cfg.point_selects {
-                    ops.push(Op::Select(cfg.dist.next(&mut rng)));
-                }
-                if !cfg.read_only {
-                    for _ in 0..cfg.updates {
-                        ops.push(Op::Update(cfg.dist.next(&mut rng)));
-                    }
-                }
-                match db.run_transaction(&ops, t) {
-                    Ok(receipt) => {
-                        t += receipt.latency;
-                        report.ops += 1;
-                        report.writes.record(receipt.latency); // txn latency
-                    }
-                    Err(e) => {
-                        if report.failures == 0 && std::env::var_os("TIERA_DEBUG_ERRORS").is_some() {
-                            eprintln!("oltp txn error: {e}");
-                        }
-                        report.failures += 1;
-                    }
-                }
-                clock.advance_to(t);
-                pacer.advance(thread_id, t);
-                if thread_id == 0 && txn % cfg.pump_every == 0 {
-                    let _ = db.fs().instance().pump(clock.now());
-                }
-            }
-            pacer.finish(thread_id);
+pub fn run(db: &MiniDb, cfg: &OltpConfig, start: SimTime) -> LoadReport {
+    let instance = db.fs().instance();
+    let env = instance.env();
+    let clock = env.clock();
+    let mut rngs: Vec<_> = (0..cfg.threads)
+        .map(|id| env.rng_for(&format!("oltp-thread-{id}-{}", cfg.seed_tag)))
+        .collect();
+    let mut done = vec![0u64; cfg.threads];
+    let mut report = LoadReport::new();
+    let mut ops: Vec<Op> = Vec::with_capacity((cfg.point_selects + cfg.updates) as usize);
+    run_clients(cfg.threads, start, |id, mut t| {
+        let txn = done[id];
+        if txn == cfg.txns_per_thread {
             report.finish(start, t);
-            report
-        }));
-    }
-    let mut total = LoadReport::new();
-    for h in handles {
-        total.merge(&h.join().expect("oltp worker panicked"));
-    }
-    let _ = db.fs().instance().pump(clock.now());
-    total
+            return None;
+        }
+        let rng = &mut rngs[id];
+        ops.clear();
+        for _ in 0..cfg.point_selects {
+            ops.push(Op::Select(cfg.dist.next(rng)));
+        }
+        if !cfg.read_only {
+            for _ in 0..cfg.updates {
+                ops.push(Op::Update(cfg.dist.next(rng)));
+            }
+        }
+        match db.run_transaction(&ops, t) {
+            Ok(receipt) => {
+                t += receipt.latency;
+                report.ops += 1;
+                report.writes.record(receipt.latency); // txn latency
+            }
+            Err(_) => report.failures += 1,
+        }
+        clock.advance_to(t);
+        if id == 0 && txn.is_multiple_of(cfg.pump_every) {
+            let _ = instance.pump(clock.now());
+        }
+        done[id] += 1;
+        Some(t)
+    });
+    let _ = instance.pump(clock.now());
+    report
 }
 
 /// Runs the same mix against the MySQL-Memory-engine model.
 pub fn run_memory_engine(
-    engine: &Arc<tiera_db::MemoryEngine>,
+    engine: &tiera_db::MemoryEngine,
     cfg: &OltpConfig,
     rows: u64,
     start: SimTime,
     seed: u64,
 ) -> LoadReport {
-    let pacer = Arc::new(Pacer::with_default_window(cfg.threads));
-    let mut handles = Vec::new();
-    for thread_id in 0..cfg.threads {
-        let engine = Arc::clone(engine);
-        let pacer = Arc::clone(&pacer);
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = tiera_sim::SimRng::new(seed ^ (thread_id as u64) << 32);
-            let mut report = LoadReport::new();
-            let mut t = start;
-            for _ in 0..cfg.txns_per_thread {
-                let mut ops = Vec::new();
-                for _ in 0..cfg.point_selects {
-                    ops.push(Op::Select(rng.next_below(rows)));
-                }
-                if !cfg.read_only {
-                    for _ in 0..cfg.updates {
-                        ops.push(Op::Update(rng.next_below(rows)));
-                    }
-                }
-                match engine.run_batch(&ops, t) {
-                    Ok(receipt) => {
-                        t += receipt.latency;
-                        report.ops += 1;
-                        report.writes.record(receipt.latency);
-                    }
-                    Err(_) => report.failures += 1,
-                }
-                pacer.advance(thread_id, t);
-            }
-            pacer.finish(thread_id);
+    let mut rngs: Vec<_> = (0..cfg.threads)
+        .map(|id| tiera_sim::SimRng::new(seed ^ (id as u64) << 32))
+        .collect();
+    let mut done = vec![0u64; cfg.threads];
+    let mut report = LoadReport::new();
+    let mut ops: Vec<Op> = Vec::with_capacity((cfg.point_selects + cfg.updates) as usize);
+    run_clients(cfg.threads, start, |id, mut t| {
+        if done[id] == cfg.txns_per_thread {
             report.finish(start, t);
-            report
-        }));
-    }
-    let mut total = LoadReport::new();
-    for h in handles {
-        total.merge(&h.join().expect("memory-engine worker panicked"));
-    }
-    total
+            return None;
+        }
+        let rng = &mut rngs[id];
+        ops.clear();
+        for _ in 0..cfg.point_selects {
+            ops.push(Op::Select(rng.next_below(rows)));
+        }
+        if !cfg.read_only {
+            for _ in 0..cfg.updates {
+                ops.push(Op::Update(rng.next_below(rows)));
+            }
+        }
+        match engine.run_batch(&ops, t) {
+            Ok(receipt) => {
+                t += receipt.latency;
+                report.ops += 1;
+                report.writes.record(receipt.latency);
+            }
+            Err(_) => report.failures += 1,
+        }
+        done[id] += 1;
+        Some(t)
+    });
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use tiera_core::prelude::*;
     use tiera_db::DbConfig;
     use tiera_fs::TieraFs;
     use tiera_sim::SimEnv;
 
-    fn db(rows: u64) -> Arc<MiniDb> {
+    fn db(rows: u64) -> MiniDb {
         let inst = InstanceBuilder::new("oltp", SimEnv::new(31))
             .tier(MemTier::with_capacity("t1", 1 << 30))
             .build()
@@ -191,8 +172,7 @@ mod tests {
             buffer_pool_pages: 64,
             ..DbConfig::default()
         };
-        let (db, _) = MiniDb::create(fs, cfg, SimTime::ZERO).unwrap();
-        Arc::new(db)
+        MiniDb::create(fs, cfg, SimTime::ZERO).unwrap().0
     }
 
     #[test]
@@ -227,15 +207,28 @@ mod tests {
     }
 
     #[test]
+    fn deterministic_given_seed() {
+        let run_once = || {
+            let mut cfg = OltpConfig::paper(500, 0.10, false);
+            cfg.threads = 2;
+            cfg.txns_per_thread = 40;
+            let r = run(&db(500), &cfg, SimTime::ZERO);
+            let h = |h: &tiera_sim::Histogram| (h.count(), h.mean(), h.quantile(0.95));
+            (r.ops, r.failures, r.elapsed, h(&r.reads), h(&r.writes))
+        };
+        assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
     fn memory_engine_collapses_under_concurrency() {
-        let engine = Arc::new(tiera_db::MemoryEngine::new(1000, 200));
+        let engine = tiera_db::MemoryEngine::new(1000, 200);
         let mut cfg = OltpConfig::paper(1000, 0.10, false);
         cfg.threads = 8;
         cfg.txns_per_thread = 5;
         let report = run_memory_engine(&engine, &cfg, 1000, SimTime::ZERO, 7);
         assert_eq!(report.ops, 40);
         // 14 statements × 60 ms each ≈ 840 ms per txn, fully serialized
-        // across 8 threads → well under 2 TPS.
+        // across 8 clients → well under 2 TPS.
         assert!(report.throughput() < 2.0, "tps={}", report.throughput());
     }
 }

@@ -8,7 +8,7 @@ pub struct LoadReport {
     pub ops: u64,
     /// Failed operations (timeouts during outages, etc.).
     pub failures: u64,
-    /// Virtual elapsed time: max over client threads.
+    /// Virtual elapsed time: until the last client finished.
     pub elapsed: SimDuration,
     /// Read-latency histogram.
     pub reads: Histogram,
@@ -38,19 +38,11 @@ impl LoadReport {
         }
     }
 
-    /// Merges a per-thread report into this aggregate. Elapsed takes the
-    /// max (closed-loop: the run lasts until the slowest thread finishes).
-    pub fn merge(&mut self, other: &LoadReport) {
-        self.ops += other.ops;
-        self.failures += other.failures;
-        self.elapsed = self.elapsed.max(other.elapsed);
-        self.reads.merge(&other.reads);
-        self.writes.merge(&other.writes);
-    }
-
-    /// Convenience for per-thread accounting: elapsed from a start time.
+    /// Records a client that started at `start` finishing at `end`. Elapsed
+    /// takes the max (closed-loop: the run lasts until the slowest client
+    /// finishes).
     pub fn finish(&mut self, start: SimTime, end: SimTime) {
-        self.elapsed = end - start;
+        self.elapsed = self.elapsed.max(end - start);
     }
 }
 
@@ -82,20 +74,5 @@ mod tests {
         r.elapsed = SimDuration::from_secs(10);
         assert!((r.throughput() - 10.0).abs() < 1e-9);
         assert_eq!(LoadReport::new().throughput(), 0.0);
-    }
-
-    #[test]
-    fn merge_takes_max_elapsed_and_sums_ops() {
-        let mut a = LoadReport::new();
-        a.ops = 10;
-        a.elapsed = SimDuration::from_secs(4);
-        let mut b = LoadReport::new();
-        b.ops = 20;
-        b.failures = 1;
-        b.elapsed = SimDuration::from_secs(6);
-        a.merge(&b);
-        assert_eq!(a.ops, 30);
-        assert_eq!(a.failures, 1);
-        assert_eq!(a.elapsed, SimDuration::from_secs(6));
     }
 }

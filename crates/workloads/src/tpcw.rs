@@ -4,8 +4,9 @@
 //! through Tomcat) and measures WIPS — web interactions per second — for 5
 //! to 25 emulated browsers under the read-dominant *shopping mix*.
 //!
-//! Our emulated browser alternates think time with interactions. An
-//! interaction is either:
+//! Our emulated browser is a closed-loop virtual client stepped by
+//! [`tiera_sim::exec::run_clients`]; it alternates think time with
+//! interactions. An interaction is either:
 //!
 //! * a **static-content fetch** — a handful of page/image objects read
 //!   through the instance (the HTML and images the paper stored on Tiera),
@@ -20,10 +21,10 @@ use std::sync::Arc;
 
 use tiera_core::instance::Instance;
 use tiera_db::{MiniDb, Op};
-use tiera_sim::{SimDuration, SimTime, VirtualClock};
+use tiera_sim::exec::run_clients;
+use tiera_sim::{SimDuration, SimTime};
 
 use crate::dist::KeyChooser;
-use crate::pacer::Pacer;
 use crate::report::LoadReport;
 
 /// Bookstore/TPC-W configuration.
@@ -90,95 +91,83 @@ pub fn preload_static(instance: &Arc<Instance>, cfg: &TpcwConfig, start: SimTime
     t
 }
 
-/// Runs the bookstore under `cfg.emulated_browsers` browsers; returns the
-/// WIPS report measured over the steady-state window.
-pub fn run(db: &Arc<MiniDb>, cfg: &TpcwConfig, start: SimTime) -> LoadReport {
-    let instance = Arc::clone(db.fs().instance());
-    let clock: Arc<VirtualClock> = Arc::clone(instance.env().clock());
+/// Runs the bookstore under `cfg.emulated_browsers` virtual clients, a step
+/// being one think time plus one interaction; returns the WIPS report
+/// measured over the steady-state window.
+pub fn run(db: &MiniDb, cfg: &TpcwConfig, start: SimTime) -> LoadReport {
+    let instance = db.fs().instance();
+    let clock = instance.env().clock();
     let measure_from = start + cfg.ramp_up;
     let deadline = measure_from + cfg.window;
 
-    let pacer = Arc::new(Pacer::with_default_window(cfg.emulated_browsers));
-    let mut handles = Vec::new();
-    for eb in 0..cfg.emulated_browsers {
-        let db = Arc::clone(db);
-        let instance = Arc::clone(&instance);
-        let clock = Arc::clone(&clock);
-        let pacer = Arc::clone(&pacer);
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = instance.env().rng_for(&format!("tpcw-eb-{eb}"));
-            // Item popularity is skewed (best sellers); the tail is what
-            // defeats the constrained-memory EBS deployment's caches.
-            let item_dist = KeyChooser::zipfian(cfg.items);
-            let mut report = LoadReport::new();
-            let mut t = start;
-            while t < deadline {
-                // Think time (exponential-ish around the mean).
-                let think = cfg.think_time.mul_f64(0.5 + rng.next_f64());
-                t += think;
+    let mut rngs: Vec<_> = (0..cfg.emulated_browsers)
+        .map(|eb| instance.env().rng_for(&format!("tpcw-eb-{eb}")))
+        .collect();
+    // Item popularity is skewed (best sellers); the tail is what defeats
+    // the constrained-memory EBS deployment's caches.
+    let item_dist = KeyChooser::zipfian(cfg.items);
+    let mut report = LoadReport::new();
+    run_clients(cfg.emulated_browsers, start, |eb, mut t| {
+        if t >= deadline {
+            return None;
+        }
+        let rng = &mut rngs[eb];
+        // Think time (exponential-ish around the mean).
+        let think = cfg.think_time.mul_f64(0.5 + rng.next_f64());
+        t += think;
 
-                let before = t;
-                let interaction_ok = if rng.chance(0.45) {
-                    // Static page view: HTML + images.
-                    let mut ok = true;
-                    for _ in 0..cfg.static_fetches {
-                        let key = static_key(rng.next_below(cfg.static_objects));
-                        match instance.get(key.as_str(), t) {
-                            Ok((_, receipt)) => t += receipt.latency,
-                            Err(_) => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    ok
-                } else {
-                    // Dynamic interaction: catalog browse or buy path.
-                    let writes = rng.chance(cfg.write_fraction);
-                    let mut ops: Vec<Op> = (0..cfg.selects_per_interaction)
-                        .map(|_| Op::Select(item_dist.next(&mut rng)))
-                        .collect();
-                    if writes {
-                        ops.push(Op::Update(item_dist.next(&mut rng)));
-                        ops.push(Op::Update(item_dist.next(&mut rng)));
-                    }
-                    match db.run_transaction(&ops, t) {
-                        Ok(receipt) => {
-                            t += receipt.latency;
-                            true
-                        }
-                        Err(_) => false,
-                    }
-                };
-
-                clock.advance_to(t);
-                pacer.advance(eb, t);
-                if eb == 0 {
-                    let _ = instance.pump(clock.now());
-                }
-
-                // Measure only interactions completing inside the window.
-                if t >= measure_from && t < deadline {
-                    if interaction_ok {
-                        report.ops += 1;
-                        report.reads.record(t - before);
-                    } else {
-                        report.failures += 1;
+        let before = t;
+        let interaction_ok = if rng.chance(0.45) {
+            // Static page view: HTML + images.
+            let mut ok = true;
+            for _ in 0..cfg.static_fetches {
+                let key = static_key(rng.next_below(cfg.static_objects));
+                match instance.get(key.as_str(), t) {
+                    Ok((_, receipt)) => t += receipt.latency,
+                    Err(_) => {
+                        ok = false;
+                        break;
                     }
                 }
             }
-            pacer.finish(eb);
-            report.elapsed = cfg.window;
-            report
-        }));
-    }
-    let mut total = LoadReport::new();
-    for h in handles {
-        total.merge(&h.join().expect("tpcw browser panicked"));
-    }
-    total.elapsed = cfg.window;
-    total
+            ok
+        } else {
+            // Dynamic interaction: catalog browse or buy path.
+            let writes = rng.chance(cfg.write_fraction);
+            let mut ops: Vec<Op> = (0..cfg.selects_per_interaction)
+                .map(|_| Op::Select(item_dist.next(rng)))
+                .collect();
+            if writes {
+                ops.push(Op::Update(item_dist.next(rng)));
+                ops.push(Op::Update(item_dist.next(rng)));
+            }
+            match db.run_transaction(&ops, t) {
+                Ok(receipt) => {
+                    t += receipt.latency;
+                    true
+                }
+                Err(_) => false,
+            }
+        };
+
+        clock.advance_to(t);
+        if eb == 0 {
+            let _ = instance.pump(clock.now());
+        }
+
+        // Measure only interactions completing inside the window.
+        if t >= measure_from && t < deadline {
+            if interaction_ok {
+                report.ops += 1;
+                report.reads.record(t - before);
+            } else {
+                report.failures += 1;
+            }
+        }
+        Some(t)
+    });
+    report.elapsed = cfg.window;
+    report
 }
 
 #[cfg(test)]

@@ -1,17 +1,18 @@
 //! YCSB-style load against a Tiera instance.
 //!
 //! Drives PUT/GET operations with configurable read proportion, value size,
-//! and key distribution, from N closed-loop client threads. Used by the
-//! experiments behind Figures 11, 13, 15, 17, and 18.
+//! and key distribution, from N closed-loop virtual clients stepped by
+//! [`tiera_sim::exec::run_clients`]. Used by the experiments behind Figures
+//! 11, 13, 14, 15 and the ablations.
 
 use std::sync::Arc;
 
 use tiera_support::Bytes;
 use tiera_core::instance::Instance;
-use tiera_sim::{SimTime, VirtualClock};
+use tiera_sim::exec::run_clients;
+use tiera_sim::SimTime;
 
 use crate::dist::KeyChooser;
-use crate::pacer::Pacer;
 use crate::report::LoadReport;
 
 /// YCSB-style workload configuration.
@@ -26,12 +27,12 @@ pub struct YcsbConfig {
     pub read_proportion: f64,
     /// Key distribution.
     pub dist: KeyChooser,
-    /// Client threads.
+    /// Virtual clients.
     pub threads: usize,
-    /// Operations per thread.
+    /// Operations per client.
     pub ops_per_thread: u64,
     /// Pump the instance's timers/background queue every this many ops
-    /// (thread 0 only).
+    /// (client 0 only).
     pub pump_every: u64,
     /// Distinguishes RNG streams between runs over the same instance
     /// (warm-up vs measurement).
@@ -89,63 +90,54 @@ pub fn record_value(i: u64, size: usize) -> Bytes {
     Bytes::from(v)
 }
 
-/// Runs the workload from `cfg.threads` closed-loop clients starting at
-/// virtual time `start`.
-pub fn run(instance: &Arc<Instance>, cfg: &YcsbConfig, start: SimTime) -> LoadReport {
-    let clock: Arc<VirtualClock> = Arc::clone(instance.env().clock());
-    let pacer = Arc::new(Pacer::with_default_window(cfg.threads));
-    let mut handles = Vec::new();
-    for thread_id in 0..cfg.threads {
-        let instance = Arc::clone(instance);
-        let clock = Arc::clone(&clock);
-        let pacer = Arc::clone(&pacer);
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = instance
-                .env()
-                .rng_for(&format!("ycsb-thread-{thread_id}-{}", cfg.seed_tag));
-            let mut report = LoadReport::new();
-            let mut t = start;
-            for op in 0..cfg.ops_per_thread {
-                let key_idx = cfg.dist.next(&mut rng);
-                let key = record_key(key_idx);
-                if rng.chance(cfg.read_proportion) {
-                    match instance.get(key.as_str(), t) {
-                        Ok((_, receipt)) => {
-                            t += receipt.latency;
-                            report.reads.record(receipt.latency);
-                            report.ops += 1;
-                        }
-                        Err(_) => report.failures += 1,
-                    }
-                } else {
-                    let value = record_value(key_idx, cfg.value_size);
-                    match instance.put(key.as_str(), value, t) {
-                        Ok(receipt) => {
-                            t += receipt.latency;
-                            report.writes.record(receipt.latency);
-                            report.ops += 1;
-                        }
-                        Err(_) => report.failures += 1,
-                    }
-                }
-                clock.advance_to(t);
-                pacer.advance(thread_id, t);
-                if thread_id == 0 && op % cfg.pump_every == 0 {
-                    let _ = instance.pump(clock.now());
-                }
-            }
-            pacer.finish(thread_id);
+/// Runs the workload from `cfg.threads` closed-loop virtual clients
+/// starting at virtual time `start`; a step is one operation.
+pub fn run(instance: &Instance, cfg: &YcsbConfig, start: SimTime) -> LoadReport {
+    let env = instance.env();
+    let clock = env.clock();
+    let mut rngs: Vec<_> = (0..cfg.threads)
+        .map(|id| env.rng_for(&format!("ycsb-thread-{id}-{}", cfg.seed_tag)))
+        .collect();
+    let mut done = vec![0u64; cfg.threads];
+    let mut report = LoadReport::new();
+    run_clients(cfg.threads, start, |id, mut t| {
+        let op = done[id];
+        if op == cfg.ops_per_thread {
             report.finish(start, t);
-            report
-        }));
-    }
-    let mut total = LoadReport::new();
-    for h in handles {
-        total.merge(&h.join().expect("ycsb worker panicked"));
-    }
+            return None;
+        }
+        let rng = &mut rngs[id];
+        let key_idx = cfg.dist.next(rng);
+        let key = record_key(key_idx);
+        if rng.chance(cfg.read_proportion) {
+            match instance.get(key.as_str(), t) {
+                Ok((_, receipt)) => {
+                    t += receipt.latency;
+                    report.reads.record(receipt.latency);
+                    report.ops += 1;
+                }
+                Err(_) => report.failures += 1,
+            }
+        } else {
+            let value = record_value(key_idx, cfg.value_size);
+            match instance.put(key.as_str(), value, t) {
+                Ok(receipt) => {
+                    t += receipt.latency;
+                    report.writes.record(receipt.latency);
+                    report.ops += 1;
+                }
+                Err(_) => report.failures += 1,
+            }
+        }
+        clock.advance_to(t);
+        if id == 0 && op.is_multiple_of(cfg.pump_every) {
+            let _ = instance.pump(clock.now());
+        }
+        done[id] += 1;
+        Some(t)
+    });
     let _ = instance.pump(clock.now());
-    total
+    report
 }
 
 #[cfg(test)]
@@ -194,10 +186,12 @@ mod tests {
         let run_once = || {
             let inst = instance();
             let mut cfg = YcsbConfig::new(50);
+            cfg.threads = 4;
             cfg.ops_per_thread = 200;
             let t = preload(&inst, &cfg, SimTime::ZERO);
             let r = run(&inst, &cfg, t);
-            (r.ops, r.reads.count(), r.writes.count())
+            let h = |h: &tiera_sim::Histogram| (h.count(), h.mean(), h.quantile(0.95));
+            (r.ops, r.failures, r.elapsed, h(&r.reads), h(&r.writes))
         };
         assert_eq!(run_once(), run_once());
     }
