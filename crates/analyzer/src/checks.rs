@@ -19,6 +19,13 @@
 //!   hides iteration-order nondeterminism.
 //! * **A006** applies to every line of every non-support file, matching
 //!   the original hermetic.rs lint.
+//! * **A009** applies to the column-0 `pub` items of the configured
+//!   dead-surface directories (`crates/chaos/src`). An item is dead when
+//!   its name appears in no non-test line of any analyzed file but its own
+//!   definition. Test code is `tests/` and everything from a file's first
+//!   `#[cfg(test)]` on. The match is by identifier, so a re-export or a
+//!   same-named item elsewhere keeps an item alive: A009 finds what
+//!   nothing names, not every item only tests call.
 
 use crate::diag::{Analysis, Diagnostic, LintCode};
 use crate::scan::{self, FileFacts};
@@ -36,6 +43,10 @@ pub struct Config {
     /// Files in which default-hashed maps are banned (A005). An entry
     /// ending in `/` covers every file under that directory.
     pub hot_path: Vec<String>,
+    /// Files whose `pub` items must be named by non-test code (A009);
+    /// entries as in `hot_path`. `crates/bench/src` stays out: its `json`
+    /// serves `benchmark/`, which lies outside the analyzed tree.
+    pub dead_pub: Vec<String>,
 }
 
 impl Config {
@@ -68,6 +79,7 @@ impl Config {
                 "crates/chaos/src/".into(),
                 "crates/workloads/src/".into(),
             ],
+            dead_pub: vec!["crates/chaos/src/".into()],
         }
     }
 }
@@ -109,6 +121,75 @@ fn is_shipping_file(path: &str) -> bool {
     !path.contains("/tests/") && !path.contains("/benches/") && !path.contains("/examples/")
 }
 
+/// The name a column-0 `pub` line defines, if it defines a free fn, a
+/// type, a const or a static. `pub use`, `pub mod`, `pub(crate)` and
+/// indented (associated) items define none.
+fn pub_item(line: &str) -> Option<&str> {
+    let mut words = line.strip_prefix("pub ")?.split_whitespace().peekable();
+    loop {
+        match words.next()? {
+            "unsafe" | "async" => {}
+            "const" if words.peek() == Some(&"fn") => {}
+            "fn" | "struct" | "enum" | "trait" | "type" | "union" | "const" => break,
+            "static" => {
+                words.next_if_eq(&"mut");
+                break;
+            }
+            _ => return None,
+        }
+    }
+    let word = words.next()?;
+    let end = word
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(word.len());
+    (end > 0).then(|| &word[..end])
+}
+
+/// The identifiers on a cleaned source line.
+fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// A009 over the whole input: how often each identifier appears in
+/// non-test code, then every covered `pub` item whose own definition is
+/// its only appearance.
+fn dead_pub_surface(
+    files: &[FileInput],
+    facts: &[FileFacts],
+    config: &Config,
+    diags: &mut [Vec<Diagnostic>],
+) {
+    fn non_test<'a>(path: &str, facts: &'a FileFacts) -> &'a [String] {
+        let lines = if path.contains("/tests/") { 0 } else { facts.shipping_end };
+        &facts.cleaned[..lines]
+    }
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    for (f, facts) in files.iter().zip(facts) {
+        for ident in non_test(&f.path, facts).iter().flat_map(|l| identifiers(l)) {
+            *uses.entry(ident).or_default() += 1;
+        }
+    }
+    for (i, (f, facts)) in files.iter().zip(facts).enumerate() {
+        if !covered(&f.path, &config.dead_pub) {
+            continue;
+        }
+        for (n, line) in non_test(&f.path, facts).iter().enumerate() {
+            let Some(name) = pub_item(line) else { continue };
+            if uses.get(name).copied().unwrap_or(0) <= 1 {
+                diags[i].push(
+                    Diagnostic::new(
+                        LintCode::DeadPubSurface,
+                        (n + 1) as u32,
+                        format!("`pub` item `{name}` is named by no non-test code"),
+                    )
+                    .note("delete it, or move it into the test code that uses it"),
+                );
+            }
+        }
+    }
+}
+
 /// Whether a [`Config`] list covers `path`: a file entry by suffix, a
 /// directory entry (ending in `/`) by containment.
 fn covered(path: &str, entries: &[String]) -> bool {
@@ -131,6 +212,7 @@ pub fn analyze_workspace(files: &[FileInput], config: &Config) -> Vec<FileReport
         .zip(&facts)
         .map(|(f, facts)| file_diags(&f.path, facts, config))
         .collect();
+    dead_pub_surface(files, &facts, config, &mut diags);
 
     // Workspace lock graph over shipping, non-support edges.
     #[derive(Clone)]

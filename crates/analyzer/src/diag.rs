@@ -55,11 +55,14 @@ pub enum LintCode {
     StdSyncLock,
     /// A007 — unnamed lock constructed in a multi-lock file.
     UnnamedLockMultiSite,
+    /// A009 — `pub` free item whose name appears in no non-test code but
+    /// its own definition. (A008 is reserved for discarded IO results.)
+    DeadPubSurface,
 }
 
 impl LintCode {
     /// Every code, in numeric order.
-    pub const ALL: [LintCode; 7] = [
+    pub const ALL: [LintCode; 8] = [
         LintCode::LockOrderCycle,
         LintCode::RankInversion,
         LintCode::BlockingWhileLocked,
@@ -67,6 +70,7 @@ impl LintCode {
         LintCode::DefaultHashedHotPath,
         LintCode::StdSyncLock,
         LintCode::UnnamedLockMultiSite,
+        LintCode::DeadPubSurface,
     ];
 
     /// The stable `A0xx` code string.
@@ -79,6 +83,7 @@ impl LintCode {
             LintCode::DefaultHashedHotPath => "A005",
             LintCode::StdSyncLock => "A006",
             LintCode::UnnamedLockMultiSite => "A007",
+            LintCode::DeadPubSurface => "A009",
         }
     }
 
@@ -94,6 +99,7 @@ impl LintCode {
             LintCode::DefaultHashedHotPath => "default-hashed map in a hot-path module",
             LintCode::StdSyncLock => "std::sync lock named outside tiera-support",
             LintCode::UnnamedLockMultiSite => "unnamed lock constructed in a multi-lock file",
+            LintCode::DeadPubSurface => "pub item that no non-test code names",
         }
     }
 
@@ -105,7 +111,9 @@ impl LintCode {
             | LintCode::PanicInPanicFree
             | LintCode::DefaultHashedHotPath
             | LintCode::StdSyncLock => Severity::Error,
-            LintCode::BlockingWhileLocked | LintCode::UnnamedLockMultiSite => Severity::Warning,
+            LintCode::BlockingWhileLocked
+            | LintCode::UnnamedLockMultiSite
+            | LintCode::DeadPubSurface => Severity::Warning,
         }
     }
 }
@@ -243,10 +251,10 @@ mod tests {
 
     #[test]
     fn codes_are_unique_and_sequential() {
-        for (i, code) in LintCode::ALL.iter().enumerate() {
-            assert_eq!(code.code(), format!("A{:03}", i + 1));
-            assert!(!code.summary().is_empty());
-        }
+        // In numeric order; A008 is reserved for discarded IO results.
+        let codes: Vec<&str> = LintCode::ALL.iter().map(|c| c.code()).collect();
+        assert_eq!(codes, ["A001", "A002", "A003", "A004", "A005", "A006", "A007", "A009"]);
+        assert!(LintCode::ALL.iter().all(|c| !c.summary().is_empty()));
     }
 
     #[test]

@@ -80,6 +80,7 @@ fn a004_panic_fixture() {
     let config = Config {
         panic_free: vec!["a004_panic.rs".into()],
         hot_path: vec![],
+        dead_pub: vec![],
     };
     let analysis = analyze_file("a004_panic.rs", &src, &config);
     assert_eq!(codes(&analysis), ["A004"], "{analysis:?}");
@@ -96,6 +97,7 @@ fn a005_hashmap_fixture() {
     let config = Config {
         panic_free: vec![],
         hot_path: vec!["a005_hashmap.rs".into()],
+        dead_pub: vec![],
     };
     let analysis = analyze_file("a005_hashmap.rs", &src, &config);
     assert_eq!(codes(&analysis), ["A005", "A005"], "{analysis:?}");
@@ -129,6 +131,56 @@ fn a007_unnamed_fixture() {
         analysis.diagnostics()[0].line,
         line_of(&src, "Mutex::new(0)")
     );
+}
+
+#[test]
+fn a009_dead_pub_fixture() {
+    let src = fixture("a009_dead_pub.rs");
+    let config = Config {
+        panic_free: vec![],
+        hot_path: vec![],
+        dead_pub: vec!["a009_dead_pub.rs".into()],
+    };
+    let analysis = analyze_file("a009_dead_pub.rs", &src, &config);
+    assert_eq!(
+        analysis.render(&src, "a009_dead_pub.rs"),
+        "\
+warning[A009]: `pub` item `run_matrix` is named by no non-test code
+  --> a009_dead_pub.rs:18
+   |
+18 | pub fn run_matrix(seeds: &[u64]) -> Vec<Outcome> {
+   |
+   = note: delete it, or move it into the test code that uses it
+
+warning[A009]: `pub` item `NEVER_READ` is named by no non-test code
+  --> a009_dead_pub.rs:23
+   |
+23 | pub static NEVER_READ: u64 = 1;
+   |
+   = note: delete it, or move it into the test code that uses it
+"
+    );
+    // Outside the configured directories the file is clean.
+    assert!(analyze_file("a009_dead_pub.rs", &src, &Config::workspace()).is_clean());
+    // A use in another non-test file keeps an item alive; one under
+    // `tests/` does not.
+    let caller = |path: &str| FileInput {
+        path: path.into(),
+        source: "fn main() { let _ = run_matrix(&[1]); }\n".into(),
+    };
+    for (path, expected) in [("crates/x/src/bin/main.rs", 1), ("crates/x/tests/t.rs", 2)] {
+        let reports = analyze_workspace(
+            &[
+                FileInput {
+                    path: "a009_dead_pub.rs".into(),
+                    source: src.clone(),
+                },
+                caller(path),
+            ],
+            &config,
+        );
+        assert_eq!(reports[0].analysis.diagnostics().len(), expected, "{path}");
+    }
 }
 
 #[test]

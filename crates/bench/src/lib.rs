@@ -14,23 +14,18 @@
 //! seed). `EXPERIMENTS.md` records the measured outputs next to the
 //! paper's numbers.
 //!
-//! The second binary, `tiera-bench`, carries the three deterministic
-//! smokes that have no other home: `chaos` ([`chaos_report`]),
-//! `cluster-chaos` ([`cluster_bench`]) and `rpc-smoke` ([`rpc_smoke`]).
 //! Nothing in this crate is the referee for wall-clock numbers — that is
-//! `benchmark/`, which borrows [`json`] from here. The micro-benchmarks
+//! `benchmark/`, which borrows [`json`] from here. The chaos matrices are
+//! `cargo test` files of `tiera-chaos`. The micro-benchmarks
 //! (`benches/`, tiera-support bench harness) remain for looking at one
 //! kernel in isolation: control-layer dispatch, codec throughput, spec
 //! parsing, metastore appends, histogram recording.
 
 #![forbid(unsafe_code)]
 
-pub mod chaos_report;
-pub mod cluster_bench;
 pub mod deployments;
 pub mod experiments;
 pub mod json;
-pub mod rpc_smoke;
 pub mod table;
 
 pub use table::Table;

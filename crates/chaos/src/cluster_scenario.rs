@@ -5,8 +5,8 @@
 //!
 //! A run is a pure function of its [`ClusterChaosConfig`]: the same
 //! (seed, scenario) replays the identical schedule, op sequence, and
-//! event log byte for byte, and `tiera-bench cluster-chaos --seed N`
-//! reproduces a failure from the one number its report prints.
+//! event log byte for byte, and the `run_cluster` call its report prints
+//! reproduces a failure from the one number it names.
 //!
 //! The invariants, phrased at the level the cluster client observes:
 //!
@@ -97,25 +97,8 @@ pub struct ClusterChaosConfig {
 }
 
 impl ClusterChaosConfig {
-    /// The full-size configuration for `seed`.
+    /// The configuration for `seed`: four nodes, R=3, W=2.
     pub fn new(seed: u64, kind: ClusterScenarioKind) -> Self {
-        Self {
-            seed,
-            kind,
-            nodes: 5,
-            replicas: 3,
-            write_quorum: 2,
-            records: 768,
-            ops: 3000,
-            value_size: 2048,
-            horizon: SimDuration::from_secs(600),
-            rebalance_budget: 64 * 1024,
-        }
-    }
-
-    /// A smaller configuration for smoke tests (`tiera-bench
-    /// cluster-chaos --quick`).
-    pub fn quick(seed: u64, kind: ClusterScenarioKind) -> Self {
         Self {
             seed,
             kind,
@@ -162,14 +145,15 @@ impl ClusterChaosOutcome {
         self.recovered && self.survivability_ok && self.invariants.ok()
     }
 
-    /// A human-readable report embedding the seed and replay command.
+    /// A human-readable report embedding the seed and the replay call.
     pub fn report(&self) -> String {
         let mut out = format!(
-            "cluster-chaos {} seed={} — {}\n  replay: tiera-bench cluster-chaos --seed {}\n",
+            "cluster-chaos {} seed={} — {}\n  replay: run_cluster(&ClusterChaosConfig::new({}, {:?}))\n",
             self.kind.name(),
             self.seed,
             if self.ok() { "OK" } else { "FAILED" },
             self.seed,
+            self.kind,
         );
         out.push_str(&format!(
             "  writes: {} issued, {} acked, {} failed; reads: {} ok, {} failed; deletes: {} acked, {} failed\n",
@@ -570,36 +554,9 @@ fn ledger_deleted_keys(ledger: &WriteLedger) -> Vec<String> {
     ledger.deleted_snapshot()
 }
 
-/// Runs the full scenario × seed matrix; `quick` selects the smoke-test
-/// scale.
-pub fn run_cluster_matrix(seeds: &[u64], quick: bool) -> Vec<ClusterChaosOutcome> {
-    let mut out = Vec::new();
-    for kind in ClusterScenarioKind::all() {
-        for &seed in seeds {
-            let cfg = if quick {
-                ClusterChaosConfig::quick(seed, kind)
-            } else {
-                ClusterChaosConfig::new(seed, kind)
-            };
-            out.push(run_cluster(&cfg));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_builders_differ_in_scale_only() {
-        let full = ClusterChaosConfig::new(1, ClusterScenarioKind::NodeKill);
-        let quick = ClusterChaosConfig::quick(1, ClusterScenarioKind::NodeKill);
-        assert!(quick.ops < full.ops);
-        assert!(quick.records < full.records);
-        assert_eq!(full.kind, quick.kind);
-        assert_eq!(full.seed, quick.seed);
-    }
 
     #[test]
     fn kind_names_are_stable() {
@@ -615,23 +572,20 @@ mod tests {
 
     #[test]
     fn quick_matrix_upholds_the_replicated_contract() {
-        // The acceptance matrix at smoke scale: every (seed, scenario)
-        // cell must hold every invariant.
-        for outcome in run_cluster_matrix(&[11, 29], true) {
-            assert!(
-                outcome.ok(),
-                "seed={} kind={} failed:\n{}",
-                outcome.seed,
-                outcome.kind.name(),
-                outcome.report()
-            );
+        // The acceptance matrix: every (seed, scenario) cell must hold
+        // every invariant.
+        for kind in ClusterScenarioKind::all() {
+            for seed in [11, 29] {
+                let outcome = run_cluster(&ClusterChaosConfig::new(seed, kind));
+                assert!(outcome.ok(), "{}", outcome.report());
+            }
         }
     }
 
     #[test]
     fn replay_is_byte_identical_per_seed_and_scenario() {
         for kind in ClusterScenarioKind::all() {
-            let cfg = ClusterChaosConfig::quick(42, kind);
+            let cfg = ClusterChaosConfig::new(42, kind);
             let a = run_cluster(&cfg);
             let b = run_cluster(&cfg);
             assert_eq!(
@@ -648,7 +602,7 @@ mod tests {
 
     #[test]
     fn kill_during_rebalance_actually_rebalances() {
-        let cfg = ClusterChaosConfig::quick(7, ClusterScenarioKind::KillDuringRebalance);
+        let cfg = ClusterChaosConfig::new(7, ClusterScenarioKind::KillDuringRebalance);
         let outcome = run_cluster(&cfg);
         assert!(outcome.ok(), "{}", outcome.report());
         let r = outcome.rebalance.expect("the join must trigger a rebalance");
@@ -658,12 +612,15 @@ mod tests {
 
     #[test]
     fn outcome_report_embeds_seed_and_replay_command() {
-        let outcome = run_cluster(&ClusterChaosConfig::quick(
+        let outcome = run_cluster(&ClusterChaosConfig::new(
             77,
             ClusterScenarioKind::NodePartition,
         ));
         let report = outcome.report();
         assert!(report.contains("seed=77"), "{report}");
-        assert!(report.contains("tiera-bench cluster-chaos --seed 77"), "{report}");
+        assert!(
+            report.contains("run_cluster(&ClusterChaosConfig::new(77, NodePartition))"),
+            "{report}"
+        );
     }
 }

@@ -26,9 +26,9 @@
 //! stale rejoin, and rebalance migration volume never exceeds the plan.
 //!
 //! Everything is deterministic in virtual time: a scenario is a pure
-//! function of its seed, every failure report prints that seed, and
-//! re-running with `--seed N` (or [`scenario::run`] with the same config)
-//! replays the identical fault schedule and event log byte for byte.
+//! function of its config, and every failure report prints the call
+//! ([`scenario::run`] or [`run_cluster`] with that config) that replays
+//! the identical fault schedule and event log byte for byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,14 +39,10 @@ pub mod metastore_crash;
 pub mod node_schedule;
 pub mod scenario;
 pub mod schedule;
-pub mod wrapped;
 
-pub use cluster_scenario::{
-    run_cluster, run_cluster_matrix, ClusterChaosConfig, ClusterChaosOutcome, ClusterScenarioKind,
-};
+pub use cluster_scenario::{run_cluster, ClusterChaosConfig, ClusterChaosOutcome, ClusterScenarioKind};
 pub use invariants::{InvariantReport, WriteLedger};
 pub use metastore_crash::{run_crash_case, run_crash_matrix, CrashCaseReport};
 pub use node_schedule::{NodeFaultAction, NodeFaultDriver, NodeFaultEvent, NodeFaultSchedule};
-pub use scenario::{ChaosConfig, ChaosOutcome, ScenarioKind};
+pub use scenario::{ChaosConfig, ChaosOutcome, ScenarioKind, Stack};
 pub use schedule::{FaultEvent, FaultSchedule};
-pub use wrapped::run_wrapped;

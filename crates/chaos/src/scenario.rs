@@ -5,15 +5,36 @@
 //! A scenario is a pure function of its [`ChaosConfig`]: the same config
 //! (in particular the same seed) replays the identical fault schedule,
 //! op sequence, and event log. A failing run therefore reports exactly one
-//! thing to remember — the seed — and `tiera-bench chaos --seed N`
-//! reproduces it.
+//! thing to remember — the seed — and its report prints the
+//! `scenario::run` call that reproduces it.
+//!
+//! The [`Stack`] picks the tiers the instance sees. [`Stack::Raw`] drives
+//! the simulated tiers directly. [`Stack::Wrapped`] puts the `tiera-tierx`
+//! wrappers in the data path — the cache transparently lzss-compressed, the
+//! durable tier behind the canonical dedup-over-compressed stack — and
+//! extends the invariant sweep with the wrapper contract:
+//!
+//! 1. Everything the ledger already checks (no acked write lost, no
+//!    phantom metadata, aggregates == recount) holds with the transforms
+//!    in the chain, including under injected tier faults.
+//! 2. **Refcounts never strand a live key's blob**:
+//!    [`DedupTier::check_integrity`] comes back clean after the run.
+//! 3. The run is not vacuous: the compressed cache reports a
+//!    logical/physical split and the dedup store reports unique blobs.
+//!
+//! The wrapped payload mix alternates compressible templates (which
+//! collapse under both lzss and dedup) with YCSB's incompressible
+//! `record_value` payloads (which exercise the per-object raw-fallback
+//! path), all derived from the seed so runs replay byte for byte.
 
 use std::sync::Arc;
 
 use tiera_core::monitor::FailureMonitor;
 use tiera_core::prelude::*;
 use tiera_sim::SimEnv;
+use tiera_support::Bytes;
 use tiera_tiers::{BlockTier, MemoryTier, ObjectStoreTier};
+use tiera_tierx::{CompressedTier, DedupTier};
 use tiera_workloads::dist::KeyChooser;
 use tiera_workloads::ycsb::{record_key, record_value};
 
@@ -34,7 +55,7 @@ pub enum ScenarioKind {
 }
 
 impl ScenarioKind {
-    /// Stable name used in event logs and JSON reports.
+    /// Stable name used in event logs and reports.
     pub fn name(self) -> &'static str {
         match self {
             ScenarioKind::WriteThrough => "write-through",
@@ -53,6 +74,40 @@ impl ScenarioKind {
     }
 }
 
+/// The tiers a chaos run's instance is built over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stack {
+    /// The simulated tiers themselves.
+    Raw,
+    /// The cache behind `CompressedTier`, EBS behind
+    /// `DedupTier(CompressedTier)`; S3 stays raw.
+    Wrapped,
+}
+
+impl Stack {
+    /// Instance name; also the prefix of the load rng stream and of the
+    /// report header.
+    fn name(self) -> &'static str {
+        match self {
+            Stack::Raw => "chaos",
+            Stack::Wrapped => "wrapped-chaos",
+        }
+    }
+
+    /// The value the run writes for `(key_idx, op)`. Raw: distinct bytes
+    /// per (key, op), so checksum mismatches catch torn or stale values,
+    /// not just lost keys. Wrapped: about half the time a compressible
+    /// template shared by every eighth key instead.
+    fn payload(self, key_idx: u64, op: u64, size: usize) -> Bytes {
+        if self == Stack::Wrapped && (key_idx ^ op).is_multiple_of(2) {
+            let phrase = format!("tiera wrapped-chaos template {} ", key_idx % 8);
+            let bytes: Vec<u8> = phrase.bytes().cycle().take(size).collect();
+            return Bytes::from(bytes);
+        }
+        record_value(key_idx ^ op.wrapping_mul(0x9e37_79b9), size)
+    }
+}
+
 /// Configuration for one chaos run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
@@ -60,6 +115,8 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Workload shape.
     pub kind: ScenarioKind,
+    /// Tiers the instance sees.
+    pub stack: Stack,
     /// Distinct keys addressed.
     pub records: u64,
     /// Operations issued in the fault phase.
@@ -72,24 +129,12 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// The full-size configuration for `seed`.
+    /// The configuration for `seed` over the raw stack.
     pub fn new(seed: u64, kind: ScenarioKind) -> Self {
         Self {
             seed,
             kind,
-            records: 2048,
-            ops: 6000,
-            value_size: 4096,
-            horizon: SimDuration::from_secs(600),
-        }
-    }
-
-    /// A smaller configuration for smoke tests (`tiera-bench chaos
-    /// --quick`).
-    pub fn quick(seed: u64, kind: ScenarioKind) -> Self {
-        Self {
-            seed,
-            kind,
+            stack: Stack::Raw,
             records: 512,
             ops: 1500,
             value_size: 1024,
@@ -105,6 +150,8 @@ pub struct ChaosOutcome {
     pub seed: u64,
     /// Workload shape that ran.
     pub kind: ScenarioKind,
+    /// Tiers it ran over.
+    pub stack: Stack,
     /// Write operations issued.
     pub writes_issued: u64,
     /// Writes the instance acknowledged.
@@ -135,14 +182,19 @@ impl ChaosOutcome {
         self.recovered && self.invariants.ok()
     }
 
-    /// A human-readable report; embeds the seed and the replay command.
+    /// A human-readable report; embeds the seed and the replay call.
     pub fn report(&self) -> String {
+        let config = format!("ChaosConfig::new({}, {:?})", self.seed, self.kind);
+        let replay = match self.stack {
+            Stack::Raw => config,
+            Stack::Wrapped => format!("ChaosConfig {{ stack: Stack::Wrapped, ..{config} }}"),
+        };
         let mut out = format!(
-            "chaos {} seed={} — {}\n  replay: tiera-bench chaos --seed {}\n",
+            "{} {} seed={} — {}\n  replay: scenario::run(&{replay})\n",
+            self.stack.name(),
             self.kind.name(),
             self.seed,
             if self.ok() { "OK" } else { "FAILED" },
-            self.seed,
         );
         out.push_str(&format!(
             "  writes: {} issued, {} acked, {} failed; reads: {} ok, {} failed; alerts: {}; recovered: {}\n",
@@ -164,16 +216,65 @@ impl ChaosOutcome {
     }
 }
 
+/// The wrapped stack's handles, kept for the post-run wrapper checks.
+struct Wrappers {
+    cache: Arc<CompressedTier>,
+    store: Arc<DedupTier>,
+}
+
+impl Wrappers {
+    /// The wrapper contract: dedup refcounts intact, and both transforms
+    /// actually exercised. Ends with the profile line for the event log.
+    fn check(&self, invariants: &mut InvariantReport, event_log: &mut Vec<String>) {
+        for problem in self.store.check_integrity() {
+            invariants
+                .violations
+                .push(format!("dedup integrity (ebs): {problem}"));
+        }
+        let cache = self.cache.capacity_profile().unwrap_or_default();
+        let store = self.store.capacity_profile().unwrap_or_default();
+        if cache.objects > 0 && cache.objects == cache.raw_fallback_objects {
+            invariants.violations.push(
+                "compressed cache never compressed anything — payload mix is broken".into(),
+            );
+        }
+        if store.objects > 0 && store.unique_blobs == 0 {
+            invariants
+                .violations
+                .push("dedup store holds keys but no blobs".into());
+        }
+        event_log.push(format!(
+            "wrapper profiles: cache logical={} physical={} raw_fallback={} | \
+             store blobs={} dedup_hits={}",
+            cache.logical_bytes,
+            cache.physical_bytes,
+            cache.raw_fallback_objects,
+            store.unique_blobs,
+            store.dedup_hits
+        ));
+    }
+}
+
 /// Runs one chaos scenario to completion.
 pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
     let env = SimEnv::new(cfg.seed);
+    // The raw tiers keep the fault injectors whichever stack the instance
+    // sees.
     let mem = Arc::new(MemoryTier::same_az("memcached", 64 << 20, &env));
     let ebs = Arc::new(BlockTier::ebs("ebs", 256 << 20, &env));
     let s3 = Arc::new(ObjectStoreTier::s3("s3", 1 << 30, &env));
+    let wrappers = (cfg.stack == Stack::Wrapped).then(|| Wrappers {
+        cache: CompressedTier::new(mem.clone()),
+        store: DedupTier::new(CompressedTier::new(ebs.clone())),
+    });
+    let (cache, store): (TierHandle, TierHandle) = match &wrappers {
+        None => (mem.clone(), ebs.clone()),
+        Some(w) => (w.cache.clone(), w.store.clone()),
+    };
 
-    let builder = InstanceBuilder::new("chaos", env.clone())
-        .tier(Arc::clone(&mem))
-        .tier(Arc::clone(&ebs))
+    let builder = InstanceBuilder::new(cfg.stack.name(), env.clone())
+        .tier_handle(cache)
+        .tier_handle(store)
         .tier(Arc::clone(&s3));
     let builder = match cfg.kind {
         ScenarioKind::WriteThrough => builder.rule(
@@ -231,7 +332,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         ScenarioKind::OltpMix => 0.5,
         _ => 0.25,
     };
-    let mut rng = env.rng_for("chaos-load");
+    let mut rng = env.rng_for(&format!("{}-load", cfg.stack.name()));
     let mut monitor_signals = 0u64;
     let mut t = SimTime::ZERO;
     for op in 0..cfg.ops {
@@ -254,9 +355,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
                 }
             }
         } else {
-            // Distinct payload per (key, op): checksum mismatches catch
-            // torn or stale values, not just lost keys.
-            let value = record_value(key_idx ^ op.wrapping_mul(0x9e37_79b9), cfg.value_size);
+            let value = cfg.stack.payload(key_idx, op, cfg.value_size);
             outcome_counts.0 += 1;
             match instance.put(key.as_str(), value.clone(), t) {
                 Ok(r) => {
@@ -322,7 +421,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
     let mut recovered = true;
     for i in 0..20u64 {
         let key = format!("recovery-{i}");
-        let value = record_value(1_000_000 + i, cfg.value_size);
+        let value = cfg.stack.payload(1_000_000 + i, 0, cfg.value_size);
         match instance.put(key.as_str(), value.clone(), t) {
             Ok(r) => {
                 t += r.latency;
@@ -353,6 +452,9 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
     // ---- the invariant sweep.
     let mut invariants = ledger.check(&instance, t, true);
     invariants.merge(inline);
+    if let Some(w) = &wrappers {
+        w.check(&mut invariants, &mut event_log);
+    }
     let alerts = instance.alerts_emitted();
     event_log.push(format!(
         "invariants: {} violation(s); alerts={alerts}; monitor_signals={monitor_signals}",
@@ -362,6 +464,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
     ChaosOutcome {
         seed: cfg.seed,
         kind: cfg.kind,
+        stack: cfg.stack,
         writes_issued: outcome_counts.0,
         writes_acked: outcome_counts.1,
         writes_failed: outcome_counts.2,
@@ -380,16 +483,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_builders_differ_in_scale_only() {
-        let full = ChaosConfig::new(1, ScenarioKind::WriteBack);
-        let quick = ChaosConfig::quick(1, ScenarioKind::WriteBack);
-        assert!(quick.ops < full.ops);
-        assert!(quick.records < full.records);
-        assert_eq!(full.kind, quick.kind);
-        assert_eq!(full.seed, quick.seed);
-    }
-
-    #[test]
     fn kind_names_are_stable() {
         assert_eq!(ScenarioKind::WriteThrough.name(), "write-through");
         assert_eq!(ScenarioKind::WriteBack.name(), "write-back");
@@ -399,9 +492,29 @@ mod tests {
 
     #[test]
     fn outcome_report_embeds_seed_and_replay_command() {
-        let outcome = run(&ChaosConfig::quick(77, ScenarioKind::WriteThrough));
+        let outcome = run(&ChaosConfig::new(77, ScenarioKind::WriteThrough));
         let report = outcome.report();
         assert!(report.contains("seed=77"), "{report}");
-        assert!(report.contains("tiera-bench chaos --seed 77"), "{report}");
+        assert!(
+            report.contains("scenario::run(&ChaosConfig::new(77, WriteThrough))"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn compressible_template_actually_compresses_and_duplicates() {
+        let a = Stack::Wrapped.payload(0, 0, 1024);
+        let b = Stack::Wrapped.payload(8, 2, 1024); // same template (8 % 8 == 0), even parity
+        assert_eq!(a.as_slice(), b.as_slice(), "templates fold the keyspace 8:1");
+        let compressed = tiera_codec::lzss::compress(a.as_slice());
+        assert!(compressed.len() < a.len() / 2, "template must be compressible");
+    }
+
+    #[test]
+    fn incompressible_arm_differs_per_op() {
+        let a = Stack::Wrapped.payload(1, 2, 256); // (1 ^ 2) % 2 == 1 -> record_value
+        let b = Stack::Wrapped.payload(1, 4, 256);
+        assert_ne!(a.as_slice(), b.as_slice());
+        assert_eq!(a.as_slice(), Stack::Raw.payload(1, 2, 256).as_slice());
     }
 }

@@ -1,20 +1,28 @@
-//! The chaos suite: replay determinism, multi-seed invariant sweeps, and a
-//! multi-threaded hammer over a flapping tier.
+//! The chaos suite: replay determinism over both tier stacks, the
+//! fingerprints every raw and cluster cell must keep, multi-seed invariant
+//! sweeps, and a multi-threaded hammer over a flapping tier.
 //!
-//! Every assertion message embeds the scenario seed (via
-//! `ChaosOutcome::report()`), so a failing run in CI is reproducible with
-//! `tiera-bench chaos --seed N`.
+//! Every assertion message embeds the scenario seed and the call that
+//! replays it (via `ChaosOutcome::report()`).
 
 use std::sync::Arc;
 
-use tiera_chaos::invariants::WriteLedger;
-use tiera_chaos::scenario::{self, ChaosConfig, ScenarioKind};
+use tiera_chaos::cluster_scenario::{run_cluster, ClusterChaosConfig, ClusterScenarioKind};
+use tiera_chaos::invariants::{checksum, WriteLedger};
+use tiera_chaos::scenario::{self, ChaosConfig, ScenarioKind, Stack};
 use tiera_chaos::schedule::FaultSchedule;
 use tiera_core::monitor::FailureMonitor;
 use tiera_core::prelude::*;
 use tiera_sim::{FailureKind, SimEnv};
 use tiera_tiers::{BlockTier, MemoryTier, ObjectStoreTier};
 use tiera_workloads::ycsb::record_value;
+
+fn config(seed: u64, kind: ScenarioKind, stack: Stack) -> ChaosConfig {
+    ChaosConfig {
+        stack,
+        ..ChaosConfig::new(seed, kind)
+    }
+}
 
 fn replay_outcome_fingerprint(cfg: &ChaosConfig) -> (Vec<String>, u64, u64, u64, u64, bool) {
     let o = scenario::run(cfg);
@@ -29,49 +37,124 @@ fn replay_outcome_fingerprint(cfg: &ChaosConfig) -> (Vec<String>, u64, u64, u64,
     )
 }
 
+fn assert_replays(seed: u64, kind: ScenarioKind) {
+    for stack in [Stack::Raw, Stack::Wrapped] {
+        let cfg = config(seed, kind, stack);
+        assert_eq!(
+            replay_outcome_fingerprint(&cfg),
+            replay_outcome_fingerprint(&cfg),
+            "{stack:?}"
+        );
+    }
+}
+
 #[test]
 fn write_through_replays_byte_identically_from_seed() {
-    let cfg = ChaosConfig::quick(101, ScenarioKind::WriteThrough);
-    assert_eq!(
-        replay_outcome_fingerprint(&cfg),
-        replay_outcome_fingerprint(&cfg)
-    );
+    assert_replays(101, ScenarioKind::WriteThrough);
 }
 
 #[test]
 fn write_back_replays_byte_identically_from_seed() {
-    let cfg = ChaosConfig::quick(202, ScenarioKind::WriteBack);
-    assert_eq!(
-        replay_outcome_fingerprint(&cfg),
-        replay_outcome_fingerprint(&cfg)
-    );
+    assert_replays(202, ScenarioKind::WriteBack);
 }
 
 #[test]
 fn oltp_mix_replays_byte_identically_from_seed() {
-    let cfg = ChaosConfig::quick(303, ScenarioKind::OltpMix);
-    assert_eq!(
-        replay_outcome_fingerprint(&cfg),
-        replay_outcome_fingerprint(&cfg)
-    );
+    assert_replays(303, ScenarioKind::OltpMix);
+}
+
+/// `xxh64(event_log.join("\n"))` and the outcome counts of every raw
+/// instance cell (3 kinds × seeds 1–4) and every cluster cell (4 kinds ×
+/// seeds 1–2), generated from the instance and cluster runners as they
+/// stood before the wrapped runner was folded into `scenario::run`. A
+/// change that moves any of these changes what a seed replays.
+#[test]
+fn raw_and_cluster_cells_match_their_recorded_fingerprints() {
+    use ClusterScenarioKind::*;
+    use ScenarioKind::*;
+    // issued, acked, failed, reads_ok, reads_failed, alerts, monitor_signals
+    const RAW: [(ScenarioKind, u64, u64, [u64; 7]); 12] = [
+        (WriteThrough, 1, 0x8095_bdc6_1117_b7e4, [1126, 1126, 0, 235, 139, 2, 1]),
+        (WriteThrough, 2, 0xb6f6_2202_d36c_6d06, [1137, 1137, 0, 234, 129, 0, 0]),
+        (WriteThrough, 3, 0xf651_edf0_4b9a_4454, [1141, 1141, 0, 206, 153, 2, 1]),
+        (WriteThrough, 4, 0x1ba5_347e_322a_5f97, [1145, 1145, 0, 228, 127, 1, 1]),
+        (WriteBack, 1, 0x7c84_8e7a_d7f1_0d01, [1126, 1126, 0, 235, 139, 2, 1]),
+        (WriteBack, 2, 0xc11e_77b8_d9e0_4dd0, [1137, 1137, 0, 234, 129, 0, 0]),
+        (WriteBack, 3, 0x5bee_a765_70db_e844, [1141, 1141, 0, 206, 153, 2, 1]),
+        (WriteBack, 4, 0xe76f_43a8_b7b1_94b4, [1145, 1145, 0, 228, 127, 1, 1]),
+        (OltpMix, 1, 0xd21e_1c6e_1585_9525, [749, 749, 0, 510, 241, 1, 1]),
+        (OltpMix, 2, 0x89cb_8c22_122e_cc1d, [777, 777, 0, 518, 205, 0, 0]),
+        (OltpMix, 3, 0x2e8f_f027_1dbf_e9b6, [776, 776, 0, 509, 215, 1, 1]),
+        (OltpMix, 4, 0x66ff_408f_5b7a_d54f, [765, 765, 0, 532, 203, 1, 1]),
+    ];
+    // writes issued/acked/failed, reads ok/failed, deletes acked/failed
+    const CLUSTER: [(ClusterScenarioKind, u64, u64, [u64; 7]); 8] = [
+        (NodeKill, 1, 0xda25_bf93_0d14_50da, [448, 317, 131, 79, 113, 17, 43]),
+        (NodeKill, 2, 0x2f75_7e01_bfc1_4aa3, [482, 456, 26, 90, 79, 26, 23]),
+        (NodePartition, 1, 0x8260_c582_e4f1_8d9b, [448, 442, 6, 99, 93, 30, 30]),
+        (NodePartition, 2, 0x5192_b33a_bc73_47b4, [482, 482, 0, 93, 76, 28, 21]),
+        (RejoinStale, 1, 0xe7f1_f87f_3edc_fd70, [448, 448, 0, 99, 93, 30, 30]),
+        (RejoinStale, 2, 0x380d_9c28_2991_a568, [482, 482, 0, 93, 76, 28, 21]),
+        (KillDuringRebalance, 1, 0x71fd_3da7_fb71_a4f6, [448, 448, 0, 99, 93, 30, 30]),
+        (KillDuringRebalance, 2, 0x8f69_3e80_1fba_28c4, [482, 482, 0, 93, 76, 28, 21]),
+    ];
+    for (kind, seed, log_hash, counts) in RAW {
+        let o = scenario::run(&ChaosConfig::new(seed, kind));
+        assert!(o.ok(), "{}", o.report());
+        let got = [
+            o.writes_issued,
+            o.writes_acked,
+            o.writes_failed,
+            o.reads_ok,
+            o.reads_failed,
+            o.alerts,
+            o.monitor_signals,
+        ];
+        let hash = checksum(o.event_log.join("\n").as_bytes());
+        assert_eq!((hash, got), (log_hash, counts), "{}", o.report());
+    }
+    for (kind, seed, log_hash, counts) in CLUSTER {
+        let o = run_cluster(&ClusterChaosConfig::new(seed, kind));
+        assert!(o.ok(), "{}", o.report());
+        let got = [
+            o.writes.0, o.writes.1, o.writes.2, o.reads.0, o.reads.1, o.deletes.0, o.deletes.1,
+        ];
+        let hash = checksum(o.event_log.join("\n").as_bytes());
+        assert_eq!((hash, got), (log_hash, counts), "{}", o.report());
+    }
 }
 
 #[test]
 fn different_seeds_produce_different_event_logs() {
-    let a = scenario::run(&ChaosConfig::quick(1, ScenarioKind::WriteThrough));
+    let a = scenario::run(&ChaosConfig::new(1, ScenarioKind::WriteThrough));
     let found = (2u64..10)
-        .any(|s| scenario::run(&ChaosConfig::quick(s, ScenarioKind::WriteThrough)).event_log != a.event_log);
+        .any(|s| scenario::run(&ChaosConfig::new(s, ScenarioKind::WriteThrough)).event_log != a.event_log);
     assert!(found, "eight different seeds all replayed seed 1's event log");
 }
 
 #[test]
 fn invariants_hold_across_a_seed_sweep_of_every_scenario_kind() {
-    for kind in ScenarioKind::all() {
-        for seed in 1..=8u64 {
-            let outcome = scenario::run(&ChaosConfig::quick(seed, kind));
-            assert!(outcome.ok(), "{}", outcome.report());
+    // The wrapped stack, several times slower per run, sweeps half the
+    // seeds. It must also have exercised both transforms: some run stored
+    // compressed bytes, and some run hit the dedup store twice. The
+    // profile line in the event log carries the counters.
+    let (mut saw_compression, mut saw_dedup_hit) = (false, false);
+    for (stack, seeds) in [(Stack::Raw, 8), (Stack::Wrapped, 4)] {
+        for kind in ScenarioKind::all() {
+            for seed in 1..=seeds {
+                let outcome = scenario::run(&config(seed, kind, stack));
+                assert!(outcome.ok(), "{}", outcome.report());
+                if let Some(profile) =
+                    outcome.event_log.iter().find(|l| l.starts_with("wrapper profiles:"))
+                {
+                    saw_compression |= !profile.contains("physical=0");
+                    saw_dedup_hit |= !profile.contains("dedup_hits=0");
+                }
+            }
         }
     }
+    assert!(saw_compression, "no wrapped run stored compressed bytes");
+    assert!(saw_dedup_hit, "no wrapped run ever hit the dedup store twice");
 }
 
 #[test]
@@ -82,7 +165,7 @@ fn the_sweep_actually_exercises_the_fault_plane() {
     let mut any_failures = false;
     let mut any_events = false;
     for seed in 1..=8u64 {
-        let cfg = ChaosConfig::quick(seed, ScenarioKind::WriteThrough);
+        let cfg = ChaosConfig::new(seed, ScenarioKind::WriteThrough);
         let schedule = FaultSchedule::random(seed, &["memcached", "ebs"], cfg.horizon);
         any_events |= !schedule.events.is_empty();
         let outcome = scenario::run(&cfg);

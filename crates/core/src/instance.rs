@@ -577,13 +577,16 @@ impl Instance {
             meta.locations = prev.locations.clone();
         }
         meta.touch(now);
-        self.registry.upsert(key.clone(), meta);
+        let into_tier = self.default_tier()?.id.name();
+        // In memory only: the placement that records the first location
+        // persists the record, so a crash before any tier write leaves a
+        // fresh key unpersisted and an overwritten key's old record intact.
+        self.registry.insert_locked(&key, meta);
 
         let mut ctx = Ctx::foreground(now);
         ctx.inserted = Some(key.clone());
         ctx.inserted_data = Some(data);
 
-        let into_tier = self.default_tier()?.id.name();
         let matching = self.matching_action_rules(ActionOp::Put, into_tier);
 
         // Does any matching foreground rule place the inserted object?

@@ -713,8 +713,10 @@ impl Registry {
         self.persist(&key, Some(&meta));
     }
 
-    /// The locked body of [`upsert`](Self::upsert).
-    fn insert_locked(&self, key: &ObjectKey, meta: ObjectMeta) {
+    /// [`upsert`](Self::upsert) without the persisted record: for state a
+    /// later [`update`](Self::update) persists once it is true (a PUT's
+    /// metadata before its bytes have landed in any tier).
+    pub(crate) fn insert_locked(&self, key: &ObjectKey, meta: ObjectMeta) {
         let mut shard = self.shard_of(key).write();
         let mut order = self.order.write();
         let mut aggregates = self.aggregates.write();

@@ -356,3 +356,107 @@ fn a_record_recovery_cannot_decode_is_counted_and_reported_by_the_next_sync() {
     assert_eq!((reopened.len(), reopened.recovery_skipped()), (60, 0));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A tier whose `put` panics once armed: a process dying between a PUT's
+/// metadata and its bytes, staged in-process.
+struct DiesOnPut {
+    inner: std::sync::Arc<MemTier>,
+    armed: std::sync::atomic::AtomicBool,
+}
+
+impl Tier for DiesOnPut {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn tier_traits(&self) -> TierTraits {
+        self.inner.tier_traits()
+    }
+    fn capacity(&self, now: SimTime) -> u64 {
+        self.inner.capacity(now)
+    }
+    fn used(&self) -> u64 {
+        self.inner.used()
+    }
+    fn put(&self, key: &ObjectKey, data: tiera_support::Bytes, now: SimTime) -> Result<OpReceipt> {
+        assert!(!self.armed.load(std::sync::atomic::Ordering::Relaxed), "process died mid-PUT");
+        self.inner.put(key, data, now)
+    }
+    fn get(&self, key: &ObjectKey, now: SimTime) -> Result<(tiera_support::Bytes, OpReceipt)> {
+        self.inner.get(key, now)
+    }
+    fn delete(&self, key: &ObjectKey, now: SimTime) -> Result<OpReceipt> {
+        self.inner.delete(key, now)
+    }
+    fn contains(&self, key: &ObjectKey) -> bool {
+        self.inner.contains(key)
+    }
+    fn grow(&self, percent: f64, now: SimTime) -> SimTime {
+        self.inner.grow(percent, now)
+    }
+    fn shrink(&self, percent: f64, now: SimTime) {
+        self.inner.shrink(percent, now)
+    }
+    fn request_counts(&self) -> tiera_core::tier::RequestCounts {
+        self.inner.request_counts()
+    }
+}
+
+fn metadata_temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tiera-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn a_put_that_dies_before_its_bytes_land_leaves_no_phantom_record() {
+    let dir = metadata_temp_dir("put-dies");
+    let tier = std::sync::Arc::new(DiesOnPut {
+        inner: MemTier::with_capacity("mem", 1 << 20),
+        armed: std::sync::atomic::AtomicBool::new(false),
+    });
+    let inst = InstanceBuilder::new("sut", SimEnv::new(7))
+        .tier(std::sync::Arc::clone(&tier))
+        .metadata_dir(&dir)
+        .build()
+        .unwrap();
+    inst.put("landed", vec![1u8; 8], SimTime::ZERO).unwrap();
+    tier.armed.store(true, std::sync::atomic::Ordering::Relaxed);
+    let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        inst.put("phantom", vec![2u8; 8], SimTime::ZERO)
+    }));
+    assert!(died.is_err(), "the armed tier must panic");
+    drop(inst);
+
+    let reopened = InstanceBuilder::new("sut", SimEnv::new(7))
+        .tier(MemTier::with_capacity("mem", 1 << 20))
+        .metadata_dir(&dir)
+        .build()
+        .unwrap();
+    let reg = reopened.registry();
+    assert!(reg.contains(&ObjectKey::new("landed")));
+    assert!(
+        !reg.contains(&ObjectKey::new("phantom")),
+        "a record for a PUT whose bytes never reached a tier survived the crash"
+    );
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_fresh_put_appends_one_metadata_record() {
+    let dir = metadata_temp_dir("put-one-record");
+    let inst = InstanceBuilder::new("sut", SimEnv::new(7))
+        .tier(MemTier::with_capacity("mem", 1 << 20))
+        .metadata_dir(&dir)
+        .build()
+        .unwrap();
+    for i in 0..32u64 {
+        inst.put(format!("key-{i}"), vec![i as u8; 16], SimTime::ZERO).unwrap();
+    }
+    inst.registry().sync().unwrap();
+    drop(inst);
+    let stats = tiera_metastore::MetaStore::open(&dir).unwrap().stats();
+    assert_eq!(stats.live_keys, 32);
+    assert_eq!(stats.dead_bytes, 0, "a fresh PUT superseded a record of its own");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -343,6 +343,48 @@ fn old_client_still_speaks_to_the_new_server() {
     handle.shutdown();
 }
 
+#[test]
+fn pipelined_window_batches_and_v1_round_trip_on_one_server() {
+    // The whole plane against one live server: pipelined echo, a full
+    // 128-deep window of puts and then of gets, the batch round trip with
+    // a per-item miss, and the v1 client on the same listener.
+    const DEPTH: usize = 128;
+    let inst = instance();
+    let handle = TieraServer::start(inst, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut piped = PipelinedClient::connect(handle.addr()).unwrap();
+    piped.ping().unwrap();
+
+    let puts: Vec<_> = (0..DEPTH)
+        .map(|i| piped.submit_put(&format!("k{i}"), format!("v{i}").as_bytes()).unwrap())
+        .collect();
+    assert_eq!(piped.in_flight(), DEPTH);
+    for token in puts {
+        piped.wait_put(token).unwrap();
+    }
+    let gets: Vec<_> = (0..DEPTH).map(|i| piped.submit_get(&format!("k{i}")).unwrap()).collect();
+    for (i, token) in gets.into_iter().enumerate() {
+        let (value, _) = piped.wait_get(token).unwrap();
+        assert_eq!(value, format!("v{i}").as_bytes(), "k{i}");
+    }
+
+    for outcome in piped.multi_put(&[("ba", b"1".as_ref()), ("bb", b"2".as_ref())]).unwrap() {
+        outcome.unwrap();
+    }
+    let fetched = piped.multi_get(&["ba", "missing", "bb"]).unwrap();
+    assert_eq!(fetched[0].as_ref().unwrap().0, b"1");
+    assert!(fetched[1].is_err());
+    assert_eq!(fetched[2].as_ref().unwrap().0, b"2");
+    for outcome in piped.multi_delete(&["ba", "bb"]).unwrap() {
+        outcome.unwrap();
+    }
+
+    let mut old = TieraClient::connect(handle.addr()).unwrap();
+    old.ping().unwrap();
+    old.put("legacy", b"ok").unwrap();
+    assert_eq!(old.get("legacy").unwrap().0, b"ok");
+    handle.shutdown();
+}
+
 // ---- graceful shutdown with requests in flight ----
 
 #[test]

@@ -221,7 +221,7 @@ pub mod rank {
 }
 
 /// Whether this build of `tiera-support` carries the lockcheck sanitizer.
-/// `tiera-bench` and `tiera-benchmark` refuse to run when this is `true`:
+/// `tiera-benchmark` refuses to run when this is `true`:
 /// sanitized numbers are not comparable to unsanitized ones.
 pub const LOCKCHECK: bool = cfg!(feature = "lockcheck");
 

@@ -17,7 +17,7 @@ cargo build --offline
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (includes the chaos matrices and the live-server rpc round trips)"
 cargo test -q
 
 echo "==> tiera-lint --deny-warnings specs/ (spec analyzer gate)"
@@ -35,15 +35,6 @@ echo "==> benchmark/ tests (outside the root workspace; catches API drift under 
 
 echo "==> footprint gate (100 000 keys; fails over the per-object memory budget)"
 cargo run -q --release --offline -p tiera --example footprint -- --check
-
-echo "==> rpc smoke (pipelined echo + batch round trip against a live server)"
-./target/release/tiera-bench rpc-smoke --quick
-
-echo "==> chaos smoke (deterministic; exits non-zero on an invariant violation)"
-./target/release/tiera-bench chaos --quick --seed 1 > /dev/null
-
-echo "==> cluster-chaos smoke (node-fault matrix; same contract)"
-./target/release/tiera-bench cluster-chaos --quick --seed 1 > /dev/null
 
 echo "==> experiments golden (every section of experiments_output.txt but fig18, byte for byte)"
 sections() { # stdin: an experiments transcript; stdout: all but fig18 (real CPU µs/op) minus the wall-time lines
