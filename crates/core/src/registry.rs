@@ -26,16 +26,37 @@
 //!   the global access order restricted to its members. The frequency
 //!   lists are one per power-of-two range of access counts, so an access
 //!   refiles its object only when the count crosses a power of two. One
-//!   `RwLock`, write-held for a few link edits per mutation.
+//!   `RwLock`, write-held for a few link edits per mutation once the
+//!   indexes are built (see below).
 //! * **Aggregates** (`aggregates`): per-tier object/dirty-byte counters for
 //!   threshold metrics. One `RwLock`, taken only by mutations that change
 //!   an object's locations, dirty flag or dirty size (a touch does not).
 //! * **Dedup** (`dedup`): the `storeOnce` digest table behind its own
 //!   `Mutex`; never held together with any other registry lock.
 //!
-//! **Lock order: shard → order → aggregates.** A thread may skip levels but
-//! never acquires a lower level while holding a higher one, and never holds
-//! two shard locks at once. `dedup` is independent (leaf-only).
+//! ## Built at the first ordered read
+//!
+//! A registry starts *unindexed*: the order indexes are empty and no
+//! mutation touches them. Each entry's slot holds instead a *stamp*, a
+//! number a mutation takes from one registry-wide counter under its shard
+//! lock, so an unindexed PUT or GET costs one shard lock and no node. The
+//! first *ordered read* — a selector that walks a list (`All`, `Dirty`,
+//! `InTier`, `Tagged`, `OldestIn`/`NewestIn`, hot/cold), `oldest_in`,
+//! `newest_in`, `for_each_in`, `keys_in` — builds the indexes: it gives
+//! every entry a node and links the objects into their lists in stamp
+//! order. Every mutation moves its object to the back of each list it is
+//! on, so each list holds its members in the order of their last
+//! mutation: stamp order, and the built lists are the ones eager upkeep
+//! would have kept. From then on the registry is *indexed* for good, the
+//! slots hold nodes and mutations keep the lists as above.
+//!
+//! The `gate` orders the build against mutations. While the registry is
+//! unindexed a mutation holds it shared; the build holds it exclusively,
+//! so it sees no mutation half done. Once indexed, mutations skip it.
+//!
+//! **Lock order: gate → shard → order → aggregates.** A thread may skip
+//! levels but never acquires a lower level while holding a higher one, and
+//! never holds two shard locks at once. `dedup` is independent (leaf-only).
 //!
 //! Mutations hold their shard lock across the index updates, so for any
 //! single key the map and every index always agree; cross-key readers of
@@ -48,7 +69,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use tiera_support::collections::{fx_hash_one, FxHashMap};
-use tiera_support::sync::{rank, Mutex, RwLock};
+use tiera_support::sync::{rank, Mutex, RwLock, RwLockReadGuard};
 use tiera_codec::Digest;
 use tiera_metastore::MetaStore;
 use tiera_sim::SimTime;
@@ -73,11 +94,19 @@ pub struct TierAggregates {
     pub dirty_bytes: u64,
 }
 
-/// One object's registry record: its metadata plus its node in the order
-/// indexes' slab.
+/// One object's registry record: its metadata plus its slot, which holds
+/// the stamp of its last mutation while the registry is unindexed and its
+/// node in the order indexes' slab once they are built.
 struct Entry {
     meta: ObjectMeta,
-    node: u32,
+    slot: u64,
+}
+
+impl Entry {
+    /// The object's node; the registry is indexed.
+    fn node(&self) -> u32 {
+        self.slot as u32
+    }
 }
 
 /// One hash shard of the key→meta map.
@@ -477,29 +506,48 @@ fn aggregates_sub(aggregates: &mut Aggregates, was: &Indexed) {
     }
 }
 
-/// Inserts or replaces `key`'s metadata in its shard and every index;
-/// returns whether the key is new.
+/// A fresh stamp for an object mutated while the registry is unindexed.
+/// `Relaxed`: a stamp publishes nothing. It is taken and stored under the
+/// object's shard lock, which orders one key's stamps and hands them to
+/// the build.
+fn next_stamp(stamps: &AtomicU64) -> u64 {
+    stamps.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Inserts or replaces `key`'s metadata in its shard, the order indexes
+/// (`None` while the registry is unindexed: the object takes a stamp from
+/// `stamps` instead) and the aggregates; returns whether the key is new.
 fn insert_into(
     shard: &mut Shard,
-    order: &mut OrderIndexes,
+    order: Option<&mut OrderIndexes>,
+    stamps: &AtomicU64,
     aggregates: &mut Aggregates,
     key: &ObjectKey,
     meta: ObjectMeta,
 ) -> bool {
     let now = Indexed::of(&meta);
     let new = match shard.map.entry(key.clone()) {
-        MapEntry::Occupied(mut slot) => {
-            let entry = slot.get_mut();
+        MapEntry::Occupied(mut occupied) => {
+            let entry = occupied.get_mut();
             let was = Indexed::of(&entry.meta);
-            order.relink(entry.node, &was, &now);
+            match order {
+                Some(order) => order.relink(entry.node(), &was, &now),
+                None => entry.slot = next_stamp(stamps),
+            }
             aggregates_sub(aggregates, &was);
             entry.meta = meta;
             false
         }
-        MapEntry::Vacant(slot) => {
-            let node = order.alloc(key.clone());
-            order.link(node, &now);
-            slot.insert(Entry { meta, node });
+        MapEntry::Vacant(vacant) => {
+            let slot = match order {
+                Some(order) => {
+                    let node = order.alloc(key.clone());
+                    order.link(node, &now);
+                    u64::from(node)
+                }
+                None => next_stamp(stamps),
+            };
+            vacant.insert(Entry { meta, slot });
             true
         }
     };
@@ -509,6 +557,14 @@ fn insert_into(
 
 /// Thread-safe object-metadata registry with optional persistence.
 pub struct Registry {
+    /// Held shared by unindexed mutations, exclusively by the build.
+    gate: RwLock<()>,
+    /// Whether the order indexes are built; never goes back to `false`.
+    /// The build's `Release` store pairs with the `Acquire` load in
+    /// `indexed()`.
+    indexed: AtomicBool,
+    /// The next stamp an unindexed mutation takes.
+    stamps: AtomicU64,
     shards: Vec<RwLock<Shard>>,
     /// Live object count (kept here so `len()` does not sweep the shards).
     count: AtomicU64,
@@ -540,6 +596,9 @@ impl Registry {
     /// An in-memory registry (no persistence).
     pub fn in_memory() -> Self {
         Self {
+            gate: RwLock::named("registry.gate", rank::REGISTRY_GATE, ()),
+            indexed: AtomicBool::new(false),
+            stamps: AtomicU64::new(0),
             shards: (0..SHARD_COUNT)
                 .map(|_| RwLock::named("registry.shard", rank::REGISTRY_SHARD, Shard::default()))
                 .collect(),
@@ -717,22 +776,34 @@ impl Registry {
     /// later [`update`](Self::update) persists once it is true (a PUT's
     /// metadata before its bytes have landed in any tier).
     pub(crate) fn insert_locked(&self, key: &ObjectKey, meta: ObjectMeta) {
+        let _gate = (!self.indexed()).then(|| self.gate.read());
         let mut shard = self.shard_of(key).write();
-        let mut order = self.order.write();
+        let mut order = self.indexed().then(|| self.order.write());
         let mut aggregates = self.aggregates.write();
-        if insert_into(&mut shard, &mut order, &mut aggregates, key, meta) {
+        let order = order.as_deref_mut();
+        if insert_into(&mut shard, order, &self.stamps, &mut aggregates, key, meta) {
             self.count.fetch_add(1, Ordering::AcqRel);
         }
     }
 
     /// [`insert_locked`](Self::insert_locked) for a registry nothing else
-    /// can reach yet: no lock is taken, so recovery may run inside the
-    /// metastore's visitor, under the store's own (later-ranked) lock.
+    /// can reach yet, which is unindexed: no lock is taken, so recovery may
+    /// run inside the metastore's visitor, under the store's own
+    /// (later-ranked) lock.
     fn insert_unshared(&mut self, key: &ObjectKey, meta: ObjectMeta) {
         let shard = self.shards[Self::shard_at(key)].get_mut();
-        if insert_into(shard, self.order.get_mut(), self.aggregates.get_mut(), key, meta) {
+        if insert_into(shard, None, &self.stamps, self.aggregates.get_mut(), key, meta) {
             *self.count.get_mut() += 1;
         }
+    }
+
+    /// Whether the order indexes are built. A mutation asks twice: before
+    /// its shard lock, to know whether it needs the gate, and after, to
+    /// know how to file its object. A build may finish between the two, but
+    /// none can start while the mutation holds the gate, so the second
+    /// answer holds until the mutation is done.
+    fn indexed(&self) -> bool {
+        self.indexed.load(Ordering::Acquire)
     }
 
     /// Applies `f` to an object's metadata (if present), making the object
@@ -743,13 +814,17 @@ impl Registry {
         F: FnOnce(&mut ObjectMeta),
     {
         let updated = {
+            let _gate = (!self.indexed()).then(|| self.gate.read());
             let mut shard = self.shard_of(key).write();
             let entry = shard.map.get_mut(key)?;
-            let mut order = self.order.write();
+            let mut order = self.indexed().then(|| self.order.write());
             let was = Indexed::of(&entry.meta);
             f(&mut entry.meta);
             let now = Indexed::of(&entry.meta);
-            order.relink(entry.node, &was, &now);
+            match order.as_deref_mut() {
+                Some(order) => order.relink(entry.node(), &was, &now),
+                None => entry.slot = next_stamp(&self.stamps),
+            }
             if !was.same_aggregates(&now) {
                 let mut aggregates = self.aggregates.write();
                 aggregates_sub(&mut aggregates, &was);
@@ -767,12 +842,16 @@ impl Registry {
     /// tiers' aggregates are as they were.
     pub fn touch(&self, key: &ObjectKey, now: SimTime) -> Option<ObjectMeta> {
         let touched = {
+            let _gate = (!self.indexed()).then(|| self.gate.read());
             let mut shard = self.shard_of(key).write();
             let entry = shard.map.get_mut(key)?;
-            let mut order = self.order.write();
+            let mut order = self.indexed().then(|| self.order.write());
             let was_count = entry.meta.access_count;
             entry.meta.touch(now);
-            order.touch(entry.node, &entry.meta, was_count);
+            match order.as_deref_mut() {
+                Some(order) => order.touch(entry.node(), &entry.meta, was_count),
+                None => entry.slot = next_stamp(&self.stamps),
+            }
             entry.meta.clone()
         };
         self.persist(key, Some(&touched));
@@ -782,13 +861,16 @@ impl Registry {
     /// Removes an object entirely.
     pub fn remove(&self, key: &ObjectKey) -> Option<ObjectMeta> {
         let meta = {
+            let _gate = (!self.indexed()).then(|| self.gate.read());
             let mut shard = self.shard_of(key).write();
             let entry = shard.map.remove(key)?;
-            let mut order = self.order.write();
+            let mut order = self.indexed().then(|| self.order.write());
             let mut aggregates = self.aggregates.write();
             let was = Indexed::of(&entry.meta);
-            order.unlink(entry.node, &was);
-            order.release(entry.node);
+            if let Some(order) = order.as_deref_mut() {
+                order.unlink(entry.node(), &was);
+                order.release(entry.node());
+            }
             aggregates_sub(&mut aggregates, &was);
             entry.meta
         };
@@ -825,15 +907,51 @@ impl Registry {
         agg
     }
 
+    /// The order indexes, read-locked for an ordered read; the registry's
+    /// first ordered read builds them.
+    fn ordered(&self) -> RwLockReadGuard<'_, OrderIndexes> {
+        if !self.indexed() {
+            self.build_indexes();
+        }
+        self.order.read()
+    }
+
+    /// Builds the order indexes (see the module docs): every object gets a
+    /// node and joins the lists its metadata puts it on, in stamp order.
+    /// Mutations wait at the gate meanwhile.
+    #[cold]
+    fn build_indexes(&self) {
+        let _gate = self.gate.write();
+        if self.indexed() {
+            // Another ordered read built them while this one waited.
+            return;
+        }
+        let mut order = OrderIndexes::default();
+        let mut filed = Vec::with_capacity(self.len());
+        for shard in &self.shards {
+            for (key, entry) in shard.write().map.iter_mut() {
+                let node = order.alloc(key.clone());
+                filed.push((entry.slot, node, Indexed::of(&entry.meta)));
+                entry.slot = u64::from(node);
+            }
+        }
+        filed.sort_unstable_by_key(|&(stamp, ..)| stamp);
+        for (_, node, now) in &filed {
+            order.link(*node, now);
+        }
+        *self.order.write() = order;
+        self.indexed.store(true, Ordering::Release);
+    }
+
     /// The least recently accessed object in `tier`.
     pub fn oldest_in(&self, tier: &str) -> Option<ObjectKey> {
-        let order = self.order.read();
+        let order = self.ordered();
         order.key_of(order.tier_list(tier)?.ends.head).cloned()
     }
 
     /// The most recently accessed object in `tier`.
     pub fn newest_in(&self, tier: &str) -> Option<ObjectKey> {
-        let order = self.order.read();
+        let order = self.ordered();
         order.key_of(order.tier_list(tier)?.ends.tail).cloned()
     }
 
@@ -842,7 +960,7 @@ impl Registry {
     /// read lock: it must not call back into registry mutators (lock
     /// order would invert) — collect first if mutation is needed.
     pub fn for_each_in(&self, tier: &str, f: impl FnMut(&ObjectKey)) {
-        let order = self.order.read();
+        let order = self.ordered();
         if let Some(list) = order.tier_list(tier) {
             order.keys_on(list).for_each(f);
         }
@@ -863,6 +981,8 @@ impl Registry {
     /// contexts. Index-backed selectors (`All`, `InTier`, `Dirty`,
     /// `OldestIn`/`NewestIn`, hot/cold) never sweep the object map; only
     /// `Tagged` scans, and it scans shard-by-shard without a global lock.
+    /// Every selector but `Inserted` and `Key` is an ordered read: the
+    /// registry's first one builds the order indexes.
     pub fn select(
         &self,
         selector: &Selector,
@@ -879,24 +999,28 @@ impl Registry {
                 }
             }
             Selector::All => {
-                let order = self.order.read();
+                let order = self.ordered();
                 order.keys_on(&order.access).cloned().collect()
             }
             Selector::InTier(t) => self.keys_in(t),
             Selector::Dirty => {
-                let order = self.order.read();
+                let order = self.ordered();
                 order.keys_on(&order.dirty).cloned().collect()
             }
             Selector::Tagged(tag) => {
                 // Tags carry no index (they are rare, write-once classes):
                 // scan shard by shard, then return the hits in access order
-                // so the result is deterministic. A hit whose node changed
+                // so the result is deterministic. The scan reads nodes, so
+                // the indexes are built first. A hit whose node changed
                 // hands between the two steps is dropped.
+                if !self.indexed() {
+                    self.build_indexes();
+                }
                 let mut hits: FxHashMap<u32, ObjectKey> = FxHashMap::default();
                 for shard in &self.shards {
                     for (key, entry) in shard.read().map.iter() {
                         if entry.meta.has_tag(tag) {
-                            hits.insert(entry.node, key.clone());
+                            hits.insert(entry.node(), key.clone());
                         }
                     }
                 }
@@ -950,7 +1074,7 @@ impl Registry {
     /// it stops. Worst case (every object hot) is O(hits · log hits).
     fn select_hot(&self, bound: f64, now: SimTime) -> Vec<ObjectKey> {
         let candidates: Vec<ObjectKey> = {
-            let order = self.order.read();
+            let order = self.ordered();
             if bound <= 0.0 {
                 return order.keys_on(&order.access).cloned().collect();
             }
@@ -977,7 +1101,7 @@ impl Registry {
             return Vec::new();
         }
         let candidates: Vec<ObjectKey> = {
-            let order = self.order.read();
+            let order = self.ordered();
             let max_age = if order.min_created > now {
                 1e-9
             } else {
@@ -1115,13 +1239,13 @@ mod tests {
     impl Registry {
         /// The keys filed in frequency bucket `bucket`, sorted.
         fn bucket_keys(&self, bucket: usize) -> Vec<ObjectKey> {
-            let mut keys: Vec<ObjectKey> = self.order.read().keys_in_bucket(bucket).cloned().collect();
+            let mut keys: Vec<ObjectKey> = self.ordered().keys_in_bucket(bucket).cloned().collect();
             keys.sort();
             keys
         }
 
         fn frequency_moves(&self) -> u64 {
-            self.order.read().frequency.moves
+            self.ordered().frequency.moves
         }
 
         /// Every object is filed once, in the bucket of the count it has.
@@ -1135,6 +1259,60 @@ mod tests {
                 }
             }
             assert_eq!(filed, self.len());
+        }
+
+        /// Every object is on exactly the lists its metadata puts it on,
+        /// and its node names it in the slab.
+        fn assert_lists_match_metadata(&self) {
+            let mut live: Vec<(ObjectKey, u32, ObjectMeta)> = Vec::new();
+            for shard in &self.shards {
+                for (key, entry) in shard.read().map.iter() {
+                    live.push((key.clone(), entry.node(), entry.meta.clone()));
+                }
+            }
+            live.sort_by(|a, b| a.0.cmp(&b.0));
+            let order = self.ordered();
+            let members = |list: &RecencyList| {
+                let mut keys: Vec<ObjectKey> = order.keys_on(list).cloned().collect();
+                keys.sort();
+                keys
+            };
+            let expected = |on: &dyn Fn(&ObjectMeta) -> bool| -> Vec<ObjectKey> {
+                live.iter().filter(|o| on(&o.2)).map(|o| o.0.clone()).collect()
+            };
+            for (key, node, _) in &live {
+                assert_eq!(order.key_of(*node), Some(key), "{key}'s node");
+            }
+            assert_eq!(members(&order.access), expected(&|_| true), "access");
+            assert_eq!(members(&order.dirty), expected(&|m| m.dirty), "dirty");
+            let mut tiers: Vec<TierId> = order.tiers.keys().copied().collect();
+            tiers.extend(live.iter().flat_map(|o| o.2.locations.iter().copied()));
+            tiers.sort_by_key(|t| t.to_string());
+            tiers.dedup();
+            for tier in tiers {
+                let list = order.tiers.get(&tier).expect("a list for every tier in use");
+                let located = expected(&|m| m.locations.contains_id(tier));
+                assert_eq!(members(list), located, "tier {tier}");
+            }
+            drop(order);
+            self.assert_buckets_hold_every_object_once();
+        }
+
+        /// Everything an ordered read says about the registry at `now`.
+        fn ordered_view(&self, now: SimTime) -> Vec<Vec<ObjectKey>> {
+            let mut selectors = vec![Selector::All, Selector::Dirty, Selector::Tagged(Tag::new("tmp"))];
+            for tier in TIERS {
+                selectors.push(Selector::InTier(tier.into()));
+                selectors.push(Selector::OldestIn(tier.into()));
+                selectors.push(Selector::NewestIn(tier.into()));
+            }
+            for bound in [0.0, 0.05, 0.5, 5.0] {
+                selectors.push(Selector::HotterThan(bound));
+                selectors.push(Selector::ColderThan(bound));
+            }
+            let mut view: Vec<_> = selectors.iter().map(|s| self.select(s, None, now)).collect();
+            view.extend(TIERS.map(|tier| self.keys_in(tier)));
+            view
         }
 
         /// `HotterThan(bound)` and `ColderThan(bound)` as a scan of every
@@ -1345,6 +1523,8 @@ mod tests {
     #[test]
     fn a_reused_node_carries_no_stale_frequency_link() {
         let r = Registry::in_memory();
+        // An ordered read first, so nodes are taken and released.
+        assert_eq!(r.oldest_in("t1"), None);
         let key = |name: &str| ObjectKey::new(name);
         // Three in one bucket, so the middle one has both neighbours.
         for name in ["a", "b", "c"] {
@@ -1374,6 +1554,8 @@ mod tests {
     #[test]
     fn a_million_touches_of_one_key_refile_it_twenty_times() {
         let r = Registry::in_memory();
+        // An ordered read first, so the touches run the indexed path.
+        assert_eq!(r.oldest_in("t1"), None);
         let k = ObjectKey::new("hot");
         r.upsert(k.clone(), meta_in("t1", 1, SimTime::ZERO));
         r.upsert(ObjectKey::new("idle"), meta_in("t1", 1, SimTime::ZERO));
@@ -1513,6 +1695,192 @@ mod tests {
         assert_eq!(r.len() as u64, r.recount_aggregates("t1").objects);
         // The tier order index holds exactly the live keys.
         assert_eq!(r.keys_in("t1").len(), r.len());
+    }
+
+    const TIERS: [&str; 3] = ["t1", "t2", "t3"];
+
+    /// One registry mutation, to replay against several registries.
+    enum Op {
+        Upsert(ObjectKey, ObjectMeta),
+        /// New locations and dirty flag.
+        Update(ObjectKey, Vec<&'static str>, bool),
+        Touch(ObjectKey, SimTime),
+        Remove(ObjectKey),
+    }
+
+    impl Op {
+        fn apply(&self, r: &Registry) {
+            match self {
+                Op::Upsert(key, meta) => r.upsert(key.clone(), meta.clone()),
+                Op::Update(key, tiers, dirty) => {
+                    r.update(key, |m| {
+                        m.locations = TierSet::new();
+                        for tier in tiers {
+                            m.locations.insert(tier.to_string());
+                        }
+                        m.dirty = *dirty;
+                    });
+                }
+                Op::Touch(key, now) => {
+                    r.touch(key, *now);
+                }
+                Op::Remove(key) => {
+                    r.remove(key);
+                }
+            }
+        }
+    }
+
+    /// `steps` random mutations of 24 keys over [`TIERS`], one a second.
+    fn random_ops(rng: &mut tiera_support::SimRng, steps: u64) -> Vec<Op> {
+        let some_tiers = |rng: &mut tiera_support::SimRng| -> Vec<&'static str> {
+            TIERS.into_iter().filter(|_| gen::boolean(rng)).collect()
+        };
+        (0..steps)
+            .map(|step| {
+                let key = ObjectKey::new(format!("k{}", gen::u64_in(rng, 0..24)));
+                let now = SimTime::from_secs(step);
+                match gen::u64_in(rng, 0..8) {
+                    0..=2 => {
+                        let mut meta = ObjectMeta::new(gen::u64_in(rng, 1..100), now);
+                        for tier in some_tiers(rng) {
+                            meta.locations.insert(tier.to_string());
+                        }
+                        meta.dirty = gen::boolean(rng);
+                        meta.access_count = gen::u64_in(rng, 0..40);
+                        if gen::u64_in(rng, 0..4) == 0 {
+                            meta.set_tags([Tag::new("tmp")]);
+                        }
+                        Op::Upsert(key, meta)
+                    }
+                    3 | 4 => Op::Update(key, some_tiers(rng), gen::boolean(rng)),
+                    5 | 6 => Op::Touch(key, now),
+                    _ => Op::Remove(key),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prop_a_lazy_build_equals_eager_upkeep() {
+        prop_check!(cases = 24, |rng| {
+            let steps = gen::u64_in(rng, 1..300);
+            let ops = random_ops(rng, steps);
+            let now = SimTime::from_secs(steps + 1);
+            let eager = Registry::in_memory();
+            assert!(eager.select(&Selector::All, None, SimTime::ZERO).is_empty());
+            let lazy = Registry::in_memory();
+            for op in &ops {
+                op.apply(&eager);
+                op.apply(&lazy);
+            }
+            assert!(!lazy.indexed(), "no ordered read yet");
+            assert_eq!(lazy.ordered_view(now), eager.ordered_view(now));
+            lazy.assert_lists_match_metadata();
+            eager.assert_lists_match_metadata();
+        });
+    }
+
+    #[test]
+    fn prop_a_reopened_registry_builds_the_lists_its_writer_kept() {
+        use tiera_metastore::MetaStoreOptions;
+        let dir = std::env::temp_dir().join(format!("tiera-reg-reopen-{}", std::process::id()));
+        prop_check!(cases = 8, |rng| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let steps = gen::u64_in(rng, 1..200);
+            let ops = random_ops(rng, steps);
+            let now = SimTime::from_secs(steps + 1);
+            // One store shard: its log order is then the writer's order of
+            // last writes, the stamp order of the lists it kept.
+            let opts = MetaStoreOptions {
+                shards: 1,
+                ..MetaStoreOptions::default()
+            };
+            let writer = Registry::over(MetaStore::open_with(&dir, opts).unwrap()).unwrap();
+            for op in &ops {
+                op.apply(&writer);
+            }
+            writer.sync().unwrap();
+            let written = writer.ordered_view(now);
+            drop(writer);
+            let reopened = Registry::persistent(&dir).unwrap();
+            assert!(!reopened.indexed(), "recovery makes no ordered read");
+            assert_eq!(reopened.ordered_view(now), written);
+            reopened.assert_lists_match_metadata();
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_first_ordered_read_builds_the_indexes_under_load() {
+        // Each round races the build against the writers anew.
+        for _ in 0..8 {
+            build_under_load();
+        }
+    }
+
+    /// Four threads mutate shared and their own keys while a fifth makes
+    /// the registry's first ordered read; then every object must be on
+    /// exactly its lists and the aggregates must equal a recount.
+    fn build_under_load() {
+        use std::sync::Arc;
+        let r = Arc::new(Registry::in_memory());
+        let meta = |i: u64| {
+            let mut m = meta_in(TIERS[(i % 3) as usize], i % 50 + 1, SimTime::from_secs(i % 7));
+            m.dirty = i.is_multiple_of(2);
+            m
+        };
+        let shared = |i: u64| ObjectKey::new(format!("shared{}", i % 64));
+        for i in 0..64 {
+            r.upsert(shared(i), meta(i));
+        }
+        let writers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let r = Arc::clone(&r);
+                std::thread::spawn(move || {
+                    for i in 0..3_000u64 {
+                        let own = ObjectKey::new(format!("w{t}-k{}", i % 400));
+                        match i % 6 {
+                            0 | 1 => r.upsert(own, meta(i + t)),
+                            2 => {
+                                r.update(&shared(i + t), |m| {
+                                    m.dirty = !m.dirty;
+                                    m.locations.insert(TIERS[((i + t) % 3) as usize].to_string());
+                                });
+                            }
+                            3 => {
+                                r.touch(&shared(i * 7 + t), SimTime::from_secs(i));
+                            }
+                            4 => {
+                                r.touch(&own, SimTime::from_secs(i));
+                            }
+                            _ => {
+                                r.remove(&own);
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        let reader = {
+            let r = Arc::clone(&r);
+            std::thread::spawn(move || {
+                // Once the writers are well under way.
+                while r.stamps.load(Ordering::Relaxed) < 4_000 {
+                    std::thread::yield_now();
+                }
+                r.oldest_in("t1")
+            })
+        };
+        for t in writers {
+            t.join().unwrap();
+        }
+        reader.join().unwrap();
+        assert!(r.indexed());
+        r.assert_lists_match_metadata();
+        for tier in TIERS {
+            assert_eq!(r.aggregates(tier), r.recount_aggregates(tier), "{tier}");
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ use std::sync::PoisonError;
 /// 2. the policy rule list, held while metrics are evaluated;
 /// 3. instance-level state (`tiers`, `keyring`, `background`, `retry`,
 ///    `retry_rng`, `alerts`);
-/// 4. the registry (documented order **shard → order → aggregates**, with
+/// 4. the registry (documented order **gate → shard → order → aggregates**, with
 ///    `dedup` an independent leaf — see `crates/core/src/registry.rs`);
 /// 5. the metastore shards (documented order **commit → queue → index**;
 ///    every shard of a kind shares one name, so two shards' same-kind
@@ -108,6 +108,10 @@ pub mod rank {
     pub const INSTANCE_RETRY_RNG: u16 = 38;
     /// The failure-alert buffer.
     pub const INSTANCE_ALERTS: u16 = 40;
+    /// The registry's index gate: held shared by mutations while the
+    /// registry is unindexed, exclusively by the first ordered read while
+    /// it builds the order indexes.
+    pub const REGISTRY_GATE: u16 = 49;
     /// One registry key shard (all [`SHARD_COUNT`] shards share this name:
     /// holding two at once is a self-cycle and panics under lockcheck).
     ///
@@ -188,6 +192,7 @@ pub mod rank {
         ("instance.retry", INSTANCE_RETRY),
         ("instance.retry_rng", INSTANCE_RETRY_RNG),
         ("instance.alerts", INSTANCE_ALERTS),
+        ("registry.gate", REGISTRY_GATE),
         ("registry.shard", REGISTRY_SHARD),
         ("registry.order", REGISTRY_ORDER),
         ("registry.aggregates", REGISTRY_AGGREGATES),
@@ -656,8 +661,9 @@ mod tests {
 
     #[test]
     fn registry_rank_order_matches_documented_comment() {
-        // crates/core/src/registry.rs documents "shard → order →
+        // crates/core/src/registry.rs documents "gate → shard → order →
         // aggregates", dedup leaf-only. The declared ranks must agree.
+        assert!(rank::REGISTRY_GATE < rank::REGISTRY_SHARD);
         assert!(rank::REGISTRY_SHARD < rank::REGISTRY_ORDER);
         assert!(rank::REGISTRY_ORDER < rank::REGISTRY_AGGREGATES);
         assert!(rank::REGISTRY_AGGREGATES < rank::REGISTRY_DEDUP);

@@ -1,6 +1,7 @@
 //! Content-addressed deduplication over any tier.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tiera_codec::Digest;
@@ -36,6 +37,8 @@ use tiera_support::Bytes;
 pub struct DedupTier {
     inner: TierHandle,
     state: Mutex<DedupState>,
+    /// Physical blob deletes that failed once nothing referenced the blob.
+    reclaim_failures: AtomicU64,
 }
 
 #[derive(Default)]
@@ -69,7 +72,16 @@ impl DedupTier {
         Arc::new(Self {
             inner,
             state: Mutex::named("tierx.dedup", rank::TIERX_DEDUP, DedupState::default()),
+            reclaim_failures: AtomicU64::new(0),
         })
+    }
+
+    /// Physical blob deletes that failed after a blob lost its last
+    /// reference. Each left bytes in the inner tier that no key points at:
+    /// the inner tier's `used()` counts them until the same content is
+    /// stored, and so rewritten, again.
+    pub fn reclaim_failures(&self) -> u64 {
+        self.reclaim_failures.load(Ordering::Relaxed)
     }
 
     /// The wrapped tier.
@@ -115,13 +127,16 @@ impl DedupTier {
 
     /// Decrements `digest`'s refcount; at zero, removes the blob entry and
     /// best-effort deletes the physical blob (a failed reclaim delete
-    /// leaks physical bytes but never a live key's data).
+    /// leaks physical bytes but never a live key's data, and is counted in
+    /// [`reclaim_failures`](Self::reclaim_failures)).
     fn release(&self, st: &mut DedupState, digest: Digest, now: SimTime) {
         if let Some(blob) = st.blobs.get_mut(&digest) {
             blob.refs -= 1;
             if blob.refs == 0 {
                 st.blobs.remove(&digest);
-                let _ = self.inner.delete(&blob_key(&digest), now);
+                if self.inner.delete(&blob_key(&digest), now).is_err() {
+                    self.reclaim_failures.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -324,6 +339,34 @@ mod tests {
         let (read, _) = t.get(&key("a"), SimTime::ZERO).unwrap();
         assert_eq!(read.as_slice(), payload(2, 200).as_slice());
         assert!(t.check_integrity().is_empty());
+    }
+
+    #[test]
+    fn a_failed_reclaim_is_counted_and_the_content_stored_again() {
+        use tiera_sim::{FailureWindow, SimEnv};
+        use tiera_tiers::MemoryTier;
+        let inner = Arc::new(MemoryTier::same_az("t", 1 << 20, &SimEnv::new(1)));
+        let t = DedupTier::new(inner.clone());
+        let at = SimTime::from_secs;
+        t.put(&key("a"), payload(1, 100), at(0)).unwrap();
+        t.put(&key("b"), payload(2, 100), at(0)).unwrap();
+        inner.failures().schedule(FailureWindow::write_outage(at(10)));
+
+        // A dedup hit writes nothing, so the overwrite succeeds; the blob
+        // it orphans cannot be deleted.
+        t.put(&key("a"), payload(2, 100), at(20)).unwrap();
+        assert_eq!(t.reclaim_failures(), 1);
+        assert!(t.check_integrity().is_empty(), "{:?}", t.check_integrity());
+        assert_eq!(inner.used(), 200, "the orphaned blob's bytes leak");
+        assert_eq!(t.capacity_profile().unwrap().unique_blobs, 1);
+
+        inner.failures().clear();
+        t.put(&key("c"), payload(1, 100), at(30)).unwrap();
+        assert_eq!(t.get(&key("c"), at(30)).unwrap().0.as_slice(), payload(1, 100).as_slice());
+        assert_eq!(t.capacity_profile().unwrap().unique_blobs, 2);
+        assert_eq!(inner.used(), 200, "stored again over the leaked copy");
+        assert!(t.check_integrity().is_empty());
+        assert_eq!(t.reclaim_failures(), 1);
     }
 
     #[test]

@@ -14,11 +14,15 @@
 //! ```
 //!
 //! The budget `--check` holds the metadata plane to, at 100 000 keys: the
-//! registry alone costs at most [`REGISTRY_BUDGET`] bytes an object, an
-//! instance with a `metadata_dir` at most [`INSTANCE_META_BUDGET`], of
-//! which the metastore — that row less the bare instance's — at most
+//! registry alone costs at most [`REGISTRY_BUDGET`] bytes an object, and
+//! [`INDEXED_REGISTRY_BUDGET`] once an ordered read has built its order
+//! indexes; a bare instance at most [`BARE_INSTANCE_BUDGET`], an instance
+//! with a `metadata_dir` at most [`INSTANCE_META_BUDGET`], of which the
+//! metastore — that row less the bare instance's — at most
 //! [`METASTORE_BUDGET`], and a key under a coordinator replicating it to
-//! three nodes at most [`COORDINATOR_BUDGET`].
+//! three nodes at most [`COORDINATOR_BUDGET`]. Only the indexed registry
+//! row makes an ordered read: the others keep no order indexes, so a
+//! change that brings eager index upkeep back fails their budgets.
 
 use std::sync::Arc;
 
@@ -31,19 +35,25 @@ use tiera::tiers::MemoryTier;
 
 const PAYLOAD: usize = 128;
 
-/// Bytes an object may cost the registry alone (219 measured, + 2 %).
-const REGISTRY_BUDGET: f64 = 224.0;
-/// Bytes an object may cost an instance with a `metadata_dir` (366
+/// Bytes an object may cost the registry alone, which keeps no order
+/// indexes (179 measured, + 2 %; 219 while it kept them eagerly).
+const REGISTRY_BUDGET: f64 = 183.0;
+/// Bytes an object may cost a registry whose order indexes are built (216
+/// measured; the budget eager upkeep was held to).
+const INDEXED_REGISTRY_BUDGET: f64 = 224.0;
+/// Bytes an object may cost a bare instance (274 measured, + 2 %).
+const BARE_INSTANCE_BUDGET: f64 = 280.0;
+/// Bytes an object may cost an instance with a `metadata_dir` (312
 /// measured, + 2 %).
-const INSTANCE_META_BUDGET: f64 = 374.0;
+const INSTANCE_META_BUDGET: f64 = 319.0;
 /// Bytes of that which may be the metastore's: its locator table (≈ 33)
 /// and what growing the table left in the allocator.
 const METASTORE_BUDGET: f64 = 48.0;
 /// Bytes a key may cost a `Coordinator` replicating it to three bare
 /// instances: three registry and tier entries, the coordinator's record,
-/// and one key string the four share (873 measured, + 2 %). A key
+/// and one key string the four share (714 measured, + 2 %). A key
 /// string per replica again would cost about 3 × 48 more.
-const COORDINATOR_BUDGET: f64 = 890.0;
+const COORDINATOR_BUDGET: f64 = 729.0;
 
 /// A `kB` field of `/proc/self/status`, in bytes.
 fn status_bytes(field: &str) -> u64 {
@@ -133,13 +143,22 @@ fn main() {
     let env = SimEnv::new(7);
     println!("{keys} keys, {PAYLOAD}-byte payloads; payload bytes excluded\n");
 
-    let (_registry, registry) = measure("Registry (one location, clean)", keys, 0, || {
-        let registry = Registry::in_memory();
+    let load_registry = |registry: &Registry| {
         for name in &names {
             let mut meta = ObjectMeta::new(PAYLOAD as u64, SimTime::ZERO);
             meta.locations.insert("mem".to_string());
             registry.upsert(ObjectKey::new(name), meta);
         }
+    };
+    let (_registry, registry) = measure("Registry (one location, clean)", keys, 0, || {
+        let registry = Registry::in_memory();
+        load_registry(&registry);
+        registry
+    });
+    let (_indexed, indexed) = measure("Registry after its first ordered read", keys, 0, || {
+        let registry = Registry::in_memory();
+        assert_eq!(registry.oldest_in("mem"), None);
+        load_registry(&registry);
         registry
     });
     let _tier = measure("MemoryTier", keys, PAYLOAD, || {
@@ -216,11 +235,15 @@ fn main() {
         let metastore = with_meta - bare;
         println!(
             "\nbudget: registry {registry:.0} of {REGISTRY_BUDGET} B/object, \
+             indexed registry {indexed:.0} of {INDEXED_REGISTRY_BUDGET}, \
+             bare instance {bare:.0} of {BARE_INSTANCE_BUDGET}, \
              instance with metadata_dir {with_meta:.0} of {INSTANCE_META_BUDGET}, \
              metastore {metastore:.0} of {METASTORE_BUDGET}, \
              coordinator R=3 {coordinator:.0} of {COORDINATOR_BUDGET}"
         );
         if registry > REGISTRY_BUDGET
+            || indexed > INDEXED_REGISTRY_BUDGET
+            || bare > BARE_INSTANCE_BUDGET
             || with_meta > INSTANCE_META_BUDGET
             || metastore > METASTORE_BUDGET
             || coordinator > COORDINATOR_BUDGET
