@@ -6,10 +6,10 @@
 //! CI gate without false positives:
 //!
 //! * **A001/A002/A003/A007** apply to *shipping* code only — files outside
-//!   `tests/`/`benches/`/`examples/`, lines before the first
-//!   `#[cfg(test)]` — and never to `crates/support` itself (the lock
-//!   wrappers and channels legitimately compose primitives the rest of the
-//!   workspace must not touch).
+//!   `tests/`/`benches/`/`examples/`, lines before the column-0
+//!   `#[cfg(test)]` that opens the test module — and never to
+//!   `crates/support` itself (the lock wrappers and channels legitimately
+//!   compose primitives the rest of the workspace must not touch).
 //! * **A004** applies to the configured panic-free modules' shipping
 //!   region (historically `crates/rpc/src/proto.rs`).
 //! * **A005** applies to every line of the configured hot-path and
@@ -20,11 +20,11 @@
 //! * **A006** applies to every line of every non-support file, matching
 //!   the original hermetic.rs lint.
 //! * **A009** applies to the column-0 `pub` items of the configured
-//!   dead-surface directories (`crates/chaos/src`). An item is dead when
-//!   its name appears in no non-test line of any analyzed file but its own
-//!   definition. Test code is `tests/` and everything from a file's first
-//!   `#[cfg(test)]` on. The match is by identifier, so a re-export or a
-//!   same-named item elsewhere keeps an item alive: A009 finds what
+//!   dead-surface directories (every crate's `src/` but support's and
+//!   bench's). An item is dead when its name appears in no non-test line
+//!   of any analyzed file but its own definition. Test code is `tests/`
+//!   and a file's test module. The match is by identifier, so a re-export
+//!   or a same-named item elsewhere keeps an item alive: A009 finds what
 //!   nothing names, not every item only tests call.
 
 use crate::diag::{Analysis, Diagnostic, LintCode};
@@ -44,8 +44,9 @@ pub struct Config {
     /// ending in `/` covers every file under that directory.
     pub hot_path: Vec<String>,
     /// Files whose `pub` items must be named by non-test code (A009);
-    /// entries as in `hot_path`. `crates/bench/src` stays out: its `json`
-    /// serves `benchmark/`, which lies outside the analyzed tree.
+    /// entries as in `hot_path`. `crates/support/src` and `crates/bench/src`
+    /// stay out: support's `LOCKCHECK` and bench's `json` serve
+    /// `benchmark/`, which lies outside the analyzed tree.
     pub dead_pub: Vec<String>,
 }
 
@@ -79,7 +80,23 @@ impl Config {
                 "crates/chaos/src/".into(),
                 "crates/workloads/src/".into(),
             ],
-            dead_pub: vec!["crates/chaos/src/".into()],
+            dead_pub: vec![
+                "crates/analyzer/src/".into(),
+                "crates/chaos/src/".into(),
+                "crates/cluster/src/".into(),
+                "crates/codec/src/".into(),
+                "crates/core/src/".into(),
+                "crates/db/src/".into(),
+                "crates/fs/src/".into(),
+                "crates/metastore/src/".into(),
+                "crates/rpc/src/".into(),
+                "crates/sim/src/".into(),
+                "crates/spec/src/".into(),
+                "crates/tiera/src/".into(),
+                "crates/tiers/src/".into(),
+                "crates/tierx/src/".into(),
+                "crates/workloads/src/".into(),
+            ],
         }
     }
 }

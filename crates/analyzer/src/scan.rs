@@ -63,7 +63,8 @@ pub struct FileFacts {
     /// Source lines with comments and string/char literals blanked.
     pub cleaned: Vec<String>,
     /// Number of leading lines that are shipping code: everything from the
-    /// first `#[cfg(test)]` onward is test-only.
+    /// column-0 `#[cfg(test)]` that opens the test module onward is
+    /// test-only.
     pub shipping_end: usize,
     pub ctors: Vec<Ctor>,
     /// Binding ident (struct field or local) → lock name.
@@ -420,6 +421,32 @@ struct HeldGuard {
     ident: Option<String>,
 }
 
+/// The index of the line that opens a file's test module: a column-0
+/// `#[cfg(test)]` whose next code line (past blank lines and further
+/// attributes) declares a `mod`. A `#[cfg(test)]` on a field, an item or
+/// an indented statement gates that one thing and ends nothing.
+fn test_module_start(cleaned: &[String]) -> usize {
+    let declares_mod = |line: &str| {
+        let line = line
+            .strip_prefix("pub(crate) ")
+            .or_else(|| line.strip_prefix("pub "))
+            .unwrap_or(line);
+        line.starts_with("mod ")
+    };
+    (0..cleaned.len())
+        .find(|&i| {
+            let Some(rest) = cleaned[i].strip_prefix("#[cfg(test)]") else {
+                return false;
+            };
+            std::iter::once(rest)
+                .chain(cleaned[i + 1..].iter().map(String::as_str))
+                .map(str::trim)
+                .find(|l| !l.is_empty() && !l.starts_with("#["))
+                .is_some_and(declares_mod)
+        })
+        .unwrap_or(cleaned.len())
+}
+
 /// Scans one file. `source` is the raw text; the path plays no role here
 /// (path-dependent policy lives in [`crate::checks`]).
 pub fn scan(source: &str) -> FileFacts {
@@ -427,10 +454,7 @@ pub fn scan(source: &str) -> FileFacts {
     let cleaned: Vec<String> = cleaned_text.lines().map(str::to_string).collect();
     let raw: Vec<&str> = source.lines().collect();
     let mut facts = FileFacts {
-        shipping_end: cleaned
-            .iter()
-            .position(|l| l.contains("#[cfg(test)]"))
-            .unwrap_or(cleaned.len()),
+        shipping_end: test_module_start(&cleaned),
         ..FileFacts::default()
     };
 
@@ -777,5 +801,13 @@ impl T {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {}\n";
         let facts = scan(src);
         assert_eq!(facts.shipping_end, 1);
+    }
+
+    #[test]
+    fn shipping_region_runs_past_a_gated_field_or_item() {
+        let src = "struct S {\n    #[cfg(test)]\n    probe: u8,\n}\n#[cfg(test)]\nfn helper() {}\n\
+                   #[cfg(test)]\n\n#[allow(dead_code)]\npub(crate) mod tests {}\n";
+        let facts = scan(src);
+        assert_eq!(facts.shipping_end, 6);
     }
 }

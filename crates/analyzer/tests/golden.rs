@@ -61,6 +61,17 @@ fn a002_inversion_fixture_reports_both_rank_and_cycle() {
 }
 
 #[test]
+fn a002_is_reported_past_a_cfg_test_field() {
+    let src = fixture("a002_after_gated_field.rs");
+    let analysis = analyze_file("a002_after_gated_field.rs", &src, &Config::workspace());
+    assert_eq!(codes(&analysis), ["A002"], "{analysis:?}");
+    assert_eq!(
+        analysis.diagnostics()[0].line,
+        line_of(&src, "let _s = self.shards.write();")
+    );
+}
+
+#[test]
 fn a003_blocking_fixture() {
     let src = fixture("a003_blocking.rs");
     let analysis = analyze_file("a003_blocking.rs", &src, &Config::workspace());

@@ -60,6 +60,14 @@ fn scanner_extracts_real_facts_from_the_registry() {
         facts.ctors.iter().any(|c| c.name.as_deref() == Some("registry.order")),
         "registry order index lock should be named"
     );
+    // A `#[cfg(test)]` field does not end the region the lints check: it
+    // runs to the test module.
+    assert_eq!(
+        registry.source.lines().nth(facts.shipping_end + 1),
+        Some("mod tests {"),
+        "the registry's shipping region ends at line {}",
+        facts.shipping_end
+    );
     let workspace_edges: usize = inputs
         .iter()
         .map(|i| scan(&i.source).edges.len())
@@ -68,4 +76,20 @@ fn scanner_extracts_real_facts_from_the_registry() {
         workspace_edges > 0,
         "expected at least one acquired-while-held edge across the workspace"
     );
+}
+
+#[test]
+fn dead_pub_covers_every_crate_but_support_and_bench() {
+    let crates = format!("{}/..", env!("CARGO_MANIFEST_DIR"));
+    let dead_pub = Config::workspace().dead_pub;
+    for entry in std::fs::read_dir(&crates).expect("list crates") {
+        let name = entry
+            .expect("crate entry")
+            .file_name()
+            .into_string()
+            .expect("utf-8 name");
+        let dir = format!("crates/{name}/src/");
+        let exempt = name == "support" || name == "bench";
+        assert_eq!(dead_pub.contains(&dir), !exempt, "{dir}");
+    }
 }

@@ -115,9 +115,7 @@ pub fn run_crash_case(
         segment_max_bytes: SEG_BYTES,
         compact_garbage_ratio: 1.0, // rotation, never auto-snapshot
         sync_every_append: true,
-        group_commit: true,
         shards: SHARDS,
-        ..MetaStoreOptions::default()
     };
     let store =
         MetaStore::open_with(dir, opts).map_err(|e| format!("open failed: {e}"))?;

@@ -762,8 +762,10 @@ impl Instance {
     // ---- the control layer's clock: timers + background work ----
 
     /// Drives timer events and queued background work up to virtual time
-    /// `now`. Call this from the experiment driver (or the RPC server's
-    /// event thread) as simulated time advances.
+    /// `now`, then makes the object metadata durable (a no-op without a
+    /// metadata directory): the tick is the durability boundary. Call this
+    /// from the experiment driver (or the RPC server's event thread) as
+    /// simulated time advances.
     pub fn pump(&self, now: SimTime) -> Result<PumpReport> {
         let mut report = PumpReport::default();
 
@@ -877,6 +879,7 @@ impl Instance {
             }
         }
 
+        self.registry.sync()?;
         Ok(report)
     }
 
@@ -1942,6 +1945,30 @@ mod tests {
         let meta = inst.registry().get(&ObjectKey::new("x")).unwrap();
         assert!(meta.in_tier("tier1") && meta.in_tier("tier2"));
         assert!(!meta.dirty, "write-through to a durable tier cleans");
+    }
+
+    #[test]
+    fn a_pump_makes_the_metadata_durable() {
+        let dir = std::env::temp_dir().join(format!("tiera-pump-sync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let inst = InstanceBuilder::new("persisted", SimEnv::new(1))
+            .tier(MemTier::with_capacity("t1", 1 << 20))
+            .metadata_dir(&dir)
+            .build()
+            .unwrap();
+        let keys: Vec<String> = (0..5).map(|i| format!("key-{i}")).collect();
+        for key in &keys {
+            inst.put(key.as_str(), &b"v"[..], T0).unwrap();
+        }
+        inst.pump(T0).unwrap();
+        // A second reader of the directory, while the instance still runs:
+        // what it finds is what the files hold, not the write buffer.
+        let seen = tiera_metastore::MetaStore::open(&dir).unwrap();
+        for key in &keys {
+            assert!(seen.contains(key.as_bytes()), "{key} reached the disk");
+        }
+        drop((seen, inst));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1959,7 +1959,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let opts = MetaStoreOptions {
             sync_every_append: true,
-            group_commit: false,
             ..MetaStoreOptions::default()
         };
         let store = MetaStore::open_with(&dir, opts).unwrap();

@@ -1,19 +1,19 @@
-//! The metadata store proper: hash-sharded segment chains, group commit,
-//! snapshots, and O(delta) recovery.
+//! The metadata store proper: hash-sharded segment chains, snapshots, and
+//! O(delta) recovery.
 //!
 //! ## Architecture
 //!
 //! Keys are partitioned by FxHash across `N` independent shards (default
 //! 8, fixed at creation and persisted in `metastore.meta`). Each shard
-//! owns three named locks, acquired in rank order **commit → queue →
-//! index** (see `tiera_support::sync::rank`):
+//! owns two named locks, acquired in rank order **commit → index** (see
+//! `tiera_support::sync::rank`):
 //!
 //! * `metastore.commit` — the shard's active segment and durability state;
 //!   held across file IO by design (the log write *is* the critical
-//!   section). All shards share the name, so holding two shards' commit
-//!   locks at once is a lockcheck self-cycle.
-//! * `metastore.queue` — the group-commit queue, drained by the batch
-//!   leader under the commit lock.
+//!   section). Every mutation commits under it, on the calling thread;
+//!   under `sync_every_append` that includes the record's own fsync. All
+//!   shards share the name, so holding two shards' commit locks at once
+//!   is a lockcheck self-cycle.
 //! * `metastore.index` — the shard's read index. `get`/`contains`/
 //!   `scan_prefix` take only this lock, so reads never wait on an
 //!   in-flight append; writers update it briefly after their records are
@@ -55,23 +55,14 @@
 //!   what it collects by key. Nothing is ever produced in table order.
 //! * One open file handle per live segment and snapshot serves the reads.
 //!
-//! ## Group commit
+//! ## Durability
 //!
-//! Under `sync_every_append` durability with `group_commit` enabled,
-//! concurrent writers enqueue their records and elect one *leader* per
-//! shard through an atomic flag. The leader drains the queue batch by
-//! batch (batch-close rule: every record queued at the instant the leader
-//! inspects the queue, in FIFO order, truncated at
-//! [`GROUP_MAX_BATCH_BYTES`]), appends each batch, performs **one**
-//! `flush`+`fsync` for all of it, applies the index updates, and
-//! acknowledges each writer — turning N fsyncs into roughly one per
-//! convoy. Followers wait on their private ack channel *without holding
-//! any lock*, so while the leader is inside `fsync` every other writer
-//! can enqueue; that is what lets the convoy deepen to the full writer
-//! count (a bounded wait plus leadership re-check closes the straggler
-//! race at leader handoff). An operation acknowledges **only after its
-//! record is fsynced**, including a `put` that rewrites an identical value
-//! (the record is still appended; durability is not elided).
+//! Without `sync_every_append` a record is durable once
+//! [`MetaStore::sync`] returns. With it, an operation acknowledges **only
+//! after its record is fsynced**, including a `put` that rewrites an
+//! identical value (the record is still appended; durability is not
+//! elided). [`MetaStore::put_many`] commits each shard's records as one
+//! batch with one fsync.
 //!
 //! ## Snapshots and recovery
 //!
@@ -92,14 +83,13 @@
 //! Crash safety is testable deterministically: see [`crate::kill`] and
 //! [`MetaStore::crash_image`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tiera_support::channel::{self, Sender};
 use tiera_support::collections::{fx_hash_one, FxHashMap};
 use tiera_support::sync::{rank, Mutex, RwLock};
 
@@ -118,9 +108,6 @@ pub enum MetaStoreError {
     BadSegmentName(PathBuf),
     /// A deterministic kill point fired (crash-test harness only).
     Killed(&'static str),
-    /// The operation's group-commit batch failed; the text is the
-    /// leader's error.
-    Commit(String),
     /// Invalid store configuration or metadata.
     Config(String),
 }
@@ -135,7 +122,6 @@ impl std::fmt::Display for MetaStoreError {
             MetaStoreError::Killed(site) => {
                 write!(f, "metastore kill point fired: {site}")
             }
-            MetaStoreError::Commit(msg) => write!(f, "group commit failed: {msg}"),
             MetaStoreError::Config(msg) => write!(f, "metastore config error: {msg}"),
         }
     }
@@ -156,10 +142,6 @@ impl From<io::Error> for MetaStoreError {
     }
 }
 
-/// A group-commit batch closes once it reaches this many bytes; records
-/// beyond the cap stay queued for the next leader.
-pub const GROUP_MAX_BATCH_BYTES: u64 = 1 << 20;
-
 /// Tuning knobs for the store.
 #[derive(Debug, Clone)]
 pub struct MetaStoreOptions {
@@ -171,10 +153,6 @@ pub struct MetaStoreOptions {
     pub compact_garbage_ratio: f64,
     /// fsync before acknowledging every mutation (strongest durability).
     pub sync_every_append: bool,
-    /// Under `sync_every_append`, combine concurrent writers into one
-    /// fsync per convoy (group commit). Has no effect without
-    /// `sync_every_append`.
-    pub group_commit: bool,
     /// Number of hash shards (a power of two, `1..=64`). Fixed when the
     /// directory is created; reopening uses the persisted count and
     /// ignores this field.
@@ -187,7 +165,6 @@ impl Default for MetaStoreOptions {
             segment_max_bytes: 8 * 1024 * 1024,
             compact_garbage_ratio: 0.5,
             sync_every_append: false,
-            group_commit: true,
             shards: 8,
         }
     }
@@ -213,19 +190,15 @@ pub struct Stats {
     pub compactions: u64,
     /// fsync calls issued since open.
     pub fsyncs: u64,
-    /// Group-commit batches led since open.
-    pub group_commits: u64,
-    /// Records committed through group-commit batches since open.
-    pub group_commit_records: u64,
     /// Shard count.
     pub shards: u64,
     /// Bytes of memory the index holds: each shard's locator table at its
     /// current capacity, plus the overflow entries with their keys.
     pub index_bytes: u64,
     /// Superseded files (stale snapshots, covered segments, snapshot temp
-    /// files, migrated legacy segments) whose removal failed for a reason
-    /// other than their being gone already, since open. The operation that
-    /// met one still succeeded; the debris is retried at the next open.
+    /// files) whose removal failed for a reason other than their being
+    /// gone already, since open. The operation that met one still
+    /// succeeded; the debris is retried at the next open.
     pub cleanup_failures: u64,
 }
 
@@ -260,14 +233,6 @@ impl Op<'_> {
     fn encoded_len(&self) -> u64 {
         encoded_record_len(self.key.len(), self.value.len())
     }
-}
-
-/// One record queued for a group-commit leader, with its writer's ack
-/// slot: `Ok(existed)` after the batch fsync, `Err(text)` if it failed.
-struct Pending {
-    rec: Record,
-    hash: u64,
-    ack: Sender<Result<bool, String>>,
 }
 
 /// Where a live record sits in its shard's log.
@@ -686,8 +651,6 @@ struct CommitState {
     snapshot: Option<(u64, u64)>,
     compactions: u64,
     fsyncs: u64,
-    group_commits: u64,
-    group_commit_records: u64,
 }
 
 impl CommitState {
@@ -706,18 +669,11 @@ impl CommitState {
     }
 }
 
-/// One hash shard: its own log chain, group-commit queue, and read index.
+/// One hash shard: its own log chain and read index.
 struct Shard {
     id: usize,
     commit: Mutex<CommitState>,
-    queue: Mutex<VecDeque<Pending>>,
     index: RwLock<Index>,
-    /// Group-commit leader election: `true` while one writer is draining
-    /// the queue. Followers wait on their ack channels instead of
-    /// contending for the commit lock, which is what lets convoys deepen
-    /// to the full writer count (a freshly-acked writer re-entering the
-    /// lock would otherwise lead a batch of one).
-    committing: AtomicBool,
 }
 
 impl Shard {
@@ -800,7 +756,7 @@ impl Shard {
 }
 
 /// A crash-safe embedded key-value store for Tiera metadata (see the
-/// module docs for the sharding, group-commit, and snapshot design).
+/// module docs for the sharding, durability, and snapshot design).
 pub struct MetaStore {
     dir: PathBuf,
     shards: Vec<Shard>,
@@ -822,10 +778,6 @@ fn snap_path(dir: &Path, shard: usize, n: u64) -> PathBuf {
 
 fn snap_tmp_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("s{shard:02}-snap.tmp"))
-}
-
-fn legacy_seg_path(dir: &Path, n: u64) -> PathBuf {
-    dir.join(format!("seg-{n:010}.log"))
 }
 
 /// fsyncs the directory itself, making renames and file creations durable.
@@ -868,7 +820,6 @@ enum ScanFile {
     Seg(usize, u64),
     Snap(usize, u64),
     SnapTmp(PathBuf),
-    Legacy(u64),
 }
 
 fn parse_name(path: &Path) -> Result<Option<ScanFile>, MetaStoreError> {
@@ -900,11 +851,6 @@ fn parse_name(path: &Path) -> Result<Option<ScanFile>, MetaStoreError> {
                     }
                 }
             }
-        }
-    }
-    if let Some(num) = name.strip_prefix("seg-").and_then(|t| t.strip_suffix(".log")) {
-        if let Ok(n) = num.parse::<u64>() {
-            return Ok(Some(ScanFile::Legacy(n)));
         }
     }
     if path.extension().map(|e| e == "log").unwrap_or(false) {
@@ -1043,28 +989,10 @@ fn recover_shard(
             snapshot,
             compactions: 0,
             fsyncs: 0,
-            group_commits: 0,
-            group_commit_records: 0,
         },
         idx,
         cleanup_failures,
     ))
-}
-
-/// Drains one group-commit batch: everything queued right now, FIFO,
-/// truncated at [`GROUP_MAX_BATCH_BYTES`].
-fn take_batch(queue: &mut VecDeque<Pending>) -> Vec<Pending> {
-    let mut batch = Vec::new();
-    let mut bytes = 0u64;
-    while let Some(front) = queue.front() {
-        let len = front.rec.encoded_len();
-        if !batch.is_empty() && bytes + len > GROUP_MAX_BATCH_BYTES {
-            break;
-        }
-        bytes += len;
-        batch.push(queue.pop_front().expect("front exists"));
-    }
-    batch
 }
 
 impl MetaStore {
@@ -1092,13 +1020,11 @@ impl MetaStore {
         let dir = dir.to_path_buf();
         fs::create_dir_all(&dir)?;
 
-        let mut legacy: Vec<u64> = Vec::new();
         let mut tmps: Vec<PathBuf> = Vec::new();
         let mut seen: Vec<ScanFile> = Vec::new();
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
             match parse_name(&path)? {
-                Some(ScanFile::Legacy(n)) => legacy.push(n),
                 Some(ScanFile::SnapTmp(p)) => tmps.push(p),
                 Some(f) => seen.push(f),
                 None => {}
@@ -1134,7 +1060,7 @@ impl MetaStore {
             let (shard, n, is_seg) = match f {
                 ScanFile::Seg(s, n) => (s, n, true),
                 ScanFile::Snap(s, n) => (s, n, false),
-                ScanFile::Legacy(_) | ScanFile::SnapTmp(_) => unreachable!("routed above"),
+                ScanFile::SnapTmp(_) => unreachable!("routed above"),
             };
             if shard >= shard_count {
                 return Err(MetaStoreError::Config(format!(
@@ -1178,60 +1104,19 @@ impl MetaStore {
             shards.push(Shard {
                 id,
                 commit: Mutex::named("metastore.commit", rank::METASTORE_COMMIT, commit),
-                queue: Mutex::named(
-                    "metastore.queue",
-                    rank::METASTORE_QUEUE,
-                    VecDeque::new(),
-                ),
                 index: RwLock::named("metastore.index", rank::METASTORE_INDEX, index),
-                committing: AtomicBool::new(false),
             });
         }
         sync_dir(&dir)?;
 
-        let store = Self {
+        Ok(Self {
             dir,
             shards,
             opts,
             kill: Arc::new(KillPoints::new()),
             hash,
             cleanup_failures: AtomicU64::new(cleanup_failures),
-        };
-
-        if !legacy.is_empty() {
-            store.migrate_legacy(&mut legacy)?;
-        }
-        Ok(store)
-    }
-
-    /// Replays a pre-sharding (v1) flat segment chain through the sharded
-    /// layout, then removes the old files. Idempotent under crashes: the
-    /// legacy files are deleted last, so an interrupted migration simply
-    /// replays and rewrites again on the next open.
-    fn migrate_legacy(&self, legacy: &mut Vec<u64>) -> Result<(), MetaStoreError> {
-        legacy.sort_unstable();
-        for &n in legacy.iter() {
-            let mut log = LogReader::new(File::open(legacy_seg_path(&self.dir, n))?);
-            while let Some(frame) = log.next_frame()? {
-                let (shard, hash) = self.locate(frame.key);
-                let wanted = match frame.kind {
-                    RecordKind::Put => true,
-                    RecordKind::Delete => self.present(shard, hash, frame.key)?,
-                    RecordKind::Seal => false,
-                };
-                if wanted {
-                    // Not durable one by one: the sync below covers them all.
-                    let op = Op { kind: frame.kind, hash, key: frame.key, value: frame.value };
-                    self.mutate_direct(shard, op, false)?;
-                }
-            }
-        }
-        self.sync()?;
-        for &n in legacy.iter() {
-            self.note_debris(remove_debris(&legacy_seg_path(&self.dir, n)));
-        }
-        sync_dir(&self.dir)?;
-        Ok(())
+        })
     }
 
     fn note_debris(&self, failures: u64) {
@@ -1293,7 +1178,7 @@ impl MetaStore {
                 continue;
             }
             let mut c = shard.commit.lock();
-            self.commit(shard, &mut c, ops, self.opts.sync_every_append, |_, _| {})?;
+            self.commit(shard, &mut c, ops, |_, _| {})?;
             self.maybe_rotate(shard, &mut c)?;
         }
         Ok(())
@@ -1304,8 +1189,8 @@ impl MetaStore {
     /// **Contract:** deleting a missing key writes nothing — no tombstone
     /// reaches the log and dead-byte accounting does not drift. (Under
     /// concurrent deleters a lost race can still append a tombstone whose
-    /// key a same-batch predecessor already removed; replay tolerates it
-    /// and both paths count it identically.)
+    /// key the winner already removed; replay tolerates it and both paths
+    /// count it identically.)
     pub fn delete(&self, key: &[u8]) -> Result<bool, MetaStoreError> {
         let (shard, hash) = self.locate(key);
         if !self.present(shard, hash, key)? {
@@ -1319,135 +1204,31 @@ impl MetaStore {
         Ok(idx.slot(hash, key)?.current.is_some())
     }
 
+    /// Commits one record on the calling thread (fsynced before it returns
+    /// under `sync_every_append`); returns whether its key was present.
     fn mutate(&self, shard: &Shard, op: Op<'_>) -> Result<bool, MetaStoreError> {
-        if self.opts.sync_every_append && self.opts.group_commit {
-            return self.mutate_grouped(shard, op);
-        }
-        self.mutate_direct(shard, op, self.opts.sync_every_append)
-    }
-
-    /// Commits one record on the calling thread.
-    fn mutate_direct(
-        &self,
-        shard: &Shard,
-        op: Op<'_>,
-        durable: bool,
-    ) -> Result<bool, MetaStoreError> {
         let mut c = shard.commit.lock();
         let mut existed = false;
-        self.commit(shard, &mut c, &[op], durable, |_, was| existed = was)?;
+        self.commit(shard, &mut c, &[op], |_, was| existed = was)?;
         self.maybe_rotate(shard, &mut c)?;
         Ok(existed)
     }
 
-    /// The group-commit write path (see the module docs): enqueue the
-    /// record, then either *lead* (win the `committing` flag, drain the
-    /// queue batch by batch under the commit lock until it is empty) or
-    /// *follow* (block on the private ack channel — no lock held — until
-    /// the current leader commits us). The bounded follower wait plus a
-    /// leadership re-check closes the straggler race where a record lands
-    /// in the queue just as the leader decides it is done.
-    fn mutate_grouped(&self, shard: &Shard, op: Op<'_>) -> Result<bool, MetaStoreError> {
-        let (ack, rx) = channel::unbounded();
-        {
-            let mut queue = shard.queue.lock();
-            queue.push_back(Pending {
-                rec: Record {
-                    kind: op.kind,
-                    key: op.key.to_vec(),
-                    value: op.value.to_vec(),
-                },
-                hash: op.hash,
-                ack,
-            });
-        }
-        loop {
-            match rx.try_recv() {
-                Ok(Ok(existed)) => return Ok(existed),
-                Ok(Err(msg)) => return Err(MetaStoreError::Commit(msg)),
-                Err(_) => {}
-            }
-            if shard
-                .committing
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                let result = self.lead_commits(shard);
-                shard.committing.store(false, Ordering::SeqCst);
-                // A leader error is the operation's error even when our own
-                // record was already acknowledged mid-convoy — the usual
-                // "failed write may still have happened" semantics. Queued
-                // records we never reached stay queued; their writers will
-                // re-elect and commit (or fail) on their own.
-                result?;
-            } else {
-                // A leader is active and will ack us. The timeout is pure
-                // defense: if we enqueued just after the leader's final
-                // drain, we wake and elect ourselves above.
-                match rx.recv_timeout(std::time::Duration::from_millis(50)) {
-                    Ok(Ok(existed)) => return Ok(existed),
-                    Ok(Err(msg)) => return Err(MetaStoreError::Commit(msg)),
-                    Err(_) => {}
-                }
-            }
-        }
-    }
-
-    /// Drains and commits group-commit batches until the queue is empty,
-    /// acknowledging each record's writer once its batch is fsynced and
-    /// applied (or has failed). Caller holds the `committing` leadership
-    /// flag; the commit lock is held across the whole convoy (one
-    /// acquisition, N batches).
-    fn lead_commits(&self, shard: &Shard) -> Result<(), MetaStoreError> {
-        let mut c = shard.commit.lock();
-        loop {
-            let batch = {
-                let mut queue = shard.queue.lock();
-                take_batch(&mut queue)
-            };
-            if batch.is_empty() {
-                return Ok(());
-            }
-            c.group_commits += 1;
-            c.group_commit_records += batch.len() as u64;
-            let ops: Vec<Op<'_>> = batch
-                .iter()
-                .map(|p| Op { kind: p.rec.kind, hash: p.hash, key: &p.rec.key, value: &p.rec.value })
-                .collect();
-            let mut existed = vec![false; batch.len()];
-            let result = self.commit(shard, &mut c, &ops, true, |i, was| existed[i] = was);
-            for (p, existed) in batch.iter().zip(existed) {
-                let _ = p.ack.send(match &result {
-                    Ok(()) => Ok(existed),
-                    Err(e) => Err(e.to_string()),
-                });
-            }
-            result?;
-            self.maybe_rotate(shard, &mut c)?;
-            // Batch formation: the writers just acked are runnable and
-            // about to enqueue their next records. Give them the CPU for
-            // one scheduling quantum so the next drain sees a full convoy
-            // rather than whoever happened to slip in mid-commit.
-            std::thread::yield_now();
-        }
-    }
-
     /// Appends `ops` to the shard log (caller holds the commit lock),
-    /// optionally fsyncs, then applies the index updates, reporting to
-    /// `applied` for each whether its key was present. On failure nothing
-    /// further is applied — though bytes already accepted may still become
-    /// durable later, the usual "failed write may yet have happened"
-    /// storage semantics.
+    /// fsyncs under `sync_every_append`, then applies the index updates,
+    /// reporting to `applied` for each whether its key was present. On
+    /// failure nothing further is applied — though bytes already accepted
+    /// may still become durable later, the usual "failed write may yet have
+    /// happened" storage semantics.
     fn commit(
         &self,
         shard: &Shard,
         c: &mut CommitState,
         ops: &[Op<'_>],
-        durable: bool,
         applied: impl FnMut(usize, bool),
     ) -> Result<(), MetaStoreError> {
         let mut staging = std::mem::take(&mut c.staging);
-        let result = self.commit_framed(shard, c, ops, &mut staging, durable, applied);
+        let result = self.commit_framed(shard, c, ops, &mut staging, applied);
         c.staging = staging;
         result
     }
@@ -1461,7 +1242,6 @@ impl MetaStore {
         c: &mut CommitState,
         ops: &[Op<'_>],
         staging: &mut Vec<u8>,
-        durable: bool,
         mut applied: impl FnMut(usize, bool),
     ) -> Result<(), MetaStoreError> {
         let Some(first) = ops.first() else {
@@ -1486,7 +1266,7 @@ impl MetaStore {
         // still has to put in the tail.
         let mut at = c.len;
         let mut held_back: &[u8] = &[];
-        if durable {
+        if self.opts.sync_every_append {
             self.kill.check(KillSite::BatchBeforeSync)?;
             shard.write_through(c, staging)?;
             shard.sync_active(c)?;
@@ -1642,8 +1422,6 @@ impl MetaStore {
                 }
                 s.compactions += c.compactions;
                 s.fsyncs += c.fsyncs;
-                s.group_commits += c.group_commits;
-                s.group_commit_records += c.group_commit_records;
             }
             let idx = shard.index.read();
             s.live_keys += idx.live() as u64;
@@ -2252,47 +2030,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_concurrent_writers() {
-        let dir = temp_dir("group");
-        let s = MetaStore::open_with(
-            &dir,
-            MetaStoreOptions {
-                sync_every_append: true,
-                group_commit: true,
-                shards: 2,
-                ..MetaStoreOptions::default()
-            },
-        )
-        .unwrap();
-        let s = std::sync::Arc::new(s);
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let s = std::sync::Arc::clone(&s);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..50 {
-                    s.put(format!("t{t}-k{i}").as_bytes(), format!("{i}").as_bytes())
-                        .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.len(), 200);
-        let st = s.stats();
-        // Every record was committed through the group path, and each got
-        // exactly one ack.
-        assert_eq!(st.group_commit_records, 200, "{st:?}");
-        // And the fsync is per led batch, not per record.
-        assert_eq!(st.fsyncs, st.group_commits, "{st:?}");
-        drop(s);
-        let s = MetaStore::open(&dir).unwrap();
-        assert_eq!(s.len(), 200);
-        assert_eq!(s.get(b"t3-k49"), Some(b"49".to_vec()));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn put_many_commits_per_shard_batches() {
         let dir = temp_dir("putmany");
         let s = MetaStore::open_with(
@@ -2320,50 +2057,29 @@ mod tests {
     }
 
     #[test]
-    fn legacy_flat_layout_migrates() {
-        let dir = temp_dir("legacy");
-        fs::create_dir_all(&dir).unwrap();
-        // A pre-sharding store: flat seg-*.log chain, no meta file.
+    fn a_pre_sharding_segment_is_refused_and_left_in_place() {
+        let dir = temp_dir("flat");
+        // The flat `seg-*.log` chain of a store from before sharding.
+        let flat = dir.join("seg-0000000000.log");
         {
             let file = OpenOptions::new()
                 .create(true)
                 .write(true)
                 .read(true)
                 .truncate(true)
-                .open(legacy_seg_path(&dir, 0))
+                .open(&flat)
                 .unwrap();
             let mut w = LogWriter::new(file, 0).unwrap();
-            w.append(&Record::put(b"old-a".as_slice(), b"1".as_slice()))
-                .unwrap();
-            w.append(&Record::put(b"old-b".as_slice(), b"2".as_slice()))
-                .unwrap();
-            w.append(&Record::put(b"old-a".as_slice(), b"3".as_slice()))
-                .unwrap();
-            w.append(&Record::delete(b"old-b".as_slice())).unwrap();
+            w.append(&Record::put(b"old".as_slice(), b"1".as_slice())).unwrap();
             w.sync().unwrap();
         }
-        {
-            let file = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .read(true)
-                .truncate(true)
-                .open(legacy_seg_path(&dir, 1))
-                .unwrap();
-            let mut w = LogWriter::new(file, 0).unwrap();
-            w.append(&Record::put(b"old-c".as_slice(), b"4".as_slice()))
-                .unwrap();
-            w.sync().unwrap();
-        }
-        let s = MetaStore::open(&dir).unwrap();
-        assert_eq!(s.get(b"old-a"), Some(b"3".to_vec()));
-        assert_eq!(s.get(b"old-b"), None);
-        assert_eq!(s.get(b"old-c"), Some(b"4".to_vec()));
-        assert!(!legacy_seg_path(&dir, 0).exists(), "legacy files removed");
-        assert!(!legacy_seg_path(&dir, 1).exists());
-        drop(s);
-        let s = MetaStore::open(&dir).unwrap();
-        assert_eq!(s.len(), 2);
+        let before = fs::read(&flat).unwrap();
+        let err = MetaStore::open(&dir).unwrap_err();
+        assert!(
+            matches!(&err, MetaStoreError::BadSegmentName(p) if *p == flat),
+            "{err}"
+        );
+        assert_eq!(fs::read(&flat).unwrap(), before, "the file is left as it was");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2539,13 +2255,12 @@ mod tests {
 
     #[test]
     fn get_sees_an_acknowledged_put_in_every_durability_mode() {
-        for (sync_every_append, group_commit) in [(false, true), (true, false), (true, true)] {
+        for sync_every_append in [false, true] {
             let dir = temp_dir("ackvisible");
             let s = MetaStore::open_with(
                 &dir,
                 MetaStoreOptions {
                     sync_every_append,
-                    group_commit,
                     shards: 1,
                     ..MetaStoreOptions::default()
                 },

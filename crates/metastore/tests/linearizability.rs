@@ -1,6 +1,6 @@
 //! Concurrent-writer linearizability for the sharded metastore.
 //!
-//! The contract under group commit: whatever interleaving the threads
+//! The contract: whatever interleaving the threads
 //! produce, the store's final state must equal a **sequential replay of
 //! the per-shard logs** — the log is the linearization. A second property
 //! pins recovery: truncating the log suffix at any record boundary yields
@@ -64,9 +64,10 @@ fn replay_all_segments(dir: &Path) -> BTreeMap<Vec<u8>, Vec<u8>> {
     map
 }
 
-/// 4 threads hammer one store (mixed put/delete/get, group commit on);
-/// afterwards the in-memory state, a sequential replay of the per-shard
-/// logs, and a fresh reopen must all agree.
+/// 4 threads hammer one store (mixed put/delete/get, every record fsynced
+/// by its own writer under the shard's commit lock); afterwards the
+/// in-memory state, a sequential replay of the per-shard logs, and a fresh
+/// reopen must all agree.
 #[test]
 fn hammer_matches_sequential_log_replay() {
     let dir = temp_dir("hammer");
@@ -75,7 +76,6 @@ fn hammer_matches_sequential_log_replay() {
             &dir,
             MetaStoreOptions {
                 sync_every_append: true,
-                group_commit: true,
                 shards: 4,
                 compact_garbage_ratio: 1.0, // keep every segment for replay
                 ..MetaStoreOptions::default()

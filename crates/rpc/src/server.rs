@@ -175,7 +175,9 @@ impl TieraServer {
             );
         }
 
-        // Event thread: maps wall time onto virtual time and pumps.
+        // Event thread: maps wall time onto virtual time and pumps. It
+        // pumps once more after shutdown is requested, so that the last
+        // tick's metadata is made durable too.
         {
             let instance = Arc::clone(&instance);
             let shutdown = Arc::clone(&shutdown);
@@ -183,13 +185,15 @@ impl TieraServer {
             threads.push(
                 std::thread::Builder::new()
                     .name("tiera-events".into())
-                    .spawn(move || {
-                        while !shutdown.load(Ordering::Acquire) {
-                            let now = wall_to_virtual(epoch);
-                            instance.env().clock().advance_to(now);
-                            let _ = instance.pump(instance.env().clock().now());
-                            std::thread::sleep(tick);
+                    .spawn(move || loop {
+                        let stopping = shutdown.load(Ordering::Acquire);
+                        let now = wall_to_virtual(epoch);
+                        instance.env().clock().advance_to(now);
+                        let _ = instance.pump(instance.env().clock().now());
+                        if stopping {
+                            break;
                         }
+                        std::thread::sleep(tick);
                     })
                     .expect("spawn event thread"),
             );

@@ -17,6 +17,7 @@
 //! `if` lowers to a plain [`ResponseSpec::If`].
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use tiera_core::catalog::TierCatalog;
@@ -52,6 +53,7 @@ pub struct Compiler<'a> {
     catalog: &'a TierCatalog,
     env: SimEnv,
     bindings: HashMap<String, ParamValue>,
+    metadata_dir: Option<PathBuf>,
 }
 
 impl<'a> Compiler<'a> {
@@ -61,12 +63,21 @@ impl<'a> Compiler<'a> {
             catalog,
             env,
             bindings: HashMap::new(),
+            metadata_dir: None,
         }
     }
 
     /// Binds a parameter value.
     pub fn bind(mut self, name: impl Into<String>, value: ParamValue) -> Self {
         self.bindings.insert(name.into(), value);
+        self
+    }
+
+    /// Persists the compiled instance's object metadata under `dir` (see
+    /// [`InstanceBuilder::metadata_dir`]); metadata already there is
+    /// recovered.
+    pub fn metadata_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.metadata_dir = Some(dir.into());
         self
     }
 
@@ -111,6 +122,9 @@ impl<'a> Compiler<'a> {
         }
 
         let mut builder = InstanceBuilder::new(spec.name.clone(), self.env.clone());
+        if let Some(dir) = &self.metadata_dir {
+            builder = builder.metadata_dir(dir);
+        }
         for tier in &spec.tiers {
             let size = self.quantity_as_size(&tier.size)?;
             let handle = self
@@ -560,6 +574,32 @@ Tiera LowLatencyInstance(time t) {
         inst.pump(SimTime::from_secs(30)).unwrap();
         let meta = inst.registry().get(&"k".into()).unwrap();
         assert!(meta.in_tier("tier2"), "write-back fired");
+    }
+
+    #[test]
+    fn a_metadata_dir_persists_the_compiled_instance() {
+        use tiera_sim::SimTime;
+        let dir = std::env::temp_dir().join(format!("tiera-compile-meta-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = parse(FIG3).unwrap();
+        let catalog = mem_catalog();
+        let compile = || {
+            Compiler::new(&catalog, SimEnv::new(5))
+                .bind("t", ParamValue::Duration(SimDuration::from_secs(30)))
+                .metadata_dir(&dir)
+                .compile(&spec)
+                .unwrap()
+        };
+        let inst = compile();
+        inst.put("k", &b"v"[..], SimTime::ZERO).unwrap();
+        inst.pump(SimTime::ZERO).unwrap();
+        drop(inst);
+        let meta = compile().registry().get(&"k".into());
+        assert!(
+            meta.is_some_and(|m| m.in_tier("tier1")),
+            "the restart recovers k"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -129,12 +129,8 @@ pub mod rank {
     /// section). All shards share the name, so holding two shards' commit
     /// locks at once is itself a violation.
     pub const METASTORE_COMMIT: u16 = 58;
-    /// A metastore shard's group-commit queue (drained by the batch
-    /// leader under the commit lock; only ever `try_recv`-style
-    /// non-blocking work happens under it).
-    pub const METASTORE_QUEUE: u16 = 60;
     /// A metastore shard's read index (`RwLock`; readers never touch the
-    /// commit or queue locks).
+    /// commit lock, and writers take it under the commit lock).
     pub const METASTORE_INDEX: u16 = 62;
     /// `DedupTier` wrapper state (key→digest map, refcounted blob table).
     /// Held across inner-tier IO by design, so it must rank below every
@@ -198,7 +194,6 @@ pub mod rank {
         ("registry.aggregates", REGISTRY_AGGREGATES),
         ("registry.dedup", REGISTRY_DEDUP),
         ("metastore.commit", METASTORE_COMMIT),
-        ("metastore.queue", METASTORE_QUEUE),
         ("metastore.index", METASTORE_INDEX),
         ("tierx.dedup", TIERX_DEDUP),
         ("tierx.compress", TIERX_COMPRESS),

@@ -157,8 +157,9 @@ fn main() {
     for (name, value) in args.bindings {
         compiler = compiler.bind(name, value);
     }
-    // Metadata persistence (the BerkeleyDB role) is wired through the
-    // builder; the compiler path recompiles with it when requested.
+    if let Some(dir) = &args.metadata_dir {
+        compiler = compiler.metadata_dir(dir);
+    }
     let instance = match compiler.compile(&spec) {
         Ok(i) => i,
         Err(e) => {
@@ -166,12 +167,6 @@ fn main() {
             exit(1)
         }
     };
-    if let Some(dir) = &args.metadata_dir {
-        eprintln!(
-            "note: metadata persistence requested at {dir}; object metadata will be flushed there on sync"
-        );
-    }
-
     println!(
         "tiera-server: instance `{}` with tiers {:?} and {} rule(s)",
         instance.name(),
