@@ -606,40 +606,12 @@ impl Instance {
         })();
 
         if let Err(e) = result {
-            // A failed PUT leaves no phantom state for brand-new keys:
-            // neither metadata nor bytes already placed in some tiers by
-            // the partially-executed placement (which would strand
-            // unreachable data and leak capacity).
-            if prior.is_none() {
-                for placed in &ctx.placed_inserted {
-                    if let Some(tier) = self.tier_by_id(*placed) {
-                        self.cleanup_delete(&tier, &key, ctx.now);
-                    }
-                }
-                self.registry.remove(&key);
-            }
+            self.undo_failed_put(&key, prior, &ctx);
             return Err(e);
         }
 
-        // Overwrite cleanup: stale copies in tiers the new placement did
-        // not freshly write are deleted (the object is immutable; overwrite
-        // replaces it everywhere). The placement set comes from the
-        // execution context, not the carried-over metadata.
         if let Some(prev) = prior {
-            let placed = &ctx.placed_inserted;
-            for stale in prev.locations.iter().filter(|l| !placed.contains_id(**l)) {
-                if let Some(tier) = self.tier_by_id(*stale) {
-                    self.cleanup_delete(&tier, &key, ctx.now);
-                }
-            }
-            self.registry.update(&key, |m| {
-                m.locations.retain(|l| placed.contains_id(l));
-            });
-            if let Some(d) = prev.digest() {
-                if let Some(physical) = self.registry.dedup_release(&d) {
-                    self.delete_physical(&physical, ctx.now);
-                }
-            }
+            self.retire_prior(&key, &prev, &ctx);
         }
 
         self.eval_thresholds(&mut ctx)?;
@@ -649,6 +621,62 @@ impl Instance {
         Ok(PutReceipt {
             latency: ctx.charged,
         })
+    }
+
+    /// Leaves a key whose PUT failed with a record that names only tiers
+    /// holding a value it decodes. A brand-new key leaves no phantom state:
+    /// neither metadata nor bytes the partial placement wrote (which would
+    /// strand unreachable data and leak capacity). An overwrite keeps the
+    /// prior record over the tiers the placement did not touch, dropping
+    /// the new bytes; only when it touched all of them does the new record,
+    /// over the tiers that took the new bytes, stand.
+    fn undo_failed_put(&self, key: &ObjectKey, prior: Option<ObjectMeta>, ctx: &Ctx) {
+        let placed = &ctx.placed_inserted;
+        match prior {
+            // No tier took the new bytes, so nothing persisted the new
+            // record: putting the prior one back in memory is enough.
+            Some(prev) if placed.is_empty() => self.registry.insert_locked(key, prev),
+            Some(prev) if prev.locations.iter().all(|l| placed.contains_id(*l)) => {
+                self.retire_prior(key, &prev, ctx)
+            }
+            prior => {
+                for id in placed {
+                    if let Some(tier) = self.tier_by_id(*id) {
+                        self.cleanup_delete(&tier, key, ctx.now);
+                    }
+                }
+                match prior {
+                    Some(mut prev) => {
+                        prev.locations.retain(|l| !placed.contains_id(l));
+                        self.registry.upsert(key.clone(), prev);
+                    }
+                    None => {
+                        self.registry.remove(key);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Overwrite cleanup: stale copies in tiers the new placement did not
+    /// freshly write are deleted (the object is immutable; overwrite
+    /// replaces it everywhere). The placement set comes from the execution
+    /// context, not the carried-over metadata.
+    fn retire_prior(&self, key: &ObjectKey, prev: &ObjectMeta, ctx: &Ctx) {
+        let placed = &ctx.placed_inserted;
+        for stale in prev.locations.iter().filter(|l| !placed.contains_id(**l)) {
+            if let Some(tier) = self.tier_by_id(*stale) {
+                self.cleanup_delete(&tier, key, ctx.now);
+            }
+        }
+        self.registry.update(key, |m| {
+            m.locations.retain(|l| placed.contains_id(l));
+        });
+        if let Some(d) = prev.digest() {
+            if let Some(physical) = self.registry.dedup_release(&d) {
+                self.delete_physical(&physical, ctx.now);
+            }
+        }
     }
 
     /// Retrieves an object.
@@ -2191,6 +2219,36 @@ mod tests {
         let meta = inst.registry().get(&ObjectKey::new("log")).unwrap();
         assert!(!meta.compressed);
         assert_eq!(meta.stored_size, meta.size);
+    }
+
+    #[test]
+    fn a_refused_overwrite_keeps_the_transformed_value_readable() {
+        let transforms = [
+            ResponseSpec::Compress {
+                what: Selector::Key(ObjectKey::new("k")),
+            },
+            ResponseSpec::Encrypt {
+                what: Selector::Key(ObjectKey::new("k")),
+                key_id: "default".into(),
+            },
+        ];
+        for transform in transforms {
+            let inst = InstanceBuilder::new("refused", SimEnv::new(1))
+                .tier(MemTier::with_capacity("tier1", 1 << 20))
+                .build()
+                .unwrap();
+            inst.add_key("default", [7u8; 32]);
+            let payload: Vec<u8> = b"abc".iter().cycle().take(10_000).copied().collect();
+            inst.put("k", Bytes::from(payload.clone()), T0).unwrap();
+            inst.execute_response(&transform, &mut Ctx::background(T0)).unwrap();
+            let before = inst.registry().get(&ObjectKey::new("k")).unwrap();
+
+            let err = inst.put("k", Bytes::from(vec![1u8; 2 << 20]), T0).unwrap_err();
+            assert!(matches!(err, TieraError::TierFull { .. }), "{transform:?}: {err}");
+            assert_eq!(inst.registry().get(&ObjectKey::new("k")).unwrap(), before);
+            let (data, _) = inst.get("k", T0).unwrap();
+            assert!(data[..] == payload[..], "{transform:?}: GET returned the stored form");
+        }
     }
 
     #[test]

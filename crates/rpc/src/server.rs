@@ -40,8 +40,8 @@
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use tiera_support::channel;
@@ -90,12 +90,33 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
+    pump_errors: Arc<PumpErrors>,
+}
+
+/// The event thread's failed ticks: how many, and the first one's error.
+#[derive(Default)]
+struct PumpErrors {
+    count: AtomicU64,
+    first: OnceLock<String>,
 }
 
 impl ServerHandle {
     /// Address the server is listening on.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Event-thread ticks whose [`Instance::pump`] failed: background work
+    /// or, under a metadata directory, a metadata write refused or a record
+    /// recovery could not decode. The instance reports each such failure
+    /// once, so this count is where it stays visible.
+    pub fn pump_failures(&self) -> u64 {
+        self.pump_errors.count.load(Ordering::Acquire)
+    }
+
+    /// The first failed tick's error text.
+    pub fn first_pump_error(&self) -> Option<&str> {
+        self.pump_errors.first.get().map(String::as_str)
     }
 
     /// Requests shutdown and joins all threads. Graceful: connections
@@ -177,10 +198,13 @@ impl TieraServer {
 
         // Event thread: maps wall time onto virtual time and pumps. It
         // pumps once more after shutdown is requested, so that the last
-        // tick's metadata is made durable too.
+        // tick's metadata is made durable too. A failed tick is counted on
+        // the handle.
+        let pump_errors = Arc::new(PumpErrors::default());
         {
             let instance = Arc::clone(&instance);
             let shutdown = Arc::clone(&shutdown);
+            let errors = Arc::clone(&pump_errors);
             let tick = event_tick;
             threads.push(
                 std::thread::Builder::new()
@@ -189,7 +213,12 @@ impl TieraServer {
                         let stopping = shutdown.load(Ordering::Acquire);
                         let now = wall_to_virtual(epoch);
                         instance.env().clock().advance_to(now);
-                        let _ = instance.pump(instance.env().clock().now());
+                        if let Err(e) = instance.pump(instance.env().clock().now()) {
+                            // `first` is set before `count` grows: Release
+                            // here, Acquire in `ServerHandle::pump_failures`.
+                            errors.first.get_or_init(|| e.to_string());
+                            errors.count.fetch_add(1, Ordering::Release);
+                        }
                         if stopping {
                             break;
                         }
@@ -226,6 +255,7 @@ impl TieraServer {
             addr: local,
             shutdown,
             threads,
+            pump_errors,
         })
     }
 }
@@ -654,5 +684,42 @@ fn handle(
                 message: e.to_string(),
             },
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tiera_core::prelude::*;
+    use tiera_sim::SimEnv;
+
+    #[test]
+    fn a_failed_tick_is_counted_on_the_handle() {
+        let dir = std::env::temp_dir().join(format!("tiera-server-tick-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = tiera_metastore::MetaStore::open(&dir).unwrap();
+        store.put(b"undecodable", b"\xff").unwrap();
+        store.sync().unwrap();
+        drop(store);
+        let instance = InstanceBuilder::new("events", SimEnv::new(5))
+            .tier(MemTier::with_capacity("t1", 1 << 20))
+            .metadata_dir(&dir)
+            .build()
+            .unwrap();
+        let cfg = ServerConfig {
+            request_threads: 1,
+            event_tick: Duration::from_millis(5),
+            ..ServerConfig::default()
+        };
+        let handle = TieraServer::start(instance, "127.0.0.1:0", cfg).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.pump_failures() == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(handle.pump_failures(), 1, "the first tick reports the record, once");
+        let first = handle.first_pump_error().unwrap();
+        assert!(first.contains("could not be decoded") && first.contains("undecodable"), "{first}");
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -12,18 +12,11 @@
 //! start times at the cap rate via [`BandwidthCap::pace`]) so it only ever
 //! holds the device for tiny intervals, which is exactly why capping helps.
 
-use std::collections::BTreeMap;
-
 use crate::clock::{SimDuration, SimTime};
-use tiera_support::sync::{rank, Mutex};
+use crate::serial::{Grant, SerialResource};
 
-/// How far behind the newest reservation a completed interval must be
-/// before it is pruned. Callers' virtual clocks are expected to stay within
-/// this horizon of each other (the workload drivers' executor keeps them
-/// within one step, a far tighter bound).
-const PRUNE_HORIZON: SimDuration = SimDuration::from_secs(30);
-
-/// A contended bandwidth resource (e.g. one EBS volume's disk path).
+/// A contended bandwidth resource (e.g. one EBS volume's disk path): a
+/// rate over a [`SerialResource`], which schedules the transfers.
 ///
 /// Reservations are placed into the earliest idle *gap* at or after the
 /// requested time, so the outcome depends on virtual-time order rather than
@@ -32,24 +25,7 @@ const PRUNE_HORIZON: SimDuration = SimDuration::from_secs(30);
 #[derive(Debug)]
 pub struct SharedBandwidth {
     bytes_per_sec: f64,
-    /// Busy intervals: start ns → end ns.
-    busy: Mutex<BTreeMap<u64, u64>>,
-}
-
-/// Outcome of a bandwidth reservation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Reservation {
-    /// When the transfer actually started (≥ requested start under queuing).
-    pub start: SimTime,
-    /// When the transfer completes.
-    pub complete: SimTime,
-}
-
-impl Reservation {
-    /// Total latency experienced by a requester that asked at `asked`.
-    pub fn latency_from(&self, asked: SimTime) -> SimDuration {
-        self.complete - asked
-    }
+    busy: SerialResource,
 }
 
 impl SharedBandwidth {
@@ -64,7 +40,7 @@ impl SharedBandwidth {
         );
         Self {
             bytes_per_sec,
-            busy: Mutex::named("bandwidth.busy", rank::BANDWIDTH_BUSY, BTreeMap::new()),
+            busy: SerialResource::new(),
         }
     }
 
@@ -80,7 +56,7 @@ impl SharedBandwidth {
 
     /// Reserves the device for a transfer of `bytes` starting no earlier
     /// than `asked`. FIFO: the transfer begins when the device frees up.
-    pub fn reserve(&self, asked: SimTime, bytes: usize) -> Reservation {
+    pub fn reserve(&self, asked: SimTime, bytes: usize) -> Grant {
         self.reserve_for(asked, self.service_time(bytes))
     }
 
@@ -88,50 +64,8 @@ impl SharedBandwidth {
     /// operation holds the device for seek/queue time beyond pure transfer).
     ///
     /// The reservation takes the earliest idle gap at or after `asked`.
-    pub fn reserve_for(&self, asked: SimTime, occupancy: SimDuration) -> Reservation {
-        let occ = occupancy.as_nanos().max(1);
-        let asked_ns = asked.as_nanos();
-        let mut busy = self.busy.lock();
-        // Prune intervals far in the past relative to this request.
-        let cutoff = asked_ns.saturating_sub(PRUNE_HORIZON.as_nanos());
-        while let Some((&s, &e)) = busy.first_key_value() {
-            if e < cutoff {
-                busy.remove(&s);
-            } else {
-                break;
-            }
-        }
-        // Find the earliest gap of length `occ` starting at/after `asked`.
-        let mut candidate = asked_ns;
-        // Start from the last interval beginning at or before the candidate
-        // (it may still overlap the candidate).
-        if let Some((_, &e)) = busy.range(..=candidate).next_back() {
-            if e > candidate {
-                candidate = e;
-            }
-        }
-        for (&s, &e) in busy.range(candidate..) {
-            if candidate + occ <= s {
-                break; // fits in the gap before this interval
-            }
-            candidate = candidate.max(e);
-        }
-        busy.insert(candidate, candidate + occ);
-        Reservation {
-            start: SimTime::from_nanos(candidate),
-            complete: SimTime::from_nanos(candidate + occ),
-        }
-    }
-
-    /// Earliest instant after every current reservation.
-    pub fn next_free(&self) -> SimTime {
-        let busy = self.busy.lock();
-        SimTime::from_nanos(busy.values().copied().max().unwrap_or(0))
-    }
-
-    /// Resets the queue (used when a simulated device is replaced).
-    pub fn reset(&self) {
-        self.busy.lock().clear();
+    pub fn reserve_for(&self, asked: SimTime, occupancy: SimDuration) -> Grant {
+        self.busy.acquire(asked, occupancy)
     }
 }
 
@@ -175,7 +109,7 @@ mod tests {
         let bw = SharedBandwidth::new(1_000_000.0); // 1 MB/s
         let r = bw.reserve(SimTime::from_secs(1), 500_000);
         assert_eq!(r.start, SimTime::from_secs(1));
-        assert_eq!(r.complete.as_millis(), 1500);
+        assert_eq!(r.end.as_millis(), 1500);
     }
 
     #[test]
@@ -183,7 +117,7 @@ mod tests {
         let bw = SharedBandwidth::new(1_000_000.0);
         // Background hog: 10 MB starting at t=0 → busy until t=10 s.
         let hog = bw.reserve(SimTime::ZERO, 10_000_000);
-        assert_eq!(hog.complete, SimTime::from_secs(10));
+        assert_eq!(hog.end, SimTime::from_secs(10));
         // Foreground 4 KB op asked at t=1 s must wait for the hog.
         let fg = bw.reserve(SimTime::from_secs(1), 4096);
         assert_eq!(fg.start, SimTime::from_secs(10));
@@ -232,7 +166,7 @@ mod tests {
         assert_eq!(early.start, SimTime::from_secs(1), "gap before the future slot");
         // A request overlapping the future slot lands right after it.
         let overlapping = bw.reserve(SimTime::from_secs(10), 4096);
-        assert_eq!(overlapping.start, future.complete);
+        assert_eq!(overlapping.start, future.end);
     }
 
     #[test]
@@ -242,10 +176,10 @@ mod tests {
         let c = bw.reserve_for(SimTime::from_millis(30), SimDuration::from_millis(10));
         // Fits exactly between a and c.
         let b = bw.reserve_for(SimTime::from_millis(5), SimDuration::from_millis(15));
-        assert_eq!(b.start, a.complete);
-        assert_eq!(b.complete, SimTime::from_millis(25));
+        assert_eq!(b.start, a.end);
+        assert_eq!(b.end, SimTime::from_millis(25));
         // Does not fit between b and c → goes after c.
         let d = bw.reserve_for(SimTime::from_millis(5), SimDuration::from_millis(8));
-        assert_eq!(d.start, c.complete);
+        assert_eq!(d.start, c.end);
     }
 }

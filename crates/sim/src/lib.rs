@@ -12,8 +12,9 @@
 //!   latency sample and workload decision is reproducible.
 //! * [`LatencyModel`] — per-operation service time: base latency + per-byte
 //!   transfer time + bounded multiplicative jitter.
-//! * [`SharedBandwidth`] — a virtual-time token bucket modelling a contended
-//!   resource such as an EBS volume's disk bandwidth (paper Figure 14).
+//! * [`SharedBandwidth`] — a rate over a [`SerialResource`] modelling a
+//!   contended resource such as an EBS volume's disk bandwidth (paper
+//!   Figure 14).
 //! * [`cost`] — the 2014-era AWS price points the paper's cost plots
 //!   (Figures 9b, 11b, 13b) are built from.
 //! * [`FailureInjector`] — time-windowed fault injection used to reproduce

@@ -1,10 +1,10 @@
 //! Serialization of virtual-time critical sections.
 //!
 //! Models a resource held in *virtual* time: a database's CPU, a table
-//! lock. Grants are placed into the earliest idle gap at or after the
-//! requested time (like [`crate::SharedBandwidth`]), so slightly skewed
-//! clients do not convoy behind each other's future reservations —
-//! only genuine contention queues.
+//! lock, a device's transfer path ([`crate::SharedBandwidth`] is a rate
+//! over one). Grants are placed into the earliest idle gap at or after the
+//! requested time, so slightly skewed clients do not convoy behind each
+//! other's future reservations — only genuine contention queues.
 
 use std::collections::BTreeMap;
 
@@ -30,7 +30,8 @@ impl Default for SerialResource {
     }
 }
 
-/// Grant returned by [`SerialResource::acquire`].
+/// An interval granted by [`SerialResource::acquire`] (and by
+/// [`crate::SharedBandwidth::reserve`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
     /// When the critical section actually started (≥ requested time).

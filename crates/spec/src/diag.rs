@@ -1,305 +1,44 @@
-//! Rendered diagnostics for the specification analyzer.
+//! Lint codes of the specification analyzer.
 //!
-//! The analyzer ([`crate::analyze`]) reports findings as [`Diagnostic`]s:
-//! a stable lint code (`T0xx`), a severity, a 1-based source line, a
-//! message, and optional notes. [`Diagnostic::render`] produces
-//! rustc-style output with the offending source line inlined:
-//!
-//! ```text
-//! error[T001]: undefined tier `tier9` in `to:` of `store`
-//!   --> specs/bad.tiera:4
-//!    |
-//!  4 |         store(what: insert.object, to: tier9);
-//!    |
-//!    = note: declared tiers: tier1
-//! ```
+//! The analyzer ([`crate::analyze`]) reports findings as [`Diagnostic`]s
+//! carrying a stable `T0xx` [`LintCode`]. The finding, the severity, the
+//! per-spec [`Analysis`] and the rustc-style rendering are the shared
+//! engine in [`tiera_support::diag`]; this module holds the code table.
 //!
 //! Codes are append-only: once shipped, a `T0xx` code never changes
 //! meaning (tooling and the golden tests in `tests/lint_golden.rs` key on
 //! them).
 
-use std::fmt;
+use tiera_support::diag;
 
-/// How severe a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Suspicious but compilable; collected and reported, never rejected.
-    Warning,
-    /// The specification is wrong; the compiler refuses to build an
-    /// instance from it.
-    Error,
-}
+pub use tiera_support::diag::Severity;
 
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Warning => f.write_str("warning"),
-            Severity::Error => f.write_str("error"),
-        }
-    }
-}
+/// A single spec-analyzer finding.
+pub type Diagnostic = diag::Diagnostic<LintCode>;
 
-/// Stable lint codes of the analysis pass. See DESIGN.md for the table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LintCode {
-    /// T001 — reference to a tier that is not declared.
-    UndefinedTier,
-    /// T002 — duplicate tier label, or duplicate/shadowed event clause.
-    DuplicateDecl,
-    /// T003 — tier declared but never referenced by any policy.
-    UntargetedTier,
-    /// T004 — reference to a formal parameter that is not declared.
-    UndeclaredParam,
-    /// T005 — a quantity or parameter used where another type is needed.
-    TypeMismatch,
-    /// T006 — percentage outside its valid range.
-    PercentRange,
-    /// T007 — zero timer period.
-    ZeroTimer,
-    /// T008 — cycle in the copy/move data-movement graph.
-    MovementCycle,
-    /// T009 — copy target capacity smaller than its source tier.
-    WritebackCapacity,
-    /// T010 — dirty data parked in a volatile tier with no write-back.
-    VolatilityLeak,
-    /// T011 — formal parameter declared but never used.
-    UnusedParam,
-    /// T012 — unknown response name.
-    UnknownResponse,
-    /// T013 — redundant capacity transform: `compress` on a tier that is
-    /// already compressed or content-addressed.
-    CompressRedundant,
-    /// T014 — `dedup` on a volatile tier with no durable copy path for
-    /// the blob store.
-    DedupVolatile,
-    /// T015 — tier attribute with an unknown name or invalid parameter.
-    BadTierAttribute,
-}
+/// Every finding for one spec, in spec walk order, then whole-spec checks.
+pub type Analysis = diag::Analysis<LintCode>;
 
-impl LintCode {
-    /// Every code, in numeric order.
-    pub const ALL: [LintCode; 15] = [
-        LintCode::UndefinedTier,
-        LintCode::DuplicateDecl,
-        LintCode::UntargetedTier,
-        LintCode::UndeclaredParam,
-        LintCode::TypeMismatch,
-        LintCode::PercentRange,
-        LintCode::ZeroTimer,
-        LintCode::MovementCycle,
-        LintCode::WritebackCapacity,
-        LintCode::VolatilityLeak,
-        LintCode::UnusedParam,
-        LintCode::UnknownResponse,
-        LintCode::CompressRedundant,
-        LintCode::DedupVolatile,
-        LintCode::BadTierAttribute,
-    ];
-
-    /// The stable `T0xx` code string.
-    pub fn code(&self) -> &'static str {
-        match self {
-            LintCode::UndefinedTier => "T001",
-            LintCode::DuplicateDecl => "T002",
-            LintCode::UntargetedTier => "T003",
-            LintCode::UndeclaredParam => "T004",
-            LintCode::TypeMismatch => "T005",
-            LintCode::PercentRange => "T006",
-            LintCode::ZeroTimer => "T007",
-            LintCode::MovementCycle => "T008",
-            LintCode::WritebackCapacity => "T009",
-            LintCode::VolatilityLeak => "T010",
-            LintCode::UnusedParam => "T011",
-            LintCode::UnknownResponse => "T012",
-            LintCode::CompressRedundant => "T013",
-            LintCode::DedupVolatile => "T014",
-            LintCode::BadTierAttribute => "T015",
-        }
-    }
-
-    /// One-line description, as shown in `tiera-lint --explain`-style docs.
-    pub fn summary(&self) -> &'static str {
-        match self {
-            LintCode::UndefinedTier => "reference to a tier that is not declared",
-            LintCode::DuplicateDecl => "duplicate tier label or duplicate event clause",
-            LintCode::UntargetedTier => "tier declared but never referenced by any policy",
-            LintCode::UndeclaredParam => "reference to an undeclared formal parameter",
-            LintCode::TypeMismatch => "quantity or parameter used with the wrong type",
-            LintCode::PercentRange => "percentage outside its valid range",
-            LintCode::ZeroTimer => "timer event with a zero period",
-            LintCode::MovementCycle => "cycle in the copy/move data-movement graph",
-            LintCode::WritebackCapacity => "copy target smaller than its source tier",
-            LintCode::VolatilityLeak => "dirty data in a volatile tier with no write-back",
-            LintCode::UnusedParam => "formal parameter declared but never used",
-            LintCode::UnknownResponse => "unknown response name",
-            LintCode::CompressRedundant => "compress on an already-compressed or dedup'd tier",
-            LintCode::DedupVolatile => "dedup blob store on a volatile tier with no write-back",
-            LintCode::BadTierAttribute => "tier attribute with an unknown name or parameter",
-        }
-    }
-
-    /// The severity this code carries unless a specific finding overrides
-    /// it (T002 and T008 report both flavors).
-    pub fn default_severity(&self) -> Severity {
-        match self {
-            LintCode::UndefinedTier
-            | LintCode::UndeclaredParam
-            | LintCode::TypeMismatch
-            | LintCode::PercentRange
-            | LintCode::ZeroTimer
-            | LintCode::UnknownResponse
-            | LintCode::BadTierAttribute => Severity::Error,
-            LintCode::DuplicateDecl
-            | LintCode::UntargetedTier
-            | LintCode::MovementCycle
-            | LintCode::WritebackCapacity
-            | LintCode::VolatilityLeak
-            | LintCode::UnusedParam
-            | LintCode::CompressRedundant
-            | LintCode::DedupVolatile => Severity::Warning,
-        }
-    }
-}
-
-impl fmt::Display for LintCode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.code())
-    }
-}
-
-/// A single analyzer finding.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Diagnostic {
-    /// The lint that fired.
-    pub code: LintCode,
-    /// Error or warning.
-    pub severity: Severity,
-    /// 1-based source line; 0 when the finding has no single line (e.g. a
-    /// whole-spec property).
-    pub line: u32,
-    /// Human-readable description of the finding.
-    pub message: String,
-    /// Supplementary `= note:` lines.
-    pub notes: Vec<String>,
-}
-
-impl Diagnostic {
-    /// A finding at the code's default severity.
-    pub fn new(code: LintCode, line: u32, message: impl Into<String>) -> Self {
-        Self {
-            code,
-            severity: code.default_severity(),
-            line,
-            message: message.into(),
-            notes: Vec::new(),
-        }
-    }
-
-    /// Overrides the severity (T002/T008 escalate specific shapes).
-    pub fn severity(mut self, severity: Severity) -> Self {
-        self.severity = severity;
-        self
-    }
-
-    /// Appends a `= note:` line.
-    pub fn note(mut self, note: impl Into<String>) -> Self {
-        self.notes.push(note.into());
-        self
-    }
-
-    /// Renders the diagnostic rustc-style against the spec source text.
-    /// `origin` is the file name (or any label) shown after `-->`.
-    pub fn render(&self, source: &str, origin: &str) -> String {
-        let mut out = format!("{}[{}]: {}\n", self.severity, self.code, self.message);
-        let snippet = (self.line > 0)
-            .then(|| source.lines().nth(self.line as usize - 1))
-            .flatten();
-        let gutter = if self.line > 0 {
-            self.line.to_string().len()
-        } else {
-            1
-        };
-        let pad = " ".repeat(gutter);
-        if self.line > 0 {
-            out.push_str(&format!("{pad}--> {origin}:{}\n", self.line));
-        } else {
-            out.push_str(&format!("{pad}--> {origin}\n"));
-        }
-        if let Some(text) = snippet {
-            out.push_str(&format!("{pad} |\n"));
-            out.push_str(&format!("{} | {}\n", self.line, text.trim_end()));
-            out.push_str(&format!("{pad} |\n"));
-        }
-        for note in &self.notes {
-            out.push_str(&format!("{pad} = note: {note}\n"));
-        }
-        out
-    }
-}
-
-/// The outcome of analyzing a specification: every finding, in a
-/// deterministic order (spec walk order, then whole-spec checks).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Analysis {
-    diagnostics: Vec<Diagnostic>,
-}
-
-impl Analysis {
-    /// Wraps a list of findings.
-    pub fn new(diagnostics: Vec<Diagnostic>) -> Self {
-        Self { diagnostics }
-    }
-
-    /// All findings.
-    pub fn diagnostics(&self) -> &[Diagnostic] {
-        &self.diagnostics
-    }
-
-    /// Findings with [`Severity::Error`].
-    pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-    }
-
-    /// Findings with [`Severity::Warning`].
-    pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
-    }
-
-    /// Whether any finding is an error.
-    pub fn has_errors(&self) -> bool {
-        self.errors().next().is_some()
-    }
-
-    /// The first error, if any (what `Compiler::compile` reports).
-    pub fn first_error(&self) -> Option<&Diagnostic> {
-        self.errors().next()
-    }
-
-    /// Whether the spec produced no findings at all.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
-    /// Consumes the analysis, keeping only warnings (for
-    /// `Compiler::compile_checked`, which has already rejected errors).
-    pub fn into_warnings(self) -> Vec<Diagnostic> {
-        self.diagnostics
-            .into_iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .collect()
-    }
-
-    /// Renders every finding, separated by blank lines.
-    pub fn render(&self, source: &str, origin: &str) -> String {
-        self.diagnostics
-            .iter()
-            .map(|d| d.render(source, origin))
-            .collect::<Vec<_>>()
-            .join("\n")
+tiera_support::lint_codes! {
+    /// Stable lint codes of the analysis pass. See DESIGN.md for the table.
+    /// T002 and T008 report both severities; every other code keeps its
+    /// default.
+    pub enum LintCode {
+        UndefinedTier => ("T001", Error, "reference to a tier that is not declared"),
+        DuplicateDecl => ("T002", Warning, "duplicate tier label or duplicate event clause"),
+        UntargetedTier => ("T003", Warning, "tier declared but never referenced by any policy"),
+        UndeclaredParam => ("T004", Error, "reference to an undeclared formal parameter"),
+        TypeMismatch => ("T005", Error, "quantity or parameter used with the wrong type"),
+        PercentRange => ("T006", Error, "percentage outside its valid range"),
+        ZeroTimer => ("T007", Error, "timer event with a zero period"),
+        MovementCycle => ("T008", Warning, "cycle in the copy/move data-movement graph"),
+        WritebackCapacity => ("T009", Warning, "copy target smaller than its source tier"),
+        VolatilityLeak => ("T010", Warning, "dirty data in a volatile tier with no write-back"),
+        UnusedParam => ("T011", Warning, "formal parameter declared but never used"),
+        UnknownResponse => ("T012", Error, "unknown response name"),
+        CompressRedundant => ("T013", Warning, "compress on an already-compressed or dedup'd tier"),
+        DedupVolatile => ("T014", Warning, "dedup blob store on a volatile tier with no write-back"),
+        BadTierAttribute => ("T015", Error, "tier attribute with an unknown name or parameter"),
     }
 }
 
@@ -313,37 +52,5 @@ mod tests {
             assert_eq!(code.code(), format!("T{:03}", i + 1));
             assert!(!code.summary().is_empty());
         }
-    }
-
-    #[test]
-    fn render_includes_source_line_and_notes() {
-        let src = "line one\nline two\nline three";
-        let d = Diagnostic::new(LintCode::UndefinedTier, 2, "undefined tier `x`")
-            .note("declared tiers: tier1");
-        let r = d.render(src, "demo.tiera");
-        assert!(r.starts_with("error[T001]: undefined tier `x`\n"));
-        assert!(r.contains("--> demo.tiera:2\n"));
-        assert!(r.contains("2 | line two\n"));
-        assert!(r.contains("= note: declared tiers: tier1\n"));
-    }
-
-    #[test]
-    fn render_without_line_omits_snippet() {
-        let d = Diagnostic::new(LintCode::UntargetedTier, 0, "tier `t` unused");
-        let r = d.render("src", "f.tiera");
-        assert!(r.contains("--> f.tiera\n"));
-        assert!(!r.contains(" | "));
-    }
-
-    #[test]
-    fn analysis_partitions_by_severity() {
-        let a = Analysis::new(vec![
-            Diagnostic::new(LintCode::UndefinedTier, 1, "e"),
-            Diagnostic::new(LintCode::UnusedParam, 2, "w"),
-        ]);
-        assert!(a.has_errors());
-        assert_eq!(a.errors().count(), 1);
-        assert_eq!(a.warnings().count(), 1);
-        assert_eq!(a.into_warnings().len(), 1);
     }
 }

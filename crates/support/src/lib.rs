@@ -19,6 +19,9 @@
 //!   generators off [`rng::SimRng`] (replaces `proptest`).
 //! * [`bench`] — a micro-benchmark timer with a criterion-shaped API
 //!   (replaces `criterion`).
+//! * [`diag`] — the rustc-style diagnostics engine both static analyzers
+//!   (`tiera-lint`, `tiera-analyze`) render through, and [`lint_codes!`],
+//!   which declares each analyzer's code table.
 //!
 //! This crate sits at the bottom of the dependency graph and must stay
 //! dependency-free: `cargo build --offline` on a bare Rust toolchain is the
@@ -34,6 +37,7 @@ pub mod bench;
 pub mod bytes;
 pub mod channel;
 pub mod collections;
+pub mod diag;
 pub mod prop;
 pub mod rng;
 pub mod sync;

@@ -163,9 +163,8 @@ pub mod rank {
     /// Fault injector: seeded draw stream (acquired under
     /// `FAILURE_SPECS`).
     pub const FAILURE_RNG: u16 = 90;
-    /// Shared-bandwidth reservation map.
-    pub const BANDWIDTH_BUSY: u16 = 92;
-    /// Serial-resource reservation map.
+    /// Serial-resource reservation map (also the schedule of every
+    /// `SharedBandwidth`).
     pub const SERIAL_BUSY: u16 = 94;
     /// One stats stripe (leaf; stripes are never nested).
     pub const STATS_STRIPE: u16 = 96;
@@ -206,7 +205,6 @@ pub mod rank {
         ("failure.windows", FAILURE_WINDOWS),
         ("failure.specs", FAILURE_SPECS),
         ("failure.rng", FAILURE_RNG),
-        ("bandwidth.busy", BANDWIDTH_BUSY),
         ("serial.busy", SERIAL_BUSY),
         ("stats.stripe", STATS_STRIPE),
     ];

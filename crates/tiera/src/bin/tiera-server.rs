@@ -189,7 +189,16 @@ fn main() {
     };
     println!("listening on {} ({} request threads)", handle.addr(), args.threads);
     println!("press ctrl-c to stop");
+    let mut reported = 0;
     loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
+        std::thread::sleep(std::time::Duration::from_secs(1));
+        let failures = handle.pump_failures();
+        if failures > reported {
+            eprintln!(
+                "tiera-server: {failures} event tick(s) failed (first: {})",
+                handle.first_pump_error().unwrap_or_default()
+            );
+            reported = failures;
+        }
     }
 }
