@@ -558,30 +558,31 @@ impl Instance {
             });
         }
 
-        // Snapshot prior state for overwrite cleanup.
-        let prior = self.registry.get(&key);
-
-        // Register metadata (dirty until persisted, per Fig 3).
-        let mut meta = ObjectMeta::new(size, now);
-        meta.dirty = true;
-        if !opts.tags.is_empty() {
-            meta.set_tags(opts.tags.iter().cloned());
-        }
-        if let Some(prev) = &prior {
-            meta.created = prev.created;
-            meta.access_count = prev.access_count;
-            // Keep the previous copies visible until the new placement
-            // lands: a concurrent GET reads the old bytes (the overwrite is
-            // not atomic across tiers, but it is never *invisible*). Stale
-            // locations are cleaned below once placement finishes.
-            meta.locations = prev.locations.clone();
-        }
-        meta.touch(now);
         let into_tier = self.default_tier()?.id.name();
-        // In memory only: the placement that records the first location
-        // persists the record, so a crash before any tier write leaves a
-        // fresh key unpersisted and an overwritten key's old record intact.
-        self.registry.insert_locked(&key, meta);
+        // Register metadata (dirty until persisted, per Fig 3), built from
+        // the prior record under the same shard lock that replaces it; the
+        // prior is kept for overwrite cleanup. In memory only: the
+        // placement that records the first location persists the record,
+        // so a crash before any tier write leaves a fresh key unpersisted
+        // and an overwritten key's old record intact.
+        let prior = self.registry.replace_locked(&key, |prior| {
+            let mut meta = ObjectMeta::new(size, now);
+            meta.dirty = true;
+            if !opts.tags.is_empty() {
+                meta.set_tags(opts.tags.iter().cloned());
+            }
+            if let Some(prev) = prior {
+                meta.created = prev.created;
+                meta.access_count = prev.access_count;
+                // Keep the previous copies visible until the new placement
+                // lands: a concurrent GET reads the old bytes (the overwrite
+                // is not atomic across tiers, but it is never *invisible*).
+                // Stale locations are cleaned below once placement finishes.
+                meta.locations = prev.locations.clone();
+            }
+            meta.touch(now);
+            meta
+        });
 
         let mut ctx = Ctx::foreground(now);
         ctx.inserted = Some(key.clone());
@@ -1423,7 +1424,7 @@ impl Instance {
             for t in &placed {
                 m.locations.insert_id(*t);
             }
-            m.stored_size = data.len() as u64;
+            m.set_stored_size(data.len() as u64);
             if durable {
                 m.dirty = false;
             }
@@ -1472,7 +1473,7 @@ impl Instance {
                 self.registry.upsert(physical, pm);
                 self.registry.update(key, |m| {
                     m.set_digest(Some(digest));
-                    m.stored_size = data.len() as u64;
+                    m.set_stored_size(data.len() as u64);
                 });
             }
         }
@@ -1537,7 +1538,7 @@ impl Instance {
             // Foreground capped copies pace inline (charged to the caller).
             if let Some(cap) = bandwidth {
                 if let Some(meta) = self.registry.get(&self.resolve_physical(&key)) {
-                    ctx.charge(cap.pace(meta.stored_size as usize));
+                    ctx.charge(cap.pace(meta.stored_size() as usize));
                 }
             }
             self.copy_single(&key, to, delete_source, ctx)?;
@@ -1563,7 +1564,7 @@ impl Instance {
             let covered = to.iter().all(|t| meta.locations.contains(t.as_ref()));
             let exact = meta.locations.len() == to.len();
             if covered && (!delete_source || exact) && ctx.inserted.as_ref() != Some(&key) {
-                return Ok(meta.stored_size as usize);
+                return Ok(meta.stored_size() as usize);
             }
         }
         let data = self.fetch_stored(&key, ctx)?;
@@ -1748,7 +1749,7 @@ impl Instance {
             ctx.charge(slowest);
             self.registry.update(&key, |m| {
                 m.compressed = compress;
-                m.stored_size = data.len() as u64;
+                m.set_stored_size(data.len() as u64);
             });
         }
         Ok(())
@@ -1772,7 +1773,7 @@ impl Instance {
                 ctx.inserted
                     .as_ref()
                     .and_then(|k| self.registry.get(k))
-                    .map(|m| m.stored_size)
+                    .map(|m| m.stored_size())
             })
             .unwrap_or(0);
         let mut evicted = 0usize;
@@ -2203,7 +2204,7 @@ mod tests {
         .unwrap();
         let meta = inst.registry().get(&ObjectKey::new("log")).unwrap();
         assert!(meta.compressed);
-        assert!(meta.stored_size < meta.size / 2, "{meta:?}");
+        assert!(meta.stored_size() < meta.size / 2, "{meta:?}");
         assert!(inst.tier("tier1").unwrap().used() < 5_000);
         // Transparent decompression on GET.
         let (data, _) = inst.get("log", T0).unwrap();
@@ -2218,7 +2219,7 @@ mod tests {
         .unwrap();
         let meta = inst.registry().get(&ObjectKey::new("log")).unwrap();
         assert!(!meta.compressed);
-        assert_eq!(meta.stored_size, meta.size);
+        assert_eq!(meta.stored_size(), meta.size);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! The in-memory record is kept small because there is one per object and
 //! it lives beside the most expensive tier: locations are an inline
 //! [`TierSet`] of interned ids, and the rarely-set attributes (tags,
-//! content digest, encryption key id) sit behind one optional box, so the
-//! common record is [`ObjectMeta`]'s 72 bytes with no heap behind it and
-//! cloning it is a copy. The encoded form carries names, not ids.
+//! content digest, encryption key id, a stored size that differs from the
+//! logical one) sit behind one optional box, so the common record is
+//! [`ObjectMeta`]'s 56 bytes with no heap behind it and cloning it is a
+//! copy. The encoded form carries names, not ids, and the access count and
+//! stored size at full width.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -180,31 +182,35 @@ impl FromIterator<TierId> for TierSet {
 }
 
 /// The attributes few objects carry, boxed so the rest pay eight bytes for
-/// them. Invariant: `ObjectMeta::rare` is `None` when all three are empty,
+/// them. Invariant: `ObjectMeta::rare` is `None` when all four are empty,
 /// which keeps derived equality meaningful.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Rare {
     tags: BTreeSet<Tag>,
     digest: Option<Digest>,
     encryption_key_id: Option<String>,
+    /// The stored size, only when it differs from the logical size
+    /// (after a `compress` response, say).
+    stored_size: Option<u64>,
 }
 
 /// Metadata tracked for every object in a Tiera instance.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ObjectMeta {
-    /// Logical (uncompressed, unencrypted) size in bytes.
+    /// Logical (uncompressed, unencrypted) size in bytes. The stored size
+    /// ([`stored_size`](Self::stored_size)) follows it unless set apart.
     pub size: u64,
-    /// Stored size in bytes (differs from `size` after compression).
-    pub stored_size: u64,
-    /// Number of accesses (PUT + GET) since creation.
-    pub access_count: u64,
+    /// Number of accesses (PUT + GET) since creation, saturating at
+    /// `u32::MAX`.
+    pub access_count: u32,
     /// Virtual time of the last access.
     pub last_access: SimTime,
     /// Virtual time of creation.
     pub created: SimTime,
     /// The tiers currently holding the object.
     pub locations: TierSet,
-    /// Tags, content digest and encryption key id, when any is set.
+    /// Tags, content digest, encryption key id and a stored size apart
+    /// from `size`, when any is set.
     rare: Option<Box<Rare>>,
     /// Whether the object has been modified since it was last copied to a
     /// persistent tier (drives write-back policies, paper Fig 3).
@@ -219,7 +225,7 @@ impl fmt::Debug for ObjectMeta {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ObjectMeta")
             .field("size", &self.size)
-            .field("stored_size", &self.stored_size)
+            .field("stored_size", &self.stored_size())
             .field("access_count", &self.access_count)
             .field("dirty", &self.dirty)
             .field("locations", &self.locations)
@@ -235,7 +241,8 @@ impl fmt::Debug for ObjectMeta {
 }
 
 // One of these exists per stored object, beside the fast tier's bytes.
-const _: () = assert!(std::mem::size_of::<ObjectMeta>() <= 80);
+const _: () = assert!(std::mem::size_of::<TierSet>() <= 16);
+const _: () = assert!(std::mem::size_of::<ObjectMeta>() <= 56);
 
 /// No tags: what [`ObjectMeta::tags`] lends when nothing rare is set.
 static NO_TAGS: BTreeSet<Tag> = BTreeSet::new();
@@ -245,7 +252,6 @@ impl ObjectMeta {
     pub fn new(size: u64, now: SimTime) -> Self {
         Self {
             size,
-            stored_size: size,
             access_count: 0,
             last_access: now,
             created: now,
@@ -259,7 +265,7 @@ impl ObjectMeta {
 
     /// Records an access at `now`.
     pub fn touch(&mut self, now: SimTime) {
-        self.access_count += 1;
+        self.access_count = self.access_count.saturating_add(1);
         self.last_access = now;
     }
 
@@ -269,7 +275,22 @@ impl ObjectMeta {
     /// can be used for easy specification of hot and cold objects").
     pub fn access_frequency(&self, now: SimTime) -> f64 {
         let age = now.since(self.created).as_secs_f64().max(1e-9);
-        self.access_count as f64 / age
+        f64::from(self.access_count) / age
+    }
+
+    /// Stored size in bytes: `size` unless the stored bytes differ from
+    /// the logical ones (after compression, say).
+    pub fn stored_size(&self) -> u64 {
+        self.rare.as_ref().and_then(|r| r.stored_size).unwrap_or(self.size)
+    }
+
+    /// Sets the stored size. One apart from `size` lives in the rare box,
+    /// so it costs an object without other rare attributes that box.
+    pub fn set_stored_size(&mut self, stored_size: u64) {
+        let apart = (stored_size != self.size).then_some(stored_size);
+        if apart.is_some() || self.rare.is_some() {
+            self.edit_rare(|r| r.stored_size = apart);
+        }
     }
 
     /// Tags (object classes) assigned at PUT time.
@@ -336,8 +357,8 @@ impl ObjectMeta {
     /// one buffer and encodes record after record into it.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.size.to_le_bytes());
-        out.extend_from_slice(&self.stored_size.to_le_bytes());
-        out.extend_from_slice(&self.access_count.to_le_bytes());
+        out.extend_from_slice(&self.stored_size().to_le_bytes());
+        out.extend_from_slice(&u64::from(self.access_count).to_le_bytes());
         out.extend_from_slice(&self.last_access.as_nanos().to_le_bytes());
         out.extend_from_slice(&self.created.as_nanos().to_le_bytes());
         let digest = self.digest();
@@ -361,7 +382,8 @@ impl ObjectMeta {
         }
     }
 
-    /// Decodes metadata produced by [`encode`](Self::encode).
+    /// Decodes metadata produced by [`encode`](Self::encode). An access
+    /// count above `u32::MAX` saturates.
     ///
     /// Location names are interned here. A record naming more new tiers
     /// than the process-wide table has room for is malformed (`None`) and
@@ -370,7 +392,7 @@ impl ObjectMeta {
         let mut r = Reader { buf, pos: 0 };
         let size = r.u64()?;
         let stored_size = r.u64()?;
-        let access_count = r.u64()?;
+        let access_count = u32::try_from(r.u64()?).unwrap_or(u32::MAX);
         let last_access = SimTime::from_nanos(r.u64()?);
         let created = SimTime::from_nanos(r.u64()?);
         let flags = r.u8()?;
@@ -399,7 +421,6 @@ impl ObjectMeta {
         };
         let mut meta = Self {
             size,
-            stored_size,
             access_count,
             last_access,
             created,
@@ -409,11 +430,13 @@ impl ObjectMeta {
             compressed: flags & 0b10 != 0,
             encrypted: flags & 0b100 != 0,
         };
-        if !tags.is_empty() || digest.is_some() || encryption_key_id.is_some() {
+        let stored_size = (stored_size != size).then_some(stored_size);
+        if !tags.is_empty() || digest.is_some() || encryption_key_id.is_some() || stored_size.is_some() {
             meta.edit_rare(|r| {
                 r.tags = tags.into_iter().map(Tag::new).collect();
                 r.digest = digest;
                 r.encryption_key_id = encryption_key_id;
+                r.stored_size = stored_size;
             });
         }
         Some(meta)
@@ -514,8 +537,7 @@ mod tests {
 
     #[test]
     fn common_record_is_small_and_heap_free() {
-        assert!(std::mem::size_of::<TierSet>() <= 16);
-        assert!(std::mem::size_of::<ObjectMeta>() <= 72);
+        // Small: the const asserts beside `ObjectMeta`. Heap-free:
         let mut m = ObjectMeta::new(1, SimTime::ZERO);
         m.locations.insert("mem".into());
         assert!(m.rare.is_none(), "nothing rare is set");
@@ -528,6 +550,69 @@ mod tests {
         m.set_tags([]);
         m.set_encryption_key_id(None);
         assert!(m.rare.is_none());
+        // So does a stored size: boxed only while it differs from `size`.
+        m.set_stored_size(1);
+        assert!(m.rare.is_none());
+        m.set_stored_size(7);
+        assert_eq!((m.stored_size(), m.rare.is_some()), (7, true));
+        m.set_stored_size(1);
+        assert!(m.rare.is_none());
+        let mut fresh = ObjectMeta::new(1, SimTime::ZERO);
+        fresh.locations.insert("mem".into());
+        assert_eq!(m, fresh);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn encode_is_byte_identical_to_the_wide_record() {
+        // Both captured from the record with 64-bit `stored_size` and
+        // `access_count` fields that this one replaced.
+        const STORED_IS_SIZE: &str = "00100000000000000010000000000000010000000000000000c817a80400000000e40b54020000000101000000030000006d656d0000000000";
+        const STORED_APART: &str = "0010000000000000d204000000000000020000000000000000ac23fc0600000000e40b54020000000e239f59ed55e737c77147cf55ad0c1b030b6d7ee748a7426952f9b852d5a935e50200000003000000656273090000006d656d6361636865640100000003000000746d70010700000064656661756c74";
+
+        let mut m = ObjectMeta::new(4096, SimTime::from_secs(10));
+        m.touch(SimTime::from_secs(20));
+        m.dirty = true;
+        m.locations.insert("mem".into());
+        m.set_stored_size(4096);
+        assert_eq!(hex(&m.encode()), STORED_IS_SIZE);
+
+        let mut m = ObjectMeta::new(4096, SimTime::from_secs(10));
+        m.touch(SimTime::from_secs(20));
+        m.touch(SimTime::from_secs(30));
+        m.locations.insert("memcached".into());
+        m.locations.insert("ebs".into());
+        m.set_tags([Tag::new("tmp")]);
+        m.set_digest(Some(Digest::of(b"payload")));
+        m.compressed = true;
+        m.encrypted = true;
+        m.set_encryption_key_id(Some("default".into()));
+        m.set_stored_size(1234);
+        assert_eq!(hex(&m.encode()), STORED_APART);
+        let decoded = ObjectMeta::decode(&m.encode()).expect("decodes");
+        assert_eq!((decoded.size, decoded.stored_size()), (4096, 1234));
+        assert_eq!(decoded, m);
+    }
+
+    #[test]
+    fn access_count_saturates_in_touch_and_in_decode() {
+        let mut m = ObjectMeta::new(1, SimTime::ZERO);
+        m.access_count = u32::MAX - 1;
+        m.touch(SimTime::from_secs(1));
+        m.touch(SimTime::from_secs(2));
+        assert_eq!(m.access_count, u32::MAX);
+        assert_eq!(m.last_access, SimTime::from_secs(2));
+
+        // A wide record counted past `u32::MAX`: bytes 16..24 are the count.
+        for wide in [u64::from(u32::MAX) + 1, u64::MAX] {
+            let mut rec = ObjectMeta::new(1, SimTime::ZERO).encode();
+            rec[16..24].copy_from_slice(&wide.to_le_bytes());
+            let decoded = ObjectMeta::decode(&rec).expect("decodes");
+            assert_eq!(decoded.access_count, u32::MAX);
+        }
     }
 
     #[test]

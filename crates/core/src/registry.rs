@@ -102,6 +102,9 @@ struct Entry {
     slot: u64,
 }
 
+// One per object, in a map slot beside its key.
+const _: () = assert!(std::mem::size_of::<Entry>() <= 64);
+
 impl Entry {
     /// The object's node; the registry is indexed.
     fn node(&self) -> u32 {
@@ -308,8 +311,8 @@ impl Indexed {
         Self {
             locations: meta.locations.clone(),
             dirty: meta.dirty,
-            stored_size: meta.stored_size,
-            access_count: meta.access_count,
+            stored_size: meta.stored_size(),
+            access_count: meta.access_count.into(),
             created: meta.created,
         }
     }
@@ -430,7 +433,7 @@ impl OrderIndexes {
                 list.move_to_back(node);
             }
         }
-        self.frequency.recount(node, was_count, meta.access_count);
+        self.frequency.recount(node, was_count, meta.access_count.into());
     }
 
     /// Widens the `created` bounds to cover an object created at `created`.
@@ -514,31 +517,33 @@ fn next_stamp(stamps: &AtomicU64) -> u64 {
     stamps.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Inserts or replaces `key`'s metadata in its shard, the order indexes
-/// (`None` while the registry is unindexed: the object takes a stamp from
-/// `stamps` instead) and the aggregates; returns whether the key is new.
+/// Inserts or replaces `key`'s metadata — what `build` makes of the
+/// record it replaces, if any — in its shard, the order indexes (`None`
+/// while the registry is unindexed: the object takes a stamp from
+/// `stamps` instead) and the aggregates; returns the replaced record.
 fn insert_into(
     shard: &mut Shard,
     order: Option<&mut OrderIndexes>,
     stamps: &AtomicU64,
     aggregates: &mut Aggregates,
     key: &ObjectKey,
-    meta: ObjectMeta,
-) -> bool {
-    let now = Indexed::of(&meta);
-    let new = match shard.map.entry(key.clone()) {
+    build: impl FnOnce(Option<&ObjectMeta>) -> ObjectMeta,
+) -> Option<ObjectMeta> {
+    let (now, prior) = match shard.map.entry(key.clone()) {
         MapEntry::Occupied(mut occupied) => {
             let entry = occupied.get_mut();
-            let was = Indexed::of(&entry.meta);
+            let meta = build(Some(&entry.meta));
+            let (was, now) = (Indexed::of(&entry.meta), Indexed::of(&meta));
             match order {
                 Some(order) => order.relink(entry.node(), &was, &now),
                 None => entry.slot = next_stamp(stamps),
             }
             aggregates_sub(aggregates, &was);
-            entry.meta = meta;
-            false
+            (now, Some(std::mem::replace(&mut entry.meta, meta)))
         }
         MapEntry::Vacant(vacant) => {
+            let meta = build(None);
+            let now = Indexed::of(&meta);
             let slot = match order {
                 Some(order) => {
                     let node = order.alloc(key.clone());
@@ -548,11 +553,11 @@ fn insert_into(
                 None => next_stamp(stamps),
             };
             vacant.insert(Entry { meta, slot });
-            true
+            (now, None)
         }
     };
     aggregates_add(aggregates, &now);
-    new
+    prior
 }
 
 /// Thread-safe object-metadata registry with optional persistence.
@@ -776,14 +781,27 @@ impl Registry {
     /// later [`update`](Self::update) persists once it is true (a PUT's
     /// metadata before its bytes have landed in any tier).
     pub(crate) fn insert_locked(&self, key: &ObjectKey, meta: ObjectMeta) {
+        self.replace_locked(key, |_| meta);
+    }
+
+    /// [`insert_locked`](Self::insert_locked) of the record `build` makes
+    /// from the one it replaces, read and replaced under one shard lock;
+    /// returns the replaced record. A PUT's first registry call.
+    pub(crate) fn replace_locked(
+        &self,
+        key: &ObjectKey,
+        build: impl FnOnce(Option<&ObjectMeta>) -> ObjectMeta,
+    ) -> Option<ObjectMeta> {
         let _gate = (!self.indexed()).then(|| self.gate.read());
         let mut shard = self.shard_of(key).write();
         let mut order = self.indexed().then(|| self.order.write());
         let mut aggregates = self.aggregates.write();
         let order = order.as_deref_mut();
-        if insert_into(&mut shard, order, &self.stamps, &mut aggregates, key, meta) {
+        let prior = insert_into(&mut shard, order, &self.stamps, &mut aggregates, key, build);
+        if prior.is_none() {
             self.count.fetch_add(1, Ordering::AcqRel);
         }
+        prior
     }
 
     /// [`insert_locked`](Self::insert_locked) for a registry nothing else
@@ -792,7 +810,7 @@ impl Registry {
     /// (later-ranked) lock.
     fn insert_unshared(&mut self, key: &ObjectKey, meta: ObjectMeta) {
         let shard = self.shards[Self::shard_at(key)].get_mut();
-        if insert_into(shard, None, &self.stamps, self.aggregates.get_mut(), key, meta) {
+        if insert_into(shard, None, &self.stamps, self.aggregates.get_mut(), key, |_| meta).is_none() {
             *self.count.get_mut() += 1;
         }
     }
@@ -846,7 +864,7 @@ impl Registry {
             let mut shard = self.shard_of(key).write();
             let entry = shard.map.get_mut(key)?;
             let mut order = self.indexed().then(|| self.order.write());
-            let was_count = entry.meta.access_count;
+            let was_count = entry.meta.access_count.into();
             entry.meta.touch(now);
             match order.as_deref_mut() {
                 Some(order) => order.touch(entry.node(), &entry.meta, was_count),
@@ -899,7 +917,7 @@ impl Registry {
                 if entry.meta.locations.contains_id(tier) {
                     agg.objects += 1;
                     if entry.meta.dirty {
-                        agg.dirty_bytes += entry.meta.stored_size;
+                        agg.dirty_bytes += entry.meta.stored_size();
                     }
                 }
             }
@@ -1126,7 +1144,7 @@ impl Registry {
         candidates: Vec<ObjectKey>,
         keep: impl Fn(&ObjectMeta) -> bool,
     ) -> Vec<ObjectKey> {
-        let mut hits: Vec<(u64, ObjectKey)> = candidates
+        let mut hits: Vec<(u32, ObjectKey)> = candidates
             .into_iter()
             .filter_map(|key| {
                 let count = self.peek(&key, |m| keep(m).then_some(m.access_count))??;
@@ -1254,7 +1272,7 @@ mod tests {
             for bucket in 0..BUCKETS {
                 for key in self.bucket_keys(bucket) {
                     let count = self.get(&key).expect("a filed key is live").access_count;
-                    assert_eq!(bucket_of(count), bucket, "{key} with count {count}");
+                    assert_eq!(bucket_of(count.into()), bucket, "{key} with count {count}");
                     filed += 1;
                 }
             }
@@ -1318,7 +1336,7 @@ mod tests {
         /// `HotterThan(bound)` and `ColderThan(bound)` as a scan of every
         /// object would answer them.
         fn scan_hot_cold(&self, bound: f64, now: SimTime) -> (Vec<ObjectKey>, Vec<ObjectKey>) {
-            let mut all: Vec<(u64, ObjectKey, bool)> = Vec::new();
+            let mut all: Vec<(u32, ObjectKey, bool)> = Vec::new();
             for key in self.select(&Selector::All, None, now) {
                 let meta = self.get(&key).unwrap();
                 all.push((meta.access_count, key, meta.access_frequency(now) >= bound));
@@ -1329,7 +1347,7 @@ mod tests {
         }
     }
 
-    fn counted(count: u64, created: SimTime) -> ObjectMeta {
+    fn counted(count: u32, created: SimTime) -> ObjectMeta {
         let mut m = meta_in("t1", 1, created);
         m.access_count = count;
         m
@@ -1498,7 +1516,7 @@ mod tests {
     #[test]
     fn boundary_counts_land_in_their_buckets() {
         let r = Registry::in_memory();
-        let cases = [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4), (u64::MAX, 64)];
+        let cases = [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4), (u32::MAX, 32)];
         for (count, _) in cases {
             r.upsert(ObjectKey::new(format!("c{count}")), counted(count, SimTime::ZERO));
         }
@@ -1508,7 +1526,7 @@ mod tests {
         }
         r.assert_buckets_hold_every_object_once();
         // A touch refiles exactly when the count crosses a power of two.
-        let touch = |count: u64| r.touch(&ObjectKey::new(format!("c{count}")), SimTime::from_secs(1));
+        let touch = |count: u32| r.touch(&ObjectKey::new(format!("c{count}")), SimTime::from_secs(1));
         touch(2);
         assert_eq!(r.frequency_moves(), 0, "2 -> 3 stays in bucket 2");
         touch(7);
@@ -1584,7 +1602,7 @@ mod tests {
             let top = gen::u64_in(rng, 1_000..1_000_000);
             for (i, rank) in ranks.iter().enumerate() {
                 let created = SimTime::from_secs(gen::u64_in(rng, 0..lifetime));
-                r.upsert(ObjectKey::new(format!("o{i:05}")), counted(top / rank, created));
+                r.upsert(ObjectKey::new(format!("o{i:05}")), counted((top / rank) as u32, created));
             }
             r.assert_buckets_hold_every_object_once();
 
@@ -1747,7 +1765,7 @@ mod tests {
                             meta.locations.insert(tier.to_string());
                         }
                         meta.dirty = gen::boolean(rng);
-                        meta.access_count = gen::u64_in(rng, 0..40);
+                        meta.access_count = gen::u64_in(rng, 0..40) as u32;
                         if gen::u64_in(rng, 0..4) == 0 {
                             meta.set_tags([Tag::new("tmp")]);
                         }
@@ -1926,9 +1944,9 @@ mod tests {
         let now = SimTime::from_secs(10);
         let (hot, cold) = {
             let r = Registry::persistent(&dir).unwrap();
-            for count in [0u64, 1, 2, 3, 4, 7, 8, 1 << 40, u64::MAX] {
+            for count in [0u32, 1, 2, 3, 4, 7, 8, 1 << 30, u32::MAX] {
                 let key = ObjectKey::new(format!("c{count}"));
-                r.upsert(key.clone(), counted(count, SimTime::from_secs(count % 5)));
+                r.upsert(key.clone(), counted(count, SimTime::from_secs(u64::from(count % 5))));
                 if count % 2 == 1 && count < 8 {
                     r.touch(&key, now);
                 }
@@ -1945,8 +1963,8 @@ mod tests {
         assert_eq!(r.bucket_keys(2), vec![ObjectKey::new("c1"), ObjectKey::new("c2")]);
         assert_eq!(r.bucket_keys(3), vec![ObjectKey::new("c3")]);
         assert_eq!(r.bucket_keys(4), vec![ObjectKey::new("c7"), ObjectKey::new("c8")]);
-        assert_eq!(r.bucket_keys(41), vec![ObjectKey::new(format!("c{}", 1u64 << 40))]);
-        assert_eq!(r.bucket_keys(64), vec![ObjectKey::new(format!("c{}", u64::MAX))]);
+        assert_eq!(r.bucket_keys(31), vec![ObjectKey::new(format!("c{}", 1u32 << 30))]);
+        assert_eq!(r.bucket_keys(32), vec![ObjectKey::new(format!("c{}", u32::MAX))]);
         assert_eq!(r.select(&Selector::HotterThan(1.0), None, now), hot);
         assert_eq!(r.select(&Selector::ColderThan(1.0), None, now), cold);
         std::fs::remove_dir_all(&dir).ok();

@@ -70,7 +70,7 @@ impl Model {
 
     /// Keys by `(access_count, key)` whose metadata passes `keep`.
     fn by_count(&self, keep: impl Fn(&ObjectMeta) -> bool) -> Vec<ObjectKey> {
-        let mut hits: Vec<(u64, ObjectKey)> = self
+        let mut hits: Vec<(u32, ObjectKey)> = self
             .objects
             .iter()
             .filter(|(_, (m, _))| keep(m))
@@ -85,7 +85,7 @@ impl Model {
         for (meta, _) in self.objects.values().filter(|(m, _)| m.in_tier(tier)) {
             agg.objects += 1;
             if meta.dirty {
-                agg.dirty_bytes += meta.stored_size;
+                agg.dirty_bytes += meta.stored_size();
             }
         }
         agg
@@ -164,7 +164,7 @@ fn prop_selectors_match_a_sequence_numbered_model_after_every_step() {
                 0..=34 => {
                     let mut meta = ObjectMeta::new(gen::u64_in(rng, 1..4096), now);
                     meta.dirty = gen::boolean(rng);
-                    meta.access_count = gen::u64_in(rng, 0..6);
+                    meta.access_count = gen::u64_in(rng, 0..6) as u32;
                     for tier in TIERS {
                         if gen::usize_in(rng, 0..3) == 0 {
                             meta.locations.insert(tier.to_string());
@@ -184,7 +184,7 @@ fn prop_selectors_match_a_sequence_numbered_model_after_every_step() {
                         if !m.locations.insert(tier.to_string()) {
                             m.locations.remove(tier);
                         }
-                        m.stored_size = resize;
+                        m.set_stored_size(resize);
                     };
                     let updated = reg.update(&key, edit);
                     model.update(&key, edit);
@@ -233,7 +233,7 @@ fn parent_encodings_decode_and_reencode_byte_identically() {
     assert_eq!(minimal, ObjectMeta::new(128, SimTime::from_secs(3)));
     let full = ObjectMeta::decode(&unhex(GOLDEN_FULL)).unwrap();
     assert_eq!(
-        (full.size, full.stored_size, full.access_count),
+        (full.size, full.stored_size(), full.access_count),
         (4096, 1234, 1)
     );
     assert_eq!(

@@ -16,7 +16,8 @@
 //! a second copy of the store (DESIGN.md, "Payload byte budget"). So
 //! dropping the last handle to a backing buffer does not free it: `Drop`
 //! *retires* it to a small per-thread [`pool`], and the copying
-//! constructors ([`Bytes::copy_from_slice`], `From<Vec<u8>>`) *adopt* a
+//! constructors ([`Bytes::copy_from_slice`], `From<Vec<u8>>`, and
+//! [`Bytes::into_shared`] of a view) *adopt* a
 //! retired buffer of exactly the requested length, overwriting every
 //! byte, before they allocate. In steady state an overwrite allocates
 //! nothing long-lived: the thread adopts the buffer its previous overwrite
@@ -113,10 +114,17 @@ mod pool {
 
     /// `(buffers, bytes)` held by this thread's pool; `None` once the
     /// thread has torn it down.
-    #[cfg(test)]
     pub(super) fn held() -> Option<(usize, usize)> {
         with(|pool| (pool.retired.len(), pool.bytes))
     }
+}
+
+/// `(buffers, bytes)` this thread's pool of retired backing buffers holds;
+/// `None` once the thread has torn the pool down. What a holder that
+/// stores plain `Arc<[u8]>`s checks to see that the values it drops still
+/// reach the pool.
+pub fn pool_held() -> Option<(usize, usize)> {
+    pool::held()
 }
 
 /// An immutable, reference-counted byte buffer.
@@ -155,10 +163,20 @@ impl Bytes {
     /// Copies `data` into a buffer of its own: a recycled one of the same
     /// length when this thread has retired one, a fresh one otherwise.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self {
-            data: pool::adopt(data).unwrap_or_else(|| Arc::from(data)),
-            offset: 0,
-            len: data.len(),
+        Self::from(buffer_of(data))
+    }
+
+    /// The backing buffer, for a holder that keeps whole buffers only (16
+    /// bytes against a view's 32): shared when this view is the whole
+    /// buffer, a copy of the view otherwise. Turn it back into `Bytes`
+    /// (`From<Arc<[u8]>>`) to drop it, or the pool never sees it.
+    pub fn into_shared(self) -> Arc<[u8]> {
+        if self.offset == 0 && self.len == self.data.len() {
+            // A second handle, then this one's drop: the buffer outlives it
+            // and is not retired, and the count traffic stays on its line.
+            Arc::clone(&self.data)
+        } else {
+            buffer_of(self.as_slice())
         }
     }
 
@@ -210,6 +228,12 @@ impl Bytes {
     }
 }
 
+/// A buffer of its own holding `data`: a recycled one of the same length
+/// when this thread has retired one, a fresh one otherwise.
+fn buffer_of(data: &[u8]) -> Arc<[u8]> {
+    pool::adopt(data).unwrap_or_else(|| Arc::from(data))
+}
+
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
@@ -233,12 +257,15 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         // `Arc::from(Vec)` copies into a new allocation too, so adopting a
         // recycled buffer costs the same copy and saves the allocation.
-        let len = v.len();
-        Self {
-            data: pool::adopt(&v).unwrap_or_else(|| Arc::from(v)),
-            offset: 0,
-            len,
-        }
+        Self::copy_from_slice(&v)
+    }
+}
+
+/// A view of the whole buffer; dropping it retires the buffer as any
+/// `Bytes` would.
+impl From<Arc<[u8]>> for Bytes {
+    fn from(data: Arc<[u8]>) -> Self {
+        Self { len: data.len(), data, offset: 0 }
     }
 }
 
@@ -444,6 +471,29 @@ mod tests {
             drop(view);
             assert_eq!(pool::held(), Some((2, 2048)));
             assert_eq!(addr(&Bytes::from(vec![b'C'; 1024])) as usize, kept);
+        });
+    }
+
+    #[test]
+    fn into_shared_shares_a_whole_buffer_and_copies_a_view() {
+        on_fresh_thread(|| {
+            let whole = Bytes::from(vec![5u8; 1024]);
+            let at = addr(&whole);
+            let view = whole.slice(10..20);
+            let shared = whole.into_shared();
+            assert_eq!(shared.as_ptr(), at, "a whole buffer is shared, not copied");
+            assert_eq!(pool::held(), Some((0, 0)), "handing the buffer over retires nothing");
+
+            let copied = view.clone().into_shared();
+            assert_ne!(copied.as_ptr(), at, "a view is copied");
+            assert_eq!(&copied[..], &view[..]);
+
+            // Back through `From<Arc<[u8]>>`, the last handle retires it.
+            let back = Bytes::from(shared);
+            assert_eq!((addr(&back), back.len()), (at, 1024));
+            drop(view);
+            drop(back);
+            assert_eq!(pool_held(), Some((1, 1024)));
         });
     }
 

@@ -57,11 +57,18 @@ struct TierState {
     /// Fx-hashed: a matured grow picks the entries it drops by walking
     /// this map while drawing from the seeded rng, so the walk order must
     /// be the same in every run (Figure 16's timeline depends on it).
-    map: FxHashMap<ObjectKey, Bytes>,
+    ///
+    /// Whole buffers, not `Bytes` views: a slot is 32 bytes, not 48. A
+    /// value leaves the map only as a `Bytes` (`Bytes::from`), so the
+    /// last handle's drop still retires its buffer to the thread's pool.
+    map: FxHashMap<ObjectKey, Arc<[u8]>>,
     used: u64,
     puts: u64,
     gets: u64,
 }
+
+// One per object held, beside the key the registry shares.
+const _: () = assert!(std::mem::size_of::<(ObjectKey, Arc<[u8]>)>() <= 32);
 
 /// Memcached-style in-memory cache tier.
 pub type MemoryTier = SimulatedTier;
@@ -131,7 +138,7 @@ impl SimulatedTier {
                 .cloned()
                 .collect();
             for k in keys {
-                if let Some(b) = st.map.remove(&k) {
+                if let Some(b) = st.map.remove(&k).map(Bytes::from) {
                     st.used -= b.len() as u64;
                 }
             }
@@ -248,7 +255,7 @@ impl SimulatedTier {
     pub fn reboot(&self) {
         if !self.traits_.durable {
             let mut st = self.state.lock();
-            st.map.clear();
+            st.map.drain().for_each(|(_, b)| drop(Bytes::from(b)));
             st.used = 0;
         }
     }
@@ -345,7 +352,7 @@ impl Tier for SimulatedTier {
                     available: cap.saturating_sub(st.used - old),
                 });
             }
-            let prev = st.map.insert(key.clone(), data);
+            let prev = st.map.insert(key.clone(), data.into_shared()).map(Bytes::from);
             st.used = new_used;
             st.puts += 1;
             prev
@@ -372,11 +379,11 @@ impl Tier for SimulatedTier {
             match prev {
                 Some(old_bytes) => {
                     let old_len = old_bytes.len() as u64;
-                    st.map.insert(key.clone(), old_bytes);
+                    drop(st.map.insert(key.clone(), old_bytes.into_shared()).map(Bytes::from));
                     st.used = st.used - cur + old_len;
                 }
                 None => {
-                    st.map.remove(key);
+                    drop(st.map.remove(key).map(Bytes::from));
                     st.used -= cur;
                 }
             }
@@ -413,7 +420,7 @@ impl Tier for SimulatedTier {
             st.gets += 1;
             st.map
                 .get(key)
-                .cloned()
+                .map(|b| Bytes::from(Arc::clone(b)))
                 .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?
         };
         let latency = self.charge(data.len(), now, &self.read_model, self.op_occupancy_read);
@@ -443,7 +450,7 @@ impl Tier for SimulatedTier {
         }
         let latency = self.charge(0, now, &self.write_model, self.op_occupancy_write);
         let mut st = self.state.lock();
-        if let Some(b) = st.map.remove(key) {
+        if let Some(b) = st.map.remove(key).map(Bytes::from) {
             st.used -= b.len() as u64;
         }
         st.puts += 1;
@@ -748,6 +755,40 @@ mod tests {
         mem.failures().clear();
         let (data, _) = mem.get(&key("k"), SimTime::from_secs(3)).unwrap();
         assert_eq!(&data[..], b"original");
+    }
+
+    #[test]
+    fn values_the_map_replaces_or_removes_reach_the_retire_pool() {
+        use tiera_support::bytes::pool_held;
+        // A thread of its own, so the pool starts empty.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mem = MemoryTier::same_az("mem", 64 * MB, &env());
+                let put = |k: &str, len: usize, t: u64| {
+                    mem.put(&key(k), Bytes::from(vec![7u8; len]), SimTime::from_secs(t))
+                };
+                put("k", 4096, 0).unwrap();
+                assert_eq!(pool_held(), Some((0, 0)));
+                // Overwrite: the replaced value is the buffer's last handle.
+                put("k", 4096, 1).unwrap();
+                assert_eq!(pool_held(), Some((1, 4096)));
+                // Delete: a reader's handle keeps the value out of the pool
+                // until the reader drops it.
+                let (read, _) = mem.get(&key("k"), SimTime::from_secs(2)).unwrap();
+                mem.delete(&key("k"), SimTime::from_secs(2)).unwrap();
+                assert_eq!(pool_held(), Some((1, 4096)));
+                drop(read);
+                assert_eq!(pool_held(), Some((2, 8192)));
+                // Torn write rollback: the value that never became visible.
+                mem.failures().set_seed(9);
+                mem.failures()
+                    .install(FaultSpec::new(FailureKind::Writes, SimTime::ZERO, None).torn(1.0));
+                put("t", 2048, 3).unwrap_err();
+                assert_eq!(pool_held(), Some((3, 8192 + 2048)));
+            })
+            .join()
+            .expect("pool thread");
+        });
     }
 
     #[test]

@@ -259,7 +259,7 @@ fn encrypted_compressed_pipeline_roundtrips() {
 
     let meta = instance.registry().get(&"report".into()).unwrap();
     assert!(meta.compressed && meta.encrypted);
-    assert!(meta.stored_size < meta.size / 2);
+    assert!(meta.stored_size() < meta.size / 2);
 
     let (data, _) = instance.get("report", SimTime::from_secs(61)).unwrap();
     assert_eq!(&data[..], &payload[..], "transparent decrypt+decompress");
