@@ -1,12 +1,12 @@
-//! Clients: blocking single-shot TCP, pipelined TCP, and in-process
-//! loopback.
+//! Clients: blocking TCP, pipelined TCP, and in-process loopback. Both TCP
+//! clients speak the one v2 framing of [`crate::proto`].
 //!
-//! [`TieraClient`] speaks the v1 single-shot framing (one request, one
-//! response, in lockstep) and stays wire-compatible with pre-pipeline
-//! servers. It applies a per-request read deadline and reconnects after
-//! any transport error: a request torn mid-frame (or a server killed
-//! mid-request) fails that one call instead of wedging the connection
-//! forever.
+//! [`TieraClient`] keeps one request in flight (one request, one response,
+//! in lockstep) over a [`PipelinedClient`] whose hello declares that
+//! depth, so the server answers it inline. It applies a per-request read
+//! deadline and reconnects after any transport error: a request torn
+//! mid-frame (or a server killed mid-request) fails that one call instead
+//! of wedging the connection forever.
 //!
 //! [`PipelinedClient`] negotiates protocol v2 and keeps many requests in
 //! flight on one connection: [`PipelinedClient::submit`] queues a
@@ -27,8 +27,8 @@ use tiera_sim::SimDuration;
 use tiera_support::collections::{FxHashMap, FxHashSet};
 
 use crate::proto::{
-    read_frame, read_hello, split_seq, write_frame, write_hello, write_seq_frame, PutItem,
-    Request, Response, MAX_BATCH, PIPE_BUF, VERSION,
+    read_frame, read_hello, split_seq, write_hello, write_seq_frame, PutItem, Request, Response,
+    LOCKSTEP, MAX_BATCH, PIPE_BUF, VERSION,
 };
 
 /// Default per-request read deadline for both TCP clients: generous enough
@@ -51,12 +51,20 @@ fn unexpected(resp: Response) -> io::Error {
     )
 }
 
-// Shared response interpretation, so the single-shot, pipelined, and batch
+// Shared response interpretation, so the lockstep, pipelined, and batch
 // paths agree on semantics.
 
 fn as_pong(resp: Response) -> io::Result<()> {
     match resp {
         Response::Pong => Ok(()),
+        Response::Error { message } => Err(io::Error::other(message)),
+        other => Err(unexpected(other)),
+    }
+}
+
+fn as_ok(resp: Response) -> io::Result<()> {
+    match resp {
+        Response::Ok => Ok(()),
         Response::Error { message } => Err(io::Error::other(message)),
         other => Err(unexpected(other)),
     }
@@ -134,22 +142,11 @@ fn check_batch_len(len: usize) -> io::Result<()> {
     Ok(())
 }
 
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-fn open_conn(addr: SocketAddr, deadline: Option<Duration>) -> io::Result<Conn> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(deadline)?;
-    Ok(Conn {
-        reader: BufReader::new(stream.try_clone()?),
-        writer: BufWriter::new(stream),
-    })
-}
-
-/// A blocking TCP client speaking the v1 single-shot framing.
+/// A blocking TCP client: one request in flight at a time.
+///
+/// It runs as a [`PipelinedClient`] whose hello declares lockstep use, so
+/// the server writes each response inline instead of through a writer
+/// thread.
 ///
 /// Robustness: every call carries the configured read deadline, and any
 /// transport error (timeout, torn frame, connection reset) poisons the
@@ -160,7 +157,7 @@ fn open_conn(addr: SocketAddr, deadline: Option<Duration>) -> io::Result<Conn> {
 pub struct TieraClient {
     addr: SocketAddr,
     deadline: Option<Duration>,
-    conn: Option<Conn>,
+    conn: Option<PipelinedClient>,
     redials: u64,
 }
 
@@ -171,22 +168,17 @@ impl TieraClient {
     }
 
     /// Connects with an explicit per-request read deadline (`None` waits
-    /// forever, the pre-pipeline behavior).
+    /// forever).
     pub fn connect_with_deadline(
         addr: impl ToSocketAddrs,
         deadline: Option<Duration>,
     ) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         let addr = stream.peer_addr()?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(deadline)?;
         Ok(Self {
             addr,
             deadline,
-            conn: Some(Conn {
-                reader: BufReader::new(stream.try_clone()?),
-                writer: BufWriter::new(stream),
-            }),
+            conn: Some(PipelinedClient::handshake(stream, deadline, true)?),
             redials: 0,
         })
     }
@@ -206,32 +198,34 @@ impl TieraClient {
         self.redials
     }
 
-    fn call(&mut self, req: &Request) -> io::Result<Response> {
-        let result = self.try_call(req);
-        if result.is_err() {
-            // Transport state is unknowable after any error (a late
-            // response could still arrive and desynchronize framing):
-            // drop the connection; the next call redials.
-            self.conn = None;
-        }
-        result
-    }
-
-    fn try_call(&mut self, req: &Request) -> io::Result<Response> {
-        if self.conn.is_none() {
-            self.conn = Some(open_conn(self.addr, self.deadline)?);
-            self.redials += 1;
-        }
-        let conn = self.conn.as_mut().expect("connection just ensured");
-        write_frame(&mut conn.writer, &req.encode())?;
-        let frame = read_frame(&mut conn.reader)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
-        Response::decode(&frame)
+    /// One exchange: `submit` queues the request, and the response comes
+    /// back uninterpreted, so a server-side error never poisons the
+    /// connection.
+    fn call(
+        &mut self,
+        submit: impl FnOnce(&mut PipelinedClient) -> io::Result<Token>,
+    ) -> io::Result<Response> {
+        let mut conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => {
+                let stream = TcpStream::connect(self.addr)?;
+                let conn = PipelinedClient::handshake(stream, self.deadline, true)?;
+                self.redials += 1;
+                conn
+            }
+        };
+        let token = submit(&mut conn)?;
+        let response = conn.wait(token)?;
+        // Only a complete exchange gives the connection back. After any
+        // error its state is unknowable (a late response could still
+        // arrive), so it is dropped and the next call redials.
+        self.conn = Some(conn);
+        Ok(response)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> io::Result<()> {
-        as_pong(self.call(&Request::Ping)?)
+        as_pong(self.call(|conn| conn.submit(&Request::Ping))?)
     }
 
     /// Stores an object.
@@ -246,31 +240,22 @@ impl TieraClient {
         value: &[u8],
         tags: &[&str],
     ) -> io::Result<ClientReceipt> {
-        let req = Request::Put {
-            key: key.to_string(),
-            value: value.to_vec(),
-            tags: tags.iter().map(|s| s.to_string()).collect(),
-        };
-        as_put(self.call(&req)?)
+        as_put(self.call(|conn| conn.submit_put_tagged(key, value, tags))?)
     }
 
     /// Fetches an object.
     pub fn get(&mut self, key: &str) -> io::Result<(Vec<u8>, ClientReceipt)> {
-        as_get(self.call(&Request::Get {
-            key: key.to_string(),
-        })?)
+        as_get(self.call(|conn| conn.submit_get(key))?)
     }
 
     /// Deletes an object.
     pub fn delete(&mut self, key: &str) -> io::Result<ClientReceipt> {
-        as_delete(self.call(&Request::Delete {
-            key: key.to_string(),
-        })?)
+        as_delete(self.call(|conn| conn.submit_delete(key))?)
     }
 
     /// Fetches `(objects, reads, writes, events)` counters.
     pub fn stats(&mut self) -> io::Result<(u64, u64, u64, u64)> {
-        match self.call(&Request::Stats)? {
+        match self.call(|conn| conn.submit(&Request::Stats))? {
             Response::Stats {
                 objects,
                 reads,
@@ -286,9 +271,10 @@ impl TieraClient {
     /// Installs a policy rule from specification text
     /// (`event(...) : response { ... }`); returns its rule id.
     pub fn add_rule(&mut self, spec_text: &str) -> io::Result<u64> {
-        match self.call(&Request::AddRule {
+        let req = Request::AddRule {
             spec_text: spec_text.to_string(),
-        })? {
+        };
+        match self.call(|conn| conn.submit(&req))? {
             Response::RuleAdded { rule_id } => Ok(rule_id),
             Response::Error { message } => Err(io::Error::other(message)),
             other => Err(unexpected(other)),
@@ -297,16 +283,12 @@ impl TieraClient {
 
     /// Removes a rule by id.
     pub fn remove_rule(&mut self, rule_id: u64) -> io::Result<()> {
-        match self.call(&Request::RemoveRule { rule_id })? {
-            Response::Ok => Ok(()),
-            Response::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(other)),
-        }
+        as_ok(self.call(|conn| conn.submit(&Request::RemoveRule { rule_id }))?)
     }
 
     /// Lists installed rules as `(id, label)` pairs.
     pub fn list_rules(&mut self) -> io::Result<Vec<(u64, String)>> {
-        match self.call(&Request::ListRules)? {
+        match self.call(|conn| conn.submit(&Request::ListRules))? {
             Response::Rules { rules } => Ok(rules),
             Response::Error { message } => Err(io::Error::other(message)),
             other => Err(unexpected(other)),
@@ -315,26 +297,20 @@ impl TieraClient {
 
     /// Attaches a tier resolved through the server's catalog.
     pub fn attach_tier(&mut self, type_name: &str, label: &str, capacity: u64) -> io::Result<()> {
-        match self.call(&Request::AttachTier {
+        let req = Request::AttachTier {
             type_name: type_name.to_string(),
             label: label.to_string(),
             capacity,
-        })? {
-            Response::Ok => Ok(()),
-            Response::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(other)),
-        }
+        };
+        as_ok(self.call(|conn| conn.submit(&req))?)
     }
 
     /// Detaches a tier by label.
     pub fn detach_tier(&mut self, label: &str) -> io::Result<()> {
-        match self.call(&Request::DetachTier {
+        let req = Request::DetachTier {
             label: label.to_string(),
-        })? {
-            Response::Ok => Ok(()),
-            Response::Error { message } => Err(io::Error::other(message)),
-            other => Err(unexpected(other)),
-        }
+        };
+        as_ok(self.call(|conn| conn.submit(&req))?)
     }
 }
 
@@ -367,6 +343,8 @@ pub struct PipelinedClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     version: u32,
+    /// Declared in the hello: at most one request in flight.
+    lockstep: bool,
     next_seq: u64,
     /// Sequence numbers submitted and not yet redeemed or received.
     awaiting: FxHashSet<u64>,
@@ -378,6 +356,7 @@ impl std::fmt::Debug for PipelinedClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PipelinedClient")
             .field("version", &self.version)
+            .field("lockstep", &self.lockstep)
             .field("next_seq", &self.next_seq)
             .field("in_flight", &self.awaiting.len())
             .finish()
@@ -388,8 +367,7 @@ impl PipelinedClient {
     /// Connects and negotiates protocol v2 with the default read deadline.
     ///
     /// Fails with a clean error (rather than a hang or a garbage decode)
-    /// when the server only speaks the v1 framing; callers can fall back
-    /// to [`TieraClient`] in that case.
+    /// when the peer does not answer the hello with one.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         Self::connect_with_deadline(addr, Some(DEFAULT_READ_DEADLINE))
     }
@@ -399,17 +377,31 @@ impl PipelinedClient {
         addr: impl ToSocketAddrs,
         deadline: Option<Duration>,
     ) -> io::Result<Self> {
-        let mut stream = TcpStream::connect(addr)?;
+        Self::handshake(TcpStream::connect(addr)?, deadline, false)
+    }
+
+    /// Opens the session on a connected stream. A `lockstep` hello
+    /// promises the server at most one request in flight, which lets it
+    /// answer inline; `submit` then refuses a second request until the
+    /// first is redeemed, so the promise holds.
+    fn handshake(
+        mut stream: TcpStream,
+        deadline: Option<Duration>,
+        lockstep: bool,
+    ) -> io::Result<Self> {
+        // Best effort: without it a small request may wait on Nagle's
+        // algorithm, but nothing is lost.
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(deadline)?;
-        write_hello(&mut stream, VERSION)?;
+        let flags = if lockstep { LOCKSTEP } else { 0 };
+        write_hello(&mut stream, VERSION | flags)?;
         // A pipelined connection moves bursts of frames in each direction;
         // generous buffers keep a full pipeline window per syscall.
         let mut reader = BufReader::with_capacity(PIPE_BUF, stream.try_clone()?);
         let granted = read_hello(&mut reader).map_err(|e| {
             io::Error::new(
                 e.kind(),
-                format!("handshake failed ({e}); server may only speak the v1 single-shot framing"),
+                format!("handshake failed ({e}); the server does not speak protocol v2"),
             )
         })?;
         if !(2..=VERSION).contains(&granted) {
@@ -422,6 +414,7 @@ impl PipelinedClient {
             reader,
             writer: BufWriter::with_capacity(PIPE_BUF, stream),
             version: granted,
+            lockstep,
             next_seq: 0,
             awaiting: FxHashSet::default(),
             parked: FxHashMap::default(),
@@ -443,6 +436,12 @@ impl PipelinedClient {
     /// guaranteed on the wire after [`PipelinedClient::flush`] (which
     /// `wait` performs implicitly).
     pub fn submit(&mut self, req: &Request) -> io::Result<Token> {
+        if self.lockstep && !self.awaiting.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a lockstep connection holds one request in flight; wait for it first",
+            ));
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         write_seq_frame(&mut self.writer, seq, &req.encode())?;
@@ -799,6 +798,23 @@ mod tests {
         client.wait_put(t).unwrap();
         let err = client.wait(t).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_lockstep_client_refuses_a_second_request_in_flight() {
+        let handle =
+            TieraServer::start(instance(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut client =
+            PipelinedClient::handshake(stream, Some(DEFAULT_READ_DEADLINE), true).unwrap();
+        let first = client.submit(&Request::Ping).unwrap();
+        let err = client.submit(&Request::Ping).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(client.in_flight(), 1, "the refused request was never sent");
+        assert_eq!(client.wait(first).unwrap(), Response::Pong);
+        let second = client.submit(&Request::Ping).unwrap();
+        assert_eq!(client.wait(second).unwrap(), Response::Pong);
         handle.shutdown();
     }
 

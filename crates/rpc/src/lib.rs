@@ -7,15 +7,16 @@
 //! size of thread pool dedicated to service responses and evaluate events."
 //!
 //! This crate replaces Thrift with a small, fully specified framed binary
-//! protocol ([`proto`]) — pipelined and batched as of protocol v2 (see
-//! DESIGN.md §3d) — and provides:
+//! protocol ([`proto`]) — pipelined and batched, one framing for every
+//! client (see DESIGN.md §3d) — and provides:
 //!
 //! * [`TieraServer`] — a TCP server with sharded accept (each connection
 //!   pinned to a worker thread), a per-connection read/write split with
-//!   response coalescing, and a dedicated event thread that maps wall time
-//!   onto the instance's virtual clock and drives timers/background
-//!   responses (the "response pool" of the paper, §3);
-//! * [`TieraClient`] — a blocking single-shot client (v1 framing) with a
+//!   response coalescing for pipelined clients, and a dedicated event
+//!   thread that maps wall time onto the instance's virtual clock and
+//!   drives timers/background responses (the "response pool" of the
+//!   paper, §3);
+//! * [`TieraClient`] — a blocking client, one request in flight, with a
 //!   per-request read deadline and automatic reconnect after transport
 //!   errors;
 //! * [`PipelinedClient`] — a v2 client keeping many requests in flight on

@@ -4,23 +4,18 @@
 //! payload. The payload starts with a one-byte opcode followed by
 //! length-prefixed fields (u32 lengths, little-endian integers).
 //!
-//! Two framings share that base format:
+//! A connection opens with a `hello` exchange (`[MAGIC][version]` from the
+//! client, `[MAGIC][granted]` back), after which every frame's payload is
+//! prefixed with a little-endian `u64` **sequence number**. Responses carry
+//! the sequence number of the request they answer, so many requests may be
+//! in flight and completions may arrive out of order. A client that keeps
+//! one request in flight says so with the `LOCKSTEP` bit of its hello's
+//! version word, and the server then answers it inline (DESIGN.md §3d).
 //!
-//! * **v1 (single-shot)**: the client sends a request frame and waits for
-//!   exactly one response frame. No handshake — the first bytes on the
-//!   wire are already a frame header.
-//! * **v2 (pipelined)**: the connection opens with a `hello` exchange
-//!   (`[MAGIC][version]` from the client, `[MAGIC][granted]` back), after
-//!   which every frame's payload is prefixed with a little-endian `u64`
-//!   **sequence number**. Responses carry the sequence number of the
-//!   request they answer, so many requests may be in flight and
-//!   completions may arrive out of order.
-//!
-//! The server distinguishes the two by sniffing the first four bytes:
 //! [`MAGIC`] is deliberately larger than [`MAX_FRAME`], so it can never be
-//! a valid v1 frame length. Old single-shot framing therefore still
-//! decodes against a new server, and a new client talking to an old
-//! server gets a clean "does not speak v2" error rather than a hang.
+//! a valid frame length: a peer that opens with a bare frame instead of a
+//! hello, or answers a hello with one, is told apart from a v2 peer and
+//! refused with a clean error rather than a hang.
 //!
 //! Batching: `MultiPut`/`MultiGet`/`MultiDelete` carry up to [`MAX_BATCH`]
 //! operations in one frame; the server answers with a `Batch` response
@@ -29,12 +24,17 @@
 
 use std::io::{self, Read, Write};
 
-/// Protocol magic ("TIRA"); doubles as the v2 hello sentinel. Its value is
-/// deliberately above [`MAX_FRAME`] so it can never be mistaken for a v1
+/// Protocol magic ("TIRA"), the first word of every hello. Its value is
+/// deliberately above [`MAX_FRAME`] so it can never be mistaken for a
 /// frame length.
 pub const MAGIC: u32 = 0x5449_5241;
 /// Highest protocol version this build speaks (the pipelined framing).
 pub const VERSION: u32 = 2;
+/// Hello flag, or-ed into the client's version word: the client keeps at
+/// most one request in flight, so the server may write each response
+/// itself instead of handing it to a writer thread. [`negotiate`] masks
+/// it off.
+pub(crate) const LOCKSTEP: u32 = 1 << 31;
 /// Maximum accepted frame size (64 MiB) — guards against garbage lengths.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 /// Maximum operations per `MultiPut`/`MultiGet`/`MultiDelete` frame (and
@@ -577,13 +577,6 @@ impl Response {
     }
 }
 
-/// Writes a frame (length header + payload).
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
 /// Reads a frame, enforcing [`MAX_FRAME`]. Returns `None` on clean EOF at a
 /// frame boundary.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
@@ -615,7 +608,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
 // ---- v2 handshake ----
 
 /// Writes a hello message: `[MAGIC][version]`, both `u32` little-endian.
-/// Sent by a v2 client as its first bytes; echoed by the server with the
+/// Sent by a client as its first bytes; echoed by the server with the
 /// granted version.
 pub fn write_hello<W: Write>(w: &mut W, version: u32) -> io::Result<()> {
     w.write_all(&MAGIC.to_le_bytes())?;
@@ -625,7 +618,7 @@ pub fn write_hello<W: Write>(w: &mut W, version: u32) -> io::Result<()> {
 
 /// Reads a hello message, validating the magic. Returns the peer's
 /// version. Fails with `InvalidData` if the magic is wrong (e.g. the peer
-/// is a v1 server answering with a frame instead of a hello).
+/// answers with a frame instead of a hello).
 pub fn read_hello<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
@@ -639,10 +632,11 @@ pub fn read_hello<R: Read>(r: &mut R) -> io::Result<u32> {
     le_u32(version)
 }
 
-/// The version a server grants a client that asked for `want`: the highest
-/// version both sides speak. `want` below 2 is unsatisfiable over a hello
-/// (v1 clients never send one) and yields 0, meaning "refused".
+/// The version a server grants a client that asked for `want` (flags
+/// masked off): the highest version both sides speak. `want` below 2 is
+/// unsatisfiable and yields 0, meaning "refused".
 pub fn negotiate(want: u32) -> u32 {
+    let want = want & !LOCKSTEP;
     if want < 2 {
         0
     } else {
@@ -761,9 +755,7 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_and_eof() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
+        let buf = [&5u32.to_le_bytes()[..], b"hello", &0u32.to_le_bytes()].concat();
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap(), Some(b"hello".to_vec()));
         assert_eq!(read_frame(&mut r).unwrap(), Some(Vec::new()));
@@ -846,19 +838,21 @@ mod tests {
         let mut buf = Vec::new();
         write_hello(&mut buf, VERSION).unwrap();
         assert_eq!(read_hello(&mut &buf[..]).unwrap(), VERSION);
-        // A v1 frame header where a hello is expected: magic mismatch.
-        let mut frame = Vec::new();
-        write_frame(&mut frame, b"ping").unwrap();
+        // A frame header where a hello is expected: magic mismatch.
+        let frame = [&4u32.to_le_bytes()[..], b"ping"].concat();
         assert!(read_hello(&mut &frame[..]).is_err());
         assert_eq!(negotiate(2), 2);
         assert_eq!(negotiate(99), VERSION, "future clients clamp down");
         assert_eq!(negotiate(1), 0, "hello below v2 is refused");
         assert_eq!(negotiate(0), 0);
+        assert_eq!(negotiate(VERSION | LOCKSTEP), VERSION, "the lockstep flag is not a version");
+        assert_eq!(negotiate(1 | LOCKSTEP), 0);
     }
 
     #[test]
     fn magic_can_never_be_a_frame_length() {
-        // The sniff in the server depends on this.
+        // Telling a hello from a bare frame, in both directions, depends on
+        // this.
         assert!((MAGIC as usize) > MAX_FRAME);
     }
 

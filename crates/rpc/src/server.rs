@@ -15,18 +15,19 @@
 //!   across per-worker queues; a connection is pinned to one worker for
 //!   its lifetime. There is no shared dispatch queue for workers to
 //!   contend on.
-//! * **Per-connection read/write split (v2 only).** A pipelined
-//!   connection is serviced by its pinned worker (reads, decodes, and
-//!   executes requests in arrival order) plus a dedicated writer thread
-//!   that drains a response queue, coalescing every queued response into
-//!   one flush. A slow or large response therefore never head-of-line
-//!   blocks the socket reads, and the syscall cost of a burst of small
-//!   responses is amortized to a single flush.
+//! * **Per-connection read/write split.** A pipelined connection is
+//!   serviced by its pinned worker (reads, decodes, and executes requests
+//!   in arrival order) plus a dedicated writer thread that drains a
+//!   response queue, coalescing every queued response into one flush. A
+//!   slow or large response therefore never head-of-line blocks the
+//!   socket reads, and the syscall cost of a burst of small responses is
+//!   amortized to a single flush.
 //!
-//! The first four bytes of a connection pick the framing: [`MAGIC`] opens
-//! the v2 hello exchange (sequence-numbered frames, batching, pipelining);
-//! anything else is a v1 frame length and the connection is served
-//! single-shot exactly as before, so old clients keep working unmodified.
+//! Every connection opens with the v2 hello; a peer that opens with
+//! anything else is closed and counted on
+//! [`ServerHandle::connection_errors`]. A lockstep client (one request in
+//! flight, declared in its hello) is answered inline by its worker, with
+//! no writer thread; DESIGN.md §3d explains why a pipelined one needs it.
 //!
 //! Back-pressure rules: the per-connection response queue is unbounded in
 //! queue length but bounded in practice by the client's in-flight window —
@@ -38,7 +39,7 @@
 //! flight at shutdown either get a complete response frame or a clean EOF,
 //! never a torn frame.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -53,7 +54,8 @@ use tiera_core::object::Tag;
 use tiera_sim::SimTime;
 
 use crate::proto::{
-    negotiate, split_seq, write_frame, write_seq_frame, Request, Response, MAGIC, PIPE_BUF,
+    negotiate, split_seq, write_hello, write_seq_frame, Request, Response, LOCKSTEP, MAGIC,
+    PIPE_BUF,
 };
 
 /// Server configuration (the thread-pool sizes of paper §3).
@@ -90,14 +92,24 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    pump_errors: Arc<PumpErrors>,
+    pump_errors: Arc<Failures>,
+    connection_errors: Arc<Failures>,
 }
 
-/// The event thread's failed ticks: how many, and the first one's error.
+/// Failures of one kind: how many, and the first one's error.
 #[derive(Default)]
-struct PumpErrors {
+struct Failures {
     count: AtomicU64,
     first: OnceLock<String>,
+}
+
+impl Failures {
+    fn record(&self, error: impl std::fmt::Display) {
+        // `first` is set before `count` grows: Release here, Acquire where
+        // the handle reads `count`.
+        self.first.get_or_init(|| error.to_string());
+        self.count.fetch_add(1, Ordering::Release);
+    }
 }
 
 impl ServerHandle {
@@ -119,24 +131,35 @@ impl ServerHandle {
         self.pump_errors.first.get().map(String::as_str)
     }
 
+    /// Connections that ended in an error rather than a clean close or
+    /// shutdown: a failed accept, a peer that did not open with the hello,
+    /// a torn or malformed frame, a failed socket read, write or option.
+    pub fn connection_errors(&self) -> u64 {
+        self.connection_errors.count.load(Ordering::Acquire)
+    }
+
+    /// The first failed connection's error text.
+    pub fn first_connection_error(&self) -> Option<&str> {
+        self.connection_errors.first.get().map(String::as_str)
+    }
+
     /// Requests shutdown and joins all threads. Graceful: connections
     /// finish writing responses for requests already executed before
     /// closing.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        // Poke the acceptor so it notices.
-        let _ = TcpStream::connect(self.addr);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        // Dropping the handle does the work.
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        // Poke the acceptor so it notices. A refused poke finds no
+        // listener: the acceptor, which owns it, has already exited.
         let _ = TcpStream::connect(self.addr);
         for t in self.threads.drain(..) {
+            // A thread that panicked has already reported it, and `Drop`
+            // must not panic again.
             let _ = t.join();
         }
     }
@@ -173,6 +196,7 @@ impl TieraServer {
         // acceptor round-robins new connections across them, pinning each
         // connection to one worker for its lifetime (no shared dispatch
         // queue, no cross-worker contention on accept).
+        let connection_errors = Arc::new(Failures::default());
         let mut shard_txs = Vec::with_capacity(request_threads);
         for worker in 0..request_threads {
             let (conn_tx, conn_rx) = channel::unbounded::<TcpStream>();
@@ -180,6 +204,7 @@ impl TieraServer {
             let instance = Arc::clone(&instance);
             let shutdown = Arc::clone(&shutdown);
             let catalog = Arc::clone(&catalog);
+            let errors = Arc::clone(&connection_errors);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("tiera-req-{worker}"))
@@ -188,8 +213,11 @@ impl TieraServer {
                             if shutdown.load(Ordering::Acquire) {
                                 break;
                             }
-                            let _ =
-                                serve_connection(&instance, &catalog, stream, epoch, &shutdown);
+                            if let Err(e) =
+                                serve_connection(&instance, &catalog, stream, epoch, &shutdown)
+                            {
+                                errors.record(e);
+                            }
                         }
                     })
                     .expect("spawn worker"),
@@ -200,7 +228,7 @@ impl TieraServer {
         // pumps once more after shutdown is requested, so that the last
         // tick's metadata is made durable too. A failed tick is counted on
         // the handle.
-        let pump_errors = Arc::new(PumpErrors::default());
+        let pump_errors = Arc::new(Failures::default());
         {
             let instance = Arc::clone(&instance);
             let shutdown = Arc::clone(&shutdown);
@@ -214,10 +242,7 @@ impl TieraServer {
                         let now = wall_to_virtual(epoch);
                         instance.env().clock().advance_to(now);
                         if let Err(e) = instance.pump(instance.env().clock().now()) {
-                            // `first` is set before `count` grows: Release
-                            // here, Acquire in `ServerHandle::pump_failures`.
-                            errors.first.get_or_init(|| e.to_string());
-                            errors.count.fetch_add(1, Ordering::Release);
+                            errors.record(e);
                         }
                         if stopping {
                             break;
@@ -232,6 +257,7 @@ impl TieraServer {
         // every idle worker from its queue.
         {
             let shutdown = Arc::clone(&shutdown);
+            let errors = Arc::clone(&connection_errors);
             threads.push(
                 std::thread::Builder::new()
                     .name("tiera-accept".into())
@@ -241,9 +267,17 @@ impl TieraServer {
                             if shutdown.load(Ordering::Acquire) {
                                 break;
                             }
-                            if let Ok(stream) = stream {
-                                let _ = shard_txs[next % shard_txs.len()].send(stream);
-                                next += 1;
+                            match stream {
+                                Ok(stream) => {
+                                    // A queue closes only when its worker
+                                    // has died; the connection closes with
+                                    // the failed send.
+                                    if shard_txs[next % shard_txs.len()].send(stream).is_err() {
+                                        errors.record("request worker exited");
+                                    }
+                                    next += 1;
+                                }
+                                Err(e) => errors.record(e),
                             }
                         }
                     })
@@ -256,6 +290,7 @@ impl TieraServer {
             shutdown,
             threads,
             pump_errors,
+            connection_errors,
         })
     }
 }
@@ -264,8 +299,9 @@ fn wall_to_virtual(epoch: Instant) -> SimTime {
     SimTime::from_nanos(epoch.elapsed().as_nanos() as u64)
 }
 
-/// Serves one connection: sniffs the first word to pick the framing, then
-/// runs the matching loop until EOF, error, or shutdown.
+/// Serves one connection: the hello, then sequenced frames until EOF,
+/// shutdown, or an error. A lockstep client is answered inline; any other
+/// gets a writer thread ([`serve_pipelined`]).
 fn serve_connection(
     instance: &Arc<Instance>,
     catalog: &Option<TierCatalog>,
@@ -273,54 +309,79 @@ fn serve_connection(
     epoch: Instant,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
+    // Best effort: without it a small response may wait on Nagle's
+    // algorithm, but nothing is lost.
     stream.set_nodelay(true).ok();
     // A short read timeout lets the worker notice shutdown while a client
     // holds the connection open idle (otherwise joining the pool would hang
     // until every client disconnects).
-    stream.set_read_timeout(Some(Duration::from_millis(50))).ok();
-    // Sized for the pipelined dialect's bursts; a v1 connection just
-    // under-uses it.
+    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
     let mut reader = BufReader::with_capacity(PIPE_BUF, stream.try_clone()?);
     match read_word_interruptible(&mut reader, shutdown)? {
-        WordRead::Word(word) if word == MAGIC => {
-            serve_pipelined(instance, catalog, reader, stream, epoch, shutdown)
+        Some(MAGIC) => {}
+        Some(_) => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "peer did not open with the protocol hello",
+            ))
         }
-        WordRead::Word(len) => {
-            serve_single_shot(instance, catalog, reader, stream, epoch, shutdown, len)
-        }
-        WordRead::Eof | WordRead::ShuttingDown => Ok(()),
+        None => return Ok(()),
     }
+    let Some(want) = read_word_interruptible(&mut reader, shutdown)? else {
+        return Ok(());
+    };
+    let granted = negotiate(want);
+    write_hello(&mut &stream, granted)?;
+    if granted < 2 {
+        // Unsatisfiable hello (below v2); refuse.
+        return Ok(());
+    }
+    if want & LOCKSTEP != 0 {
+        let mut writer = BufWriter::with_capacity(PIPE_BUF, stream);
+        serve_requests(instance, catalog, &mut reader, epoch, shutdown, |seq, payload| {
+            write_seq_frame(&mut writer, seq, &payload)?;
+            writer.flush()
+        })?;
+    } else {
+        serve_pipelined(instance, catalog, &mut reader, stream, epoch, shutdown)?;
+    }
+    // Closing a socket with unread data in its receive buffer makes the
+    // kernel answer with RST, which can discard responses just flushed
+    // before the client reads them. Requests the client already sent but
+    // we will never execute are read and discarded (bounded by the 50 ms
+    // socket timeout going idle), so the close is a clean FIN and "in
+    // flight at shutdown" means a complete response or a clean EOF — never
+    // a reset mid-drain.
+    drain_unread_frames(&mut reader, shutdown);
+    Ok(())
 }
 
-/// The v1 loop: one request frame in, one response frame out, in lockstep.
-/// `first_len` is the already-sniffed header of the first frame.
-fn serve_single_shot(
+/// Reads sequenced frames, executes them in arrival order, and hands each
+/// `(seq, encoded response)` to `answer`, until EOF or shutdown. A frame
+/// torn, oversized, or too short to carry a sequence number breaks the
+/// framing (there is nothing to address an error response to) and ends
+/// the connection with an error, as does a failed `answer`.
+fn serve_requests(
     instance: &Arc<Instance>,
     catalog: &Option<TierCatalog>,
-    mut reader: BufReader<TcpStream>,
-    stream: TcpStream,
+    reader: &mut BufReader<TcpStream>,
     epoch: Instant,
     shutdown: &AtomicBool,
-    first_len: u32,
+    mut answer: impl FnMut(u64, Vec<u8>) -> io::Result<()>,
 ) -> io::Result<()> {
-    let mut writer = BufWriter::new(stream);
-    let mut pending_len = Some(first_len);
     while !shutdown.load(Ordering::Acquire) {
-        let len = match pending_len.take() {
-            Some(len) => len,
-            None => match read_word_interruptible(&mut reader, shutdown)? {
-                WordRead::Word(len) => len,
-                WordRead::Eof | WordRead::ShuttingDown => return Ok(()),
-            },
+        let Some(len) = read_word_interruptible(reader, shutdown)? else {
+            break;
         };
-        let frame = read_body_interruptible(&mut reader, len)?;
-        let response = match Request::decode(&frame) {
+        let frame = read_body_interruptible(reader, len)?;
+        let (seq, payload) = split_seq(&frame)?;
+        let response = match Request::decode(payload) {
             Ok(req) => handle(instance, catalog, req, epoch),
             Err(e) => Response::Error {
                 message: format!("bad request: {e}"),
             },
         };
-        write_frame(&mut writer, &response.encode())?;
+        answer(seq, response.encode())?;
     }
     Ok(())
 }
@@ -330,162 +391,79 @@ fn serve_single_shot(
 /// over a burst.
 const COALESCE_LIMIT: usize = 128;
 
-/// The v2 loop. The worker thread reads sequence-numbered frames, decodes
-/// and executes them in arrival order, and queues `(seq, encoded
-/// response)` pairs; a per-connection writer thread drains the queue,
-/// coalescing up to [`COALESCE_LIMIT`] responses per flush. On shutdown or
-/// reader exit the queue is closed, the writer drains what was already
-/// executed, flushes, and the connection closes — no torn frames.
+/// The pipelined loop. The worker thread runs [`serve_requests`], queueing
+/// each response; a per-connection writer thread drains the queue,
+/// coalescing up to [`COALESCE_LIMIT`] responses per flush. When the
+/// worker stops, the queue closes and the writer finishes what was already
+/// executed — no torn frames.
 fn serve_pipelined(
     instance: &Arc<Instance>,
     catalog: &Option<TierCatalog>,
-    mut reader: BufReader<TcpStream>,
+    reader: &mut BufReader<TcpStream>,
     stream: TcpStream,
     epoch: Instant,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
-    // Finish the hello: the MAGIC word was sniffed; the client's version
-    // word follows. Reply with the granted version.
-    let want = match read_word_interruptible(&mut reader, shutdown)? {
-        WordRead::Word(v) => v,
-        WordRead::Eof | WordRead::ShuttingDown => return Ok(()),
-    };
-    let granted = negotiate(want);
-    {
-        let mut hello = stream.try_clone()?;
-        crate::proto::write_hello(&mut hello, granted)?;
-    }
-    if granted < 2 {
-        // Unsatisfiable hello (a v1-only peer impersonating v2); refuse.
-        return Ok(());
-    }
-
     let (resp_tx, resp_rx) = channel::unbounded::<(u64, Vec<u8>)>();
-    let writer_stream = stream.try_clone()?;
     let writer = std::thread::Builder::new()
         .name("tiera-conn-writer".into())
-        .spawn(move || {
-            let mut w = BufWriter::with_capacity(PIPE_BUF, writer_stream);
-            'outer: while let Ok((seq, payload)) = resp_rx.recv() {
-                if write_seq_frame(&mut w, seq, &payload).is_err() {
-                    break;
-                }
+        .spawn(move || -> io::Result<()> {
+            let mut w = BufWriter::with_capacity(PIPE_BUF, stream);
+            while let Ok((seq, payload)) = resp_rx.recv() {
+                write_seq_frame(&mut w, seq, &payload)?;
                 // Coalesce: everything already queued goes out in the same
-                // flush.
-                for _ in 0..COALESCE_LIMIT {
-                    match resp_rx.try_recv() {
-                        Ok((seq, payload)) => {
-                            if write_seq_frame(&mut w, seq, &payload).is_err() {
-                                break 'outer;
-                            }
-                        }
-                        Err(_) => break,
-                    }
+                // flush. Every batch is flushed before the next wait, so
+                // nothing is left buffered when the queue closes.
+                for (seq, payload) in
+                    std::iter::from_fn(|| resp_rx.try_recv().ok()).take(COALESCE_LIMIT)
+                {
+                    write_seq_frame(&mut w, seq, &payload)?;
                 }
-                if w.flush().is_err() {
-                    break;
-                }
+                w.flush()?;
             }
-            // Channel closed: responses for requests executed before
-            // shutdown are already written; make sure they reach the wire.
-            let _ = w.flush();
-        })
-        .map_err(io::Error::other)?;
-
-    let mut framing_intact = true;
-    while !shutdown.load(Ordering::Acquire) {
-        let len = match read_word_interruptible(&mut reader, shutdown) {
-            Ok(WordRead::Word(len)) => len,
-            Ok(WordRead::Eof | WordRead::ShuttingDown) => break,
-            Err(_) => {
-                framing_intact = false;
-                break;
-            }
-        };
-        let frame = match read_body_interruptible(&mut reader, len) {
-            Ok(frame) => frame,
-            Err(_) => {
-                framing_intact = false;
-                break;
-            }
-        };
-        let Ok((seq, payload)) = split_seq(&frame) else {
-            // A frame too short to carry a sequence number cannot be
-            // answered (there is nothing to address the error to); the
-            // framing is broken, so close the connection.
-            framing_intact = false;
-            break;
-        };
-        let response = match Request::decode(payload) {
-            Ok(req) => handle(instance, catalog, req, epoch),
-            Err(e) => Response::Error {
-                message: format!("bad request: {e}"),
-            },
-        };
-        if resp_tx.send((seq, response.encode())).is_err() {
-            break;
-        }
-    }
+            Ok(())
+        })?;
+    let served = serve_requests(instance, catalog, reader, epoch, shutdown, |seq, payload| {
+        resp_tx
+            .send((seq, payload))
+            .map_err(|_| io::Error::other("response writer exited"))
+    });
     drop(resp_tx);
-    let _ = writer.join();
-    if framing_intact {
-        // Closing a socket with unread data in its receive buffer makes
-        // the kernel answer with RST, which can discard responses the
-        // writer just flushed before the client reads them. Requests the
-        // client already pipelined but we will never execute are read and
-        // discarded (bounded by the 50 ms socket timeout going idle), so
-        // the close is a clean FIN and "in flight at shutdown" means a
-        // complete response or a clean EOF — never a reset mid-drain.
-        drain_unread_frames(&mut reader);
-    }
-    Ok(())
+    let written = writer
+        .join()
+        .unwrap_or_else(|_| Err(io::Error::other("response writer panicked")));
+    // The writer's own error first: a failed send only echoes it.
+    written.and(served)
 }
 
 /// Reads and discards well-formed frames until the socket goes idle (one
-/// read timeout), EOF, a malformed length shows up, or a 250 ms budget
-/// runs out (a client that keeps streaming must not stall server
-/// shutdown). See the shutdown contract in [`serve_pipelined`].
-fn drain_unread_frames(reader: &mut BufReader<TcpStream>) {
+/// read timeout, once `shutdown` is set), EOF, a malformed length shows
+/// up, or a 250 ms budget runs out (a client that keeps streaming must not
+/// stall server shutdown). See the shutdown contract in
+/// [`serve_connection`].
+fn drain_unread_frames(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) {
     let budget = Instant::now();
     while budget.elapsed() < Duration::from_millis(250) {
-        let mut word = [0u8; 4];
-        let mut filled = 0usize;
-        while filled < 4 {
-            match reader.read(&mut word[filled..]) {
-                Ok(0) => return,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return, // idle (timeout) or broken — stop draining
-            }
-        }
-        let len = u32::from_le_bytes(word);
-        if len as usize > crate::proto::MAX_FRAME {
-            return;
-        }
-        if read_body_interruptible(reader, len).is_err() {
-            return;
+        match read_word_interruptible(reader, shutdown) {
+            Ok(Some(len)) if read_body_interruptible(reader, len).is_ok() => {}
+            _ => return,
         }
     }
-}
-
-enum WordRead {
-    Word(u32),
-    Eof,
-    ShuttingDown,
 }
 
 /// Reads one little-endian `u32` (a frame header or a hello word),
 /// tolerant of read timeouts: partial progress is preserved across
-/// timeouts, and the shutdown flag is honored while waiting.
+/// timeouts, and the shutdown flag is honored while waiting. `None` means
+/// a clean EOF at a word boundary, or shutdown.
 fn read_word_interruptible<R: io::Read>(
     r: &mut R,
     shutdown: &AtomicBool,
-) -> io::Result<WordRead> {
+) -> io::Result<Option<u32>> {
     let mut word = [0u8; 4];
     let mut filled = 0usize;
     while filled < 4 {
         match r.read(&mut word[filled..]) {
-            Ok(0) if filled == 0 => return Ok(WordRead::Eof),
+            Ok(0) if filled == 0 => return Ok(None),
             Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof mid-header")),
             Ok(n) => filled += n,
             Err(e)
@@ -493,14 +471,14 @@ fn read_word_interruptible<R: io::Read>(
                     || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if shutdown.load(Ordering::Acquire) {
-                    return Ok(WordRead::ShuttingDown);
+                    return Ok(None);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    Ok(WordRead::Word(u32::from_le_bytes(word)))
+    Ok(Some(u32::from_le_bytes(word)))
 }
 
 /// Reads a frame body of `len` bytes (header already consumed), riding out

@@ -3,16 +3,18 @@
 //!
 //! Where the lib tests drive the real server end to end, these tests pin
 //! the *protocol contract* itself, using hand-rolled stub servers where
-//! the interesting behavior (out-of-order completion, torn writes, v1-only
-//! peers) is easier to stage deliberately than to provoke:
+//! the interesting behavior (out-of-order completion, torn writes, peers
+//! that do not speak v2) is easier to stage deliberately than to provoke:
 //!
 //! * out-of-order completion maps responses to the right sequence numbers;
 //! * batch requests report partial failure per item;
-//! * handshake version negotiation, including a new client meeting the old
-//!   single-shot framing and an old client meeting the new server;
+//! * handshake version negotiation, including a client meeting a peer that
+//!   does not answer the hello;
 //! * graceful shutdown with requests in flight — complete frames or clean
 //!   EOF, never torn frames;
-//! * a request dropped mid-frame no longer wedges `TieraClient`: the read
+//! * a pipelined client that writes far ahead of its reads never
+//!   deadlocks with the server;
+//! * a request dropped mid-frame never wedges `TieraClient`: the read
 //!   deadline fails the call and the next call reconnects.
 
 use std::io::{Read, Write};
@@ -22,8 +24,8 @@ use std::time::Duration;
 
 use tiera_core::prelude::*;
 use tiera_rpc::proto::{
-    read_frame, read_hello, split_seq, write_frame, write_hello, write_seq_frame, Request,
-    Response, MAX_FRAME, VERSION,
+    read_frame, read_hello, split_seq, write_hello, write_seq_frame, Request, Response,
+    MAX_FRAME, VERSION,
 };
 use tiera_rpc::{PipelinedClient, ServerConfig, TieraClient, TieraServer};
 use tiera_sim::SimEnv;
@@ -65,6 +67,20 @@ fn stub_handshake(stream: &mut TcpStream) -> u32 {
     let want = read_hello(stream).unwrap();
     write_hello(stream, VERSION).unwrap();
     want
+}
+
+/// Reads one sequenced request frame; returns its sequence number.
+fn stub_read_request(stream: &mut TcpStream) -> u64 {
+    let frame = read_frame(stream).unwrap().unwrap();
+    let (seq, payload) = split_seq(&frame).unwrap();
+    Request::decode(payload).unwrap();
+    seq
+}
+
+/// Answers sequence number `seq` with `resp`.
+fn stub_answer(stream: &mut TcpStream, seq: u64, resp: &Response) -> std::io::Result<()> {
+    write_seq_frame(stream, seq, &resp.encode())?;
+    stream.flush()
 }
 
 // ---- out-of-order completion ----
@@ -279,75 +295,49 @@ fn unsatisfiable_hello_is_refused_with_granted_zero() {
 
 #[test]
 fn new_client_meeting_v1_only_framing_errors_cleanly() {
-    // An old server reads our hello MAGIC as a frame length, finds it
-    // above MAX_FRAME, and closes — exactly what tiera-rpc's own v1 loop
-    // did before this PR. The pipelined client must turn that into a clean
-    // error, not a hang or a garbage decode.
-    let addr = stub_server(2, |i, mut stream| {
+    // A server that predates the hello reads its MAGIC as a frame length,
+    // finds it above MAX_FRAME, and closes. Both clients must turn that
+    // into a clean error, not a hang or a garbage decode.
+    let addr = stub_server(2, |_, mut stream| {
         let mut word = [0u8; 4];
         stream.read_exact(&mut word).unwrap();
-        let len = u32::from_le_bytes(word) as usize;
-        if len > MAX_FRAME {
-            return; // old server: drop the connection
-        }
-        // Connection 2: a well-formed v1 exchange, proving the fallback
-        // path works against the same listener.
-        assert_eq!(i, 1);
-        let mut payload = vec![0u8; len];
-        stream.read_exact(&mut payload).unwrap();
-        Request::decode(&payload).unwrap();
-        write_frame(&mut stream, &Response::Pong.encode()).unwrap();
+        assert!(u32::from_le_bytes(word) as usize > MAX_FRAME);
     });
     let err = PipelinedClient::connect(addr).unwrap_err();
     assert!(
-        err.to_string().contains("v1 single-shot framing"),
+        err.to_string().contains("does not speak protocol v2"),
         "error must tell the caller what went wrong: {err}"
     );
-    // The documented fallback: use the single-shot client instead.
-    let mut old = TieraClient::connect(addr).unwrap();
-    old.ping().unwrap();
+    let err = TieraClient::connect(addr).err().expect("no v2 peer, no client");
+    assert!(err.to_string().contains("does not speak protocol v2"), "{err}");
 }
 
 #[test]
 fn v1_server_answering_with_a_frame_is_detected() {
     // A different old-server behavior: it treats the hello as garbage and
-    // answers with a v1 Error frame. The frame header is not MAGIC, so the
-    // client detects the version mismatch rather than mis-parsing.
-    let addr = stub_server(1, |_, mut stream| {
+    // answers with a bare Error frame. The frame header is not MAGIC, so
+    // the client detects the version mismatch rather than mis-parsing.
+    let addr = stub_server(2, |_, mut stream| {
         let mut sink = [0u8; 8];
         stream.read_exact(&mut sink).unwrap();
         let resp = Response::Error {
             message: "bad request".into(),
-        };
-        write_frame(&mut stream, &resp.encode()).unwrap();
+        }
+        .encode();
+        stream.write_all(&(resp.len() as u32).to_le_bytes()).unwrap();
+        stream.write_all(&resp).unwrap();
     });
     let err = PipelinedClient::connect(addr).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let err = TieraClient::connect(addr).err().expect("no v2 peer, no client");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
 }
 
 #[test]
-fn old_client_still_speaks_to_the_new_server() {
-    // The sniff path: a plain v1 client connects to the pipelined server
-    // and everything works as before the protocol change.
-    let inst = instance();
-    let handle = TieraServer::start(inst, "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let mut client = TieraClient::connect(handle.addr()).unwrap();
-    client.ping().unwrap();
-    client.put("v1-key", b"v1-value").unwrap();
-    let (value, _) = client.get("v1-key").unwrap();
-    assert_eq!(value, b"v1-value");
-    // And both framings coexist on one server.
-    let mut piped = PipelinedClient::connect(handle.addr()).unwrap();
-    let (fetched, _) = piped.multi_get(&["v1-key"]).unwrap().remove(0).unwrap();
-    assert_eq!(fetched, b"v1-value");
-    handle.shutdown();
-}
-
-#[test]
-fn pipelined_window_batches_and_v1_round_trip_on_one_server() {
+fn pipelined_window_batches_and_lockstep_round_trip_on_one_server() {
     // The whole plane against one live server: pipelined echo, a full
     // 128-deep window of puts and then of gets, the batch round trip with
-    // a per-item miss, and the v1 client on the same listener.
+    // a per-item miss, and the lockstep client on the same listener.
     const DEPTH: usize = 128;
     let inst = instance();
     let handle = TieraServer::start(inst, "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -378,10 +368,49 @@ fn pipelined_window_batches_and_v1_round_trip_on_one_server() {
         outcome.unwrap();
     }
 
-    let mut old = TieraClient::connect(handle.addr()).unwrap();
-    old.ping().unwrap();
-    old.put("legacy", b"ok").unwrap();
-    assert_eq!(old.get("legacy").unwrap().0, b"ok");
+    let mut lockstep = TieraClient::connect(handle.addr()).unwrap();
+    lockstep.ping().unwrap();
+    lockstep.put("lockstep", b"ok").unwrap();
+    assert_eq!(lockstep.get("lockstep").unwrap().0, b"ok");
+    assert_eq!(lockstep.get("k7").unwrap().0, b"v7", "one store behind both clients");
+    handle.shutdown();
+}
+
+#[test]
+fn failed_connections_are_counted_and_clean_closes_are_not() {
+    // One worker serves the connections in the order they arrive.
+    let cfg = ServerConfig {
+        request_threads: 1,
+        ..ServerConfig::default()
+    };
+    let handle = TieraServer::start(instance(), "127.0.0.1:0", cfg).unwrap();
+    let hello = |stream: &mut TcpStream| {
+        write_hello(stream, VERSION).unwrap();
+        assert_eq!(read_hello(stream).unwrap(), VERSION);
+    };
+    // A clean close after the hello.
+    let mut clean = TcpStream::connect(handle.addr()).unwrap();
+    hello(&mut clean);
+    drop(clean);
+    // A frame that promises 64 bytes, delivers 10, and closes.
+    let mut torn = TcpStream::connect(handle.addr()).unwrap();
+    hello(&mut torn);
+    torn.write_all(&64u32.to_le_bytes()).unwrap();
+    torn.write_all(&[0u8; 10]).unwrap();
+    drop(torn);
+    // An old client: a bare frame where the hello belongs.
+    let mut bare = TcpStream::connect(handle.addr()).unwrap();
+    bare.write_all(&1u32.to_le_bytes()).unwrap();
+    bare.write_all(&Request::Ping.encode()).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while handle.connection_errors() < 2 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The worker served the clean close before either failure.
+    assert_eq!(handle.connection_errors(), 2);
+    let first = handle.first_connection_error().unwrap();
+    assert!(first.contains("eof mid-frame"), "{first}");
+    drop(bare);
     handle.shutdown();
 }
 
@@ -445,7 +474,61 @@ fn responses_already_executed_are_flushed_before_close() {
     }
 }
 
-// ---- torn-write wedge: read deadline + reconnect (satellite 4) ----
+// ---- a pipelined client that writes before it reads ----
+
+#[test]
+fn a_client_writing_ahead_of_its_reads_never_deadlocks_the_server() {
+    // The GET's response and the PUTs behind it each exceed what loopback
+    // buffers in both directions (Linux caps tcp_rmem at 32 MiB and
+    // tcp_wmem at 4 MiB by default). A worker that wrote the response
+    // itself would block on a client that is not reading yet, while that
+    // client blocks writing PUTs the worker is not reading.
+    const BIG: usize = 48 << 20;
+    const PUTS: usize = 48;
+    let inst = InstanceBuilder::new("write-ahead", SimEnv::new(79))
+        .tier(MemTier::with_capacity("t1", 256 << 20))
+        .build()
+        .unwrap();
+    let handle = TieraServer::start(inst, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = handle.addr();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let run = || -> std::io::Result<usize> {
+            let mut client = PipelinedClient::connect(addr)?;
+            let put = client.submit_put("big", &vec![7u8; BIG])?;
+            client.wait_put(put)?;
+            let get = client.submit_get("big")?;
+            client.flush()?;
+            // Let the server start answering the GET before the PUTs land.
+            std::thread::sleep(Duration::from_millis(50));
+            let chunk = vec![1u8; 1 << 20];
+            let puts = (0..PUTS)
+                .map(|i| client.submit_put(&format!("p{i}"), &chunk))
+                .collect::<std::io::Result<Vec<_>>>()?;
+            let (value, _) = client.wait_get(get)?;
+            for put in puts {
+                client.wait_put(put)?;
+            }
+            Ok(value.len())
+        };
+        done_tx.send(run()).unwrap();
+    });
+    match done_rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(outcome) => {
+            assert_eq!(outcome.unwrap(), BIG);
+            client.join().unwrap();
+            handle.shutdown();
+        }
+        Err(_) => {
+            // A deadlocked worker can never be joined: leak the server
+            // rather than hang the suite on its shutdown.
+            std::mem::forget(handle);
+            panic!("client and server deadlocked with requests and a response in flight");
+        }
+    }
+}
+
+// ---- torn-write wedge: read deadline + reconnect ----
 
 #[test]
 fn server_killed_mid_request_fails_the_call_and_reconnects() {
@@ -453,12 +536,12 @@ fn server_killed_mid_request_fails_the_call_and_reconnects() {
     // answering — the old client would block forever on read. Connection
     // 2: serve properly, proving the client redialed.
     let addr = stub_server(2, |i, mut stream| {
-        let frame = read_frame(&mut stream).unwrap().unwrap();
-        Request::decode(&frame).unwrap();
+        stub_handshake(&mut stream);
+        let seq = stub_read_request(&mut stream);
         if i == 0 {
             return; // killed mid-request
         }
-        write_frame(&mut stream, &Response::Pong.encode()).unwrap();
+        stub_answer(&mut stream, seq, &Response::Pong).unwrap();
     });
     let mut client = TieraClient::connect(addr).unwrap();
     assert_eq!(client.redials(), 0, "the initial dial is not a redial");
@@ -482,18 +565,18 @@ fn half_a_response_frame_hits_the_read_deadline_not_a_wedge() {
     // deadline must fail the call; the stub holds the socket open longer
     // than the deadline to prove the client did not just see a reset.
     let addr = stub_server(2, |i, mut stream| {
-        let frame = read_frame(&mut stream).unwrap().unwrap();
-        Request::decode(&frame).unwrap();
+        stub_handshake(&mut stream);
+        let seq = stub_read_request(&mut stream);
         if i == 0 {
-            let encoded = Response::Pong.encode();
             let torn = &(64u32).to_le_bytes(); // promises 64 bytes...
             stream.write_all(torn).unwrap();
-            stream.write_all(&encoded).unwrap(); // ...delivers 1
+            stream.write_all(&seq.to_le_bytes()).unwrap();
+            stream.write_all(&Response::Pong.encode()).unwrap(); // ...delivers 9
             stream.flush().unwrap();
             std::thread::sleep(Duration::from_millis(800));
             return;
         }
-        write_frame(&mut stream, &Response::Pong.encode()).unwrap();
+        stub_answer(&mut stream, seq, &Response::Pong).unwrap();
     });
     let mut client =
         TieraClient::connect_with_deadline(addr, Some(Duration::from_millis(250))).unwrap();
@@ -516,17 +599,15 @@ fn deadline_failure_does_not_leak_the_stale_response_into_the_next_call() {
     // the socket, that late response can never be attributed to a later
     // request.
     let addr = stub_server(2, |i, mut stream| {
-        let frame = read_frame(&mut stream).unwrap().unwrap();
-        Request::decode(&frame).unwrap();
+        stub_handshake(&mut stream);
+        let seq = stub_read_request(&mut stream);
         if i == 0 {
             std::thread::sleep(Duration::from_millis(500));
-            let _ = write_frame(
-                &mut stream,
-                &Response::Error { message: "stale".into() }.encode(),
-            );
+            // The client may have closed by now; the write may fail.
+            let _ = stub_answer(&mut stream, seq, &Response::Error { message: "stale".into() });
             return;
         }
-        write_frame(&mut stream, &Response::Pong.encode()).unwrap();
+        stub_answer(&mut stream, seq, &Response::Pong).unwrap();
     });
     let mut client =
         TieraClient::connect_with_deadline(addr, Some(Duration::from_millis(150))).unwrap();

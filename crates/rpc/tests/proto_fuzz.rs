@@ -16,7 +16,7 @@
 //!   `unwrap`/`panic!` outside its test module.)
 
 use tiera_rpc::proto::{
-    negotiate, read_frame, read_hello, split_seq, write_frame, write_hello, write_seq_frame,
+    negotiate, read_frame, read_hello, split_seq, write_hello, write_seq_frame,
     PutItem, Request, Response, MAGIC, MAX_BATCH, MAX_FRAME, SEQ_PREFIX, VERSION,
 };
 use tiera_support::prop::gen;
@@ -338,10 +338,9 @@ fn hello_and_negotiation_sanity() {
     let mut buf = Vec::new();
     write_hello(&mut buf, VERSION).unwrap();
     assert_eq!(read_hello(&mut &buf[..]).unwrap(), VERSION);
-    // A v1 frame header can never be mistaken for a hello, and vice versa:
+    // A bare frame can never be mistaken for a hello, and vice versa:
     // MAGIC is above MAX_FRAME.
-    let mut frame = Vec::new();
-    write_frame(&mut frame, b"x").unwrap();
+    let frame = [&1u32.to_le_bytes()[..], b"x"].concat();
     assert!(read_hello(&mut &frame[..]).is_err());
     assert!((MAGIC as usize) > MAX_FRAME);
     assert_eq!(negotiate(VERSION), VERSION);

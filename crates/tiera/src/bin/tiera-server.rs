@@ -189,16 +189,24 @@ fn main() {
     };
     println!("listening on {} ({} request threads)", handle.addr(), args.threads);
     println!("press ctrl-c to stop");
-    let mut reported = 0;
+    let (mut ticks_reported, mut conns_reported) = (0, 0);
     loop {
         std::thread::sleep(std::time::Duration::from_secs(1));
         let failures = handle.pump_failures();
-        if failures > reported {
+        if failures > ticks_reported {
             eprintln!(
                 "tiera-server: {failures} event tick(s) failed (first: {})",
                 handle.first_pump_error().unwrap_or_default()
             );
-            reported = failures;
+            ticks_reported = failures;
+        }
+        let failures = handle.connection_errors();
+        if failures > conns_reported {
+            eprintln!(
+                "tiera-server: {failures} connection(s) failed (first: {})",
+                handle.first_connection_error().unwrap_or_default()
+            );
+            conns_reported = failures;
         }
     }
 }

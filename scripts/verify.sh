@@ -36,6 +36,9 @@ echo "==> benchmark/ tests (outside the root workspace; catches API drift under 
 echo "==> footprint gate (100 000 keys; fails over the per-object memory budget)"
 cargo run -q --release --offline -p tiera --example footprint -- --check
 
+echo "==> rpc quickstart (a live server and a client through the tiera facade)"
+cargo run -q --release --offline -p tiera --example rpc_server
+
 echo "==> experiments golden (every section of experiments_output.txt but fig18, byte for byte)"
 sections() { # stdin: an experiments transcript; stdout: all but fig18 (real CPU µs/op) minus the wall-time lines
     awk '/^\[.* completed in .*s wall time\]$/ { keep = 0; next }
