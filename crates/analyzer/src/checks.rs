@@ -51,8 +51,8 @@ pub struct Config {
 }
 
 impl Config {
-    /// The workspace policy: proto.rs and the tierx header decode
-    /// hostile bytes; the registry, the metastore's locator table, the
+    /// The workspace policy: proto.rs and the codec's packed frame
+    /// decode hostile bytes; the registry, core's blob refcount table, the metastore's locator table, the
     /// tiers' object maps and the tier wrappers' ledgers are per-key hot
     /// paths, the simulated tiers' reshard walks its map while drawing
     /// from a seeded rng, and the dedup wrapper's integrity check reports
@@ -65,10 +65,11 @@ impl Config {
         Self {
             panic_free: vec![
                 "crates/rpc/src/proto.rs".into(),
-                "crates/tierx/src/header.rs".into(),
+                "crates/codec/src/packed.rs".into(),
             ],
             hot_path: vec![
                 "crates/core/src/registry.rs".into(),
+                "crates/core/src/dedup.rs".into(),
                 "crates/core/src/tier.rs".into(),
                 "crates/metastore/src/store.rs".into(),
                 "crates/tiers/src/lib.rs".into(),

@@ -15,6 +15,8 @@
 //! * [`lzss`] — a byte-oriented LZSS compressor standing in for ZLIB; it is
 //!   lossless, bounded-expansion, and effective on the redundant payloads
 //!   the dedup/compression experiments generate.
+//! * [`packed`] — the crc-checked stored frame of an lzss payload, shared
+//!   by the `compress` response and `CompressedTier`.
 //! * [`hex`] — small hex encode/decode helpers for keys and digests.
 //! * [`xxh64`] — XXH64, the non-cryptographic 64-bit content checksum the
 //!   cluster coordinator verifies every replica read against.
@@ -26,6 +28,7 @@ pub mod chacha20;
 pub mod crc32;
 pub mod hex;
 pub mod lzss;
+pub mod packed;
 pub mod sha256;
 pub mod xxh64;
 

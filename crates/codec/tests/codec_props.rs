@@ -3,6 +3,7 @@
 //! strings for the reversible codecs. Every random input derives from
 //! `SimRng`, so failures replay bit-identically from the printed seed.
 
+use tiera_codec::packed::{self, Unpacked, UnpackError};
 use tiera_codec::{crc32, hex, lzss, sha256};
 use tiera_support::prop::gen;
 use tiera_support::prop_check;
@@ -214,5 +215,115 @@ fn prop_lzss_decompress_survives_random_input() {
             // holds for whatever it decoded to.
             assert_eq!(lzss::decompress(&lzss::compress(&out)).as_deref(), Ok(&out[..]));
         }
+    });
+}
+
+// ---- the packed frame ----
+
+/// The payload a frame holds, whichever form its body takes.
+fn unpacked_payload(stored: &[u8]) -> Result<Vec<u8>, UnpackError> {
+    Ok(match packed::unpack(stored)? {
+        Unpacked::Raw(range) => stored[range].to_vec(),
+        Unpacked::Inflated(payload) => payload,
+    })
+}
+
+fn text(len: usize) -> Vec<u8> {
+    b"the quick brown fox jumps over the lazy dog. ".iter().cycle().take(len).copied().collect()
+}
+
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+/// Frames `CompressedTier` stored before the frame moved into this crate,
+/// captured from its backing tier: a payload that shrinks, one that does
+/// not, one too short to shrink, and the empty one. `pack_into` must keep
+/// writing these bytes, or objects already stored stop reading back.
+#[test]
+fn pack_into_writes_the_frames_compressed_tier_stored() {
+    for (name, payload, frame) in [
+        (
+            "text",
+            text(200),
+            "c7013061b61bc8000000007468652071756963006b2062726f776e2000666f78206a756d70\
+             8073206f766572201e10006c617a7920646f67062e0d202cf085",
+        ),
+        (
+            "noise",
+            noise(48, 9),
+            "c700165ebfb7446c3a6fab81f9744c803f9a888ebc9f9e89d10a2e3c3da42518c866694e74\
+             d60d87c5ae2a385c38b4bce546ceb21832",
+        ),
+        ("short", text(3), "c700e66d453c746865"),
+        ("empty", Vec::new(), "c70000000000"),
+    ] {
+        let frame = hex::decode(frame).unwrap();
+        let mut out = Vec::new();
+        packed::pack_into(&mut out, &payload);
+        assert_eq!(hex::encode(&out), hex::encode(&frame), "{name}");
+        assert_eq!(unpacked_payload(&frame).as_deref(), Ok(&payload[..]), "{name}");
+    }
+}
+
+/// A frame round-trips any payload, and its body never outgrows the
+/// payload: lzss's expansion is traded for the raw form.
+#[test]
+fn prop_packed_roundtrips_and_grows_by_at_most_the_header() {
+    prop_check!(cases = 64, |rng| {
+        let data = if gen::usize_in(rng, 0..2) == 0 {
+            gen::byte_vec(rng, 0..4096)
+        } else {
+            text(gen::usize_in(rng, 0..4096))
+        };
+        let mut frame = Vec::new();
+        packed::pack_into(&mut frame, &data);
+        assert!(frame.len() <= data.len() + packed::HEADER_LEN);
+        assert_eq!(unpacked_payload(&frame), Ok(data));
+    });
+}
+
+/// `unpack` never panics on a frame with flipped bytes, and never hands
+/// back a payload other than the one packed: the header's crc32 catches
+/// what the lzss decoder lets through.
+#[test]
+fn prop_unpack_survives_byte_flips() {
+    prop_check!(cases = 128, |rng| {
+        let data = if gen::usize_in(rng, 0..2) == 0 {
+            gen::byte_vec(rng, 0..1024)
+        } else {
+            text(gen::usize_in(rng, 0..2048))
+        };
+        let mut frame = Vec::new();
+        packed::pack_into(&mut frame, &data);
+        for _ in 0..gen::usize_in(rng, 1..5) {
+            let at = gen::usize_in(rng, 0..frame.len());
+            frame[at] ^= gen::usize_in(rng, 1..256) as u8;
+        }
+        if let Ok(got) = unpacked_payload(&frame) {
+            assert_eq!(got, data, "a corrupted frame decoded to other bytes");
+        }
+    });
+}
+
+/// `unpack` never panics on bytes that were never a frame, with or
+/// without a plausible header in front.
+#[test]
+fn prop_unpack_survives_random_input() {
+    prop_check!(cases = 128, |rng| {
+        let mut garbage = gen::byte_vec(rng, 0..2048);
+        if gen::usize_in(rng, 0..2) == 0 && garbage.len() >= 2 {
+            garbage[0] = packed::MAGIC;
+            garbage[1] &= packed::FLAG_COMPRESSED;
+        }
+        let _ = packed::unpack(&garbage);
     });
 }

@@ -32,10 +32,12 @@ use std::sync::Arc;
 use tiera_support::sync::{rank, Mutex, RwLock};
 use tiera_support::{Bytes, SimRng};
 
-use tiera_codec::{lzss, ChaCha20, Digest};
+use tiera_codec::packed::{self, Unpacked};
+use tiera_codec::{ChaCha20, Digest};
 use tiera_sim::bandwidth::BandwidthCap;
 use tiera_sim::{SimDuration, SimEnv, SimTime};
 
+use crate::dedup;
 use crate::error::{Result, TieraError};
 use crate::event::{ActionOp, EventKind, Metric};
 use crate::meta::{ObjectMeta, TierSet};
@@ -674,9 +676,7 @@ impl Instance {
             m.locations.retain(|l| placed.contains_id(l));
         });
         if let Some(d) = prev.digest() {
-            if let Some(physical) = self.registry.dedup_release(&d) {
-                self.delete_physical(&physical, ctx.now);
-            }
+            self.release_blob(&d, ctx.now);
         }
     }
 
@@ -713,13 +713,10 @@ impl Instance {
         let data = self.decode_payload(&key, &meta, raw.clone())?;
 
         self.registry.touch(&key, ctx.now);
-        if meta.digest().is_some() {
+        if let Some(d) = meta.digest() {
             // Keep the physical object's LRU position in sync with logical
             // accesses so cache eviction sees real usage.
-            let phys = self.resolve_physical(&key);
-            if phys != key {
-                self.registry.touch(&phys, ctx.now);
-            }
+            self.registry.touch(&dedup::blob_key(&d), ctx.now);
         }
 
         // Fire GET action rules (e.g. read-promotion in LRU cache
@@ -758,10 +755,7 @@ impl Instance {
         let mut ctx = Ctx::foreground(now);
 
         if let Some(d) = meta.digest() {
-            // Dedup object: drop the reference; delete bytes on last ref.
-            if let Some(physical) = self.registry.dedup_release(&d) {
-                self.delete_physical(&physical, ctx.now);
-            }
+            self.release_blob(&d, ctx.now);
         } else {
             let mut slowest = SimDuration::ZERO;
             for loc in &meta.locations {
@@ -1155,7 +1149,7 @@ impl Instance {
     /// the real locations; logical dedup entries only carry the digest.
     fn resolve_physical(&self, key: &ObjectKey) -> ObjectKey {
         match self.registry.get(key).and_then(|m| m.digest()) {
-            Some(d) => self.registry.dedup_lookup(&d).unwrap_or_else(|| key.clone()),
+            Some(d) => dedup::blob_key(&d),
             None => key.clone(),
         }
     }
@@ -1163,20 +1157,14 @@ impl Instance {
     /// Reads an object's raw stored bytes from its most preferred reachable
     /// location, resolving dedup indirection.
     fn read_raw(&self, key: &ObjectKey, meta: &ObjectMeta, ctx: &mut Ctx) -> Result<(Bytes, TierId)> {
-        // Dedup objects live under their physical content key, whose
-        // metadata holds the true locations.
-        let physical = match meta.digest() {
-            Some(d) => Some(
-                self.registry
-                    .dedup_lookup(&d)
-                    .and_then(|phys| Some((self.registry.get(&phys)?, phys)))
-                    .ok_or_else(|| TieraError::LocationsUnavailable(key.to_string()))?,
-            ),
-            None => None,
-        };
-        let (read_key, locations) = match &physical {
-            Some((phys_meta, phys)) => (phys, &phys_meta.locations),
-            None => (key, &meta.locations),
+        // Dedup objects live under their blob's key, whose metadata holds
+        // the true locations.
+        let blob = meta.digest().map(|d| dedup::blob_key(&d));
+        let blob_meta = blob.as_ref().map(|b| self.registry.get(b));
+        let (read_key, locations) = match (&blob, &blob_meta) {
+            (Some(b), Some(Some(m))) => (b, &m.locations),
+            (Some(_), _) => return Err(TieraError::LocationsUnavailable(key.to_string())),
+            (None, _) => (key, &meta.locations),
         };
         let tiers = Arc::clone(&self.tiers.read());
         let mut last_err = None;
@@ -1239,9 +1227,14 @@ impl Instance {
             data = Bytes::from(buf);
         }
         if meta.compressed {
-            let plain = lzss::decompress(&data)
-                .map_err(|e| TieraError::Codec(format!("decompress {key}: {e}")))?;
-            data = Bytes::from(plain);
+            // A frame whose header or crc32 does not hold is refused,
+            // never decoded to other bytes.
+            let unpacked = packed::unpack(data.as_slice())
+                .map_err(|e| TieraError::Codec(format!("uncompress {key}: {e}")))?;
+            data = match unpacked {
+                Unpacked::Raw(body) => data.slice(body),
+                Unpacked::Inflated(payload) => Bytes::from(payload),
+            };
         }
         Ok(data)
     }
@@ -1440,43 +1433,40 @@ impl Instance {
         ctx: &mut Ctx,
     ) -> Result<()> {
         let digest = Digest::of(&data);
-        let physical = ObjectKey::new(format!("sha256:{}", digest.to_hex()));
         if ctx.inserted.as_ref() == Some(key) {
             for target in to.iter().filter_map(|t| self.attached(t).ok()) {
                 ctx.placed_inserted.insert_id(target.id);
             }
         }
-        match self.registry.dedup_acquire(digest, physical.clone()) {
-            Some(_existing) => {
-                // Content already stored: no tier writes at all (this is
-                // what cuts the S3 PUT count in Fig 12b). The logical entry
-                // just records the digest pointer.
-                self.registry.update(key, |m| m.set_digest(Some(digest)));
-            }
-            None => {
-                // The physical object owns locations and participates in
-                // LRU ordering; logical entries point at it via the digest.
-                let mut pm = ObjectMeta::new(data.len() as u64, ctx.now);
-                pm.dirty = true;
-                let mut slowest = SimDuration::ZERO;
-                for tier_name in to {
-                    let target = self.attached(tier_name)?;
-                    let receipt = target.tier.put(&physical, data.clone(), ctx.now)?;
-                    slowest = slowest.max(receipt.latency);
-                    pm.locations.insert_id(target.id);
-                    if target.durable {
-                        pm.dirty = false;
-                    }
-                }
-                ctx.charge(slowest);
-                pm.touch(ctx.now);
-                self.registry.upsert(physical, pm);
-                self.registry.update(key, |m| {
-                    m.set_digest(Some(digest));
-                    m.set_stored_size(data.len() as u64);
-                });
+        if !self.registry.dedup_acquire(digest) {
+            // Content already stored: no tier writes at all (this is what
+            // cuts the S3 PUT count in Fig 12b). The logical entry just
+            // records the digest pointer.
+            self.registry.update(key, |m| m.set_digest(Some(digest)));
+            return Ok(());
+        }
+        // The physical object owns locations and participates in LRU
+        // ordering; logical entries point at it via the digest.
+        let physical = dedup::blob_key(&digest);
+        let mut pm = ObjectMeta::new(data.len() as u64, ctx.now);
+        pm.dirty = true;
+        let mut slowest = SimDuration::ZERO;
+        for tier_name in to {
+            let target = self.attached(tier_name)?;
+            let receipt = target.tier.put(&physical, data.clone(), ctx.now)?;
+            slowest = slowest.max(receipt.latency);
+            pm.locations.insert_id(target.id);
+            if target.durable {
+                pm.dirty = false;
             }
         }
+        ctx.charge(slowest);
+        pm.touch(ctx.now);
+        self.registry.upsert(physical, pm);
+        self.registry.update(key, |m| {
+            m.set_digest(Some(digest));
+            m.set_stored_size(data.len() as u64);
+        });
         Ok(())
     }
 
@@ -1633,9 +1623,7 @@ impl Instance {
                 }
                 None => {
                     if let Some(d) = meta.digest() {
-                        if let Some(physical) = self.registry.dedup_release(&d) {
-                            self.delete_physical(&physical, ctx.now);
-                        }
+                        self.release_blob(&d, ctx.now);
                     } else {
                         for loc in &meta.locations {
                             if let Some(tier) = self.tier_by_id(*loc) {
@@ -1651,16 +1639,19 @@ impl Instance {
         Ok(())
     }
 
-    /// Deletes a dedup physical object's bytes from every attached tier and
-    /// drops its registry entry (called when the last logical reference is
-    /// released).
-    fn delete_physical(&self, physical: &ObjectKey, now: SimTime) {
+    /// Drops one `storeOnce` reference to `digest`. The last one deletes
+    /// the blob's bytes from every attached tier and its registry entry.
+    fn release_blob(&self, digest: &Digest, now: SimTime) {
+        if !self.registry.dedup_release(digest) {
+            return;
+        }
+        let physical = dedup::blob_key(digest);
         for Attached { tier, .. } in self.tiers.read().iter() {
-            if tier.contains(physical) {
-                self.cleanup_delete(tier, physical, now);
+            if tier.contains(&physical) {
+                self.cleanup_delete(tier, &physical, now);
             }
         }
-        self.registry.remove(physical);
+        self.registry.remove(&physical);
     }
 
     /// Deletes bytes the metadata no longer (or never did) point at. A
@@ -1731,12 +1722,11 @@ impl Instance {
             }
             let (raw, _) = self.read_raw(&key, &meta, ctx)?;
             let data = if compress {
-                Bytes::from(lzss::compress(&raw))
+                let mut frame = Vec::new();
+                packed::pack_into(&mut frame, &raw);
+                Bytes::from(frame)
             } else {
-                Bytes::from(
-                    lzss::decompress(&raw)
-                        .map_err(|e| TieraError::Codec(format!("uncompress {key}: {e}")))?,
-                )
+                self.decode_payload(&key, &meta, raw)?
             };
             let mut slowest = SimDuration::ZERO;
             for loc in &meta.locations {
@@ -2220,6 +2210,50 @@ mod tests {
         let meta = inst.registry().get(&ObjectKey::new("log")).unwrap();
         assert!(!meta.compressed);
         assert_eq!(meta.stored_size(), meta.size);
+    }
+
+    #[test]
+    fn a_compressed_object_is_framed_and_its_corruption_refused() {
+        let inst = InstanceBuilder::new("zip", SimEnv::new(1))
+            .tier(MemTier::with_capacity("tier1", 1 << 20))
+            .build()
+            .unwrap();
+        let text: Vec<u8> = b"abc".iter().cycle().take(10_000).copied().collect();
+        let mut x = 9u64;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        inst.put("log", Bytes::from(text), T0).unwrap();
+        inst.put("noise", Bytes::from(noise.clone()), T0).unwrap();
+        let mut ctx = Ctx::background(T0);
+        for key in ["log", "noise"] {
+            let what = Selector::Key(ObjectKey::new(key));
+            inst.execute_response(&ResponseSpec::Compress { what }, &mut ctx).unwrap();
+        }
+
+        // lzss would expand noise; the frame stores it raw instead.
+        let meta = inst.registry().get(&ObjectKey::new("noise")).unwrap();
+        assert!(meta.compressed);
+        assert!(meta.stored_size() <= meta.size + packed::HEADER_LEN as u64, "{meta:?}");
+        assert_eq!(&inst.get("noise", T0).unwrap().0[..], &noise[..]);
+
+        // Flip one literal byte of the lzss body behind the instance's
+        // back: it would decode, to other bytes, but the crc32 refuses it.
+        let tier = inst.tier("tier1").unwrap();
+        let key = ObjectKey::new("log");
+        let (stored, _) = tier.get(&key, T0).unwrap();
+        let mut bad = stored.to_vec();
+        let body = packed::HEADER_LEN;
+        let at = body + bad[body..].iter().position(|&b| b == b'a').unwrap();
+        bad[at] ^= 0x01;
+        tier.put(&key, Bytes::from(bad), T0).unwrap();
+        let err = inst.get("log", T0).unwrap_err();
+        assert!(matches!(err, TieraError::Codec(ref m) if m.contains("crc32")), "{err}");
     }
 
     #[test]

@@ -63,6 +63,7 @@
 
 pub mod builder;
 pub mod catalog;
+pub mod dedup;
 pub mod error;
 pub mod event;
 pub mod instance;

@@ -2,8 +2,8 @@
 //!
 //! Owns every object's [`ObjectMeta`], maintains the access-ordered per-tier
 //! lists that make `tierN.oldest` / `tierN.newest` selections O(1)
-//! (the Figure 5 LRU/MRU idiom), keeps the content-digest index behind
-//! `storeOnce` deduplication, and — mirroring the paper's BerkeleyDB usage —
+//! (the Figure 5 LRU/MRU idiom), counts the references to each
+//! `storeOnce` blob, and — mirroring the paper's BerkeleyDB usage —
 //! optionally persists all metadata through `tiera-metastore`.
 //!
 //! ## Concurrency model
@@ -31,8 +31,9 @@
 //! * **Aggregates** (`aggregates`): per-tier object/dirty-byte counters for
 //!   threshold metrics. One `RwLock`, taken only by mutations that change
 //!   an object's locations, dirty flag or dirty size (a touch does not).
-//! * **Dedup** (`dedup`): the `storeOnce` digest table behind its own
-//!   `Mutex`; never held together with any other registry lock.
+//! * **Dedup** (`dedup`): the `storeOnce` refcounts ([`BlobTable`],
+//!   rebuilt by recovery) behind their own `Mutex`; never held together
+//!   with any other registry lock.
 //!
 //! ## Built at the first ordered read
 //!
@@ -74,6 +75,7 @@ use tiera_codec::Digest;
 use tiera_metastore::MetaStore;
 use tiera_sim::SimTime;
 
+use crate::dedup::BlobTable;
 use crate::error::{Result, TieraError};
 use crate::meta::{ObjectMeta, TierSet};
 use crate::object::ObjectKey;
@@ -575,8 +577,8 @@ pub struct Registry {
     count: AtomicU64,
     order: RwLock<OrderIndexes>,
     aggregates: RwLock<Aggregates>,
-    /// Content digest → (physical object key, reference count).
-    dedup: Mutex<FxHashMap<Digest, (ObjectKey, u64)>>,
+    /// References to each `storeOnce` blob, by content digest.
+    dedup: Mutex<BlobTable>,
     store: Option<MetaStore>,
     /// Metadata writes the store refused since construction.
     persist_failures: AtomicU64,
@@ -614,7 +616,7 @@ impl Registry {
                 rank::REGISTRY_AGGREGATES,
                 FxHashMap::default(),
             ),
-            dedup: Mutex::named("registry.dedup", rank::REGISTRY_DEDUP, FxHashMap::default()),
+            dedup: Mutex::named("registry.dedup", rank::REGISTRY_DEDUP, BlobTable::default()),
             store: None,
             persist_failures: AtomicU64::new(0),
             persist_failures_reported: AtomicU64::new(0),
@@ -638,7 +640,8 @@ impl Registry {
     ///
     /// A record whose key is not UTF-8 or whose value does not decode is
     /// left out, counted ([`recovery_skipped`](Self::recovery_skipped)) and
-    /// reported by the next [`sync`](Self::sync).
+    /// reported by the next [`sync`](Self::sync). Each recovered record
+    /// with a digest holds one reference to its `storeOnce` blob.
     pub fn over(store: MetaStore) -> Result<Self> {
         let mut reg = Self::in_memory();
         let mut skipped = 0;
@@ -649,7 +652,12 @@ impl Registry {
                     .ok()
                     .and_then(|key| Some((ObjectKey::new(key), ObjectMeta::decode(v)?)));
                 match record {
-                    Some((key, meta)) => reg.insert_unshared(&key, meta),
+                    Some((key, meta)) => {
+                        if let Some(digest) = meta.digest() {
+                            reg.dedup.get_mut().acquire(digest);
+                        }
+                        reg.insert_unshared(&key, meta)
+                    }
                     None => {
                         skipped += 1;
                         first_skipped.get_or_insert_with(|| String::from_utf8_lossy(k).into_owned());
@@ -1197,43 +1205,18 @@ impl Registry {
         }
     }
 
-    // ---- dedup index (storeOnce) ----
+    // ---- storeOnce refcounts ----
 
-    /// Registers content under `digest`. If the digest is new, `physical`
-    /// becomes its physical key and `None` is returned; otherwise the
-    /// existing physical key is returned and its refcount incremented.
-    pub fn dedup_acquire(&self, digest: Digest, physical: ObjectKey) -> Option<ObjectKey> {
-        let mut dedup = self.dedup.lock();
-        match dedup.get_mut(&digest) {
-            Some((existing, refs)) => {
-                *refs += 1;
-                Some(existing.clone())
-            }
-            None => {
-                dedup.insert(digest, (physical, 1));
-                None
-            }
-        }
+    /// Adds a reference to the blob of `digest`; true when it is the
+    /// first, and so the caller must store the blob.
+    pub fn dedup_acquire(&self, digest: Digest) -> bool {
+        self.dedup.lock().acquire(digest)
     }
 
-    /// Releases one reference to `digest`; returns the physical key when
-    /// the last reference is dropped (the caller then deletes the bytes).
-    pub fn dedup_release(&self, digest: &Digest) -> Option<ObjectKey> {
-        let mut dedup = self.dedup.lock();
-        if let Some((physical, refs)) = dedup.get_mut(digest) {
-            *refs -= 1;
-            if *refs == 0 {
-                let physical = physical.clone();
-                dedup.remove(digest);
-                return Some(physical);
-            }
-        }
-        None
-    }
-
-    /// Physical key behind `digest`, if registered.
-    pub fn dedup_lookup(&self, digest: &Digest) -> Option<ObjectKey> {
-        self.dedup.lock().get(digest).map(|(k, _)| k.clone())
+    /// Drops a reference to the blob of `digest`; true when it was the
+    /// last, and so the caller must delete the blob.
+    pub fn dedup_release(&self, digest: &Digest) -> bool {
+        self.dedup.lock().release(digest)
     }
 }
 
@@ -1899,22 +1882,6 @@ mod tests {
         for tier in TIERS {
             assert_eq!(r.aggregates(tier), r.recount_aggregates(tier), "{tier}");
         }
-    }
-
-    #[test]
-    fn dedup_refcounting() {
-        let r = Registry::in_memory();
-        let d = Digest::of(b"content");
-        let phys = ObjectKey::new("sha256:abc");
-        assert_eq!(r.dedup_acquire(d, phys.clone()), None, "first is new");
-        assert_eq!(
-            r.dedup_acquire(d, ObjectKey::new("ignored")),
-            Some(phys.clone()),
-            "second returns existing physical key"
-        );
-        assert_eq!(r.dedup_release(&d), None, "one ref remains");
-        assert_eq!(r.dedup_release(&d), Some(phys), "last release frees");
-        assert_eq!(r.dedup_lookup(&d), None);
     }
 
     #[test]

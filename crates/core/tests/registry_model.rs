@@ -460,3 +460,44 @@ fn a_fresh_put_appends_one_metadata_record() {
     assert_eq!(stats.dead_bytes, 0, "a fresh PUT superseded a record of its own");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn store_once_blobs_survive_a_reopen_and_the_last_delete_reclaims_them() {
+    let dir = metadata_temp_dir("store-once-reopen");
+    let tier = MemTier::with_capacity("mem", 1 << 20);
+    let open = || {
+        InstanceBuilder::new("sut", SimEnv::new(7))
+            .tier(std::sync::Arc::clone(&tier))
+            .metadata_dir(&dir)
+            .rule(
+                Rule::on(EventKind::action(ActionOp::Put))
+                    .respond(ResponseSpec::store_once(Selector::Inserted, ["mem"])),
+            )
+            .build()
+            .unwrap()
+    };
+    let payload = b"same-data";
+    let inst = open();
+    for key in ["a", "b"] {
+        inst.put(key, &payload[..], SimTime::ZERO).unwrap();
+    }
+    assert_eq!(tier.used(), payload.len() as u64, "one blob for two keys");
+    inst.registry().sync().unwrap();
+    drop(inst);
+
+    // The refcounts are rebuilt from the recovered records' digests, and
+    // the blob's key is a function of its digest: nothing else was stored.
+    let inst = open();
+    for key in ["a", "b"] {
+        let (data, _) = inst.get(key, SimTime::ZERO).unwrap();
+        assert_eq!(data.as_slice(), payload, "{key}");
+    }
+    inst.delete("a", SimTime::ZERO).unwrap();
+    assert_eq!(tier.used(), payload.len() as u64, "b still references the blob");
+    inst.delete("b", SimTime::ZERO).unwrap();
+    assert_eq!(tier.used(), 0, "the last delete left the blob's bytes behind");
+    let reg = inst.registry();
+    assert_eq!(reg.len(), 0, "a record outlived every key: {:?}", reg.keys_in("mem"));
+    drop(inst);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -228,14 +228,23 @@ fn std_sync_locks_only_in_support() {
 #[test]
 fn wire_decoders_cannot_panic_on_hostile_input() {
     // `crates/rpc/src/proto.rs` is the only code that parses bytes an
-    // untrusted peer controls; every decode path there must return a
-    // `Result`, never panic. The fuzz suites exercise this dynamically;
+    // untrusted peer controls, and `crates/codec/src/packed.rs` unpacks
+    // frames a backing store may have corrupted; every decode path there
+    // must return a `Result`, never panic. The fuzz suites exercise this dynamically;
     // analyzer lint A004 pins it statically: outside the `#[cfg(test)]`
     // module, no panicking construct may appear in its panic-free files
     // at all. (Even `unwrap` on a value "known" to be fine
     // is banned — refactors have a way of breaking such knowledge
     // silently.)
-    let violations = findings_with_code(&analyzer_reports(), "A004");
+    let reports = analyzer_reports();
+    for covered in ["crates/rpc/src/proto.rs", "crates/codec/src/packed.rs"] {
+        assert!(
+            Config::workspace().panic_free.iter().any(|p| p == covered)
+                && reports.iter().any(|r| r.path.contains(covered)),
+            "{covered} must be linted as a panic-free module"
+        );
+    }
+    let violations = findings_with_code(&reports, "A004");
     assert!(
         violations.is_empty(),
         "panicking construct reachable from wire input in a panic-free file \
@@ -256,7 +265,9 @@ fn registry_hot_path_uses_fx_hash_maps() {
     // memory tier's reshard walks its map while drawing from a seeded rng,
     // which made Figure 16 differ between runs. The tier wrappers
     // (`crates/tierx/src`) probe a ledger on every wrapped op, and
-    // `DedupTier::check_integrity` lists violations in map order. The
+    // `DedupTier::check_integrity` lists violations in map order; the blob
+    // refcount table under both dedup layers (`crates/core/src/dedup.rs`)
+    // is probed on every `storeOnce` and every wrapped dedup op. The
     // metastore's index (`crates/metastore/src/store.rs`) is a hash table
     // probed on every persisted write; what it hands out (`for_each`,
     // snapshots, `scan_prefix`) comes in log or key order, never the
@@ -269,6 +280,7 @@ fn registry_hot_path_uses_fx_hash_maps() {
     let reports = analyzer_reports();
     for covered in [
         "crates/core/src/registry.rs",
+        "crates/core/src/dedup.rs",
         "crates/core/src/tier.rs",
         "crates/metastore/src/store.rs",
         "crates/tiers/src/lib.rs",

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use tiera_codec::{crc32, lzss};
+use tiera_codec::packed::{self, Unpacked};
 use tiera_core::error::{Result, TieraError};
 use tiera_core::object::ObjectKey;
 use tiera_core::tier::{CapacityProfile, OpReceipt, RequestCounts, Tier, TierHandle, TierTraits};
@@ -11,15 +11,14 @@ use tiera_support::collections::FxHashMap;
 use tiera_support::sync::{rank, Mutex};
 use tiera_support::Bytes;
 
-use crate::header;
-
 /// A [`Tier`]-transparent wrapper that lzss-compresses every payload on
 /// write and decompresses (with crc32 verification) on read.
 ///
-/// Stored objects carry the [`crate::header`] prefix. Payloads that lzss
-/// would *expand* — already-compressed or high-entropy data — are stored
-/// raw instead, flagged in the header, so physical usage never exceeds
-/// logical usage by more than [`header::HEADER_LEN`] per object.
+/// Stored objects are [`tiera_codec::packed`] frames, the form the
+/// `compress` response writes too. Payloads that lzss would *expand* —
+/// already-compressed or high-entropy data — are stored raw instead,
+/// flagged in the header, so physical usage never exceeds logical usage
+/// by more than [`packed::HEADER_LEN`] per object.
 ///
 /// The wrapper keeps a per-key ledger of logical and physical sizes so
 /// [`Tier::capacity_profile`] can report the effective capacity
@@ -32,18 +31,28 @@ pub struct CompressedTier {
 
 #[derive(Default)]
 struct CompressState {
-    /// Per-key `(logical, physical, stored_raw)`.
-    ledger: FxHashMap<ObjectKey, Entry>,
+    /// Per-key `(logical, physical)` sizes.
+    ledger: FxHashMap<ObjectKey, (u64, u64)>,
     logical_bytes: u64,
     physical_bytes: u64,
     raw_fallback: u64,
 }
 
-#[derive(Clone, Copy)]
-struct Entry {
-    logical: u64,
-    physical: u64,
-    raw: bool,
+impl CompressState {
+    fn remove(&mut self, key: &ObjectKey) {
+        if let Some((logical, physical)) = self.ledger.remove(key) {
+            self.logical_bytes -= logical;
+            self.physical_bytes -= physical;
+            self.raw_fallback -= u64::from(stored_raw(logical, physical));
+        }
+    }
+}
+
+/// Whether a frame of `physical` bytes holds its `logical`-byte payload
+/// raw: a stream is kept only when it is shorter than the payload, so only
+/// the raw form is exactly one header longer.
+fn stored_raw(logical: u64, physical: u64) -> bool {
+    physical == logical + packed::HEADER_LEN as u64
 }
 
 impl CompressedTier {
@@ -54,21 +63,6 @@ impl CompressedTier {
             inner,
             state: Mutex::named("tierx.compress", rank::TIERX_COMPRESS, CompressState::default()),
         })
-    }
-
-    /// The wrapped tier.
-    pub fn inner(&self) -> &TierHandle {
-        &self.inner
-    }
-
-    fn remove_entry(st: &mut CompressState, key: &ObjectKey) {
-        if let Some(old) = st.ledger.remove(key) {
-            st.logical_bytes -= old.logical;
-            st.physical_bytes -= old.physical;
-            if old.raw {
-                st.raw_fallback -= 1;
-            }
-        }
     }
 }
 
@@ -90,70 +84,39 @@ impl Tier for CompressedTier {
     }
 
     fn put(&self, key: &ObjectKey, data: Bytes, now: SimTime) -> Result<OpReceipt> {
-        let raw = data.as_slice();
-        let crc = crc32::checksum(raw);
-        // Header and body go into one buffer, sized for the raw form.
-        let mut stored = Vec::with_capacity(header::HEADER_LEN + raw.len());
-        header::encode(&mut stored, true, crc);
-        lzss::compress_into(&mut stored, raw);
-        // Escape hatch: store raw when compression does not shrink the
-        // payload (the header is paid either way).
-        let use_compressed = stored.len() - header::HEADER_LEN < raw.len();
-        if !use_compressed {
-            stored.clear();
-            header::encode(&mut stored, false, crc);
-            stored.extend_from_slice(raw);
-        }
+        let mut stored = Vec::new();
+        packed::pack_into(&mut stored, data.as_slice());
+        let (logical, physical) = (data.len() as u64, stored.len() as u64);
         let stored = Bytes::from(stored);
-        let physical = stored.len() as u64;
 
         // Hold the ledger lock across the inner put so the ledger can
         // never disagree with the backing store; the lock ranks below
         // every inner tier lock (see `rank::TIERX_COMPRESS`).
         let mut st = self.state.lock();
         let receipt = self.inner.put(key, stored, now)?;
-        Self::remove_entry(&mut st, key);
-        st.logical_bytes += raw.len() as u64;
+        st.remove(key);
+        st.logical_bytes += logical;
         st.physical_bytes += physical;
-        if !use_compressed {
-            st.raw_fallback += 1;
-        }
-        st.ledger.insert(
-            key.clone(),
-            Entry {
-                logical: raw.len() as u64,
-                physical,
-                raw: !use_compressed,
-            },
-        );
+        st.raw_fallback += u64::from(stored_raw(logical, physical));
+        st.ledger.insert(key.clone(), (logical, physical));
         Ok(receipt)
     }
 
     fn get(&self, key: &ObjectKey, now: SimTime) -> Result<(Bytes, OpReceipt)> {
         let (stored, receipt) = self.inner.get(key, now)?;
-        let (h, body) = header::decode(stored.as_slice())
-            .map_err(|e| TieraError::Codec(format!("{key}: {e}")))?;
-        let logical = if h.compressed {
-            let raw = lzss::decompress(body)
-                .map_err(|e| TieraError::Codec(format!("{key}: lzss: {e:?}")))?;
-            Bytes::from(raw)
-        } else {
-            stored.slice(header::HEADER_LEN..)
+        let logical = match packed::unpack(stored.as_slice())
+            .map_err(|e| TieraError::Codec(format!("{key}: {e}")))?
+        {
+            Unpacked::Raw(body) => stored.slice(body),
+            Unpacked::Inflated(raw) => Bytes::from(raw),
         };
-        let actual = crc32::checksum(logical.as_slice());
-        if actual != h.crc32 {
-            return Err(TieraError::Codec(format!(
-                "{key}: crc32 mismatch (stored {:#010x}, computed {actual:#010x})",
-                h.crc32
-            )));
-        }
         Ok((logical, receipt))
     }
 
     fn delete(&self, key: &ObjectKey, now: SimTime) -> Result<OpReceipt> {
         let mut st = self.state.lock();
         let receipt = self.inner.delete(key, now)?;
-        Self::remove_entry(&mut st, key);
+        st.remove(key);
         Ok(receipt)
     }
 
@@ -188,6 +151,7 @@ impl Tier for CompressedTier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tiera_codec::{crc32, lzss};
     use tiera_core::tier::MemTier;
 
     fn key(s: &str) -> ObjectKey {
@@ -246,7 +210,7 @@ mod tests {
 
         let p = t.capacity_profile().unwrap();
         assert_eq!(p.raw_fallback_objects, 1);
-        assert_eq!(p.physical_bytes, 4096 + header::HEADER_LEN as u64);
+        assert_eq!(p.physical_bytes, 4096 + packed::HEADER_LEN as u64);
 
         let (read, _) = t.get(&key("a"), SimTime::ZERO).unwrap();
         assert_eq!(read.as_slice(), data.as_slice());
@@ -268,7 +232,7 @@ mod tests {
 
             let stream = lzss::compress(&data);
             let shrinks = stream.len() < data.len();
-            let mut expected = vec![header::MAGIC, u8::from(shrinks)];
+            let mut expected = vec![packed::MAGIC, u8::from(shrinks)];
             expected.extend_from_slice(&crc32::checksum(&data).to_le_bytes());
             expected.extend_from_slice(if shrinks { &stream } else { &data });
             assert_eq!(stored.as_slice(), expected.as_slice(), "{name}");
@@ -306,7 +270,7 @@ mod tests {
         // Corrupt the stored bytes behind the wrapper's back.
         let (stored, _) = mem.get(&key("a"), SimTime::ZERO).unwrap();
         let mut bad = stored.to_vec();
-        for b in bad.iter_mut().skip(header::HEADER_LEN) {
+        for b in bad.iter_mut().skip(packed::HEADER_LEN) {
             *b ^= 0x5A;
         }
         mem.put(&key("a"), Bytes::from(bad), SimTime::ZERO).unwrap();

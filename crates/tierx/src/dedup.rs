@@ -5,6 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tiera_codec::Digest;
+use tiera_core::dedup::{blob_key, BlobTable};
 use tiera_core::error::{Result, TieraError};
 use tiera_core::object::ObjectKey;
 use tiera_core::tier::{CapacityProfile, OpReceipt, RequestCounts, Tier, TierHandle, TierTraits};
@@ -19,10 +20,11 @@ use tiera_support::Bytes;
 /// zero.
 ///
 /// Physically the inner tier holds one object per *distinct payload*,
-/// keyed `sha256:<hex digest>`; this wrapper owns the key→digest mapping
-/// and the refcount table. A put whose payload already exists touches no
-/// inner storage at all (and charges no request), which is where both the
-/// capacity and the cost savings come from.
+/// under [`blob_key`] of its digest, the key `storeOnce` uses; this
+/// wrapper owns the key→digest mapping and a [`BlobTable`] of refcounts.
+/// A put whose payload already exists touches no inner storage at all
+/// (and charges no request), which is where both the capacity and the
+/// cost savings come from.
 ///
 /// In debug builds every dedup hit re-reads the existing blob and
 /// byte-compares it against the incoming payload — collision paranoia for
@@ -43,27 +45,14 @@ pub struct DedupTier {
 
 #[derive(Default)]
 struct DedupState {
-    /// Live client keys and the content they point at.
-    keys: FxHashMap<ObjectKey, Digest>,
-    /// Refcounted physical blobs, by content digest.
-    blobs: FxHashMap<Digest, BlobEntry>,
+    /// Live client keys: the content each points at and its length.
+    keys: FxHashMap<ObjectKey, (Digest, u64)>,
+    /// Live keys pointing at each physical blob.
+    blobs: BlobTable,
     /// Sum of live keys' logical payload sizes.
     logical_bytes: u64,
     /// Puts answered by an existing blob.
     dedup_hits: u64,
-}
-
-#[derive(Clone, Copy)]
-struct BlobEntry {
-    /// Live keys pointing at this blob.
-    refs: u64,
-    /// Logical payload size in bytes.
-    len: u64,
-}
-
-/// Inner-tier key for a content blob.
-fn blob_key(digest: &Digest) -> ObjectKey {
-    ObjectKey::new(format!("sha256:{}", digest.to_hex()))
 }
 
 impl DedupTier {
@@ -84,60 +73,39 @@ impl DedupTier {
         self.reclaim_failures.load(Ordering::Relaxed)
     }
 
-    /// The wrapped tier.
-    pub fn inner(&self) -> &TierHandle {
-        &self.inner
-    }
-
     /// Checks the refcount invariants against the inner tier: every live
     /// key's blob must exist physically with a refcount equal to the
-    /// number of keys pointing at it, and no blob entry may have a zero
-    /// refcount. Returns human-readable violations (empty = healthy);
-    /// used by the chaos harness.
+    /// number of keys pointing at it. Returns human-readable violations
+    /// (empty = healthy); used by the chaos harness.
     pub fn check_integrity(&self) -> Vec<String> {
         let st = self.state.lock();
         let mut violations = Vec::new();
-        let mut counted: FxHashMap<Digest, u64> = FxHashMap::default();
-        for (key, digest) in &st.keys {
-            *counted.entry(*digest).or_insert(0) += 1;
-            match st.blobs.get(digest) {
-                None => violations.push(format!("key {key} points at untracked blob {digest}")),
-                Some(b) if b.refs == 0 => {
-                    violations.push(format!("key {key} points at zero-ref blob {digest}"))
-                }
-                Some(_) => {
-                    if !self.inner.contains(&blob_key(digest)) {
-                        violations
-                            .push(format!("key {key}: blob {digest} missing from inner tier"));
-                    }
-                }
+        let mut counted = BlobTable::default();
+        for (key, (digest, _)) in &st.keys {
+            counted.acquire(*digest);
+            if st.blobs.refs(digest) == 0 {
+                violations.push(format!("key {key} points at untracked blob {digest}"));
+            } else if !self.inner.contains(&blob_key(digest)) {
+                violations.push(format!("key {key}: blob {digest} missing from inner tier"));
             }
         }
-        for (digest, blob) in &st.blobs {
-            let live = counted.get(digest).copied().unwrap_or(0);
-            if blob.refs != live {
-                violations.push(format!(
-                    "blob {digest}: refcount {} but {live} live keys",
-                    blob.refs
-                ));
+        for (digest, refs) in st.blobs.iter() {
+            let live = counted.refs(digest);
+            if refs != live {
+                violations.push(format!("blob {digest}: refcount {refs} but {live} live keys"));
             }
         }
         violations
     }
 
-    /// Decrements `digest`'s refcount; at zero, removes the blob entry and
-    /// best-effort deletes the physical blob (a failed reclaim delete
-    /// leaks physical bytes but never a live key's data, and is counted in
-    /// [`reclaim_failures`](Self::reclaim_failures)).
-    fn release(&self, st: &mut DedupState, digest: Digest, now: SimTime) {
-        if let Some(blob) = st.blobs.get_mut(&digest) {
-            blob.refs -= 1;
-            if blob.refs == 0 {
-                st.blobs.remove(&digest);
-                if self.inner.delete(&blob_key(&digest), now).is_err() {
-                    self.reclaim_failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+    /// Drops a key's reference to `digest`, of `len` logical bytes; the
+    /// last one best-effort deletes the physical blob (a failed reclaim
+    /// delete leaks physical bytes but never a live key's data, and is
+    /// counted in [`reclaim_failures`](Self::reclaim_failures)).
+    fn release(&self, st: &mut DedupState, (digest, len): (Digest, u64), now: SimTime) {
+        st.logical_bytes -= len;
+        if st.blobs.release(&digest) && self.inner.delete(&blob_key(&digest), now).is_err() {
+            self.reclaim_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -165,14 +133,14 @@ impl Tier for DedupTier {
 
         let mut st = self.state.lock();
         let old = st.keys.get(key).copied();
-        if old == Some(digest) {
+        if old.is_some_and(|(d, _)| d == digest) {
             // Same content rewritten under the same key: nothing changes,
             // not even the refcount.
             st.dedup_hits += 1;
             return Ok(OpReceipt::FREE);
         }
 
-        let receipt = if st.blobs.contains_key(&digest) {
+        let receipt = if st.blobs.refs(&digest) > 0 {
             #[cfg(debug_assertions)]
             {
                 // Collision paranoia: confirm the resident blob really is
@@ -184,46 +152,33 @@ impl Tier for DedupTier {
                     )));
                 }
             }
-            if let Some(blob) = st.blobs.get_mut(&digest) {
-                blob.refs += 1;
-            }
             st.dedup_hits += 1;
             OpReceipt::FREE
         } else {
             // New content: the physical write happens first, so a failed
             // put leaves every map untouched.
-            let receipt = self.inner.put(&blob_key(&digest), data, now)?;
-            st.blobs.insert(digest, BlobEntry { refs: 1, len });
-            receipt
+            self.inner.put(&blob_key(&digest), data, now)?
         };
 
-        st.keys.insert(key.clone(), digest);
+        st.blobs.acquire(digest);
+        st.keys.insert(key.clone(), (digest, len));
         st.logical_bytes += len;
-        if let Some(old_digest) = old {
-            let old_len = st.blobs.get(&old_digest).map(|b| b.len).unwrap_or(0);
-            st.logical_bytes -= old_len;
-            self.release(&mut st, old_digest, now);
+        if let Some(old) = old {
+            self.release(&mut st, old, now);
         }
         Ok(receipt)
     }
 
     fn get(&self, key: &ObjectKey, now: SimTime) -> Result<(Bytes, OpReceipt)> {
-        let digest = {
-            let st = self.state.lock();
-            st.keys
-                .get(key)
-                .copied()
-                .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?
-        };
+        let digest = self.state.lock().keys.get(key).map(|(digest, _)| *digest);
+        let digest = digest.ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
         self.inner.get(&blob_key(&digest), now)
     }
 
     fn delete(&self, key: &ObjectKey, now: SimTime) -> Result<OpReceipt> {
         let mut st = self.state.lock();
-        if let Some(digest) = st.keys.remove(key) {
-            let len = st.blobs.get(&digest).map(|b| b.len).unwrap_or(0);
-            st.logical_bytes -= len;
-            self.release(&mut st, digest, now);
+        if let Some(old) = st.keys.remove(key) {
+            self.release(&mut st, old, now);
         }
         Ok(OpReceipt::FREE)
     }
@@ -247,8 +202,8 @@ impl Tier for DedupTier {
     fn capacity_profile(&self) -> Option<CapacityProfile> {
         let st = self.state.lock();
         let mut histogram: BTreeMap<u64, u64> = BTreeMap::new();
-        for blob in st.blobs.values() {
-            *histogram.entry(blob.refs).or_insert(0) += 1;
+        for (_, refs) in st.blobs.iter() {
+            *histogram.entry(refs).or_insert(0) += 1;
         }
         // Physical accounting comes from beneath us: the inner tier's own
         // profile when it transforms payloads too (canonical
@@ -264,7 +219,7 @@ impl Tier for DedupTier {
             objects: st.keys.len() as u64,
             raw_fallback_objects: raw_fallback,
             dedup_hits: st.dedup_hits,
-            unique_blobs: st.blobs.len() as u64,
+            unique_blobs: st.blobs.blobs() as u64,
             refcount_histogram: histogram.into_iter().collect(),
         })
     }

@@ -20,6 +20,10 @@
 //!   store — identical payloads are stored once, deletes reclaim physical
 //!   space only at refcount zero.
 //!
+//! Neither owns its format: the frame is [`tiera_codec::packed`] and the
+//! blob keys and refcounts are [`tiera_core::dedup`], the cores under
+//! Table 1's `compress` and `storeOnce` responses too.
+//!
 //! # Canonical stacking and lock order
 //!
 //! When both transforms apply to one tier the canonical stack is
@@ -35,7 +39,6 @@
 
 pub mod compressed;
 pub mod dedup;
-pub mod header;
 
 pub use compressed::CompressedTier;
 pub use dedup::DedupTier;
