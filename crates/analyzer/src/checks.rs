@@ -51,8 +51,8 @@ pub struct Config {
 }
 
 impl Config {
-    /// The workspace policy: proto.rs and the codec's packed frame
-    /// decode hostile bytes; the registry, core's blob refcount table, the metastore's locator table, the
+    /// The workspace policy: support's byte reader, proto.rs and the
+    /// codec's packed frame decode hostile bytes; the registry, core's blob refcount table, the metastore's locator table, the
     /// tiers' object maps and the tier wrappers' ledgers are per-key hot
     /// paths, the simulated tiers' reshard walks its map while drawing
     /// from a seeded rng, and the dedup wrapper's integrity check reports
@@ -64,6 +64,7 @@ impl Config {
     pub fn workspace() -> Self {
         Self {
             panic_free: vec![
+                "crates/support/src/wire.rs".into(),
                 "crates/rpc/src/proto.rs".into(),
                 "crates/codec/src/packed.rs".into(),
             ],

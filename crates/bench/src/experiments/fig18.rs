@@ -9,9 +9,7 @@
 //! that decides placement), so this experiment measures real CPU time per
 //! operation with and without the control layer while sweeping the event
 //! rate, and reports the effective latency increase over the same
-//! simulated write-through instance. The companion micro-bench
-//! (`benches/control_overhead.rs`) measures the same dispatch path under
-//! the tiera-support bench timer's statistics.
+//! simulated write-through instance.
 
 use std::sync::Arc;
 use std::time::Instant;

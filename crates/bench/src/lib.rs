@@ -15,11 +15,9 @@
 //! paper's numbers.
 //!
 //! Nothing in this crate is the referee for wall-clock numbers — that is
-//! `benchmark/`, which borrows [`json`] from here. The chaos matrices are
-//! `cargo test` files of `tiera-chaos`. The micro-benchmarks
-//! (`benches/`, tiera-support bench harness) remain for looking at one
-//! kernel in isolation: control-layer dispatch, codec throughput, spec
-//! parsing, metastore appends, histogram recording.
+//! `benchmark/`, which borrows [`json`] from here; its ladder times the
+//! single kernels (tiers, registry, codecs, metastore, rpc) one rung at a
+//! time. The chaos matrices are `cargo test` files of `tiera-chaos`.
 
 #![forbid(unsafe_code)]
 

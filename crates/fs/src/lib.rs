@@ -28,6 +28,7 @@ use std::sync::Arc;
 
 use tiera_support::Bytes;
 use tiera_support::sync::{rank, RwLock};
+use tiera_support::wire::{self, put_str, put_u32, put_u64, Reader};
 
 use tiera_core::error::{Result, TieraError};
 use tiera_core::instance::Instance;
@@ -38,6 +39,11 @@ pub const DEFAULT_CHUNK: usize = 4096;
 
 /// Key of the manifest object holding the serialized file table.
 pub const MANIFEST_KEY: &str = "__tierafs_manifest";
+
+/// A manifest that does not decode.
+fn codec(e: wire::Error) -> TieraError {
+    TieraError::Codec(format!("manifest: {e}"))
+}
 
 /// A chunking filesystem facade over a Tiera instance.
 pub struct TieraFs {
@@ -312,13 +318,12 @@ impl TieraFs {
     pub fn flush_manifest(&self, now: SimTime) -> Result<SimDuration> {
         let files = self.files.read();
         let mut buf = Vec::with_capacity(files.len() * 32);
-        buf.extend_from_slice(&(files.len() as u32).to_le_bytes());
+        put_u32(&mut buf, files.len() as u32);
         let mut entries: Vec<(&String, &u64)> = files.iter().collect();
         entries.sort_unstable();
         for (path, len) in entries {
-            buf.extend_from_slice(&(path.len() as u32).to_le_bytes());
-            buf.extend_from_slice(path.as_bytes());
-            buf.extend_from_slice(&len.to_le_bytes());
+            put_str(&mut buf, path);
+            put_u64(&mut buf, *len);
         }
         drop(files);
         let receipt = self.instance.put(MANIFEST_KEY, buf, now)?;
@@ -330,23 +335,14 @@ impl TieraFs {
     pub fn recover(instance: Arc<Instance>, now: SimTime) -> Result<Self> {
         let fs = Self::new(Arc::clone(&instance));
         let (data, _) = instance.get(MANIFEST_KEY, now)?;
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-            if *pos + n > data.len() {
-                return Err(TieraError::Codec("manifest truncated".into()));
-            }
-            let s = &data[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut files = HashMap::with_capacity(count);
+        let mut r = Reader::new(&data);
+        let count = r.u32().map_err(codec)? as usize;
+        // Sized by what the bytes can hold (an entry is at least 12), not
+        // by the stored count, which a corrupt manifest sets at will.
+        let mut files = HashMap::with_capacity(count.min(r.remaining() / 12));
         for _ in 0..count {
-            let plen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-            let path = String::from_utf8(take(&mut pos, plen)?.to_vec())
-                .map_err(|_| TieraError::Codec("manifest path not utf-8".into()))?;
-            let len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-            files.insert(path, len);
+            let path = r.str().map_err(codec)?;
+            files.insert(path.to_owned(), r.u64().map_err(codec)?);
         }
         *fs.files.write() = files;
         Ok(fs)
@@ -668,6 +664,26 @@ mod tests {
             .build()
             .unwrap();
         assert!(TieraFs::recover(empty, T0).is_err());
+    }
+
+    #[test]
+    fn a_corrupt_manifest_is_a_codec_error_not_an_abort() {
+        let inst = InstanceBuilder::new("fs-corrupt", SimEnv::new(12))
+            .tier(MemTier::with_capacity("t1", 1 << 20))
+            .build()
+            .unwrap();
+        let fs = TieraFs::new(Arc::clone(&inst));
+        fs.create("/a", T0).unwrap();
+        fs.write("/a", 0, b"hello", T0).unwrap();
+        fs.flush_manifest(T0).unwrap();
+        let (real, _) = inst.get(MANIFEST_KEY, T0).unwrap();
+        // A stored count of u32::MAX must not size the table: that is a
+        // 283 GB allocation, which aborts the process.
+        for stored in [vec![0xff; 4], real[..real.len() - 1].to_vec()] {
+            inst.put(MANIFEST_KEY, stored, T0).unwrap();
+            let err = TieraFs::recover(Arc::clone(&inst), T0).unwrap_err();
+            assert!(matches!(err, TieraError::Codec(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 
 use tiera_codec::crc32;
+use tiera_support::wire::{put_u32, Reader};
 
 /// Kind tag of a log record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +108,8 @@ impl Record {
 
 /// The entry count in a seal record's value, if it is well formed.
 pub(crate) fn seal_count(value: &[u8]) -> Option<u64> {
-    Some(u64::from_le_bytes(value.try_into().ok()?))
+    let mut r = Reader::new(value);
+    r.u64().ok().filter(|_| r.finished())
 }
 
 /// Exact on-disk size of a record with the given key and value lengths —
@@ -134,8 +136,8 @@ pub(crate) const MAX_RECORD: usize = 256 * 1024 * 1024;
 pub(crate) fn encode_frame(out: &mut Vec<u8>, kind: RecordKind, key: &[u8], value: &[u8]) {
     let start = out.len();
     out.extend_from_slice(&[0; CRC_LEN]);
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    put_u32(out, key.len() as u32);
+    put_u32(out, value.len() as u32);
     out.push(kind.to_byte());
     out.extend_from_slice(key);
     out.extend_from_slice(value);
@@ -143,10 +145,11 @@ pub(crate) fn encode_frame(out: &mut Vec<u8>, kind: RecordKind, key: &[u8], valu
     out[start..start + CRC_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// The key and value lengths a frame's header claims.
-pub(crate) fn header_lens(header: &[u8; HEADER]) -> (usize, usize) {
-    let word = |at: usize| u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]]);
-    (word(4) as usize, word(8) as usize)
+/// The key and value lengths the header at the front of `frame` claims;
+/// `None` when `frame` is too short to hold them.
+pub(crate) fn header_lens(frame: &[u8]) -> Option<(usize, usize)> {
+    let mut r = Reader::new(frame.get(CRC_LEN..)?);
+    Some((r.u32().ok()? as usize, r.u32().ok()? as usize))
 }
 
 /// One framed record borrowed from a [`LogReader`]'s buffer.
@@ -163,23 +166,15 @@ pub(crate) struct Frame<'a> {
 /// Checks and splits a whole frame (`raw` is exactly one record's bytes);
 /// `None` when the lengths, the crc or the kind do not hold.
 pub(crate) fn parse_frame(raw: &[u8], offset: u64) -> Option<Frame<'_>> {
-    let header: &[u8; HEADER] = raw.get(..HEADER)?.try_into().ok()?;
-    let (klen, vlen) = header_lens(header);
-    if raw.len() != HEADER + klen.checked_add(vlen)? {
+    let mut r = Reader::new(raw);
+    let crc = r.u32().ok()?;
+    let (klen, vlen) = (r.u32().ok()? as usize, r.u32().ok()? as usize);
+    let kind = RecordKind::from_byte(r.u8().ok()?)?;
+    let (key, value) = (r.take(klen).ok()?, r.take(vlen).ok()?);
+    if !r.finished() || crc32::checksum(&raw[CRC_LEN..]) != crc {
         return None;
     }
-    let crc = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    if crc32::checksum(&raw[CRC_LEN..]) != crc {
-        return None;
-    }
-    let (key, value) = raw[HEADER..].split_at(klen);
-    Some(Frame {
-        kind: RecordKind::from_byte(header[12])?,
-        key,
-        value,
-        raw,
-        offset,
-    })
+    Some(Frame { kind, key, value, raw, offset })
 }
 
 /// Appends framed records to a log file of its own (a snapshot being
@@ -307,14 +302,14 @@ impl<R: Read> LogReader<R> {
         if !read_whole(&mut self.input, &mut header)? {
             return Ok(None); // end of log, or a torn header
         }
-        let (klen, vlen) = header_lens(&header);
         // Guard against garbage lengths before allocating.
-        if klen.saturating_add(vlen) > MAX_RECORD {
-            return Ok(None);
-        }
+        let body = match header_lens(&header) {
+            Some((klen, vlen)) if klen.saturating_add(vlen) <= MAX_RECORD => klen + vlen,
+            _ => return Ok(None),
+        };
         self.frame.clear();
         self.frame.extend_from_slice(&header);
-        self.frame.resize(HEADER + klen + vlen, 0);
+        self.frame.resize(HEADER + body, 0);
         if !read_whole(&mut self.input, &mut self.frame[HEADER..])? {
             return Ok(None); // torn body
         }

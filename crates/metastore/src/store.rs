@@ -368,9 +368,7 @@ impl Index {
             }
         };
         self.read_exact(loc, buf)?;
-        Ok(buf
-            .split_first_chunk::<HEADER>()
-            .is_some_and(|(header, held)| header_lens(header).0 == key.len() && held == key))
+        Ok(header_lens(buf).is_some_and(|(klen, _)| klen == key.len()) && buf.get(HEADER..) == Some(key))
     }
 
     /// Where `key`'s locator lives and what it is now.

@@ -2,7 +2,10 @@
 //!
 //! Every message is a frame: `u32` little-endian payload length, then the
 //! payload. The payload starts with a one-byte opcode followed by
-//! length-prefixed fields (u32 lengths, little-endian integers).
+//! length-prefixed fields (u32 lengths, little-endian integers), read and
+//! written with the workspace's one byte codec, [`tiera_support::wire`];
+//! this module adds only the caps (a field over [`MAX_FRAME`], a batch
+//! over [`MAX_BATCH`], and the tag and rule counts).
 //!
 //! A connection opens with a `hello` exchange (`[MAGIC][version]` from the
 //! client, `[MAGIC][granted]` back), after which every frame's payload is
@@ -23,6 +26,8 @@
 //! first-class, not all-or-nothing).
 
 use std::io::{self, Read, Write};
+
+use tiera_support::wire::{self, put_bytes, put_str, put_strs, put_u32, put_u64, Reader};
 
 /// Protocol magic ("TIRA"), the first word of every hello. Its value is
 /// deliberately above [`MAX_FRAME`] so it can never be mistaken for a
@@ -195,95 +200,36 @@ pub enum Response {
     },
 }
 
-// ---- encoding helpers ----
+// ---- fields ----
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
+/// Most tags one `Put` (or one `MultiPut` item) may carry.
+const MAX_TAGS: usize = 1024;
+/// Most rules one `Rules` response may list.
+const MAX_RULES: usize = 100_000;
+
+fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
+/// A length-prefixed field; a length over [`MAX_FRAME`] is refused unread.
+fn field<'a>(r: &mut Reader<'a>) -> io::Result<&'a [u8]> {
+    let len = r.count(MAX_FRAME)?;
+    Ok(r.take(len)?)
 }
 
-fn truncated() -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, "truncated frame")
+fn string(r: &mut Reader<'_>) -> io::Result<String> {
+    let s = std::str::from_utf8(field(r)?).map_err(|_| wire::Error::NotUtf8)?;
+    Ok(s.to_owned())
 }
 
-/// Fallible little-endian readers: slice length is re-proven by
-/// `try_into` rather than assumed by indexing, keeping every decode path
-/// statically panic-free (the hermetic source lint enforces this for the
-/// whole file).
-fn le_u32(b: &[u8]) -> io::Result<u32> {
-    Ok(u32::from_le_bytes(b.try_into().map_err(|_| truncated())?))
-}
-
-fn le_u64(b: &[u8]) -> io::Result<u64> {
-    Ok(u64::from_le_bytes(b.try_into().map_err(|_| truncated())?))
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(truncated)?;
-        let s = self.buf.get(self.pos..end).ok_or_else(truncated)?;
-        self.pos = end;
-        Ok(s)
+/// A counted list of strings, refused above `max` before it is sized.
+fn strings(r: &mut Reader<'_>, max: usize) -> io::Result<Vec<String>> {
+    let n = r.count(max)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(string(r)?);
     }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        self.take(1)?.first().copied().ok_or_else(truncated)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        le_u32(self.take(4)?)
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        le_u64(self.take(8)?)
-    }
-
-    fn bytes(&mut self) -> io::Result<Vec<u8>> {
-        let len = self.u32()? as usize;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "field too big"));
-        }
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "invalid utf-8"))
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// Reads a batch element count, rejecting anything over [`MAX_BATCH`]
-    /// (adversarial counts must fail before any allocation scales with
-    /// them).
-    fn batch_count(&mut self) -> io::Result<usize> {
-        let n = self.u32()? as usize;
-        if n > MAX_BATCH {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "batch too big"));
-        }
-        Ok(n)
-    }
-
-    /// Reads a length-prefixed list of strings (batch-capped).
-    fn string_list(&mut self) -> io::Result<Vec<String>> {
-        let n = self.batch_count()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.string()?);
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 impl Request {
@@ -296,10 +242,7 @@ impl Request {
                 out.push(1);
                 put_str(&mut out, key);
                 put_bytes(&mut out, value);
-                out.extend_from_slice(&(tags.len() as u32).to_le_bytes());
-                for t in tags {
-                    put_str(&mut out, t);
-                }
+                put_strs(&mut out, tags);
             }
             Request::Get { key } => {
                 out.push(2);
@@ -316,7 +259,7 @@ impl Request {
             }
             Request::RemoveRule { rule_id } => {
                 out.push(6);
-                out.extend_from_slice(&rule_id.to_le_bytes());
+                put_u64(&mut out, *rule_id);
             }
             Request::ListRules => out.push(7),
             Request::AttachTier {
@@ -327,7 +270,7 @@ impl Request {
                 out.push(8);
                 put_str(&mut out, type_name);
                 put_str(&mut out, label);
-                out.extend_from_slice(&capacity.to_le_bytes());
+                put_u64(&mut out, *capacity);
             }
             Request::DetachTier { label } => {
                 out.push(9);
@@ -335,29 +278,20 @@ impl Request {
             }
             Request::MultiPut { items } => {
                 out.push(10);
-                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+                put_u32(&mut out, items.len() as u32);
                 for item in items {
                     put_str(&mut out, &item.key);
                     put_bytes(&mut out, &item.value);
-                    out.extend_from_slice(&(item.tags.len() as u32).to_le_bytes());
-                    for t in &item.tags {
-                        put_str(&mut out, t);
-                    }
+                    put_strs(&mut out, &item.tags);
                 }
             }
             Request::MultiGet { keys } => {
                 out.push(11);
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for k in keys {
-                    put_str(&mut out, k);
-                }
+                put_strs(&mut out, keys);
             }
             Request::MultiDelete { keys } => {
                 out.push(12);
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for k in keys {
-                    put_str(&mut out, k);
-                }
+                put_strs(&mut out, keys);
             }
         }
         out
@@ -365,72 +299,50 @@ impl Request {
 
     /// Decodes from a payload.
     pub fn decode(buf: &[u8]) -> io::Result<Request> {
-        let mut c = Cursor { buf, pos: 0 };
-        let req = match c.u8()? {
+        let mut r = Reader::new(buf);
+        let req = match r.u8()? {
             0 => Request::Ping,
-            1 => {
-                let key = c.string()?;
-                let value = c.bytes()?;
-                let n = c.u32()? as usize;
-                if n > 1024 {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "too many tags"));
-                }
-                let mut tags = Vec::with_capacity(n);
-                for _ in 0..n {
-                    tags.push(c.string()?);
-                }
-                Request::Put { key, value, tags }
-            }
-            2 => Request::Get { key: c.string()? },
-            3 => Request::Delete { key: c.string()? },
+            1 => Request::Put {
+                key: string(&mut r)?,
+                value: field(&mut r)?.to_vec(),
+                tags: strings(&mut r, MAX_TAGS)?,
+            },
+            2 => Request::Get { key: string(&mut r)? },
+            3 => Request::Delete { key: string(&mut r)? },
             4 => Request::Stats,
             5 => Request::AddRule {
-                spec_text: c.string()?,
+                spec_text: string(&mut r)?,
             },
-            6 => Request::RemoveRule { rule_id: c.u64()? },
+            6 => Request::RemoveRule { rule_id: r.u64()? },
             7 => Request::ListRules,
             8 => Request::AttachTier {
-                type_name: c.string()?,
-                label: c.string()?,
-                capacity: c.u64()?,
+                type_name: string(&mut r)?,
+                label: string(&mut r)?,
+                capacity: r.u64()?,
             },
-            9 => Request::DetachTier { label: c.string()? },
+            9 => Request::DetachTier { label: string(&mut r)? },
             10 => {
-                let n = c.batch_count()?;
+                let n = r.count(MAX_BATCH)?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let key = c.string()?;
-                    let value = c.bytes()?;
-                    let tag_count = c.u32()? as usize;
-                    if tag_count > 1024 {
-                        return Err(io::Error::new(io::ErrorKind::InvalidData, "too many tags"));
-                    }
-                    let mut tags = Vec::with_capacity(tag_count);
-                    for _ in 0..tag_count {
-                        tags.push(c.string()?);
-                    }
-                    items.push(PutItem { key, value, tags });
+                    items.push(PutItem {
+                        key: string(&mut r)?,
+                        value: field(&mut r)?.to_vec(),
+                        tags: strings(&mut r, MAX_TAGS)?,
+                    });
                 }
                 Request::MultiPut { items }
             }
             11 => Request::MultiGet {
-                keys: c.string_list()?,
+                keys: strings(&mut r, MAX_BATCH)?,
             },
             12 => Request::MultiDelete {
-                keys: c.string_list()?,
+                keys: strings(&mut r, MAX_BATCH)?,
             },
-            op => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown request opcode {op}"),
-                ))
-            }
+            op => return Err(invalid(format!("unknown request opcode {op}"))),
         };
-        if !c.finished() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes in request",
-            ));
+        if !r.finished() {
+            return Err(invalid("trailing bytes in request"));
         }
         Ok(req)
     }
@@ -440,11 +352,17 @@ impl Response {
     /// Encodes to a payload (no frame header).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the payload to `out`; a `Batch` appends its parts in place.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Pong => out.push(0),
             Response::PutOk { latency_ns } => {
                 out.push(1);
-                out.extend_from_slice(&latency_ns.to_le_bytes());
+                put_u64(out, *latency_ns);
             }
             Response::GetOk {
                 value,
@@ -452,13 +370,13 @@ impl Response {
                 served_by,
             } => {
                 out.push(2);
-                put_bytes(&mut out, value);
-                out.extend_from_slice(&latency_ns.to_le_bytes());
-                put_str(&mut out, served_by);
+                put_bytes(out, value);
+                put_u64(out, *latency_ns);
+                put_str(out, served_by);
             }
             Response::Deleted { latency_ns } => {
                 out.push(3);
-                out.extend_from_slice(&latency_ns.to_le_bytes());
+                put_u64(out, *latency_ns);
             }
             Response::Stats {
                 objects,
@@ -468,110 +386,93 @@ impl Response {
             } => {
                 out.push(4);
                 for v in [objects, reads, writes, events] {
-                    out.extend_from_slice(&v.to_le_bytes());
+                    put_u64(out, *v);
                 }
             }
             Response::Error { message } => {
                 out.push(5);
-                put_str(&mut out, message);
+                put_str(out, message);
             }
             Response::Ok => out.push(6),
             Response::RuleAdded { rule_id } => {
                 out.push(7);
-                out.extend_from_slice(&rule_id.to_le_bytes());
+                put_u64(out, *rule_id);
             }
             Response::Rules { rules } => {
                 out.push(8);
-                out.extend_from_slice(&(rules.len() as u32).to_le_bytes());
+                put_u32(out, rules.len() as u32);
                 for (id, label) in rules {
-                    out.extend_from_slice(&id.to_le_bytes());
-                    put_str(&mut out, label);
+                    put_u64(out, *id);
+                    put_str(out, label);
                 }
             }
             Response::Batch { parts } => {
                 out.push(9);
-                out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
+                put_u32(out, parts.len() as u32);
                 for part in parts {
-                    out.extend_from_slice(&part.encode());
+                    part.encode_into(out);
                 }
             }
         }
-        out
     }
 
     /// Decodes from a payload.
     pub fn decode(buf: &[u8]) -> io::Result<Response> {
-        let mut c = Cursor { buf, pos: 0 };
-        let resp = Self::decode_one(&mut c, true)?;
-        if !c.finished() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes in response",
-            ));
+        let mut r = Reader::new(buf);
+        let resp = Self::decode_one(&mut r, true)?;
+        if !r.finished() {
+            return Err(invalid("trailing bytes in response"));
         }
         Ok(resp)
     }
 
-    /// Decodes one response at the cursor. Parts are self-describing, so a
+    /// Decodes one response at the reader. Parts are self-describing, so a
     /// `Batch` decodes its parts recursively — exactly one level deep
     /// (`allow_batch` is false for parts, so `Batch` inside `Batch` is a
     /// wire error, bounding recursion).
-    fn decode_one(c: &mut Cursor<'_>, allow_batch: bool) -> io::Result<Response> {
-        let resp = match c.u8()? {
+    fn decode_one(r: &mut Reader<'_>, allow_batch: bool) -> io::Result<Response> {
+        let resp = match r.u8()? {
             0 => Response::Pong,
             1 => Response::PutOk {
-                latency_ns: c.u64()?,
+                latency_ns: r.u64()?,
             },
             2 => Response::GetOk {
-                value: c.bytes()?,
-                latency_ns: c.u64()?,
-                served_by: c.string()?,
+                value: field(r)?.to_vec(),
+                latency_ns: r.u64()?,
+                served_by: string(r)?,
             },
             3 => Response::Deleted {
-                latency_ns: c.u64()?,
+                latency_ns: r.u64()?,
             },
             4 => Response::Stats {
-                objects: c.u64()?,
-                reads: c.u64()?,
-                writes: c.u64()?,
-                events: c.u64()?,
+                objects: r.u64()?,
+                reads: r.u64()?,
+                writes: r.u64()?,
+                events: r.u64()?,
             },
             5 => Response::Error {
-                message: c.string()?,
+                message: string(r)?,
             },
             6 => Response::Ok,
-            7 => Response::RuleAdded { rule_id: c.u64()? },
+            7 => Response::RuleAdded { rule_id: r.u64()? },
             8 => {
-                let n = c.u32()? as usize;
-                if n > 100_000 {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "too many rules"));
-                }
+                let n = r.count(MAX_RULES)?;
                 let mut rules = Vec::with_capacity(n);
                 for _ in 0..n {
-                    rules.push((c.u64()?, c.string()?));
+                    rules.push((r.u64()?, string(r)?));
                 }
                 Response::Rules { rules }
             }
             9 if allow_batch => {
-                let n = c.batch_count()?;
+                let n = r.count(MAX_BATCH)?;
                 let mut parts = Vec::with_capacity(n);
                 for _ in 0..n {
-                    parts.push(Self::decode_one(c, false)?);
+                    parts.push(Self::decode_one(r, false)?);
                 }
                 Response::Batch { parts }
             }
-            9 => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "nested batch response",
-                ))
-            }
-            op => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown response opcode {op}"),
-                ))
-            }
+            9 => return Err(invalid("nested batch response")),
+            op => return Err(invalid(format!("unknown response opcode {op}"))),
         };
         Ok(resp)
     }
@@ -598,7 +499,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     }
     let len = u32::from_le_bytes(header) as usize;
     if len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too big"));
+        return Err(invalid("frame too big"));
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
@@ -622,14 +523,11 @@ pub fn write_hello<W: Write>(w: &mut W, version: u32) -> io::Result<()> {
 pub fn read_hello<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
-    let (magic, version) = buf.split_at(4);
-    if le_u32(magic)? != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "peer does not speak the pipelined protocol (bad hello magic)",
-        ));
+    let mut hello = Reader::new(&buf);
+    if hello.u32()? != MAGIC {
+        return Err(invalid("peer does not speak the pipelined protocol (bad hello magic)"));
     }
-    le_u32(version)
+    Ok(hello.u32()?)
 }
 
 /// The version a server grants a client that asked for `want` (flags
@@ -652,7 +550,7 @@ pub fn negotiate(want: u32) -> u32 {
 pub fn write_seq_frame<W: Write>(w: &mut W, seq: u64, payload: &[u8]) -> io::Result<()> {
     let len = payload.len() + SEQ_PREFIX;
     if len > MAX_FRAME {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame too big"));
+        return Err(invalid("frame too big"));
     }
     w.write_all(&(len as u32).to_le_bytes())?;
     w.write_all(&seq.to_le_bytes())?;
@@ -661,14 +559,9 @@ pub fn write_seq_frame<W: Write>(w: &mut W, seq: u64, payload: &[u8]) -> io::Res
 
 /// Splits a v2 frame payload into its sequence number and message bytes.
 pub fn split_seq(frame: &[u8]) -> io::Result<(u64, &[u8])> {
-    if frame.len() < SEQ_PREFIX {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame too short for a sequence number",
-        ));
-    }
-    let (seq, payload) = frame.split_at(SEQ_PREFIX);
-    Ok((le_u64(seq)?, payload))
+    let mut r = Reader::new(frame);
+    let seq = r.u64().map_err(|_| invalid("frame too short for a sequence number"))?;
+    Ok((seq, r.take(r.remaining())?))
 }
 
 #[cfg(test)]

@@ -17,11 +17,12 @@
 //!   randomness source (re-exported by `tiera-sim`; replaces `rand`).
 //! * [`prop`] — the [`prop_check!`] property-testing harness driving
 //!   generators off [`rng::SimRng`] (replaces `proptest`).
-//! * [`bench`] — a micro-benchmark timer with a criterion-shaped API
-//!   (replaces `criterion`).
 //! * [`diag`] — the rustc-style diagnostics engine both static analyzers
 //!   (`tiera-lint`, `tiera-analyze`) render through, and [`lint_codes!`],
 //!   which declares each analyzer's code table.
+//! * [`wire`] — the one bounds-checked little-endian byte reader and its
+//!   writers, under every slice-parsed format in the workspace (replaces
+//!   `bytes::Buf`/`BufMut`).
 //!
 //! This crate sits at the bottom of the dependency graph and must stay
 //! dependency-free: `cargo build --offline` on a bare Rust toolchain is the
@@ -33,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod bytes;
 pub mod channel;
 pub mod collections;
@@ -41,6 +41,7 @@ pub mod diag;
 pub mod prop;
 pub mod rng;
 pub mod sync;
+pub mod wire;
 
 pub use bytes::Bytes;
 pub use rng::SimRng;

@@ -228,16 +228,22 @@ fn std_sync_locks_only_in_support() {
 #[test]
 fn wire_decoders_cannot_panic_on_hostile_input() {
     // `crates/rpc/src/proto.rs` is the only code that parses bytes an
-    // untrusted peer controls, and `crates/codec/src/packed.rs` unpacks
-    // frames a backing store may have corrupted; every decode path there
-    // must return a `Result`, never panic. The fuzz suites exercise this dynamically;
+    // untrusted peer controls, `crates/codec/src/packed.rs` unpacks
+    // frames a backing store may have corrupted, and
+    // `crates/support/src/wire.rs` is the reader under proto.rs, metadata
+    // records, the fs manifest and metastore log headers; every decode
+    // path there must return a `Result`, never panic. The fuzz suites exercise this dynamically;
     // analyzer lint A004 pins it statically: outside the `#[cfg(test)]`
     // module, no panicking construct may appear in its panic-free files
     // at all. (Even `unwrap` on a value "known" to be fine
     // is banned — refactors have a way of breaking such knowledge
     // silently.)
     let reports = analyzer_reports();
-    for covered in ["crates/rpc/src/proto.rs", "crates/codec/src/packed.rs"] {
+    for covered in [
+        "crates/support/src/wire.rs",
+        "crates/rpc/src/proto.rs",
+        "crates/codec/src/packed.rs",
+    ] {
         assert!(
             Config::workspace().panic_free.iter().any(|p| p == covered)
                 && reports.iter().any(|r| r.path.contains(covered)),
