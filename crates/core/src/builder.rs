@@ -10,7 +10,7 @@ use tiera_sim::SimEnv;
 
 use crate::error::{Result, TieraError};
 use crate::instance::Instance;
-use crate::policy::{Policy, Rule};
+use crate::policy::{Draft, Policy, Rule};
 use crate::registry::Registry;
 use crate::tier::TierHandle;
 
@@ -62,9 +62,10 @@ impl InstanceBuilder {
 
     /// Validates and builds the instance.
     ///
-    /// Validation checks that every tier name referenced by a rule is
-    /// attached, that tier names are unique, and that at least one tier
-    /// exists.
+    /// Validation checks that at least one tier exists, that tier names
+    /// are unique, and that every rule passes the checks
+    /// [`Instance::install_rule`] makes: each tier it scopes, observes, or
+    /// targets is attached, and a timer period is positive.
     pub fn build(self) -> Result<Arc<Instance>> {
         if self.tiers.is_empty() {
             return Err(TieraError::InvalidConfig(format!(
@@ -72,46 +73,26 @@ impl InstanceBuilder {
                 self.name
             )));
         }
-        let mut names: Vec<&str> = self.tiers.iter().map(|t| t.name()).collect();
-        let total = names.len();
-        names.sort_unstable();
-        names.dedup();
-        if names.len() != total {
-            return Err(TieraError::InvalidConfig(format!(
-                "instance {} has duplicate tier names",
-                self.name
-            )));
+        let mut draft = Draft::default();
+        for tier in self.tiers {
+            draft.attach(tier)?;
         }
-        for rule in &self.rules {
-            for resp in &rule.responses {
-                for t in resp.referenced_tiers() {
-                    if !names.contains(&t) {
-                        return Err(TieraError::InvalidConfig(format!(
-                            "rule {} references unknown tier {t}",
-                            rule.label.as_deref().unwrap_or("<unlabeled>")
-                        )));
-                    }
-                }
-            }
-        }
-        let policy = Policy::new();
         for rule in self.rules {
-            policy.add(rule);
+            draft.install_checked(rule)?;
         }
         let registry = match &self.metadata_dir {
             Some(dir) => Registry::persistent(dir)?,
             None => Registry::in_memory(),
         };
-        Ok(Arc::new(Instance::new(
-            self.name, self.env, self.tiers, policy, registry,
-        )))
+        let policy = Policy::over(draft);
+        Ok(Arc::new(Instance::new(self.name, self.env, policy, registry)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ActionOp, EventKind};
+    use crate::event::{ActionOp, EventKind, Metric};
     use crate::response::ResponseSpec;
     use crate::selector::Selector;
     use crate::tier::MemTier;
@@ -137,6 +118,30 @@ mod tests {
         let err = InstanceBuilder::new("dup", SimEnv::new(1))
             .tier(MemTier::with_capacity("t", 10))
             .tier(MemTier::with_capacity("t", 10))
+            .build();
+        assert!(matches!(err, Err(TieraError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn threshold_on_unknown_tier_rejected() {
+        let err = InstanceBuilder::new("bad-threshold", SimEnv::new(1))
+            .tier(MemTier::with_capacity("t1", 10))
+            .rule(Rule::on(EventKind::threshold_at_least(
+                Metric::TierFillFraction("ghost".into()),
+                0.5,
+            )))
+            .build();
+        assert!(matches!(err, Err(TieraError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn action_scoped_to_unknown_tier_rejected() {
+        let err = InstanceBuilder::new("bad-scope", SimEnv::new(1))
+            .tier(MemTier::with_capacity("t1", 10))
+            .rule(
+                Rule::on(EventKind::action_on(ActionOp::Put, "ghost"))
+                    .respond(ResponseSpec::store(Selector::Inserted, ["t1"])),
+            )
             .build();
         assert!(matches!(err, Err(TieraError::InvalidConfig(_))));
     }

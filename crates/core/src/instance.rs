@@ -26,7 +26,7 @@
 //! lands in `tier1`, then the write-through rule copies it to `tier2`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use tiera_support::sync::{rank, Mutex, RwLock};
@@ -42,7 +42,7 @@ use crate::error::{Result, TieraError};
 use crate::event::{ActionOp, EventKind, Metric};
 use crate::meta::{ObjectMeta, TierSet};
 use crate::object::{ObjectKey, Tag};
-use crate::policy::{Policy, Rule, RuleId};
+use crate::policy::{self, ActionRule, Attached, Config, InstalledRule, Policy, Rule, RuleId};
 use crate::registry::Registry;
 use crate::response::{EvictOrder, Guard, ResponseSpec};
 use crate::retry::{FailureAlert, RetryPolicy};
@@ -157,7 +157,7 @@ impl BackgroundQueue {
 /// The two shapes of background work.
 enum WorkItem {
     /// A rule's responses, deferred; the rule is shared with the policy.
-    Responses(Arc<Rule>),
+    Responses(Arc<InstalledRule>),
     /// A bandwidth-capped copy in progress: one object is transferred per
     /// step, and the continuation re-enqueues itself `pace(len)` later.
     /// This is what keeps a `bandwidth: 40KB/s` copy from monopolizing the
@@ -170,46 +170,18 @@ enum WorkItem {
     },
 }
 
-/// An attached tier and its interned name, resolved once at attach time.
-#[derive(Clone)]
-struct Attached {
-    id: TierId,
-    /// `tier.tier_traits().durable` (traits are static properties).
-    durable: bool,
-    tier: TierHandle,
-}
-
-impl Attached {
-    fn new(tier: TierHandle) -> Self {
-        Self {
-            id: TierId::from(tier.name()),
-            durable: tier.tier_traits().durable,
-            tier,
-        }
-    }
-}
-
 /// A multi-tiered cloud storage instance.
 pub struct Instance {
     name: String,
     env: SimEnv,
-    /// Attached tiers in preference order. Replaced wholesale on
-    /// attach/detach, so an operation snapshots it with one refcount bump.
-    tiers: RwLock<Arc<[Attached]>>,
+    /// Publishes into the configuration cell: tiers, rules, retry policy
+    /// and the control-layer switch. Each entry point loads the snapshot
+    /// once and runs under it to the end.
     policy: Policy,
     registry: Registry,
     stats: InstanceStats,
     keyring: RwLock<HashMap<String, [u8; 32]>>,
     background: Mutex<BackgroundQueue>,
-    /// Figure 18 ablation switch: with the control layer off, PUT/GET go
-    /// straight to the default tier with no event evaluation.
-    control_layer: AtomicBool,
-    /// In-operation robustness policy (default: single attempt, no
-    /// failover — byte-identical to the pre-retry behavior).
-    retry: RwLock<RetryPolicy>,
-    /// Mirrors `!retry.is_trivial()` so the hot path skips all retry
-    /// bookkeeping (and the `retry` lock) when the policy is the default.
-    retry_active: AtomicBool,
     /// Seeded jitter stream for backoff schedules (deterministic per env).
     retry_rng: Mutex<SimRng>,
     /// FAILURE_ALERT events not yet drained by a monitor.
@@ -218,7 +190,10 @@ pub struct Instance {
 }
 
 /// Execution context threaded through response execution.
-struct Ctx {
+struct Ctx<'a> {
+    /// The configuration the operation loaded at entry; nothing under it
+    /// reads the cell again.
+    config: &'a Config,
     /// Current virtual time (advances as responses charge latency).
     now: SimTime,
     /// Latency charged to the requesting client.
@@ -236,9 +211,10 @@ struct Ctx {
     placed_inserted: TierSet,
 }
 
-impl Ctx {
-    fn foreground(now: SimTime) -> Self {
+impl<'a> Ctx<'a> {
+    fn foreground(now: SimTime, config: &'a Config) -> Self {
         Ctx {
+            config,
             now,
             charged: SimDuration::ZERO,
             inserted: None,
@@ -249,10 +225,10 @@ impl Ctx {
         }
     }
 
-    fn background(now: SimTime) -> Self {
+    fn background(now: SimTime, config: &'a Config) -> Self {
         Ctx {
             background: true,
-            ..Ctx::foreground(now)
+            ..Ctx::foreground(now, config)
         }
     }
 
@@ -285,16 +261,11 @@ const UNCAPPED_STREAM_RATE: BandwidthCap = BandwidthCap {
 };
 
 impl Instance {
-    pub(crate) fn new(name: String, env: SimEnv, tiers: Vec<TierHandle>, policy: Policy, registry: Registry) -> Self {
+    pub(crate) fn new(name: String, env: SimEnv, policy: Policy, registry: Registry) -> Self {
         let retry_rng = env.rng_for("retry-policy");
         Self {
             name,
             env,
-            tiers: RwLock::named(
-                "instance.tiers",
-                rank::INSTANCE_TIERS,
-                tiers.into_iter().map(Attached::new).collect(),
-            ),
             policy,
             registry,
             stats: InstanceStats::new(),
@@ -304,9 +275,6 @@ impl Instance {
                 rank::INSTANCE_BACKGROUND,
                 BackgroundQueue::default(),
             ),
-            control_layer: AtomicBool::new(true),
-            retry: RwLock::named("instance.retry", rank::INSTANCE_RETRY, RetryPolicy::none()),
-            retry_active: AtomicBool::new(false),
             retry_rng: Mutex::named("instance.retry_rng", rank::INSTANCE_RETRY_RNG, retry_rng),
             alerts: Mutex::named("instance.alerts", rank::INSTANCE_ALERTS, Vec::new()),
             alerts_total: AtomicU64::new(0),
@@ -332,10 +300,11 @@ impl Instance {
     /// dynamic policy changes). Unlike [`Policy::add`], which trusts its
     /// caller, this is the checked front door for rules arriving at
     /// runtime: every tier the rule scopes, observes, or targets must be
-    /// attached, and timer periods must be positive.
+    /// attached, and timer periods must be positive. The check and the
+    /// install are one publish, so a concurrent `detach_tier` cannot slip
+    /// between them.
     pub fn install_rule(&self, rule: Rule) -> Result<RuleId> {
-        self.validate_rule(&rule)?;
-        Ok(self.policy.add(rule))
+        self.policy.publish(|d| d.install_checked(rule))
     }
 
     /// Checks a rule against the instance's attached tiers without
@@ -343,38 +312,7 @@ impl Instance {
     /// cannot run here — by the time a rule reaches the core it is already
     /// lowered past the AST — so this re-validates the lowered form.
     pub fn validate_rule(&self, rule: &Rule) -> Result<()> {
-        let tiers = self.tier_names();
-        let check = |name: &str| -> Result<()> {
-            if tiers.iter().any(|t| t == name) {
-                Ok(())
-            } else {
-                Err(TieraError::InvalidConfig(format!(
-                    "rule references unattached tier {name}"
-                )))
-            }
-        };
-        match &rule.event {
-            EventKind::Timer { period } => {
-                if period.as_nanos() == 0 {
-                    return Err(TieraError::InvalidConfig(
-                        "timer rule has a zero period".to_string(),
-                    ));
-                }
-            }
-            EventKind::Threshold { metric, .. } => {
-                if let Some(tier) = metric.tier() {
-                    check(tier)?;
-                }
-            }
-            EventKind::Action { tier: Some(tier), .. } => check(tier)?,
-            EventKind::Action { tier: None, .. } => {}
-        }
-        for response in &rule.responses {
-            for tier in response.referenced_tiers() {
-                check(tier)?;
-            }
-        }
-        Ok(())
+        policy::validate(&self.policy.load().tiers, rule)
     }
 
     /// The metadata registry.
@@ -394,7 +332,7 @@ impl Instance {
 
     /// Enables/disables the control layer (Figure 18's overhead baseline).
     pub fn set_control_layer(&self, enabled: bool) {
-        self.control_layer.store(enabled, Ordering::Release);
+        self.policy.apply(|d| d.control_layer = enabled);
     }
 
     // ---- robustness: retries, failover, FAILURE_ALERT ----
@@ -402,13 +340,13 @@ impl Instance {
     /// Installs the retry/backoff/failover policy for tier operations.
     /// The default is [`RetryPolicy::none`]: one attempt, no failover.
     pub fn set_retry_policy(&self, policy: RetryPolicy) {
-        self.retry_active.store(!policy.is_trivial(), Ordering::Release);
-        *self.retry.write() = policy;
+        self.policy.apply(|d| d.retry = (!policy.is_trivial()).then_some(policy));
     }
 
-    /// The currently installed retry policy.
+    /// The currently installed retry policy; a trivial one (one attempt,
+    /// no failover) reads back as [`RetryPolicy::none`].
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry.read().clone()
+        self.policy.load().retry.clone().unwrap_or_default()
     }
 
     /// Drains the FAILURE_ALERT events accumulated since the last drain
@@ -432,15 +370,15 @@ impl Instance {
 
     /// Attached tier names, in preference order.
     pub fn tier_names(&self) -> Vec<String> {
-        self.tiers.read().iter().map(|t| t.id.to_string()).collect()
+        self.policy.load().tiers.iter().map(|t| t.id.to_string()).collect()
     }
 
     /// Per-tier logical-vs-physical capacity accounting, for tiers that
     /// transform payloads (compressed / content-addressed wrappers from
     /// `tiera-tierx`). Plain tiers are omitted.
     pub fn capacity_profiles(&self) -> Vec<(String, crate::tier::CapacityProfile)> {
-        self.tiers
-            .read()
+        self.policy.load()
+            .tiers
             .iter()
             .filter_map(|t| t.tier.capacity_profile().map(|p| (t.id.to_string(), p)))
             .collect()
@@ -464,56 +402,25 @@ impl Instance {
 
     /// Handle to a tier by name.
     pub fn tier(&self, name: &str) -> Result<TierHandle> {
-        self.attached(name).map(|t| t.tier)
-    }
-
-    /// The attached tier called `name`, compared by name: rules carry
-    /// names, and an instance has a handful of tiers.
-    fn attached(&self, name: &str) -> Result<Attached> {
-        self.tiers
-            .read()
-            .iter()
-            .find(|t| t.id == name)
-            .cloned()
-            .ok_or_else(|| TieraError::NoSuchTier(name.to_string()))
-    }
-
-    /// Handle to the attached tier with this id (object locations carry
-    /// ids); `None` once it is detached.
-    fn tier_by_id(&self, id: TierId) -> Option<TierHandle> {
-        let tiers = self.tiers.read();
-        tiers.iter().find(|t| t.id == id).map(|t| Arc::clone(&t.tier))
+        self.policy.load().attached(name).map(|t| Arc::clone(&t.tier))
     }
 
     /// Attaches a tier at the end of the preference order.
     pub fn attach_tier(&self, tier: TierHandle) -> Result<()> {
-        let mut tiers = self.tiers.write();
-        if tiers.iter().any(|t| t.id == tier.name()) {
-            return Err(TieraError::InvalidConfig(format!(
-                "tier {} already attached",
-                tier.name()
-            )));
-        }
-        *tiers = tiers.iter().cloned().chain([Attached::new(tier)]).collect();
-        Ok(())
+        self.policy.publish(|d| d.attach(tier))
     }
 
     /// Detaches a tier (e.g. after a storage-service failure, Fig 17).
     /// Objects whose only location was this tier become unreachable until
     /// re-stored; their metadata is retained.
     pub fn detach_tier(&self, name: &str) -> Result<()> {
-        let mut tiers = self.tiers.write();
-        if !tiers.iter().any(|t| t.id == name) {
-            return Err(TieraError::NoSuchTier(name.to_string()));
-        }
-        *tiers = tiers.iter().filter(|t| t.id != name).cloned().collect();
-        Ok(())
+        self.policy.publish(|d| d.detach(name))
     }
 
     /// Total monthly capacity cost of all attached tiers.
     pub fn monthly_cost(&self, now: SimTime) -> tiera_sim::CostReport {
         let mut report = tiera_sim::CostReport::default();
-        for t in self.tiers.read().iter() {
+        for t in self.policy.load().tiers.iter() {
             let gb = t.tier.capacity(now) as f64 / (1024.0 * 1024.0 * 1024.0);
             report.add(
                 format!("{} ({:.2} GB)", t.id, gb),
@@ -521,14 +428,6 @@ impl Instance {
             );
         }
         report
-    }
-
-    fn default_tier(&self) -> Result<Attached> {
-        self.tiers
-            .read()
-            .first()
-            .cloned()
-            .ok_or_else(|| TieraError::InvalidConfig("instance has no tiers".into()))
     }
 
     // ---- application interface layer ----
@@ -549,10 +448,11 @@ impl Instance {
         let key: ObjectKey = key.into();
         let data: Bytes = data.into();
         let size = data.len() as u64;
+        let config = self.policy.load();
 
-        if !self.control_layer.load(Ordering::Acquire) {
+        if !config.control_layer {
             // Figure 18 baseline: bypass the control layer entirely.
-            let receipt = self.default_tier()?.tier.put(&key, data, now)?;
+            let receipt = config.default_tier()?.tier.put(&key, data, now)?;
             self.stats.record_write(receipt.latency);
             self.env.clock().advance_to(now + receipt.latency);
             return Ok(PutReceipt {
@@ -560,7 +460,7 @@ impl Instance {
             });
         }
 
-        let into_tier = self.default_tier()?.id.name();
+        let into_tier = config.default_tier()?.id;
         // Register metadata (dirty until persisted, per Fig 3), built from
         // the prior record under the same shard lock that replaces it; the
         // prior is kept for overwrite cleanup. In memory only: the
@@ -586,16 +486,16 @@ impl Instance {
             meta
         });
 
-        let mut ctx = Ctx::foreground(now);
+        let mut ctx = Ctx::foreground(now, &config);
         ctx.inserted = Some(key.clone());
         ctx.inserted_data = Some(data);
 
-        let matching = self.matching_action_rules(ActionOp::Put, into_tier);
+        let matching = config.actions(ActionOp::Put, into_tier);
 
         // Does any matching foreground rule place the inserted object?
-        let rules_place = matching.iter().any(|(_, rule, background)| {
-            !background && rule.responses.iter().any(places_inserted)
-        });
+        let rules_place = matching
+            .clone()
+            .any(|a| !a.background && a.rule.responses().iter().any(places_inserted));
 
         let result: Result<()> = (|| {
             if !rules_place {
@@ -603,9 +503,9 @@ impl Instance {
                 // <default tier>)`, counted as the response it stands for.
                 self.stats.record_response();
                 let data = self.fetch_stored(&key, &mut ctx)?;
-                self.store_one(&key, data, &[into_tier], &mut ctx)?;
+                self.store_one(&key, data, &[into_tier.name()], &mut ctx)?;
             }
-            self.fire_action_rules(&matching, &mut ctx)
+            self.fire_action_rules(matching, &mut ctx)
         })();
 
         if let Err(e) = result {
@@ -644,8 +544,8 @@ impl Instance {
             }
             prior => {
                 for id in placed {
-                    if let Some(tier) = self.tier_by_id(*id) {
-                        self.cleanup_delete(&tier, key, ctx.now);
+                    if let Some(tier) = ctx.config.tier_by_id(*id) {
+                        self.cleanup_delete(tier, key, ctx.now);
                     }
                 }
                 match prior {
@@ -668,15 +568,15 @@ impl Instance {
     fn retire_prior(&self, key: &ObjectKey, prev: &ObjectMeta, ctx: &Ctx) {
         let placed = &ctx.placed_inserted;
         for stale in prev.locations.iter().filter(|l| !placed.contains_id(**l)) {
-            if let Some(tier) = self.tier_by_id(*stale) {
-                self.cleanup_delete(&tier, key, ctx.now);
+            if let Some(tier) = ctx.config.tier_by_id(*stale) {
+                self.cleanup_delete(tier, key, ctx.now);
             }
         }
         self.registry.update(key, |m| {
             m.locations.retain(|l| placed.contains_id(l));
         });
         if let Some(d) = prev.digest() {
-            self.release_blob(&d, ctx.now);
+            self.release_blob(&d, ctx);
         }
     }
 
@@ -688,17 +588,18 @@ impl Instance {
     /// charged to the client.
     pub fn get(&self, key: impl Into<ObjectKey>, now: SimTime) -> Result<(Bytes, GetReceipt)> {
         let key: ObjectKey = key.into();
+        let config = self.policy.load();
 
-        if !self.control_layer.load(Ordering::Acquire) {
-            let Attached { id, tier, .. } = self.default_tier()?;
+        if !config.control_layer {
+            let Attached { id, tier, .. } = config.default_tier()?;
             let (data, receipt) = tier.get(&key, now)?;
-            self.stats.record_read(receipt.latency, id);
+            self.stats.record_read(receipt.latency, *id);
             self.env.clock().advance_to(now + receipt.latency);
             return Ok((
                 data,
                 GetReceipt {
                     latency: receipt.latency,
-                    served_by: id,
+                    served_by: *id,
                 },
             ));
         }
@@ -708,7 +609,7 @@ impl Instance {
             .get(&key)
             .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
 
-        let mut ctx = Ctx::foreground(now);
+        let mut ctx = Ctx::foreground(now, &config);
         let (raw, served_by) = self.read_raw(&key, &meta, &mut ctx)?;
         let data = self.decode_payload(&key, &meta, raw.clone())?;
 
@@ -722,11 +623,11 @@ impl Instance {
         // Fire GET action rules (e.g. read-promotion in LRU cache
         // policies). The just-read stored bytes ride along in the context
         // so a promote does not re-read the slow tier.
-        let matching = self.matching_action_rules(ActionOp::Get, served_by.name());
-        if !matching.is_empty() {
+        let mut matching = config.actions(ActionOp::Get, served_by).peekable();
+        if matching.peek().is_some() {
             ctx.inserted = Some(key.clone());
             ctx.inserted_data = Some(raw.clone());
-            self.fire_action_rules(&matching, &mut ctx)?;
+            self.fire_action_rules(matching, &mut ctx)?;
         }
 
         // Reads change object-attribute metrics (access counts), so
@@ -752,14 +653,15 @@ impl Instance {
             .get(&key)
             .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
 
-        let mut ctx = Ctx::foreground(now);
+        let config = self.policy.load();
+        let mut ctx = Ctx::foreground(now, &config);
 
         if let Some(d) = meta.digest() {
-            self.release_blob(&d, ctx.now);
+            self.release_blob(&d, &ctx);
         } else {
             let mut slowest = SimDuration::ZERO;
             for loc in &meta.locations {
-                if let Some(tier) = self.tier_by_id(*loc) {
+                if let Some(tier) = config.tier_by_id(*loc) {
                     let receipt = tier.delete(&key, ctx.now)?;
                     slowest = slowest.max(receipt.latency);
                 }
@@ -768,9 +670,8 @@ impl Instance {
         }
         self.registry.remove(&key);
 
-        let into_tier = self.default_tier()?.id.name();
-        let matching = self.matching_action_rules(ActionOp::Delete, into_tier);
-        self.fire_action_rules(&matching, &mut ctx)?;
+        let into_tier = config.default_tier()?.id;
+        self.fire_action_rules(config.actions(ActionOp::Delete, into_tier), &mut ctx)?;
 
         self.eval_thresholds(&mut ctx)?;
         self.env.clock().advance_to(ctx.now);
@@ -792,53 +693,44 @@ impl Instance {
     pub fn pump(&self, now: SimTime) -> Result<PumpReport> {
         let mut report = PumpReport::default();
 
-        // Timer rules: fire once per elapsed period, at the period boundary.
-        let due: Vec<(SimTime, Arc<Rule>)> = self.policy.with_rules(|rules| {
-            let mut due = Vec::new();
-            for installed in rules.iter_mut() {
-                if let EventKind::Timer { period } = &installed.rule.event {
-                    if period.as_nanos() == 0 {
-                        continue;
-                    }
-                    let mut next = installed.state.last_fired + *period;
-                    while next <= now {
-                        due.push((next, Arc::clone(&installed.rule)));
-                        installed.state.last_fired = next;
-                        next += *period;
-                    }
+        // Timer rules: fire once per elapsed period, at the period boundary,
+        // every firing of this sweep under the configuration loaded here.
+        let config = self.policy.load();
+        for timer in &config.timers {
+            while let Some(fire_at) = timer.claim_period(now) {
+                self.stats.record_event();
+                report.timers_fired += 1;
+                let mut ctx = Ctx::background(fire_at, &config);
+                if let Err(e) = self.execute_responses(timer.responses(), &mut ctx) {
+                    // A failing timer body must not wedge the pump (it used
+                    // to abort the drain, stranding every queued item behind
+                    // it). The timer refires next period, which is the
+                    // natural retry; surface the failure as an alert
+                    // meanwhile.
+                    self.emit_alert(FailureAlert {
+                        at: fire_at,
+                        tier: err_tier(&e),
+                        op: "timer",
+                        failover_to: None,
+                        detail: format!("timer responses failed: {e}"),
+                    });
                 }
-            }
-            due
-        });
-        for (fire_at, rule) in due {
-            self.stats.record_event();
-            report.timers_fired += 1;
-            let mut ctx = Ctx::background(fire_at);
-            if let Err(e) = self.execute_responses(&rule.responses, &mut ctx) {
-                // A failing timer body must not wedge the pump (it used to
-                // abort the drain, stranding every queued item behind it).
-                // The timer refires next period, which is the natural
-                // retry; surface the failure as an alert meanwhile.
-                self.emit_alert(FailureAlert {
-                    at: fire_at,
-                    tier: err_tier(&e),
-                    op: "timer",
-                    failover_to: None,
-                    detail: format!("timer responses failed: {e}"),
-                });
             }
         }
 
         // Background queue: drain in due order (heap-backed, O(log n)).
+        // Each item runs under the configuration current when it executes,
+        // not the one it was queued under.
         loop {
             let work = self.background.lock().pop_due(now);
             let Some(work) = work else { break };
             report.background_executed += 1;
-            let mut ctx = Ctx::background(work.due);
+            let config = self.policy.load();
+            let mut ctx = Ctx::background(work.due, &config);
             ctx.inserted = work.inserted.clone();
             match work.work {
                 WorkItem::Responses(rule) => {
-                    if let Err(e) = self.execute_responses(&rule.responses, &mut ctx) {
+                    if let Err(e) = self.execute_responses(rule.responses(), &mut ctx) {
                         self.requeue_or_drop(
                             work.due,
                             WorkItem::Responses(rule),
@@ -948,51 +840,25 @@ impl Instance {
 
     // ---- internals ----
 
-    fn matching_action_rules(
-        &self,
-        op: ActionOp,
-        into_tier: &str,
-    ) -> Vec<(RuleId, Arc<Rule>, bool)> {
-        // Action matching never mutates trigger state: shared lock only,
-        // so concurrent PUT/GET threads don't serialize on the policy.
-        self.policy.with_rules_read(|rules| {
-            rules
-                .iter()
-                .filter_map(|installed| match &installed.rule.event {
-                    EventKind::Action {
-                        op: rule_op,
-                        tier,
-                        background,
-                    } if *rule_op == op
-                        && tier.as_deref().map(|t| t == into_tier).unwrap_or(true) =>
-                    {
-                        Some((installed.id, Arc::clone(&installed.rule), *background))
-                    }
-                    _ => None,
-                })
-                .collect()
-        })
-    }
-
     /// Fires matched action rules in installation order: foreground rules
     /// run inline, background rules are queued for `pump`.
-    fn fire_action_rules(
+    fn fire_action_rules<'c>(
         &self,
-        matching: &[(RuleId, Arc<Rule>, bool)],
+        matching: impl Iterator<Item = &'c ActionRule>,
         ctx: &mut Ctx,
     ) -> Result<()> {
-        for (_, rule, background) in matching {
+        for action in matching {
             self.stats.record_event();
-            if *background {
-                self.enqueue_background(Arc::clone(rule), ctx);
+            if action.background {
+                self.enqueue_background(Arc::clone(&action.rule), ctx);
             } else {
-                self.execute_responses(&rule.responses, ctx)?;
+                self.execute_responses(action.rule.responses(), ctx)?;
             }
         }
         Ok(())
     }
 
-    fn enqueue_background(&self, rule: Arc<Rule>, ctx: &Ctx) {
+    fn enqueue_background(&self, rule: Arc<InstalledRule>, ctx: &Ctx) {
         self.stats.record_background();
         self.background.lock().push(PendingWork {
             due: ctx.now,
@@ -1003,45 +869,28 @@ impl Instance {
     }
 
     /// Evaluates threshold rules (edge-triggered) after state-changing
-    /// actions.
+    /// actions. Every metric is read before any firing runs, so one rule's
+    /// responses cannot move another's metric within one evaluation.
     fn eval_thresholds(&self, ctx: &mut Ctx) -> Result<()> {
         if ctx.depth >= MAX_CASCADE_DEPTH {
             return Ok(());
         }
-        // Fast path: no threshold rules installed (the common policy on the
-        // action hot path) — skip the write lock entirely.
-        if !self.policy.has_threshold_rules() {
-            return Ok(());
-        }
-        let fired: Vec<(Arc<Rule>, bool)> = self.policy.with_rules(|rules| {
-            let mut fired = Vec::new();
-            for installed in rules.iter_mut() {
-                if let EventKind::Threshold {
-                    metric,
-                    relation,
-                    value,
-                    background,
-                } = &installed.rule.event
-                {
-                    let current = self.metric_value(metric, ctx.now);
-                    let holds = relation.holds(current, *value);
-                    if holds && installed.state.armed {
-                        installed.state.armed = false;
-                        fired.push((Arc::clone(&installed.rule), *background));
-                    } else if !holds {
-                        installed.state.armed = true;
-                    }
+        let config = ctx.config;
+        let mut fired = Vec::new();
+        for installed in &config.thresholds {
+            if let EventKind::Threshold { metric, relation, value, .. } = &installed.rule.event {
+                if installed.cross(relation.holds(self.metric_value(metric, ctx), *value)) {
+                    fired.push(installed);
                 }
             }
-            fired
-        });
-        for (rule, background) in fired {
+        }
+        for installed in fired {
             self.stats.record_event();
-            if background {
-                self.enqueue_background(rule, ctx);
+            if installed.rule.event.is_background() {
+                self.enqueue_background(Arc::clone(installed), ctx);
             } else {
                 ctx.depth += 1;
-                let r = self.execute_responses(&rule.responses, ctx);
+                let r = self.execute_responses(installed.responses(), ctx);
                 ctx.depth -= 1;
                 r?;
             }
@@ -1049,15 +898,12 @@ impl Instance {
         Ok(())
     }
 
-    fn metric_value(&self, metric: &Metric, now: SimTime) -> f64 {
+    fn metric_value(&self, metric: &Metric, ctx: &Ctx) -> f64 {
+        let now = ctx.now;
+        let tier = |t: &str| ctx.config.attached(t).map(|a| &a.tier);
         match metric {
-            Metric::TierFillFraction(t) => self
-                .tier(t)
-                .map(|tier| tier.fill_fraction(now))
-                .unwrap_or(0.0),
-            Metric::TierUsedBytes(t) => {
-                self.tier(t).map(|tier| tier.used() as f64).unwrap_or(0.0)
-            }
+            Metric::TierFillFraction(t) => tier(t).map(|t| t.fill_fraction(now)).unwrap_or(0.0),
+            Metric::TierUsedBytes(t) => tier(t).map(|t| t.used() as f64).unwrap_or(0.0),
             Metric::TierDirtyBytes(t) => self.registry.aggregates(t).dirty_bytes as f64,
             Metric::TierObjectCount(t) => self.registry.aggregates(t).objects as f64,
             Metric::ObjectAccessCount(k) => self
@@ -1102,13 +948,11 @@ impl Instance {
             ResponseSpec::Compress { what } => self.exec_compress(what, true, ctx),
             ResponseSpec::Uncompress { what } => self.exec_compress(what, false, ctx),
             ResponseSpec::Grow { tier, percent } => {
-                let t = self.tier(tier)?;
-                t.grow(*percent, ctx.now);
+                ctx.config.attached(tier)?.tier.grow(*percent, ctx.now);
                 Ok(())
             }
             ResponseSpec::Shrink { tier, percent } => {
-                let t = self.tier(tier)?;
-                t.shrink(*percent, ctx.now);
+                ctx.config.attached(tier)?.tier.shrink(*percent, ctx.now);
                 Ok(())
             }
             ResponseSpec::EvictUntilFit { from, to, order } => {
@@ -1127,7 +971,7 @@ impl Instance {
         match guard {
             Guard::Always => Ok(true),
             Guard::TierFilled { tier, at_least } => {
-                let t = self.tier(tier)?;
+                let t = &ctx.config.attached(tier)?.tier;
                 Ok(match at_least {
                     Some(frac) => t.fill_fraction(ctx.now) >= *frac,
                     None => {
@@ -1166,18 +1010,14 @@ impl Instance {
             (Some(_), _) => return Err(TieraError::LocationsUnavailable(key.to_string())),
             (None, _) => (key, &meta.locations),
         };
-        let tiers = Arc::clone(&self.tiers.read());
+        let config = ctx.config;
         let mut last_err = None;
         // Per-location retry budget (trivial policy: one attempt, exactly
         // the old behavior); once a location exhausts it, the read falls
         // back along the replica/tier chain.
-        let policy = if self.retry_active.load(Ordering::Acquire) {
-            Some(self.retry.read().clone())
-        } else {
-            None
-        };
-        let attempts = policy.as_ref().map(|p| p.max_attempts.max(1)).unwrap_or(1);
-        for Attached { id, tier, .. } in tiers.iter().filter(|t| locations.contains_id(t.id)) {
+        let policy = config.retry.as_ref();
+        let attempts = policy.map(|p| p.max_attempts.max(1)).unwrap_or(1);
+        for Attached { id, tier, .. } in config.tiers.iter().filter(|t| locations.contains_id(t.id)) {
             let mut retry = 0u32;
             loop {
                 match tier.get(read_key, ctx.now) {
@@ -1191,7 +1031,7 @@ impl Instance {
                         ctx.charge(waited);
                         last_err = Some(TieraError::Timeout { waited, tier: t });
                         if retry + 1 < attempts {
-                            if let Some(p) = &policy {
+                            if let Some(p) = policy {
                                 ctx.charge(p.backoff(retry, &mut self.retry_rng.lock()));
                             }
                             retry += 1;
@@ -1287,10 +1127,9 @@ impl Instance {
         data: &Bytes,
         ctx: &mut Ctx,
     ) -> Result<SimDuration> {
-        if !self.retry_active.load(Ordering::Acquire) {
+        let Some(policy) = ctx.config.retry.as_ref() else {
             return Ok(tier.put(key, data.clone(), ctx.now)?.latency);
-        }
-        let policy = self.retry.read().clone();
+        };
         let start = ctx.now;
         let mut retry = 0u32;
         loop {
@@ -1322,20 +1161,19 @@ impl Instance {
     /// tries the remaining attached writable tiers (durable first, then
     /// attachment order) and emits a FAILURE_ALERT either way. Returns the
     /// replacement tier and write latency if one accepted the bytes.
-    fn failover_put(
+    fn failover_put<'a>(
         &self,
         key: &ObjectKey,
         data: &Bytes,
         failed: TierId,
         exclude: &TierSet,
-        ctx: &mut Ctx,
-    ) -> Option<(Attached, SimDuration)> {
-        let mut candidates: Vec<Attached> = self
+        ctx: &mut Ctx<'a>,
+    ) -> Option<(&'a Attached, SimDuration)> {
+        let mut candidates: Vec<&Attached> = ctx
+            .config
             .tiers
-            .read()
             .iter()
             .filter(|t| t.id != failed && !exclude.contains_id(t.id))
-            .cloned()
             .collect();
         // Durable tiers first (stable sort keeps attachment order within
         // each group): degraded writes should stay crash-safe if possible.
@@ -1375,14 +1213,13 @@ impl Instance {
         let mut slowest = SimDuration::ZERO;
         let mut placed = TierSet::new();
         let mut durable = false;
+        let config = ctx.config;
         for tier_name in to {
-            let mut target = self.attached(tier_name.as_ref())?;
+            let mut target = config.attached(tier_name.as_ref())?;
             let latency = match self.tier_put_retrying(&target.tier, key, &data, ctx) {
                 Ok(latency) => latency,
                 Err(e) => {
-                    let failover =
-                        self.retry_active.load(Ordering::Acquire) && self.retry.read().failover;
-                    if !failover {
+                    if !config.retry.as_ref().is_some_and(|p| p.failover) {
                         return Err(e);
                     }
                     // Neither the other requested targets nor the tiers
@@ -1434,7 +1271,7 @@ impl Instance {
     ) -> Result<()> {
         let digest = Digest::of(&data);
         if ctx.inserted.as_ref() == Some(key) {
-            for target in to.iter().filter_map(|t| self.attached(t).ok()) {
+            for target in to.iter().filter_map(|t| ctx.config.attached(t).ok()) {
                 ctx.placed_inserted.insert_id(target.id);
             }
         }
@@ -1452,7 +1289,7 @@ impl Instance {
         pm.dirty = true;
         let mut slowest = SimDuration::ZERO;
         for tier_name in to {
-            let target = self.attached(tier_name)?;
+            let target = ctx.config.attached(tier_name)?;
             let receipt = target.tier.put(&physical, data.clone(), ctx.now)?;
             slowest = slowest.max(receipt.latency);
             pm.locations.insert_id(target.id);
@@ -1562,8 +1399,9 @@ impl Instance {
         let mut slowest = SimDuration::ZERO;
         let mut dest = TierSet::new();
         let mut dest_durable = false;
+        let config = ctx.config;
         for tier_name in to {
-            let target = self.attached(tier_name.as_ref())?;
+            let target = config.attached(tier_name.as_ref())?;
             let latency = self.tier_put_retrying(&target.tier, &key, &data, ctx)?;
             slowest = slowest.max(latency);
             dest.insert_id(target.id);
@@ -1577,7 +1415,7 @@ impl Instance {
         if delete_source {
             let old = self.registry.get(&key).map(|m| m.locations).unwrap_or_default();
             for loc in old.iter().filter(|l| !dest.contains_id(**l)) {
-                if let Some(tier) = self.tier_by_id(*loc) {
+                if let Some(tier) = config.tier_by_id(*loc) {
                     let _ = tier.delete(&key, ctx.now)?;
                 }
             }
@@ -1609,7 +1447,7 @@ impl Instance {
                 Some(tier_name) => {
                     if meta.locations.contains(tier_name) {
                         if meta.digest().is_none() {
-                            let tier = self.tier(tier_name)?;
+                            let tier = &ctx.config.attached(tier_name)?.tier;
                             let receipt = tier.delete(&key, ctx.now)?;
                             ctx.charge(receipt.latency);
                         }
@@ -1623,10 +1461,10 @@ impl Instance {
                 }
                 None => {
                     if let Some(d) = meta.digest() {
-                        self.release_blob(&d, ctx.now);
+                        self.release_blob(&d, ctx);
                     } else {
                         for loc in &meta.locations {
-                            if let Some(tier) = self.tier_by_id(*loc) {
+                            if let Some(tier) = ctx.config.tier_by_id(*loc) {
                                 let receipt = tier.delete(&key, ctx.now)?;
                                 ctx.charge(receipt.latency);
                             }
@@ -1641,14 +1479,14 @@ impl Instance {
 
     /// Drops one `storeOnce` reference to `digest`. The last one deletes
     /// the blob's bytes from every attached tier and its registry entry.
-    fn release_blob(&self, digest: &Digest, now: SimTime) {
+    fn release_blob(&self, digest: &Digest, ctx: &Ctx) {
         if !self.registry.dedup_release(digest) {
             return;
         }
         let physical = dedup::blob_key(digest);
-        for Attached { tier, .. } in self.tiers.read().iter() {
+        for Attached { tier, .. } in ctx.config.tiers.iter() {
             if tier.contains(&physical) {
-                self.cleanup_delete(tier, &physical, now);
+                self.cleanup_delete(tier, &physical, ctx.now);
             }
         }
         self.registry.remove(&physical);
@@ -1688,7 +1526,8 @@ impl Instance {
             // Rewrite in place at every location.
             let mut slowest = SimDuration::ZERO;
             for loc in &meta.locations {
-                let tier = self
+                let tier = ctx
+                    .config
                     .tier_by_id(*loc)
                     .ok_or_else(|| TieraError::NoSuchTier(loc.to_string()))?;
                 let receipt = tier.put(&key, data.clone(), ctx.now)?;
@@ -1730,7 +1569,8 @@ impl Instance {
             };
             let mut slowest = SimDuration::ZERO;
             for loc in &meta.locations {
-                let tier = self
+                let tier = ctx
+                    .config
                     .tier_by_id(*loc)
                     .ok_or_else(|| TieraError::NoSuchTier(loc.to_string()))?;
                 let receipt = tier.put(&key, data.clone(), ctx.now)?;
@@ -1752,7 +1592,7 @@ impl Instance {
         order: EvictOrder,
         ctx: &mut Ctx,
     ) -> Result<()> {
-        let from_tier = self.tier(from)?;
+        let from_tier = &ctx.config.attached(from)?.tier;
         // Incoming size: the payload being inserted, or (for eviction fired
         // from a GET/move context) the object's stored size from metadata.
         let incoming = ctx
@@ -2147,7 +1987,8 @@ mod tests {
         inst.add_key("default", [7u8; 32]);
         inst.put("secret", &b"plaintext"[..], T0).unwrap();
         // Encrypt in place.
-        let mut ctx = Ctx::background(T0);
+        let config = inst.policy.load();
+        let mut ctx = Ctx::background(T0, &config);
         inst.execute_response(
             &ResponseSpec::Encrypt {
                 what: Selector::Key(ObjectKey::new("secret")),
@@ -2184,7 +2025,8 @@ mod tests {
             .unwrap();
         let payload: Vec<u8> = b"abc".iter().cycle().take(10_000).copied().collect();
         inst.put("log", Bytes::from(payload.clone()), T0).unwrap();
-        let mut ctx = Ctx::background(T0);
+        let config = inst.policy.load();
+        let mut ctx = Ctx::background(T0, &config);
         inst.execute_response(
             &ResponseSpec::Compress {
                 what: Selector::Key(ObjectKey::new("log")),
@@ -2230,7 +2072,8 @@ mod tests {
             .collect();
         inst.put("log", Bytes::from(text), T0).unwrap();
         inst.put("noise", Bytes::from(noise.clone()), T0).unwrap();
-        let mut ctx = Ctx::background(T0);
+        let config = inst.policy.load();
+        let mut ctx = Ctx::background(T0, &config);
         for key in ["log", "noise"] {
             let what = Selector::Key(ObjectKey::new(key));
             inst.execute_response(&ResponseSpec::Compress { what }, &mut ctx).unwrap();
@@ -2275,7 +2118,7 @@ mod tests {
             inst.add_key("default", [7u8; 32]);
             let payload: Vec<u8> = b"abc".iter().cycle().take(10_000).copied().collect();
             inst.put("k", Bytes::from(payload.clone()), T0).unwrap();
-            inst.execute_response(&transform, &mut Ctx::background(T0)).unwrap();
+            inst.execute_response(&transform, &mut Ctx::background(T0, &inst.policy.load())).unwrap();
             let before = inst.registry().get(&ObjectKey::new("k")).unwrap();
 
             let err = inst.put("k", Bytes::from(vec![1u8; 2 << 20]), T0).unwrap_err();
@@ -2409,7 +2252,8 @@ mod tests {
         let inst = low_latency_instance(SimDuration::from_secs(10));
         inst.put("k", &b"v"[..], T0).unwrap();
         // Foreground context: background moves are paced via continuations.
-        let mut ctx = Ctx::foreground(SimTime::from_secs(1));
+        let config = inst.policy.load();
+        let mut ctx = Ctx::foreground(SimTime::from_secs(1), &config);
         inst.execute_response(
             &ResponseSpec::move_to(Selector::Key(ObjectKey::new("k")), ["tier2"]),
             &mut ctx,
@@ -2426,7 +2270,8 @@ mod tests {
         let inst = low_latency_instance(SimDuration::from_secs(10));
         inst.put("k", &b"v"[..], T0).unwrap();
         let before = inst.registry().get(&ObjectKey::new("k")).unwrap().access_count;
-        let mut ctx = Ctx::background(SimTime::from_secs(5));
+        let config = inst.policy.load();
+        let mut ctx = Ctx::background(SimTime::from_secs(5), &config);
         inst.execute_response(
             &ResponseSpec::Retrieve {
                 what: Selector::Key(ObjectKey::new("k")),
@@ -2448,7 +2293,7 @@ mod tests {
         for (name, due_s) in [("late", 30u64), ("early", 10), ("mid", 20)] {
             q.push(PendingWork {
                 due: SimTime::from_secs(due_s),
-                work: WorkItem::Responses(Arc::new(Rule::on(EventKind::action(ActionOp::Put)))),
+                work: WorkItem::Responses(InstalledRule::new(RuleId(0), Rule::on(EventKind::action(ActionOp::Put)))),
                 inserted: Some(ObjectKey::new(name)),
                 attempts: 0,
             });
@@ -2469,7 +2314,7 @@ mod tests {
         for name in ["first", "second", "third"] {
             q.push(PendingWork {
                 due: T0,
-                work: WorkItem::Responses(Arc::new(Rule::on(EventKind::action(ActionOp::Put)))),
+                work: WorkItem::Responses(InstalledRule::new(RuleId(0), Rule::on(EventKind::action(ActionOp::Put)))),
                 inserted: Some(ObjectKey::new(name)),
                 attempts: 0,
             });

@@ -639,6 +639,10 @@ struct CommitState {
     flushed_len: u64,
     /// How much of `len` is known to have reached stable storage.
     synced_len: u64,
+    /// A refused write may have left frames past `flushed_len`, and cutting
+    /// them off failed too. Until a cut succeeds, no write and no sync may:
+    /// a later, shorter write would leave them to be replayed after it.
+    cut_owed: bool,
     /// The batch being committed, framed; reused from commit to commit.
     staging: Vec<u8>,
     sealed_bytes: u64,
@@ -652,6 +656,12 @@ struct CommitState {
 }
 
 impl CommitState {
+    /// Whether a sync has work: accepted bytes not yet on stable storage,
+    /// or an owed cut.
+    fn unsynced(&self) -> bool {
+        self.len > self.synced_len || self.cut_owed
+    }
+
     /// Room left in the tail.
     fn spare(&self) -> usize {
         TAIL_CAP.saturating_sub((self.len - self.flushed_len) as usize)
@@ -680,6 +690,10 @@ impl Shard {
     /// index *read* lock, and the tail is emptied, under the write lock,
     /// only once the file holds it.
     fn flush_tail(&self, c: &mut CommitState) -> io::Result<()> {
+        if c.cut_owed {
+            c.active.set_len(c.flushed_len)?;
+            c.cut_owed = false;
+        }
         if c.len == c.flushed_len {
             return Ok(());
         }
@@ -702,7 +716,9 @@ impl Shard {
             // Whole frames of the refused batch may have landed. Cut them
             // off, or a later batch that happens to end where one of them
             // starts would be followed, at replay, by records older than it.
-            let _ = c.active.set_len(c.len);
+            // A cut that fails is owed: `flush_tail`, which every later
+            // write and sync goes through, makes it first.
+            c.cut_owed = c.active.set_len(c.len).is_err();
             return Err(e);
         }
         c.len += bytes.len() as u64;
@@ -980,6 +996,7 @@ fn recover_shard(
             // far as *this* process's crash image is concerned they are
             // already on disk.
             synced_len: last_valid,
+            cut_owed: false,
             staging: Vec::new(),
             sealed_bytes,
             dead_bytes,
@@ -1394,7 +1411,7 @@ impl MetaStore {
     pub fn sync(&self) -> Result<(), MetaStoreError> {
         for shard in &self.shards {
             let mut c = shard.commit.lock();
-            if c.len > c.synced_len {
+            if c.unsynced() {
                 shard.sync_active(&mut c)?;
             }
         }
@@ -1443,7 +1460,7 @@ impl MetaStore {
         // Everything applied to the index is in the log; make it durable
         // so the snapshot is a subset of synced history — and so that the
         // files hold all of it to copy from.
-        if c.len > c.synced_len {
+        if c.unsynced() {
             shard.sync_active(c)?;
         }
         let snap_num = c.active_seg + 1;
@@ -2368,6 +2385,47 @@ mod tests {
         }
         let per_key = s.stats().index_bytes as f64 / 10_000.0;
         assert!((25.0..=60.0).contains(&per_key), "{per_key} B/key");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_cut_that_fails_is_owed_before_any_later_write_or_sync() {
+        let dir = temp_dir("owedcut");
+        // Every append writes through, so a refused one is refused by its
+        // own write, not by the flush of a tail before it.
+        let opts = MetaStoreOptions {
+            shards: 1,
+            sync_every_append: true,
+            ..MetaStoreOptions::default()
+        };
+        let s = MetaStore::open_with(&dir, opts).unwrap();
+        s.put(b"a", b"1").unwrap();
+        let shard = &s.shards[0];
+        let (writable, len) = {
+            let c = shard.commit.lock();
+            (Arc::clone(&c.active), c.len)
+        };
+        // Two whole frames of a refused batch reached the file past `len`;
+        // the first is as long as the record written after the refusal.
+        let mut landed = Vec::new();
+        encode_frame(&mut landed, RecordKind::Put, b"x", b"22");
+        encode_frame(&mut landed, RecordKind::Put, b"ghost", b"unacked");
+        write_all_at(&writable, &landed, len).unwrap();
+        // A handle that can neither write nor cut: the next write-through
+        // is refused, and so is its cut.
+        let seg = seg_path(&dir, 0, 0);
+        shard.commit.lock().active = Arc::new(File::open(&seg).unwrap());
+        assert!(s.put(b"big", b"refused").is_err());
+        assert!(s.sync().is_err(), "nothing new to sync, but the cut is owed");
+        shard.commit.lock().active = writable;
+        s.put(b"b", b"22").unwrap();
+        s.sync().unwrap();
+        let want = len + encoded_record_len(1, 2);
+        assert_eq!(fs::metadata(&seg).unwrap().len(), want, "the owed cut ran before b's write");
+        drop(s);
+        let s = one_shard(&dir);
+        assert_eq!(s.get(b"ghost"), None, "an unacked record replayed after b");
+        assert_eq!((s.get(b"a"), s.get(b"b"), s.get(b"big")), (Some(b"1".to_vec()), Some(b"22".to_vec()), None));
         fs::remove_dir_all(&dir).ok();
     }
 

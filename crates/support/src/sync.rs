@@ -56,17 +56,18 @@ use std::sync::PoisonError;
 ///    (documented order **ring → meta → node**; node state may be held
 ///    across a call into the node's backing instance, ring/meta never
 ///    across node IO — see `crates/cluster/src/coordinator.rs`);
-/// 2. the policy rule list, held while metrics are evaluated;
-/// 3. instance-level state (`tiers`, `keyring`, `background`, `retry`,
-///    `retry_rng`, `alerts`);
-/// 4. the registry (documented order **gate → shard → order → aggregates**, with
+/// 2. instance-level state: the configuration cell (`config`, held only
+///    to load the current snapshot or to publish a new one, with nothing
+///    acquired under it), then `keyring`, `background`, `retry_rng`,
+///    `alerts`;
+/// 3. the registry (documented order **gate → shard → order → aggregates**, with
 ///    `dedup` an independent leaf — see `crates/core/src/registry.rs`);
-/// 5. the metastore shards (documented order **commit → queue → index**;
+/// 4. the metastore shards (documented order **commit → queue → index**;
 ///    every shard of a kind shares one name, so two shards' same-kind
 ///    locks can never be held together);
-/// 6. tier internals (simulated + in-memory tiers, provisioner, fault
+/// 5. tier internals (simulated + in-memory tiers, provisioner, fault
 ///    injector, shared-bandwidth and serial resources);
-/// 7. the stats stripes (pure leaves).
+/// 6. the stats stripes (pure leaves).
 ///
 /// The RPC server holds no locks of its own — its worker and writer
 /// threads synchronize exclusively through `tiera_support::channel`, whose
@@ -93,17 +94,16 @@ pub mod rank {
     /// All nodes share the name: holding two nodes' state locks at once
     /// is a self-cycle and panics under lockcheck.
     pub const CLUSTER_NODE: u16 = 19;
-    /// The installed policy rule list; held while rule guards and metrics
-    /// are evaluated against the registry and tiers.
-    pub const POLICY_RULES: u16 = 20;
-    /// The instance's attached-tier list.
-    pub const INSTANCE_TIERS: u16 = 30;
+    /// The instance's configuration cell, `RwLock<Arc<Config>>`: tiers,
+    /// rules, retry policy and the control-layer switch. An operation holds
+    /// it shared just long enough to clone the `Arc`; a publish holds it
+    /// exclusively while it builds the next `Config`. Nothing is acquired
+    /// under it.
+    pub const INSTANCE_CONFIG: u16 = 30;
     /// The instance's encryption keyring.
     pub const INSTANCE_KEYRING: u16 = 32;
     /// The background work queue.
     pub const INSTANCE_BACKGROUND: u16 = 34;
-    /// The installed retry policy.
-    pub const INSTANCE_RETRY: u16 = 36;
     /// The retry-jitter RNG.
     pub const INSTANCE_RETRY_RNG: u16 = 38;
     /// The failure-alert buffer.
@@ -180,11 +180,9 @@ pub mod rank {
         ("cluster.ring", CLUSTER_RING),
         ("cluster.meta", CLUSTER_META),
         ("cluster.node", CLUSTER_NODE),
-        ("policy.rules", POLICY_RULES),
-        ("instance.tiers", INSTANCE_TIERS),
+        ("instance.config", INSTANCE_CONFIG),
         ("instance.keyring", INSTANCE_KEYRING),
         ("instance.background", INSTANCE_BACKGROUND),
-        ("instance.retry", INSTANCE_RETRY),
         ("instance.retry_rng", INSTANCE_RETRY_RNG),
         ("instance.alerts", INSTANCE_ALERTS),
         ("registry.gate", REGISTRY_GATE),

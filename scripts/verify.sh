@@ -28,7 +28,8 @@ cargo run -q --release --offline --bin tiera-analyze -- --deny-warnings --quiet 
 
 echo "==> lockcheck tests (runtime lock-order sanitizer enabled)"
 cargo test --offline -q -p tiera-support -p tiera-core -p tiera-rpc -p tiera-chaos \
-    -p tiera-metastore -p tiera-cluster -p tiera-tierx --features tiera-support/lockcheck
+    -p tiera-metastore -p tiera-cluster -p tiera-tierx -p tiera-db -p tiera-fs -p tiera-workloads \
+    --features tiera-support/lockcheck
 
 echo "==> benchmark/ tests (outside the root workspace; catches API drift under the referee)"
 (cd benchmark && cargo test --offline -q)
