@@ -1,4 +1,4 @@
-//! The A001–A007 lint rules over scanned [`FileFacts`], plus the
+//! The A001–A009 lint rules over scanned [`FileFacts`], plus the
 //! workspace-level acquired-while-held graph (A001 cycles can span files:
 //! one function nests `a` inside `b`, another nests `b` inside `a`).
 //!
@@ -19,6 +19,10 @@
 //!   hides iteration-order nondeterminism.
 //! * **A006** applies to every line of every non-support file, matching
 //!   the original hermetic.rs lint.
+//! * **A008** applies to the shipping region of shipping files, support's
+//!   included: a `let _ =` statement that calls one of `MUST_USE`'s methods
+//!   discards a failure the caller was meant to see, unless the line above
+//!   gives the reason as `// A008: <reason>`.
 //! * **A009** applies to the column-0 `pub` items of the configured
 //!   dead-surface directories (every crate's `src/` but support's and
 //!   bench's). An item is dead when its name appears in no non-test line
@@ -132,6 +136,45 @@ const PANICKING: &[&str] = &[
     "[0]",
 ];
 
+/// Methods whose `Result` carries a durability or background failure
+/// (A008): `Instance::pump` reports `Registry::sync()`'s metadata error,
+/// and the rest are the file and writer calls that make bytes durable.
+const MUST_USE: &[&str] = &[
+    "pump",
+    "sync",
+    "sync_data",
+    "sync_all",
+    "flush",
+    "flush_tail",
+    "set_len",
+    "write_all",
+];
+
+/// The [`MUST_USE`] method a `let _ =` statement starting at cleaned line
+/// `at` calls, if it starts there and calls one. The statement runs to
+/// its `;`.
+fn discarded_call(cleaned: &[String], at: usize) -> Option<&'static str> {
+    let rest = cleaned[at].trim_start().strip_prefix("let _ =")?;
+    let mut statement = rest.to_string();
+    for line in &cleaned[at + 1..] {
+        if statement.contains(';') {
+            break;
+        }
+        statement.push_str(line.trim());
+    }
+    MUST_USE
+        .iter()
+        .find(|name| statement.contains(&format!(".{name}(")))
+        .copied()
+}
+
+/// Whether raw line `above` gives A008 its reason: `// A008: <reason>`.
+fn justifies_a008(above: Option<&&str>) -> bool {
+    above
+        .and_then(|line| line.trim_start().strip_prefix("// A008:"))
+        .is_some_and(|reason| !reason.trim().is_empty())
+}
+
 fn is_support(path: &str) -> bool {
     path.contains("crates/support/")
 }
@@ -229,7 +272,7 @@ pub fn analyze_workspace(files: &[FileInput], config: &Config) -> Vec<FileReport
     let mut diags: Vec<Vec<Diagnostic>> = files
         .iter()
         .zip(&facts)
-        .map(|(f, facts)| file_diags(&f.path, facts, config))
+        .map(|(f, facts)| file_diags(&f.path, &f.source, facts, config))
         .collect();
     dead_pub_surface(files, &facts, config, &mut diags);
 
@@ -400,7 +443,7 @@ fn path_between<'a>(
 }
 
 /// All per-file checks (everything except the cross-file A001 pass).
-fn file_diags(path: &str, facts: &FileFacts, config: &Config) -> Vec<Diagnostic> {
+fn file_diags(path: &str, source: &str, facts: &FileFacts, config: &Config) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let support = is_support(path);
     let shipping_file = is_shipping_file(path);
@@ -463,7 +506,30 @@ fn file_diags(path: &str, facts: &FileFacts, config: &Config) -> Vec<Diagnostic>
         }
     }
 
-    if support || !shipping_file {
+    if !shipping_file {
+        return out;
+    }
+
+    // A008 — discarded durability/pump results (shipping region).
+    let raw: Vec<&str> = source.lines().collect();
+    for at in 0..facts.shipping_end.min(facts.cleaned.len()) {
+        let Some(call) = discarded_call(&facts.cleaned, at) else {
+            continue;
+        };
+        if at > 0 && justifies_a008(raw.get(at - 1)) {
+            continue;
+        }
+        out.push(
+            Diagnostic::new(
+                LintCode::DiscardedResult,
+                (at + 1) as u32,
+                format!("`let _ =` discards the `Result` of `.{call}(..)`"),
+            )
+            .note("handle or propagate the error, or give the reason on the line above as `// A008: <reason>`"),
+        );
+    }
+
+    if support {
         return out;
     }
 
@@ -581,23 +647,23 @@ mod tests {
     #[test]
     fn cross_function_inversion_yields_cycle_and_rank_findings() {
         let src = r#"
-struct R { s: RwLock<u32>, o: RwLock<u32> }
+struct R { s: RwLock<u32>, d: RwLock<u32> }
 impl R {
     fn build() -> Self {
         Self {
             s: RwLock::named("registry.shard", 50, 0),
-            o: RwLock::named("registry.order", 52, 0),
+            d: RwLock::named("registry.dedup", 56, 0),
         }
     }
     fn good(&self) {
         let s = self.s.write();
-        let _o = self.o.write();
+        let _d = self.d.write();
         drop(s);
     }
     fn bad(&self) {
-        let o = self.o.write();
+        let d = self.d.write();
         let _s = self.s.write();
-        drop(o);
+        drop(d);
     }
 }
 "#;

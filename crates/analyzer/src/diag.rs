@@ -31,7 +31,7 @@ tiera_support::lint_codes! {
         DefaultHashedHotPath => ("A005", Error, "default-hashed map in a hot-path module"),
         StdSyncLock => ("A006", Error, "std::sync lock named outside tiera-support"),
         UnnamedLockMultiSite => ("A007", Warning, "unnamed lock constructed in a multi-lock file"),
-        // A008 is reserved for discarded IO results.
+        DiscardedResult => ("A008", Error, "`let _ =` discards the Result of a durability or pump call"),
         DeadPubSurface => ("A009", Warning, "pub item that no non-test code names"),
     }
 }
@@ -42,9 +42,12 @@ mod tests {
 
     #[test]
     fn codes_are_unique_and_sequential() {
-        // In numeric order; A008 is reserved for discarded IO results.
+        // In numeric order.
         let codes: Vec<&str> = LintCode::ALL.iter().map(|c| c.code()).collect();
-        assert_eq!(codes, ["A001", "A002", "A003", "A004", "A005", "A006", "A007", "A009"]);
+        assert_eq!(
+            codes,
+            ["A001", "A002", "A003", "A004", "A005", "A006", "A007", "A008", "A009"]
+        );
         assert!(LintCode::ALL.iter().all(|c| !c.summary().is_empty()));
     }
 }

@@ -1,12 +1,12 @@
 //! Fixture: a `#[cfg(test)]` on a struct field gates that field only.
-//! The shipping code after it — `bad`, which holds `registry.order`
-//! (rank 52) while taking `registry.shard` (rank 50) — is still checked.
+//! The shipping code after it — `bad`, which holds `registry.dedup`
+//! (rank 56) while taking `registry.shard` (rank 50) — is still checked.
 
 use tiera_support::sync::{rank, RwLock};
 
 pub struct Reg {
     shards: RwLock<u32>,
-    order: RwLock<u32>,
+    dedup: RwLock<u32>,
     #[cfg(test)]
     probes: u32,
 }
@@ -15,16 +15,16 @@ impl Reg {
     pub fn build() -> Self {
         Self {
             shards: RwLock::named("registry.shard", rank::REGISTRY_SHARD, 0),
-            order: RwLock::named("registry.order", rank::REGISTRY_ORDER, 0),
+            dedup: RwLock::named("registry.dedup", rank::REGISTRY_DEDUP, 0),
             #[cfg(test)]
             probes: 0,
         }
     }
 
     pub fn bad(&self) {
-        let o = self.order.write();
+        let d = self.dedup.write();
         let _s = self.shards.write();
-        drop(o);
+        drop(d);
     }
 }
 

@@ -51,7 +51,7 @@ fn a002_inversion_fixture_reports_both_rank_and_cycle() {
         .expect("A002 finding");
     assert_eq!(a002.line, inversion_line);
     assert!(a002.message.contains("`registry.shard` (rank 50)"));
-    assert!(a002.message.contains("`registry.order` (rank 52)"));
+    assert!(a002.message.contains("`registry.dedup` (rank 56)"));
 
     let rendered = analysis.render(&src, "a002_inversion.rs");
     assert!(rendered.contains("error[A002]: lock-order inversion"));
@@ -142,6 +142,26 @@ fn a007_unnamed_fixture() {
         analysis.diagnostics()[0].line,
         line_of(&src, "Mutex::new(0)")
     );
+}
+
+#[test]
+fn a008_discarded_result_fixtures() {
+    let src = fixture("a008_discarded.rs");
+    let analysis = analyze_file("a008_discarded.rs", &src, &Config::workspace());
+    assert_eq!(codes(&analysis), ["A008", "A008"], "{analysis:?}");
+    let lines: Vec<u32> = analysis.diagnostics().iter().map(|d| d.line).collect();
+    let pump = line_of(&src, "let _ = instance.pump(t);");
+    assert_eq!(lines, [pump, pump + 1]);
+    let rendered = analysis.render(&src, "a008_discarded.rs");
+    assert!(rendered.starts_with(
+        "error[A008]: `let _ =` discards the `Result` of `.pump(..)`"
+    ));
+    assert!(rendered.contains("discards the `Result` of `.sync_all(..)`"));
+    assert!(rendered.contains("= note: handle or propagate the error"));
+    // A reason on the line above clears each; so does a test file.
+    let justified = fixture("a008_justified.rs");
+    assert!(analyze_file("a008_justified.rs", &justified, &Config::workspace()).is_clean());
+    assert!(analyze_file("crates/x/tests/t.rs", &src, &Config::workspace()).is_clean());
 }
 
 #[test]

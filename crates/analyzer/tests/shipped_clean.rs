@@ -57,8 +57,8 @@ fn scanner_extracts_real_facts_from_the_registry() {
         "registry shard locks should be named"
     );
     assert!(
-        facts.ctors.iter().any(|c| c.name.as_deref() == Some("registry.order")),
-        "registry order index lock should be named"
+        facts.ctors.iter().any(|c| c.name.as_deref() == Some("registry.dedup")),
+        "registry dedup lock should be named"
     );
     // A `#[cfg(test)]` field does not end the region the lints check: it
     // runs to the test module.

@@ -71,7 +71,7 @@ fn lru_vs_mru() {
         let mut cfg = YcsbConfig::new(65_536); // 256 MB of 4 KB records
         cfg.read_proportion = 1.0;
         cfg.dist = KeyChooser::zipfian(65_536);
-        let start = ycsb::preload(&instance, &cfg, SimTime::ZERO);
+        let start = ycsb::preload(&instance, &cfg, SimTime::ZERO).expect("preload");
         // Warm to steady state (the one-time demotion of preload residents
         // must not be billed to the measured policy).
         cfg.ops_per_thread = 30_000;
@@ -110,7 +110,7 @@ fn cache_size_sweep() {
         cfg.read_proportion = 1.0;
         cfg.dist = KeyChooser::zipfian(65_536);
         cfg.ops_per_thread = 10_000;
-        let start = ycsb::preload(&instance, &cfg, SimTime::ZERO);
+        let start = ycsb::preload(&instance, &cfg, SimTime::ZERO).expect("preload");
         let report = ycsb::run(&instance, &cfg, start);
         t.row([
             format!("{pct}%"),

@@ -43,7 +43,7 @@ fn wips(use_tiera: bool, browsers: usize, seed: u64) -> f64 {
         selects_per_interaction: 60,
         static_fetches: 4,
     };
-    let t = tpcw::preload_static(db.fs().instance(), &cfg, start);
+    let t = tpcw::preload_static(db.fs().instance(), &cfg, start).expect("preload");
     tpcw::run(&db, &cfg, t).throughput()
 }
 

@@ -51,7 +51,7 @@ fn measure(c: &Configured, zipfian: bool, seed: u64) -> (f64, f64) {
             .expect("preload");
         t += r.latency;
         if i % 512 == 0 {
-            let _ = instance.pump(t);
+            instance.pump(t).expect("pump");
         }
     }
     let mut cfg = YcsbConfig::new(records);

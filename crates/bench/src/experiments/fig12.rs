@@ -74,10 +74,10 @@ fn measure(duplicate_pct: u64, seed: u64) -> (f64, u64, u64) {
         let r = fs.write("/data", b * 4096, &block, t).unwrap();
         t += r.latency;
         if b % 256 == 0 {
-            let _ = instance.pump(t);
+            instance.pump(t).expect("pump");
         }
     }
-    let _ = instance.pump(t);
+    instance.pump(t).expect("pump");
     let s3 = instance.tier("s3").unwrap();
     let puts_after_fill = s3.request_counts().puts;
 

@@ -65,7 +65,7 @@ fn measure(instance: Arc<Instance>) -> (f64, f64, f64) {
     cfg.read_proportion = 0.5;
     cfg.threads = 4;
     cfg.ops_per_thread = 1500;
-    let t = ycsb::preload(&instance, &cfg, SimTime::ZERO);
+    let t = ycsb::preload(&instance, &cfg, SimTime::ZERO).expect("preload");
     let report = ycsb::run(&instance, &cfg, t);
     let cost = instance.monthly_cost(t).total();
     (

@@ -105,7 +105,7 @@ pub fn run() {
         }
         // Pace to ~100 inserts/s so the run covers 14 virtual minutes.
         t += SimDuration::from_millis(9);
-        let _ = instance.pump(t);
+        instance.pump(t).expect("pump");
         while t >= next_report {
             table.row([
                 format!("{:.0}", next_report.as_secs_f64() / 60.0),

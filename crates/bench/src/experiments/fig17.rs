@@ -98,7 +98,7 @@ pub fn render() -> String {
         if !was && monitor.has_reconfigured() {
             reconfigured_at = Some(t);
         }
-        let _ = instance.pump(t);
+        instance.pump(t).expect("pump");
         while t >= next_bucket {
             let minute = (next_bucket.as_nanos() as f64 - bucket.as_nanos() as f64) / 60e9;
             let event = if (3.9..4.4).contains(&minute) {

@@ -255,6 +255,14 @@ impl Wrappers {
     }
 }
 
+/// Pumps `instance` to `t`, logging a failed tick: its metadata did not
+/// become durable.
+fn pump_logged(instance: &Instance, t: SimTime, event_log: &mut Vec<String>) {
+    if let Err(e) = instance.pump(t) {
+        event_log.push(format!("pump at t={:.3}s failed: {e}", t.as_secs_f64()));
+    }
+}
+
 /// Runs one chaos scenario to completion.
 pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
     let env = SimEnv::new(cfg.seed);
@@ -371,7 +379,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
             }
         }
         if op % 16 == 0 {
-            let _ = instance.pump(t);
+            pump_logged(&instance, t, &mut event_log);
             monitor_signals += monitor
                 .tick(t)
                 .iter()
@@ -400,7 +408,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
     let mut drain_rounds = 0u32;
     loop {
         t += SimDuration::from_secs(31); // past the 30 s write-back timer
-        let _ = instance.pump(t);
+        pump_logged(&instance, t, &mut event_log);
         let dirty = instance.registry().select(&Selector::Dirty, None, t);
         if instance.background_depth() == 0 && dirty.is_empty() {
             break;
@@ -446,7 +454,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
             }
         }
     }
-    let _ = instance.pump(t + SimDuration::from_secs(31));
+    pump_logged(&instance, t + SimDuration::from_secs(31), &mut event_log);
     event_log.push(format!("recovery probe: recovered={recovered}"));
 
     // ---- the invariant sweep.

@@ -1608,8 +1608,9 @@ impl Instance {
             .unwrap_or(0);
         let mut evicted = 0usize;
         // Never evict the object being inserted, and bound the loop by the
-        // tier's object count.
-        let max_evictions = self.registry.aggregates(from).objects as usize + 1;
+        // registry's object count, which no tier's exceeds: one atomic
+        // load, where the tier's own count sums every registry shard.
+        let max_evictions = self.registry.len() + 1;
         while from_tier.would_overflow(incoming, ctx.now) && evicted <= max_evictions {
             let victim = match order {
                 EvictOrder::Lru => self.registry.oldest_in(from),

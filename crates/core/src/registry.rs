@@ -9,60 +9,65 @@
 //! ## Concurrency model
 //!
 //! The registry is the metadata hot path shared by every request thread, so
-//! its state is split to avoid a single global lock (DESIGN.md,
+//! its state is split by key and no lock spans the registry (DESIGN.md,
 //! "Concurrency model"):
 //!
 //! * **Shards.** The key→meta map is hash-partitioned into
-//!   [`SHARD_COUNT`] shards, each behind its own `RwLock`. A key-addressed
-//!   operation (`get`/`contains`/`upsert`/`update`/`touch`/`remove`) locks
-//!   exactly one shard — two requests for different keys usually touch
-//!   different shards and proceed in parallel.
-//! * **Order indexes** (`order`): the recency lists — global access order,
-//!   dirty objects, one list per tier behind `tierN.oldest`/`newest` — and
-//!   the frequency lists driving hot/cold selectors. All are doubly linked
-//!   through one slab of nodes (an object has one node, and one
-//!   `(prev, next)` pair in each list it is on); a mutation moves its
-//!   object to the back of every recency list it belongs to, so each is
-//!   the global access order restricted to its members. The frequency
-//!   lists are one per power-of-two range of access counts, so an access
-//!   refiles its object only when the count crosses a power of two. One
-//!   `RwLock`, write-held for a few link edits per mutation once the
-//!   indexes are built (see below).
-//! * **Aggregates** (`aggregates`): per-tier object/dirty-byte counters for
-//!   threshold metrics. One `RwLock`, taken only by mutations that change
-//!   an object's locations, dirty flag or dirty size (a touch does not).
+//!   [`SHARD_COUNT`] shards, each behind its own `RwLock`. A shard owns
+//!   all the registry keeps about its objects: their metadata, their order
+//!   indexes and their per-tier aggregates. A key-addressed operation
+//!   (`get`/`contains`/`upsert`/`update`/`touch`/`remove`) locks exactly
+//!   one shard and nothing else — two requests for different keys usually
+//!   touch different shards and proceed in parallel.
+//! * **Order indexes** (a shard's `order`): the recency lists — access
+//!   order, dirty objects, one list per tier behind `tierN.oldest`/`newest`
+//!   — and the frequency lists driving hot/cold selectors, over the shard's
+//!   objects. All are doubly linked through one slab of nodes (an object
+//!   has one node, and one `(prev, next)` pair in each list it is on). A
+//!   mutation gives its node a fresh *stamp*, a number it takes from one
+//!   registry-wide counter under its shard lock, and moves the object to
+//!   the back of every recency list it belongs to, so each list holds its
+//!   members in stamp order. The frequency lists are one per power-of-two
+//!   range of access counts, so an access refiles its object only when the
+//!   count crosses a power of two.
+//! * **Aggregates** (a shard's `aggregates`): per-tier object/dirty-byte
+//!   counters for threshold metrics, kept by every mutation that changes an
+//!   object's locations, dirty flag or dirty size.
 //! * **Dedup** (`dedup`): the `storeOnce` refcounts ([`BlobTable`],
 //!   rebuilt by recovery) behind their own `Mutex`; never held together
-//!   with any other registry lock.
+//!   with a shard.
+//!
+//! A cross-shard read locks the shards one at a time and merges what each
+//! answers: `oldest_in`/`newest_in` compare the shards' list ends by
+//! stamp, a list selector merges the shards' lists by stamp, a hot/cold
+//! selector walks each shard's buckets and sorts the hits, `aggregates`
+//! sums the shards. The answer is a merge of per-shard snapshots, not one
+//! point-in-time snapshot: a mutation may land in a shard the read has
+//! passed, or in one it has yet to visit, while the read runs. Single
+//! threaded, stamp order is mutation order and the merge is exact. No
+//! caller needs more: a selection is acted on key by key, each action
+//! re-reading its object under its shard lock, and an eviction reads
+//! `oldest_in` afresh for every victim.
 //!
 //! ## Built at the first ordered read
 //!
-//! A registry starts *unindexed*: the order indexes are empty and no
-//! mutation touches them. Each entry's slot holds instead a *stamp*, a
-//! number a mutation takes from one registry-wide counter under its shard
-//! lock, so an unindexed PUT or GET costs one shard lock and no node. The
-//! first *ordered read* — a selector that walks a list (`All`, `Dirty`,
-//! `InTier`, `Tagged`, `OldestIn`/`NewestIn`, hot/cold), `oldest_in`,
-//! `newest_in`, `for_each_in`, `keys_in` — builds the indexes: it gives
-//! every entry a node and links the objects into their lists in stamp
-//! order. Every mutation moves its object to the back of each list it is
-//! on, so each list holds its members in the order of their last
-//! mutation: stamp order, and the built lists are the ones eager upkeep
-//! would have kept. From then on the registry is *indexed* for good, the
-//! slots hold nodes and mutations keep the lists as above.
+//! A shard starts *unindexed*: `order` is `None` and no mutation links
+//! anything. Each entry's slot holds instead its stamp, so an unindexed PUT
+//! or GET costs one shard lock and no node. An *ordered read* — a selector
+//! that walks a list (`All`, `Dirty`, `InTier`, `Tagged`,
+//! `OldestIn`/`NewestIn`, hot/cold), `oldest_in`, `newest_in`, `keys_in` —
+//! builds the indexes of each shard it finds unindexed, under that shard's
+//! write lock: every entry gets a node carrying its stamp, and joins its
+//! lists in stamp order, which is the order eager upkeep would have kept.
+//! From then on the shard is indexed for good, its slots hold nodes and its
+//! mutations keep the lists as above. The shard lock orders the build
+//! against the shard's mutations, so nothing else needs to.
 //!
-//! The `gate` orders the build against mutations. While the registry is
-//! unindexed a mutation holds it shared; the build holds it exclusively,
-//! so it sees no mutation half done. Once indexed, mutations skip it.
-//!
-//! **Lock order: gate → shard → order → aggregates.** A thread may skip
-//! levels but never acquires a lower level while holding a higher one, and
-//! never holds two shard locks at once. `dedup` is independent (leaf-only).
-//!
-//! Mutations hold their shard lock across the index updates, so for any
-//! single key the map and every index always agree; cross-key readers of
-//! the order indexes see each mutation atomically because the index edits
-//! for one mutation happen under one `order` write guard.
+//! **Lock order: shard, with `dedup` a leaf.** A thread never holds two
+//! shard locks at once and never holds a shard lock together with `dedup`.
+//! Mutations hold their shard lock across the index and aggregate updates,
+//! so for any single key the map, every index and the aggregates always
+//! agree.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry as MapEntry;
@@ -97,8 +102,8 @@ pub struct TierAggregates {
 }
 
 /// One object's registry record: its metadata plus its slot, which holds
-/// the stamp of its last mutation while the registry is unindexed and its
-/// node in the order indexes' slab once they are built.
+/// the stamp of its last mutation while its shard is unindexed and its
+/// node in the shard's order indexes once they are built.
 struct Entry {
     meta: ObjectMeta,
     slot: u64,
@@ -108,16 +113,20 @@ struct Entry {
 const _: () = assert!(std::mem::size_of::<Entry>() <= 64);
 
 impl Entry {
-    /// The object's node; the registry is indexed.
+    /// The object's node; its shard is indexed.
     fn node(&self) -> u32 {
         self.slot as u32
     }
 }
 
-/// One hash shard of the key→meta map.
+/// One hash shard: its objects' metadata, their per-tier aggregates and,
+/// once built, their order indexes.
 #[derive(Default)]
 struct Shard {
     map: FxHashMap<ObjectKey, Entry>,
+    /// `None` until the shard's first ordered read.
+    order: Option<OrderIndexes>,
+    aggregates: Aggregates,
 }
 
 /// "No node": the end of a list, or an unlinked node's neighbours.
@@ -318,19 +327,19 @@ impl Indexed {
             created: meta.created,
         }
     }
-
-    /// Whether the per-tier aggregates count `self` and `other` alike.
-    fn same_aggregates(&self, other: &Indexed) -> bool {
-        self.locations == other.locations
-            && self.dirty == other.dirty
-            && (!self.dirty || self.stored_size == other.stored_size)
-    }
 }
 
-/// The cross-shard order indexes (see module docs for the lock order).
+/// One slab node: its object's key (`None` while on `free`) and the stamp
+/// of the object's last mutation, by which cross-shard reads merge.
+struct Node {
+    key: Option<ObjectKey>,
+    stamp: u64,
+}
+
+/// One shard's order indexes (see module docs).
 struct OrderIndexes {
-    /// The node slab: node → its object's key (`None` while on `free`).
-    keys: Vec<Option<ObjectKey>>,
+    /// The node slab.
+    nodes: Vec<Node>,
     /// Released nodes, reused before the slab grows.
     free: Vec<u32>,
     /// Every object, in access order (drives `All`/`Not`).
@@ -356,7 +365,7 @@ struct OrderIndexes {
 impl Default for OrderIndexes {
     fn default() -> Self {
         Self {
-            keys: Vec::new(),
+            nodes: Vec::new(),
             free: Vec::new(),
             access: RecencyList::default(),
             dirty: RecencyList::default(),
@@ -369,51 +378,50 @@ impl Default for OrderIndexes {
 }
 
 impl OrderIndexes {
-    /// Takes a node for `key`; the caller links it.
-    fn alloc(&mut self, key: ObjectKey) -> u32 {
-        match self.free.pop() {
+    /// Takes a node for `key`, stamped `stamp`, links it as the newest of
+    /// every list `now` puts it on and files it under its access count.
+    fn add(&mut self, key: ObjectKey, now: &Indexed, stamp: u64) -> u32 {
+        let filled = Node {
+            key: Some(key),
+            stamp,
+        };
+        let node = match self.free.pop() {
             Some(node) => {
-                self.keys[node as usize] = Some(key);
+                self.nodes[node as usize] = filled;
                 node
             }
             None => {
-                let node = u32::try_from(self.keys.len())
+                let node = u32::try_from(self.nodes.len())
                     .ok()
                     .filter(|node| *node != NIL)
-                    .expect("a registry holds fewer than 2^32 - 1 objects");
-                self.keys.push(Some(key));
+                    .expect("a shard holds fewer than 2^32 - 1 objects");
+                self.nodes.push(filled);
                 node
             }
-        }
-    }
-
-    /// Returns an unlinked node to the slab.
-    fn release(&mut self, node: u32) {
-        self.keys[node as usize] = None;
-        self.free.push(node);
-    }
-
-    /// Links `node` as the newest of every list `now` puts it on and
-    /// files it under its access count.
-    fn link(&mut self, node: u32, now: &Indexed) {
+        };
         self.access.push_back(node);
         self.link_lists(node, now);
         self.frequency.insert(node, now.access_count);
         self.bound_created(now.created);
+        node
     }
 
-    /// Undoes [`link`](Self::link) for the state it was linked with. The
-    /// `created` bounds stay put — they are monotone and only need to
-    /// bound the *live* set conservatively.
-    fn unlink(&mut self, node: u32, was: &Indexed) {
+    /// Undoes [`add`](Self::add) for the state `node` was filed with and
+    /// returns it to the slab. The `created` bounds stay put — they are
+    /// monotone and only need to bound the *live* set conservatively.
+    fn remove(&mut self, node: u32, was: &Indexed) {
         self.access.unlink(node);
         self.unlink_lists(node, was);
         self.frequency.remove(node, was.access_count);
+        self.nodes[node as usize].key = None;
+        self.free.push(node);
     }
 
-    /// A mutation of a linked object: it becomes the newest of every list
-    /// `now` puts it on and leaves the lists only `was` had it on.
-    fn relink(&mut self, node: u32, was: &Indexed, now: &Indexed) {
+    /// A mutation of a linked object, stamped `stamp`: it becomes the
+    /// newest of every list `now` puts it on and leaves the lists only
+    /// `was` had it on.
+    fn relink(&mut self, node: u32, was: &Indexed, now: &Indexed, stamp: u64) {
+        self.nodes[node as usize].stamp = stamp;
         self.access.move_to_back(node);
         self.unlink_lists(node, was);
         self.link_lists(node, now);
@@ -421,11 +429,13 @@ impl OrderIndexes {
         self.bound_created(now.created);
     }
 
-    /// An access to a linked object, which `meta` describes as it is
-    /// after it: the access moved its count from `was_count` and changed
-    /// none of its locations, dirty flag or creation time, so it stays on
-    /// the lists it is on and becomes the newest of each.
-    fn touch(&mut self, node: u32, meta: &ObjectMeta, was_count: u64) {
+    /// An access to a linked object, stamped `stamp`, which `meta`
+    /// describes as it is after it: the access moved its count from
+    /// `was_count` and changed none of its locations, dirty flag or
+    /// creation time, so it stays on the lists it is on and becomes the
+    /// newest of each.
+    fn touch(&mut self, node: u32, meta: &ObjectMeta, was_count: u64, stamp: u64) {
+        self.nodes[node as usize].stamp = stamp;
         self.access.move_to_back(node);
         if meta.dirty {
             self.dirty.move_to_back(node);
@@ -464,25 +474,16 @@ impl OrderIndexes {
         }
     }
 
-    /// The key of `node`; `None` for [`NIL`] (an empty list's ends).
-    fn key_of(&self, node: u32) -> Option<&ObjectKey> {
-        self.keys.get(node as usize)?.as_ref()
-    }
-
-    /// The keys on `list`, oldest first.
-    fn keys_on<'a>(&'a self, list: &'a RecencyList) -> impl Iterator<Item = &'a ObjectKey> + 'a {
-        list.iter().filter_map(|node| self.key_of(node))
+    /// The stamp and key of `node`; `None` for [`NIL`] (an empty list's
+    /// ends).
+    fn stamped(&self, node: u32) -> Option<(u64, &ObjectKey)> {
+        let node = self.nodes.get(node as usize)?;
+        Some((node.stamp, node.key.as_ref()?))
     }
 
     /// The keys filed in frequency bucket `bucket`, in no particular order.
     fn keys_in_bucket(&self, bucket: usize) -> impl Iterator<Item = &ObjectKey> + '_ {
-        self.frequency.iter(bucket).filter_map(|node| self.key_of(node))
-    }
-
-    /// The recency list of the tier called `tier`, if any object was ever
-    /// located there.
-    fn tier_list(&self, tier: &str) -> Option<&RecencyList> {
-        self.tiers.get(&TierId::lookup(tier)?)
+        self.frequency.iter(bucket).filter_map(|node| Some(self.stamped(node)?.1))
     }
 }
 
@@ -511,72 +512,87 @@ fn aggregates_sub(aggregates: &mut Aggregates, was: &Indexed) {
     }
 }
 
-/// A fresh stamp for an object mutated while the registry is unindexed.
-/// `Relaxed`: a stamp publishes nothing. It is taken and stored under the
-/// object's shard lock, which orders one key's stamps and hands them to
-/// the build.
+/// A fresh stamp for a mutation. `Relaxed`: a stamp publishes nothing. It
+/// is taken and stored under the object's shard lock, which orders one
+/// shard's stamps as its mutations.
 fn next_stamp(stamps: &AtomicU64) -> u64 {
     stamps.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Inserts or replaces `key`'s metadata — what `build` makes of the
-/// record it replaces, if any — in its shard, the order indexes (`None`
-/// while the registry is unindexed: the object takes a stamp from
-/// `stamps` instead) and the aggregates; returns the replaced record.
-fn insert_into(
-    shard: &mut Shard,
-    order: Option<&mut OrderIndexes>,
-    stamps: &AtomicU64,
-    aggregates: &mut Aggregates,
-    key: &ObjectKey,
-    build: impl FnOnce(Option<&ObjectMeta>) -> ObjectMeta,
-) -> Option<ObjectMeta> {
-    let (now, prior) = match shard.map.entry(key.clone()) {
-        MapEntry::Occupied(mut occupied) => {
-            let entry = occupied.get_mut();
-            let meta = build(Some(&entry.meta));
-            let (was, now) = (Indexed::of(&entry.meta), Indexed::of(&meta));
-            match order {
-                Some(order) => order.relink(entry.node(), &was, &now),
-                None => entry.slot = next_stamp(stamps),
-            }
-            aggregates_sub(aggregates, &was);
-            (now, Some(std::mem::replace(&mut entry.meta, meta)))
-        }
-        MapEntry::Vacant(vacant) => {
-            let meta = build(None);
-            let now = Indexed::of(&meta);
-            let slot = match order {
-                Some(order) => {
-                    let node = order.alloc(key.clone());
-                    order.link(node, &now);
-                    u64::from(node)
+impl Shard {
+    /// Inserts or replaces `key`'s metadata — what `build` makes of the
+    /// record it replaces, if any — stamped `stamp`; returns the replaced
+    /// record.
+    fn insert(
+        &mut self,
+        key: &ObjectKey,
+        stamp: u64,
+        build: impl FnOnce(Option<&ObjectMeta>) -> ObjectMeta,
+    ) -> Option<ObjectMeta> {
+        let (now, prior) = match self.map.entry(key.clone()) {
+            MapEntry::Occupied(mut occupied) => {
+                let entry = occupied.get_mut();
+                let meta = build(Some(&entry.meta));
+                let (was, now) = (Indexed::of(&entry.meta), Indexed::of(&meta));
+                match &mut self.order {
+                    Some(order) => order.relink(entry.node(), &was, &now, stamp),
+                    None => entry.slot = stamp,
                 }
-                None => next_stamp(stamps),
-            };
-            vacant.insert(Entry { meta, slot });
-            (now, None)
+                aggregates_sub(&mut self.aggregates, &was);
+                (now, Some(std::mem::replace(&mut entry.meta, meta)))
+            }
+            MapEntry::Vacant(vacant) => {
+                let meta = build(None);
+                let now = Indexed::of(&meta);
+                let slot = match &mut self.order {
+                    Some(order) => u64::from(order.add(key.clone(), &now, stamp)),
+                    None => stamp,
+                };
+                vacant.insert(Entry { meta, slot });
+                (now, None)
+            }
+        };
+        aggregates_add(&mut self.aggregates, &now);
+        prior
+    }
+
+    /// Builds the order indexes (see the module docs): every entry gets a
+    /// node carrying its stamp and joins the lists its metadata puts it
+    /// on, in stamp order.
+    #[cold]
+    fn build(&mut self) {
+        let mut order = OrderIndexes::default();
+        let mut entries: Vec<(&ObjectKey, &mut Entry)> = self.map.iter_mut().collect();
+        entries.sort_unstable_by_key(|(_, entry)| entry.slot);
+        for (key, entry) in entries {
+            let node = order.add(key.clone(), &Indexed::of(&entry.meta), entry.slot);
+            entry.slot = u64::from(node);
         }
-    };
-    aggregates_add(aggregates, &now);
-    prior
+        self.order = Some(order);
+    }
+
+    /// The order indexes of a shard an ordered read has built.
+    fn lists(&self) -> &OrderIndexes {
+        self.order
+            .as_ref()
+            .expect("an ordered read builds a shard's indexes before it reads them")
+    }
+}
+
+/// `stamped`'s keys in stamp order. It holds per-shard runs, each in stamp
+/// order already, so the stable sort is a k-way merge of the runs.
+fn by_stamp(mut stamped: Vec<(u64, ObjectKey)>) -> Vec<ObjectKey> {
+    stamped.sort_by_key(|&(stamp, _)| stamp);
+    stamped.into_iter().map(|(_, key)| key).collect()
 }
 
 /// Thread-safe object-metadata registry with optional persistence.
 pub struct Registry {
-    /// Held shared by unindexed mutations, exclusively by the build.
-    gate: RwLock<()>,
-    /// Whether the order indexes are built; never goes back to `false`.
-    /// The build's `Release` store pairs with the `Acquire` load in
-    /// `indexed()`.
-    indexed: AtomicBool,
-    /// The next stamp an unindexed mutation takes.
+    /// The next stamp a mutation takes.
     stamps: AtomicU64,
     shards: Vec<RwLock<Shard>>,
     /// Live object count (kept here so `len()` does not sweep the shards).
     count: AtomicU64,
-    order: RwLock<OrderIndexes>,
-    aggregates: RwLock<Aggregates>,
     /// References to each `storeOnce` blob, by content digest.
     dedup: Mutex<BlobTable>,
     store: Option<MetaStore>,
@@ -603,19 +619,11 @@ impl Registry {
     /// An in-memory registry (no persistence).
     pub fn in_memory() -> Self {
         Self {
-            gate: RwLock::named("registry.gate", rank::REGISTRY_GATE, ()),
-            indexed: AtomicBool::new(false),
             stamps: AtomicU64::new(0),
             shards: (0..SHARD_COUNT)
                 .map(|_| RwLock::named("registry.shard", rank::REGISTRY_SHARD, Shard::default()))
                 .collect(),
             count: AtomicU64::new(0),
-            order: RwLock::named("registry.order", rank::REGISTRY_ORDER, OrderIndexes::default()),
-            aggregates: RwLock::named(
-                "registry.aggregates",
-                rank::REGISTRY_AGGREGATES,
-                FxHashMap::default(),
-            ),
             dedup: Mutex::named("registry.dedup", rank::REGISTRY_DEDUP, BlobTable::default()),
             store: None,
             persist_failures: AtomicU64::new(0),
@@ -800,12 +808,8 @@ impl Registry {
         key: &ObjectKey,
         build: impl FnOnce(Option<&ObjectMeta>) -> ObjectMeta,
     ) -> Option<ObjectMeta> {
-        let _gate = (!self.indexed()).then(|| self.gate.read());
         let mut shard = self.shard_of(key).write();
-        let mut order = self.indexed().then(|| self.order.write());
-        let mut aggregates = self.aggregates.write();
-        let order = order.as_deref_mut();
-        let prior = insert_into(&mut shard, order, &self.stamps, &mut aggregates, key, build);
+        let prior = shard.insert(key, next_stamp(&self.stamps), build);
         if prior.is_none() {
             self.count.fetch_add(1, Ordering::AcqRel);
         }
@@ -813,23 +817,15 @@ impl Registry {
     }
 
     /// [`insert_locked`](Self::insert_locked) for a registry nothing else
-    /// can reach yet, which is unindexed: no lock is taken, so recovery may
-    /// run inside the metastore's visitor, under the store's own
-    /// (later-ranked) lock.
+    /// can reach yet, whose shards are unindexed: no lock is taken, so
+    /// recovery may run inside the metastore's visitor, under the store's
+    /// own (later-ranked) lock.
     fn insert_unshared(&mut self, key: &ObjectKey, meta: ObjectMeta) {
+        let stamp = next_stamp(&self.stamps);
         let shard = self.shards[Self::shard_at(key)].get_mut();
-        if insert_into(shard, None, &self.stamps, self.aggregates.get_mut(), key, |_| meta).is_none() {
+        if shard.insert(key, stamp, |_| meta).is_none() {
             *self.count.get_mut() += 1;
         }
-    }
-
-    /// Whether the order indexes are built. A mutation asks twice: before
-    /// its shard lock, to know whether it needs the gate, and after, to
-    /// know how to file its object. A build may finish between the two, but
-    /// none can start while the mutation holds the gate, so the second
-    /// answer holds until the mutation is done.
-    fn indexed(&self) -> bool {
-        self.indexed.load(Ordering::Acquire)
     }
 
     /// Applies `f` to an object's metadata (if present), making the object
@@ -840,22 +836,19 @@ impl Registry {
         F: FnOnce(&mut ObjectMeta),
     {
         let updated = {
-            let _gate = (!self.indexed()).then(|| self.gate.read());
-            let mut shard = self.shard_of(key).write();
+            let mut guard = self.shard_of(key).write();
+            let shard = &mut *guard;
             let entry = shard.map.get_mut(key)?;
-            let mut order = self.indexed().then(|| self.order.write());
+            let stamp = next_stamp(&self.stamps);
             let was = Indexed::of(&entry.meta);
             f(&mut entry.meta);
             let now = Indexed::of(&entry.meta);
-            match order.as_deref_mut() {
-                Some(order) => order.relink(entry.node(), &was, &now),
-                None => entry.slot = next_stamp(&self.stamps),
+            match &mut shard.order {
+                Some(order) => order.relink(entry.node(), &was, &now, stamp),
+                None => entry.slot = stamp,
             }
-            if !was.same_aggregates(&now) {
-                let mut aggregates = self.aggregates.write();
-                aggregates_sub(&mut aggregates, &was);
-                aggregates_add(&mut aggregates, &now);
-            }
+            aggregates_sub(&mut shard.aggregates, &was);
+            aggregates_add(&mut shard.aggregates, &now);
             entry.meta.clone()
         };
         self.persist(key, Some(&updated));
@@ -868,15 +861,15 @@ impl Registry {
     /// tiers' aggregates are as they were.
     pub fn touch(&self, key: &ObjectKey, now: SimTime) -> Option<ObjectMeta> {
         let touched = {
-            let _gate = (!self.indexed()).then(|| self.gate.read());
-            let mut shard = self.shard_of(key).write();
+            let mut guard = self.shard_of(key).write();
+            let shard = &mut *guard;
             let entry = shard.map.get_mut(key)?;
-            let mut order = self.indexed().then(|| self.order.write());
+            let stamp = next_stamp(&self.stamps);
             let was_count = entry.meta.access_count.into();
             entry.meta.touch(now);
-            match order.as_deref_mut() {
-                Some(order) => order.touch(entry.node(), &entry.meta, was_count),
-                None => entry.slot = next_stamp(&self.stamps),
+            match &mut shard.order {
+                Some(order) => order.touch(entry.node(), &entry.meta, was_count, stamp),
+                None => entry.slot = stamp,
             }
             entry.meta.clone()
         };
@@ -887,17 +880,14 @@ impl Registry {
     /// Removes an object entirely.
     pub fn remove(&self, key: &ObjectKey) -> Option<ObjectMeta> {
         let meta = {
-            let _gate = (!self.indexed()).then(|| self.gate.read());
-            let mut shard = self.shard_of(key).write();
+            let mut guard = self.shard_of(key).write();
+            let shard = &mut *guard;
             let entry = shard.map.remove(key)?;
-            let mut order = self.indexed().then(|| self.order.write());
-            let mut aggregates = self.aggregates.write();
             let was = Indexed::of(&entry.meta);
-            if let Some(order) = order.as_deref_mut() {
-                order.unlink(entry.node(), &was);
-                order.release(entry.node());
+            if let Some(order) = &mut shard.order {
+                order.remove(entry.node(), &was);
             }
-            aggregates_sub(&mut aggregates, &was);
+            aggregates_sub(&mut shard.aggregates, &was);
             entry.meta
         };
         self.count.fetch_sub(1, Ordering::AcqRel);
@@ -905,11 +895,20 @@ impl Registry {
         Some(meta)
     }
 
-    /// Aggregates for a tier (zeros if the tier holds nothing).
+    /// Aggregates for a tier (zeros if the tier holds nothing): the
+    /// shards' sum, read one shard at a time.
     pub fn aggregates(&self, tier: &str) -> TierAggregates {
-        TierId::lookup(tier)
-            .and_then(|id| self.aggregates.read().get(&id).copied())
-            .unwrap_or_default()
+        let mut sum = TierAggregates::default();
+        let Some(tier) = TierId::lookup(tier) else {
+            return sum;
+        };
+        for shard in &self.shards {
+            if let Some(agg) = shard.read().aggregates.get(&tier) {
+                sum.objects += agg.objects;
+                sum.dirty_bytes += agg.dirty_bytes;
+            }
+        }
+        sum
     }
 
     /// Recomputes a tier's aggregates from scratch by sweeping every shard
@@ -933,72 +932,74 @@ impl Registry {
         agg
     }
 
-    /// The order indexes, read-locked for an ordered read; the registry's
-    /// first ordered read builds them.
-    fn ordered(&self) -> RwLockReadGuard<'_, OrderIndexes> {
-        if !self.indexed() {
-            self.build_indexes();
-        }
-        self.order.read()
+    /// The shards one at a time, each read-locked with its order indexes
+    /// built: an ordered read builds the indexes of each shard it finds
+    /// unindexed, under that shard's write lock. The caller drops each
+    /// guard before it takes the next.
+    fn ordered_shards(&self) -> impl Iterator<Item = RwLockReadGuard<'_, Shard>> + '_ {
+        self.shards.iter().map(|lock| {
+            let shard = lock.read();
+            if shard.order.is_some() {
+                return shard;
+            }
+            drop(shard);
+            let mut shard = lock.write();
+            if shard.order.is_none() {
+                shard.build();
+            }
+            drop(shard);
+            lock.read()
+        })
     }
 
-    /// Builds the order indexes (see the module docs): every object gets a
-    /// node and joins the lists its metadata puts it on, in stamp order.
-    /// Mutations wait at the gate meanwhile.
-    #[cold]
-    fn build_indexes(&self) {
-        let _gate = self.gate.write();
-        if self.indexed() {
-            // Another ordered read built them while this one waited.
-            return;
-        }
-        let mut order = OrderIndexes::default();
-        let mut filed = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            for (key, entry) in shard.write().map.iter_mut() {
-                let node = order.alloc(key.clone());
-                filed.push((entry.slot, node, Indexed::of(&entry.meta)));
-                entry.slot = u64::from(node);
+    /// The newest (`newest`) or the oldest object in `tier`: that end of
+    /// each shard's list of `tier`, compared by stamp.
+    fn tier_end(&self, tier: &str, newest: bool) -> Option<ObjectKey> {
+        let tier = TierId::lookup(tier);
+        let mut best: Option<(u64, ObjectKey)> = None;
+        for shard in self.ordered_shards() {
+            let order = shard.lists();
+            let list = tier.and_then(|tier| order.tiers.get(&tier));
+            let end = |ends: Ends| if newest { ends.tail } else { ends.head };
+            let Some((stamp, key)) = list.and_then(|list| order.stamped(end(list.ends))) else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|&(at, _)| (stamp > at) == newest) {
+                best = Some((stamp, key.clone()));
             }
         }
-        filed.sort_unstable_by_key(|&(stamp, ..)| stamp);
-        for (_, node, now) in &filed {
-            order.link(*node, now);
-        }
-        *self.order.write() = order;
-        self.indexed.store(true, Ordering::Release);
+        best.map(|(_, key)| key)
     }
 
     /// The least recently accessed object in `tier`.
     pub fn oldest_in(&self, tier: &str) -> Option<ObjectKey> {
-        let order = self.ordered();
-        order.key_of(order.tier_list(tier)?.ends.head).cloned()
+        self.tier_end(tier, false)
     }
 
     /// The most recently accessed object in `tier`.
     pub fn newest_in(&self, tier: &str) -> Option<ObjectKey> {
-        let order = self.ordered();
-        order.key_of(order.tier_list(tier)?.ends.tail).cloned()
+        self.tier_end(tier, true)
     }
 
-    /// Visits every key currently located in `tier`, oldest first, without
-    /// materializing a key vector. The visitor runs under the order-index
-    /// read lock: it must not call back into registry mutators (lock
-    /// order would invert) — collect first if mutation is needed.
-    pub fn for_each_in(&self, tier: &str, f: impl FnMut(&ObjectKey)) {
-        let order = self.ordered();
-        if let Some(list) = order.tier_list(tier) {
-            order.keys_on(list).for_each(f);
+    /// The keys on the list `list` picks from each shard's indexes,
+    /// merged by stamp: oldest first.
+    fn merged(&self, list: impl Fn(&OrderIndexes) -> Option<&RecencyList>) -> Vec<ObjectKey> {
+        let mut stamped = Vec::new();
+        for shard in self.ordered_shards() {
+            let order = shard.lists();
+            let nodes = list(order).into_iter().flat_map(RecencyList::iter);
+            stamped.extend(nodes.filter_map(|node| {
+                let (stamp, key) = order.stamped(node)?;
+                Some((stamp, key.clone()))
+            }));
         }
+        by_stamp(stamped)
     }
 
-    /// Every key currently located in `tier`, oldest first. Materializing
-    /// convenience over [`for_each_in`](Self::for_each_in) — prefer the
-    /// visitor when the keys are only read, not kept.
+    /// Every key currently located in `tier`, oldest first.
     pub fn keys_in(&self, tier: &str) -> Vec<ObjectKey> {
-        let mut keys = Vec::new();
-        self.for_each_in(tier, |k| keys.push(k.clone()));
-        keys
+        let tier = TierId::lookup(tier);
+        self.merged(|order| order.tiers.get(&tier?))
     }
 
     /// Evaluates a selector to a concrete key set.
@@ -1006,9 +1007,9 @@ impl Registry {
     /// `inserted` supplies the meaning of [`Selector::Inserted`] in action
     /// contexts. Index-backed selectors (`All`, `InTier`, `Dirty`,
     /// `OldestIn`/`NewestIn`, hot/cold) never sweep the object map; only
-    /// `Tagged` scans, and it scans shard-by-shard without a global lock.
-    /// Every selector but `Inserted` and `Key` is an ordered read: the
-    /// registry's first one builds the order indexes.
+    /// `Tagged` scans, shard by shard. Every selector but `Inserted` and
+    /// `Key` is an ordered read, and merges per-shard answers (see the
+    /// module docs).
     pub fn select(
         &self,
         selector: &Selector,
@@ -1024,44 +1025,23 @@ impl Registry {
                     Vec::new()
                 }
             }
-            Selector::All => {
-                let order = self.ordered();
-                order.keys_on(&order.access).cloned().collect()
-            }
+            Selector::All => self.merged(|order| Some(&order.access)),
             Selector::InTier(t) => self.keys_in(t),
-            Selector::Dirty => {
-                let order = self.ordered();
-                order.keys_on(&order.dirty).cloned().collect()
-            }
+            Selector::Dirty => self.merged(|order| Some(&order.dirty)),
             Selector::Tagged(tag) => {
                 // Tags carry no index (they are rare, write-once classes):
-                // scan shard by shard, then return the hits in access order
-                // so the result is deterministic. The scan reads nodes, so
-                // the indexes are built first. A hit whose node changed
-                // hands between the two steps is dropped.
-                if !self.indexed() {
-                    self.build_indexes();
-                }
-                let mut hits: FxHashMap<u32, ObjectKey> = FxHashMap::default();
-                for shard in &self.shards {
-                    for (key, entry) in shard.read().map.iter() {
+                // scan each shard's map, then merge the hits by stamp so
+                // the result is in access order.
+                let mut hits = Vec::new();
+                for shard in self.ordered_shards() {
+                    let order = shard.lists();
+                    for (key, entry) in &shard.map {
                         if entry.meta.has_tag(tag) {
-                            hits.insert(entry.node(), key.clone());
+                            hits.push((order.nodes[entry.node() as usize].stamp, key.clone()));
                         }
                     }
                 }
-                if hits.is_empty() {
-                    return Vec::new();
-                }
-                let order = self.order.read();
-                order
-                    .access
-                    .iter()
-                    .filter_map(|node| {
-                        let key = hits.get(&node)?;
-                        (order.key_of(node) == Some(key)).then(|| key.clone())
-                    })
-                    .collect()
+                by_stamp(hits)
             }
             Selector::OldestIn(t) => self.oldest_in(t).into_iter().collect(),
             Selector::NewestIn(t) => self.newest_in(t).into_iter().collect(),
@@ -1091,74 +1071,67 @@ impl Registry {
         }
     }
 
-    /// `HotterThan`: walk the frequency buckets from the high-count end.
+    /// `HotterThan`: walk each shard's frequency buckets from the
+    /// high-count end.
     ///
     /// `freq = count / age ≥ bound` requires `count ≥ bound · age`, and
-    /// every object's age is at least `now - max_created`; once the walk
-    /// reaches a bucket whose highest count is below
-    /// `bound · (now - max_created)` no colder bucket can hold a hit and
-    /// it stops. Worst case (every object hot) is O(hits · log hits).
+    /// every object of a shard is at least `now - max_created` old; once
+    /// the walk reaches a bucket whose highest count is below
+    /// `bound · (now - max_created)` no colder bucket of the shard can hold
+    /// a hit and it stops. Worst case (every object hot) is
+    /// O(hits · log hits).
     fn select_hot(&self, bound: f64, now: SimTime) -> Vec<ObjectKey> {
-        let candidates: Vec<ObjectKey> = {
-            let order = self.ordered();
-            if bound <= 0.0 {
-                return order.keys_on(&order.access).cloned().collect();
-            }
+        if bound <= 0.0 {
+            return self.merged(|order| Some(&order.access));
+        }
+        let buckets = |order: &OrderIndexes| {
             let min_age = now.since(order.max_created.min(now)).as_secs_f64().max(1e-9);
             let floor = bound * min_age;
-            (0..BUCKETS)
-                .rev()
-                .take_while(|&bucket| bucket_max(bucket) as f64 >= floor)
-                .flat_map(|bucket| order.keys_in_bucket(bucket))
-                .cloned()
-                .collect()
+            (0..BUCKETS).rev().take_while(move |&bucket| bucket_max(bucket) as f64 >= floor)
         };
-        let mut hits = self.by_count(candidates, |m| m.access_frequency(now) >= bound);
+        let mut hits = self.by_count(buckets, |m| m.access_frequency(now) >= bound);
         hits.reverse();
         hits
     }
 
-    /// `ColderThan`: walk the frequency buckets from the low-count end;
-    /// stop at the first whose lowest count is
-    /// `≥ bound · (now - min_created)` (the maximum possible age), past
-    /// which no object can still be cold.
+    /// `ColderThan`: walk each shard's frequency buckets from the
+    /// low-count end; stop at the first whose lowest count is
+    /// `≥ bound · (now - min_created)` (the shard's maximum possible age),
+    /// past which none of its objects can still be cold.
     fn select_cold(&self, bound: f64, now: SimTime) -> Vec<ObjectKey> {
         if bound <= 0.0 {
             return Vec::new();
         }
-        let candidates: Vec<ObjectKey> = {
-            let order = self.ordered();
+        let buckets = |order: &OrderIndexes| {
             let max_age = if order.min_created > now {
                 1e-9
             } else {
                 now.since(order.min_created).as_secs_f64().max(1e-9)
             };
             let ceiling = bound * max_age;
-            (0..BUCKETS)
-                .take_while(|&bucket| (bucket_min(bucket) as f64) < ceiling)
-                .flat_map(|bucket| order.keys_in_bucket(bucket))
-                .cloned()
-                .collect()
+            (0..BUCKETS).take_while(move |&bucket| (bucket_min(bucket) as f64) < ceiling)
         };
-        self.by_count(candidates, |m| m.access_frequency(now) < bound)
+        self.by_count(buckets, |m| m.access_frequency(now) < bound)
     }
 
-    /// The `candidates` that exist and pass `keep`, by ascending
-    /// `(access_count, key)`. A bucket walk names its candidates under the
-    /// order lock and this reads each one's count under its shard lock,
-    /// which ranks before it — hence after the walk, not inside it.
-    fn by_count(
+    /// The objects filed in the buckets `buckets` names for each shard
+    /// that pass `keep`, by ascending `(access_count, key)`. A shard's
+    /// candidates are read under the shard lock its walk holds.
+    fn by_count<B: Iterator<Item = usize>>(
         &self,
-        candidates: Vec<ObjectKey>,
+        buckets: impl Fn(&OrderIndexes) -> B,
         keep: impl Fn(&ObjectMeta) -> bool,
     ) -> Vec<ObjectKey> {
-        let mut hits: Vec<(u32, ObjectKey)> = candidates
-            .into_iter()
-            .filter_map(|key| {
-                let count = self.peek(&key, |m| keep(m).then_some(m.access_count))??;
-                Some((count, key))
-            })
-            .collect();
+        let mut hits: Vec<(u32, ObjectKey)> = Vec::new();
+        for shard in self.ordered_shards() {
+            let order = shard.lists();
+            for key in buckets(order).flat_map(|bucket| order.keys_in_bucket(bucket)) {
+                let meta = &shard.map[key].meta;
+                if keep(meta) {
+                    hits.push((meta.access_count, key.clone()));
+                }
+            }
+        }
         hits.sort_unstable();
         hits.into_iter().map(|(_, key)| key).collect()
     }
@@ -1240,13 +1213,21 @@ mod tests {
     impl Registry {
         /// The keys filed in frequency bucket `bucket`, sorted.
         fn bucket_keys(&self, bucket: usize) -> Vec<ObjectKey> {
-            let mut keys: Vec<ObjectKey> = self.ordered().keys_in_bucket(bucket).cloned().collect();
+            let mut keys = Vec::new();
+            for shard in self.ordered_shards() {
+                keys.extend(shard.lists().keys_in_bucket(bucket).cloned());
+            }
             keys.sort();
             keys
         }
 
         fn frequency_moves(&self) -> u64 {
-            self.ordered().frequency.moves
+            self.ordered_shards().map(|shard| shard.lists().frequency.moves).sum()
+        }
+
+        /// How many shards have built their order indexes.
+        fn built_shards(&self) -> usize {
+            self.shards.iter().filter(|shard| shard.read().order.is_some()).count()
         }
 
         /// Every object is filed once, in the bucket of the count it has.
@@ -1262,40 +1243,54 @@ mod tests {
             assert_eq!(filed, self.len());
         }
 
-        /// Every object is on exactly the lists its metadata puts it on,
-        /// and its node names it in the slab.
+        /// In every shard, every object is on exactly the lists its
+        /// metadata puts it on, its node names it in the slab, each list
+        /// is in stamp order and the aggregates equal a recount.
         fn assert_lists_match_metadata(&self) {
-            let mut live: Vec<(ObjectKey, u32, ObjectMeta)> = Vec::new();
-            for shard in &self.shards {
-                for (key, entry) in shard.read().map.iter() {
-                    live.push((key.clone(), entry.node(), entry.meta.clone()));
+            for shard in self.ordered_shards() {
+                let order = shard.lists();
+                let members = |list: &RecencyList| {
+                    let stamped: Vec<(u64, ObjectKey)> = list
+                        .iter()
+                        .map(|node| {
+                            let (stamp, key) = order.stamped(node).expect("a listed node is live");
+                            (stamp, key.clone())
+                        })
+                        .collect();
+                    assert!(stamped.windows(2).all(|w| w[0].0 < w[1].0), "a list in stamp order");
+                    let mut keys: Vec<ObjectKey> = stamped.into_iter().map(|(_, key)| key).collect();
+                    keys.sort();
+                    keys
+                };
+                let mut live: Vec<(&ObjectKey, &Entry)> = shard.map.iter().collect();
+                live.sort_by(|a, b| a.0.cmp(b.0));
+                let expected = |on: &dyn Fn(&ObjectMeta) -> bool| -> Vec<ObjectKey> {
+                    live.iter().filter(|o| on(&o.1.meta)).map(|o| o.0.clone()).collect()
+                };
+                for (key, entry) in &live {
+                    assert_eq!(order.stamped(entry.node()).map(|(_, k)| k), Some(*key), "{key}'s node");
+                }
+                assert_eq!(members(&order.access), expected(&|_| true), "access");
+                assert_eq!(members(&order.dirty), expected(&|m| m.dirty), "dirty");
+                let mut tiers: Vec<TierId> = order.tiers.keys().copied().collect();
+                tiers.extend(live.iter().flat_map(|o| o.1.meta.locations.iter().copied()));
+                tiers.sort_by_key(|t| t.to_string());
+                tiers.dedup();
+                for tier in tiers {
+                    let list = order.tiers.get(&tier).expect("a list for every tier in use");
+                    let located = expected(&|m| m.locations.contains_id(tier));
+                    assert_eq!(members(list), located, "tier {tier}");
+                    let mut recount = TierAggregates::default();
+                    for (_, entry) in live.iter().filter(|o| o.1.meta.locations.contains_id(tier)) {
+                        recount.objects += 1;
+                        if entry.meta.dirty {
+                            recount.dirty_bytes += entry.meta.stored_size();
+                        }
+                    }
+                    let kept = shard.aggregates.get(&tier).copied().unwrap_or_default();
+                    assert_eq!(kept, recount, "tier {tier}'s aggregates");
                 }
             }
-            live.sort_by(|a, b| a.0.cmp(&b.0));
-            let order = self.ordered();
-            let members = |list: &RecencyList| {
-                let mut keys: Vec<ObjectKey> = order.keys_on(list).cloned().collect();
-                keys.sort();
-                keys
-            };
-            let expected = |on: &dyn Fn(&ObjectMeta) -> bool| -> Vec<ObjectKey> {
-                live.iter().filter(|o| on(&o.2)).map(|o| o.0.clone()).collect()
-            };
-            for (key, node, _) in &live {
-                assert_eq!(order.key_of(*node), Some(key), "{key}'s node");
-            }
-            assert_eq!(members(&order.access), expected(&|_| true), "access");
-            assert_eq!(members(&order.dirty), expected(&|m| m.dirty), "dirty");
-            let mut tiers: Vec<TierId> = order.tiers.keys().copied().collect();
-            tiers.extend(live.iter().flat_map(|o| o.2.locations.iter().copied()));
-            tiers.sort_by_key(|t| t.to_string());
-            tiers.dedup();
-            for tier in tiers {
-                let list = order.tiers.get(&tier).expect("a list for every tier in use");
-                let located = expected(&|m| m.locations.contains_id(tier));
-                assert_eq!(members(list), located, "tier {tier}");
-            }
-            drop(order);
             self.assert_buckets_hold_every_object_once();
         }
 
@@ -1526,7 +1521,13 @@ mod tests {
         let r = Registry::in_memory();
         // An ordered read first, so nodes are taken and released.
         assert_eq!(r.oldest_in("t1"), None);
-        let key = |name: &str| ObjectKey::new(name);
+        // Keys of one shard, so that `d` takes b's node.
+        let key = |name: &str| {
+            (0..)
+                .map(|i| ObjectKey::new(format!("{name}{i}")))
+                .find(|key| Registry::shard_at(key) == 0)
+                .unwrap()
+        };
         // Three in one bucket, so the middle one has both neighbours.
         for name in ["a", "b", "c"] {
             r.upsert(key(name), counted(5, SimTime::ZERO));
@@ -1635,18 +1636,15 @@ mod tests {
     }
 
     #[test]
-    fn for_each_in_visits_in_lru_order_without_cloning_vecs() {
+    fn keys_in_lists_a_tier_in_lru_order() {
         let r = Registry::in_memory();
         for name in ["a", "b", "c"] {
             r.upsert(ObjectKey::new(name), meta_in("t1", 1, SimTime::ZERO));
         }
         r.touch(&ObjectKey::new("b"), SimTime::from_secs(1));
-        let mut seen = Vec::new();
-        r.for_each_in("t1", |k| seen.push(k.as_str().to_string()));
-        assert_eq!(seen, vec!["a", "c", "b"]);
-        let mut none = 0;
-        r.for_each_in("no-such-tier", |_| none += 1);
-        assert_eq!(none, 0);
+        let keys = r.keys_in("t1");
+        assert_eq!(keys.iter().map(ObjectKey::as_str).collect::<Vec<_>>(), ["a", "c", "b"]);
+        assert!(r.keys_in("no-such-tier").is_empty());
     }
 
     #[test]
@@ -1710,6 +1708,20 @@ mod tests {
     }
 
     impl Op {
+        /// Replays the operation on `order`, the keys of live objects by
+        /// their last mutation, oldest first.
+        fn track(&self, order: &mut Vec<ObjectKey>) {
+            let (key, live) = match self {
+                Op::Upsert(key, _) => (key, true),
+                Op::Update(key, ..) | Op::Touch(key, _) => (key, order.contains(key)),
+                Op::Remove(key) => (key, false),
+            };
+            order.retain(|k| k != key);
+            if live {
+                order.push(key.clone());
+            }
+        }
+
         fn apply(&self, r: &Registry) {
             match self {
                 Op::Upsert(key, meta) => r.upsert(key.clone(), meta.clone()),
@@ -1767,18 +1779,41 @@ mod tests {
         prop_check!(cases = 24, |rng| {
             let steps = gen::u64_in(rng, 1..300);
             let ops = random_ops(rng, steps);
+            let midway = gen::usize_in(rng, 0..ops.len());
             let now = SimTime::from_secs(steps + 1);
+            // Read before the first operation, after the last, and once
+            // in between.
             let eager = Registry::in_memory();
             assert!(eager.select(&Selector::All, None, SimTime::ZERO).is_empty());
-            let lazy = Registry::in_memory();
-            for op in &ops {
+            let (lazy, midway_built) = (Registry::in_memory(), Registry::in_memory());
+            // The one access order the stamp merge must reproduce.
+            let mut reference = Vec::new();
+            for (step, op) in ops.iter().enumerate() {
+                if step == midway {
+                    midway_built.keys_in("t1");
+                }
                 op.apply(&eager);
                 op.apply(&lazy);
+                op.apply(&midway_built);
+                op.track(&mut reference);
+                assert_eq!(eager.select(&Selector::All, None, now), reference, "step {step}");
             }
-            assert!(!lazy.indexed(), "no ordered read yet");
+            assert_eq!(lazy.built_shards(), 0, "no ordered read yet");
             assert_eq!(lazy.ordered_view(now), eager.ordered_view(now));
+            assert_eq!(midway_built.ordered_view(now), eager.ordered_view(now));
+            let members = |on: &dyn Fn(&ObjectMeta) -> bool| -> Vec<ObjectKey> {
+                reference.iter().filter(|k| on(&eager.get(k).unwrap())).cloned().collect()
+            };
+            assert_eq!(eager.select(&Selector::Dirty, None, now), members(&|m| m.dirty));
+            for tier in TIERS {
+                let located = members(&|m| m.in_tier(tier));
+                assert_eq!(eager.keys_in(tier), located, "{tier}");
+                assert_eq!(eager.oldest_in(tier).as_ref(), located.first(), "{tier}");
+                assert_eq!(eager.newest_in(tier).as_ref(), located.last(), "{tier}");
+            }
             lazy.assert_lists_match_metadata();
             eager.assert_lists_match_metadata();
+            midway_built.assert_lists_match_metadata();
         });
     }
 
@@ -1805,7 +1840,7 @@ mod tests {
             let written = writer.ordered_view(now);
             drop(writer);
             let reopened = Registry::persistent(&dir).unwrap();
-            assert!(!reopened.indexed(), "recovery makes no ordered read");
+            assert_eq!(reopened.built_shards(), 0, "recovery makes no ordered read");
             assert_eq!(reopened.ordered_view(now), written);
             reopened.assert_lists_match_metadata();
         });
@@ -1877,7 +1912,7 @@ mod tests {
             t.join().unwrap();
         }
         reader.join().unwrap();
-        assert!(r.indexed());
+        assert_eq!(r.built_shards(), SHARD_COUNT);
         r.assert_lists_match_metadata();
         for tier in TIERS {
             assert_eq!(r.aggregates(tier), r.recount_aggregates(tier), "{tier}");

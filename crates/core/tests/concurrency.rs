@@ -334,3 +334,52 @@ fn config_publishes_race_traffic_and_timer_claims() {
     let elapsed_periods = end.as_nanos() / period.as_nanos();
     assert_eq!(fired.iter().sum::<u64>() + last, elapsed_periods);
 }
+
+/// Figure 5's LRU cache as `specs/lru_cache.tiera` declares it — every PUT
+/// into `tier1` first moves `tier1.oldest` to `tier2` while `tier1` is
+/// full — with `tier1` shrunk to four 64-byte objects so the PUTs evict.
+fn lru_cache() -> Arc<Instance> {
+    InstanceBuilder::new("LruCachingInstance", SimEnv::new(5))
+        .tier(MemTier::with_capacity("tier1", 4 * 64))
+        .tier(MemTier::with_capacity("tier2", 2 << 30))
+        .rule(
+            Rule::on(EventKind::action_on(ActionOp::Put, "tier1"))
+                .respond(ResponseSpec::evict_lru("tier1", "tier2"))
+                .respond(ResponseSpec::store(Selector::Inserted, ["tier1"])),
+        )
+        .build()
+        .unwrap()
+}
+
+/// A GET locks its key's registry shard to read the metadata and again to
+/// record the access, and takes no other registry lock: no registry-wide
+/// lock, whether or not the registry keeps its order lists. The tally is
+/// the lockcheck sanitizer's, so the test measures under `lockcheck`.
+#[test]
+fn a_get_takes_no_registry_lock_but_its_shard() {
+    use tiera_support::sync::{reset_tally, tally, LOCKCHECK};
+    if !LOCKCHECK {
+        return;
+    }
+    let lru = lru_cache();
+    let rule_free = InstanceBuilder::new("bare", SimEnv::new(6))
+        .tier(MemTier::with_capacity("t1", 1 << 20))
+        .build()
+        .unwrap();
+    for inst in [&lru, &rule_free] {
+        for i in 0..16u8 {
+            inst.put(format!("k{i}").as_str(), &[i; 64][..], SimTime::ZERO).unwrap();
+        }
+    }
+    assert!(lru.registry().oldest_in("tier1").is_some(), "an ordered read");
+    assert_eq!(lru.registry().keys_in("tier2").len(), 12, "the PUTs evicted");
+    for (inst, key) in [(&lru, "k15"), (&lru, "k0"), (&rule_free, "k3")] {
+        reset_tally();
+        inst.get(key, SimTime::from_secs(1)).unwrap();
+        let registry: Vec<(&str, u64)> = tally()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("registry."))
+            .collect();
+        assert_eq!(registry, [("registry.shard", 2)], "{inst:?} GET {key}");
+    }
+}

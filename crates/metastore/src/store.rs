@@ -1607,6 +1607,7 @@ impl Drop for MetaStore {
     fn drop(&mut self) {
         for shard in &self.shards {
             let mut c = shard.commit.lock();
+            // A008: `Drop` has nowhere to report to; `sync` does (above).
             let _ = shard.flush_tail(&mut c);
         }
     }

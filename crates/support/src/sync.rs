@@ -38,6 +38,12 @@
 //! deadlocked. With the feature disabled (the default, and the only
 //! configuration benchmarks may use) the name/rank metadata is not even
 //! stored and every hook compiles to nothing.
+//!
+//! The sanitizer also keeps a per-thread **tally** of acquisitions by lock
+//! name: [`reset_tally`] zeroes the calling thread's counts and [`tally`]
+//! reads them, so a test can state how many locks, and which, one
+//! operation takes. Without the feature nothing is counted and [`tally`]
+//! is always empty.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -60,8 +66,10 @@ use std::sync::PoisonError;
 ///    to load the current snapshot or to publish a new one, with nothing
 ///    acquired under it), then `keyring`, `background`, `retry_rng`,
 ///    `alerts`;
-/// 3. the registry (documented order **gate → shard → order → aggregates**, with
-///    `dedup` an independent leaf — see `crates/core/src/registry.rs`);
+/// 3. the registry: its key shards (never two at once; each holds its
+///    keys' order indexes and aggregates, so no registry lock spans the
+///    shards) and `dedup`, an independent leaf — see
+///    `crates/core/src/registry.rs`;
 /// 4. the metastore shards (documented order **commit → queue → index**;
 ///    every shard of a kind shares one name, so two shards' same-kind
 ///    locks can never be held together);
@@ -108,21 +116,15 @@ pub mod rank {
     pub const INSTANCE_RETRY_RNG: u16 = 38;
     /// The failure-alert buffer.
     pub const INSTANCE_ALERTS: u16 = 40;
-    /// The registry's index gate: held shared by mutations while the
-    /// registry is unindexed, exclusively by the first ordered read while
-    /// it builds the order indexes.
-    pub const REGISTRY_GATE: u16 = 49;
-    /// One registry key shard (all [`SHARD_COUNT`] shards share this name:
-    /// holding two at once is a self-cycle and panics under lockcheck).
+    /// One registry key shard: its keys' metadata, order indexes and
+    /// per-tier aggregates. All [`SHARD_COUNT`] shards share this name:
+    /// holding two at once is a self-cycle and panics under lockcheck, so
+    /// a cross-shard read takes them one at a time.
     ///
     /// [`SHARD_COUNT`]: ../../tiera_core/registry/constant.SHARD_COUNT.html
     pub const REGISTRY_SHARD: u16 = 50;
-    /// The registry's cross-shard order indexes.
-    pub const REGISTRY_ORDER: u16 = 52;
-    /// The registry's per-tier aggregates.
-    pub const REGISTRY_AGGREGATES: u16 = 54;
     /// The `storeOnce` dedup digest table (leaf: never held together with
-    /// the other registry locks).
+    /// a registry shard).
     pub const REGISTRY_DEDUP: u16 = 56;
     /// A metastore shard's durability state (log writer, segment chain);
     /// held across file IO by design (the log write *is* the critical
@@ -185,10 +187,7 @@ pub mod rank {
         ("instance.background", INSTANCE_BACKGROUND),
         ("instance.retry_rng", INSTANCE_RETRY_RNG),
         ("instance.alerts", INSTANCE_ALERTS),
-        ("registry.gate", REGISTRY_GATE),
         ("registry.shard", REGISTRY_SHARD),
-        ("registry.order", REGISTRY_ORDER),
-        ("registry.aggregates", REGISTRY_AGGREGATES),
         ("registry.dedup", REGISTRY_DEDUP),
         ("metastore.commit", METASTORE_COMMIT),
         ("metastore.index", METASTORE_INDEX),
@@ -234,7 +233,7 @@ mod lockcheck {
     //! interleaving that happens to deadlock.
 
     use std::cell::{Cell, RefCell};
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeMap, HashMap, HashSet};
     use std::panic::Location;
     use std::sync::{Mutex as StdMutex, OnceLock, PoisonError};
 
@@ -253,6 +252,18 @@ mod lockcheck {
     thread_local! {
         static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
         static NEXT_ID: Cell<u64> = const { Cell::new(0) };
+        /// Acquisitions since the last [`reset_tally`], by lock name.
+        static TALLY: RefCell<BTreeMap<&'static str, u64>> = const { RefCell::new(BTreeMap::new()) };
+    }
+
+    /// See [`super::reset_tally`].
+    pub(super) fn reset_tally() {
+        let _ = TALLY.try_with(|tally| tally.borrow_mut().clear());
+    }
+
+    /// See [`super::tally`].
+    pub(super) fn tally() -> BTreeMap<&'static str, u64> {
+        TALLY.try_with(|tally| tally.borrow().clone()).unwrap_or_default()
     }
 
     /// `held name → (acquired name → (holding site, acquiring site))`.
@@ -339,6 +350,7 @@ mod lockcheck {
                     edges.entry(h.name).or_default().insert(name, (h.at, at));
                 }
             }
+            let _ = TALLY.try_with(|tally| *tally.borrow_mut().entry(name).or_default() += 1);
             let id = NEXT_ID.with(|n| {
                 let id = n.get();
                 n.set(id + 1);
@@ -359,6 +371,22 @@ mod lockcheck {
             }
         });
     }
+}
+
+/// Zeroes the calling thread's lock tally (see the module docs).
+pub fn reset_tally() {
+    #[cfg(feature = "lockcheck")]
+    lockcheck::reset_tally();
+}
+
+/// The named-lock acquisitions the calling thread made since its last
+/// [`reset_tally`], by lock name. Counted only under the `lockcheck`
+/// feature ([`LOCKCHECK`]); empty without it.
+pub fn tally() -> std::collections::BTreeMap<&'static str, u64> {
+    #[cfg(feature = "lockcheck")]
+    return lockcheck::tally();
+    #[cfg(not(feature = "lockcheck"))]
+    std::collections::BTreeMap::new()
 }
 
 /// A mutual-exclusion lock whose `lock()` never fails.
@@ -652,11 +680,15 @@ mod tests {
 
     #[test]
     fn registry_rank_order_matches_documented_comment() {
-        // crates/core/src/registry.rs documents "gate → shard → order →
-        // aggregates", dedup leaf-only. The declared ranks must agree.
-        assert!(rank::REGISTRY_GATE < rank::REGISTRY_SHARD);
-        assert!(rank::REGISTRY_SHARD < rank::REGISTRY_ORDER);
-        assert!(rank::REGISTRY_ORDER < rank::REGISTRY_AGGREGATES);
-        assert!(rank::REGISTRY_AGGREGATES < rank::REGISTRY_DEDUP);
+        // crates/core/src/registry.rs documents one registry-wide lock
+        // kind, the shard, with dedup a leaf no registry lock ranks below.
+        // The table must agree, and hold no other registry lock.
+        assert!(rank::REGISTRY_SHARD < rank::REGISTRY_DEDUP);
+        let registry: Vec<&str> = rank::RANK_TABLE
+            .iter()
+            .map(|&(name, _)| name)
+            .filter(|name| name.starts_with("registry."))
+            .collect();
+        assert_eq!(registry, ["registry.shard", "registry.dedup"]);
     }
 }

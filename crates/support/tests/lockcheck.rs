@@ -118,3 +118,25 @@ fn held_stack_survives_a_caught_inversion() {
     let _l = lo.lock();
     let _h = hi.lock();
 }
+
+#[test]
+fn the_tally_counts_this_threads_named_acquisitions_by_name() {
+    use tiera_support::sync::{reset_tally, tally};
+    let m = Mutex::named("tally.m", 700, 0u32);
+    let l = RwLock::named("tally.l", 702, 0u32);
+    let anonymous = Mutex::new(0u32);
+    *m.lock() += 1;
+    reset_tally();
+    *m.lock() += 1;
+    let _ = *l.read();
+    *l.write() += 1;
+    *anonymous.lock() += 1;
+    std::thread::scope(|s| {
+        s.spawn(|| *m.lock() += 1);
+    });
+    let counts = tally();
+    assert_eq!(counts.get("tally.m"), Some(&1), "{counts:?}");
+    assert_eq!(counts.get("tally.l"), Some(&2), "{counts:?}");
+    reset_tally();
+    assert!(tally().is_empty());
+}

@@ -53,10 +53,10 @@ pub fn run(fs: &Arc<TieraFs>, path: &str, cfg: &FioConfig, start: SimTime) -> Lo
             Err(_) => report.failures += 1,
         }
         if i % 64 == 0 {
-            let _ = fs.instance().pump(t);
+            report.pumped(fs.instance().pump(t));
         }
     }
-    let _ = fs.instance().pump(t);
+    report.pumped(fs.instance().pump(t));
     report.finish(start, t);
     report
 }
@@ -81,6 +81,7 @@ mod tests {
         let report = run(&fs, "/data", &cfg, SimTime::ZERO);
         assert_eq!(report.ops, 500);
         assert_eq!(report.failures, 0);
+        assert_eq!(report.pump_failures, 0);
         assert_eq!(report.reads.count(), 500);
     }
 }

@@ -100,12 +100,12 @@ pub fn run(db: &MiniDb, cfg: &OltpConfig, start: SimTime) -> LoadReport {
         }
         clock.advance_to(t);
         if id == 0 && txn.is_multiple_of(cfg.pump_every) {
-            let _ = instance.pump(clock.now());
+            report.pumped(instance.pump(clock.now()));
         }
         done[id] += 1;
         Some(t)
     });
-    let _ = instance.pump(clock.now());
+    report.pumped(instance.pump(clock.now()));
     report
 }
 
@@ -184,6 +184,7 @@ mod tests {
         let report = run(&db, &cfg, SimTime::ZERO);
         assert_eq!(report.ops, 100);
         assert_eq!(report.failures, 0);
+        assert_eq!(report.pump_failures, 0);
         assert!(report.throughput() > 0.0);
     }
 

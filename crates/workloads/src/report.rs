@@ -8,6 +8,9 @@ pub struct LoadReport {
     pub ops: u64,
     /// Failed operations (timeouts during outages, etc.).
     pub failures: u64,
+    /// `Instance::pump` calls that failed: the tick could not make the
+    /// metadata durable (`Registry::sync()`'s error).
+    pub pump_failures: u64,
     /// Virtual elapsed time: until the last client finished.
     pub elapsed: SimDuration,
     /// Read-latency histogram.
@@ -22,6 +25,7 @@ impl LoadReport {
         Self {
             ops: 0,
             failures: 0,
+            pump_failures: 0,
             elapsed: SimDuration::ZERO,
             reads: Histogram::new(),
             writes: Histogram::new(),
@@ -35,6 +39,14 @@ impl LoadReport {
             0.0
         } else {
             self.ops as f64 / secs
+        }
+    }
+
+    /// Counts `pump`, an `Instance::pump` result, in `pump_failures` if it
+    /// failed.
+    pub fn pumped<T, E>(&mut self, pump: Result<T, E>) {
+        if pump.is_err() {
+            self.pump_failures += 1;
         }
     }
 
@@ -57,6 +69,7 @@ impl std::fmt::Debug for LoadReport {
         f.debug_struct("LoadReport")
             .field("ops", &self.ops)
             .field("failures", &self.failures)
+            .field("pump_failures", &self.pump_failures)
             .field("elapsed", &self.elapsed)
             .field("throughput", &self.throughput())
             .finish()
@@ -74,5 +87,13 @@ mod tests {
         r.elapsed = SimDuration::from_secs(10);
         assert!((r.throughput() - 10.0).abs() < 1e-9);
         assert_eq!(LoadReport::new().throughput(), 0.0);
+    }
+
+    #[test]
+    fn failed_pumps_are_counted() {
+        let mut r = LoadReport::new();
+        r.pumped::<(), ()>(Ok(()));
+        r.pumped::<(), &str>(Err("metadata not durable"));
+        assert_eq!(r.pump_failures, 1);
     }
 }

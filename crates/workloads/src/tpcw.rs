@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use tiera_core::instance::Instance;
+use tiera_core::Result;
 use tiera_db::{MiniDb, Op};
 use tiera_sim::exec::run_clients;
 use tiera_sim::{SimDuration, SimTime};
@@ -75,20 +76,24 @@ pub fn static_key(i: u64) -> String {
     format!("static/page-{i:06}")
 }
 
-/// Preloads static content onto the instance.
-pub fn preload_static(instance: &Arc<Instance>, cfg: &TpcwConfig, start: SimTime) -> SimTime {
+/// Preloads static content onto the instance, returning the virtual time
+/// after loading, or the first error of a PUT or a pump: a run must not
+/// fetch pages that were never stored.
+pub fn preload_static(
+    instance: &Arc<Instance>,
+    cfg: &TpcwConfig,
+    start: SimTime,
+) -> Result<SimTime> {
     let mut t = start;
     for i in 0..cfg.static_objects {
         let body = crate::ycsb::record_value(i ^ 0xDEAD, cfg.static_size);
-        if let Ok(r) = instance.put(static_key(i).as_str(), body, t) {
-            t += r.latency;
-        }
+        t += instance.put(static_key(i).as_str(), body, t)?.latency;
         if i % 128 == 0 {
-            let _ = instance.pump(t);
+            instance.pump(t)?;
         }
     }
-    let _ = instance.pump(t);
-    t
+    instance.pump(t)?;
+    Ok(t)
 }
 
 /// Runs the bookstore under `cfg.emulated_browsers` virtual clients, a step
@@ -152,7 +157,7 @@ pub fn run(db: &MiniDb, cfg: &TpcwConfig, start: SimTime) -> LoadReport {
 
         clock.advance_to(t);
         if eb == 0 {
-            let _ = instance.pump(clock.now());
+            report.pumped(instance.pump(clock.now()));
         }
 
         // Measure only interactions completing inside the window.
@@ -203,9 +208,10 @@ mod tests {
     #[test]
     fn browsers_produce_wips() {
         let (db, cfg) = setup();
-        let t = preload_static(db.fs().instance(), &cfg, SimTime::ZERO);
+        let t = preload_static(db.fs().instance(), &cfg, SimTime::ZERO).unwrap();
         let report = run(&db, &cfg, t);
         assert!(report.ops > 10, "interactions completed: {}", report.ops);
+        assert_eq!(report.pump_failures, 0);
         let wips = report.throughput();
         // 3 browsers with ~1 s think time → WIPS in the low single digits.
         assert!(wips > 0.5 && wips < 10.0, "wips={wips}");
@@ -218,7 +224,7 @@ mod tests {
         let wips_for = |browsers: usize| {
             let (db, mut cfg) = setup();
             cfg.emulated_browsers = browsers;
-            let t = preload_static(db.fs().instance(), &cfg, SimTime::ZERO);
+            let t = preload_static(db.fs().instance(), &cfg, SimTime::ZERO).unwrap();
             run(&db, &cfg, t).throughput()
         };
         let small = wips_for(2);

@@ -9,6 +9,7 @@ use std::sync::Arc;
 
 use tiera_support::Bytes;
 use tiera_core::instance::Instance;
+use tiera_core::Result;
 use tiera_sim::exec::run_clients;
 use tiera_sim::SimTime;
 
@@ -56,23 +57,21 @@ impl YcsbConfig {
 }
 
 /// Preloads `records` values into the instance, returning the virtual time
-/// after loading (load latency excluded from measurements).
-pub fn preload(instance: &Arc<Instance>, cfg: &YcsbConfig, start: SimTime) -> SimTime {
+/// after loading (load latency excluded from measurements), or the first
+/// error of a PUT or a pump: a run must not measure a half-loaded store.
+pub fn preload(instance: &Arc<Instance>, cfg: &YcsbConfig, start: SimTime) -> Result<SimTime> {
     let mut t = start;
     for i in 0..cfg.records {
         let key = record_key(i);
         let value = record_value(i, cfg.value_size);
-        match instance.put(key.as_str(), value, t) {
-            Ok(r) => t += r.latency,
-            Err(_) => break,
-        }
+        t += instance.put(key.as_str(), value, t)?.latency;
         // Keep background machinery from backing up during the load.
         if i % 256 == 0 {
-            let _ = instance.pump(t);
+            instance.pump(t)?;
         }
     }
-    let _ = instance.pump(t);
-    t
+    instance.pump(t)?;
+    Ok(t)
 }
 
 /// Record key for index `i`.
@@ -131,12 +130,12 @@ pub fn run(instance: &Instance, cfg: &YcsbConfig, start: SimTime) -> LoadReport 
         }
         clock.advance_to(t);
         if id == 0 && op.is_multiple_of(cfg.pump_every) {
-            let _ = instance.pump(clock.now());
+            report.pumped(instance.pump(clock.now()));
         }
         done[id] += 1;
         Some(t)
     });
-    let _ = instance.pump(clock.now());
+    report.pumped(instance.pump(clock.now()));
     report
 }
 
@@ -159,10 +158,11 @@ mod tests {
         let mut cfg = YcsbConfig::new(100);
         cfg.read_proportion = 1.0;
         cfg.ops_per_thread = 500;
-        let t = preload(&inst, &cfg, SimTime::ZERO);
+        let t = preload(&inst, &cfg, SimTime::ZERO).unwrap();
         let report = run(&inst, &cfg, t);
         assert_eq!(report.ops, 500);
         assert_eq!(report.failures, 0);
+        assert_eq!(report.pump_failures, 0);
         assert_eq!(report.reads.count(), 500);
         assert_eq!(report.writes.count(), 0);
     }
@@ -174,9 +174,10 @@ mod tests {
         cfg.read_proportion = 0.5;
         cfg.threads = 4;
         cfg.ops_per_thread = 250;
-        let t = preload(&inst, &cfg, SimTime::ZERO);
+        let t = preload(&inst, &cfg, SimTime::ZERO).unwrap();
         let report = run(&inst, &cfg, t);
         assert_eq!(report.ops, 1000);
+        assert_eq!(report.pump_failures, 0);
         assert!(report.reads.count() > 300);
         assert!(report.writes.count() > 300);
     }
@@ -188,7 +189,7 @@ mod tests {
             let mut cfg = YcsbConfig::new(50);
             cfg.threads = 4;
             cfg.ops_per_thread = 200;
-            let t = preload(&inst, &cfg, SimTime::ZERO);
+            let t = preload(&inst, &cfg, SimTime::ZERO).unwrap();
             let r = run(&inst, &cfg, t);
             let h = |h: &tiera_sim::Histogram| (h.count(), h.mean(), h.quantile(0.95));
             (r.ops, r.failures, r.elapsed, h(&r.reads), h(&r.writes))

@@ -3,7 +3,10 @@
 //! Builds the registry alone, a memory tier alone, a bare instance, an
 //! instance with a metadata directory and a three-node cluster over the
 //! same keys and prints how much `VmRSS` each added per object — the
-//! numbers behind DESIGN.md's per-object memory budget. Then the served-overwrite probe behind
+//! numbers behind DESIGN.md's per-object memory budget. Each row runs in a
+//! process of its own (the example runs itself again with `--row <name>`),
+//! so no row reuses heap chunks an earlier row freed, nor pays for chunks
+//! it left. Then the served-overwrite probe behind
 //! DESIGN.md's payload byte budget: one thread loads 4 KiB values, another
 //! overwrites them, and the peak resident set should not grow.
 //!
@@ -11,6 +14,7 @@
 //! cargo run --release --example footprint            # 100 000 keys
 //! cargo run --release --example footprint -- --check # ... and fail if over the budget
 //! cargo run --release --example footprint -- --quick # 2 000 keys: only checks it runs
+//! cargo run --release --example footprint -- --row tier # one row's figure alone
 //! ```
 //!
 //! The budget `--check` holds the metadata plane to, at 100 000 keys: the
@@ -28,6 +32,7 @@
 //! the bytes stored: a tier that drops replaced values where the payload
 //! pool cannot see them fails it at ≈ 1.0.
 
+use std::process::Command;
 use std::sync::Arc;
 
 use tiera::cluster::{ClusterNode, Coordinator};
@@ -42,25 +47,29 @@ const PAYLOAD: usize = 128;
 /// Bytes an object may cost the registry alone, which keeps no order
 /// indexes (157 measured, + 2 %; 219 while it kept them eagerly).
 const REGISTRY_BUDGET: f64 = 161.0;
-/// Bytes an object may cost a registry whose order indexes are built (200
+/// Bytes an object may cost a registry whose order indexes are built (212
 /// measured; the budget eager upkeep was held to).
 const INDEXED_REGISTRY_BUDGET: f64 = 224.0;
-/// Bytes an object may cost a memory tier alone, less the payload: its
-/// map slot, the key and the payload buffer's header (118 measured,
-/// + 2 %).
-const MEMORY_TIER_BUDGET: f64 = 121.0;
-/// Bytes an object may cost a bare instance (232 measured, + 2 %).
+/// Bytes an object may cost a memory tier alone, less the payload: the
+/// key's 48-byte chunk, the payload buffer's header and chunk rounding
+/// (32) and the map slot at load 1/1.31 (43): 123 measured, + 2 %. It
+/// read 118 (budget 121) while the rows shared one process, on heap
+/// chunks the row before it had freed.
+const MEMORY_TIER_BUDGET: f64 = 126.0;
+/// Bytes an object may cost a bare instance (232 measured, + 2 %, while
+/// the rows shared one process; 234–235 in a process of its own).
 const BARE_INSTANCE_BUDGET: f64 = 237.0;
 /// Bytes an object may cost an instance with a `metadata_dir` (270
-/// measured, + 2 %).
+/// measured, + 2 %, while the rows shared one process; 271–273 alone).
 const INSTANCE_META_BUDGET: f64 = 276.0;
 /// Bytes of that which may be the metastore's: its locator table (≈ 33)
 /// and what growing the table left in the allocator.
 const METASTORE_BUDGET: f64 = 48.0;
 /// Bytes a key may cost a `Coordinator` replicating it to three bare
 /// instances: three registry and tier entries, the coordinator's record,
-/// and one key string the four share (588 measured, + 2 %). A key
-/// string per replica again would cost about 3 × 48 more.
+/// and one key string the four share (588 measured, + 2 %, while the rows
+/// shared one process; 591–592 alone). A key string per replica again
+/// would cost about 3 × 48 more.
 const COORDINATOR_BUDGET: f64 = 600.0;
 /// Peak resident set growth the served-overwrite probe may show, per
 /// byte stored (0.00 measured; ≈ 1.0 when replaced values are freed
@@ -83,15 +92,14 @@ fn rss() -> u64 {
     status_bytes("VmRSS:")
 }
 
-/// Runs `build`, prints what it added to the resident set per key (less
-/// `payload` bytes of user data), and returns that with what it built, so
-/// that it stays resident while the later layers are measured.
-fn measure<T>(label: &str, keys: usize, payload: usize, build: impl FnOnce() -> T) -> (T, f64) {
+/// What `build` adds to the resident set per key, less `payload` bytes of
+/// user data. What it built stays alive until that is read.
+fn measure<T>(keys: usize, payload: usize, build: impl FnOnce() -> T) -> f64 {
     let before = rss();
     let built = build();
     let per_key = rss().saturating_sub(before) as f64 / keys as f64 - payload as f64;
-    println!("{label:<46} {per_key:>7.0} B/object");
-    (built, per_key)
+    drop(built);
+    per_key
 }
 
 fn memory_tier(env: &SimEnv) -> Arc<MemoryTier> {
@@ -140,18 +148,21 @@ fn served_overwrite(env: &SimEnv, keys: usize) -> f64 {
     growth
 }
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let check = std::env::args().any(|a| a == "--check");
-    if quick && check {
-        eprintln!("footprint: the budget --check holds is stated at 100 000 keys; drop --quick");
-        std::process::exit(2);
-    }
-    let keys = if quick { 2_000 } else { 100_000 };
+/// The rows, in the order they print: the name `--row` takes and the label.
+const ROWS: [(&str, &str); 6] = [
+    ("registry", "Registry (one location, clean)"),
+    ("indexed", "Registry after its first ordered read"),
+    ("tier", "MemoryTier"),
+    ("bare", "Instance, no rules (registry + tier)"),
+    ("meta", "Instance with metadata_dir (+ metastore index)"),
+    ("coordinator", "Coordinator R=3 over 3 nodes (per key)"),
+];
+
+/// Builds row `name` over `keys` keys and returns its bytes per object;
+/// `None` for a name [`ROWS`] does not list.
+fn row(name: &str, keys: usize) -> Option<f64> {
     let names: Vec<String> = (0..keys).map(|k| format!("user{k:012}")).collect();
     let env = SimEnv::new(7);
-    println!("{keys} keys, {PAYLOAD}-byte payloads; payload bytes excluded\n");
-
     let load_registry = |registry: &Registry| {
         for name in &names {
             let mut meta = ObjectMeta::new(PAYLOAD as u64, SimTime::ZERO);
@@ -159,64 +170,54 @@ fn main() {
             registry.upsert(ObjectKey::new(name), meta);
         }
     };
-    let (_registry, registry) = measure("Registry (one location, clean)", keys, 0, || {
-        let registry = Registry::in_memory();
-        load_registry(&registry);
-        registry
-    });
-    let (_indexed, indexed) = measure("Registry after its first ordered read", keys, 0, || {
-        let registry = Registry::in_memory();
-        assert_eq!(registry.oldest_in("mem"), None);
-        load_registry(&registry);
-        registry
-    });
-    let (_tier, tier) = measure("MemoryTier", keys, PAYLOAD, || {
-        let tier = memory_tier(&env);
-        for name in &names {
-            tier.put(
-                &ObjectKey::new(name),
-                vec![7u8; PAYLOAD].into(),
-                SimTime::ZERO,
-            )
-            .expect("tier put");
-        }
-        tier
-    });
-    let (_bare, bare) = measure(
-        "Instance, no rules (registry + tier)",
-        keys,
-        PAYLOAD,
-        || {
+    let per_key = match name {
+        "registry" => measure(keys, 0, || {
+            let registry = Registry::in_memory();
+            load_registry(&registry);
+            registry
+        }),
+        "indexed" => measure(keys, 0, || {
+            let registry = Registry::in_memory();
+            assert_eq!(registry.oldest_in("mem"), None);
+            load_registry(&registry);
+            registry
+        }),
+        "tier" => measure(keys, PAYLOAD, || {
+            let tier = memory_tier(&env);
+            for name in &names {
+                tier.put(
+                    &ObjectKey::new(name),
+                    vec![7u8; PAYLOAD].into(),
+                    SimTime::ZERO,
+                )
+                .expect("tier put");
+            }
+            tier
+        }),
+        "bare" => measure(keys, PAYLOAD, || {
             let inst = InstanceBuilder::new("bare", env.clone())
                 .tier(memory_tier(&env))
                 .build()
                 .expect("bare instance");
             load(&inst, &names);
             inst
-        },
-    );
-    let dir = std::env::temp_dir().join(format!("tiera-footprint-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (_meta, with_meta) = measure(
-        "Instance with metadata_dir (+ metastore index)",
-        keys,
-        PAYLOAD,
-        || {
-            let inst = InstanceBuilder::new("meta", env.clone())
-                .tier(memory_tier(&env))
-                .metadata_dir(&dir)
-                .build()
-                .expect("instance with metadata_dir");
-            load(&inst, &names);
-            inst
-        },
-    );
-    std::fs::remove_dir_all(&dir).ok();
-    let (_cluster, coordinator) = measure(
-        "Coordinator R=3 over 3 nodes (per key)",
-        keys,
-        PAYLOAD,
-        || {
+        }),
+        "meta" => {
+            let dir = std::env::temp_dir().join(format!("tiera-footprint-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let per_key = measure(keys, PAYLOAD, || {
+                let inst = InstanceBuilder::new("meta", env.clone())
+                    .tier(memory_tier(&env))
+                    .metadata_dir(&dir)
+                    .build()
+                    .expect("instance with metadata_dir");
+                load(&inst, &names);
+                inst
+            });
+            std::fs::remove_dir_all(&dir).ok();
+            per_key
+        }
+        "coordinator" => measure(keys, PAYLOAD, || {
             let coord = Coordinator::new(3, 2);
             for i in 0..3 {
                 let name = format!("node-{i}");
@@ -235,10 +236,60 @@ fn main() {
                     .expect("routed put");
             }
             coord
-        },
-    );
+        }),
+        _ => return None,
+    };
+    Some(per_key)
+}
 
-    let growth = served_overwrite(&env, if quick { 500 } else { 10_000 });
+/// Row `name`'s bytes per object, measured by this example run again in a
+/// child process with `--row`: a fresh heap, which no other row has grown
+/// or freed chunks in.
+fn in_child(name: &str, quick: bool) -> f64 {
+    let mut child = Command::new(std::env::current_exe().expect("the example's own path"));
+    child.args(["--row", name]);
+    if quick {
+        child.arg("--quick");
+    }
+    let out = child.output().expect("run a row in a child process");
+    let figure = std::str::from_utf8(&out.stdout).ok().and_then(|s| s.trim().parse().ok());
+    match figure {
+        Some(per_key) if out.status.success() => per_key,
+        _ => {
+            eprintln!("footprint: row {name} failed: {}", String::from_utf8_lossy(&out.stderr));
+            std::process::exit(1);
+        }
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let check = args.iter().any(|a| a == "--check");
+    let keys = if quick { 2_000 } else { 100_000 };
+    if let Some(at) = args.iter().position(|a| a == "--row") {
+        let name = args.get(at + 1).map_or("", String::as_str);
+        let Some(per_key) = row(name, keys) else {
+            let names: Vec<&str> = ROWS.iter().map(|(name, _)| *name).collect();
+            eprintln!("footprint: --row takes one of {}", names.join(", "));
+            std::process::exit(2);
+        };
+        println!("{per_key}");
+        return;
+    }
+    if quick && check {
+        eprintln!("footprint: the budget --check holds is stated at 100 000 keys; drop --quick");
+        std::process::exit(2);
+    }
+    println!("{keys} keys, {PAYLOAD}-byte payloads; payload bytes excluded; one process a row\n");
+    let mut figures = [0.0; ROWS.len()];
+    for ((name, label), figure) in ROWS.iter().zip(&mut figures) {
+        *figure = in_child(name, quick);
+        println!("{label:<46} {figure:>7.0} B/object");
+    }
+    let [registry, indexed, tier, bare, with_meta, coordinator] = figures;
+
+    let growth = served_overwrite(&SimEnv::new(7), if quick { 500 } else { 10_000 });
 
     if check {
         let metastore = with_meta - bare;

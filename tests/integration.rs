@@ -48,7 +48,7 @@ Tiera Workhorse(time t) {
     cfg.read_proportion = 0.8;
     cfg.threads = 4;
     cfg.ops_per_thread = 250;
-    let t = ycsb::preload(&instance, &cfg, SimTime::ZERO);
+    let t = ycsb::preload(&instance, &cfg, SimTime::ZERO).unwrap();
     let report = ycsb::run(&instance, &cfg, t);
     assert_eq!(report.ops, 1000);
     assert_eq!(report.failures, 0);

@@ -288,9 +288,9 @@ fn fig13_durability_tradeoff() {
     let mut cfg = YcsbConfig::new(500);
     cfg.read_proportion = 0.5;
     cfg.ops_per_thread = 600;
-    let t = ycsb::preload(&high, &cfg, SimTime::ZERO);
+    let t = ycsb::preload(&high, &cfg, SimTime::ZERO).unwrap();
     let high_report = ycsb::run(&high, &cfg, t);
-    let t = ycsb::preload(&low, &cfg, SimTime::ZERO);
+    let t = ycsb::preload(&low, &cfg, SimTime::ZERO).unwrap();
     let low_report = ycsb::run(&low, &cfg, t);
 
     // Writes: high durability pays the synchronous EBS copy.
