@@ -26,10 +26,8 @@ use tiera_support::Bytes;
 /// (and charges no request), which is where both the capacity and the
 /// cost savings come from.
 ///
-/// In debug builds every dedup hit re-reads the existing blob and
-/// byte-compares it against the incoming payload — collision paranoia for
-/// the (cryptographically negligible) case of two payloads sharing a
-/// sha256 digest. Release builds trust the digest.
+/// The digest is trusted: a dedup hit reads nothing back, in debug and
+/// release builds alike, so both draw the same faults from the inner tier.
 ///
 /// When composed with [`crate::CompressedTier`], dedup goes *outermost*
 /// (`Dedup(Compressed(inner))`): identity is computed on the raw payload
@@ -141,17 +139,6 @@ impl Tier for DedupTier {
         }
 
         let receipt = if st.blobs.refs(&digest) > 0 {
-            #[cfg(debug_assertions)]
-            {
-                // Collision paranoia: confirm the resident blob really is
-                // this payload before aliasing to it.
-                let (existing, _) = self.inner.get(&blob_key(&digest), now)?;
-                if existing.as_slice() != data.as_slice() {
-                    return Err(TieraError::Codec(format!(
-                        "{key}: sha256 collision on {digest}"
-                    )));
-                }
-            }
             st.dedup_hits += 1;
             OpReceipt::FREE
         } else {
