@@ -20,8 +20,9 @@
 //! * **A006** applies to every line of every non-support file, matching
 //!   the original hermetic.rs lint.
 //! * **A008** applies to the shipping region of shipping files, support's
-//!   included: a `let _ =` statement that calls one of `MUST_USE`'s methods
-//!   discards a failure the caller was meant to see, unless the line above
+//!   included: a `let _ =` statement, or an expression statement ending in
+//!   `.ok();`, that calls one of `MUST_USE`'s methods discards a failure
+//!   the caller was meant to see, unless the line above the statement
 //!   gives the reason as `// A008: <reason>`.
 //! * **A009** applies to the column-0 `pub` items of the configured
 //!   dead-surface directories (every crate's `src/` but support's and
@@ -150,22 +151,51 @@ const MUST_USE: &[&str] = &[
     "write_all",
 ];
 
-/// The [`MUST_USE`] method a `let _ =` statement starting at cleaned line
-/// `at` calls, if it starts there and calls one. The statement runs to
-/// its `;`.
-fn discarded_call(cleaned: &[String], at: usize) -> Option<&'static str> {
-    let rest = cleaned[at].trim_start().strip_prefix("let _ =")?;
-    let mut statement = rest.to_string();
-    for line in &cleaned[at + 1..] {
-        if statement.contains(';') {
+/// The [`MUST_USE`] method a statement starting at cleaned line `at`
+/// discards the `Result` of, if it does, and how it does: a `let _ =`
+/// statement, or an expression statement ending in `.ok();`.
+fn discarded_call(cleaned: &[String], at: usize) -> Option<(&'static str, &'static str)> {
+    let (statement, how) = match cleaned[at].trim_start().strip_prefix("let _ =") {
+        Some(rest) => {
+            // The statement runs to its `;`.
+            let mut statement = rest.to_string();
+            for line in &cleaned[at + 1..] {
+                if statement.contains(';') {
+                    break;
+                }
+                statement.push_str(line.trim());
+            }
+            (statement, "`let _ =`")
+        }
+        None => (ok_statement(cleaned, at)?, "`.ok();`"),
+    };
+    let call = MUST_USE
+        .iter()
+        .find(|name| statement.contains(&format!(".{name}(")))?;
+    Some((call, how))
+}
+
+/// The expression statement starting at cleaned line `at`, if it ends in
+/// `.ok();`. A statement starts after a blank line or one ending in `;`,
+/// `{` or `}`, and runs to the first line ending in one of those; one that
+/// binds, assigns or returns its value keeps it.
+fn ok_statement(cleaned: &[String], at: usize) -> Option<String> {
+    let first = cleaned[at].trim();
+    let opens = at == 0 || {
+        let above = cleaned[at - 1].trim();
+        above.is_empty() || above.ends_with([';', '{', '}'])
+    };
+    if !opens || first.is_empty() || first.starts_with("let ") || first.starts_with("return ") {
+        return None;
+    }
+    let mut statement = String::new();
+    for line in &cleaned[at..] {
+        statement.push_str(line.trim());
+        if statement.ends_with([';', '{', '}']) {
             break;
         }
-        statement.push_str(line.trim());
     }
-    MUST_USE
-        .iter()
-        .find(|name| statement.contains(&format!(".{name}(")))
-        .copied()
+    (statement.ends_with(".ok();") && !statement.contains(" = ")).then_some(statement)
 }
 
 /// Whether raw line `above` gives A008 its reason: `// A008: <reason>`.
@@ -513,7 +543,7 @@ fn file_diags(path: &str, source: &str, facts: &FileFacts, config: &Config) -> V
     // A008 — discarded durability/pump results (shipping region).
     let raw: Vec<&str> = source.lines().collect();
     for at in 0..facts.shipping_end.min(facts.cleaned.len()) {
-        let Some(call) = discarded_call(&facts.cleaned, at) else {
+        let Some((call, how)) = discarded_call(&facts.cleaned, at) else {
             continue;
         };
         if at > 0 && justifies_a008(raw.get(at - 1)) {
@@ -523,7 +553,7 @@ fn file_diags(path: &str, source: &str, facts: &FileFacts, config: &Config) -> V
             Diagnostic::new(
                 LintCode::DiscardedResult,
                 (at + 1) as u32,
-                format!("`let _ =` discards the `Result` of `.{call}(..)`"),
+                format!("{how} discards the `Result` of `.{call}(..)`"),
             )
             .note("handle or propagate the error, or give the reason on the line above as `// A008: <reason>`"),
         );

@@ -31,7 +31,7 @@ tiera_support::lint_codes! {
         DefaultHashedHotPath => ("A005", Error, "default-hashed map in a hot-path module"),
         StdSyncLock => ("A006", Error, "std::sync lock named outside tiera-support"),
         UnnamedLockMultiSite => ("A007", Warning, "unnamed lock constructed in a multi-lock file"),
-        DiscardedResult => ("A008", Error, "`let _ =` discards the Result of a durability or pump call"),
+        DiscardedResult => ("A008", Error, "`let _ =` or `.ok();` discards the Result of a durability or pump call"),
         DeadPubSurface => ("A009", Warning, "pub item that no non-test code names"),
     }
 }

@@ -165,6 +165,21 @@ fn a008_discarded_result_fixtures() {
 }
 
 #[test]
+fn a008_flags_a_result_discarded_by_ok() {
+    let src = fixture("a008_ok_discarded.rs");
+    let analysis = analyze_file("a008_ok_discarded.rs", &src, &Config::workspace());
+    assert_eq!(codes(&analysis), ["A008", "A008"], "{analysis:?}");
+    let lines: Vec<u32> = analysis.diagnostics().iter().map(|d| d.line).collect();
+    let sync = line_of(&src, "    log.sync_all().ok();");
+    assert_eq!(lines, [sync, sync + 1]);
+    let rendered = analysis.render(&src, "a008_ok_discarded.rs");
+    assert!(rendered.starts_with(
+        "error[A008]: `.ok();` discards the `Result` of `.sync_all(..)`"
+    ));
+    assert!(rendered.contains("`.ok();` discards the `Result` of `.pump(..)`"));
+}
+
+#[test]
 fn a009_dead_pub_fixture() {
     let src = fixture("a009_dead_pub.rs");
     let config = Config {

@@ -7,7 +7,7 @@
 //! subsequently restored back to its original value by t = 7 mins."
 //!
 //! The outage is expressed through the chaos harness's declarative
-//! [`FaultSchedule`] (an open-ended EBS write outage at t = 245 s), so the
+//! [`Schedule`] (an open-ended EBS write outage at t = 245 s), so the
 //! figure and the chaos suite exercise the same fault plane. The rendered
 //! output is deterministic and golden-tested against
 //! `experiments_output.txt`.
@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use tiera_chaos::schedule::FaultSchedule;
+use tiera_chaos::schedule::Schedule;
 use tiera_core::event::{ActionOp, EventKind};
 use tiera_core::monitor::FailureMonitor;
 use tiera_core::response::ResponseSpec;
@@ -44,7 +44,7 @@ pub fn render() -> String {
         .expect("builds");
     // Outage just after the monitor's 4-minute probe, via the fault
     // schedule (equivalent to `FailureWindow::write_outage(245 s)`).
-    FaultSchedule::new(1700)
+    Schedule::new(1700)
         .outage(
             "ebs",
             SimTime::from_secs(245),

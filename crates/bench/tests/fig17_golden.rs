@@ -3,7 +3,7 @@
 //!
 //! Figure 17 is the paper's robustness centerpiece (outage → detection →
 //! reconfiguration → recovery) and, since the fault plane rework, it runs
-//! through the same `FaultSchedule` API the chaos suite uses — this test
+//! through the same `Schedule` API the chaos suite uses — this test
 //! pins the figure while that machinery evolves. Only the bracketed
 //! `[fig17 completed in …]` wall-time line is excluded (it is the one
 //! non-deterministic line in the section).

@@ -17,18 +17,21 @@
 //! 5. **Steady state returns** — after the schedule ends, fresh operations
 //!    succeed at normal latency.
 //!
-//! The same machinery generalizes from tier faults to **node faults**:
-//! [`node_schedule`] generates seeded kill / partition / slow-node /
-//! rejoin-with-stale-state schedules, and [`cluster_scenario`] drives a
-//! replicated `tiera-cluster` deployment through them with the ledger
-//! invariants extended to the replication contract — every W-acked
-//! write survives any R−1 node kills, no phantom keys reappear after a
-//! stale rejoin, and rebalance migration volume never exceeds the plan.
+//! One [`Schedule`] holds both fault planes: tier faults (outage, flap,
+//! noise) act through each tier's injector, and node faults (kill,
+//! partition, slow) are windows whose edges the run takes as op time
+//! passes. One runner, [`scenario::run`], drives every stack: an instance
+//! over raw or tierx-wrapped tiers, or a replicated `tiera-cluster`
+//! deployment (`Stack::Cluster`), whose ledger invariants extend to the
+//! replication contract — every W-acked write survives any R−1 node kills,
+//! no phantom keys reappear after a stale rejoin, and rebalance migration
+//! volume never exceeds the plan. [`metastore_crash`] stays apart: it
+//! kills a bare metastore at named sites, with no load loop.
 //!
 //! Everything is deterministic in virtual time: a scenario is a pure
-//! function of its config, and every failure report prints the call
-//! ([`scenario::run`] or [`run_cluster`] with that config) that replays
-//! the identical fault schedule and event log byte for byte.
+//! function of its [`ChaosConfig`], and every failure report prints the
+//! `scenario::run` call that replays the identical fault schedule and
+//! event log byte for byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,9 +43,8 @@ pub mod node_schedule;
 pub mod scenario;
 pub mod schedule;
 
-pub use cluster_scenario::{run_cluster, ClusterChaosConfig, ClusterChaosOutcome, ClusterScenarioKind};
+pub use cluster_scenario::ClusterScenarioKind;
 pub use invariants::{InvariantReport, WriteLedger};
 pub use metastore_crash::{run_crash_case, run_crash_matrix, CrashCaseReport};
-pub use node_schedule::{NodeFaultAction, NodeFaultDriver, NodeFaultEvent, NodeFaultSchedule};
-pub use scenario::{ChaosConfig, ChaosOutcome, ScenarioKind, Stack};
-pub use schedule::{FaultEvent, FaultSchedule};
+pub use scenario::{run, ChaosConfig, ChaosOutcome, ScenarioKind, Stack};
+pub use schedule::{Edge, Fault, Schedule};

@@ -1,109 +1,19 @@
-//! Seed-driven **node**-fault schedules for cluster chaos runs.
+//! The node-fault generators of the one [`Schedule`]: seeded kill,
+//! partition and slow-node shapes over a cluster's members.
 //!
-//! Where [`crate::schedule::FaultSchedule`] fails individual *tiers*
-//! inside one instance, a [`NodeFaultSchedule`] fails whole *cluster
-//! members*: kill (freeze state, refuse ops, later rejoin with whatever
-//! stale state was frozen), partition (unreachable, heals), and slow
-//! (fixed virtual-latency penalty per op). Every generator is a pure
-//! function of its seed, every event is bounded, and every event's
-//! active window closes by `0.6 × horizon` — the same replay contract
-//! the tier schedules honour: one number reproduces the run.
-//!
-//! Schedules are plain data; the [`NodeFaultDriver`] turns one into a
-//! stream of [`NodeFaultAction`]s as virtual time passes, each fired
-//! exactly once, in event order — which is what makes a cluster
-//! scenario's event log byte-identical run to run.
+//! Where [`Schedule::random`] fails individual *tiers* inside one
+//! instance, these fail whole *cluster members*: kill (freeze state,
+//! refuse ops, later rejoin with whatever stale state was frozen),
+//! partition (unreachable, heals), and slow (fixed virtual-latency penalty
+//! per op). Every generator is a pure function of its seed, every fault is
+//! bounded, and every fault's window closes by `0.6 × horizon` — the same
+//! replay contract the tier generator honours: one number reproduces the
+//! run. A run consumes the windows as [`Schedule::edges`].
 
 use tiera_sim::{SimDuration, SimTime};
 use tiera_support::SimRng;
 
-/// One fault against one cluster node.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NodeFaultEvent {
-    /// Kill at `at`; rejoin (revive + anti-entropy) at `rejoin_at`. The
-    /// node keeps the state it froze with, so it rejoins stale.
-    Kill {
-        /// The node to kill.
-        node: String,
-        /// Kill instant.
-        at: SimTime,
-        /// Rejoin instant (strictly after `at`).
-        rejoin_at: SimTime,
-    },
-    /// Network partition over `[from, until)`; heals afterwards.
-    Partition {
-        /// The node to isolate.
-        node: String,
-        /// Partition start.
-        from: SimTime,
-        /// Partition end (heal).
-        until: SimTime,
-    },
-    /// A fixed per-op latency penalty over `[from, until)`.
-    Slow {
-        /// The node to slow down.
-        node: String,
-        /// Penalty start.
-        from: SimTime,
-        /// Penalty end.
-        until: SimTime,
-        /// Added virtual latency per op.
-        penalty: SimDuration,
-    },
-}
-
-impl NodeFaultEvent {
-    /// The node this event targets.
-    pub fn node(&self) -> &str {
-        match self {
-            NodeFaultEvent::Kill { node, .. }
-            | NodeFaultEvent::Partition { node, .. }
-            | NodeFaultEvent::Slow { node, .. } => node,
-        }
-    }
-}
-
-/// A state transition the driver asks the scenario to apply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NodeFaultAction {
-    /// Kill the node (freeze state, refuse ops).
-    Kill(String),
-    /// Revive the node and run the coordinator's anti-entropy sweep.
-    Rejoin(String),
-    /// Partition the node away.
-    Partition(String),
-    /// Heal the partition (followed by anti-entropy, like a rejoin).
-    Heal(String),
-    /// Install a per-op latency penalty.
-    Slow(String, SimDuration),
-    /// Clear the penalty.
-    Unslow(String),
-}
-
-impl NodeFaultAction {
-    /// A stable one-line description for event logs.
-    pub fn describe(&self) -> String {
-        match self {
-            NodeFaultAction::Kill(n) => format!("kill node={n}"),
-            NodeFaultAction::Rejoin(n) => format!("rejoin node={n}"),
-            NodeFaultAction::Partition(n) => format!("partition node={n}"),
-            NodeFaultAction::Heal(n) => format!("heal node={n}"),
-            NodeFaultAction::Slow(n, p) => {
-                format!("slow node={n} penalty={:.3}s", p.as_secs_f64())
-            }
-            NodeFaultAction::Unslow(n) => format!("unslow node={n}"),
-        }
-    }
-}
-
-/// A seeded, declarative node-fault schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeFaultSchedule {
-    /// The seed the generator ran with (embedded in failure reports).
-    pub seed: u64,
-    /// The fault events, in generation order.
-    pub events: Vec<NodeFaultEvent>,
-}
+use crate::schedule::{Fault, Schedule};
 
 fn frac(horizon: SimDuration, f: f64) -> SimTime {
     SimTime::ZERO + horizon.mul_f64(f)
@@ -120,15 +30,7 @@ fn pick_distinct(rng: &mut SimRng, names: &[String], k: usize) -> Vec<String> {
     out
 }
 
-impl NodeFaultSchedule {
-    /// An empty schedule.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            events: Vec::new(),
-        }
-    }
-
+impl Schedule {
     /// Kill 1–2 nodes (never all of them) at seeded instants in
     /// `[0.10, 0.35] × horizon`, each rejoining `[0.10, 0.20] × horizon`
     /// later — pure function of `seed`.
@@ -139,7 +41,7 @@ impl NodeFaultSchedule {
         for node in pick_distinct(&mut rng, nodes, k) {
             let at = frac(horizon, 0.10 + rng.next_f64() * 0.25);
             let rejoin_at = at + horizon.mul_f64(0.10 + rng.next_f64() * 0.10);
-            s.events.push(NodeFaultEvent::Kill {
+            s.faults.push(Fault::Kill {
                 node,
                 at,
                 rejoin_at,
@@ -157,7 +59,7 @@ impl NodeFaultSchedule {
         for node in pick_distinct(&mut rng, nodes, k) {
             let from = frac(horizon, 0.10 + rng.next_f64() * 0.25);
             let until = from + horizon.mul_f64(0.05 + rng.next_f64() * 0.15);
-            s.events.push(NodeFaultEvent::Partition { node, from, until });
+            s.faults.push(Fault::Partition { node, from, until });
         }
         s
     }
@@ -170,7 +72,7 @@ impl NodeFaultSchedule {
         let mut s = Self::new(seed);
         let picked = pick_distinct(&mut rng, nodes, 2);
         if let Some(victim) = picked.first() {
-            s.events.push(NodeFaultEvent::Kill {
+            s.faults.push(Fault::Kill {
                 node: victim.clone(),
                 at: frac(horizon, 0.05),
                 rejoin_at: frac(horizon, 0.45 + rng.next_f64() * 0.10),
@@ -178,7 +80,7 @@ impl NodeFaultSchedule {
         }
         if let Some(slowpoke) = picked.get(1) {
             let from = frac(horizon, 0.10 + rng.next_f64() * 0.10);
-            s.events.push(NodeFaultEvent::Slow {
+            s.faults.push(Fault::Slow {
                 node: slowpoke.clone(),
                 from,
                 until: from + horizon.mul_f64(0.20),
@@ -198,7 +100,7 @@ impl NodeFaultSchedule {
         for node in pick_distinct(&mut rng, nodes, 1) {
             let at = frac(horizon, 0.22 + rng.next_f64() * 0.08);
             let rejoin_at = at + horizon.mul_f64(0.15 + rng.next_f64() * 0.10);
-            s.events.push(NodeFaultEvent::Kill {
+            s.faults.push(Fault::Kill {
                 node,
                 at,
                 rejoin_at,
@@ -206,152 +108,12 @@ impl NodeFaultSchedule {
         }
         s
     }
-
-    /// The latest instant at which any event is still active. Every
-    /// generator above keeps this at or below `0.6 × horizon`.
-    pub fn clears_by(&self) -> SimTime {
-        let mut latest = SimTime::ZERO;
-        for event in &self.events {
-            let end = match event {
-                NodeFaultEvent::Kill { rejoin_at, .. } => *rejoin_at,
-                NodeFaultEvent::Partition { until, .. } => *until,
-                NodeFaultEvent::Slow { until, .. } => *until,
-            };
-            if end > latest {
-                latest = end;
-            }
-        }
-        latest
-    }
-
-    /// Deterministic, line-oriented description — the replay contract:
-    /// identical seeds must print identical text.
-    pub fn describe(&self) -> String {
-        let mut out = format!("node-fault-schedule seed={}\n", self.seed);
-        if self.events.is_empty() {
-            out.push_str("  (no node faults)\n");
-        }
-        for event in &self.events {
-            match event {
-                NodeFaultEvent::Kill {
-                    node,
-                    at,
-                    rejoin_at,
-                } => out.push_str(&format!(
-                    "  kill node={node} at={:.3}s rejoin={:.3}s\n",
-                    at.as_secs_f64(),
-                    rejoin_at.as_secs_f64()
-                )),
-                NodeFaultEvent::Partition { node, from, until } => out.push_str(&format!(
-                    "  partition node={node} from={:.3}s until={:.3}s\n",
-                    from.as_secs_f64(),
-                    until.as_secs_f64()
-                )),
-                NodeFaultEvent::Slow {
-                    node,
-                    from,
-                    until,
-                    penalty,
-                } => out.push_str(&format!(
-                    "  slow node={node} from={:.3}s until={:.3}s penalty={:.3}s\n",
-                    from.as_secs_f64(),
-                    until.as_secs_f64(),
-                    penalty.as_secs_f64()
-                )),
-            }
-        }
-        out
-    }
-}
-
-/// Replays a [`NodeFaultSchedule`] as virtual time advances, emitting
-/// each phase of each event exactly once.
-#[derive(Debug, Clone)]
-pub struct NodeFaultDriver {
-    schedule: NodeFaultSchedule,
-    /// Per event: (onset fired, clearance fired).
-    fired: Vec<(bool, bool)>,
-}
-
-impl NodeFaultDriver {
-    /// A driver over `schedule` with nothing fired yet.
-    pub fn new(schedule: NodeFaultSchedule) -> Self {
-        let fired = vec![(false, false); schedule.events.len()];
-        Self { schedule, fired }
-    }
-
-    /// The schedule being driven.
-    pub fn schedule(&self) -> &NodeFaultSchedule {
-        &self.schedule
-    }
-
-    /// Actions due at or before `now` that have not fired yet, in event
-    /// order (an event's onset always precedes its clearance).
-    pub fn actions(&mut self, now: SimTime) -> Vec<NodeFaultAction> {
-        let mut out = Vec::new();
-        for (i, event) in self.schedule.events.iter().enumerate() {
-            let (onset, clearance) = self.fired[i];
-            match event {
-                NodeFaultEvent::Kill {
-                    node,
-                    at,
-                    rejoin_at,
-                } => {
-                    if !onset && now >= *at {
-                        out.push(NodeFaultAction::Kill(node.clone()));
-                        self.fired[i].0 = true;
-                    }
-                    if self.fired[i].0 && !clearance && now >= *rejoin_at {
-                        out.push(NodeFaultAction::Rejoin(node.clone()));
-                        self.fired[i].1 = true;
-                    }
-                }
-                NodeFaultEvent::Partition { node, from, until } => {
-                    if !onset && now >= *from {
-                        out.push(NodeFaultAction::Partition(node.clone()));
-                        self.fired[i].0 = true;
-                    }
-                    if self.fired[i].0 && !clearance && now >= *until {
-                        out.push(NodeFaultAction::Heal(node.clone()));
-                        self.fired[i].1 = true;
-                    }
-                }
-                NodeFaultEvent::Slow {
-                    node,
-                    from,
-                    until,
-                    penalty,
-                } => {
-                    if !onset && now >= *from {
-                        out.push(NodeFaultAction::Slow(node.clone(), *penalty));
-                        self.fired[i].0 = true;
-                    }
-                    if self.fired[i].0 && !clearance && now >= *until {
-                        out.push(NodeFaultAction::Unslow(node.clone()));
-                        self.fired[i].1 = true;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Events whose clearance has not fired yet.
-    pub fn outstanding(&self) -> usize {
-        self.fired.iter().filter(|(_, c)| !c).count()
-    }
-
-    /// Fires everything still outstanding (the end-of-run sweep): each
-    /// remaining onset and clearance, in event order.
-    pub fn finish(&mut self) -> Vec<NodeFaultAction> {
-        // Far enough past any bounded schedule.
-        self.actions(SimTime::ZERO + SimDuration::from_secs(u32::MAX as u64))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Edge;
 
     fn names(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("node-{i}")).collect()
@@ -363,20 +125,20 @@ mod tests {
         let nodes = names(5);
         for seed in 0..20u64 {
             assert_eq!(
-                NodeFaultSchedule::kills(seed, &nodes, h),
-                NodeFaultSchedule::kills(seed, &nodes, h)
+                Schedule::kills(seed, &nodes, h),
+                Schedule::kills(seed, &nodes, h)
             );
             assert_eq!(
-                NodeFaultSchedule::partitions(seed, &nodes, h).describe(),
-                NodeFaultSchedule::partitions(seed, &nodes, h).describe()
+                Schedule::partitions(seed, &nodes, h).describe(),
+                Schedule::partitions(seed, &nodes, h).describe()
             );
             assert_eq!(
-                NodeFaultSchedule::rejoin_stale(seed, &nodes, h),
-                NodeFaultSchedule::rejoin_stale(seed, &nodes, h)
+                Schedule::rejoin_stale(seed, &nodes, h),
+                Schedule::rejoin_stale(seed, &nodes, h)
             );
             assert_eq!(
-                NodeFaultSchedule::kill_during_window(seed, &nodes, h),
-                NodeFaultSchedule::kill_during_window(seed, &nodes, h)
+                Schedule::kill_during_window(seed, &nodes, h),
+                Schedule::kill_during_window(seed, &nodes, h)
             );
         }
     }
@@ -388,15 +150,16 @@ mod tests {
         let nodes = names(5);
         for seed in 0..40u64 {
             for s in [
-                NodeFaultSchedule::kills(seed, &nodes, h),
-                NodeFaultSchedule::partitions(seed, &nodes, h),
-                NodeFaultSchedule::rejoin_stale(seed, &nodes, h),
-                NodeFaultSchedule::kill_during_window(seed, &nodes, h),
+                Schedule::kills(seed, &nodes, h),
+                Schedule::partitions(seed, &nodes, h),
+                Schedule::rejoin_stale(seed, &nodes, h),
+                Schedule::kill_during_window(seed, &nodes, h),
             ] {
+                let clears = s.clears_by().expect("node faults are bounded");
                 assert!(
-                    s.clears_by() <= bound,
+                    clears <= bound,
                     "seed {seed}: clears at {:.1}s\n{}",
-                    s.clears_by().as_secs_f64(),
+                    clears.as_secs_f64(),
                     s.describe()
                 );
             }
@@ -408,74 +171,80 @@ mod tests {
         let h = SimDuration::from_secs(600);
         let nodes = names(2);
         for seed in 0..30u64 {
-            let s = NodeFaultSchedule::kills(seed, &nodes, h);
-            assert!(s.events.len() < nodes.len(), "seed {seed} killed all nodes");
+            let s = Schedule::kills(seed, &nodes, h);
+            assert!(s.faults.len() < nodes.len(), "seed {seed} killed all nodes");
+        }
+    }
+
+    fn edge(s: &Schedule, i: usize, onset: bool) -> Edge<'_> {
+        Edge {
+            fault: &s.faults[i],
+            onset,
         }
     }
 
     #[test]
-    fn driver_fires_each_phase_exactly_once_and_in_order() {
-        let mut s = NodeFaultSchedule::new(1);
-        s.events.push(NodeFaultEvent::Kill {
+    fn edges_fire_each_phase_exactly_once_and_in_order() {
+        let mut s = Schedule::new(1);
+        s.faults.push(Fault::Kill {
             node: "a".into(),
             at: SimTime::from_secs(10),
             rejoin_at: SimTime::from_secs(20),
         });
-        s.events.push(NodeFaultEvent::Slow {
+        s.faults.push(Fault::Slow {
             node: "b".into(),
             from: SimTime::from_secs(5),
             until: SimTime::from_secs(15),
             penalty: SimDuration::from_millis(50),
         });
-        let mut driver = NodeFaultDriver::new(s);
-        assert!(driver.actions(SimTime::from_secs(1)).is_empty());
-        assert_eq!(driver.outstanding(), 2);
-        let at7 = driver.actions(SimTime::from_secs(7));
-        assert_eq!(at7, vec![NodeFaultAction::Slow("b".into(), SimDuration::from_millis(50))]);
-        let at12 = driver.actions(SimTime::from_secs(12));
-        assert_eq!(at12, vec![NodeFaultAction::Kill("a".into())]);
-        // Re-asking at the same instant fires nothing twice.
-        assert!(driver.actions(SimTime::from_secs(12)).is_empty());
-        let rest = driver.finish();
-        assert_eq!(
-            rest,
-            vec![
-                NodeFaultAction::Rejoin("a".into()),
-                NodeFaultAction::Unslow("b".into()),
-            ]
-        );
-        assert_eq!(driver.outstanding(), 0);
-        assert!(driver.finish().is_empty());
+        // A tier fault has no edges: it acts through injector windows.
+        let s = s.outage("ebs", SimTime::from_secs(1), None, tiera_sim::FailureKind::All);
+        let at = |secs| Some(SimTime::from_secs(secs));
+        assert!(s.edges(None, at(1)).is_empty());
+        assert_eq!(s.edges(at(1), at(7)), vec![edge(&s, 1, true)]);
+        assert_eq!(s.edges(at(7), at(12)), vec![edge(&s, 0, true)]);
+        // Asking again from the same instant fires nothing twice.
+        assert!(s.edges(at(12), at(12)).is_empty());
+        // The finish sweep fires the rest, in fault order.
+        assert_eq!(s.edges(at(12), None), vec![edge(&s, 0, false), edge(&s, 1, false)]);
+        assert!(s.edges(at(20), None).is_empty());
+        // Consecutive windows partition the edges: each fires exactly
+        // once, and a fault's onset before its clearance.
+        let mut seen = Vec::new();
+        let mut last = None;
+        for t in (0..=30).step_by(3) {
+            seen.extend(s.edges(last, at(t)));
+            last = at(t);
+        }
+        seen.extend(s.edges(last, None));
+        assert_eq!(seen.len(), 4);
+        for i in 0..2 {
+            let pos = |onset| seen.iter().position(|e| *e == edge(&s, i, onset));
+            assert!(pos(true).unwrap() < pos(false).unwrap(), "{seen:?}");
+        }
     }
 
     #[test]
     fn onset_and_clearance_can_fire_in_one_call() {
-        let mut s = NodeFaultSchedule::new(1);
-        s.events.push(NodeFaultEvent::Partition {
+        let mut s = Schedule::new(1);
+        s.faults.push(Fault::Partition {
             node: "a".into(),
             from: SimTime::from_secs(1),
             until: SimTime::from_secs(2),
         });
-        let mut driver = NodeFaultDriver::new(s);
-        let both = driver.actions(SimTime::from_secs(30));
-        assert_eq!(
-            both,
-            vec![
-                NodeFaultAction::Partition("a".into()),
-                NodeFaultAction::Heal("a".into()),
-            ]
-        );
+        let both = s.edges(None, Some(SimTime::from_secs(30)));
+        assert_eq!(both, vec![edge(&s, 0, true), edge(&s, 0, false)]);
     }
 
     #[test]
     fn describe_is_stable_and_names_every_event() {
         let h = SimDuration::from_secs(600);
         let nodes = names(4);
-        let s = NodeFaultSchedule::rejoin_stale(3, &nodes, h);
+        let s = Schedule::rejoin_stale(3, &nodes, h);
         let text = s.describe();
-        assert!(text.contains("seed=3"));
+        assert!(text.starts_with("node-fault-schedule seed=3\n"), "{text}");
         assert!(text.contains("kill node="));
         assert!(text.contains("slow node="));
-        assert!(NodeFaultSchedule::new(9).describe().contains("(no node faults)"));
+        assert_eq!(text, Schedule::rejoin_stale(3, &nodes, h).describe());
     }
 }

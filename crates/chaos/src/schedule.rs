@@ -1,23 +1,25 @@
-//! Seed-driven fault schedules over the [`FailureInjector`] fault plane.
+//! One seeded fault schedule over both fault planes: tiers and nodes.
 //!
-//! A [`FaultSchedule`] is a declarative list of fault events — outages,
-//! flapping, and probabilistic noise — that can be *applied* to the
-//! injectors of the tiers it names. Applying also re-seeds each injector
-//! from the schedule's seed, so the probabilistic draws replay
-//! byte-identically: the pair (schedule seed, op sequence) fully determines
+//! A [`Schedule`] is a declarative list of [`Fault`]s. Tier faults —
+//! outages, flapping, probabilistic noise — are *applied* to the
+//! [`FailureInjector`]s of the tiers they name; applying also re-seeds
+//! each injector from the schedule's seed, so the probabilistic draws
+//! replay byte-identically. Node faults — kill, partition, slowness — are
+//! windows a run consumes as [`Edge`]s ([`Schedule::edges`]) while virtual
+//! time passes: the pair (schedule seed, op sequence) fully determines
 //! every fault the run observes.
 //!
-//! [`FaultSchedule::random`] generates a bounded random schedule from a
-//! seed — the generator itself is a pure function of the seed, so a chaos
-//! failure report only ever needs to print one number.
+//! The generators ([`Schedule::random`] over tiers here, the node shapes
+//! in [`crate::node_schedule`]) are pure functions of their seed, so a
+//! chaos failure report only ever needs to print one number.
 
 use tiera_sim::{FailureInjector, FailureKind, FaultSpec, SimDuration, SimTime};
 use tiera_support::SimRng;
 
-/// One fault event against one tier.
+/// One fault against one tier or one cluster node.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultEvent {
-    /// A hard outage: every covered op inside the window fails.
+pub enum Fault {
+    /// A hard tier outage: every covered op inside the window fails.
     Outage {
         /// Affected tier name.
         tier: String,
@@ -47,7 +49,7 @@ pub enum FaultEvent {
         /// Client-observed timeout per failed op.
         timeout: SimDuration,
     },
-    /// Probabilistic per-op noise (timeouts, torn writes, transient
+    /// Probabilistic per-op tier noise (timeouts, torn writes, transient
     /// `TierFull`, latency spikes) drawn from the injector's seeded RNG.
     Noise {
         /// Affected tier name.
@@ -55,27 +57,81 @@ pub enum FaultEvent {
         /// The fault spec to install.
         spec: FaultSpec,
     },
+    /// Kill a node at `at` (freeze state, refuse ops); rejoin (revive +
+    /// anti-entropy) at `rejoin_at`. The node keeps the state it froze
+    /// with, so it rejoins stale.
+    Kill {
+        /// The node to kill.
+        node: String,
+        /// Kill instant.
+        at: SimTime,
+        /// Rejoin instant (strictly after `at`).
+        rejoin_at: SimTime,
+    },
+    /// Network partition of a node over `[from, until)`; heals afterwards.
+    Partition {
+        /// The node to isolate.
+        node: String,
+        /// Partition start.
+        from: SimTime,
+        /// Partition end (heal).
+        until: SimTime,
+    },
+    /// A fixed per-op latency penalty on a node over `[from, until)`.
+    Slow {
+        /// The node to slow down.
+        node: String,
+        /// Penalty start.
+        from: SimTime,
+        /// Penalty end.
+        until: SimTime,
+        /// Added virtual latency per op.
+        penalty: SimDuration,
+    },
 }
 
-impl FaultEvent {
-    /// The tier this event targets.
-    pub fn tier(&self) -> &str {
+impl Fault {
+    /// The tier a tier fault targets.
+    fn tier(&self) -> Option<&str> {
         match self {
-            FaultEvent::Outage { tier, .. }
-            | FaultEvent::Flap { tier, .. }
-            | FaultEvent::Noise { tier, .. } => tier,
+            Fault::Outage { tier, .. } | Fault::Flap { tier, .. } | Fault::Noise { tier, .. } => {
+                Some(tier)
+            }
+            _ => None,
+        }
+    }
+
+    /// A node fault's onset and clearance. Tier faults have none: they
+    /// act through injector windows.
+    fn node_window(&self) -> Option<(SimTime, SimTime)> {
+        match self {
+            Fault::Kill { at, rejoin_at, .. } => Some((*at, *rejoin_at)),
+            Fault::Partition { from, until, .. } | Fault::Slow { from, until, .. } => {
+                Some((*from, *until))
+            }
+            _ => None,
         }
     }
 }
 
+/// One edge of a node fault's window: its onset (kill, partition, slow)
+/// or its clearance (rejoin, heal, unslow).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Edge<'a> {
+    /// The node fault.
+    pub fault: &'a Fault,
+    /// Onset (`true`) or clearance (`false`).
+    pub onset: bool,
+}
+
 /// A seeded, declarative fault schedule.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultSchedule {
-    /// Seed for the injectors' probabilistic draw streams (and, for
-    /// [`FaultSchedule::random`], the generator itself).
+pub struct Schedule {
+    /// Seed for the injectors' probabilistic draw streams (and, for the
+    /// generators, the generator itself).
     pub seed: u64,
-    /// The fault events, in installation order.
-    pub events: Vec<FaultEvent>,
+    /// The faults, in installation order.
+    pub faults: Vec<Fault>,
 }
 
 fn kind_name(kind: FailureKind) -> &'static str {
@@ -99,16 +155,23 @@ fn tier_salt(name: &str) -> u64 {
     h
 }
 
-impl FaultSchedule {
+fn secs(t: Option<SimTime>) -> String {
+    match t {
+        Some(t) => format!("{:.3}s", t.as_secs_f64()),
+        None => "open".to_string(),
+    }
+}
+
+impl Schedule {
     /// An empty schedule with the given seed.
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            events: Vec::new(),
+            faults: Vec::new(),
         }
     }
 
-    /// Adds a hard outage window (5 s client timeout).
+    /// Adds a hard tier outage window (5 s client timeout).
     pub fn outage(
         mut self,
         tier: impl Into<String>,
@@ -116,7 +179,7 @@ impl FaultSchedule {
         until: Option<SimTime>,
         kind: FailureKind,
     ) -> Self {
-        self.events.push(FaultEvent::Outage {
+        self.faults.push(Fault::Outage {
             tier: tier.into(),
             from,
             until,
@@ -138,7 +201,7 @@ impl FaultSchedule {
         cycles: u32,
         kind: FailureKind,
     ) -> Self {
-        self.events.push(FaultEvent::Flap {
+        self.faults.push(Fault::Flap {
             tier: tier.into(),
             start,
             down,
@@ -152,14 +215,14 @@ impl FaultSchedule {
 
     /// Adds probabilistic noise from a [`FaultSpec`].
     pub fn noise(mut self, tier: impl Into<String>, spec: FaultSpec) -> Self {
-        self.events.push(FaultEvent::Noise {
+        self.faults.push(Fault::Noise {
             tier: tier.into(),
             spec,
         });
         self
     }
 
-    /// Generates a bounded random schedule over `tiers` within
+    /// Generates a bounded random tier schedule over `tiers` within
     /// `[0, horizon)`, as a pure function of `seed`.
     ///
     /// Every generated fault clears before `0.6 × horizon`, so a scenario
@@ -172,8 +235,8 @@ impl FaultSchedule {
         let mut schedule = Self::new(seed);
         let span = horizon.mul_f64(0.6);
         for tier in tiers {
-            // Each tier independently gets 0-2 events; a schedule with no
-            // events at all is a valid (and useful) control run.
+            // Each tier independently gets 0-2 faults; a schedule with no
+            // faults at all is a valid (and useful) control run.
             let picks = rng.next_below(3);
             for _ in 0..picks {
                 let kind = match rng.next_below(3) {
@@ -212,20 +275,20 @@ impl FaultSchedule {
         schedule
     }
 
-    /// Installs the schedule into the named injectors, re-seeding each
+    /// Installs the tier faults into the named injectors, re-seeding each
     /// injector's draw stream from the schedule seed salted by the tier
     /// name (so two tiers never share a stream). Unnamed tiers are left
-    /// untouched; events naming absent tiers are skipped.
+    /// untouched; faults naming absent tiers, and node faults, are skipped.
     pub fn apply(&self, injectors: &[(&str, &FailureInjector)]) {
         for (name, injector) in injectors {
             injector.set_seed(self.seed ^ tier_salt(name));
         }
-        for event in &self.events {
-            let Some((_, injector)) = injectors.iter().find(|(n, _)| n == &event.tier()) else {
+        for fault in &self.faults {
+            let Some((_, injector)) = injectors.iter().find(|(n, _)| Some(*n) == fault.tier()) else {
                 continue;
             };
-            match event {
-                FaultEvent::Outage {
+            match fault {
+                Fault::Outage {
                     from,
                     until,
                     kind,
@@ -237,7 +300,7 @@ impl FaultSchedule {
                     kind: *kind,
                     timeout: *timeout,
                 }),
-                FaultEvent::Flap {
+                Fault::Flap {
                     start,
                     down,
                     up,
@@ -246,7 +309,8 @@ impl FaultSchedule {
                     timeout,
                     ..
                 } => injector.schedule_flap(*start, *down, *up, *cycles, *kind, *timeout),
-                FaultEvent::Noise { spec, .. } => injector.install(*spec),
+                Fault::Noise { spec, .. } => injector.install(*spec),
+                _ => {}
             }
         }
     }
@@ -258,35 +322,59 @@ impl FaultSchedule {
         }
     }
 
+    /// The node-fault edges due in `(after, upto]`, where `after: None`
+    /// means from the start and `upto: None` means to the end of time. They
+    /// come in fault order, each fault's onset before its clearance.
+    ///
+    /// A run that asks for consecutive windows — `(None, t1]`, `(t1, t2]`,
+    /// …, then `(tn, end]` as its final sweep — therefore sees every edge
+    /// exactly once, and never a clearance before its onset (a window's
+    /// clearance is never before its onset).
+    pub fn edges(&self, after: Option<SimTime>, upto: Option<SimTime>) -> Vec<Edge<'_>> {
+        let due = |at: SimTime| after.is_none_or(|a| at > a) && upto.is_none_or(|u| at <= u);
+        let mut out = Vec::new();
+        for fault in &self.faults {
+            if let Some((onset, clearance)) = fault.node_window() {
+                for (at, onset) in [(onset, true), (clearance, false)] {
+                    if due(at) {
+                        out.push(Edge { fault, onset });
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// A deterministic, line-oriented description of the schedule — the
     /// replay contract: two runs with the same seed must produce identical
-    /// `describe()` output, and chaos failure reports embed it.
+    /// `describe()` output, and chaos failure reports embed it. A schedule
+    /// of node faults heads itself `node-fault-schedule`.
     pub fn describe(&self) -> String {
-        let mut out = format!("fault-schedule seed={}\n", self.seed);
-        if self.events.is_empty() {
+        let nodes = self.faults.iter().any(|f| f.node_window().is_some());
+        let mut out = format!(
+            "{}fault-schedule seed={}\n",
+            if nodes { "node-" } else { "" },
+            self.seed
+        );
+        if self.faults.is_empty() {
             out.push_str("  (no faults)\n");
         }
-        for event in &self.events {
-            match event {
-                FaultEvent::Outage {
+        for fault in &self.faults {
+            let line = match fault {
+                Fault::Outage {
                     tier,
                     from,
                     until,
                     kind,
                     timeout,
-                } => {
-                    let until = match until {
-                        Some(u) => format!("{:.3}s", u.as_secs_f64()),
-                        None => "open".to_string(),
-                    };
-                    out.push_str(&format!(
-                        "  outage tier={tier} ops={} from={:.3}s until={until} timeout={:.3}s\n",
-                        kind_name(*kind),
-                        from.as_secs_f64(),
-                        timeout.as_secs_f64(),
-                    ));
-                }
-                FaultEvent::Flap {
+                } => format!(
+                    "outage tier={tier} ops={} from={:.3}s until={} timeout={:.3}s",
+                    kind_name(*kind),
+                    from.as_secs_f64(),
+                    secs(*until),
+                    timeout.as_secs_f64(),
+                ),
+                Fault::Flap {
                     tier,
                     start,
                     down,
@@ -294,47 +382,65 @@ impl FaultSchedule {
                     cycles,
                     kind,
                     timeout,
-                } => out.push_str(&format!(
-                    "  flap tier={tier} ops={} start={:.3}s down={:.3}s up={:.3}s cycles={cycles} timeout={:.3}s\n",
+                } => format!(
+                    "flap tier={tier} ops={} start={:.3}s down={:.3}s up={:.3}s cycles={cycles} timeout={:.3}s",
                     kind_name(*kind),
                     start.as_secs_f64(),
                     down.as_secs_f64(),
                     up.as_secs_f64(),
                     timeout.as_secs_f64(),
-                )),
-                FaultEvent::Noise { tier, spec } => {
-                    let until = match spec.until {
-                        Some(u) => format!("{:.3}s", u.as_secs_f64()),
-                        None => "open".to_string(),
-                    };
-                    out.push_str(&format!(
-                        "  noise tier={tier} ops={} from={:.3}s until={until} error={:.4} torn={:.4} full={:.4} spike={:.4}x{:.3}s\n",
-                        kind_name(spec.ops),
-                        spec.from.as_secs_f64(),
-                        spec.error_prob,
-                        spec.torn_prob,
-                        spec.full_prob,
-                        spec.spike_prob,
-                        spec.spike.as_secs_f64(),
-                    ));
-                }
-            }
+                ),
+                Fault::Noise { tier, spec } => format!(
+                    "noise tier={tier} ops={} from={:.3}s until={} error={:.4} torn={:.4} full={:.4} spike={:.4}x{:.3}s",
+                    kind_name(spec.ops),
+                    spec.from.as_secs_f64(),
+                    secs(spec.until),
+                    spec.error_prob,
+                    spec.torn_prob,
+                    spec.full_prob,
+                    spec.spike_prob,
+                    spec.spike.as_secs_f64(),
+                ),
+                Fault::Kill {
+                    node,
+                    at,
+                    rejoin_at,
+                } => format!(
+                    "kill node={node} at={:.3}s rejoin={:.3}s",
+                    at.as_secs_f64(),
+                    rejoin_at.as_secs_f64()
+                ),
+                Fault::Partition { node, from, until } => format!(
+                    "partition node={node} from={:.3}s until={:.3}s",
+                    from.as_secs_f64(),
+                    until.as_secs_f64()
+                ),
+                Fault::Slow {
+                    node,
+                    from,
+                    until,
+                    penalty,
+                } => format!(
+                    "slow node={node} from={:.3}s until={:.3}s penalty={:.3}s",
+                    from.as_secs_f64(),
+                    until.as_secs_f64(),
+                    penalty.as_secs_f64()
+                ),
+            };
+            out.push_str(&format!("  {line}\n"));
         }
         out
     }
 
     /// The latest instant at which any scheduled fault can still be
-    /// active, or `None` if an event is open-ended (or the schedule is
-    /// empty).
+    /// active, or `None` if a fault is open-ended. An empty schedule
+    /// clears at zero.
     pub fn clears_by(&self) -> Option<SimTime> {
-        if self.events.is_empty() {
-            return Some(SimTime::ZERO);
-        }
         let mut latest = SimTime::ZERO;
-        for event in &self.events {
-            let end = match event {
-                FaultEvent::Outage { until, .. } => (*until)?,
-                FaultEvent::Flap {
+        for fault in &self.faults {
+            let end = match fault {
+                Fault::Outage { until, .. } => (*until)?,
+                Fault::Flap {
                     start,
                     down,
                     up,
@@ -347,7 +453,8 @@ impl FaultSchedule {
                     }
                     at
                 }
-                FaultEvent::Noise { spec, .. } => spec.until?,
+                Fault::Noise { spec, .. } => spec.until?,
+                _ => fault.node_window()?.1,
             };
             if end > latest {
                 latest = end;
@@ -363,8 +470,8 @@ mod tests {
 
     #[test]
     fn random_schedule_is_a_pure_function_of_the_seed() {
-        let a = FaultSchedule::random(42, &["mem", "ebs"], SimDuration::from_secs(600));
-        let b = FaultSchedule::random(42, &["mem", "ebs"], SimDuration::from_secs(600));
+        let a = Schedule::random(42, &["mem", "ebs"], SimDuration::from_secs(600));
+        let b = Schedule::random(42, &["mem", "ebs"], SimDuration::from_secs(600));
         assert_eq!(a, b);
         assert_eq!(a.describe(), b.describe());
     }
@@ -372,9 +479,9 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let horizon = SimDuration::from_secs(600);
-        let base = FaultSchedule::random(1, &["mem", "ebs"], horizon);
+        let base = Schedule::random(1, &["mem", "ebs"], horizon);
         assert!(
-            (2..30u64).any(|s| FaultSchedule::random(s, &["mem", "ebs"], horizon) != base),
+            (2..30u64).any(|s| Schedule::random(s, &["mem", "ebs"], horizon) != base),
             "30 seeds all generated the identical schedule"
         );
     }
@@ -383,7 +490,7 @@ mod tests {
     fn random_schedule_clears_before_sixty_percent_of_horizon() {
         let horizon = SimDuration::from_secs(1000);
         for seed in 0..50 {
-            let s = FaultSchedule::random(seed, &["a", "b", "c"], horizon);
+            let s = Schedule::random(seed, &["a", "b", "c"], horizon);
             let clears = s.clears_by().expect("random schedules are bounded");
             assert!(
                 clears <= SimTime::ZERO + horizon.mul_f64(0.6) + SimDuration::from_secs(1),
@@ -395,7 +502,7 @@ mod tests {
 
     #[test]
     fn describe_names_every_event() {
-        let s = FaultSchedule::new(7)
+        let s = Schedule::new(7)
             .outage("ebs", SimTime::from_secs(10), None, FailureKind::Writes)
             .flap(
                 "mem",
@@ -420,7 +527,7 @@ mod tests {
     fn apply_reseeds_and_installs_only_named_tiers() {
         let ebs = FailureInjector::new();
         let mem = FailureInjector::new();
-        let s = FaultSchedule::new(9).outage(
+        let s = Schedule::new(9).outage(
             "ebs",
             SimTime::from_secs(1),
             Some(SimTime::from_secs(2)),
@@ -435,7 +542,7 @@ mod tests {
 
     #[test]
     fn clears_by_covers_flap_tail_and_open_ended_events() {
-        let flappy = FaultSchedule::new(0).flap(
+        let flappy = Schedule::new(0).flap(
             "t",
             SimTime::from_secs(10),
             SimDuration::from_secs(2),
@@ -444,9 +551,9 @@ mod tests {
             FailureKind::All,
         );
         assert_eq!(flappy.clears_by(), Some(SimTime::from_secs(20)));
-        let open = FaultSchedule::new(0).outage("t", SimTime::ZERO, None, FailureKind::All);
+        let open = Schedule::new(0).outage("t", SimTime::ZERO, None, FailureKind::All);
         assert_eq!(open.clears_by(), None);
-        assert_eq!(FaultSchedule::new(0).clears_by(), Some(SimTime::ZERO));
+        assert_eq!(Schedule::new(0).clears_by(), Some(SimTime::ZERO));
     }
 
     #[test]

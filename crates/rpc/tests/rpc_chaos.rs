@@ -18,7 +18,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use tiera_chaos::{FaultSchedule, InvariantReport, WriteLedger};
+use tiera_chaos::{InvariantReport, Schedule, WriteLedger};
 use tiera_core::prelude::*;
 use tiera_rpc::{PipelinedClient, ServerConfig, TieraServer};
 use tiera_sim::{FailureKind, SimDuration, SimEnv, SimTime};
@@ -32,8 +32,8 @@ const KEYS_PER_THREAD: usize = 12;
 /// The fault plane: both tiers flap on millisecond windows (the server
 /// maps wall time 1:1 onto virtual time, so these windows are hit while
 /// the clients hammer). A pure function of the seed.
-fn schedule(seed: u64) -> FaultSchedule {
-    FaultSchedule::new(seed)
+fn schedule(seed: u64) -> Schedule {
+    Schedule::new(seed)
         .flap(
             "memcached",
             SimTime::from_nanos(10_000_000), // 10 ms in

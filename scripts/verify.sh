@@ -27,7 +27,7 @@ echo "==> tiera-analyze --deny-warnings crates/ (concurrency analyzer gate)"
 cargo run -q --release --offline --bin tiera-analyze -- --deny-warnings --quiet crates
 
 echo "==> lockcheck tests (runtime lock-order sanitizer enabled)"
-cargo test --offline -q -p tiera-support -p tiera-core -p tiera-rpc -p tiera-chaos \
+cargo test --offline -q -p tiera-support -p tiera-sim -p tiera-tiers -p tiera-core -p tiera-rpc -p tiera-chaos \
     -p tiera-metastore -p tiera-cluster -p tiera-tierx -p tiera-db -p tiera-fs -p tiera-workloads \
     --features tiera-support/lockcheck
 
