@@ -1,32 +1,35 @@
 //! Semantic analysis of parsed specifications.
 //!
-//! The parser guarantees a spec is *well-formed*; this pass decides
+//! The parser guarantees a spec is *well-formed*; analysis decides
 //! whether it is *meaningful*. A wrong policy is a wrong storage system —
 //! dirty data parked in a volatile tier with no write-back rule loses data
 //! on the first failure, and a `move` cycle ping-pongs objects between
-//! tiers forever — so [`crate::compile::Compiler::compile`] runs this pass
+//! tiers forever — so [`crate::compile::Compiler::compile`] runs it
 //! before building an instance: findings with [`Severity::Error`] reject
 //! the spec, warnings are collected for the caller.
 //!
-//! The checks, by lint code (see [`LintCode`] and the DESIGN.md table):
+//! Analysis is two stages. The lowering walks the spec once, resolving
+//! each reference where it meets it; the passes here then read the policy
+//! it yields, the same one the compiler instantiates. The checks, by lint
+//! code (see [`LintCode`] and the DESIGN.md table):
 //!
-//! | code | check |
-//! |------|-------|
-//! | T001 | undefined tier in targets, event scopes, guards, selectors |
-//! | T002 | duplicate tier label (error) / duplicate event clause (warning) |
-//! | T003 | declared tier never referenced (first tier exempt: default placement) |
-//! | T004 | reference to an undeclared formal parameter |
-//! | T005 | type mismatch (`time` param as `size`, size as timer period, …) |
-//! | T006 | percentage outside its valid range |
-//! | T007 | zero timer period |
-//! | T008 | cycle in the copy/move graph (all-`move` cycle is an error) |
-//! | T009 | copy target capacity smaller than its source tier |
-//! | T010 | stores into a volatile tier with no copy/move path to a durable one |
-//! | T011 | declared formal parameter never used |
-//! | T012 | unknown response name |
-//! | T013 | `compress` attribute on an already-compressed/dedup'd tier |
-//! | T014 | `dedup` blob store on a volatile tier with no durable copy path |
-//! | T015 | tier attribute with an unknown name or invalid parameter |
+//! | code | stage | check |
+//! |------|-------|-------|
+//! | T001 | lower | undefined tier in targets, event scopes, guards, selectors |
+//! | T002 | lower | duplicate tier label (error) / duplicate event clause (warning) |
+//! | T003 | pass  | declared tier never referenced (first tier exempt: default placement) |
+//! | T004 | lower | reference to an undeclared formal parameter |
+//! | T005 | lower | type mismatch (`time` param as `size`, size as timer period, …) |
+//! | T006 | lower | percentage outside its valid range |
+//! | T007 | lower | zero timer period |
+//! | T008 | pass  | cycle in the copy/move graph (all-`move` cycle is an error) |
+//! | T009 | pass  | copy target capacity smaller than its source tier |
+//! | T010 | pass  | stores into a volatile tier with no copy/move path to a durable one |
+//! | T011 | pass  | declared formal parameter never used |
+//! | T012 | lower | unknown response name |
+//! | T013 | lower | `compress` attribute on an already-compressed/dedup'd tier |
+//! | T014 | pass  | `dedup` blob store on a volatile tier with no durable copy path |
+//! | T015 | lower | tier attribute with an unknown name or invalid parameter |
 //!
 //! Analysis is deterministic: findings come out in spec walk order, then
 //! whole-spec checks in declaration order, so re-analyzing a printed and
@@ -35,30 +38,13 @@
 
 use std::collections::{BTreeSet, HashMap};
 
+use tiera_core::response::ResponseSpec;
+use tiera_core::selector::Selector;
+
 use crate::ast::*;
 use crate::diag::{Analysis, Diagnostic, LintCode, Severity};
-use crate::printer::{print_event_expr, print_quantity};
-
-/// Response names the compiler can lower (keep in sync with
-/// `Compiler::compile_call`).
-pub const KNOWN_RESPONSES: &[&str] = &[
-    "store",
-    "storeOnce",
-    "retrieve",
-    "copy",
-    "move",
-    "delete",
-    "encrypt",
-    "decrypt",
-    "compress",
-    "uncompress",
-    "grow",
-    "shrink",
-];
-
-/// Tier wrapper attributes and their supported parameters (keep in sync
-/// with `Compiler::wrap_tier` and the `tiera-tierx` wrappers).
-pub const TIER_ATTRS: &[(&str, &[&str])] = &[("compress", &["lzss"]), ("dedup", &["sha256"])];
+use crate::lower::{lower, lower_event, Policy, Response, Value};
+use crate::printer::print_quantity;
 
 /// Analyzes a spec with the default tier-durability profile (the paper's
 /// catalog: `Memcached`/`MemcachedRemote`/`EphemeralStorage` volatile,
@@ -106,19 +92,27 @@ impl Analyzer {
 
     /// Runs every check over a full specification.
     pub fn analyze(&self, spec: &Spec) -> Analysis {
-        let mut pass = Pass::new(self, spec.tiers.clone(), spec.params.clone());
-        pass.check_tier_decls();
-        for (i, event) in spec.events.iter().enumerate() {
-            pass.check_duplicate_event(&spec.events[..i], event);
-            pass.check_event(event);
+        self.check(spec).1
+    }
+
+    /// Lowers `spec` and runs the whole-spec passes over the policy.
+    pub(crate) fn check(&self, spec: &Spec) -> (Policy, Analysis) {
+        let (policy, mut diags) = lower(spec);
+        let flows = Flows::of(&policy);
+        untargeted_tiers(&policy, &mut diags);
+        unused_params(&policy, &mut diags);
+        movement_cycles(&policy, &flows.edges, &mut diags);
+        writeback_capacity(&policy, &flows.edges, &mut diags);
+        // A location-free copy/move into a durable tier drains every tier.
+        let drained = flows
+            .global
+            .iter()
+            .any(|t| self.durable(&policy, t) == Some(true));
+        if !drained {
+            self.volatility_leaks(&policy, &flows, &mut diags);
+            self.dedup_volatile(&policy, &flows.edges, &mut diags);
         }
-        pass.check_untargeted_tiers();
-        pass.check_unused_params();
-        pass.check_movement_cycles();
-        pass.check_writeback_capacity();
-        pass.check_volatility_leaks();
-        pass.check_dedup_volatile();
-        Analysis::new(pass.diags)
+        (policy, Analysis::new(diags))
     }
 
     /// Re-analyzes a single event clause against a live instance's tier
@@ -126,807 +120,292 @@ impl Analyzer {
     /// checks (T002/T003/T008–T011) need the full spec and are skipped;
     /// per-clause checks (T001/T004–T007/T012) all run. `params` lists the
     /// formal parameters the caller can bind (usually none at runtime).
-    pub fn analyze_event(
-        &self,
-        decl: &EventDecl,
-        tiers: &[String],
-        params: &[Param],
-    ) -> Analysis {
-        let tier_decls = tiers
-            .iter()
-            .map(|label| TierDecl {
-                label: label.clone(),
-                type_name: String::new(),
-                size: Quantity::Int(0),
-                attrs: Vec::new(),
-                line: 0,
-            })
-            .collect();
-        let mut pass = Pass::new(self, tier_decls, params.to_vec());
-        pass.check_event(decl);
-        Analysis::new(pass.diags)
-    }
-}
-
-/// An edge of the data-movement graph: objects flow `from → to`.
-#[derive(Debug, Clone)]
-struct Edge {
-    from: String,
-    to: String,
-    /// `move` removes the source copy; `copy` keeps it.
-    is_move: bool,
-    line: u32,
-}
-
-struct Pass<'a> {
-    analyzer: &'a Analyzer,
-    tiers: Vec<TierDecl>,
-    params: Vec<Param>,
-    diags: Vec<Diagnostic>,
-    used_tiers: BTreeSet<String>,
-    used_params: BTreeSet<String>,
-    edges: Vec<Edge>,
-    /// `store`/`storeOnce` targets with the line of the store.
-    store_targets: Vec<(String, u32)>,
-    /// Copy/move targets whose selector has no location constraint
-    /// (`insert.object`, `object.dirty == true`, …): they drain *every*
-    /// tier, so a durable one among them satisfies T010 globally.
-    global_writeback: Vec<String>,
-}
-
-impl<'a> Pass<'a> {
-    fn new(analyzer: &'a Analyzer, tiers: Vec<TierDecl>, params: Vec<Param>) -> Self {
-        Self {
-            analyzer,
-            tiers,
-            params,
-            diags: Vec::new(),
-            used_tiers: BTreeSet::new(),
-            used_params: BTreeSet::new(),
-            edges: Vec::new(),
-            store_targets: Vec::new(),
-            global_writeback: Vec::new(),
-        }
+    pub fn analyze_event(&self, decl: &EventDecl, tiers: &[String], params: &[Param]) -> Analysis {
+        Analysis::new(lower_event(decl, tiers, params).2)
     }
 
-    fn push(&mut self, d: Diagnostic) {
-        self.diags.push(d);
+    /// `None` for an undeclared tier; otherwise whether it survives
+    /// failures, a type the analyzer does not know counting as durable.
+    fn durable(&self, policy: &Policy, label: &str) -> Option<bool> {
+        let tier = policy.tiers.iter().find(|t| t.label == label)?;
+        let known = self.durability.get(&tier.type_name.to_lowercase());
+        Some(known.copied().unwrap_or(true))
     }
 
-    fn tier_declared(&self, label: &str) -> bool {
-        self.tiers.iter().any(|t| t.label == label)
-    }
-
-    fn declared_tier_list(&self) -> String {
-        if self.tiers.is_empty() {
-            "no tiers are declared".to_string()
-        } else {
-            format!(
-                "declared tiers: {}",
-                self.tiers
-                    .iter()
-                    .map(|t| t.label.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        }
-    }
-
-    /// Records a tier reference and checks it resolves (T001).
-    fn tier_ref(&mut self, label: &str, line: u32, context: &str) {
-        self.used_tiers.insert(label.to_string());
-        if !self.tier_declared(label) {
-            let note = self.declared_tier_list();
-            self.push(
-                Diagnostic::new(
-                    LintCode::UndefinedTier,
-                    line,
-                    format!("undefined tier `{label}` in {context}"),
-                )
-                .note(note),
-            );
-        }
-    }
-
-    /// Records a parameter reference and checks declaration + kind
-    /// (T004/T005).
-    fn param_ref(&mut self, name: &str, expected: ParamKind, line: u32, context: &str) {
-        self.used_params.insert(name.to_string());
-        match self.params.iter().find(|p| p.name == name) {
-            None => {
-                let note = if self.params.is_empty() {
-                    "the spec declares no parameters".to_string()
-                } else {
-                    format!(
-                        "declared parameters: {}",
-                        self.params
-                            .iter()
-                            .map(|p| p.name.as_str())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                };
-                self.push(
-                    Diagnostic::new(
-                        LintCode::UndeclaredParam,
-                        line,
-                        format!("parameter `{name}` is not declared"),
-                    )
-                    .note(note),
-                );
+    /// Whether copy/move edges lead from `start` to a durable tier.
+    fn reaches_durable(&self, policy: &Policy, edges: &[Edge], start: &str) -> bool {
+        let mut frontier = vec![start];
+        let mut seen = BTreeSet::new();
+        while let Some(t) = frontier.pop() {
+            if !seen.insert(t) {
+                continue;
             }
-            Some(p) if p.kind != expected => {
-                self.push(Diagnostic::new(
-                    LintCode::TypeMismatch,
+            if self.durable(policy, t) == Some(true) {
+                return true;
+            }
+            frontier.extend(edges.iter().filter(|e| e.from == t).map(|e| e.to));
+        }
+        false
+    }
+
+    /// T010: stores into a volatile tier need a copy/move path to a
+    /// durable one.
+    fn volatility_leaks(&self, policy: &Policy, flows: &Flows, diags: &mut Vec<Diagnostic>) {
+        let mut warned = BTreeSet::new();
+        for &(target, line) in &flows.stores {
+            if self.durable(policy, target) != Some(false)
+                || warned.contains(target)
+                || self.reaches_durable(policy, &flows.edges, target)
+            {
+                continue;
+            }
+            warned.insert(target);
+            diags.push(
+                Diagnostic::new(
+                    LintCode::VolatilityLeak,
                     line,
                     format!(
-                        "`{name}` is a {} parameter but {context} needs a {}",
-                        kind_name(p.kind),
-                        kind_name(expected)
-                    ),
-                ));
-            }
-            Some(_) => {}
-        }
-    }
-
-    // ---- declaration checks ----
-
-    fn check_tier_decls(&mut self) {
-        for (i, tier) in self.tiers.clone().iter().enumerate() {
-            if self.tiers[..i].iter().any(|t| t.label == tier.label) {
-                self.push(
-                    Diagnostic::new(
-                        LintCode::DuplicateDecl,
-                        tier.line,
-                        format!("duplicate tier label `{}`", tier.label),
-                    )
-                    .severity(Severity::Error)
-                    .note("the later declaration shadows the earlier one"),
-                );
-            }
-            match &tier.size {
-                Quantity::Size(_) | Quantity::Int(_) => {}
-                Quantity::Param(p) => {
-                    self.param_ref(&p.clone(), ParamKind::Size, tier.line, "a tier size")
-                }
-                other => {
-                    let desc = describe_quantity(other);
-                    self.push(Diagnostic::new(
-                        LintCode::TypeMismatch,
-                        tier.line,
-                        format!("tier `{}` size expects a byte size, found {desc}", tier.label),
-                    ));
-                }
-            }
-            self.check_tier_attrs(tier);
-        }
-    }
-
-    /// Validates wrapper attributes on one tier declaration (T013/T015).
-    fn check_tier_attrs(&mut self, tier: &TierDecl) {
-        for (i, attr) in tier.attrs.iter().enumerate() {
-            match TIER_ATTRS.iter().find(|(name, _)| *name == attr.name) {
-                None => {
-                    self.push(
-                        Diagnostic::new(
-                            LintCode::BadTierAttribute,
-                            attr.line,
-                            format!(
-                                "unknown attribute `{}` on tier `{}`",
-                                attr.name, tier.label
-                            ),
-                        )
-                        .note("valid attributes: `compress: lzss`, `dedup: sha256`"),
-                    );
-                }
-                Some((_, values)) if !values.contains(&attr.value.as_str()) => {
-                    self.push(
-                        Diagnostic::new(
-                            LintCode::BadTierAttribute,
-                            attr.line,
-                            format!(
-                                "invalid parameter `{}` for attribute `{}` on tier `{}`",
-                                attr.value, attr.name, tier.label
-                            ),
-                        )
-                        .note(format!(
-                            "supported: {}",
-                            values
-                                .iter()
-                                .map(|v| format!("`{v}`"))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        )),
-                    );
-                }
-                Some(_) => {
-                    // A second transform of the same shape — or `compress`
-                    // after `dedup`, which would compress content-addressed
-                    // blobs instead of payloads — is redundant (T013). The
-                    // canonical combination is `compress` then `dedup`.
-                    let earlier = &tier.attrs[..i];
-                    let redundant_after = match attr.name.as_str() {
-                        "compress" => earlier
-                            .iter()
-                            .find(|a| a.name == "compress" || a.name == "dedup"),
-                        "dedup" => earlier.iter().find(|a| a.name == "dedup"),
-                        _ => None,
-                    };
-                    if let Some(prior) = redundant_after {
-                        self.push(
-                            Diagnostic::new(
-                                LintCode::CompressRedundant,
-                                attr.line,
-                                format!(
-                                    "`{}` on tier `{}` which is already {} by `{}`",
-                                    attr.name,
-                                    tier.label,
-                                    if prior.name == "dedup" {
-                                        "content-addressed"
-                                    } else {
-                                        "compressed"
-                                    },
-                                    prior.name
-                                ),
-                            )
-                            .note(
-                                "declare `compress` before `dedup`; the compiler always \
-                                 builds the canonical dedup-over-compressed stack",
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn check_duplicate_event(&mut self, earlier: &[EventDecl], event: &EventDecl) {
-        if let Some(first) = earlier.iter().find(|e| e.event == event.event) {
-            self.push(
-                Diagnostic::new(
-                    LintCode::DuplicateDecl,
-                    event.line,
-                    format!(
-                        "duplicate event clause `event({})`",
-                        print_event_expr(&event.event)
+                        "objects stored into volatile tier `{target}` are never \
+                         copied or moved to a durable tier"
                     ),
                 )
                 .note(format!(
-                    "first declared at line {}; both responses will run",
-                    first.line
+                    "data in `{target}` is lost on failure; add a write-back \
+                     rule (paper Fig. 3)"
                 )),
             );
         }
     }
 
-    // ---- event/statement walk ----
-
-    fn check_event(&mut self, decl: &EventDecl) {
-        match &decl.event {
-            EventExpr::Insert { tier: Some(t) } | EventExpr::Delete { tier: Some(t) } => {
-                self.tier_ref(&t.clone(), decl.line, "the event scope");
-            }
-            EventExpr::Insert { tier: None } | EventExpr::Delete { tier: None } => {}
-            EventExpr::Timer { period } => self.check_timer_period(period, decl.line),
-            EventExpr::Filled { tier, value } => {
-                self.tier_ref(&tier.clone(), decl.line, "the `filled` event");
-                self.check_percent(value, decl.line, "a `filled` threshold", PercentRule::Threshold);
-            }
-        }
-        self.check_stmts(&decl.body, decl.line);
-    }
-
-    fn check_timer_period(&mut self, period: &Quantity, line: u32) {
-        match period {
-            Quantity::Duration(d) if d.as_nanos() == 0 => {
-                self.push(
-                    Diagnostic::new(
-                        LintCode::ZeroTimer,
-                        line,
-                        "timer period is zero; the rule would fire continuously",
-                    )
-                    .note("use a positive period like `time=30s`"),
-                );
-            }
-            Quantity::Int(0) => {
-                self.push(
-                    Diagnostic::new(
-                        LintCode::ZeroTimer,
-                        line,
-                        "timer period is zero; the rule would fire continuously",
-                    )
-                    .note("use a positive period like `time=30s`"),
-                );
-            }
-            Quantity::Duration(_) | Quantity::Int(_) => {}
-            Quantity::Param(p) => self.param_ref(&p.clone(), ParamKind::Time, line, "a timer period"),
-            other => {
-                let desc = describe_quantity(other);
-                self.push(Diagnostic::new(
-                    LintCode::TypeMismatch,
-                    line,
-                    format!("a timer period expects a duration, found {desc}"),
-                ));
-            }
-        }
-    }
-
-    fn check_percent(&mut self, q: &Quantity, line: u32, context: &str, rule: PercentRule) {
-        match q {
-            Quantity::Percent(p) => {
-                let bad = match rule {
-                    PercentRule::Threshold | PercentRule::Shrink => *p <= 0.0 || *p > 100.0,
-                    PercentRule::Grow => *p <= 0.0,
-                };
-                if bad {
-                    let range = match rule {
-                        PercentRule::Threshold | PercentRule::Shrink => "the valid range (0, 100]",
-                        PercentRule::Grow => "the valid range (0, ∞)",
-                    };
-                    self.push(Diagnostic::new(
-                        LintCode::PercentRange,
-                        line,
-                        format!("{context} of {p}% is outside {range}"),
-                    ));
-                }
-            }
-            Quantity::Param(p) => self.param_ref(&p.clone(), ParamKind::Percent, line, context),
-            other => {
-                let desc = describe_quantity(other);
-                self.push(Diagnostic::new(
-                    LintCode::TypeMismatch,
-                    line,
-                    format!("{context} expects a percentage, found {desc}"),
-                ));
-            }
-        }
-    }
-
-    fn check_stmts(&mut self, stmts: &[Stmt], line: u32) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Assign { .. } => {
-                    // The compiler validates the single supported
-                    // assignment; nothing to analyze.
-                }
-                Stmt::If { guard, body } => {
-                    let GuardExpr::Filled { tier, value } = guard;
-                    self.tier_ref(&tier.clone(), line, "the `filled` guard");
-                    if let Some(v) = value {
-                        self.check_percent(
-                            &v.clone(),
-                            line,
-                            "a `filled` threshold",
-                            PercentRule::Threshold,
-                        );
-                    }
-                    self.check_stmts(body, line);
-                }
-                Stmt::Call(call) => self.check_call(call),
-            }
-        }
-    }
-
-    fn check_call(&mut self, call: &Call) {
-        let line = call.line;
-        match call.name.as_str() {
-            "store" | "storeOnce" => {
-                let targets = self.arg_tier_list(call, "to");
-                for t in &targets {
-                    self.store_targets.push((t.clone(), line));
-                }
-                self.walk_selector_arg(call, "what");
-            }
-            "retrieve" | "compress" | "uncompress" => {
-                self.walk_selector_arg(call, "what");
-            }
-            "encrypt" | "decrypt" => {
-                // `key:` is a key-ring id (parsed as a bare name or
-                // string), not a tier reference — only `what:` is walked.
-                self.walk_selector_arg(call, "what");
-            }
-            "copy" | "move" => {
-                let is_move = call.name == "move";
-                let targets = self.arg_tier_list(call, "to");
-                let sources = self.walk_selector_arg(call, "what");
-                if sources.is_empty() {
-                    self.global_writeback.extend(targets.iter().cloned());
-                }
-                for src in &sources {
-                    for dst in &targets {
-                        self.edges.push(Edge {
-                            from: src.clone(),
-                            to: dst.clone(),
-                            is_move,
-                            line,
-                        });
-                    }
-                }
-                if let Some(ArgValue::Tiers(ts)) = call.arg("bandwidth") {
-                    if let [name] = ts.as_slice() {
-                        self.push(Diagnostic::new(
-                            LintCode::TypeMismatch,
-                            line,
-                            format!(
-                                "`bandwidth:` expects a rate literal like 40KB/s, \
-                                 not a parameter (`{name}`)"
-                            ),
-                        ));
-                    }
-                }
-            }
-            "delete" => {
-                self.walk_selector_arg(call, "what");
-                if let Some(ArgValue::Tiers(ts)) = call.arg("from") {
-                    for t in ts.clone() {
-                        self.tier_ref(&t, line, "`from:` of `delete`");
-                    }
-                }
-            }
-            "grow" | "shrink" => {
-                if let Some(ArgValue::Tiers(ts)) = call.arg("what") {
-                    for t in ts.clone() {
-                        self.tier_ref(&t, line, &format!("`what:` of `{}`", call.name));
-                    }
-                }
-                let (key, rule) = if call.name == "grow" {
-                    ("increment", PercentRule::Grow)
-                } else {
-                    ("decrement", PercentRule::Shrink)
-                };
-                match call.arg(key) {
-                    Some(ArgValue::Quantity(q)) => {
-                        let context = format!("`{key}:` of `{}`", call.name);
-                        self.check_percent(&q.clone(), line, &context, rule);
-                    }
-                    // A bare identifier parses as a tier list; in this
-                    // position it is a percent-parameter reference.
-                    Some(ArgValue::Tiers(ts)) => {
-                        if let [name] = &ts.clone()[..] {
-                            let context = format!("`{key}:` of `{}`", call.name);
-                            self.param_ref(name, ParamKind::Percent, line, &context);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            other => {
-                self.push(
-                    Diagnostic::new(
-                        LintCode::UnknownResponse,
-                        line,
-                        format!("unknown response `{other}`"),
-                    )
-                    .note(format!("known responses: {}", KNOWN_RESPONSES.join(", "))),
-                );
-            }
-        }
-    }
-
-    /// Checks a `to:`-style tier-list argument and returns the tier names.
-    fn arg_tier_list(&mut self, call: &Call, key: &str) -> Vec<String> {
-        match call.arg(key) {
-            Some(ArgValue::Tiers(ts)) => {
-                let ts = ts.clone();
-                for t in &ts {
-                    self.tier_ref(t, call.line, &format!("`{key}:` of `{}`", call.name));
-                }
-                ts
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Walks a selector argument, checking embedded tier references, and
-    /// returns the tiers the selector is location-constrained to (the
-    /// sources of a copy/move edge). An empty result means the selector
-    /// picks objects regardless of tier.
-    fn walk_selector_arg(&mut self, call: &Call, key: &str) -> Vec<String> {
-        let mut sources = Vec::new();
-        if let Some(ArgValue::Selector(sel)) = call.arg(key) {
-            self.walk_selector(&sel.clone(), call.line, &mut sources);
-        }
-        sources
-    }
-
-    fn walk_selector(&mut self, sel: &SelectorExpr, line: u32, sources: &mut Vec<String>) {
-        match sel {
-            SelectorExpr::LocationEq(t) => {
-                self.tier_ref(t, line, "`object.location`");
-                sources.push(t.clone());
-            }
-            SelectorExpr::Oldest(t) => {
-                self.tier_ref(t, line, "an `.oldest` selector");
-                sources.push(t.clone());
-            }
-            SelectorExpr::Newest(t) => {
-                self.tier_ref(t, line, "a `.newest` selector");
-                sources.push(t.clone());
-            }
-            SelectorExpr::And(a, b) => {
-                self.walk_selector(a, line, sources);
-                self.walk_selector(b, line, sources);
-            }
-            SelectorExpr::Not(inner) => {
-                // A negated location constrains nothing: `!location == t`
-                // matches objects everywhere else.
-                let mut ignored = Vec::new();
-                self.walk_selector(inner, line, &mut ignored);
-            }
-            SelectorExpr::InsertObject
-            | SelectorExpr::DirtyEq(_)
-            | SelectorExpr::TagEq(_)
-            | SelectorExpr::Named(_) => {}
-        }
-    }
-
-    // ---- whole-spec checks ----
-
-    fn check_untargeted_tiers(&mut self) {
-        // The first tier is the default placement preference — an
-        // instance with no explicit store rule still writes there.
-        for tier in self.tiers.clone().iter().skip(1) {
-            if !self.used_tiers.contains(&tier.label) {
-                self.push(
-                    Diagnostic::new(
-                        LintCode::UntargetedTier,
-                        tier.line,
-                        format!(
-                            "tier `{}` is declared but never referenced by any policy",
-                            tier.label
-                        ),
-                    )
-                    .note("it costs capacity but no event stores, copies, or observes it"),
-                );
-            }
-        }
-    }
-
-    fn check_unused_params(&mut self) {
-        for p in self.params.clone() {
-            if !self.used_params.contains(&p.name) {
-                self.push(Diagnostic::new(
-                    LintCode::UnusedParam,
-                    0,
-                    format!("parameter `{}` is declared but never used", p.name),
-                ));
-            }
-        }
-    }
-
-    fn check_movement_cycles(&mut self) {
-        // Deterministic cycle discovery: consider only edges between
-        // declared tiers, walk starts in declaration order, and report
-        // each cycle once — anchored at its smallest-index member.
-        let labels: Vec<String> = self.tiers.iter().map(|t| t.label.clone()).collect();
-        let index: HashMap<&str, usize> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (l.as_str(), i))
-            .collect();
-        let mut adj: Vec<Vec<(usize, bool, u32)>> = vec![Vec::new(); labels.len()];
-        for e in &self.edges {
-            if let (Some(&f), Some(&t)) = (index.get(e.from.as_str()), index.get(e.to.as_str())) {
-                adj[f].push((t, e.is_move, e.line));
-            }
-        }
-        for start in 0..labels.len() {
-            if let Some(path) = find_cycle(&adj, start) {
-                let all_moves = path.iter().all(|&(_, is_move, _)| is_move);
-                let line = path[0].2;
-                let mut names = vec![labels[start].clone()];
-                names.extend(path.iter().map(|&(n, _, _)| labels[n].clone()));
-                let diag = Diagnostic::new(
-                    LintCode::MovementCycle,
-                    line,
-                    format!("data-movement cycle: {}", names.join(" -> ")),
-                );
-                let diag = if all_moves {
-                    diag.severity(Severity::Error)
-                        .note("every edge is a `move`: objects will ping-pong between these tiers forever")
-                } else {
-                    diag.note("a `copy` edge participates: objects re-replicate around this cycle")
-                };
-                self.push(diag);
-            }
-        }
-    }
-
-    fn check_writeback_capacity(&mut self) {
-        let caps: HashMap<&str, u64> = self
-            .tiers
-            .iter()
-            .filter_map(|t| match &t.size {
-                Quantity::Size(n) | Quantity::Int(n) => Some((t.label.as_str(), *n)),
-                _ => None,
-            })
-            .collect();
-        let mut findings = Vec::new();
-        for e in &self.edges {
-            if !e.is_move {
-                if let (Some(&src), Some(&dst)) =
-                    (caps.get(e.from.as_str()), caps.get(e.to.as_str()))
-                {
-                    if dst < src {
-                        findings.push(
-                            Diagnostic::new(
-                                LintCode::WritebackCapacity,
-                                e.line,
-                                format!(
-                                    "copy target `{}` ({}) is smaller than its source tier `{}` ({})",
-                                    e.to,
-                                    print_quantity(&Quantity::Size(dst)),
-                                    e.from,
-                                    print_quantity(&Quantity::Size(src)),
-                                ),
-                            )
-                            .note("a full write-back cannot fit; grow the target or cap the source"),
-                        );
-                    }
-                }
-            }
-        }
-        self.diags.extend(findings);
-    }
-
-    /// `true` if the tier type is known-volatile; unknown types get the
-    /// benefit of the doubt.
-    fn is_volatile(&self, label: &str) -> bool {
-        self.tiers
-            .iter()
-            .find(|t| t.label == label)
-            .and_then(|t| {
-                self.analyzer
-                    .durability
-                    .get(&t.type_name.to_lowercase())
-                    .copied()
-            })
-            .map(|durable| !durable)
-            .unwrap_or(false)
-    }
-
-    fn is_durable(&self, label: &str) -> bool {
-        !self.is_volatile(label) && self.tier_declared(label)
-    }
-
-    fn check_volatility_leaks(&mut self) {
-        // A location-free copy/move into a durable tier drains every tier.
-        if self.global_writeback.iter().any(|t| self.is_durable(t)) {
-            return;
-        }
-        let mut findings = Vec::new();
-        let mut warned = BTreeSet::new();
-        for (target, line) in &self.store_targets {
-            if !self.tier_declared(target)
-                || !self.is_volatile(target)
-                || warned.contains(target)
+    /// T014: a `dedup` tier's refcounted blob store must not live only in
+    /// volatile storage — a failure would strand every live key. Satisfied
+    /// by the same escape hatches as T010.
+    fn dedup_volatile(&self, policy: &Policy, edges: &[Edge], diags: &mut Vec<Diagnostic>) {
+        for tier in &policy.tiers {
+            let Some(line) = tier.dedup else {
+                continue;
+            };
+            if self.durable(policy, &tier.label) != Some(false)
+                || self.reaches_durable(policy, edges, &tier.label)
             {
                 continue;
             }
-            // BFS over copy/move edges: is any durable tier reachable?
-            let mut frontier = vec![target.clone()];
-            let mut seen = BTreeSet::new();
-            let mut safe = false;
-            while let Some(t) = frontier.pop() {
-                if !seen.insert(t.clone()) {
-                    continue;
-                }
-                if self.is_durable(&t) {
-                    safe = true;
-                    break;
-                }
-                for e in &self.edges {
-                    if e.from == t {
-                        frontier.push(e.to.clone());
-                    }
-                }
-            }
-            if !safe {
-                warned.insert(target.clone());
-                findings.push(
-                    Diagnostic::new(
-                        LintCode::VolatilityLeak,
-                        *line,
-                        format!(
-                            "objects stored into volatile tier `{target}` are never \
-                             copied or moved to a durable tier"
-                        ),
-                    )
-                    .note(format!(
-                        "data in `{target}` is lost on failure; add a write-back \
-                         rule (paper Fig. 3)"
-                    )),
-                );
-            }
-        }
-        self.diags.extend(findings);
-    }
-
-    /// T014: a `dedup` tier's refcounted blob store must not live only in
-    /// volatile storage — a failure would strand every live key. Satisfied
-    /// by the tier being durable, a copy/move path from it to a durable
-    /// tier, or a location-free write-back into a durable tier (the same
-    /// escape hatches as T010).
-    fn check_dedup_volatile(&mut self) {
-        if self.global_writeback.iter().any(|t| self.is_durable(t)) {
-            return;
-        }
-        let mut findings = Vec::new();
-        for tier in &self.tiers {
-            let Some(attr) = tier.attrs.iter().find(|a| a.name == "dedup") else {
-                continue;
-            };
-            if !self.is_volatile(&tier.label) {
-                continue;
-            }
-            let mut frontier = vec![tier.label.clone()];
-            let mut seen = BTreeSet::new();
-            let mut safe = false;
-            while let Some(t) = frontier.pop() {
-                if !seen.insert(t.clone()) {
-                    continue;
-                }
-                if self.is_durable(&t) {
-                    safe = true;
-                    break;
-                }
-                for e in &self.edges {
-                    if e.from == t {
-                        frontier.push(e.to.clone());
-                    }
-                }
-            }
-            if !safe {
-                findings.push(
-                    Diagnostic::new(
-                        LintCode::DedupVolatile,
-                        attr.line,
-                        format!(
-                            "dedup blob store on volatile tier `{}` has no copy or \
-                             move path to a durable tier",
-                            tier.label
-                        ),
-                    )
-                    .note(format!(
-                        "blobs and refcounts in `{}` are lost on failure; dedup a \
-                         durable tier or add a write-back rule",
+            diags.push(
+                Diagnostic::new(
+                    LintCode::DedupVolatile,
+                    line,
+                    format!(
+                        "dedup blob store on volatile tier `{}` has no copy or \
+                         move path to a durable tier",
                         tier.label
-                    )),
-                );
+                    ),
+                )
+                .note(format!(
+                    "blobs and refcounts in `{}` are lost on failure; dedup a \
+                     durable tier or add a write-back rule",
+                    tier.label
+                )),
+            );
+        }
+    }
+}
+
+/// An edge of the data-movement graph: objects flow `from → to`.
+struct Edge<'p> {
+    from: &'p str,
+    to: &'p str,
+    /// `move` (and eviction) removes the source copy; `copy` keeps it.
+    is_move: bool,
+    line: u32,
+}
+
+/// The data movement a policy's responses ask for, in walk order.
+#[derive(Default)]
+struct Flows<'p> {
+    edges: Vec<Edge<'p>>,
+    /// `store`/`storeOnce` targets with the line of the store.
+    stores: Vec<(&'p str, u32)>,
+    /// Copy/move targets whose selector has no location constraint and
+    /// can pick dirty objects (`insert.object`, `object.dirty == true`,
+    /// …): they drain *every* tier.
+    global: Vec<&'p str>,
+}
+
+impl<'p> Flows<'p> {
+    fn of(policy: &'p Policy) -> Self {
+        let mut flows = Self::default();
+        for clause in &policy.clauses {
+            flows.walk(&clause.responses);
+        }
+        flows
+    }
+
+    fn walk(&mut self, responses: &'p [Response]) {
+        for response in responses {
+            match response {
+                Response::Fixed(
+                    ResponseSpec::Store { to, .. } | ResponseSpec::StoreOnce { to, .. },
+                    line,
+                ) => self.stores.extend(to.iter().map(|t| (t.as_str(), *line))),
+                Response::Fixed(ResponseSpec::Copy { what, to, .. }, line) => {
+                    self.movement(what, to, false, *line)
+                }
+                Response::Fixed(ResponseSpec::Move { what, to, .. }, line) => {
+                    self.movement(what, to, true, *line)
+                }
+                Response::Fixed(ResponseSpec::EvictUntilFit { from, to, .. }, line) => {
+                    self.edges.push(Edge {
+                        from,
+                        to,
+                        is_move: true,
+                        line: *line,
+                    })
+                }
+                Response::If { then, .. } => self.walk(then),
+                _ => {}
             }
         }
-        self.diags.extend(findings);
+    }
+
+    fn movement(&mut self, what: &'p Selector, to: &'p [String], is_move: bool, line: u32) {
+        let sources = locations(what);
+        if sources.is_empty() && !clean_only(what) {
+            self.global.extend(to.iter().map(String::as_str));
+        }
+        for from in sources {
+            for dst in to {
+                self.edges.push(Edge {
+                    from,
+                    to: dst,
+                    is_move,
+                    line,
+                });
+            }
+        }
     }
 }
 
-/// Range discipline for percentage literals, by position.
-#[derive(Clone, Copy)]
-enum PercentRule {
-    /// Fill thresholds: (0, 100].
-    Threshold,
-    /// Grow increments: positive, may exceed 100%.
-    Grow,
-    /// Shrink decrements: (0, 100] — a tier cannot lose more than itself.
-    Shrink,
-}
-
-fn kind_name(kind: ParamKind) -> &'static str {
-    match kind {
-        ParamKind::Time => "`time`",
-        ParamKind::Size => "`size`",
-        ParamKind::Percent => "`percent`",
+/// The tiers a selector confines its objects to. A negated location
+/// confines nothing: `!location == t` matches objects everywhere else.
+fn locations(sel: &Selector) -> Vec<&str> {
+    match sel {
+        Selector::InTier(t) | Selector::OldestIn(t) | Selector::NewestIn(t) => vec![t],
+        Selector::And(a, b) => {
+            let mut v = locations(a);
+            v.extend(locations(b));
+            v
+        }
+        _ => Vec::new(),
     }
 }
 
-fn describe_quantity(q: &Quantity) -> String {
-    match q {
-        Quantity::Size(_) => format!("the size `{}`", print_quantity(q)),
-        Quantity::Duration(_) => format!("the duration `{}`", print_quantity(q)),
-        Quantity::Percent(_) => format!("the percentage `{}`", print_quantity(q)),
-        Quantity::Rate(_) => format!("the rate `{}`", print_quantity(q)),
-        Quantity::Int(n) => format!("the integer `{n}`"),
-        Quantity::Param(p) => format!("the parameter `{p}`"),
+/// Whether a selector only ever picks clean objects, which a write-back
+/// does not need to copy.
+fn clean_only(sel: &Selector) -> bool {
+    match sel {
+        Selector::Not(inner) => matches!(**inner, Selector::Dirty),
+        Selector::And(a, b) => clean_only(a) || clean_only(b),
+        _ => false,
+    }
+}
+
+/// T003. The first tier is the default placement preference — an
+/// instance with no explicit store rule still writes there.
+fn untargeted_tiers(policy: &Policy, diags: &mut Vec<Diagnostic>) {
+    for tier in policy.tiers.iter().skip(1) {
+        if !policy.referenced.contains(&tier.label) {
+            diags.push(
+                Diagnostic::new(
+                    LintCode::UntargetedTier,
+                    tier.line,
+                    format!(
+                        "tier `{}` is declared but never referenced by any policy",
+                        tier.label
+                    ),
+                )
+                .note("it costs capacity but no event stores, copies, or observes it"),
+            );
+        }
+    }
+}
+
+/// T011.
+fn unused_params(policy: &Policy, diags: &mut Vec<Diagnostic>) {
+    for p in &policy.params {
+        if !policy.used_params.contains(&p.name) {
+            diags.push(Diagnostic::new(
+                LintCode::UnusedParam,
+                0,
+                format!("parameter `{}` is declared but never used", p.name),
+            ));
+        }
+    }
+}
+
+/// T008. Deterministic cycle discovery: consider only edges between
+/// declared tiers, walk starts in declaration order, and report each
+/// cycle once — anchored at its smallest-index member.
+fn movement_cycles(policy: &Policy, edges: &[Edge], diags: &mut Vec<Diagnostic>) {
+    let labels: Vec<&str> = policy.tiers.iter().map(|t| t.label.as_str()).collect();
+    let index: HashMap<&str, usize> = labels.iter().enumerate().map(|(i, l)| (*l, i)).collect();
+    let mut adj: Vec<Vec<(usize, bool, u32)>> = vec![Vec::new(); labels.len()];
+    for e in edges {
+        if let (Some(&f), Some(&t)) = (index.get(e.from), index.get(e.to)) {
+            adj[f].push((t, e.is_move, e.line));
+        }
+    }
+    for start in 0..labels.len() {
+        if let Some(path) = find_cycle(&adj, start) {
+            let all_moves = path.iter().all(|&(_, is_move, _)| is_move);
+            let mut names = vec![labels[start]];
+            names.extend(path.iter().map(|&(n, _, _)| labels[n]));
+            let diag = Diagnostic::new(
+                LintCode::MovementCycle,
+                path[0].2,
+                format!("data-movement cycle: {}", names.join(" -> ")),
+            );
+            diags.push(if all_moves {
+                diag.severity(Severity::Error).note(
+                    "every edge is a `move`: objects will ping-pong between these tiers forever",
+                )
+            } else {
+                diag.note("a `copy` edge participates: objects re-replicate around this cycle")
+            });
+        }
+    }
+}
+
+/// T009: a copy into a tier smaller than its source cannot hold a full
+/// write-back.
+fn writeback_capacity(policy: &Policy, edges: &[Edge], diags: &mut Vec<Diagnostic>) {
+    let caps: HashMap<&str, u64> = policy
+        .tiers
+        .iter()
+        .filter_map(|t| match t.size {
+            Value::Lit(n) => Some((t.label.as_str(), n)),
+            _ => None,
+        })
+        .collect();
+    for e in edges.iter().filter(|e| !e.is_move) {
+        let (Some(&src), Some(&dst)) = (caps.get(e.from), caps.get(e.to)) else {
+            continue;
+        };
+        if dst < src {
+            diags.push(
+                Diagnostic::new(
+                    LintCode::WritebackCapacity,
+                    e.line,
+                    format!(
+                        "copy target `{}` ({}) is smaller than its source tier `{}` ({})",
+                        e.to,
+                        print_quantity(&Quantity::Size(dst)),
+                        e.from,
+                        print_quantity(&Quantity::Size(src)),
+                    ),
+                )
+                .note("a full write-back cannot fit; grow the target or cap the source"),
+            );
+        }
     }
 }
 
@@ -934,10 +413,7 @@ fn describe_quantity(q: &Quantity) -> String {
 /// index ≥ `start` (so each cycle is reported exactly once, anchored at
 /// its smallest member). Returns the edge path as `(next_node, is_move,
 /// line)` steps.
-fn find_cycle(
-    adj: &[Vec<(usize, bool, u32)>],
-    start: usize,
-) -> Option<Vec<(usize, bool, u32)>> {
+fn find_cycle(adj: &[Vec<(usize, bool, u32)>], start: usize) -> Option<Vec<(usize, bool, u32)>> {
     fn dfs(
         adj: &[Vec<(usize, bool, u32)>],
         start: usize,
@@ -1191,6 +667,10 @@ Tiera X(time t) {
 }
 "#;
         assert!(codes(global).is_empty(), "{:?}", codes(global));
+
+        // A copy of clean objects only writes nothing back.
+        let clean_only = global.replace("object.dirty == true", "object.dirty == false");
+        assert_eq!(codes(&clean_only), vec![("T010", Severity::Warning)]);
     }
 
     #[test]

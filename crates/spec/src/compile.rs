@@ -1,40 +1,26 @@
-//! Lowering specifications onto `tiera-core` instances.
+//! Instantiating specifications as `tiera-core` instances.
 //!
-//! The compiler resolves tier types through a [`TierCatalog`], binds formal
-//! parameters (the `(time t)` of Figure 3), validates keyword arguments,
-//! and lowers each event/response clause to a [`tiera_core::policy::Rule`].
-//!
-//! One idiom receives special treatment, documented here because it changes
-//! execution semantics: the Figure 5 eviction pattern
-//!
-//! ```text
-//! if (tier1.filled) { move(what: tier1.oldest, to: tier2); }
-//! ```
-//!
-//! is lowered to [`ResponseSpec::EvictUntilFit`] (evict-until-the-insert-
-//! fits) rather than a single conditional move, because a single eviction
-//! only guarantees progress when all objects have equal size. Any other
-//! `if` lowers to a plain [`ResponseSpec::If`].
+//! The compiler takes the policy the lowering yields and the analysis
+//! passes have checked, binds its formal parameters (the `(time t)` of
+//! Figure 3), resolves tier types through a [`TierCatalog`], and builds
+//! each event clause as a [`tiera_core::policy::Rule`].
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use tiera_core::catalog::TierCatalog;
-use tiera_core::event::{ActionOp, EventKind, Metric};
+use tiera_core::event::{EventKind, Metric};
 use tiera_core::instance::Instance;
-use tiera_core::object::Tag;
 use tiera_core::policy::Rule;
-use tiera_core::response::{EvictOrder, Guard, ResponseSpec};
-use tiera_core::selector::Selector;
-use tiera_core::tier::TierHandle;
+use tiera_core::response::{Guard, ResponseSpec};
 use tiera_core::InstanceBuilder;
-use tiera_sim::bandwidth::BandwidthCap;
 use tiera_sim::{SimDuration, SimEnv};
 
 use crate::analyze::Analyzer;
 use crate::ast::*;
-use crate::diag::Diagnostic;
+use crate::diag::{Analysis, Diagnostic};
+use crate::lower::{lower_event, Clause, Event, Response, Value};
 use crate::SpecError;
 
 /// A value bound to a specification parameter.
@@ -95,13 +81,11 @@ impl<'a> Compiler<'a> {
         &self,
         spec: &Spec,
     ) -> Result<(Arc<Instance>, Vec<Diagnostic>), SpecError> {
-        let analysis = Analyzer::new().analyze(spec);
+        let (policy, analysis) = Analyzer::new().check(spec);
         if let Some(err) = analysis.first_error() {
             return Err(analysis_error(err));
         }
-        let warnings = analysis.into_warnings();
-        // Check parameter bindings.
-        for p in &spec.params {
+        for p in &policy.params {
             match (p.kind, self.bindings.get(&p.name)) {
                 (ParamKind::Time, Some(ParamValue::Duration(_)))
                 | (ParamKind::Size, Some(ParamValue::Size(_)))
@@ -121,25 +105,40 @@ impl<'a> Compiler<'a> {
             }
         }
 
-        let mut builder = InstanceBuilder::new(spec.name.clone(), self.env.clone());
+        let mut builder = InstanceBuilder::new(policy.name.clone(), self.env.clone());
         if let Some(dir) = &self.metadata_dir {
             builder = builder.metadata_dir(dir);
         }
-        for tier in &spec.tiers {
-            let size = self.quantity_as_size(&tier.size)?;
-            let handle = self
+        for tier in &policy.tiers {
+            let size = self.value(&tier.size, tier.line, "size", |v| match v {
+                ParamValue::Size(n) => Some(n),
+                _ => None,
+            })?;
+            let mut handle = self
                 .catalog
                 .create(&tier.type_name, &tier.label, size)
-                .map_err(|e| SpecError::new(0, e.to_string()))?;
-            builder = builder.tier_handle(wrap_tier(handle, &tier.attrs)?);
+                .map_err(|e| SpecError::new(tier.line, e.to_string()))?;
+            // Whatever the declaration order, the stack is canonical —
+            // `Dedup(Compressed(inner))`, dedup outermost — matching the
+            // `tiera-tierx` lock ranks.
+            if tier.compress {
+                handle = tiera_tierx::CompressedTier::new(handle);
+            }
+            if tier.dedup.is_some() {
+                handle = tiera_tierx::DedupTier::new(handle);
+            }
+            builder = builder.tier_handle(handle);
         }
-        for event in &spec.events {
-            builder = builder.rule(self.compile_event(event)?);
+        if let Some(err) = policy.error {
+            return Err(err);
+        }
+        for clause in &policy.clauses {
+            builder = builder.rule(self.rule(clause)?);
         }
         let instance = builder
             .build()
             .map_err(|e| SpecError::new(0, e.to_string()))?;
-        Ok((instance, warnings))
+        Ok((instance, analysis.into_warnings()))
     }
 
     /// Analyzes a single event clause against a set of live tier names and
@@ -150,317 +149,106 @@ impl<'a> Compiler<'a> {
         decl: &EventDecl,
         known_tiers: &[String],
     ) -> Result<Rule, SpecError> {
-        let analysis = Analyzer::new().analyze_event(decl, known_tiers, &[]);
-        if let Some(err) = analysis.first_error() {
+        let (clause, error, diags) = lower_event(decl, known_tiers, &[]);
+        if let Some(err) = Analysis::new(diags).first_error() {
             return Err(analysis_error(err));
         }
-        self.compile_event(decl)
+        match error {
+            Some(err) => Err(err),
+            None => self.rule(&clause),
+        }
     }
 
-    /// Compiles a single event clause to a rule (usable for runtime policy
-    /// additions as well, paper §4.2.3).
-    pub fn compile_event(&self, decl: &EventDecl) -> Result<Rule, SpecError> {
-        let event = match &decl.event {
-            EventExpr::Insert { tier } => EventKind::Action {
-                op: ActionOp::Put,
+    fn rule(&self, clause: &Clause) -> Result<Rule, SpecError> {
+        let line = clause.line;
+        let event = match &clause.event {
+            Event::Action { op, tier } => EventKind::Action {
+                op: *op,
                 tier: tier.clone(),
                 background: false,
             },
-            EventExpr::Delete { tier } => EventKind::Action {
-                op: ActionOp::Delete,
-                tier: tier.clone(),
-                background: false,
+            Event::Timer(period) => EventKind::Timer {
+                period: self.value(period, line, "time", |v| match v {
+                    ParamValue::Duration(d) => Some(d),
+                    _ => None,
+                })?,
             },
-            EventExpr::Timer { period } => EventKind::Timer {
-                period: self.quantity_as_duration(period, decl.line)?,
-            },
-            EventExpr::Filled { tier, value } => EventKind::threshold_at_least(
+            Event::Filled { tier, at_least } => EventKind::threshold_at_least(
                 Metric::TierFillFraction(tier.clone()),
-                self.quantity_as_fraction(value, decl.line)?,
+                self.percent(at_least, line)? / 100.0,
             ),
         };
-        let mut responses = Vec::new();
-        self.compile_stmts(&decl.body, &mut responses, decl.line)?;
-        let mut rule = Rule::on(event).labeled(format!("spec line {}", decl.line));
-        for r in responses {
-            rule = rule.respond(r);
+        let mut rule = Rule::on(event).labeled(format!("spec line {line}"));
+        for r in &clause.responses {
+            rule = rule.respond(self.response(r, line)?);
         }
         Ok(rule)
     }
 
-    fn compile_stmts(
-        &self,
-        stmts: &[Stmt],
-        out: &mut Vec<ResponseSpec>,
-        line: u32,
-    ) -> Result<(), SpecError> {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Assign { path, value } => {
-                    // The only assignment the paper's figures use is
-                    // `insert.object.dirty = true;`, which the middleware
-                    // already guarantees on every PUT. Validate and discard.
-                    let p = path.join(".");
-                    if !(p == "insert.object.dirty" && value == "true") {
-                        return Err(SpecError::new(
-                            line,
-                            format!("unsupported assignment `{p} = {value}`"),
-                        ));
-                    }
-                }
-                Stmt::If { guard, body } => {
-                    let GuardExpr::Filled { tier, value } = guard;
-                    // Figure 5 idiom: if (X.filled) { move(X.oldest→Y); }.
-                    if value.is_none() && body.len() == 1 {
-                        if let Stmt::Call(c) = &body[0] {
-                            if c.name == "move" {
-                                if let Some(order) = match c.arg("what") {
-                                    Some(ArgValue::Selector(SelectorExpr::Oldest(t)))
-                                        if t == tier =>
-                                    {
-                                        Some(EvictOrder::Lru)
-                                    }
-                                    Some(ArgValue::Selector(SelectorExpr::Newest(t)))
-                                        if t == tier =>
-                                    {
-                                        Some(EvictOrder::Mru)
-                                    }
-                                    _ => None,
-                                } {
-                                    let to = self.arg_tiers(c, "to", line)?;
-                                    if to.len() != 1 {
-                                        return Err(SpecError::new(
-                                            line,
-                                            "eviction move takes exactly one destination tier",
-                                        ));
-                                    }
-                                    out.push(ResponseSpec::EvictUntilFit {
-                                        from: tier.clone(),
-                                        to: to[0].clone(),
-                                        order,
-                                    });
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                    let mut then = Vec::new();
-                    self.compile_stmts(body, &mut then, line)?;
-                    out.push(ResponseSpec::If {
-                        guard: Guard::TierFilled {
-                            tier: tier.clone(),
-                            at_least: value
-                                .as_ref()
-                                .map(|v| self.quantity_as_fraction(v, line))
-                                .transpose()?,
-                        },
-                        then,
-                    });
-                }
-                Stmt::Call(call) => out.push(self.compile_call(call)?),
-            }
-        }
-        Ok(())
-    }
-
-    fn compile_call(&self, call: &Call) -> Result<ResponseSpec, SpecError> {
-        let line = call.line;
-        match call.name.as_str() {
-            "store" => Ok(ResponseSpec::Store {
-                what: self.arg_selector(call, "what")?,
-                to: self.arg_tiers(call, "to", line)?,
-            }),
-            "storeOnce" => Ok(ResponseSpec::StoreOnce {
-                what: self.arg_selector(call, "what")?,
-                to: self.arg_tiers(call, "to", line)?,
-            }),
-            "retrieve" => Ok(ResponseSpec::Retrieve {
-                what: self.arg_selector(call, "what")?,
-            }),
-            "copy" => Ok(ResponseSpec::Copy {
-                what: self.arg_selector(call, "what")?,
-                to: self.arg_tiers(call, "to", line)?,
-                bandwidth: self.arg_bandwidth(call, line)?,
-            }),
-            "move" => Ok(ResponseSpec::Move {
-                what: self.arg_selector(call, "what")?,
-                to: self.arg_tiers(call, "to", line)?,
-                bandwidth: self.arg_bandwidth(call, line)?,
-            }),
-            "delete" => {
-                let from = match call.arg("from") {
-                    Some(ArgValue::Tiers(ts)) if ts.len() == 1 => Some(ts[0].clone()),
-                    Some(_) => {
-                        return Err(SpecError::new(line, "delete `from:` takes one tier"))
-                    }
-                    None => None,
+    fn response(&self, response: &Response, line: u32) -> Result<ResponseSpec, SpecError> {
+        Ok(match response {
+            Response::Fixed(spec, _) => spec.clone(),
+            Response::Resize {
+                tier,
+                percent,
+                grow,
+            } => {
+                let percent = match percent {
+                    // A literal passes through its fill fraction, as it
+                    // always has: `p / 100.0 * 100.0` is not always `p`.
+                    Value::Lit(p) => p / 100.0 * 100.0,
+                    v => self.percent(v, line)?,
                 };
-                Ok(ResponseSpec::Delete {
-                    what: self.arg_selector(call, "what")?,
-                    from,
-                })
-            }
-            "encrypt" | "decrypt" => {
-                let key_id = match call.arg("key") {
-                    Some(ArgValue::Str(s)) => s.clone(),
-                    Some(ArgValue::Tiers(ts)) if ts.len() == 1 => ts[0].clone(),
-                    _ => {
-                        return Err(SpecError::new(
-                            line,
-                            format!("{} requires `key:`", call.name),
-                        ))
-                    }
-                };
-                let what = self.arg_selector(call, "what")?;
-                Ok(if call.name == "encrypt" {
-                    ResponseSpec::Encrypt { what, key_id }
+                let tier = tier.clone();
+                if *grow {
+                    ResponseSpec::Grow { tier, percent }
                 } else {
-                    ResponseSpec::Decrypt { what, key_id }
-                })
-            }
-            "compress" => Ok(ResponseSpec::Compress {
-                what: self.arg_selector(call, "what")?,
-            }),
-            "uncompress" => Ok(ResponseSpec::Uncompress {
-                what: self.arg_selector(call, "what")?,
-            }),
-            "grow" => Ok(ResponseSpec::Grow {
-                tier: self.single_tier(call, "what", line)?,
-                percent: self.arg_percent(call, "increment", line)?,
-            }),
-            "shrink" => Ok(ResponseSpec::Shrink {
-                tier: self.single_tier(call, "what", line)?,
-                percent: self.arg_percent(call, "decrement", line)?,
-            }),
-            other => Err(SpecError::new(
-                line,
-                format!("unknown response `{other}`"),
-            )),
-        }
-    }
-
-    // ---- argument helpers ----
-
-    fn arg_selector(&self, call: &Call, key: &str) -> Result<Selector, SpecError> {
-        match call.arg(key) {
-            Some(ArgValue::Selector(expr)) => Ok(lower_selector(expr)),
-            Some(ArgValue::Str(name)) => Ok(Selector::Key(name.as_str().into())),
-            Some(other) => Err(SpecError::new(
-                call.line,
-                format!("`{key}:` of {} expects a selector, found {other:?}", call.name),
-            )),
-            None => Err(SpecError::new(
-                call.line,
-                format!("{} requires `{key}:`", call.name),
-            )),
-        }
-    }
-
-    fn arg_tiers(&self, call: &Call, key: &str, line: u32) -> Result<Vec<String>, SpecError> {
-        match call.arg(key) {
-            Some(ArgValue::Tiers(ts)) => Ok(ts.clone()),
-            Some(other) => Err(SpecError::new(
-                line,
-                format!("`{key}:` of {} expects tier name(s), found {other:?}", call.name),
-            )),
-            None => Err(SpecError::new(
-                line,
-                format!("{} requires `{key}:`", call.name),
-            )),
-        }
-    }
-
-    fn single_tier(&self, call: &Call, key: &str, line: u32) -> Result<String, SpecError> {
-        let ts = self.arg_tiers(call, key, line)?;
-        if ts.len() != 1 {
-            return Err(SpecError::new(
-                line,
-                format!("{} `{key}:` takes exactly one tier", call.name),
-            ));
-        }
-        Ok(ts[0].clone())
-    }
-
-    fn arg_bandwidth(&self, call: &Call, line: u32) -> Result<Option<BandwidthCap>, SpecError> {
-        match call.arg("bandwidth") {
-            None => Ok(None),
-            Some(ArgValue::Quantity(Quantity::Rate(r))) => {
-                Ok(Some(BandwidthCap::bytes_per_sec(*r)))
-            }
-            Some(other) => Err(SpecError::new(
-                line,
-                format!("`bandwidth:` expects a rate like 40KB/s, found {other:?}"),
-            )),
-        }
-    }
-
-    fn arg_percent(&self, call: &Call, key: &str, line: u32) -> Result<f64, SpecError> {
-        match call.arg(key) {
-            Some(ArgValue::Quantity(q)) => Ok(self.quantity_as_fraction(q, line)? * 100.0),
-            Some(ArgValue::Tiers(ts)) if ts.len() == 1 => {
-                match self.bindings.get(&ts[0]) {
-                    Some(ParamValue::Percent(p)) => Ok(*p),
-                    _ => Err(SpecError::new(
-                        line,
-                        format!("`{}` is not a bound percent parameter", ts[0]),
-                    )),
+                    ResponseSpec::Shrink { tier, percent }
                 }
             }
-            _ => Err(SpecError::new(
-                line,
-                format!("{} requires `{key}:` percentage", call.name),
-            )),
-        }
+            Response::If {
+                tier,
+                at_least,
+                then,
+            } => ResponseSpec::If {
+                guard: Guard::TierFilled {
+                    tier: tier.clone(),
+                    at_least: match at_least {
+                        Some(v) => Some(self.percent(v, line)? / 100.0),
+                        None => None,
+                    },
+                },
+                then: then
+                    .iter()
+                    .map(|r| self.response(r, line))
+                    .collect::<Result<_, _>>()?,
+            },
+        })
     }
 
-    fn quantity_as_size(&self, q: &Quantity) -> Result<u64, SpecError> {
-        match q {
-            Quantity::Size(n) => Ok(*n),
-            Quantity::Int(n) => Ok(*n),
-            Quantity::Param(p) => match self.bindings.get(p) {
-                Some(ParamValue::Size(n)) => Ok(*n),
-                _ => Err(SpecError::new(
-                    0,
-                    format!("`{p}` is not a bound size parameter"),
-                )),
-            },
-            other => Err(SpecError::new(0, format!("expected a size, found {other:?}"))),
-        }
+    /// A percentage as written (`50%` → `50.0`).
+    fn percent(&self, v: &Value<f64>, line: u32) -> Result<f64, SpecError> {
+        self.value(v, line, "percent", |v| match v {
+            ParamValue::Percent(p) => Some(p),
+            _ => None,
+        })
     }
 
-    fn quantity_as_duration(&self, q: &Quantity, line: u32) -> Result<SimDuration, SpecError> {
-        match q {
-            Quantity::Duration(d) => Ok(*d),
-            Quantity::Int(n) => Ok(SimDuration::from_secs(*n)), // bare seconds
-            Quantity::Param(p) => match self.bindings.get(p) {
-                Some(ParamValue::Duration(d)) => Ok(*d),
-                _ => Err(SpecError::new(
-                    line,
-                    format!("`{p}` is not a bound time parameter"),
-                )),
-            },
-            other => Err(SpecError::new(
-                line,
-                format!("expected a duration, found {other:?}"),
-            )),
-        }
-    }
-
-    /// Converts percentages to 0..=1 fractions.
-    fn quantity_as_fraction(&self, q: &Quantity, line: u32) -> Result<f64, SpecError> {
-        match q {
-            Quantity::Percent(p) => Ok(p / 100.0),
-            Quantity::Param(p) => match self.bindings.get(p) {
-                Some(ParamValue::Percent(v)) => Ok(v / 100.0),
-                _ => Err(SpecError::new(
-                    line,
-                    format!("`{p}` is not a bound percent parameter"),
-                )),
-            },
-            other => Err(SpecError::new(
-                line,
-                format!("expected a percentage, found {other:?}"),
-            )),
+    /// Binds a lowered value: a literal as it is, a parameter to its bound
+    /// value of the right kind.
+    fn value<T: Copy>(
+        &self,
+        v: &Value<T>,
+        line: u32,
+        kind: &str,
+        get: fn(ParamValue) -> Option<T>,
+    ) -> Result<T, SpecError> {
+        match v {
+            Value::Lit(x) => Ok(*x),
+            Value::Param(p) => self.bindings.get(p).copied().and_then(get).ok_or_else(|| {
+                SpecError::new(line, format!("`{p}` is not a bound {kind} parameter"))
+            }),
+            Value::Invalid => Err(SpecError::new(line, format!("expected a {kind} value"))),
         }
     }
 }
@@ -471,61 +259,11 @@ fn analysis_error(diag: &Diagnostic) -> SpecError {
     SpecError::new(diag.line, format!("[{}] {}", diag.code, diag.message))
 }
 
-/// Applies wrapper attributes to a freshly created tier handle. The
-/// analyzer has already rejected unknown attributes and parameters
-/// (T015) and warned about redundant combinations (T013); duplicates
-/// collapse to a single application. Whatever the declaration order, the
-/// constructed stack is canonical — `Dedup(Compressed(inner))`, dedup
-/// outermost — matching the `tiera-tierx` lock ranks.
-fn wrap_tier(handle: TierHandle, attrs: &[TierAttr]) -> Result<TierHandle, SpecError> {
-    let mut compress = false;
-    let mut dedup = false;
-    for attr in attrs {
-        match attr.name.as_str() {
-            "compress" => compress = true,
-            "dedup" => dedup = true,
-            other => {
-                return Err(SpecError::new(
-                    attr.line,
-                    format!("unknown tier attribute `{other}`"),
-                ))
-            }
-        }
-    }
-    let mut handle = handle;
-    if compress {
-        handle = tiera_tierx::CompressedTier::new(handle);
-    }
-    if dedup {
-        handle = tiera_tierx::DedupTier::new(handle);
-    }
-    Ok(handle)
-}
-
-fn lower_selector(expr: &SelectorExpr) -> Selector {
-    match expr {
-        SelectorExpr::InsertObject => Selector::Inserted,
-        SelectorExpr::LocationEq(t) => Selector::InTier(t.clone()),
-        SelectorExpr::DirtyEq(true) => Selector::Dirty,
-        SelectorExpr::DirtyEq(false) => {
-            // "not dirty" has no direct selector; approximate with All∧¬dirty
-            // via And over everything minus dirty is not expressible — the
-            // paper never uses it; lower to All (documented limitation).
-            Selector::All
-        }
-        SelectorExpr::TagEq(s) => Selector::Tagged(Tag::new(s)),
-        SelectorExpr::Oldest(t) => Selector::OldestIn(t.clone()),
-        SelectorExpr::Newest(t) => Selector::NewestIn(t.clone()),
-        SelectorExpr::Named(k) => Selector::Key(k.as_str().into()),
-        SelectorExpr::And(a, b) => lower_selector(a).and(lower_selector(b)),
-        SelectorExpr::Not(inner) => lower_selector(inner).negate(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parse;
+    use tiera_core::response::EvictOrder;
     use tiera_core::tier::MemTier;
     use tiera_core::tier::TierHandle;
 
@@ -845,6 +583,35 @@ Tiera X() {
             .compile(&parse(src).unwrap())
             .unwrap_err();
         assert!(err.message.contains("unknown tier type"));
+        assert_eq!(err.line, 3, "{err}");
+    }
+
+    #[test]
+    fn dirty_false_selects_only_clean_objects() {
+        use tiera_sim::SimTime;
+        let src = r#"
+Tiera CleanCopy() {
+    tier1: { name: Memcached, size: 1M };
+    tier2: { name: EBS, size: 1M };
+    event(insert.into) : response {
+        store(what: insert.object, to: tier1);
+    }
+    event(time=1s) : response {
+        copy(what: object.location == tier1 && object.dirty == false, to: tier2);
+    }
+}
+"#;
+        let catalog = mem_catalog();
+        let inst = Compiler::new(&catalog, SimEnv::new(5))
+            .compile(&parse(src).unwrap())
+            .unwrap();
+        inst.put("k", &b"v"[..], SimTime::ZERO).unwrap();
+        inst.pump(SimTime::from_secs(2)).unwrap();
+        let meta = inst.registry().get(&"k".into()).unwrap();
+        assert!(
+            meta.in_tier("tier1") && !meta.in_tier("tier2"),
+            "a freshly PUT object is dirty, so the copy skips it: {meta:?}"
+        );
     }
 
     #[test]

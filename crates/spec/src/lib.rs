@@ -8,9 +8,11 @@
 //!
 //! This crate implements that language exactly as printed in the paper's
 //! Figures 3–6: a hand-written lexer ([`token`]), a recursive-descent
-//! parser ([`parser`]) producing a typed AST ([`ast`]), and a compiler
-//! ([`compile`]) that lowers specifications onto `tiera-core` policies and
-//! materializes tiers through a [`tiera_core::catalog::TierCatalog`].
+//! parser ([`parser`]) producing a typed AST ([`ast`]), one lowering walk
+//! that resolves the AST into the policy that runs, the lints
+//! ([`mod@analyze`]) as passes over that policy, and a compiler ([`compile`])
+//! that binds its parameters and materializes its tiers through a
+//! [`tiera_core::catalog::TierCatalog`].
 //!
 //! ```text
 //! Tiera LowLatencyInstance(time t) {
@@ -64,6 +66,7 @@ pub mod analyze;
 pub mod ast;
 pub mod compile;
 pub mod diag;
+mod lower;
 pub mod parser;
 pub mod printer;
 pub mod token;

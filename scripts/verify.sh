@@ -20,8 +20,8 @@ cargo build --release
 echo "==> cargo test -q (includes the chaos matrices and the live-server rpc round trips)"
 cargo test -q
 
-echo "==> tiera-lint --deny-warnings specs/ (spec analyzer gate)"
-cargo run -q --release --offline --bin tiera-lint -- --deny-warnings --quiet specs/*.tiera
+echo "==> tiera-lint --deny-warnings specs/ benchmark/specs/ (spec analyzer gate)"
+cargo run -q --release --offline --bin tiera-lint -- --deny-warnings --quiet specs/*.tiera benchmark/specs/*.tiera
 
 echo "==> tiera-analyze --deny-warnings crates/ (concurrency analyzer gate)"
 cargo run -q --release --offline --bin tiera-analyze -- --deny-warnings --quiet crates
