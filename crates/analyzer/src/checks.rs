@@ -1,4 +1,4 @@
-//! The A001–A009 lint rules over scanned [`FileFacts`], plus the
+//! The A001–A010 lint rules over scanned [`FileFacts`], plus the
 //! workspace-level acquired-while-held graph (A001 cycles can span files:
 //! one function nests `a` inside `b`, another nests `b` inside `a`).
 //!
@@ -31,6 +31,17 @@
 //!   and a file's test module. The match is by identifier, so a re-export
 //!   or a same-named item elsewhere keeps an item alive: A009 finds what
 //!   nothing names, not every item only tests call.
+//! * **A010** applies to the variants of the column-0 `pub enum`s in the
+//!   configured unbuilt-variant directories (`crates/{core,spec,tiers}/src`).
+//!   A variant is unbuilt when no non-test line of any analyzed file (test
+//!   code as for A009) writes `Enum::Variant`, or `Self::Variant` in the
+//!   enum's own file, outside a pattern. A pattern is an occurrence
+//!   followed, past its fields and any closing brackets, by `=>`, a `|`
+//!   alternative, an `if` guard or a `let`'s `=`. Anything else — a
+//!   comparison, a function reference like `.map(Enum::Variant)`, a
+//!   `matches!` pattern — counts as a construction, so A010 errs towards
+//!   silence. A `// A010: <reason>` line directly above a variant exempts
+//!   it.
 
 use crate::diag::{Analysis, Diagnostic, LintCode};
 use crate::scan::{self, FileFacts};
@@ -53,6 +64,9 @@ pub struct Config {
     /// stay out: support's `LOCKCHECK` and bench's `json` serve
     /// `benchmark/`, which lies outside the analyzed tree.
     pub dead_pub: Vec<String>,
+    /// Files whose `pub enum` variants must be constructed by non-test
+    /// code (A010); entries as in `hot_path`.
+    pub unbuilt_variant: Vec<String>,
 }
 
 impl Config {
@@ -103,6 +117,11 @@ impl Config {
                 "crates/tiers/src/".into(),
                 "crates/tierx/src/".into(),
                 "crates/workloads/src/".into(),
+            ],
+            unbuilt_variant: vec![
+                "crates/core/src/".into(),
+                "crates/spec/src/".into(),
+                "crates/tiers/src/".into(),
             ],
         }
     }
@@ -198,10 +217,11 @@ fn ok_statement(cleaned: &[String], at: usize) -> Option<String> {
     (statement.ends_with(".ok();") && !statement.contains(" = ")).then_some(statement)
 }
 
-/// Whether raw line `above` gives A008 its reason: `// A008: <reason>`.
-fn justifies_a008(above: Option<&&str>) -> bool {
+/// Whether raw line `above` gives lint `code` its reason:
+/// `// <code>: <reason>`.
+fn justifies(code: &str, above: Option<&&str>) -> bool {
     above
-        .and_then(|line| line.trim_start().strip_prefix("// A008:"))
+        .and_then(|line| line.trim_start().strip_prefix("// ")?.strip_prefix(code)?.strip_prefix(':'))
         .is_some_and(|reason| !reason.trim().is_empty())
 }
 
@@ -243,6 +263,13 @@ fn identifiers(line: &str) -> impl Iterator<Item = &str> {
         .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
 }
 
+/// A file's non-test cleaned lines: none of a file under `tests/`, else
+/// those before its test module.
+fn non_test<'a>(path: &str, facts: &'a FileFacts) -> &'a [String] {
+    let lines = if path.contains("/tests/") { 0 } else { facts.shipping_end };
+    &facts.cleaned[..lines]
+}
+
 /// A009 over the whole input: how often each identifier appears in
 /// non-test code, then every covered `pub` item whose own definition is
 /// its only appearance.
@@ -252,10 +279,6 @@ fn dead_pub_surface(
     config: &Config,
     diags: &mut [Vec<Diagnostic>],
 ) {
-    fn non_test<'a>(path: &str, facts: &'a FileFacts) -> &'a [String] {
-        let lines = if path.contains("/tests/") { 0 } else { facts.shipping_end };
-        &facts.cleaned[..lines]
-    }
     let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
     for (f, facts) in files.iter().zip(facts) {
         for ident in non_test(&f.path, facts).iter().flat_map(|l| identifiers(l)) {
@@ -282,6 +305,127 @@ fn dead_pub_surface(
     }
 }
 
+/// One variant of a covered `pub enum`.
+struct Variant<'a> {
+    file: usize,
+    /// 0-based line of the variant.
+    line: usize,
+    ty: &'a str,
+    name: &'a str,
+}
+
+/// How `c` moves the bracket depth.
+fn nesting(c: char) -> i32 {
+    match c {
+        '{' | '(' | '[' => 1,
+        '}' | ')' | ']' => -1,
+        _ => 0,
+    }
+}
+
+/// The variants of the column-0 `pub enum` whose header is cleaned line
+/// `at`, each with its line: the identifiers that open a line one bracket
+/// deep in the enum's body.
+fn enum_variants(cleaned: &[String], at: usize) -> Vec<(usize, &str)> {
+    let mut variants = Vec::new();
+    let mut depth = 0;
+    for (n, line) in cleaned.iter().enumerate().skip(at) {
+        let head = line.trim_start();
+        if depth == 1 && head.starts_with(|c: char| c.is_ascii_uppercase()) {
+            variants.extend(identifiers(head).next().map(|name| (n, name)));
+        }
+        depth += line.chars().map(nesting).sum::<i32>();
+        if depth <= 0 && n > at {
+            break;
+        }
+    }
+    variants
+}
+
+/// Whether the path that ends at byte `end` of `text` is a pattern: past
+/// one bracketed group of fields and any closing brackets, `=>`, a `|`
+/// alternative, an `if` guard or a `let`'s `=` follows it.
+fn in_pattern(text: &str, end: usize) -> bool {
+    let mut rest = text[end..].trim_start();
+    if rest.starts_with(['(', '{', '[']) {
+        let mut depth = 0;
+        let close = rest.find(|c| {
+            depth += nesting(c);
+            depth == 0
+        });
+        rest = close.map_or("", |at| rest[at + 1..].trim_start());
+    }
+    rest = rest.trim_start_matches([')', ']', ' ', '\n']);
+    rest.starts_with("=>")
+        || rest.starts_with('|') && !rest.starts_with("||")
+        || rest.starts_with("if ")
+        || rest.starts_with('=') && !rest.starts_with("==")
+}
+
+/// The `(qualifier, name)` of every `A::B` path step in `text`, with the
+/// byte offset where `B` ends.
+fn path_steps(text: &str) -> impl Iterator<Item = (&str, &str, usize)> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices("::").filter_map(move |(at, _)| {
+        let start = text[..at].rfind(|c: char| !is_ident(c)).map_or(0, |i| i + 1);
+        let after = &text[at + 2..];
+        let len = after.find(|c: char| !is_ident(c)).unwrap_or(after.len());
+        (start < at && len > 0).then(|| (&text[start..at], &after[..len], at + 2 + len))
+    })
+}
+
+/// A010 over the whole input: the variants of every covered `pub enum`,
+/// then every non-test construction of one, then each variant none
+/// constructs.
+fn unbuilt_variants(
+    files: &[FileInput],
+    facts: &[FileFacts],
+    config: &Config,
+    diags: &mut [Vec<Diagnostic>],
+) {
+    let mut variants: Vec<Variant> = Vec::new();
+    for (file, (f, facts)) in files.iter().zip(facts).enumerate() {
+        if !covered(&f.path, &config.unbuilt_variant) {
+            continue;
+        }
+        let lines = non_test(&f.path, facts);
+        for (at, line) in lines.iter().enumerate() {
+            let Some(ty) = line.strip_prefix("pub enum ").and_then(|rest| identifiers(rest).next()) else {
+                continue;
+            };
+            for (line, name) in enum_variants(lines, at) {
+                variants.push(Variant { file, line, ty, name });
+            }
+        }
+    }
+    let mut built = vec![false; variants.len()];
+    for (file, (f, facts)) in files.iter().zip(facts).enumerate() {
+        let text = non_test(&f.path, facts).join("\n");
+        for (qualifier, name, end) in path_steps(&text) {
+            for (v, built) in variants.iter().zip(&mut built) {
+                let names = v.name == name && (v.ty == qualifier || qualifier == "Self" && v.file == file);
+                if names && !in_pattern(&text, end) {
+                    *built = true;
+                }
+            }
+        }
+    }
+    for (v, built) in variants.iter().zip(built) {
+        let above = v.line.checked_sub(1).and_then(|n| files[v.file].source.lines().nth(n));
+        if built || justifies("A010", above.as_ref()) {
+            continue;
+        }
+        diags[v.file].push(
+            Diagnostic::new(
+                LintCode::UnbuiltVariant,
+                (v.line + 1) as u32,
+                format!("variant `{}::{}` is constructed by no non-test code", v.ty, v.name),
+            )
+            .note("delete it, or give the reason it stays on the line above as `// A010: <reason>`"),
+        );
+    }
+}
+
 /// Whether a [`Config`] list covers `path`: a file entry by suffix, a
 /// directory entry (ending in `/`) by containment.
 fn covered(path: &str, entries: &[String]) -> bool {
@@ -305,6 +449,7 @@ pub fn analyze_workspace(files: &[FileInput], config: &Config) -> Vec<FileReport
         .map(|(f, facts)| file_diags(&f.path, &f.source, facts, config))
         .collect();
     dead_pub_surface(files, &facts, config, &mut diags);
+    unbuilt_variants(files, &facts, config, &mut diags);
 
     // Workspace lock graph over shipping, non-support edges.
     #[derive(Clone)]
@@ -546,7 +691,7 @@ fn file_diags(path: &str, source: &str, facts: &FileFacts, config: &Config) -> V
         let Some((call, how)) = discarded_call(&facts.cleaned, at) else {
             continue;
         };
-        if at > 0 && justifies_a008(raw.get(at - 1)) {
+        if at > 0 && justifies("A008", raw.get(at - 1)) {
             continue;
         }
         out.push(

@@ -33,6 +33,7 @@ tiera_support::lint_codes! {
         UnnamedLockMultiSite => ("A007", Warning, "unnamed lock constructed in a multi-lock file"),
         DiscardedResult => ("A008", Error, "`let _ =` or `.ok();` discards the Result of a durability or pump call"),
         DeadPubSurface => ("A009", Warning, "pub item that no non-test code names"),
+        UnbuiltVariant => ("A010", Warning, "variant of a pub enum that no non-test code constructs"),
     }
 }
 
@@ -46,7 +47,7 @@ mod tests {
         let codes: Vec<&str> = LintCode::ALL.iter().map(|c| c.code()).collect();
         assert_eq!(
             codes,
-            ["A001", "A002", "A003", "A004", "A005", "A006", "A007", "A008", "A009"]
+            ["A001", "A002", "A003", "A004", "A005", "A006", "A007", "A008", "A009", "A010"]
         );
         assert!(LintCode::ALL.iter().all(|c| !c.summary().is_empty()));
     }

@@ -92,6 +92,7 @@ fn a004_panic_fixture() {
         panic_free: vec!["a004_panic.rs".into()],
         hot_path: vec![],
         dead_pub: vec![],
+        unbuilt_variant: vec![],
     };
     let analysis = analyze_file("a004_panic.rs", &src, &config);
     assert_eq!(codes(&analysis), ["A004"], "{analysis:?}");
@@ -109,6 +110,7 @@ fn a005_hashmap_fixture() {
         panic_free: vec![],
         hot_path: vec!["a005_hashmap.rs".into()],
         dead_pub: vec![],
+        unbuilt_variant: vec![],
     };
     let analysis = analyze_file("a005_hashmap.rs", &src, &config);
     assert_eq!(codes(&analysis), ["A005", "A005"], "{analysis:?}");
@@ -186,6 +188,7 @@ fn a009_dead_pub_fixture() {
         panic_free: vec![],
         hot_path: vec![],
         dead_pub: vec!["a009_dead_pub.rs".into()],
+        unbuilt_variant: vec![],
     };
     let analysis = analyze_file("a009_dead_pub.rs", &src, &config);
     assert_eq!(
@@ -219,6 +222,57 @@ warning[A009]: `pub` item `NEVER_READ` is named by no non-test code
             &[
                 FileInput {
                     path: "a009_dead_pub.rs".into(),
+                    source: src.clone(),
+                },
+                caller(path),
+            ],
+            &config,
+        );
+        assert_eq!(reports[0].analysis.diagnostics().len(), expected, "{path}");
+    }
+}
+
+#[test]
+fn a010_unbuilt_variant_fixture() {
+    let src = fixture("a010_unbuilt_variant.rs");
+    let config = Config {
+        panic_free: vec![],
+        hot_path: vec![],
+        dead_pub: vec![],
+        unbuilt_variant: vec!["a010_unbuilt_variant.rs".into()],
+    };
+    let analysis = analyze_file("a010_unbuilt_variant.rs", &src, &config);
+    assert_eq!(
+        analysis.render(&src, "a010_unbuilt_variant.rs"),
+        "\
+warning[A010]: variant `Shape::Hexagon` is constructed by no non-test code
+  --> a010_unbuilt_variant.rs:11
+   |
+11 |     Hexagon,
+   |
+   = note: delete it, or give the reason it stays on the line above as `// A010: <reason>`
+
+warning[A010]: variant `Shape::Blob` is constructed by no non-test code
+  --> a010_unbuilt_variant.rs:12
+   |
+12 |     Blob,
+   |
+   = note: delete it, or give the reason it stays on the line above as `// A010: <reason>`
+"
+    );
+    // Outside the configured directories the file is clean.
+    assert!(analyze_file("a010_unbuilt_variant.rs", &src, &Config::workspace()).is_clean());
+    // A construction in another non-test file builds a variant; one under
+    // `tests/` does not.
+    let caller = |path: &str| FileInput {
+        path: path.into(),
+        source: "fn main() { let _ = geometry::Shape::Blob; }\n".into(),
+    };
+    for (path, expected) in [("crates/x/src/bin/main.rs", 1), ("crates/x/tests/t.rs", 2)] {
+        let reports = analyze_workspace(
+            &[
+                FileInput {
+                    path: "a010_unbuilt_variant.rs".into(),
                     source: src.clone(),
                 },
                 caller(path),

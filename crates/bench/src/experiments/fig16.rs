@@ -2,10 +2,10 @@
 //!
 //! "The instance is subjected to a write heavy workload inserting 4KB
 //! objects for a period of 14 minutes. The instance expands the Memcached
-//! tier [when] the space consumed reaches the threshold set in the policy
+//! tier \[when\] the space consumed reaches the threshold set in the policy
 //! i.e. 150 MB. At this time a new EC2 instance was spawned, which took
 //! approximately 1 minute... the read latency goes up and remains high
-//! [then] settles down to its original value once the cache is warmed up."
+//! \[then\] settles down to its original value once the cache is warmed up."
 
 use std::sync::Arc;
 

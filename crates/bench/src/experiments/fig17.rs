@@ -3,7 +3,7 @@
 //! "We simulate a failure in EBS by timing out writes around t = 4 mins.
 //! The monitoring application discovers the failure at around t = 6 mins
 //! and requests instance reconfiguration [to Ephemeral Storage + S3]...
-//! throughput drops to zero between t = 4 mins to t = 6 mins [and] is
+//! throughput drops to zero between t = 4 mins to t = 6 mins \[and\] is
 //! subsequently restored back to its original value by t = 7 mins."
 //!
 //! The outage is expressed through the chaos harness's declarative

@@ -33,35 +33,13 @@ pub enum Metric {
     TierFillFraction(String),
     /// Absolute bytes stored in a tier.
     TierUsedBytes(String),
-    /// Bytes of dirty (not yet persisted) objects located in a tier.
-    TierDirtyBytes(String),
-    /// Number of objects located in a tier.
-    TierObjectCount(String),
-    /// Total accesses of a named object (paper §2.2: thresholds "can be
-    /// based on attributes of data objects" — e.g. promote an object once
-    /// it turns hot).
-    ObjectAccessCount(String),
-    /// A named object's access frequency in accesses per second.
-    ObjectAccessFrequency(String),
 }
 
 impl Metric {
-    /// The tier the metric observes, if it is a tier metric.
-    pub fn tier(&self) -> Option<&str> {
+    /// The tier the metric observes.
+    pub fn tier(&self) -> &str {
         match self {
-            Metric::TierFillFraction(t)
-            | Metric::TierUsedBytes(t)
-            | Metric::TierDirtyBytes(t)
-            | Metric::TierObjectCount(t) => Some(t),
-            Metric::ObjectAccessCount(_) | Metric::ObjectAccessFrequency(_) => None,
-        }
-    }
-
-    /// The object the metric observes, if it is an object metric.
-    pub fn object(&self) -> Option<&str> {
-        match self {
-            Metric::ObjectAccessCount(k) | Metric::ObjectAccessFrequency(k) => Some(k),
-            _ => None,
+            Metric::TierFillFraction(t) | Metric::TierUsedBytes(t) => t,
         }
     }
 }
@@ -73,6 +51,7 @@ pub enum Relation {
     /// `tier1.filled == 75%` means "reaches 75 %").
     AtLeast,
     /// Fires when the metric drops to or below the value.
+    // A010: the falling edge Table 1's `shrink` pairs with; no spec spells it yet.
     AtMost,
 }
 
@@ -201,11 +180,8 @@ mod tests {
 
     #[test]
     fn metric_names_its_tier_or_object() {
-        assert_eq!(Metric::TierFillFraction("t1".into()).tier(), Some("t1"));
-        assert_eq!(Metric::TierDirtyBytes("t2".into()).tier(), Some("t2"));
-        let m = Metric::ObjectAccessCount("obj".into());
-        assert_eq!(m.tier(), None);
-        assert_eq!(m.object(), Some("obj"));
+        assert_eq!(Metric::TierFillFraction("t1".into()).tier(), "t1");
+        assert_eq!(Metric::TierUsedBytes("t2".into()).tier(), "t2");
     }
 
     #[test]

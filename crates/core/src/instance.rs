@@ -7,8 +7,8 @@
 //!
 //! * The **application interface layer** is the [`Instance::put`] /
 //!   [`Instance::get`] / [`Instance::delete`] API.
-//! * The **storage interface layer** is the set of attached [`Tier`]
-//!   handles.
+//! * The **storage interface layer** is the set of attached
+//!   [`Tier`](crate::tier::Tier) handles.
 //! * The **control layer** is the response executor in this module: it
 //!   fires action events inline with requests, threshold events on the
 //!   actions that affect their metrics, and timer events from
@@ -904,18 +904,6 @@ impl Instance {
         match metric {
             Metric::TierFillFraction(t) => tier(t).map(|t| t.fill_fraction(now)).unwrap_or(0.0),
             Metric::TierUsedBytes(t) => tier(t).map(|t| t.used() as f64).unwrap_or(0.0),
-            Metric::TierDirtyBytes(t) => self.registry.aggregates(t).dirty_bytes as f64,
-            Metric::TierObjectCount(t) => self.registry.aggregates(t).objects as f64,
-            Metric::ObjectAccessCount(k) => self
-                .registry
-                .get(&ObjectKey::new(k))
-                .map(|m| m.access_count as f64)
-                .unwrap_or(0.0),
-            Metric::ObjectAccessFrequency(k) => self
-                .registry
-                .get(&ObjectKey::new(k))
-                .map(|m| m.access_frequency(now))
-                .unwrap_or(0.0),
         }
     }
 
@@ -969,7 +957,6 @@ impl Instance {
 
     fn eval_guard(&self, guard: &Guard, ctx: &Ctx) -> Result<bool> {
         match guard {
-            Guard::Always => Ok(true),
             Guard::TierFilled { tier, at_least } => {
                 let t = &ctx.config.attached(tier)?.tier;
                 Ok(match at_least {

@@ -10,7 +10,7 @@
 //!
 //! * **Object model** — data is stored as immutable, overwritable objects
 //!   addressed by a globally unique key ([`ObjectKey`]). Tiera tracks
-//!   per-object metadata (size, access frequency, dirty flag, locations,
+//!   per-object metadata (size, access count, dirty flag, locations,
 //!   last access time) and optional [`Tag`]s that group objects into
 //!   classes ([`meta::ObjectMeta`]).
 //! * **Tiers** — any source or sink for data with the prescribed interface

@@ -271,15 +271,6 @@ impl ObjectMeta {
         self.last_access = now;
     }
 
-    /// Access frequency in accesses per simulated second since creation.
-    ///
-    /// Used by hot/cold placement policies (paper §2.3: "access frequency
-    /// can be used for easy specification of hot and cold objects").
-    pub fn access_frequency(&self, now: SimTime) -> f64 {
-        let age = now.since(self.created).as_secs_f64().max(1e-9);
-        f64::from(self.access_count) / age
-    }
-
     /// Stored size in bytes: `size` unless the stored bytes differ from
     /// the logical ones (after compression, say).
     pub fn stored_size(&self) -> u64 {
@@ -649,8 +640,6 @@ mod tests {
         m.touch(SimTime::from_secs(10));
         assert_eq!(m.access_count, 2);
         assert_eq!(m.last_access, SimTime::from_secs(10));
-        // 2 accesses over 10 s = 0.2/s.
-        assert!((m.access_frequency(SimTime::from_secs(10)) - 0.2).abs() < 1e-9);
     }
 
     #[test]

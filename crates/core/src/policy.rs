@@ -211,7 +211,7 @@ pub(crate) fn validate(tiers: &[Attached], rule: &Rule) -> Result<()> {
         return Err(TieraError::InvalidConfig("timer rule has a zero period".to_string()));
     }
     let scope = match &rule.event {
-        EventKind::Threshold { metric, .. } => metric.tier(),
+        EventKind::Threshold { metric, .. } => Some(metric.tier()),
         EventKind::Action { tier, .. } => tier.as_deref(),
         EventKind::Timer { .. } => None,
     };

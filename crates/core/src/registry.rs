@@ -21,26 +21,22 @@
 //!   touch different shards and proceed in parallel.
 //! * **Order indexes** (a shard's `order`): the recency lists — access
 //!   order, dirty objects, one list per tier behind `tierN.oldest`/`newest`
-//!   — and the frequency lists driving hot/cold selectors, over the shard's
-//!   objects. All are doubly linked through one slab of nodes (an object
-//!   has one node, and one `(prev, next)` pair in each list it is on). A
-//!   mutation gives its node a fresh *stamp*, a number it takes from one
-//!   registry-wide counter under its shard lock, and moves the object to
-//!   the back of every recency list it belongs to, so each list holds its
-//!   members in stamp order. The frequency lists are one per power-of-two
-//!   range of access counts, so an access refiles its object only when the
-//!   count crosses a power of two.
+//!   — over the shard's objects. All are doubly linked through one slab of
+//!   nodes (an object has one node, and one `(prev, next)` pair in each
+//!   list it is on). A mutation gives its node a fresh *stamp*, a number it
+//!   takes from one registry-wide counter under its shard lock, and moves
+//!   the object to the back of every list it belongs to, so each list holds
+//!   its members in stamp order.
 //! * **Aggregates** (a shard's `aggregates`): per-tier object/dirty-byte
-//!   counters for threshold metrics, kept by every mutation that changes an
-//!   object's locations, dirty flag or dirty size.
+//!   counters, kept by every mutation that changes an object's locations,
+//!   dirty flag or dirty size.
 //! * **Dedup** (`dedup`): the `storeOnce` refcounts ([`BlobTable`],
 //!   rebuilt by recovery) behind their own `Mutex`; never held together
 //!   with a shard.
 //!
 //! A cross-shard read locks the shards one at a time and merges what each
 //! answers: `oldest_in`/`newest_in` compare the shards' list ends by
-//! stamp, a list selector merges the shards' lists by stamp, a hot/cold
-//! selector walks each shard's buckets and sorts the hits, `aggregates`
+//! stamp, a list selector merges the shards' lists by stamp, `aggregates`
 //! sums the shards. The answer is a merge of per-shard snapshots, not one
 //! point-in-time snapshot: a mutation may land in a shard the read has
 //! passed, or in one it has yet to visit, while the read runs. Single
@@ -55,7 +51,7 @@
 //! anything. Each entry's slot holds instead its stamp, so an unindexed PUT
 //! or GET costs one shard lock and no node. An *ordered read* — a selector
 //! that walks a list (`All`, `Dirty`, `InTier`, `Tagged`,
-//! `OldestIn`/`NewestIn`, hot/cold), `oldest_in`, `newest_in`, `keys_in` —
+//! `OldestIn`/`NewestIn`), `oldest_in`, `newest_in`, `keys_in` —
 //! builds the indexes of each shard it finds unindexed, under that shard's
 //! write lock: every entry gets a node carrying its stamp, and joins its
 //! lists in stamp order, which is the order eager upkeep would have kept.
@@ -92,7 +88,7 @@ use crate::tier::TierId;
 /// sizes the RPC server runs (≤ 8 threads) without bloating the footprint.
 pub const SHARD_COUNT: usize = 16;
 
-/// Aggregates maintained per tier for cheap threshold-metric evaluation.
+/// Counters maintained per tier, read without a sweep of the objects.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierAggregates {
     /// Objects located in the tier.
@@ -139,85 +135,60 @@ struct Link {
     next: u32,
 }
 
-/// The two ends of one list threaded through a `links` array (indexed by
-/// node), oldest at the head. Which nodes are members is the caller's
+/// One recency list threaded through the slab's nodes: `links` is indexed
+/// by node, oldest at the head. Which nodes are members is the caller's
 /// knowledge (it follows from the object's metadata), not the list's.
-#[derive(Clone, Copy)]
-struct Ends {
-    head: u32,
-    tail: u32,
-}
-
-impl Ends {
-    const EMPTY: Ends = Ends { head: NIL, tail: NIL };
-
-    /// Appends `node` (not currently a member) as the newest; `links`
-    /// grows to the highest node ever linked.
-    fn push_back(&mut self, links: &mut Vec<Link>, node: u32) {
-        let at = node as usize;
-        if at >= links.len() {
-            links.resize(at + 1, Link { prev: NIL, next: NIL });
-        }
-        links[at] = Link {
-            prev: self.tail,
-            next: NIL,
-        };
-        match self.tail {
-            NIL => self.head = node,
-            tail => links[tail as usize].next = node,
-        }
-        self.tail = node;
-    }
-
-    /// Removes `node` (currently a member).
-    fn unlink(&mut self, links: &mut [Link], node: u32) {
-        let Link { prev, next } = links[node as usize];
-        match prev {
-            NIL => self.head = next,
-            prev => links[prev as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            next => links[next as usize].prev = prev,
-        }
-    }
-
-    /// The members, oldest first.
-    fn iter(self, links: &[Link]) -> impl Iterator<Item = u32> + '_ {
-        let from = |node: u32| (node != NIL).then_some(node);
-        std::iter::successors(from(self.head), move |&n| from(links[n as usize].next))
-    }
-}
-
-/// One recency list over the slab's nodes, oldest at the head.
 struct RecencyList {
     links: Vec<Link>,
-    ends: Ends,
+    head: u32,
+    tail: u32,
 }
 
 impl Default for RecencyList {
     fn default() -> Self {
         Self {
             links: Vec::new(),
-            ends: Ends::EMPTY,
+            head: NIL,
+            tail: NIL,
         }
     }
 }
 
 impl RecencyList {
-    /// Appends `node` (not currently a member) as the newest.
+    /// Appends `node` (not currently a member) as the newest; `links`
+    /// grows to the highest node ever linked.
     fn push_back(&mut self, node: u32) {
-        self.ends.push_back(&mut self.links, node);
+        let at = node as usize;
+        if at >= self.links.len() {
+            self.links.resize(at + 1, Link { prev: NIL, next: NIL });
+        }
+        self.links[at] = Link {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = node,
+            tail => self.links[tail as usize].next = node,
+        }
+        self.tail = node;
     }
 
     /// Removes `node` (currently a member).
     fn unlink(&mut self, node: u32) {
-        self.ends.unlink(&mut self.links, node);
+        let Link { prev, next } = self.links[node as usize];
+        match prev {
+            NIL => self.head = next,
+            prev => self.links[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.links[next as usize].prev = prev,
+        }
     }
 
     /// Makes `node` (currently a member) the newest.
     fn move_to_back(&mut self, node: u32) {
-        if self.ends.tail != node {
+        if self.tail != node {
             self.unlink(node);
             self.push_back(node);
         }
@@ -225,85 +196,8 @@ impl RecencyList {
 
     /// The members, oldest first.
     fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.ends.iter(&self.links)
-    }
-}
-
-/// Frequency buckets: bucket 0 holds access count 0, bucket `b` counts in
-/// `[2^(b-1), 2^b)`, up to bucket 64 for counts with the top bit set.
-const BUCKETS: usize = u64::BITS as usize + 1;
-
-/// The bucket holding objects accessed `count` times.
-fn bucket_of(count: u64) -> usize {
-    (u64::BITS - count.leading_zeros()) as usize
-}
-
-/// The lowest access count filed in `bucket`.
-fn bucket_min(bucket: usize) -> u64 {
-    match bucket {
-        0 => 0,
-        b => 1 << (b - 1),
-    }
-}
-
-/// The highest access count filed in `bucket`.
-fn bucket_max(bucket: usize) -> u64 {
-    match bucket {
-        0 => 0,
-        b => u64::MAX >> (BUCKETS - 1 - b),
-    }
-}
-
-/// The frequency index: every object on the list of its access count's
-/// bucket. A node is on exactly one of the lists, so they share one
-/// `links` array; an access moves a node only when its count crosses a
-/// power of two, and position within a bucket carries no meaning.
-struct FrequencyLists {
-    links: Vec<Link>,
-    buckets: [Ends; BUCKETS],
-    /// Bucket-to-bucket moves made by [`recount`](Self::recount).
-    #[cfg(test)]
-    moves: u64,
-}
-
-impl Default for FrequencyLists {
-    fn default() -> Self {
-        Self {
-            links: Vec::new(),
-            buckets: [Ends::EMPTY; BUCKETS],
-            #[cfg(test)]
-            moves: 0,
-        }
-    }
-}
-
-impl FrequencyLists {
-    /// Files `node` (not currently filed) under `count`.
-    fn insert(&mut self, node: u32, count: u64) {
-        self.buckets[bucket_of(count)].push_back(&mut self.links, node);
-    }
-
-    /// Removes `node`, filed under `count`.
-    fn remove(&mut self, node: u32, count: u64) {
-        self.buckets[bucket_of(count)].unlink(&mut self.links, node);
-    }
-
-    /// `node`'s count went from `was` to `now`: refiles it if that is a
-    /// different bucket.
-    fn recount(&mut self, node: u32, was: u64, now: u64) {
-        if bucket_of(was) != bucket_of(now) {
-            self.remove(node, was);
-            self.insert(node, now);
-            #[cfg(test)]
-            {
-                self.moves += 1;
-            }
-        }
-    }
-
-    /// The nodes filed in `bucket`.
-    fn iter(&self, bucket: usize) -> impl Iterator<Item = u32> + '_ {
-        self.buckets[bucket].iter(&self.links)
+        let from = |node: u32| (node != NIL).then_some(node);
+        std::iter::successors(from(self.head), move |&n| from(self.links[n as usize].next))
     }
 }
 
@@ -313,8 +207,6 @@ struct Indexed {
     locations: TierSet,
     dirty: bool,
     stored_size: u64,
-    access_count: u64,
-    created: SimTime,
 }
 
 impl Indexed {
@@ -323,8 +215,6 @@ impl Indexed {
             locations: meta.locations.clone(),
             dirty: meta.dirty,
             stored_size: meta.stored_size(),
-            access_count: meta.access_count.into(),
-            created: meta.created,
         }
     }
 }
@@ -337,6 +227,7 @@ struct Node {
 }
 
 /// One shard's order indexes (see module docs).
+#[derive(Default)]
 struct OrderIndexes {
     /// The node slab.
     nodes: Vec<Node>,
@@ -348,38 +239,11 @@ struct OrderIndexes {
     dirty: RecencyList,
     /// Per tier, the objects located there, in access order.
     tiers: FxHashMap<TierId, RecencyList>,
-    /// Every object, by the bucket of its access count. Hot/cold selectors
-    /// walk the buckets from the hot (high-count) or cold (low-count) end
-    /// and prune with the `created` bounds below.
-    frequency: FrequencyLists,
-    /// Monotone upper bound on live objects' creation times: the youngest
-    /// possible object. `now - max_created` lower-bounds every object's
-    /// age, letting `HotterThan` stop early.
-    max_created: SimTime,
-    /// Monotone lower bound on creation times (upper-bounds ages) for
-    /// `ColderThan`'s early stop. Conservative after removals — stale
-    /// bounds only weaken pruning, never correctness.
-    min_created: SimTime,
-}
-
-impl Default for OrderIndexes {
-    fn default() -> Self {
-        Self {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            access: RecencyList::default(),
-            dirty: RecencyList::default(),
-            tiers: FxHashMap::default(),
-            frequency: FrequencyLists::default(),
-            max_created: SimTime::ZERO,
-            min_created: SimTime::from_nanos(u64::MAX),
-        }
-    }
 }
 
 impl OrderIndexes {
-    /// Takes a node for `key`, stamped `stamp`, links it as the newest of
-    /// every list `now` puts it on and files it under its access count.
+    /// Takes a node for `key`, stamped `stamp`, and links it as the newest
+    /// of every list `now` puts it on.
     fn add(&mut self, key: ObjectKey, now: &Indexed, stamp: u64) -> u32 {
         let filled = Node {
             key: Some(key),
@@ -401,18 +265,14 @@ impl OrderIndexes {
         };
         self.access.push_back(node);
         self.link_lists(node, now);
-        self.frequency.insert(node, now.access_count);
-        self.bound_created(now.created);
         node
     }
 
-    /// Undoes [`add`](Self::add) for the state `node` was filed with and
-    /// returns it to the slab. The `created` bounds stay put — they are
-    /// monotone and only need to bound the *live* set conservatively.
+    /// Undoes [`add`](Self::add) for the state `node` was linked with and
+    /// returns it to the slab.
     fn remove(&mut self, node: u32, was: &Indexed) {
         self.access.unlink(node);
         self.unlink_lists(node, was);
-        self.frequency.remove(node, was.access_count);
         self.nodes[node as usize].key = None;
         self.free.push(node);
     }
@@ -425,16 +285,13 @@ impl OrderIndexes {
         self.access.move_to_back(node);
         self.unlink_lists(node, was);
         self.link_lists(node, now);
-        self.frequency.recount(node, was.access_count, now.access_count);
-        self.bound_created(now.created);
     }
 
     /// An access to a linked object, stamped `stamp`, which `meta`
-    /// describes as it is after it: the access moved its count from
-    /// `was_count` and changed none of its locations, dirty flag or
-    /// creation time, so it stays on the lists it is on and becomes the
-    /// newest of each.
-    fn touch(&mut self, node: u32, meta: &ObjectMeta, was_count: u64, stamp: u64) {
+    /// describes: the access changed none of its locations or its dirty
+    /// flag, so it stays on the lists it is on and becomes the newest of
+    /// each.
+    fn touch(&mut self, node: u32, meta: &ObjectMeta, stamp: u64) {
         self.nodes[node as usize].stamp = stamp;
         self.access.move_to_back(node);
         if meta.dirty {
@@ -445,13 +302,6 @@ impl OrderIndexes {
                 list.move_to_back(node);
             }
         }
-        self.frequency.recount(node, was_count, meta.access_count.into());
-    }
-
-    /// Widens the `created` bounds to cover an object created at `created`.
-    fn bound_created(&mut self, created: SimTime) {
-        self.max_created = self.max_created.max(created);
-        self.min_created = self.min_created.min(created);
     }
 
     fn link_lists(&mut self, node: u32, now: &Indexed) {
@@ -479,11 +329,6 @@ impl OrderIndexes {
     fn stamped(&self, node: u32) -> Option<(u64, &ObjectKey)> {
         let node = self.nodes.get(node as usize)?;
         Some((node.stamp, node.key.as_ref()?))
-    }
-
-    /// The keys filed in frequency bucket `bucket`, in no particular order.
-    fn keys_in_bucket(&self, bucket: usize) -> impl Iterator<Item = &ObjectKey> + '_ {
-        self.frequency.iter(bucket).filter_map(|node| Some(self.stamped(node)?.1))
     }
 }
 
@@ -865,10 +710,9 @@ impl Registry {
             let shard = &mut *guard;
             let entry = shard.map.get_mut(key)?;
             let stamp = next_stamp(&self.stamps);
-            let was_count = entry.meta.access_count.into();
             entry.meta.touch(now);
             match &mut shard.order {
-                Some(order) => order.touch(entry.node(), &entry.meta, was_count, stamp),
+                Some(order) => order.touch(entry.node(), &entry.meta, stamp),
                 None => entry.slot = stamp,
             }
             entry.meta.clone()
@@ -960,8 +804,8 @@ impl Registry {
         for shard in self.ordered_shards() {
             let order = shard.lists();
             let list = tier.and_then(|tier| order.tiers.get(&tier));
-            let end = |ends: Ends| if newest { ends.tail } else { ends.head };
-            let Some((stamp, key)) = list.and_then(|list| order.stamped(end(list.ends))) else {
+            let end = |list: &RecencyList| if newest { list.tail } else { list.head };
+            let Some((stamp, key)) = list.and_then(|list| order.stamped(end(list))) else {
                 continue;
             };
             if best.as_ref().is_none_or(|&(at, _)| (stamp > at) == newest) {
@@ -1006,7 +850,7 @@ impl Registry {
     ///
     /// `inserted` supplies the meaning of [`Selector::Inserted`] in action
     /// contexts. Index-backed selectors (`All`, `InTier`, `Dirty`,
-    /// `OldestIn`/`NewestIn`, hot/cold) never sweep the object map; only
+    /// `OldestIn`/`NewestIn`) never sweep the object map; only
     /// `Tagged` scans, shard by shard. Every selector but `Inserted` and
     /// `Key` is an ordered read, and merges per-shard answers (see the
     /// module docs).
@@ -1045,8 +889,6 @@ impl Registry {
             }
             Selector::OldestIn(t) => self.oldest_in(t).into_iter().collect(),
             Selector::NewestIn(t) => self.newest_in(t).into_iter().collect(),
-            Selector::HotterThan(bound) => self.select_hot(*bound, now),
-            Selector::ColderThan(bound) => self.select_cold(*bound, now),
             Selector::And(a, b) => {
                 // Evaluate the narrower side as a key set and the other as
                 // a per-key predicate; this keeps hot-path conjunctions
@@ -1069,71 +911,6 @@ impl Registry {
                 base.into_iter().filter(|k| !excluded.contains(k)).collect()
             }
         }
-    }
-
-    /// `HotterThan`: walk each shard's frequency buckets from the
-    /// high-count end.
-    ///
-    /// `freq = count / age ≥ bound` requires `count ≥ bound · age`, and
-    /// every object of a shard is at least `now - max_created` old; once
-    /// the walk reaches a bucket whose highest count is below
-    /// `bound · (now - max_created)` no colder bucket of the shard can hold
-    /// a hit and it stops. Worst case (every object hot) is
-    /// O(hits · log hits).
-    fn select_hot(&self, bound: f64, now: SimTime) -> Vec<ObjectKey> {
-        if bound <= 0.0 {
-            return self.merged(|order| Some(&order.access));
-        }
-        let buckets = |order: &OrderIndexes| {
-            let min_age = now.since(order.max_created.min(now)).as_secs_f64().max(1e-9);
-            let floor = bound * min_age;
-            (0..BUCKETS).rev().take_while(move |&bucket| bucket_max(bucket) as f64 >= floor)
-        };
-        let mut hits = self.by_count(buckets, |m| m.access_frequency(now) >= bound);
-        hits.reverse();
-        hits
-    }
-
-    /// `ColderThan`: walk each shard's frequency buckets from the
-    /// low-count end; stop at the first whose lowest count is
-    /// `≥ bound · (now - min_created)` (the shard's maximum possible age),
-    /// past which none of its objects can still be cold.
-    fn select_cold(&self, bound: f64, now: SimTime) -> Vec<ObjectKey> {
-        if bound <= 0.0 {
-            return Vec::new();
-        }
-        let buckets = |order: &OrderIndexes| {
-            let max_age = if order.min_created > now {
-                1e-9
-            } else {
-                now.since(order.min_created).as_secs_f64().max(1e-9)
-            };
-            let ceiling = bound * max_age;
-            (0..BUCKETS).take_while(move |&bucket| (bucket_min(bucket) as f64) < ceiling)
-        };
-        self.by_count(buckets, |m| m.access_frequency(now) < bound)
-    }
-
-    /// The objects filed in the buckets `buckets` names for each shard
-    /// that pass `keep`, by ascending `(access_count, key)`. A shard's
-    /// candidates are read under the shard lock its walk holds.
-    fn by_count<B: Iterator<Item = usize>>(
-        &self,
-        buckets: impl Fn(&OrderIndexes) -> B,
-        keep: impl Fn(&ObjectMeta) -> bool,
-    ) -> Vec<ObjectKey> {
-        let mut hits: Vec<(u32, ObjectKey)> = Vec::new();
-        for shard in self.ordered_shards() {
-            let order = shard.lists();
-            for key in buckets(order).flat_map(|bucket| order.keys_in_bucket(bucket)) {
-                let meta = &shard.map[key].meta;
-                if keep(meta) {
-                    hits.push((meta.access_count, key.clone()));
-                }
-            }
-        }
-        hits.sort_unstable();
-        hits.into_iter().map(|(_, key)| key).collect()
     }
 
     /// Whether a selector resolves to at most a handful of keys.
@@ -1165,12 +942,6 @@ impl Registry {
             Selector::Tagged(tag) => self.peek(key, |m| m.has_tag(tag)).unwrap_or(false),
             Selector::OldestIn(t) => self.oldest_in(t).as_ref() == Some(key),
             Selector::NewestIn(t) => self.newest_in(t).as_ref() == Some(key),
-            Selector::HotterThan(b) => self
-                .peek(key, |m| m.access_frequency(now) >= *b)
-                .unwrap_or(false),
-            Selector::ColderThan(b) => self
-                .peek(key, |m| m.access_frequency(now) < *b)
-                .unwrap_or(false),
             Selector::And(a, b) => {
                 self.matches(a, key, inserted, now) && self.matches(b, key, inserted, now)
             }
@@ -1211,36 +982,9 @@ mod tests {
     use tiera_support::prop_check;
 
     impl Registry {
-        /// The keys filed in frequency bucket `bucket`, sorted.
-        fn bucket_keys(&self, bucket: usize) -> Vec<ObjectKey> {
-            let mut keys = Vec::new();
-            for shard in self.ordered_shards() {
-                keys.extend(shard.lists().keys_in_bucket(bucket).cloned());
-            }
-            keys.sort();
-            keys
-        }
-
-        fn frequency_moves(&self) -> u64 {
-            self.ordered_shards().map(|shard| shard.lists().frequency.moves).sum()
-        }
-
         /// How many shards have built their order indexes.
         fn built_shards(&self) -> usize {
             self.shards.iter().filter(|shard| shard.read().order.is_some()).count()
-        }
-
-        /// Every object is filed once, in the bucket of the count it has.
-        fn assert_buckets_hold_every_object_once(&self) {
-            let mut filed = 0;
-            for bucket in 0..BUCKETS {
-                for key in self.bucket_keys(bucket) {
-                    let count = self.get(&key).expect("a filed key is live").access_count;
-                    assert_eq!(bucket_of(count.into()), bucket, "{key} with count {count}");
-                    filed += 1;
-                }
-            }
-            assert_eq!(filed, self.len());
         }
 
         /// In every shard, every object is on exactly the lists its
@@ -1291,7 +1035,6 @@ mod tests {
                     assert_eq!(kept, recount, "tier {tier}'s aggregates");
                 }
             }
-            self.assert_buckets_hold_every_object_once();
         }
 
         /// Everything an ordered read says about the registry at `now`.
@@ -1302,26 +1045,9 @@ mod tests {
                 selectors.push(Selector::OldestIn(tier.into()));
                 selectors.push(Selector::NewestIn(tier.into()));
             }
-            for bound in [0.0, 0.05, 0.5, 5.0] {
-                selectors.push(Selector::HotterThan(bound));
-                selectors.push(Selector::ColderThan(bound));
-            }
             let mut view: Vec<_> = selectors.iter().map(|s| self.select(s, None, now)).collect();
             view.extend(TIERS.map(|tier| self.keys_in(tier)));
             view
-        }
-
-        /// `HotterThan(bound)` and `ColderThan(bound)` as a scan of every
-        /// object would answer them.
-        fn scan_hot_cold(&self, bound: f64, now: SimTime) -> (Vec<ObjectKey>, Vec<ObjectKey>) {
-            let mut all: Vec<(u32, ObjectKey, bool)> = Vec::new();
-            for key in self.select(&Selector::All, None, now) {
-                let meta = self.get(&key).unwrap();
-                all.push((meta.access_count, key, meta.access_frequency(now) >= bound));
-            }
-            all.sort();
-            let keys = |hot: bool| all.iter().filter(move |o| o.2 == hot).map(|o| o.1.clone());
-            (keys(true).rev().collect(), keys(false).collect())
         }
     }
 
@@ -1423,196 +1149,6 @@ mod tests {
         assert!(r
             .select(&sel, Some(&ObjectKey::new("tmp-obj")), now)
             .is_empty());
-    }
-
-    #[test]
-    fn hot_cold_selectors() {
-        let r = Registry::in_memory();
-        let hot = ObjectKey::new("hot");
-        let cold = ObjectKey::new("cold");
-        r.upsert(hot.clone(), meta_in("t1", 10, SimTime::ZERO));
-        r.upsert(cold.clone(), meta_in("t1", 10, SimTime::ZERO));
-        for _ in 0..100 {
-            r.touch(&hot, SimTime::from_secs(10));
-        }
-        r.touch(&cold, SimTime::from_secs(10));
-        let now = SimTime::from_secs(10);
-        let hots = r.select(&Selector::HotterThan(5.0), None, now);
-        assert_eq!(hots, vec![hot]);
-        let colds = r.select(&Selector::ColderThan(5.0), None, now);
-        assert_eq!(colds, vec![cold]);
-    }
-
-    #[test]
-    fn hot_cold_partition_is_exact() {
-        // The index walk with early stopping must agree exactly with the
-        // brute-force per-object predicate, across varied ages and counts.
-        let r = Registry::in_memory();
-        for i in 0..40u64 {
-            let k = ObjectKey::new(format!("o{i}"));
-            r.upsert(k.clone(), meta_in("t1", 1, SimTime::from_secs(i % 7)));
-            for _ in 0..(i % 11) {
-                r.touch(&k, SimTime::from_secs(8));
-            }
-        }
-        let now = SimTime::from_secs(9);
-        for bound in [0.0, 0.1, 0.5, 1.0, 2.0] {
-            let mut hot = r.select(&Selector::HotterThan(bound), None, now);
-            let mut cold = r.select(&Selector::ColderThan(bound), None, now);
-            let mut brute_hot = Vec::new();
-            let mut brute_cold = Vec::new();
-            for k in r.select(&Selector::All, None, now) {
-                if r.get(&k).unwrap().access_frequency(now) >= bound {
-                    brute_hot.push(k);
-                } else {
-                    brute_cold.push(k);
-                }
-            }
-            hot.sort();
-            cold.sort();
-            brute_hot.sort();
-            brute_cold.sort();
-            assert_eq!(hot, brute_hot, "bound {bound}");
-            assert_eq!(cold, brute_cold, "bound {bound}");
-        }
-    }
-
-    #[test]
-    fn bucket_bounds_tile_the_counts() {
-        assert_eq!(BUCKETS, 65);
-        assert_eq!((bucket_min(0), bucket_max(0)), (0, 0));
-        assert_eq!(bucket_max(BUCKETS - 1), u64::MAX);
-        for bucket in 0..BUCKETS {
-            assert_eq!(bucket_of(bucket_min(bucket)), bucket);
-            assert_eq!(bucket_of(bucket_max(bucket)), bucket);
-            if bucket > 0 {
-                assert_eq!(bucket_min(bucket), bucket_max(bucket - 1) + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn boundary_counts_land_in_their_buckets() {
-        let r = Registry::in_memory();
-        let cases = [(0, 0), (1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4), (u32::MAX, 32)];
-        for (count, _) in cases {
-            r.upsert(ObjectKey::new(format!("c{count}")), counted(count, SimTime::ZERO));
-        }
-        for (count, bucket) in cases {
-            let key = ObjectKey::new(format!("c{count}"));
-            assert!(r.bucket_keys(bucket).contains(&key), "count {count} in bucket {bucket}");
-        }
-        r.assert_buckets_hold_every_object_once();
-        // A touch refiles exactly when the count crosses a power of two.
-        let touch = |count: u32| r.touch(&ObjectKey::new(format!("c{count}")), SimTime::from_secs(1));
-        touch(2);
-        assert_eq!(r.frequency_moves(), 0, "2 -> 3 stays in bucket 2");
-        touch(7);
-        assert_eq!(r.frequency_moves(), 1, "7 -> 8 moves to bucket 4");
-        touch(0);
-        assert_eq!(r.frequency_moves(), 2, "0 -> 1 moves to bucket 1");
-        assert_eq!(r.bucket_keys(0), Vec::new());
-        assert_eq!(r.bucket_keys(4), vec![ObjectKey::new("c7"), ObjectKey::new("c8")]);
-        r.assert_buckets_hold_every_object_once();
-    }
-
-    #[test]
-    fn a_reused_node_carries_no_stale_frequency_link() {
-        let r = Registry::in_memory();
-        // An ordered read first, so nodes are taken and released.
-        assert_eq!(r.oldest_in("t1"), None);
-        // Keys of one shard, so that `d` takes b's node.
-        let key = |name: &str| {
-            (0..)
-                .map(|i| ObjectKey::new(format!("{name}{i}")))
-                .find(|key| Registry::shard_at(key) == 0)
-                .unwrap()
-        };
-        // Three in one bucket, so the middle one has both neighbours.
-        for name in ["a", "b", "c"] {
-            r.upsert(key(name), counted(5, SimTime::ZERO));
-        }
-        r.remove(&key("b"));
-        assert_eq!(r.bucket_keys(3), vec![key("a"), key("c")]);
-        // `d` takes b's node, in another bucket; then the old neighbours go.
-        r.upsert(key("d"), counted(100, SimTime::ZERO));
-        assert_eq!(r.bucket_keys(7), vec![key("d")]);
-        r.assert_buckets_hold_every_object_once();
-        r.remove(&key("a"));
-        r.remove(&key("c"));
-        assert_eq!(r.bucket_keys(3), Vec::new());
-        assert_eq!(r.bucket_keys(7), vec![key("d")]);
-        // And back into the bucket it left, beside a newcomer.
-        r.upsert(key("d"), counted(4, SimTime::ZERO));
-        r.upsert(key("e"), counted(6, SimTime::ZERO));
-        assert_eq!(r.bucket_keys(3), vec![key("d"), key("e")]);
-        assert_eq!(r.bucket_keys(7), Vec::new());
-        r.assert_buckets_hold_every_object_once();
-        let now = SimTime::from_secs(1);
-        assert_eq!(r.select(&Selector::HotterThan(5.0), None, now), vec![key("e")]);
-        assert_eq!(r.select(&Selector::ColderThan(5.0), None, now), vec![key("d")]);
-    }
-
-    #[test]
-    fn a_million_touches_of_one_key_refile_it_twenty_times() {
-        let r = Registry::in_memory();
-        // An ordered read first, so the touches run the indexed path.
-        assert_eq!(r.oldest_in("t1"), None);
-        let k = ObjectKey::new("hot");
-        r.upsert(k.clone(), meta_in("t1", 1, SimTime::ZERO));
-        r.upsert(ObjectKey::new("idle"), meta_in("t1", 1, SimTime::ZERO));
-        for _ in 0..1_000_000 {
-            r.touch(&k, SimTime::from_secs(1));
-        }
-        // One move per power of two crossed: 1, 2, 4, .. 2^19.
-        assert_eq!(r.frequency_moves(), 20);
-        assert_eq!(r.bucket_keys(bucket_of(1_000_000)), vec![k]);
-        r.assert_buckets_hold_every_object_once();
-    }
-
-    #[test]
-    fn prop_hot_cold_match_a_scan_at_ten_thousand_objects() {
-        const OBJECTS: u64 = 10_000;
-        prop_check!(cases = 4, |rng| {
-            let r = Registry::in_memory();
-            let lifetime = gen::u64_in(rng, 60..600);
-            let now = SimTime::from_secs(lifetime);
-            let mut ranks: Vec<u64> = (1..=OBJECTS).collect();
-            for i in (1..ranks.len()).rev() {
-                ranks.swap(i, gen::usize_in(rng, 0..i + 1));
-            }
-            // Zipf's law: the object of popularity rank `n` is read 1/n as
-            // often as the most popular one.
-            let top = gen::u64_in(rng, 1_000..1_000_000);
-            for (i, rank) in ranks.iter().enumerate() {
-                let created = SimTime::from_secs(gen::u64_in(rng, 0..lifetime));
-                r.upsert(ObjectKey::new(format!("o{i:05}")), counted((top / rank) as u32, created));
-            }
-            r.assert_buckets_hold_every_object_once();
-
-            let oldest = lifetime as f64;
-            let mut bounds = vec![0.0, f64::MIN_POSITIVE, 1e-3, top as f64, f64::INFINITY];
-            for _ in 0..6 {
-                // Some object's own frequency (an exact tie), a bound that
-                // cuts a bucket in two for the oldest possible object, and
-                // one that falls on a bucket's edge.
-                let sample = ObjectKey::new(format!("o{:05}", gen::u64_in(rng, 0..OBJECTS)));
-                bounds.push(r.get(&sample).unwrap().access_frequency(now));
-                let bucket = gen::usize_in(rng, 1..22);
-                let inside = gen::u64_in(rng, bucket_min(bucket)..bucket_max(bucket) + 1);
-                bounds.push(inside as f64 / oldest);
-                bounds.push(bucket_min(bucket) as f64 / oldest);
-            }
-            for bound in bounds {
-                let (hot, cold) = r.scan_hot_cold(bound, now);
-                if bound > 0.0 {
-                    assert_eq!(r.select(&Selector::HotterThan(bound), None, now), hot, "hot {bound}");
-                } else {
-                    assert_eq!(r.select(&Selector::HotterThan(bound), None, now).len(), hot.len());
-                }
-                assert_eq!(r.select(&Selector::ColderThan(bound), None, now), cold, "cold {bound}");
-            }
-        });
     }
 
     #[test]
@@ -1943,32 +1479,27 @@ mod tests {
     fn reopened_registry_files_restored_counts() {
         let dir = std::env::temp_dir().join(format!("tiera-reg-buckets-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let now = SimTime::from_secs(10);
-        let (hot, cold) = {
+        let counts = [0u32, 1, 2, 3, 4, 7, 8, 1 << 30, u32::MAX];
+        let expected = |count: u32| if count % 2 == 1 && count < 8 { count + 1 } else { count };
+        {
             let r = Registry::persistent(&dir).unwrap();
-            for count in [0u32, 1, 2, 3, 4, 7, 8, 1 << 30, u32::MAX] {
+            for count in counts {
                 let key = ObjectKey::new(format!("c{count}"));
                 r.upsert(key.clone(), counted(count, SimTime::from_secs(u64::from(count % 5))));
-                if count % 2 == 1 && count < 8 {
-                    r.touch(&key, now);
+                if expected(count) != count {
+                    r.touch(&key, SimTime::from_secs(10));
                 }
             }
             r.remove(&ObjectKey::new("c4"));
             r.sync().unwrap();
-            r.scan_hot_cold(1.0, now)
-        };
+        }
         let r = Registry::persistent(&dir).unwrap();
-        assert_eq!(r.len(), 8);
-        assert_eq!(r.frequency_moves(), 0, "recovery files each object where it belongs");
-        r.assert_buckets_hold_every_object_once();
-        assert_eq!(r.bucket_keys(0), vec![ObjectKey::new("c0")]);
-        assert_eq!(r.bucket_keys(2), vec![ObjectKey::new("c1"), ObjectKey::new("c2")]);
-        assert_eq!(r.bucket_keys(3), vec![ObjectKey::new("c3")]);
-        assert_eq!(r.bucket_keys(4), vec![ObjectKey::new("c7"), ObjectKey::new("c8")]);
-        assert_eq!(r.bucket_keys(31), vec![ObjectKey::new(format!("c{}", 1u32 << 30))]);
-        assert_eq!(r.bucket_keys(32), vec![ObjectKey::new(format!("c{}", u32::MAX))]);
-        assert_eq!(r.select(&Selector::HotterThan(1.0), None, now), hot);
-        assert_eq!(r.select(&Selector::ColderThan(1.0), None, now), cold);
+        assert_eq!(r.len(), counts.len() - 1);
+        assert!(r.get(&ObjectKey::new("c4")).is_none());
+        for count in counts.into_iter().filter(|&count| count != 4) {
+            let meta = r.get(&ObjectKey::new(format!("c{count}"))).expect("recovered");
+            assert_eq!(meta.access_count, expected(count), "c{count}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -39,8 +39,6 @@ pub enum EvictOrder {
 /// A guard usable inside a response body (`if (...) { ... }`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Guard {
-    /// Always true.
-    Always,
     /// `tier.filled` — true when the tier cannot absorb the inserted object
     /// (or, with an explicit fraction, when fill ≥ fraction).
     TierFilled {

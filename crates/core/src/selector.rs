@@ -28,11 +28,6 @@ pub enum Selector {
     OldestIn(String),
     /// `tierN.newest` — most recently accessed object located in a tier.
     NewestIn(String),
-    /// Objects whose access frequency (accesses/sec) is at least the bound
-    /// ("hot" objects, paper §2.3).
-    HotterThan(f64),
-    /// Objects whose access frequency is below the bound ("cold" objects).
-    ColderThan(f64),
     /// Conjunction of two selectors.
     And(Box<Selector>, Box<Selector>),
     /// Negation (set complement). Most useful in conjunctions, e.g.

@@ -7,7 +7,7 @@
 //!
 //! * dispatch counters are plain `AtomicU64`s — one `fetch_add`, no lock;
 //! * latency histograms and tier hit counts are striped across
-//!   [`STRIPES`] independently-locked slots picked by thread identity, so
+//!   `STRIPES` independently-locked slots picked by thread identity, so
 //!   concurrent request threads record into different stripes and never
 //!   serialize against each other. Readers merge the stripes on demand —
 //!   reads are rare (experiment reporting), writes are constant.

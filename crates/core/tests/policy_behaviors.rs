@@ -78,37 +78,6 @@ fn tmp_tag_routes_object_class_to_volatile_tier() {
     assert!(inst.contains("real-data"));
 }
 
-/// Hot/cold placement via access frequency (paper §2.3: "access frequency
-/// can be used for easy specification of hot and cold objects").
-#[test]
-fn cold_objects_demoted_by_frequency_policy() {
-    let inst = InstanceBuilder::new("hotcold", SimEnv::new(2))
-        .tier(MemTier::with_capacity("fast", 1 << 20))
-        .tier(durable("cold-store", 1 << 20))
-        .rule(
-            Rule::on(EventKind::timer(SimDuration::from_secs(100))).respond(
-                ResponseSpec::Move {
-                    what: Selector::ColderThan(0.05).and(Selector::InTier("fast".into())),
-                    to: vec!["cold-store".into()],
-                    bandwidth: None,
-                },
-            ),
-        )
-        .build()
-        .unwrap();
-    inst.put("hot", &b"h"[..], T0).unwrap();
-    inst.put("cold", &b"c"[..], T0).unwrap();
-    // Touch "hot" a lot across the window; leave "cold" alone.
-    for i in 1..50 {
-        let _ = inst.get("hot", SimTime::from_secs(i * 2)).unwrap();
-    }
-    inst.pump(SimTime::from_secs(100)).unwrap();
-    let hot = inst.registry().get(&"hot".into()).unwrap();
-    let cold = inst.registry().get(&"cold".into()).unwrap();
-    assert!(hot.in_tier("fast"), "{hot:?}");
-    assert!(cold.in_tier("cold-store") && !cold.in_tier("fast"), "{cold:?}");
-}
-
 /// Background action events defer their responses to the response pool
 /// (paper §3: "If a slow response needs to be associated with an action
 /// event then it should be specified as a background event").
@@ -347,39 +316,4 @@ fn guarded_overflow_placement() {
     assert!(inst.registry().get(&"fits-2".into()).unwrap().in_tier("small"));
     let over = inst.registry().get(&"overflow".into()).unwrap();
     assert!(over.in_tier("big") && !over.in_tier("small"));
-}
-
-/// Object-attribute threshold: auto-promote an object to the fast tier
-/// once its access count crosses a bound (paper §2.2: thresholds "can be
-/// based on attributes of data objects").
-#[test]
-fn object_access_threshold_promotes_hot_object() {
-    let inst = InstanceBuilder::new("hot-promote", SimEnv::new(11))
-        .tier(durable("slow", 1 << 20))
-        .tier(MemTier::with_capacity("fast", 1 << 20))
-        .rule(
-            Rule::on(EventKind::threshold_at_least(
-                Metric::ObjectAccessCount("popular".into()),
-                5.0,
-            ))
-            .respond(ResponseSpec::copy(
-                Selector::Key("popular".into()),
-                ["fast"],
-            )),
-        )
-        .build()
-        .unwrap();
-    inst.put("popular", &b"v"[..], T0).unwrap();
-    inst.put("quiet", &b"v"[..], T0).unwrap();
-    for i in 0..3 {
-        let _ = inst.get("popular", SimTime::from_secs(i + 1)).unwrap();
-    }
-    assert!(
-        !inst.registry().get(&"popular".into()).unwrap().in_tier("fast"),
-        "below the bound: not yet promoted"
-    );
-    let _ = inst.get("popular", SimTime::from_secs(5)).unwrap(); // 5th access
-    let meta = inst.registry().get(&"popular".into()).unwrap();
-    assert!(meta.in_tier("fast"), "{meta:?}");
-    assert!(!inst.registry().get(&"quiet".into()).unwrap().in_tier("fast"));
 }

@@ -68,18 +68,6 @@ impl Model {
             .collect()
     }
 
-    /// Keys by `(access_count, key)` whose metadata passes `keep`.
-    fn by_count(&self, keep: impl Fn(&ObjectMeta) -> bool) -> Vec<ObjectKey> {
-        let mut hits: Vec<(u32, ObjectKey)> = self
-            .objects
-            .iter()
-            .filter(|(_, (m, _))| keep(m))
-            .map(|(k, (m, _))| (m.access_count, k.clone()))
-            .collect();
-        hits.sort();
-        hits.into_iter().map(|(_, k)| k).collect()
-    }
-
     fn aggregates(&self, tier: &str) -> TierAggregates {
         let mut agg = TierAggregates::default();
         for (meta, _) in self.objects.values().filter(|(m, _)| m.in_tier(tier)) {
@@ -132,21 +120,6 @@ fn assert_agrees(reg: &Registry, model: &Model, now: SimTime, step: usize) {
             reg.aggregates(tier),
             model.aggregates(tier),
             "aggregates({tier}) @{step}"
-        );
-    }
-    for bound in [0.05, 0.5, 2.0] {
-        let mut hot = model.by_count(|m| m.access_frequency(now) >= bound);
-        hot.reverse();
-        assert_eq!(
-            select(Selector::HotterThan(bound)),
-            hot,
-            "HotterThan({bound}) @{step}"
-        );
-        let cold = model.by_count(|m| m.access_frequency(now) < bound);
-        assert_eq!(
-            select(Selector::ColderThan(bound)),
-            cold,
-            "ColderThan({bound}) @{step}"
         );
     }
 }

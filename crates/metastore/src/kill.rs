@@ -25,10 +25,11 @@ use crate::store::MetaStoreError;
 
 /// A named crash site inside the store's mutation machinery.
 ///
-/// The sites cover every durability transition: mid-batch (some records of
-/// a group-commit batch appended, none acknowledged), either side of the
-/// batch fsync, both halves of a segment rotation, and the full snapshot
-/// protocol (mid-write, pre-fsync, pre-rename, post-rename, post-cleanup).
+/// The sites cover every durability transition: mid-batch (some records
+/// of one shard's `put_many` batch appended, none acknowledged), either
+/// side of the batch fsync, both halves of a segment rotation, and the full
+/// snapshot protocol (mid-write, pre-fsync, pre-rename, post-rename,
+/// post-cleanup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillSite {
     /// Between two record appends of one commit batch (before the fsync:

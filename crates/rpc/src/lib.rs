@@ -3,7 +3,7 @@
 //! Paper §3: "The Tiera server is deployed as a Thrift server on an EC2
 //! instance... When the server starts up, it begins by reading the
 //! configuration file that is used to indicate the different tiers..., the
-//! size of the thread pool dedicated to service client requests, [and] the
+//! size of the thread pool dedicated to service client requests, \[and\] the
 //! size of thread pool dedicated to service responses and evaluate events."
 //!
 //! This crate replaces Thrift with a small, fully specified framed binary

@@ -44,7 +44,7 @@ impl Histogram {
         }
     }
 
-    fn bucket_of(ns: u64) -> usize {
+    fn bucket_index(ns: u64) -> usize {
         if ns < SUBBUCKETS as u64 {
             return ns as usize;
         }
@@ -69,7 +69,7 @@ impl Histogram {
     /// Records one duration sample.
     pub fn record(&mut self, d: SimDuration) {
         let ns = d.as_nanos();
-        self.counts[Self::bucket_of(ns)] += 1;
+        self.counts[Self::bucket_index(ns)] += 1;
         self.total += 1;
         self.sum_ns += u128::from(ns);
         self.min_ns = self.min_ns.min(ns);

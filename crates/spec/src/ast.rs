@@ -200,8 +200,6 @@ pub enum SelectorExpr {
     Oldest(String),
     /// `tier1.newest`.
     Newest(String),
-    /// `"a-key"` — a named object.
-    Named(String),
     /// Conjunction with `&&`.
     And(Box<SelectorExpr>, Box<SelectorExpr>),
     /// Negation with `!` (an extension; see `Selector::Not`).

@@ -1,6 +1,6 @@
 //! Lint codes of the specification analyzer.
 //!
-//! The analyzer ([`crate::analyze`]) reports findings as [`Diagnostic`]s
+//! The analyzer ([`mod@crate::analyze`]) reports findings as [`Diagnostic`]s
 //! carrying a stable `T0xx` [`LintCode`]. The finding, the severity, the
 //! per-spec [`Analysis`] and the rustc-style rendering are the shared
 //! engine in [`tiera_support::diag`]; this module holds the code table.

@@ -542,7 +542,6 @@ impl Lower {
                 self.tier_ref(t, line, "a `.newest` selector");
                 Selector::NewestIn(t.clone())
             }
-            SelectorExpr::Named(k) => Selector::Key(k.as_str().into()),
             SelectorExpr::And(a, b) => {
                 let a = self.selector(a, line);
                 a.and(self.selector(b, line))

@@ -395,7 +395,7 @@ impl Parser {
                 self.expect(&TokenKind::RBracket)?;
                 Ok(ArgValue::Tiers(tiers))
             }
-            Some(TokenKind::Ident(_)) => self.selector_or_tier(),
+            Some(TokenKind::Ident(_) | TokenKind::Bang) => self.selector_or_tier(),
             _ => Err(SpecError::new(
                 self.line(),
                 "expected an argument value",

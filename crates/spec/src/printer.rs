@@ -121,7 +121,6 @@ fn print_selector(sel: &SelectorExpr) -> String {
         SelectorExpr::TagEq(s) => format!("object.tag == \"{s}\""),
         SelectorExpr::Oldest(t) => format!("{t}.oldest"),
         SelectorExpr::Newest(t) => format!("{t}.newest"),
-        SelectorExpr::Named(k) => format!("\"{k}\""),
         SelectorExpr::And(a, b) => format!("{} && {}", print_selector(a), print_selector(b)),
         SelectorExpr::Not(inner) => format!("!{}", print_selector(inner)),
     }
@@ -230,6 +229,14 @@ Tiera LowLatencyInstance(time t) {
                         move(what: tier1.oldest, to: tier2);
                     }
                     store(what: insert.object, to: [tier1, tier2]);
+                }
+            }"#,
+            r#"Tiera D(time t) {
+                tier1: { name: Memcached, size: 16K };
+                tier2: { name: EBS, size: 8M };
+                event(time=t) : response {
+                    delete(what: !tier1.newest);
+                    copy(what: !object.tag == "keep", to: tier2);
                 }
             }"#,
         ] {

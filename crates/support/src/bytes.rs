@@ -15,7 +15,7 @@
 //! loader's arena empties but stays resident while the worker's grows into
 //! a second copy of the store (DESIGN.md, "Payload byte budget"). So
 //! dropping the last handle to a backing buffer does not free it: `Drop`
-//! *retires* it to a small per-thread [`pool`], and the copying
+//! *retires* it to a small per-thread `pool`, and the copying
 //! constructors ([`Bytes::copy_from_slice`], `From<Vec<u8>>`, and
 //! [`Bytes::into_shared`] of a view) *adopt* a
 //! retired buffer of exactly the requested length, overwriting every

@@ -1,7 +1,7 @@
 //! A tiny property-testing harness driven by [`SimRng`].
 //!
 //! Replacement for the `proptest` usage in the workspace's dev-tests. A
-//! property is an ordinary closure over a [`SimRng`]; the [`prop_check!`]
+//! property is an ordinary closure over a [`SimRng`]; the [`prop_check!`](crate::prop_check)
 //! macro runs it for a fixed number of cases, deriving each case's
 //! generator deterministically from a base seed and the case index. A
 //! failing case therefore prints the exact seed that reproduces it, and
@@ -13,14 +13,14 @@
 
 use crate::rng::SimRng;
 
-/// Default number of cases run by [`prop_check!`] when unspecified.
+/// Default number of cases run by [`prop_check!`](crate::prop_check) when unspecified.
 pub const DEFAULT_CASES: u64 = 64;
 
-/// Default base seed for [`prop_check!`]; override with `seed = …` or the
+/// Default base seed for [`prop_check!`](crate::prop_check); override with `seed = …` or the
 /// `TIERA_PROP_SEED` environment variable to explore other schedules.
 pub const DEFAULT_SEED: u64 = 0x7_1E2A_5EED;
 
-/// Runs `cases` deterministic cases of `property`. Used via [`prop_check!`].
+/// Runs `cases` deterministic cases of `property`. Used via [`prop_check!`](crate::prop_check).
 ///
 /// Each case gets `SimRng::new(seed ^ splitmix(case_index))` so cases are
 /// independent streams. On panic the failing case index and its exact

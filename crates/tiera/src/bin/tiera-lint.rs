@@ -1,6 +1,6 @@
 //! `tiera-lint` — the specification analyzer as a command-line gate.
 //!
-//! Runs the `tiera-spec` semantic analysis pass (lint codes `T001`–`T012`,
+//! Runs the `tiera-spec` semantic analysis pass (lint codes `T001`–`T015`,
 //! see DESIGN.md) over one or more `.tiera` files and renders rustc-style
 //! diagnostics:
 //!

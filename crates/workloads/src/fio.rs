@@ -1,6 +1,6 @@
 //! fio-style file readers over [`tiera_fs::TieraFs`].
 //!
-//! The Figure 12 experiment "use[s] fio to generate read requests following
+//! The Figure 12 experiment "use\[s\] fio to generate read requests following
 //! a Zipfian distribution (with default θ = 1.2) on data stored in the
 //! Tiera instance" through the modified S3FS. This driver reads 4 KB blocks
 //! from a file set with a configurable distribution.

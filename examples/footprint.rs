@@ -47,9 +47,9 @@ const PAYLOAD: usize = 128;
 /// Bytes an object may cost the registry alone, which keeps no order
 /// indexes (157 measured, + 2 %; 219 while it kept them eagerly).
 const REGISTRY_BUDGET: f64 = 161.0;
-/// Bytes an object may cost a registry whose order indexes are built (212
-/// measured; the budget eager upkeep was held to).
-const INDEXED_REGISTRY_BUDGET: f64 = 224.0;
+/// Bytes an object may cost a registry whose order indexes are built:
+/// three recency lists' link pairs and a slab node (203 measured, + 2 %).
+const INDEXED_REGISTRY_BUDGET: f64 = 207.0;
 /// Bytes an object may cost a memory tier alone, less the payload: the
 /// key's 48-byte chunk, the payload buffer's header and chunk rounding
 /// (32) and the map slot at load 1/1.31 (43): 123 measured, + 2 %. It

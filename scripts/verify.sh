@@ -26,6 +26,9 @@ cargo run -q --release --offline --bin tiera-lint -- --deny-warnings --quiet spe
 echo "==> tiera-analyze --deny-warnings crates/ (concurrency analyzer gate)"
 cargo run -q --release --offline --bin tiera-analyze -- --deny-warnings --quiet crates
 
+echo "==> cargo doc (rustdoc gate: a broken or ambiguous doc link fails the build)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> lockcheck tests (runtime lock-order sanitizer enabled)"
 cargo test --offline -q -p tiera-support -p tiera-sim -p tiera-tiers -p tiera-core -p tiera-rpc -p tiera-chaos \
     -p tiera-metastore -p tiera-cluster -p tiera-tierx -p tiera-db -p tiera-fs -p tiera-workloads \
