@@ -14,9 +14,8 @@ use tiera_core::prelude::Selector;
 use tiera_core::{Instance, ObjectKey};
 use tiera_sim::SimTime;
 
-/// Checksum of an acknowledged value: the cluster coordinator's content
-/// checksum, XXH64 (collision-resistant enough to catch torn/stale reads;
-/// not cryptographic).
+/// Checksum of an acknowledged value: XXH64 (collision-resistant enough
+/// to catch torn/stale reads; not cryptographic).
 pub use tiera_codec::xxh64::checksum;
 
 /// What the client may legitimately observe for one key.
@@ -209,7 +208,7 @@ impl WriteLedger {
 
         if expect_clean {
             // 4. Nothing dirty stranded past its write-back deadline.
-            let dirty = instance.registry().select(&Selector::Dirty, None, t);
+            let dirty = instance.registry().select(&Selector::Dirty, None);
             if !dirty.is_empty() {
                 violations.push(format!(
                     "stranded dirty data after quiesce: {} object(s), first={}",

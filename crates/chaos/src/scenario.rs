@@ -487,7 +487,7 @@ impl Rig for InstanceRig {
         loop {
             t += SimDuration::from_secs(31); // past the 30 s write-back timer
             pump_logged(&self.instance, t, log);
-            let dirty = self.instance.registry().select(&Selector::Dirty, None, t);
+            let dirty = self.instance.registry().select(&Selector::Dirty, None);
             if self.instance.background_depth() == 0 && dirty.is_empty() {
                 break;
             }

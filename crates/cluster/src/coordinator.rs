@@ -4,19 +4,19 @@
 //! One coordinator fronts N [`ClusterNode`]s. Every key has R owners on
 //! the [`Ring`] (primary + R−1 successors):
 //!
-//! * **PUT** writes to all R owners and acknowledges once W confirm
-//!   (`W ≤ R`): the client is charged the W-th fastest acknowledgement,
-//!   not the slowest of the R. The coordinator then records the write's
-//!   version and content checksum in its authoritative per-key metadata.
+//! * **PUT** writes `(version, bytes)` to all R owners, the version taken
+//!   from one counter, and acknowledges once W confirm (`W ≤ R`): the
+//!   client is charged the W-th fastest acknowledgement, not the slowest
+//!   of the R. The version then becomes the key's authoritative one.
 //! * **GET** consults the metadata first — an absent or tombstoned key
 //!   answers `no such object` without touching any node, which is what
 //!   makes phantom reads from stale replicas impossible — then follows
 //!   the key's **read plan**: its owners in ring order from a preferred
 //!   starting replica, then the old-ring fallbacks of a rebalance in
 //!   flight. Replicas are probed in that order and the read stops at the
-//!   first copy whose checksum matches the metadata, so a healthy read
-//!   costs one replica read. Owners probed and found stale or missing
-//!   are repaired from the served copy; `NoFreshReplica` is returned only
+//!   first copy at the metadata's version, so a healthy read costs one
+//!   replica read. Owners probed and found behind or missing are
+//!   repaired from the served copy; `NoFreshReplica` is returned only
 //!   after every owner and fallback has been tried. A single `get`
 //!   starts at a rotating owner, so reads of a hot key spread over its
 //!   replicas and R consecutive reads of a key probe every owner;
@@ -32,9 +32,23 @@
 //!   client redial racing a failover), so the non-idempotent storage op
 //!   applies exactly once.
 //!
-//! **The checksum** is XXH64 ([`tiera_codec::xxh64`]) over the value's
-//! bytes: it tells a stale or damaged replica from a fresh one, which
-//! the system wrote itself, so it needs no resistance to forgery.
+//! **Versions.** Each replica is a last-writer-wins register: a store
+//! lands only if its version is newer than the replica's
+//! ([`Instance::put_if_newer`]), and a read reports its version. A copy
+//! at the metadata's version is fresh; one behind it (or missing) missed
+//! a write. One ahead is either a failed write's copy — the metadata
+//! records the version of each write that failed its quorum but landed —
+//! or a write still in flight, which is neither served nor lowered. Only
+//! the coordinator writes a replica, and one *merge* — `(version, bytes)`
+//! with `put_if_newer`, after purging a failed write's copy — heals every
+//! divergence: a read merges into the owners it probed and found behind
+//! or holding such a copy (rotation makes that at most R reads of the key
+//! away), the `rejoin` sweep into a returning node, a rebalance into
+//! every owner that gained a key. One rule, `repair`, says which
+//! copies the read and the sweep repair. [`Coordinator::read_stats`]
+//! counts the outcomes.
+//!
+//! [`Instance::put_if_newer`]: tiera_core::Instance::put_if_newer
 //!
 //! **One key handle per key.** The metadata map is keyed by
 //! [`ObjectKey`], and that one handle is what every [`ClusterNode`] op
@@ -44,15 +58,6 @@
 //! read allocates no key. Routing allocates nothing either: every vnode
 //! point's owner is resolved to its node position once per membership
 //! change, so a route walks integers, and keeps them in place.
-//!
-//! **What heals divergence.** A replica that went stale behind the
-//! coordinator's back is never served — every served byte is verified
-//! against the metadata checksum — and is rewritten by the first read
-//! that *probes* it, which rotation makes at most R reads of that key
-//! away; it is not necessarily the next read. Beyond that, the `rejoin`
-//! sweep checks every key a returning node owns, and a rebalance copies
-//! to every owner that gained a key. [`Coordinator::read_stats`] counts
-//! probes, failovers and repair outcomes.
 //!
 //! **Rebalance.** A join or leave diffs the old ring against the new one
 //! ([`Ring::plan_rebalance`]) into the minimal key-move plan, then
@@ -75,7 +80,6 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tiera_codec::xxh64::checksum as content_checksum;
 use tiera_core::ObjectKey;
 use tiera_sim::{SimDuration, SimTime};
 use tiera_support::collections::FxHashMap;
@@ -106,12 +110,12 @@ pub enum ClusterError {
         /// The write quorum W.
         needed: usize,
     },
-    /// No reachable replica held bytes matching the authoritative
-    /// checksum (all fresh copies are on unreachable nodes).
+    /// No reachable replica held the authoritative version (all fresh
+    /// copies are on unreachable nodes).
     NoFreshReplica {
         /// The key.
         key: String,
-        /// Owners that were reachable but stale or missing.
+        /// Replicas that were reachable but behind, ahead or missing.
         stale: usize,
         /// Owners that were unreachable.
         unreachable: usize,
@@ -142,11 +146,11 @@ impl fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// Authoritative per-key record: the newest acknowledged write.
+/// Authoritative per-key record: the version of the newest acknowledged
+/// write (or delete).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct KeyMeta {
     version: u64,
-    checksum: u64,
     deleted: bool,
 }
 
@@ -161,16 +165,56 @@ struct MetaState {
     /// Keyed by each key's one handle, which the replicas hold clones of.
     /// Iterated only through a sort, so the table's order never shows.
     keys: FxHashMap<ObjectKey, KeyMeta>,
+    failed: FailedWrites,
     applied_deletes: FxHashMap<u64, CachedDelete>,
 }
 
 impl MetaState {
-    /// The handle and authoritative checksum of `key`, if it is live.
-    fn live(&self, key: &str) -> Option<(ObjectKey, u64)> {
+    /// The handle and authoritative version of `key`, if it is live, with
+    /// its failed writes' versions.
+    fn live(&self, key: &str) -> Option<(ObjectKey, u64, Vec<u64>)> {
         self.keys
             .get_key_value(key)
             .filter(|(_, m)| !m.deleted)
-            .map(|(handle, m)| (handle.clone(), m.checksum))
+            .map(|(handle, m)| (handle.clone(), m.version, self.failed.of(key)))
+    }
+}
+
+/// Per key, the versions of writes that failed their quorum but landed on
+/// some replica, newer than the key's version: the copies they left are
+/// residue, which no read serves and every repair purges.
+#[derive(Default)]
+struct FailedWrites(FxHashMap<ObjectKey, Vec<u64>>);
+
+impl FailedWrites {
+    fn of(&self, key: &str) -> Vec<u64> {
+        self.0.get(key).cloned().unwrap_or_default()
+    }
+
+    /// `key`'s version became `version`: the copies failed writes older
+    /// than it left are merely behind now.
+    fn advanced(&mut self, key: &str, version: u64) {
+        if let Some(failed) = self.0.get_mut(key) {
+            failed.retain(|&v| v > version);
+            if failed.is_empty() {
+                self.0.remove(key);
+            }
+        }
+    }
+}
+
+/// Whether a replica's copy of write `held` (`None`: no copy) is
+/// repaired, against its key's authoritative `version` and the `failed`
+/// writes that landed: `Some(residue)` for a copy behind, missing, or a
+/// failed write's (`residue`, purged first, since no merge lowers a
+/// replica); `None` for a fresh copy or one of a write still in flight,
+/// which is neither served nor lowered. Reads and the rejoin sweep both
+/// repair by it.
+fn repair(held: Option<u64>, version: u64, failed: &[u64]) -> Option<bool> {
+    match held {
+        Some(v) if v == version || (v > version && !failed.contains(&v)) => None,
+        Some(v) => Some(v > version),
+        None => Some(false),
     }
 }
 
@@ -251,13 +295,15 @@ impl Route {
     }
 }
 
-/// One distinct live key of a batch read.
+/// One live key's read: of a `get`, or one distinct key of a batch.
 struct ReadPlan {
-    /// Index of the key's first slot in the batch.
+    /// Index of the key's first slot in the batch (0 for a `get`).
     slot: usize,
     key: ObjectKey,
-    /// The authoritative checksum a served copy must match.
-    expected: u64,
+    /// The authoritative version a served copy must carry.
+    version: u64,
+    /// The key's failed writes' versions.
+    failed: Vec<u64>,
     route: Route,
 }
 
@@ -271,7 +317,7 @@ pub struct ReadStats {
     pub replica_probes: u64,
     /// Replicas passed over as stale, missing or unreachable.
     pub failovers: u64,
-    /// Passed-over owners rewritten with the authoritative bytes.
+    /// Passed-over owners brought up to the authoritative version.
     pub repairs: u64,
     /// Repair writes that failed; the owner stays divergent until it is
     /// probed again, rejoins, or a rebalance copies to it.
@@ -297,9 +343,8 @@ struct RebalanceRun {
     moves: Vec<KeyMove>,
     cursor: usize,
     completed: usize,
-    moved_keys: u64,
-    moved_bytes: u64,
-    deferred: u64,
+    /// What the moves completed so far did.
+    report: RebalanceReport,
 }
 
 /// One entry of the membership log: a node joined, left, or rejoined.
@@ -356,15 +401,24 @@ pub struct RebalanceReport {
     pub deferred: u64,
 }
 
+impl RebalanceReport {
+    /// What one move that copied `bytes`, or was `deferred`, adds.
+    fn count(mut self, bytes: u64, deferred: bool) -> Self {
+        self.moved_bytes += bytes;
+        if deferred {
+            self.deferred += 1;
+        } else if bytes > 0 {
+            self.moved_keys += 1;
+        }
+        self
+    }
+}
+
 /// Outcome of one bandwidth-capped [`Coordinator::rebalance_step`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RebalanceStep {
-    /// Keys copied this step.
-    pub moved_keys: u64,
-    /// Bytes copied this step.
-    pub moved_bytes: u64,
-    /// Moves deferred this step.
-    pub deferred: u64,
+    /// What this step's moves did (`planned` stays 0).
+    pub moved: RebalanceReport,
     /// Moves still unclaimed after this step.
     pub remaining: usize,
     /// Whether the run is fully finished.
@@ -376,7 +430,8 @@ pub struct RebalanceStep {
 pub struct RejoinReport {
     /// Keys owned by the rejoining node that were checked.
     pub checked: u64,
-    /// Stale or missing copies repaired from a fresh replica.
+    /// Copies on the rejoining node — behind, missing, or left by a
+    /// failed write — brought to the authoritative version.
     pub repaired: u64,
     /// Tombstoned keys purged from the rejoining node.
     pub purged: u64,
@@ -432,6 +487,7 @@ impl Coordinator {
                 rank::CLUSTER_META,
                 MetaState {
                     keys: FxHashMap::default(),
+                    failed: FailedWrites::default(),
                     applied_deletes: FxHashMap::default(),
                 },
             ),
@@ -439,16 +495,6 @@ impl Coordinator {
             tokens: AtomicU64::new(0),
             read_counters: ReadCounters::default(),
         }
-    }
-
-    /// The replica count R.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
-    /// The write quorum W.
-    pub fn write_quorum(&self) -> usize {
-        self.write_quorum
     }
 
     /// A fresh idempotency token for a client-originated mutation.
@@ -492,19 +538,6 @@ impl Coordinator {
     /// Whether `key` currently exists (written, not tombstoned).
     pub fn contains(&self, key: &str) -> bool {
         self.meta.lock().keys.get(key).is_some_and(|m| !m.deleted)
-    }
-
-    /// The handle and authoritative checksum of `key`, if it is live.
-    fn live(&self, key: &str) -> Option<(ObjectKey, u64)> {
-        self.meta.lock().live(key)
-    }
-
-    /// The handle `key` was given when first written, or a new one.
-    fn handle(&self, key: &str) -> ObjectKey {
-        match self.meta.lock().keys.get_key_value(key) {
-            Some((handle, _)) => handle.clone(),
-            None => ObjectKey::new(key),
-        }
     }
 
     /// Number of live keys.
@@ -607,9 +640,10 @@ impl Coordinator {
             moves: plan.moves,
             cursor: 0,
             completed: 0,
-            moved_keys: 0,
-            moved_bytes: 0,
-            deferred: 0,
+            report: RebalanceReport {
+                planned,
+                ..RebalanceReport::default()
+            },
         });
         planned
     }
@@ -634,14 +668,9 @@ impl Coordinator {
                 return step;
             };
             let (bytes, deferred) = self.execute_move(&mv, &handles, now);
-            step.moved_bytes += bytes;
-            if deferred {
-                step.deferred += 1;
-            } else if bytes > 0 {
-                step.moved_keys += 1;
-            }
+            step.moved = step.moved.count(bytes, deferred);
             self.retire_move(&mut step, bytes, deferred);
-            if step.done || step.moved_bytes >= byte_budget {
+            if step.done || step.moved.moved_bytes >= byte_budget {
                 return step;
             }
         }
@@ -683,21 +712,10 @@ impl Coordinator {
             return;
         };
         run.completed += 1;
-        run.moved_bytes += bytes;
-        if deferred {
-            run.deferred += 1;
-        } else if bytes > 0 {
-            run.moved_keys += 1;
-        }
+        run.report = run.report.count(bytes, deferred);
         if run.completed == run.moves.len() {
-            let report = RebalanceReport {
-                planned: run.moves.len(),
-                moved_keys: run.moved_keys,
-                moved_bytes: run.moved_bytes,
-                deferred: run.deferred,
-            };
+            mem.last_report = Some(run.report);
             mem.rebalance = None;
-            mem.last_report = Some(report);
             step.done = true;
             step.remaining = 0;
         }
@@ -715,80 +733,92 @@ impl Coordinator {
             return (0, false);
         }
         // Deleted or vanished since planning: nothing to copy.
-        let Some((key, expected)) = self.live(&mv.key) else {
+        let Some((key, version, _)) = self.meta.lock().live(&mv.key) else {
             return (0, false);
         };
-        // Freshest source: an old owner, or a target that a concurrent
-        // write already reached.
-        let mut fresh: Option<Bytes> = None;
-        for name in mv.sources.iter().chain(mv.targets.iter()) {
-            if let Some(node) = find(handles, name) {
-                if let Ok((data, _)) = node.apply_get(&key, now) {
-                    if content_checksum(&data) == expected {
-                        fresh = Some(data);
-                        break;
-                    }
-                }
-            }
-        }
-        let Some(data) = fresh else {
-            // Every fresh copy is unreachable right now; the rejoin
-            // anti-entropy sweep repairs this key later.
+        // From an old owner, or a target a concurrent write already
+        // reached; if every such copy is unreachable right now, the rejoin
+        // anti-entropy sweep repairs this key later.
+        let sources = mv.sources.iter().chain(&mv.targets);
+        let Some(data) = fresh_copy(&key, version, sources.filter_map(|n| find(handles, n)), now)
+        else {
             return (0, true);
         };
-        let mut bytes = 0u64;
-        let mut deferred = false;
-        for name in &mv.targets {
-            let Some(node) = find(handles, name) else {
-                deferred = true;
+        let targets: Vec<&ClusterNode> =
+            mv.targets.iter().filter_map(|n| find(handles, n)).map(Arc::as_ref).collect();
+        let into = targets.iter().map(|&node| (node, false));
+        let (written, failed) = self.merge(&key, version, &data, into, now);
+        let deferred = failed > 0 || targets.len() < mv.targets.len();
+        (written * data.len() as u64, deferred)
+    }
+
+    /// Merges write `version` of `key`, `data`, into each of `into`: a
+    /// replica takes it only over an older version or none, so a merge
+    /// never lowers one, and a replica flagged as holding residue (see
+    /// [`repair`]) has it purged first. Read repair, the rebalance copy
+    /// and the rejoin sweep all repair through here. Returns how many
+    /// replicas took it and how many failed to.
+    fn merge<'a>(
+        &self,
+        key: &ObjectKey,
+        version: u64,
+        data: &Bytes,
+        into: impl IntoIterator<Item = (&'a ClusterNode, bool)>,
+        now: SimTime,
+    ) -> (u64, u64) {
+        let (mut written, mut failed) = (0, 0);
+        for (node, residue) in into {
+            if residue && node.purge(key, now).is_err() {
+                failed += 1;
                 continue;
-            };
-            // Skip targets that already hold the fresh bytes.
-            if let Ok((have, _)) = node.apply_get(&key, now) {
-                if content_checksum(&have) == expected {
-                    continue;
-                }
             }
-            match node.apply_put(&key, data.clone(), now) {
-                Ok(_) => bytes += data.len() as u64,
-                Err(_) => deferred = true,
+            match node.apply_put(key, data.clone(), version, now) {
+                Ok((_, landed)) => written += u64::from(landed),
+                Err(_) => failed += 1,
             }
         }
-        (bytes, deferred)
+        (written, failed)
     }
 
     // ---- routed operations ----
 
-    /// Replicated store: writes to all R owners, acks after W confirm and
-    /// charges the W-th fastest acknowledgement.
+    /// Replicated store: writes to all R owners, acks after W took the
+    /// bytes and charges the W-th fastest acknowledgement. An owner that
+    /// holds a later version (a racing write's, or a failed one's) keeps
+    /// it and does not count.
     pub fn put(&self, key: &str, value: Bytes, now: SimTime) -> Result<SimDuration, ClusterError> {
         let (nodes, route) = self.route(key)?;
         // An overwrite hands the replicas the handle they already hold;
         // only a new key allocates one.
-        let handle = self.handle(key);
+        let held = self.meta.lock().keys.get_key_value(key).map(|(h, _)| h.clone());
+        let handle = held.unwrap_or_else(|| ObjectKey::new(key));
         let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
-        let sum = content_checksum(&value);
         let mut acks = Few::new();
         for &pos in route.owners() {
-            if let Ok(l) = nodes[pos].apply_put(&handle, value.clone(), now) {
-                acks.push(l);
+            if let Ok((latency, true)) = nodes[pos].apply_put(&handle, value.clone(), version, now) {
+                acks.push(latency);
             }
         }
-        let latency = self.quorum_latency(key, acks)?;
+        let landed = !acks.is_empty();
+        let outcome = self.quorum_latency(key, acks);
         let mut meta = self.meta.lock();
-        let written = KeyMeta {
-            version,
-            checksum: sum,
-            deleted: false,
-        };
-        match meta.keys.entry(handle) {
-            Entry::Occupied(mut e) if version > e.get().version => *e.get_mut() = written,
-            Entry::Occupied(_) => {}
-            Entry::Vacant(e) => {
-                e.insert(written);
+        let meta = &mut *meta;
+        match (meta.keys.entry(handle), &outcome) {
+            (Entry::Occupied(mut e), Ok(_)) if version > e.get().version => {
+                *e.get_mut() = KeyMeta { version, deleted: false };
+                meta.failed.advanced(key, version);
             }
+            // Its copies are residue: ahead of every version served from
+            // now on, and purged by the next repair that meets them.
+            (Entry::Occupied(e), Err(_)) if landed && version > e.get().version => {
+                meta.failed.0.entry(e.key().clone()).or_default().push(version);
+            }
+            (Entry::Vacant(e), Ok(_)) => {
+                e.insert(KeyMeta { version, deleted: false });
+            }
+            _ => {}
         }
-        Ok(latency)
+        outcome
     }
 
     /// What a write acknowledged with `acks` is charged: once W owners
@@ -810,32 +840,46 @@ impl Coordinator {
     }
 
     /// Read: probes the key's owners from a rotating start and serves
-    /// the first copy matching the authoritative checksum, repairing the
-    /// owners it passed over as stale or missing.
+    /// the first copy at the authoritative version, repairing the owners
+    /// it passed over as behind, missing or holding a failed write's copy.
     pub fn get(&self, key: &str, now: SimTime) -> Result<(Bytes, SimDuration), ClusterError> {
-        let Some((handle, expected)) = self.live(key) else {
+        let Some((handle, version, failed)) = self.meta.lock().live(key) else {
             return Err(ClusterError::NoSuchObject(key.to_string()));
         };
         let seq = self.read_counters.reads.fetch_add(1, Ordering::Relaxed);
         let (nodes, mut route) = self.route(key)?;
         route.start_at((seq % route.owners as u64) as usize);
-        self.probe(&handle, expected, &route, &nodes, None, now)
+        let plan = ReadPlan {
+            slot: 0,
+            key: handle,
+            version,
+            failed,
+            route,
+        };
+        self.probe(&plan, &nodes, None, now)
     }
 
-    /// Probes `route.order` front to back and serves the first copy whose
-    /// checksum is `expected`. `first`, when given, is the answer the
-    /// front replica already gave as part of a batched read.
+    /// Probes the plan's route front to back and serves the first copy at
+    /// its version, merging it into the owners it passed over as
+    /// divergent (see [`repair`]). `first`, when given, is the answer
+    /// the front replica already gave as part of a batched read.
     fn probe(
         &self,
-        key: &ObjectKey,
-        expected: u64,
-        route: &Route,
+        plan: &ReadPlan,
         nodes: &[Arc<ClusterNode>],
         mut first: Option<ReplicaRead>,
         now: SimTime,
     ) -> Result<(Bytes, SimDuration), ClusterError> {
+        let ReadPlan {
+            key,
+            version,
+            failed,
+            route,
+            ..
+        } = plan;
+        let version = *version;
         let counters = &self.read_counters;
-        let mut divergent: Vec<usize> = Vec::new();
+        let mut divergent: Vec<(usize, bool)> = Vec::new();
         let mut stale = 0usize;
         let mut unreachable = 0usize;
         for (i, &pos) in route.order.iter().enumerate() {
@@ -843,32 +887,33 @@ impl Coordinator {
                 Some(answer) => answer,
                 None => nodes[pos].apply_get(key, now),
             };
-            match answer {
-                Ok((data, latency)) if content_checksum(&data) == expected => {
+            let held = match answer {
+                Ok((data, latency, v)) if v == version => {
                     counters
                         .replica_probes
                         .fetch_add(i as u64 + 1, Ordering::Relaxed);
                     if i > 0 {
                         counters.failovers.fetch_add(i as u64, Ordering::Relaxed);
                     }
-                    for &pos in &divergent {
-                        let outcome = match nodes[pos].apply_put(key, data.clone(), now) {
-                            Ok(_) => &counters.repairs,
-                            Err(_) => &counters.repair_failures,
-                        };
-                        outcome.fetch_add(1, Ordering::Relaxed);
-                    }
+                    let into = divergent.iter().map(|&(pos, residue)| (nodes[pos].as_ref(), residue));
+                    let (written, failed) = self.merge(key, version, &data, into, now);
+                    counters.repairs.fetch_add(written, Ordering::Relaxed);
+                    counters.repair_failures.fetch_add(failed, Ordering::Relaxed);
                     return Ok((data, latency));
                 }
-                Err(NodeError::Unavailable { .. }) => unreachable += 1,
-                // Divergent bytes, or no copy at all (not yet migrated,
-                // stale rejoin): an owner in this state is repaired.
-                Ok(_) | Err(NodeError::Storage { .. }) => {
-                    stale += 1;
-                    if i < route.owners {
-                        divergent.push(pos);
-                    }
+                Err(NodeError::Unavailable { .. }) => {
+                    unreachable += 1;
+                    continue;
                 }
+                Ok((_, _, v)) => Some(v),
+                // No copy at all (not yet migrated, stale rejoin).
+                Err(NodeError::Storage { .. }) => None,
+            };
+            stale += 1;
+            match repair(held, version, failed) {
+                // Only an owner is repaired.
+                Some(residue) if i < route.owners => divergent.push((pos, residue)),
+                _ => {}
             }
         }
         let tried = route.order.len() as u64;
@@ -894,7 +939,7 @@ impl Coordinator {
                     Err(ClusterError::NoSuchObject(key.to_string()))
                 };
             }
-            let Some((handle, _)) = meta.live(key) else {
+            let Some((handle, _, _)) = meta.live(key) else {
                 meta.applied_deletes.insert(
                     token,
                     CachedDelete {
@@ -923,6 +968,7 @@ impl Coordinator {
             if version > entry.version {
                 entry.version = version;
                 entry.deleted = true;
+                meta.failed.advanced(key, version);
             }
         }
         meta.applied_deletes
@@ -964,7 +1010,7 @@ impl Coordinator {
         let mut out: Vec<_> = keys.iter().map(|_| Err(ClusterError::NoMembers)).collect();
         let mut first_slot: FxHashMap<&str, usize> = FxHashMap::default();
         let mut repeats: Vec<(usize, usize)> = Vec::new();
-        let mut live: Vec<(usize, ObjectKey, u64)> = Vec::with_capacity(keys.len());
+        let mut live: Vec<(usize, ObjectKey, u64, Vec<u64>)> = Vec::with_capacity(keys.len());
         {
             let meta = self.meta.lock();
             for (slot, &key) in keys.iter().enumerate() {
@@ -973,7 +1019,9 @@ impl Coordinator {
                     Entry::Vacant(first) => {
                         first.insert(slot);
                         match meta.live(key) {
-                            Some((handle, expected)) => live.push((slot, handle, expected)),
+                            Some((handle, version, failed)) => {
+                                live.push((slot, handle, version, failed))
+                            }
                             None => out[slot] = Err(ClusterError::NoSuchObject(key.to_string())),
                         }
                     }
@@ -991,7 +1039,7 @@ impl Coordinator {
     /// key, answers written to the key's slot of `out`.
     fn read_distinct(
         &self,
-        live: Vec<(usize, ObjectKey, u64)>,
+        live: Vec<(usize, ObjectKey, u64, Vec<u64>)>,
         out: &mut [Result<(Bytes, SimDuration), ClusterError>],
         now: SimTime,
     ) {
@@ -1006,7 +1054,7 @@ impl Coordinator {
             let mut load = vec![0usize; mem.nodes.len()];
             let plans: Vec<ReadPlan> = live
                 .into_iter()
-                .map(|(slot, key, expected)| {
+                .map(|(slot, key, version, failed)| {
                     let mut route = mem.route(key.as_str(), self.replicas);
                     let start = (0..route.owners)
                         .min_by_key(|&i| load[route.order[i]])
@@ -1016,7 +1064,8 @@ impl Coordinator {
                     ReadPlan {
                         slot,
                         key,
-                        expected,
+                        version,
+                        failed,
                         route,
                     }
                 })
@@ -1031,14 +1080,7 @@ impl Coordinator {
                 .apply_multi_get(group.iter().map(|plan| &plan.key), now)
                 .unwrap_or_else(|down| vec![Err(down); group.len()]);
             for (plan, answer) in group.iter().zip(answers) {
-                out[plan.slot] = self.probe(
-                    &plan.key,
-                    plan.expected,
-                    &plan.route,
-                    &nodes,
-                    Some(answer),
-                    now,
-                );
+                out[plan.slot] = self.probe(plan, &nodes, Some(answer), now);
             }
         }
     }
@@ -1056,10 +1098,10 @@ impl Coordinator {
 
     // ---- rejoin anti-entropy ----
 
-    /// Revives a killed node and repairs its stale state: every live key
-    /// it owns is checked against the authoritative checksum (repaired
-    /// from a fresh replica on mismatch), and every tombstoned key it
-    /// still holds is purged — no phantom keys after rejoin.
+    /// Revives a killed node and repairs its stale state: each live key it
+    /// owns and holds divergent, by the rule reads repair by (behind,
+    /// missing, or a failed write's copy), gets the authoritative version
+    /// merged in from a co-owner; each tombstoned key it holds is purged.
     pub fn rejoin(&self, name: &str, now: SimTime) -> Result<RejoinReport, ClusterError> {
         let (node, ring, handles) = {
             let mut mem = self.membership.write();
@@ -1074,50 +1116,39 @@ impl Coordinator {
             (node, mem.ring.clone(), Arc::clone(&mem.nodes))
         };
         node.revive();
-        let mut entries: Vec<(ObjectKey, KeyMeta)> = {
+        let mut entries: Vec<(ObjectKey, KeyMeta, Vec<u64>)> = {
             let meta = self.meta.lock();
-            meta.keys.iter().map(|(k, m)| (k.clone(), *m)).collect()
+            meta.keys
+                .iter()
+                .map(|(k, m)| (k.clone(), *m, meta.failed.of(k.as_str())))
+                .collect()
         };
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut report = RejoinReport::default();
-        for (key, km) in entries {
+        for (key, km, failed) in entries {
             let owners: Vec<&str> = ring.owners_iter(key.as_str(), self.replicas).collect();
             if !owners.contains(&name) {
                 continue;
             }
             report.checked += 1;
+            let held = node.apply_get(&key, now).map(|(_, _, v)| v);
             if km.deleted {
-                if let Ok((_, _)) = node.apply_get(&key, now) {
-                    if node.purge(&key, now).is_ok() {
-                        report.purged += 1;
-                    }
+                if held.is_ok() && node.purge(&key, now).is_ok() {
+                    report.purged += 1;
                 }
                 continue;
             }
-            let have = match node.apply_get(&key, now) {
-                Ok((data, _)) if content_checksum(&data) == km.checksum => true,
-                _ => false,
+            let Some(residue) = repair(held.ok(), km.version, &failed) else {
+                continue;
             };
-            if have {
+            let peers = owners
+                .iter()
+                .filter(|&&peer| peer != name)
+                .filter_map(|peer| find(&handles, peer));
+            let Some(data) = fresh_copy(&key, km.version, peers, now) else {
                 continue;
-            }
-            // Repair from any fresh co-owner.
-            for &peer_name in &owners {
-                if peer_name == name {
-                    continue;
-                }
-                let Some(peer) = find(&handles, peer_name) else {
-                    continue;
-                };
-                if let Ok((data, _)) = peer.apply_get(&key, now) {
-                    if content_checksum(&data) == km.checksum
-                        && node.apply_put(&key, data, now).is_ok()
-                    {
-                        report.repaired += 1;
-                        break;
-                    }
-                }
-            }
+            };
+            report.repaired += self.merge(&key, km.version, &data, [(node.as_ref(), residue)], now).0;
         }
         Ok(report)
     }
@@ -1194,6 +1225,20 @@ fn find<'a>(handles: &'a [Arc<ClusterNode>], name: &str) -> Option<&'a Arc<Clust
     position(handles, name).map(|i| &handles[i])
 }
 
+/// The bytes of write `version` of `key`, read from the first of
+/// `candidates` that holds that version.
+fn fresh_copy<'a>(
+    key: &ObjectKey,
+    version: u64,
+    candidates: impl IntoIterator<Item = &'a Arc<ClusterNode>>,
+    now: SimTime,
+) -> Option<Bytes> {
+    candidates.into_iter().find_map(|node| match node.apply_get(key, now) {
+        Ok((data, _, v)) if v == version => Some(data),
+        _ => None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1226,6 +1271,25 @@ mod tests {
 
     fn b(s: &str) -> Bytes {
         Bytes::from(s.as_bytes().to_vec())
+    }
+
+    /// Writes `key = value` while `missing` are partitioned away, so each
+    /// of them is left a write behind; the write's outcome is returned.
+    /// Only the coordinator writes a replica, so this is how one diverges.
+    fn put_missing(
+        coord: &Coordinator,
+        missing: &[&Arc<ClusterNode>],
+        key: &str,
+        value: &str,
+    ) -> std::result::Result<SimDuration, ClusterError> {
+        for node in missing {
+            node.set_partitioned(true);
+        }
+        let outcome = coord.put(key, b(value), SimTime::ZERO);
+        for node in missing {
+            node.set_partitioned(false);
+        }
+        outcome
     }
 
     /// The handle of each owner of `key`, in ring order.
@@ -1321,11 +1385,11 @@ mod tests {
         let t = SimTime::ZERO;
         for corrupted in 0..3 {
             let (coord, nodes) = cluster(3, 3, 2);
-            coord.put("k", b("fresh"), t).unwrap();
+            coord.put("k", b("stale"), t).unwrap();
             let owners = owners_of(&coord, &nodes, "k");
-            // Corrupt one replica behind the coordinator's back.
+            // One owner misses the latest write.
             let victim = &owners[corrupted];
-            victim.instance().put("k", &b"stale"[..], t).unwrap();
+            put_missing(&coord, &[victim], "k", "fresh").unwrap();
             let before = node_reads(&owners);
             for read in 0..3 {
                 let (data, _) = coord.get("k", t).unwrap();
@@ -1366,7 +1430,10 @@ mod tests {
 
     /// For every start offset and every combination of damaged owners,
     /// through `get` and through `multi_get`: the answer is the
-    /// authoritative bytes or `NoFreshReplica`, never anything else.
+    /// authoritative bytes or `NoFreshReplica`, never anything else. A
+    /// corrupted owner is one that missed the latest write; when every
+    /// owner missed it, the write reached no replica and failed, and the
+    /// bytes they all hold stay the authoritative ones.
     #[test]
     fn reads_serve_authoritative_bytes_or_refuse_under_every_damage_pattern() {
         use Damage::*;
@@ -1375,18 +1442,26 @@ mod tests {
         for pattern in 0..kinds.len().pow(3) {
             let damage = [pattern % 4, pattern / 4 % 4, pattern / 16].map(|d| kinds[d]);
             for (start, batched) in [(0, false), (1, false), (2, false), (0, true)] {
-                let (coord, nodes) = cluster(3, 3, 2);
-                coord.put("k", b("fresh"), t).unwrap();
+                // W = 1: the latest write is acknowledged by whichever
+                // owners did not miss it.
+                let (coord, nodes) = cluster(3, 3, 1);
+                coord.put("k", b("stale"), t).unwrap();
                 // Healthy reads advance the rotation to `start`.
                 for _ in 0..start {
                     coord.get("k", t).unwrap();
                 }
-                for (owner, damage) in owners_of(&coord, &nodes, "k").iter().zip(damage) {
+                let owners = owners_of(&coord, &nodes, "k");
+                let corrupted: Vec<&Arc<ClusterNode>> = owners
+                    .iter()
+                    .zip(damage)
+                    .filter(|(_, d)| *d == Corrupted)
+                    .map(|(owner, _)| owner)
+                    .collect();
+                let written = put_missing(&coord, &corrupted, "k", "fresh").is_ok();
+                assert_eq!(written, corrupted.len() < 3);
+                for (owner, damage) in owners.iter().zip(damage) {
                     match damage {
-                        Intact => {}
-                        Corrupted => {
-                            owner.instance().put("k", &b"stale"[..], t).unwrap();
-                        }
+                        Intact | Corrupted => {}
                         Missing => {
                             owner.instance().delete("k", t).unwrap();
                         }
@@ -1399,7 +1474,10 @@ mod tests {
                     coord.get("k", t)
                 };
                 let case = format!("damage {damage:?}, start {start}, batched {batched}");
-                if damage.contains(&Intact) {
+                if !written {
+                    let (data, _) = result.unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert_eq!(&data[..], b"stale", "{case}");
+                } else if damage.contains(&Intact) {
                     let (data, _) = result.unwrap_or_else(|e| panic!("{case}: {e}"));
                     assert_eq!(&data[..], b"fresh", "{case}");
                 } else {
@@ -1467,9 +1545,9 @@ mod tests {
     fn repair_failures_are_counted_not_dropped() {
         let (coord, nodes) = cluster(3, 3, 2);
         let t = SimTime::ZERO;
-        coord.put("k", b("fresh"), t).unwrap();
+        coord.put("k", b("stale"), t).unwrap();
         let owners = owners_of(&coord, &nodes, "k");
-        owners[0].instance().put("k", &b"stale"[..], t).unwrap();
+        put_missing(&coord, &[&owners[0]], "k", "fresh").unwrap();
         // The stale owner answers the probe, then refuses the repair write.
         owners[0].instance().tier("t1").unwrap().shrink(100.0, t);
         let (data, _) = coord.get("k", t).unwrap();
@@ -1574,11 +1652,8 @@ mod tests {
             let killed = gen::usize_in(rng, 0..3);
             let holder = gen::usize_in(rng, 0..3);
             let divergent = gen::pick(rng, &names[..12]).as_str();
-            for nodes in [&batched_nodes, &sequential_nodes] {
-                nodes[holder]
-                    .instance()
-                    .put(divergent, &b"stale"[..], t)
-                    .unwrap();
+            for (coord, nodes) in [(&batched, &batched_nodes), (&sequential, &sequential_nodes)] {
+                put_missing(coord, &[&nodes[holder]], divergent, "newer").unwrap();
                 nodes[killed].kill();
                 for node in nodes {
                     node.set_slow_penalty(SimDuration::from_millis(3));
@@ -1762,10 +1837,7 @@ mod tests {
             }
             // A fault, a divergence and a delete between rounds.
             nodes[round].kill();
-            nodes[(round + 1) % 3]
-                .instance()
-                .put("k3", &b"stale"[..], t)
-                .unwrap();
+            let _ = put_missing(&coord, &[&nodes[(round + 1) % 3]], "k3", "newer");
             trace.push(coord.get("k3", t).ok().map(|(_, l)| l));
             trace.push(coord.delete(coord.next_token(), batch[20 + round], t).ok());
             nodes[round].revive();
@@ -1830,6 +1902,42 @@ mod tests {
                 let (data, _) = nodes[2].instance().get(key.as_str(), t).unwrap();
                 assert_eq!(&data[..], format!("v{i}-new").as_bytes());
             }
+        }
+    }
+
+    /// A write that fails its quorum leaves its copy ahead of the served
+    /// version. Whichever repair meets it first — a read that probes its
+    /// owner, or that owner's rejoin sweep — purges it and merges the
+    /// served version back in, so the acknowledged value then survives
+    /// R − 1 kills.
+    #[test]
+    fn the_copy_a_failed_write_left_is_healed_by_a_read_or_a_rejoin() {
+        for heal in ["read", "rejoin"] {
+            let (coord, nodes) = cluster(3, 3, 2);
+            let t = SimTime::ZERO;
+            coord.put("k", b("acked"), t).unwrap();
+            let owners = owners_of(&coord, &nodes, "k");
+            owners[1].kill();
+            owners[2].kill();
+            assert!(coord.put("k", b("failed"), t).is_err());
+            for owner in &owners[1..] {
+                coord.rejoin(owner.name(), t).unwrap();
+            }
+            assert_eq!(&owners[0].instance().get("k", t).unwrap().0[..], b"failed");
+            if heal == "read" {
+                // R reads start at every owner once.
+                for _ in 0..3 {
+                    assert_eq!(&coord.get("k", t).unwrap().0[..], b"acked");
+                }
+                assert_eq!(coord.read_stats().repairs, 1);
+            } else {
+                let report = coord.rejoin(owners[0].name(), t).unwrap();
+                assert_eq!(report.repaired, 1);
+            }
+            assert_eq!(&owners[0].instance().get("k", t).unwrap().0[..], b"acked", "{heal}");
+            owners[1].kill();
+            owners[2].kill();
+            assert_eq!(&coord.get("k", t).unwrap().0[..], b"acked", "{heal}");
         }
     }
 

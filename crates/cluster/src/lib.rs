@@ -18,15 +18,15 @@
 //! * [`Coordinator`] — routes PUT/GET/DELETE (and the Multi* batch
 //!   shapes) to the owners of each key, replicates writes to R
 //!   successors and acks after W confirmations, serves a GET from the
-//!   first owner it probes whose checksum matches its metadata (one
+//!   first owner it probes at the write version its metadata names (one
 //!   replica read on a healthy cluster; a `MultiGet` reads each distinct
 //!   key once and spreads them over the owners, one group per owner),
-//!   repairs the owners a read probed and passed over, and runs the
-//!   bandwidth-capped, resumable rebalance engine when membership
-//!   changes. Every node op names its key by the coordinator's one
-//!   [`ObjectKey`] handle, so replicas share the key's allocation. Its
-//!   membership log ([`MembershipMsg`]) records every join, leave and
-//!   rejoin.
+//!   merges it into the owners a read passed over as behind or holding a
+//!   failed write's copy (purged first: a merge never lowers a replica),
+//!   and runs the bandwidth-capped, resumable rebalance engine when
+//!   membership changes. Every node op names its key by the coordinator's
+//!   one [`ObjectKey`] handle, so replicas share the key's allocation. Its
+//!   membership log ([`MembershipMsg`]) records every join, leave, rejoin.
 //!
 //! Lock order (see `tiera_support::sync::rank`): `cluster.ring` →
 //! `cluster.meta` → `cluster.node`. Ring and meta guards are never held

@@ -1,5 +1,6 @@
-//! One cluster member: a full Tiera instance plus the node-level fault
-//! flags and the idempotency table for routed deletes.
+//! One cluster member: a full Tiera instance — a last-writer-wins
+//! register over the coordinator's write versions — plus the node-level
+//! fault flags and the idempotency table for routed deletes.
 //!
 //! Faults model what the chaos matrix needs:
 //!
@@ -53,8 +54,9 @@ impl fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
-/// One replica's answer to a read: the bytes and the charged latency.
-pub type ReplicaRead = Result<(Bytes, SimDuration), NodeError>;
+/// One replica's answer to a read: the bytes, the charged latency and
+/// the bytes' write version (0 when not known).
+pub type ReplicaRead = Result<(Bytes, SimDuration, u64), NodeError>;
 
 /// Acknowledgement of a routed delete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,16 +166,18 @@ impl ClusterNode {
     // keeps a clone of it, so every replica of a key shares the one
     // allocation the coordinator made, and a read allocates no key.
 
-    /// Applies a replicated store.
+    /// Applies a replicated store of write `version` ([`Instance::put_if_newer`]):
+    /// returns the charged latency and whether the bytes landed.
     pub fn apply_put(
         &self,
         key: &ObjectKey,
         value: Bytes,
+        version: u64,
         now: SimTime,
-    ) -> Result<SimDuration, NodeError> {
+    ) -> Result<(SimDuration, bool), NodeError> {
         let penalty = self.admit()?;
-        match self.instance.put(key.clone(), value, now) {
-            Ok(r) => Ok(r.latency + penalty),
+        match self.instance.put_if_newer(key.clone(), value, version, now) {
+            Ok(receipt) => Ok((receipt.map_or(penalty, |r| r.latency + penalty), receipt.is_some())),
             Err(e) => Err(self.storage_err(e)),
         }
     }
@@ -201,7 +205,7 @@ impl ClusterNode {
 
     fn read(&self, key: &ObjectKey, penalty: SimDuration, now: SimTime) -> ReplicaRead {
         match self.instance.get(key.clone(), now) {
-            Ok((data, r)) => Ok((data, r.latency + penalty)),
+            Ok((data, r)) => Ok((data, r.latency + penalty, r.version)),
             Err(e) => Err(self.storage_err(e)),
         }
     }
@@ -301,9 +305,9 @@ mod tests {
     fn ops_flow_through_to_the_instance() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
-        let (data, _) = n.apply_get(&key("k"), t).unwrap();
-        assert_eq!(&data[..], b"v");
+        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
+        let (data, _, version) = n.apply_get(&key("k"), t).unwrap();
+        assert_eq!((&data[..], version), (&b"v"[..], 1));
         let ack = n.apply_delete(1, &key("k"), t).unwrap();
         assert!(ack.existed);
         assert!(n.apply_get(&key("k"), t).is_err());
@@ -313,7 +317,7 @@ mod tests {
     fn killed_and_partitioned_nodes_refuse_ops_but_keep_state() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
+        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
         n.kill();
         assert!(!n.is_reachable());
         assert!(matches!(
@@ -321,7 +325,7 @@ mod tests {
             Err(NodeError::Unavailable { .. })
         ));
         assert!(matches!(
-            n.apply_put(&key("k2"), Bytes::from(&b"x"[..]), t),
+            n.apply_put(&key("k2"), Bytes::from(&b"x"[..]), 2, t),
             Err(NodeError::Unavailable { .. })
         ));
         assert!(matches!(
@@ -329,7 +333,7 @@ mod tests {
             Err(NodeError::Unavailable { .. })
         ));
         n.revive();
-        let (data, _) = n.apply_get(&key("k"), t).unwrap();
+        let (data, _, _) = n.apply_get(&key("k"), t).unwrap();
         assert_eq!(&data[..], b"v", "kill froze state, not lost it");
         n.set_partitioned(true);
         assert!(n.apply_get(&key("k"), t).is_err());
@@ -341,8 +345,8 @@ mod tests {
     fn grouped_reads_answer_per_key_and_are_refused_as_a_group() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put(&key("a"), Bytes::from(&b"1"[..]), t).unwrap();
-        n.apply_put(&key("b"), Bytes::from(&b"2"[..]), t).unwrap();
+        n.apply_put(&key("a"), Bytes::from(&b"1"[..]), 1, t).unwrap();
+        n.apply_put(&key("b"), Bytes::from(&b"2"[..]), 2, t).unwrap();
         let answers = n
             .apply_multi_get(&[key("b"), key("absent"), key("a")], t)
             .unwrap();
@@ -361,17 +365,35 @@ mod tests {
     fn slow_penalty_inflates_latency() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        let base = n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
+        let base = n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
         n.set_slow_penalty(SimDuration::from_secs(2));
-        let slow = n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
-        assert!(slow >= base + SimDuration::from_secs(2));
+        let slow = n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 2, t).unwrap();
+        assert!(slow.0 >= base.0 + SimDuration::from_secs(2));
+    }
+
+    #[test]
+    fn a_replica_keeps_the_highest_version_it_was_sent() {
+        let n = node("n1");
+        let t = SimTime::ZERO;
+        let put = |value: &'static [u8], version| {
+            n.apply_put(&key("k"), Bytes::from(value), version, t).unwrap().1
+        };
+        assert!(put(b"v5", 5));
+        // An older or repeated version acknowledges without landing.
+        assert!(!put(b"v3", 3));
+        assert!(!put(b"v5 again", 5));
+        let (data, _, version) = n.apply_get(&key("k"), t).unwrap();
+        assert_eq!((&data[..], version), (&b"v5"[..], 5));
+        assert!(put(b"v9", 9));
+        let (data, _, version) = n.apply_get(&key("k"), t).unwrap();
+        assert_eq!((&data[..], version), (&b"v9"[..], 9));
     }
 
     #[test]
     fn delete_tokens_are_idempotent() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
+        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
         let first = n.apply_delete(42, &key("k"), t).unwrap();
         assert!(first.existed);
         assert_eq!(n.deletes_applied(), 1);
@@ -390,7 +412,7 @@ mod tests {
     fn unavailable_outcomes_are_not_cached() {
         let n = node("n1");
         let t = SimTime::ZERO;
-        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), t).unwrap();
+        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
         n.kill();
         assert!(n.apply_delete(7, &key("k"), t).is_err());
         n.revive();

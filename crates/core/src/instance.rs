@@ -71,6 +71,10 @@ pub struct GetReceipt {
     pub latency: SimDuration,
     /// Tier that served the read (prints and compares as its name).
     pub served_by: TierId,
+    /// The write version of the bytes served ([`ObjectMeta::version`]),
+    /// or 0 when that is not known: the read raced the PUT still placing
+    /// them, or bypassed the control layer.
+    pub version: u64,
 }
 
 /// Report from one [`Instance::pump`] call.
@@ -202,6 +206,8 @@ struct Ctx<'a> {
     inserted: Option<ObjectKey>,
     /// Payload of the inserted object (avoids re-reading it).
     inserted_data: Option<Bytes>,
+    /// Whose bytes `inserted_data` are: the running PUT's, or a GET's.
+    inserted_source: Source,
     /// Background executions charge nothing to clients.
     background: bool,
     /// Re-entrancy guard for threshold cascades.
@@ -219,6 +225,7 @@ impl<'a> Ctx<'a> {
             charged: SimDuration::ZERO,
             inserted: None,
             inserted_data: None,
+            inserted_source: Source::Read(0),
             background: false,
             depth: 0,
             placed_inserted: TierSet::new(),
@@ -243,6 +250,19 @@ impl<'a> Ctx<'a> {
 }
 
 const MAX_CASCADE_DEPTH: u8 = 4;
+
+/// Whose bytes a response writes, which decides when it may publish them
+/// (see [`Instance::write_and_publish`]).
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// The running PUT's own bytes, at the write version it took.
+    Put(u64),
+    /// The same, in the one write a fresh key's PUT makes: publishing it
+    /// ends the PUT's placing.
+    OnlyPut(u64),
+    /// Bytes read back at this write version (0: not known).
+    Read(u64),
+}
 
 /// The tier a transient error implicates, for alert reporting.
 fn err_tier(e: &TieraError) -> String {
@@ -445,8 +465,34 @@ impl Instance {
         opts: PutOptions,
         now: SimTime,
     ) -> Result<PutReceipt> {
-        let key: ObjectKey = key.into();
-        let data: Bytes = data.into();
+        let receipt = self.put_versioned(key.into(), data.into(), opts, None, now)?;
+        // An unversioned PUT always replaces the record.
+        Ok(receipt.unwrap_or(PutReceipt { latency: SimDuration::ZERO }))
+    }
+
+    /// Stores `data` as write `version` of `key` unless the object already
+    /// carries that version or a later one: a last-writer-wins register,
+    /// which is what a cluster replica is. `Ok(None)` when the object holds
+    /// `version` or a later one; nothing is written then.
+    pub fn put_if_newer(
+        &self,
+        key: impl Into<ObjectKey>,
+        data: impl Into<Bytes>,
+        version: u64,
+        now: SimTime,
+    ) -> Result<Option<PutReceipt>> {
+        self.put_versioned(key.into(), data.into(), PutOptions::default(), Some(version), now)
+    }
+
+    /// A PUT at write version `write`, or at the registry's next version.
+    fn put_versioned(
+        &self,
+        key: ObjectKey,
+        data: Bytes,
+        opts: PutOptions,
+        write: Option<u64>,
+        now: SimTime,
+    ) -> Result<Option<PutReceipt>> {
         let size = data.len() as u64;
         let config = self.policy.load();
 
@@ -455,9 +501,9 @@ impl Instance {
             let receipt = config.default_tier()?.tier.put(&key, data, now)?;
             self.stats.record_write(receipt.latency);
             self.env.clock().advance_to(now + receipt.latency);
-            return Ok(PutReceipt {
+            return Ok(Some(PutReceipt {
                 latency: receipt.latency,
-            });
+            }));
         }
 
         let into_tier = config.default_tier()?.id;
@@ -466,15 +512,16 @@ impl Instance {
         // prior is kept for overwrite cleanup. In memory only: the
         // placement that records the first location persists the record,
         // so a crash before any tier write leaves a fresh key unpersisted
-        // and an overwritten key's old record intact.
-        let prior = self.registry.replace_locked(&key, |prior| {
+        // and an overwritten key's old record intact. The record takes its
+        // write version here, and is placing until `placing` drops: a
+        // later PUT of the key waits for that.
+        let replaced = self.registry.replace_locked(&key, write, |prior| {
             let mut meta = ObjectMeta::new(size, now);
             meta.dirty = true;
             if !opts.tags.is_empty() {
                 meta.set_tags(opts.tags.iter().cloned());
             }
             if let Some(prev) = prior {
-                meta.created = prev.created;
                 meta.access_count = prev.access_count;
                 // Keep the previous copies visible until the new placement
                 // lands: a concurrent GET reads the old bytes (the overwrite
@@ -485,10 +532,14 @@ impl Instance {
             meta.touch(now);
             meta
         });
-
-        let mut ctx = Ctx::foreground(now, &config);
-        ctx.inserted = Some(key.clone());
-        ctx.inserted_data = Some(data);
+        let Ok((prior, version)) = replaced else {
+            return Ok(None);
+        };
+        let placing = Placing {
+            registry: &self.registry,
+            key: &key,
+            version,
+        };
 
         let matching = config.actions(ActionOp::Put, into_tier);
 
@@ -496,34 +547,53 @@ impl Instance {
         let rules_place = matching
             .clone()
             .any(|a| !a.background && a.rule.responses().iter().any(places_inserted));
+        // A fresh key's implicit placement with no rule to follow is the
+        // PUT's only write, so its publish can end the placing.
+        let only_write = prior.is_none() && !rules_place && matching.clone().next().is_none();
+
+        let mut ctx = Ctx::foreground(now, &config);
+        ctx.inserted = Some(key.clone());
+        ctx.inserted_data = Some(data);
+        ctx.inserted_source = if only_write {
+            Source::OnlyPut(version)
+        } else {
+            Source::Put(version)
+        };
 
         let result: Result<()> = (|| {
             if !rules_place {
                 // Implicit default placement: `store(insert.object, to:
                 // <default tier>)`, counted as the response it stands for.
                 self.stats.record_response();
-                let data = self.fetch_stored(&key, &mut ctx)?;
-                self.store_one(&key, data, &[into_tier.name()], &mut ctx)?;
+                let (data, source) = self.fetch_stored(&key, &mut ctx)?;
+                self.store_one(&key, data, source, &[into_tier.name()], &mut ctx)?;
             }
             self.fire_action_rules(matching, &mut ctx)
         })();
 
+        // Whatever the undo or the overwrite cleanup leaves is settled; so
+        // is what an only write published. Otherwise `placing` settles.
         if let Err(e) = result {
-            self.undo_failed_put(&key, prior, &ctx);
+            self.undo_failed_put(&key, version, prior, &ctx);
+            placing.settled();
             return Err(e);
         }
-
-        if let Some(prev) = prior {
-            self.retire_prior(&key, &prev, &ctx);
+        match prior {
+            Some(prev) => {
+                self.retire_prior(&key, version, &prev, &ctx);
+                placing.settled();
+            }
+            None if only_write => placing.settled(),
+            None => drop(placing),
         }
 
         self.eval_thresholds(&mut ctx)?;
 
         self.stats.record_write(ctx.charged);
         self.env.clock().advance_to(ctx.now);
-        Ok(PutReceipt {
+        Ok(Some(PutReceipt {
             latency: ctx.charged,
-        })
+        }))
     }
 
     /// Leaves a key whose PUT failed with a record that names only tiers
@@ -532,15 +602,21 @@ impl Instance {
     /// strand unreachable data and leak capacity). An overwrite keeps the
     /// prior record over the tiers the placement did not touch, dropping
     /// the new bytes; only when it touched all of them does the new record,
-    /// over the tiers that took the new bytes, stand.
-    fn undo_failed_put(&self, key: &ObjectKey, prior: Option<ObjectMeta>, ctx: &Ctx) {
+    /// over the tiers that took the new bytes, stand. The prior record is
+    /// settled (no PUT replaces a placing one), so its bytes have landed.
+    /// A DELETE that has removed the record since, and any PUT after it,
+    /// owns the key, and it is left alone.
+    fn undo_failed_put(&self, key: &ObjectKey, version: u64, prior: Option<ObjectMeta>, ctx: &Ctx) {
+        if self.registry.get(key).is_none_or(|m| m.version != version) {
+            return;
+        }
         let placed = &ctx.placed_inserted;
         match prior {
             // No tier took the new bytes, so nothing persisted the new
             // record: putting the prior one back in memory is enough.
             Some(prev) if placed.is_empty() => self.registry.insert_locked(key, prev),
             Some(prev) if prev.locations.iter().all(|l| placed.contains_id(*l)) => {
-                self.retire_prior(key, &prev, ctx)
+                self.retire_prior(key, version, &prev, ctx)
             }
             prior => {
                 for id in placed {
@@ -563,17 +639,19 @@ impl Instance {
 
     /// Overwrite cleanup: stale copies in tiers the new placement did not
     /// freshly write are deleted (the object is immutable; overwrite
-    /// replaces it everywhere). The placement set comes from the execution
-    /// context, not the carried-over metadata.
-    fn retire_prior(&self, key: &ObjectKey, prev: &ObjectMeta, ctx: &Ctx) {
+    /// replaces it everywhere), and the record stops placing — unless a
+    /// DELETE (`version` is this PUT's) has removed it since. The placement
+    /// set comes from the execution context, not the carried-over metadata.
+    fn retire_prior(&self, key: &ObjectKey, version: u64, prev: &ObjectMeta, ctx: &Ctx) {
         let placed = &ctx.placed_inserted;
-        for stale in prev.locations.iter().filter(|l| !placed.contains_id(**l)) {
-            if let Some(tier) = ctx.config.tier_by_id(*stale) {
-                self.cleanup_delete(tier, key, ctx.now);
+        self.registry.publish_at(key, version, true, |m| {
+            for stale in prev.locations.iter().filter(|l| !placed.contains_id(**l)) {
+                if let Some(tier) = ctx.config.tier_by_id(*stale) {
+                    self.cleanup_delete(tier, key, ctx.now);
+                }
             }
-        }
-        self.registry.update(key, |m| {
             m.locations.retain(|l| placed.contains_id(l));
+            m.placing = false;
         });
         if let Some(d) = prev.digest() {
             self.release_blob(&d, ctx);
@@ -600,6 +678,7 @@ impl Instance {
                 GetReceipt {
                     latency: receipt.latency,
                     served_by: *id,
+                    version: 0,
                 },
             ));
         }
@@ -610,6 +689,7 @@ impl Instance {
             .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
 
         let mut ctx = Ctx::foreground(now, &config);
+        let version = meta.settled_version();
         let (raw, served_by) = self.read_raw(&key, &meta, &mut ctx)?;
         let data = self.decode_payload(&key, &meta, raw.clone())?;
 
@@ -627,6 +707,7 @@ impl Instance {
         if matching.peek().is_some() {
             ctx.inserted = Some(key.clone());
             ctx.inserted_data = Some(raw.clone());
+            ctx.inserted_source = Source::Read(version);
             self.fire_action_rules(matching, &mut ctx)?;
         }
 
@@ -641,6 +722,7 @@ impl Instance {
             GetReceipt {
                 latency: ctx.charged,
                 served_by,
+                version,
             },
         ))
     }
@@ -748,7 +830,7 @@ impl Instance {
                 } => {
                     if let Some(key) = keys.pop_front() {
                         let moved = match self.copy_single(&key, &to, delete_source, &mut ctx) {
-                            Ok(moved) => moved,
+                            Ok((moved, _)) => moved,
                             Err(e) if RetryPolicy::retryable(&e) => {
                                 // Transient destination trouble (timeout,
                                 // full): put the key back and retry the
@@ -924,12 +1006,12 @@ impl Instance {
                 what,
                 to,
                 bandwidth,
-            } => self.exec_copy(what, to, *bandwidth, false, ctx),
+            } => self.exec_copy(what, to, *bandwidth, false, ctx).map(drop),
             ResponseSpec::Move {
                 what,
                 to,
                 bandwidth,
-            } => self.exec_copy(what, to, *bandwidth, true, ctx),
+            } => self.exec_copy(what, to, *bandwidth, true, ctx).map(drop),
             ResponseSpec::Delete { what, from } => self.exec_delete(what, from.as_deref(), ctx),
             ResponseSpec::Encrypt { what, key_id } => self.exec_crypt(what, key_id, true, ctx),
             ResponseSpec::Decrypt { what, key_id } => self.exec_crypt(what, key_id, false, ctx),
@@ -1067,11 +1149,12 @@ impl Instance {
     }
 
     /// Fetches the payload bytes for `key` as currently stored (used by
-    /// copy/move/store-of-existing). Charged to the context.
-    fn fetch_stored(&self, key: &ObjectKey, ctx: &mut Ctx) -> Result<Bytes> {
+    /// copy/move/store-of-existing), and whose they are. Charged to the
+    /// context.
+    fn fetch_stored(&self, key: &ObjectKey, ctx: &mut Ctx) -> Result<(Bytes, Source)> {
         if ctx.inserted.as_ref() == Some(key) {
             if let Some(d) = &ctx.inserted_data {
-                return Ok(d.clone());
+                return Ok((d.clone(), ctx.inserted_source));
             }
         }
         let meta = self
@@ -1079,7 +1162,45 @@ impl Instance {
             .get(key)
             .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
         let (raw, _) = self.read_raw(key, &meta, ctx)?;
-        Ok(raw)
+        Ok((raw, Source::Read(meta.settled_version())))
+    }
+
+    /// Runs `write` — tier writes of `key`'s bytes from `source`, and the
+    /// record changes that publish them, which it makes as it goes — under
+    /// the key's shard lock, and only while the record still carries
+    /// `source`'s version, so such a write never lands after a later PUT's:
+    /// the running PUT's own bytes publish until a DELETE removes the
+    /// record (the PUT then acknowledges as one the DELETE followed), bytes
+    /// read back only while no PUT has begun since they were read.
+    /// Otherwise nothing is written (`Ok(false)`), and a stale copy of
+    /// read-back bytes is counted.
+    fn write_and_publish(
+        &self,
+        key: &ObjectKey,
+        source: Source,
+        ctx: &mut Ctx,
+        write: impl FnOnce(&mut Ctx, &mut ObjectMeta) -> Result<()>,
+    ) -> Result<bool> {
+        let (version, own) = match source {
+            Source::Put(version) | Source::OnlyPut(version) => (version, true),
+            Source::Read(version) => (version, false),
+        };
+        let published = self.registry.publish_at(key, version, own, |m| {
+            let written = write(ctx, m);
+            if written.is_ok() && matches!(source, Source::OnlyPut(_)) {
+                m.placing = false;
+            }
+            written
+        });
+        match published {
+            Some(result) => result.map(|()| true),
+            None => {
+                if !own {
+                    self.stats.record_stale_copy();
+                }
+                Ok(false)
+            }
+        }
     }
 
     fn exec_store(
@@ -1091,13 +1212,13 @@ impl Instance {
     ) -> Result<()> {
         let keys = self
             .registry
-            .select(what, ctx.inserted.as_ref(), ctx.now);
+            .select(what, ctx.inserted.as_ref());
         for key in keys {
-            let data = self.fetch_stored(&key, ctx)?;
+            let (data, source) = self.fetch_stored(&key, ctx)?;
             if dedup {
-                self.store_once_one(&key, data, to, ctx)?;
+                self.store_once_one(&key, data, source, to, ctx)?;
             } else {
-                self.store_one(&key, data, to, ctx)?;
+                self.store_one(&key, data, source, to, ctx)?;
             }
         }
         Ok(())
@@ -1190,54 +1311,57 @@ impl Instance {
     /// Writes `data` under `key` to each target tier in parallel; charges
     /// the slowest write. Under a failover-enabled retry policy a target
     /// that exhausts its retries is replaced by the next writable tier.
+    /// Publishes as [`write_and_publish`](Self::write_and_publish) allows,
+    /// and only once every target took the bytes.
     fn store_one<S: AsRef<str>>(
         &self,
         key: &ObjectKey,
         data: Bytes,
+        source: Source,
         to: &[S],
         ctx: &mut Ctx,
     ) -> Result<()> {
-        let mut slowest = SimDuration::ZERO;
-        let mut placed = TierSet::new();
-        let mut durable = false;
         let config = ctx.config;
-        for tier_name in to {
-            let mut target = config.attached(tier_name.as_ref())?;
-            let latency = match self.tier_put_retrying(&target.tier, key, &data, ctx) {
-                Ok(latency) => latency,
-                Err(e) => {
-                    if !config.retry.as_ref().is_some_and(|p| p.failover) {
-                        return Err(e);
-                    }
-                    // Neither the other requested targets nor the tiers
-                    // already written may stand in for the failed one.
-                    let exclude: TierSet = to
-                        .iter()
-                        .filter_map(|t| TierId::lookup(t.as_ref()))
-                        .chain(placed.iter().copied())
-                        .collect();
-                    match self.failover_put(key, &data, target.id, &exclude, ctx) {
-                        Some((alt, latency)) => {
-                            target = alt;
-                            latency
+        self.write_and_publish(key, source, ctx, |ctx, m| {
+            let mut slowest = SimDuration::ZERO;
+            let mut placed = TierSet::new();
+            let mut durable = false;
+            for tier_name in to {
+                let mut target = config.attached(tier_name.as_ref())?;
+                let latency = match self.tier_put_retrying(&target.tier, key, &data, ctx) {
+                    Ok(latency) => latency,
+                    Err(e) => {
+                        if !config.retry.as_ref().is_some_and(|p| p.failover) {
+                            return Err(e);
                         }
-                        None => return Err(e),
+                        // Neither the other requested targets nor the tiers
+                        // already written may stand in for the failed one.
+                        let exclude: TierSet = to
+                            .iter()
+                            .filter_map(|t| TierId::lookup(t.as_ref()))
+                            .chain(placed.iter().copied())
+                            .collect();
+                        match self.failover_put(key, &data, target.id, &exclude, ctx) {
+                            Some((alt, latency)) => {
+                                target = alt;
+                                latency
+                            }
+                            None => return Err(e),
+                        }
                     }
+                };
+                slowest = slowest.max(latency);
+                placed.insert_id(target.id);
+                durable |= target.durable;
+                if ctx.inserted.as_ref() == Some(key) {
+                    ctx.placed_inserted.insert_id(target.id);
                 }
-            };
-            slowest = slowest.max(latency);
-            placed.insert_id(target.id);
-            durable |= target.durable;
-            if ctx.inserted.as_ref() == Some(key) {
-                ctx.placed_inserted.insert_id(target.id);
             }
-        }
-        ctx.charge(slowest);
-        // Landing on a durable tier does not clear dirty — only an explicit
-        // copy/move does (the dirty bit means "not yet persisted by
-        // policy"); but a store that *itself* targets a durable tier is a
-        // synchronous persist.
-        self.registry.update(key, |m| {
+            ctx.charge(slowest);
+            // Landing on a durable tier does not clear dirty — only an
+            // explicit copy/move does (the dirty bit means "not yet
+            // persisted by policy"); but a store that *itself* targets a
+            // durable tier is a synchronous persist.
             for t in &placed {
                 m.locations.insert_id(*t);
             }
@@ -1245,7 +1369,8 @@ impl Instance {
             if durable {
                 m.dirty = false;
             }
-        });
+            Ok(())
+        })?;
         Ok(())
     }
 
@@ -1253,6 +1378,7 @@ impl Instance {
         &self,
         key: &ObjectKey,
         data: Bytes,
+        source: Source,
         to: &[String],
         ctx: &mut Ctx,
     ) -> Result<()> {
@@ -1262,42 +1388,49 @@ impl Instance {
                 ctx.placed_inserted.insert_id(target.id);
             }
         }
-        if !self.registry.dedup_acquire(digest) {
-            // Content already stored: no tier writes at all (this is what
-            // cuts the S3 PUT count in Fig 12b). The logical entry just
-            // records the digest pointer.
-            self.registry.update(key, |m| m.set_digest(Some(digest)));
-            return Ok(());
-        }
-        // The physical object owns locations and participates in LRU
-        // ordering; logical entries point at it via the digest.
-        let physical = dedup::blob_key(&digest);
-        let mut pm = ObjectMeta::new(data.len() as u64, ctx.now);
-        pm.dirty = true;
-        let mut slowest = SimDuration::ZERO;
-        for tier_name in to {
-            let target = ctx.config.attached(tier_name)?;
-            let receipt = target.tier.put(&physical, data.clone(), ctx.now)?;
-            slowest = slowest.max(receipt.latency);
-            pm.locations.insert_id(target.id);
-            if target.durable {
-                pm.dirty = false;
+        let stored_size = data.len() as u64;
+        let first = self.registry.dedup_acquire(digest);
+        if first {
+            // The physical object owns locations and participates in LRU
+            // ordering; logical entries point at it via the digest. Its
+            // key names its content, so no write can make it stale.
+            let physical = dedup::blob_key(&digest);
+            let mut pm = ObjectMeta::new(stored_size, ctx.now);
+            pm.dirty = true;
+            let mut slowest = SimDuration::ZERO;
+            for tier_name in to {
+                let target = ctx.config.attached(tier_name)?;
+                let receipt = target.tier.put(&physical, data.clone(), ctx.now)?;
+                slowest = slowest.max(receipt.latency);
+                pm.locations.insert_id(target.id);
+                if target.durable {
+                    pm.dirty = false;
+                }
             }
+            ctx.charge(slowest);
+            pm.touch(ctx.now);
+            self.registry.upsert(physical, pm);
         }
-        ctx.charge(slowest);
-        pm.touch(ctx.now);
-        self.registry.upsert(physical, pm);
-        self.registry.update(key, |m| {
+        // Content already stored costs no tier writes at all (this is what
+        // cuts the S3 PUT count in Fig 12b): the logical entry just records
+        // the digest pointer. A stale one gives its reference back.
+        let published = self.write_and_publish(key, source, ctx, |_, m| {
             m.set_digest(Some(digest));
-            m.set_stored_size(data.len() as u64);
-        });
+            if first {
+                m.set_stored_size(stored_size);
+            }
+            Ok(())
+        })?;
+        if !published {
+            self.release_blob(&digest, ctx);
+        }
         Ok(())
     }
 
     fn exec_retrieve(&self, what: &Selector, ctx: &mut Ctx) -> Result<()> {
         let keys = self
             .registry
-            .select(what, ctx.inserted.as_ref(), ctx.now);
+            .select(what, ctx.inserted.as_ref());
         for key in keys {
             let meta = self
                 .registry
@@ -1309,6 +1442,9 @@ impl Instance {
         Ok(())
     }
 
+    /// Copies (or moves) the selected objects. Answers whether every copy
+    /// made inline published; a background one is queued, and counts as
+    /// published.
     fn exec_copy<S: AsRef<str>>(
         &self,
         what: &Selector,
@@ -1316,10 +1452,10 @@ impl Instance {
         bandwidth: Option<BandwidthCap>,
         delete_source: bool,
         ctx: &mut Ctx,
-    ) -> Result<()> {
+    ) -> Result<bool> {
         let keys = self
             .registry
-            .select(what, ctx.inserted.as_ref(), ctx.now);
+            .select(what, ctx.inserted.as_ref());
         // Background copies self-pace via continuations: one object per
         // step, re-enqueued at the transfer rate, so they interleave with
         // foreground traffic in virtual time (paper Fig 14). Without an
@@ -1346,8 +1482,9 @@ impl Instance {
                     attempts: 0,
                 });
             }
-            return Ok(());
+            return Ok(true);
         }
+        let mut published = true;
         for key in keys {
             // Foreground capped copies pace inline (charged to the caller).
             if let Some(cap) = bandwidth {
@@ -1355,20 +1492,23 @@ impl Instance {
                     ctx.charge(cap.pace(meta.stored_size() as usize));
                 }
             }
-            self.copy_single(&key, to, delete_source, ctx)?;
+            published &= self.copy_single(&key, to, delete_source, ctx)?.1;
         }
-        Ok(())
+        Ok(published)
     }
 
     /// Copies one object to `to`, optionally vacating its other locations.
-    /// Returns the number of bytes moved.
+    /// Returns the number of bytes moved, and whether the copy published
+    /// (see [`write_and_publish`](Self::write_and_publish)). A copy that
+    /// fails part way still records every tier that took the bytes and
+    /// every source its move vacated.
     fn copy_single<S: AsRef<str>>(
         &self,
         key: &ObjectKey,
         to: &[S],
         delete_source: bool,
         ctx: &mut Ctx,
-    ) -> Result<usize> {
+    ) -> Result<(usize, bool)> {
         // Dedup'd logical keys redirect to their physical object, which
         // owns the locations (and the bytes).
         let key = self.resolve_physical(key);
@@ -1378,54 +1518,46 @@ impl Instance {
             let covered = to.iter().all(|t| meta.locations.contains(t.as_ref()));
             let exact = meta.locations.len() == to.len();
             if covered && (!delete_source || exact) && ctx.inserted.as_ref() != Some(&key) {
-                return Ok(meta.stored_size() as usize);
+                return Ok((meta.stored_size() as usize, true));
             }
         }
-        let data = self.fetch_stored(&key, ctx)?;
-        let moved = data.len();
-        let mut slowest = SimDuration::ZERO;
-        let mut dest = TierSet::new();
-        let mut dest_durable = false;
+        let (data, source) = self.fetch_stored(&key, ctx)?;
         let config = ctx.config;
-        for tier_name in to {
-            let target = config.attached(tier_name.as_ref())?;
-            let latency = self.tier_put_retrying(&target.tier, &key, &data, ctx)?;
-            slowest = slowest.max(latency);
-            dest.insert_id(target.id);
-            dest_durable |= target.durable;
-            if ctx.inserted.as_ref() == Some(&key) {
-                ctx.placed_inserted.insert_id(target.id);
-            }
-        }
-        ctx.charge(slowest);
-
-        if delete_source {
-            let old = self.registry.get(&key).map(|m| m.locations).unwrap_or_default();
-            for loc in old.iter().filter(|l| !dest.contains_id(**l)) {
-                if let Some(tier) = config.tier_by_id(*loc) {
-                    let _ = tier.delete(&key, ctx.now)?;
+        let published = self.write_and_publish(&key, source, ctx, |ctx, m| {
+            let mut slowest = SimDuration::ZERO;
+            let mut dest = TierSet::new();
+            let mut durable = false;
+            for tier_name in to {
+                let target = config.attached(tier_name.as_ref())?;
+                slowest = slowest.max(self.tier_put_retrying(&target.tier, &key, &data, ctx)?);
+                dest.insert_id(target.id);
+                durable |= target.durable;
+                m.locations.insert_id(target.id);
+                if ctx.inserted.as_ref() == Some(&key) {
+                    ctx.placed_inserted.insert_id(target.id);
                 }
             }
-        }
-        self.registry.update(&key, |m| {
-            if delete_source {
-                m.locations = dest.clone();
-            } else {
-                for t in &dest {
-                    m.locations.insert_id(*t);
-                }
-            }
-            if dest_durable {
+            ctx.charge(slowest);
+            if durable {
                 m.dirty = false;
             }
-        });
-        Ok(moved)
+            if delete_source {
+                for loc in m.locations.clone().iter().filter(|l| !dest.contains_id(**l)) {
+                    if let Some(tier) = config.tier_by_id(*loc) {
+                        tier.delete(&key, ctx.now)?;
+                    }
+                    m.locations.retain(|l| l != *loc);
+                }
+            }
+            Ok(())
+        })?;
+        Ok((data.len(), published))
     }
 
     fn exec_delete(&self, what: &Selector, from: Option<&str>, ctx: &mut Ctx) -> Result<()> {
         let keys = self
             .registry
-            .select(what, ctx.inserted.as_ref(), ctx.now);
+            .select(what, ctx.inserted.as_ref());
         for key in keys {
             let Some(meta) = self.registry.get(&key) else {
                 continue;
@@ -1497,7 +1629,7 @@ impl Instance {
             .ok_or_else(|| TieraError::Codec(format!("unknown key id {key_id}")))?;
         let keys = self
             .registry
-            .select(what, ctx.inserted.as_ref(), ctx.now);
+            .select(what, ctx.inserted.as_ref());
         for key in keys {
             let meta = self
                 .registry
@@ -1532,7 +1664,7 @@ impl Instance {
     fn exec_compress(&self, what: &Selector, compress: bool, ctx: &mut Ctx) -> Result<()> {
         let keys = self
             .registry
-            .select(what, ctx.inserted.as_ref(), ctx.now);
+            .select(what, ctx.inserted.as_ref());
         for key in keys {
             let meta = self
                 .registry
@@ -1607,13 +1739,40 @@ impl Instance {
             if Some(&victim) == ctx.inserted.as_ref() {
                 break;
             }
-            // Move the victim down a tier.
-            self.exec_copy(&Selector::Key(victim.clone()), &[to], None, false, ctx)?;
+            // Move the victim down a tier. A copy an overwrite made stale
+            // leaves the victim's new bytes where they are; the attempt
+            // still counts, and the next pick goes on.
+            evicted += 1;
+            if !self.exec_copy(&Selector::Key(victim.clone()), &[to], None, false, ctx)? {
+                continue;
+            }
             // Drop it from the fast tier.
             self.exec_delete(&Selector::Key(victim), Some(from), ctx)?;
-            evicted += 1;
         }
         Ok(())
+    }
+}
+
+/// A PUT's hold on its record: dropped once the PUT is done with it,
+/// however the PUT ends (an unwinding one too), it lets the next PUT of
+/// the key in ([`Registry::settle`]), unless the PUT has said that its
+/// last registry change did so already.
+struct Placing<'a> {
+    registry: &'a Registry,
+    key: &'a ObjectKey,
+    version: u64,
+}
+
+impl Placing<'_> {
+    /// The record no longer carries this PUT's placing: nothing to undo.
+    fn settled(self) {
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Placing<'_> {
+    fn drop(&mut self) {
+        self.registry.settle(self.key, self.version);
     }
 }
 
@@ -2218,7 +2377,7 @@ mod tests {
         .unwrap();
         let hits = inst
             .registry()
-            .select(&Selector::Tagged(Tag::new("tmp")), None, T0);
+            .select(&Selector::Tagged(Tag::new("tmp")), None);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].as_str(), "tmpfile");
     }

@@ -18,6 +18,11 @@
 //! [`ObjectMeta`]'s 56 bytes with no heap behind it and cloning it is a
 //! copy. The encoded form carries names, not ids, and the access count and
 //! stored size at full width.
+//!
+//! Each record carries one **write version** ([`ObjectMeta::version`]): a
+//! PUT gives the record a new one, and a copy, move or re-store publishes
+//! only at the version whose bytes it read (see `Instance`). A record
+//! encoded before versions existed decodes as version 0.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -207,8 +212,10 @@ pub struct ObjectMeta {
     pub access_count: u32,
     /// Virtual time of the last access.
     pub last_access: SimTime,
-    /// Virtual time of creation.
-    pub created: SimTime,
+    /// The write version: which PUT's bytes the object's locations hold.
+    /// Every PUT assigns a higher one than the record it replaces, so two
+    /// PUTs of one key never share a version.
+    pub version: u64,
     /// The tiers currently holding the object.
     pub locations: TierSet,
     /// Tags, content digest, encryption key id and a stored size apart
@@ -221,6 +228,12 @@ pub struct ObjectMeta {
     pub compressed: bool,
     /// Whether the stored payload is encrypted.
     pub encrypted: bool,
+    /// Whether the PUT of this version is still placing it: until it
+    /// retires the prior record's copies, some locations may hold the
+    /// prior bytes, and no other PUT of the key replaces the record. In
+    /// memory only: not encoded, and false on decode (no PUT outlives a
+    /// restart).
+    pub(crate) placing: bool,
 }
 
 impl fmt::Debug for ObjectMeta {
@@ -232,7 +245,7 @@ impl fmt::Debug for ObjectMeta {
             .field("dirty", &self.dirty)
             .field("locations", &self.locations)
             .field("last_access", &self.last_access)
-            .field("created", &self.created)
+            .field("version", &self.version)
             .field("tags", self.tags())
             .field("digest", &self.digest())
             .field("compressed", &self.compressed)
@@ -250,18 +263,30 @@ const _: () = assert!(std::mem::size_of::<ObjectMeta>() <= 56);
 static NO_TAGS: BTreeSet<Tag> = BTreeSet::new();
 
 impl ObjectMeta {
-    /// Fresh metadata for an object of `size` bytes created at `now`.
+    /// Fresh metadata for an object of `size` bytes created at `now`, at
+    /// version 0.
     pub fn new(size: u64, now: SimTime) -> Self {
         Self {
             size,
             access_count: 0,
             last_access: now,
-            created: now,
+            version: 0,
             locations: TierSet::new(),
             rare: None,
             dirty: false,
             compressed: false,
             encrypted: false,
+            placing: false,
+        }
+    }
+
+    /// The write version every location holds: `version`, or 0 (not
+    /// known) while its PUT is still placing the bytes.
+    pub(crate) fn settled_version(&self) -> u64 {
+        if self.placing {
+            0
+        } else {
+            self.version
         }
     }
 
@@ -353,12 +378,13 @@ impl ObjectMeta {
         put_u64(out, self.stored_size());
         put_u64(out, u64::from(self.access_count));
         put_u64(out, self.last_access.as_nanos());
-        put_u64(out, self.created.as_nanos());
+        put_u64(out, self.version);
         let digest = self.digest();
         let flags = (self.dirty as u8)
             | (self.compressed as u8) << 1
             | (self.encrypted as u8) << 2
-            | ((digest.is_some() as u8) << 3);
+            | ((digest.is_some() as u8) << 3)
+            | VERSIONED;
         out.push(flags);
         if let Some(d) = &digest {
             out.extend_from_slice(&d.0);
@@ -375,7 +401,9 @@ impl ObjectMeta {
     }
 
     /// Decodes metadata produced by [`encode`](Self::encode). An access
-    /// count above `u32::MAX` saturates.
+    /// count above `u32::MAX` saturates. A record encoded before versions
+    /// existed held a creation time where the version now is, and decodes
+    /// as version 0.
     ///
     /// Location names are interned here. A record naming more new tiers
     /// than the process-wide table has room for is malformed (`None`) and
@@ -389,8 +417,9 @@ impl ObjectMeta {
         let stored_size = r.u64()?;
         let access_count = u32::try_from(r.u64()?).unwrap_or(u32::MAX);
         let last_access = SimTime::from_nanos(r.u64()?);
-        let created = SimTime::from_nanos(r.u64()?);
+        let fifth = r.u64()?;
         let flags = r.u8()?;
+        let version = if flags & VERSIONED != 0 { fifth } else { 0 };
         let digest = if flags & 0b1000 != 0 { Some(Digest(r.array()?)) } else { None };
         let names = str_set(r)?;
         let unknown = names.iter().filter(|n| TierId::lookup(n).is_none()).count();
@@ -408,12 +437,13 @@ impl ObjectMeta {
             size,
             access_count,
             last_access,
-            created,
+            version,
             locations,
             rare: None,
             dirty: flags & 1 != 0,
             compressed: flags & 0b10 != 0,
             encrypted: flags & 0b100 != 0,
+            placing: false,
         };
         let stored_size = (stored_size != size).then_some(stored_size);
         if !tags.is_empty() || digest.is_some() || encryption_key_id.is_some() || stored_size.is_some() {
@@ -427,6 +457,10 @@ impl ObjectMeta {
         Ok(meta)
     }
 }
+
+/// The flag bit of a record whose fifth word is its write version (before
+/// versions, that word was a creation time nothing read).
+const VERSIONED: u8 = 0b1_0000;
 
 /// A counted list of names, as [`put_strs`] wrote it.
 fn str_set<'a>(r: &mut Reader<'a>) -> wire::Result<Vec<&'a str>> {
@@ -452,6 +486,7 @@ mod tests {
         m.set_digest(Some(Digest::of(b"payload")));
         m.compressed = true;
         m.set_encryption_key_id(Some("default".into()));
+        m.version = 42;
         m
     }
 
@@ -530,18 +565,28 @@ mod tests {
     }
 
     #[test]
-    fn encode_is_byte_identical_to_the_wide_record() {
-        // Both captured from the record with 64-bit `stored_size` and
-        // `access_count` fields that this one replaced.
+    fn records_written_before_the_version_decode_as_version_zero() {
+        // Both captured from records written before versions existed: the
+        // fifth word held a creation time (10 s), and flag bit 4 was clear.
         const STORED_IS_SIZE: &str = "00100000000000000010000000000000010000000000000000c817a80400000000e40b54020000000101000000030000006d656d0000000000";
         const STORED_APART: &str = "0010000000000000d204000000000000020000000000000000ac23fc0600000000e40b54020000000e239f59ed55e737c77147cf55ad0c1b030b6d7ee748a7426952f9b852d5a935e50200000003000000656273090000006d656d6361636865640100000003000000746d70010700000064656661756c74";
+        let unhex = |s: &str| -> Vec<u8> {
+            (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+        };
 
         let mut m = ObjectMeta::new(4096, SimTime::from_secs(10));
         m.touch(SimTime::from_secs(20));
         m.dirty = true;
         m.locations.insert("mem".into());
-        m.set_stored_size(4096);
-        assert_eq!(hex(&m.encode()), STORED_IS_SIZE);
+        assert_eq!(ObjectMeta::decode(&unhex(STORED_IS_SIZE)), Some(m.clone()));
+        // Re-encoded, only the fifth word (now the version) and the
+        // versioned flag differ.
+        m.version = 7;
+        let mut expect = unhex(STORED_IS_SIZE);
+        expect[32..40].copy_from_slice(&7u64.to_le_bytes());
+        expect[40] |= VERSIONED;
+        assert_eq!(hex(&m.encode()), hex(&expect));
+        assert_eq!(ObjectMeta::decode(&m.encode()), Some(m));
 
         let mut m = ObjectMeta::new(4096, SimTime::from_secs(10));
         m.touch(SimTime::from_secs(20));
@@ -554,10 +599,13 @@ mod tests {
         m.encrypted = true;
         m.set_encryption_key_id(Some("default".into()));
         m.set_stored_size(1234);
-        assert_eq!(hex(&m.encode()), STORED_APART);
-        let decoded = ObjectMeta::decode(&m.encode()).expect("decodes");
-        assert_eq!((decoded.size, decoded.stored_size()), (4096, 1234));
+        let decoded = ObjectMeta::decode(&unhex(STORED_APART)).expect("decodes");
+        assert_eq!((decoded.size, decoded.stored_size(), decoded.version), (4096, 1234, 0));
         assert_eq!(decoded, m);
+        let mut expect = unhex(STORED_APART);
+        expect[32..40].copy_from_slice(&0u64.to_le_bytes());
+        expect[40] |= VERSIONED;
+        assert_eq!(hex(&m.encode()), hex(&expect));
     }
 
     #[test]

@@ -61,6 +61,8 @@
 //!
 //! **Lock order: shard, with `dedup` a leaf.** A thread never holds two
 //! shard locks at once and never holds a shard lock together with `dedup`.
+//! `publish_at` holds one shard across its caller's tier writes of that
+//! key's bytes, which take only tier locks and the instance's leaf locks.
 //! Mutations hold their shard lock across the index and aggregate updates,
 //! so for any single key the map, every index and the aggregates always
 //! agree.
@@ -367,17 +369,18 @@ fn next_stamp(stamps: &AtomicU64) -> u64 {
 impl Shard {
     /// Inserts or replaces `key`'s metadata — what `build` makes of the
     /// record it replaces, if any — stamped `stamp`; returns the replaced
-    /// record.
+    /// record. `build` may decline to replace a record (`None`), and then
+    /// nothing changes and the answer is `None`.
     fn insert(
         &mut self,
         key: &ObjectKey,
         stamp: u64,
-        build: impl FnOnce(Option<&ObjectMeta>) -> ObjectMeta,
-    ) -> Option<ObjectMeta> {
+        build: impl FnOnce(Option<&ObjectMeta>) -> Option<ObjectMeta>,
+    ) -> Option<Option<ObjectMeta>> {
         let (now, prior) = match self.map.entry(key.clone()) {
             MapEntry::Occupied(mut occupied) => {
                 let entry = occupied.get_mut();
-                let meta = build(Some(&entry.meta));
+                let meta = build(Some(&entry.meta))?;
                 let (was, now) = (Indexed::of(&entry.meta), Indexed::of(&meta));
                 match &mut self.order {
                     Some(order) => order.relink(entry.node(), &was, &now, stamp),
@@ -387,7 +390,7 @@ impl Shard {
                 (now, Some(std::mem::replace(&mut entry.meta, meta)))
             }
             MapEntry::Vacant(vacant) => {
-                let meta = build(None);
+                let meta = build(None)?;
                 let now = Indexed::of(&meta);
                 let slot = match &mut self.order {
                     Some(order) => u64::from(order.add(key.clone(), &now, stamp)),
@@ -398,7 +401,7 @@ impl Shard {
             }
         };
         aggregates_add(&mut self.aggregates, &now);
-        prior
+        Some(prior)
     }
 
     /// Builds the order indexes (see the module docs): every entry gets a
@@ -435,6 +438,9 @@ fn by_stamp(mut stamped: Vec<(u64, ObjectKey)>) -> Vec<ObjectKey> {
 pub struct Registry {
     /// The next stamp a mutation takes.
     stamps: AtomicU64,
+    /// The highest write version any record has carried: a PUT's version
+    /// is the next one, so a key never gets a version back.
+    versions: AtomicU64,
     shards: Vec<RwLock<Shard>>,
     /// Live object count (kept here so `len()` does not sweep the shards).
     count: AtomicU64,
@@ -465,6 +471,7 @@ impl Registry {
     pub fn in_memory() -> Self {
         Self {
             stamps: AtomicU64::new(0),
+            versions: AtomicU64::new(0),
             shards: (0..SHARD_COUNT)
                 .map(|_| RwLock::named("registry.shard", rank::REGISTRY_SHARD, Shard::default()))
                 .collect(),
@@ -509,6 +516,8 @@ impl Registry {
                         if let Some(digest) = meta.digest() {
                             reg.dedup.get_mut().acquire(digest);
                         }
+                        let versions = reg.versions.get_mut();
+                        *versions = (*versions).max(meta.version);
                         reg.insert_unshared(&key, meta)
                     }
                     None => {
@@ -639,26 +648,84 @@ impl Registry {
     }
 
     /// [`upsert`](Self::upsert) without the persisted record: for state a
-    /// later [`update`](Self::update) persists once it is true (a PUT's
-    /// metadata before its bytes have landed in any tier).
+    /// later [`update`](Self::update) persists once it is true (a failed
+    /// PUT's prior record, put back before any tier took the new bytes).
     pub(crate) fn insert_locked(&self, key: &ObjectKey, meta: ObjectMeta) {
-        self.replace_locked(key, |_| meta);
+        self.insert_in_shard(key, |_| Some(meta));
     }
 
-    /// [`insert_locked`](Self::insert_locked) of the record `build` makes
-    /// from the one it replaces, read and replaced under one shard lock;
-    /// returns the replaced record. A PUT's first registry call.
+    /// A PUT's first registry call: the record `build` makes from the one
+    /// it replaces, read and replaced under one shard lock, in memory only
+    /// (as [`insert_locked`](Self::insert_locked)). The new record takes a
+    /// write version there: `write`, or without one the registry's next.
+    /// The new record is placing until its PUT [`settle`](Self::settle)s
+    /// it, and a record still placing is not replaced: the call waits, with
+    /// no lock held, for the PUT placing it to finish. So one PUT of a key
+    /// places at a time, and a PUT that fails puts back a record whose
+    /// bytes have landed. Returns the replaced record and the new one's
+    /// version, or `Err` with the version a record already holds when
+    /// `write` is not newer, and then nothing changes.
     pub(crate) fn replace_locked(
         &self,
         key: &ObjectKey,
+        write: Option<u64>,
         build: impl FnOnce(Option<&ObjectMeta>) -> ObjectMeta,
-    ) -> Option<ObjectMeta> {
+    ) -> std::result::Result<(Option<ObjectMeta>, u64), u64> {
+        let mut build = Some(build);
+        loop {
+            let (mut held, mut busy, mut assigned) = (0, false, 0);
+            let replaced = self.insert_in_shard(key, |prior| {
+                let version = match (write, prior) {
+                    (Some(v), Some(p)) if v <= p.version => {
+                        held = p.version;
+                        return None;
+                    }
+                    (_, Some(p)) if p.placing => {
+                        busy = true;
+                        return None;
+                    }
+                    (Some(v), _) => {
+                        self.versions.fetch_max(v, Ordering::Relaxed);
+                        v
+                    }
+                    (None, _) => self.versions.fetch_add(1, Ordering::Relaxed) + 1,
+                };
+                let build = build.take().expect("a record is built once");
+                let mut meta = build(prior);
+                meta.version = version;
+                meta.placing = true;
+                assigned = version;
+                Some(meta)
+            });
+            if !busy {
+                return replaced.map(|prior| (prior, assigned)).ok_or(held);
+            }
+            std::thread::yield_now();
+        }
+    }
+
+    /// Ends the placing of write `version` of `key` (see
+    /// [`replace_locked`](Self::replace_locked)), unless the record has
+    /// since been deleted or put back. Only the in-memory flag changes.
+    pub(crate) fn settle(&self, key: &ObjectKey, version: u64) {
         let mut shard = self.shard_of(key).write();
-        let prior = shard.insert(key, next_stamp(&self.stamps), build);
-        if prior.is_none() {
+        if let Some(entry) = shard.map.get_mut(key).filter(|e| e.meta.version == version) {
+            entry.meta.placing = false;
+        }
+    }
+
+    /// [`Shard::insert`] under the key's shard lock, counting an insert.
+    fn insert_in_shard(
+        &self,
+        key: &ObjectKey,
+        build: impl FnOnce(Option<&ObjectMeta>) -> Option<ObjectMeta>,
+    ) -> Option<Option<ObjectMeta>> {
+        let mut shard = self.shard_of(key).write();
+        let replaced = shard.insert(key, next_stamp(&self.stamps), build)?;
+        if replaced.is_none() {
             self.count.fetch_add(1, Ordering::AcqRel);
         }
-        prior
+        Some(replaced)
     }
 
     /// [`insert_locked`](Self::insert_locked) for a registry nothing else
@@ -668,7 +735,7 @@ impl Registry {
     fn insert_unshared(&mut self, key: &ObjectKey, meta: ObjectMeta) {
         let stamp = next_stamp(&self.stamps);
         let shard = self.shards[Self::shard_at(key)].get_mut();
-        if shard.insert(key, stamp, |_| meta).is_none() {
+        if matches!(shard.insert(key, stamp, |_| Some(meta)), Some(None)) {
             *self.count.get_mut() += 1;
         }
     }
@@ -680,13 +747,43 @@ impl Registry {
     where
         F: FnOnce(&mut ObjectMeta),
     {
-        let updated = {
+        self.update_if(key, |_| true, f).map(|((), meta)| meta)
+    }
+
+    /// [`update`](Self::update) for a write of the bytes of write
+    /// `version`: runs `publish` only while the record still carries that
+    /// version — and, unless `while_placing` (the PUT placing it writes),
+    /// no PUT is still placing it — and answers `None` otherwise. The
+    /// shard lock is held across `publish`, so tier writes made inside it
+    /// land before those of any later PUT of the key, which must replace
+    /// the record first.
+    pub(crate) fn publish_at<R>(
+        &self,
+        key: &ObjectKey,
+        version: u64,
+        while_placing: bool,
+        publish: impl FnOnce(&mut ObjectMeta) -> R,
+    ) -> Option<R> {
+        let current = |m: &ObjectMeta| m.version == version && (while_placing || !m.placing);
+        self.update_if(key, current, publish).map(|(r, _)| r)
+    }
+
+    /// Applies `f` to `key`'s record if it exists and `keep` accepts it, as
+    /// [`update`](Self::update) describes; returns what `f` returned and a
+    /// copy of the updated record.
+    fn update_if<R>(
+        &self,
+        key: &ObjectKey,
+        keep: impl FnOnce(&ObjectMeta) -> bool,
+        f: impl FnOnce(&mut ObjectMeta) -> R,
+    ) -> Option<(R, ObjectMeta)> {
+        let (r, updated) = {
             let mut guard = self.shard_of(key).write();
             let shard = &mut *guard;
-            let entry = shard.map.get_mut(key)?;
+            let entry = shard.map.get_mut(key).filter(|e| keep(&e.meta))?;
             let stamp = next_stamp(&self.stamps);
             let was = Indexed::of(&entry.meta);
-            f(&mut entry.meta);
+            let r = f(&mut entry.meta);
             let now = Indexed::of(&entry.meta);
             match &mut shard.order {
                 Some(order) => order.relink(entry.node(), &was, &now, stamp),
@@ -694,10 +791,10 @@ impl Registry {
             }
             aggregates_sub(&mut shard.aggregates, &was);
             aggregates_add(&mut shard.aggregates, &now);
-            entry.meta.clone()
+            (r, entry.meta.clone())
         };
         self.persist(key, Some(&updated));
-        Some(updated)
+        Some((r, updated))
     }
 
     /// Records an access (touch) at `now`, refreshing LRU ordering.
@@ -854,12 +951,7 @@ impl Registry {
     /// `Tagged` scans, shard by shard. Every selector but `Inserted` and
     /// `Key` is an ordered read, and merges per-shard answers (see the
     /// module docs).
-    pub fn select(
-        &self,
-        selector: &Selector,
-        inserted: Option<&ObjectKey>,
-        now: SimTime,
-    ) -> Vec<ObjectKey> {
+    pub fn select(&self, selector: &Selector, inserted: Option<&ObjectKey>) -> Vec<ObjectKey> {
         match selector {
             Selector::Inserted => inserted.cloned().into_iter().collect(),
             Selector::Key(k) => {
@@ -899,15 +991,15 @@ impl Registry {
                 } else {
                     (b, a)
                 };
-                self.select(small, inserted, now)
+                self.select(small, inserted)
                     .into_iter()
-                    .filter(|k| self.matches(pred, k, inserted, now))
+                    .filter(|k| self.matches(pred, k, inserted))
                     .collect()
             }
             Selector::Not(inner) => {
                 let excluded: std::collections::HashSet<ObjectKey> =
-                    self.select(inner, inserted, now).into_iter().collect();
-                let base = self.select(&Selector::All, inserted, now);
+                    self.select(inner, inserted).into_iter().collect();
+                let base = self.select(&Selector::All, inserted);
                 base.into_iter().filter(|k| !excluded.contains(k)).collect()
             }
         }
@@ -926,13 +1018,7 @@ impl Registry {
     }
 
     /// Predicate form of selector evaluation for a single key.
-    pub fn matches(
-        &self,
-        selector: &Selector,
-        key: &ObjectKey,
-        inserted: Option<&ObjectKey>,
-        now: SimTime,
-    ) -> bool {
+    pub fn matches(&self, selector: &Selector, key: &ObjectKey, inserted: Option<&ObjectKey>) -> bool {
         match selector {
             Selector::Inserted => inserted == Some(key),
             Selector::Key(k) => k == key,
@@ -942,10 +1028,8 @@ impl Registry {
             Selector::Tagged(tag) => self.peek(key, |m| m.has_tag(tag)).unwrap_or(false),
             Selector::OldestIn(t) => self.oldest_in(t).as_ref() == Some(key),
             Selector::NewestIn(t) => self.newest_in(t).as_ref() == Some(key),
-            Selector::And(a, b) => {
-                self.matches(a, key, inserted, now) && self.matches(b, key, inserted, now)
-            }
-            Selector::Not(inner) => !self.matches(inner, key, inserted, now),
+            Selector::And(a, b) => self.matches(a, key, inserted) && self.matches(b, key, inserted),
+            Selector::Not(inner) => !self.matches(inner, key, inserted),
         }
     }
 
@@ -1038,14 +1122,14 @@ mod tests {
         }
 
         /// Everything an ordered read says about the registry at `now`.
-        fn ordered_view(&self, now: SimTime) -> Vec<Vec<ObjectKey>> {
+        fn ordered_view(&self) -> Vec<Vec<ObjectKey>> {
             let mut selectors = vec![Selector::All, Selector::Dirty, Selector::Tagged(Tag::new("tmp"))];
             for tier in TIERS {
                 selectors.push(Selector::InTier(tier.into()));
                 selectors.push(Selector::OldestIn(tier.into()));
                 selectors.push(Selector::NewestIn(tier.into()));
             }
-            let mut view: Vec<_> = selectors.iter().map(|s| self.select(s, None, now)).collect();
+            let mut view: Vec<_> = selectors.iter().map(|s| self.select(s, None)).collect();
             view.extend(TIERS.map(|tier| self.keys_in(tier)));
             view
         }
@@ -1112,21 +1196,21 @@ mod tests {
         r.upsert(ObjectKey::new("a"), m1);
         r.upsert(ObjectKey::new("b"), meta_in("t2", 10, now));
 
-        assert_eq!(r.select(&Selector::All, None, now).len(), 2);
-        assert_eq!(r.select(&Selector::Dirty, None, now).len(), 1);
+        assert_eq!(r.select(&Selector::All, None).len(), 2);
+        assert_eq!(r.select(&Selector::Dirty, None).len(), 1);
         assert_eq!(
-            r.select(&Selector::Tagged(Tag::new("tmp")), None, now)[0].as_str(),
+            r.select(&Selector::Tagged(Tag::new("tmp")), None)[0].as_str(),
             "a"
         );
-        assert_eq!(r.select(&Selector::InTier("t2".into()), None, now).len(), 1);
+        assert_eq!(r.select(&Selector::InTier("t2".into()), None).len(), 1);
         let conj = Selector::InTier("t1".into()).and(Selector::Dirty);
-        assert_eq!(r.select(&conj, None, now).len(), 1);
+        assert_eq!(r.select(&conj, None).len(), 1);
         let conj_empty = Selector::InTier("t2".into()).and(Selector::Dirty);
-        assert!(r.select(&conj_empty, None, now).is_empty());
+        assert!(r.select(&conj_empty, None).is_empty());
         // Inserted resolves through the context argument.
         let k = ObjectKey::new("a");
-        assert_eq!(r.select(&Selector::Inserted, Some(&k), now), vec![k]);
-        assert!(r.select(&Selector::Inserted, None, now).is_empty());
+        assert_eq!(r.select(&Selector::Inserted, Some(&k)), vec![k]);
+        assert!(r.select(&Selector::Inserted, None).is_empty());
     }
 
     #[test]
@@ -1138,16 +1222,16 @@ mod tests {
         r.upsert(ObjectKey::new("tmp-obj"), tagged);
         r.upsert(ObjectKey::new("plain"), meta_in("t1", 1, now));
         let not_tmp = Selector::Tagged(Tag::new("tmp")).negate();
-        let hits = r.select(&not_tmp, None, now);
+        let hits = r.select(&not_tmp, None);
         assert_eq!(hits, vec![ObjectKey::new("plain")]);
         // Inserted && !tagged resolves against the inserted object.
         let sel = Selector::Inserted.and(Selector::Tagged(Tag::new("tmp")).negate());
         assert_eq!(
-            r.select(&sel, Some(&ObjectKey::new("plain")), now).len(),
+            r.select(&sel, Some(&ObjectKey::new("plain"))).len(),
             1
         );
         assert!(r
-            .select(&sel, Some(&ObjectKey::new("tmp-obj")), now)
+            .select(&sel, Some(&ObjectKey::new("tmp-obj")))
             .is_empty());
     }
 
@@ -1161,12 +1245,12 @@ mod tests {
         }
         r.touch(&ObjectKey::new("a"), SimTime::from_secs(1));
         let all: Vec<String> = r
-            .select(&Selector::All, None, SimTime::from_secs(1))
+            .select(&Selector::All, None)
             .iter()
             .map(|k| k.as_str().to_string())
             .collect();
         assert_eq!(all, vec!["b", "c", "a"], "oldest access first");
-        let dirty = r.select(&Selector::Dirty, None, SimTime::from_secs(1));
+        let dirty = r.select(&Selector::Dirty, None);
         assert_eq!(dirty.len(), 3);
         assert_eq!(dirty[0].as_str(), "b");
     }
@@ -1316,11 +1400,10 @@ mod tests {
             let steps = gen::u64_in(rng, 1..300);
             let ops = random_ops(rng, steps);
             let midway = gen::usize_in(rng, 0..ops.len());
-            let now = SimTime::from_secs(steps + 1);
             // Read before the first operation, after the last, and once
             // in between.
             let eager = Registry::in_memory();
-            assert!(eager.select(&Selector::All, None, SimTime::ZERO).is_empty());
+            assert!(eager.select(&Selector::All, None).is_empty());
             let (lazy, midway_built) = (Registry::in_memory(), Registry::in_memory());
             // The one access order the stamp merge must reproduce.
             let mut reference = Vec::new();
@@ -1332,15 +1415,15 @@ mod tests {
                 op.apply(&lazy);
                 op.apply(&midway_built);
                 op.track(&mut reference);
-                assert_eq!(eager.select(&Selector::All, None, now), reference, "step {step}");
+                assert_eq!(eager.select(&Selector::All, None), reference, "step {step}");
             }
             assert_eq!(lazy.built_shards(), 0, "no ordered read yet");
-            assert_eq!(lazy.ordered_view(now), eager.ordered_view(now));
-            assert_eq!(midway_built.ordered_view(now), eager.ordered_view(now));
+            assert_eq!(lazy.ordered_view(), eager.ordered_view());
+            assert_eq!(midway_built.ordered_view(), eager.ordered_view());
             let members = |on: &dyn Fn(&ObjectMeta) -> bool| -> Vec<ObjectKey> {
                 reference.iter().filter(|k| on(&eager.get(k).unwrap())).cloned().collect()
             };
-            assert_eq!(eager.select(&Selector::Dirty, None, now), members(&|m| m.dirty));
+            assert_eq!(eager.select(&Selector::Dirty, None), members(&|m| m.dirty));
             for tier in TIERS {
                 let located = members(&|m| m.in_tier(tier));
                 assert_eq!(eager.keys_in(tier), located, "{tier}");
@@ -1361,7 +1444,6 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             let steps = gen::u64_in(rng, 1..200);
             let ops = random_ops(rng, steps);
-            let now = SimTime::from_secs(steps + 1);
             // One store shard: its log order is then the writer's order of
             // last writes, the stamp order of the lists it kept.
             let opts = MetaStoreOptions {
@@ -1373,11 +1455,11 @@ mod tests {
                 op.apply(&writer);
             }
             writer.sync().unwrap();
-            let written = writer.ordered_view(now);
+            let written = writer.ordered_view();
             drop(writer);
             let reopened = Registry::persistent(&dir).unwrap();
             assert_eq!(reopened.built_shards(), 0, "recovery makes no ordered read");
-            assert_eq!(reopened.ordered_view(now), written);
+            assert_eq!(reopened.ordered_view(), written);
             reopened.assert_lists_match_metadata();
         });
         std::fs::remove_dir_all(&dir).ok();

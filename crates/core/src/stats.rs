@@ -53,6 +53,7 @@ pub struct InstanceStats {
     responses_run: AtomicU64,
     background_queued: AtomicU64,
     cleanup_failures: AtomicU64,
+    stale_copies: AtomicU64,
 }
 
 impl Default for InstanceStats {
@@ -72,6 +73,7 @@ impl InstanceStats {
             responses_run: AtomicU64::new(0),
             background_queued: AtomicU64::new(0),
             cleanup_failures: AtomicU64::new(0),
+            stale_copies: AtomicU64::new(0),
         }
     }
 
@@ -115,6 +117,12 @@ impl InstanceStats {
         self.cleanup_failures.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts a copy, move or re-store that published nothing: an
+    /// overwrite replaced the version whose bytes it read.
+    pub fn record_stale_copy(&self) {
+        self.stale_copies.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Read-latency summary (stripes merged).
     pub fn reads(&self) -> LatencySummary {
         summarize(&self.merged(|s| &s.reads))
@@ -153,6 +161,13 @@ impl InstanceStats {
         self.cleanup_failures.load(Ordering::Relaxed)
     }
 
+    /// Copies, moves and re-stores that an overwrite made stale before
+    /// they could publish: each wrote and published nothing, and left the
+    /// object dirty if it was.
+    pub fn stale_copies(&self) -> u64 {
+        self.stale_copies.load(Ordering::Relaxed)
+    }
+
     /// Clears all statistics (between experiment phases).
     pub fn reset(&self) {
         for stripe in &self.stripes {
@@ -162,6 +177,7 @@ impl InstanceStats {
         self.responses_run.store(0, Ordering::Relaxed);
         self.background_queued.store(0, Ordering::Relaxed);
         self.cleanup_failures.store(0, Ordering::Relaxed);
+        self.stale_copies.store(0, Ordering::Relaxed);
     }
 
     fn merged(&self, pick: impl Fn(&Stripe) -> &Histogram) -> Histogram {

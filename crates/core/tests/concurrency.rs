@@ -173,7 +173,7 @@ fn hammer_instance_with_concurrent_pump() {
     }
     // Every key the hammer left behind is readable and correctly indexed.
     let now = SimTime::from_secs(100_001);
-    for key in reg.select(&Selector::All, None, now) {
+    for key in reg.select(&Selector::All, None) {
         let meta = reg.get(&key).expect("indexed key exists");
         assert!(!meta.locations.is_empty(), "{key:?} has no location");
         inst.get(key.as_str(), now).unwrap();
@@ -281,12 +281,11 @@ fn config_publishes_race_traffic_and_timer_claims() {
     inst.policy().replace_all(placement(false));
 
     // Phase 1: every acked PUT stays readable through rule, tier and retry
-    // swaps. Each client owns its keys. Nothing pumps until the clients are
-    // done: a background copy racing an overwrite of its key can still
-    // write the bytes it read over the new ones (a known lost update that
-    // per-key versions would fix), which is not what this test is about.
-    // The final pump runs what spec B queued under whichever spec is
-    // current then.
+    // swaps. Each client owns its keys, and pumps every fourth op, so the
+    // background copies spec B queues — either client's — race the
+    // overwrites of their keys: a copy publishes only at the version whose
+    // bytes it read. The final pump runs what is still queued under
+    // whichever spec is current then.
     let acked = under_config_churn(&inst, SEED, true, |inst, t, rng| {
         let mut last: HashMap<String, String> = HashMap::new();
         for i in 0..400u64 {
@@ -297,6 +296,9 @@ fn config_publishes_race_traffic_and_timer_claims() {
             let (data, _) = inst.get(key.as_str(), now).unwrap();
             assert_eq!(data.as_ref(), value.as_bytes(), "{key} right after its PUT");
             last.insert(key, value);
+            if i % 4 == 3 {
+                inst.pump(now).unwrap();
+            }
         }
         last
     });

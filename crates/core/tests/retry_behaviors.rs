@@ -23,8 +23,10 @@ struct FlakyTier {
 
 impl FlakyTier {
     fn new(name: &str, capacity: u64, durable: bool) -> Arc<Self> {
-        let mut traits_ = TierTraits::default();
-        traits_.durable = durable;
+        let traits_ = TierTraits {
+            durable,
+            ..TierTraits::default()
+        };
         Arc::new(Self {
             name: name.to_string(),
             durable,

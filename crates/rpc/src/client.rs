@@ -44,6 +44,10 @@ pub struct ClientReceipt {
     pub served_by: Option<String>,
 }
 
+/// One key's outcome in a batched read: its bytes and receipt, or why it
+/// failed.
+pub type GetOutcome = io::Result<(Vec<u8>, ClientReceipt)>;
+
 fn unexpected(resp: Response) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -570,7 +574,7 @@ impl PipelinedClient {
     pub fn multi_get(
         &mut self,
         keys: &[&str],
-    ) -> io::Result<Vec<io::Result<(Vec<u8>, ClientReceipt)>>> {
+    ) -> io::Result<Vec<GetOutcome>> {
         check_batch_len(keys.len())?;
         let req = Request::MultiGet {
             keys: keys.iter().map(|k| k.to_string()).collect(),
@@ -671,7 +675,7 @@ impl LocalClient {
     pub fn multi_get(
         &self,
         keys: &[&str],
-    ) -> io::Result<Vec<io::Result<(Vec<u8>, ClientReceipt)>>> {
+    ) -> io::Result<Vec<GetOutcome>> {
         check_batch_len(keys.len())?;
         Ok(keys.iter().map(|k| self.get(k)).collect())
     }

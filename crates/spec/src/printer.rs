@@ -287,6 +287,15 @@ Tiera LowLatencyInstance(time t) {
                 Box::new(arb_selector(rng, depth - 1)),
             );
         }
+        arb_predicate(rng, depth)
+    }
+
+    /// A predicate under up to `depth` negations. The grammar has no
+    /// parentheses, so a `!` applies to a predicate, never to a `&&`.
+    fn arb_predicate(rng: &mut SimRng, depth: u32) -> SelectorExpr {
+        if depth > 0 && rng.chance(0.25) {
+            return SelectorExpr::Not(Box::new(arb_predicate(rng, depth - 1)));
+        }
         match rng.next_below(7) {
             0 => SelectorExpr::InsertObject,
             1 => SelectorExpr::LocationEq(arb_ident(rng)),

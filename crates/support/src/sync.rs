@@ -64,12 +64,12 @@ use std::sync::PoisonError;
 ///    across node IO — see `crates/cluster/src/coordinator.rs`);
 /// 2. instance-level state: the configuration cell (`config`, held only
 ///    to load the current snapshot or to publish a new one, with nothing
-///    acquired under it), then `keyring`, `background`, `retry_rng`,
-///    `alerts`;
+///    acquired under it), then `keyring`, `background`;
 /// 3. the registry: its key shards (never two at once; each holds its
 ///    keys' order indexes and aggregates, so no registry lock spans the
-///    shards) and `dedup`, an independent leaf — see
-///    `crates/core/src/registry.rs`;
+///    shards; a copy holds its key's shard across its tier writes, so the
+///    instance's `retry_rng` and `alerts` leaves rank under it) and
+///    `dedup`, an independent leaf — see `crates/core/src/registry.rs`;
 /// 4. the metastore shards (documented order **commit → queue → index**;
 ///    every shard of a kind shares one name, so two shards' same-kind
 ///    locks can never be held together);
@@ -95,8 +95,8 @@ pub mod rank {
     /// The cluster hash ring + rebalance plan (`tiera-cluster`); snapshot
     /// owners out and drop before any node IO.
     pub const CLUSTER_RING: u16 = 17;
-    /// The coordinator's authoritative per-key metadata (version,
-    /// checksum, tombstones); never held across node IO.
+    /// The coordinator's authoritative per-key metadata (write version,
+    /// tombstones); never held across node IO.
     pub const CLUSTER_META: u16 = 18;
     /// One cluster node's local state (fault flags, idempotency table).
     /// All nodes share the name: holding two nodes' state locks at once
@@ -112,17 +112,19 @@ pub mod rank {
     pub const INSTANCE_KEYRING: u16 = 32;
     /// The background work queue.
     pub const INSTANCE_BACKGROUND: u16 = 34;
-    /// The retry-jitter RNG.
-    pub const INSTANCE_RETRY_RNG: u16 = 38;
-    /// The failure-alert buffer.
-    pub const INSTANCE_ALERTS: u16 = 40;
     /// One registry key shard: its keys' metadata, order indexes and
     /// per-tier aggregates. All [`SHARD_COUNT`] shards share this name:
     /// holding two at once is a self-cycle and panics under lockcheck, so
-    /// a cross-shard read takes them one at a time.
+    /// a cross-shard read takes them one at a time. A copy or re-store
+    /// holds its key's shard across its tier writes (and their retries and
+    /// failure alerts), so they land before any later PUT's.
     ///
     /// [`SHARD_COUNT`]: ../../tiera_core/registry/constant.SHARD_COUNT.html
     pub const REGISTRY_SHARD: u16 = 50;
+    /// The instance's retry-jitter RNG (leaf).
+    pub const INSTANCE_RETRY_RNG: u16 = 52;
+    /// The instance's failure-alert buffer (leaf).
+    pub const INSTANCE_ALERTS: u16 = 54;
     /// The `storeOnce` dedup digest table (leaf: never held together with
     /// a registry shard).
     pub const REGISTRY_DEDUP: u16 = 56;
@@ -185,9 +187,9 @@ pub mod rank {
         ("instance.config", INSTANCE_CONFIG),
         ("instance.keyring", INSTANCE_KEYRING),
         ("instance.background", INSTANCE_BACKGROUND),
+        ("registry.shard", REGISTRY_SHARD),
         ("instance.retry_rng", INSTANCE_RETRY_RNG),
         ("instance.alerts", INSTANCE_ALERTS),
-        ("registry.shard", REGISTRY_SHARD),
         ("registry.dedup", REGISTRY_DEDUP),
         ("metastore.commit", METASTORE_COMMIT),
         ("metastore.index", METASTORE_INDEX),
@@ -683,7 +685,7 @@ mod tests {
         // crates/core/src/registry.rs documents one registry-wide lock
         // kind, the shard, with dedup a leaf no registry lock ranks below.
         // The table must agree, and hold no other registry lock.
-        assert!(rank::REGISTRY_SHARD < rank::REGISTRY_DEDUP);
+        const _: () = assert!(rank::REGISTRY_SHARD < rank::REGISTRY_DEDUP);
         let registry: Vec<&str> = rank::RANK_TABLE
             .iter()
             .map(|&(name, _)| name)

@@ -28,7 +28,7 @@ fn usage() -> ! {
 }
 
 fn explain() {
-    println!("{:<6} {}", "code", "summary");
+    println!("{:<6} summary", "code");
     for code in LintCode::ALL {
         println!(
             "{:<6} {} ({} by default)",

@@ -20,6 +20,9 @@ cargo build --release
 echo "==> cargo test -q (includes the chaos matrices and the live-server rpc round trips)"
 cargo test -q
 
+echo "==> cargo clippy (lint gate: every target of every crate, warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "==> tiera-lint --deny-warnings specs/ benchmark/specs/ (spec analyzer gate)"
 cargo run -q --release --offline --bin tiera-lint -- --deny-warnings --quiet specs/*.tiera benchmark/specs/*.tiera
 
