@@ -42,6 +42,7 @@ fn measure(c: &Configured, zipfian: bool, seed: u64) -> (f64, f64) {
     // promote in this policy; recency comes from insertion order.)
     let mut t = SimTime::ZERO;
     for i in (0..records).rev() {
+        instance.pump(t).expect("pump");
         let r = instance
             .put(
                 ycsb::record_key(i).as_str(),
@@ -50,10 +51,8 @@ fn measure(c: &Configured, zipfian: bool, seed: u64) -> (f64, f64) {
             )
             .expect("preload");
         t += r.latency;
-        if i % 512 == 0 {
-            instance.pump(t).expect("pump");
-        }
     }
+    instance.pump(t).expect("pump");
     let mut cfg = YcsbConfig::new(records);
     cfg.read_proportion = 1.0;
     cfg.threads = 14; // the paper's 14 clients

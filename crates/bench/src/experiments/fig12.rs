@@ -59,6 +59,7 @@ fn measure(duplicate_pct: u64, seed: u64) -> (f64, u64, u64) {
     let mut rng = env.rng_for("fill");
     let mut t = SimTime::ZERO;
     for b in 0..BLOCKS {
+        instance.pump(t).expect("pump");
         let block: Vec<u8> = if rng.chance(duplicate_pct as f64 / 100.0) {
             let template = rng.next_below(8);
             vec![template as u8; 4096]
@@ -73,9 +74,6 @@ fn measure(duplicate_pct: u64, seed: u64) -> (f64, u64, u64) {
         };
         let r = fs.write("/data", b * 4096, &block, t).unwrap();
         t += r.latency;
-        if b % 256 == 0 {
-            instance.pump(t).expect("pump");
-        }
     }
     instance.pump(t).expect("pump");
     let s3 = instance.tier("s3").unwrap();

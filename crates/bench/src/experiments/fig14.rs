@@ -53,7 +53,6 @@ fn measure(replicate: bool, cap: Option<BandwidthCap>, seed: u64) -> (f64, f64) 
     cfg.read_proportion = 0.3;
     cfg.threads = 2;
     cfg.ops_per_thread = 12_000; // ≈ 67 MB of writes: crosses the trigger
-    cfg.pump_every = 4;
     let report = ycsb::run(&instance, &cfg, tiera_sim::SimTime::ZERO);
     (
         report.reads.mean().as_millis_f64(),

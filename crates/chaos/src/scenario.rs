@@ -299,8 +299,6 @@ pub(crate) trait Rig {
     fn apply(&self, _edge: Edge<'_>, _t: SimTime, _sweep: bool, _log: &mut Vec<String>) {}
     /// Runs before each load op, after its fault edges.
     fn before_op(&mut self, _t: SimTime, _log: &mut Vec<String>) {}
-    /// Runs after each load op.
-    fn after_op(&mut self, _op: u64, _t: SimTime, _log: &mut Vec<String>) {}
     /// Settles the stack once every fault has cleared; returns the time
     /// it settled at. Violations found on the way go to `inline`.
     fn quiesce(
@@ -461,16 +459,15 @@ impl Rig for InstanceRig {
         self.instance.delete(key, t).map_err(|e| e.to_string())
     }
 
-    fn after_op(&mut self, op: u64, t: SimTime, log: &mut Vec<String>) {
-        if op.is_multiple_of(16) {
-            pump_logged(&self.instance, t, log);
-            self.monitor_signals += self
-                .monitor
-                .tick(t)
-                .iter()
-                .filter(|o| !matches!(o, ProbeOutcome::Healthy))
-                .count() as u64;
-        }
+    /// Catches the instance up to the op's start, then ticks the monitor.
+    fn before_op(&mut self, t: SimTime, log: &mut Vec<String>) {
+        pump_logged(&self.instance, t, log);
+        self.monitor_signals += self
+            .monitor
+            .tick(t)
+            .iter()
+            .filter(|o| !matches!(o, ProbeOutcome::Healthy))
+            .count() as u64;
     }
 
     /// Clears the fault plane and lets deadlines and queues drain.
@@ -647,7 +644,6 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
                 }
             }
         }
-        rig.after_op(op, t, log);
     }
     log.push(match cfg.stack {
         Stack::Cluster { .. } => format!(

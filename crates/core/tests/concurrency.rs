@@ -9,8 +9,9 @@
 //! with a concurrent pump thread.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use tiera_core::prelude::*;
 use tiera_core::registry::Registry;
@@ -210,15 +211,29 @@ fn placement(b: bool) -> Vec<Rule> {
     }
 }
 
+/// Returns once both clients have arrived at `round`, counting arrivals in
+/// `arrived`, so the two start each round together. Unlike a `Barrier`, it
+/// panics when the other client stops arriving (it panicked) instead of
+/// waiting forever.
+fn meet(arrived: &AtomicU64, round: u64) {
+    arrived.fetch_add(1, Ordering::AcqRel);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while arrived.load(Ordering::Acquire) < 2 * (round + 1) {
+        assert!(Instant::now() < deadline, "the other client never reached round {round}");
+        std::thread::yield_now();
+    }
+}
+
 /// Runs `client` on two threads beside a thread that alternates
 /// `replace_all` between the placement specs (when `swap_rules`) and a
 /// thread that attaches and detaches a spare tier and swaps the retry
-/// policy. Each client thread is seeded; returns what each one did.
+/// policy. Each client thread is seeded, and the two share an arrival
+/// count to [`meet`] at; returns what each one did.
 fn under_config_churn<R: Send + 'static>(
     inst: &Arc<Instance>,
     seed: u64,
     swap_rules: bool,
-    client: fn(&Instance, usize, &mut tiera_support::SimRng) -> R,
+    client: fn(&Instance, usize, &mut tiera_support::SimRng, &AtomicU64) -> R,
 ) -> Vec<R> {
     let stop = Arc::new(AtomicBool::new(false));
     let churn: Vec<_> = (0..2)
@@ -240,7 +255,7 @@ fn under_config_churn<R: Send + 'static>(
                         inst.set_retry_policy(RetryPolicy::none());
                     }
                     // Paced, so two CPUs still run the clients.
-                    std::thread::sleep(std::time::Duration::from_micros(50));
+                    std::thread::sleep(Duration::from_micros(50));
                 }
                 if role == 1 && round % 2 == 1 {
                     inst.detach_tier("spare").unwrap();
@@ -248,11 +263,13 @@ fn under_config_churn<R: Send + 'static>(
             })
         })
         .collect();
+    let lockstep = Arc::new(AtomicU64::new(0));
     let clients: Vec<_> = (0..2)
         .map(|t| {
-            let inst = Arc::clone(inst);
+            let (inst, lockstep) = (Arc::clone(inst), Arc::clone(&lockstep));
             std::thread::spawn(move || {
-                client(&inst, t, &mut tiera_support::SimRng::new(seed ^ (t as u64 + 1)))
+                let mut rng = tiera_support::SimRng::new(seed ^ (t as u64 + 1));
+                client(&inst, t, &mut rng, &lockstep)
             })
         })
         .collect();
@@ -281,24 +298,30 @@ fn config_publishes_race_traffic_and_timer_claims() {
     inst.policy().replace_all(placement(false));
 
     // Phase 1: every acked PUT stays readable through rule, tier and retry
-    // swaps. Each client owns its keys, and pumps every fourth op, so the
-    // background copies spec B queues — either client's — race the
-    // overwrites of their keys: a copy publishes only at the version whose
-    // bytes it read. The final pump runs what is still queued under
-    // whichever spec is current then.
-    let acked = under_config_churn(&inst, SEED, true, |inst, t, rng| {
+    // swaps. Each client owns its keys. The two meet every round and take
+    // turns to pump, so the race is there by construction in any build
+    // profile: one client's pump runs the background copies spec B queued
+    // last round while the other overwrites the key it wrote then, and a
+    // copy publishes only at the version whose bytes it read. The final
+    // pump runs what is still queued under whichever spec is current then.
+    let acked = under_config_churn(&inst, SEED, true, |inst, t, rng, lockstep| {
         let mut last: HashMap<String, String> = HashMap::new();
+        let mut key = String::new();
         for i in 0..400u64 {
-            let now = SimTime::from_millis(i * 10);
-            let key = format!("c{t}-{}", rng.next_below(32));
+            let pumps = i % 2 == t as u64;
+            if pumps || key.is_empty() {
+                key = format!("c{t}-{}", rng.next_below(32));
+            }
             let value = format!("v{t}-{i}-{}", rng.next_u64());
+            let now = SimTime::from_millis(i * 10);
+            meet(lockstep, i);
+            if pumps {
+                inst.pump(now).unwrap();
+            }
             inst.put(key.as_str(), value.as_bytes(), now).unwrap();
             let (data, _) = inst.get(key.as_str(), now).unwrap();
             assert_eq!(data.as_ref(), value.as_bytes(), "{key} right after its PUT");
-            last.insert(key, value);
-            if i % 4 == 3 {
-                inst.pump(now).unwrap();
-            }
+            last.insert(key.clone(), value);
         }
         last
     });
@@ -321,7 +344,7 @@ fn config_publishes_race_traffic_and_timer_claims() {
         Rule::on(EventKind::timer(period)).respond(ResponseSpec::copy(Selector::Dirty, ["t2"])),
     )
     .unwrap();
-    let fired = under_config_churn(&inst, SEED, false, |inst, t, rng| {
+    let fired = under_config_churn(&inst, SEED, false, |inst, t, rng, _| {
         let mut fired = 0;
         for i in 0..400u64 {
             let now = SimTime::from_millis(10_000 + i * 10 + t as u64);

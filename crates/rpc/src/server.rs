@@ -58,14 +58,15 @@ use crate::proto::{
     PIPE_BUF,
 };
 
+/// Period of the event thread's pump.
+const EVENT_TICK: Duration = Duration::from_millis(20);
+
 /// Server configuration (the thread-pool sizes of paper §3).
 #[derive(Clone, Default)]
 pub struct ServerConfig {
     /// Threads servicing client requests — also the number of accept
     /// shards connections are pinned across (0 → default of 4).
     pub request_threads: usize,
-    /// Period of the event thread's pump (zero → default of 20 ms).
-    pub event_tick: Duration,
     /// Tier catalog used to resolve `AttachTier` reconfiguration requests;
     /// without one, tier attachment over RPC is rejected.
     pub catalog: Option<TierCatalog>,
@@ -80,7 +81,6 @@ impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
             .field("request_threads", &self.request_threads)
-            .field("event_tick", &self.event_tick)
             .field("catalog", &self.catalog.is_some())
             .field("retry", &self.retry)
             .finish()
@@ -182,11 +182,6 @@ impl TieraServer {
         let epoch = Instant::now();
         let mut threads = Vec::new();
         let request_threads = if cfg.request_threads == 0 { 4 } else { cfg.request_threads };
-        let event_tick = if cfg.event_tick.is_zero() {
-            Duration::from_millis(20)
-        } else {
-            cfg.event_tick
-        };
         let catalog = Arc::new(cfg.catalog);
         if let Some(retry) = cfg.retry {
             instance.set_retry_policy(retry);
@@ -233,7 +228,6 @@ impl TieraServer {
             let instance = Arc::clone(&instance);
             let shutdown = Arc::clone(&shutdown);
             let errors = Arc::clone(&pump_errors);
-            let tick = event_tick;
             threads.push(
                 std::thread::Builder::new()
                     .name("tiera-events".into())
@@ -247,7 +241,7 @@ impl TieraServer {
                         if stopping {
                             break;
                         }
-                        std::thread::sleep(tick);
+                        std::thread::sleep(EVENT_TICK);
                     })
                     .expect("spawn event thread"),
             );
@@ -686,7 +680,6 @@ mod tests {
             .unwrap();
         let cfg = ServerConfig {
             request_threads: 1,
-            event_tick: Duration::from_millis(5),
             ..ServerConfig::default()
         };
         let handle = TieraServer::start(instance, "127.0.0.1:0", cfg).unwrap();

@@ -418,28 +418,39 @@ impl Parser {
                 }
                 Ok(ArgValue::Tiers(vec![name]))
             }
-            Primary::Selector(mut sel) => {
-                while self.eat(&TokenKind::AndAnd) {
-                    match self.selector_primary()? {
-                        Primary::Selector(rhs) => {
-                            sel = SelectorExpr::And(Box::new(sel), Box::new(rhs));
-                        }
-                        Primary::Bare(name) => {
-                            return Err(SpecError::new(
-                                self.line(),
-                                format!("`{name}` is not a selector predicate"),
-                            ))
-                        }
-                    }
-                }
-                Ok(ArgValue::Selector(sel))
-            }
+            Primary::Selector(sel) => Ok(ArgValue::Selector(self.conjunction(sel)?)),
+        }
+    }
+
+    /// Parses the `&& predicate` tail of a conjunction starting at `sel`.
+    fn conjunction(&mut self, mut sel: SelectorExpr) -> Result<SelectorExpr, SpecError> {
+        while self.eat(&TokenKind::AndAnd) {
+            sel = SelectorExpr::And(Box::new(sel), Box::new(self.predicate()?));
+        }
+        Ok(sel)
+    }
+
+    /// Parses a selector primary that must be a predicate, not a bare name.
+    fn predicate(&mut self) -> Result<SelectorExpr, SpecError> {
+        match self.selector_primary()? {
+            Primary::Selector(sel) => Ok(sel),
+            Primary::Bare(name) => Err(SpecError::new(
+                self.line(),
+                format!("`{name}` is not a selector predicate"),
+            )),
         }
     }
 
     fn selector_primary(&mut self) -> Result<Primary, SpecError> {
         if self.eat(&TokenKind::Bang) {
             let line = self.line();
+            // `!(a && b)`: a negated conjunction.
+            if self.eat(&TokenKind::LParen) {
+                let first = self.predicate()?;
+                let inner = self.conjunction(first)?;
+                self.expect(&TokenKind::RParen)?;
+                return Ok(Primary::Selector(SelectorExpr::Not(Box::new(inner))));
+            }
             return match self.selector_primary()? {
                 Primary::Selector(inner) => {
                     Ok(Primary::Selector(SelectorExpr::Not(Box::new(inner))))

@@ -122,7 +122,12 @@ fn print_selector(sel: &SelectorExpr) -> String {
         SelectorExpr::Oldest(t) => format!("{t}.oldest"),
         SelectorExpr::Newest(t) => format!("{t}.newest"),
         SelectorExpr::And(a, b) => format!("{} && {}", print_selector(a), print_selector(b)),
-        SelectorExpr::Not(inner) => format!("!{}", print_selector(inner)),
+        // `&&` binds looser than `!`, so a negated conjunction needs its
+        // parentheses.
+        SelectorExpr::Not(inner) => match **inner {
+            SelectorExpr::And(..) => format!("!({})", print_selector(inner)),
+            _ => format!("!{}", print_selector(inner)),
+        },
     }
 }
 
@@ -237,6 +242,7 @@ Tiera LowLatencyInstance(time t) {
                 event(time=t) : response {
                     delete(what: !tier1.newest);
                     copy(what: !object.tag == "keep", to: tier2);
+                    move(what: !(object.dirty == true && tier1.oldest), to: tier2);
                 }
             }"#,
         ] {
@@ -279,22 +285,17 @@ Tiera LowLatencyInstance(time t) {
         }
     }
 
+    /// A selector of up to `depth` levels of `&&` and `!` nesting; a `!`
+    /// may apply to a conjunction.
     fn arb_selector(rng: &mut SimRng, depth: u32) -> SelectorExpr {
-        // Recursion bounded to two levels of `&&` nesting.
         if depth > 0 && rng.chance(0.4) {
             return SelectorExpr::And(
                 Box::new(arb_selector(rng, depth - 1)),
                 Box::new(arb_selector(rng, depth - 1)),
             );
         }
-        arb_predicate(rng, depth)
-    }
-
-    /// A predicate under up to `depth` negations. The grammar has no
-    /// parentheses, so a `!` applies to a predicate, never to a `&&`.
-    fn arb_predicate(rng: &mut SimRng, depth: u32) -> SelectorExpr {
         if depth > 0 && rng.chance(0.25) {
-            return SelectorExpr::Not(Box::new(arb_predicate(rng, depth - 1)));
+            return SelectorExpr::Not(Box::new(arb_selector(rng, depth - 1)));
         }
         match rng.next_below(7) {
             0 => SelectorExpr::InsertObject,
@@ -379,6 +380,9 @@ Tiera LowLatencyInstance(time t) {
                 SelectorExpr::And(a, b) => {
                     flatten(*a, out);
                     flatten(*b, out);
+                }
+                SelectorExpr::Not(inner) => {
+                    out.push(SelectorExpr::Not(Box::new(normalize_selector(*inner))))
                 }
                 leaf => out.push(leaf),
             }

@@ -41,7 +41,8 @@ pub fn run(fs: &Arc<TieraFs>, path: &str, cfg: &FioConfig, start: SimTime) -> Lo
     let mut rng = fs.instance().env().rng_for("fio");
     let mut report = LoadReport::new();
     let mut t = start;
-    for i in 0..cfg.reads {
+    for _ in 0..cfg.reads {
+        report.pumped(fs.instance().pump(t));
         let block = cfg.dist.next(&mut rng);
         let offset = block * cfg.block_size as u64;
         match fs.read(path, offset, cfg.block_size, t) {
@@ -51,9 +52,6 @@ pub fn run(fs: &Arc<TieraFs>, path: &str, cfg: &FioConfig, start: SimTime) -> Lo
                 report.ops += 1;
             }
             Err(_) => report.failures += 1,
-        }
-        if i % 64 == 0 {
-            report.pumped(fs.instance().pump(t));
         }
     }
     report.pumped(fs.instance().pump(t));

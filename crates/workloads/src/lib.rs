@@ -20,7 +20,9 @@
 //! `completed ops ÷ max(per-client virtual time)`. One thread steps the
 //! clients in `(virtual time, client id)` order
 //! ([`tiera_sim::exec::run_clients`]), so runs are deterministic for a
-//! given `SimEnv` seed.
+//! given `SimEnv` seed. Every step, of whichever client, first pumps the
+//! instance to its own start time, so timers and queued background work
+//! run when they are due.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

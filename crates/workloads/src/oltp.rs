@@ -36,8 +36,6 @@ pub struct OltpConfig {
     pub threads: usize,
     /// Transactions per client.
     pub txns_per_thread: u64,
-    /// Pump the instance every this many transactions (client 0).
-    pub pump_every: u64,
     /// Distinguishes RNG streams between runs over the same database
     /// (e.g. warm-up vs measurement) — otherwise a second run would replay
     /// the first run's exact key sequence into warmed caches.
@@ -55,19 +53,17 @@ impl OltpConfig {
             dist: KeyChooser::special(rows, pct),
             threads: 8,
             txns_per_thread: 100,
-            pump_every: 8,
             seed_tag: String::new(),
         }
     }
 }
 
 /// Runs the OLTP load from `cfg.threads` closed-loop virtual clients; a
-/// step is one transaction. Client 0 pumps the Tiera instance's
-/// timer/background machinery as virtual time advances.
+/// step is one transaction. Each step first pumps the Tiera instance's
+/// timers and background queue to its own start time.
 pub fn run(db: &MiniDb, cfg: &OltpConfig, start: SimTime) -> LoadReport {
     let instance = db.fs().instance();
     let env = instance.env();
-    let clock = env.clock();
     let mut rngs: Vec<_> = (0..cfg.threads)
         .map(|id| env.rng_for(&format!("oltp-thread-{id}-{}", cfg.seed_tag)))
         .collect();
@@ -75,8 +71,8 @@ pub fn run(db: &MiniDb, cfg: &OltpConfig, start: SimTime) -> LoadReport {
     let mut report = LoadReport::new();
     let mut ops: Vec<Op> = Vec::with_capacity((cfg.point_selects + cfg.updates) as usize);
     run_clients(cfg.threads, start, |id, mut t| {
-        let txn = done[id];
-        if txn == cfg.txns_per_thread {
+        report.pumped(instance.pump(t));
+        if done[id] == cfg.txns_per_thread {
             report.finish(start, t);
             return None;
         }
@@ -98,14 +94,9 @@ pub fn run(db: &MiniDb, cfg: &OltpConfig, start: SimTime) -> LoadReport {
             }
             Err(_) => report.failures += 1,
         }
-        clock.advance_to(t);
-        if id == 0 && txn.is_multiple_of(cfg.pump_every) {
-            report.pumped(instance.pump(clock.now()));
-        }
         done[id] += 1;
         Some(t)
     });
-    report.pumped(instance.pump(clock.now()));
     report
 }
 
@@ -166,6 +157,33 @@ mod tests {
             .tier(MemTier::with_capacity("t1", 1 << 30))
             .build()
             .unwrap();
+        db_over(inst, rows)
+    }
+
+    /// A database over a write-back instance whose pumps have work: a
+    /// timer copies `t1`'s dirty objects to `t2`, and a background rule
+    /// copies every insert there too.
+    fn write_back_db(rows: u64) -> MiniDb {
+        let inst = InstanceBuilder::new("oltp-write-back", SimEnv::new(32))
+            .tier(MemTier::with_capacity("t1", 1 << 30))
+            .tier(MemTier::with_capacity("t2", 1 << 30))
+            .rule(
+                Rule::on(EventKind::action(ActionOp::Put))
+                    .respond(ResponseSpec::store(Selector::Inserted, ["t1"])),
+            )
+            .rule(
+                Rule::on(EventKind::action(ActionOp::Put).background())
+                    .respond(ResponseSpec::copy(Selector::Inserted, ["t2"])),
+            )
+            .rule(Rule::on(EventKind::timer(SimDuration::from_millis(50))).respond(
+                ResponseSpec::copy(Selector::InTier("t1".into()).and(Selector::Dirty), ["t2"]),
+            ))
+            .build()
+            .unwrap();
+        db_over(inst, rows)
+    }
+
+    fn db_over(inst: Arc<Instance>, rows: u64) -> MiniDb {
         let fs = Arc::new(TieraFs::new(inst));
         let cfg = DbConfig {
             rows,
@@ -209,15 +227,23 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let run_once = || {
-            let mut cfg = OltpConfig::paper(500, 0.10, false);
-            cfg.threads = 2;
-            cfg.txns_per_thread = 40;
-            let r = run(&db(500), &cfg, SimTime::ZERO);
-            let h = |h: &tiera_sim::Histogram| (h.count(), h.mean(), h.quantile(0.95));
-            (r.ops, r.failures, r.elapsed, h(&r.reads), h(&r.writes))
-        };
-        assert_eq!(run_once(), run_once());
+        // A bare instance, and one whose pumps fire a timer and run queued
+        // copies.
+        for (build, pumps_copy) in [(db as fn(u64) -> MiniDb, false), (write_back_db, true)] {
+            let run_once = || {
+                let mut cfg = OltpConfig::paper(500, 0.10, false);
+                cfg.threads = 2;
+                cfg.txns_per_thread = 40;
+                let db = build(500);
+                let r = run(&db, &cfg, SimTime::ZERO);
+                let h = |h: &tiera_sim::Histogram| (h.count(), h.mean(), h.quantile(0.95));
+                let copied = db.fs().instance().tier("t2").map_or(0, |t2| t2.request_counts().puts);
+                (r.ops, r.failures, r.elapsed, h(&r.reads), h(&r.writes), copied)
+            };
+            let first = run_once();
+            assert_eq!(first, run_once());
+            assert_eq!(first.5 > 0, pumps_copy, "objects copied to t2: {}", first.5);
+        }
     }
 
     #[test]

@@ -86,22 +86,20 @@ pub fn preload_static(
 ) -> Result<SimTime> {
     let mut t = start;
     for i in 0..cfg.static_objects {
+        instance.pump(t)?;
         let body = crate::ycsb::record_value(i ^ 0xDEAD, cfg.static_size);
         t += instance.put(static_key(i).as_str(), body, t)?.latency;
-        if i % 128 == 0 {
-            instance.pump(t)?;
-        }
     }
     instance.pump(t)?;
     Ok(t)
 }
 
 /// Runs the bookstore under `cfg.emulated_browsers` virtual clients, a step
-/// being one think time plus one interaction; returns the WIPS report
-/// measured over the steady-state window.
+/// being one think time plus one interaction, after a pump of the instance
+/// to the step's start; returns the WIPS report measured over the
+/// steady-state window.
 pub fn run(db: &MiniDb, cfg: &TpcwConfig, start: SimTime) -> LoadReport {
     let instance = db.fs().instance();
-    let clock = instance.env().clock();
     let measure_from = start + cfg.ramp_up;
     let deadline = measure_from + cfg.window;
 
@@ -113,6 +111,7 @@ pub fn run(db: &MiniDb, cfg: &TpcwConfig, start: SimTime) -> LoadReport {
     let item_dist = KeyChooser::zipfian(cfg.items);
     let mut report = LoadReport::new();
     run_clients(cfg.emulated_browsers, start, |eb, mut t| {
+        report.pumped(instance.pump(t));
         if t >= deadline {
             return None;
         }
@@ -154,11 +153,6 @@ pub fn run(db: &MiniDb, cfg: &TpcwConfig, start: SimTime) -> LoadReport {
                 Err(_) => false,
             }
         };
-
-        clock.advance_to(t);
-        if eb == 0 {
-            report.pumped(instance.pump(clock.now()));
-        }
 
         // Measure only interactions completing inside the window.
         if t >= measure_from && t < deadline {

@@ -20,6 +20,10 @@ cargo build --release
 echo "==> cargo test -q (includes the chaos matrices and the live-server rpc round trips)"
 cargo test -q
 
+echo "==> cargo test --release (chaos pins and forced interleavings hold in both build profiles)"
+cargo test --release --offline -q -p tiera-chaos --test chaos_suite
+cargo test --release --offline -q -p tiera-core --test concurrency
+
 echo "==> cargo clippy (lint gate: every target of every crate, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

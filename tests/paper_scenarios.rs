@@ -80,9 +80,8 @@ fn fig14_bandwidth_cap_protects_foreground() {
                 Rule::on(
                     // 6000 writes over 8000 keys leave 16.3 MB of distinct
                     // data: a 16 MB trigger fires in the last 3 % of the
-                    // run, when the pumping thread may already be done and
-                    // the copy interferes with nothing. 8 MB is crossed
-                    // about 40 % of the way in.
+                    // run, when few ops are left for the copy to slow
+                    // down. 8 MB is crossed about 40 % of the way in.
                     EventKind::threshold_at_least(
                         Metric::TierUsedBytes("ebs1".into()),
                         (8 * MB) as f64,
@@ -103,7 +102,6 @@ fn fig14_bandwidth_cap_protects_foreground() {
         cfg.read_proportion = 0.0;
         cfg.threads = 2;
         cfg.ops_per_thread = 3000;
-        cfg.pump_every = 8;
         let report = ycsb::run(&instance, &cfg, SimTime::ZERO);
         report.writes.mean().as_millis_f64()
     };
