@@ -239,6 +239,50 @@ fn timer_encrypts_tagged_class() {
     assert_eq!(&data[..], b"classified");
 }
 
+/// A `decrypt` under a key other than the one an object was encrypted
+/// under is refused: applying it would write other bytes back as the
+/// plaintext, and a GET would then return them.
+#[test]
+fn decrypt_under_another_key_is_refused() {
+    let inst = InstanceBuilder::new("dec", SimEnv::new(7))
+        .tier(MemTier::with_capacity("t1", 1 << 20))
+        .rule(Rule::on(EventKind::timer(SimDuration::from_secs(10))).respond(
+            ResponseSpec::Encrypt {
+                what: Selector::Key("secret".into()),
+                key_id: "k1".into(),
+            },
+        ))
+        .build()
+        .unwrap();
+    inst.add_key("k1", [1u8; 32]);
+    inst.add_key("k2", [2u8; 32]);
+    inst.put("secret", &b"classified"[..], T0).unwrap();
+    inst.pump(SimTime::from_secs(10)).unwrap();
+    let key = ObjectKey::new("secret");
+    let stored = |inst: &Instance| {
+        let (bytes, _) = inst.tier("t1").unwrap().get(&key, T0).unwrap();
+        (inst.registry().get(&key).unwrap(), bytes.to_vec())
+    };
+    let encrypted = stored(&inst);
+    assert!(encrypted.0.encrypted && encrypted.1 != b"classified");
+
+    let decrypt = ResponseSpec::Decrypt {
+        what: Selector::Key(key.clone()),
+        key_id: "k2".into(),
+    };
+    inst.install_rule(Rule::on(EventKind::timer(SimDuration::from_secs(20))).respond(decrypt))
+        .unwrap();
+    inst.pump(SimTime::from_secs(20)).unwrap();
+    let alerts = inst.drain_alerts();
+    assert!(
+        alerts.iter().any(|a| a.detail.contains("not encrypted under key id k2")),
+        "{alerts:?}"
+    );
+    assert_eq!(stored(&inst), encrypted, "bytes and record are unchanged");
+    let (data, _) = inst.get("secret", SimTime::from_secs(21)).unwrap();
+    assert_eq!(&data[..], b"classified");
+}
+
 /// storeOnce + overwrite: replacing a dedup'd object's content releases the
 /// old digest reference and acquires the new one.
 #[test]

@@ -23,6 +23,7 @@ cargo test -q
 echo "==> cargo test --release (chaos pins and forced interleavings hold in both build profiles)"
 cargo test --release --offline -q -p tiera-chaos --test chaos_suite
 cargo test --release --offline -q -p tiera-core --test concurrency
+cargo test --release --offline -q -p tiera-core --test copy_races
 
 echo "==> cargo clippy (lint gate: every target of every crate, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
