@@ -91,7 +91,7 @@ impl Config {
                 "crates/core/src/registry.rs".into(),
                 "crates/core/src/dedup.rs".into(),
                 "crates/core/src/tier.rs".into(),
-                "crates/metastore/src/store.rs".into(),
+                "crates/metastore/src/store/".into(),
                 "crates/tiers/src/lib.rs".into(),
                 "crates/tiers/src/simulated.rs".into(),
                 "crates/tierx/src/compressed.rs".into(),

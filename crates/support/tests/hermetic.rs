@@ -274,10 +274,9 @@ fn registry_hot_path_uses_fx_hash_maps() {
     // `DedupTier::check_integrity` lists violations in map order; the blob
     // refcount table under both dedup layers (`crates/core/src/dedup.rs`)
     // is probed on every `storeOnce` and every wrapped dedup op. The
-    // metastore's index (`crates/metastore/src/store.rs`) is a hash table
+    // metastore's index (`crates/metastore/src/store/`) is a hash table
     // probed on every persisted write; what it hands out (`for_each`,
-    // snapshots, `scan_prefix`) comes in log or key order, never the
-    // table's. The cluster coordinator and its nodes probe their key and
+    // snapshots) comes in log order, never the table's. The cluster coordinator and its nodes probe their key and
     // delete-replay tables on the routed path, and the simulator, the whole
     // cluster crate, the chaos harness and the workload drivers
     // (`crates/{sim,cluster,chaos,workloads}/src/`, directory entries) must
@@ -288,7 +287,7 @@ fn registry_hot_path_uses_fx_hash_maps() {
         "crates/core/src/registry.rs",
         "crates/core/src/dedup.rs",
         "crates/core/src/tier.rs",
-        "crates/metastore/src/store.rs",
+        "crates/metastore/src/store/",
         "crates/tiers/src/lib.rs",
         "crates/tiers/src/simulated.rs",
         "crates/tierx/src/compressed.rs",
