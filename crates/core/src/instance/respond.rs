@@ -673,6 +673,11 @@ impl Instance {
                     "refusing to (de)compress encrypted object {key}; decrypt first"
                 )));
             }
+            if meta.digest().is_some() {
+                // Its bytes are a blob other keys may share: the record has
+                // no locations of its own to rewrite.
+                return Err(TieraError::Codec(format!("refusing to rewrite storeOnce object {key}")));
+            }
             if cipher.is_some() && !on && meta.encryption_key_id() != key_id {
                 return Err(TieraError::Codec(format!(
                     "refusing to decrypt {key}: it is not encrypted under key id {}",

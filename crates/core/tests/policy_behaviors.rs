@@ -283,6 +283,33 @@ fn decrypt_under_another_key_is_refused() {
     assert_eq!(&data[..], b"classified");
 }
 
+/// A `storeOnce` object's bytes are a shared blob, not the record's own:
+/// an in-place rewrite of one is refused, and the object stays readable.
+#[test]
+fn a_rewrite_of_a_store_once_object_is_refused() {
+    let inst = InstanceBuilder::new("dd-rewrite", SimEnv::new(7))
+        .tier(MemTier::with_capacity("t", 1 << 20))
+        .rule(
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store_once(Selector::Inserted, ["t"])),
+        )
+        .rule(
+            Rule::on(EventKind::timer(SimDuration::from_secs(10)))
+                .respond(ResponseSpec::Compress { what: Selector::Key("k".into()) }),
+        )
+        .build()
+        .unwrap();
+    inst.put("k", &b"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"[..], T0).unwrap();
+    let key = ObjectKey::new("k");
+    let before = inst.registry().get(&key).unwrap();
+    inst.pump(SimTime::from_secs(10)).unwrap();
+    let alerts = inst.drain_alerts();
+    assert!(alerts.iter().any(|a| a.detail.contains("storeOnce")), "{alerts:?}");
+    assert_eq!(inst.registry().get(&key).unwrap(), before, "the record is unchanged");
+    let (data, _) = inst.get("k", SimTime::from_secs(11)).unwrap();
+    assert_eq!(&data[..], b"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa");
+}
+
 /// storeOnce + overwrite: replacing a dedup'd object's content releases the
 /// old digest reference and acquires the new one.
 #[test]
