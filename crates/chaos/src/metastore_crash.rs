@@ -1,8 +1,8 @@
 //! Deterministic kill-point crash testing for the sharded metastore.
 //!
 //! The metastore plants [`KillSite`]s at every durability transition
-//! (mid-batch, either side of the batch fsync, both halves of a rotation,
-//! and the whole snapshot protocol). This harness drives one store
+//! (either side of a record's fsync, both halves of a rotation, and the
+//! whole snapshot protocol). This harness drives one store
 //! per-site through a seeded workload, arms the site, lets it fire,
 //! simulates the crash — truncating each shard's active segment to its
 //! last-fsynced length per [`MetaStore::crash_image`], exactly what a
@@ -84,21 +84,6 @@ fn gen_value(rng: &mut SimRng) -> Vec<u8> {
     format!("v{:04}", rng.next_below(10_000)).into_bytes()
 }
 
-/// `n` distinct keys that all land on `shard` (deterministic pool, used
-/// to build multi-record same-shard batches for the mid-batch site).
-fn same_shard_keys(shard: usize, n: usize) -> Vec<Vec<u8>> {
-    let mut keys = Vec::new();
-    let mut i = 0u64;
-    while keys.len() < n {
-        let key = format!("batch-{i:04}").into_bytes();
-        if MetaStore::shard_of(&key, SHARDS) == shard {
-            keys.push(key);
-        }
-        i += 1;
-    }
-    keys
-}
-
 fn is_killed(err: &MetaStoreError) -> bool {
     matches!(err, MetaStoreError::Killed(_))
 }
@@ -152,24 +137,6 @@ pub fn run_crash_case(
     let mut attempted: Vec<Vec<Op>> = vec![Vec::new(); SHARDS];
     let mut fired = false;
     match site {
-        KillSite::BatchMidAppend => {
-            // A multi-record single-shard batch; the kill lands between
-            // two of its appends.
-            let keys = same_shard_keys(0, 4);
-            let value = gen_value(&mut rng);
-            let items: Vec<(&[u8], &[u8])> =
-                keys.iter().map(|k| (k.as_slice(), value.as_slice())).collect();
-            match store.put_many(&items) {
-                Err(e) if is_killed(&e) => {
-                    fired = true;
-                    for k in &keys {
-                        attempted[0].push(Op::Put(k.clone(), value.clone()));
-                    }
-                }
-                Err(e) => return Err(format!("unexpected error: {e}")),
-                Ok(()) => {}
-            }
-        }
         KillSite::SnapMidWrite
         | KillSite::SnapBeforeSync
         | KillSite::SnapBeforeRename
@@ -184,7 +151,7 @@ pub fn run_crash_case(
             }
         }
         _ => {
-            // Batch-sync and rotation sites: single puts until the site
+            // Record-sync and rotation sites: single puts until the site
             // fires (rotation needs enough bytes to cross a segment).
             for _ in 0..400 {
                 let key = gen_key(&mut rng);
@@ -223,8 +190,12 @@ pub fn run_crash_case(
 
     // Reopen and check the invariant shard by shard.
     let store = MetaStore::open(dir).map_err(|e| format!("reopen failed: {e}"))?;
-    let recovered: BTreeMap<Vec<u8>, Vec<u8>> =
-        store.scan_prefix(b"").into_iter().collect();
+    let mut recovered: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    store
+        .for_each(|k, v| {
+            recovered.insert(k.to_vec(), v.to_vec());
+        })
+        .map_err(|e| format!("reading the reopened store failed: {e}"))?;
     let mut shard_maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>> =
         vec![BTreeMap::new(); SHARDS];
     for (k, v) in &recovered {

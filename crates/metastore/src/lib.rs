@@ -21,8 +21,11 @@
 //!   read of the log (or of the write buffer, for a record that has not
 //!   left it); [`MetaStore::for_each`] streams everything live, in log
 //!   order.
-//! * Every mutation appends a CRC-framed record to its shard's active
-//!   segment, on the calling thread under its shard's commit lock.
+//! * Every mutation appends one CRC-framed record to its shard's active
+//!   segment, on the calling thread under its shard's commit lock. There
+//!   is one way in: the record enters the shard's 8 KiB write buffer
+//!   whole, or goes to the file whole, so no record is ever split between
+//!   the two.
 //!   Durability is either delegated to [`MetaStore::sync`] (an instance
 //!   with a metadata directory calls it at the end of every event tick)
 //!   or — with `sync_every_append` — enforced per operation: the writer
@@ -38,6 +41,10 @@
 //!   points at every durability transition, and
 //!   [`MetaStore::crash_image`] exposes the fsynced frontier so a
 //!   harness can simulate losing everything beyond it.
+//!
+//! `log` frames and reads records; `store` is the store, split into its
+//! API (`store/mod.rs`), the locator index, the commit path, rotation and
+//! compaction, and recovery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,5 +54,5 @@ mod log;
 mod store;
 
 pub use kill::{KillPoints, KillSite};
-pub use log::{encoded_record_len, LogReader, LogWriter, Record, RecordKind};
+pub use log::{encoded_record_len, LogReader, Record, RecordKind};
 pub use store::{MetaStore, MetaStoreError, MetaStoreOptions, Stats};

@@ -64,6 +64,16 @@ fn replay_all_segments(dir: &Path) -> BTreeMap<Vec<u8>, Vec<u8>> {
     map
 }
 
+/// Everything the store holds, read through `for_each`.
+fn contents(store: &MetaStore) -> BTreeMap<Vec<u8>, Vec<u8>> {
+    let mut all = BTreeMap::new();
+    store.for_each(|k, v| {
+        all.insert(k.to_vec(), v.to_vec());
+    })
+    .unwrap();
+    all
+}
+
 /// 4 threads hammer one store (mixed put/delete/get, every record fsynced
 /// by its own writer under the shard's commit lock); afterwards the
 /// in-memory state, a sequential replay of the per-shard logs, and a fresh
@@ -107,16 +117,12 @@ fn hammer_matches_sequential_log_replay() {
         h.join().unwrap();
     }
 
-    let live: BTreeMap<Vec<u8>, Vec<u8>> = store.scan_prefix(b"").into_iter().collect();
+    let live = contents(&store);
     let replayed = replay_all_segments(&dir);
     assert_eq!(live, replayed, "live index != sequential log replay");
 
     drop(store);
-    let reopened: BTreeMap<Vec<u8>, Vec<u8>> = MetaStore::open(&dir)
-        .unwrap()
-        .scan_prefix(b"")
-        .into_iter()
-        .collect();
+    let reopened = contents(&MetaStore::open(&dir).unwrap());
     assert_eq!(reopened, replayed, "recovery != sequential log replay");
     fs::remove_dir_all(&dir).ok();
 }
@@ -171,7 +177,7 @@ fn prop_truncation_yields_acked_prefix() {
             .unwrap();
 
         let s = MetaStore::open(&dir).unwrap();
-        assert_eq!(s.len(), j, "state must be exactly the first {j} acked ops");
+        assert_eq!(s.stats().live_keys, j as u64, "state must be exactly the first {j} acked ops");
         for i in 0..ops {
             let key = format!("key-{i:04}");
             if i < j {
@@ -232,7 +238,7 @@ fn prop_mid_record_truncation_drops_only_the_torn_tail() {
             .unwrap();
 
         let s = MetaStore::open(&dir).unwrap();
-        assert_eq!(s.len(), j, "exactly the records before the tear survive");
+        assert_eq!(s.stats().live_keys, j as u64, "exactly the records before the tear survive");
         fs::remove_dir_all(&dir).ok();
     });
 }

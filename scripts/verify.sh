@@ -20,10 +20,12 @@ cargo build --release
 echo "==> cargo test -q (includes the chaos matrices and the live-server rpc round trips)"
 cargo test -q
 
-echo "==> cargo test --release (chaos pins and forced interleavings hold in both build profiles)"
+echo "==> cargo test --release (chaos pins, forced interleavings and the metastore crash and linearizability checks hold in both build profiles)"
 cargo test --release --offline -q -p tiera-chaos --test chaos_suite
 cargo test --release --offline -q -p tiera-core --test concurrency
 cargo test --release --offline -q -p tiera-core --test copy_races
+cargo test --release --offline -q -p tiera-chaos --test metastore_crash_matrix
+cargo test --release --offline -q -p tiera-metastore --test linearizability
 
 echo "==> cargo clippy (lint gate: every target of every crate, warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
