@@ -57,10 +57,7 @@ fn main() -> ExitCode {
         }
         for path in paths {
             match std::fs::read_to_string(&path) {
-                Ok(source) => inputs.push(FileInput {
-                    path: path.display().to_string(),
-                    source,
-                }),
+                Ok(source) => inputs.push(FileInput { path: path.display().to_string(), source }),
                 Err(e) => {
                     eprintln!("tiera-analyze: read {}: {e}", path.display());
                     return ExitCode::from(2);
@@ -91,11 +88,7 @@ fn main() -> ExitCode {
         println!(
             "tiera-analyze: {} file(s) clean{}",
             inputs.len(),
-            if warnings > 0 {
-                format!(" ({warnings} warning(s) allowed)")
-            } else {
-                String::new()
-            }
+            if warnings > 0 { format!(" ({warnings} warning(s) allowed)") } else { String::new() }
         );
     }
     if failed {

@@ -9,11 +9,7 @@ fn workspace_sources() -> Vec<FileInput> {
     let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
     let crates = format!("{root}/crates");
     let files = collect_rust_sources(std::path::Path::new(&crates));
-    assert!(
-        files.len() > 50,
-        "workspace walk found only {} files — wrong root?",
-        files.len()
-    );
+    assert!(files.len() > 50, "workspace walk found only {} files — wrong root?", files.len());
     files
         .into_iter()
         .map(|p| {
@@ -68,10 +64,7 @@ fn scanner_extracts_real_facts_from_the_registry() {
         "the registry's shipping region ends at line {}",
         facts.shipping_end
     );
-    let workspace_edges: usize = inputs
-        .iter()
-        .map(|i| scan(&i.source).edges.len())
-        .sum();
+    let workspace_edges: usize = inputs.iter().map(|i| scan(&i.source).edges.len()).sum();
     assert!(
         workspace_edges > 0,
         "expected at least one acquired-while-held edge across the workspace"
@@ -83,11 +76,7 @@ fn dead_pub_covers_every_crate_but_support_and_bench() {
     let crates = format!("{}/..", env!("CARGO_MANIFEST_DIR"));
     let dead_pub = Config::workspace().dead_pub;
     for entry in std::fs::read_dir(&crates).expect("list crates") {
-        let name = entry
-            .expect("crate entry")
-            .file_name()
-            .into_string()
-            .expect("utf-8 name");
+        let name = entry.expect("crate entry").file_name().into_string().expect("utf-8 name");
         let dir = format!("crates/{name}/src/");
         let exempt = name == "support" || name == "bench";
         assert_eq!(dead_pub.contains(&dir), !exempt, "{dir}");

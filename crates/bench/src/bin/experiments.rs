@@ -29,10 +29,8 @@ fn main() {
             std::process::exit(2);
         };
         let wanted: Vec<&str> = list.split(',').map(str::trim).collect();
-        let picked: Vec<&experiments::Experiment> = all
-            .iter()
-            .filter(|e| wanted.contains(&e.id))
-            .collect();
+        let picked: Vec<&experiments::Experiment> =
+            all.iter().filter(|e| wanted.contains(&e.id)).collect();
         if picked.len() != wanted.len() {
             let known: Vec<&str> = all.iter().map(|e| e.id).collect();
             eprintln!("unknown experiment id in {wanted:?}; known: {known:?}");
@@ -50,10 +48,6 @@ fn main() {
         println!("================================================================\n");
         let started = Instant::now();
         (e.run)();
-        println!(
-            "\n[{} completed in {:.1}s wall time]",
-            e.id,
-            started.elapsed().as_secs_f64()
-        );
+        println!("\n[{} completed in {:.1}s wall time]", e.id, started.elapsed().as_secs_f64());
     }
 }

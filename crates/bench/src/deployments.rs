@@ -34,10 +34,8 @@ pub fn memcached_ebs(env: &SimEnv) -> Arc<Instance> {
         .tier(Arc::new(MemoryTier::same_az("memcached", 4 * GB, env)))
         .tier(Arc::new(BlockTier::ebs("ebs", 8 * GB, env)))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .expect("valid deployment")
@@ -50,10 +48,8 @@ pub fn memcached_replicated(env: &SimEnv) -> Arc<Instance> {
         .tier(Arc::new(MemoryTier::same_az("mem-a", 4 * GB, env)))
         .tier(Arc::new(MemoryTier::cross_az("mem-b", 4 * GB, env)))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["mem-a", "mem-b"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["mem-a", "mem-b"])),
         )
         .build()
         .expect("valid deployment")
@@ -129,9 +125,9 @@ pub fn tiered_instance(
 /// the Tiera deployments go through FUSE and do not.
 pub fn paper_db_config(with_os_cache: bool) -> DbConfig {
     DbConfig {
-        rows: 2_500_000,                       // × 200 B ≈ 500 MB
+        rows: 2_500_000, // × 200 B ≈ 500 MB
         row_size: 200,
-        buffer_pool_pages: 4096,               // 16 MB of MySQL-side cache
+        buffer_pool_pages: 4096, // 16 MB of MySQL-side cache
         os_cache_pages: if with_os_cache { 38_400 } else { 0 }, // 150 MB
         cpu_per_op: SimDuration::from_micros(500),
         cpu_write_factor: 2.0,

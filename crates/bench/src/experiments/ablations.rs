@@ -65,7 +65,9 @@ fn cache_instance(env: &SimEnv, order: EvictOrder, cache_mb: u64) -> Arc<Instanc
 fn lru_vs_mru() {
     println!("--- ablation 1: LRU vs MRU eviction (zipfian reads, 64 MB cache over 256 MB) ---\n");
     let mut t = Table::new(["eviction", "cache hit rate", "mean read latency (ms)"]);
-    for (label, order) in [("LRU (tier.oldest)", EvictOrder::Lru), ("MRU (tier.newest)", EvictOrder::Mru)] {
+    for (label, order) in
+        [("LRU (tier.oldest)", EvictOrder::Lru), ("MRU (tier.newest)", EvictOrder::Mru)]
+    {
         let env = SimEnv::new(2000);
         let instance = cache_instance(&env, order, 64);
         let mut cfg = YcsbConfig::new(65_536); // 256 MB of 4 KB records
@@ -97,11 +99,7 @@ fn lru_vs_mru() {
 /// Ablation 2: the Table 2 tradeoff as a curve.
 fn cache_size_sweep() {
     println!("--- ablation 2: cache-tier sizing (zipfian reads over 256 MB of data) ---\n");
-    let mut t = Table::new([
-        "memcached share",
-        "mean read latency (ms)",
-        "monthly cost ($)",
-    ]);
+    let mut t = Table::new(["memcached share", "mean read latency (ms)", "monthly cost ($)"]);
     for pct in [10u64, 25, 50, 75, 90] {
         let env = SimEnv::new(2001);
         let cache_mb = 256 * pct / 100;
@@ -125,11 +123,7 @@ fn cache_size_sweep() {
 /// Ablation 3: placement policy vs write latency and loss window.
 fn placement_policies() {
     println!("--- ablation 3: placement policies (write-only 4 KB) ---\n");
-    let mut t = Table::new([
-        "policy",
-        "mean write latency (ms)",
-        "worst-case loss window",
-    ]);
+    let mut t = Table::new(["policy", "mean write latency (ms)", "worst-case loss window"]);
     type Setup = (&'static str, &'static str, fn(&SimEnv) -> Arc<Instance>);
     let setups: [Setup; 3] = [
         ("write-back (30 s timer)", "30 s of updates", |env| {
@@ -140,14 +134,12 @@ fn placement_policies() {
                     Rule::on(EventKind::action(ActionOp::Put))
                         .respond(ResponseSpec::store(Selector::Inserted, ["memcached"])),
                 )
-                .rule(
-                    Rule::on(EventKind::timer(SimDuration::from_secs(30))).respond(
-                        ResponseSpec::copy(
-                            Selector::InTier("memcached".into()).and(Selector::Dirty),
-                            ["ebs"],
-                        ),
+                .rule(Rule::on(EventKind::timer(SimDuration::from_secs(30))).respond(
+                    ResponseSpec::copy(
+                        Selector::InTier("memcached".into()).and(Selector::Dirty),
+                        ["ebs"],
                     ),
-                )
+                ))
                 .build()
                 .unwrap()
         }),
@@ -155,9 +147,10 @@ fn placement_policies() {
             InstanceBuilder::new("wt", env.clone())
                 .tier(Arc::new(MemoryTier::same_az("memcached", 512 * MB, env)))
                 .tier(Arc::new(BlockTier::ebs("ebs", 512 * MB, env)))
-                .rule(Rule::on(EventKind::action(ActionOp::Put)).respond(
-                    ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"]),
-                ))
+                .rule(
+                    Rule::on(EventKind::action(ActionOp::Put))
+                        .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
+                )
                 .build()
                 .unwrap()
         }),
@@ -165,9 +158,10 @@ fn placement_policies() {
             InstanceBuilder::new("repl", env.clone())
                 .tier(Arc::new(MemoryTier::same_az("mem-a", 512 * MB, env)))
                 .tier(Arc::new(MemoryTier::cross_az("mem-b", 512 * MB, env)))
-                .rule(Rule::on(EventKind::action(ActionOp::Put)).respond(
-                    ResponseSpec::store(Selector::Inserted, ["mem-a", "mem-b"]),
-                ))
+                .rule(
+                    Rule::on(EventKind::action(ActionOp::Put))
+                        .respond(ResponseSpec::store(Selector::Inserted, ["mem-a", "mem-b"])),
+                )
                 .build()
                 .unwrap()
         }),
@@ -192,12 +186,8 @@ fn placement_policies() {
 /// Ablation 4: what storeOnce buys.
 fn dedup_on_off() {
     println!("--- ablation 4: storeOnce on/off (50% duplicate payloads to S3) ---\n");
-    let mut t = Table::new([
-        "placement",
-        "S3 bytes stored (MB)",
-        "S3 PUT requests",
-        "request cost ($)",
-    ]);
+    let mut t =
+        Table::new(["placement", "S3 bytes stored (MB)", "S3 PUT requests", "request cost ($)"]);
     for (label, dedup) in [("store", false), ("storeOnce", true)] {
         let env = SimEnv::new(2003);
         let store_resp = if dedup {
@@ -220,9 +210,7 @@ fn dedup_on_off() {
                 v[..8].copy_from_slice(&i.to_le_bytes());
                 v
             };
-            let r = instance
-                .put(format!("blk-{i}").as_str(), body, now)
-                .unwrap();
+            let r = instance.put(format!("blk-{i}").as_str(), body, now).unwrap();
             now += r.latency;
         }
         let s3 = instance.tier("s3").unwrap();

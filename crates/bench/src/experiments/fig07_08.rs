@@ -44,10 +44,7 @@ fn measure(deployment: &str, pct: f64, read_only: bool, seed: u64) -> Point {
     load.txns_per_thread = 120;
     load.seed_tag = "measure".into();
     let report = oltp::run(&db, &load, start);
-    Point {
-        tps: report.throughput(),
-        p95_ms: report.writes.quantile(0.95).as_millis_f64(),
-    }
+    Point { tps: report.throughput(), p95_ms: report.writes.quantile(0.95).as_millis_f64() }
 }
 
 fn run(read_only: bool) {

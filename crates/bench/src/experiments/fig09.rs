@@ -9,9 +9,9 @@ use tiera_sim::{SimDuration, SimEnv};
 use tiera_workloads::oltp::{self, OltpConfig};
 
 use crate::deployments::{self, GB, MB};
+use crate::table::Table;
 #[allow(unused_imports)]
 use tiera_sim::SimTime;
-use crate::table::Table;
 
 fn measure(use_tiera: bool, read_only: bool, seed: u64) -> (f64, f64) {
     let env = SimEnv::new(seed);
@@ -53,11 +53,7 @@ pub fn run() {
         let (ebs_tps, ebs_cost) = measure(false, read_only, 900);
         let (tiera_tps, tiera_cost) = measure(true, read_only, 900);
         costs = (ebs_cost, tiera_cost);
-        t.row([
-            label.to_string(),
-            format!("{ebs_tps:.1}"),
-            format!("{tiera_tps:.2}"),
-        ]);
+        t.row([label.to_string(), format!("{ebs_tps:.1}"), format!("{tiera_tps:.2}")]);
     }
     println!("(a) throughput (the paper plots this on a log scale)");
     t.print();

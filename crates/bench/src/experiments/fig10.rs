@@ -17,11 +17,8 @@ use crate::table::Table;
 
 fn wips(use_tiera: bool, browsers: usize, seed: u64) -> f64 {
     let env = SimEnv::new(seed);
-    let instance = if use_tiera {
-        deployments::memcached_ebs(&env)
-    } else {
-        deployments::mysql_on_ebs(&env)
-    };
+    let instance =
+        if use_tiera { deployments::memcached_ebs(&env) } else { deployments::mysql_on_ebs(&env) };
     // Paper: available memory reduced to 1 GB "to ensure both MySQL and
     // the web server performed sufficient IO" — the web server + MySQL
     // consume it, leaving no page cache to speak of in either deployment.
@@ -50,12 +47,8 @@ fn wips(use_tiera: bool, browsers: usize, seed: u64) -> f64 {
 /// Runs the Figure 10 sweep.
 pub fn run() {
     println!("TPC-W shopping mix, 400 s window (100 s ramp-up), WIPS\n");
-    let mut t = Table::new([
-        "emulated browsers",
-        "TPC-W on EBS (WIPS)",
-        "TPC-W on Tiera (WIPS)",
-        "uplift",
-    ]);
+    let mut t =
+        Table::new(["emulated browsers", "TPC-W on EBS (WIPS)", "TPC-W on Tiera (WIPS)", "uplift"]);
     for (i, browsers) in [5usize, 10, 15, 20, 25].into_iter().enumerate() {
         let seed = 1000 + i as u64;
         let ebs = wips(false, browsers, seed);

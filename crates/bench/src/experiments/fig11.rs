@@ -44,11 +44,7 @@ fn measure(c: &Configured, zipfian: bool, seed: u64) -> (f64, f64) {
     for i in (0..records).rev() {
         instance.pump(t).expect("pump");
         let r = instance
-            .put(
-                ycsb::record_key(i).as_str(),
-                ycsb::record_value(i, 4096),
-                t,
-            )
+            .put(ycsb::record_key(i).as_str(), ycsb::record_value(i, 4096), t)
             .expect("preload");
         t += r.latency;
     }
@@ -57,11 +53,7 @@ fn measure(c: &Configured, zipfian: bool, seed: u64) -> (f64, f64) {
     cfg.read_proportion = 1.0;
     cfg.threads = 14; // the paper's 14 clients
     cfg.ops_per_thread = 400;
-    cfg.dist = if zipfian {
-        KeyChooser::zipfian(records)
-    } else {
-        KeyChooser::uniform(records)
-    };
+    cfg.dist = if zipfian { KeyChooser::zipfian(records) } else { KeyChooser::uniform(records) };
     let report = ycsb::run(&instance, &cfg, t);
     let cost = instance.monthly_cost(t).total();
     (report.reads.mean().as_millis_f64(), cost)
@@ -85,10 +77,7 @@ pub fn run() {
         let (zipf_ms, _) = measure(c, true, seed);
         t.row([
             c.name.to_string(),
-            format!(
-                "{}% Memcached, {}% EBS, 20% S3",
-                c.memcached_pct, c.ebs_pct
-            ),
+            format!("{}% Memcached, {}% EBS, 20% S3", c.memcached_pct, c.ebs_pct),
             format!("{uniform_ms:.2}"),
             format!("{zipf_ms:.2}"),
             format!("{cost:.2}"),

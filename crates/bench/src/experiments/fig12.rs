@@ -28,19 +28,12 @@ fn measure(duplicate_pct: u64, seed: u64) -> (f64, u64, u64) {
     let env = SimEnv::new(seed);
     // 20% Memcached / 80% S3, the paper's S3FS-backed instance.
     let instance = InstanceBuilder::new("s3fs", env.clone())
-        .tier(Arc::new(MemoryTier::same_az(
-            "memcached",
-            FILE_MB * MB / 5,
-            &env,
-        )))
+        .tier(Arc::new(MemoryTier::same_az("memcached", FILE_MB * MB / 5, &env)))
         .tier(Arc::new(ObjectStoreTier::s3("s3", 8 * GB, &env)))
         .rule(
             Rule::on(EventKind::action(ActionOp::Put))
                 .respond(ResponseSpec::evict_lru("memcached", "s3"))
-                .respond(ResponseSpec::store_once(
-                    Selector::Inserted,
-                    ["memcached"],
-                )),
+                .respond(ResponseSpec::store_once(Selector::Inserted, ["memcached"])),
         )
         // LRU cache on access: reads promote the (physical) block into
         // Memcached, evicting colder blocks to S3.
@@ -66,9 +59,8 @@ fn measure(duplicate_pct: u64, seed: u64) -> (f64, u64, u64) {
         } else {
             // Unique content: the block index tags the first bytes so no
             // two "unique" blocks dedup against each other.
-            let mut v: Vec<u8> = (0..4096)
-                .map(|i| ((b as usize * 131 + i * 7) % 251) as u8)
-                .collect();
+            let mut v: Vec<u8> =
+                (0..4096).map(|i| ((b as usize * 131 + i * 7) % 251) as u8).collect();
             v[..8].copy_from_slice(&b.to_le_bytes());
             v
         };
@@ -83,11 +75,7 @@ fn measure(duplicate_pct: u64, seed: u64) -> (f64, u64, u64) {
     let cfg = FioConfig::zipfian(BLOCKS, 1.2, 20_000);
     let report = fio::run(&fs, "/data", &cfg, t);
     let counts = s3.request_counts();
-    (
-        report.reads.mean().as_millis_f64(),
-        puts_after_fill,
-        counts.gets,
-    )
+    (report.reads.mean().as_millis_f64(), puts_after_fill, counts.gets)
 }
 
 /// Runs the Figure 12 sweep.
@@ -103,12 +91,7 @@ pub fn run() {
     ]);
     for (i, dup) in [0u64, 25, 50, 75].into_iter().enumerate() {
         let (lat, puts, gets) = measure(dup, 1200 + i as u64);
-        t.row([
-            dup.to_string(),
-            format!("{lat:.2}"),
-            puts.to_string(),
-            gets.to_string(),
-        ]);
+        t.row([dup.to_string(), format!("{lat:.2}"), puts.to_string(), gets.to_string()]);
     }
     t.print();
     println!(

@@ -48,14 +48,10 @@ fn low_durability(env: &SimEnv) -> Arc<Instance> {
             Rule::on(EventKind::action(ActionOp::Put))
                 .respond(ResponseSpec::store(Selector::Inserted, ["memcached"])),
         )
-        .rule(
-            Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(
-                ResponseSpec::copy(
-                    Selector::InTier("memcached".into()).and(Selector::Dirty),
-                    ["s3"],
-                ),
-            ),
-        )
+        .rule(Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(ResponseSpec::copy(
+            Selector::InTier("memcached".into()).and(Selector::Dirty),
+            ["s3"],
+        )))
         .build()
         .expect("builds")
 }
@@ -68,11 +64,7 @@ fn measure(instance: Arc<Instance>) -> (f64, f64, f64) {
     let t = ycsb::preload(&instance, &cfg, SimTime::ZERO).expect("preload");
     let report = ycsb::run(&instance, &cfg, t);
     let cost = instance.monthly_cost(t).total();
-    (
-        report.reads.mean().as_millis_f64(),
-        report.writes.mean().as_millis_f64(),
-        cost,
-    )
+    (report.reads.mean().as_millis_f64(), report.writes.mean().as_millis_f64(), cost)
 }
 
 /// Runs the Table 3 / Figure 13 comparison.

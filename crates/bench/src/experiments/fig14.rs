@@ -57,11 +57,7 @@ fn measure(replicate: bool, cap: Option<BandwidthCap>, seed: u64) -> (f64, f64, 
     cfg.threads = 2;
     cfg.ops_per_thread = 12_000; // ≈ 67 MB of writes: crosses the trigger
     let report = ycsb::run(&instance, &cfg, tiera_sim::SimTime::ZERO);
-    (
-        report.reads.mean().as_millis_f64(),
-        report.writes.mean().as_millis_f64(),
-        report.failures,
-    )
+    (report.reads.mean().as_millis_f64(), report.writes.mean().as_millis_f64(), report.failures)
 }
 
 /// Runs the Figure 14 comparison.
@@ -69,21 +65,12 @@ pub fn run() {
     println!(
         "Two EBS volumes; replication of the first volume triggers after\n{TRIGGER_MB} MB of new data; client: 70/30 write/read 4 KB\n"
     );
-    let mut t = Table::new([
-        "configuration",
-        "read latency (ms)",
-        "write latency (ms)",
-        "failed reads",
-    ]);
+    let mut t =
+        Table::new(["configuration", "read latency (ms)", "write latency (ms)", "failed reads"]);
     let (r0, w0, f0) = measure(false, None, 1400);
     let (r1, w1, f1) = measure(true, None, 1400);
     let (r2, w2, f2) = measure(true, Some(BandwidthCap::kb_per_sec(40.0)), 1400);
-    t.row([
-        "no replication".to_string(),
-        format!("{r0:.2}"),
-        format!("{w0:.2}"),
-        f0.to_string(),
-    ]);
+    t.row(["no replication".to_string(), format!("{r0:.2}"), format!("{w0:.2}"), f0.to_string()]);
     t.row([
         "replication, no cap".to_string(),
         format!("{r1:.2}"),

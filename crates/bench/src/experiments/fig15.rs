@@ -28,10 +28,8 @@ fn measure(interval_secs: u64, seed: u64) -> f64 {
     let builder = if interval_secs == 0 {
         // Interval zero = write-through: the client pays the EBS write.
         builder.rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
     } else {
         builder
@@ -39,14 +37,12 @@ fn measure(interval_secs: u64, seed: u64) -> f64 {
                 Rule::on(EventKind::action(ActionOp::Put))
                     .respond(ResponseSpec::store(Selector::Inserted, ["memcached"])),
             )
-            .rule(
-                Rule::on(EventKind::timer(SimDuration::from_secs(interval_secs))).respond(
-                    ResponseSpec::copy(
-                        Selector::InTier("memcached".into()).and(Selector::Dirty),
-                        ["ebs"],
-                    ),
+            .rule(Rule::on(EventKind::timer(SimDuration::from_secs(interval_secs))).respond(
+                ResponseSpec::copy(
+                    Selector::InTier("memcached".into()).and(Selector::Dirty),
+                    ["ebs"],
                 ),
-            )
+            ))
     };
     let instance = builder.build().expect("builds");
     let mut cfg = YcsbConfig::new(20_000);

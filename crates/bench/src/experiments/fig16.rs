@@ -12,8 +12,8 @@ use std::sync::Arc;
 use tiera_core::event::{ActionOp, EventKind, Metric};
 use tiera_core::response::{Guard, ResponseSpec};
 use tiera_core::selector::Selector;
-use tiera_core::{InstanceBuilder, Rule};
 use tiera_core::tier::Tier as _;
+use tiera_core::{InstanceBuilder, Rule};
 use tiera_sim::{Histogram, SimDuration, SimEnv, SimTime};
 use tiera_tiers::{BlockTier, MemoryTier};
 use tiera_workloads::dist::KeyChooser;
@@ -47,21 +47,14 @@ pub fn run() {
                 Metric::TierFillFraction("memcached".into()),
                 0.75,
             ))
-            .respond(ResponseSpec::Grow {
-                tier: "memcached".into(),
-                percent: 100.0,
-            }),
+            .respond(ResponseSpec::Grow { tier: "memcached".into(), percent: 100.0 }),
         )
         // Figure 6's write-back: dirty data drains to EBS periodically, so
         // entries remapped by the cache reshard still have a durable copy.
-        .rule(
-            Rule::on(EventKind::timer(SimDuration::from_secs(10))).respond(
-                ResponseSpec::copy(
-                    Selector::InTier("memcached".into()).and(Selector::Dirty),
-                    ["ebs"],
-                ),
-            ),
-        )
+        .rule(Rule::on(EventKind::timer(SimDuration::from_secs(10))).respond(ResponseSpec::copy(
+            Selector::InTier("memcached".into()).and(Selector::Dirty),
+            ["ebs"],
+        )))
         .build()
         .expect("builds");
 

@@ -35,42 +35,29 @@ pub fn render() -> String {
         .tier(Arc::new(MemoryTier::same_az("memcached", 512 * MB, &env)))
         .tier(Arc::clone(&ebs))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .expect("builds");
     // Outage just after the monitor's 4-minute probe, via the fault
     // schedule (equivalent to `FailureWindow::write_outage(245 s)`).
     Schedule::new(1700)
-        .outage(
-            "ebs",
-            SimTime::from_secs(245),
-            None,
-            FailureKind::Writes,
-        )
+        .outage("ebs", SimTime::from_secs(245), None, FailureKind::Writes)
         .apply(&[("ebs", ebs.failures())]);
 
     let env2 = env.clone();
     let mut monitor = FailureMonitor::every_two_minutes(Arc::clone(&instance), move |inst| {
         inst.detach_tier("ebs").unwrap();
-        inst.attach_tier(Arc::new(EphemeralTier::new("ephemeral", 512 * MB, &env2)))
-            .unwrap();
-        inst.attach_tier(Arc::new(ObjectStoreTier::s3("s3", 4 * GB, &env2)))
-            .unwrap();
+        inst.attach_tier(Arc::new(EphemeralTier::new("ephemeral", 512 * MB, &env2))).unwrap();
+        inst.attach_tier(Arc::new(ObjectStoreTier::s3("s3", 4 * GB, &env2))).unwrap();
         inst.policy().replace_all([
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ephemeral"],
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ephemeral"])),
+            Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(ResponseSpec::copy(
+                Selector::InTier("ephemeral".into()).and(Selector::Dirty),
+                ["s3"],
             )),
-            Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(
-                ResponseSpec::copy(
-                    Selector::InTier("ephemeral".into()).and(Selector::Dirty),
-                    ["s3"],
-                ),
-            ),
         ]);
     });
 

@@ -31,10 +31,8 @@ fn build(env: &SimEnv, control_layer: bool) -> Arc<Instance> {
         .tier(Arc::new(MemoryTier::same_az("memcached", 512 * MB, env)))
         .tier(Arc::new(BlockTier::ebs("ebs", 512 * MB, env)))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .expect("builds");
@@ -57,18 +55,13 @@ fn measure(env_seed: u64, control_layer: bool, ops: u64) -> Sample {
     // Preload so GETs hit.
     let mut t = SimTime::ZERO;
     for i in 0..5_000u64 {
-        let r = instance
-            .put(format!("user{i:012}").as_str(), vec![0u8; 4096], t)
-            .unwrap();
+        let r = instance.put(format!("user{i:012}").as_str(), vec![0u8; 4096], t).unwrap();
         t += r.latency;
     }
     // The "without control layer" baseline is the paper's: the application
     // talks to each storage tier directly and implements the write-through
     // itself — same storage work, no event evaluation or metadata.
-    let tiers: Vec<_> = ["memcached", "ebs"]
-        .iter()
-        .map(|n| instance.tier(n).unwrap())
-        .collect();
+    let tiers: Vec<_> = ["memcached", "ebs"].iter().map(|n| instance.tier(n).unwrap()).collect();
     let started = Instant::now();
     let mut virt_total = 0.0f64;
     for _ in 0..ops {
@@ -103,10 +96,7 @@ fn measure(env_seed: u64, control_layer: bool, ops: u64) -> Sample {
         }
     }
     let real = started.elapsed();
-    Sample {
-        virtual_ms: virt_total / ops as f64,
-        real_us: real.as_secs_f64() * 1e6 / ops as f64,
-    }
+    Sample { virtual_ms: virt_total / ops as f64, real_us: real.as_secs_f64() * 1e6 / ops as f64 }
 }
 
 /// Runs the Figure 18 overhead sweep.

@@ -22,9 +22,8 @@ fn demo_instance(env: &SimEnv) -> Arc<Instance> {
 fn exec(instance: &Arc<Instance>, spec: ResponseSpec, at: SimTime) -> bool {
     // Drive the response through a one-shot timer rule + pump, exactly how
     // policies execute them.
-    let id = instance
-        .policy()
-        .add(Rule::on(EventKind::timer(SimDuration::from_secs(1))).respond(spec));
+    let id =
+        instance.policy().add(Rule::on(EventKind::timer(SimDuration::from_secs(1))).respond(spec));
     let ok = instance.pump(at).is_ok();
     instance.policy().remove(id);
     ok
@@ -37,15 +36,12 @@ pub fn run() {
     instance.add_key("k1", [5u8; 32]);
     let mut t = Table::new(["response", "arguments (paper)", "demonstrated"]);
     let mut at = SimTime::from_secs(1);
-    let mut step = |name: &str,
-                    args: &str,
-                    spec: ResponseSpec,
-                    inst: &Arc<Instance>,
-                    table: &mut Table| {
-        let ok = exec(inst, spec, at);
-        at += SimDuration::from_secs(1);
-        table.row([name.to_string(), args.to_string(), if ok { "✓" } else { "✗" }.to_string()]);
-    };
+    let mut step =
+        |name: &str, args: &str, spec: ResponseSpec, inst: &Arc<Instance>, table: &mut Table| {
+            let ok = exec(inst, spec, at);
+            at += SimDuration::from_secs(1);
+            table.row([name.to_string(), args.to_string(), if ok { "✓" } else { "✗" }.to_string()]);
+        };
 
     instance.put("obj", vec![7u8; 8192], SimTime::ZERO).unwrap();
     instance.put("dup-a", &b"same"[..], SimTime::ZERO).unwrap();
@@ -67,9 +63,7 @@ pub fn run() {
     step(
         "retrieve",
         "Objects",
-        ResponseSpec::Retrieve {
-            what: Selector::Key("obj".into()),
-        },
+        ResponseSpec::Retrieve { what: Selector::Key("obj".into()) },
         &instance,
         &mut t,
     );
@@ -87,48 +81,35 @@ pub fn run() {
     step(
         "encrypt",
         "Objects, Key",
-        ResponseSpec::Encrypt {
-            what: Selector::Key("obj".into()),
-            key_id: "k1".into(),
-        },
+        ResponseSpec::Encrypt { what: Selector::Key("obj".into()), key_id: "k1".into() },
         &instance,
         &mut t,
     );
     step(
         "decrypt",
         "Objects, Key",
-        ResponseSpec::Decrypt {
-            what: Selector::Key("obj".into()),
-            key_id: "k1".into(),
-        },
+        ResponseSpec::Decrypt { what: Selector::Key("obj".into()), key_id: "k1".into() },
         &instance,
         &mut t,
     );
     step(
         "compress",
         "Objects",
-        ResponseSpec::Compress {
-            what: Selector::Key("obj".into()),
-        },
+        ResponseSpec::Compress { what: Selector::Key("obj".into()) },
         &instance,
         &mut t,
     );
     step(
         "uncompress",
         "Objects",
-        ResponseSpec::Uncompress {
-            what: Selector::Key("obj".into()),
-        },
+        ResponseSpec::Uncompress { what: Selector::Key("obj".into()) },
         &instance,
         &mut t,
     );
     step(
         "delete",
         "Objects, Tiers",
-        ResponseSpec::Delete {
-            what: Selector::Key("obj".into()),
-            from: Some("tier2".into()),
-        },
+        ResponseSpec::Delete { what: Selector::Key("obj".into()), from: Some("tier2".into()) },
         &instance,
         &mut t,
     );
@@ -142,20 +123,14 @@ pub fn run() {
     step(
         "grow",
         "Tier, Percent Increase",
-        ResponseSpec::Grow {
-            tier: "tier1".into(),
-            percent: 50.0,
-        },
+        ResponseSpec::Grow { tier: "tier1".into(), percent: 50.0 },
         &instance,
         &mut t,
     );
     step(
         "shrink",
         "Tier, Percent Decrease",
-        ResponseSpec::Shrink {
-            tier: "tier1".into(),
-            percent: 25.0,
-        },
+        ResponseSpec::Shrink { tier: "tier1".into(), percent: 25.0 },
         &instance,
         &mut t,
     );
@@ -173,10 +148,7 @@ pub fn run() {
     step(
         "(Fig 5) if-guard",
         "tier.filled",
-        ResponseSpec::If {
-            guard: Guard::tier_filled("tier1"),
-            then: vec![],
-        },
+        ResponseSpec::If { guard: Guard::tier_filled("tier1"), then: vec![] },
         &instance,
         &mut t,
     );

@@ -300,10 +300,7 @@ mod tests {
         let v = Value::obj([
             ("bench", Value::Str("hotpath".into())),
             ("quick", Value::Bool(true)),
-            (
-                "single_thread",
-                Value::obj([("put_ops_per_sec", Value::Num(123456.75))]),
-            ),
+            ("single_thread", Value::obj([("put_ops_per_sec", Value::Num(123456.75))])),
             (
                 "rpc_scaling",
                 Value::Arr(vec![Value::obj([

@@ -9,10 +9,7 @@ pub struct Table {
 impl Table {
     /// Creates a table with the given column headers.
     pub fn new<S: Into<String>>(header: impl IntoIterator<Item = S>) -> Self {
-        Self {
-            header: header.into_iter().map(Into::into).collect(),
-            rows: Vec::new(),
-        }
+        Self { header: header.into_iter().map(Into::into).collect(), rows: Vec::new() }
     }
 
     /// Appends a row (must match the header arity).

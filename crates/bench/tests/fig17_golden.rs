@@ -11,22 +11,16 @@
 use tiera_bench::experiments::fig17;
 
 fn committed_fig17_section() -> String {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../experiments_output.txt"
-    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../experiments_output.txt");
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("read {path}: {e} (regenerate with the experiments binary)"));
     let header = "fig17 — Figure 17: EBS outage, detection, reconfiguration, recovery\n\
                   ================================================================\n\n";
-    let start = text
-        .find(header)
-        .expect("experiments_output.txt contains the fig17 section header")
-        + header.len();
+    let start =
+        text.find(header).expect("experiments_output.txt contains the fig17 section header")
+            + header.len();
     let rest = &text[start..];
-    let end = rest
-        .find("\n[fig17 completed")
-        .expect("fig17 section ends with the wall-time line");
+    let end = rest.find("\n[fig17 completed").expect("fig17 section ends with the wall-time line");
     rest[..end].to_string()
 }
 

@@ -74,10 +74,7 @@ fn build_node(name: &str, seed: u64) -> Arc<ClusterNode> {
         .tier(MemTier::with_traits(
             "store",
             256 << 20,
-            TierTraits {
-                durable: true,
-                ..TierTraits::default()
-            },
+            TierTraits { durable: true, ..TierTraits::default() },
         ))
         .build()
         .expect("cluster chaos node builds");
@@ -108,13 +105,8 @@ pub(crate) struct ClusterRig {
 impl ClusterRig {
     /// The rig for `cfg`'s cluster stack, and its node-fault schedule.
     pub(crate) fn build(cfg: &ChaosConfig) -> (Box<dyn Rig>, Schedule) {
-        let Stack::Cluster {
-            nodes: size,
-            replicas,
-            write_quorum,
-            rebalance_budget,
-            shape,
-        } = cfg.stack
+        let Stack::Cluster { nodes: size, replicas, write_quorum, rebalance_budget, shape } =
+            cfg.stack
         else {
             unreachable!("a cluster rig runs the cluster stack")
         };
@@ -170,9 +162,7 @@ impl Rig for ClusterRig {
     }
 
     fn delete(&self, key: &str, t: SimTime) -> OpResult<SimDuration> {
-        self.coord
-            .delete(self.coord.next_token(), key, t)
-            .map_err(|e| e.to_string())
+        self.coord.delete(self.coord.next_token(), key, t).map_err(|e| e.to_string())
     }
 
     fn apply(&self, edge: Edge<'_>, t: SimTime, sweep: bool, log: &mut Vec<String>) {
@@ -371,10 +361,7 @@ mod tests {
         assert_eq!(ClusterScenarioKind::NodeKill.name(), "node-kill");
         assert_eq!(ClusterScenarioKind::NodePartition.name(), "node-partition");
         assert_eq!(ClusterScenarioKind::RejoinStale.name(), "rejoin-stale");
-        assert_eq!(
-            ClusterScenarioKind::KillDuringRebalance.name(),
-            "kill-during-rebalance"
-        );
+        assert_eq!(ClusterScenarioKind::KillDuringRebalance.name(), "kill-during-rebalance");
         assert_eq!(ClusterScenarioKind::all().len(), 4);
     }
 
@@ -396,12 +383,7 @@ mod tests {
             let cfg = ChaosConfig::cluster(42, kind);
             let a = run(&cfg);
             let b = run(&cfg);
-            assert_eq!(
-                a.event_log,
-                b.event_log,
-                "kind={} replays diverged",
-                kind.name()
-            );
+            assert_eq!(a.event_log, b.event_log, "kind={} replays diverged", kind.name());
             let counts = |o: &ChaosOutcome| {
                 [
                     o.writes_issued,

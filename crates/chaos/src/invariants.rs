@@ -56,8 +56,7 @@ impl WriteLedger {
         self.deleted.remove(key);
         let mut acceptable = BTreeSet::new();
         acceptable.insert(checksum(value));
-        self.acked
-            .insert(key.to_string(), Expectation { acceptable });
+        self.acked.insert(key.to_string(), Expectation { acceptable });
     }
 
     /// Records a DELETE the store acknowledged: the key must not be
@@ -146,9 +145,7 @@ impl WriteLedger {
         }
         for key in &self.deleted {
             if read(key).is_ok() {
-                violations.push(format!(
-                    "phantom key: deleted key={key} is readable again"
-                ));
+                violations.push(format!("phantom key: deleted key={key} is readable again"));
             }
         }
         InvariantReport { violations }
@@ -219,9 +216,8 @@ impl WriteLedger {
             // ... and the background queue fully drained.
             let depth = instance.background_depth();
             if depth != 0 {
-                violations.push(format!(
-                    "background queue not drained after quiesce: {depth} item(s)"
-                ));
+                violations
+                    .push(format!("background queue not drained after quiesce: {depth} item(s)"));
             }
         }
 
@@ -262,10 +258,7 @@ mod tests {
             .tier(MemTier::with_traits(
                 "t1",
                 1 << 20,
-                TierTraits {
-                    durable: true,
-                    ..TierTraits::default()
-                },
+                TierTraits { durable: true, ..TierTraits::default() },
             ))
             .build()
             .unwrap()
@@ -328,13 +321,7 @@ mod tests {
         inst.put("ghost", &b"v"[..], SimTime::ZERO).unwrap();
         ledger.record_failure("ghost", b"v");
         let report = ledger.check(&inst, SimTime::from_secs(1), false);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("phantom metadata")),
-            "{report:?}"
-        );
+        assert!(report.violations.iter().any(|v| v.contains("phantom metadata")), "{report:?}");
         assert_eq!(ledger.failed_new_keys(), 1);
     }
 
@@ -379,10 +366,7 @@ mod tests {
         // Resurrect behind the ledger's back: phantom.
         inst.put("k", &b"v"[..], SimTime::from_secs(3)).unwrap();
         let report = ledger.check(&inst, SimTime::from_secs(4), false);
-        assert!(
-            report.violations.iter().any(|v| v.contains("deleted key=k")),
-            "{report:?}"
-        );
+        assert!(report.violations.iter().any(|v| v.contains("deleted key=k")), "{report:?}");
         // A later acked PUT legitimately resurrects the key.
         ledger.record_ack("k", b"v");
         assert_eq!(ledger.deleted_keys(), 0);
@@ -429,9 +413,6 @@ mod tests {
         let ledger = WriteLedger::new();
         assert!(ledger.check(&inst, SimTime::from_secs(1), false).ok());
         let strict = ledger.check(&inst, SimTime::from_secs(1), true);
-        assert!(
-            strict.violations.iter().any(|v| v.contains("stranded dirty")),
-            "{strict:?}"
-        );
+        assert!(strict.violations.iter().any(|v| v.contains("stranded dirty")), "{strict:?}");
     }
 }

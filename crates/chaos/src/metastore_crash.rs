@@ -90,11 +90,7 @@ fn is_killed(err: &MetaStoreError) -> bool {
 
 /// Runs one crash case in `dir` (which must be empty). Returns the report
 /// or a description of the violated invariant.
-pub fn run_crash_case(
-    dir: &Path,
-    site: KillSite,
-    seed: u64,
-) -> Result<CrashCaseReport, String> {
+pub fn run_crash_case(dir: &Path, site: KillSite, seed: u64) -> Result<CrashCaseReport, String> {
     let mut rng = SimRng::new(seed ^ 0xC4A5_4000);
     let opts = MetaStoreOptions {
         segment_max_bytes: SEG_BYTES,
@@ -102,8 +98,7 @@ pub fn run_crash_case(
         sync_every_append: true,
         shards: SHARDS,
     };
-    let store =
-        MetaStore::open_with(dir, opts).map_err(|e| format!("open failed: {e}"))?;
+    let store = MetaStore::open_with(dir, opts).map_err(|e| format!("open failed: {e}"))?;
 
     // Acked mutations per shard, in commit order (single-threaded driver,
     // so issue order is commit order).
@@ -117,15 +112,11 @@ pub fn run_crash_case(
     for _ in 0..20 {
         let key = gen_key(&mut rng);
         if rng.chance(0.2) {
-            store
-                .delete(&key)
-                .map_err(|e| format!("warmup delete failed: {e}"))?;
+            store.delete(&key).map_err(|e| format!("warmup delete failed: {e}"))?;
             ack_op(Op::Delete(key));
         } else {
             let value = gen_value(&mut rng);
-            store
-                .put(&key, &value)
-                .map_err(|e| format!("warmup put failed: {e}"))?;
+            store.put(&key, &value).map_err(|e| format!("warmup put failed: {e}"))?;
             ack_op(Op::Put(key, value));
         }
     }
@@ -196,8 +187,7 @@ pub fn run_crash_case(
             recovered.insert(k.to_vec(), v.to_vec());
         })
         .map_err(|e| format!("reading the reopened store failed: {e}"))?;
-    let mut shard_maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>> =
-        vec![BTreeMap::new(); SHARDS];
+    let mut shard_maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>> = vec![BTreeMap::new(); SHARDS];
     for (k, v) in &recovered {
         shard_maps[MetaStore::shard_of(k, SHARDS)].insert(k.clone(), v.clone());
     }
@@ -230,9 +220,7 @@ pub fn run_crash_case(
             let phantom: Vec<String> = shard_maps[shard]
                 .keys()
                 .filter(|k| !model.contains_key(*k))
-                .filter(|k| {
-                    !attempted[shard].iter().any(|op| op.key() == k.as_slice())
-                })
+                .filter(|k| !attempted[shard].iter().any(|op| op.key() == k.as_slice()))
                 .map(|k| String::from_utf8_lossy(k).into_owned())
                 .collect();
             return Err(format!(
@@ -245,9 +233,7 @@ pub fn run_crash_case(
     }
 
     // The reopened store must be fully operational.
-    store
-        .put(b"post-crash", b"alive")
-        .map_err(|e| format!("post-crash put failed: {e}"))?;
+    store.put(b"post-crash", b"alive").map_err(|e| format!("post-crash put failed: {e}"))?;
     if store.get(b"post-crash").as_deref() != Some(b"alive".as_slice()) {
         return Err("post-crash put not readable".into());
     }

@@ -41,11 +41,7 @@ impl Schedule {
         for node in pick_distinct(&mut rng, nodes, k) {
             let at = frac(horizon, 0.10 + rng.next_f64() * 0.25);
             let rejoin_at = at + horizon.mul_f64(0.10 + rng.next_f64() * 0.10);
-            s.faults.push(Fault::Kill {
-                node,
-                at,
-                rejoin_at,
-            });
+            s.faults.push(Fault::Kill { node, at, rejoin_at });
         }
         s
     }
@@ -100,11 +96,7 @@ impl Schedule {
         for node in pick_distinct(&mut rng, nodes, 1) {
             let at = frac(horizon, 0.22 + rng.next_f64() * 0.08);
             let rejoin_at = at + horizon.mul_f64(0.15 + rng.next_f64() * 0.10);
-            s.faults.push(Fault::Kill {
-                node,
-                at,
-                rejoin_at,
-            });
+            s.faults.push(Fault::Kill { node, at, rejoin_at });
         }
         s
     }
@@ -124,10 +116,7 @@ mod tests {
         let h = SimDuration::from_secs(600);
         let nodes = names(5);
         for seed in 0..20u64 {
-            assert_eq!(
-                Schedule::kills(seed, &nodes, h),
-                Schedule::kills(seed, &nodes, h)
-            );
+            assert_eq!(Schedule::kills(seed, &nodes, h), Schedule::kills(seed, &nodes, h));
             assert_eq!(
                 Schedule::partitions(seed, &nodes, h).describe(),
                 Schedule::partitions(seed, &nodes, h).describe()
@@ -177,10 +166,7 @@ mod tests {
     }
 
     fn edge(s: &Schedule, i: usize, onset: bool) -> Edge<'_> {
-        Edge {
-            fault: &s.faults[i],
-            onset,
-        }
+        Edge { fault: &s.faults[i], onset }
     }
 
     #[test]

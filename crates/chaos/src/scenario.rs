@@ -79,11 +79,7 @@ impl ScenarioKind {
 
     /// Every scenario kind, in report order.
     pub fn all() -> [ScenarioKind; 3] {
-        [
-            ScenarioKind::WriteThrough,
-            ScenarioKind::WriteBack,
-            ScenarioKind::OltpMix,
-        ]
+        [ScenarioKind::WriteThrough, ScenarioKind::WriteBack, ScenarioKind::OltpMix]
     }
 }
 
@@ -243,7 +239,9 @@ impl ChaosOutcome {
             Stack::Raw => (kind.name(), format!("ChaosConfig::new({seed}, {kind:?})")),
             Stack::Wrapped => (
                 kind.name(),
-                format!("ChaosConfig {{ stack: Stack::Wrapped, ..ChaosConfig::new({seed}, {kind:?}) }}"),
+                format!(
+                    "ChaosConfig {{ stack: Stack::Wrapped, ..ChaosConfig::new({seed}, {kind:?}) }}"
+                ),
             ),
             Stack::Cluster { shape, .. } => {
                 (shape.name(), format!("ChaosConfig::cluster({seed}, {shape:?})"))
@@ -333,21 +331,17 @@ impl Wrappers {
     /// actually exercised. Ends with the profile line for the event log.
     fn check(&self, invariants: &mut InvariantReport, event_log: &mut Vec<String>) {
         for problem in self.store.check_integrity() {
-            invariants
-                .violations
-                .push(format!("dedup integrity (ebs): {problem}"));
+            invariants.violations.push(format!("dedup integrity (ebs): {problem}"));
         }
         let cache = self.cache.capacity_profile().unwrap_or_default();
         let store = self.store.capacity_profile().unwrap_or_default();
         if cache.objects > 0 && cache.objects == cache.raw_fallback_objects {
-            invariants.violations.push(
-                "compressed cache never compressed anything — payload mix is broken".into(),
-            );
-        }
-        if store.objects > 0 && store.unique_blobs == 0 {
             invariants
                 .violations
-                .push("dedup store holds keys but no blobs".into());
+                .push("compressed cache never compressed anything — payload mix is broken".into());
+        }
+        if store.objects > 0 && store.unique_blobs == 0 {
+            invariants.violations.push("dedup store holds keys but no blobs".into());
         }
         event_log.push(format!(
             "wrapper profiles: cache logical={} physical={} raw_fallback={} | \
@@ -404,24 +398,20 @@ impl InstanceRig {
             .tier(s3);
         let builder = match cfg.kind {
             ScenarioKind::WriteThrough => builder.rule(
-                Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                    Selector::Inserted,
-                    ["memcached", "ebs"],
-                )),
+                Rule::on(EventKind::action(ActionOp::Put))
+                    .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
             ),
             ScenarioKind::WriteBack | ScenarioKind::OltpMix => builder
                 .rule(
                     Rule::on(EventKind::action(ActionOp::Put))
                         .respond(ResponseSpec::store(Selector::Inserted, ["memcached"])),
                 )
-                .rule(
-                    Rule::on(EventKind::timer(SimDuration::from_secs(30))).respond(
-                        ResponseSpec::copy(
-                            Selector::InTier("memcached".into()).and(Selector::Dirty),
-                            ["ebs"],
-                        ),
+                .rule(Rule::on(EventKind::timer(SimDuration::from_secs(30))).respond(
+                    ResponseSpec::copy(
+                        Selector::InTier("memcached".into()).and(Selector::Dirty),
+                        ["ebs"],
                     ),
-                ),
+                )),
         };
         let instance = builder.build().expect("chaos instance builds");
         instance.set_retry_policy(RetryPolicy::robust());
@@ -430,17 +420,14 @@ impl InstanceRig {
         // target of last resort, so every generated schedule is survivable.
         let schedule = Schedule::random(cfg.seed, &["memcached", "ebs"], cfg.horizon);
         schedule.apply(&[("memcached", mem.failures()), ("ebs", ebs.failures())]);
-        let monitor =
-            FailureMonitor::new(Arc::clone(&instance), SimDuration::from_secs(60), u32::MAX, |_| {})
-                .observing_alerts();
-        let rig = Self {
-            instance,
-            mem,
-            ebs,
-            wrappers,
-            monitor,
-            monitor_signals: 0,
-        };
+        let monitor = FailureMonitor::new(
+            Arc::clone(&instance),
+            SimDuration::from_secs(60),
+            u32::MAX,
+            |_| {},
+        )
+        .observing_alerts();
+        let rig = Self { instance, mem, ebs, wrappers, monitor, monitor_signals: 0 };
         (Box::new(rig), schedule)
     }
 }
@@ -462,12 +449,9 @@ impl Rig for InstanceRig {
     /// Catches the instance up to the op's start, then ticks the monitor.
     fn before_op(&mut self, t: SimTime, log: &mut Vec<String>) {
         pump_logged(&self.instance, t, log);
-        self.monitor_signals += self
-            .monitor
-            .tick(t)
-            .iter()
-            .filter(|o| !matches!(o, ProbeOutcome::Healthy))
-            .count() as u64;
+        self.monitor_signals +=
+            self.monitor.tick(t).iter().filter(|o| !matches!(o, ProbeOutcome::Healthy)).count()
+                as u64;
     }
 
     /// Clears the fault plane and lets deadlines and queues drain.
@@ -574,11 +558,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         rebalance: None,
         recovered: true,
         invariants: InvariantReport::default(),
-        event_log: schedule
-            .describe()
-            .lines()
-            .map(|l| l.trim_start().to_string())
-            .collect(),
+        event_log: schedule.describe().lines().map(|l| l.trim_start().to_string()).collect(),
     };
     let log = &mut out.event_log;
     let mut ledger = WriteLedger::new();
@@ -734,10 +714,7 @@ mod tests {
         let outcome = run(&ChaosConfig::new(77, ScenarioKind::WriteThrough));
         let report = outcome.report();
         assert!(report.contains("seed=77"), "{report}");
-        assert!(
-            report.contains("scenario::run(&ChaosConfig::new(77, WriteThrough))"),
-            "{report}"
-        );
+        assert!(report.contains("scenario::run(&ChaosConfig::new(77, WriteThrough))"), "{report}");
     }
 
     #[test]

@@ -165,10 +165,7 @@ fn secs(t: Option<SimTime>) -> String {
 impl Schedule {
     /// An empty schedule with the given seed.
     pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            faults: Vec::new(),
-        }
+        Self { seed, faults: Vec::new() }
     }
 
     /// Adds a hard tier outage window (5 s client timeout).
@@ -215,10 +212,7 @@ impl Schedule {
 
     /// Adds probabilistic noise from a [`FaultSpec`].
     pub fn noise(mut self, tier: impl Into<String>, spec: FaultSpec) -> Self {
-        self.faults.push(Fault::Noise {
-            tier: tier.into(),
-            spec,
-        });
+        self.faults.push(Fault::Noise { tier: tier.into(), spec });
         self
     }
 
@@ -284,31 +278,22 @@ impl Schedule {
             injector.set_seed(self.seed ^ tier_salt(name));
         }
         for fault in &self.faults {
-            let Some((_, injector)) = injectors.iter().find(|(n, _)| Some(*n) == fault.tier()) else {
+            let Some((_, injector)) = injectors.iter().find(|(n, _)| Some(*n) == fault.tier())
+            else {
                 continue;
             };
             match fault {
-                Fault::Outage {
-                    from,
-                    until,
-                    kind,
-                    timeout,
-                    ..
-                } => injector.schedule(tiera_sim::FailureWindow {
-                    from: *from,
-                    until: *until,
-                    kind: *kind,
-                    timeout: *timeout,
-                }),
-                Fault::Flap {
-                    start,
-                    down,
-                    up,
-                    cycles,
-                    kind,
-                    timeout,
-                    ..
-                } => injector.schedule_flap(*start, *down, *up, *cycles, *kind, *timeout),
+                Fault::Outage { from, until, kind, timeout, .. } => {
+                    injector.schedule(tiera_sim::FailureWindow {
+                        from: *from,
+                        until: *until,
+                        kind: *kind,
+                        timeout: *timeout,
+                    })
+                }
+                Fault::Flap { start, down, up, cycles, kind, timeout, .. } => {
+                    injector.schedule_flap(*start, *down, *up, *cycles, *kind, *timeout)
+                }
                 Fault::Noise { spec, .. } => injector.install(*spec),
                 _ => {}
             }
@@ -351,11 +336,8 @@ impl Schedule {
     /// of node faults heads itself `node-fault-schedule`.
     pub fn describe(&self) -> String {
         let nodes = self.faults.iter().any(|f| f.node_window().is_some());
-        let mut out = format!(
-            "{}fault-schedule seed={}\n",
-            if nodes { "node-" } else { "" },
-            self.seed
-        );
+        let mut out =
+            format!("{}fault-schedule seed={}\n", if nodes { "node-" } else { "" }, self.seed);
         if self.faults.is_empty() {
             out.push_str("  (no faults)\n");
         }
@@ -440,13 +422,7 @@ impl Schedule {
         for fault in &self.faults {
             let end = match fault {
                 Fault::Outage { until, .. } => (*until)?,
-                Fault::Flap {
-                    start,
-                    down,
-                    up,
-                    cycles,
-                    ..
-                } => {
+                Fault::Flap { start, down, up, cycles, .. } => {
                     let mut at = *start;
                     for _ in 0..*cycles {
                         at = at + *down + *up;
@@ -512,10 +488,7 @@ mod tests {
                 4,
                 FailureKind::All,
             )
-            .noise(
-                "ebs",
-                FaultSpec::new(FailureKind::Reads, SimTime::ZERO, None).error(0.1),
-            );
+            .noise("ebs", FaultSpec::new(FailureKind::Reads, SimTime::ZERO, None).error(0.1));
         let text = s.describe();
         assert!(text.contains("seed=7"));
         assert!(text.contains("outage tier=ebs ops=writes"));

@@ -19,33 +19,19 @@ use tiera_tiers::{BlockTier, MemoryTier, ObjectStoreTier};
 use tiera_workloads::ycsb::record_value;
 
 fn config(seed: u64, kind: ScenarioKind, stack: Stack) -> ChaosConfig {
-    ChaosConfig {
-        stack,
-        ..ChaosConfig::new(seed, kind)
-    }
+    ChaosConfig { stack, ..ChaosConfig::new(seed, kind) }
 }
 
 fn replay_outcome_fingerprint(cfg: &ChaosConfig) -> (Vec<String>, u64, u64, u64, u64, bool) {
     let o = scenario::run(cfg);
     assert!(o.ok(), "{}", o.report());
-    (
-        o.event_log,
-        o.writes_acked,
-        o.writes_failed,
-        o.reads_ok,
-        o.alerts,
-        o.recovered,
-    )
+    (o.event_log, o.writes_acked, o.writes_failed, o.reads_ok, o.alerts, o.recovered)
 }
 
 fn assert_replays(seed: u64, kind: ScenarioKind) {
     for stack in [Stack::Raw, Stack::Wrapped] {
         let cfg = config(seed, kind, stack);
-        assert_eq!(
-            replay_outcome_fingerprint(&cfg),
-            replay_outcome_fingerprint(&cfg),
-            "{stack:?}"
-        );
+        assert_eq!(replay_outcome_fingerprint(&cfg), replay_outcome_fingerprint(&cfg), "{stack:?}");
     }
 }
 
@@ -149,8 +135,9 @@ fn raw_and_cluster_cells_match_their_recorded_fingerprints() {
 #[test]
 fn different_seeds_produce_different_event_logs() {
     let a = scenario::run(&ChaosConfig::new(1, ScenarioKind::WriteThrough));
-    let found = (2u64..10)
-        .any(|s| scenario::run(&ChaosConfig::new(s, ScenarioKind::WriteThrough)).event_log != a.event_log);
+    let found = (2u64..10).any(|s| {
+        scenario::run(&ChaosConfig::new(s, ScenarioKind::WriteThrough)).event_log != a.event_log
+    });
     assert!(found, "eight different seeds all replayed seed 1's event log");
 }
 
@@ -196,20 +183,14 @@ fn recovery_after_open_ended_outage_cleared_by_monitor_style_repair() {
         .tier(Arc::clone(&mem))
         .tier(Arc::clone(&ebs))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .unwrap();
     instance.set_retry_policy(RetryPolicy::robust());
-    let schedule = Schedule::new(4242).outage(
-        "ebs",
-        SimTime::from_secs(30),
-        None,
-        FailureKind::Writes,
-    );
+    let schedule =
+        Schedule::new(4242).outage("ebs", SimTime::from_secs(30), None, FailureKind::Writes);
     schedule.apply(&[("ebs", ebs.failures())]);
 
     let mut ledger = WriteLedger::new();
@@ -235,10 +216,7 @@ fn recovery_after_open_ended_outage_cleared_by_monitor_style_repair() {
     // With only one durable tier and it down, un-failed-over writes fail —
     // but robust failover has no durable alternative, so some must fail
     // or be served by memcached alone... either way alerts fire.
-    assert!(
-        failed > 0 || instance.alerts_emitted() > 0,
-        "the outage had no observable effect"
-    );
+    assert!(failed > 0 || instance.alerts_emitted() > 0, "the outage had no observable effect");
 
     // Repair and verify steady state.
     schedule.clear(&[("ebs", ebs.failures())]);
@@ -269,21 +247,14 @@ fn monitor_observing_alerts_sees_chaos_degradation() {
         .tier(Arc::clone(&ebs))
         .tier(Arc::clone(&s3))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .unwrap();
     instance.set_retry_policy(RetryPolicy::robust());
     Schedule::new(99)
-        .outage(
-            "ebs",
-            SimTime::from_secs(5),
-            Some(SimTime::from_secs(400)),
-            FailureKind::Writes,
-        )
+        .outage("ebs", SimTime::from_secs(5), Some(SimTime::from_secs(400)), FailureKind::Writes)
         .apply(&[("ebs", ebs.failures())]);
     let mut monitor = FailureMonitor::new(
         Arc::clone(&instance),
@@ -304,10 +275,7 @@ fn monitor_observing_alerts_sees_chaos_degradation() {
             .filter(|o| !matches!(o, tiera_core::monitor::ProbeOutcome::Healthy))
             .count();
     }
-    assert!(
-        instance.alerts_emitted() > 0,
-        "failover under outage must emit FAILURE_ALERTs"
-    );
+    assert!(instance.alerts_emitted() > 0, "failover under outage must emit FAILURE_ALERTs");
     assert!(signals > 0, "monitor never saw the degradation");
 }
 
@@ -325,10 +293,8 @@ fn four_thread_hammer_over_flapping_tier_loses_no_acked_write() {
         .tier(Arc::clone(&ebs))
         .tier(Arc::clone(&s3))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .unwrap();
@@ -402,10 +368,7 @@ fn four_thread_hammer_over_flapping_tier_loses_no_acked_write() {
             t_max = t;
         }
     }
-    assert!(
-        total_acked > 0,
-        "the flap schedule suffocated every single write"
-    );
+    assert!(total_acked > 0, "the flap schedule suffocated every single write");
 
     // Clear the flaps, drain, and check the contract.
     mem.failures().clear();

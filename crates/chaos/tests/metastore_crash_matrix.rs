@@ -12,12 +12,7 @@ use tiera_metastore::KillSite;
 fn temp_dir(tag: &str) -> PathBuf {
     static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!(
-        "tiera-crash-{}-{}-{}",
-        std::process::id(),
-        tag,
-        n
-    ));
+    let d = std::env::temp_dir().join(format!("tiera-crash-{}-{}-{}", std::process::id(), tag, n));
     fs::create_dir_all(&d).unwrap();
     d
 }
@@ -30,11 +25,7 @@ fn full_matrix_passes_under_two_seeds() {
         assert_eq!(results.len(), KillSite::ALL.len());
         let failures: Vec<String> = results
             .iter()
-            .filter_map(|(site, r)| {
-                r.as_ref()
-                    .err()
-                    .map(|e| format!("{}: {e}", site.name()))
-            })
+            .filter_map(|(site, r)| r.as_ref().err().map(|e| format!("{}: {e}", site.name())))
             .collect();
         assert!(failures.is_empty(), "seed {seed}: {failures:#?}");
         // Every site actually produced a crash case (the matrix is the

@@ -6,10 +6,7 @@
 use tiera_chaos::scenario::{run, ChaosConfig, ScenarioKind, Stack};
 
 fn wrapped(seed: u64, kind: ScenarioKind) -> ChaosConfig {
-    ChaosConfig {
-        stack: Stack::Wrapped,
-        ..ChaosConfig::new(seed, kind)
-    }
+    ChaosConfig { stack: Stack::Wrapped, ..ChaosConfig::new(seed, kind) }
 }
 
 #[test]

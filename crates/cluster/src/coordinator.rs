@@ -462,10 +462,7 @@ impl Coordinator {
     /// after `write_quorum` of them confirm. Requires
     /// `1 ≤ write_quorum ≤ replicas`.
     pub fn new(replicas: usize, write_quorum: usize) -> Self {
-        assert!(
-            (1..=replicas).contains(&write_quorum),
-            "write quorum must satisfy 1 <= W <= R"
-        );
+        assert!((1..=replicas).contains(&write_quorum), "write quorum must satisfy 1 <= W <= R");
         Self {
             replicas,
             write_quorum,
@@ -606,10 +603,7 @@ impl Coordinator {
         mem.ring.leave(name);
         mem.epoch += 1;
         let epoch = mem.epoch;
-        mem.log.push(MembershipMsg::Leave {
-            node: name.to_string(),
-            epoch,
-        });
+        mem.log.push(MembershipMsg::Leave { node: name.to_string(), epoch });
         let planned = self.install_plan(&mut mem, &old_ring, &keys);
         mem.reindex();
         Ok(planned)
@@ -640,10 +634,7 @@ impl Coordinator {
             moves: plan.moves,
             cursor: 0,
             completed: 0,
-            report: RebalanceReport {
-                planned,
-                ..RebalanceReport::default()
-            },
+            report: RebalanceReport { planned, ..RebalanceReport::default() },
         });
         planned
     }
@@ -795,7 +786,8 @@ impl Coordinator {
         let version = self.versions.fetch_add(1, Ordering::Relaxed) + 1;
         let mut acks = Few::new();
         for &pos in route.owners() {
-            if let Ok((latency, true)) = nodes[pos].apply_put(&handle, value.clone(), version, now) {
+            if let Ok((latency, true)) = nodes[pos].apply_put(&handle, value.clone(), version, now)
+            {
                 acks.push(latency);
             }
         }
@@ -849,13 +841,7 @@ impl Coordinator {
         let seq = self.read_counters.reads.fetch_add(1, Ordering::Relaxed);
         let (nodes, mut route) = self.route(key)?;
         route.start_at((seq % route.owners as u64) as usize);
-        let plan = ReadPlan {
-            slot: 0,
-            key: handle,
-            version,
-            failed,
-            route,
-        };
+        let plan = ReadPlan { slot: 0, key: handle, version, failed, route };
         self.probe(&plan, &nodes, None, now)
     }
 
@@ -870,13 +856,7 @@ impl Coordinator {
         mut first: Option<ReplicaRead>,
         now: SimTime,
     ) -> Result<(Bytes, SimDuration), ClusterError> {
-        let ReadPlan {
-            key,
-            version,
-            failed,
-            route,
-            ..
-        } = plan;
+        let ReadPlan { key, version, failed, route, .. } = plan;
         let version = *version;
         let counters = &self.read_counters;
         let mut divergent: Vec<(usize, bool)> = Vec::new();
@@ -889,13 +869,12 @@ impl Coordinator {
             };
             let held = match answer {
                 Ok((data, latency, v)) if v == version => {
-                    counters
-                        .replica_probes
-                        .fetch_add(i as u64 + 1, Ordering::Relaxed);
+                    counters.replica_probes.fetch_add(i as u64 + 1, Ordering::Relaxed);
                     if i > 0 {
                         counters.failovers.fetch_add(i as u64, Ordering::Relaxed);
                     }
-                    let into = divergent.iter().map(|&(pos, residue)| (nodes[pos].as_ref(), residue));
+                    let into =
+                        divergent.iter().map(|&(pos, residue)| (nodes[pos].as_ref(), residue));
                     let (written, failed) = self.merge(key, version, &data, into, now);
                     counters.repairs.fetch_add(written, Ordering::Relaxed);
                     counters.repair_failures.fetch_add(failed, Ordering::Relaxed);
@@ -919,11 +898,7 @@ impl Coordinator {
         let tried = route.order.len() as u64;
         counters.replica_probes.fetch_add(tried, Ordering::Relaxed);
         counters.failovers.fetch_add(tried, Ordering::Relaxed);
-        Err(ClusterError::NoFreshReplica {
-            key: key.to_string(),
-            stale,
-            unreachable,
-        })
+        Err(ClusterError::NoFreshReplica { key: key.to_string(), stale, unreachable })
     }
 
     /// Replicated delete, exactly once per `token`: redelivery (client
@@ -940,13 +915,8 @@ impl Coordinator {
                 };
             }
             let Some((handle, _, _)) = meta.live(key) else {
-                meta.applied_deletes.insert(
-                    token,
-                    CachedDelete {
-                        found: false,
-                        latency: SimDuration::ZERO,
-                    },
-                );
+                meta.applied_deletes
+                    .insert(token, CachedDelete { found: false, latency: SimDuration::ZERO });
                 return Err(ClusterError::NoSuchObject(key.to_string()));
             };
             handle
@@ -971,8 +941,7 @@ impl Coordinator {
                 meta.failed.advanced(key, version);
             }
         }
-        meta.applied_deletes
-            .insert(token, CachedDelete { found: true, latency });
+        meta.applied_deletes.insert(token, CachedDelete { found: true, latency });
         Ok(latency)
     }
 
@@ -984,10 +953,7 @@ impl Coordinator {
         items: &[(&str, Bytes)],
         now: SimTime,
     ) -> Vec<Result<SimDuration, ClusterError>> {
-        items
-            .iter()
-            .map(|(k, v)| self.put(k, v.clone(), now))
-            .collect()
+        items.iter().map(|(k, v)| self.put(k, v.clone(), now)).collect()
     }
 
     /// Routed `MultiGet`: per-item outcomes in key order. The batch is
@@ -1043,9 +1009,7 @@ impl Coordinator {
         out: &mut [Result<(Bytes, SimDuration), ClusterError>],
         now: SimTime,
     ) {
-        self.read_counters
-            .reads
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
+        self.read_counters.reads.fetch_add(live.len() as u64, Ordering::Relaxed);
         let (nodes, mut plans) = {
             let mem = self.membership.read();
             if mem.ring.is_empty() {
@@ -1061,13 +1025,7 @@ impl Coordinator {
                         .expect("a non-empty ring gives every key an owner");
                     load[route.order[start]] += 1;
                     route.start_at(start);
-                    ReadPlan {
-                        slot,
-                        key,
-                        version,
-                        failed,
-                        route,
-                    }
+                    ReadPlan { slot, key, version, failed, route }
                 })
                 .collect();
             (Arc::clone(&mem.nodes), plans)
@@ -1091,9 +1049,7 @@ impl Coordinator {
         keys: &[&str],
         now: SimTime,
     ) -> Vec<Result<SimDuration, ClusterError>> {
-        keys.iter()
-            .map(|k| self.delete(self.next_token(), k, now))
-            .collect()
+        keys.iter().map(|k| self.delete(self.next_token(), k, now)).collect()
     }
 
     // ---- rejoin anti-entropy ----
@@ -1109,19 +1065,13 @@ impl Coordinator {
                 return Err(ClusterError::UnknownNode(name.to_string()));
             };
             let epoch = mem.epoch;
-            mem.log.push(MembershipMsg::Rejoin {
-                node: name.to_string(),
-                epoch,
-            });
+            mem.log.push(MembershipMsg::Rejoin { node: name.to_string(), epoch });
             (node, mem.ring.clone(), Arc::clone(&mem.nodes))
         };
         node.revive();
         let mut entries: Vec<(ObjectKey, KeyMeta, Vec<u64>)> = {
             let meta = self.meta.lock();
-            meta.keys
-                .iter()
-                .map(|(k, m)| (k.clone(), *m, meta.failed.of(k.as_str())))
-                .collect()
+            meta.keys.iter().map(|(k, m)| (k.clone(), *m, meta.failed.of(k.as_str()))).collect()
         };
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut report = RejoinReport::default();
@@ -1141,14 +1091,13 @@ impl Coordinator {
             let Some(residue) = repair(held.ok(), km.version, &failed) else {
                 continue;
             };
-            let peers = owners
-                .iter()
-                .filter(|&&peer| peer != name)
-                .filter_map(|peer| find(&handles, peer));
+            let peers =
+                owners.iter().filter(|&&peer| peer != name).filter_map(|peer| find(&handles, peer));
             let Some(data) = fresh_copy(&key, km.version, peers, now) else {
                 continue;
             };
-            report.repaired += self.merge(&key, km.version, &data, [(node.as_ref(), residue)], now).0;
+            report.repaired +=
+                self.merge(&key, km.version, &data, [(node.as_ref(), residue)], now).0;
         }
         Ok(report)
     }
@@ -1250,10 +1199,7 @@ mod tests {
             .tier(MemTier::with_traits(
                 "t1",
                 64 << 20,
-                TierTraits {
-                    durable: true,
-                    ..TierTraits::default()
-                },
+                TierTraits { durable: true, ..TierTraits::default() },
             ))
             .build()
             .unwrap();
@@ -1262,7 +1208,8 @@ mod tests {
 
     fn cluster(n: usize, r: usize, w: usize) -> (Coordinator, Vec<Arc<ClusterNode>>) {
         let coord = Coordinator::new(r, w);
-        let nodes: Vec<_> = (0..n).map(|i| mem_node(&format!("node-{i}"), 100 + i as u64)).collect();
+        let nodes: Vec<_> =
+            (0..n).map(|i| mem_node(&format!("node-{i}"), 100 + i as u64)).collect();
         for node in &nodes {
             coord.add_node(Arc::clone(node)).unwrap();
         }
@@ -1307,10 +1254,7 @@ mod tests {
 
     /// Reads each node's instance has served so far.
     fn node_reads(nodes: &[Arc<ClusterNode>]) -> Vec<u64> {
-        nodes
-            .iter()
-            .map(|n| n.instance().stats().reads().count)
-            .collect()
+        nodes.iter().map(|n| n.instance().stats().reads().count).collect()
     }
 
     #[test]
@@ -1343,10 +1287,7 @@ mod tests {
         let stats = coord.read_stats();
         assert_eq!(stats.reads, 64);
         assert_eq!(stats.replica_probes, stats.reads);
-        assert_eq!(
-            (stats.failovers, stats.repairs, stats.repair_failures),
-            (0, 0, 0)
-        );
+        assert_eq!((stats.failovers, stats.repairs, stats.repair_failures), (0, 0, 0));
         assert_eq!(node_reads(&nodes).iter().sum::<u64>(), 64);
     }
 
@@ -1366,9 +1307,8 @@ mod tests {
         assert_eq!(acked.len(), 32, "one dead node of three cannot block W=2");
         // Two owners down: any key owned by both survivors-minus-one fails.
         nodes[1].kill();
-        let failures = (0..32)
-            .filter(|i| coord.put(&format!("fresh{i}"), b("x"), t).is_err())
-            .count();
+        let failures =
+            (0..32).filter(|i| coord.put(&format!("fresh{i}"), b("x"), t).is_err()).count();
         assert_eq!(failures, 32, "two dead nodes of three must block W=2");
         // Every acked write is still readable with one node dead.
         nodes[1].revive();
@@ -1397,22 +1337,14 @@ mod tests {
                 // Read `read` starts at owner `read`: the victim stays
                 // stale until the read that starts on it.
                 let healed = coord.read_stats().repairs == 1;
-                assert_eq!(
-                    healed,
-                    read >= corrupted,
-                    "read {read}, owner {corrupted} stale"
-                );
+                assert_eq!(healed, read >= corrupted, "read {read}, owner {corrupted} stale");
             }
             let stats = coord.read_stats();
             assert_eq!((stats.reads, stats.replica_probes), (3, 4));
             assert_eq!((stats.failovers, stats.repair_failures), (1, 0));
             for (owner, before) in owners.iter().zip(before) {
                 let served = owner.instance().stats().reads().count - before;
-                assert!(
-                    served >= 1,
-                    "three reads probe every owner ({})",
-                    owner.name()
-                );
+                assert!(served >= 1, "three reads probe every owner ({})", owner.name());
             }
             let (repaired, _) = victim.instance().get("k", t).unwrap();
             assert_eq!(&repaired[..], b"fresh");
@@ -1518,10 +1450,7 @@ mod tests {
         assert_eq!(&data[..], b"v");
         assert_eq!(served_by(latency), 1);
         let stats = coord.read_stats();
-        assert_eq!(
-            (stats.reads, stats.replica_probes, stats.failovers),
-            (1, 2, 1)
-        );
+        assert_eq!((stats.reads, stats.replica_probes, stats.failovers), (1, 2, 1));
         // Read 1 prefers owner 1: partitioned, so owner 2 serves.
         owners[0].revive();
         owners[1].set_partitioned(true);
@@ -1533,10 +1462,7 @@ mod tests {
         let (_, latency) = coord.multi_get(&["k"], t).pop().unwrap().unwrap();
         assert_eq!(served_by(latency), 2);
         let stats = coord.read_stats();
-        assert_eq!(
-            (stats.reads, stats.replica_probes, stats.failovers),
-            (3, 7, 4)
-        );
+        assert_eq!((stats.reads, stats.replica_probes, stats.failovers), (3, 7, 4));
         // An unreachable owner holds the right bytes: nothing to repair.
         assert_eq!((stats.repairs, stats.repair_failures), (0, 0));
     }
@@ -1553,10 +1479,7 @@ mod tests {
         let (data, _) = coord.get("k", t).unwrap();
         assert_eq!(&data[..], b"fresh");
         let stats = coord.read_stats();
-        assert_eq!(
-            (stats.failovers, stats.repairs, stats.repair_failures),
-            (1, 0, 1)
-        );
+        assert_eq!((stats.failovers, stats.repairs, stats.repair_failures), (1, 0, 1));
     }
 
     #[test]
@@ -1584,28 +1507,19 @@ mod tests {
         }
         assert!(results[7].is_err());
         // Sixteen replica reads in all, spread 6/5/5 over the three nodes.
-        let mut served: Vec<u64> = node_reads(&nodes)
-            .iter()
-            .zip(before)
-            .map(|(after, before)| after - before)
-            .collect();
+        let mut served: Vec<u64> =
+            node_reads(&nodes).iter().zip(before).map(|(after, before)| after - before).collect();
         served.sort_unstable();
         assert_eq!(served, [5, 5, 6]);
         let stats = coord.read_stats();
-        assert_eq!(
-            (stats.reads, stats.replica_probes, stats.failovers),
-            (16, 16, 0)
-        );
+        assert_eq!((stats.reads, stats.replica_probes, stats.failovers), (16, 16, 0));
     }
 
     /// Twelve live keys `k*`, three tombstoned `gone*`, and three names
     /// never written, `absent*`.
     fn batch_names() -> Vec<String> {
         let names = |prefix: &'static str, n| (0..n).map(move |i| format!("{prefix}{i}"));
-        names("k", 12)
-            .chain(names("gone", 3))
-            .chain(names("absent", 3))
-            .collect()
+        names("k", 12).chain(names("gone", 3)).chain(names("absent", 3)).collect()
     }
 
     /// A cluster holding [`batch_names`]'s live and tombstoned keys.
@@ -1626,12 +1540,9 @@ mod tests {
     /// Up to 24 slots over at most six distinct names: repeats are the rule.
     fn random_batch<'a>(rng: &mut tiera_support::rng::SimRng, names: &'a [String]) -> Vec<&'a str> {
         use tiera_support::prop::gen;
-        let pool: Vec<&str> = (0..gen::usize_in(rng, 1..7))
-            .map(|_| gen::pick(rng, names).as_str())
-            .collect();
-        (0..gen::usize_in(rng, 1..25))
-            .map(|_| *gen::pick(rng, &pool))
-            .collect()
+        let pool: Vec<&str> =
+            (0..gen::usize_in(rng, 1..7)).map(|_| gen::pick(rng, names).as_str()).collect();
+        (0..gen::usize_in(rng, 1..25)).map(|_| *gen::pick(rng, &pool)).collect()
     }
 
     /// Slot for slot, a batch answers what reading its keys one by one
@@ -1719,11 +1630,7 @@ mod tests {
                 let put = coord.put(&key, b("v"), t).unwrap();
                 assert_eq!(put >= penalty, waits, "W={w}: put of {key} charged {put:?}");
                 let delete = coord.delete(coord.next_token(), &key, t).unwrap();
-                assert_eq!(
-                    delete >= penalty,
-                    waits,
-                    "W={w}: delete of {key} charged {delete:?}"
-                );
+                assert_eq!(delete >= penalty, waits, "W={w}: delete of {key} charged {delete:?}");
             }
         }
     }
@@ -1809,11 +1716,7 @@ mod tests {
                 let name = format!("node-{i}");
                 let env = SimEnv::new(100 + i);
                 let inst = InstanceBuilder::new(name.as_str(), env.clone())
-                    .tier(Arc::new(tiera_tiers::BlockTier::ebs(
-                        "store",
-                        1 << 30,
-                        &env,
-                    )))
+                    .tier(Arc::new(tiera_tiers::BlockTier::ebs("store", 1 << 30, &env)))
                     .build()
                     .unwrap();
                 let node = ClusterNode::new(name, inst);
@@ -1849,10 +1752,7 @@ mod tests {
     fn same_ops_on_two_fresh_clusters_charge_identical_latencies() {
         let trace = latency_trace();
         let distinct: std::collections::BTreeSet<_> = trace.iter().flatten().collect();
-        assert!(
-            distinct.len() > trace.len() / 2,
-            "latencies vary with the serving owner"
-        );
+        assert!(distinct.len() > trace.len() / 2, "latencies vary with the serving owner");
         assert_eq!(trace, latency_trace());
     }
 
@@ -1870,10 +1770,7 @@ mod tests {
         // The stale copy exists on the node, but the cluster-level read
         // is authoritative: no phantom.
         assert!(sleeper.instance().contains("k"));
-        assert!(matches!(
-            coord.get("k", t),
-            Err(ClusterError::NoSuchObject(_))
-        ));
+        assert!(matches!(coord.get("k", t), Err(ClusterError::NoSuchObject(_))));
         assert!(!coord.contains("k"));
         // Rejoin purges the phantom copy.
         let report = coord.rejoin(sleeper.name(), t).unwrap();
@@ -2019,28 +1916,13 @@ mod tests {
     fn empty_cluster_and_unknown_nodes_error_cleanly() {
         let coord = Coordinator::new(2, 1);
         let t = SimTime::ZERO;
-        assert!(matches!(
-            coord.put("k", b("v"), t),
-            Err(ClusterError::NoMembers)
-        ));
-        assert!(matches!(
-            coord.get("k", t),
-            Err(ClusterError::NoSuchObject(_))
-        ));
-        assert!(matches!(
-            coord.rejoin("ghost", t),
-            Err(ClusterError::UnknownNode(_))
-        ));
-        assert!(matches!(
-            coord.remove_node("ghost"),
-            Err(ClusterError::UnknownNode(_))
-        ));
+        assert!(matches!(coord.put("k", b("v"), t), Err(ClusterError::NoMembers)));
+        assert!(matches!(coord.get("k", t), Err(ClusterError::NoSuchObject(_))));
+        assert!(matches!(coord.rejoin("ghost", t), Err(ClusterError::UnknownNode(_))));
+        assert!(matches!(coord.remove_node("ghost"), Err(ClusterError::UnknownNode(_))));
         let node = mem_node("n", 5);
         coord.add_node(Arc::clone(&node)).unwrap();
-        assert!(matches!(
-            coord.add_node(node),
-            Err(ClusterError::DuplicateNode(_))
-        ));
+        assert!(matches!(coord.add_node(node), Err(ClusterError::DuplicateNode(_))));
     }
 
     #[test]

@@ -100,11 +100,7 @@ impl ClusterNode {
         Arc::new(Self {
             name: name.into(),
             instance,
-            state: Mutex::named(
-                "cluster.node",
-                rank::CLUSTER_NODE,
-                NodeState::default(),
-            ),
+            state: Mutex::named("cluster.node", rank::CLUSTER_NODE, NodeState::default()),
         })
     }
 
@@ -177,7 +173,9 @@ impl ClusterNode {
     ) -> Result<(SimDuration, bool), NodeError> {
         let penalty = self.admit()?;
         match self.instance.put_if_newer(key.clone(), value, version, now) {
-            Ok(receipt) => Ok((receipt.map_or(penalty, |r| r.latency + penalty), receipt.is_some())),
+            Ok(receipt) => {
+                Ok((receipt.map_or(penalty, |r| r.latency + penalty), receipt.is_some()))
+            }
             Err(e) => Err(self.storage_err(e)),
         }
     }
@@ -197,10 +195,7 @@ impl ClusterNode {
         now: SimTime,
     ) -> Result<Vec<ReplicaRead>, NodeError> {
         let penalty = self.admit()?;
-        Ok(keys
-            .into_iter()
-            .map(|key| self.read(key, penalty, now))
-            .collect())
+        Ok(keys.into_iter().map(|key| self.read(key, penalty, now)).collect())
     }
 
     fn read(&self, key: &ObjectKey, penalty: SimDuration, now: SimTime) -> ReplicaRead {
@@ -222,9 +217,7 @@ impl ClusterNode {
     ) -> Result<DeleteAck, NodeError> {
         let mut s = self.state.lock();
         if s.killed || s.partitioned {
-            return Err(NodeError::Unavailable {
-                node: self.name.clone(),
-            });
+            return Err(NodeError::Unavailable { node: self.name.clone() });
         }
         if let Some(ack) = s.applied_deletes.get(&token) {
             return Ok(*ack);
@@ -233,15 +226,11 @@ impl ClusterNode {
         let ack = match self.instance.delete(key.clone(), now) {
             Ok(latency) => {
                 s.deletes_applied += 1;
-                DeleteAck {
-                    latency: latency + penalty,
-                    existed: true,
-                }
+                DeleteAck { latency: latency + penalty, existed: true }
             }
-            Err(tiera_core::TieraError::NoSuchObject(_)) => DeleteAck {
-                latency: penalty,
-                existed: false,
-            },
+            Err(tiera_core::TieraError::NoSuchObject(_)) => {
+                DeleteAck { latency: penalty, existed: false }
+            }
             Err(e) => return Err(self.storage_err(e)),
         };
         s.applied_deletes.insert(token, ack);
@@ -261,18 +250,13 @@ impl ClusterNode {
     fn admit(&self) -> Result<SimDuration, NodeError> {
         let s = self.state.lock();
         if s.killed || s.partitioned {
-            return Err(NodeError::Unavailable {
-                node: self.name.clone(),
-            });
+            return Err(NodeError::Unavailable { node: self.name.clone() });
         }
         Ok(s.slow_penalty)
     }
 
     fn storage_err(&self, e: tiera_core::TieraError) -> NodeError {
-        NodeError::Storage {
-            node: self.name.clone(),
-            message: e.to_string(),
-        }
+        NodeError::Storage { node: self.name.clone(), message: e.to_string() }
     }
 }
 
@@ -291,10 +275,7 @@ mod tests {
             .tier(MemTier::with_traits(
                 "t1",
                 16 << 20,
-                TierTraits {
-                    durable: true,
-                    ..TierTraits::default()
-                },
+                TierTraits { durable: true, ..TierTraits::default() },
             ))
             .build()
             .unwrap();
@@ -320,18 +301,12 @@ mod tests {
         n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
         n.kill();
         assert!(!n.is_reachable());
-        assert!(matches!(
-            n.apply_get(&key("k"), t),
-            Err(NodeError::Unavailable { .. })
-        ));
+        assert!(matches!(n.apply_get(&key("k"), t), Err(NodeError::Unavailable { .. })));
         assert!(matches!(
             n.apply_put(&key("k2"), Bytes::from(&b"x"[..]), 2, t),
             Err(NodeError::Unavailable { .. })
         ));
-        assert!(matches!(
-            n.apply_delete(9, &key("k"), t),
-            Err(NodeError::Unavailable { .. })
-        ));
+        assert!(matches!(n.apply_delete(9, &key("k"), t), Err(NodeError::Unavailable { .. })));
         n.revive();
         let (data, _, _) = n.apply_get(&key("k"), t).unwrap();
         assert_eq!(&data[..], b"v", "kill froze state, not lost it");
@@ -347,9 +322,7 @@ mod tests {
         let t = SimTime::ZERO;
         n.apply_put(&key("a"), Bytes::from(&b"1"[..]), 1, t).unwrap();
         n.apply_put(&key("b"), Bytes::from(&b"2"[..]), 2, t).unwrap();
-        let answers = n
-            .apply_multi_get(&[key("b"), key("absent"), key("a")], t)
-            .unwrap();
+        let answers = n.apply_multi_get(&[key("b"), key("absent"), key("a")], t).unwrap();
         assert_eq!(answers.len(), 3);
         assert_eq!(&answers[0].as_ref().unwrap().0[..], b"2");
         assert!(matches!(answers[1], Err(NodeError::Storage { .. })));

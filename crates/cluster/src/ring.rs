@@ -66,11 +66,7 @@ impl RebalancePlan {
 impl Ring {
     /// An empty ring with `vnodes` virtual nodes per member.
     pub fn new(vnodes: usize) -> Self {
-        Self {
-            vnodes: vnodes.max(1),
-            points: Vec::new(),
-            names: Vec::new(),
-        }
+        Self { vnodes: vnodes.max(1), points: Vec::new(), names: Vec::new() }
     }
 
     /// A ring pre-populated with `names`.
@@ -199,16 +195,8 @@ impl Ring {
             if old == new {
                 continue;
             }
-            let targets: Vec<String> = new
-                .iter()
-                .filter(|n| !old.contains(n))
-                .cloned()
-                .collect();
-            moves.push(KeyMove {
-                key: key.to_string(),
-                sources: old,
-                targets,
-            });
+            let targets: Vec<String> = new.iter().filter(|n| !old.contains(n)).cloned().collect();
+            moves.push(KeyMove { key: key.to_string(), sources: old, targets });
         }
         RebalancePlan { moves }
     }
@@ -260,10 +248,7 @@ mod tests {
         for (node, count) in &counts {
             // Perfect balance is 1000; vnode placement should stay within
             // a generous 2x band.
-            assert!(
-                (400..=2000).contains(count),
-                "node {node} owns {count} of 4000 keys"
-            );
+            assert!((400..=2000).contains(count), "node {node} owns {count} of 4000 keys");
         }
     }
 
@@ -319,8 +304,7 @@ mod tests {
                 } else {
                     ring.join(node);
                 }
-                let plan =
-                    prev.plan_rebalance(&ring, all.iter().map(String::as_str), r);
+                let plan = prev.plan_rebalance(&ring, all.iter().map(String::as_str), r);
                 let planned: std::collections::BTreeSet<&str> =
                     plan.moves.iter().map(|m| m.key.as_str()).collect();
                 for key in &all {
@@ -337,11 +321,8 @@ mod tests {
                     let old = prev.owners(&m.key, r);
                     let new = ring.owners(&m.key, r);
                     assert_eq!(m.sources, old);
-                    let gained: Vec<String> = new
-                        .iter()
-                        .filter(|n| !old.contains(n))
-                        .cloned()
-                        .collect();
+                    let gained: Vec<String> =
+                        new.iter().filter(|n| !old.contains(n)).cloned().collect();
                     assert_eq!(m.targets, gained, "targets are exactly the gained owners");
                 }
             }

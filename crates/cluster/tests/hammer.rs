@@ -19,10 +19,7 @@ fn mem_node(name: &str, seed: u64) -> Arc<ClusterNode> {
         .tier(MemTier::with_traits(
             "store",
             128 << 20,
-            TierTraits {
-                durable: true,
-                ..TierTraits::default()
-            },
+            TierTraits { durable: true, ..TierTraits::default() },
         ))
         .build()
         .unwrap();
@@ -43,9 +40,7 @@ fn four_threads_hammer_one_coordinator_through_a_live_rebalance() {
     // Pre-load some shared keys every thread reads (no byte asserts on
     // these: concurrent overwrites make any value legitimate).
     for s in 0..8 {
-        coord
-            .put(&format!("shared-{s}"), Bytes::from(vec![s as u8; 256]), t0)
-            .unwrap();
+        coord.put(&format!("shared-{s}"), Bytes::from(vec![s as u8; 256]), t0).unwrap();
     }
 
     let workers: Vec<_> = (0..THREADS)

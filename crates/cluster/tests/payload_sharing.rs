@@ -35,18 +35,12 @@ fn three_replicas_return_one_address_after_three_overwrites() {
 
     let mut addrs_seen = Vec::new();
     for fill in [1u8, 2, 3] {
-        coord
-            .put("k", Bytes::from(vec![fill; 4096]), SimTime::ZERO)
-            .unwrap();
+        coord.put("k", Bytes::from(vec![fill; 4096]), SimTime::ZERO).unwrap();
         let addrs: Vec<usize> = nodes
             .iter()
             .map(|n| {
                 let (data, _) = n.instance().get("k", SimTime::ZERO).unwrap();
-                assert!(
-                    data.iter().all(|&b| b == fill),
-                    "{} holds put {fill}",
-                    n.name()
-                );
+                assert!(data.iter().all(|&b| b == fill), "{} holds put {fill}", n.name());
                 data.as_slice().as_ptr() as usize
             })
             .collect();
@@ -81,9 +75,7 @@ fn coordinator_and_three_replicas_hold_one_key_allocation() {
     let keys: Vec<String> = (0..16).map(|i| format!("key-{i}")).collect();
     for fill in [1u8, 2] {
         for key in &keys {
-            coord
-                .put(key, Bytes::from(vec![fill; 64]), SimTime::ZERO)
-                .unwrap();
+            coord.put(key, Bytes::from(vec![fill; 64]), SimTime::ZERO).unwrap();
         }
     }
     let batch: Vec<&str> = keys.iter().map(String::as_str).collect();

@@ -29,10 +29,7 @@ fn mem_node(name: &str, seed: u64) -> Arc<ClusterNode> {
         .tier(MemTier::with_traits(
             "store",
             64 << 20,
-            TierTraits {
-                durable: true,
-                ..TierTraits::default()
-            },
+            TierTraits { durable: true, ..TierTraits::default() },
         ))
         .build()
         .unwrap();
@@ -77,10 +74,7 @@ fn redial_retry_after_successful_apply_replays_not_reapplies() {
 
     // A genuinely new delete of the (now absent) key still reports
     // no-such-object — the replay path is token-keyed, not key-keyed.
-    assert!(matches!(
-        coord.delete(coord.next_token(), "k", t),
-        Err(ClusterError::NoSuchObject(_))
-    ));
+    assert!(matches!(coord.delete(coord.next_token(), "k", t), Err(ClusterError::NoSuchObject(_))));
 }
 
 /// Ordering 1b: a write interleaves between apply and retry. The retry
@@ -117,10 +111,8 @@ fn failover_retry_after_partial_apply_completes_exactly_once() {
     // the one live owner applies its delete before the coordinator gives
     // up — the classic partial failure.
     let owners = coord.owner_names("k");
-    let dark: Vec<_> = nodes
-        .iter()
-        .filter(|n| n.name() == owners[1] || n.name() == owners[2])
-        .collect();
+    let dark: Vec<_> =
+        nodes.iter().filter(|n| n.name() == owners[1] || n.name() == owners[2]).collect();
     for n in &dark {
         n.kill();
     }
@@ -147,16 +139,9 @@ fn failover_retry_after_partial_apply_completes_exactly_once() {
     // already applied it acks from its token table — it does NOT delete
     // the copy read repair just restored a second time.
     coord.delete(token, "k", t).expect("retry completes the delete");
-    assert!(matches!(
-        coord.get("k", t),
-        Err(ClusterError::NoSuchObject(_))
-    ));
+    assert!(matches!(coord.get("k", t), Err(ClusterError::NoSuchObject(_))));
     for n in &nodes {
-        assert!(
-            n.deletes_applied() <= 1,
-            "node {} applied the same token twice",
-            n.name()
-        );
+        assert!(n.deletes_applied() <= 1, "node {} applied the same token twice", n.name());
     }
     // And a further duplicate of the now-successful token is pure replay.
     let applied = total_applied(&nodes);

@@ -47,10 +47,7 @@ impl Parking {
         let inner = MemTier::with_traits(
             name,
             64 << 20,
-            TierTraits {
-                durable: true,
-                ..TierTraits::default()
-            },
+            TierTraits { durable: true, ..TierTraits::default() },
         );
         let tier = Arc::new(Self {
             inner,
@@ -209,9 +206,7 @@ fn two_racing_writes_settle_every_owner_on_the_higher_version() {
     // Both acknowledged; `b` holds the higher version. Eight reads start
     // at every owner twice, and repair the two `b` skipped.
     for read in 0..8 {
-        let (data, _) = coord
-            .get("k", t)
-            .unwrap_or_else(|e| panic!("read {read}: {e}"));
+        let (data, _) = coord.get("k", t).unwrap_or_else(|e| panic!("read {read}: {e}"));
         assert_eq!(&data[..], b"b", "read {read}");
     }
     for (node, _, _) in &owners {
@@ -254,9 +249,7 @@ fn a_rejoin_leaves_a_write_in_flight_alone_beside_a_failed_one() {
     // third owner, which holds the failed write's copy, down.
     third.kill();
     for read in 0..4 {
-        let (data, _) = coord
-            .get("k", t)
-            .unwrap_or_else(|e| panic!("read {read}: {e}"));
+        let (data, _) = coord.get("k", t).unwrap_or_else(|e| panic!("read {read}: {e}"));
         assert_eq!(&data[..], b"a", "read {read}");
     }
     // Back up, it is purged and repaired by the read that probes it.

@@ -116,10 +116,7 @@ mod tests {
         let nonce: [u8; 12] = [0, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 0];
         let c = ChaCha20::new(&key);
         let block = c.block(1, &nonce);
-        assert_eq!(
-            hex::encode(&block[..16]),
-            "10f1e7e4d13b5915500fdd1fa32071c4"
-        );
+        assert_eq!(hex::encode(&block[..16]), "10f1e7e4d13b5915500fdd1fa32071c4");
         // Serialized keystream tail from RFC 8439 §2.3.2 (little-endian words).
         assert_eq!(hex::encode(&block[48..]), "b5129cd1de164eb9cbd083e8a2503c4e");
     }

@@ -38,12 +38,7 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
-        Self {
-            state: H0,
-            buf: [0u8; 64],
-            buf_len: 0,
-            total_len: 0,
-        }
+        Self { state: H0, buf: [0u8; 64], buf_len: 0, total_len: 0 }
     }
 
     /// Feeds bytes into the hasher.
@@ -80,11 +75,7 @@ impl Sha256 {
         // Padding: 0x80, zeros to 56 mod 64, then the 64-bit big-endian length.
         let mut pad = [0u8; 128];
         pad[0] = 0x80;
-        let pad_len = if self.buf_len < 56 {
-            56 - self.buf_len
-        } else {
-            120 - self.buf_len
-        };
+        let pad_len = if self.buf_len < 56 { 56 - self.buf_len } else { 120 - self.buf_len };
         pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
         self.update(&pad[..pad_len + 8]);
         debug_assert_eq!(self.buf_len, 0);
@@ -103,20 +94,13 @@ impl Sha256 {
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
+            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
             let t2 = s0.wrapping_add(maj);
@@ -158,18 +142,12 @@ mod tests {
 
     #[test]
     fn nist_empty_vector() {
-        assert_eq!(
-            hx(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        assert_eq!(hx(b""), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
     }
 
     #[test]
     fn nist_abc_vector() {
-        assert_eq!(
-            hx(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        assert_eq!(hx(b"abc"), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
     }
 
     #[test]
@@ -183,10 +161,7 @@ mod tests {
     #[test]
     fn million_a_vector() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hx(&data),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hx(&data), "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
     }
 
     #[test]

@@ -35,9 +35,7 @@ const P5: u64 = 0x27D4_EB2F_1656_67C5;
 /// One lane absorbing one word.
 #[inline]
 fn round(lane: u64, word: u64) -> u64 {
-    lane.wrapping_add(word.wrapping_mul(P2))
-        .rotate_left(31)
-        .wrapping_mul(P1)
+    lane.wrapping_add(word.wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
 }
 
 /// Folds a finished lane into the accumulator.
@@ -93,9 +91,7 @@ pub fn checksum(data: &[u8]) -> u64 {
         tail = rest;
     }
     for &byte in tail {
-        h = (h ^ u64::from(byte).wrapping_mul(P5))
-            .rotate_left(11)
-            .wrapping_mul(P1);
+        h = (h ^ u64::from(byte).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
     }
     avalanche(h)
 }
@@ -146,10 +142,7 @@ mod tests {
             w
         };
         while data.len() - at >= 8 {
-            let k = gather(at, 8)
-                .wrapping_mul(P2)
-                .rotate_left(31)
-                .wrapping_mul(P1);
+            let k = gather(at, 8).wrapping_mul(P2).rotate_left(31).wrapping_mul(P1);
             h = (h ^ k).rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
             at += 8;
         }
@@ -161,9 +154,7 @@ mod tests {
             at += 4;
         }
         while at < data.len() {
-            h = (h ^ u64::from(data[at]).wrapping_mul(P5))
-                .rotate_left(11)
-                .wrapping_mul(P1);
+            h = (h ^ u64::from(data[at]).wrapping_mul(P5)).rotate_left(11).wrapping_mul(P1);
             at += 1;
         }
         h ^= h >> 33;

@@ -3,7 +3,7 @@
 //! strings for the reversible codecs. Every random input derives from
 //! `SimRng`, so failures replay bit-identically from the printed seed.
 
-use tiera_codec::packed::{self, Unpacked, UnpackError};
+use tiera_codec::packed::{self, UnpackError, Unpacked};
 use tiera_codec::{crc32, hex, lzss, sha256};
 use tiera_support::prop::gen;
 use tiera_support::prop_check;
@@ -21,12 +21,7 @@ fn crc32_known_answer_vectors() {
         (b"123456789", 0xCBF4_3926),
         (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
     ] {
-        assert_eq!(
-            crc32::checksum(input),
-            want,
-            "crc32({:?})",
-            String::from_utf8_lossy(input)
-        );
+        assert_eq!(crc32::checksum(input), want, "crc32({:?})", String::from_utf8_lossy(input));
     }
 }
 
@@ -34,14 +29,8 @@ fn crc32_known_answer_vectors() {
 #[test]
 fn sha256_known_answer_vectors() {
     for (input, want_hex) in [
-        (
-            &b""[..],
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        ),
-        (
-            b"abc",
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-        ),
+        (&b""[..], "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
         (
             b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",

@@ -26,13 +26,7 @@ pub struct InstanceBuilder {
 impl InstanceBuilder {
     /// Starts a builder for an instance called `name`.
     pub fn new(name: impl Into<String>, env: SimEnv) -> Self {
-        Self {
-            name: name.into(),
-            env,
-            tiers: Vec::new(),
-            rules: Vec::new(),
-            metadata_dir: None,
-        }
+        Self { name: name.into(), env, tiers: Vec::new(), rules: Vec::new(), metadata_dir: None }
     }
 
     /// Attaches a tier. Order matters: the first tier is the default
@@ -68,10 +62,7 @@ impl InstanceBuilder {
     /// targets is attached, and a timer period is positive.
     pub fn build(self) -> Result<Arc<Instance>> {
         if self.tiers.is_empty() {
-            return Err(TieraError::InvalidConfig(format!(
-                "instance {} has no tiers",
-                self.name
-            )));
+            return Err(TieraError::InvalidConfig(format!("instance {} has no tiers", self.name)));
         }
         let mut draft = Draft::default();
         for tier in self.tiers {

@@ -44,14 +44,9 @@ impl std::fmt::Display for TieraError {
         match self {
             TieraError::NoSuchObject(k) => write!(f, "no such object: {k}"),
             TieraError::NoSuchTier(t) => write!(f, "no such tier: {t}"),
-            TieraError::TierFull {
-                tier,
-                needed,
-                available,
-            } => write!(
-                f,
-                "tier {tier} full: need {needed} bytes, {available} available"
-            ),
+            TieraError::TierFull { tier, needed, available } => {
+                write!(f, "tier {tier} full: need {needed} bytes, {available} available")
+            }
             TieraError::Timeout { tier, waited } => {
                 write!(f, "operation on tier {tier} timed out after {waited}")
             }
@@ -73,18 +68,11 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = TieraError::TierFull {
-            tier: "cache".into(),
-            needed: 4096,
-            available: 100,
-        };
+        let e = TieraError::TierFull { tier: "cache".into(), needed: 4096, available: 100 };
         let s = e.to_string();
         assert!(s.contains("cache") && s.contains("4096") && s.contains("100"));
 
-        let e = TieraError::Timeout {
-            tier: "ebs".into(),
-            waited: SimDuration::from_secs(5),
-        };
+        let e = TieraError::Timeout { tier: "ebs".into(), waited: SimDuration::from_secs(5) };
         assert!(e.to_string().contains("ebs"));
     }
 }

@@ -107,30 +107,17 @@ impl EventKind {
 
     /// A foreground action event on any tier.
     pub fn action(op: ActionOp) -> Self {
-        EventKind::Action {
-            op,
-            tier: None,
-            background: false,
-        }
+        EventKind::Action { op, tier: None, background: false }
     }
 
     /// A foreground action event scoped to a tier (`insert.into == tier1`).
     pub fn action_on(op: ActionOp, tier: impl Into<String>) -> Self {
-        EventKind::Action {
-            op,
-            tier: Some(tier.into()),
-            background: false,
-        }
+        EventKind::Action { op, tier: Some(tier.into()), background: false }
     }
 
     /// A foreground threshold event `metric >= value`.
     pub fn threshold_at_least(metric: Metric, value: f64) -> Self {
-        EventKind::Threshold {
-            metric,
-            relation: Relation::AtLeast,
-            value,
-            background: false,
-        }
+        EventKind::Threshold { metric, relation: Relation::AtLeast, value, background: false }
     }
 
     /// Marks the event as background-evaluated (paper §3). No-op for timer

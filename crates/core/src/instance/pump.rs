@@ -62,12 +62,7 @@ pub(super) enum WorkItem {
     /// step, and the continuation re-enqueues itself `pace(len)` later.
     /// This is what keeps a `bandwidth: 40KB/s` copy from monopolizing the
     /// shared device (paper Figure 14).
-    PacedCopy {
-        keys: VecDeque<ObjectKey>,
-        to: Vec<String>,
-        cap: BandwidthCap,
-        delete_source: bool,
-    },
+    PacedCopy { keys: VecDeque<ObjectKey>, to: Vec<String>, cap: BandwidthCap, delete_source: bool },
 }
 
 /// The tier a transient error implicates, for alert reporting.

@@ -38,9 +38,7 @@ const MAX_CASCADE_DEPTH: u8 = 4;
 /// Effective streaming rate of an *uncapped* background copy: a dedicated
 /// replication thread keeps a moderate queue depth against the source
 /// volume (≈ 4 MB/s of 4 KB objects on a busy 2014 magnetic volume).
-const UNCAPPED_STREAM_RATE: BandwidthCap = BandwidthCap {
-    bytes_per_sec: 4.0e6,
-};
+const UNCAPPED_STREAM_RATE: BandwidthCap = BandwidthCap { bytes_per_sec: 4.0e6 };
 
 impl Instance {
     /// Fires matched action rules in installation order: foreground rules
@@ -100,7 +98,11 @@ impl Instance {
         }
     }
 
-    pub(super) fn execute_responses(&self, responses: &[ResponseSpec], ctx: &mut Ctx) -> Result<()> {
+    pub(super) fn execute_responses(
+        &self,
+        responses: &[ResponseSpec],
+        ctx: &mut Ctx,
+    ) -> Result<()> {
         for r in responses {
             self.execute_response(r, ctx)?;
         }
@@ -160,11 +162,8 @@ impl Instance {
                 Ok(match at_least {
                     Some(frac) => t.fill_fraction(ctx.now) >= *frac,
                     None => {
-                        let incoming = ctx
-                            .inserted_data
-                            .as_ref()
-                            .map(|d| d.len() as u64)
-                            .unwrap_or(0);
+                        let incoming =
+                            ctx.inserted_data.as_ref().map(|d| d.len() as u64).unwrap_or(0);
                         t.would_overflow(incoming, ctx.now)
                     }
                 })
@@ -192,10 +191,8 @@ impl Instance {
                 return Ok((d.clone(), ctx.inserted_source));
             }
         }
-        let meta = self
-            .registry
-            .get(key)
-            .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
+        let meta =
+            self.registry.get(key).ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
         let (raw, _) = self.read_raw(key, &meta, ctx)?;
         Ok((raw, Source::Read(meta.settled_version())))
     }
@@ -239,16 +236,8 @@ impl Instance {
         }
     }
 
-    fn exec_store(
-        &self,
-        what: &Selector,
-        to: &[String],
-        dedup: bool,
-        ctx: &mut Ctx,
-    ) -> Result<()> {
-        let keys = self
-            .registry
-            .select(what, ctx.inserted.as_ref());
+    fn exec_store(&self, what: &Selector, to: &[String], dedup: bool, ctx: &mut Ctx) -> Result<()> {
+        let keys = self.registry.select(what, ctx.inserted.as_ref());
         for key in keys {
             let (data, source) = self.fetch_stored(&key, ctx)?;
             if dedup {
@@ -284,13 +273,9 @@ impl Instance {
                         // The client sat out the failed attempt.
                         ctx.charge(*waited);
                     }
-                    let budget_ok = policy
-                        .op_budget
-                        .map(|b| ctx.now.since(start) < b)
-                        .unwrap_or(true);
-                    if retry + 1 >= policy.max_attempts
-                        || !RetryPolicy::retryable(&e)
-                        || !budget_ok
+                    let budget_ok =
+                        policy.op_budget.map(|b| ctx.now.since(start) < b).unwrap_or(true);
+                    if retry + 1 >= policy.max_attempts || !RetryPolicy::retryable(&e) || !budget_ok
                     {
                         return Err(e);
                     }
@@ -464,14 +449,10 @@ impl Instance {
     }
 
     fn exec_retrieve(&self, what: &Selector, ctx: &mut Ctx) -> Result<()> {
-        let keys = self
-            .registry
-            .select(what, ctx.inserted.as_ref());
+        let keys = self.registry.select(what, ctx.inserted.as_ref());
         for key in keys {
-            let meta = self
-                .registry
-                .get(&key)
-                .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
+            let meta =
+                self.registry.get(&key).ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
             let _ = self.read_raw(&key, &meta, ctx)?;
             self.registry.touch(&key, ctx.now);
         }
@@ -497,19 +478,12 @@ impl Instance {
         // visibly inflate foreground latency.
         if ctx.background {
             let cap = bandwidth.unwrap_or(UNCAPPED_STREAM_RATE);
-            let keys: VecDeque<ObjectKey> = keys
-                .into_iter()
-                .map(|k| self.resolve_physical(&k))
-                .collect();
+            let keys: VecDeque<ObjectKey> =
+                keys.into_iter().map(|k| self.resolve_physical(&k)).collect();
             if !keys.is_empty() {
                 self.background.lock().push(PendingWork {
                     due: ctx.now,
-                    work: WorkItem::PacedCopy {
-                        keys,
-                        to: to.to_vec(),
-                        cap,
-                        delete_source,
-                    },
+                    work: WorkItem::PacedCopy { keys, to: to.to_vec(), cap, delete_source },
                     inserted: ctx.inserted.clone(),
                     attempts: 0,
                 });
@@ -592,7 +566,13 @@ impl Instance {
     /// record, and the stale attempt is counted. A `storeOnce` entry's
     /// bytes are its blob's: they stay, and the entry's removal gives its
     /// reference back.
-    fn vacate(&self, key: &ObjectKey, from: Option<&str>, copied: Option<u64>, ctx: &mut Ctx) -> Result<()> {
+    fn vacate(
+        &self,
+        key: &ObjectKey,
+        from: Option<&str>,
+        copied: Option<u64>,
+        ctx: &mut Ctx,
+    ) -> Result<()> {
         let Some(meta) = self.registry.get(key) else {
             return Ok(());
         };
@@ -653,18 +633,26 @@ impl Instance {
     /// lock; the puts and the record's new form publish together, at the
     /// version read (see [`write_and_publish`](Self::write_and_publish)).
     /// Decrypting under a key other than the object's is refused.
-    fn exec_rewrite(&self, what: &Selector, key_id: Option<&str>, on: bool, ctx: &mut Ctx) -> Result<()> {
+    fn exec_rewrite(
+        &self,
+        what: &Selector,
+        key_id: Option<&str>,
+        on: bool,
+        ctx: &mut Ctx,
+    ) -> Result<()> {
         let cipher = match key_id {
-            Some(id) => Some(self.keyring.read().get(id).copied().ok_or_else(|| {
-                TieraError::Codec(format!("unknown key id {id}"))
-            })?),
+            Some(id) => Some(
+                self.keyring
+                    .read()
+                    .get(id)
+                    .copied()
+                    .ok_or_else(|| TieraError::Codec(format!("unknown key id {id}")))?,
+            ),
             None => None,
         };
         for key in self.registry.select(what, ctx.inserted.as_ref()) {
-            let meta = self
-                .registry
-                .get(&key)
-                .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
+            let meta =
+                self.registry.get(&key).ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
             if on == if cipher.is_some() { meta.encrypted } else { meta.compressed } {
                 continue; // already in the requested state
             }
@@ -676,7 +664,9 @@ impl Instance {
             if meta.digest().is_some() {
                 // Its bytes are a blob other keys may share: the record has
                 // no locations of its own to rewrite.
-                return Err(TieraError::Codec(format!("refusing to rewrite storeOnce object {key}")));
+                return Err(TieraError::Codec(format!(
+                    "refusing to rewrite storeOnce object {key}"
+                )));
             }
             if cipher.is_some() && !on && meta.encryption_key_id() != key_id {
                 return Err(TieraError::Codec(format!(
@@ -688,7 +678,8 @@ impl Instance {
             let data = match cipher {
                 Some(k) => {
                     let mut buf = raw.to_vec();
-                    ChaCha20::new(&k).apply(&ChaCha20::nonce_for(key.as_str().as_bytes()), &mut buf);
+                    ChaCha20::new(&k)
+                        .apply(&ChaCha20::nonce_for(key.as_str().as_bytes()), &mut buf);
                     Bytes::from(buf)
                 }
                 None if on => {
@@ -742,10 +733,7 @@ impl Instance {
             .as_ref()
             .map(|d| d.len() as u64)
             .or_else(|| {
-                ctx.inserted
-                    .as_ref()
-                    .and_then(|k| self.registry.get(k))
-                    .map(|m| m.stored_size())
+                ctx.inserted.as_ref().and_then(|k| self.registry.get(k)).map(|m| m.stored_size())
             })
             .unwrap_or(0);
         let mut evicted = 0usize;

@@ -72,8 +72,8 @@ pub mod monitor;
 pub mod object;
 pub mod policy;
 pub mod registry;
-pub mod retry;
 pub mod response;
+pub mod retry;
 pub mod selector;
 pub mod stats;
 pub mod tier;

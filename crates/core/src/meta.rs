@@ -48,7 +48,10 @@ pub struct TierSet(Repr);
 
 #[derive(Clone)]
 enum Repr {
-    Inline { len: u8, ids: [TierId; INLINE_TIERS] },
+    Inline {
+        len: u8,
+        ids: [TierId; INLINE_TIERS],
+    },
     // A thin pointer keeps `TierSet` at 16 bytes; the double hop is paid
     // only by objects in more than four tiers.
     #[allow(clippy::box_collection)]
@@ -446,7 +449,11 @@ impl ObjectMeta {
             placing: false,
         };
         let stored_size = (stored_size != size).then_some(stored_size);
-        if !tags.is_empty() || digest.is_some() || encryption_key_id.is_some() || stored_size.is_some() {
+        if !tags.is_empty()
+            || digest.is_some()
+            || encryption_key_id.is_some()
+            || stored_size.is_some()
+        {
             meta.edit_rare(|r| {
                 r.tags = tags.into_iter().map(Tag::new).collect();
                 r.digest = digest;
@@ -651,7 +658,8 @@ mod tests {
         // Shrinking a spilled set keeps it equal to an inline one.
         assert!(set.remove("s-charlie") && !set.remove("s-charlie"));
         set.retain(|id| id != "s-echo");
-        let inline: TierSet = ["s-bravo", "s-delta", "s-alpha"].into_iter().map(TierId::from).collect();
+        let inline: TierSet =
+            ["s-bravo", "s-delta", "s-alpha"].into_iter().map(TierId::from).collect();
         assert!(matches!(inline.0, Repr::Inline { .. }));
         assert_eq!(set, inline);
         assert_eq!(names(&inline), ["s-alpha", "s-bravo", "s-delta"]);

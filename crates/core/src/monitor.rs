@@ -124,9 +124,7 @@ impl FailureMonitor {
             (self.on_failure)(&self.instance);
             ProbeOutcome::Reconfigured
         } else {
-            ProbeOutcome::Suspect {
-                failures: self.consecutive_failures,
-            }
+            ProbeOutcome::Suspect { failures: self.consecutive_failures }
         }
     }
 
@@ -197,30 +195,19 @@ mod tests {
         });
         let outcomes = mon.tick(SimTime::from_secs(1200));
         assert!(outcomes.contains(&ProbeOutcome::Reconfigured));
-        assert_eq!(
-            fired.load(Ordering::Relaxed),
-            1,
-            "callback runs exactly once: {outcomes:?}"
-        );
+        assert_eq!(fired.load(Ordering::Relaxed), 1, "callback runs exactly once: {outcomes:?}");
         assert!(mon.has_reconfigured());
     }
 
     #[test]
     fn retries_budget_respected() {
         let inst = tiny_instance();
-        let mut mon = FailureMonitor::new(
-            inst,
-            SimDuration::from_secs(60),
-            3,
-            |_| {},
-        );
+        let mut mon = FailureMonitor::new(inst, SimDuration::from_secs(60), 3, |_| {});
         // First canary fits (6 <= 10); subsequent fail. With retries=3 the
         // monitor stays Suspect for two failures before reconfiguring.
         let outcomes = mon.tick(SimTime::from_secs(300));
-        let suspects = outcomes
-            .iter()
-            .filter(|o| matches!(o, ProbeOutcome::Suspect { .. }))
-            .count();
+        let suspects =
+            outcomes.iter().filter(|o| matches!(o, ProbeOutcome::Suspect { .. })).count();
         assert_eq!(suspects, 2, "{outcomes:?}");
         assert!(outcomes.contains(&ProbeOutcome::Reconfigured));
     }

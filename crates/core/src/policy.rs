@@ -15,8 +15,8 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tiera_support::sync::{rank, RwLock};
 use tiera_sim::SimTime;
+use tiera_support::sync::{rank, RwLock};
 
 use crate::error::{Result, TieraError};
 use crate::event::{ActionOp, EventKind};
@@ -48,11 +48,7 @@ pub struct Rule {
 impl Rule {
     /// Starts a rule triggered by `event`.
     pub fn on(event: EventKind) -> Self {
-        Self {
-            event,
-            responses: Vec::new(),
-            label: None,
-        }
+        Self { event, responses: Vec::new(), label: None }
     }
 
     /// Appends a response.
@@ -86,12 +82,7 @@ pub(crate) struct InstalledRule {
 
 impl InstalledRule {
     pub(crate) fn new(id: RuleId, rule: Rule) -> Arc<Self> {
-        Arc::new(Self {
-            id,
-            rule,
-            last_fired: AtomicU64::new(0),
-            armed: AtomicBool::new(true),
-        })
+        Arc::new(Self { id, rule, last_fired: AtomicU64::new(0), armed: AtomicBool::new(true) })
     }
 
     pub(crate) fn responses(&self) -> &[ResponseSpec] {
@@ -115,9 +106,7 @@ impl InstalledRule {
     /// call is the crossing that fires the rule.
     pub(crate) fn cross(&self, holds: bool) -> bool {
         if holds {
-            self.armed
-                .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
+            self.armed.compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire).is_ok()
         } else {
             self.armed.store(true, Ordering::Release);
             false
@@ -173,7 +162,10 @@ impl Draft {
     /// Attaches a tier at the end of the preference order.
     pub(crate) fn attach(&mut self, tier: TierHandle) -> Result<()> {
         if self.tiers.iter().any(|t| t.id == tier.name()) {
-            return Err(TieraError::InvalidConfig(format!("tier {} already attached", tier.name())));
+            return Err(TieraError::InvalidConfig(format!(
+                "tier {} already attached",
+                tier.name()
+            )));
         }
         let (id, durable) = (TierId::from(tier.name()), tier.tier_traits().durable);
         self.tiers = self.tiers.iter().cloned().chain([Attached { id, durable, tier }]).collect();
@@ -217,7 +209,9 @@ pub(crate) fn validate(tiers: &[Attached], rule: &Rule) -> Result<()> {
     };
     let targets = rule.responses.iter().flat_map(|r| r.referenced_tiers());
     match scope.into_iter().chain(targets).find(|name| !tiers.iter().any(|t| t.id == *name)) {
-        Some(name) => Err(TieraError::InvalidConfig(format!("rule references unattached tier {name}"))),
+        Some(name) => {
+            Err(TieraError::InvalidConfig(format!("rule references unattached tier {name}")))
+        }
         None => Ok(()),
     }
 }
@@ -264,12 +258,7 @@ impl Config {
                 EventKind::Timer { .. } => timers.push(rule),
             }
         }
-        Self {
-            base: draft,
-            actions,
-            thresholds,
-            timers,
-        }
+        Self { base: draft, actions, thresholds, timers }
     }
 
     /// The action rules an `op` routed at `tier` fires, in install order.
@@ -278,9 +267,7 @@ impl Config {
         op: ActionOp,
         tier: TierId,
     ) -> impl Iterator<Item = &ActionRule> + Clone {
-        self.actions[op as usize]
-            .iter()
-            .filter(move |a| a.scope.is_none_or(|s| s == tier))
+        self.actions[op as usize].iter().filter(move |a| a.scope.is_none_or(|s| s == tier))
     }
 
     /// The attached tier called `name`, compared by name: rules carry
@@ -300,9 +287,7 @@ impl Config {
 
     /// The first attached tier: the implicit placement target.
     pub(crate) fn default_tier(&self) -> Result<&Attached> {
-        self.tiers
-            .first()
-            .ok_or_else(|| TieraError::InvalidConfig("instance has no tiers".into()))
+        self.tiers.first().ok_or_else(|| TieraError::InvalidConfig("instance has no tiers".into()))
     }
 }
 
@@ -332,9 +317,7 @@ impl Policy {
     /// A policy publishing into a new cell that holds `draft`.
     pub(crate) fn over(draft: Draft) -> Self {
         let config = Arc::new(Config::new(draft));
-        Self {
-            config: Arc::new(RwLock::named("instance.config", rank::INSTANCE_CONFIG, config)),
-        }
+        Self { config: Arc::new(RwLock::named("instance.config", rank::INSTANCE_CONFIG, config)) }
     }
 
     /// The current configuration.
@@ -408,11 +391,7 @@ impl Policy {
 
     /// Snapshot of `(id, rule)` pairs for inspection.
     pub fn snapshot(&self) -> Vec<(RuleId, Rule)> {
-        self.load()
-            .rules
-            .iter()
-            .map(|r| (r.id, r.rule.clone()))
-            .collect()
+        self.load().rules.iter().map(|r| (r.id, r.rule.clone())).collect()
     }
 }
 
@@ -506,16 +485,17 @@ mod tests {
     fn prop_the_action_index_equals_the_linear_filter() {
         const TIERS: [&str; 4] = ["p1", "p2", "p3", "p4"];
         const OPS: [ActionOp; 3] = [ActionOp::Put, ActionOp::Get, ActionOp::Delete];
-        fn linear(rules: &[Arc<InstalledRule>], op: ActionOp, into_tier: &str) -> Vec<(RuleId, bool)> {
+        fn linear(
+            rules: &[Arc<InstalledRule>],
+            op: ActionOp,
+            into_tier: &str,
+        ) -> Vec<(RuleId, bool)> {
             rules
                 .iter()
                 .filter_map(|installed| match &installed.rule.event {
-                    EventKind::Action {
-                        op: rule_op,
-                        tier,
-                        background,
-                    } if *rule_op == op
-                        && tier.as_deref().map(|t| t == into_tier).unwrap_or(true) =>
+                    EventKind::Action { op: rule_op, tier, background }
+                        if *rule_op == op
+                            && tier.as_deref().map(|t| t == into_tier).unwrap_or(true) =>
                     {
                         Some((installed.id, *background))
                     }
@@ -551,15 +531,25 @@ mod tests {
                         .actions(op, attached.id)
                         .map(|a| (a.rule.id, a.background))
                         .collect();
-                    assert_eq!(indexed, linear(&config.rules, op, attached.id.name()), "{op:?} on {}", attached.id);
+                    assert_eq!(
+                        indexed,
+                        linear(&config.rules, op, attached.id.name()),
+                        "{op:?} on {}",
+                        attached.id
+                    );
                 }
             }
             let kinds = |f: fn(&EventKind) -> bool| -> Vec<RuleId> {
                 config.rules.iter().filter(|r| f(&r.rule.event)).map(|r| r.id).collect()
             };
-            let ids = |list: &[Arc<InstalledRule>]| -> Vec<RuleId> { list.iter().map(|r| r.id).collect() };
+            let ids = |list: &[Arc<InstalledRule>]| -> Vec<RuleId> {
+                list.iter().map(|r| r.id).collect()
+            };
             assert_eq!(ids(&config.timers), kinds(|e| matches!(e, EventKind::Timer { .. })));
-            assert_eq!(ids(&config.thresholds), kinds(|e| matches!(e, EventKind::Threshold { .. })));
+            assert_eq!(
+                ids(&config.thresholds),
+                kinds(|e| matches!(e, EventKind::Threshold { .. }))
+            );
         });
     }
 }

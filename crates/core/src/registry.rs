@@ -72,11 +72,11 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use tiera_support::collections::{fx_hash_one, FxHashMap};
-use tiera_support::sync::{rank, Mutex, RwLock, RwLockReadGuard};
 use tiera_codec::Digest;
 use tiera_metastore::MetaStore;
 use tiera_sim::SimTime;
+use tiera_support::collections::{fx_hash_one, FxHashMap};
+use tiera_support::sync::{rank, Mutex, RwLock, RwLockReadGuard};
 
 use crate::dedup::BlobTable;
 use crate::error::{Result, TieraError};
@@ -148,11 +148,7 @@ struct RecencyList {
 
 impl Default for RecencyList {
     fn default() -> Self {
-        Self {
-            links: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
+        Self { links: Vec::new(), head: NIL, tail: NIL }
     }
 }
 
@@ -164,10 +160,7 @@ impl RecencyList {
         if at >= self.links.len() {
             self.links.resize(at + 1, Link { prev: NIL, next: NIL });
         }
-        self.links[at] = Link {
-            prev: self.tail,
-            next: NIL,
-        };
+        self.links[at] = Link { prev: self.tail, next: NIL };
         match self.tail {
             NIL => self.head = node,
             tail => self.links[tail as usize].next = node,
@@ -247,10 +240,7 @@ impl OrderIndexes {
     /// Takes a node for `key`, stamped `stamp`, and links it as the newest
     /// of every list `now` puts it on.
     fn add(&mut self, key: ObjectKey, now: &Indexed, stamp: u64) -> u32 {
-        let filled = Node {
-            key: Some(key),
-            stamp,
-        };
+        let filled = Node { key: Some(key), stamp };
         let node = match self.free.pop() {
             Some(node) => {
                 self.nodes[node as usize] = filled;
@@ -421,9 +411,7 @@ impl Shard {
 
     /// The order indexes of a shard an ordered read has built.
     fn lists(&self) -> &OrderIndexes {
-        self.order
-            .as_ref()
-            .expect("an ordered read builds a shard's indexes before it reads them")
+        self.order.as_ref().expect("an ordered read builds a shard's indexes before it reads them")
     }
 }
 
@@ -522,7 +510,8 @@ impl Registry {
                     }
                     None => {
                         skipped += 1;
-                        first_skipped.get_or_insert_with(|| String::from_utf8_lossy(k).into_owned());
+                        first_skipped
+                            .get_or_insert_with(|| String::from_utf8_lossy(k).into_owned());
                     }
                 }
             })
@@ -589,9 +578,7 @@ impl Registry {
         let Some(store) = &self.store else {
             return Ok(());
         };
-        store
-            .sync()
-            .map_err(|e| TieraError::Metadata(e.to_string()))?;
+        store.sync().map_err(|e| TieraError::Metadata(e.to_string()))?;
         let failed = self.persist_failures.load(Ordering::Relaxed);
         let unreported = failed - self.persist_failures_reported.swap(failed, Ordering::Relaxed);
         let mut problems = Vec::new();
@@ -601,7 +588,9 @@ impl Registry {
                 self.first_persist_error.get().map_or("unknown", String::as_str)
             ));
         }
-        if self.recovery_skipped > 0 && !self.recovery_skipped_reported.swap(true, Ordering::Relaxed) {
+        if self.recovery_skipped > 0
+            && !self.recovery_skipped_reported.swap(true, Ordering::Relaxed)
+        {
             problems.push(format!(
                 "{} metadata record(s) could not be decoded at recovery and were left out (first key: {:?})",
                 self.recovery_skipped,
@@ -999,11 +988,8 @@ impl Registry {
                 // a per-key predicate; this keeps hot-path conjunctions
                 // like `Inserted && !Tagged(..)` O(1) instead of scanning
                 // the registry.
-                let (small, pred) = if Self::is_narrow(a) || !Self::is_narrow(b) {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
+                let (small, pred) =
+                    if Self::is_narrow(a) || !Self::is_narrow(b) { (a, b) } else { (b, a) };
                 self.select(small, inserted)
                     .into_iter()
                     .filter(|k| self.matches(pred, k, inserted))
@@ -1031,7 +1017,12 @@ impl Registry {
     }
 
     /// Predicate form of selector evaluation for a single key.
-    pub fn matches(&self, selector: &Selector, key: &ObjectKey, inserted: Option<&ObjectKey>) -> bool {
+    pub fn matches(
+        &self,
+        selector: &Selector,
+        key: &ObjectKey,
+        inserted: Option<&ObjectKey>,
+    ) -> bool {
         match selector {
             Selector::Inserted => inserted == Some(key),
             Selector::Key(k) => k == key,
@@ -1099,7 +1090,8 @@ mod tests {
                         })
                         .collect();
                     assert!(stamped.windows(2).all(|w| w[0].0 < w[1].0), "a list in stamp order");
-                    let mut keys: Vec<ObjectKey> = stamped.into_iter().map(|(_, key)| key).collect();
+                    let mut keys: Vec<ObjectKey> =
+                        stamped.into_iter().map(|(_, key)| key).collect();
                     keys.sort();
                     keys
                 };
@@ -1109,7 +1101,11 @@ mod tests {
                     live.iter().filter(|o| on(&o.1.meta)).map(|o| o.0.clone()).collect()
                 };
                 for (key, entry) in &live {
-                    assert_eq!(order.stamped(entry.node()).map(|(_, k)| k), Some(*key), "{key}'s node");
+                    assert_eq!(
+                        order.stamped(entry.node()).map(|(_, k)| k),
+                        Some(*key),
+                        "{key}'s node"
+                    );
                 }
                 assert_eq!(members(&order.access), expected(&|_| true), "access");
                 assert_eq!(members(&order.dirty), expected(&|m| m.dirty), "dirty");
@@ -1136,7 +1132,8 @@ mod tests {
 
         /// Everything an ordered read says about the registry at `now`.
         fn ordered_view(&self) -> Vec<Vec<ObjectKey>> {
-            let mut selectors = vec![Selector::All, Selector::Dirty, Selector::Tagged(Tag::new("tmp"))];
+            let mut selectors =
+                vec![Selector::All, Selector::Dirty, Selector::Tagged(Tag::new("tmp"))];
             for tier in TIERS {
                 selectors.push(Selector::InTier(tier.into()));
                 selectors.push(Selector::OldestIn(tier.into()));
@@ -1211,10 +1208,7 @@ mod tests {
 
         assert_eq!(r.select(&Selector::All, None).len(), 2);
         assert_eq!(r.select(&Selector::Dirty, None).len(), 1);
-        assert_eq!(
-            r.select(&Selector::Tagged(Tag::new("tmp")), None)[0].as_str(),
-            "a"
-        );
+        assert_eq!(r.select(&Selector::Tagged(Tag::new("tmp")), None)[0].as_str(), "a");
         assert_eq!(r.select(&Selector::InTier("t2".into()), None).len(), 1);
         let conj = Selector::InTier("t1".into()).and(Selector::Dirty);
         assert_eq!(r.select(&conj, None).len(), 1);
@@ -1239,13 +1233,8 @@ mod tests {
         assert_eq!(hits, vec![ObjectKey::new("plain")]);
         // Inserted && !tagged resolves against the inserted object.
         let sel = Selector::Inserted.and(Selector::Tagged(Tag::new("tmp")).negate());
-        assert_eq!(
-            r.select(&sel, Some(&ObjectKey::new("plain"))).len(),
-            1
-        );
-        assert!(r
-            .select(&sel, Some(&ObjectKey::new("tmp-obj")))
-            .is_empty());
+        assert_eq!(r.select(&sel, Some(&ObjectKey::new("plain"))).len(), 1);
+        assert!(r.select(&sel, Some(&ObjectKey::new("tmp-obj"))).is_empty());
     }
 
     #[test]
@@ -1257,11 +1246,8 @@ mod tests {
             r.upsert(ObjectKey::new(name), m);
         }
         r.touch(&ObjectKey::new("a"), SimTime::from_secs(1));
-        let all: Vec<String> = r
-            .select(&Selector::All, None)
-            .iter()
-            .map(|k| k.as_str().to_string())
-            .collect();
+        let all: Vec<String> =
+            r.select(&Selector::All, None).iter().map(|k| k.as_str().to_string()).collect();
         assert_eq!(all, vec!["b", "c", "a"], "oldest access first");
         let dirty = r.select(&Selector::Dirty, None);
         assert_eq!(dirty.len(), 3);
@@ -1459,10 +1445,7 @@ mod tests {
             let ops = random_ops(rng, steps);
             // One store shard: its log order is then the writer's order of
             // last writes, the stamp order of the lists it kept.
-            let opts = MetaStoreOptions {
-                shards: 1,
-                ..MetaStoreOptions::default()
-            };
+            let opts = MetaStoreOptions { shards: 1, ..MetaStoreOptions::default() };
             let writer = Registry::over(MetaStore::open_with(&dir, opts).unwrap()).unwrap();
             for op in &ops {
                 op.apply(&writer);
@@ -1603,10 +1586,7 @@ mod tests {
         use tiera_metastore::{KillSite, MetaStoreOptions};
         let dir = std::env::temp_dir().join(format!("tiera-reg-refused-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = MetaStoreOptions {
-            sync_every_append: true,
-            ..MetaStoreOptions::default()
-        };
+        let opts = MetaStoreOptions { sync_every_append: true, ..MetaStoreOptions::default() };
         let store = MetaStore::open_with(&dir, opts).unwrap();
         let kill = store.kill_points();
         let r = Registry::over(store).unwrap();

@@ -55,10 +55,7 @@ pub enum Guard {
 impl Guard {
     /// `tier.filled` with the paper's "would overflow" meaning.
     pub fn tier_filled(tier: impl Into<String>) -> Self {
-        Guard::TierFilled {
-            tier: tier.into(),
-            at_least: None,
-        }
+        Guard::TierFilled { tier: tier.into(), at_least: None }
     }
 
     /// Negates the guard.
@@ -185,27 +182,17 @@ pub enum ResponseSpec {
 impl ResponseSpec {
     /// `store(what, to: [tiers])`.
     pub fn store<T: Into<String>>(what: Selector, to: impl IntoIterator<Item = T>) -> Self {
-        ResponseSpec::Store {
-            what,
-            to: to.into_iter().map(Into::into).collect(),
-        }
+        ResponseSpec::Store { what, to: to.into_iter().map(Into::into).collect() }
     }
 
     /// `storeOnce(what, to: [tiers])`.
     pub fn store_once<T: Into<String>>(what: Selector, to: impl IntoIterator<Item = T>) -> Self {
-        ResponseSpec::StoreOnce {
-            what,
-            to: to.into_iter().map(Into::into).collect(),
-        }
+        ResponseSpec::StoreOnce { what, to: to.into_iter().map(Into::into).collect() }
     }
 
     /// `copy(what, to: [tiers])` without a bandwidth cap.
     pub fn copy<T: Into<String>>(what: Selector, to: impl IntoIterator<Item = T>) -> Self {
-        ResponseSpec::Copy {
-            what,
-            to: to.into_iter().map(Into::into).collect(),
-            bandwidth: None,
-        }
+        ResponseSpec::Copy { what, to: to.into_iter().map(Into::into).collect(), bandwidth: None }
     }
 
     /// `copy` with a bandwidth cap.
@@ -223,11 +210,7 @@ impl ResponseSpec {
 
     /// `move(what, to: [tiers])`.
     pub fn move_to<T: Into<String>>(what: Selector, to: impl IntoIterator<Item = T>) -> Self {
-        ResponseSpec::Move {
-            what,
-            to: to.into_iter().map(Into::into).collect(),
-            bandwidth: None,
-        }
+        ResponseSpec::Move { what, to: to.into_iter().map(Into::into).collect(), bandwidth: None }
     }
 
     /// `delete(what)` from every tier.
@@ -237,11 +220,7 @@ impl ResponseSpec {
 
     /// LRU eviction into `to` (Figure 5's common case).
     pub fn evict_lru(from: impl Into<String>, to: impl Into<String>) -> Self {
-        ResponseSpec::EvictUntilFit {
-            from: from.into(),
-            to: to.into(),
-            order: EvictOrder::Lru,
-        }
+        ResponseSpec::EvictUntilFit { from: from.into(), to: to.into(), order: EvictOrder::Lru }
     }
 
     /// Tier names this response writes to or manages (for validation).
@@ -296,11 +275,8 @@ mod tests {
             ResponseSpec::Store { to, .. } => assert_eq!(to, vec!["tier1", "tier2"]),
             _ => panic!(),
         }
-        let c = ResponseSpec::copy_capped(
-            Selector::Dirty,
-            ["tier2"],
-            BandwidthCap::kb_per_sec(40.0),
-        );
+        let c =
+            ResponseSpec::copy_capped(Selector::Dirty, ["tier2"], BandwidthCap::kb_per_sec(40.0));
         match c {
             ResponseSpec::Copy { bandwidth, .. } => {
                 assert_eq!(bandwidth.unwrap().bytes_per_sec, 40_000.0)
@@ -313,10 +289,7 @@ mod tests {
     fn referenced_tiers_covers_nested_ifs() {
         let r = ResponseSpec::If {
             guard: Guard::tier_filled("tier1"),
-            then: vec![ResponseSpec::move_to(
-                Selector::OldestIn("tier1".into()),
-                ["tier2"],
-            )],
+            then: vec![ResponseSpec::move_to(Selector::OldestIn("tier1".into()), ["tier2"])],
         };
         let mut tiers = r.referenced_tiers();
         tiers.sort_unstable();
@@ -332,10 +305,7 @@ mod tests {
 
     #[test]
     fn grow_references_its_tier() {
-        let r = ResponseSpec::Grow {
-            tier: "tier1".into(),
-            percent: 100.0,
-        };
+        let r = ResponseSpec::Grow { tier: "tier1".into(), percent: 100.0 };
         assert_eq!(r.referenced_tiers(), vec!["tier1"]);
     }
 }

@@ -74,10 +74,7 @@ impl RetryPolicy {
     /// Whether `err` is worth retrying: transient tier conditions are,
     /// logical errors (missing object, bad config) are not.
     pub fn retryable(err: &TieraError) -> bool {
-        matches!(
-            err,
-            TieraError::Timeout { .. } | TieraError::TierFull { .. }
-        )
+        matches!(err, TieraError::Timeout { .. } | TieraError::TierFull { .. })
     }
 
     /// Backoff before retry number `retry` (0-based), jittered from `rng`.
@@ -101,9 +98,7 @@ impl RetryPolicy {
     /// The full backoff schedule for one operation (`max_attempts - 1`
     /// entries), drawn from `rng` in retry order.
     pub fn schedule(&self, rng: &mut SimRng) -> Vec<SimDuration> {
-        (0..self.max_attempts.saturating_sub(1))
-            .map(|i| self.backoff(i, rng))
-            .collect()
+        (0..self.max_attempts.saturating_sub(1)).map(|i| self.backoff(i, rng)).collect()
     }
 }
 

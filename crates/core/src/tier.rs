@@ -21,8 +21,8 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use tiera_support::collections::FxHashMap;
-use tiera_support::Bytes;
 use tiera_support::sync::{rank, Mutex};
+use tiera_support::Bytes;
 
 use tiera_sim::{SimDuration, SimTime, StorageClass};
 
@@ -133,9 +133,7 @@ impl OpReceipt {
     }
 
     /// A free operation.
-    pub const FREE: OpReceipt = OpReceipt {
-        latency: SimDuration::ZERO,
-    };
+    pub const FREE: OpReceipt = OpReceipt { latency: SimDuration::ZERO };
 }
 
 /// Static properties of a tier that policies and the cost model reason
@@ -400,10 +398,7 @@ impl Tier for MemTier {
 
     fn request_counts(&self) -> RequestCounts {
         let st = self.state.lock();
-        RequestCounts {
-            puts: st.puts,
-            gets: st.gets,
-        }
+        RequestCounts { puts: st.puts, gets: st.gets }
     }
 }
 
@@ -451,8 +446,7 @@ mod tests {
     #[test]
     fn put_get_delete_roundtrip() {
         let t = MemTier::with_capacity("t", 1024);
-        t.put(&key("a"), Bytes::from_static(b"hello"), SimTime::ZERO)
-            .unwrap();
+        t.put(&key("a"), Bytes::from_static(b"hello"), SimTime::ZERO).unwrap();
         assert!(t.contains(&key("a")));
         let (data, _) = t.get(&key("a"), SimTime::ZERO).unwrap();
         assert_eq!(&data[..], b"hello");
@@ -465,26 +459,20 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let t = MemTier::with_capacity("t", 10);
-        t.put(&key("a"), Bytes::from(vec![0u8; 8]), SimTime::ZERO)
-            .unwrap();
-        let err = t
-            .put(&key("b"), Bytes::from(vec![0u8; 8]), SimTime::ZERO)
-            .unwrap_err();
+        t.put(&key("a"), Bytes::from(vec![0u8; 8]), SimTime::ZERO).unwrap();
+        let err = t.put(&key("b"), Bytes::from(vec![0u8; 8]), SimTime::ZERO).unwrap_err();
         assert!(matches!(err, TieraError::TierFull { .. }));
     }
 
     #[test]
     fn overwrite_replaces_accounting() {
         let t = MemTier::with_capacity("t", 10);
-        t.put(&key("a"), Bytes::from(vec![0u8; 8]), SimTime::ZERO)
-            .unwrap();
+        t.put(&key("a"), Bytes::from(vec![0u8; 8]), SimTime::ZERO).unwrap();
         // Overwriting with a smaller object must free the difference.
-        t.put(&key("a"), Bytes::from(vec![0u8; 2]), SimTime::ZERO)
-            .unwrap();
+        t.put(&key("a"), Bytes::from(vec![0u8; 2]), SimTime::ZERO).unwrap();
         assert_eq!(t.used(), 2);
         // And a same-key overwrite that still fits must succeed.
-        t.put(&key("a"), Bytes::from(vec![0u8; 10]), SimTime::ZERO)
-            .unwrap();
+        t.put(&key("a"), Bytes::from(vec![0u8; 10]), SimTime::ZERO).unwrap();
         assert_eq!(t.used(), 10);
     }
 
@@ -500,8 +488,7 @@ mod tests {
     #[test]
     fn fill_fraction_and_overflow() {
         let t = MemTier::with_capacity("t", 100);
-        t.put(&key("a"), Bytes::from(vec![0u8; 75]), SimTime::ZERO)
-            .unwrap();
+        t.put(&key("a"), Bytes::from(vec![0u8; 75]), SimTime::ZERO).unwrap();
         assert!((t.fill_fraction(SimTime::ZERO) - 0.75).abs() < 1e-9);
         assert!(t.would_overflow(26, SimTime::ZERO));
         assert!(!t.would_overflow(25, SimTime::ZERO));
@@ -510,8 +497,7 @@ mod tests {
     #[test]
     fn request_counts_accumulate() {
         let t = MemTier::with_capacity("t", 1024);
-        t.put(&key("a"), Bytes::from_static(b"x"), SimTime::ZERO)
-            .unwrap();
+        t.put(&key("a"), Bytes::from_static(b"x"), SimTime::ZERO).unwrap();
         let _ = t.get(&key("a"), SimTime::ZERO);
         let _ = t.get(&key("missing"), SimTime::ZERO);
         let c = t.request_counts();

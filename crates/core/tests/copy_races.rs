@@ -61,10 +61,7 @@ impl Held {
     }
 
     fn refusal(&self) -> TieraError {
-        TieraError::Timeout {
-            tier: self.name().to_string(),
-            waited: SimDuration::from_millis(10),
-        }
+        TieraError::Timeout { tier: self.name().to_string(), waited: SimDuration::from_millis(10) }
     }
 }
 
@@ -124,14 +121,8 @@ impl Tier for Held {
 /// one-second write-back timer that moves every dirty object to `t2`.
 fn write_back() -> (Arc<Instance>, Arc<Held>, Gate, Arc<MemTier>) {
     let (t1, gate) = Held::new("t1", 64 << 20);
-    let t2 = MemTier::with_traits(
-        "t2",
-        64 << 20,
-        TierTraits {
-            durable: true,
-            ..TierTraits::default()
-        },
-    );
+    let t2 =
+        MemTier::with_traits("t2", 64 << 20, TierTraits { durable: true, ..TierTraits::default() });
     let inst = InstanceBuilder::new("write-back", SimEnv::new(3))
         .tier(Arc::clone(&t1))
         .tier(Arc::clone(&t2))

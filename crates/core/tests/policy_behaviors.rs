@@ -4,12 +4,12 @@
 
 use std::sync::Arc;
 
-use tiera_support::Bytes;
 use tiera_core::event::{ActionOp, EventKind, Metric, Relation};
 use tiera_core::prelude::*;
 use tiera_core::response::Guard;
 use tiera_core::tier::TierTraits;
 use tiera_sim::{SimEnv, StorageClass};
+use tiera_support::Bytes;
 
 const T0: SimTime = SimTime::ZERO;
 
@@ -45,21 +45,17 @@ fn tmp_tag_routes_object_class_to_volatile_tier() {
         )
         .rule(
             // And purge the tmp class wholesale.
-            Rule::on(EventKind::timer(SimDuration::from_secs(60))).respond(
-                ResponseSpec::Delete {
-                    what: Selector::Tagged(Tag::new("tmp")),
-                    from: None,
-                },
-            ),
+            Rule::on(EventKind::timer(SimDuration::from_secs(60))).respond(ResponseSpec::Delete {
+                what: Selector::Tagged(Tag::new("tmp")),
+                from: None,
+            }),
         )
         .build()
         .unwrap();
     inst.put_with(
         "cache-entry",
         &b"ephemeral"[..],
-        tiera_core::instance::PutOptions {
-            tags: vec![Tag::new("tmp")],
-        },
+        tiera_core::instance::PutOptions { tags: vec![Tag::new("tmp")] },
         T0,
     )
     .unwrap();
@@ -115,10 +111,7 @@ fn at_most_threshold_shrinks_idle_tier() {
                 value: 0.10,
                 background: false,
             })
-            .respond(ResponseSpec::Shrink {
-                tier: "t1".into(),
-                percent: 50.0,
-            }),
+            .respond(ResponseSpec::Shrink { tier: "t1".into(), percent: 50.0 }),
         )
         .build()
         .unwrap();
@@ -127,11 +120,7 @@ fn at_most_threshold_shrinks_idle_tier() {
     inst.put("a", Bytes::from(vec![0u8; 500]), T0).unwrap();
     assert_eq!(inst.tier("t1").unwrap().capacity(T0), 1000);
     inst.delete("a", T0).unwrap();
-    assert_eq!(
-        inst.tier("t1").unwrap().capacity(T0),
-        500,
-        "shrink fired when usage fell to 0%"
-    );
+    assert_eq!(inst.tier("t1").unwrap().capacity(T0), 500, "shrink fired when usage fell to 0%");
 }
 
 /// Runtime rule replacement mid-stream redirects placement without
@@ -177,19 +166,12 @@ fn three_tier_eviction_chain() {
         .build()
         .unwrap();
     for (i, key) in ["w", "x", "y", "z"].iter().enumerate() {
-        inst.put(*key, Bytes::from(vec![i as u8; 4]), SimTime::from_secs(i as u64))
-            .unwrap();
+        inst.put(*key, Bytes::from(vec![i as u8; 4]), SimTime::from_secs(i as u64)).unwrap();
     }
     // With 4 × 4-byte objects over 8-byte l1/l2: w and x get evicted from
     // l1 into l2 (which just fits them); the newest two stay in l1.
     let locs = |k: &str| {
-        inst.registry()
-            .get(&k.into())
-            .unwrap()
-            .locations
-            .iter()
-            .cloned()
-            .collect::<Vec<_>>()
+        inst.registry().get(&k.into()).unwrap().locations.iter().cloned().collect::<Vec<_>>()
     };
     assert_eq!(locs("z"), vec!["l1"]);
     assert_eq!(locs("y"), vec!["l1"]);
@@ -209,23 +191,19 @@ fn three_tier_eviction_chain() {
 fn timer_encrypts_tagged_class() {
     let inst = InstanceBuilder::new("enc", SimEnv::new(7))
         .tier(MemTier::with_capacity("t1", 1 << 20))
-        .rule(
-            Rule::on(EventKind::timer(SimDuration::from_secs(10))).respond(
-                ResponseSpec::Encrypt {
-                    what: Selector::Tagged(Tag::new("sensitive")),
-                    key_id: "vault".into(),
-                },
-            ),
-        )
+        .rule(Rule::on(EventKind::timer(SimDuration::from_secs(10))).respond(
+            ResponseSpec::Encrypt {
+                what: Selector::Tagged(Tag::new("sensitive")),
+                key_id: "vault".into(),
+            },
+        ))
         .build()
         .unwrap();
     inst.add_key("vault", [3u8; 32]);
     inst.put_with(
         "secret",
         &b"classified"[..],
-        tiera_core::instance::PutOptions {
-            tags: vec![Tag::new("sensitive")],
-        },
+        tiera_core::instance::PutOptions { tags: vec![Tag::new("sensitive")] },
         T0,
     )
     .unwrap();
@@ -247,10 +225,7 @@ fn decrypt_under_another_key_is_refused() {
     let inst = InstanceBuilder::new("dec", SimEnv::new(7))
         .tier(MemTier::with_capacity("t1", 1 << 20))
         .rule(Rule::on(EventKind::timer(SimDuration::from_secs(10))).respond(
-            ResponseSpec::Encrypt {
-                what: Selector::Key("secret".into()),
-                key_id: "k1".into(),
-            },
+            ResponseSpec::Encrypt { what: Selector::Key("secret".into()), key_id: "k1".into() },
         ))
         .build()
         .unwrap();
@@ -266,10 +241,7 @@ fn decrypt_under_another_key_is_refused() {
     let encrypted = stored(&inst);
     assert!(encrypted.0.encrypted && encrypted.1 != b"classified");
 
-    let decrypt = ResponseSpec::Decrypt {
-        what: Selector::Key(key.clone()),
-        key_id: "k2".into(),
-    };
+    let decrypt = ResponseSpec::Decrypt { what: Selector::Key(key.clone()), key_id: "k2".into() };
     inst.install_rule(Rule::on(EventKind::timer(SimDuration::from_secs(20))).respond(decrypt))
         .unwrap();
     inst.pump(SimTime::from_secs(20)).unwrap();
@@ -346,10 +318,7 @@ fn delete_action_event_fires() {
         .tier(MemTier::with_capacity("t1", 1 << 20))
         .rule(
             Rule::on(EventKind::action(ActionOp::Delete))
-                .respond(ResponseSpec::Grow {
-                    tier: "t1".into(),
-                    percent: 1.0,
-                })
+                .respond(ResponseSpec::Grow { tier: "t1".into(), percent: 1.0 })
                 .labeled("audit: grow a little on every delete"),
         )
         .build()

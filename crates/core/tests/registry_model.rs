@@ -61,11 +61,7 @@ impl Model {
 
     /// Keys in access order whose metadata passes `keep`.
     fn in_order(&self, keep: impl Fn(&ObjectMeta) -> bool) -> Vec<ObjectKey> {
-        self.order
-            .values()
-            .filter(|k| keep(&self.objects[*k].0))
-            .cloned()
-            .collect()
+        self.order.values().filter(|k| keep(&self.objects[*k].0)).cloned().collect()
     }
 
     fn aggregates(&self, tier: &str) -> TierAggregates {
@@ -82,24 +78,12 @@ impl Model {
 
 fn assert_agrees(reg: &Registry, model: &Model, step: usize) {
     let select = |s: Selector| reg.select(&s, None);
-    assert_eq!(
-        select(Selector::All),
-        model.in_order(|_| true),
-        "All @{step}"
-    );
-    assert_eq!(
-        select(Selector::Dirty),
-        model.in_order(|m| m.dirty),
-        "Dirty @{step}"
-    );
+    assert_eq!(select(Selector::All), model.in_order(|_| true), "All @{step}");
+    assert_eq!(select(Selector::Dirty), model.in_order(|m| m.dirty), "Dirty @{step}");
     assert_eq!(reg.len(), model.objects.len(), "len @{step}");
     for tier in TIERS {
         let expected = model.in_order(|m| m.in_tier(tier));
-        assert_eq!(
-            select(Selector::InTier(tier.into())),
-            expected,
-            "InTier({tier}) @{step}"
-        );
+        assert_eq!(select(Selector::InTier(tier.into())), expected, "InTier({tier}) @{step}");
         assert_eq!(reg.keys_in(tier), expected, "keys_in({tier}) @{step}");
         assert_eq!(
             select(Selector::OldestIn(tier.into())),
@@ -111,16 +95,8 @@ fn assert_agrees(reg: &Registry, model: &Model, step: usize) {
             expected.last().cloned().into_iter().collect::<Vec<_>>(),
             "NewestIn({tier}) @{step}"
         );
-        assert_eq!(
-            reg.aggregates(tier),
-            reg.recount_aggregates(tier),
-            "recount({tier}) @{step}"
-        );
-        assert_eq!(
-            reg.aggregates(tier),
-            model.aggregates(tier),
-            "aggregates({tier}) @{step}"
-        );
+        assert_eq!(reg.aggregates(tier), reg.recount_aggregates(tier), "recount({tier}) @{step}");
+        assert_eq!(reg.aggregates(tier), model.aggregates(tier), "aggregates({tier}) @{step}");
     }
 }
 
@@ -188,10 +164,7 @@ const GOLDEN_ONE_LOCATION: &str = "000400000000000000040000000000000000000000000
 const GOLDEN_FULL: &str = "0010000000000000d204000000000000010000000000000000c817a80400000000e40b54020000000f239f59ed55e737c77147cf55ad0c1b030b6d7ee748a7426952f9b852d5a935e50200000003000000656273090000006d656d6361636865640100000003000000746d70010700000064656661756c74";
 
 fn unhex(s: &str) -> Vec<u8> {
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-        .collect()
+    (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
 }
 
 #[test]
@@ -211,14 +184,8 @@ fn parent_encodings_decode_as_version_zero_and_reencode_with_it() {
     let minimal = ObjectMeta::decode(&unhex(GOLDEN_MINIMAL)).unwrap();
     assert_eq!(minimal, ObjectMeta::new(128, SimTime::from_secs(3)));
     let full = ObjectMeta::decode(&unhex(GOLDEN_FULL)).unwrap();
-    assert_eq!(
-        (full.size, full.stored_size(), full.access_count),
-        (4096, 1234, 1)
-    );
-    assert_eq!(
-        full.locations.iter().copied().collect::<Vec<_>>(),
-        ["ebs", "memcached"]
-    );
+    assert_eq!((full.size, full.stored_size(), full.access_count), (4096, 1234, 1));
+    assert_eq!(full.locations.iter().copied().collect::<Vec<_>>(), ["ebs", "memcached"]);
     assert!(full.dirty && full.compressed && full.encrypted);
     assert!(full.has_tag(&Tag::new("tmp")));
     assert_eq!(full.digest(), Some(tiera_codec::Digest::of(b"payload")));

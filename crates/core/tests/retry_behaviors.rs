@@ -1,8 +1,8 @@
 //! Integration tests for the retry/failover/alert path through a real
 //! `Instance`, using a scripted flaky tier (no simulation crates needed).
 
-use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Arc;
 
 use tiera_core::monitor::{FailureMonitor, ProbeOutcome};
 use tiera_core::prelude::*;
@@ -23,10 +23,7 @@ struct FlakyTier {
 
 impl FlakyTier {
     fn new(name: &str, capacity: u64, durable: bool) -> Arc<Self> {
-        let traits_ = TierTraits {
-            durable,
-            ..TierTraits::default()
-        };
+        let traits_ = TierTraits { durable, ..TierTraits::default() };
         Arc::new(Self {
             name: name.to_string(),
             durable,
@@ -50,10 +47,7 @@ impl FlakyTier {
     }
 
     fn timeout(&self) -> TieraError {
-        TieraError::Timeout {
-            tier: self.name.clone(),
-            waited: SimDuration::from_millis(100),
-        }
+        TieraError::Timeout { tier: self.name.clone(), waited: SimDuration::from_millis(100) }
     }
 }
 
@@ -110,11 +104,7 @@ impl Tier for FlakyTier {
 }
 
 fn instance_with(flaky: Arc<FlakyTier>, fallback: Arc<FlakyTier>) -> Arc<Instance> {
-    InstanceBuilder::new("retry-it", SimEnv::new(11))
-        .tier(flaky)
-        .tier(fallback)
-        .build()
-        .unwrap()
+    InstanceBuilder::new("retry-it", SimEnv::new(11)).tier(flaky).tier(fallback).build().unwrap()
 }
 
 const T0: SimTime = SimTime::ZERO;
@@ -214,13 +204,10 @@ fn get_falls_back_along_the_tier_chain() {
     // Place the object in both tiers via an explicit store rule-free path:
     // default placement puts it in primary; copy it to fallback manually.
     inst.put("k", &b"value"[..], T0).unwrap();
-    fallback
-        .put(&ObjectKey::new("k"), Bytes::from_static(b"value"), T0)
-        .unwrap();
-    inst.registry()
-        .update(&ObjectKey::new("k"), |m| {
-            m.locations.insert("fallback".into());
-        });
+    fallback.put(&ObjectKey::new("k"), Bytes::from_static(b"value"), T0).unwrap();
+    inst.registry().update(&ObjectKey::new("k"), |m| {
+        m.locations.insert("fallback".into());
+    });
 
     primary.set_down(true);
     let (data, receipt) = inst.get("k", SimTime::from_secs(1)).unwrap();
@@ -237,14 +224,9 @@ fn monitor_reacts_to_drained_alerts() {
     let inst = instance_with(primary.clone(), fallback.clone());
     inst.set_retry_policy(RetryPolicy::robust());
 
-    let mut mon = FailureMonitor::new(
-        inst.clone(),
-        SimDuration::from_secs(120),
-        1,
-        |i| {
-            let _ = i.detach_tier("primary");
-        },
-    )
+    let mut mon = FailureMonitor::new(inst.clone(), SimDuration::from_secs(120), 1, |i| {
+        let _ = i.detach_tier("primary");
+    })
     .observing_alerts();
 
     // Degraded PUT → FAILURE_ALERT → monitor reconfigures on next tick,
@@ -267,11 +249,7 @@ fn pump_survives_failing_background_work_and_requeues_it() {
     // Background write-back to fallback; no retry policy needed — the
     // pump's own requeue logic is under test.
     inst.policy().add(Rule {
-        event: EventKind::Action {
-            op: ActionOp::Put,
-            tier: None,
-            background: true,
-        },
+        event: EventKind::Action { op: ActionOp::Put, tier: None, background: true },
         responses: vec![ResponseSpec::copy(Selector::Inserted, ["fallback".to_string()])],
         label: None,
     });
@@ -292,12 +270,7 @@ fn pump_survives_failing_background_work_and_requeues_it() {
     fallback.set_down(false);
     inst.pump(SimTime::from_secs(120)).unwrap();
     assert_eq!(inst.background_depth(), 0);
-    assert!(
-        inst.registry()
-            .get(&ObjectKey::new("k"))
-            .unwrap()
-            .in_tier("fallback")
-    );
+    assert!(inst.registry().get(&ObjectKey::new("k")).unwrap().in_tier("fallback"));
 }
 
 #[test]
@@ -306,11 +279,7 @@ fn pump_drops_poisoned_work_after_attempt_budget_with_alert() {
     let fallback = FlakyTier::new("fallback", 1 << 20, true);
     let inst = instance_with(primary.clone(), fallback.clone());
     inst.policy().add(Rule {
-        event: EventKind::Action {
-            op: ActionOp::Put,
-            tier: None,
-            background: true,
-        },
+        event: EventKind::Action { op: ActionOp::Put, tier: None, background: true },
         responses: vec![ResponseSpec::copy(Selector::Inserted, ["fallback".to_string()])],
         label: None,
     });

@@ -77,11 +77,7 @@ fn first_backoff_is_at_least_the_base_and_grows_from_it() {
         let mut draws = SimRng::new(rng.next_u64());
         let schedule = policy.schedule(&mut draws);
         let floor = policy.base_backoff.min(policy.max_backoff);
-        assert!(
-            schedule[0] >= floor,
-            "first backoff {:?} below base {floor:?}",
-            schedule[0]
-        );
+        assert!(schedule[0] >= floor, "first backoff {:?} below base {floor:?}", schedule[0]);
     });
 }
 

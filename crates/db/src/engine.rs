@@ -196,13 +196,17 @@ impl MiniDb {
                 fs,
                 cfg,
                 table_path,
-                shared: Mutex::named("db.shared", rank::DB_SHARED, Shared {
-                    pool,
-                    os_cache,
-                    journal_len: 0,
-                    journal_tail: Vec::with_capacity(64),
-                    txn_counter: 0,
-                }),
+                shared: Mutex::named(
+                    "db.shared",
+                    rank::DB_SHARED,
+                    Shared {
+                        pool,
+                        os_cache,
+                        journal_len: 0,
+                        journal_tail: Vec::with_capacity(64),
+                        txn_counter: 0,
+                    },
+                ),
                 cpu: SerialResource::new(),
             },
             latency,
@@ -248,18 +252,11 @@ impl MiniDb {
             }
         }
         // Storage read through the Tiera instance / fs.
-        let r = self
-            .fs
-            .read(&self.table_path, page * PAGE_SIZE as u64, PAGE_SIZE, t)?;
+        let r = self.fs.read(&self.table_path, page * PAGE_SIZE as u64, PAGE_SIZE, t)?;
         if let Some(osc) = shared.os_cache.as_mut() {
             osc.fill(page, r.value.clone());
         }
-        shared.pool.insert(
-            page,
-            PageBuf {
-                data: r.value,
-            },
-        );
+        shared.pool.insert(page, PageBuf { data: r.value });
         Ok((false, true, r.latency))
     }
 
@@ -343,20 +340,14 @@ impl MiniDb {
                 }
                 data
             };
-            let r = self
-                .fs
-                .write(&self.table_path, page * PAGE_SIZE as u64, &data, t)?;
+            let r = self.fs.write(&self.table_path, page * PAGE_SIZE as u64, &data, t)?;
             latency += r.latency;
             t += r.latency;
         }
         let commit_lat = self.append_journal(dirty_pages.len() as u32, t)?;
         latency += commit_lat;
 
-        Ok(TxnReceipt {
-            latency,
-            cache_hits,
-            storage_reads,
-        })
+        Ok(TxnReceipt { latency, cache_hits, storage_reads })
     }
 
     /// Appends a commit record to the redo journal: one small sequential
@@ -466,8 +457,7 @@ mod tests {
     fn transactions_journal_even_when_read_only() {
         let (db, _) = MiniDb::create(mem_fs(), small_cfg(), T0).unwrap();
         let (_, j0) = db.cache_stats();
-        db.run_transaction(&[Op::Select(1), Op::Select(2)], T0)
-            .unwrap();
+        db.run_transaction(&[Op::Select(1), Op::Select(2)], T0).unwrap();
         let (_, j1) = db.cache_stats();
         assert!(j1 > j0, "read-only txn appended to the journal");
     }
@@ -506,9 +496,7 @@ mod tests {
         let mut misses = 0;
         for sweep in 0..2 {
             for p in 0..pages {
-                let r = db
-                    .run_transaction(&[Op::Select(p * rp)], T0)
-                    .unwrap();
+                let r = db.run_transaction(&[Op::Select(p * rp)], T0).unwrap();
                 if sweep == 1 {
                     misses += r.storage_reads;
                 }
@@ -536,5 +524,4 @@ mod tests {
         }
         assert_eq!(storage, 0, "OS cache absorbed the pool misses");
     }
-
 }

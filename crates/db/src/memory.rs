@@ -13,8 +13,8 @@
 //! queue grows with the thread count, collapsing throughput to that of one
 //! slow serial executor.
 
-use tiera_support::sync::{rank, Mutex};
 use tiera_sim::{SerialResource, SimDuration, SimTime};
+use tiera_support::sync::{rank, Mutex};
 
 use crate::engine::{DbError, Op, TxnReceipt};
 
@@ -33,11 +33,7 @@ impl MemoryEngine {
     /// Creates a table of `rows` rows of `row_size` bytes.
     pub fn new(rows: u64, row_size: usize) -> Self {
         let table = (0..rows)
-            .map(|r| {
-                (0..row_size)
-                    .map(|i| ((r as usize * 31 + i * 7) % 251) as u8)
-                    .collect()
-            })
+            .map(|r| (0..row_size).map(|i| ((r as usize * 31 + i * 7) % 251) as u8).collect())
             .collect();
         Self {
             rows: Mutex::named("db.rows", rank::DB_ROWS, table),
@@ -85,11 +81,7 @@ impl MemoryEngine {
 
     /// Reads a row (for verification).
     pub fn read_row(&self, row: u64) -> Result<Vec<u8>, DbError> {
-        self.rows
-            .lock()
-            .get(row as usize)
-            .cloned()
-            .ok_or(DbError::NoSuchRow(row))
+        self.rows.lock().get(row as usize).cloned().ok_or(DbError::NoSuchRow(row))
     }
 
     /// Row width in bytes.
@@ -100,9 +92,7 @@ impl MemoryEngine {
 
 impl std::fmt::Debug for MemoryEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoryEngine")
-            .field("rows", &self.rows.lock().len())
-            .finish()
+        f.debug_struct("MemoryEngine").field("rows", &self.rows.lock().len()).finish()
     }
 }
 
@@ -134,11 +124,7 @@ mod tests {
         }
         // Each batch holds the lock for 600 ms; the 8th waits ~4.2 s.
         assert!(latencies[0] < latencies[7]);
-        assert!(
-            latencies[7].as_secs_f64() > 4.0,
-            "queueing collapse: {:?}",
-            latencies[7]
-        );
+        assert!(latencies[7].as_secs_f64() > 4.0, "queueing collapse: {:?}", latencies[7]);
         // Aggregate throughput ≈ 8 txns / 4.8 s < 2 TPS.
         let total = latencies.iter().max().unwrap().as_secs_f64();
         assert!(8.0 / total < 2.0);

@@ -217,12 +217,7 @@ mod tests {
     fn temp_path(tag: &str) -> PathBuf {
         static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "tiera-log-{}-{}-{}.log",
-            std::process::id(),
-            tag,
-            n
-        ))
+        std::env::temp_dir().join(format!("tiera-log-{}-{}-{}.log", std::process::id(), tag, n))
     }
 
     /// `records`, framed one after another.
@@ -251,7 +246,8 @@ mod tests {
         std::fs::write(&path, &log).unwrap();
         let (recs, valid_len) = replay(&path);
         assert_eq!(recs.len(), 3);
-        let alpha = |kind, value: &str| Record { kind, key: b"alpha".to_vec(), value: value.into() };
+        let alpha =
+            |kind, value: &str| Record { kind, key: b"alpha".to_vec(), value: value.into() };
         assert_eq!(recs[0], alpha(RecordKind::Put, "1"));
         assert_eq!(recs[2], alpha(RecordKind::Delete, ""));
         assert_eq!(valid_len, log.len() as u64);

@@ -104,10 +104,7 @@ impl MetaStore {
             let loc = idx.overflow.get_mut(&key).expect("live under the commit lock");
             (loc.file, loc.offset) = (snap_no, at);
         }
-        idx.files = vec![
-            LogFile { no: snap_no, file: snap_file },
-            LogFile { no: active_no, file },
-        ];
+        idx.files = vec![LogFile { no: snap_no, file: snap_file }, LogFile { no: active_no, file }];
         idx.tail_start = 0;
         Ok(())
     }

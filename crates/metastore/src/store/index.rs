@@ -98,10 +98,9 @@ impl Index {
     }
 
     fn file(&self, no: u32) -> io::Result<&Arc<File>> {
-        self.files
-            .binary_search_by_key(&no, |f| f.no)
-            .map(|at| &self.files[at].file)
-            .map_err(|_| corrupt(format!("a locator names file {no}, which the shard does not hold")))
+        self.files.binary_search_by_key(&no, |f| f.no).map(|at| &self.files[at].file).map_err(
+            |_| corrupt(format!("a locator names file {no}, which the shard does not hold")),
+        )
     }
 
     /// Fills `buf` with the first bytes of the record at `loc`, from its
@@ -136,7 +135,8 @@ impl Index {
             }
         };
         self.read_exact(loc, buf)?;
-        Ok(header_lens(buf).is_some_and(|(klen, _)| klen == key.len()) && buf.get(HEADER..) == Some(key))
+        Ok(header_lens(buf).is_some_and(|(klen, _)| klen == key.len())
+            && buf.get(HEADER..) == Some(key))
     }
 
     /// Where `key`'s locator lives and what it is now.
@@ -252,11 +252,8 @@ impl Index {
                 }
                 RecordKind::Delete if snapshot => return Ok(None),
                 kind => {
-                    let loc = Locator {
-                        offset: frame.offset,
-                        file: no,
-                        len: frame.raw.len() as u32,
-                    };
+                    let loc =
+                        Locator { offset: frame.offset, file: no, len: frame.raw.len() as u32 };
                     let hash = key_hash(frame.key);
                     let slot = self.slot(hash, frame.key)?;
                     self.apply(slot, kind, hash, frame.key, loc, dead_bytes);
@@ -311,11 +308,8 @@ impl Index {
             cap => (cap * 8 / 7).next_power_of_two(),
         };
         let table = buckets * (std::mem::size_of::<(u64, Locator)>() + 1);
-        let overflow: usize = self
-            .overflow
-            .keys()
-            .map(|k| k.len() + std::mem::size_of::<(Vec<u8>, Locator)>())
-            .sum();
+        let overflow: usize =
+            self.overflow.keys().map(|k| k.len() + std::mem::size_of::<(Vec<u8>, Locator)>()).sum();
         (table + overflow) as u64
     }
 }

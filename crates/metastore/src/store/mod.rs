@@ -310,8 +310,7 @@ impl MetaStore {
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let (shard, hash) = self.locate(key);
         let idx = shard.index.read();
-        idx.value_of(hash, key)
-            .unwrap_or_else(|e| panic!("metastore: reading {:?}: {e}", self.dir))
+        idx.value_of(hash, key).unwrap_or_else(|e| panic!("metastore: reading {:?}: {e}", self.dir))
     }
 
     /// Visits every live key and value in **log order**: shard by shard,
@@ -432,7 +431,6 @@ impl std::fmt::Debug for MetaStore {
     }
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::index::write_all_at;
@@ -449,25 +447,15 @@ mod tests {
     fn temp_dir(tag: &str) -> PathBuf {
         static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let d = std::env::temp_dir().join(format!(
-            "tiera-store-{}-{}-{}",
-            std::process::id(),
-            tag,
-            n
-        ));
+        let d =
+            std::env::temp_dir().join(format!("tiera-store-{}-{}-{}", std::process::id(), tag, n));
         fs::create_dir_all(&d).unwrap();
         d
     }
 
     fn one_shard(dir: &Path) -> MetaStore {
-        MetaStore::open_with(
-            dir,
-            MetaStoreOptions {
-                shards: 1,
-                ..MetaStoreOptions::default()
-            },
-        )
-        .unwrap()
+        MetaStore::open_with(dir, MetaStoreOptions { shards: 1, ..MetaStoreOptions::default() })
+            .unwrap()
     }
 
     /// What the store holds, sorted by key, read through `for_each`.
@@ -526,10 +514,7 @@ mod tests {
         {
             let s = MetaStore::open_with(
                 &dir,
-                MetaStoreOptions {
-                    shards: 4,
-                    ..MetaStoreOptions::default()
-                },
+                MetaStoreOptions { shards: 4, ..MetaStoreOptions::default() },
             )
             .unwrap();
             assert_eq!(s.stats().shards, 4);
@@ -539,10 +524,7 @@ mod tests {
         // Reopening with a different requested count uses the persisted one.
         let s = MetaStore::open_with(
             &dir,
-            MetaStoreOptions {
-                shards: 16,
-                ..MetaStoreOptions::default()
-            },
+            MetaStoreOptions { shards: 16, ..MetaStoreOptions::default() },
         )
         .unwrap();
         assert_eq!(s.stats().shards, 4);
@@ -555,10 +537,7 @@ mod tests {
         let dir = temp_dir("badshards");
         let err = MetaStore::open_with(
             &dir,
-            MetaStoreOptions {
-                shards: 3,
-                ..MetaStoreOptions::default()
-            },
+            MetaStoreOptions { shards: 3, ..MetaStoreOptions::default() },
         )
         .unwrap_err();
         assert!(matches!(err, MetaStoreError::Config(_)), "{err}");
@@ -638,8 +617,7 @@ mod tests {
         let s = MetaStore::open(&dir).unwrap();
         for round in 0..10 {
             for i in 0..50 {
-                s.put(format!("key-{i}").as_bytes(), format!("v{round}").as_bytes())
-                    .unwrap();
+                s.put(format!("key-{i}").as_bytes(), format!("v{round}").as_bytes()).unwrap();
             }
         }
         let before = s.stats().log_bytes;
@@ -777,10 +755,7 @@ mod tests {
         };
         let reopened = MetaStore::open(&dir).unwrap().stats();
         assert!(live.dead_bytes > 0);
-        assert_eq!(
-            live.dead_bytes, reopened.dead_bytes,
-            "live {live:?} vs reopened {reopened:?}"
-        );
+        assert_eq!(live.dead_bytes, reopened.dead_bytes, "live {live:?} vs reopened {reopened:?}");
         assert_eq!(live.live_keys, reopened.live_keys);
         assert_eq!(live.log_bytes, reopened.log_bytes);
         fs::remove_dir_all(&dir).ok();
@@ -811,11 +786,7 @@ mod tests {
         let dir = temp_dir("identput");
         let s = MetaStore::open_with(
             &dir,
-            MetaStoreOptions {
-                sync_every_append: true,
-                shards: 1,
-                ..MetaStoreOptions::default()
-            },
+            MetaStoreOptions { sync_every_append: true, shards: 1, ..MetaStoreOptions::default() },
         )
         .unwrap();
         s.put(b"k", b"same").unwrap();
@@ -841,10 +812,7 @@ mod tests {
         write_log(&flat, &[(RecordKind::Put, b"old", b"1")]);
         let before = fs::read(&flat).unwrap();
         let err = MetaStore::open(&dir).unwrap_err();
-        assert!(
-            matches!(&err, MetaStoreError::BadSegmentName(p) if *p == flat),
-            "{err}"
-        );
+        assert!(matches!(&err, MetaStoreError::BadSegmentName(p) if *p == flat), "{err}");
         assert_eq!(fs::read(&flat).unwrap(), before, "the file is left as it was");
         fs::remove_dir_all(&dir).ok();
     }
@@ -856,10 +824,7 @@ mod tests {
         let dir = temp_dir("rwsplit");
         let s = MetaStore::open_with(
             &dir,
-            MetaStoreOptions {
-                shards: 1,
-                ..MetaStoreOptions::default()
-            },
+            MetaStoreOptions { shards: 1, ..MetaStoreOptions::default() },
         )
         .unwrap();
         s.put(b"k", b"v").unwrap();
@@ -942,8 +907,9 @@ mod tests {
                 let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
                 let mut s = MetaStore::open_hashed(&dir, opts.clone(), hash).unwrap();
                 for _ in 0..gen::usize_in(rng, 30..160) {
-                    let key = format!("{}/{}", gen::pick(rng, &["a", "b"]), gen::usize_in(rng, 0..20))
-                        .into_bytes();
+                    let key =
+                        format!("{}/{}", gen::pick(rng, &["a", "b"]), gen::usize_in(rng, 0..20))
+                            .into_bytes();
                     match gen::usize_in(rng, 0..20) {
                         0..=9 => {
                             // Puts take every path into the log: into the
@@ -960,7 +926,11 @@ mod tests {
                             model.insert(key, value);
                         }
                         10..=13 => {
-                            assert_eq!(s.delete(&key).unwrap(), model.remove(&key).is_some(), "{name}");
+                            assert_eq!(
+                                s.delete(&key).unwrap(),
+                                model.remove(&key).is_some(),
+                                "{name}"
+                            );
                         }
                         14..=15 => {
                             assert_eq!(s.get(&key).as_ref(), model.get(&key), "{name}");
@@ -1008,7 +978,10 @@ mod tests {
         s.put(b"third", b"3").unwrap();
         assert_eq!(s.stats().live_keys, 2);
         s.compact().unwrap();
-        assert_eq!(contents(&s), [(b"second".to_vec(), b"2".to_vec()), (b"third".to_vec(), b"3".to_vec())]);
+        assert_eq!(
+            contents(&s),
+            [(b"second".to_vec(), b"2".to_vec()), (b"third".to_vec(), b"3".to_vec())]
+        );
         drop(s);
         let s = MetaStore::open_hashed(&dir, MetaStoreOptions::default(), colliding).unwrap();
         assert_eq!(s.get(b"second"), Some(b"2".to_vec()));
@@ -1023,11 +996,7 @@ mod tests {
             let dir = temp_dir("ackvisible");
             let s = MetaStore::open_with(
                 &dir,
-                MetaStoreOptions {
-                    sync_every_append,
-                    shards: 1,
-                    ..MetaStoreOptions::default()
-                },
+                MetaStoreOptions { sync_every_append, shards: 1, ..MetaStoreOptions::default() },
             )
             .unwrap();
             s.put(b"k", b"v1").unwrap();
@@ -1087,8 +1056,10 @@ mod tests {
             }
             s.delete(b"d").unwrap();
             let mut seen = Vec::new();
-            s.for_each(|k, v| seen.push(format!("{}={}", String::from_utf8_lossy(k), String::from_utf8_lossy(v))))
-                .unwrap();
+            s.for_each(|k, v| {
+                seen.push(format!("{}={}", String::from_utf8_lossy(k), String::from_utf8_lossy(v)))
+            })
+            .unwrap();
             fs::remove_dir_all(&dir).ok();
             seen
         };
@@ -1123,8 +1094,7 @@ mod tests {
         let dir = temp_dir("indexbytes");
         let s = MetaStore::open(&dir).unwrap();
         for i in 0..10_000 {
-            s.put(format!("a-rather-long-object-name/{i:08}").as_bytes(), &[7u8; 200])
-                .unwrap();
+            s.put(format!("a-rather-long-object-name/{i:08}").as_bytes(), &[7u8; 200]).unwrap();
         }
         let per_key = s.stats().index_bytes as f64 / 10_000.0;
         assert!((25.0..=60.0).contains(&per_key), "{per_key} B/key");
@@ -1136,11 +1106,8 @@ mod tests {
         let dir = temp_dir("owedcut");
         // Every append writes through, so a refused one is refused by its
         // own write, not by the flush of a tail before it.
-        let opts = MetaStoreOptions {
-            shards: 1,
-            sync_every_append: true,
-            ..MetaStoreOptions::default()
-        };
+        let opts =
+            MetaStoreOptions { shards: 1, sync_every_append: true, ..MetaStoreOptions::default() };
         let s = MetaStore::open_with(&dir, opts).unwrap();
         s.put(b"a", b"1").unwrap();
         let shard = &s.shards[0];
@@ -1169,7 +1136,10 @@ mod tests {
         drop(s);
         let s = one_shard(&dir);
         assert_eq!(s.get(b"ghost"), None, "an unacked record replayed after b");
-        assert_eq!((s.get(b"a"), s.get(b"b"), s.get(b"big")), (Some(b"1".to_vec()), Some(b"22".to_vec()), None));
+        assert_eq!(
+            (s.get(b"a"), s.get(b"b"), s.get(b"big")),
+            (Some(b"1".to_vec()), Some(b"22".to_vec()), None)
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -88,9 +88,8 @@ pub(super) fn parse_name(path: &Path) -> Result<Option<ScanFile>, MetaStoreError
                     return Ok(Some(ScanFile::SnapTmp(path.to_path_buf())));
                 }
                 for (prefix, seg) in [("seg-", true), ("snap-", false)] {
-                    if let Some(num) = tail
-                        .strip_prefix(prefix)
-                        .and_then(|t| t.strip_suffix(".log"))
+                    if let Some(num) =
+                        tail.strip_prefix(prefix).and_then(|t| t.strip_suffix(".log"))
                     {
                         if let Ok(n) = num.parse::<u64>() {
                             return Ok(Some(if seg {
@@ -133,10 +132,7 @@ fn read_meta(dir: &Path) -> Result<Option<usize>, MetaStoreError> {
             }
         }
     }
-    Err(MetaStoreError::Config(format!(
-        "unreadable meta file {}",
-        path.display()
-    )))
+    Err(MetaStoreError::Config(format!("unreadable meta file {}", path.display())))
 }
 
 fn write_meta(dir: &Path, shards: usize) -> Result<(), MetaStoreError> {

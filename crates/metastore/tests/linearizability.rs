@@ -11,9 +11,7 @@ use std::fs::{self, File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tiera_metastore::{
-    encoded_record_len, LogReader, MetaStore, MetaStoreOptions, RecordKind,
-};
+use tiera_metastore::{encoded_record_len, LogReader, MetaStore, MetaStoreOptions, RecordKind};
 use tiera_support::prop::gen;
 use tiera_support::prop_check;
 use tiera_support::rng::SimRng;
@@ -21,12 +19,7 @@ use tiera_support::rng::SimRng;
 fn temp_dir(tag: &str) -> PathBuf {
     static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!(
-        "tiera-linz-{}-{}-{}",
-        std::process::id(),
-        tag,
-        n
-    ));
+    let d = std::env::temp_dir().join(format!("tiera-linz-{}-{}-{}", std::process::id(), tag, n));
     fs::create_dir_all(&d).unwrap();
     d
 }
@@ -67,10 +60,11 @@ fn replay_all_segments(dir: &Path) -> BTreeMap<Vec<u8>, Vec<u8>> {
 /// Everything the store holds, read through `for_each`.
 fn contents(store: &MetaStore) -> BTreeMap<Vec<u8>, Vec<u8>> {
     let mut all = BTreeMap::new();
-    store.for_each(|k, v| {
-        all.insert(k.to_vec(), v.to_vec());
-    })
-    .unwrap();
+    store
+        .for_each(|k, v| {
+            all.insert(k.to_vec(), v.to_vec());
+        })
+        .unwrap();
     all
 }
 
@@ -159,22 +153,14 @@ fn prop_truncation_yields_acked_prefix() {
             .unwrap()
             .map(|e| e.unwrap().path())
             .find(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .map(|n| n.contains("-seg-"))
-                    .unwrap_or(false)
+                p.file_name().and_then(|n| n.to_str()).map(|n| n.contains("-seg-")).unwrap_or(false)
             })
             .unwrap();
         assert_eq!(fs::metadata(&seg).unwrap().len(), *lens.last().unwrap());
         // Truncate at a random record boundary (0 = empty log).
         let j = gen::usize_in(rng, 0..ops + 1);
         let cut = if j == 0 { 0 } else { lens[j - 1] };
-        OpenOptions::new()
-            .write(true)
-            .open(&seg)
-            .unwrap()
-            .set_len(cut)
-            .unwrap();
+        OpenOptions::new().write(true).open(&seg).unwrap().set_len(cut).unwrap();
 
         let s = MetaStore::open(&dir).unwrap();
         assert_eq!(s.stats().live_keys, j as u64, "state must be exactly the first {j} acked ops");
@@ -220,22 +206,14 @@ fn prop_mid_record_truncation_drops_only_the_torn_tail() {
             .unwrap()
             .map(|e| e.unwrap().path())
             .find(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .map(|n| n.contains("-seg-"))
-                    .unwrap_or(false)
+                p.file_name().and_then(|n| n.to_str()).map(|n| n.contains("-seg-")).unwrap_or(false)
             })
             .unwrap();
         // Cut strictly inside record j (not at either boundary).
         let j = gen::usize_in(rng, 0..ops);
         let lo = if j == 0 { 0 } else { lens[j - 1] };
         let cut = gen::u64_in(rng, lo + 1..lens[j]);
-        OpenOptions::new()
-            .write(true)
-            .open(&seg)
-            .unwrap()
-            .set_len(cut)
-            .unwrap();
+        OpenOptions::new().write(true).open(&seg).unwrap().set_len(cut).unwrap();
 
         let s = MetaStore::open(&dir).unwrap();
         assert_eq!(s.stats().live_keys, j as u64, "exactly the records before the tear survive");

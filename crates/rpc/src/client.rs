@@ -49,10 +49,7 @@ pub struct ClientReceipt {
 pub type GetOutcome = io::Result<(Vec<u8>, ClientReceipt)>;
 
 fn unexpected(resp: Response) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("unexpected response: {resp:?}"),
-    )
+    io::Error::new(io::ErrorKind::InvalidData, format!("unexpected response: {resp:?}"))
 }
 
 // Shared response interpretation, so the lockstep, pipelined, and batch
@@ -76,10 +73,9 @@ fn as_ok(resp: Response) -> io::Result<()> {
 
 fn as_put(resp: Response) -> io::Result<ClientReceipt> {
     match resp {
-        Response::PutOk { latency_ns } => Ok(ClientReceipt {
-            latency: SimDuration::from_nanos(latency_ns),
-            served_by: None,
-        }),
+        Response::PutOk { latency_ns } => {
+            Ok(ClientReceipt { latency: SimDuration::from_nanos(latency_ns), served_by: None })
+        }
         Response::Error { message } => Err(io::Error::other(message)),
         other => Err(unexpected(other)),
     }
@@ -87,11 +83,7 @@ fn as_put(resp: Response) -> io::Result<ClientReceipt> {
 
 fn as_get(resp: Response) -> io::Result<(Vec<u8>, ClientReceipt)> {
     match resp {
-        Response::GetOk {
-            value,
-            latency_ns,
-            served_by,
-        } => Ok((
+        Response::GetOk { value, latency_ns, served_by } => Ok((
             value,
             ClientReceipt {
                 latency: SimDuration::from_nanos(latency_ns),
@@ -105,10 +97,9 @@ fn as_get(resp: Response) -> io::Result<(Vec<u8>, ClientReceipt)> {
 
 fn as_delete(resp: Response) -> io::Result<ClientReceipt> {
     match resp {
-        Response::Deleted { latency_ns } => Ok(ClientReceipt {
-            latency: SimDuration::from_nanos(latency_ns),
-            served_by: None,
-        }),
+        Response::Deleted { latency_ns } => {
+            Ok(ClientReceipt { latency: SimDuration::from_nanos(latency_ns), served_by: None })
+        }
         Response::Error { message } => Err(io::Error::other(message)),
         other => Err(unexpected(other)),
     }
@@ -260,12 +251,9 @@ impl TieraClient {
     /// Fetches `(objects, reads, writes, events)` counters.
     pub fn stats(&mut self) -> io::Result<(u64, u64, u64, u64)> {
         match self.call(|conn| conn.submit(&Request::Stats))? {
-            Response::Stats {
-                objects,
-                reads,
-                writes,
-                events,
-            } => Ok((objects, reads, writes, events)),
+            Response::Stats { objects, reads, writes, events } => {
+                Ok((objects, reads, writes, events))
+            }
             other => Err(unexpected(other)),
         }
     }
@@ -275,9 +263,7 @@ impl TieraClient {
     /// Installs a policy rule from specification text
     /// (`event(...) : response { ... }`); returns its rule id.
     pub fn add_rule(&mut self, spec_text: &str) -> io::Result<u64> {
-        let req = Request::AddRule {
-            spec_text: spec_text.to_string(),
-        };
+        let req = Request::AddRule { spec_text: spec_text.to_string() };
         match self.call(|conn| conn.submit(&req))? {
             Response::RuleAdded { rule_id } => Ok(rule_id),
             Response::Error { message } => Err(io::Error::other(message)),
@@ -311,9 +297,7 @@ impl TieraClient {
 
     /// Detaches a tier by label.
     pub fn detach_tier(&mut self, label: &str) -> io::Result<()> {
-        let req = Request::DetachTier {
-            label: label.to_string(),
-        };
+        let req = Request::DetachTier { label: label.to_string() };
         as_ok(self.call(|conn| conn.submit(&req))?)
     }
 }
@@ -472,9 +456,8 @@ impl PipelinedClient {
         }
         self.writer.flush()?;
         loop {
-            let frame = read_frame(&mut self.reader)?.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::UnexpectedEof, "server closed")
-            })?;
+            let frame = read_frame(&mut self.reader)?
+                .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
             let (seq, payload) = split_seq(&frame)?;
             if !self.awaiting.remove(&seq) {
                 return Err(io::Error::new(
@@ -513,16 +496,12 @@ impl PipelinedClient {
 
     /// Queues a GET.
     pub fn submit_get(&mut self, key: &str) -> io::Result<Token> {
-        self.submit(&Request::Get {
-            key: key.to_string(),
-        })
+        self.submit(&Request::Get { key: key.to_string() })
     }
 
     /// Queues a DELETE.
     pub fn submit_delete(&mut self, key: &str) -> io::Result<Token> {
-        self.submit(&Request::Delete {
-            key: key.to_string(),
-        })
+        self.submit(&Request::Delete { key: key.to_string() })
     }
 
     /// Redeems a PUT token.
@@ -571,28 +550,18 @@ impl PipelinedClient {
 
     /// Fetches up to [`MAX_BATCH`] objects in one frame; per-item outcomes
     /// in key order.
-    pub fn multi_get(
-        &mut self,
-        keys: &[&str],
-    ) -> io::Result<Vec<GetOutcome>> {
+    pub fn multi_get(&mut self, keys: &[&str]) -> io::Result<Vec<GetOutcome>> {
         check_batch_len(keys.len())?;
-        let req = Request::MultiGet {
-            keys: keys.iter().map(|k| k.to_string()).collect(),
-        };
+        let req = Request::MultiGet { keys: keys.iter().map(|k| k.to_string()).collect() };
         let token = self.submit(&req)?;
         as_batch(self.wait(token)?, keys.len(), as_get)
     }
 
     /// Deletes up to [`MAX_BATCH`] objects in one frame; per-item outcomes
     /// in key order.
-    pub fn multi_delete(
-        &mut self,
-        keys: &[&str],
-    ) -> io::Result<Vec<io::Result<ClientReceipt>>> {
+    pub fn multi_delete(&mut self, keys: &[&str]) -> io::Result<Vec<io::Result<ClientReceipt>>> {
         check_batch_len(keys.len())?;
-        let req = Request::MultiDelete {
-            keys: keys.iter().map(|k| k.to_string()).collect(),
-        };
+        let req = Request::MultiDelete { keys: keys.iter().map(|k| k.to_string()).collect() };
         let token = self.submit(&req)?;
         as_batch(self.wait(token)?, keys.len(), as_delete)
     }
@@ -622,15 +591,10 @@ impl LocalClient {
 
     /// Stores an object with tags.
     pub fn put_tagged(&self, key: &str, value: &[u8], tags: &[&str]) -> io::Result<ClientReceipt> {
-        let opts = PutOptions {
-            tags: tags.iter().map(Tag::new).collect(),
-        };
+        let opts = PutOptions { tags: tags.iter().map(Tag::new).collect() };
         self.instance
             .put_with(key, value.to_vec(), opts, self.now())
-            .map(|r| ClientReceipt {
-                latency: r.latency,
-                served_by: None,
-            })
+            .map(|r| ClientReceipt { latency: r.latency, served_by: None })
             .map_err(|e| io::Error::other(e.to_string()))
     }
 
@@ -641,10 +605,7 @@ impl LocalClient {
             .map(|(v, r)| {
                 (
                     v.to_vec(),
-                    ClientReceipt {
-                        latency: r.latency,
-                        served_by: Some(r.served_by.to_string()),
-                    },
+                    ClientReceipt { latency: r.latency, served_by: Some(r.served_by.to_string()) },
                 )
             })
             .map_err(|e| io::Error::other(e.to_string()))
@@ -654,28 +615,19 @@ impl LocalClient {
     pub fn delete(&self, key: &str) -> io::Result<ClientReceipt> {
         self.instance
             .delete(key, self.now())
-            .map(|latency| ClientReceipt {
-                latency,
-                served_by: None,
-            })
+            .map(|latency| ClientReceipt { latency, served_by: None })
             .map_err(|e| io::Error::other(e.to_string()))
     }
 
     /// Stores several objects, mirroring [`PipelinedClient::multi_put`]'s
     /// per-item outcome shape.
-    pub fn multi_put(
-        &self,
-        items: &[(&str, &[u8])],
-    ) -> io::Result<Vec<io::Result<ClientReceipt>>> {
+    pub fn multi_put(&self, items: &[(&str, &[u8])]) -> io::Result<Vec<io::Result<ClientReceipt>>> {
         check_batch_len(items.len())?;
         Ok(items.iter().map(|(k, v)| self.put(k, v)).collect())
     }
 
     /// Fetches several objects, mirroring [`PipelinedClient::multi_get`].
-    pub fn multi_get(
-        &self,
-        keys: &[&str],
-    ) -> io::Result<Vec<GetOutcome>> {
+    pub fn multi_get(&self, keys: &[&str]) -> io::Result<Vec<GetOutcome>> {
         check_batch_len(keys.len())?;
         Ok(keys.iter().map(|k| self.get(k)).collect())
     }
@@ -708,10 +660,7 @@ mod tests {
         let handle = TieraServer::start(
             Arc::clone(&inst),
             "127.0.0.1:0",
-            ServerConfig {
-                retry: Some(RetryPolicy::robust()),
-                ..ServerConfig::default()
-            },
+            ServerConfig { retry: Some(RetryPolicy::robust()), ..ServerConfig::default() },
         )
         .unwrap();
         assert_eq!(inst.retry_policy(), RetryPolicy::robust());
@@ -725,8 +674,7 @@ mod tests {
         let inst2 = instance();
         inst2.set_retry_policy(RetryPolicy::robust());
         let handle2 =
-            TieraServer::start(Arc::clone(&inst2), "127.0.0.1:0", ServerConfig::default())
-                .unwrap();
+            TieraServer::start(Arc::clone(&inst2), "127.0.0.1:0", ServerConfig::default()).unwrap();
         assert_eq!(inst2.retry_policy(), RetryPolicy::robust());
         handle2.shutdown();
     }
@@ -760,17 +708,14 @@ mod tests {
 
         // Pipelined: 32 puts in flight at once, then their gets.
         let puts: Vec<Token> = (0..32)
-            .map(|i| {
-                client
-                    .submit_put(&format!("k{i}"), format!("v{i}").as_bytes())
-                    .unwrap()
-            })
+            .map(|i| client.submit_put(&format!("k{i}"), format!("v{i}").as_bytes()).unwrap())
             .collect();
         assert_eq!(client.in_flight(), 32);
         for t in puts {
             client.wait_put(t).unwrap();
         }
-        let gets: Vec<Token> = (0..32).map(|i| client.submit_get(&format!("k{i}")).unwrap()).collect();
+        let gets: Vec<Token> =
+            (0..32).map(|i| client.submit_get(&format!("k{i}")).unwrap()).collect();
         for (i, t) in gets.into_iter().enumerate() {
             let (v, r) = client.wait_get(t).unwrap();
             assert_eq!(v, format!("v{i}").as_bytes());
@@ -779,9 +724,7 @@ mod tests {
         assert_eq!(client.in_flight(), 0);
 
         // Batch round trip with a per-item miss in the middle.
-        let outcomes = client
-            .multi_put(&[("a", b"1".as_ref()), ("b", b"2".as_ref())])
-            .unwrap();
+        let outcomes = client.multi_put(&[("a", b"1".as_ref()), ("b", b"2".as_ref())]).unwrap();
         assert!(outcomes.iter().all(|o| o.is_ok()));
         let fetched = client.multi_get(&["a", "missing", "b"]).unwrap();
         assert_eq!(fetched[0].as_ref().unwrap().0, b"1");
@@ -828,10 +771,7 @@ mod tests {
         let handle = TieraServer::start(
             inst,
             "127.0.0.1:0",
-            ServerConfig {
-                request_threads: 4,
-                ..ServerConfig::default()
-            },
+            ServerConfig { request_threads: 4, ..ServerConfig::default() },
         )
         .unwrap();
         let addr = handle.addr();
@@ -866,10 +806,7 @@ mod tests {
         let handle = TieraServer::start(
             Arc::clone(&inst),
             "127.0.0.1:0",
-            ServerConfig {
-                request_threads: 4,
-                ..ServerConfig::default()
-            },
+            ServerConfig { request_threads: 4, ..ServerConfig::default() },
         )
         .unwrap();
         let addr = handle.addr();
@@ -926,14 +863,9 @@ mod tests {
                     class: tiera_sim::StorageClass::BlockStore,
                 },
             ))
-            .rule(
-                Rule::on(EventKind::timer(SimDuration::from_millis(50))).respond(
-                    ResponseSpec::copy(
-                        Selector::InTier("fast".into()).and(Selector::Dirty),
-                        ["slow"],
-                    ),
-                ),
-            )
+            .rule(Rule::on(EventKind::timer(SimDuration::from_millis(50))).respond(
+                ResponseSpec::copy(Selector::InTier("fast".into()).and(Selector::Dirty), ["slow"]),
+            ))
             .build()
             .unwrap();
         let handle =
@@ -964,10 +896,7 @@ mod tests {
         let handle = TieraServer::start(
             Arc::clone(&inst),
             "127.0.0.1:0",
-            ServerConfig {
-                catalog: Some(catalog),
-                ..ServerConfig::default()
-            },
+            ServerConfig { catalog: Some(catalog), ..ServerConfig::default() },
         )
         .unwrap();
         let mut client = TieraClient::connect(handle.addr()).unwrap();
@@ -1015,8 +944,7 @@ mod tests {
     #[test]
     fn attach_tier_rejected_without_catalog() {
         let inst = instance();
-        let handle =
-            TieraServer::start(inst, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let handle = TieraServer::start(inst, "127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut client = TieraClient::connect(handle.addr()).unwrap();
         let err = client.attach_tier("Mem", "x", 1 << 20).unwrap_err();
         assert!(err.to_string().contains("no tier catalog"), "{err}");

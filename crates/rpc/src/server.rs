@@ -49,8 +49,8 @@ use tiera_support::channel;
 
 use tiera_core::catalog::TierCatalog;
 use tiera_core::instance::{Instance, PutOptions};
-use tiera_core::retry::RetryPolicy;
 use tiera_core::object::Tag;
+use tiera_core::retry::RetryPolicy;
 use tiera_sim::SimTime;
 
 use crate::proto::{
@@ -279,13 +279,7 @@ impl TieraServer {
             );
         }
 
-        Ok(ServerHandle {
-            addr: local,
-            shutdown,
-            threads,
-            pump_errors,
-            connection_errors,
-        })
+        Ok(ServerHandle { addr: local, shutdown, threads, pump_errors, connection_errors })
     }
 }
 
@@ -371,9 +365,7 @@ fn serve_requests(
         let (seq, payload) = split_seq(&frame)?;
         let response = match Request::decode(payload) {
             Ok(req) => handle(instance, catalog, req, epoch),
-            Err(e) => Response::Error {
-                message: format!("bad request: {e}"),
-            },
+            Err(e) => Response::Error { message: format!("bad request: {e}") },
         };
         answer(seq, response.encode())?;
     }
@@ -399,9 +391,8 @@ fn serve_pipelined(
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
     let (resp_tx, resp_rx) = channel::unbounded::<(u64, Vec<u8>)>();
-    let writer = std::thread::Builder::new()
-        .name("tiera-conn-writer".into())
-        .spawn(move || -> io::Result<()> {
+    let writer = std::thread::Builder::new().name("tiera-conn-writer".into()).spawn(
+        move || -> io::Result<()> {
             let mut w = BufWriter::with_capacity(PIPE_BUF, stream);
             while let Ok((seq, payload)) = resp_rx.recv() {
                 write_seq_frame(&mut w, seq, &payload)?;
@@ -416,16 +407,14 @@ fn serve_pipelined(
                 w.flush()?;
             }
             Ok(())
-        })?;
+        },
+    )?;
     let served = serve_requests(instance, catalog, reader, epoch, shutdown, |seq, payload| {
-        resp_tx
-            .send((seq, payload))
-            .map_err(|_| io::Error::other("response writer exited"))
+        resp_tx.send((seq, payload)).map_err(|_| io::Error::other("response writer exited"))
     });
     drop(resp_tx);
-    let written = writer
-        .join()
-        .unwrap_or_else(|_| Err(io::Error::other("response writer panicked")));
+    let written =
+        writer.join().unwrap_or_else(|_| Err(io::Error::other("response writer panicked")));
     // The writer's own error first: a failed send only echoes it.
     written.and(served)
 }
@@ -461,8 +450,7 @@ fn read_word_interruptible<R: io::Read>(
             Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof mid-header")),
             Ok(n) => filled += n,
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if shutdown.load(Ordering::Acquire) {
                     return Ok(None);
@@ -489,8 +477,8 @@ fn read_body_interruptible<R: io::Read>(r: &mut R, len: u32) -> io::Result<Vec<u
             Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "eof mid-frame")),
             Ok(n) => filled += n,
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut => {}
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -498,17 +486,17 @@ fn read_body_interruptible<R: io::Read>(r: &mut R, len: u32) -> io::Result<Vec<u
     Ok(payload)
 }
 
-fn do_put(instance: &Arc<Instance>, key: &str, value: Vec<u8>, tags: &[String], now: SimTime) -> Response {
-    let opts = PutOptions {
-        tags: tags.iter().map(Tag::new).collect(),
-    };
+fn do_put(
+    instance: &Arc<Instance>,
+    key: &str,
+    value: Vec<u8>,
+    tags: &[String],
+    now: SimTime,
+) -> Response {
+    let opts = PutOptions { tags: tags.iter().map(Tag::new).collect() };
     match instance.put_with(key, value, opts, now) {
-        Ok(r) => Response::PutOk {
-            latency_ns: r.latency.as_nanos(),
-        },
-        Err(e) => Response::Error {
-            message: e.to_string(),
-        },
+        Ok(r) => Response::PutOk { latency_ns: r.latency.as_nanos() },
+        Err(e) => Response::Error { message: e.to_string() },
     }
 }
 
@@ -519,20 +507,14 @@ fn do_get(instance: &Arc<Instance>, key: &str, now: SimTime) -> Response {
             latency_ns: r.latency.as_nanos(),
             served_by: r.served_by.to_string(),
         },
-        Err(e) => Response::Error {
-            message: e.to_string(),
-        },
+        Err(e) => Response::Error { message: e.to_string() },
     }
 }
 
 fn do_delete(instance: &Arc<Instance>, key: &str, now: SimTime) -> Response {
     match instance.delete(key, now) {
-        Ok(latency) => Response::Deleted {
-            latency_ns: latency.as_nanos(),
-        },
-        Err(e) => Response::Error {
-            message: e.to_string(),
-        },
+        Ok(latency) => Response::Deleted { latency_ns: latency.as_nanos() },
+        Err(e) => Response::Error { message: e.to_string() },
     }
 }
 
@@ -559,16 +541,10 @@ fn handle(
                 .collect(),
         },
         Request::MultiGet { keys } => Response::Batch {
-            parts: keys
-                .iter()
-                .map(|key| do_get(instance, key.as_str(), now))
-                .collect(),
+            parts: keys.iter().map(|key| do_get(instance, key.as_str(), now)).collect(),
         },
         Request::MultiDelete { keys } => Response::Batch {
-            parts: keys
-                .iter()
-                .map(|key| do_delete(instance, key.as_str(), now))
-                .collect(),
+            parts: keys.iter().map(|key| do_delete(instance, key.as_str(), now)).collect(),
         },
         Request::Stats => {
             let reads = instance.stats().reads();
@@ -589,32 +565,23 @@ fn handle(
             match tiera_spec::parse_event(&spec_text) {
                 Ok(decl) => {
                     let empty = TierCatalog::new();
-                    let compiler =
-                        tiera_spec::Compiler::new(&empty, instance.env().clone());
+                    let compiler = tiera_spec::Compiler::new(&empty, instance.env().clone());
                     match compiler.compile_event_checked(&decl, &instance.tier_names()) {
                         Ok(rule) => match instance.install_rule(rule) {
                             Ok(id) => Response::RuleAdded { rule_id: id.0 },
-                            Err(e) => Response::Error {
-                                message: e.to_string(),
-                            },
+                            Err(e) => Response::Error { message: e.to_string() },
                         },
-                        Err(e) => Response::Error {
-                            message: e.to_string(),
-                        },
+                        Err(e) => Response::Error { message: e.to_string() },
                     }
                 }
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
+                Err(e) => Response::Error { message: e.to_string() },
             }
         }
         Request::RemoveRule { rule_id } => {
             if instance.policy().remove(tiera_core::policy::RuleId(rule_id)) {
                 Response::Ok
             } else {
-                Response::Error {
-                    message: format!("no rule with id {rule_id}"),
-                }
+                Response::Error { message: format!("no rule with id {rule_id}") }
             }
         }
         Request::ListRules => Response::Rules {
@@ -622,39 +589,24 @@ fn handle(
                 .policy()
                 .snapshot()
                 .into_iter()
-                .map(|(id, rule)| {
-                    (
-                        id.0,
-                        rule.label.unwrap_or_else(|| format!("{:?}", rule.event)),
-                    )
-                })
+                .map(|(id, rule)| (id.0, rule.label.unwrap_or_else(|| format!("{:?}", rule.event))))
                 .collect(),
         },
-        Request::AttachTier {
-            type_name,
-            label,
-            capacity,
-        } => match catalog {
+        Request::AttachTier { type_name, label, capacity } => match catalog {
             None => Response::Error {
                 message: "server has no tier catalog; tier attachment disabled".into(),
             },
             Some(catalog) => match catalog.create(&type_name, &label, capacity) {
                 Ok(tier) => match instance.attach_tier(tier) {
                     Ok(()) => Response::Ok,
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    },
+                    Err(e) => Response::Error { message: e.to_string() },
                 },
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
+                Err(e) => Response::Error { message: e.to_string() },
             },
         },
         Request::DetachTier { label } => match instance.detach_tier(&label) {
             Ok(()) => Response::Ok,
-            Err(e) => Response::Error {
-                message: e.to_string(),
-            },
+            Err(e) => Response::Error { message: e.to_string() },
         },
     }
 }
@@ -678,10 +630,7 @@ mod tests {
             .metadata_dir(&dir)
             .build()
             .unwrap();
-        let cfg = ServerConfig {
-            request_threads: 1,
-            ..ServerConfig::default()
-        };
+        let cfg = ServerConfig { request_threads: 1, ..ServerConfig::default() };
         let handle = TieraServer::start(instance, "127.0.0.1:0", cfg).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while handle.pump_failures() == 0 && Instant::now() < deadline {

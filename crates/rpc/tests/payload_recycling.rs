@@ -32,10 +32,7 @@ fn served_same_size_overwrites_alternate_between_two_buffers() {
     let server = TieraServer::start(
         Arc::clone(&instance),
         "127.0.0.1:0",
-        ServerConfig {
-            request_threads: 1,
-            ..ServerConfig::default()
-        },
+        ServerConfig { request_threads: 1, ..ServerConfig::default() },
     )
     .unwrap();
     let mut client = TieraClient::connect(server.addr()).unwrap();
@@ -44,10 +41,7 @@ fn served_same_size_overwrites_alternate_between_two_buffers() {
     let first = resident_addr(&instance, "k");
     client.put("k", &[2u8; 4096]).unwrap();
     let second = resident_addr(&instance, "k");
-    assert_ne!(
-        first, second,
-        "the replaced value is still resident while the new one is built"
-    );
+    assert_ne!(first, second, "the replaced value is still resident while the new one is built");
     client.put("k", &[3u8; 4096]).unwrap();
     assert_eq!(
         resident_addr(&instance, "k"),
@@ -60,17 +54,10 @@ fn served_same_size_overwrites_alternate_between_two_buffers() {
         let fill = (i % 251) as u8;
         client.put("k", &[fill; 4096]).unwrap();
         let (data, _) = instance.get("k", SimTime::ZERO).unwrap();
-        assert!(
-            data.iter().all(|&b| b == fill),
-            "overwrite {i} reads back whole"
-        );
+        assert!(data.iter().all(|&b| b == fill), "overwrite {i} reads back whole");
         seen.insert(data.as_slice().as_ptr() as usize);
     }
-    assert!(
-        seen.len() <= 2,
-        "200 overwrites visited {} addresses",
-        seen.len()
-    );
+    assert!(seen.len() <= 2, "200 overwrites visited {} addresses", seen.len());
     assert!(seen.is_subset(&BTreeSet::from([first, second])));
 
     // A reader's handle is never written through: it keeps its buffer out
@@ -81,12 +68,7 @@ fn served_same_size_overwrites_alternate_between_two_buffers() {
         client.put("k", &[fill; 4096]).unwrap();
     }
     assert_eq!(held.as_slice(), &expected[..]);
-    assert!(instance
-        .get("k", SimTime::ZERO)
-        .unwrap()
-        .0
-        .iter()
-        .all(|&b| b == 9));
+    assert!(instance.get("k", SimTime::ZERO).unwrap().0.iter().all(|&b| b == 9));
 
     server.shutdown();
 }

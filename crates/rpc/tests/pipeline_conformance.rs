@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use tiera_core::prelude::*;
 use tiera_rpc::proto::{
-    read_frame, read_hello, split_seq, write_hello, write_seq_frame, Request, Response,
-    MAX_FRAME, VERSION,
+    read_frame, read_hello, split_seq, write_hello, write_seq_frame, Request, Response, MAX_FRAME,
+    VERSION,
 };
 use tiera_rpc::{PipelinedClient, ServerConfig, TieraClient, TieraServer};
 use tiera_sim::SimEnv;
@@ -102,18 +102,15 @@ fn out_of_order_responses_map_to_their_sequence_numbers() {
             seqs.push(seq);
         }
         for &seq in seqs.iter().rev() {
-            let resp = Response::PutOk {
-                latency_ns: seq * 1000 + 7,
-            };
+            let resp = Response::PutOk { latency_ns: seq * 1000 + 7 };
             write_seq_frame(&mut stream, seq, &resp.encode()).unwrap();
         }
         stream.flush().unwrap();
     });
 
     let mut client = PipelinedClient::connect(addr).unwrap();
-    let tokens: Vec<_> = (0..BURST)
-        .map(|i| client.submit_put(&format!("k{i}"), b"v").unwrap())
-        .collect();
+    let tokens: Vec<_> =
+        (0..BURST).map(|i| client.submit_put(&format!("k{i}"), b"v").unwrap()).collect();
     // Redeem in submission order even though the wire carries them
     // reversed: the first wait parks 15 responses.
     for token in tokens {
@@ -191,12 +188,12 @@ fn multi_get_reports_misses_per_item() {
     let inst = instance();
     let handle = TieraServer::start(inst, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = PipelinedClient::connect(handle.addr()).unwrap();
-    for outcome in client.multi_put(&[("present-a", b"1".as_ref()), ("present-b", b"2".as_ref())]).unwrap() {
+    for outcome in
+        client.multi_put(&[("present-a", b"1".as_ref()), ("present-b", b"2".as_ref())]).unwrap()
+    {
         outcome.unwrap();
     }
-    let fetched = client
-        .multi_get(&["present-a", "missing-1", "present-b", "missing-2"])
-        .unwrap();
+    let fetched = client.multi_get(&["present-a", "missing-1", "present-b", "missing-2"]).unwrap();
     assert_eq!(fetched.len(), 4);
     assert_eq!(fetched[0].as_ref().unwrap().0, b"1");
     assert_eq!(fetched[2].as_ref().unwrap().0, b"2");
@@ -320,10 +317,7 @@ fn v1_server_answering_with_a_frame_is_detected() {
     let addr = stub_server(2, |_, mut stream| {
         let mut sink = [0u8; 8];
         stream.read_exact(&mut sink).unwrap();
-        let resp = Response::Error {
-            message: "bad request".into(),
-        }
-        .encode();
+        let resp = Response::Error { message: "bad request".into() }.encode();
         stream.write_all(&(resp.len() as u32).to_le_bytes()).unwrap();
         stream.write_all(&resp).unwrap();
     });
@@ -379,10 +373,7 @@ fn pipelined_window_batches_and_lockstep_round_trip_on_one_server() {
 #[test]
 fn failed_connections_are_counted_and_clean_closes_are_not() {
     // One worker serves the connections in the order they arrive.
-    let cfg = ServerConfig {
-        request_threads: 1,
-        ..ServerConfig::default()
-    };
+    let cfg = ServerConfig { request_threads: 1, ..ServerConfig::default() };
     let handle = TieraServer::start(instance(), "127.0.0.1:0", cfg).unwrap();
     let hello = |stream: &mut TcpStream| {
         write_hello(stream, VERSION).unwrap();
@@ -460,7 +451,8 @@ fn responses_already_executed_are_flushed_before_close() {
     let inst = instance();
     let handle = TieraServer::start(inst, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let mut client = PipelinedClient::connect(handle.addr()).unwrap();
-    let tokens: Vec<_> = (0..50).map(|i| client.submit_put(&format!("k{i}"), b"v").unwrap()).collect();
+    let tokens: Vec<_> =
+        (0..50).map(|i| client.submit_put(&format!("k{i}"), b"v").unwrap()).collect();
     // Redeem the LAST token first: the server executes one connection's
     // requests in order and the writer preserves queue order, so once
     // response 49 arrives, responses 0..48 are on the wire ahead of it.
@@ -582,10 +574,7 @@ fn half_a_response_frame_hits_the_read_deadline_not_a_wedge() {
         TieraClient::connect_with_deadline(addr, Some(Duration::from_millis(250))).unwrap();
     let err = client.ping().unwrap_err();
     assert!(
-        matches!(
-            err.kind(),
-            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-        ),
+        matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
         "expected a deadline error, got {err}"
     );
     // The wedge is gone: the very next call transparently reconnects.

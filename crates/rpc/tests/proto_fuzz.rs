@@ -16,8 +16,8 @@
 //!   `unwrap`/`panic!` outside its test module.)
 
 use tiera_rpc::proto::{
-    negotiate, read_frame, read_hello, split_seq, write_hello, write_seq_frame,
-    PutItem, Request, Response, MAGIC, MAX_BATCH, MAX_FRAME, SEQ_PREFIX, VERSION,
+    negotiate, read_frame, read_hello, split_seq, write_hello, write_seq_frame, PutItem, Request,
+    Response, MAGIC, MAX_BATCH, MAX_FRAME, SEQ_PREFIX, VERSION,
 };
 use tiera_support::prop::gen;
 use tiera_support::{prop_check, SimRng};
@@ -33,11 +33,7 @@ fn arb_tags(rng: &mut SimRng) -> Vec<String> {
 }
 
 fn arb_put_item(rng: &mut SimRng) -> PutItem {
-    PutItem {
-        key: arb_key(rng),
-        value: gen::byte_vec(rng, 0..129),
-        tags: arb_tags(rng),
-    }
+    PutItem { key: arb_key(rng), value: gen::byte_vec(rng, 0..129), tags: arb_tags(rng) }
 }
 
 /// A random request covering every variant (opcodes 0..=12).
@@ -52,12 +48,8 @@ fn arb_request(rng: &mut SimRng) -> Request {
         2 => Request::Get { key: arb_key(rng) },
         3 => Request::Delete { key: arb_key(rng) },
         4 => Request::Stats,
-        5 => Request::AddRule {
-            spec_text: gen::printable_ascii(rng, 0..129),
-        },
-        6 => Request::RemoveRule {
-            rule_id: rng.next_u64(),
-        },
+        5 => Request::AddRule { spec_text: gen::printable_ascii(rng, 0..129) },
+        6 => Request::RemoveRule { rule_id: rng.next_u64() },
         7 => Request::ListRules,
         8 => Request::AttachTier {
             type_name: arb_key(rng),
@@ -65,15 +57,9 @@ fn arb_request(rng: &mut SimRng) -> Request {
             capacity: rng.next_u64(),
         },
         9 => Request::DetachTier { label: arb_key(rng) },
-        10 => Request::MultiPut {
-            items: gen::vec_of(rng, 0..9, arb_put_item),
-        },
-        11 => Request::MultiGet {
-            keys: gen::vec_of(rng, 0..9, arb_key),
-        },
-        _ => Request::MultiDelete {
-            keys: gen::vec_of(rng, 0..9, arb_key),
-        },
+        10 => Request::MultiPut { items: gen::vec_of(rng, 0..9, arb_put_item) },
+        11 => Request::MultiGet { keys: gen::vec_of(rng, 0..9, arb_key) },
+        _ => Request::MultiDelete { keys: gen::vec_of(rng, 0..9, arb_key) },
     }
 }
 
@@ -86,30 +72,22 @@ fn arb_part(rng: &mut SimRng) -> Response {
 fn part_for(rng: &mut SimRng, n: usize) -> Response {
     match n {
         0 => Response::Pong,
-        1 => Response::PutOk {
-            latency_ns: rng.next_u64(),
-        },
+        1 => Response::PutOk { latency_ns: rng.next_u64() },
         2 => Response::GetOk {
             value: gen::byte_vec(rng, 0..257),
             latency_ns: rng.next_u64(),
             served_by: arb_key(rng),
         },
-        3 => Response::Deleted {
-            latency_ns: rng.next_u64(),
-        },
+        3 => Response::Deleted { latency_ns: rng.next_u64() },
         4 => Response::Stats {
             objects: rng.next_u64(),
             reads: rng.next_u64(),
             writes: rng.next_u64(),
             events: rng.next_u64(),
         },
-        5 => Response::Error {
-            message: gen::printable_ascii(rng, 0..65),
-        },
+        5 => Response::Error { message: gen::printable_ascii(rng, 0..65) },
         6 => Response::Ok,
-        _ => Response::RuleAdded {
-            rule_id: rng.next_u64(),
-        },
+        _ => Response::RuleAdded { rule_id: rng.next_u64() },
     }
 }
 
@@ -117,12 +95,10 @@ fn part_for(rng: &mut SimRng, n: usize) -> Response {
 fn arb_response(rng: &mut SimRng) -> Response {
     match gen::usize_in(rng, 0..10) {
         n @ 0..=7 => part_for(rng, n),
-        8 => Response::Rules {
-            rules: gen::vec_of(rng, 0..9, |rng| (rng.next_u64(), arb_key(rng))),
-        },
-        _ => Response::Batch {
-            parts: gen::vec_of(rng, 0..9, arb_part),
-        },
+        8 => {
+            Response::Rules { rules: gen::vec_of(rng, 0..9, |rng| (rng.next_u64(), arb_key(rng))) }
+        }
+        _ => Response::Batch { parts: gen::vec_of(rng, 0..9, arb_part) },
     }
 }
 
@@ -155,9 +131,7 @@ fn prop_batch_with_partial_failure_roundtrips() {
         // the wire in order.
         let parts = gen::vec_of(rng, 1..17, |rng| {
             if gen::boolean(rng) {
-                Response::Error {
-                    message: gen::printable_ascii(rng, 0..33),
-                }
+                Response::Error { message: gen::printable_ascii(rng, 0..33) }
             } else {
                 arb_part(rng)
             }

@@ -71,10 +71,8 @@ fn pipelined_hammer_under_flapping_tiers_upholds_ledger_invariants() {
         .rule(
             // Write-through: an ack over the wire means both tiers took
             // the write — exactly the promise the ledger holds us to.
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .unwrap();
@@ -95,10 +93,8 @@ fn pipelined_hammer_under_flapping_tiers_upholds_ledger_invariants() {
     // (anchored at virtual ≈ wall time zero = server start) overlap the
     // hammer phase.
     let injectors = [("memcached", mem.failures()), ("ebs", ebs.failures())];
-    let injector_refs: Vec<(&str, &tiera_sim::FailureInjector)> = injectors
-        .iter()
-        .map(|(n, i)| (*n, i.as_ref() as &tiera_sim::FailureInjector))
-        .collect();
+    let injector_refs: Vec<(&str, &tiera_sim::FailureInjector)> =
+        injectors.iter().map(|(n, i)| (*n, i.as_ref() as &tiera_sim::FailureInjector)).collect();
     let plan = schedule(SEED);
     plan.apply(&injector_refs);
 
@@ -116,11 +112,8 @@ fn pipelined_hammer_under_flapping_tiers_upholds_ledger_invariants() {
                     let values: Vec<Vec<u8>> = (0..KEYS_PER_THREAD)
                         .map(|k| format!("value/{t}/{k}/{round}").into_bytes())
                         .collect();
-                    let items: Vec<(&str, &[u8])> = keys
-                        .iter()
-                        .zip(&values)
-                        .map(|(k, v)| (k.as_str(), v.as_slice()))
-                        .collect();
+                    let items: Vec<(&str, &[u8])> =
+                        keys.iter().zip(&values).map(|(k, v)| (k.as_str(), v.as_slice())).collect();
                     let outcomes = client.multi_put(&items).expect("transport must survive");
                     for ((key, value), outcome) in keys.iter().zip(&values).zip(&outcomes) {
                         match outcome {
@@ -132,8 +125,7 @@ fn pipelined_hammer_under_flapping_tiers_upholds_ledger_invariants() {
                     // write for that key acknowledged (or ambiguously
                     // attempted).
                     let key_refs: Vec<&str> = keys.iter().map(|k| k.as_str()).collect();
-                    for (key, fetched) in
-                        key_refs.iter().zip(client.multi_get(&key_refs).unwrap())
+                    for (key, fetched) in key_refs.iter().zip(client.multi_get(&key_refs).unwrap())
                     {
                         if let Ok((data, _)) = fetched {
                             assert!(
@@ -164,10 +156,7 @@ fn pipelined_hammer_under_flapping_tiers_upholds_ledger_invariants() {
     handle.shutdown();
 
     let total_acked: usize = ledgers.iter().map(|l| l.acked_keys()).sum();
-    assert!(
-        total_acked > 0,
-        "the hammer phase must land at least some acknowledged writes"
-    );
+    assert!(total_acked > 0, "the hammer phase must land at least some acknowledged writes");
 
     let now = instance.env().clock().now() + SimDuration::from_secs(1);
     let mut report = InvariantReport::default();

@@ -34,14 +34,8 @@ impl SharedBandwidth {
     /// # Panics
     /// Panics if `bytes_per_sec` is not strictly positive.
     pub fn new(bytes_per_sec: f64) -> Self {
-        assert!(
-            bytes_per_sec > 0.0,
-            "bandwidth must be positive, got {bytes_per_sec}"
-        );
-        Self {
-            bytes_per_sec,
-            busy: SerialResource::new(),
-        }
+        assert!(bytes_per_sec > 0.0, "bandwidth must be positive, got {bytes_per_sec}");
+        Self { bytes_per_sec, busy: SerialResource::new() }
     }
 
     /// Device capacity in bytes per second.
@@ -84,9 +78,7 @@ impl BandwidthCap {
     /// Panics if the rate is not strictly positive.
     pub fn bytes_per_sec(rate: f64) -> Self {
         assert!(rate > 0.0, "bandwidth cap must be positive, got {rate}");
-        Self {
-            bytes_per_sec: rate,
-        }
+        Self { bytes_per_sec: rate }
     }
 
     /// Creates a cap from kilobytes per second (the paper's unit).
@@ -138,7 +130,7 @@ mod tests {
         bw.reserve(SimTime::ZERO, chunk); // background chunk at t=0
         let fg = bw.reserve(SimTime::from_millis(50), 4096);
         bw.reserve(SimTime::ZERO + spacing, chunk); // next background chunk
-        // The foreground op between chunks sees (almost) no queueing.
+                                                    // The foreground op between chunks sees (almost) no queueing.
         assert!(fg.latency_from(SimTime::from_millis(50)).as_millis() < 10);
     }
 

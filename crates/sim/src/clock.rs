@@ -212,9 +212,7 @@ pub struct VirtualClock {
 impl VirtualClock {
     /// Creates a clock at time zero.
     pub fn new() -> Self {
-        Self {
-            now_ns: AtomicU64::new(0),
-        }
+        Self { now_ns: AtomicU64::new(0) }
     }
 
     /// The current global virtual time.

@@ -52,10 +52,7 @@ mod tests {
         assert_eq!(seen.len(), 15);
         assert!(seen.windows(2).all(|w| w[0] <= w[1]), "{seen:?}");
         // All three start at zero; ties go to the lower id.
-        assert_eq!(
-            &seen[..3],
-            &[(SimTime::ZERO, 0), (SimTime::ZERO, 1), (SimTime::ZERO, 2)]
-        );
+        assert_eq!(&seen[..3], &[(SimTime::ZERO, 0), (SimTime::ZERO, 1), (SimTime::ZERO, 2)]);
     }
 
     #[test]

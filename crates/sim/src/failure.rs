@@ -21,8 +21,8 @@
 //! enabling the fault plane in the build costs nothing when it is unused.
 
 use crate::clock::{SimDuration, SimTime};
-use tiera_support::SimRng;
 use tiera_support::sync::{rank, Mutex, RwLock};
+use tiera_support::SimRng;
 
 /// Which operations a failure window affects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,12 +64,7 @@ impl FailureWindow {
     /// An open-ended write outage starting at `from` with a default
     /// 5-second client timeout.
     pub fn write_outage(from: SimTime) -> Self {
-        Self {
-            from,
-            until: None,
-            kind: FailureKind::Writes,
-            timeout: SimDuration::from_secs(5),
-        }
+        Self { from, until: None, kind: FailureKind::Writes, timeout: SimDuration::from_secs(5) }
     }
 
     fn covers(&self, now: SimTime) -> bool {
@@ -231,12 +226,7 @@ impl FailureInjector {
         let mut at = start;
         let mut windows = self.windows.write();
         for _ in 0..cycles {
-            windows.push(FailureWindow {
-                from: at,
-                until: Some(at + down),
-                kind,
-                timeout,
-            });
+            windows.push(FailureWindow { from: at, until: Some(at + down), kind, timeout });
             at = at + down + up;
         }
     }
@@ -261,11 +251,7 @@ impl FailureInjector {
         {
             let windows = self.windows.read();
             for w in windows.iter() {
-                let covered = if is_write {
-                    w.kind.covers_write()
-                } else {
-                    w.kind.covers_read()
-                };
+                let covered = if is_write { w.kind.covers_write() } else { w.kind.covers_read() };
                 if covered && w.covers(now) {
                     return Verdict::TimedOut(w.timeout);
                 }
@@ -276,11 +262,7 @@ impl FailureInjector {
             return Verdict::Healthy;
         }
         for s in specs.iter() {
-            let covered = if is_write {
-                s.ops.covers_write()
-            } else {
-                s.ops.covers_read()
-            };
+            let covered = if is_write { s.ops.covers_write() } else { s.ops.covers_read() };
             if !covered || !s.covers(now) {
                 continue;
             }
@@ -389,9 +371,7 @@ mod tests {
         let inj = FailureInjector::new();
         inj.set_seed(11);
         inj.install(
-            FaultSpec::new(FailureKind::All, SimTime::ZERO, None)
-                .torn(0.5)
-                .transient_full(0.5),
+            FaultSpec::new(FailureKind::All, SimTime::ZERO, None).torn(0.5).transient_full(0.5),
         );
         let mut saw_torn = false;
         let mut saw_full = false;
@@ -416,10 +396,7 @@ mod tests {
             FaultSpec::new(FailureKind::Reads, SimTime::ZERO, None)
                 .spikes(1.0, SimDuration::from_millis(300)),
         );
-        assert_eq!(
-            inj.check_read(SimTime::ZERO),
-            Verdict::Spiked(SimDuration::from_millis(300))
-        );
+        assert_eq!(inj.check_read(SimTime::ZERO), Verdict::Spiked(SimDuration::from_millis(300)));
         // Writes are not covered by a Reads spec and draw nothing.
         assert_eq!(inj.check_write(SimTime::ZERO), Verdict::Healthy);
     }
@@ -436,9 +413,7 @@ mod tests {
                     .transient_full(0.2)
                     .spikes(0.2, SimDuration::from_millis(50)),
             );
-            (0..200)
-                .map(|i| inj.check_write(SimTime::from_millis(i)))
-                .collect::<Vec<_>>()
+            (0..200).map(|i| inj.check_write(SimTime::from_millis(i))).collect::<Vec<_>>()
         };
         assert_eq!(run(99), run(99), "same seed → same verdict stream");
         assert_ne!(run(99), run(100), "different seed → different stream");
@@ -450,13 +425,10 @@ mod tests {
         // plane behavior: verdicts are pure functions of time, no RNG.
         let inj = FailureInjector::new();
         inj.schedule(FailureWindow::write_outage(SimTime::from_secs(100)));
-        let before: Vec<Verdict> = (0..50)
-            .map(|i| inj.check_write(SimTime::from_secs(i)))
-            .collect();
+        let before: Vec<Verdict> =
+            (0..50).map(|i| inj.check_write(SimTime::from_secs(i))).collect();
         inj.set_seed(1234); // would shift results if windows consumed draws
-        let after: Vec<Verdict> = (0..50)
-            .map(|i| inj.check_write(SimTime::from_secs(i)))
-            .collect();
+        let after: Vec<Verdict> = (0..50).map(|i| inj.check_write(SimTime::from_secs(i))).collect();
         assert_eq!(before, after);
         assert!(before.iter().all(|v| *v == Verdict::Healthy));
     }

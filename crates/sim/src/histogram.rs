@@ -35,13 +35,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        Self {
-            counts: vec![0; NBUCKETS],
-            total: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
+        Self { counts: vec![0; NBUCKETS], total: 0, sum_ns: 0, min_ns: u64::MAX, max_ns: 0 }
     }
 
     fn bucket_index(ns: u64) -> usize {
@@ -195,8 +189,8 @@ mod tests {
         }
         exact.sort_unstable();
         for q in [0.5, 0.9, 0.95, 0.99] {
-            let true_v = exact[((q * exact.len() as f64).ceil() as usize - 1).min(exact.len() - 1)]
-                as f64;
+            let true_v =
+                exact[((q * exact.len() as f64).ceil() as usize - 1).min(exact.len() - 1)] as f64;
             let est = h.quantile(q).as_nanos() as f64;
             let rel = (est - true_v).abs() / true_v;
             assert!(rel < 0.05, "q={q} rel_err={rel} est={est} true={true_v}");

@@ -29,26 +29,16 @@ pub struct LatencyModel {
 
 impl LatencyModel {
     /// A model with zero latency (useful for tests of pure logic).
-    pub const ZERO: LatencyModel = LatencyModel {
-        base: SimDuration::ZERO,
-        per_byte_ns: 0.0,
-        jitter: 0.0,
-    };
+    pub const ZERO: LatencyModel =
+        LatencyModel { base: SimDuration::ZERO, per_byte_ns: 0.0, jitter: 0.0 };
 
     /// Creates a model from a base latency and a throughput in MiB/s.
     ///
     /// `throughput_mib_s == 0` means "infinite bandwidth" (no per-byte cost).
     pub fn new(base: SimDuration, throughput_mib_s: f64, jitter: f64) -> Self {
-        let per_byte_ns = if throughput_mib_s > 0.0 {
-            1e9 / (throughput_mib_s * 1024.0 * 1024.0)
-        } else {
-            0.0
-        };
-        Self {
-            base,
-            per_byte_ns,
-            jitter,
-        }
+        let per_byte_ns =
+            if throughput_mib_s > 0.0 { 1e9 / (throughput_mib_s * 1024.0 * 1024.0) } else { 0.0 };
+        Self { base, per_byte_ns, jitter }
     }
 
     /// Deterministic (jitter-free) latency for an operation moving `bytes`.

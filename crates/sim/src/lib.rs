@@ -70,10 +70,7 @@ pub struct SimEnv {
 impl SimEnv {
     /// Creates an environment with a fresh clock starting at time zero.
     pub fn new(seed: u64) -> Self {
-        Self {
-            clock: Arc::new(VirtualClock::new()),
-            seed,
-        }
+        Self { clock: Arc::new(VirtualClock::new()), seed }
     }
 
     /// The shared virtual clock.

@@ -35,10 +35,11 @@ impl Provisioner {
     pub fn new(initial_capacity: u64, spawn_delay: SimDuration) -> Self {
         Self {
             spawn_delay,
-            state: Mutex::named("provision.state", rank::PROVISION_STATE, State {
-                capacity: initial_capacity,
-                pending: Vec::new(),
-            }),
+            state: Mutex::named(
+                "provision.state",
+                rank::PROVISION_STATE,
+                State { capacity: initial_capacity, pending: Vec::new() },
+            ),
         }
     }
 
@@ -71,16 +72,9 @@ impl Provisioner {
     pub fn grow_percent(&self, now: SimTime, percent: f64) -> SimTime {
         let effective_at = now + self.spawn_delay;
         let mut st = self.state.lock();
-        let base = st
-            .pending
-            .last()
-            .map(|p| p.new_capacity)
-            .unwrap_or(st.capacity);
+        let base = st.pending.last().map(|p| p.new_capacity).unwrap_or(st.capacity);
         let add = (base as f64 * (percent / 100.0).max(0.0)).round() as u64;
-        st.pending.push(Pending {
-            effective_at,
-            new_capacity: base + add,
-        });
+        st.pending.push(Pending { effective_at, new_capacity: base + add });
         effective_at
     }
 

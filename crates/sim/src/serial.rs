@@ -24,9 +24,7 @@ pub struct SerialResource {
 
 impl Default for SerialResource {
     fn default() -> Self {
-        Self {
-            busy: Mutex::named("serial.busy", rank::SERIAL_BUSY, BTreeMap::new()),
-        }
+        Self { busy: Mutex::named("serial.busy", rank::SERIAL_BUSY, BTreeMap::new()) }
     }
 }
 
@@ -80,10 +78,7 @@ impl SerialResource {
             candidate = candidate.max(e);
         }
         busy.insert(candidate, candidate + occ);
-        Grant {
-            start: SimTime::from_nanos(candidate),
-            end: SimTime::from_nanos(candidate + occ),
-        }
+        Grant { start: SimTime::from_nanos(candidate), end: SimTime::from_nanos(candidate + occ) }
     }
 }
 

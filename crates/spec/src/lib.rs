@@ -89,10 +89,7 @@ pub struct SpecError {
 
 impl SpecError {
     pub(crate) fn new(line: u32, message: impl Into<String>) -> Self {
-        Self {
-            line,
-            message: message.into(),
-        }
+        Self { line, message: message.into() }
     }
 }
 

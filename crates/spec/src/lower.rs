@@ -100,17 +100,9 @@ pub(crate) enum Response {
     /// line of its call.
     Fixed(ResponseSpec, u32),
     /// `grow` / `shrink` by a percentage.
-    Resize {
-        tier: String,
-        percent: Value<f64>,
-        grow: bool,
-    },
+    Resize { tier: String, percent: Value<f64>, grow: bool },
     /// `if (tier.filled [== p%]) { then }`.
-    If {
-        tier: String,
-        at_least: Option<Value<f64>>,
-        then: Vec<Response>,
-    },
+    If { tier: String, at_least: Option<Value<f64>>, then: Vec<Response> },
 }
 
 /// Lowers a whole specification, returning the walk's findings with it.
@@ -123,16 +115,11 @@ pub(crate) fn lower(spec: &Spec) -> (Policy, Vec<Diagnostic>) {
     }
     for (i, event) in spec.events.iter().enumerate() {
         if let Some(first) = spec.events[..i].iter().find(|e| e.event == event.event) {
-            let message = format!(
-                "duplicate event clause `event({})`",
-                print_event_expr(&event.event)
-            );
+            let message =
+                format!("duplicate event clause `event({})`", print_event_expr(&event.event));
             l.lint(LintCode::DuplicateDecl, event.line, message)
                 .notes
-                .push(format!(
-                    "first declared at line {}; both responses will run",
-                    first.line
-                ));
+                .push(format!("first declared at line {}; both responses will run", first.line));
         }
         let clause = l.clause(event);
         l.policy.clauses.push(clause);
@@ -161,42 +148,20 @@ type LowerCall = fn(&mut Lower, &Call) -> Response;
 
 /// Every response a spec may call, in the order T012's note lists them.
 const RESPONSES: [(&str, LowerCall); 12] = [
-    ("store", |l, c| {
-        l.store(c, |what, to| ResponseSpec::Store { what, to })
-    }),
-    ("storeOnce", |l, c| {
-        l.store(c, |what, to| ResponseSpec::StoreOnce { what, to })
-    }),
-    ("retrieve", |l, c| {
-        l.on_what(c, |what| ResponseSpec::Retrieve { what })
-    }),
+    ("store", |l, c| l.store(c, |what, to| ResponseSpec::Store { what, to })),
+    ("storeOnce", |l, c| l.store(c, |what, to| ResponseSpec::StoreOnce { what, to })),
+    ("retrieve", |l, c| l.on_what(c, |what| ResponseSpec::Retrieve { what })),
     ("copy", |l, c| {
-        l.transfer(c, |what, to, bandwidth| ResponseSpec::Copy {
-            what,
-            to,
-            bandwidth,
-        })
+        l.transfer(c, |what, to, bandwidth| ResponseSpec::Copy { what, to, bandwidth })
     }),
     ("move", |l, c| {
-        l.transfer(c, |what, to, bandwidth| ResponseSpec::Move {
-            what,
-            to,
-            bandwidth,
-        })
+        l.transfer(c, |what, to, bandwidth| ResponseSpec::Move { what, to, bandwidth })
     }),
     ("delete", Lower::delete),
-    ("encrypt", |l, c| {
-        l.keyed(c, |what, key_id| ResponseSpec::Encrypt { what, key_id })
-    }),
-    ("decrypt", |l, c| {
-        l.keyed(c, |what, key_id| ResponseSpec::Decrypt { what, key_id })
-    }),
-    ("compress", |l, c| {
-        l.on_what(c, |what| ResponseSpec::Compress { what })
-    }),
-    ("uncompress", |l, c| {
-        l.on_what(c, |what| ResponseSpec::Uncompress { what })
-    }),
+    ("encrypt", |l, c| l.keyed(c, |what, key_id| ResponseSpec::Encrypt { what, key_id })),
+    ("decrypt", |l, c| l.keyed(c, |what, key_id| ResponseSpec::Decrypt { what, key_id })),
+    ("compress", |l, c| l.on_what(c, |what| ResponseSpec::Compress { what })),
+    ("uncompress", |l, c| l.on_what(c, |what| ResponseSpec::Uncompress { what })),
     ("grow", |l, c| l.resize(c, "increment", true)),
     ("shrink", |l, c| l.resize(c, "decrement", false)),
 ];
@@ -211,15 +176,8 @@ struct Lower {
 impl Lower {
     fn new(scope: Vec<String>, params: &[Param]) -> Self {
         let params = params.to_vec();
-        let policy = Policy {
-            params,
-            ..Policy::default()
-        };
-        Self {
-            scope,
-            policy,
-            diags: Vec::new(),
-        }
+        let policy = Policy { params, ..Policy::default() };
+        Self { scope, policy, diags: Vec::new() }
     }
 
     /// Reports a finding; the caller may add notes to it.
@@ -230,9 +188,7 @@ impl Lower {
 
     /// Keeps the first malformed argument.
     fn fail(&mut self, line: u32, message: impl Into<String>) {
-        self.policy
-            .error
-            .get_or_insert(SpecError::new(line, message));
+        self.policy.error.get_or_insert(SpecError::new(line, message));
     }
 
     /// An argument, or `fallback` in place of a malformed one.
@@ -253,9 +209,7 @@ impl Lower {
                 format!("declared tiers: {}", self.scope.join(", "))
             };
             let message = format!("undefined tier `{label}` in {context}");
-            self.lint(LintCode::UndefinedTier, line, message)
-                .notes
-                .push(note);
+            self.lint(LintCode::UndefinedTier, line, message).notes.push(note);
         }
     }
 
@@ -273,9 +227,7 @@ impl Lower {
                     format!("declared parameters: {}", names.join(", "))
                 };
                 let message = format!("parameter `{name}` is not declared");
-                self.lint(LintCode::UndeclaredParam, line, message)
-                    .notes
-                    .push(note);
+                self.lint(LintCode::UndeclaredParam, line, message).notes.push(note);
             }
             Some(kind) if kind != expected => {
                 let (kind, expected) = (kind_name(kind), kind_name(expected));
@@ -337,9 +289,7 @@ impl Lower {
         if period.as_nanos() == 0 {
             let message = "timer period is zero; the rule would fire continuously";
             let note = "use a positive period like `time=30s`";
-            self.lint(LintCode::ZeroTimer, line, message)
-                .notes
-                .push(note.into());
+            self.lint(LintCode::ZeroTimer, line, message).notes.push(note.into());
         }
         Value::Lit(period)
     }
@@ -352,8 +302,7 @@ impl Lower {
             let message = format!("duplicate tier label `{label}`");
             let d = self.lint(LintCode::DuplicateDecl, line, message);
             d.severity = Severity::Error;
-            d.notes
-                .push("the later declaration shadows the earlier one".into());
+            d.notes.push("the later declaration shadows the earlier one".into());
         }
         let size = match &decl.size {
             Quantity::Size(n) | Quantity::Int(n) => Value::Lit(*n),
@@ -380,10 +329,7 @@ impl Lower {
         let (name, value) = (&attr.name, &attr.value);
         let code = LintCode::BadTierAttribute;
         let Some((_, supported)) = WRAPPERS.iter().find(|(n, _)| n == name) else {
-            let valid: Vec<_> = WRAPPERS
-                .iter()
-                .map(|(n, v)| format!("`{n}: {v}`"))
-                .collect();
+            let valid: Vec<_> = WRAPPERS.iter().map(|(n, v)| format!("`{n}: {v}`")).collect();
             let message = format!("unknown attribute `{name}` on tier `{tier}`");
             let note = format!("valid attributes: {}", valid.join(", "));
             self.lint(code, attr.line, message).notes.push(note);
@@ -407,15 +353,11 @@ impl Lower {
                 "dedup" => "content-addressed",
                 _ => "compressed",
             };
-            let message = format!(
-                "`{name}` on tier `{tier}` which is already {already} by `{}`",
-                prior.name
-            );
+            let message =
+                format!("`{name}` on tier `{tier}` which is already {already} by `{}`", prior.name);
             let note = "declare `compress` before `dedup`; the compiler always \
                         builds the canonical dedup-over-compressed stack";
-            self.lint(LintCode::CompressRedundant, attr.line, message)
-                .notes
-                .push(note.into());
+            self.lint(LintCode::CompressRedundant, attr.line, message).notes.push(note.into());
         }
     }
 
@@ -432,27 +374,17 @@ impl Lower {
                     EventExpr::Insert { .. } => ActionOp::Put,
                     _ => ActionOp::Delete,
                 };
-                Event::Action {
-                    op,
-                    tier: tier.clone(),
-                }
+                Event::Action { op, tier: tier.clone() }
             }
             EventExpr::Timer { period } => Event::Timer(self.period(period, line)),
             EventExpr::Filled { tier, value } => {
                 self.tier_ref(tier, line, "the `filled` event");
                 let at_least = self.percent(value, line, "a `filled` threshold", true);
-                Event::Filled {
-                    tier: tier.clone(),
-                    at_least,
-                }
+                Event::Filled { tier: tier.clone(), at_least }
             }
         };
         let responses = self.stmts(&decl.body, line);
-        Clause {
-            event,
-            responses,
-            line,
-        }
+        Clause { event, responses, line }
     }
 
     fn stmts(&mut self, stmts: &[Stmt], line: u32) -> Vec<Response> {
@@ -468,10 +400,7 @@ impl Lower {
                         self.fail(line, format!("unsupported assignment `{p} = {value}`"));
                     }
                 }
-                Stmt::If {
-                    guard: GuardExpr::Filled { tier, value },
-                    body,
-                } => {
+                Stmt::If { guard: GuardExpr::Filled { tier, value }, body } => {
                     self.tier_ref(tier, line, "the `filled` guard");
                     let context = "a `filled` threshold";
                     let at_least = value.as_ref().map(|v| self.percent(v, line, context, true));
@@ -491,9 +420,7 @@ impl Lower {
                         let known: Vec<_> = RESPONSES.iter().map(|(name, _)| *name).collect();
                         let message = format!("unknown response `{}`", call.name);
                         let note = format!("known responses: {}", known.join(", "));
-                        self.lint(LintCode::UnknownResponse, call.line, message)
-                            .notes
-                            .push(note);
+                        self.lint(LintCode::UnknownResponse, call.line, message).notes.push(note);
                     }
                 },
             }
@@ -518,10 +445,7 @@ impl Lower {
             return None;
         };
         let (from, to) = (tier.to_string(), to.clone());
-        Some(Response::Fixed(
-            ResponseSpec::EvictUntilFit { from, to, order },
-            *move_line,
-        ))
+        Some(Response::Fixed(ResponseSpec::EvictUntilFit { from, to, order }, *move_line))
     }
 
     fn selector(&mut self, expr: &SelectorExpr, line: u32) -> Selector {
@@ -645,10 +569,7 @@ impl Lower {
         let key_id = match call.arg("key") {
             Some(ArgValue::Str(s)) => Ok(s.clone()),
             Some(ArgValue::Tiers(ts)) if ts.len() == 1 => Ok(ts[0].clone()),
-            _ => Err(SpecError::new(
-                call.line,
-                format!("{} requires `key:`", call.name),
-            )),
+            _ => Err(SpecError::new(call.line, format!("{} requires `key:`", call.name))),
         };
         let key_id = self.ok(key_id, String::new());
         let what = self.what(call);
@@ -661,10 +582,7 @@ impl Lower {
         let (name, line) = (&call.name, call.line);
         let tier = self.tiers(call, "what").and_then(|ts| match ts.as_slice() {
             [t] => Ok(t.clone()),
-            _ => Err(SpecError::new(
-                line,
-                format!("{name} `what:` takes exactly one tier"),
-            )),
+            _ => Err(SpecError::new(line, format!("{name} `what:` takes exactly one tier"))),
         });
         let context = format!("`{key}:` of `{name}`");
         let percent = match call.arg(key) {
@@ -674,18 +592,11 @@ impl Lower {
             Some(ArgValue::Tiers(ts)) if ts.len() == 1 => {
                 Ok(self.param(&ts[0], ParamKind::Percent, line, &context))
             }
-            _ => Err(SpecError::new(
-                line,
-                format!("{name} requires `{key}:` percentage"),
-            )),
+            _ => Err(SpecError::new(line, format!("{name} requires `{key}:` percentage"))),
         };
         let tier = self.ok(tier, String::new());
         let percent = self.ok(percent, Value::Invalid);
-        Response::Resize {
-            tier,
-            percent,
-            grow,
-        }
+        Response::Resize { tier, percent, grow }
     }
 }
 

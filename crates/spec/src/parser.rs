@@ -59,10 +59,7 @@ impl Parser {
         if &t.kind == kind {
             Ok(())
         } else {
-            Err(SpecError::new(
-                t.line,
-                format!("expected {kind}, found {}", t.kind),
-            ))
+            Err(SpecError::new(t.line, format!("expected {kind}, found {}", t.kind)))
         }
     }
 
@@ -79,10 +76,7 @@ impl Parser {
         let t = self.next()?;
         match t.kind {
             TokenKind::Ident(s) => Ok(s),
-            other => Err(SpecError::new(
-                t.line,
-                format!("expected identifier, found {other}"),
-            )),
+            other => Err(SpecError::new(t.line, format!("expected identifier, found {other}"))),
         }
     }
 
@@ -128,17 +122,9 @@ impl Parser {
         }
         self.expect(&TokenKind::RBrace)?;
         if self.pos != self.tokens.len() {
-            return Err(SpecError::new(
-                self.line(),
-                "trailing input after closing `}`",
-            ));
+            return Err(SpecError::new(self.line(), "trailing input after closing `}`"));
         }
-        Ok(Spec {
-            name,
-            params,
-            tiers,
-            events,
-        })
+        Ok(Spec { name, params, tiers, events })
     }
 
     fn param(&mut self) -> Result<Param, SpecError> {
@@ -182,21 +168,11 @@ impl Parser {
             let name = self.ident()?;
             self.expect(&TokenKind::Colon)?;
             let value = self.ident()?;
-            attrs.push(TierAttr {
-                name,
-                value,
-                line: attr_line,
-            });
+            attrs.push(TierAttr { name, value, line: attr_line });
         }
         self.expect(&TokenKind::RBrace)?;
         self.expect(&TokenKind::Semi)?;
-        Ok(TierDecl {
-            label,
-            type_name,
-            size,
-            attrs,
-            line,
-        })
+        Ok(TierDecl { label, type_name, size, attrs, line })
     }
 
     fn quantity(&mut self) -> Result<Quantity, SpecError> {
@@ -208,10 +184,7 @@ impl Parser {
             TokenKind::Rate(r) => Ok(Quantity::Rate(r)),
             TokenKind::Int(n) => Ok(Quantity::Int(n)),
             TokenKind::Ident(name) => Ok(Quantity::Param(name)),
-            other => Err(SpecError::new(
-                t.line,
-                format!("expected a quantity, found {other}"),
-            )),
+            other => Err(SpecError::new(t.line, format!("expected a quantity, found {other}"))),
         }
     }
 
@@ -236,21 +209,13 @@ impl Parser {
             "insert" => {
                 self.expect(&TokenKind::Dot)?;
                 self.keyword("into")?;
-                let tier = if self.eat(&TokenKind::Eq) {
-                    Some(self.ident()?)
-                } else {
-                    None
-                };
+                let tier = if self.eat(&TokenKind::Eq) { Some(self.ident()?) } else { None };
                 Ok(EventExpr::Insert { tier })
             }
             "delete" => {
                 self.expect(&TokenKind::Dot)?;
                 self.keyword("from")?;
-                let tier = if self.eat(&TokenKind::Eq) {
-                    Some(self.ident()?)
-                } else {
-                    None
-                };
+                let tier = if self.eat(&TokenKind::Eq) { Some(self.ident()?) } else { None };
                 Ok(EventExpr::Delete { tier })
             }
             "time" => {
@@ -261,14 +226,10 @@ impl Parser {
             tier => {
                 // `tierN.filled == 75%`
                 self.expect(&TokenKind::Dot)?;
-                self.keyword("filled")
-                    .map_err(|e| SpecError::new(line, e.message))?;
+                self.keyword("filled").map_err(|e| SpecError::new(line, e.message))?;
                 self.expect(&TokenKind::Eq)?;
                 let value = self.quantity()?;
-                Ok(EventExpr::Filled {
-                    tier: tier.to_string(),
-                    value,
-                })
+                Ok(EventExpr::Filled { tier: tier.to_string(), value })
             }
         }
     }
@@ -326,11 +287,7 @@ impl Parser {
         let tier = self.ident()?;
         self.expect(&TokenKind::Dot)?;
         self.keyword("filled")?;
-        let value = if self.eat(&TokenKind::Eq) {
-            Some(self.quantity()?)
-        } else {
-            None
-        };
+        let value = if self.eat(&TokenKind::Eq) { Some(self.quantity()?) } else { None };
         Ok(GuardExpr::Filled { tier, value })
     }
 
@@ -396,10 +353,7 @@ impl Parser {
                 Ok(ArgValue::Tiers(tiers))
             }
             Some(TokenKind::Ident(_) | TokenKind::Bang) => self.selector_or_tier(),
-            _ => Err(SpecError::new(
-                self.line(),
-                "expected an argument value",
-            )),
+            _ => Err(SpecError::new(self.line(), "expected an argument value")),
         }
     }
 
@@ -434,10 +388,9 @@ impl Parser {
     fn predicate(&mut self) -> Result<SelectorExpr, SpecError> {
         match self.selector_primary()? {
             Primary::Selector(sel) => Ok(sel),
-            Primary::Bare(name) => Err(SpecError::new(
-                self.line(),
-                format!("`{name}` is not a selector predicate"),
-            )),
+            Primary::Bare(name) => {
+                Err(SpecError::new(self.line(), format!("`{name}` is not a selector predicate")))
+            }
         }
     }
 
@@ -500,10 +453,7 @@ impl Parser {
             }
             (tier, "oldest") => Ok(Primary::Selector(SelectorExpr::Oldest(tier.to_string()))),
             (tier, "newest") => Ok(Primary::Selector(SelectorExpr::Newest(tier.to_string()))),
-            (a, b) => Err(SpecError::new(
-                line,
-                format!("unknown selector `{a}.{b}`"),
-            )),
+            (a, b) => Err(SpecError::new(line, format!("unknown selector `{a}.{b}`"))),
         }
     }
 }
@@ -559,9 +509,7 @@ Tiera LowLatencyInstance(time t) {
         // Body: assignment (validated+discarded later) + store call.
         assert_eq!(spec.events[0].body.len(), 2);
         match &spec.events[1].event {
-            EventExpr::Timer {
-                period: Quantity::Param(p),
-            } => assert_eq!(p, "t"),
+            EventExpr::Timer { period: Quantity::Param(p) } => assert_eq!(p, "t"),
             e => panic!("unexpected event {e:?}"),
         }
         match &spec.events[1].body[0] {
@@ -640,13 +588,7 @@ Tiera LruInstance() {
         assert_eq!(body.len(), 2);
         match &body[0] {
             Stmt::If { guard, body } => {
-                assert_eq!(
-                    guard,
-                    &GuardExpr::Filled {
-                        tier: "tier1".into(),
-                        value: None
-                    }
-                );
+                assert_eq!(guard, &GuardExpr::Filled { tier: "tier1".into(), value: None });
                 match &body[0] {
                     Stmt::Call(c) => {
                         assert_eq!(c.name, "move");
@@ -685,10 +627,7 @@ Tiera GrowingInstance(time t) {
             Stmt::Call(c) => {
                 assert_eq!(c.name, "grow");
                 assert_eq!(c.arg("what"), Some(&ArgValue::Tiers(vec!["tier1".into()])));
-                assert_eq!(
-                    c.arg("increment"),
-                    Some(&ArgValue::Quantity(Quantity::Percent(100.0)))
-                );
+                assert_eq!(c.arg("increment"), Some(&ArgValue::Quantity(Quantity::Percent(100.0))));
             }
             s => panic!("{s:?}"),
         }
@@ -727,9 +666,9 @@ Tiera T() {
 "#;
         let spec = parse(src).unwrap();
         match &spec.events[0].event {
-            EventExpr::Timer {
-                period: Quantity::Duration(d),
-            } => assert_eq!(*d, SimDuration::from_secs(120)),
+            EventExpr::Timer { period: Quantity::Duration(d) } => {
+                assert_eq!(*d, SimDuration::from_secs(120))
+            }
             e => panic!("{e:?}"),
         }
     }

@@ -26,11 +26,8 @@ pub fn print_spec(spec: &Spec) -> String {
     }
     out.push_str(") {\n");
     for tier in &spec.tiers {
-        let attrs: String = tier
-            .attrs
-            .iter()
-            .map(|a| format!(", {}: {}", a.name, a.value))
-            .collect();
+        let attrs: String =
+            tier.attrs.iter().map(|a| format!(", {}: {}", a.name, a.value)).collect();
         out.push_str(&format!(
             "    {}: {{ name: {}, size: {}{attrs} }};\n",
             tier.label,
@@ -93,11 +90,8 @@ fn print_stmt(stmt: &Stmt, level: usize) -> String {
             out
         }
         Stmt::Call(call) => {
-            let args: Vec<String> = call
-                .args
-                .iter()
-                .map(|(k, v)| format!("{k}: {}", print_arg(v)))
-                .collect();
+            let args: Vec<String> =
+                call.args.iter().map(|(k, v)| format!("{k}: {}", print_arg(v))).collect();
             format!("{}{}({});\n", indent(level), call.name, args.join(", "))
         }
     }
@@ -207,7 +201,8 @@ Tiera LowLatencyInstance(time t) {
         assert!(printed.contains("tier1: { name: Memcached, size: 5G };"));
         assert!(printed.contains("event(insert.into) : response {"));
         assert!(printed.contains("event(time=t) : response {"));
-        assert!(printed.contains("copy(what: object.location == tier1 && object.dirty == true, to: tier2);"));
+        assert!(printed
+            .contains("copy(what: object.location == tier1 && object.dirty == true, to: tier2);"));
     }
 
     #[test]
@@ -259,15 +254,20 @@ Tiera LowLatencyInstance(time t) {
     fn arb_ident(rng: &mut SimRng) -> String {
         loop {
             let mut s = gen::string_of(rng, "abcdefghijklmnopqrstuvwxyz", 1..2);
-            s.push_str(&gen::string_of(
-                rng,
-                "abcdefghijklmnopqrstuvwxyz0123456789_",
-                0..9,
-            ));
+            s.push_str(&gen::string_of(rng, "abcdefghijklmnopqrstuvwxyz0123456789_", 0..9));
             let keyword = matches!(
                 s.as_str(),
-                "event" | "response" | "if" | "time" | "insert" | "delete" | "object" | "name"
-                    | "size" | "true" | "false"
+                "event"
+                    | "response"
+                    | "if"
+                    | "time"
+                    | "insert"
+                    | "delete"
+                    | "object"
+                    | "name"
+                    | "size"
+                    | "true"
+                    | "false"
             );
             if !keyword {
                 return s;
@@ -340,21 +340,22 @@ Tiera LowLatencyInstance(time t) {
             "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789",
             0..11,
         ));
-        let tiers: Vec<TierDecl> = gen::vec_of(rng, 1..4, |rng| (arb_ident(rng), arb_quantity(rng)))
-            .into_iter()
-            .enumerate()
-            .map(|(i, (ty, size))| TierDecl {
-                label: format!("tier{i}"),
-                type_name: ty,
-                // Tier sizes must be sizes, not durations/percents.
-                size: match size {
-                    Quantity::Size(n) => Quantity::Size(n),
-                    _ => Quantity::Size(1024 * 1024),
-                },
-                attrs: arb_attrs(rng),
-                line: 0,
-            })
-            .collect();
+        let tiers: Vec<TierDecl> =
+            gen::vec_of(rng, 1..4, |rng| (arb_ident(rng), arb_quantity(rng)))
+                .into_iter()
+                .enumerate()
+                .map(|(i, (ty, size))| TierDecl {
+                    label: format!("tier{i}"),
+                    type_name: ty,
+                    // Tier sizes must be sizes, not durations/percents.
+                    size: match size {
+                        Quantity::Size(n) => Quantity::Size(n),
+                        _ => Quantity::Size(1024 * 1024),
+                    },
+                    attrs: arb_attrs(rng),
+                    line: 0,
+                })
+                .collect();
         let events: Vec<EventDecl> = gen::vec_of(rng, 0..4, arb_call)
             .into_iter()
             .map(|c| EventDecl {
@@ -363,12 +364,7 @@ Tiera LowLatencyInstance(time t) {
                 line: 0,
             })
             .collect();
-        Spec {
-            name,
-            params: vec![],
-            tiers,
-            events,
-        }
+        Spec { name, params: vec![], tiers, events }
     }
 
     /// Flattens `&&` chains and rebuilds them left-associated (the

@@ -102,12 +102,7 @@ fn classify_number(digits: u64, suffix: &str, line: u32) -> Result<TokenKind, Sp
     // Multiplications are checked: `99999999999T` must be a diagnostic, not
     // a wrap-around size (or a debug-build panic).
     let overflow = || SpecError::new(line, format!("quantity out of range: {digits}{suffix}"));
-    let size = |mult: u64| {
-        digits
-            .checked_mul(mult)
-            .map(TokenKind::Size)
-            .ok_or_else(overflow)
-    };
+    let size = |mult: u64| digits.checked_mul(mult).map(TokenKind::Size).ok_or_else(overflow);
     let duration = |secs_mult: u64| {
         digits
             .checked_mul(secs_mult)
@@ -132,10 +127,7 @@ fn classify_number(digits: u64, suffix: &str, line: u32) -> Result<TokenKind, Sp
         "s" | "sec" | "secs" => duration(1),
         "min" | "mins" => duration(60),
         "h" | "hr" | "hrs" => duration(3600),
-        other => Err(SpecError::new(
-            line,
-            format!("unknown unit suffix `{other}` after {digits}"),
-        )),
+        other => Err(SpecError::new(line, format!("unknown unit suffix `{other}` after {digits}"))),
     }
 }
 
@@ -234,10 +226,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, SpecError> {
                 if j >= bytes.len() {
                     return Err(SpecError::new(line, "unterminated string literal"));
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Str(src[start..j].to_string()),
-                    line,
-                });
+                tokens.push(Token { kind: TokenKind::Str(src[start..j].to_string()), line });
                 i = j + 1;
             }
             '0'..='9' => {
@@ -265,17 +254,9 @@ pub fn lex(src: &str) -> Result<Vec<Token>, SpecError> {
                 {
                     i += 1;
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(src[start..i].to_string()),
-                    line,
-                });
+                tokens.push(Token { kind: TokenKind::Ident(src[start..i].to_string()), line });
             }
-            other => {
-                return Err(SpecError::new(
-                    line,
-                    format!("unexpected character `{other}`"),
-                ))
-            }
+            other => return Err(SpecError::new(line, format!("unexpected character `{other}`"))),
         }
     }
     Ok(tokens)
@@ -309,13 +290,7 @@ mod tests {
     #[test]
     fn comments_skipped_to_eol() {
         let toks = kinds("tier1 % two tiers specified with initial sizes\ntier2");
-        assert_eq!(
-            toks,
-            vec![
-                TokenKind::Ident("tier1".into()),
-                TokenKind::Ident("tier2".into())
-            ]
-        );
+        assert_eq!(toks, vec![TokenKind::Ident("tier1".into()), TokenKind::Ident("tier2".into())]);
     }
 
     #[test]
@@ -385,10 +360,9 @@ mod tests {
             "18446744073709551615ms",
         ] {
             match lex(src) {
-                Err(e) => assert!(
-                    e.message.contains("out of range"),
-                    "{src}: unexpected message {e}"
-                ),
+                Err(e) => {
+                    assert!(e.message.contains("out of range"), "{src}: unexpected message {e}")
+                }
                 Ok(t) => panic!("{src}: lexed as {t:?}"),
             }
         }

@@ -41,10 +41,7 @@ fn arb_spec_source(rng: &mut SimRng) -> String {
 
     let mut src = format!("Tiera Gen({}) {{\n", params.join(", "));
     for i in 1..=n_tiers {
-        let ty = gen::pick(
-            rng,
-            &["Memcached", "MemcachedRemote", "EBS", "S3", "EphemeralStorage"],
-        );
+        let ty = gen::pick(rng, &["Memcached", "MemcachedRemote", "EBS", "S3", "EphemeralStorage"]);
         let size = if has("size") && rng.chance(0.3) {
             "s".to_string()
         } else {
@@ -86,11 +83,7 @@ fn arb_spec_source(rng: &mut SimRng) -> String {
             };
             let stmt = match rng.next_below(8) {
                 0 => format!("store(what: insert.object, to: {});", tier(rng)),
-                1 => format!(
-                    "copy(what: object.location == {}, to: {});",
-                    tier(rng),
-                    tier(rng)
-                ),
+                1 => format!("copy(what: object.location == {}, to: {});", tier(rng), tier(rng)),
                 2 => format!(
                     "move(what: object.location == {} && object.dirty == true, to: {});",
                     tier(rng),

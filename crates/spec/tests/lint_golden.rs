@@ -20,9 +20,7 @@ use std::path::{Path, PathBuf};
 use tiera_spec::{analyze, parse, LintCode};
 
 fn fixtures_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("fixtures")
 }
 
 fn specs_dir() -> PathBuf {
@@ -39,8 +37,8 @@ fn each_lint_code_has_a_fixture_matching_its_golden_render() {
         let name = code.code().to_lowercase(); // "T001" -> "t001"
         let spec_path = fixtures_dir().join(format!("{name}.tiera"));
         let expected_path = fixtures_dir().join(format!("{name}.expected"));
-        let source = fs::read_to_string(&spec_path)
-            .unwrap_or_else(|e| panic!("read {spec_path:?}: {e}"));
+        let source =
+            fs::read_to_string(&spec_path).unwrap_or_else(|e| panic!("read {spec_path:?}: {e}"));
         let expected = fs::read_to_string(&expected_path)
             .unwrap_or_else(|e| panic!("read {expected_path:?}: {e}"));
 
@@ -70,8 +68,7 @@ fn shipped_specs_are_lint_clean() {
     paths.sort();
     assert!(!paths.is_empty(), "no .tiera files found in {dir:?}");
     for path in paths {
-        let source =
-            fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+        let source = fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
         let spec = parse(&source).unwrap_or_else(|e| panic!("{path:?}: parse: {e}"));
         let analysis = analyze(&spec);
         assert!(

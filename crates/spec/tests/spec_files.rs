@@ -18,10 +18,8 @@ use tiera_spec::{analyze, parse, print_spec, Analysis, Compiler, ParamValue, Spe
 /// Every `.tiera` file that parses, with its path, in path order.
 fn spec_files() -> Vec<(PathBuf, Spec)> {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest
-        .ancestors()
-        .nth(2)
-        .expect("spec crate lives two levels below the workspace root");
+    let root =
+        manifest.ancestors().nth(2).expect("spec crate lives two levels below the workspace root");
     let dirs = [
         root.join("specs"),
         root.join("benchmark").join("specs"),

@@ -67,9 +67,7 @@ mod pool {
     /// borrowed — in which case the caller frees or allocates as if the
     /// pool did not exist.
     fn with<R>(f: impl FnOnce(&mut Pool) -> R) -> Option<R> {
-        POOL.try_with(|p| p.try_borrow_mut().ok().map(|mut p| f(&mut p)))
-            .ok()
-            .flatten()
+        POOL.try_with(|p| p.try_borrow_mut().ok().map(|mut p| f(&mut p))).ok().flatten()
     }
 
     fn poolable(len: usize) -> bool {
@@ -210,11 +208,7 @@ impl Bytes {
             "slice range {start}..{end} out of bounds for Bytes of length {}",
             self.len
         );
-        Self {
-            data: Arc::clone(&self.data),
-            offset: self.offset + start,
-            len: end - start,
-        }
+        Self { data: Arc::clone(&self.data), offset: self.offset + start, len: end - start }
     }
 
     /// The view as a plain slice.

@@ -83,12 +83,7 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         senders: AtomicUsize::new(1),
         receivers: AtomicUsize::new(1),
     });
-    (
-        Sender {
-            shared: Arc::clone(&shared),
-        },
-        Receiver { shared },
-    )
+    (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
 }
 
 impl<T> Sender<T> {
@@ -107,9 +102,7 @@ impl<T> Sender<T> {
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
         self.shared.senders.fetch_add(1, Ordering::AcqRel);
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
+        Self { shared: Arc::clone(&self.shared) }
     }
 }
 
@@ -140,11 +133,7 @@ impl<T> Receiver<T> {
             if self.shared.senders.load(Ordering::Acquire) == 0 {
                 return Err(RecvError);
             }
-            queue = self
-                .shared
-                .available
-                .wait(queue)
-                .unwrap_or_else(PoisonError::into_inner);
+            queue = self.shared.available.wait(queue).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -189,9 +178,7 @@ impl<T> Receiver<T> {
 impl<T> Clone for Receiver<T> {
     fn clone(&self) -> Self {
         self.shared.receivers.fetch_add(1, Ordering::AcqRel);
-        Self {
-            shared: Arc::clone(&self.shared),
-        }
+        Self { shared: Arc::clone(&self.shared) }
     }
 }
 

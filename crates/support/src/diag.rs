@@ -175,14 +175,8 @@ impl<C: Code> Diagnostic<C> {
     /// `origin` is the file name (or any label) shown after `-->`.
     pub fn render(&self, source: &str, origin: &str) -> String {
         let mut out = format!("{}[{}]: {}\n", self.severity, self.code.code(), self.message);
-        let snippet = (self.line > 0)
-            .then(|| source.lines().nth(self.line as usize - 1))
-            .flatten();
-        let gutter = if self.line > 0 {
-            self.line.to_string().len()
-        } else {
-            1
-        };
+        let snippet = (self.line > 0).then(|| source.lines().nth(self.line as usize - 1)).flatten();
+        let gutter = if self.line > 0 { self.line.to_string().len() } else { 1 };
         let pad = " ".repeat(gutter);
         if self.line > 0 {
             out.push_str(&format!("{pad}--> {origin}:{}\n", self.line));
@@ -221,16 +215,12 @@ impl<C: Code> Analysis<C> {
 
     /// Findings with [`Severity::Error`].
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic<C>> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
+        self.diagnostics.iter().filter(|d| d.severity == Severity::Error)
     }
 
     /// Findings with [`Severity::Warning`].
     pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic<C>> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Warning)
+        self.diagnostics.iter().filter(|d| d.severity == Severity::Warning)
     }
 
     /// Whether any finding is an error.
@@ -251,19 +241,12 @@ impl<C: Code> Analysis<C> {
     /// Consumes the analysis, keeping only warnings (for a caller that has
     /// already rejected errors).
     pub fn into_warnings(self) -> Vec<Diagnostic<C>> {
-        self.diagnostics
-            .into_iter()
-            .filter(|d| d.severity == Severity::Warning)
-            .collect()
+        self.diagnostics.into_iter().filter(|d| d.severity == Severity::Warning).collect()
     }
 
     /// Renders every finding, separated by blank lines.
     pub fn render(&self, source: &str, origin: &str) -> String {
-        self.diagnostics
-            .iter()
-            .map(|d| d.render(source, origin))
-            .collect::<Vec<_>>()
-            .join("\n")
+        self.diagnostics.iter().map(|d| d.render(source, origin)).collect::<Vec<_>>().join("\n")
     }
 }
 

@@ -74,10 +74,10 @@ macro_rules! prop_check {
         })
     };
     (cases = $cases:expr, |$rng:ident| $body:expr) => {
-        $crate::prop::run_cases($cases, $crate::prop::DEFAULT_SEED, |$rng| { $body })
+        $crate::prop::run_cases($cases, $crate::prop::DEFAULT_SEED, |$rng| $body)
     };
     (cases = $cases:expr, seed = $seed:expr, |$rng:ident| $body:expr) => {
-        $crate::prop::run_cases($cases, $seed, |$rng| { $body })
+        $crate::prop::run_cases($cases, $seed, |$rng| $body)
     };
 }
 
@@ -140,13 +140,15 @@ pub mod gen {
     pub fn printable_ascii(rng: &mut SimRng, len: Range<usize>) -> String {
         let n = usize_in(rng, len);
         (0..n)
-            .map(|_| {
-                if rng.chance(0.03) {
-                    '\n'
-                } else {
-                    (b' ' + rng.next_below(95) as u8) as char
-                }
-            })
+            .map(
+                |_| {
+                    if rng.chance(0.03) {
+                        '\n'
+                    } else {
+                        (b' ' + rng.next_below(95) as u8) as char
+                    }
+                },
+            )
             .collect()
     }
 

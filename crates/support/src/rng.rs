@@ -29,12 +29,7 @@ impl SimRng {
     pub fn new(seed: u64) -> Self {
         let mut sm = seed;
         Self {
-            s: [
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-                splitmix64(&mut sm),
-            ],
+            s: [splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm), splitmix64(&mut sm)],
         }
     }
 

@@ -210,10 +210,7 @@ pub mod rank {
 
     /// The declared rank of a lock name, if it is in the table.
     pub fn of(name: &str) -> Option<u16> {
-        RANK_TABLE
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, r)| r)
+        RANK_TABLE.iter().find(|(n, _)| *n == name).map(|&(_, r)| r)
     }
 }
 

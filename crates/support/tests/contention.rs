@@ -79,10 +79,7 @@ fn rwlock_readers_share_writers_exclude() {
             for _ in 0..2_000 {
                 let g = data.read();
                 let first = g[0];
-                assert!(
-                    g.iter().all(|&x| x == first),
-                    "reader observed a torn write"
-                );
+                assert!(g.iter().all(|&x| x == first), "reader observed a torn write");
             }
         }));
     }
@@ -119,10 +116,7 @@ fn channel_mpmc_delivers_every_message_once() {
     for p in producers {
         p.join().unwrap();
     }
-    let mut all: Vec<u64> = consumers
-        .into_iter()
-        .flat_map(|c| c.join().unwrap())
-        .collect();
+    let mut all: Vec<u64> = consumers.into_iter().flat_map(|c| c.join().unwrap()).collect();
     all.sort_unstable();
     assert_eq!(all, (0..20_000).collect::<Vec<u64>>());
 }

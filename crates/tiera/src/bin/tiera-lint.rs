@@ -30,12 +30,7 @@ fn usage() -> ! {
 fn explain() {
     println!("{:<6} summary", "code");
     for code in LintCode::ALL {
-        println!(
-            "{:<6} {} ({} by default)",
-            code.code(),
-            code.summary(),
-            code.default_severity()
-        );
+        println!("{:<6} {} ({} by default)", code.code(), code.summary(), code.default_severity());
     }
 }
 
@@ -91,11 +86,8 @@ fn main() {
             eprintln!("{path}: {errors} error(s), {warnings} warning(s)");
             failed = true;
         } else if !quiet {
-            let suffix = if warnings > 0 {
-                format!(" ({warnings} warning(s))")
-            } else {
-                String::new()
-            };
+            let suffix =
+                if warnings > 0 { format!(" ({warnings} warning(s))") } else { String::new() };
             println!("{path}: ok{suffix}");
         }
     }

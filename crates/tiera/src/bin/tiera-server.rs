@@ -57,11 +57,8 @@ fn parse_binding(arg: &str) -> Option<(String, ParamValue)> {
             ParamValue::Duration(d)
         }
         "size" => {
-            let (digits, unit) = value.split_at(
-                value
-                    .find(|c: char| !c.is_ascii_digit())
-                    .unwrap_or(value.len()),
-            );
+            let (digits, unit) =
+                value.split_at(value.find(|c: char| !c.is_ascii_digit()).unwrap_or(value.len()));
             let n: u64 = digits.parse().ok()?;
             let bytes = match unit {
                 "" | "B" => n,
@@ -94,10 +91,7 @@ fn parse_args() -> Args {
             "--spec" => args.spec_path = it.next().unwrap_or_else(|| usage()),
             "--listen" => args.listen = it.next().unwrap_or_else(|| usage()),
             "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+                args.threads = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--bind" => {
                 let raw = it.next().unwrap_or_else(|| usage());
@@ -111,10 +105,7 @@ fn parse_args() -> Args {
             }
             "--metadata-dir" => args.metadata_dir = Some(it.next().unwrap_or_else(|| usage())),
             "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
+                args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--dump-spec" => args.dump_spec = true,
             "--help" | "-h" => usage(),
@@ -176,10 +167,7 @@ fn main() {
     let handle = match TieraServer::start(
         instance,
         &args.listen,
-        ServerConfig {
-            request_threads: args.threads,
-            ..ServerConfig::default()
-        },
+        ServerConfig { request_threads: args.threads, ..ServerConfig::default() },
     ) {
         Ok(h) => h,
         Err(e) => {

@@ -87,10 +87,7 @@ mod tests {
         let env = SimEnv::new(1);
         let c = default_catalog(&env);
         for name in ["Memcached", "MemcachedRemote", "EBS", "S3", "EphemeralStorage"] {
-            assert!(
-                c.create(name, "t", 1 << 20).is_ok(),
-                "catalog should create {name}"
-            );
+            assert!(c.create(name, "t", 1 << 20).is_ok(), "catalog should create {name}");
         }
         assert!(c.create("Tape", "t", 1).is_err());
     }

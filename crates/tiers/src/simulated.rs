@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use tiera_support::collections::FxHashMap;
-use tiera_support::Bytes;
 use tiera_support::sync::{rank, Mutex};
+use tiera_support::Bytes;
 
 use tiera_core::error::{Result, TieraError};
 use tiera_core::object::ObjectKey;
@@ -111,7 +111,11 @@ impl SimulatedTier {
             rng: Mutex::named("simtier.rng", rank::SIMTIER_RNG, env.rng_for(name)),
             state: Mutex::named("simtier.state", rank::SIMTIER_STATE, TierState::default()),
             reshard_on_grow,
-            last_seen_capacity: Mutex::named("simtier.last_seen", rank::SIMTIER_LAST_SEEN, capacity),
+            last_seen_capacity: Mutex::named(
+                "simtier.last_seen",
+                rank::SIMTIER_LAST_SEEN,
+                capacity,
+            ),
             small_write,
         }
     }
@@ -131,12 +135,8 @@ impl SimulatedTier {
             drop(last);
             let mut rng = self.rng.lock();
             let mut st = self.state.lock();
-            let keys: Vec<ObjectKey> = st
-                .map
-                .keys()
-                .filter(|_| rng.chance(remapped))
-                .cloned()
-                .collect();
+            let keys: Vec<ObjectKey> =
+                st.map.keys().filter(|_| rng.chance(remapped)).cloned().collect();
             for k in keys {
                 if let Some(b) = st.map.remove(&k).map(Bytes::from) {
                     st.used -= b.len() as u64;
@@ -322,10 +322,7 @@ impl Tier for SimulatedTier {
             }
             Verdict::Torn(waited) => Some(waited),
             Verdict::TimedOut(waited) => {
-                return Err(TieraError::Timeout {
-                    tier: self.name.clone(),
-                    waited,
-                });
+                return Err(TieraError::Timeout { tier: self.name.clone(), waited });
             }
             Verdict::TransientFull => {
                 return Err(TieraError::TierFull {
@@ -388,10 +385,7 @@ impl Tier for SimulatedTier {
                 }
             }
             st.puts -= 1;
-            return Err(TieraError::Timeout {
-                tier: self.name.clone(),
-                waited,
-            });
+            return Err(TieraError::Timeout { tier: self.name.clone(), waited });
         }
         Ok(OpReceipt::took(latency + spike))
     }
@@ -403,10 +397,7 @@ impl Tier for SimulatedTier {
             Verdict::Healthy => {}
             Verdict::Spiked(extra) => spike = extra,
             Verdict::TimedOut(waited) | Verdict::Torn(waited) => {
-                return Err(TieraError::Timeout {
-                    tier: self.name.clone(),
-                    waited,
-                });
+                return Err(TieraError::Timeout { tier: self.name.clone(), waited });
             }
             Verdict::TransientFull => {
                 return Err(TieraError::Timeout {
@@ -433,10 +424,7 @@ impl Tier for SimulatedTier {
             Verdict::Healthy => {}
             Verdict::Spiked(extra) => spike = extra,
             Verdict::TimedOut(waited) | Verdict::Torn(waited) => {
-                return Err(TieraError::Timeout {
-                    tier: self.name.clone(),
-                    waited,
-                });
+                return Err(TieraError::Timeout { tier: self.name.clone(), waited });
             }
             Verdict::TransientFull => {
                 // A delete frees space; a transiently-full backend still
@@ -471,10 +459,7 @@ impl Tier for SimulatedTier {
 
     fn request_counts(&self) -> RequestCounts {
         let st = self.state.lock();
-        RequestCounts {
-            puts: st.puts,
-            gets: st.gets,
-        }
+        RequestCounts { puts: st.puts, gets: st.gets }
     }
 
     fn monthly_cost(&self, now: SimTime) -> f64 {
@@ -552,15 +537,12 @@ mod tests {
     fn write_outage_times_out_writes_only() {
         let e = env();
         let ebs = BlockTier::ebs("ebs", 64 * MB, &e);
-        ebs.put(&key("pre"), Bytes::from_static(b"x"), SimTime::ZERO)
-            .unwrap();
-        ebs.failures()
-            .schedule(FailureWindow::write_outage(SimTime::from_secs(240)));
+        ebs.put(&key("pre"), Bytes::from_static(b"x"), SimTime::ZERO).unwrap();
+        ebs.failures().schedule(FailureWindow::write_outage(SimTime::from_secs(240)));
         // Reads still work during a write outage.
         assert!(ebs.get(&key("pre"), SimTime::from_secs(300)).is_ok());
-        let err = ebs
-            .put(&key("post"), Bytes::from_static(b"y"), SimTime::from_secs(300))
-            .unwrap_err();
+        let err =
+            ebs.put(&key("post"), Bytes::from_static(b"y"), SimTime::from_secs(300)).unwrap_err();
         match err {
             TieraError::Timeout { waited, .. } => {
                 assert_eq!(waited, SimDuration::from_secs(5));
@@ -569,9 +551,7 @@ mod tests {
         }
         // Repair restores service.
         ebs.failures().clear();
-        assert!(ebs
-            .put(&key("post"), Bytes::from_static(b"y"), SimTime::from_secs(400))
-            .is_ok());
+        assert!(ebs.put(&key("post"), Bytes::from_static(b"y"), SimTime::from_secs(400)).is_ok());
     }
 
     #[test]
@@ -579,23 +559,14 @@ mod tests {
         let e = env();
         let ebs = BlockTier::ebs("ebs", 1024 * MB, &e);
         // A quiet 4 KB write.
-        let quiet = ebs
-            .put(&key("quiet"), Bytes::from(vec![0u8; 4096]), SimTime::ZERO)
-            .unwrap()
-            .latency;
+        let quiet =
+            ebs.put(&key("quiet"), Bytes::from(vec![0u8; 4096]), SimTime::ZERO).unwrap().latency;
         // Hog the disk with a 50 MB transfer, then measure a 4 KB write
         // issued in its shadow.
         let t = SimTime::from_secs(100);
-        ebs.put(&key("hog"), Bytes::from(vec![0u8; 50 * MB as usize]), t)
-            .unwrap();
-        let contended = ebs
-            .put(&key("small"), Bytes::from(vec![0u8; 4096]), t)
-            .unwrap()
-            .latency;
-        assert!(
-            contended > quiet.mul_f64(10.0),
-            "contended {contended} vs quiet {quiet}"
-        );
+        ebs.put(&key("hog"), Bytes::from(vec![0u8; 50 * MB as usize]), t).unwrap();
+        let contended = ebs.put(&key("small"), Bytes::from(vec![0u8; 4096]), t).unwrap().latency;
+        assert!(contended > quiet.mul_f64(10.0), "contended {contended} vs quiet {quiet}");
     }
 
     #[test]
@@ -613,10 +584,8 @@ mod tests {
         let e = env();
         let eph = EphemeralTier::new("eph", 64 * MB, &e);
         let ebs = BlockTier::ebs("ebs", 64 * MB, &e);
-        eph.put(&key("k"), Bytes::from_static(b"v"), SimTime::ZERO)
-            .unwrap();
-        ebs.put(&key("k"), Bytes::from_static(b"v"), SimTime::ZERO)
-            .unwrap();
+        eph.put(&key("k"), Bytes::from_static(b"v"), SimTime::ZERO).unwrap();
+        ebs.put(&key("k"), Bytes::from_static(b"v"), SimTime::ZERO).unwrap();
         eph.reboot();
         ebs.reboot();
         assert!(!eph.contains(&key("k")), "ephemeral loses data");
@@ -629,8 +598,7 @@ mod tests {
         let e = env();
         let s3 = ObjectStoreTier::s3("s3", 64 * MB, &e);
         for i in 0..10 {
-            s3.put(&key(&format!("k{i}")), Bytes::from_static(b"v"), SimTime::ZERO)
-                .unwrap();
+            s3.put(&key(&format!("k{i}")), Bytes::from_static(b"v"), SimTime::ZERO).unwrap();
         }
         for _ in 0..3 {
             let _ = s3.get(&key("k0"), SimTime::ZERO);
@@ -644,9 +612,7 @@ mod tests {
     fn capacity_enforced_at_current_time() {
         let e = env();
         let mem = MemoryTier::same_az("mem", 10, &e);
-        assert!(mem
-            .put(&key("too-big"), Bytes::from(vec![0u8; 64]), SimTime::ZERO)
-            .is_err());
+        assert!(mem.put(&key("too-big"), Bytes::from(vec![0u8; 64]), SimTime::ZERO).is_err());
         // After a grow matures it fits.
         mem.grow(1000.0, SimTime::ZERO);
         assert!(mem
@@ -662,9 +628,7 @@ mod tests {
             let t = MemoryTier::same_az("m", MB, &e);
             (0..20)
                 .map(|i| {
-                    t.put(&key(&format!("k{i}")), data.clone(), SimTime::ZERO)
-                        .unwrap()
-                        .latency
+                    t.put(&key(&format!("k{i}")), data.clone(), SimTime::ZERO).unwrap().latency
                 })
                 .collect::<Vec<_>>()
         };
@@ -680,17 +644,14 @@ mod tests {
             let e = SimEnv::new(16);
             let t = MemoryTier::same_az("m", MB, &e);
             for i in 0..200 {
-                t.put(&key(&format!("k{i}")), Bytes::from(vec![0u8; 512]), SimTime::ZERO)
-                    .unwrap();
+                t.put(&key(&format!("k{i}")), Bytes::from(vec![0u8; 512]), SimTime::ZERO).unwrap();
             }
             t.grow(100.0, SimTime::ZERO);
             // The first op after the grow matures applies the reshard.
             let later = SimTime::from_secs(3600);
             assert!(t.capacity(later) > MB, "grow matured");
             t.put(&key("after"), Bytes::from_static(b"x"), later).unwrap();
-            (0..200)
-                .filter(|i| t.contains(&key(&format!("k{i}"))))
-                .collect::<Vec<_>>()
+            (0..200).filter(|i| t.contains(&key(&format!("k{i}")))).collect::<Vec<_>>()
         };
         let kept = survivors();
         assert!(kept.len() > 50 && kept.len() < 150, "about half remap: {}", kept.len());
@@ -713,16 +674,12 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, TieraError::TierFull { .. }));
             assert_eq!(t.used(), 0, "failed write must not consume capacity");
-            t.put(&key("small"), Bytes::from(vec![0u8; 4096]), SimTime::ZERO)
-                .unwrap()
-                .latency
+            t.put(&key("small"), Bytes::from(vec![0u8; 4096]), SimTime::ZERO).unwrap().latency
         };
         let clean = {
             let e = SimEnv::new(42);
             let t = BlockTier::ebs("ebs", MB, &e);
-            t.put(&key("small"), Bytes::from(vec![0u8; 4096]), SimTime::ZERO)
-                .unwrap()
-                .latency
+            t.put(&key("small"), Bytes::from(vec![0u8; 4096]), SimTime::ZERO).unwrap().latency
         };
         assert_eq!(dirty, clean, "rejected write left residue on the device path");
     }
@@ -731,23 +688,19 @@ mod tests {
     fn torn_write_rolls_back_capacity_and_contents() {
         let e = env();
         let mem = MemoryTier::same_az("mem", 64 * MB, &e);
-        mem.put(&key("k"), Bytes::from_static(b"original"), SimTime::ZERO)
-            .unwrap();
+        mem.put(&key("k"), Bytes::from_static(b"original"), SimTime::ZERO).unwrap();
         let used_before = mem.used();
         let puts_before = mem.request_counts().puts;
         mem.failures().set_seed(9);
-        mem.failures()
-            .install(FaultSpec::new(FailureKind::Writes, SimTime::ZERO, None).torn(1.0));
+        mem.failures().install(FaultSpec::new(FailureKind::Writes, SimTime::ZERO, None).torn(1.0));
         // Torn overwrite: error, old value and accounting intact.
-        let err = mem
-            .put(&key("k"), Bytes::from(vec![7u8; 4096]), SimTime::from_secs(1))
-            .unwrap_err();
+        let err =
+            mem.put(&key("k"), Bytes::from(vec![7u8; 4096]), SimTime::from_secs(1)).unwrap_err();
         assert!(matches!(err, TieraError::Timeout { .. }), "got {err}");
         assert_eq!(mem.used(), used_before);
         // Torn first write: no phantom bytes appear.
-        let err = mem
-            .put(&key("fresh"), Bytes::from(vec![7u8; 512]), SimTime::from_secs(2))
-            .unwrap_err();
+        let err =
+            mem.put(&key("fresh"), Bytes::from(vec![7u8; 512]), SimTime::from_secs(2)).unwrap_err();
         assert!(matches!(err, TieraError::Timeout { .. }), "got {err}");
         assert!(!mem.contains(&key("fresh")));
         assert_eq!(mem.used(), used_before);
@@ -796,12 +749,9 @@ mod tests {
         let e = env();
         let mem = MemoryTier::same_az("mem", 64 * MB, &e);
         mem.failures().set_seed(4);
-        mem.failures().install(
-            FaultSpec::new(FailureKind::Writes, SimTime::ZERO, None).transient_full(1.0),
-        );
-        let err = mem
-            .put(&key("k"), Bytes::from_static(b"v"), SimTime::ZERO)
-            .unwrap_err();
+        mem.failures()
+            .install(FaultSpec::new(FailureKind::Writes, SimTime::ZERO, None).transient_full(1.0));
+        let err = mem.put(&key("k"), Bytes::from_static(b"v"), SimTime::ZERO).unwrap_err();
         match err {
             TieraError::TierFull { available, .. } => assert_eq!(available, 0),
             e => panic!("expected transient TierFull, got {e}"),
@@ -826,9 +776,7 @@ mod tests {
                     FaultSpec::new(FailureKind::All, SimTime::ZERO, None).spikes(1.0, extra),
                 );
             }
-            t.put(&key("k"), Bytes::from(vec![0u8; 4096]), SimTime::ZERO)
-                .unwrap()
-                .latency
+            t.put(&key("k"), Bytes::from(vec![0u8; 4096]), SimTime::ZERO).unwrap().latency
         };
         let extra = SimDuration::from_millis(250);
         assert_eq!(run(Some(extra)), run(None) + extra);

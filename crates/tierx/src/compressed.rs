@@ -289,9 +289,7 @@ mod tests {
     fn capacity_pressure_propagates_tier_full() {
         let t = CompressedTier::new(MemTier::with_capacity("t", 256));
         // Incompressible data cannot be squeezed in.
-        let err = t
-            .put(&key("a"), incompressible(512, 3), SimTime::ZERO)
-            .unwrap_err();
+        let err = t.put(&key("a"), incompressible(512, 3), SimTime::ZERO).unwrap_err();
         assert!(matches!(err, TieraError::TierFull { .. }));
         assert_eq!(t.capacity_profile().unwrap(), CapacityProfile::default());
         // But compressible data of the same logical size fits: effective

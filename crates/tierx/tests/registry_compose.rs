@@ -77,10 +77,7 @@ fn store_once_over_dedup_tier_does_not_double_count() {
 
     // The incremental aggregates match an O(n) recount, and the wrapper's
     // refcount map is internally consistent.
-    assert_eq!(
-        inst.registry().aggregates("t"),
-        inst.registry().recount_aggregates("t")
-    );
+    assert_eq!(inst.registry().aggregates("t"), inst.registry().recount_aggregates("t"));
     assert_eq!(tier.check_integrity(), Vec::<String>::new());
 }
 
@@ -106,10 +103,7 @@ fn last_reference_delete_reclaims_through_both_layers() {
     let profile = tier.capacity_profile().unwrap();
     assert_eq!(profile.unique_blobs, 0);
     assert_eq!(profile.logical_bytes, 0);
-    assert_eq!(
-        inst.registry().aggregates("t"),
-        inst.registry().recount_aggregates("t")
-    );
+    assert_eq!(inst.registry().aggregates("t"), inst.registry().recount_aggregates("t"));
     assert_eq!(tier.check_integrity(), Vec::<String>::new());
 }
 
@@ -142,9 +136,6 @@ fn plain_store_lets_the_wrapper_do_the_deduplication() {
         let (data, _) = inst.get(key, SimTime::from_secs(1)).unwrap();
         assert_eq!(&data[..], &payload[..], "{key}");
     }
-    assert_eq!(
-        inst.registry().aggregates("t"),
-        inst.registry().recount_aggregates("t")
-    );
+    assert_eq!(inst.registry().aggregates("t"), inst.registry().recount_aggregates("t"));
     assert_eq!(tier.check_integrity(), Vec::<String>::new());
 }

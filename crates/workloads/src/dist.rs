@@ -55,11 +55,7 @@ impl KeyChooser {
 
     /// sysbench special: `pct` of rows get 80 % of accesses.
     pub fn special(n: u64, pct: f64) -> Self {
-        KeyChooser::Special {
-            n,
-            pct: pct.clamp(1e-6, 1.0),
-            weight: 0.8,
-        }
+        KeyChooser::Special { n, pct: pct.clamp(1e-6, 1.0), weight: 0.8 }
     }
 
     /// Keyspace size.
@@ -114,14 +110,7 @@ impl Zipfian {
         let zeta2theta = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
-        Self {
-            n,
-            theta,
-            alpha,
-            zetan,
-            eta,
-            zeta2theta,
-        }
+        Self { n, theta, alpha, zetan, eta, zeta2theta }
     }
 
     fn zeta(n: u64, theta: f64) -> f64 {

@@ -27,11 +27,7 @@ pub struct FioConfig {
 impl FioConfig {
     /// Zipfian(θ) reads over `blocks` blocks.
     pub fn zipfian(blocks: u64, theta: f64, reads: u64) -> Self {
-        Self {
-            block_size: 4096,
-            dist: KeyChooser::zipfian_theta(blocks, theta),
-            reads,
-        }
+        Self { block_size: 4096, dist: KeyChooser::zipfian_theta(blocks, theta), reads }
     }
 }
 
@@ -73,8 +69,7 @@ mod tests {
             .unwrap();
         let fs = Arc::new(TieraFs::new(inst));
         fs.create("/data", SimTime::ZERO).unwrap();
-        fs.write("/data", 0, &vec![7u8; 64 * 4096], SimTime::ZERO)
-            .unwrap();
+        fs.write("/data", 0, &vec![7u8; 64 * 4096], SimTime::ZERO).unwrap();
         let cfg = FioConfig::zipfian(64, 1.2, 500);
         let report = run(&fs, "/data", &cfg, SimTime::ZERO);
         assert_eq!(report.ops, 500);

@@ -108,9 +108,8 @@ pub fn run_memory_engine(
     start: SimTime,
     seed: u64,
 ) -> LoadReport {
-    let mut rngs: Vec<_> = (0..cfg.threads)
-        .map(|id| tiera_sim::SimRng::new(seed ^ (id as u64) << 32))
-        .collect();
+    let mut rngs: Vec<_> =
+        (0..cfg.threads).map(|id| tiera_sim::SimRng::new(seed ^ (id as u64) << 32)).collect();
     let mut done = vec![0u64; cfg.threads];
     let mut report = LoadReport::new();
     let mut ops: Vec<Op> = Vec::with_capacity((cfg.point_selects + cfg.updates) as usize);
@@ -185,11 +184,7 @@ mod tests {
 
     fn db_over(inst: Arc<Instance>, rows: u64) -> MiniDb {
         let fs = Arc::new(TieraFs::new(inst));
-        let cfg = DbConfig {
-            rows,
-            buffer_pool_pages: 64,
-            ..DbConfig::default()
-        };
+        let cfg = DbConfig { rows, buffer_pool_pages: 64, ..DbConfig::default() };
         MiniDb::create(fs, cfg, SimTime::ZERO).unwrap().0
     }
 

@@ -138,9 +138,8 @@ pub fn run(db: &MiniDb, cfg: &TpcwConfig, start: SimTime) -> LoadReport {
         } else {
             // Dynamic interaction: catalog browse or buy path.
             let writes = rng.chance(cfg.write_fraction);
-            let mut ops: Vec<Op> = (0..cfg.selects_per_interaction)
-                .map(|_| Op::Select(item_dist.next(rng)))
-                .collect();
+            let mut ops: Vec<Op> =
+                (0..cfg.selects_per_interaction).map(|_| Op::Select(item_dist.next(rng))).collect();
             if writes {
                 ops.push(Op::Update(item_dist.next(rng)));
                 ops.push(Op::Update(item_dist.next(rng)));
@@ -183,11 +182,7 @@ mod tests {
             .build()
             .unwrap();
         let fs = Arc::new(TieraFs::new(inst));
-        let db_cfg = DbConfig {
-            rows: 10_000,
-            buffer_pool_pages: 256,
-            ..DbConfig::default()
-        };
+        let db_cfg = DbConfig { rows: 10_000, buffer_pool_pages: 256, ..DbConfig::default() };
         let (db, _) = MiniDb::create(fs, db_cfg, SimTime::ZERO).unwrap();
         let cfg = TpcwConfig {
             emulated_browsers: 3,

@@ -7,11 +7,11 @@
 
 use std::sync::Arc;
 
-use tiera_support::Bytes;
 use tiera_core::instance::Instance;
 use tiera_core::Result;
 use tiera_sim::exec::run_clients;
 use tiera_sim::SimTime;
+use tiera_support::Bytes;
 
 use crate::dist::KeyChooser;
 use crate::report::LoadReport;

@@ -32,10 +32,8 @@ fn deployment(name: &str, env: &SimEnv) -> Arc<tiera::core::Instance> {
             .tier(Arc::new(MemoryTier::same_az("memcached", 4096 * MB, env)))
             .tier(Arc::new(BlockTier::ebs("ebs", 4096 * MB, env)))
             .rule(
-                Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                    Selector::Inserted,
-                    ["memcached", "ebs"],
-                )),
+                Rule::on(EventKind::action(ActionOp::Put))
+                    .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
             )
             .build()
             .unwrap(),
@@ -44,10 +42,8 @@ fn deployment(name: &str, env: &SimEnv) -> Arc<tiera::core::Instance> {
             .tier(Arc::new(MemoryTier::same_az("mem-a", 4096 * MB, env)))
             .tier(Arc::new(MemoryTier::cross_az("mem-b", 4096 * MB, env)))
             .rule(
-                Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                    Selector::Inserted,
-                    ["mem-a", "mem-b"],
-                )),
+                Rule::on(EventKind::action(ActionOp::Put))
+                    .respond(ResponseSpec::store(Selector::Inserted, ["mem-a", "mem-b"])),
             )
             .build()
             .unwrap(),

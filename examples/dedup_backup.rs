@@ -25,10 +25,7 @@ fn main() {
         .rule(
             Rule::on(EventKind::action(ActionOp::Put))
                 .respond(ResponseSpec::evict_lru("memcached", "s3"))
-                .respond(ResponseSpec::store_once(
-                    Selector::Inserted,
-                    ["memcached", "s3"],
-                )),
+                .respond(ResponseSpec::store_once(Selector::Inserted, ["memcached", "s3"])),
         )
         .build()
         .unwrap();
@@ -58,10 +55,7 @@ fn main() {
     println!("bytes held in S3       : {} KB", s3.used() / 1024);
     println!("S3 PUT requests        : {}", counts.puts);
     println!("S3 GET requests        : {}", counts.gets);
-    println!(
-        "dedup ratio            : {:.2}x",
-        logical_bytes as f64 / s3.used().max(1) as f64
-    );
+    println!("dedup ratio            : {:.2}x", logical_bytes as f64 / s3.used().max(1) as f64);
 
     // Every file reads back correctly despite the shared physical chunks.
     let sample = fs.read_all("/backup/doc-002", now).unwrap();
@@ -72,8 +66,5 @@ fn main() {
 
     // Monthly cost: request billing is what dedup saves on S3 (Fig 12b).
     let plan = tiera::sim::PricePlan::for_class(tiera::sim::StorageClass::ObjectStore);
-    println!(
-        "request cost this run  : ${:.5}",
-        plan.request_cost(counts.puts, counts.gets)
-    );
+    println!("request cost this run  : ${:.5}", plan.request_cost(counts.puts, counts.gets));
 }

@@ -27,18 +27,15 @@ fn main() {
         .tier(Arc::new(MemoryTier::same_az("memcached", 512 * MB, &env)))
         .tier(Arc::clone(&ebs))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .unwrap();
 
     // Schedule the outage: EBS writes start timing out just after t = 4 min
     // (right after the monitor's 4-minute probe, as in the paper's timeline).
-    ebs.failures()
-        .schedule(FailureWindow::write_outage(SimTime::from_secs(245)));
+    ebs.failures().schedule(FailureWindow::write_outage(SimTime::from_secs(245)));
 
     // The external monitor probes every 2 minutes; on failure it swaps the
     // failed tier for EphemeralStorage + S3 and installs the new policy.
@@ -46,21 +43,15 @@ fn main() {
     let mut monitor = FailureMonitor::every_two_minutes(Arc::clone(&instance), move |inst| {
         println!("  [monitor] failure detected — reconfiguring instance");
         inst.detach_tier("ebs").expect("detach failed tier");
-        inst.attach_tier(Arc::new(EphemeralTier::new("ephemeral", 512 * MB, &env2)))
-            .unwrap();
-        inst.attach_tier(Arc::new(ObjectStoreTier::s3("s3", 4096 * MB, &env2)))
-            .unwrap();
+        inst.attach_tier(Arc::new(EphemeralTier::new("ephemeral", 512 * MB, &env2))).unwrap();
+        inst.attach_tier(Arc::new(ObjectStoreTier::s3("s3", 4096 * MB, &env2))).unwrap();
         inst.policy().replace_all([
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ephemeral"],
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ephemeral"])),
+            Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(ResponseSpec::copy(
+                Selector::InTier("ephemeral".into()).and(Selector::Dirty),
+                ["s3"],
             )),
-            Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(
-                ResponseSpec::copy(
-                    Selector::InTier("ephemeral".into()).and(Selector::Dirty),
-                    ["s3"],
-                ),
-            ),
         ]);
     });
 

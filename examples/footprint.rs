@@ -108,8 +108,7 @@ fn memory_tier(env: &SimEnv) -> Arc<MemoryTier> {
 
 fn load(inst: &Instance, names: &[String]) {
     for name in names {
-        inst.put(name, vec![7u8; PAYLOAD], SimTime::ZERO)
-            .expect("put");
+        inst.put(name, vec![7u8; PAYLOAD], SimTime::ZERO).expect("put");
     }
 }
 
@@ -136,8 +135,7 @@ fn served_overwrite(env: &SimEnv, keys: usize) -> f64 {
         s.spawn(|| {
             for round in 1..=ROUNDS {
                 for name in &names {
-                    inst.put(name, vec![round; VALUE], SimTime::ZERO)
-                        .expect("overwrite");
+                    inst.put(name, vec![round; VALUE], SimTime::ZERO).expect("overwrite");
                 }
             }
         });
@@ -185,12 +183,8 @@ fn row(name: &str, keys: usize) -> Option<f64> {
         "tier" => measure(keys, PAYLOAD, || {
             let tier = memory_tier(&env);
             for name in &names {
-                tier.put(
-                    &ObjectKey::new(name),
-                    vec![7u8; PAYLOAD].into(),
-                    SimTime::ZERO,
-                )
-                .expect("tier put");
+                tier.put(&ObjectKey::new(name), vec![7u8; PAYLOAD].into(), SimTime::ZERO)
+                    .expect("tier put");
             }
             tier
         }),
@@ -225,15 +219,11 @@ fn row(name: &str, keys: usize) -> Option<f64> {
                     .tier(memory_tier(&env))
                     .build()
                     .expect("replica instance");
-                coord
-                    .add_node(ClusterNode::new(name, inst))
-                    .expect("distinct node names");
+                coord.add_node(ClusterNode::new(name, inst)).expect("distinct node names");
             }
             for name in &names {
                 // One payload, which the three replicas share.
-                coord
-                    .put(name, vec![7u8; PAYLOAD].into(), SimTime::ZERO)
-                    .expect("routed put");
+                coord.put(name, vec![7u8; PAYLOAD].into(), SimTime::ZERO).expect("routed put");
             }
             coord
         }),

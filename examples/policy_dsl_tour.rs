@@ -69,9 +69,7 @@ Tiera LruInstance() {
     let lru = Compiler::new(&catalog, env.clone()).compile(&spec).unwrap();
     let mut now = SimTime::ZERO;
     for i in 0..8 {
-        let r = lru
-            .put(format!("obj-{i}").as_str(), vec![0u8; 4096], now)
-            .unwrap();
+        let r = lru.put(format!("obj-{i}").as_str(), vec![0u8; 4096], now).unwrap();
         now += r.latency;
     }
     // 16K tier holds 4 × 4K objects; the 4 oldest were evicted to EBS.
@@ -109,20 +107,12 @@ Tiera GrowingInstance(time t) {
     println!("capacity before: {} bytes", tier1.capacity(now));
     for i in 0..13 {
         // 13 × 4 KB crosses 75% of 64 KB.
-        let r = growing
-            .put(format!("w-{i}").as_str(), vec![0u8; 4096], now)
-            .unwrap();
+        let r = growing.put(format!("w-{i}").as_str(), vec![0u8; 4096], now).unwrap();
         now += r.latency;
     }
-    println!(
-        "capacity right after grow fired (provisioning...): {} bytes",
-        tier1.capacity(now)
-    );
+    println!("capacity right after grow fired (provisioning...): {} bytes", tier1.capacity(now));
     let after_spawn = now + SimDuration::from_secs(61);
-    println!(
-        "capacity one minute later: {} bytes",
-        tier1.capacity(after_spawn)
-    );
+    println!("capacity one minute later: {} bytes", tier1.capacity(after_spawn));
 
     // ---- Runtime policy replacement (paper §4.2.3) ----
     banner("Runtime policy replacement");
@@ -133,8 +123,5 @@ Tiera GrowingInstance(time t) {
     println!("rules after : {}", growing.policy().len());
     let r = growing.put("after-swap", vec![0u8; 128], after_spawn).unwrap();
     let meta = growing.registry().get(&"after-swap".into()).unwrap();
-    println!(
-        "new placement goes to {:?} (PUT took {})",
-        meta.locations, r.latency
-    );
+    println!("new placement goes to {:?} (PUT took {})", meta.locations, r.latency);
 }

@@ -64,10 +64,7 @@ fn main() {
 
     // Before the timer fires, data is dirty and only in tier1.
     let meta = instance.registry().get(&"object-0".into()).unwrap();
-    println!(
-        "before write-back: dirty={} locations={:?}",
-        meta.dirty, meta.locations
-    );
+    println!("before write-back: dirty={} locations={:?}", meta.dirty, meta.locations);
 
     // Advance virtual time past the 30 s timer and pump the control layer.
     // The write-back copy is paced background work: keep pumping (as the
@@ -81,10 +78,7 @@ fn main() {
     }
 
     let meta = instance.registry().get(&"object-0".into()).unwrap();
-    println!(
-        "after  write-back: dirty={} locations={:?}",
-        meta.dirty, meta.locations
-    );
+    println!("after  write-back: dirty={} locations={:?}", meta.dirty, meta.locations);
 
     // Monthly cost of the configuration (the paper's cost plots use this).
     println!("\nestimated monthly cost:\n{}", instance.monthly_cost(now));

@@ -9,9 +9,9 @@ use std::sync::Arc;
 use tiera::core::event::{ActionOp, EventKind};
 use tiera::core::response::ResponseSpec;
 use tiera::core::selector::Selector;
+use tiera::core::tier::MemTier;
 use tiera::core::tier::TierTraits;
 use tiera::core::{InstanceBuilder, Rule};
-use tiera::core::tier::MemTier;
 use tiera::prelude::*;
 use tiera::rpc::{ServerConfig, TieraClient, TieraServer};
 
@@ -40,10 +40,7 @@ fn main() {
     let handle = TieraServer::start(
         Arc::clone(&instance),
         "127.0.0.1:0",
-        ServerConfig {
-            request_threads: 4,
-            ..ServerConfig::default()
-        },
+        ServerConfig { request_threads: 4, ..ServerConfig::default() },
     )
     .expect("server starts");
     println!("tiera server listening on {}", handle.addr());
@@ -55,9 +52,7 @@ fn main() {
 
     for i in 0..10 {
         let key = format!("session/{i}");
-        client
-            .put_tagged(&key, format!("value-{i}").as_bytes(), &["session"])
-            .expect("put");
+        client.put_tagged(&key, format!("value-{i}").as_bytes(), &["session"]).expect("put");
     }
     let (value, receipt) = client.get("session/3").expect("get");
     println!(
@@ -70,9 +65,7 @@ fn main() {
     client.delete("session/9").expect("delete");
 
     let (objects, reads, writes, events) = client.stats().expect("stats");
-    println!(
-        "server stats: objects={objects} reads={reads} writes={writes} events={events}"
-    );
+    println!("server stats: objects={objects} reads={reads} writes={writes} events={events}");
 
     // The write-through policy ran for every PUT: both tiers hold the data.
     let meta = instance.registry().get(&"session/3".into()).unwrap();

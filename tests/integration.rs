@@ -70,21 +70,15 @@ fn full_db_stack_over_simulated_tiers() {
         .tier(Arc::new(MemoryTier::same_az("memcached", 512 * MB, &env)))
         .tier(Arc::new(BlockTier::ebs("ebs", 512 * MB, &env)))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .unwrap();
     let fs = Arc::new(TieraFs::new(instance));
     let (db, load) = MiniDb::create(
         fs,
-        DbConfig {
-            rows: 5_000,
-            buffer_pool_pages: 64,
-            ..DbConfig::default()
-        },
+        DbConfig { rows: 5_000, buffer_pool_pages: 64, ..DbConfig::default() },
         SimTime::ZERO,
     )
     .unwrap();
@@ -115,9 +109,7 @@ fn dedup_instance_reduces_object_store_requests() {
     // 100 logical objects, only 10 distinct payloads.
     for i in 0..100 {
         let body = vec![(i % 10) as u8; 4096];
-        let r = instance
-            .put(format!("doc-{i}").as_str(), body, now)
-            .unwrap();
+        let r = instance.put(format!("doc-{i}").as_str(), body, now).unwrap();
         now += r.latency;
     }
     let s3 = instance.tier("s3").unwrap();
@@ -153,9 +145,7 @@ fn metadata_survives_instance_restart() {
             .put_with(
                 "remembered",
                 &b"v"[..],
-                tiera::core::instance::PutOptions {
-                    tags: vec![Tag::new("keep")],
-                },
+                tiera::core::instance::PutOptions { tags: vec![Tag::new("keep")] },
                 SimTime::ZERO,
             )
             .unwrap();
@@ -197,8 +187,7 @@ fn overwrite_whose_old_tier_refuses_the_delete_succeeds_and_counts_the_orphan() 
     // The overwrite lands in memcached; ebs, holding the old copy, has
     // stopped taking writes by then.
     instance.policy().replace_all([store_into("memcached")]);
-    ebs.failures()
-        .schedule(FailureWindow::write_outage(SimTime::from_secs(5)));
+    ebs.failures().schedule(FailureWindow::write_outage(SimTime::from_secs(5)));
     let now = SimTime::from_secs(10);
     instance.put("k", vec![2u8; 4096], now).unwrap();
 
@@ -247,9 +236,7 @@ fn encrypted_compressed_pipeline_roundtrips() {
     // Compress then encrypt via policy rules added at runtime.
     instance.policy().add(
         Rule::on(EventKind::timer(SimDuration::from_secs(60)))
-            .respond(ResponseSpec::Compress {
-                what: Selector::Key("report".into()),
-            })
+            .respond(ResponseSpec::Compress { what: Selector::Key("report".into()) })
             .respond(ResponseSpec::Encrypt {
                 what: Selector::Key("report".into()),
                 key_id: "vault".into(),

@@ -29,10 +29,8 @@ fn fig15_writeback_interval_lowers_write_latency() {
         let builder = if interval_secs == 0 {
             // Write-through: the client pays the EBS write.
             builder.rule(
-                Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                    Selector::Inserted,
-                    ["memcached", "ebs"],
-                )),
+                Rule::on(EventKind::action(ActionOp::Put))
+                    .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
             )
         } else {
             builder
@@ -40,14 +38,12 @@ fn fig15_writeback_interval_lowers_write_latency() {
                     Rule::on(EventKind::action(ActionOp::Put))
                         .respond(ResponseSpec::store(Selector::Inserted, ["memcached"])),
                 )
-                .rule(
-                    Rule::on(EventKind::timer(SimDuration::from_secs(interval_secs))).respond(
-                        ResponseSpec::copy(
-                            Selector::InTier("memcached".into()).and(Selector::Dirty),
-                            ["ebs"],
-                        ),
+                .rule(Rule::on(EventKind::timer(SimDuration::from_secs(interval_secs))).respond(
+                    ResponseSpec::copy(
+                        Selector::InTier("memcached".into()).and(Selector::Dirty),
+                        ["ebs"],
                     ),
-                )
+                ))
         };
         let instance = builder.build().unwrap();
         let mut cfg = YcsbConfig::new(200);
@@ -59,10 +55,7 @@ fn fig15_writeback_interval_lowers_write_latency() {
     let wt = write_latency_for(0);
     let wb_short = write_latency_for(10);
     let wb_long = write_latency_for(100);
-    assert!(
-        wt > 2.0 * wb_long,
-        "write-through {wt}ms must far exceed write-back {wb_long}ms"
-    );
+    assert!(wt > 2.0 * wb_long, "write-through {wt}ms must far exceed write-back {wb_long}ms");
     assert!(wb_short <= wt && wb_long <= wb_short * 1.5);
 }
 
@@ -112,10 +105,7 @@ fn fig14_bandwidth_cap_protects_foreground() {
         uncapped > baseline * 1.08,
         "uncapped replication must visibly hurt: {baseline} vs {uncapped}"
     );
-    assert!(
-        capped < uncapped,
-        "cap must reduce interference: {capped} vs {uncapped}"
-    );
+    assert!(capped < uncapped, "cap must reduce interference: {capped} vs {uncapped}");
     assert!(
         capped < baseline * 1.03,
         "capped replication must be nearly invisible: {baseline} vs {capped}"
@@ -140,10 +130,7 @@ fn fig16_growing_instance_timeline() {
                 Metric::TierFillFraction("memcached".into()),
                 0.75,
             ))
-            .respond(ResponseSpec::Grow {
-                tier: "memcached".into(),
-                percent: 100.0,
-            }),
+            .respond(ResponseSpec::Grow { tier: "memcached".into(), percent: 100.0 }),
         )
         .build()
         .unwrap();
@@ -152,9 +139,7 @@ fn fig16_growing_instance_timeline() {
     let mut now = SimTime::ZERO;
     let mut i = 0u64;
     while mem.used() < 151 * MB {
-        let r = instance
-            .put(format!("w-{i}").as_str(), vec![0u8; 4096], now)
-            .unwrap();
+        let r = instance.put(format!("w-{i}").as_str(), vec![0u8; 4096], now).unwrap();
         now += r.latency;
         i += 1;
     }
@@ -175,36 +160,27 @@ fn fig17_failover_restores_throughput() {
         .tier(Arc::new(MemoryTier::same_az("memcached", 512 * MB, &env)))
         .tier(Arc::clone(&ebs))
         .rule(
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ebs"],
-            )),
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ebs"])),
         )
         .build()
         .unwrap();
     // The outage begins just after the monitor's t = 4 min probe, so
     // detection lands on the t = 6 min probe — the paper's timeline.
-    ebs.failures()
-        .schedule(FailureWindow::write_outage(SimTime::from_secs(245)));
+    ebs.failures().schedule(FailureWindow::write_outage(SimTime::from_secs(245)));
 
     let env2 = env.clone();
     let mut monitor = FailureMonitor::every_two_minutes(Arc::clone(&instance), move |inst| {
         inst.detach_tier("ebs").unwrap();
-        inst.attach_tier(Arc::new(EphemeralTier::new("ephemeral", 512 * MB, &env2)))
-            .unwrap();
-        inst.attach_tier(Arc::new(ObjectStoreTier::s3("s3", 2048 * MB, &env2)))
-            .unwrap();
+        inst.attach_tier(Arc::new(EphemeralTier::new("ephemeral", 512 * MB, &env2))).unwrap();
+        inst.attach_tier(Arc::new(ObjectStoreTier::s3("s3", 2048 * MB, &env2))).unwrap();
         inst.policy().replace_all([
-            Rule::on(EventKind::action(ActionOp::Put)).respond(ResponseSpec::store(
-                Selector::Inserted,
-                ["memcached", "ephemeral"],
+            Rule::on(EventKind::action(ActionOp::Put))
+                .respond(ResponseSpec::store(Selector::Inserted, ["memcached", "ephemeral"])),
+            Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(ResponseSpec::copy(
+                Selector::InTier("ephemeral".into()).and(Selector::Dirty),
+                ["s3"],
             )),
-            Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(
-                ResponseSpec::copy(
-                    Selector::InTier("ephemeral".into()).and(Selector::Dirty),
-                    ["s3"],
-                ),
-            ),
         ]);
     });
 
@@ -230,14 +206,8 @@ fn fig17_failover_restores_throughput() {
     let fully_down = buckets[5]; // minute 5 lies entirely inside the outage
     let after_recovery = buckets[8];
     assert!(healthy_before > 100, "healthy rate: {buckets:?}");
-    assert!(
-        fully_down < healthy_before / 20,
-        "outage collapses throughput: {buckets:?}"
-    );
-    assert!(
-        after_recovery > healthy_before / 2,
-        "throughput restored after reconfig: {buckets:?}"
-    );
+    assert!(fully_down < healthy_before / 20, "outage collapses throughput: {buckets:?}");
+    assert!(after_recovery > healthy_before / 2, "throughput restored after reconfig: {buckets:?}");
     assert!(monitor.has_reconfigured());
     assert!(instance.tier_names().contains(&"ephemeral".to_string()));
 }
@@ -258,9 +228,8 @@ fn fig13_durability_tradeoff() {
                 .respond(ResponseSpec::copy(Selector::Inserted, ["ebs"])),
         )
         .rule(
-            Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(
-                ResponseSpec::copy(Selector::InTier("ebs".into()), ["s3"]),
-            ),
+            Rule::on(EventKind::timer(SimDuration::from_secs(120)))
+                .respond(ResponseSpec::copy(Selector::InTier("ebs".into()), ["s3"])),
         )
         .build()
         .unwrap();
@@ -272,14 +241,10 @@ fn fig13_durability_tradeoff() {
             Rule::on(EventKind::action(ActionOp::Put))
                 .respond(ResponseSpec::store(Selector::Inserted, ["memcached"])),
         )
-        .rule(
-            Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(
-                ResponseSpec::copy(
-                    Selector::InTier("memcached".into()).and(Selector::Dirty),
-                    ["s3"],
-                ),
-            ),
-        )
+        .rule(Rule::on(EventKind::timer(SimDuration::from_secs(120))).respond(ResponseSpec::copy(
+            Selector::InTier("memcached".into()).and(Selector::Dirty),
+            ["s3"],
+        )))
         .build()
         .unwrap();
 
@@ -302,7 +267,5 @@ fn fig13_durability_tradeoff() {
     assert!(high_report.reads.mean() < SimDuration::from_millis(1));
     assert!(low_report.reads.mean() < SimDuration::from_millis(1));
     // Cost: the EBS tier makes the high-durability instance dearer.
-    assert!(
-        high.monthly_cost(SimTime::ZERO).total() > low.monthly_cost(SimTime::ZERO).total()
-    );
+    assert!(high.monthly_cost(SimTime::ZERO).total() > low.monthly_cost(SimTime::ZERO).total());
 }
