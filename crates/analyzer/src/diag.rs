@@ -8,7 +8,9 @@
 //! code table.
 //!
 //! Codes are append-only: once shipped, an `A0xx` code never changes
-//! meaning (the golden tests in `tests/golden.rs` key on them).
+//! meaning (the golden tests in `tests/golden.rs` key on them). A004–A006
+//! are retired and never reused: clippy makes those checks with types
+//! (DESIGN.md §2d).
 
 use tiera_support::diag;
 
@@ -27,9 +29,6 @@ tiera_support::lint_codes! {
         LockOrderCycle => ("A001", Error, "cycle in the workspace acquired-while-held lock graph"),
         RankInversion => ("A002", Error, "lock acquired while holding a higher-ranked lock"),
         BlockingWhileLocked => ("A003", Warning, "blocking channel/thread/socket call while holding a lock"),
-        PanicInPanicFree => ("A004", Error, "panicking construct in a panic-free-designated module"),
-        DefaultHashedHotPath => ("A005", Error, "default-hashed map in a hot-path module"),
-        StdSyncLock => ("A006", Error, "std::sync lock named outside tiera-support"),
         UnnamedLockMultiSite => ("A007", Warning, "unnamed lock constructed in a multi-lock file"),
         DiscardedResult => ("A008", Error, "`let _ =` or `.ok();` discards the Result of a durability or pump call"),
         DeadPubSurface => ("A009", Warning, "pub item that no non-test code names"),
@@ -45,10 +44,7 @@ mod tests {
     fn codes_are_unique_and_sequential() {
         // In numeric order.
         let codes: Vec<&str> = LintCode::ALL.iter().map(|c| c.code()).collect();
-        assert_eq!(
-            codes,
-            ["A001", "A002", "A003", "A004", "A005", "A006", "A007", "A008", "A009", "A010"]
-        );
+        assert_eq!(codes, ["A001", "A002", "A003", "A007", "A008", "A009", "A010"]);
         assert!(LintCode::ALL.iter().all(|c| !c.summary().is_empty()));
     }
 }

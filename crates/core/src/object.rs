@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn maps_keyed_by_object_key_answer_str_lookups() {
         let mut ordered = std::collections::BTreeMap::new();
-        let mut hashed = std::collections::HashMap::new();
+        let mut hashed = tiera_support::collections::FxHashMap::default();
         for name in ["b", "a", "c"] {
             ordered.insert(ObjectKey::new(name), name.len());
             hashed.insert(ObjectKey::new(name), name.len());

@@ -33,6 +33,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the one crate that wraps std's locks and hash maps for the rest of the workspace"
+)]
 
 pub mod bytes;
 pub mod channel;

@@ -27,7 +27,10 @@ cargo test --release --offline -q -p tiera-core --test copy_races
 cargo test --release --offline -q -p tiera-chaos --test metastore_crash_matrix
 cargo test --release --offline -q -p tiera-metastore --test linearizability
 
-echo "==> cargo clippy (lint gate: every target of every crate, warnings are errors)"
+echo "==> cargo fmt --check (the tree stays rustfmt-clean; rustfmt.toml holds the one setting)"
+cargo fmt --all --check
+
+echo "==> cargo clippy (lint gate: every target of every crate, warnings are errors; clippy.toml and the root [workspace.lints] hold the workspace's own rules)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> tiera-lint --deny-warnings specs/ benchmark/specs/ (spec analyzer gate)"
