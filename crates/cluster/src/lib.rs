@@ -13,20 +13,23 @@
 //!   more.
 //! * [`ClusterNode`] — one member: a full Tiera [`Instance`] plus the
 //!   fault flags the node-fault chaos schedule drives (killed,
-//!   partitioned, slow) and the applied-token table that makes routed
-//!   DELETEs idempotent.
-//! * [`Coordinator`] — routes PUT/GET/DELETE (and the Multi* batch
-//!   shapes) to the owners of each key, replicates writes to R
-//!   successors and acks after W confirmations, serves a GET from the
-//!   first owner it probes at the write version its metadata names (one
-//!   replica read on a healthy cluster; a `MultiGet` reads each distinct
-//!   key once and spreads them over the owners, one group per owner),
+//!   partitioned, slow). A replica delete is idempotent by itself: a key
+//!   already absent acknowledges.
+//! * [`Coordinator`] — routes PUT/GET/DELETE and `MultiGet` to the
+//!   owners of each key, replicates writes to R successors and acks
+//!   after W confirmations, serves a GET from the first owner it probes
+//!   at the write version its metadata names (one replica read on a
+//!   healthy cluster; a `MultiGet` reads each distinct key once and
+//!   spreads them over the owners, one group per owner),
 //!   merges it into the owners a read passed over as behind or holding a
 //!   failed write's copy (purged first: a merge never lowers a replica),
 //!   and runs the bandwidth-capped, resumable rebalance engine when
 //!   membership changes. Every node op names its key by the coordinator's
-//!   one [`ObjectKey`] handle, so replicas share the key's allocation. Its
-//!   membership log ([`MembershipMsg`]) records every join, leave, rejoin.
+//!   one [`ObjectKey`] handle, so replicas share the key's allocation. It
+//!   holds the one delete-token table: a DELETE redelivered with the token
+//!   of one that reached quorum replays that outcome. While a rebalance is
+//!   in flight, writes go to the new owners, and deletes reach the old
+//!   owners too.
 //!
 //! Lock order (see `tiera_support::sync::rank`): `cluster.ring` →
 //! `cluster.meta` → `cluster.node`. Ring and meta guards are never held
@@ -44,6 +47,6 @@ pub mod coordinator;
 pub mod node;
 pub mod ring;
 
-pub use coordinator::{ClusterError, Coordinator, MembershipMsg, ReadStats, RebalanceReport};
+pub use coordinator::{ClusterError, Coordinator, ReadStats, RebalanceReport};
 pub use node::{ClusterNode, NodeError};
 pub use ring::{KeyMove, RebalancePlan, Ring};

@@ -1,6 +1,6 @@
 //! One cluster member: a full Tiera instance — a last-writer-wins
 //! register over the coordinator's write versions — plus the node-level
-//! fault flags and the idempotency table for routed deletes.
+//! fault flags.
 //!
 //! Faults model what the chaos matrix needs:
 //!
@@ -11,18 +11,12 @@
 //! * **partition** makes the node unreachable without stopping it; heal
 //!   with the same flag.
 //! * **slow** adds a fixed virtual-latency penalty per op.
-//!
-//! The applied-token table is the server half of the redial fix: a
-//! coordinator failover and a client redial may deliver the same DELETE
-//! twice, and the first application's outcome is replayed instead of a
-//! second (incorrect) `no such object` apply.
 
 use std::fmt;
 use std::sync::Arc;
 
 use tiera_core::{Instance, ObjectKey};
 use tiera_sim::{SimDuration, SimTime};
-use tiera_support::collections::FxHashMap;
 use tiera_support::sync::{rank, Mutex};
 use tiera_support::Bytes;
 
@@ -58,31 +52,18 @@ impl std::error::Error for NodeError {}
 /// the bytes' write version (0 when not known).
 pub type ReplicaRead = Result<(Bytes, SimDuration, u64), NodeError>;
 
-/// Acknowledgement of a routed delete.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeleteAck {
-    /// Charged virtual latency.
-    pub latency: SimDuration,
-    /// Whether the key existed on this node (false: already absent —
-    /// still an acknowledgement, the target state holds).
-    pub existed: bool,
-}
-
 #[derive(Debug, Default)]
 struct NodeState {
     killed: bool,
     partitioned: bool,
     slow_penalty: SimDuration,
-    /// Idempotency: token → outcome of the first application.
-    applied_deletes: FxHashMap<u64, DeleteAck>,
-    deletes_applied: u64,
 }
 
 /// One member of a Tiera cluster.
 pub struct ClusterNode {
     name: String,
     instance: Arc<Instance>,
-    /// Fault flags + applied-token table. All nodes share the lock name,
+    /// Fault flags. All nodes share the lock name,
     /// so holding two nodes' state locks at once is a lockcheck
     /// self-cycle by construction.
     state: Mutex<NodeState>,
@@ -138,24 +119,6 @@ impl ClusterNode {
         self.state.lock().slow_penalty = penalty;
     }
 
-    /// Whether routed ops currently reach this node.
-    pub fn is_reachable(&self) -> bool {
-        let s = self.state.lock();
-        !s.killed && !s.partitioned
-    }
-
-    /// `(killed, partitioned, slow penalty)` — for event logs.
-    pub fn fault_state(&self) -> (bool, bool, SimDuration) {
-        let s = self.state.lock();
-        (s.killed, s.partitioned, s.slow_penalty)
-    }
-
-    /// Deletes actually applied to storage (not replayed from the token
-    /// table) — the observable the double-apply regression test pins.
-    pub fn deletes_applied(&self) -> u64 {
-        self.state.lock().deletes_applied
-    }
-
     // ---- routed ops ----
     //
     // A routed op names its key by the coordinator's handle: the instance
@@ -205,44 +168,15 @@ impl ClusterNode {
         }
     }
 
-    /// Applies a replicated delete exactly once per token: a token seen
-    /// before replays the recorded outcome without touching storage.
-    /// A key already absent still acknowledges (`existed: false`) — the
-    /// requested end state holds.
-    pub fn apply_delete(
-        &self,
-        token: u64,
-        key: &ObjectKey,
-        now: SimTime,
-    ) -> Result<DeleteAck, NodeError> {
-        let mut s = self.state.lock();
-        if s.killed || s.partitioned {
-            return Err(NodeError::Unavailable { node: self.name.clone() });
-        }
-        if let Some(ack) = s.applied_deletes.get(&token) {
-            return Ok(*ack);
-        }
-        let penalty = s.slow_penalty;
-        let ack = match self.instance.delete(key.clone(), now) {
-            Ok(latency) => {
-                s.deletes_applied += 1;
-                DeleteAck { latency: latency + penalty, existed: true }
-            }
-            Err(tiera_core::TieraError::NoSuchObject(_)) => {
-                DeleteAck { latency: penalty, existed: false }
-            }
-            Err(e) => return Err(self.storage_err(e)),
-        };
-        s.applied_deletes.insert(token, ack);
-        Ok(ack)
-    }
-
-    /// Purges a key during anti-entropy without token bookkeeping (used
-    /// when a rejoining node holds a copy of a tombstoned key).
-    pub fn purge(&self, key: &ObjectKey, now: SimTime) -> Result<(), NodeError> {
-        self.admit()?;
+    /// Applies a replicated delete and returns the charged latency. It is
+    /// idempotent by itself: a key already absent acknowledges, since the
+    /// requested end state holds. Which deliveries reach a replica is the
+    /// coordinator's call (its token table replays an acknowledged one).
+    pub fn apply_delete(&self, key: &ObjectKey, now: SimTime) -> Result<SimDuration, NodeError> {
+        let penalty = self.admit()?;
         match self.instance.delete(key.clone(), now) {
-            Ok(_) | Err(tiera_core::TieraError::NoSuchObject(_)) => Ok(()),
+            Ok(latency) => Ok(latency + penalty),
+            Err(tiera_core::TieraError::NoSuchObject(_)) => Ok(penalty),
             Err(e) => Err(self.storage_err(e)),
         }
     }
@@ -289,8 +223,7 @@ mod tests {
         n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
         let (data, _, version) = n.apply_get(&key("k"), t).unwrap();
         assert_eq!((&data[..], version), (&b"v"[..], 1));
-        let ack = n.apply_delete(1, &key("k"), t).unwrap();
-        assert!(ack.existed);
+        n.apply_delete(&key("k"), t).unwrap();
         assert!(n.apply_get(&key("k"), t).is_err());
     }
 
@@ -300,13 +233,12 @@ mod tests {
         let t = SimTime::ZERO;
         n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
         n.kill();
-        assert!(!n.is_reachable());
         assert!(matches!(n.apply_get(&key("k"), t), Err(NodeError::Unavailable { .. })));
         assert!(matches!(
             n.apply_put(&key("k2"), Bytes::from(&b"x"[..]), 2, t),
             Err(NodeError::Unavailable { .. })
         ));
-        assert!(matches!(n.apply_delete(9, &key("k"), t), Err(NodeError::Unavailable { .. })));
+        assert!(matches!(n.apply_delete(&key("k"), t), Err(NodeError::Unavailable { .. })));
         n.revive();
         let (data, _, _) = n.apply_get(&key("k"), t).unwrap();
         assert_eq!(&data[..], b"v", "kill froze state, not lost it");
@@ -363,35 +295,15 @@ mod tests {
     }
 
     #[test]
-    fn delete_tokens_are_idempotent() {
+    fn deleting_an_absent_key_acks() {
         let n = node("n1");
         let t = SimTime::ZERO;
         n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
-        let first = n.apply_delete(42, &key("k"), t).unwrap();
-        assert!(first.existed);
-        assert_eq!(n.deletes_applied(), 1);
-        // Redelivery with the same token replays the outcome.
-        let replay = n.apply_delete(42, &key("k"), t).unwrap();
-        assert_eq!(replay, first);
-        assert_eq!(n.deletes_applied(), 1, "storage touched exactly once");
-        // A *different* token against the now-absent key acks without
-        // claiming the key existed.
-        let other = n.apply_delete(43, &key("k"), t).unwrap();
-        assert!(!other.existed);
-        assert_eq!(n.deletes_applied(), 1);
-    }
-
-    #[test]
-    fn unavailable_outcomes_are_not_cached() {
-        let n = node("n1");
-        let t = SimTime::ZERO;
-        n.apply_put(&key("k"), Bytes::from(&b"v"[..]), 1, t).unwrap();
-        n.kill();
-        assert!(n.apply_delete(7, &key("k"), t).is_err());
-        n.revive();
-        // The failed attempt never applied, so the same token now does.
-        let ack = n.apply_delete(7, &key("k"), t).unwrap();
-        assert!(ack.existed);
-        assert_eq!(n.deletes_applied(), 1);
+        n.apply_delete(&key("k"), t).unwrap();
+        assert!(!n.instance().contains("k"));
+        // A second delivery, or a delete of a key never written, finds the
+        // end state already holding and acknowledges it.
+        n.apply_delete(&key("k"), t).unwrap();
+        n.apply_delete(&key("never"), t).unwrap();
     }
 }

@@ -59,9 +59,9 @@ use std::sync::PoisonError;
 ///
 /// 1. facade crates that call into an [`Instance`] while holding their own
 ///    state (`tiera-db`, `tiera-fs`), and the cluster plane above them
-///    (documented order **ring → meta → node**; node state may be held
-///    across a call into the node's backing instance, ring/meta never
-///    across node IO — see `crates/cluster/src/coordinator.rs`);
+///    (documented order **ring → meta → node**; node state is never
+///    held across a call into the node's backing instance, ring/meta
+///    never across node IO — see `crates/cluster/src/coordinator/`);
 /// 2. instance-level state: the configuration cell (`config`, held only
 ///    to load the current snapshot or to publish a new one, with nothing
 ///    acquired under it), then `keyring`, `background`;

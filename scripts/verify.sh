@@ -24,6 +24,7 @@ echo "==> cargo test --release (chaos pins, forced interleavings and the metasto
 cargo test --release --offline -q -p tiera-chaos --test chaos_suite
 cargo test --release --offline -q -p tiera-core --test concurrency
 cargo test --release --offline -q -p tiera-core --test copy_races
+cargo test --release --offline -q -p tiera-cluster --test version_races --test redial_failover
 cargo test --release --offline -q -p tiera-chaos --test metastore_crash_matrix
 cargo test --release --offline -q -p tiera-metastore --test linearizability
 
