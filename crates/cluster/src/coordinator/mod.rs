@@ -57,8 +57,8 @@
 //! [`ObjectKey`], and that one handle is what every [`ClusterNode`] op
 //! names the key by — PUT, GET, batch reads, repair, rebalance and
 //! rejoin alike. Each replica's instance keeps a clone of it, so a key
-//! costs one allocation however many replicas hold it, and a replica
-//! read allocates no key. Routing allocates nothing either: every vnode
+//! costs at most one allocation however many replicas hold it (none when
+//! it is short enough to be inline), and a replica read allocates no key. Routing allocates nothing either: every vnode
 //! point's owner is resolved to its node position once per membership
 //! change, so a route walks integers, and keeps them in place.
 //!

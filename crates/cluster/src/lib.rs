@@ -25,7 +25,8 @@
 //!   failed write's copy (purged first: a merge never lowers a replica),
 //!   and runs the bandwidth-capped, resumable rebalance engine when
 //!   membership changes. Every node op names its key by the coordinator's
-//!   one [`ObjectKey`] handle, so replicas share the key's allocation. It
+//!   one [`ObjectKey`] handle, so replicas share a long key's allocation
+//!   (a short one is inline and allocates nothing). It
 //!   holds the one delete-token table: a DELETE redelivered with the token
 //!   of one that reached quorum replays that outcome. While a rebalance is
 //!   in flight, writes go to the new owners, and deletes reach the old

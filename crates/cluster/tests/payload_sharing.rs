@@ -1,5 +1,6 @@
 //! Replicas share one payload allocation, and keep sharing it across
-//! overwrites; they share the coordinator's key allocation too.
+//! overwrites; they share the coordinator's key allocation too (a key too
+//! long to be held inline has one).
 //!
 //! `Coordinator::put` hands every owner a clone of one `Bytes`, so a key
 //! under three replicas costs one payload. Recycling buffers *inside the
@@ -56,7 +57,8 @@ fn three_replicas_return_one_address_after_three_overwrites() {
 
 /// The coordinator allocates each key once and hands that handle to every
 /// replica: the three registries and the coordinator's metadata hold one
-/// string between them, through overwrites and reads.
+/// string between them, through overwrites and reads. The keys are longer
+/// than 22 bytes: a shorter one is held inline and allocates nothing.
 #[test]
 fn coordinator_and_three_replicas_hold_one_key_allocation() {
     let coord = Coordinator::new(3, 2);
@@ -72,7 +74,7 @@ fn coordinator_and_three_replicas_hold_one_key_allocation() {
     for node in &nodes {
         coord.add_node(Arc::clone(node)).unwrap();
     }
-    let keys: Vec<String> = (0..16).map(|i| format!("key-{i}")).collect();
+    let keys: Vec<String> = (0..16).map(|i| format!("a-key-too-long-for-inline-{i}")).collect();
     for fill in [1u8, 2] {
         for key in &keys {
             coord.put(key, Bytes::from(vec![fill; 64]), SimTime::ZERO).unwrap();

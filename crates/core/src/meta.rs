@@ -14,10 +14,14 @@
 //! it lives beside the most expensive tier: locations are an inline
 //! [`TierSet`] of interned ids, and the rarely-set attributes (tags,
 //! content digest, encryption key id, a stored size that differs from the
-//! logical one) sit behind one optional box, so the common record is
-//! [`ObjectMeta`]'s 56 bytes with no heap behind it and cloning it is a
-//! copy. The encoded form carries names, not ids, and the access count and
-//! stored size at full width.
+//! logical one) sit behind one optional shared pointer, so the common
+//! record is [`ObjectMeta`]'s 56 bytes with no heap behind it and cloning
+//! it is a copy. The registry stores less still: a `CompactMeta` of 40
+//! bytes, every field but the rare pointer, with up to four locations
+//! inline and the four flags packed in one byte. The rare attributes and
+//! the larger location sets of the few objects that have them it keeps in
+//! a side map (`Apart`). The encoded form carries names, not ids, and
+//! the access count and stored size at full width.
 //!
 //! Each record carries one **write version** ([`ObjectMeta::version`]): a
 //! PUT gives the record a new one, and a copy, move or re-store publishes
@@ -26,6 +30,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use tiera_codec::Digest;
 use tiera_sim::SimTime;
@@ -191,11 +196,13 @@ impl FromIterator<TierId> for TierSet {
     }
 }
 
-/// The attributes few objects carry, boxed so the rest pay eight bytes for
-/// them. Invariant: `ObjectMeta::rare` is `None` when all four are empty,
-/// which keeps derived equality meaningful.
+/// The attributes few objects carry, behind one pointer so the rest pay
+/// eight bytes for them (and a registry entry nothing: see
+/// [`CompactMeta`]). Shared, so a copy of a record is a reference count
+/// and an edit copies them first. Invariant: `ObjectMeta::rare` is `None`
+/// when all four are empty, which keeps derived equality meaningful.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Rare {
+pub(crate) struct Rare {
     tags: BTreeSet<Tag>,
     digest: Option<Digest>,
     encryption_key_id: Option<String>,
@@ -223,7 +230,7 @@ pub struct ObjectMeta {
     pub locations: TierSet,
     /// Tags, content digest, encryption key id and a stored size apart
     /// from `size`, when any is set.
-    rare: Option<Box<Rare>>,
+    rare: Option<Arc<Rare>>,
     /// Whether the object has been modified since it was last copied to a
     /// persistent tier (drives write-back policies, paper Fig 3).
     pub dirty: bool,
@@ -305,8 +312,8 @@ impl ObjectMeta {
         self.rare.as_ref().and_then(|r| r.stored_size).unwrap_or(self.size)
     }
 
-    /// Sets the stored size. One apart from `size` lives in the rare box,
-    /// so it costs an object without other rare attributes that box.
+    /// Sets the stored size. One apart from `size` lives with the rare
+    /// attributes, so it costs an object without others their allocation.
     pub fn set_stored_size(&mut self, stored_size: u64) {
         let apart = (stored_size != self.size).then_some(stored_size);
         if apart.is_some() || self.rare.is_some() {
@@ -345,13 +352,14 @@ impl ObjectMeta {
         self.edit_rare(|r| r.encryption_key_id = key_id);
     }
 
-    /// Applies `edit` to the rare attributes, allocating the box only when
-    /// something is set and freeing it when nothing is left.
+    /// Applies `edit` to the rare attributes — to a copy of them while
+    /// another record shares them — allocating only when something is set
+    /// and freeing them when nothing is left.
     fn edit_rare(&mut self, edit: impl FnOnce(&mut Rare)) {
-        let mut rare = self.rare.take().map_or_else(Rare::default, |boxed| *boxed);
+        let mut rare = self.rare.take().map_or_else(Rare::default, Arc::unwrap_or_clone);
         edit(&mut rare);
         if rare != Rare::default() {
-            self.rare = Some(Box::new(rare));
+            self.rare = Some(Arc::new(rare));
         }
     }
 
@@ -465,6 +473,136 @@ impl ObjectMeta {
     }
 }
 
+/// [`ObjectMeta`] as a registry shard stores it: every field but the rare
+/// attributes, with the locations inline and the four flags packed in one
+/// byte. What does not fit — the rare attributes, a set of more than four
+/// locations — the shard keeps [`Apart`], and a fifth flag bit says
+/// whether it keeps anything, so the side map is read only then.
+pub(crate) struct CompactMeta {
+    size: u64,
+    last_access: SimTime,
+    version: u64,
+    access_count: u32,
+    /// The locations, in name order, when there are at most four.
+    ids: [TierId; INLINE_TIERS],
+    len: u8,
+    flags: u8,
+}
+
+// One per object in the registry's entries: `ObjectMeta`'s 56 bytes less
+// the rare pointer, `TierSet`'s spill pointer and three bools.
+const _: () = assert!(std::mem::size_of::<CompactMeta>() <= 40);
+
+/// [`CompactMeta::flags`] bits.
+const DIRTY: u8 = 1;
+const COMPRESSED: u8 = 1 << 1;
+const ENCRYPTED: u8 = 1 << 2;
+const PLACING: u8 = 1 << 3;
+const APART: u8 = 1 << 4;
+
+/// What a registry shard keeps apart from an object's [`CompactMeta`]:
+/// its rare attributes, and its locations when there are more than four.
+pub(crate) struct Apart {
+    rare: Option<Arc<Rare>>,
+    locations: Option<TierSet>,
+}
+
+impl Apart {
+    /// Whether `tag` is among the object's tags.
+    pub(crate) fn has_tag(&self, tag: &Tag) -> bool {
+        self.rare.as_ref().is_some_and(|rare| rare.tags.contains(tag))
+    }
+}
+
+impl CompactMeta {
+    /// Whether the shard keeps something [`Apart`] for the object.
+    pub(crate) fn has_apart(&self) -> bool {
+        self.flags & APART != 0
+    }
+
+    /// [`ObjectMeta::dirty`].
+    pub(crate) fn dirty(&self) -> bool {
+        self.flags & DIRTY != 0
+    }
+
+    /// [`ObjectMeta::locations`]: inline, or those `apart` holds (what the
+    /// shard keeps apart for the object, if anything).
+    pub(crate) fn locations<'a>(&'a self, apart: Option<&'a Apart>) -> &'a [TierId] {
+        match apart.and_then(|apart| apart.locations.as_ref()) {
+            Some(spilled) => spilled.as_slice(),
+            None => &self.ids[..self.len as usize],
+        }
+    }
+
+    /// [`ObjectMeta::version`].
+    pub(crate) fn version(&self) -> u64 {
+        self.version
+    }
+
+    /// Ends the placing of the record's version (`ObjectMeta::placing`).
+    pub(crate) fn settle(&mut self) {
+        self.flags &= !PLACING;
+    }
+
+    /// [`ObjectMeta::touch`].
+    pub(crate) fn touch(&mut self, now: SimTime) {
+        self.access_count = self.access_count.saturating_add(1);
+        self.last_access = now;
+    }
+}
+
+impl ObjectMeta {
+    /// The record as a registry shard stores it, and what the shard keeps
+    /// apart for it, if anything.
+    pub(crate) fn compact(&self) -> (CompactMeta, Option<Apart>) {
+        let members = self.locations.as_slice();
+        let spilled = (members.len() > INLINE_TIERS).then(|| self.locations.clone());
+        let mut ids = [TierId::UNSET; INLINE_TIERS];
+        if spilled.is_none() {
+            ids[..members.len()].copy_from_slice(members);
+        }
+        let apart = (self.rare.is_some() || spilled.is_some())
+            .then(|| Apart { rare: self.rare.clone(), locations: spilled });
+        let flags = (self.dirty as u8 * DIRTY)
+            | (self.compressed as u8 * COMPRESSED)
+            | (self.encrypted as u8 * ENCRYPTED)
+            | (self.placing as u8 * PLACING)
+            | (apart.is_some() as u8 * APART);
+        let core = CompactMeta {
+            size: self.size,
+            last_access: self.last_access,
+            version: self.version,
+            access_count: self.access_count,
+            ids,
+            len: members.len().min(INLINE_TIERS) as u8,
+            flags,
+        };
+        (core, apart)
+    }
+
+    /// The record [`compact`](Self::compact) split, whole again: `apart`
+    /// is what the shard keeps apart for it (`None` when `core` says it
+    /// keeps nothing).
+    pub(crate) fn from_compact(core: &CompactMeta, apart: Option<&Apart>) -> Self {
+        let locations = match apart.and_then(|apart| apart.locations.as_ref()) {
+            Some(spilled) => spilled.clone(),
+            None => TierSet(Repr::Inline { len: core.len, ids: core.ids }),
+        };
+        Self {
+            size: core.size,
+            access_count: core.access_count,
+            last_access: core.last_access,
+            version: core.version,
+            locations,
+            rare: apart.and_then(|apart| apart.rare.clone()),
+            dirty: core.flags & DIRTY != 0,
+            compressed: core.flags & COMPRESSED != 0,
+            encrypted: core.flags & ENCRYPTED != 0,
+            placing: core.flags & PLACING != 0,
+        }
+    }
+}
+
 /// The flag bit of a record whose fifth word is its write version (before
 /// versions, that word was a creation time nothing read).
 const VERSIONED: u8 = 0b1_0000;
@@ -565,6 +703,28 @@ mod tests {
         let mut fresh = ObjectMeta::new(1, SimTime::ZERO);
         fresh.locations.insert("mem".into());
         assert_eq!(m, fresh);
+    }
+
+    #[test]
+    fn a_compact_record_and_what_is_kept_apart_make_the_record_again() {
+        let mut wide = sample();
+        for name in ["c-one", "c-two", "c-three"] {
+            wide.locations.insert(name.into());
+        }
+        let mut placing = ObjectMeta::new(9, SimTime::from_secs(4));
+        placing.placing = true;
+        placing.encrypted = true;
+        placing.locations.insert("mem".into());
+        for meta in [ObjectMeta::new(0, SimTime::ZERO), placing, sample(), wide] {
+            let (core, apart) = meta.compact();
+            // Kept apart: rare attributes and more than four locations.
+            let spilled = meta.locations.len() > INLINE_TIERS;
+            assert_eq!(apart.is_some(), meta.rare.is_some() || spilled, "{meta:?}");
+            assert_eq!(core.has_apart(), apart.is_some());
+            assert_eq!(core.locations(apart.as_ref()), meta.locations.as_slice());
+            assert_eq!((core.dirty(), core.version()), (meta.dirty, meta.version));
+            assert_eq!(ObjectMeta::from_compact(&core, apart.as_ref()), meta);
+        }
     }
 
     fn hex(bytes: &[u8]) -> String {

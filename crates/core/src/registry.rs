@@ -15,7 +15,13 @@
 //! * **Shards.** The key→meta map is hash-partitioned into
 //!   [`SHARD_COUNT`] shards, each behind its own `RwLock`. A shard owns
 //!   all the registry keeps about its objects: their metadata, their order
-//!   indexes and their per-tier aggregates. A key-addressed operation
+//!   indexes and their per-tier aggregates. It stores the metadata
+//!   compact, a 40-byte `CompactMeta` an entry, and keeps what does not
+//!   fit — the rare attributes, a set of more than four locations — in a
+//!   side map read only for the entries whose flag says so. Callers see
+//!   whole [`ObjectMeta`]s: a read puts one together, and a closure that
+//!   edits one (`update`, `publish_at`) edits a whole copy, which is
+//!   stored compact again after it returns. A key-addressed operation
 //!   (`get`/`contains`/`upsert`/`update`/`touch`/`remove`) locks exactly
 //!   one shard and nothing else — two requests for different keys usually
 //!   touch different shards and proceed in parallel.
@@ -75,12 +81,12 @@ use std::sync::OnceLock;
 use tiera_codec::Digest;
 use tiera_metastore::MetaStore;
 use tiera_sim::SimTime;
-use tiera_support::collections::{fx_hash_one, FxHashMap};
+use tiera_support::collections::{fx_hash_one, FxHashMap, FxHashSet};
 use tiera_support::sync::{rank, Mutex, RwLock, RwLockReadGuard};
 
 use crate::dedup::BlobTable;
 use crate::error::{Result, TieraError};
-use crate::meta::{ObjectMeta, TierSet};
+use crate::meta::{Apart, CompactMeta, ObjectMeta, TierSet};
 use crate::object::ObjectKey;
 use crate::selector::Selector;
 use crate::tier::TierId;
@@ -99,16 +105,17 @@ pub struct TierAggregates {
     pub dirty_bytes: u64,
 }
 
-/// One object's registry record: its metadata plus its slot, which holds
+/// One object's registry record: its metadata, less what its shard keeps
+/// apart ([`CompactMeta`]), plus its slot, which holds
 /// the stamp of its last mutation while its shard is unindexed and its
 /// node in the shard's order indexes once they are built.
 struct Entry {
-    meta: ObjectMeta,
+    core: CompactMeta,
     slot: u64,
 }
 
 // One per object, in a map slot beside its key.
-const _: () = assert!(std::mem::size_of::<Entry>() <= 64);
+const _: () = assert!(std::mem::size_of::<Entry>() <= 48);
 
 impl Entry {
     /// The object's node; its shard is indexed.
@@ -122,9 +129,45 @@ impl Entry {
 #[derive(Default)]
 struct Shard {
     map: FxHashMap<ObjectKey, Entry>,
+    /// What the shard keeps apart for the objects whose entry says so,
+    /// and for no others: rare attributes, more than four locations.
+    apart: ApartMap,
     /// `None` until the shard's first ordered read.
     order: Option<OrderIndexes>,
     aggregates: Aggregates,
+}
+
+/// A shard's side map: what it keeps apart for an object, by key.
+type ApartMap = FxHashMap<ObjectKey, Apart>;
+
+/// What `apart` holds for `key`, whose entry is `core`.
+fn apart_of<'a>(apart: &'a ApartMap, key: &ObjectKey, core: &CompactMeta) -> Option<&'a Apart> {
+    if core.has_apart() {
+        apart.get(key)
+    } else {
+        None
+    }
+}
+
+/// `key`'s whole record: `core` and what `apart` holds for it.
+fn whole(apart: &ApartMap, key: &ObjectKey, core: &CompactMeta) -> ObjectMeta {
+    ObjectMeta::from_compact(core, apart_of(apart, key, core))
+}
+
+/// `meta` as `key`'s entry stores it. What does not fit the entry goes to
+/// `apart`; `had` says whether the entry it replaces had anything there.
+fn compact(apart: &mut ApartMap, key: &ObjectKey, had: bool, meta: &ObjectMeta) -> CompactMeta {
+    let (core, kept) = meta.compact();
+    match kept {
+        Some(kept) => {
+            apart.insert(key.clone(), kept);
+        }
+        None if had => {
+            apart.remove(key);
+        }
+        None => {}
+    }
+    core
 }
 
 /// "No node": the end of a list, or an unlinked node's neighbours.
@@ -279,17 +322,17 @@ impl OrderIndexes {
         self.link_lists(node, now);
     }
 
-    /// An access to a linked object, stamped `stamp`, which `meta`
-    /// describes: the access changed none of its locations or its dirty
-    /// flag, so it stays on the lists it is on and becomes the newest of
+    /// An access to a linked object, stamped `stamp`, dirty or not and
+    /// in `locations`: the access changed none of its locations or its
+    /// dirty flag, so it stays on the lists it is on and becomes the newest of
     /// each.
-    fn touch(&mut self, node: u32, meta: &ObjectMeta, stamp: u64) {
+    fn touch(&mut self, node: u32, dirty: bool, locations: &[TierId], stamp: u64) {
         self.nodes[node as usize].stamp = stamp;
         self.access.move_to_back(node);
-        if meta.dirty {
+        if dirty {
             self.dirty.move_to_back(node);
         }
-        for tier in &meta.locations {
+        for tier in locations {
             if let Some(list) = self.tiers.get_mut(tier) {
                 list.move_to_back(node);
             }
@@ -367,30 +410,33 @@ impl Shard {
         stamp: u64,
         build: impl FnOnce(Option<&ObjectMeta>) -> Option<ObjectMeta>,
     ) -> Option<Option<ObjectMeta>> {
-        let (now, prior) = match self.map.entry(key.clone()) {
+        let Shard { map, apart, order, aggregates } = self;
+        let (now, prior) = match map.entry(key.clone()) {
             MapEntry::Occupied(mut occupied) => {
                 let entry = occupied.get_mut();
-                let meta = build(Some(&entry.meta))?;
-                let (was, now) = (Indexed::of(&entry.meta), Indexed::of(&meta));
-                match &mut self.order {
+                let prior = whole(apart, key, &entry.core);
+                let meta = build(Some(&prior))?;
+                let (was, now) = (Indexed::of(&prior), Indexed::of(&meta));
+                match order {
                     Some(order) => order.relink(entry.node(), &was, &now, stamp),
                     None => entry.slot = stamp,
                 }
-                aggregates_sub(&mut self.aggregates, &was);
-                (now, Some(std::mem::replace(&mut entry.meta, meta)))
+                aggregates_sub(aggregates, &was);
+                entry.core = compact(apart, key, entry.core.has_apart(), &meta);
+                (now, Some(prior))
             }
             MapEntry::Vacant(vacant) => {
                 let meta = build(None)?;
                 let now = Indexed::of(&meta);
-                let slot = match &mut self.order {
+                let slot = match order {
                     Some(order) => u64::from(order.add(key.clone(), &now, stamp)),
                     None => stamp,
                 };
-                vacant.insert(Entry { meta, slot });
+                vacant.insert(Entry { core: compact(apart, key, false, &meta), slot });
                 (now, None)
             }
         };
-        aggregates_add(&mut self.aggregates, &now);
+        aggregates_add(aggregates, &now);
         Some(prior)
     }
 
@@ -403,7 +449,8 @@ impl Shard {
         let mut entries: Vec<(&ObjectKey, &mut Entry)> = self.map.iter_mut().collect();
         entries.sort_unstable_by_key(|(_, entry)| entry.slot);
         for (key, entry) in entries {
-            let node = order.add(key.clone(), &Indexed::of(&entry.meta), entry.slot);
+            let now = Indexed::of(&whole(&self.apart, key, &entry.core));
+            let node = order.add(key.clone(), &now, entry.slot);
             entry.slot = u64::from(node);
         }
         self.order = Some(order);
@@ -541,9 +588,9 @@ impl Registry {
                 Some(m) => ENCODED.with_borrow_mut(|encoded| {
                     encoded.clear();
                     m.encode_into(encoded);
-                    store.put(key.as_str().as_bytes(), encoded)
+                    store.put(key.as_bytes(), encoded)
                 }),
-                None => store.delete(key.as_str().as_bytes()).map(|_| ()),
+                None => store.delete(key.as_bytes()).map(|_| ()),
             };
             // Metadata persistence failures must not fail client IO: they
             // are counted here and surface through the next sync(), the
@@ -614,15 +661,12 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Applies `f` to an object's metadata under its shard's read lock.
-    fn peek<R>(&self, key: &ObjectKey, f: impl FnOnce(&ObjectMeta) -> R) -> Option<R> {
-        self.shard_of(key).read().map.get(key).map(|e| f(&e.meta))
-    }
-
-    /// Copy of an object's metadata (a plain copy unless the object
-    /// carries tags, a digest or a key id).
+    /// Copy of an object's metadata (a plain copy, and a reference count
+    /// when the object carries tags, a digest, a key id or a stored size
+    /// apart from its size).
     pub fn get(&self, key: &ObjectKey) -> Option<ObjectMeta> {
-        self.peek(key, ObjectMeta::clone)
+        let shard = self.shard_of(key).read();
+        shard.map.get(key).map(|entry| whole(&shard.apart, key, &entry.core))
     }
 
     /// Whether the object exists.
@@ -698,8 +742,8 @@ impl Registry {
     /// since been deleted or put back. Only the in-memory flag changes.
     pub(crate) fn settle(&self, key: &ObjectKey, version: u64) {
         let mut shard = self.shard_of(key).write();
-        if let Some(entry) = shard.map.get_mut(key).filter(|e| e.meta.version == version) {
-            entry.meta.placing = false;
+        if let Some(entry) = shard.map.get_mut(key).filter(|e| e.core.version() == version) {
+            entry.core.settle();
         }
     }
 
@@ -768,19 +812,24 @@ impl Registry {
     ) -> Option<(R, ObjectMeta)> {
         let (r, updated) = {
             let mut guard = self.shard_of(key).write();
-            let shard = &mut *guard;
-            let entry = shard.map.get_mut(key).filter(|e| keep(&e.meta))?;
+            let Shard { map, apart, order, aggregates } = &mut *guard;
+            let entry = map.get_mut(key)?;
+            let mut meta = whole(apart, key, &entry.core);
+            if !keep(&meta) {
+                return None;
+            }
             let stamp = next_stamp(&self.stamps);
-            let was = Indexed::of(&entry.meta);
-            let r = f(&mut entry.meta);
-            let now = Indexed::of(&entry.meta);
-            match &mut shard.order {
+            let was = Indexed::of(&meta);
+            let r = f(&mut meta);
+            let now = Indexed::of(&meta);
+            match order {
                 Some(order) => order.relink(entry.node(), &was, &now, stamp),
                 None => entry.slot = stamp,
             }
-            aggregates_sub(&mut shard.aggregates, &was);
-            aggregates_add(&mut shard.aggregates, &now);
-            (r, entry.meta.clone())
+            aggregates_sub(aggregates, &was);
+            aggregates_add(aggregates, &now);
+            entry.core = compact(apart, key, entry.core.has_apart(), &meta);
+            (r, meta)
         };
         self.persist(key, Some(&updated));
         Some((r, updated))
@@ -793,15 +842,17 @@ impl Registry {
     pub fn touch(&self, key: &ObjectKey, now: SimTime) -> Option<ObjectMeta> {
         let touched = {
             let mut guard = self.shard_of(key).write();
-            let shard = &mut *guard;
-            let entry = shard.map.get_mut(key)?;
+            let Shard { map, apart, order, .. } = &mut *guard;
+            let entry = map.get_mut(key)?;
             let stamp = next_stamp(&self.stamps);
-            entry.meta.touch(now);
-            match &mut shard.order {
-                Some(order) => order.touch(entry.node(), &entry.meta, stamp),
-                None => entry.slot = stamp,
+            entry.core.touch(now);
+            if let Some(order) = order {
+                let locations = entry.core.locations(apart_of(apart, key, &entry.core));
+                order.touch(entry.node(), entry.core.dirty(), locations, stamp);
+            } else {
+                entry.slot = stamp;
             }
-            entry.meta.clone()
+            whole(apart, key, &entry.core)
         };
         self.persist(key, Some(&touched));
         Some(touched)
@@ -821,17 +872,21 @@ impl Registry {
     ) -> Option<ObjectMeta> {
         let meta = {
             let mut guard = self.shard_of(key).write();
-            let shard = &mut *guard;
-            if !keep(&shard.map.get(key)?.meta) {
+            let Shard { map, apart, order, aggregates } = &mut *guard;
+            let meta = whole(apart, key, &map.get(key)?.core);
+            if !keep(&meta) {
                 return None;
             }
-            let entry = shard.map.remove(key)?;
-            let was = Indexed::of(&entry.meta);
-            if let Some(order) = &mut shard.order {
+            let entry = map.remove(key)?;
+            if entry.core.has_apart() {
+                apart.remove(key);
+            }
+            let was = Indexed::of(&meta);
+            if let Some(order) = order {
                 order.remove(entry.node(), &was);
             }
-            aggregates_sub(&mut shard.aggregates, &was);
-            entry.meta
+            aggregates_sub(aggregates, &was);
+            meta
         };
         self.count.fetch_sub(1, Ordering::AcqRel);
         self.persist(key, None);
@@ -863,11 +918,12 @@ impl Registry {
             return agg;
         };
         for shard in &self.shards {
-            for entry in shard.read().map.values() {
-                if entry.meta.locations.contains_id(tier) {
+            let shard = shard.read();
+            for (key, entry) in &shard.map {
+                if entry.core.locations(apart_of(&shard.apart, key, &entry.core)).contains(&tier) {
                     agg.objects += 1;
-                    if entry.meta.dirty {
-                        agg.dirty_bytes += entry.meta.stored_size();
+                    if entry.core.dirty() {
+                        agg.dirty_bytes += whole(&shard.apart, key, &entry.core).stored_size();
                     }
                 }
             }
@@ -968,14 +1024,16 @@ impl Registry {
             Selector::Dirty => self.merged(|order| Some(&order.dirty)),
             Selector::Tagged(tag) => {
                 // Tags carry no index (they are rare, write-once classes):
-                // scan each shard's map, then merge the hits by stamp so
-                // the result is in access order.
+                // scan each shard's side map, which holds them, then
+                // merge the hits by stamp so the result is in access
+                // order.
                 let mut hits = Vec::new();
                 for shard in self.ordered_shards() {
                     let order = shard.lists();
-                    for (key, entry) in &shard.map {
-                        if entry.meta.has_tag(tag) {
-                            hits.push((order.nodes[entry.node() as usize].stamp, key.clone()));
+                    for (key, apart) in &shard.apart {
+                        if apart.has_tag(tag) {
+                            let node = shard.map[key].node();
+                            hits.push((order.nodes[node as usize].stamp, key.clone()));
                         }
                     }
                 }
@@ -996,7 +1054,7 @@ impl Registry {
                     .collect()
             }
             Selector::Not(inner) => {
-                let excluded: std::collections::HashSet<ObjectKey> =
+                let excluded: FxHashSet<ObjectKey> =
                     self.select(inner, inserted).into_iter().collect();
                 let base = self.select(&Selector::All, inserted);
                 base.into_iter().filter(|k| !excluded.contains(k)).collect()
@@ -1027,9 +1085,9 @@ impl Registry {
             Selector::Inserted => inserted == Some(key),
             Selector::Key(k) => k == key,
             Selector::All => self.contains(key),
-            Selector::InTier(t) => self.peek(key, |m| m.in_tier(t)).unwrap_or(false),
-            Selector::Dirty => self.peek(key, |m| m.dirty).unwrap_or(false),
-            Selector::Tagged(tag) => self.peek(key, |m| m.has_tag(tag)).unwrap_or(false),
+            Selector::InTier(t) => self.get(key).is_some_and(|m| m.in_tier(t)),
+            Selector::Dirty => self.get(key).is_some_and(|m| m.dirty),
+            Selector::Tagged(tag) => self.get(key).is_some_and(|m| m.has_tag(tag)),
             Selector::OldestIn(t) => self.oldest_in(t).as_ref() == Some(key),
             Selector::NewestIn(t) => self.newest_in(t).as_ref() == Some(key),
             Selector::And(a, b) => self.matches(a, key, inserted) && self.matches(b, key, inserted),
@@ -1075,6 +1133,11 @@ mod tests {
             self.shards.iter().filter(|shard| shard.read().order.is_some()).count()
         }
 
+        /// How many objects the shards keep something apart for.
+        fn apart_entries(&self) -> usize {
+            self.shards.iter().map(|shard| shard.read().apart.len()).sum()
+        }
+
         /// In every shard, every object is on exactly the lists its
         /// metadata puts it on, its node names it in the slab, each list
         /// is in stamp order and the aggregates equal a recount.
@@ -1095,22 +1158,32 @@ mod tests {
                     keys.sort();
                     keys
                 };
-                let mut live: Vec<(&ObjectKey, &Entry)> = shard.map.iter().collect();
+                let mut live: Vec<(&ObjectKey, ObjectMeta)> = shard
+                    .map
+                    .iter()
+                    .map(|(key, entry)| (key, whole(&shard.apart, key, &entry.core)))
+                    .collect();
                 live.sort_by(|a, b| a.0.cmp(b.0));
                 let expected = |on: &dyn Fn(&ObjectMeta) -> bool| -> Vec<ObjectKey> {
-                    live.iter().filter(|o| on(&o.1.meta)).map(|o| o.0.clone()).collect()
+                    live.iter().filter(|o| on(&o.1)).map(|o| o.0.clone()).collect()
                 };
-                for (key, entry) in &live {
+                for (key, entry) in &shard.map {
                     assert_eq!(
                         order.stamped(entry.node()).map(|(_, k)| k),
-                        Some(*key),
+                        Some(key),
                         "{key}'s node"
                     );
+                    assert_eq!(
+                        entry.core.has_apart(),
+                        shard.apart.contains_key(key),
+                        "{key}'s flag"
+                    );
                 }
+                assert!(shard.apart.keys().all(|key| shard.map.contains_key(key)), "none stray");
                 assert_eq!(members(&order.access), expected(&|_| true), "access");
                 assert_eq!(members(&order.dirty), expected(&|m| m.dirty), "dirty");
                 let mut tiers: Vec<TierId> = order.tiers.keys().copied().collect();
-                tiers.extend(live.iter().flat_map(|o| o.1.meta.locations.iter().copied()));
+                tiers.extend(live.iter().flat_map(|o| o.1.locations.iter().copied()));
                 tiers.sort_by_key(|t| t.to_string());
                 tiers.dedup();
                 for tier in tiers {
@@ -1118,10 +1191,10 @@ mod tests {
                     let located = expected(&|m| m.locations.contains_id(tier));
                     assert_eq!(members(list), located, "tier {tier}");
                     let mut recount = TierAggregates::default();
-                    for (_, entry) in live.iter().filter(|o| o.1.meta.locations.contains_id(tier)) {
+                    for (_, meta) in live.iter().filter(|o| o.1.locations.contains_id(tier)) {
                         recount.objects += 1;
-                        if entry.meta.dirty {
-                            recount.dirty_bytes += entry.meta.stored_size();
+                        if meta.dirty {
+                            recount.dirty_bytes += meta.stored_size();
                         }
                     }
                     let kept = shard.aggregates.get(&tier).copied().unwrap_or_default();
@@ -1618,6 +1691,97 @@ mod tests {
         assert!(matches!(&err, TieraError::Metadata(m) if m.contains("2 metadata write")), "{err}");
         r.sync().unwrap();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rare_attributes_survive_every_mutation_and_a_reopen() {
+        let dir = std::env::temp_dir().join(format!("tiera-reg-rare-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (rare, plain) = (ObjectKey::new("rare"), ObjectKey::new("plain"));
+        let digest = Digest::of(b"payload");
+        let has_all = |m: &ObjectMeta, step: &str| {
+            assert!(m.has_tag(&Tag::new("tmp")), "{step}: tag");
+            assert_eq!(m.digest(), Some(digest), "{step}: digest");
+            assert_eq!(m.encryption_key_id(), Some("k1"), "{step}: key id");
+            assert_eq!((m.size, m.stored_size()), (10, 7), "{step}: stored size");
+        };
+        {
+            let r = Registry::persistent(&dir).unwrap();
+            let mut m = meta_in("t1", 10, SimTime::ZERO);
+            m.set_tags([Tag::new("tmp")]);
+            m.set_digest(Some(digest));
+            m.set_encryption_key_id(Some("k1".into()));
+            m.set_stored_size(7);
+            r.upsert(rare.clone(), m);
+            r.upsert(plain.clone(), meta_in("t1", 3, SimTime::ZERO));
+            assert_eq!(r.apart_entries(), 1, "only the object with rare attributes");
+            has_all(&r.get(&rare).unwrap(), "upsert");
+
+            has_all(&r.update(&rare, |m| m.dirty = true).unwrap(), "update");
+            assert_eq!(r.aggregates("t1").dirty_bytes, 7, "the stored size, read apart");
+            let published = r.publish_at(&rare, 0, false, |m| m.locations.insert("t2".into()));
+            assert_eq!(published, Some(true));
+            has_all(&r.get(&rare).unwrap(), "publish_at");
+            has_all(&r.touch(&rare, SimTime::from_secs(1)).unwrap(), "touch");
+
+            let (prior, version) = r.replace_locked(&rare, None, |p| p.unwrap().clone()).unwrap();
+            has_all(&prior.unwrap(), "the replaced record");
+            assert!(r.get(&rare).unwrap().placing);
+            r.settle(&rare, version);
+            let settled = r.get(&rare).unwrap();
+            assert!(!settled.placing);
+            has_all(&settled, "settle");
+            assert!(r.remove_if(&rare, |_| false).is_none());
+            has_all(&r.get(&rare).unwrap(), "a declined remove_if");
+            assert_eq!(
+                r.select(&Selector::Tagged(Tag::new("tmp")), None),
+                std::slice::from_ref(&rare)
+            );
+            r.assert_lists_match_metadata();
+            r.sync().unwrap();
+        }
+        let r = Registry::persistent(&dir).unwrap();
+        has_all(&r.get(&rare).unwrap(), "reopen");
+        assert_eq!(r.apart_entries(), 1);
+        // An update that clears every rare attribute empties the side map,
+        // and one that sets one fills it again.
+        r.update(&plain, |m| m.set_digest(Some(digest)));
+        assert_eq!(r.apart_entries(), 2);
+        r.update(&plain, |m| m.set_digest(None));
+        assert_eq!(r.apart_entries(), 1);
+        has_all(&r.remove_if(&rare, |_| true).unwrap(), "remove_if");
+        assert_eq!(r.apart_entries(), 0, "the last key with rare attributes is gone");
+        assert!(r.get(&plain).unwrap().digest().is_none());
+        r.assert_lists_match_metadata();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fifth_location_is_kept_apart_until_the_set_shrinks() {
+        let r = Registry::in_memory();
+        let (wide, other) = (ObjectKey::new("wide"), ObjectKey::new("other"));
+        let five = ["w1", "w2", "w3", "w4", "w5"];
+        r.upsert(wide.clone(), meta_in("w1", 1, SimTime::ZERO));
+        r.upsert(other.clone(), meta_in("w5", 1, SimTime::ZERO));
+        assert_eq!(r.oldest_in("w5"), Some(other.clone()), "the indexes are built");
+        r.update(&wide, |m| five.iter().for_each(|t| _ = m.locations.insert(t.to_string())));
+        assert_eq!(r.apart_entries(), 1, "five locations do not fit the entry");
+        assert_eq!(r.get(&wide).unwrap().locations.len(), 5);
+        r.touch(&other, SimTime::from_secs(1));
+        assert_eq!(r.newest_in("w5"), Some(other.clone()));
+        // A touch reads the locations kept apart to refresh every list.
+        r.touch(&wide, SimTime::from_secs(2));
+        assert_eq!(r.newest_in("w5"), Some(wide.clone()));
+        assert_eq!(r.aggregates("w5").objects, 2);
+        r.assert_lists_match_metadata();
+        r.update(&wide, |m| _ = m.locations.remove("w3"));
+        assert_eq!(r.apart_entries(), 0, "four fit again");
+        let names: Vec<&str> = r.get(&wide).unwrap().locations.iter().map(|id| id.name()).collect();
+        assert_eq!(names, ["w1", "w2", "w4", "w5"]);
+        r.assert_lists_match_metadata();
+        for tier in five {
+            assert_eq!(r.aggregates(tier), r.recount_aggregates(tier), "{tier}");
+        }
     }
 
     #[test]

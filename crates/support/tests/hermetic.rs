@@ -8,7 +8,7 @@
 //!
 //! Source half: every crate must carry `#![forbid(unsafe_code)]`, and the
 //! clippy gate in `scripts/verify.sh` must keep its configuration: std
-//! locks and std hash maps disallowed outside this crate, the assert
+//! locks and std hash maps and sets disallowed outside this crate, the assert
 //! macros disallowed where a module denies them, and the three decoders
 //! of hostile bytes denying every panicking construct. `cargo test` does
 //! not run clippy, so this pins the configuration clippy reads. The
@@ -281,8 +281,12 @@ fn registry_hot_path_uses_fx_hash_maps() {
     // support crate. A default-hashed `std::collections::HashMap` would
     // silently reintroduce SipHash *and* per-process-random iteration
     // order, which previously made experiment output drift run to run.
-    // clippy's `disallowed_types` enforces it.
-    let missing = missing_clippy_entries("disallowed-types", &["std::collections::HashMap"]);
+    // The same holds for sets (`FxHashSet`). clippy's `disallowed_types`
+    // enforces both.
+    let missing = missing_clippy_entries(
+        "disallowed-types",
+        &["std::collections::HashMap", "std::collections::HashSet"],
+    );
     assert!(
         missing.is_empty(),
         "the clippy gate no longer bans default-hashed maps:\n  {}",

@@ -1,8 +1,8 @@
 //! Bytes of resident memory per stored object, layer by layer.
 //!
 //! Builds the registry alone, a memory tier alone, a bare instance, an
-//! instance with a metadata directory and a three-node cluster over the
-//! same keys and prints how much `VmRSS` each added per object — the
+//! instance with a metadata directory, a three-node cluster and the backup
+//! stack over the same keys and prints how much `VmRSS` each added per object — the
 //! numbers behind DESIGN.md's per-object memory budget. Each row runs in a
 //! process of its own (the example runs itself again with `--row <name>`),
 //! so no row reuses heap chunks an earlier row freed, nor pays for chunks
@@ -23,11 +23,14 @@
 //! indexes; a memory tier alone at most [`MEMORY_TIER_BUDGET`]; a bare
 //! instance at most [`BARE_INSTANCE_BUDGET`], an instance with a
 //! `metadata_dir` at most [`INSTANCE_META_BUDGET`], of which the metastore
-//! — that row less the bare instance's — at most [`METASTORE_BUDGET`], and
+//! — that row less the bare instance's — at most [`METASTORE_BUDGET`],
 //! a key under a coordinator replicating it to three nodes at most
-//! [`COORDINATOR_BUDGET`]. Only the indexed registry row makes an ordered
-//! read: the others keep no order indexes, so a change that brings eager
-//! index upkeep back fails their budgets. The served-overwrite probe may
+//! [`COORDINATOR_BUDGET`], and an object of the backup stack (an
+//! lzss-compressed cache written back to a dedup volume, 8 192 keys) at
+//! most [`BACKUP_BUDGET`]. Only the indexed registry row and the backup
+//! row, whose write-back selects by list, make an ordered read: the
+//! others keep no order indexes, so a change that brings eager index
+//! upkeep back fails their budgets. The served-overwrite probe may
 //! raise the peak resident set by at most [`OVERWRITE_GROWTH_BUDGET`] ×
 //! the bytes stored: a tier that drops replaced values where the payload
 //! pool cannot see them fails it at ≈ 1.0.
@@ -40,37 +43,53 @@ use tiera::core::meta::ObjectMeta;
 use tiera::core::registry::Registry;
 use tiera::core::tier::Tier;
 use tiera::prelude::*;
+use tiera::spec::{Compiler, ParamValue};
 use tiera::tiers::MemoryTier;
 
 const PAYLOAD: usize = 128;
+/// Keys of the backup row: the benchmark's `backup-write-heavy` count.
+const BACKUP_KEYS: usize = 8_192;
+/// The backup row's stack: an lzss-compressed Memcached cache written back
+/// by a timer to a `dedup: sha256` EBS volume.
+const BACKUP_SPEC: &str = include_str!("../specs/compressed_cache.tiera");
 
 /// Bytes an object may cost the registry alone, which keeps no order
-/// indexes (157 measured, + 2 %; 219 while it kept them eagerly).
-const REGISTRY_BUDGET: f64 = 161.0;
+/// indexes: 104–105 measured, + 2 % (157 before keys of up to 22 bytes
+/// were held inline and the entry shrank to 48 bytes; 219 while it kept
+/// the indexes eagerly).
+const REGISTRY_BUDGET: f64 = 107.0;
 /// Bytes an object may cost a registry whose order indexes are built:
-/// three recency lists' link pairs and a slab node (203 measured, + 2 %).
-const INDEXED_REGISTRY_BUDGET: f64 = 207.0;
+/// three recency lists' link pairs and a slab node (170–171 measured,
+/// + 2 %; 203 before).
+const INDEXED_REGISTRY_BUDGET: f64 = 175.0;
 /// Bytes an object may cost a memory tier alone, less the payload: the
-/// key's 48-byte chunk, the payload buffer's header and chunk rounding
-/// (32) and the map slot at load 1/1.31 (43): 123 measured, + 2 %. It
-/// read 118 (budget 121) while the rows shared one process, on heap
-/// chunks the row before it had freed.
-const MEMORY_TIER_BUDGET: f64 = 126.0;
-/// Bytes an object may cost a bare instance (232 measured, + 2 %, while
-/// the rows shared one process; 234–235 in a process of its own).
-const BARE_INSTANCE_BUDGET: f64 = 237.0;
-/// Bytes an object may cost an instance with a `metadata_dir` (270
-/// measured, + 2 %, while the rows shared one process; 271–273 alone).
-const INSTANCE_META_BUDGET: f64 = 276.0;
+/// payload buffer's header and chunk rounding (32) and the 40-byte map
+/// slot, its key inline, at load 1/1.31 (54): 87–88 measured, + 2 %
+/// (123 while the key was a shared string with a 48-byte chunk).
+const MEMORY_TIER_BUDGET: f64 = 90.0;
+/// Bytes an object may cost a bare instance (187–188 measured, + 2 %;
+/// 234–236 before).
+const BARE_INSTANCE_BUDGET: f64 = 193.0;
+/// Bytes an object may cost an instance with a `metadata_dir` (224–226
+/// measured, + 2 %; 271–273 before).
+const INSTANCE_META_BUDGET: f64 = 231.0;
 /// Bytes of that which may be the metastore's: its locator table (≈ 33)
-/// and what growing the table left in the allocator.
-const METASTORE_BUDGET: f64 = 48.0;
+/// and what growing the table left in the allocator (36–39 measured,
+/// + 2 %: the difference of two rows, so the tightest of the budgets).
+const METASTORE_BUDGET: f64 = 40.0;
 /// Bytes a key may cost a `Coordinator` replicating it to three bare
-/// instances: three registry and tier entries, the coordinator's record,
-/// and one key string the four share (588 measured, + 2 %, while the rows
-/// shared one process; 591–592 alone). A key string per replica again
-/// would cost about 3 × 48 more.
-const COORDINATOR_BUDGET: f64 = 600.0;
+/// instances: three registry and tier entries, the coordinator's record
+/// and the key, inline in all four maps (544–546 measured, + 2 %; 581
+/// before, when the four shared one key string). A key string per
+/// replica again would cost a long key about 3 × 48 more.
+const COORDINATOR_BUDGET: f64 = 557.0;
+/// Bytes an object may cost the backup stack (lzss-compressed Memcached
+/// over a dedup EBS volume, every object written back), less the bytes
+/// its two tiers store: 1 088–1 109 measured at 8 192 keys, + 2 %. It
+/// read 1 016–1 028 while keys were shared strings: this stack holds a
+/// key in more maps than inline keys save (DESIGN.md, "Inline keys are a
+/// trade").
+const BACKUP_BUDGET: f64 = 1132.0;
 /// Peak resident set growth the served-overwrite probe may show, per
 /// byte stored (0.00 measured; ≈ 1.0 when replaced values are freed
 /// rather than recycled).
@@ -95,9 +114,15 @@ fn rss() -> u64 {
 /// What `build` adds to the resident set per key, less `payload` bytes of
 /// user data. What it built stays alive until that is read.
 fn measure<T>(keys: usize, payload: usize, build: impl FnOnce() -> T) -> f64 {
+    measure_stored(keys, || (build(), (keys * payload) as u64))
+}
+
+/// [`measure`] for a build that reports the bytes its tiers store, which
+/// are subtracted instead of a fixed payload.
+fn measure_stored<T>(keys: usize, build: impl FnOnce() -> (T, u64)) -> f64 {
     let before = rss();
-    let built = build();
-    let per_key = rss().saturating_sub(before) as f64 / keys as f64 - payload as f64;
+    let (built, stored) = build();
+    let per_key = rss().saturating_sub(before).saturating_sub(stored) as f64 / keys as f64;
     drop(built);
     per_key
 }
@@ -147,13 +172,14 @@ fn served_overwrite(env: &SimEnv, keys: usize) -> f64 {
 }
 
 /// The rows, in the order they print: the name `--row` takes and the label.
-const ROWS: [(&str, &str); 6] = [
+const ROWS: [(&str, &str); 7] = [
     ("registry", "Registry (one location, clean)"),
     ("indexed", "Registry after its first ordered read"),
     ("tier", "MemoryTier"),
     ("bare", "Instance, no rules (registry + tier)"),
     ("meta", "Instance with metadata_dir (+ metastore index)"),
     ("coordinator", "Coordinator R=3 over 3 nodes (per key)"),
+    ("backup", "lzss cache over dedup EBS, 8 192 keys"),
 ];
 
 /// Builds row `name` over `keys` keys and returns its bytes per object;
@@ -227,6 +253,27 @@ fn row(name: &str, keys: usize) -> Option<f64> {
             }
             coord
         }),
+        "backup" => {
+            let keys = keys.min(BACKUP_KEYS);
+            measure_stored(keys, || {
+                let spec = tiera::spec::parse(BACKUP_SPEC).expect("the spec parses");
+                let inst = Compiler::new(&tiera::tiers::default_catalog(&env), env.clone())
+                    .bind("t", ParamValue::Duration(SimDuration::from_secs(1)))
+                    .compile(&spec)
+                    .expect("the spec compiles");
+                for (k, name) in names.iter().take(keys).enumerate() {
+                    // Distinct and compressible, as a backup's blocks are.
+                    let value = format!("{k:016}").repeat(PAYLOAD / 16);
+                    inst.put(name, value.into_bytes(), SimTime::ZERO).expect("put");
+                }
+                // The timer writes every dirty object back to tier2.
+                inst.pump(SimTime::from_secs(2)).expect("write-back");
+                let tier2 = inst.tier("tier2").expect("tier2");
+                assert_eq!(tier2.request_counts().puts, keys as u64, "every object written back");
+                let stored = ["tier1", "tier2"].map(|t| inst.tier(t).expect("a tier").used());
+                (inst, stored.iter().sum())
+            })
+        }
         _ => return None,
     };
     Some(per_key)
@@ -277,7 +324,7 @@ fn main() {
         *figure = in_child(name, quick);
         println!("{label:<46} {figure:>7.0} B/object");
     }
-    let [registry, indexed, tier, bare, with_meta, coordinator] = figures;
+    let [registry, indexed, tier, bare, with_meta, coordinator, backup] = figures;
 
     let growth = served_overwrite(&SimEnv::new(7), if quick { 500 } else { 10_000 });
 
@@ -291,6 +338,7 @@ fn main() {
              instance with metadata_dir {with_meta:.0} of {INSTANCE_META_BUDGET}, \
              metastore {metastore:.0} of {METASTORE_BUDGET}, \
              coordinator R=3 {coordinator:.0} of {COORDINATOR_BUDGET}, \
+             backup stack {backup:.0} of {BACKUP_BUDGET}, \
              overwrite growth {growth:.2} of {OVERWRITE_GROWTH_BUDGET} x bytes stored"
         );
         if registry > REGISTRY_BUDGET
@@ -300,6 +348,7 @@ fn main() {
             || with_meta > INSTANCE_META_BUDGET
             || metastore > METASTORE_BUDGET
             || coordinator > COORDINATOR_BUDGET
+            || backup > BACKUP_BUDGET
             || growth > OVERWRITE_GROWTH_BUDGET
         {
             eprintln!("footprint: over the per-object memory budget");

@@ -112,7 +112,7 @@ fn store_once_physical_equals_distinct() {
             )
             .build()
             .unwrap();
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = tiera_support::collections::FxHashSet::default();
         let mut t = SimTime::ZERO;
         for (i, id) in payload_ids.iter().enumerate() {
             distinct.insert(*id);
