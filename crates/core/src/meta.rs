@@ -202,7 +202,7 @@ impl FromIterator<TierId> for TierSet {
 /// and an edit copies them first. Invariant: `ObjectMeta::rare` is `None`
 /// when all four are empty, which keeps derived equality meaningful.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Rare {
+struct Rare {
     tags: BTreeSet<Tag>,
     digest: Option<Digest>,
     encryption_key_id: Option<String>,
@@ -483,7 +483,8 @@ pub(crate) struct CompactMeta {
     last_access: SimTime,
     version: u64,
     access_count: u32,
-    /// The locations, in name order, when there are at most four.
+    /// The locations, in name order, when there are at most four; none
+    /// when they live apart.
     ids: [TierId; INLINE_TIERS],
     len: u8,
     flags: u8,
@@ -557,10 +558,9 @@ impl ObjectMeta {
     pub(crate) fn compact(&self) -> (CompactMeta, Option<Apart>) {
         let members = self.locations.as_slice();
         let spilled = (members.len() > INLINE_TIERS).then(|| self.locations.clone());
+        let inline = if spilled.is_some() { &[][..] } else { members };
         let mut ids = [TierId::UNSET; INLINE_TIERS];
-        if spilled.is_none() {
-            ids[..members.len()].copy_from_slice(members);
-        }
+        ids[..inline.len()].copy_from_slice(inline);
         let apart = (self.rare.is_some() || spilled.is_some())
             .then(|| Apart { rare: self.rare.clone(), locations: spilled });
         let flags = (self.dirty as u8 * DIRTY)
@@ -574,7 +574,7 @@ impl ObjectMeta {
             version: self.version,
             access_count: self.access_count,
             ids,
-            len: members.len().min(INLINE_TIERS) as u8,
+            len: inline.len() as u8,
             flags,
         };
         (core, apart)

@@ -106,9 +106,9 @@ pub struct TierAggregates {
 }
 
 /// One object's registry record: its metadata, less what its shard keeps
-/// apart ([`CompactMeta`]), plus its slot, which holds
-/// the stamp of its last mutation while its shard is unindexed and its
-/// node in the shard's order indexes once they are built.
+/// apart ([`CompactMeta`]), plus its slot, which holds the stamp of its
+/// last mutation while its shard is unindexed and its node in the shard's
+/// order indexes once they are built.
 struct Entry {
     core: CompactMeta,
     slot: u64,
@@ -324,8 +324,8 @@ impl OrderIndexes {
 
     /// An access to a linked object, stamped `stamp`, dirty or not and
     /// in `locations`: the access changed none of its locations or its
-    /// dirty flag, so it stays on the lists it is on and becomes the newest of
-    /// each.
+    /// dirty flag, so it stays on the lists it is on and becomes the
+    /// newest of each.
     fn touch(&mut self, node: u32, dirty: bool, locations: &[TierId], stamp: u64) {
         self.nodes[node as usize].stamp = stamp;
         self.access.move_to_back(node);
@@ -846,11 +846,12 @@ impl Registry {
             let entry = map.get_mut(key)?;
             let stamp = next_stamp(&self.stamps);
             entry.core.touch(now);
-            if let Some(order) = order {
-                let locations = entry.core.locations(apart_of(apart, key, &entry.core));
-                order.touch(entry.node(), entry.core.dirty(), locations, stamp);
-            } else {
-                entry.slot = stamp;
+            match order {
+                Some(order) => {
+                    let locations = entry.core.locations(apart_of(apart, key, &entry.core));
+                    order.touch(entry.node(), entry.core.dirty(), locations, stamp);
+                }
+                None => entry.slot = stamp,
             }
             whole(apart, key, &entry.core)
         };
@@ -920,10 +921,11 @@ impl Registry {
         for shard in &self.shards {
             let shard = shard.read();
             for (key, entry) in &shard.map {
-                if entry.core.locations(apart_of(&shard.apart, key, &entry.core)).contains(&tier) {
+                let meta = whole(&shard.apart, key, &entry.core);
+                if meta.locations.contains_id(tier) {
                     agg.objects += 1;
-                    if entry.core.dirty() {
-                        agg.dirty_bytes += whole(&shard.apart, key, &entry.core).stored_size();
+                    if meta.dirty {
+                        agg.dirty_bytes += meta.stored_size();
                     }
                 }
             }
