@@ -17,6 +17,7 @@ use tiera_cluster::{ClusterNode, Coordinator};
 use tiera_core::prelude::*;
 use tiera_sim::{SimEnv, SimTime};
 use tiera_support::Bytes;
+use tiera_tiers::MemoryTier;
 
 #[test]
 fn three_replicas_return_one_address_after_three_overwrites() {
@@ -53,6 +54,53 @@ fn three_replicas_return_one_address_after_three_overwrites() {
     }
     // And the overwrites recycle: the third value sits where the first did.
     assert_eq!(addrs_seen[2], addrs_seen[0]);
+}
+
+/// The same at 128 B over the simulated memory tier, which moves a small
+/// value into its slab once it holds the value's buffer alone. A buffer the
+/// three replicas share is not alone in any of them, so it stays one
+/// buffer, and a GET hands it out rather than a copy of a cell.
+#[test]
+fn three_small_replicas_return_one_address_after_three_overwrites() {
+    let coord = Coordinator::new(3, 2);
+    let nodes: Vec<Arc<ClusterNode>> = (0..3)
+        .map(|i| {
+            let env = SimEnv::new(200 + i);
+            let inst = InstanceBuilder::new(format!("n{i}"), env.clone())
+                .tier(Arc::new(MemoryTier::same_az("store", 1 << 20, &env)))
+                .build()
+                .unwrap();
+            ClusterNode::new(format!("n{i}"), inst)
+        })
+        .collect();
+    for node in &nodes {
+        coord.add_node(Arc::clone(node)).unwrap();
+    }
+
+    let mut addrs_seen = Vec::new();
+    for fill in [1u8, 2, 3] {
+        coord.put("k", Bytes::from(vec![fill; 128]), SimTime::ZERO).unwrap();
+        // Reads after the coordinator has let go: each tier's next call
+        // finds the buffer still held by the other two.
+        for _ in 0..2 {
+            let addrs: Vec<usize> = nodes
+                .iter()
+                .map(|n| {
+                    let (data, _) = n.instance().get("k", SimTime::ZERO).unwrap();
+                    assert!(data.len() == 128 && data.iter().all(|&b| b == fill));
+                    data.as_slice().as_ptr() as usize
+                })
+                .collect();
+            assert!(
+                addrs.iter().all(|&a| a == addrs[0]),
+                "after put {fill} the replicas hold {addrs:x?}"
+            );
+            addrs_seen.push(addrs[0]);
+        }
+    }
+    assert_eq!(addrs_seen[2], addrs_seen[3], "one buffer from read to read");
+    // And the overwrites recycle: the third value sits where the first did.
+    assert_eq!(addrs_seen[4], addrs_seen[0]);
 }
 
 /// The coordinator allocates each key once and hands that handle to every

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use tiera_support::collections::FxHashMap;
-use tiera_support::sync::{rank, Mutex};
+use tiera_support::sync::{rank, Mutex, MutexGuard};
 use tiera_support::Bytes;
 
 use tiera_core::error::{Result, TieraError};
@@ -58,18 +58,185 @@ struct TierState {
     /// this map while drawing from the seeded rng, so the walk order must
     /// be the same in every run (Figure 16's timeline depends on it).
     ///
-    /// Whole buffers, not `Bytes` views: a slot is 40 bytes, not 56. A
-    /// value leaves the map only as a `Bytes` (`Bytes::from`), so the
-    /// last handle's drop still retires its buffer to the thread's pool.
-    map: FxHashMap<ObjectKey, Arc<[u8]>>,
+    /// A value is a whole buffer, not a `Bytes` view (a slot is 40 bytes,
+    /// not 56), or a cell of `slab` once the tier holds a small value
+    /// alone: the cell costs its bytes rounded up to 16, where a buffer
+    /// costs 16 B of header and ≈ 16 B of malloc chunk besides. A buffer
+    /// leaves the map only as a `Bytes` (`Bytes::from`), so the last
+    /// handle's drop still retires it to the thread's pool.
+    map: FxHashMap<ObjectKey, Stored>,
+    slab: Slab,
+    /// The last small PUT's key. Its value goes into `slab` at the first
+    /// call that finds this tier holding its buffer alone; one still shared
+    /// when the next small PUT comes (replicas, a policy copy) stays a
+    /// buffer, so an object in three tiers keeps costing one payload.
+    pending: Option<ObjectKey>,
     used: u64,
     puts: u64,
     gets: u64,
 }
 
+impl TierState {
+    /// Moves the pending value into the slab if this tier is its buffer's
+    /// only holder; the buffer then retires to this thread's pool, where
+    /// the next copy-in adopts it.
+    fn settle(&mut self) {
+        let Some(key) = &self.pending else { return };
+        if let Some(slot) = self.map.get_mut(key) {
+            match slot {
+                // Still held elsewhere (the caller, a replica, a policy's
+                // copy): tried again at the next call.
+                Stored::Shared(buf) if fits_cell(buf.len()) && Arc::strong_count(buf) > 1 => return,
+                Stored::Shared(buf) if fits_cell(buf.len()) => {
+                    let cell = self.slab.store(buf);
+                    if let Stored::Shared(buf) = std::mem::replace(slot, cell) {
+                        drop(Bytes::from(buf));
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.pending = None;
+    }
+
+    /// `value`'s bytes as a `Bytes`: the buffer itself, or a copy of the
+    /// cell (pool-backed, as every copy-in is).
+    fn read(&self, value: &Stored) -> Bytes {
+        match value {
+            Stored::Shared(buf) => Bytes::from(Arc::clone(buf)),
+            Stored::Cell { len, index } => Bytes::copy_from_slice(self.slab.read(*len, *index)),
+        }
+    }
+
+    /// Takes `key` out of the map, and its bytes out of `used`.
+    fn remove(&mut self, key: &ObjectKey) {
+        if let Some(value) = self.map.remove(key) {
+            self.used -= value.len();
+            self.slab.release(value);
+        }
+    }
+}
+
+/// Values of 1 to this many bytes go into the slab.
+const CELL_MAX: usize = 256;
+/// The slab's size classes are this many bytes apart.
+const CLASS_STEP: usize = 16;
+/// Bytes of one slab page, whatever its class.
+const PAGE_BYTES: usize = 8 << 10;
+
+fn fits_cell(len: usize) -> bool {
+    (1..=CELL_MAX).contains(&len)
+}
+
+/// One value a tier holds.
+enum Stored {
+    /// The buffer `put` was handed, shared with whoever else holds it.
+    Shared(Arc<[u8]>),
+    /// `len` bytes in cell `index` of the slab's class for `len`.
+    Cell { len: u16, index: u32 },
+}
+
+impl Stored {
+    fn len(&self) -> u64 {
+        match self {
+            Stored::Shared(buf) => buf.len() as u64,
+            Stored::Cell { len, .. } => u64::from(*len),
+        }
+    }
+}
+
 // One per object held: the key (inline when short, else shared with the
-// registry) and the buffer.
-const _: () = assert!(std::mem::size_of::<(ObjectKey, Arc<[u8]>)>() <= 40);
+// registry) and the value, a cell sitting in the niche of a buffer's
+// pointer.
+const _: () = assert!(std::mem::size_of::<Stored>() == 16);
+const _: () = assert!(std::mem::size_of::<(ObjectKey, Stored)>() <= 40);
+
+/// Small values packed by size: classes of cells [`CLASS_STEP`] bytes
+/// apart, each in pages of [`PAGE_BYTES`] allocated as the class fills. A
+/// freed cell goes on its class's free list and the class's next value
+/// takes it, so a served overwrite grows nothing. Pages are never given
+/// back.
+#[derive(Default)]
+struct Slab {
+    classes: [Class; CELL_MAX / CLASS_STEP],
+}
+
+#[derive(Default)]
+struct Class {
+    pages: Vec<Box<[u8]>>,
+    /// Cells handed out from the front of the pages, freed ones included.
+    issued: u32,
+    /// The first free cell; a free cell's first four bytes name the next,
+    /// `u32::MAX` ending the list.
+    free: Option<u32>,
+}
+
+impl Slab {
+    /// A cell holding `data`, of 1 to [`CELL_MAX`] bytes.
+    fn store(&mut self, data: &[u8]) -> Stored {
+        let (at, size) = class_of(data.len());
+        let class = &mut self.classes[at];
+        let index = match class.free {
+            Some(index) => {
+                let (page, from) = locate(size, index);
+                let mut next = [0; 4];
+                next.copy_from_slice(&class.pages[page][from..from + 4]);
+                class.free = Some(u32::from_le_bytes(next)).filter(|&n| n != u32::MAX);
+                index
+            }
+            None => {
+                let index = class.issued;
+                if locate(size, index).1 == 0 {
+                    class.pages.push(vec![0; PAGE_BYTES].into_boxed_slice());
+                }
+                class.issued += 1;
+                index
+            }
+        };
+        let (page, from) = locate(size, index);
+        class.pages[page][from..from + data.len()].copy_from_slice(data);
+        Stored::Cell { len: data.len() as u16, index }
+    }
+
+    /// The `len` bytes of cell `index`.
+    fn read(&self, len: u16, index: u32) -> &[u8] {
+        let len = usize::from(len);
+        let (at, size) = class_of(len);
+        let (page, from) = locate(size, index);
+        &self.classes[at].pages[page][from..from + len]
+    }
+
+    /// Gives back a value the map no longer holds: a cell to its class's
+    /// free list, a buffer to `Bytes`'s drop, which retires it to the pool.
+    fn release(&mut self, value: Stored) {
+        match value {
+            Stored::Shared(buf) => drop(Bytes::from(buf)),
+            Stored::Cell { len, index } => self.free(len, index),
+        }
+    }
+
+    /// Puts cell `index` of `len`'s class on the class's free list.
+    fn free(&mut self, len: u16, index: u32) {
+        let (at, size) = class_of(usize::from(len));
+        let class = &mut self.classes[at];
+        let (page, from) = locate(size, index);
+        let next = class.free.unwrap_or(u32::MAX);
+        class.pages[page][from..from + 4].copy_from_slice(&next.to_le_bytes());
+        class.free = Some(index);
+    }
+}
+
+/// The class of a `len`-byte value, and its cell size.
+fn class_of(len: usize) -> (usize, usize) {
+    let at = (len - 1) / CLASS_STEP;
+    (at, (at + 1) * CLASS_STEP)
+}
+
+/// The page of cell `index` among `size`-byte cells, and its offset there.
+fn locate(size: usize, index: u32) -> (usize, usize) {
+    let per_page = PAGE_BYTES / size;
+    (index as usize / per_page, index as usize % per_page * size)
+}
 
 /// Memcached-style in-memory cache tier.
 pub type MemoryTier = SimulatedTier;
@@ -135,17 +302,22 @@ impl SimulatedTier {
             *last = cap;
             drop(last);
             let mut rng = self.rng.lock();
-            let mut st = self.state.lock();
+            let mut st = self.state();
             let keys: Vec<ObjectKey> =
                 st.map.keys().filter(|_| rng.chance(remapped)).cloned().collect();
             for k in keys {
-                if let Some(b) = st.map.remove(&k).map(Bytes::from) {
-                    st.used -= b.len() as u64;
-                }
+                st.remove(&k);
             }
         } else if cap < *last {
             *last = cap;
         }
+    }
+
+    /// The tier's state, its pending small value settled first.
+    fn state(&self) -> MutexGuard<'_, TierState> {
+        let mut st = self.state.lock();
+        st.settle();
+        st
     }
 
     /// Memcached in the client's availability zone (paper's default cache
@@ -256,7 +428,8 @@ impl SimulatedTier {
     pub fn reboot(&self) {
         if !self.traits_.durable {
             let mut st = self.state.lock();
-            st.map.drain().for_each(|(_, b)| drop(Bytes::from(b)));
+            let TierState { map, slab, .. } = &mut *st;
+            map.drain().for_each(|(_, value)| slab.release(value));
             st.used = 0;
         }
     }
@@ -309,7 +482,7 @@ impl Tier for SimulatedTier {
     }
 
     fn used(&self) -> u64 {
-        self.state.lock().used
+        self.state().used
     }
 
     fn put(&self, key: &ObjectKey, data: Bytes, now: SimTime) -> Result<OpReceipt> {
@@ -340,7 +513,11 @@ impl Tier for SimulatedTier {
         // while `used` says the bytes were never stored.
         let prev = {
             let mut st = self.state.lock();
-            let old = st.map.get(key).map(|b| b.len() as u64).unwrap_or(0);
+            // A pending value this PUT replaces is not worth a cell.
+            if st.pending.as_ref() != Some(key) {
+                st.settle();
+            }
+            let old = st.map.get(key).map(Stored::len).unwrap_or(0);
             let new_used = st.used - old + len;
             let cap = self.capacity(now);
             if new_used > cap {
@@ -350,10 +527,21 @@ impl Tier for SimulatedTier {
                     available: cap.saturating_sub(st.used - old),
                 });
             }
-            let prev = st.map.insert(key.clone(), data.into_shared()).map(Bytes::from);
+            let data = data.into_shared();
+            if fits_cell(data.len()) {
+                st.pending = Some(key.clone());
+            }
+            let prev = st.map.insert(key.clone(), Stored::Shared(data));
             st.used = new_used;
             st.puts += 1;
-            prev
+            // The value replaced goes now, unless a torn write puts it back.
+            match prev {
+                Some(prev) if torn_wait.is_none() => {
+                    st.slab.release(prev);
+                    None
+                }
+                prev => prev,
+            }
         };
         let latency = match self.small_write {
             Some((base, occ)) if len <= 1024 => {
@@ -373,17 +561,15 @@ impl Tier for SimulatedTier {
             // become visible; map and capacity accounting roll back to the
             // pre-op value and the client is charged the timeout.
             let mut st = self.state.lock();
-            let cur = st.map.get(key).map(|b| b.len() as u64).unwrap_or(0);
             match prev {
-                Some(old_bytes) => {
-                    let old_len = old_bytes.len() as u64;
-                    drop(st.map.insert(key.clone(), old_bytes.into_shared()).map(Bytes::from));
-                    st.used = st.used - cur + old_len;
+                Some(old) => {
+                    st.used += old.len();
+                    if let Some(torn) = st.map.insert(key.clone(), old) {
+                        st.used -= torn.len();
+                        st.slab.release(torn);
+                    }
                 }
-                None => {
-                    drop(st.map.remove(key).map(Bytes::from));
-                    st.used -= cur;
-                }
+                None => st.remove(key),
             }
             st.puts -= 1;
             return Err(TieraError::Timeout { tier: self.name.clone(), waited });
@@ -408,11 +594,11 @@ impl Tier for SimulatedTier {
             }
         }
         let data = {
-            let mut st = self.state.lock();
+            let mut st = self.state();
             st.gets += 1;
             st.map
                 .get(key)
-                .map(|b| Bytes::from(Arc::clone(b)))
+                .map(|value| st.read(value))
                 .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?
         };
         let latency = self.charge(data.len(), now, &self.read_model, self.op_occupancy_read);
@@ -438,16 +624,14 @@ impl Tier for SimulatedTier {
             }
         }
         let latency = self.charge(0, now, &self.write_model, self.op_occupancy_write);
-        let mut st = self.state.lock();
-        if let Some(b) = st.map.remove(key).map(Bytes::from) {
-            st.used -= b.len() as u64;
-        }
+        let mut st = self.state();
+        st.remove(key);
         st.puts += 1;
         Ok(OpReceipt::took(latency + spike))
     }
 
     fn contains(&self, key: &ObjectKey) -> bool {
-        self.state.lock().map.contains_key(key)
+        self.state().map.contains_key(key)
     }
 
     fn grow(&self, percent: f64, now: SimTime) -> SimTime {
@@ -739,6 +923,76 @@ mod tests {
                     .install(FaultSpec::new(FailureKind::Writes, SimTime::ZERO, None).torn(1.0));
                 put("t", 2048, 3).unwrap_err();
                 assert_eq!(pool_held(), Some((3, 8192 + 2048)));
+            })
+            .join()
+            .expect("pool thread");
+        });
+    }
+
+    #[test]
+    fn a_small_value_let_go_moves_into_the_slab_and_its_buffer_into_the_pool() {
+        use tiera_support::bytes::pool_held;
+        let in_cell = |mem: &MemoryTier, k: &str| {
+            matches!(mem.state.lock().map.get(&key(k)), Some(Stored::Cell { .. }))
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mem = MemoryTier::same_az("mem", 64 * MB, &env());
+                let t = SimTime::ZERO;
+                mem.put(&key("a"), Bytes::from(vec![1u8; 128]), t).unwrap();
+                assert!(!in_cell(&mem, "a"), "settled at the tier's next call, not in the PUT");
+                assert_eq!(pool_held(), Some((0, 0)));
+                // The next call finds the tier the buffer's only holder.
+                assert!(mem.contains(&key("a")));
+                assert!(in_cell(&mem, "a"));
+                assert_eq!(pool_held(), Some((1, 128)));
+                let (read, _) = mem.get(&key("a"), t).unwrap();
+                assert_eq!(&read[..], &[1u8; 128][..]);
+                assert_eq!(pool_held(), Some((0, 0)), "the copy-out adopted the retired buffer");
+                drop(read);
+
+                // A buffer the caller keeps stays shared, and the tier never
+                // writes through it.
+                let kept = Bytes::from(vec![2u8; 100]);
+                mem.put(&key("b"), kept.clone(), t).unwrap();
+                assert_eq!(mem.used(), 228);
+                assert!(!in_cell(&mem, "b"));
+                let (read, _) = mem.get(&key("b"), t).unwrap();
+                assert_eq!(read.as_ptr(), kept.as_ptr(), "a shared value is not copied");
+                // The next small PUT gives up on it: it stays a buffer.
+                drop(read);
+                mem.put(&key("c"), Bytes::from(vec![3u8; 16]), t).unwrap();
+                drop(kept);
+                assert!(mem.contains(&key("b")) && !in_cell(&mem, "b"));
+                assert!(in_cell(&mem, "c"));
+
+                // Empty and over-256 B values never enter the slab.
+                mem.put(&key("d"), Bytes::new(), t).unwrap();
+                mem.put(&key("e"), Bytes::from(vec![5u8; 257]), t).unwrap();
+                assert!(mem.contains(&key("e")));
+                assert!(!in_cell(&mem, "d") && !in_cell(&mem, "e"));
+
+                // Overwrites take the cell they free, and deleted keys'
+                // cells all come back before a class hands out a new one.
+                let issued = |mem: &MemoryTier| {
+                    mem.state.lock().slab.classes.iter().map(|c| c.issued).sum::<u32>()
+                };
+                let before = issued(&mem);
+                for round in 0..1_000u32 {
+                    let k = format!("o{}", round % 10);
+                    mem.put(&key(&k), Bytes::from(vec![round as u8; 200]), t).unwrap();
+                }
+                assert!(mem.contains(&key("o0")));
+                assert_eq!(issued(&mem), before + 10, "a cell a key, never a second");
+                for k in 0..10 {
+                    mem.delete(&key(&format!("o{k}")), t).unwrap();
+                }
+                for k in 0..10 {
+                    mem.put(&key(&format!("n{k}")), Bytes::from(vec![k; 200]), t).unwrap();
+                }
+                assert!(mem.contains(&key("n9")));
+                assert_eq!(issued(&mem), before + 10, "ten cells freed, ten taken back");
+                assert_eq!(mem.used(), 128 + 100 + 16 + 257 + 10 * 200);
             })
             .join()
             .expect("pool thread");

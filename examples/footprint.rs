@@ -2,12 +2,13 @@
 //!
 //! Builds the registry alone, a memory tier alone, a bare instance, an
 //! instance with a metadata directory, a three-node cluster and the backup
-//! stack over the same keys and prints how much `VmRSS` each added per object — the
-//! numbers behind DESIGN.md's per-object memory budget. Each row runs in a
-//! process of its own (the example runs itself again with `--row <name>`),
-//! so no row reuses heap chunks an earlier row freed, nor pays for chunks
-//! it left. Then the served-overwrite probe behind
-//! DESIGN.md's payload byte budget: one thread loads 4 KiB values, another
+//! stack over the same keys and prints how much anonymous resident memory
+//! (`RssAnon`) each added per object — the numbers behind DESIGN.md's
+//! per-object memory budget. Each row runs in a process of its own (the
+//! example runs itself again with `--row <name>`), so no row reuses heap
+//! chunks an earlier row freed, nor pays for chunks it left. Then the served-overwrite probes behind DESIGN.md's payload byte
+//! budget, each in a process of its own too: one thread loads 4 KiB values,
+//! or 128-byte ones that settle into the memory tier's slab, another
 //! overwrites them, and the peak resident set should not grow.
 //!
 //! ```bash
@@ -30,10 +31,11 @@
 //! most [`BACKUP_BUDGET`]. Only the indexed registry row and the backup
 //! row, whose write-back selects by list, make an ordered read: the
 //! others keep no order indexes, so a change that brings eager index
-//! upkeep back fails their budgets. The served-overwrite probe may
+//! upkeep back fails their budgets. Each served-overwrite probe may
 //! raise the peak resident set by at most [`OVERWRITE_GROWTH_BUDGET`] ×
 //! the bytes stored: a tier that drops replaced values where the payload
-//! pool cannot see them fails it at ≈ 1.0.
+//! pool cannot see them fails it at ≈ 1.0, and so would a slab that did not
+//! reuse the cells overwrites free.
 
 use std::process::Command;
 use std::sync::Arc;
@@ -53,46 +55,57 @@ const BACKUP_KEYS: usize = 8_192;
 /// by a timer to a `dedup: sha256` EBS volume.
 const BACKUP_SPEC: &str = include_str!("../specs/compressed_cache.tiera");
 
+// The figures below are anonymous memory (`RssAnon`), which repeats to
+// ± 0.05 B an object; the "before" figures and the five budgets set before
+// it were read as `VmRSS`, 1–8 B higher and ± 1 B from run to run.
+
 /// Bytes an object may cost the registry alone, which keeps no order
-/// indexes: 104–105 measured, + 2 % (157 before keys of up to 22 bytes
-/// were held inline and the entry shrank to 48 bytes; 219 while it kept
-/// the indexes eagerly).
+/// indexes: 104–105 measured, + 2 % (101 as anonymous memory; 157 before
+/// keys of up to 22 bytes were held inline and the entry shrank to 48
+/// bytes; 219 while it kept the indexes eagerly).
 const REGISTRY_BUDGET: f64 = 107.0;
 /// Bytes an object may cost a registry whose order indexes are built:
 /// three recency lists' link pairs and a slab node (170–171 measured,
-/// + 2 %; 203 before).
+/// + 2 %; 167 as anonymous memory; 203 before).
 const INDEXED_REGISTRY_BUDGET: f64 = 175.0;
 /// Bytes an object may cost a memory tier alone, less the payload: the
-/// payload buffer's header and chunk rounding (32) and the 40-byte map
-/// slot, its key inline, at load 1/1.31 (54): 87–88 measured, + 2 %
-/// (123 while the key was a shared string with a 48-byte chunk).
-const MEMORY_TIER_BUDGET: f64 = 90.0;
-/// Bytes an object may cost a bare instance (187–188 measured, + 2 %;
-/// 234–236 before).
-const BARE_INSTANCE_BUDGET: f64 = 193.0;
-/// Bytes an object may cost an instance with a `metadata_dir` (224–226
-/// measured, + 2 %; 271–273 before).
-const INSTANCE_META_BUDGET: f64 = 231.0;
+/// 40-byte map slot, its key inline, at load 1/1.31 (54), and the slab
+/// cell's rounding up to 16 B, which is none at 128 B. 54.6 measured, plus
+/// 2 % (86 while every value was a buffer of its own with a 16-byte header
+/// and 16 B of chunk rounding; 123 while the key was a shared string with
+/// a 48-byte chunk, as `VmRSS`).
+const MEMORY_TIER_BUDGET: f64 = 56.0;
+/// Bytes an object may cost a bare instance (153.3 measured, + 2 %; 183
+/// before the slab, 234–236 as `VmRSS` before the inline keys).
+const BARE_INSTANCE_BUDGET: f64 = 157.0;
+/// Bytes an object may cost an instance with a `metadata_dir` (189.4
+/// measured, + 2 %; 219 before the slab, 271–273 as `VmRSS` before the
+/// inline keys).
+const INSTANCE_META_BUDGET: f64 = 194.0;
 /// Bytes of that which may be the metastore's: its locator table (≈ 33)
-/// and what growing the table left in the allocator (36–39 measured,
-/// + 2 %: the difference of two rows, so the tightest of the budgets).
+/// and what growing the table left in the allocator (36–39 measured as
+/// `VmRSS`, + 2 %: the difference of two rows, so the tightest of the
+/// budgets; 36.1 as anonymous memory).
 const METASTORE_BUDGET: f64 = 40.0;
 /// Bytes a key may cost a `Coordinator` replicating it to three bare
 /// instances: three registry and tier entries, the coordinator's record
-/// and the key, inline in all four maps (544–546 measured, + 2 %; 581
-/// before, when the four shared one key string). A key string per
-/// replica again would cost a long key about 3 × 48 more.
+/// and the key, inline in all four maps (544–546 measured, + 2 %; 540 as
+/// anonymous memory, with or without the slab, since the replicas share
+/// the payload's buffer and it never enters one; 581 before, when the
+/// four shared one key string). A key string per replica again would cost
+/// a long key about 3 × 48 more.
 const COORDINATOR_BUDGET: f64 = 557.0;
 /// Bytes an object may cost the backup stack (lzss-compressed Memcached
 /// over a dedup EBS volume, every object written back), less the bytes
-/// its two tiers store: 1 088–1 109 measured at 8 192 keys, + 2 %. It
-/// read 1 016–1 028 while keys were shared strings: this stack holds a
-/// key in more maps than inline keys save (DESIGN.md, "Inline keys are a
-/// trade").
+/// its two tiers store: 1 088–1 109 measured at 8 192 keys, + 2 % (983
+/// as anonymous memory, its compressed values and blobs in the slabs;
+/// 1 024 before). It read 1 016–1 028 while keys were shared strings:
+/// this stack holds a key in more maps than inline keys save (DESIGN.md,
+/// "Inline keys are a trade").
 const BACKUP_BUDGET: f64 = 1132.0;
-/// Peak resident set growth the served-overwrite probe may show, per
-/// byte stored (0.00 measured; ≈ 1.0 when replaced values are freed
-/// rather than recycled).
+/// Peak resident set growth a served-overwrite probe may show, per byte
+/// stored (0.00–0.03 measured, 4 KiB or 128-byte values; ≈ 1.0 when
+/// replaced values are freed rather than recycled).
 const OVERWRITE_GROWTH_BUDGET: f64 = 0.05;
 
 /// A `kB` field of `/proc/self/status`, in bytes.
@@ -106,9 +119,11 @@ fn status_bytes(field: &str) -> u64 {
     kb * 1024
 }
 
-/// Resident set size in bytes.
+/// Anonymous resident memory in bytes: the heap and anonymous maps, not
+/// the pages of the binary's code a build faults in, which depend on where
+/// the loader put it and moved `VmRSS` rows by ± 1 B an object run to run.
 fn rss() -> u64 {
-    status_bytes("VmRSS:")
+    status_bytes("RssAnon:")
 }
 
 /// What `build` adds to the resident set per key, less `payload` bytes of
@@ -137,39 +152,45 @@ fn load(inst: &Instance, names: &[String]) {
     }
 }
 
-/// Loads `keys` 4 KiB values on this thread, overwrites each of them
-/// eight times from a second one — a connection worker's side of a served
-/// instance — and prints and returns how far the peak resident set
-/// (`VmHWM`) rose during the overwrites, per byte stored. An overwrite that allocates its
-/// value afresh fills the second thread's malloc arena with a second copy
-/// of the store while the first thread's, emptied, stays resident (≈ 1.0);
-/// one that recycles the buffer it replaced adds nothing (≈ 0).
-fn served_overwrite(env: &SimEnv, keys: usize) -> f64 {
-    const VALUE: usize = 4096;
-    const ROUNDS: u8 = 8;
+/// Loads `keys` values of `value` bytes on this thread, overwrites each of
+/// them [`ROUNDS`] times from a second one — a connection worker's side of a
+/// served instance — and returns how far the peak resident set (`VmHWM`)
+/// rose during the overwrites, per byte stored. An overwrite that
+/// allocates its value afresh fills the second thread's malloc arena with a
+/// second copy of the store while the first thread's, emptied, stays
+/// resident (≈ 1.0); one that recycles the buffer or the slab cell it
+/// replaced adds nothing (≈ 0). Values of 256 bytes or less settle into the
+/// memory tier's slab; larger ones stay buffers.
+fn served_overwrite(env: &SimEnv, keys: usize, value: usize) -> f64 {
     let names: Vec<String> = (0..keys).map(|k| format!("block{k:08}")).collect();
     let inst = InstanceBuilder::new("served", env.clone())
         .tier(memory_tier(env))
         .build()
         .expect("served instance");
     for name in &names {
-        inst.put(name, vec![0u8; VALUE], SimTime::ZERO).expect("load");
+        inst.put(name, vec![0u8; value], SimTime::ZERO).expect("load");
     }
     let loaded = status_bytes("VmHWM:");
     std::thread::scope(|s| {
         s.spawn(|| {
             for round in 1..=ROUNDS {
                 for name in &names {
-                    inst.put(name, vec![round; VALUE], SimTime::ZERO).expect("overwrite");
+                    inst.put(name, vec![round; value], SimTime::ZERO).expect("overwrite");
                 }
             }
         });
     });
-    let growth = status_bytes("VmHWM:").saturating_sub(loaded) as f64 / (keys * VALUE) as f64;
-    println!("\nserved overwrite: {keys} x {VALUE} B, overwritten {ROUNDS}x from a second thread");
-    println!("{:<46} {growth:>7.2} x bytes stored", "peak resident set growth");
-    growth
+    status_bytes("VmHWM:").saturating_sub(loaded) as f64 / (keys * value) as f64
 }
+
+/// Times the served-overwrite probe overwrites each key.
+const ROUNDS: u8 = 8;
+
+/// The served-overwrite probes, each run as a row of its own (a peak
+/// resident set is a process's whole past): the name `--row` takes, the
+/// value size, and the probe's keys as a share (1 in n) of the rows'.
+const PROBES: [(&str, usize, usize); 2] =
+    [("overwrite", 4096, 10), ("overwrite-small", PAYLOAD, 1)];
 
 /// The rows, in the order they print: the name `--row` takes and the label.
 const ROWS: [(&str, &str); 7] = [
@@ -274,14 +295,17 @@ fn row(name: &str, keys: usize) -> Option<f64> {
                 (inst, stored.iter().sum())
             })
         }
-        _ => return None,
+        _ => {
+            let &(_, value, share) = PROBES.iter().find(|(probe, ..)| *probe == name)?;
+            served_overwrite(&env, keys / share, value)
+        }
     };
     Some(per_key)
 }
 
-/// Row `name`'s bytes per object, measured by this example run again in a
-/// child process with `--row`: a fresh heap, which no other row has grown
-/// or freed chunks in.
+/// Row `name`'s figure (bytes per object, or a probe's growth), measured by
+/// this example run again in a child process with `--row`: a fresh heap,
+/// which no other row has grown or freed chunks in.
 fn in_child(name: &str, quick: bool) -> f64 {
     let mut child = Command::new(std::env::current_exe().expect("the example's own path"));
     child.args(["--row", name]);
@@ -307,7 +331,8 @@ fn main() {
     if let Some(at) = args.iter().position(|a| a == "--row") {
         let name = args.get(at + 1).map_or("", String::as_str);
         let Some(per_key) = row(name, keys) else {
-            let names: Vec<&str> = ROWS.iter().map(|(name, _)| *name).collect();
+            let rows = ROWS.iter().map(|(name, _)| *name);
+            let names: Vec<&str> = rows.chain(PROBES.iter().map(|(name, ..)| *name)).collect();
             eprintln!("footprint: --row takes one of {}", names.join(", "));
             std::process::exit(2);
         };
@@ -326,7 +351,14 @@ fn main() {
     }
     let [registry, indexed, tier, bare, with_meta, coordinator, backup] = figures;
 
-    let growth = served_overwrite(&SimEnv::new(7), if quick { 500 } else { 10_000 });
+    let mut growths = [0.0; PROBES.len()];
+    for ((name, value, share), growth) in PROBES.iter().zip(&mut growths) {
+        *growth = in_child(name, quick);
+        let probe_keys = keys / share;
+        println!("\nserved overwrite: {probe_keys} x {value} B, overwritten {ROUNDS}x from a second thread");
+        println!("{:<46} {growth:>7.2} x bytes stored", "peak resident set growth");
+    }
+    let [growth, small_growth] = growths;
 
     if check {
         let metastore = with_meta - bare;
@@ -339,7 +371,8 @@ fn main() {
              metastore {metastore:.0} of {METASTORE_BUDGET}, \
              coordinator R=3 {coordinator:.0} of {COORDINATOR_BUDGET}, \
              backup stack {backup:.0} of {BACKUP_BUDGET}, \
-             overwrite growth {growth:.2} of {OVERWRITE_GROWTH_BUDGET} x bytes stored"
+             overwrite growth {growth:.2} (4 KiB) and {small_growth:.2} ({PAYLOAD} B) \
+             of {OVERWRITE_GROWTH_BUDGET} x bytes stored"
         );
         if registry > REGISTRY_BUDGET
             || indexed > INDEXED_REGISTRY_BUDGET
@@ -350,6 +383,7 @@ fn main() {
             || coordinator > COORDINATOR_BUDGET
             || backup > BACKUP_BUDGET
             || growth > OVERWRITE_GROWTH_BUDGET
+            || small_growth > OVERWRITE_GROWTH_BUDGET
         {
             eprintln!("footprint: over the per-object memory budget");
             std::process::exit(1);

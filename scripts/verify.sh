@@ -20,13 +20,14 @@ cargo build --release
 echo "==> cargo test -q (includes the chaos matrices and the live-server rpc round trips)"
 cargo test -q
 
-echo "==> cargo test --release (chaos pins, forced interleavings and the metastore crash and linearizability checks hold in both build profiles)"
+echo "==> cargo test --release (chaos pins, forced interleavings, the metastore crash and linearizability checks and the tier slab's model hold in both build profiles)"
 cargo test --release --offline -q -p tiera-chaos --test chaos_suite
 cargo test --release --offline -q -p tiera-core --test concurrency
 cargo test --release --offline -q -p tiera-core --test copy_races
 cargo test --release --offline -q -p tiera-cluster --test version_races --test redial_failover
 cargo test --release --offline -q -p tiera-chaos --test metastore_crash_matrix
 cargo test --release --offline -q -p tiera-metastore --test linearizability
+cargo test --release --offline -q -p tiera-tiers --test slab_model
 
 echo "==> cargo fmt --check (the tree stays rustfmt-clean; rustfmt.toml holds the one setting)"
 cargo fmt --all --check
