@@ -6,10 +6,11 @@
 //! (`RssAnon`) each added per object — the numbers behind DESIGN.md's
 //! per-object memory budget. Each row runs in a process of its own (the
 //! example runs itself again with `--row <name>`), so no row reuses heap
-//! chunks an earlier row freed, nor pays for chunks it left. Then the served-overwrite probes behind DESIGN.md's payload byte
-//! budget, each in a process of its own too: one thread loads 4 KiB values,
-//! or 128-byte ones that settle into the memory tier's slab, another
-//! overwrites them, and the peak resident set should not grow.
+//! chunks an earlier row freed, nor pays for chunks it left. Then the
+//! served-overwrite probes behind DESIGN.md's payload byte budget, each in
+//! a process of its own too: one thread loads 4 KiB values, or 128-byte
+//! ones that settle into the memory tier's slab, another overwrites them,
+//! and the peak resident set should not grow.
 //!
 //! ```bash
 //! cargo run --release --example footprint            # 100 000 keys
