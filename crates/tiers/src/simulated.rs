@@ -165,7 +165,7 @@ struct Slab {
 struct Class {
     pages: Vec<Box<[u8]>>,
     /// Cells handed out from the front of the pages, freed ones included.
-    issued: u32,
+    handed_out: u32,
     /// The first free cell; a free cell's first four bytes name the next,
     /// `u32::MAX` ending the list.
     free: Option<u32>,
@@ -185,11 +185,11 @@ impl Slab {
                 index
             }
             None => {
-                let index = class.issued;
+                let index = class.handed_out;
                 if locate(size, index).1 == 0 {
                     class.pages.push(vec![0; PAGE_BYTES].into_boxed_slice());
                 }
-                class.issued += 1;
+                class.handed_out += 1;
                 index
             }
         };
@@ -974,16 +974,16 @@ mod tests {
 
                 // Overwrites take the cell they free, and deleted keys'
                 // cells all come back before a class hands out a new one.
-                let issued = |mem: &MemoryTier| {
-                    mem.state.lock().slab.classes.iter().map(|c| c.issued).sum::<u32>()
+                let handed_out = |mem: &MemoryTier| {
+                    mem.state.lock().slab.classes.iter().map(|c| c.handed_out).sum::<u32>()
                 };
-                let before = issued(&mem);
+                let before = handed_out(&mem);
                 for round in 0..1_000u32 {
                     let k = format!("o{}", round % 10);
                     mem.put(&key(&k), Bytes::from(vec![round as u8; 200]), t).unwrap();
                 }
                 assert!(mem.contains(&key("o0")));
-                assert_eq!(issued(&mem), before + 10, "a cell a key, never a second");
+                assert_eq!(handed_out(&mem), before + 10, "a cell a key, never a second");
                 for k in 0..10 {
                     mem.delete(&key(&format!("o{k}")), t).unwrap();
                 }
@@ -991,7 +991,7 @@ mod tests {
                     mem.put(&key(&format!("n{k}")), Bytes::from(vec![k; 200]), t).unwrap();
                 }
                 assert!(mem.contains(&key("n9")));
-                assert_eq!(issued(&mem), before + 10, "ten cells freed, ten taken back");
+                assert_eq!(handed_out(&mem), before + 10, "ten cells freed, ten taken back");
                 assert_eq!(mem.used(), 128 + 100 + 16 + 257 + 10 * 200);
             })
             .join()
