@@ -1,5 +1,6 @@
 //! The generic simulated tier and its four service profiles.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tiera_support::collections::FxHashMap;
@@ -66,37 +67,52 @@ struct TierState {
     /// handle's drop still retires it to the thread's pool.
     map: FxHashMap<ObjectKey, Stored>,
     slab: Slab,
-    /// The last small PUT's key. Its value goes into `slab` at the first
-    /// call that finds this tier holding its buffer alone; one still shared
-    /// when the next small PUT comes (replicas, a policy copy) stays a
-    /// buffer, so an object in three tiers keeps costing one payload.
-    pending: Option<ObjectKey>,
+    /// Keys whose small value this tier stored or handed out as a buffer,
+    /// oldest first. Each value goes into `slab` at the first call that
+    /// finds this tier holding its buffer alone; one still shared with
+    /// another holder (a replica, another tier's copy, a request in
+    /// flight) holds the queue up until [`PENDING_MAX`] later keys push it
+    /// out, and stays a buffer until its next GET queues it again. So
+    /// replicas keep costing one payload; a copy taken from a cell is a
+    /// payload of its own.
+    pending: VecDeque<ObjectKey>,
     used: u64,
     puts: u64,
     gets: u64,
 }
 
 impl TierState {
-    /// Moves the pending value into the slab if this tier is its buffer's
-    /// only holder; the buffer then retires to this thread's pool, where
-    /// the next copy-in adopts it.
+    /// Moves pending values into the slab, oldest first, while this tier
+    /// is their buffer's only holder; each buffer then retires to this
+    /// thread's pool, where the next copy-in adopts it.
     fn settle(&mut self) {
-        let Some(key) = &self.pending else { return };
-        if let Some(slot) = self.map.get_mut(key) {
-            match slot {
-                // Still held elsewhere (the caller, a replica, a policy's
-                // copy): tried again at the next call.
-                Stored::Shared(buf) if fits_cell(buf.len()) && Arc::strong_count(buf) > 1 => return,
-                Stored::Shared(buf) if fits_cell(buf.len()) => {
-                    let cell = self.slab.store(buf);
-                    if let Stored::Shared(buf) = std::mem::replace(slot, cell) {
-                        drop(Bytes::from(buf));
+        while let Some(key) = self.pending.front() {
+            if let Some(slot) = self.map.get_mut(key) {
+                match slot {
+                    // Still held elsewhere: tried again at the next call.
+                    Stored::Shared(buf) if fits_cell(buf.len()) && Arc::strong_count(buf) > 1 => {
+                        return;
                     }
+                    Stored::Shared(buf) if fits_cell(buf.len()) => {
+                        let cell = self.slab.store(buf);
+                        if let Stored::Shared(buf) = std::mem::replace(slot, cell) {
+                            drop(Bytes::from(buf));
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
+            self.pending.pop_front();
         }
-        self.pending = None;
+    }
+
+    /// Queues `key`, whose value this tier holds as a buffer small enough
+    /// for a cell, for [`TierState::settle`].
+    fn note(&mut self, key: &ObjectKey) {
+        if self.pending.len() == PENDING_MAX {
+            self.pending.pop_front();
+        }
+        self.pending.push_back(key.clone());
     }
 
     /// `value`'s bytes as a `Bytes`: the buffer itself, or a copy of the
@@ -123,6 +139,8 @@ const CELL_MAX: usize = 256;
 const CLASS_STEP: usize = 16;
 /// Bytes of one slab page, whatever its class.
 const PAGE_BYTES: usize = 8 << 10;
+/// Keys a tier queues for the slab at most.
+const PENDING_MAX: usize = 64;
 
 fn fits_cell(len: usize) -> bool {
     (1..=CELL_MAX).contains(&len)
@@ -154,8 +172,8 @@ const _: () = assert!(std::mem::size_of::<(ObjectKey, Stored)>() <= 40);
 /// Small values packed by size: classes of cells [`CLASS_STEP`] bytes
 /// apart, each in pages of [`PAGE_BYTES`] allocated as the class fills. A
 /// freed cell goes on its class's free list and the class's next value
-/// takes it, so a served overwrite grows nothing. Pages are never given
-/// back.
+/// takes it, so a served overwrite grows nothing. A class keeps its pages
+/// while it holds any cell, and gives them all back when it holds none.
 #[derive(Default)]
 struct Slab {
     classes: [Class; CELL_MAX / CLASS_STEP],
@@ -166,6 +184,8 @@ struct Class {
     pages: Vec<Box<[u8]>>,
     /// Cells handed out from the front of the pages, freed ones included.
     handed_out: u32,
+    /// Cells holding a value.
+    live: u32,
     /// The first free cell; a free cell's first four bytes name the next,
     /// `u32::MAX` ending the list.
     free: Option<u32>,
@@ -193,6 +213,7 @@ impl Slab {
                 index
             }
         };
+        class.live += 1;
         let (page, from) = locate(size, index);
         class.pages[page][from..from + data.len()].copy_from_slice(data);
         Stored::Cell { len: data.len() as u16, index }
@@ -215,10 +236,16 @@ impl Slab {
         }
     }
 
-    /// Puts cell `index` of `len`'s class on the class's free list.
+    /// Puts cell `index` of `len`'s class on the class's free list, or
+    /// gives the class's pages back if it was the last cell in use.
     fn free(&mut self, len: u16, index: u32) {
         let (at, size) = class_of(usize::from(len));
         let class = &mut self.classes[at];
+        class.live -= 1;
+        if class.live == 0 {
+            *class = Class::default();
+            return;
+        }
         let (page, from) = locate(size, index);
         let next = class.free.unwrap_or(u32::MAX);
         class.pages[page][from..from + 4].copy_from_slice(&next.to_le_bytes());
@@ -313,7 +340,7 @@ impl SimulatedTier {
         }
     }
 
-    /// The tier's state, its pending small value settled first.
+    /// The tier's state, its pending small values settled first.
     fn state(&self) -> MutexGuard<'_, TierState> {
         let mut st = self.state.lock();
         st.settle();
@@ -430,6 +457,7 @@ impl SimulatedTier {
             let mut st = self.state.lock();
             let TierState { map, slab, .. } = &mut *st;
             map.drain().for_each(|(_, value)| slab.release(value));
+            st.pending.clear();
             st.used = 0;
         }
     }
@@ -512,11 +540,7 @@ impl Tier for SimulatedTier {
         // failed multi-part write inflates every later op's queueing delay
         // while `used` says the bytes were never stored.
         let prev = {
-            let mut st = self.state.lock();
-            // A pending value this PUT replaces is not worth a cell.
-            if st.pending.as_ref() != Some(key) {
-                st.settle();
-            }
+            let mut st = self.state();
             let old = st.map.get(key).map(Stored::len).unwrap_or(0);
             let new_used = st.used - old + len;
             let cap = self.capacity(now);
@@ -527,11 +551,10 @@ impl Tier for SimulatedTier {
                     available: cap.saturating_sub(st.used - old),
                 });
             }
-            let data = data.into_shared();
             if fits_cell(data.len()) {
-                st.pending = Some(key.clone());
+                st.note(key);
             }
-            let prev = st.map.insert(key.clone(), Stored::Shared(data));
+            let prev = st.map.insert(key.clone(), Stored::Shared(data.into_shared()));
             st.used = new_used;
             st.puts += 1;
             // The value replaced goes now, unless a torn write puts it back.
@@ -596,10 +619,14 @@ impl Tier for SimulatedTier {
         let data = {
             let mut st = self.state();
             st.gets += 1;
-            st.map
-                .get(key)
-                .map(|value| st.read(value))
-                .ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?
+            let value = st.map.get(key).ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
+            let data = st.read(value);
+            // A buffer pushed out of the queue while still shared gets
+            // another chance once this reader lets go of it.
+            if matches!(value, Stored::Shared(buf) if fits_cell(buf.len())) {
+                st.note(key);
+            }
+            data
         };
         let latency = self.charge(data.len(), now, &self.read_model, self.op_occupancy_read);
         Ok((data, OpReceipt::took(latency + spike)))
@@ -952,19 +979,33 @@ mod tests {
                 drop(read);
 
                 // A buffer the caller keeps stays shared, and the tier never
-                // writes through it.
+                // writes through it. It holds the queue up, and moves into
+                // the slab once the caller lets go.
                 let kept = Bytes::from(vec![2u8; 100]);
                 mem.put(&key("b"), kept.clone(), t).unwrap();
                 assert_eq!(mem.used(), 228);
                 assert!(!in_cell(&mem, "b"));
                 let (read, _) = mem.get(&key("b"), t).unwrap();
                 assert_eq!(read.as_ptr(), kept.as_ptr(), "a shared value is not copied");
-                // The next small PUT gives up on it: it stays a buffer.
                 drop(read);
                 mem.put(&key("c"), Bytes::from(vec![3u8; 16]), t).unwrap();
+                assert!(mem.contains(&key("c")) && !in_cell(&mem, "c"), "queued behind b");
                 drop(kept);
-                assert!(mem.contains(&key("b")) && !in_cell(&mem, "b"));
-                assert!(in_cell(&mem, "c"));
+                assert!(mem.contains(&key("b")));
+                assert!(in_cell(&mem, "b") && in_cell(&mem, "c"));
+
+                // One still shared when PENDING_MAX later keys come is pushed
+                // out of the queue; its next GET queues it again.
+                let kept = Bytes::from(vec![4u8; 64]);
+                mem.put(&key("p"), kept.clone(), t).unwrap();
+                for k in 0..PENDING_MAX {
+                    mem.put(&key(&format!("q{k}")), Bytes::from(vec![1u8; 32]), t).unwrap();
+                }
+                drop(kept);
+                assert!(mem.contains(&key("p")) && !in_cell(&mem, "p"));
+                assert!(in_cell(&mem, "q0") && in_cell(&mem, &format!("q{}", PENDING_MAX - 1)));
+                drop(mem.get(&key("p"), t).unwrap());
+                assert!(mem.contains(&key("p")) && in_cell(&mem, "p"));
 
                 // Empty and over-256 B values never enter the slab.
                 mem.put(&key("d"), Bytes::new(), t).unwrap();
@@ -972,31 +1013,78 @@ mod tests {
                 assert!(mem.contains(&key("e")));
                 assert!(!in_cell(&mem, "d") && !in_cell(&mem, "e"));
 
-                // Overwrites take the cell they free, and deleted keys'
-                // cells all come back before a class hands out a new one.
+                // Overwrites take the cell they free, and a class that holds
+                // no cell gives its pages back.
                 let handed_out = |mem: &MemoryTier| {
                     mem.state.lock().slab.classes.iter().map(|c| c.handed_out).sum::<u32>()
                 };
-                let before = handed_out(&mem);
+                let pages = |mem: &MemoryTier| {
+                    mem.state.lock().slab.classes.iter().map(|c| c.pages.len()).sum::<usize>()
+                };
+                let (before, pages_before) = (handed_out(&mem), pages(&mem));
                 for round in 0..1_000u32 {
                     let k = format!("o{}", round % 10);
                     mem.put(&key(&k), Bytes::from(vec![round as u8; 200]), t).unwrap();
                 }
                 assert!(mem.contains(&key("o0")));
                 assert_eq!(handed_out(&mem), before + 10, "a cell a key, never a second");
-                for k in 0..10 {
+                assert_eq!(pages(&mem), pages_before + 1);
+                for k in 0..9 {
                     mem.delete(&key(&format!("o{k}")), t).unwrap();
                 }
+                assert_eq!(pages(&mem), pages_before + 1, "o9 keeps its class's page");
+                mem.delete(&key("o9"), t).unwrap();
+                assert_eq!((handed_out(&mem), pages(&mem)), (before, pages_before));
                 for k in 0..10 {
                     mem.put(&key(&format!("n{k}")), Bytes::from(vec![k; 200]), t).unwrap();
                 }
                 assert!(mem.contains(&key("n9")));
-                assert_eq!(handed_out(&mem), before + 10, "ten cells freed, ten taken back");
-                assert_eq!(mem.used(), 128 + 100 + 16 + 257 + 10 * 200);
+                assert_eq!(handed_out(&mem), before + 10);
+                let small = 128 + 100 + 16 + 64 + PENDING_MAX as u64 * 32;
+                assert_eq!(mem.used(), small + 257 + 10 * 200);
+                mem.reboot();
+                assert_eq!(pages(&mem), 0, "an empty slab keeps no page");
             })
             .join()
             .expect("pool thread");
         });
+    }
+
+    #[test]
+    fn small_values_from_concurrent_writers_all_reach_the_slab() {
+        // Four writers, each still holding its last two values' buffers, as
+        // a connection with requests in flight does.
+        let mem = MemoryTier::same_az("mem", 64 * MB, &env());
+        let names = |w: u8| (0..500).map(move |i| key(&format!("w{w}-{i}")));
+        std::thread::scope(|s| {
+            for w in 0..4u8 {
+                let (mem, names) = (&mem, &names);
+                s.spawn(move || {
+                    let mut held = VecDeque::new();
+                    for k in names(w) {
+                        let data = Bytes::from(vec![w; 128]);
+                        held.push_back(data.clone());
+                        if held.len() > 2 {
+                            held.pop_front();
+                        }
+                        mem.put(&k, data, SimTime::ZERO).unwrap();
+                    }
+                });
+            }
+        });
+        let cells = |mem: &MemoryTier| {
+            assert_eq!(mem.used(), 4 * 500 * 128);
+            mem.state.lock().map.values().filter(|v| matches!(v, Stored::Cell { .. })).count()
+        };
+        let settled = cells(&mem);
+        // A key pushed out of the queue while a writer held its buffer
+        // settles after its next GET.
+        for w in 0..4 {
+            for k in names(w) {
+                drop(mem.get(&k, SimTime::ZERO).unwrap());
+            }
+        }
+        assert_eq!(cells(&mem), 4 * 500, "{settled} of 2000 settled before the reads");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Bytes of resident memory per stored object, layer by layer.
 //!
 //! Builds the registry alone, a memory tier alone, a bare instance, an
-//! instance with a metadata directory, a three-node cluster and the backup
-//! stack over the same keys and prints how much anonymous resident memory
-//! (`RssAnon`) each added per object — the numbers behind DESIGN.md's
+//! instance with a metadata directory, a three-node cluster, the backup
+//! stack and a write-back stack over the same keys and prints how much
+//! anonymous resident memory (`RssAnon`) each added per object — the numbers behind DESIGN.md's
 //! per-object memory budget. Each row runs in a process of its own (the
 //! example runs itself again with `--row <name>`), so no row reuses heap
 //! chunks an earlier row freed, nor pays for chunks it left. Then the
@@ -29,10 +29,11 @@
 //! a key under a coordinator replicating it to three nodes at most
 //! [`COORDINATOR_BUDGET`], and an object of the backup stack (an
 //! lzss-compressed cache written back to a dedup volume, 8 192 keys) at
-//! most [`BACKUP_BUDGET`]. Only the indexed registry row and the backup
-//! row, whose write-back selects by list, make an ordered read: the
-//! others keep no order indexes, so a change that brings eager index
-//! upkeep back fails their budgets. Each served-overwrite probe may
+//! most [`BACKUP_BUDGET`], and one of a Memcached cache written back to
+//! EBS (8 192 keys) at most [`WRITEBACK_BUDGET`]. Only the indexed
+//! registry row and the two written-back rows, whose timers select by
+//! list, make an ordered read: the others keep no order indexes, so a
+//! change that brings eager index upkeep back fails their budgets. Each served-overwrite probe may
 //! raise the peak resident set by at most [`OVERWRITE_GROWTH_BUDGET`] ×
 //! the bytes stored: a tier that drops replaced values where the payload
 //! pool cannot see them fails it at ≈ 1.0, and so would a slab that did not
@@ -55,55 +56,69 @@ const BACKUP_KEYS: usize = 8_192;
 /// The backup row's stack: an lzss-compressed Memcached cache written back
 /// by a timer to a `dedup: sha256` EBS volume.
 const BACKUP_SPEC: &str = include_str!("../specs/compressed_cache.tiera");
+/// Keys of the write-back row: as many as the volume takes in one tick of
+/// the timer.
+const WRITEBACK_KEYS: usize = 8_192;
+/// The write-back row's stack: a Memcached cache written back by a timer to
+/// an EBS volume (the paper's Figure 3).
+const WRITEBACK_SPEC: &str = include_str!("../specs/low_latency.tiera");
 
-// The figures below are anonymous memory (`RssAnon`), which repeats to
-// ± 0.05 B an object; the "before" figures and the five budgets set before
-// it were read as `VmRSS`, 1–8 B higher and ± 1 B from run to run.
+// Every figure below is anonymous memory (`RssAnon`), which repeats to
+// ± 0.05 B an object; the "before" figures were read as `VmRSS`, which
+// also counted the binary's code pages and swung ± 1 B with its load
+// address, unless they say otherwise.
 
 /// Bytes an object may cost the registry alone, which keeps no order
-/// indexes: 104–105 measured, + 2 % (101 as anonymous memory; 157 before
-/// keys of up to 22 bytes were held inline and the entry shrank to 48
-/// bytes; 219 while it kept the indexes eagerly).
-const REGISTRY_BUDGET: f64 = 107.0;
+/// indexes: 100.8 measured, + 2 % (157 before keys of up to 22 bytes were
+/// held inline and the entry shrank to 48 bytes; 219 while it kept the
+/// indexes eagerly).
+const REGISTRY_BUDGET: f64 = 103.0;
 /// Bytes an object may cost a registry whose order indexes are built:
-/// three recency lists' link pairs and a slab node (170–171 measured,
-/// + 2 %; 167 as anonymous memory; 203 before).
-const INDEXED_REGISTRY_BUDGET: f64 = 175.0;
+/// three recency lists' link pairs and a slab node (167.2 measured, + 2 %;
+/// 203 before).
+const INDEXED_REGISTRY_BUDGET: f64 = 171.0;
 /// Bytes an object may cost a memory tier alone, less the payload: the
 /// 40-byte map slot, its key inline, at load 1/1.31 (54), and the slab
 /// cell's rounding up to 16 B, which is none at 128 B. 54.6 measured, plus
-/// 2 % (86 while every value was a buffer of its own with a 16-byte header
-/// and 16 B of chunk rounding; 123 while the key was a shared string with
-/// a 48-byte chunk, as `VmRSS`).
+/// 2 % (85.8 while every value was a buffer of its own with a 16-byte
+/// header and 16 B of chunk rounding; 123 while the key was a shared
+/// string with a 48-byte chunk).
 const MEMORY_TIER_BUDGET: f64 = 56.0;
-/// Bytes an object may cost a bare instance (153.3 measured, + 2 %; 183
-/// before the slab, 234–236 as `VmRSS` before the inline keys).
+/// Bytes an object may cost a bare instance (153.3 measured, + 2 %; 183.3
+/// before the slab, 234–236 before the inline keys).
 const BARE_INSTANCE_BUDGET: f64 = 157.0;
 /// Bytes an object may cost an instance with a `metadata_dir` (189.4
-/// measured, + 2 %; 219 before the slab, 271–273 as `VmRSS` before the
-/// inline keys).
+/// measured, + 2 %; 218.7 before the slab, 271–273 before the inline
+/// keys).
 const INSTANCE_META_BUDGET: f64 = 194.0;
 /// Bytes of that which may be the metastore's: its locator table (≈ 33)
-/// and what growing the table left in the allocator (36–39 measured as
-/// `VmRSS`, + 2 %: the difference of two rows, so the tightest of the
-/// budgets; 36.1 as anonymous memory).
-const METASTORE_BUDGET: f64 = 40.0;
+/// and what growing the table left in the allocator (36.1 measured, + 2 %:
+/// the difference of two rows, so the tightest of the budgets; 35.4 before
+/// the slab).
+const METASTORE_BUDGET: f64 = 37.0;
 /// Bytes a key may cost a `Coordinator` replicating it to three bare
 /// instances: three registry and tier entries, the coordinator's record
-/// and the key, inline in all four maps (544–546 measured, + 2 %; 540 as
-/// anonymous memory, with or without the slab, since the replicas share
-/// the payload's buffer and it never enters one; 581 before, when the
-/// four shared one key string). A key string per replica again would cost
-/// a long key about 3 × 48 more.
-const COORDINATOR_BUDGET: f64 = 557.0;
+/// and the key, inline in all four maps (539.9 measured, + 2 %, with or
+/// without the slab, since the replicas share the payload's buffer and it
+/// never enters one; 581 before, when the four shared one key string). A
+/// key string per replica again would cost a long key about 3 × 48 more.
+const COORDINATOR_BUDGET: f64 = 551.0;
 /// Bytes an object may cost the backup stack (lzss-compressed Memcached
 /// over a dedup EBS volume, every object written back), less the bytes
-/// its two tiers store: 1 088–1 109 measured at 8 192 keys, + 2 % (983
-/// as anonymous memory, its compressed values and blobs in the slabs;
-/// 1 024 before). It read 1 016–1 028 while keys were shared strings:
-/// this stack holds a key in more maps than inline keys save (DESIGN.md,
-/// "Inline keys are a trade").
-const BACKUP_BUDGET: f64 = 1132.0;
+/// its two tiers store: 983.1 measured at 8 192 keys, + 2 %, its compressed
+/// values and blobs in the slabs (1 023.5 before the slab). It read
+/// 1 016–1 028 as `VmRSS` while keys were shared strings: this stack holds
+/// a key in more maps than inline keys save (DESIGN.md, "Inline keys are a
+/// trade").
+const BACKUP_BUDGET: f64 = 1003.0;
+/// Bytes an object may cost Memcached written back to EBS, less one copy
+/// of the payload: 678.0–678.5 measured at 8 192 keys, + 2 %. 598 before
+/// the slab, when the two tiers shared one buffer: the value settles into
+/// the cache's slab long before the timer copies it, so the copy is a
+/// buffer of its own, which settles into the volume's slab, and the two
+/// cells cost 80 B more than one shared buffer (DESIGN.md, "Small values
+/// in a slab").
+const WRITEBACK_BUDGET: f64 = 693.0;
 /// Peak resident set growth a served-overwrite probe may show, per byte
 /// stored (0.00–0.03 measured, 4 KiB or 128-byte values; ≈ 1.0 when
 /// replaced values are freed rather than recycled).
@@ -194,7 +209,7 @@ const PROBES: [(&str, usize, usize); 2] =
     [("overwrite", 4096, 10), ("overwrite-small", PAYLOAD, 1)];
 
 /// The rows, in the order they print: the name `--row` takes and the label.
-const ROWS: [(&str, &str); 7] = [
+const ROWS: [(&str, &str); 8] = [
     ("registry", "Registry (one location, clean)"),
     ("indexed", "Registry after its first ordered read"),
     ("tier", "MemoryTier"),
@@ -202,6 +217,7 @@ const ROWS: [(&str, &str); 7] = [
     ("meta", "Instance with metadata_dir (+ metastore index)"),
     ("coordinator", "Coordinator R=3 over 3 nodes (per key)"),
     ("backup", "lzss cache over dedup EBS, 8 192 keys"),
+    ("writeback", "Memcached over EBS, written back (per key)"),
 ];
 
 /// Builds row `name` over `keys` keys and returns its bytes per object;
@@ -296,6 +312,22 @@ fn row(name: &str, keys: usize) -> Option<f64> {
                 (inst, stored.iter().sum())
             })
         }
+        "writeback" => {
+            let keys = keys.min(WRITEBACK_KEYS);
+            measure(keys, PAYLOAD, || {
+                let spec = tiera::spec::parse(WRITEBACK_SPEC).expect("the spec parses");
+                let inst = Compiler::new(&tiera::tiers::default_catalog(&env), env.clone())
+                    .bind("t", ParamValue::Duration(SimDuration::from_secs(1)))
+                    .compile(&spec)
+                    .expect("the spec compiles");
+                load(&inst, &names[..keys]);
+                // The timer copies every dirty object to tier2.
+                inst.pump(SimTime::from_secs(2)).expect("write-back");
+                let tier2 = inst.tier("tier2").expect("tier2");
+                assert_eq!(tier2.request_counts().puts, keys as u64, "every object written back");
+                inst
+            })
+        }
         _ => {
             let &(_, value, share) = PROBES.iter().find(|(probe, ..)| *probe == name)?;
             served_overwrite(&env, keys / share, value)
@@ -350,7 +382,7 @@ fn main() {
         *figure = in_child(name, quick);
         println!("{label:<46} {figure:>7.0} B/object");
     }
-    let [registry, indexed, tier, bare, with_meta, coordinator, backup] = figures;
+    let [registry, indexed, tier, bare, with_meta, coordinator, backup, writeback] = figures;
 
     let mut growths = [0.0; PROBES.len()];
     for ((name, value, share), growth) in PROBES.iter().zip(&mut growths) {
@@ -372,6 +404,7 @@ fn main() {
              metastore {metastore:.0} of {METASTORE_BUDGET}, \
              coordinator R=3 {coordinator:.0} of {COORDINATOR_BUDGET}, \
              backup stack {backup:.0} of {BACKUP_BUDGET}, \
+             write-back stack {writeback:.0} of {WRITEBACK_BUDGET}, \
              overwrite growth {growth:.2} (4 KiB) and {small_growth:.2} ({PAYLOAD} B) \
              of {OVERWRITE_GROWTH_BUDGET} x bytes stored"
         );
@@ -383,6 +416,7 @@ fn main() {
             || metastore > METASTORE_BUDGET
             || coordinator > COORDINATOR_BUDGET
             || backup > BACKUP_BUDGET
+            || writeback > WRITEBACK_BUDGET
             || growth > OVERWRITE_GROWTH_BUDGET
             || small_growth > OVERWRITE_GROWTH_BUDGET
         {
