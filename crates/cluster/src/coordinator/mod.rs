@@ -857,6 +857,32 @@ mod tests {
     }
 
     #[test]
+    fn the_delete_token_table_keeps_the_newest_tokens() {
+        let (coord, _nodes) = cluster(3, 3, 2);
+        let t = SimTime::ZERO;
+        coord.put("first", b("v"), t).unwrap();
+        let oldest = coord.next_token();
+        coord.delete(oldest, "first", t).unwrap();
+        // A delete of an absent key records its outcome too.
+        for _ in 1..write::DELETE_TOKENS_KEPT {
+            coord.delete(coord.next_token(), "absent", t).unwrap_err();
+        }
+        coord.put("last", b("v"), t).unwrap();
+        let newest = coord.next_token();
+        let acked = coord.delete(newest, "last", t);
+        assert!(acked.is_ok());
+        assert_eq!(coord.meta.lock().applied_deletes.len(), write::DELETE_TOKENS_KEPT);
+        // The newest token replays its outcome and spares a later write.
+        coord.put("last", b("again"), t).unwrap();
+        assert_eq!(coord.delete(newest, "last", t), acked);
+        assert!(coord.contains("last"));
+        // The oldest was forgotten: its redelivery is a fresh delete.
+        coord.put("first", b("again"), t).unwrap();
+        coord.delete(oldest, "first", t).unwrap();
+        assert!(!coord.contains("first"));
+    }
+
+    #[test]
     fn rejoin_repairs_stale_state() {
         let (coord, nodes) = cluster(3, 3, 2);
         let t = SimTime::ZERO;

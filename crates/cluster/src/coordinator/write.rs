@@ -2,6 +2,7 @@
 //! after W of them confirm, and record the outcome in the metadata.
 
 use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
 use tiera_core::ObjectKey;
@@ -26,9 +27,42 @@ pub(super) struct MetaState {
     /// Iterated only through a sort, so the table's order never shows.
     pub(super) keys: FxHashMap<ObjectKey, KeyMeta>,
     pub(super) failed: FailedWrites,
-    /// The one delete-token table: each token's recorded outcome, the
-    /// charged latency, or `None` for a key that was not there.
-    pub(super) applied_deletes: FxHashMap<u64, Option<SimDuration>>,
+    pub(super) applied_deletes: DeleteTokens,
+}
+
+/// Delete tokens the coordinator remembers: the newest this many.
+pub(super) const DELETE_TOKENS_KEPT: usize = 1 << 14;
+
+/// The one delete-token table: each token's recorded outcome, the charged
+/// latency, or `None` for a key that was not there. It keeps the newest
+/// [`DELETE_TOKENS_KEPT`] tokens and forgets the oldest first.
+#[derive(Default)]
+pub(super) struct DeleteTokens {
+    outcomes: FxHashMap<u64, Option<SimDuration>>,
+    /// The tokens held, oldest first.
+    order: VecDeque<u64>,
+}
+
+impl DeleteTokens {
+    fn get(&self, token: u64) -> Option<Option<SimDuration>> {
+        self.outcomes.get(&token).copied()
+    }
+
+    fn record(&mut self, token: u64, outcome: Option<SimDuration>) {
+        if self.outcomes.insert(token, outcome).is_none() {
+            self.order.push_back(token);
+            if self.order.len() > DELETE_TOKENS_KEPT {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.outcomes.remove(&oldest);
+                }
+            }
+        }
+    }
+
+    #[cfg(test)]
+    pub(super) fn len(&self) -> usize {
+        self.outcomes.len()
+    }
 }
 
 impl MetaState {
@@ -128,14 +162,17 @@ impl Coordinator {
     /// coordinator failover) replays the outcome recorded once the first
     /// delivery reached quorum. Acks after W owners confirm and charges
     /// the W-th fastest.
+    ///
+    /// The coordinator remembers only the newest 16 384 tokens: a
+    /// redelivery of a token it has forgotten runs as a fresh delete.
     pub fn delete(&self, token: u64, key: &str, now: SimTime) -> Result<SimDuration, ClusterError> {
         let handle = {
             let mut meta = self.meta.lock();
-            if let Some(&recorded) = meta.applied_deletes.get(&token) {
+            if let Some(recorded) = meta.applied_deletes.get(token) {
                 return recorded.ok_or_else(|| ClusterError::NoSuchObject(key.to_string()));
             }
             let Some((handle, _, _)) = meta.live(key) else {
-                meta.applied_deletes.insert(token, None);
+                meta.applied_deletes.record(token, None);
                 return Err(ClusterError::NoSuchObject(key.to_string()));
             };
             handle
@@ -160,7 +197,7 @@ impl Coordinator {
                 meta.failed.advanced(key, version);
             }
         }
-        meta.applied_deletes.insert(token, Some(latency));
+        meta.applied_deletes.record(token, Some(latency));
         Ok(latency)
     }
 }

@@ -290,7 +290,6 @@ pub trait Tier: Send + Sync {
 #[derive(Debug)]
 pub struct MemTier {
     name: String,
-    capacity: Mutex<u64>,
     traits_: TierTraits,
     state: Mutex<MemState>,
 }
@@ -298,6 +297,7 @@ pub struct MemTier {
 #[derive(Debug, Default)]
 struct MemState {
     map: FxHashMap<ObjectKey, Bytes>,
+    capacity: u64,
     used: u64,
     puts: u64,
     gets: u64,
@@ -306,21 +306,16 @@ struct MemState {
 impl MemTier {
     /// Creates a tier with the given name and capacity in bytes.
     pub fn with_capacity(name: impl Into<String>, capacity: u64) -> Arc<Self> {
-        Arc::new(Self {
-            name: name.into(),
-            capacity: Mutex::named("memtier.capacity", rank::MEMTIER_CAPACITY, capacity),
-            traits_: TierTraits::default(),
-            state: Mutex::named("memtier.state", rank::MEMTIER_STATE, MemState::default()),
-        })
+        Self::with_traits(name, capacity, TierTraits::default())
     }
 
     /// Creates a tier with explicit traits.
     pub fn with_traits(name: impl Into<String>, capacity: u64, traits_: TierTraits) -> Arc<Self> {
+        let state = MemState { capacity, ..MemState::default() };
         Arc::new(Self {
             name: name.into(),
-            capacity: Mutex::named("memtier.capacity", rank::MEMTIER_CAPACITY, capacity),
             traits_,
-            state: Mutex::named("memtier.state", rank::MEMTIER_STATE, MemState::default()),
+            state: Mutex::named("memtier.state", rank::MEMTIER_STATE, state),
         })
     }
 }
@@ -335,23 +330,22 @@ impl Tier for MemTier {
     }
 
     fn capacity(&self, _now: SimTime) -> u64 {
-        *self.capacity.lock()
+        self.state.lock().capacity
     }
 
     fn used(&self) -> u64 {
         self.state.lock().used
     }
 
-    fn put(&self, key: &ObjectKey, data: Bytes, now: SimTime) -> Result<OpReceipt> {
+    fn put(&self, key: &ObjectKey, data: Bytes, _now: SimTime) -> Result<OpReceipt> {
         let mut st = self.state.lock();
         let old = st.map.get(key).map(|b| b.len() as u64).unwrap_or(0);
         let new_used = st.used - old + data.len() as u64;
-        let cap = self.capacity(now);
-        if new_used > cap {
+        if new_used > st.capacity {
             return Err(TieraError::TierFull {
                 tier: self.name.clone(),
                 needed: data.len() as u64,
-                available: cap.saturating_sub(st.used - old),
+                available: st.capacity.saturating_sub(st.used - old),
             });
         }
         st.map.insert(key.clone(), data);
@@ -384,16 +378,15 @@ impl Tier for MemTier {
     }
 
     fn grow(&self, percent: f64, now: SimTime) -> SimTime {
-        let mut cap = self.capacity.lock();
-        let add = (*cap as f64 * (percent / 100.0).max(0.0)).round() as u64;
-        *cap += add;
+        let mut st = self.state.lock();
+        st.capacity += (st.capacity as f64 * (percent / 100.0).max(0.0)).round() as u64;
         now // immediate
     }
 
     fn shrink(&self, percent: f64, _now: SimTime) {
-        let mut cap = self.capacity.lock();
-        let cut = (*cap as f64 * (percent / 100.0).clamp(0.0, 1.0)).round() as u64;
-        *cap = cap.saturating_sub(cut);
+        let mut st = self.state.lock();
+        let cut = (st.capacity as f64 * (percent / 100.0).clamp(0.0, 1.0)).round() as u64;
+        st.capacity = st.capacity.saturating_sub(cut);
     }
 
     fn request_counts(&self) -> RequestCounts {

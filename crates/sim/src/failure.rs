@@ -21,7 +21,7 @@
 //! enabling the fault plane in the build costs nothing when it is unused.
 
 use crate::clock::{SimDuration, SimTime};
-use tiera_support::sync::{rank, Mutex, RwLock};
+use tiera_support::sync::{rank, Mutex};
 use tiera_support::SimRng;
 
 /// Which operations a failure window affects.
@@ -172,21 +172,23 @@ pub enum Verdict {
 }
 
 /// Thread-safe fault plane: deterministic windows plus seeded
-/// probabilistic fault specs.
+/// probabilistic fault specs, under one lock.
 #[derive(Debug)]
 pub struct FailureInjector {
-    windows: RwLock<Vec<FailureWindow>>,
-    specs: RwLock<Vec<FaultSpec>>,
-    rng: Mutex<SimRng>,
+    plane: Mutex<Plane>,
+}
+
+#[derive(Debug)]
+struct Plane {
+    windows: Vec<FailureWindow>,
+    specs: Vec<FaultSpec>,
+    rng: SimRng,
 }
 
 impl Default for FailureInjector {
     fn default() -> Self {
-        Self {
-            windows: RwLock::named("failure.windows", rank::FAILURE_WINDOWS, Vec::new()),
-            specs: RwLock::named("failure.specs", rank::FAILURE_SPECS, Vec::new()),
-            rng: Mutex::named("failure.rng", rank::FAILURE_RNG, SimRng::new(0)),
-        }
+        let plane = Plane { windows: Vec::new(), specs: Vec::new(), rng: SimRng::new(0) };
+        Self { plane: Mutex::named("failure.plane", rank::FAILURE_PLANE, plane) }
     }
 }
 
@@ -199,17 +201,17 @@ impl FailureInjector {
     /// Re-seeds the probabilistic draw stream. Call before installing
     /// [`FaultSpec`]s so a failing schedule replays byte-identically.
     pub fn set_seed(&self, seed: u64) {
-        *self.rng.lock() = SimRng::new(seed);
+        self.plane.lock().rng = SimRng::new(seed);
     }
 
     /// Schedules a failure window.
     pub fn schedule(&self, w: FailureWindow) {
-        self.windows.write().push(w);
+        self.plane.lock().windows.push(w);
     }
 
     /// Installs a probabilistic fault spec.
     pub fn install(&self, spec: FaultSpec) {
-        self.specs.write().push(spec);
+        self.plane.lock().specs.push(spec);
     }
 
     /// Schedules `cycles` alternating down/up windows starting at `start`
@@ -224,44 +226,46 @@ impl FailureInjector {
         timeout: SimDuration,
     ) {
         let mut at = start;
-        let mut windows = self.windows.write();
+        let mut plane = self.plane.lock();
         for _ in 0..cycles {
-            windows.push(FailureWindow { from: at, until: Some(at + down), kind, timeout });
+            plane.windows.push(FailureWindow { from: at, until: Some(at + down), kind, timeout });
             at = at + down + up;
         }
     }
 
     /// Clears every scheduled window and fault spec (a "repair").
     pub fn clear(&self) {
-        self.windows.write().clear();
-        self.specs.write().clear();
+        let mut plane = self.plane.lock();
+        plane.windows.clear();
+        plane.specs.clear();
     }
 
     /// Verdict for a write at virtual time `now`.
     pub fn check_write(&self, now: SimTime) -> Verdict {
-        self.check(now, true)
+        self.plane.lock().check(now, true)
     }
 
     /// Verdict for a read at virtual time `now`.
     pub fn check_read(&self, now: SimTime) -> Verdict {
-        self.check(now, false)
+        self.plane.lock().check(now, false)
     }
 
-    fn check(&self, now: SimTime, is_write: bool) -> Verdict {
-        {
-            let windows = self.windows.read();
-            for w in windows.iter() {
-                let covered = if is_write { w.kind.covers_write() } else { w.kind.covers_read() };
-                if covered && w.covers(now) {
-                    return Verdict::TimedOut(w.timeout);
-                }
+    /// Whether any window or spec is active at `now`.
+    pub fn any_active(&self, now: SimTime) -> bool {
+        let plane = self.plane.lock();
+        plane.windows.iter().any(|w| w.covers(now)) || plane.specs.iter().any(|s| s.covers(now))
+    }
+}
+
+impl Plane {
+    fn check(&mut self, now: SimTime, is_write: bool) -> Verdict {
+        for w in &self.windows {
+            let covered = if is_write { w.kind.covers_write() } else { w.kind.covers_read() };
+            if covered && w.covers(now) {
+                return Verdict::TimedOut(w.timeout);
             }
         }
-        let specs = self.specs.read();
-        if specs.is_empty() {
-            return Verdict::Healthy;
-        }
-        for s in specs.iter() {
+        for s in &self.specs {
             let covered = if is_write { s.ops.covers_write() } else { s.ops.covers_read() };
             if !covered || !s.covers(now) {
                 continue;
@@ -269,7 +273,7 @@ impl FailureInjector {
             // One draw per covering spec per op: the bands partition [0, 1)
             // so the faults are mutually exclusive, and the draw count is a
             // pure function of the op sequence (seed-replayable).
-            let x = self.rng.lock().next_f64();
+            let x = self.rng.next_f64();
             let mut edge = s.error_prob;
             if x < edge {
                 return Verdict::TimedOut(s.timeout);
@@ -290,12 +294,6 @@ impl FailureInjector {
             }
         }
         Verdict::Healthy
-    }
-
-    /// Whether any window or spec is active at `now`.
-    pub fn any_active(&self, now: SimTime) -> bool {
-        self.windows.read().iter().any(|w| w.covers(now))
-            || self.specs.read().iter().any(|s| s.covers(now))
     }
 }
 

@@ -5,9 +5,11 @@
 //! complete". The [`Provisioner`] models that: capacity changes are
 //! *scheduled* and only become effective after the provisioning delay.
 //! Shrinks are immediate (releasing a node needs no spawn).
+//!
+//! A provisioner is plain data: the tier that owns it keeps it under its
+//! own state lock.
 
 use crate::clock::{SimDuration, SimTime};
-use tiera_support::sync::{rank, Mutex};
 
 /// A pending capacity change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,11 +22,6 @@ struct Pending {
 #[derive(Debug)]
 pub struct Provisioner {
     spawn_delay: SimDuration,
-    state: Mutex<State>,
-}
-
-#[derive(Debug)]
-struct State {
     capacity: u64,
     pending: Vec<Pending>,
 }
@@ -33,14 +30,7 @@ impl Provisioner {
     /// Creates a provisioner with an initial capacity (bytes) and a spawn
     /// delay applied to every grow.
     pub fn new(initial_capacity: u64, spawn_delay: SimDuration) -> Self {
-        Self {
-            spawn_delay,
-            state: Mutex::named(
-                "provision.state",
-                rank::PROVISION_STATE,
-                State { capacity: initial_capacity, pending: Vec::new() },
-            ),
-        }
+        Self { spawn_delay, capacity: initial_capacity, pending: Vec::new() }
     }
 
     /// Convenience: the paper's ~1 minute EC2 node spawn.
@@ -49,19 +39,18 @@ impl Provisioner {
     }
 
     /// The capacity visible at virtual time `now` (applies matured changes).
-    pub fn capacity_at(&self, now: SimTime) -> u64 {
-        let mut st = self.state.lock();
+    pub fn capacity_at(&mut self, now: SimTime) -> u64 {
         // Apply matured pending changes in scheduling order.
         let mut i = 0;
-        while i < st.pending.len() {
-            if st.pending[i].effective_at <= now {
-                st.capacity = st.pending[i].new_capacity;
-                st.pending.remove(i);
+        while i < self.pending.len() {
+            if self.pending[i].effective_at <= now {
+                self.capacity = self.pending[i].new_capacity;
+                self.pending.remove(i);
             } else {
                 i += 1;
             }
         }
-        st.capacity
+        self.capacity
     }
 
     /// Schedules a grow by `percent` of the *target* capacity at `now`,
@@ -69,27 +58,24 @@ impl Provisioner {
     ///
     /// The target capacity is the latest scheduled capacity, so chained
     /// grows compound rather than racing.
-    pub fn grow_percent(&self, now: SimTime, percent: f64) -> SimTime {
+    pub fn grow_percent(&mut self, now: SimTime, percent: f64) -> SimTime {
         let effective_at = now + self.spawn_delay;
-        let mut st = self.state.lock();
-        let base = st.pending.last().map(|p| p.new_capacity).unwrap_or(st.capacity);
+        let base = self.pending.last().map(|p| p.new_capacity).unwrap_or(self.capacity);
         let add = (base as f64 * (percent / 100.0).max(0.0)).round() as u64;
-        st.pending.push(Pending { effective_at, new_capacity: base + add });
+        self.pending.push(Pending { effective_at, new_capacity: base + add });
         effective_at
     }
 
     /// Shrinks capacity by `percent` immediately (no spawn needed).
-    pub fn shrink_percent(&self, percent: f64) {
-        let mut st = self.state.lock();
-        let cut = (st.capacity as f64 * (percent / 100.0).clamp(0.0, 1.0)) as u64;
-        st.capacity = st.capacity.saturating_sub(cut);
-        st.pending.clear();
+    pub fn shrink_percent(&mut self, percent: f64) {
+        let cut = (self.capacity as f64 * (percent / 100.0).clamp(0.0, 1.0)) as u64;
+        self.capacity = self.capacity.saturating_sub(cut);
+        self.pending.clear();
     }
 
     /// Whether a grow is still in flight at `now`.
     pub fn growing_at(&self, now: SimTime) -> bool {
-        let st = self.state.lock();
-        st.pending.iter().any(|p| p.effective_at > now)
+        self.pending.iter().any(|p| p.effective_at > now)
     }
 
     /// The configured spawn delay.
@@ -106,7 +92,7 @@ mod tests {
 
     #[test]
     fn grow_matures_after_delay() {
-        let p = Provisioner::with_ec2_spawn(200 * MB);
+        let mut p = Provisioner::with_ec2_spawn(200 * MB);
         let t0 = SimTime::from_secs(360); // the paper's t = 6 min trigger
         let matures = p.grow_percent(t0, 100.0);
         assert_eq!(matures, SimTime::from_secs(420));
@@ -116,7 +102,7 @@ mod tests {
 
     #[test]
     fn chained_grows_compound() {
-        let p = Provisioner::new(100, SimDuration::from_secs(10));
+        let mut p = Provisioner::new(100, SimDuration::from_secs(10));
         p.grow_percent(SimTime::ZERO, 100.0); // → 200 at t=10
         p.grow_percent(SimTime::from_secs(1), 50.0); // 50% of 200 → 300 at t=11
         assert_eq!(p.capacity_at(SimTime::from_secs(12)), 300);
@@ -124,14 +110,14 @@ mod tests {
 
     #[test]
     fn shrink_is_immediate() {
-        let p = Provisioner::with_ec2_spawn(100);
+        let mut p = Provisioner::with_ec2_spawn(100);
         p.shrink_percent(25.0);
         assert_eq!(p.capacity_at(SimTime::ZERO), 75);
     }
 
     #[test]
     fn growing_at_reports_in_flight() {
-        let p = Provisioner::new(100, SimDuration::from_secs(60));
+        let mut p = Provisioner::new(100, SimDuration::from_secs(60));
         assert!(!p.growing_at(SimTime::ZERO));
         p.grow_percent(SimTime::ZERO, 10.0);
         assert!(p.growing_at(SimTime::from_secs(30)));

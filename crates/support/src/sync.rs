@@ -73,8 +73,8 @@ use std::sync::PoisonError;
 /// 4. the metastore shards (documented order **commit → queue → index**;
 ///    every shard of a kind shares one name, so two shards' same-kind
 ///    locks can never be held together);
-/// 5. tier internals (simulated + in-memory tiers, provisioner, fault
-///    injector, shared-bandwidth and serial resources);
+/// 5. tier internals: one lock per tier, then the fault plane and the
+///    serial resource (a shared-bandwidth schedule) an op takes under it;
 /// 6. the stats stripes (pure leaves).
 ///
 /// The RPC server holds no locks of its own — its worker and writer
@@ -138,7 +138,7 @@ pub mod rank {
     pub const METASTORE_INDEX: u16 = 62;
     /// `DedupTier` wrapper state (key→digest map, refcounted blob table).
     /// Held across inner-tier IO by design, so it must rank below every
-    /// inner tier lock (`SIMTIER_*`, `MEMTIER_*`) *and* below
+    /// inner tier lock (`SIMTIER_STATE`, `MEMTIER_STATE`) *and* below
     /// `TIERX_COMPRESS`: the canonical wrapper stack is
     /// `Dedup(Compressed(inner))`, dedup outermost.
     pub const TIERX_DEDUP: u16 = 64;
@@ -146,27 +146,15 @@ pub mod rank {
     /// ledger). Held across inner-tier IO; ranks above `TIERX_DEDUP`
     /// (compress is the inner wrapper) and below the tier locks proper.
     pub const TIERX_COMPRESS: u16 = 66;
-    /// Simulated tier: last observed capacity (reshard detection).
-    pub const SIMTIER_LAST_SEEN: u16 = 74;
-    /// Simulated tier: latency-model RNG.
-    pub const SIMTIER_RNG: u16 = 76;
-    /// Simulated tier: object map + usage counters.
+    /// Simulated tier: the whole tier — object map, usage counters,
+    /// provisioner, latency-model RNG, last observed capacity. One op is
+    /// one critical section under it.
     pub const SIMTIER_STATE: u16 = 78;
-    /// In-memory test tier: object map + usage counters.
+    /// In-memory test tier: object map, usage counters and capacity.
     pub const MEMTIER_STATE: u16 = 80;
-    /// In-memory test tier: capacity cell (acquired under `MEMTIER_STATE`
-    /// on the admission path).
-    pub const MEMTIER_CAPACITY: u16 = 82;
-    /// Provisioner state (acquired under `SIMTIER_STATE` on the admission
-    /// path).
-    pub const PROVISION_STATE: u16 = 84;
-    /// Fault injector: scheduled failure windows.
-    pub const FAILURE_WINDOWS: u16 = 86;
-    /// Fault injector: probabilistic fault specs.
-    pub const FAILURE_SPECS: u16 = 88;
-    /// Fault injector: seeded draw stream (acquired under
-    /// `FAILURE_SPECS`).
-    pub const FAILURE_RNG: u16 = 90;
+    /// Fault injector: windows, fault specs and their seeded draw stream
+    /// (acquired under `SIMTIER_STATE` for each op's verdict).
+    pub const FAILURE_PLANE: u16 = 86;
     /// Serial-resource reservation map (also the schedule of every
     /// `SharedBandwidth`).
     pub const SERIAL_BUSY: u16 = 94;
@@ -195,15 +183,9 @@ pub mod rank {
         ("metastore.index", METASTORE_INDEX),
         ("tierx.dedup", TIERX_DEDUP),
         ("tierx.compress", TIERX_COMPRESS),
-        ("simtier.last_seen", SIMTIER_LAST_SEEN),
-        ("simtier.rng", SIMTIER_RNG),
         ("simtier.state", SIMTIER_STATE),
         ("memtier.state", MEMTIER_STATE),
-        ("memtier.capacity", MEMTIER_CAPACITY),
-        ("provision.state", PROVISION_STATE),
-        ("failure.windows", FAILURE_WINDOWS),
-        ("failure.specs", FAILURE_SPECS),
-        ("failure.rng", FAILURE_RNG),
+        ("failure.plane", FAILURE_PLANE),
         ("serial.busy", SERIAL_BUSY),
         ("stats.stripe", STATS_STRIPE),
     ];

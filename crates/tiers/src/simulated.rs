@@ -27,7 +27,6 @@ pub struct SimulatedTier {
     traits_: TierTraits,
     read_model: LatencyModel,
     write_model: LatencyModel,
-    provisioner: Provisioner,
     failures: Arc<FailureInjector>,
     /// Shared device bandwidth (block tiers): foreground and background
     /// transfers queue FIFO on this path (paper Figure 14).
@@ -39,21 +38,21 @@ pub struct SimulatedTier {
     /// backend caches and read-aheads; writes must reach disk).
     op_occupancy_read: SimDuration,
     op_occupancy_write: SimDuration,
-    rng: Mutex<SimRng>,
+    /// Everything an op reads or changes but the fault plane and the
+    /// device schedule: `put`, `get` and `delete` each hold it once, from
+    /// the reshard check to the latency draw.
     state: Mutex<TierState>,
     /// Memory-cache clusters reshard when a node is added: a matured grow
     /// remaps the key space and roughly `old/new` of cached entries land on
     /// different nodes, turning into cache misses (the paper's Figure 16
     /// warm-up spike).
     reshard_on_grow: bool,
-    last_seen_capacity: Mutex<u64>,
     /// Fast path for small (≤ 1 KiB) writes on block devices: sequential
     /// log appends are absorbed by the device's write cache (`(base
     /// latency, device occupancy)`); database redo logs live on this path.
     small_write: Option<(SimDuration, SimDuration)>,
 }
 
-#[derive(Default)]
 struct TierState {
     /// Fx-hashed: a matured grow picks the entries it drops by walking
     /// this map while drawing from the seeded rng, so the walk order must
@@ -79,6 +78,11 @@ struct TierState {
     used: u64,
     puts: u64,
     gets: u64,
+    provisioner: Provisioner,
+    /// The latency models' draws, and a reshard's.
+    rng: SimRng,
+    /// Capacity at the last reshard check.
+    last_seen_capacity: u64,
 }
 
 impl TierState {
@@ -130,6 +134,23 @@ impl TierState {
             self.used -= value.len();
             self.slab.release(value);
         }
+    }
+
+    /// Applies the consistent-hashing reshard when a grow has matured:
+    /// entries whose keys remap to the new node become cache misses (they
+    /// are dropped here; the data's durable copies live in other tiers).
+    fn reshard(&mut self, now: SimTime) {
+        let cap = self.provisioner.capacity_at(now);
+        if cap > self.last_seen_capacity {
+            let remapped = 1.0 - (self.last_seen_capacity as f64 / cap as f64);
+            let rng = &mut self.rng;
+            let keys: Vec<ObjectKey> =
+                self.map.keys().filter(|_| rng.chance(remapped)).cloned().collect();
+            for k in keys {
+                self.remove(&k);
+            }
+        }
+        self.last_seen_capacity = cap;
     }
 }
 
@@ -298,45 +319,27 @@ impl SimulatedTier {
             traits_,
             read_model,
             write_model,
-            provisioner: Provisioner::new(capacity, spawn_delay),
             failures: Arc::new(FailureInjector::new()),
             bandwidth,
             op_occupancy_read: op_occupancy.0,
             op_occupancy_write: op_occupancy.1,
-            rng: Mutex::named("simtier.rng", rank::SIMTIER_RNG, env.rng_for(name)),
-            state: Mutex::named("simtier.state", rank::SIMTIER_STATE, TierState::default()),
-            reshard_on_grow,
-            last_seen_capacity: Mutex::named(
-                "simtier.last_seen",
-                rank::SIMTIER_LAST_SEEN,
-                capacity,
+            state: Mutex::named(
+                "simtier.state",
+                rank::SIMTIER_STATE,
+                TierState {
+                    map: FxHashMap::default(),
+                    slab: Slab::default(),
+                    pending: VecDeque::new(),
+                    used: 0,
+                    puts: 0,
+                    gets: 0,
+                    provisioner: Provisioner::new(capacity, spawn_delay),
+                    rng: env.rng_for(name),
+                    last_seen_capacity: capacity,
+                },
             ),
+            reshard_on_grow,
             small_write,
-        }
-    }
-
-    /// Applies the consistent-hashing reshard when a grow has matured:
-    /// entries whose keys remap to the new node become cache misses (they
-    /// are dropped here; the data's durable copies live in other tiers).
-    fn maybe_reshard(&self, now: SimTime) {
-        if !self.reshard_on_grow {
-            return;
-        }
-        let cap = self.provisioner.capacity_at(now);
-        let mut last = self.last_seen_capacity.lock();
-        if cap > *last {
-            let remapped = 1.0 - (*last as f64 / cap as f64);
-            *last = cap;
-            drop(last);
-            let mut rng = self.rng.lock();
-            let mut st = self.state();
-            let keys: Vec<ObjectKey> =
-                st.map.keys().filter(|_| rng.chance(remapped)).cloned().collect();
-            for k in keys {
-                st.remove(&k);
-            }
-        } else if cap < *last {
-            *last = cap;
         }
     }
 
@@ -344,6 +347,16 @@ impl SimulatedTier {
     fn state(&self) -> MutexGuard<'_, TierState> {
         let mut st = self.state.lock();
         st.settle();
+        st
+    }
+
+    /// The tier's state for an op at `now`, settled and, on a memory
+    /// cache whose grow has matured, resharded.
+    fn state_at(&self, now: SimTime) -> MutexGuard<'_, TierState> {
+        let mut st = self.state();
+        if self.reshard_on_grow {
+            st.reshard(now);
+        }
         st
     }
 
@@ -463,7 +476,7 @@ impl SimulatedTier {
     }
 
     /// Latency of one operation on `bytes`, including queueing on the
-    /// shared disk path if any.
+    /// shared disk path if any; the access latency is drawn from `st`'s rng.
     ///
     /// Block-style devices are occupied for the *whole* service time
     /// (seek/queue + transfer), which is what makes background replication
@@ -472,12 +485,13 @@ impl SimulatedTier {
     /// latency unless it is bandwidth-capped.
     fn charge(
         &self,
+        st: &mut TierState,
         bytes: usize,
         now: SimTime,
         model: &LatencyModel,
         occupancy: SimDuration,
     ) -> SimDuration {
-        let base = model.sample(0, &mut self.rng.lock());
+        let base = model.sample(0, &mut st.rng);
         match &self.bandwidth {
             Some(bw) => {
                 // The device is *occupied* for the op slot + transfer
@@ -506,7 +520,7 @@ impl Tier for SimulatedTier {
     }
 
     fn capacity(&self, now: SimTime) -> u64 {
-        self.provisioner.capacity_at(now)
+        self.state.lock().provisioner.capacity_at(now)
     }
 
     fn used(&self) -> u64 {
@@ -514,7 +528,8 @@ impl Tier for SimulatedTier {
     }
 
     fn put(&self, key: &ObjectKey, data: Bytes, now: SimTime) -> Result<OpReceipt> {
-        self.maybe_reshard(now);
+        let mut st = self.state_at(now);
+        let st = &mut *st;
         let mut spike = SimDuration::ZERO;
         let torn_wait = match self.failures.check_write(now) {
             Verdict::Healthy => None,
@@ -539,33 +554,26 @@ impl Tier for SimulatedTier {
         // tier rejects must not occupy the shared device path, otherwise a
         // failed multi-part write inflates every later op's queueing delay
         // while `used` says the bytes were never stored.
-        let prev = {
-            let mut st = self.state();
-            let old = st.map.get(key).map(Stored::len).unwrap_or(0);
-            let new_used = st.used - old + len;
-            let cap = self.capacity(now);
-            if new_used > cap {
-                return Err(TieraError::TierFull {
-                    tier: self.name.clone(),
-                    needed: len,
-                    available: cap.saturating_sub(st.used - old),
-                });
-            }
+        let old = st.map.get(key).map(Stored::len).unwrap_or(0);
+        let cap = st.provisioner.capacity_at(now);
+        if st.used - old + len > cap {
+            return Err(TieraError::TierFull {
+                tier: self.name.clone(),
+                needed: len,
+                available: cap.saturating_sub(st.used - old),
+            });
+        }
+        // A torn write mutates nothing: its bytes never become visible.
+        if torn_wait.is_none() {
             if fits_cell(data.len()) {
                 st.note(key);
             }
-            let prev = st.map.insert(key.clone(), Stored::Shared(data.into_shared()));
-            st.used = new_used;
-            st.puts += 1;
-            // The value replaced goes now, unless a torn write puts it back.
-            match prev {
-                Some(prev) if torn_wait.is_none() => {
-                    st.slab.release(prev);
-                    None
-                }
-                prev => prev,
+            if let Some(prev) = st.map.insert(key.clone(), Stored::Shared(data.into_shared())) {
+                st.slab.release(prev);
             }
-        };
+            st.used = st.used - old + len;
+            st.puts += 1;
+        }
         let latency = match self.small_write {
             Some((base, occ)) if len <= 1024 => {
                 // Sequential small append absorbed by the write cache.
@@ -577,31 +585,19 @@ impl Tier for SimulatedTier {
                     None => base,
                 }
             }
-            _ => self.charge(len as usize, now, &self.write_model, self.op_occupancy_write),
+            _ => self.charge(st, len as usize, now, &self.write_model, self.op_occupancy_write),
         };
         if let Some(waited) = torn_wait {
-            // Torn write: the transfer occupied the device but no bytes
-            // become visible; map and capacity accounting roll back to the
-            // pre-op value and the client is charged the timeout.
-            let mut st = self.state.lock();
-            match prev {
-                Some(old) => {
-                    st.used += old.len();
-                    if let Some(torn) = st.map.insert(key.clone(), old) {
-                        st.used -= torn.len();
-                        st.slab.release(torn);
-                    }
-                }
-                None => st.remove(key),
-            }
-            st.puts -= 1;
+            // The transfer occupied the device, and the client is charged
+            // the timeout.
             return Err(TieraError::Timeout { tier: self.name.clone(), waited });
         }
         Ok(OpReceipt::took(latency + spike))
     }
 
     fn get(&self, key: &ObjectKey, now: SimTime) -> Result<(Bytes, OpReceipt)> {
-        self.maybe_reshard(now);
+        let mut st = self.state_at(now);
+        let st = &mut *st;
         let mut spike = SimDuration::ZERO;
         match self.failures.check_read(now) {
             Verdict::Healthy => {}
@@ -616,23 +612,21 @@ impl Tier for SimulatedTier {
                 });
             }
         }
-        let data = {
-            let mut st = self.state();
-            st.gets += 1;
-            let value = st.map.get(key).ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
-            let data = st.read(value);
-            // A buffer pushed out of the queue while still shared gets
-            // another chance once this reader lets go of it.
-            if matches!(value, Stored::Shared(buf) if fits_cell(buf.len())) {
-                st.note(key);
-            }
-            data
-        };
-        let latency = self.charge(data.len(), now, &self.read_model, self.op_occupancy_read);
+        st.gets += 1;
+        let value = st.map.get(key).ok_or_else(|| TieraError::NoSuchObject(key.to_string()))?;
+        let data = st.read(value);
+        // A buffer pushed out of the queue while still shared gets another
+        // chance once this reader lets go of it.
+        if matches!(value, Stored::Shared(buf) if fits_cell(buf.len())) {
+            st.note(key);
+        }
+        let latency = self.charge(st, data.len(), now, &self.read_model, self.op_occupancy_read);
         Ok((data, OpReceipt::took(latency + spike)))
     }
 
     fn delete(&self, key: &ObjectKey, now: SimTime) -> Result<OpReceipt> {
+        let mut st = self.state();
+        let st = &mut *st;
         let mut spike = SimDuration::ZERO;
         match self.failures.check_write(now) {
             Verdict::Healthy => {}
@@ -650,10 +644,9 @@ impl Tier for SimulatedTier {
                 });
             }
         }
-        let latency = self.charge(0, now, &self.write_model, self.op_occupancy_write);
-        let mut st = self.state();
         st.remove(key);
         st.puts += 1;
+        let latency = self.charge(st, 0, now, &self.write_model, self.op_occupancy_write);
         Ok(OpReceipt::took(latency + spike))
     }
 
@@ -662,11 +655,11 @@ impl Tier for SimulatedTier {
     }
 
     fn grow(&self, percent: f64, now: SimTime) -> SimTime {
-        self.provisioner.grow_percent(now, percent)
+        self.state.lock().provisioner.grow_percent(now, percent)
     }
 
     fn shrink(&self, percent: f64, _now: SimTime) {
-        self.provisioner.shrink_percent(percent);
+        self.state.lock().provisioner.shrink_percent(percent);
     }
 
     fn request_counts(&self) -> RequestCounts {

@@ -44,10 +44,10 @@ cargo run -q --release --offline --bin tiera-analyze -- --deny-warnings --quiet 
 echo "==> cargo doc (rustdoc gate: a broken or ambiguous doc link fails the build)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "==> lockcheck tests (runtime lock-order sanitizer enabled)"
+echo "==> lockcheck tests (runtime lock-order sanitizer enabled; spec-compiled instances and fig 17's outage run under it too)"
 cargo test --offline -q -p tiera-support -p tiera-sim -p tiera-tiers -p tiera-core -p tiera-rpc -p tiera-chaos \
     -p tiera-metastore -p tiera-cluster -p tiera-tierx -p tiera-db -p tiera-fs -p tiera-workloads \
-    --features tiera-support/lockcheck
+    -p tiera-spec -p tiera-bench --features tiera-support/lockcheck
 
 echo "==> benchmark/ tests (outside the root workspace; catches API drift under the referee)"
 (cd benchmark && cargo test --offline -q)
